@@ -6,14 +6,14 @@
 #   make chaos        - deterministic fault-injection suite (crashes, hangs,
 #                       transients, torn writes; writes CHAOS_quarantine.json)
 #   make bench        - full paper figure/table benchmark suite
-#   make bench-sweep  - sweep-engine timing benchmark (writes BENCH_sweep.json)
-#   make bench-smoke  - paper-scale regression gate + reduced-scale fast-path
-#                       benchmark (what CI's bench-smoke job runs)
+#   make ledger       - layered performance ledger (benchmarks/ledger/README.md):
+#                       five workloads, end-to-end + per-layer metrics, written
+#                       to LEDGER.json; non-zero exit on any incorrect workload
 
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify lint sweep-smoke chaos bench bench-sweep bench-smoke
+.PHONY: verify lint sweep-smoke chaos bench ledger
 
 verify:
 	$(PY) -m pytest -x -q
@@ -35,10 +35,5 @@ chaos:
 bench:
 	$(PY) -m pytest benchmarks/bench_*.py -s
 
-bench-sweep:
-	$(PY) -m pytest benchmarks/bench_sweep_engine.py -s
-
-bench-smoke:
-	$(PY) benchmarks/check_bench_regression.py --baseline BENCH_simulator.json
-	REPRO_BENCH_SMOKE=1 $(PY) -m pytest benchmarks/bench_simulator_fastpath.py -s
-	$(PY) -m pytest benchmarks/bench_sweep_engine.py -s
+ledger:
+	$(PY) benchmarks/ledger/run.py --out LEDGER.json

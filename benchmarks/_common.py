@@ -13,8 +13,9 @@ geometrically spaced core counts up to 64 and matrices of a few hundred rows.
 The regime definitions (strong scaling / limited memory / extra memory,
 section 8) are preserved exactly.  ``volume`` mode (counters-only payloads,
 see :mod:`repro.machine.transport`) produces byte-identical communication
-counters without any numerics and unlocks paper-scale sweeps -- see
-``bench_simulator_fastpath.py`` for core counts in the thousands.
+counters without any numerics and unlocks paper-scale sweeps -- see the
+ledger's ``volume_paper`` workload (``benchmarks/ledger/``) for core counts in
+the thousands.
 """
 
 from __future__ import annotations

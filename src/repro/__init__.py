@@ -48,7 +48,6 @@ from repro.algorithms import (
     registered_algorithms,
 )
 from repro.api import (
-    MultiplyResult,
     RunReport,
     cosma_cost,
     lower_bound_parallel,
@@ -62,7 +61,6 @@ __all__ = [
     "multiply",
     "plan",
     "RunReport",
-    "MultiplyResult",
     "AlgorithmSpec",
     "Plan",
     "get_algorithm",

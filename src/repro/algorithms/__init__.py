@@ -16,7 +16,6 @@ Typical use::
 """
 
 from repro.algorithms.registry import (
-    ALGORITHMS,
     AlgorithmSpec,
     Plan,
     UnknownAlgorithmError,
@@ -40,7 +39,6 @@ from repro.algorithms.builtins import cosma_idle_fraction
 DEFAULT_ALGORITHMS: tuple[str, ...] = default_algorithms()
 
 __all__ = [
-    "ALGORITHMS",
     "DEFAULT_ALGORITHMS",
     "AlgorithmSpec",
     "Plan",

@@ -15,9 +15,6 @@ data, not scattered special cases:
   the process-wide registry; :mod:`repro.algorithms.builtins` registers the
   paper's five comparison targets, and ``extensions/`` modules self-register
   on import (see :mod:`repro.extensions.allgather`).
-* :data:`ALGORITHMS` is the backward-compatible mutable-mapping view
-  (``name -> runner``) that replaces the old hard-coded dict in
-  :mod:`repro.experiments.harness`.
 
 The registry is consumed by :mod:`repro.api` (``multiply`` / ``plan``), the
 benchmark harness, the CLI (choice lists and validation) and the sweep
@@ -26,9 +23,9 @@ engine (spec validation and infeasible-point pruning).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Iterator, MutableMapping
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -246,8 +243,8 @@ def plan_cache_clear() -> None:
 def register(spec: AlgorithmSpec, replace: bool = False) -> AlgorithmSpec:
     """Add ``spec`` to the registry (and its cost model to ``costs.predict``).
 
-    ``replace=True`` allows re-registering the same canonical name (used by
-    the :data:`ALGORITHMS` compatibility view and by tests); registering a
+    ``replace=True`` allows re-registering the same canonical name (tests
+    swap a runner this way); registering a
     name or alias that belongs to a *different* algorithm is always an error.
     """
     labels = (spec.name, *spec.aliases)
@@ -312,7 +309,7 @@ def register_algorithm(
 
 
 def unregister(name: str) -> None:
-    """Remove an algorithm and its cost model (tests, compatibility view)."""
+    """Remove an algorithm and its cost model (extensions, tests)."""
     canonical = resolve_algorithm(name)
     spec = _REGISTRY.pop(canonical)
     for label in (spec.name, *spec.aliases):
@@ -360,45 +357,3 @@ def algorithm_choices() -> list[str]:
 def default_algorithms() -> tuple[str, ...]:
     """The paper-figure comparison subset, in registration order."""
     return tuple(name for name, spec in _REGISTRY.items() if spec.default_comparison)
-
-
-class _RunnerView(MutableMapping):
-    """Backward-compatible mapping view of the registry: ``name -> runner``.
-
-    This preserves the interface of the old hard-coded ``ALGORITHMS`` dict in
-    :mod:`repro.experiments.harness` (lookup, iteration in registration
-    order, and item assignment/deletion, which tests use to inject synthetic
-    algorithms).  Lookup accepts aliases; iteration yields canonical names
-    only.  New code should prefer :func:`get_algorithm` /
-    :func:`register_algorithm`, which carry planners and cost models too.
-    """
-
-    def __getitem__(self, name: str) -> RunnerFn:
-        return get_algorithm(name).runner
-
-    def __setitem__(self, name: str, runner: RunnerFn) -> None:
-        if is_registered(name):
-            # Keep the existing spec's planner/cost metadata, swap the runner.
-            register(_dc_replace(get_algorithm(name), runner=runner), replace=True)
-        else:
-            register(AlgorithmSpec(name=str(name), runner=runner))
-
-    def __delitem__(self, name: str) -> None:
-        unregister(name)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(_REGISTRY)
-
-    def __len__(self) -> int:
-        return len(_REGISTRY)
-
-    def __contains__(self, name: object) -> bool:
-        return isinstance(name, str) and is_registered(name)
-
-    def __repr__(self) -> str:
-        return f"ALGORITHMS({', '.join(_REGISTRY)})"
-
-
-#: Deprecated mapping view kept for source compatibility with the pre-registry
-#: ``experiments.harness.ALGORITHMS`` dict.
-ALGORITHMS: MutableMapping[str, RunnerFn] = _RunnerView()

@@ -7,8 +7,7 @@ feasibility *without* executing anything) and the analytic cost /
 lower-bound helpers.  Everything else is available through the subpackages
 documented in the README's architecture overview.
 
-Backward compatibility: :class:`MultiplyResult` is an alias of
-:class:`RunReport` and every pre-registry field (``matrix``, ``grid``,
+Backward compatibility: every pre-registry result field (``matrix``, ``grid``,
 ``processors_used``, ``mean_words_per_rank``, ``mean_received_per_rank``,
 ``total_communicated_words``, ``rounds``, ``lower_bound_per_rank``,
 ``optimality_ratio``) is still there; ``multiply``'s positional argument
@@ -20,7 +19,6 @@ flat 3%, matching what the benchmark harness has always done.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +26,8 @@ import numpy as np
 from repro.algorithms import Plan, cosma_idle_fraction, get_algorithm, registered_algorithms
 from repro.baselines.costs import CostPrediction
 from repro.core.cost_model import cosma_io_cost
-from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import MODES, ShapeToken, allclose_tolerances
-from repro.obs.trace import active_tracer
+from repro.experiments.harness import _execute
+from repro.machine.transport import ShapeToken
 from repro.pebbling.mmm_bounds import parallel_io_lower_bound, sequential_io_lower_bound
 from repro.utils.validation import check_positive_int
 from repro.workloads.scaling import Scenario
@@ -38,7 +35,6 @@ from repro.workloads.shapes import ProblemShape
 
 __all__ = [
     "RunReport",
-    "MultiplyResult",
     "multiply",
     "plan",
     "list_algorithms",
@@ -53,9 +49,10 @@ __all__ = [
 class RunReport:
     """Unified result of one algorithm execution: plan + counters + bounds.
 
-    Shared by :func:`multiply`, the benchmark harness, the CLI and the sweep
-    engine's per-run records; :class:`MultiplyResult` is its deprecated
-    pre-registry alias.
+    Returned by :func:`multiply` (and printed by ``repro multiply``).  The
+    benchmark harness and the sweep engine's per-run records use the leaner
+    :class:`~repro.experiments.harness.AlgorithmRun`, which carries counters
+    only; both are filled from the same run path.
     """
 
     #: Canonical registry name of the algorithm that ran.
@@ -99,10 +96,6 @@ class RunReport:
         if self.lower_bound_per_rank <= 0:
             return float("inf")
         return self.mean_received_per_rank / self.lower_bound_per_rank
-
-
-#: Deprecated alias: the pre-registry name of :class:`RunReport`.
-MultiplyResult = RunReport
 
 
 def _api_scenario(m: int, n: int, k: int, processors: int, memory_words: int) -> Scenario:
@@ -181,10 +174,6 @@ def multiply(
     processors = check_positive_int(processors, "processors")
     memory_words = check_positive_int(memory_words, "memory_words")
     spec = get_algorithm(algorithm)
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; known: {MODES}")
-    if not spec.supports_mode(mode):
-        raise ValueError(f"{spec.name} does not support mode {mode!r}; supported: {spec.modes}")
     options: dict = {}
     if max_idle_fraction is not None:
         if spec.name != "COSMA":
@@ -200,48 +189,11 @@ def multiply(
         raise ValueError(f"inner dimensions do not match: {(m, k)} x {(k2, n)}")
     scenario = _api_scenario(m, n, k, processors, memory_words)
     run_plan = spec.plan(scenario, **options)
-    if spec.name == "COSMA" and run_plan.feasible and run_plan.grid is not None:
-        # Hand the fitted grid back to the executor so the (identical)
-        # fitting search is not run twice per multiply.
-        options["grid"] = run_plan.grid
-
-    machine = DistributedMachine(
-        processors, memory_words=memory_words, mode=mode,
+    product, counters, verified, correct = _execute(
+        spec, scenario, a_matrix, b_matrix, mode=mode, span="multiply", verify=True,
+        run_plan=run_plan, options=options,
         compress_rounds=compress_rounds, shards=shards, plane_dtype=plane_dtype,
     )
-    if mode == "volume":
-        a_in: np.ndarray | ShapeToken = ShapeToken((m, k))
-        b_in: np.ndarray | ShapeToken = ShapeToken((k, n))
-    else:
-        a_in = np.asarray(a_matrix)
-        b_in = np.asarray(b_matrix)
-    tracer = active_tracer()
-    run_span = (
-        tracer.span(
-            f"multiply:{spec.name}", cat="run",
-            args={
-                "algorithm": spec.name, "scenario": scenario.name,
-                "p": processors, "mode": mode,
-            },
-            track="run",
-        )
-        if tracer is not None
-        else nullcontext()
-    )
-    with run_span:
-        product = spec.run(a_in, b_in, scenario, machine, **options)
-        if machine.trace is not None:
-            # Flush activity after the last round boundary (or the whole run,
-            # for algorithms that never mark one) into a final round span.
-            machine.trace.commit_round(machine.peak_resident_words)
-    machine.counters.assert_conservation()
-
-    verified = mode != "volume"
-    correct = True
-    if verified:
-        rtol, atol_unit = allclose_tolerances(getattr(product, "dtype", np.float64))
-        correct = bool(np.allclose(product, a_in @ b_in, rtol=rtol, atol=atol_unit * k))
-    counters = machine.counters
     bound = run_plan.lower_bound_per_rank  # same inputs as the Theorem 2 call
     return RunReport(
         algorithm=spec.name,

@@ -32,6 +32,7 @@ from repro.machine.counters import CommCounters
 from repro.machine.rma import rma_get
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import PayloadPlane, ShapeToken, as_payload
+from repro.utils.intmath import split_offsets
 
 
 @dataclass
@@ -309,7 +310,7 @@ def _sharded_gemm(
     Only (job id, slice spec) messages cross the pipes.  All counters were
     already posted in the parent -- nothing here touches accounting.
     """
-    from repro.machine.shard import get_pool, split_offsets
+    from repro.machine.shard import get_pool
 
     m = int(c_plane.data.shape[1])
     pool = get_pool(machine.shards)

@@ -12,12 +12,11 @@ These modules regenerate every evaluation artifact of the paper:
   (Table 4, Figures 6-14) as plain-text tables/series.
 """
 
-from repro.experiments.harness import ALGORITHMS, AlgorithmRun, run_algorithm, run_scenario, sweep
+from repro.experiments.harness import AlgorithmRun, run_algorithm, run_scenario, sweep
 from repro.experiments.perf_model import percent_of_peak, simulated_time
 from repro.experiments.report import format_table, geometric_mean
 
 __all__ = [
-    "ALGORITHMS",
     "AlgorithmRun",
     "run_algorithm",
     "run_scenario",

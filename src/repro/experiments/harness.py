@@ -23,7 +23,8 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from repro.algorithms import ALGORITHMS, DEFAULT_ALGORITHMS, get_algorithm
+from repro.algorithms import DEFAULT_ALGORITHMS, AlgorithmSpec, Plan, get_algorithm
+from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import MODES, ShapeToken, allclose_tolerances
 from repro.obs.trace import active_tracer
@@ -143,13 +144,78 @@ class RunFailure:
         return False
 
 
-AlgorithmFn = Callable[[np.ndarray, np.ndarray, Scenario, DistributedMachine], np.ndarray]
+def _execute(
+    spec: AlgorithmSpec,
+    scenario: Scenario,
+    a_matrix,
+    b_matrix,
+    *,
+    mode: str,
+    span: str,
+    verify: bool,
+    reference: Callable[[], np.ndarray] | None = None,
+    run_plan: Plan | None = None,
+    options: Mapping | None = None,
+    compress_rounds: bool,
+    shards: int,
+    plane_dtype: str,
+) -> tuple[np.ndarray | ShapeToken, CommCounters, bool, bool]:
+    """Run ``spec`` on a fresh machine: the one path behind :func:`run_algorithm`
+    and :func:`repro.api.multiply`.
 
-# ``ALGORITHMS`` and ``DEFAULT_ALGORITHMS`` are re-exported from
-# :mod:`repro.algorithms` for backward compatibility: the hard-coded closure
-# dict that used to live here became the registry's mapping view.  The COSMA
-# delta heuristic that was inlined here is now
-# :func:`repro.algorithms.cosma_idle_fraction`, shared with the API and CLI.
+    Validates ``mode`` against the registry's capability flags, builds the
+    machine from the four execution-policy arguments, hands COSMA the grid
+    ``run_plan`` already fitted (so the fitting search runs once per
+    scenario, not once per plan *and* run), executes under a
+    ``<span>:<algorithm>`` run span, asserts word conservation and -- for
+    numeric modes, when ``verify`` -- checks the product against
+    ``reference()`` (default ``A @ B``) at the dtype's tolerances.  In
+    ``"volume"`` mode the inputs are replaced by shape tokens.  Returns
+    ``(product, counters, verified, correct)``.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; known: {MODES}")
+    if not spec.supports_mode(mode):
+        raise ValueError(f"{spec.name} does not support mode {mode!r}; supported: {spec.modes}")
+    shape = scenario.shape
+    if mode == "volume":
+        a_matrix, b_matrix = ShapeToken((shape.m, shape.k)), ShapeToken((shape.k, shape.n))
+    else:
+        a_matrix, b_matrix = np.asarray(a_matrix), np.asarray(b_matrix)
+    machine = DistributedMachine(
+        scenario.p, memory_words=scenario.memory_words, mode=mode,
+        compress_rounds=compress_rounds, shards=shards, plane_dtype=plane_dtype,
+    )
+    options = dict(options or {})
+    if spec.name == "COSMA" and run_plan is not None and run_plan.feasible and run_plan.grid is not None:
+        options["grid"] = run_plan.grid
+    tracer = active_tracer()
+    run_span = (
+        tracer.span(
+            f"{span}:{spec.name}", cat="run",
+            args={
+                "algorithm": spec.name, "scenario": scenario.name,
+                "p": scenario.p, "mode": mode,
+            },
+            track="run",
+        )
+        if tracer is not None
+        else nullcontext()
+    )
+    with run_span:
+        product = spec.run(a_matrix, b_matrix, scenario, machine, **options)
+        if machine.trace is not None:
+            # Flush activity after the last round boundary (or the whole run,
+            # for algorithms that never mark one) into a final round span.
+            machine.trace.commit_round(machine.peak_resident_words)
+    machine.counters.assert_conservation()
+    verified = bool(verify) and mode != "volume"
+    correct = True
+    if verified:
+        expected = reference() if reference is not None else a_matrix @ b_matrix
+        rtol, atol_unit = allclose_tolerances(getattr(product, "dtype", np.float64))
+        correct = bool(np.allclose(product, expected, rtol=rtol, atol=atol_unit * shape.k))
+    return product, machine.counters, verified, correct
 
 
 def run_algorithm(
@@ -179,61 +245,21 @@ def run_algorithm(
     (:meth:`~repro.machine.counters.CommCounters.assert_conservation`).
     """
     spec = get_algorithm(name)
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; known: {MODES}")
-    if not spec.supports_mode(mode):
-        raise ValueError(f"{spec.name} does not support mode {mode!r}; supported: {spec.modes}")
     shape = scenario.shape
-    if mode == "volume":
-        a_matrix: np.ndarray | ShapeToken = ShapeToken((shape.m, shape.k))
-        b_matrix: np.ndarray | ShapeToken = ShapeToken((shape.k, shape.n))
-    else:
-        a_matrix, b_matrix = shape.random_matrices(seed=seed)
-    machine = DistributedMachine(
-        scenario.p, memory_words=scenario.memory_words, mode=mode,
-        compress_rounds=compress_rounds, shards=shards, plane_dtype=plane_dtype,
-    )
-    options: dict = {}
+    run_plan = None
     if spec.name == "COSMA":
-        # Hand the memoized planned grid to the executor so the fitting
-        # search runs once per scenario, not once per (mode, repeat) -- the
-        # same handshake api.multiply performs.  Planning failures fall
-        # through to the executor so error behaviour is unchanged.
+        # The memoized planned grid goes to the executor (see _execute).
+        # Planning failures fall through so the run itself reports the error.
         try:
             run_plan = spec.plan(scenario)
         except Exception:  # noqa: BLE001 - the run itself reports the error
-            run_plan = None
-        if run_plan is not None and run_plan.feasible and run_plan.grid is not None:
-            options["grid"] = run_plan.grid
-    tracer = active_tracer()
-    run_span = (
-        tracer.span(
-            f"run:{spec.name}", cat="run",
-            args={
-                "algorithm": spec.name, "scenario": scenario.name,
-                "p": scenario.p, "mode": mode,
-            },
-            track="run",
-        )
-        if tracer is not None
-        else nullcontext()
+            pass
+    inputs = (None, None) if mode == "volume" else shape.random_matrices(seed=seed)
+    _, counters, verified, correct = _execute(
+        spec, scenario, *inputs, mode=mode, span="run", verify=verify,
+        reference=lambda: _reference_product(shape, seed), run_plan=run_plan,
+        compress_rounds=compress_rounds, shards=shards, plane_dtype=plane_dtype,
     )
-    with run_span:
-        product = spec.run(a_matrix, b_matrix, scenario, machine, **options)
-        if machine.trace is not None:
-            # Flush activity after the last round boundary (or the whole run,
-            # for algorithms that never mark one) into a final round span.
-            machine.trace.commit_round(machine.peak_resident_words)
-    verified = bool(verify) and mode != "volume"
-    correct = True
-    if verified:
-        rtol, atol_unit = allclose_tolerances(getattr(product, "dtype", np.float64))
-        correct = bool(np.allclose(
-            product, _reference_product(shape, seed),
-            rtol=rtol, atol=atol_unit * shape.k,
-        ))
-    machine.counters.assert_conservation()
-    counters = machine.counters
     return AlgorithmRun(
         algorithm=spec.name,
         scenario=scenario,

@@ -9,7 +9,7 @@ across a pool of worker *processes* over ``multiprocessing.shared_memory``:
   every job message carries only ``(job id, kernel name, slice spec)``, never
   an array payload (zero-copy handoff);
 * each worker owns one contiguous stripe of the leading axis
-  (:func:`split_offsets`) and runs a named kernel from :data:`KERNELS` over
+  (:func:`repro.utils.intmath.split_offsets`) and runs a named kernel from :data:`KERNELS` over
   its stripe, writing results straight into the shared output segment;
 * BLAS threading inside each worker is pinned via environment variables at
   spawn time (``OPENBLAS_NUM_THREADS`` et al. read at import), so ``shards``
@@ -19,10 +19,12 @@ Counter accounting never enters this module: all counters stay in the parent
 on the :class:`~repro.machine.counters.CounterMatrix` path, which is what
 makes counters byte-identical across shard counts by construction.
 
-Supervision is SIGKILL-safe: the parent waits on each worker's pipe *and*
-its process sentinel (:func:`multiprocessing.connection.wait`); a worker
-that dies without replying surfaces a structured :class:`ShardWorkerError`
-(never a hang), and the broken pool is evicted from the module cache.
+Supervision is SIGKILL-safe: workers are :class:`repro.utils.workers.Worker`
+processes (the primitive the campaign supervisor uses too), and the parent
+collects replies with :func:`~repro.utils.workers.wait_any`, which watches
+each worker's pipe *and* its process sentinel; a worker that dies without
+replying surfaces a structured :class:`ShardWorkerError` (never a hang), and
+the broken pool is evicted from the module cache.
 
 ``shards=1`` callers must not construct a pool at all -- the in-process
 engine is the provable baseline (:func:`available_shards` reports whether a
@@ -39,6 +41,8 @@ from contextlib import contextmanager
 from typing import Sequence
 
 import numpy as np
+
+from repro.utils.workers import Worker, WorkerDied, wait_any
 
 #: Environment variables that pin the BLAS/OpenMP thread count in a freshly
 #: spawned interpreter (read at numpy import, hence set before spawn).
@@ -66,25 +70,6 @@ class ShardWorkerError(RuntimeError):
         super().__init__(message)
         self.shard = int(shard)
         self.exitcode = exitcode
-
-
-def split_offsets(extent: int, parts: int) -> list[tuple[int, int]]:
-    """Contiguous ``[start, stop)`` stripes splitting ``extent`` into ``parts``.
-
-    Uneven extents spread the remainder over the leading stripes (numpy
-    ``array_split`` convention), so e.g. 10 rows over 3 shards become
-    ``(0,4) (4,7) (7,10)``.  Stripes for ``parts > extent`` degenerate to
-    empty trailing ranges, which kernels treat as no-ops.
-    """
-    parts = max(1, int(parts))
-    base, remainder = divmod(int(extent), parts)
-    offsets = []
-    start = 0
-    for index in range(parts):
-        stop = start + base + (1 if index < remainder else 0)
-        offsets.append((start, stop))
-        start = stop
-    return offsets
 
 
 def available_shards(requested: int) -> tuple[int, str | None]:
@@ -259,75 +244,47 @@ class ShardPool:
             blas_threads = max(1, (os.cpu_count() or 1) // self.shards)
         self.blas_threads = int(blas_threads)
         context = mp.get_context("spawn")
-        self._conns = []
-        self._procs = []
         with _pinned_blas_env(self.blas_threads):
-            for index in range(self.shards):
-                parent_conn, child_conn = context.Pipe()
-                proc = context.Process(
-                    target=_worker_main,
-                    args=(child_conn, index),
-                    name=f"repro-shard-{index}",
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                self._conns.append(parent_conn)
-                self._procs.append(proc)
+            self._workers = [
+                Worker(context, _worker_main, (index,), name=f"repro-shard-{index}")
+                for index in range(self.shards)
+            ]
 
     # -- supervision ------------------------------------------------------
-    def _await_replies(self, pending: set[int]) -> list:
-        """One reply per pending worker; SIGKILL-safe via process sentinels."""
-        from multiprocessing import connection
+    def _exchange(self, messages: Sequence) -> list:
+        """Send ``messages[i]`` to worker ``i``; gather one reply from each.
 
-        replies: list = [None] * self.shards
-        pending = set(pending)
-        while pending:
-            conn_of = {self._conns[i]: i for i in pending}
-            sentinel_of = {self._procs[i].sentinel: i for i in pending}
-            ready = connection.wait(list(conn_of) + list(sentinel_of))
-            for handle in ready:
-                index = conn_of.get(handle)
-                if index is not None:
-                    try:
-                        replies[index] = self._conns[index].recv()
-                    except (EOFError, OSError):
-                        self._fail(index)
-                    pending.discard(index)
-                    continue
-                index = sentinel_of[handle]
-                if index in pending and not self._conns[index].poll():
-                    # Sentinel fired with no buffered reply: the worker died
-                    # mid-job (crash or SIGKILL).
-                    self._fail(index)
-        return replies
-
-    def _fail(self, index: int) -> None:
-        proc = self._procs[index]
-        proc.join(timeout=1.0)
-        exitcode = proc.exitcode
-        self.broken = True
-        self._terminate()
-        raise ShardWorkerError(
-            f"shard worker {index}/{self.shards} died with exit code {exitcode} "
-            "before replying (crashed or killed); pool discarded",
-            shard=index,
-            exitcode=exitcode,
-        )
-
-    def _send(self, index: int, message) -> None:
-        try:
-            self._conns[index].send(message)
-        except (BrokenPipeError, OSError):
-            # The worker died before we could even hand it the job.
-            self._fail(index)
-
-    def _broadcast(self, message) -> list:
+        SIGKILL-safe: a worker that died before or after taking its message
+        poisons the pool and raises :class:`ShardWorkerError`.
+        """
         if self.broken:
             raise ShardWorkerError("pool is broken; build a new one", shard=-1)
-        for index in range(self.shards):
-            self._send(index, message)
-        return self._await_replies(set(range(self.shards)))
+        for index, (worker, message) in enumerate(zip(self._workers, messages)):
+            try:
+                worker.send(message)
+            except WorkerDied as death:
+                # The worker died before we could even hand it the job.
+                self._fail(index, death)
+        replies: list = [None] * self.shards
+        pending = set(self._workers)
+        while pending:
+            for worker, reply in wait_any(pending):
+                index = self._workers.index(worker)
+                if isinstance(reply, WorkerDied):
+                    # Died mid-job (crash or SIGKILL) without replying.
+                    self._fail(index, reply)
+                replies[index] = reply
+                pending.discard(worker)
+        return replies
+
+    def _fail(self, index: int, death: WorkerDied) -> None:
+        self._terminate()
+        raise ShardWorkerError(
+            f"shard worker {index}/{self.shards} died with exit code {death.exitcode} "
+            "before replying (crashed or killed); pool discarded",
+            shard=index,
+            exitcode=death.exitcode,
+        )
 
     # -- shared segments --------------------------------------------------
     def share(self, tag: str, array: np.ndarray) -> np.ndarray:
@@ -357,10 +314,7 @@ class ShardPool:
         else:
             view[...] = fill
         self._segments[tag] = (shm, view)
-        try:
-            self._broadcast(("attach", tag, shm.name, tuple(shape), np.dtype(dtype).name))
-        except ShardWorkerError:
-            raise
+        self._exchange([("attach", tag, shm.name, tuple(shape), np.dtype(dtype).name)] * self.shards)
         return view
 
     def release(self) -> None:
@@ -368,9 +322,8 @@ class ShardPool:
         if not self._segments:
             return
         if not self.broken:
-            self._broadcast(("release",))
-        for tag in list(self._segments):
-            self._destroy_segment(*self._segments.pop(tag))
+            self._exchange([("release",)] * self.shards)
+        self._destroy_segments()
 
     # -- jobs -------------------------------------------------------------
     def run(self, kernel: str, specs: Sequence[dict]) -> list[dict]:
@@ -384,18 +337,13 @@ class ShardPool:
             raise ValueError(f"need {self.shards} specs, got {len(specs)}")
         if kernel not in KERNELS:
             raise ValueError(f"unknown kernel {kernel!r}; known: {tuple(KERNELS)}")
-        if self.broken:
-            raise ShardWorkerError("pool is broken; build a new one", shard=-1)
         self._job_counter += 1
         job_id = self._job_counter
-        for index, spec in enumerate(specs):
-            self._send(index, ("run", job_id, kernel, spec))
-        replies = self._await_replies(set(range(self.shards)))
+        replies = self._exchange([("run", job_id, kernel, spec) for spec in specs])
         infos = []
         for index, reply in enumerate(replies):
             if reply[0] == "error":
                 _, _, type_name, text, tail = reply
-                self.broken = True
                 self._terminate()
                 raise ShardWorkerError(
                     f"shard worker {index} kernel {kernel!r} raised "
@@ -407,43 +355,34 @@ class ShardPool:
 
     # -- teardown ---------------------------------------------------------
     def _terminate(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in self._procs:
-            proc.join(timeout=2.0)
-        for tag in list(self._segments):
-            self._destroy_segment(*self._segments.pop(tag))
+        """Poison the pool: kill every worker at once, destroy all segments."""
+        self.broken = True
+        for worker in self._workers:
+            worker.kill()
+        self._destroy_segments()
 
-    @staticmethod
-    def _destroy_segment(shm, view) -> None:
-        # A caller still holding a view of the segment makes close() raise
-        # BufferError; unlink the name regardless so the segment cannot leak
-        # past the last mapping.
-        del view
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - caller kept a view alive
-            pass
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover
-            pass
+    def _destroy_segments(self) -> None:
+        for tag in list(self._segments):
+            shm, view = self._segments.pop(tag)
+            # A caller still holding a view of the segment makes close() raise
+            # BufferError; unlink the name regardless so the segment cannot
+            # leak past the last mapping.
+            del view
+            try:
+                shm.close()
+            except BufferError:  # pragma: no cover - caller kept a view alive
+                pass
+            try:
+                shm.unlink()
+            except FileNotFoundError:  # pragma: no cover
+                pass
 
     def shutdown(self) -> None:
         """Stop every worker and destroy all segments (idempotent)."""
-        if not self.broken and any(proc.is_alive() for proc in self._procs):
-            try:
-                self._broadcast(("stop",))
-            except ShardWorkerError:
-                pass
         self.broken = True
-        self._terminate()
+        for worker in self._workers:
+            worker.stop(("stop",), timeout=2.0)
+        self._destroy_segments()
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,9 @@
 The tracer is *off by default*: :func:`active_tracer` returns ``None`` and
 every instrumentation site in the simulator / harness / sweep engine guards
 with ``if tracer is not None`` -- one attribute load and an identity check,
-which is what keeps the disabled-tracer overhead under the 2% budget gated by
-``benchmarks/check_bench_regression.py``.
+which is what keeps the disabled-tracer overhead negligible (the ledger's
+``obs.trace_overhead_frac`` measures the enabled cost;
+``benchmarks/ledger/README.md``).
 
 When enabled (:func:`enable_tracing` / the :func:`tracing` context manager),
 instrumented code records **events** -- ``(name, cat, ts_ns, dur_ns, args,
@@ -137,7 +138,7 @@ class MachineTrace:
 
     __slots__ = (
         "tracer", "mode", "rounds", "hops", "deliveries", "delivered_words",
-        "notifications", "_data", "_round_start_ns", "_words0", "_flops0",
+        "_data", "_round_start_ns", "_words0", "_flops0",
         "_round_hops", "_collectives",
     )
 
@@ -149,11 +150,6 @@ class MachineTrace:
         self.hops = 0
         self.deliveries = 0
         self.delivered_words = 0
-        #: Notification *calls* received (one per guarded call site fired),
-        #: which is exactly how many ``is not None`` guards an untraced run
-        #: of the same schedule evaluates -- the disabled-overhead analysis
-        #: in ``benchmarks/bench_simulator_fastpath.py`` builds on it.
-        self.notifications = 0
         self._round_hops = 0
         self._collectives: dict[str, int] = {}
         self._words0 = int(counter_data[WORDS_SENT].sum())
@@ -163,23 +159,19 @@ class MachineTrace:
     # -- per-event notifications (guarded call sites keep these tiny) -------
     def hop(self) -> None:
         """One point-to-point transfer went through ``machine.send``."""
-        self.notifications += 1
         self._round_hops += 1
 
     def hops_batch(self, n: int) -> None:
         """``n`` transfers were posted in one batched ``post_transfers``."""
-        self.notifications += 1
         self._round_hops += int(n)
 
     def collective(self, kind: str, q: int) -> None:
         """A collective of ``kind`` ran over a ``q``-rank communicator."""
-        self.notifications += 1
         key = f"{kind}[{q}]"
         self._collectives[key] = self._collectives.get(key, 0) + 1
 
     def delivery(self, words: int) -> None:
         """The transport materialized one payload delivery of ``words`` words."""
-        self.notifications += 1
         self.deliveries += 1
         self.delivered_words += int(words)
 

@@ -8,8 +8,9 @@ campaign is
 1. declared as a :class:`~repro.sweeps.spec.SweepSpec` (shape families x
    scaling regimes x core counts, plus explicit scenario points),
 2. expanded into deterministic :class:`~repro.sweeps.spec.RunRequest` lists,
-3. executed by :func:`~repro.sweeps.runner.run_campaign` -- serially or over
-   a ``multiprocessing`` pool -- with per-run failure capture, and
+3. executed by :func:`~repro.sweeps.runner.run_campaign` -- in process or
+   over supervised worker processes, through one retry loop -- with per-run
+   failure capture, and
 4. persisted in a content-addressed
    :class:`~repro.sweeps.store.ResultStore`, then joined with the analytic
    cost models by :func:`~repro.sweeps.aggregate.tidy_rows`.

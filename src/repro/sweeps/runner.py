@@ -10,10 +10,14 @@ infeasible point becomes a ``"failed"`` record instead of aborting the
 campaign.
 
 Fault tolerance: instead of a bare ``multiprocessing.Pool.imap`` (where one
-OOM-killed or hung worker wedges the whole campaign), parallel execution
-runs under a **supervisor** that owns one duplex pipe per worker process.
-The supervisor enforces a per-run wall-clock deadline (``timeout_s``),
-detects hard worker deaths (SIGKILL / OOM / segfault) without hanging,
+OOM-killed or hung worker wedges the whole campaign), execution runs under a
+**supervisor** over :class:`repro.utils.workers.Worker` processes -- the one
+worker-process primitive, shared with the plane engine's shard pool
+(:mod:`repro.machine.shard`).  ``jobs=1`` without a deadline or fault plan is
+the same supervisor's *in-process slot*: no process is spawned, and every
+attempt goes through the same retry loop.  The supervisor enforces a per-run
+wall-clock deadline (``timeout_s``), detects hard worker deaths (SIGKILL /
+OOM / segfault) without hanging,
 re-executes failed attempts under a :class:`RetryPolicy` (bounded attempts,
 exponential backoff with deterministic jitter, retryable-error
 classification), and -- once a run's budget is exhausted -- quarantines it
@@ -58,7 +62,6 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field, replace
-from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -75,6 +78,7 @@ from repro.sweeps.store import (
     record_to_run,
     run_to_record,
 )
+from repro.utils.workers import Worker, WorkerDied, wait_any
 
 _LOG = get_logger("sweeps")
 
@@ -290,19 +294,53 @@ def _traceback_tail(limit: int = 6) -> str:
     return "\n".join(lines[-limit:])
 
 
+def _failed_record(request: RunRequest, error_type: str, message: str, **taxonomy) -> dict:
+    """The ``"failed"`` store record of a run that was pruned, refused or quarantined."""
+    failure = RunFailure(
+        algorithm=request.algorithm,
+        scenario=request.scenario,
+        mode=request.mode,
+        error_type=error_type,
+        error_message=message,
+        **taxonomy,
+    )
+    return failure_to_record(failure, request.key, seed=request.seed)
+
+
 # ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
-def _worker_loop(conn, faults_payload: dict | None) -> None:
-    """One supervised worker: recv (payload, attempt), send the outcome.
+def _attempt(request: RunRequest | dict, attempt: int, faults: FaultPlan | None) -> tuple:
+    """Execute one attempt of a run; describe its outcome as a supervisor message.
 
-    Messages back to the supervisor are either ``("done", record,
-    duration_s)`` -- where ``record`` may itself be a captured ``"failed"``
-    record -- or ``("raised", error_type, message, traceback_tail,
-    duration_s)`` for exceptions outside the harness's capture (injected
-    transients, interpreter-level failures).  A ``None`` message shuts the
-    worker down.  SIGINT is ignored so a Ctrl-C interrupts the supervisor
-    (which drains and shuts workers down cooperatively), not the workers.
+    The message is either ``("done", record, duration_s)`` -- where
+    ``record`` may itself be a captured ``"failed"`` record -- or
+    ``("raised", error_type, message, traceback_tail, duration_s)`` for
+    exceptions outside the harness's capture (injected transients,
+    interpreter-level failures).  A worker process hands over the request as
+    the wire dict it received (decoded here, inside the capture); the
+    supervisor's in-process slot hands over the request itself.
+    """
+    start = time.perf_counter()
+    try:
+        if isinstance(request, dict):
+            request = request_from_dict(request)
+        if faults is not None:
+            faults.inject(request.key, attempt)  # may crash/hang/raise
+        return ("done", execute_request(request), time.perf_counter() - start)
+    except Exception as exc:  # noqa: BLE001 - reported to the supervisor
+        return (
+            "raised", type(exc).__name__, str(exc), _traceback_tail(),
+            time.perf_counter() - start,
+        )
+
+
+def _worker_loop(conn, faults_payload: dict | None) -> None:
+    """One supervised worker: recv ``(payload, attempt)``, send its :func:`_attempt`.
+
+    A ``None`` message shuts the worker down.  SIGINT is ignored so a Ctrl-C
+    interrupts the supervisor (which drains and shuts workers down
+    cooperatively), not the workers.
     """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -317,76 +355,17 @@ def _worker_loop(conn, faults_payload: dict | None) -> None:
         if message is None:
             return
         payload, attempt = message
-        start = time.perf_counter()
         try:
-            request = request_from_dict(payload)
-            if faults is not None:
-                faults.inject(request.key, attempt)  # may crash/hang/raise
-            record = execute_request(request)
-            conn.send(("done", record, time.perf_counter() - start))
-        except Exception as exc:  # noqa: BLE001 - shipped to the supervisor
-            tail = _traceback_tail()
-            try:
-                conn.send((
-                    "raised", type(exc).__name__, str(exc), tail,
-                    time.perf_counter() - start,
-                ))
-            except (OSError, BrokenPipeError):
-                return
-
-
-class _WorkerSlot:
-    """One worker process plus the supervisor's end of its pipe."""
-
-    __slots__ = ("_ctx", "_faults_payload", "conn", "process", "task", "started")
-
-    def __init__(self, ctx, faults_payload: dict | None):
-        self._ctx = ctx
-        self._faults_payload = faults_payload
-        self.task = None
-        self.started = 0.0
-        self._spawn()
-
-    def _spawn(self) -> None:
-        self.conn, child_conn = self._ctx.Pipe()
-        self.process = self._ctx.Process(
-            target=_worker_loop, args=(child_conn, self._faults_payload), daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-
-    def respawn(self) -> None:
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        self._spawn()
-
-    def kill(self) -> None:
-        if self.process.is_alive():
-            self.process.kill()
-        self.process.join()
-
-    def shutdown(self) -> None:
-        try:
-            self.conn.send(None)
+            conn.send(_attempt(payload, attempt, faults))
         except (OSError, BrokenPipeError):
-            pass
-        self.process.join(timeout=1.0)
-        if self.process.is_alive():  # pragma: no cover - stuck worker
-            self.process.kill()
-            self.process.join()
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+            return
 
 
 # ---------------------------------------------------------------------------
 # Supervisor side
 # ---------------------------------------------------------------------------
 class _Task:
-    __slots__ = ("request", "key", "attempts", "duration_s", "seq", "t0_ns")
+    __slots__ = ("request", "key", "attempts", "duration_s", "seq", "t0_ns", "started")
 
     def __init__(self, request: RunRequest, seq: int):
         self.request = request
@@ -396,6 +375,8 @@ class _Task:
         self.seq = seq
         #: Tracer timestamp of the first dispatch (``None`` when untraced).
         self.t0_ns: int | None = None
+        #: ``time.monotonic()`` at the current attempt's dispatch.
+        self.started = 0.0
 
 
 @dataclass
@@ -408,52 +389,54 @@ class _ExecStats:
     def executed(self) -> int:
         return self.ok + self.quarantined
 
-    def merge(self, other: "_ExecStats") -> None:
-        self.ok += other.ok
-        self.quarantined += other.quarantined
-        self.retried += other.retried
-
 
 class _Supervisor:
-    """Crash-isolated dispatch of a request batch over worker processes.
+    """Dispatch of a request batch under the campaign's one retry loop.
 
-    Each worker holds at most one in-flight run; the supervisor multiplexes
-    over the pipes with :func:`multiprocessing.connection.wait`, so a dead
-    or hung worker never blocks results from the others.  Worker deaths and
-    deadline trips are converted into retryable attempt failures
-    (``WorkerCrash`` / ``RunTimeout``) and the slot is respawned.
+    With ``jobs >= 1`` the batch runs crash-isolated: each of ``jobs``
+    :class:`~repro.utils.workers.Worker` processes holds at most one
+    in-flight run, and :func:`~repro.utils.workers.wait_any` multiplexes
+    their replies and deaths, so a dead or hung worker never blocks results
+    from the others.  Worker deaths and deadline trips are converted into
+    retryable attempt failures (``WorkerCrash`` / ``RunTimeout``) and the
+    worker is respawned.
+
+    With ``jobs=0`` no process is spawned: the in-process slot executes each
+    attempt inline and feeds its message through the same outcome handling,
+    so retry classification, backoff, quarantine records, the latency
+    histogram and the campaign spans are the supervised ones (``exit_signal``
+    is always ``None`` in-process).
     """
-
-    #: Pipe-poll tick: an upper bound on deadline-detection latency.
-    POLL_S = 0.05
 
     def __init__(
         self,
         requests: Iterable[RunRequest],
         jobs: int,
-        store: ResultStore,
+        put: Callable[[dict], None],
         policy: RetryPolicy,
         timeout_s: float | None,
         faults: FaultPlan | None,
-        progress: Callable[[dict, bool], None] | None,
-        renew: Callable[[list[str]], None] | None = None,
-        renew_interval_s: float = 5.0,
-        metrics: MetricsRegistry | None = None,
+        renew: Callable[[list[str]], None] | None,
+        renew_interval_s: float,
+        metrics: MetricsRegistry,
+        stats: _ExecStats,
     ):
         self.tasks = [_Task(request, seq) for seq, request in enumerate(requests)]
-        self.jobs = max(1, min(jobs, len(self.tasks)))
-        self.store = store
+        self.jobs = min(jobs, len(self.tasks))
+        #: Persists one final record (store append + progress callback).
+        self.put = put
         self.policy = policy
         self.timeout_s = timeout_s
-        self.faults = faults
-        self.progress = progress
+        self.faults_payload = faults.to_dict() if faults is not None else None
         self.renew = renew
         self.renew_interval_s = renew_interval_s
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: Campaign-wide registry and counts, shared by every batch.
+        self.metrics = metrics
+        self.stats = stats
         self.tracer = active_tracer()
-        self.stats = _ExecStats()
         self.queue: deque[_Task] = deque(self.tasks)
         self.retry_heap: list[tuple[float, int, _Task]] = []
+        self.in_flight: dict[Worker, _Task] = {}
         self.unfinished: set[str] = {task.key for task in self.tasks}
 
     def _run_span(self, task: _Task, status: str) -> None:
@@ -468,13 +451,8 @@ class _Supervisor:
         )
 
     # -- outcome handling ---------------------------------------------------
-    def _store(self, record: dict) -> None:
-        self.store.put(record)
-        if self.progress is not None:
-            self.progress(record, False)
-
     def _finish_ok(self, task: _Task, record: dict) -> None:
-        self._store(record)
+        self.put(record)
         self.stats.ok += 1
         self.unfinished.discard(task.key)
         self.metrics.counter("sweeps.runs.ok").inc()
@@ -483,19 +461,14 @@ class _Supervisor:
 
     def _quarantine(self, task: _Task, error_type: str, message: str,
                     tb_tail: str, exit_signal: int | None, retryable: bool) -> None:
-        failure = RunFailure(
-            algorithm=task.request.algorithm,
-            scenario=task.request.scenario,
-            mode=task.request.mode,
-            error_type=error_type,
-            error_message=message,
+        self.put(_failed_record(
+            task.request, error_type, message,
             attempts=task.attempts,
             duration_s=round(task.duration_s, 3),
             exit_signal=exit_signal,
             traceback_tail=tb_tail,
             retryable=retryable,
-        )
-        self._store(failure_to_record(failure, task.key, seed=task.request.seed))
+        ))
         self.stats.quarantined += 1
         self.unfinished.discard(task.key)
         self.metrics.counter("sweeps.runs.quarantined").inc()
@@ -507,10 +480,9 @@ class _Supervisor:
         )
 
     def _resolve_failure(self, task: _Task, error_type: str, message: str,
-                         tb_tail: str = "", exit_signal: int | None = None,
-                         allow_retry: bool = True) -> None:
+                         tb_tail: str = "", exit_signal: int | None = None) -> None:
         retryable = self.policy.is_retryable(error_type)
-        if allow_retry and retryable and task.attempts < self.policy.max_attempts:
+        if retryable and task.attempts < self.policy.max_attempts:
             self.stats.retried += 1
             self.metrics.counter("sweeps.runs.retried").inc()
             backoff = self.policy.backoff(task.key, task.attempts)
@@ -523,9 +495,7 @@ class _Supervisor:
             return
         self._quarantine(task, error_type, message, tb_tail, exit_signal, retryable)
 
-    def _handle_message(self, slot: _WorkerSlot, message, allow_retry: bool = True) -> None:
-        task = slot.task
-        slot.task = None
+    def _handle_message(self, task: _Task, message: tuple) -> None:
         if message[0] == "done":
             _, record, duration = message
             task.duration_s += duration
@@ -535,60 +505,68 @@ class _Supervisor:
                 error = record.get("error", {})
                 self._resolve_failure(
                     task, error.get("type", "UnknownError"), error.get("message", ""),
-                    allow_retry=allow_retry,
                 )
         else:  # "raised"
             _, error_type, message_text, tb_tail, duration = message
             task.duration_s += duration
-            self._resolve_failure(
-                task, error_type, message_text, tb_tail, allow_retry=allow_retry,
-            )
+            self._resolve_failure(task, error_type, message_text, tb_tail)
 
-    def _handle_death(self, slot: _WorkerSlot) -> None:
-        task = slot.task
-        slot.task = None
-        slot.kill()  # reap (already dead, but join collects the exit code)
-        exitcode = slot.process.exitcode
-        exit_signal = -exitcode if exitcode is not None and exitcode < 0 else None
-        task.duration_s += time.monotonic() - slot.started
-        slot.respawn()
-        self.metrics.counter("sweeps.workers.deaths").inc()
+    def _handle_lost_worker(self, worker: Worker, metric: str, error_type: str,
+                            message: str, exit_signal: int | None) -> None:
+        """The worker running a task died or overran its deadline: replace
+        it (killing it first if it still runs) and fail the attempt."""
+        task = self.in_flight.pop(worker)
+        task.duration_s += time.monotonic() - task.started
+        worker.respawn()
+        self.metrics.counter(metric).inc()
         self.metrics.counter("sweeps.workers.spawns").inc()
-        _LOG.warning(
-            "worker died mid-run on %s (exit code %s); respawned",
-            task.key, exitcode,
-        )
-        self._resolve_failure(
-            task, "WorkerCrash",
-            f"worker process died mid-run (exit code {exitcode})",
-            exit_signal=exit_signal,
-        )
-
-    def _handle_timeout(self, slot: _WorkerSlot) -> None:
-        task = slot.task
-        slot.task = None
-        slot.kill()
-        task.duration_s += time.monotonic() - slot.started
-        slot.respawn()
-        self.metrics.counter("sweeps.workers.timeouts").inc()
-        self.metrics.counter("sweeps.workers.spawns").inc()
-        _LOG.warning(
-            "run %s exceeded the %ss deadline; worker killed and respawned",
-            task.key, self.timeout_s,
-        )
-        self._resolve_failure(
-            task, "RunTimeout",
-            f"run exceeded the {self.timeout_s}s wall-clock deadline",
-            exit_signal=int(signal.SIGKILL),
-        )
+        _LOG.warning("%s on %s; worker respawned", message, task.key)
+        self._resolve_failure(task, error_type, message, exit_signal=exit_signal)
 
     # -- main loop ----------------------------------------------------------
-    def run(self) -> _ExecStats:
+    def _start(self, task: _Task) -> _Task:
+        task.attempts += 1
+        task.started = time.monotonic()
+        if self.tracer is not None and task.t0_ns is None:
+            task.t0_ns = self.tracer.now_ns()
+        return task
+
+    def _dispatch(self, workers: list[Worker]) -> None:
+        """Hand queued tasks to idle workers (one in-flight run each)."""
+        for worker in workers:
+            if worker in self.in_flight or not self.queue:
+                continue
+            task = self.queue[0]
+            try:
+                worker.send((task.request.to_dict(), task.attempts + 1))
+            except WorkerDied:
+                # Died between runs, so no attempt was lost: replace it and
+                # leave the task queued for the next free worker.
+                worker.respawn()
+                self.metrics.counter("sweeps.workers.spawns").inc()
+                continue
+            self.in_flight[worker] = self._start(self.queue.popleft())
+
+    def _wait_timeout(self, last_renew: float) -> float | None:
+        """Seconds the loop may block: until the next retry falls due, the
+        nearest run deadline or the next lease renewal (``None``: until a
+        worker replies or dies)."""
+        wake_at = []
+        if self.retry_heap:
+            wake_at.append(self.retry_heap[0][0])
+        if self.timeout_s is not None and self.in_flight:
+            wake_at.append(min(t.started for t in self.in_flight.values()) + self.timeout_s)
+        if self.renew is not None:
+            wake_at.append(last_renew + self.renew_interval_s)
+        if not wake_at:
+            return None
+        return max(min(wake_at) - time.monotonic(), 0.0)
+
+    def run(self) -> None:
         if not self.tasks:
-            return self.stats
+            return
         ctx = multiprocessing.get_context()
-        faults_payload = self.faults.to_dict() if self.faults is not None else None
-        workers = [_WorkerSlot(ctx, faults_payload) for _ in range(self.jobs)]
+        workers = [Worker(ctx, _worker_loop, (self.faults_payload,)) for _ in range(self.jobs)]
         self.metrics.counter("sweeps.workers.spawns").inc(len(workers))
         queue_depth = self.metrics.gauge("sweeps.queue.depth")
         last_renew = time.monotonic()
@@ -598,161 +576,61 @@ class _Supervisor:
                 while self.retry_heap and self.retry_heap[0][0] <= now:
                     self.queue.append(heapq.heappop(self.retry_heap)[2])
                 queue_depth.set(len(self.queue) + len(self.retry_heap))
-                for slot in workers:
-                    if slot.task is None and self.queue:
-                        task = self.queue.popleft()
-                        task.attempts += 1
-                        try:
-                            slot.conn.send((task.request.to_dict(), task.attempts))
-                        except (OSError, BrokenPipeError):
-                            task.attempts -= 1
-                            self.queue.appendleft(task)
-                            slot.respawn()
-                            self.metrics.counter("sweeps.workers.spawns").inc()
-                            continue
-                        slot.task = task
-                        slot.started = time.monotonic()
-                        if self.tracer is not None and task.t0_ns is None:
-                            task.t0_ns = self.tracer.now_ns()
+                if workers:
+                    self._dispatch(workers)
+                elif self.queue:  # the in-process slot: one attempt, inline
+                    task = self._start(self.queue.popleft())
+                    self._handle_message(task, _attempt(task.request, task.attempts, None))
                 if self.renew is not None and time.monotonic() - last_renew >= self.renew_interval_s:
                     self.renew(sorted(self.unfinished))
                     last_renew = time.monotonic()
-                busy = {slot.conn: slot for slot in workers if slot.task is not None}
-                if not busy:
-                    if self.retry_heap:
-                        time.sleep(
-                            min(max(self.retry_heap[0][0] - time.monotonic(), 0.001), self.POLL_S)
+                if self.queue and len(self.in_flight) < max(len(workers), 1):
+                    continue  # work is queued and a slot is free: nothing to wait for
+                if not self.in_flight and not self.retry_heap:
+                    if self.unfinished:  # pragma: no cover - supervisor invariant
+                        raise RuntimeError(
+                            "supervisor has unfinished runs but nothing queued or in flight"
                         )
-                        continue
-                    raise RuntimeError(  # pragma: no cover - supervisor invariant
-                        "supervisor has unfinished runs but nothing queued or in flight"
-                    )
-                for conn in _connection_wait(list(busy), timeout=self.POLL_S):
-                    slot = busy[conn]
-                    try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        self._handle_death(slot)
-                        continue
-                    self._handle_message(slot, message)
+                    break  # the in-process slot just finished the last run
+                for worker, reply in wait_any(list(self.in_flight), self._wait_timeout(last_renew)):
+                    if isinstance(reply, WorkerDied):
+                        self._handle_lost_worker(
+                            worker, "sweeps.workers.deaths", "WorkerCrash",
+                            f"worker process died mid-run (exit code {reply.exitcode})",
+                            exit_signal=reply.signal,
+                        )
+                    else:
+                        self._handle_message(self.in_flight.pop(worker), reply)
+                if self.timeout_s is None:
+                    continue
                 now = time.monotonic()
-                for slot in workers:
-                    if slot.task is None:
-                        continue
-                    if self.timeout_s is not None and now - slot.started > self.timeout_s:
-                        self._handle_timeout(slot)
-                    elif not slot.process.is_alive() and not slot.conn.poll():
-                        self._handle_death(slot)
+                for worker, task in list(self.in_flight.items()):
+                    if now - task.started > self.timeout_s:
+                        self._handle_lost_worker(
+                            worker, "sweeps.workers.timeouts", "RunTimeout",
+                            f"run exceeded the {self.timeout_s}s wall-clock deadline",
+                            exit_signal=int(signal.SIGKILL),
+                        )
         except KeyboardInterrupt:
             # Cooperative cancellation: results already sitting in worker
             # pipes are persisted before the interrupt propagates, so a
             # Ctrl-C / SIGTERM never discards completed work.
-            self._drain(workers)
+            self._drain()
             raise
         finally:
-            for slot in workers:
-                slot.shutdown()
-        return self.stats
+            for worker in workers:
+                worker.stop(None, timeout=1.0)
 
-    def _drain(self, workers: list[_WorkerSlot]) -> None:
-        for slot in workers:
-            if slot.task is None:
-                continue
-            try:
-                if not slot.conn.poll(0):
-                    continue
-                message = slot.conn.recv()
-            except (EOFError, OSError):  # pragma: no cover - died while draining
-                continue
+    def _drain(self) -> None:
+        for worker, reply in wait_any(list(self.in_flight), timeout=0):
             # Persist completed results only; a failed attempt mid-retry must
             # not be quarantined by the interrupt (a resumed campaign would
             # mistake it for a final record) -- it simply re-executes later.
-            if message[0] == "done" and message[1].get("status") == "ok":
-                task = slot.task
-                slot.task = None
-                task.duration_s += message[2]
-                self._finish_ok(task, message[1])
-
-
-def _execute_serially(
-    requests: Iterable[RunRequest],
-    store: ResultStore,
-    policy: RetryPolicy,
-    progress: Callable[[dict, bool], None] | None,
-    renew: Callable[[list[str]], None] | None = None,
-    renew_interval_s: float = 5.0,
-    metrics: MetricsRegistry | None = None,
-) -> _ExecStats:
-    """In-process execution with the same retry/quarantine semantics.
-
-    Used when no crash isolation is required (``jobs=1``, no deadline, no
-    fault plan): transient errors still retry with backoff, and exhausted
-    runs still quarantine with the full taxonomy (``exit_signal`` is always
-    ``None`` in-process).
-    """
-    stats = _ExecStats()
-    metrics = metrics if metrics is not None else MetricsRegistry()
-    tracer = active_tracer()
-    requests = list(requests)
-    remaining = [request.key for request in requests]
-    last_renew = time.monotonic()
-    for request in requests:
-        attempts = 0
-        total_duration = 0.0
-        t0_ns = tracer.now_ns() if tracer is not None else None
-        while True:
-            attempts += 1
-            start = time.perf_counter()
-            record = execute_request(request)
-            total_duration += time.perf_counter() - start
-            if record.get("status") == "failed":
-                error_type = record["error"]["type"]
-                retryable = policy.is_retryable(error_type)
-                if retryable and attempts < policy.max_attempts:
-                    stats.retried += 1
-                    metrics.counter("sweeps.runs.retried").inc()
-                    backoff = policy.backoff(request.key, attempts)
-                    _LOG.info(
-                        "retrying %s after %s (attempt %d/%d, backoff %.3fs)",
-                        request.key, error_type, attempts, policy.max_attempts, backoff,
-                    )
-                    time.sleep(backoff)
-                    continue
-                record["error"].update(
-                    attempts=attempts,
-                    duration_s=round(total_duration, 3),
-                    retryable=retryable,
-                )
-                stats.quarantined += 1
-                metrics.counter("sweeps.runs.quarantined").inc()
-                _LOG.warning(
-                    "quarantined %s after %d attempt(s): %s: %s",
-                    request.key, attempts, error_type,
-                    record["error"].get("message", ""),
-                )
-            else:
-                stats.ok += 1
-                metrics.counter("sweeps.runs.ok").inc()
-            metrics.histogram("sweeps.run.latency_s").observe(total_duration)
-            if tracer is not None and t0_ns is not None:
-                tracer.complete(
-                    f"run:{request.key}", "campaign", t0_ns,
-                    tracer.now_ns() - t0_ns,
-                    args={
-                        "status": record.get("status", "ok"),
-                        "attempts": attempts,
-                    },
-                    track="campaign",
-                )
-            store.put(record)
-            if progress is not None:
-                progress(record, False)
-            break
-        remaining.pop(0)
-        if renew is not None and remaining and time.monotonic() - last_renew >= renew_interval_s:
-            renew(remaining)
-            last_renew = time.monotonic()
-    return stats
+            if not isinstance(reply, WorkerDied) and reply[0] == "done" \
+                    and reply[1].get("status") == "ok":
+                task = self.in_flight.pop(worker)
+                task.duration_s += reply[2]
+                self._finish_ok(task, reply[1])
 
 
 def _install_sigterm_as_interrupt():
@@ -901,6 +779,11 @@ def run_campaign(
             continue
         pending[key] = request
 
+    def _put(record: dict) -> None:
+        store.put(record)
+        if progress is not None:
+            progress(record, False)
+
     pruned = 0
     if prune and pending:
         executable: dict[str, RunRequest] = {}
@@ -909,21 +792,8 @@ def run_campaign(
             if run_plan is None or run_plan.feasible:
                 executable[key] = request
                 continue
-            record = failure_to_record(
-                RunFailure(
-                    algorithm=request.algorithm,
-                    scenario=request.scenario,
-                    mode=request.mode,
-                    error_type="InfeasiblePlan",
-                    error_message=run_plan.reason,
-                ),
-                key,
-                seed=request.seed,
-            )
-            store.put(record)
+            _put(_failed_record(request, "InfeasiblePlan", run_plan.reason))
             pruned += 1
-            if progress is not None:
-                progress(record, False)
         pending = executable
 
     # -- admission gating against the host-memory budget --------------------
@@ -934,24 +804,12 @@ def run_campaign(
         for key, request in pending.items():
             need = predicted_working_set_words(request)
             if need > memory_budget_words:
-                record = failure_to_record(
-                    RunFailure(
-                        algorithm=request.algorithm,
-                        scenario=request.scenario,
-                        mode=request.mode,
-                        error_type="MemoryBudgetExceeded",
-                        error_message=(
-                            f"predicted working set {need} words exceeds the "
-                            f"{memory_budget_words}-word host budget"
-                        ),
-                    ),
-                    key,
-                    seed=request.seed,
-                )
-                store.put(record)
+                _put(_failed_record(
+                    request, "MemoryBudgetExceeded",
+                    f"predicted working set {need} words exceeds the "
+                    f"{memory_budget_words}-word host budget",
+                ))
                 refused += 1
-                if progress is not None:
-                    progress(record, False)
             elif jobs > 1 and need > memory_budget_words // jobs:
                 serial_tail[key] = request
             else:
@@ -977,31 +835,24 @@ def run_campaign(
     renew_interval_s = max(lease_ttl_s / 3.0, 0.5)
 
     registry = MetricsRegistry()
-
-    def _execute_batch(batch: dict[str, RunRequest], batch_jobs: int) -> _ExecStats:
-        if not batch:
-            return _ExecStats()
-        if isolate:
-            return _Supervisor(
-                batch.values(), batch_jobs, store, policy, timeout_s, faults,
-                progress, renew=renew, renew_interval_s=renew_interval_s,
-                metrics=registry,
-            ).run()
-        return _execute_serially(
-            batch.values(), store, policy, progress,
-            renew=renew, renew_interval_s=renew_interval_s,
-            metrics=registry,
-        )
-
     stats = _ExecStats()
+
+    def _execute_batch(batch: dict[str, RunRequest], batch_jobs: int) -> None:
+        # Without a reason to isolate, the supervisor's in-process slot
+        # (jobs=0) executes the batch: same retry loop, no worker process.
+        _Supervisor(
+            batch.values(), batch_jobs if isolate else 0, _put, policy, timeout_s,
+            faults, renew, renew_interval_s, registry, stats,
+        ).run()
+
     deferred_resolved = 0
     restore_sigterm = _install_sigterm_as_interrupt()
     try:
         try:
-            stats.merge(_execute_batch(pending, jobs))
+            _execute_batch(pending, jobs)
             # Oversized-but-admissible runs execute one at a time so their
             # working sets never stack on top of each other.
-            stats.merge(_execute_batch(serial_tail, 1))
+            _execute_batch(serial_tail, 1)
         finally:
             if granted:
                 store.release_leases(granted, owner)
@@ -1029,10 +880,10 @@ def run_campaign(
                     len(reclaimed), ", ".join(sorted(reclaimed)[:4]),
                 )
                 try:
-                    stats.merge(_execute_batch(
+                    _execute_batch(
                         {key: to_execute[key] for key in to_execute if key in reclaimed},
                         jobs,
-                    ))
+                    )
                 finally:
                     store.release_leases(reclaimed, owner)
                 deferred_keys -= reclaimed

@@ -1,10 +1,9 @@
-"""Tests for the algorithm registry (specs, plans, registration, shims)."""
+"""Tests for the algorithm registry (specs, plans, registration)."""
 
 import numpy as np
 import pytest
 
 from repro.algorithms import (
-    ALGORITHMS,
     DEFAULT_ALGORITHMS,
     AlgorithmSpec,
     Plan,
@@ -59,35 +58,6 @@ class TestRegistryContents:
             spec = get_algorithm(name)
             assert spec.io_cost is not None
             assert spec.supports_mode("volume")
-
-
-class TestMappingView:
-    def test_lookup_iteration_and_aliases(self):
-        assert callable(ALGORITHMS["COSMA"])
-        assert "COSMA" in ALGORITHMS
-        assert "SUMMA" in ALGORITHMS  # alias lookup is allowed...
-        assert "SUMMA" not in list(ALGORITHMS)  # ...iteration is canonical
-        assert set(CORE_FIVE) <= set(ALGORITHMS)
-
-    def test_setitem_registers_and_delitem_unregisters(self, scenario):
-        def wrong(a, b, scenario, machine):
-            return machine.zeros((scenario.shape.m, scenario.shape.n))
-
-        ALGORITHMS["_wrong"] = wrong
-        try:
-            assert "_wrong" in ALGORITHMS
-            run = run_algorithm("_wrong", scenario, mode="volume")
-            assert run.mean_words_per_rank == 0
-        finally:
-            del ALGORITHMS["_wrong"]
-        assert "_wrong" not in ALGORITHMS
-
-    def test_setitem_on_existing_name_keeps_metadata(self):
-        original = get_algorithm("COSMA")
-        ALGORITHMS["COSMA"] = original.runner  # no-op swap
-        spec = get_algorithm("COSMA")
-        assert spec.plan_fn is original.plan_fn
-        assert spec.io_cost is original.io_cost
 
 
 class TestPlans:
@@ -245,12 +215,12 @@ class TestPlanMemoization:
         assert loose is not default
 
     def test_reregistration_invalidates_cache(self, scenario):
-        from repro.algorithms import ALGORITHMS, Plan, plan_cache_clear
+        from repro.algorithms import plan_cache_clear
 
         spec = get_algorithm("COSMA")
         before = spec.plan(scenario)
         # Re-registering (even with identical metadata) must drop cached plans.
-        ALGORITHMS["COSMA"] = spec.runner
+        register(spec, replace=True)
         after = get_algorithm("COSMA").plan(scenario)
         assert after == before
         assert after is not before

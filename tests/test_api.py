@@ -5,7 +5,7 @@ import pytest
 
 import repro
 from repro import (
-    MultiplyResult,
+    RunReport,
     cosma_cost,
     lower_bound_parallel,
     lower_bound_sequential,
@@ -18,7 +18,7 @@ class TestMultiply:
         a = rng.standard_normal((40, 24))
         b = rng.standard_normal((24, 32))
         result = multiply(a, b, processors=6, memory_words=4096)
-        assert isinstance(result, MultiplyResult)
+        assert isinstance(result, RunReport)
         assert np.allclose(result.matrix, a @ b)
 
     def test_reports_grid_and_usage(self, rng):

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.harness import ALGORITHMS, run_algorithm
+from repro.algorithms import get_algorithm, registered_algorithms
+from repro.experiments.harness import run_algorithm
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import MODES, ShapeToken
 from repro.workloads.scaling import (
@@ -37,12 +38,12 @@ def _per_rank_counters(name, scenario, mode, compress_rounds):
         b = ShapeToken((scenario.shape.k, scenario.shape.n))
     else:
         a, b = scenario.shape.random_matrices(seed=0)
-    ALGORITHMS[name](a, b, scenario, machine)
+    get_algorithm(name).runner(a, b, scenario, machine)
     return [rank.counters.copy() for rank in machine.ranks], machine
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+@pytest.mark.parametrize("name", sorted(registered_algorithms()))
 def test_compression_parity_every_algorithm_every_transport(name, mode):
     """compress_rounds=True/False produce identical CommCounters everywhere."""
     scenario = limited_memory_sweep("square", [16], 2048)[0]
@@ -83,7 +84,7 @@ def test_paper_scale_fingerprints_compress_cosma():
 
 @settings(settings.get_profile("repro-compression"))
 @given(
-    name=st.sampled_from(sorted(ALGORITHMS)),
+    name=st.sampled_from(sorted(registered_algorithms())),
     family=st.sampled_from(["square", "largeK", "largeM"]),
     regime=st.sampled_from(["limited", "extra"]),
     p=st.sampled_from([4, 9, 16, 25, 36]),
@@ -101,7 +102,7 @@ def test_compression_parity_property(name, family, regime, p, memory_words):
 
 @settings(settings.get_profile("repro-compression"))
 @given(
-    name=st.sampled_from(sorted(ALGORITHMS)),
+    name=st.sampled_from(sorted(registered_algorithms())),
     p=st.sampled_from([4, 16, 36]),
 )
 def test_compressed_harness_runs_conserve_words(name, p):

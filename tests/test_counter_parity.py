@@ -13,7 +13,8 @@ engine's stacked GEMMs associate sums differently, so its products are
 import numpy as np
 import pytest
 
-from repro.experiments.harness import ALGORITHMS, run_algorithm
+from repro.algorithms import AlgorithmSpec, get_algorithm, register, registered_algorithms, unregister
+from repro.experiments.harness import run_algorithm
 from repro.machine.counters import ConservationError
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import MODES, NUMERIC_MODES, ShapeToken
@@ -35,7 +36,7 @@ def _run_mode(name: str, scenario: Scenario, mode: str):
         )
     else:
         a, b = scenario.shape.random_matrices(seed=0)
-    product = ALGORITHMS[name](a, b, scenario, machine)
+    product = get_algorithm(name).runner(a, b, scenario, machine)
     counters = [rank.counters.copy() for rank in machine.ranks]
     return counters, product, machine.peak_resident_words
 
@@ -52,7 +53,7 @@ SCENARIO_GRID = (
 )
 
 
-@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+@pytest.mark.parametrize("name", sorted(registered_algorithms()))
 @pytest.mark.parametrize("scenario", SCENARIO_GRID, ids=lambda s: s.name)
 def test_counters_identical_across_modes(name, scenario):
     reference = _per_rank_counters(name, scenario, "legacy")
@@ -62,7 +63,7 @@ def test_counters_identical_across_modes(name, scenario):
         assert counters == reference, f"{name} counters diverge in {mode} mode"
 
 
-@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+@pytest.mark.parametrize("name", sorted(registered_algorithms()))
 @pytest.mark.parametrize("scenario", SCENARIO_GRID, ids=lambda s: s.name)
 def test_numeric_modes_agree_with_reference_product(name, scenario):
     """Every numeric mode's product must match A @ B; counters stay identical.
@@ -114,13 +115,13 @@ class TestConservationAssertion:
             machine.rank(0).counters.words_sent += 5  # sent but never received
             return a @ b if not isinstance(a, ShapeToken) else a
 
-        ALGORITHMS["_leaky"] = leaky
+        register(AlgorithmSpec(name="_leaky", runner=leaky))
         try:
             scenario = limited_memory_sweep("square", [4], 2048)[0]
             with pytest.raises(ConservationError):
                 run_algorithm("_leaky", scenario, verify=False)
         finally:
-            del ALGORITHMS["_leaky"]
+            unregister("_leaky")
 
     def test_harness_passes_balanced_runs(self):
         scenario = limited_memory_sweep("square", [4], 2048)[0]
@@ -137,7 +138,7 @@ class TestPlaneEngine:
             scenario.p, memory_words=scenario.memory_words, mode="plane"
         )
         a, b = scenario.shape.random_matrices(seed=0)
-        ALGORITHMS["COSMA"](a, b, scenario, machine)
+        get_algorithm("COSMA").runner(a, b, scenario, machine)
         assert set(machine.planes) == {"cosma.A", "cosma.B", "cosma.C"}
         # The C plane stacks one sheet per k-layer; ranks hold views into it.
         c_plane = machine.get_plane("cosma.C")
@@ -161,9 +162,9 @@ class TestPlaneEngine:
             scenario.p, memory_words=scenario.memory_words, mode="plane"
         )
         a, b = scenario.shape.random_matrices(seed=0)
-        ALGORITHMS["COSMA"](a, b, scenario, machine)
+        get_algorithm("COSMA").runner(a, b, scenario, machine)
         once = machine.counters.total_words_sent
-        product = ALGORITHMS["COSMA"](a, b, scenario, machine)
+        product = get_algorithm("COSMA").runner(a, b, scenario, machine)
         assert machine.counters.total_words_sent == 2 * once
         assert np.allclose(product, a @ b, atol=1e-8 * scenario.shape.k)
 
@@ -197,7 +198,7 @@ class TestShardedPlane:
             shards=shards, plane_dtype=plane_dtype,
         )
         a, b = scenario.shape.random_matrices(seed=0)
-        product = ALGORITHMS[name](a, b, scenario, machine)
+        product = get_algorithm(name).runner(a, b, scenario, machine)
         counters = [rank.counters.copy() for rank in machine.ranks]
         return counters, product, machine.peak_resident_words
 
@@ -212,7 +213,7 @@ class TestShardedPlane:
         assert peak == reference_peak
 
     @pytest.mark.parametrize("shards", [1, 2, 3, 7])
-    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("name", sorted(registered_algorithms()))
     def test_sharded_parity_for_every_planar_algorithm(self, name, shards):
         scenario = self.SCENARIO
         reference_counters, reference_product, reference_peak = _run_mode(
@@ -234,7 +235,7 @@ class TestShardedPlane:
 
     def test_uneven_split_covers_every_row(self):
         """7 shards over a 48-row output forces uneven stripes; no row may drop."""
-        from repro.machine.shard import split_offsets
+        from repro.utils.intmath import split_offsets
 
         offsets = split_offsets(48, 7)
         assert offsets[0] == (0, 7) and offsets[-1] == (42, 48)
@@ -254,7 +255,7 @@ class TestShardedPlane:
             pool.share_zeros("a", (4, 4), np.float64)
             pool.share_zeros("b", (4, 4), np.float64)
             pool.share_zeros("out", (4, 4), np.float64)
-            victim = pool._procs[1]
+            victim = pool._workers[1].process
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=5.0)
             specs = [
@@ -302,7 +303,7 @@ class TestPlaneDtype:
         a, b = scenario.shape.random_matrices(seed=0)
         a32 = np.ascontiguousarray(a, dtype=np.float32)
         b32 = np.ascontiguousarray(b, dtype=np.float32)
-        product = ALGORITHMS["COSMA"](a32, b32, scenario, machine)
+        product = get_algorithm("COSMA").runner(a32, b32, scenario, machine)
         assert product.dtype == np.float32
         a_plane = machine.get_plane("cosma.A")
         assert a_plane.data.dtype == np.float32
@@ -330,7 +331,7 @@ class TestPlaneDtype:
                 shards=shards, plane_dtype=dtype,
             )
             a, b = scenario.shape.random_matrices(seed=0)
-            product = ALGORITHMS["COSMA"](a, b, scenario, machine)
+            product = get_algorithm("COSMA").runner(a, b, scenario, machine)
             runs[dtype] = ([r.counters.copy() for r in machine.ranks], product)
         assert runs["float32"][0] == runs["float64"][0]
         assert np.allclose(
@@ -350,8 +351,8 @@ class TestPlaneDtype:
 def test_volume_mode_reaches_scales_legacy_cannot():
     """A quick paper-direction scale check kept small enough for CI: p = 256.
 
-    (The full p = 1024, 4096^3 demonstration lives in
-    ``benchmarks/bench_simulator_fastpath.py``.)
+    (The full p = 1024, 4096^3 demonstration is the ledger's ``volume_paper``
+    workload, ``benchmarks/ledger/``.)
     """
     scenario = Scenario(
         name="square-volume-p256",

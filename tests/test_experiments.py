@@ -4,8 +4,8 @@ import math
 
 import pytest
 
+from repro.algorithms import registered_algorithms
 from repro.experiments.harness import (
-    ALGORITHMS,
     DEFAULT_ALGORITHMS,
     group_by_scenario,
     run_algorithm,
@@ -48,7 +48,7 @@ def small_runs(small_scenario):
 
 class TestHarness:
     def test_registry_contains_paper_targets(self):
-        assert {"COSMA", "ScaLAPACK", "CTF", "CARMA"} <= set(ALGORITHMS)
+        assert {"COSMA", "ScaLAPACK", "CTF", "CARMA"} <= set(registered_algorithms())
 
     def test_unknown_algorithm_rejected(self, small_scenario):
         with pytest.raises(KeyError):

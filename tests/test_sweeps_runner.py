@@ -1,11 +1,14 @@
 """Tests for the campaign runner: parallel determinism and failure capture."""
 
+import multiprocessing
+import sys
+
 import pytest
 
-import repro.experiments.harness as harness
+from repro.algorithms import AlgorithmSpec, get_algorithm, register, unregister
 from repro.experiments.harness import AlgorithmRun, RunFailure, run_algorithm_safe, sweep
 from repro.sweeps.aggregate import rows_to_json, runs_from_records, scenario_summary_table, tidy_rows
-from repro.sweeps.runner import RetryPolicy, predicted_working_set_words, run_campaign
+from repro.sweeps.runner import NO_RETRY, RetryPolicy, predicted_working_set_words, run_campaign
 from repro.sweeps.spec import SweepSpec, spec_from_scenarios
 from repro.workloads.scaling import Scenario
 from repro.workloads.shapes import square_shape
@@ -29,9 +32,31 @@ def _explode(a, b, scenario, machine):
 
 
 @pytest.fixture
-def exploding_algorithm(monkeypatch):
-    monkeypatch.setitem(harness.ALGORITHMS, "Explode", _explode)
-    return "Explode"
+def exploding_algorithm():
+    register(AlgorithmSpec(name="Explode", runner=_explode))
+    yield "Explode"
+    unregister("Explode")
+
+
+#: Marker directory of :func:`_flaky`; set per campaign by the tests and
+#: inherited by forked workers.
+_FLAKY_MARKERS = None
+
+
+def _flaky(a, b, scenario, machine):
+    """Fail a scenario's first attempt -- in whichever process -- then run COSMA."""
+    try:
+        (_FLAKY_MARKERS / scenario.name).touch(exist_ok=False)
+    except FileExistsError:
+        return get_algorithm("COSMA").runner(a, b, scenario, machine)
+    raise OSError(f"flaked on {scenario.name}")
+
+
+@pytest.fixture
+def flaky_algorithm():
+    register(AlgorithmSpec(name="Flaky", runner=_flaky))
+    yield "Flaky"
+    unregister("Flaky")
 
 
 class TestDeterminism:
@@ -134,15 +159,14 @@ class TestFailureCapture:
         warm = run_campaign(spec, store=tmp_path / "store", jobs=1)
         assert (warm.executed, warm.cached, warm.failed) == (0, 4, 2)
 
-    def test_retry_failures_reexecutes_only_failed_records(self, tmp_path, exploding_algorithm,
-                                                           monkeypatch):
+    def test_retry_failures_reexecutes_only_failed_records(self, tmp_path, exploding_algorithm):
         scenarios = [Scenario(name=f"s{p}", shape=square_shape(16), p=p,
                               memory_words=1024, regime="strong") for p in (2, 4)]
         spec = spec_from_scenarios(scenarios, algorithms=("COSMA", exploding_algorithm), mode="volume")
         run_campaign(spec, store=tmp_path / "store", jobs=1)
         # The environment recovers: the algorithm stops exploding.
-        monkeypatch.setitem(harness.ALGORITHMS, exploding_algorithm,
-                            harness.ALGORITHMS["COSMA"])
+        register(AlgorithmSpec(name=exploding_algorithm, runner=get_algorithm("COSMA").runner),
+                 replace=True)
         retried = run_campaign(spec, store=tmp_path / "store", jobs=1, retry_failures=True)
         assert (retried.executed, retried.cached, retried.failed) == (2, 2, 0)
 
@@ -241,3 +265,86 @@ class TestMemoryBudget:
         healed = run_campaign(spec, store=tmp_path / "store", jobs=1, retry_failures=True)
         assert healed.failed == 0
         assert healed.executed > 0
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the test-registered algorithms")
+class TestInProcessSlot:
+    """``jobs=1`` is the supervisor's in-process slot: the records of a
+    supervised campaign, from the same retry loop, without a process."""
+
+    SCENARIOS = [Scenario(name=f"s{p}", shape=square_shape(16), p=p,
+                          memory_words=1024, regime="strong") for p in (2, 4)]
+
+    @staticmethod
+    def _failures_without_duration(result):
+        failures = [dict(record, error=dict(record["error"])) for record in result.failed_records]
+        for record in failures:
+            assert record["error"].pop("duration_s") >= 0.0
+        return failures
+
+    def _assert_same_outcome(self, in_process, supervised):
+        assert rows_to_json(tidy_rows(in_process.records)) == rows_to_json(tidy_rows(supervised.records))
+        assert self._failures_without_duration(in_process) == self._failures_without_duration(supervised)
+        assert in_process.ok_records == supervised.ok_records
+        assert (in_process.executed, in_process.retried, in_process.quarantined) == (
+            supervised.executed, supervised.retried, supervised.quarantined)
+
+    def test_no_process_is_spawned(self, tmp_path, spec, monkeypatch):
+        import repro.sweeps.runner as runner
+
+        def no_worker(*args, **kwargs):
+            raise AssertionError("jobs=1 without deadline or fault plan must not spawn")
+
+        monkeypatch.setattr(runner, "Worker", no_worker)
+        result = run_campaign(spec, store=tmp_path / "store", jobs=1)
+        assert result.executed == len(spec.expand())
+        assert result.metrics.get("sweeps.workers.spawns", {"value": 0})["value"] == 0
+
+    def test_deterministic_failure_matches_supervised(self, tmp_path, exploding_algorithm):
+        spec = spec_from_scenarios(self.SCENARIOS, algorithms=("COSMA", exploding_algorithm),
+                                   mode="volume")
+        in_process = run_campaign(spec, store=tmp_path / "in-process", jobs=1)
+        supervised = run_campaign(spec, store=tmp_path / "supervised", jobs=2)
+        self._assert_same_outcome(in_process, supervised)
+        assert (in_process.failed, in_process.retried) == (2, 0)
+        assert supervised.metrics["sweeps.workers.spawns"]["value"] >= 2
+
+    @pytest.mark.parametrize("policy", [RetryPolicy(backoff_s=0.01, jitter_s=0.005), NO_RETRY],
+                             ids=["recovers", "exhausts"])
+    def test_transient_failure_matches_supervised(self, tmp_path, flaky_algorithm, monkeypatch,
+                                                  policy):
+        spec = spec_from_scenarios(self.SCENARIOS, algorithms=("COSMA", flaky_algorithm),
+                                   mode="volume")
+        results = []
+        for jobs in (1, 2):
+            markers = tmp_path / f"markers-{jobs}"
+            markers.mkdir()
+            monkeypatch.setattr(sys.modules[__name__], "_FLAKY_MARKERS", markers)
+            results.append(run_campaign(spec, store=tmp_path / f"store-{jobs}", jobs=jobs,
+                                        retry=policy))
+        in_process, supervised = results
+        self._assert_same_outcome(in_process, supervised)
+        if policy is NO_RETRY:
+            assert (in_process.failed, in_process.retried) == (2, 0)
+            error = in_process.failed_records[0]["error"]
+            assert (error["type"], error["attempts"], error["retryable"]) == ("OSError", 1, True)
+        else:
+            assert (in_process.failed, in_process.retried) == (0, 2)
+
+    def test_exception_escaping_execute_request_is_quarantined(self, tmp_path, monkeypatch):
+        """Not a captured harness failure: the supervised ``"raised"`` path,
+        in-process too (the two executors cannot differ)."""
+        import repro.sweeps.runner as runner
+
+        def broken(request):
+            raise KeyError(f"registry lost {request.algorithm}")
+
+        monkeypatch.setattr(runner, "execute_request", broken)
+        spec = spec_from_scenarios(self.SCENARIOS[:1], algorithms=("COSMA",), mode="volume")
+        in_process = run_campaign(spec, store=tmp_path / "in-process", jobs=1)
+        supervised = run_campaign(spec, store=tmp_path / "supervised", jobs=2)
+        self._assert_same_outcome(in_process, supervised)
+        error = in_process.failed_records[0]["error"]
+        assert (error["type"], error["attempts"], error["retryable"]) == ("KeyError", 1, False)
+        assert "registry lost COSMA" in error["traceback_tail"]
