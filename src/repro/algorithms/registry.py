@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.baselines import costs as _costs
+from repro.core.decomposition import decomposition_cache_clear
 from repro.machine.transport import MODES
 from repro.pebbling.mmm_bounds import parallel_io_lower_bound
 
@@ -236,8 +237,10 @@ def _cached_plan(name: str, scenario: "Scenario", options_key: tuple) -> Plan:
 
 
 def plan_cache_clear() -> None:
-    """Drop every memoized plan (called on register/unregister)."""
+    """Drop every memoized plan (called on register/unregister), and the
+    COSMA decompositions memoized beneath them."""
     _cached_plan.cache_clear()
+    decomposition_cache_clear()
 
 
 def register(spec: AlgorithmSpec, replace: bool = False) -> AlgorithmSpec:

@@ -18,8 +18,10 @@ stacked-array engine: the ``q^2`` A / B / C blocks live in three
 :class:`~repro.machine.transport.PayloadPlane` stacks, a ring shift becomes
 one fancy-indexed permutation of a stack's leading axis, and each round's
 ``q^2`` local multiply-accumulates become a single batched ``np.matmul``.
-Counters are posted through the same batched path as ``volume`` mode and are
-byte-identical to the per-hop reference execution.
+``volume`` mode is that engine minus the numerics (shape tokens in the rank
+stores, no stacks, no GEMMs).  Counters are posted batched and are
+byte-identical to the per-rank loop in :func:`cannon_multiply`, which serves
+``legacy`` / ``zerocopy`` only.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from repro.machine.collectives import ring_shift
 from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import PayloadPlane, as_payload, ascontiguous
+from repro.machine.transport import PayloadPlane, ShapeToken, as_payload, ascontiguous
 from repro.utils.intmath import ceil_div
 from repro.utils.validation import check_positive_int
 
@@ -101,7 +103,7 @@ def cannon_multiply(
     def rank_of(i: int, j: int) -> int:
         return i * q + j
 
-    if machine.transport.planar:
+    if machine.transport.planar or machine.transport.counters_only:
         c_pad = _cannon_plane(machine, a_pad, b_pad, q, bm, bn, bk, skew)
         return CannonRunResult(matrix=c_pad[:m, :n], grid_size=q, counters=machine.counters)
 
@@ -132,15 +134,8 @@ def cannon_multiply(
             for r in col:
                 b_blocks[r] = shifted[r]
 
-    # Main loop: q rounds of multiply + shift.  Every non-final round is
-    # structurally identical (same grid, same block shapes, shift by one), so
-    # under round compression the steady state is replayed from the cached
-    # counter delta.
+    # Main loop: q rounds of multiply + shift.
     for step in range(q):
-        if machine.compressor is not None:
-            fingerprint = ("cannon", q, bm, bn, bk, step == q - 1)
-            if machine.replay_round(fingerprint) is not None:
-                continue
         for i in range(q):
             for j in range(q):
                 r = rank_of(i, j)
@@ -161,7 +156,7 @@ def cannon_multiply(
         machine.check_memory()
         machine.commit_round()
 
-    # Assemble (and un-pad) the result for verification (a token in volume mode).
+    # Assemble (and un-pad) the result for verification.
     c_pad = machine.zeros((bm * q, bn * q))
     for i in range(q):
         for j in range(q):
@@ -211,33 +206,42 @@ def _cannon_plane(
 
     The ``q x q`` block grid of each operand is one ``(q^2, rows, cols)``
     stack; shifts permute the leading axis, multiplies are batched GEMMs,
-    and counters ride the same batched posts as ``volume`` mode.
+    and every shift's counters are one batched post.
+
+    In ``volume`` mode (counters-only transport) the same loop runs without
+    the numerics: rank stores hold shape tokens of the block shapes, no
+    stack is built, and a token is returned as the product.
     """
+    numeric = not machine.transport.counters_only
 
     def to_stack(pad: np.ndarray, rows: int, cols: int) -> np.ndarray:
         return np.ascontiguousarray(
             pad.reshape(q, rows, q, cols).transpose(0, 2, 1, 3).reshape(q * q, rows, cols)
         )
 
-    a_plane = machine.register_plane(
-        "cannon.A", PayloadPlane("cannon.A", data=to_stack(a_pad, bm, bk)),
-        replace=True,
-    )
-    b_plane = machine.register_plane(
-        "cannon.B", PayloadPlane("cannon.B", data=to_stack(b_pad, bk, bn)),
-        replace=True,
-    )
-    c_plane = machine.new_plane("cannon.C", (q * q, bm, bn))
+    if numeric:
+        a_plane = machine.register_plane(
+            "cannon.A", PayloadPlane("cannon.A", data=to_stack(a_pad, bm, bk)),
+            replace=True,
+        )
+        b_plane = machine.register_plane(
+            "cannon.B", PayloadPlane("cannon.B", data=to_stack(b_pad, bk, bn)),
+            replace=True,
+        )
+        c_plane = machine.new_plane("cannon.C", (q * q, bm, bn))
+        # Working stacks; the registered planes keep the initial distribution,
+        # matching the reference path's rank stores (shifts deliver new
+        # buffers, they never overwrite the initially stored blocks).
+        a_stack = a_plane.data
+        b_stack = b_plane.data
+    else:
+        # Every block of an operand has the same shape: one token each.
+        a_token, b_token, c_token = ShapeToken((bm, bk)), ShapeToken((bk, bn)), ShapeToken((bm, bn))
     for slot in range(q * q):
-        machine.rank(slot).put("A", a_plane.attach(slot, slot))
-        machine.rank(slot).put("B", b_plane.attach(slot, slot))
-        machine.rank(slot).put("C", c_plane.attach(slot, slot))
-
-    # Working stacks; the registered planes keep the initial distribution,
-    # matching the reference path's rank stores (shifts deliver new buffers,
-    # they never overwrite the initially stored blocks).
-    a_stack = a_plane.data
-    b_stack = b_plane.data
+        rank = machine.rank(slot)
+        rank.put("A", a_plane.attach(slot, slot) if numeric else a_token)
+        rank.put("B", b_plane.attach(slot, slot) if numeric else b_token)
+        rank.put("C", c_plane.attach(slot, slot) if numeric else c_token)
 
     # Initial alignment: row i of A shifts left by i, column j of B up by j.
     # Each row/column has its own displacement; rounds are charged per
@@ -253,7 +257,8 @@ def _cannon_plane(
                 count_rounds=False,
             )
             machine.counters.add_rounds(range(i * q, (i + 1) * q))
-            a_stack = a_stack[perm]
+            if numeric:
+                a_stack = a_stack[perm]
         for j in range(q):
             perm = np.arange(q * q)
             col = np.arange(q) * q + j
@@ -264,24 +269,38 @@ def _cannon_plane(
                 count_rounds=False,
             )
             machine.counters.add_rounds(col)
-            b_stack = b_stack[perm]
+            if numeric:
+                b_stack = b_stack[perm]
 
     # Main loop: q rounds of batched multiply + whole-grid shift by one.
+    # Every non-final round is structurally identical (same grid, same block
+    # shapes, shift by one), so under round compression the steady state is
+    # replayed from the cached counter delta.
     all_slots = np.arange(q * q)
     perm_a = _shift_permutation(q, 1, "row")
     perm_b = _shift_permutation(q, 1, "col")
     flops_each = 2 * bm * bn * bk
     for step in range(q):
-        np.add(c_plane.data, a_stack @ b_stack, out=c_plane.data)
+        if machine.compressor is not None and machine.replay_round(
+            ("cannon", q, bm, bn, bk, step == q - 1)
+        ) is not None:
+            continue
+        if numeric:
+            np.add(c_plane.data, a_stack @ b_stack, out=c_plane.data)
         machine.post_flops(all_slots, flops_each)
         if step == q - 1:
+            machine.commit_round()
             break
         _post_shift(machine, perm_a, bm * bk)
-        a_stack = a_stack[perm_a]
         _post_shift(machine, perm_b, bk * bn)
-        b_stack = b_stack[perm_b]
+        if numeric:
+            a_stack = a_stack[perm_a]
+            b_stack = b_stack[perm_b]
         machine.check_memory()
+        machine.commit_round()
 
+    if not numeric:
+        return ShapeToken((bm * q, bn * q))
     c_pad = np.zeros((bm * q, bn * q))
     c_view = c_plane.data.reshape(q, q, bm, bn)
     c_pad[...] = c_view.transpose(0, 2, 1, 3).reshape(bm * q, bn * q)

@@ -21,12 +21,15 @@ overlap partially in their projections (as happens for CARMA with
 non-power-of-two dimensions); the element-wise ownership handles that
 correctly.
 
-In ``plane`` mode (``machine.transport.planar``) the executor keeps numerics
-but drops the per-owner mask loops: fetches/reductions post their counters
-through the batched per-owner element counts (the same path ``volume`` mode
-uses) while the values move as dense slices, and the local products run as
-stacked GEMMs grouped by cuboid shape (:func:`_batched_products`).  CARMA
-inherits this path through :func:`cuboid_multiply`.
+``plane`` and ``volume`` runs take the batched path (:func:`_cuboid_batched`):
+ownership is resolved on the *coordinate-compressed* grid (:class:`_CellOwners`
+-- one cell per pair of consecutive domain-range endpoints, so the cost is
+O(cells), not O(mn + mk + nk)), every fetch / reduction posts its per-owner
+element counts batched, values (plane mode) move as dense slices and the local
+products run as stacked GEMMs grouped by cuboid shape; ``volume`` is that path
+minus the numerics.  The per-rank loop in :func:`cuboid_multiply`, with its
+element-wise owner maps and per-owner masks, serves ``legacy`` / ``zerocopy``
+only.  CARMA inherits both through :func:`cuboid_multiply`.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 
 from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import as_payload
+from repro.machine.transport import ShapeToken, as_payload
 
 Range = tuple[int, int]
 
@@ -109,6 +112,53 @@ def _ownership_map(shape: tuple[int, int], regions: list[tuple[int, Range, Range
     return owners
 
 
+class _CellOwners:
+    """Owner map of one matrix over the coordinate-compressed grid.
+
+    The breakpoints of an axis are the sorted endpoints of every region's
+    range on it; between two consecutive breakpoints no region starts or
+    ends, so all elements of a cell (a breakpoint interval on each axis)
+    have the same owner -- the first listed rank whose region covers the
+    cell, exactly :func:`_ownership_map`'s rule applied to cells.  Region
+    (and therefore block) boundaries always fall on breakpoints.
+    """
+
+    def __init__(self, shape: tuple[int, int], regions: list[tuple[int, Range, Range]]) -> None:
+        row_edges = sorted({0, shape[0]}.union(*(rows for _, rows, _ in regions)))
+        col_edges = sorted({0, shape[1]}.union(*(cols for _, _, cols in regions)))
+        self._row_index = {edge: index for index, edge in enumerate(row_edges)}
+        self._col_index = {edge: index for index, edge in enumerate(col_edges)}
+        self._heights = np.diff(np.array(row_edges, dtype=np.int64))
+        self._widths = np.diff(np.array(col_edges, dtype=np.int64))
+        self._cells = np.full((len(row_edges) - 1, len(col_edges) - 1), -1, dtype=np.int64)
+        for rank, rows, cols in regions:
+            view = self._cells[self._window(rows, cols)]
+            view[view == -1] = rank
+
+    def _window(self, rows: Range, cols: Range) -> tuple[slice, slice]:
+        """Cell-index window of an element block whose bounds are breakpoints."""
+        return (
+            slice(self._row_index[rows[0]], self._row_index[rows[1]]),
+            slice(self._col_index[cols[0]], self._col_index[cols[1]]),
+        )
+
+    def owner_counts(self, rows: Range, cols: Range) -> tuple[np.ndarray, np.ndarray]:
+        """Owners of the ``rows x cols`` block and how many elements each owns.
+
+        Equal to ``np.unique(element_map[block], return_counts=True)``; the
+        counts are exact int64 sums of cell areas.
+        """
+        row_span, col_span = self._window(rows, cols)
+        owners = self._cells[row_span, col_span].ravel()
+        areas = np.multiply.outer(self._heights[row_span], self._widths[col_span]).ravel()
+        if owners.size <= 1:  # one cell, or an empty block (reduceat needs a start)
+            return owners, areas
+        order = np.argsort(owners, kind="stable")
+        owners = owners[order]
+        starts = np.flatnonzero(np.concatenate(([True], owners[1:] != owners[:-1])))
+        return owners[starts], np.add.reduceat(areas[order], starts)
+
+
 def _fetch_block(
     machine: DistributedMachine,
     receiver: int,
@@ -121,24 +171,9 @@ def _fetch_block(
     """Assemble the dense ``rows x cols`` block of ``source`` on ``receiver``.
 
     Parts owned by other ranks are transferred (one message per owner) and
-    counted; parts owned by the receiver are free.  In counters-only mode the
-    per-owner element counts are derived in one vectorized pass and posted as
-    a single batched update -- no per-owner masks are materialized.
+    counted; parts owned by the receiver are free.
     """
     local_owners = owners[rows[0] : rows[1], cols[0] : cols[1]]
-    if machine.transport.counters_only or machine.transport.planar:
-        unique, counts = np.unique(local_owners, return_counts=True)
-        foreign = unique != receiver
-        machine.post_transfers(
-            unique[foreign], np.full(int(foreign.sum()), receiver),
-            counts[foreign], kind=kind,
-        )
-        if machine.transport.counters_only:
-            return machine.zeros((rows[1] - rows[0], cols[1] - cols[0]))
-        # Plane mode: the assembled block's values equal the dense source
-        # slice (every element is delivered exactly once), so skip the
-        # per-owner masks and hand out a private copy directly.
-        return np.array(source[rows[0] : rows[1], cols[0] : cols[1]])
     block = machine.zeros((rows[1] - rows[0], cols[1] - cols[0]))
     local_values = source[rows[0] : rows[1], cols[0] : cols[1]]
     for owner in np.unique(local_owners):
@@ -151,34 +186,105 @@ def _fetch_block(
     return block
 
 
-def _batched_products(
+def _post_block_transfers(
     machine: DistributedMachine,
-    domains: list[CuboidDomain],
-    a_blocks: dict[int, np.ndarray],
-    b_blocks: dict[int, np.ndarray],
-) -> dict[int, np.ndarray]:
-    """Local products as stacked GEMMs, one ``np.matmul`` per cuboid shape.
+    cell_owners: _CellOwners,
+    blocks: list[tuple[int, Range, Range]],
+    kind: str,
+) -> None:
+    """Post every ``(rank, rows, cols)`` block's exchange with its element owners.
 
-    CARMA-style recursive decompositions produce only a handful of distinct
-    cuboid shapes, so grouping by shape turns ``p`` Python-level multiplies
-    into a few batched calls; flops are charged per rank exactly as
-    ``local_multiply`` would.
+    One message per (block, foreign owner) pair carrying the owner's element
+    count, all blocks of one matrix in a single batched update: inputs flow
+    owner -> rank; partial outputs flow rank -> owner, where each received
+    element costs one accumulation flop.
     """
+    owner_parts: list[np.ndarray] = []
+    count_parts: list[np.ndarray] = []
+    for _, rows, cols in blocks:
+        owners, counts = cell_owners.owner_counts(rows, cols)
+        owner_parts.append(owners)
+        count_parts.append(counts)
+    owners = np.concatenate(owner_parts)
+    counts = np.concatenate(count_parts)
+    ranks = np.repeat(
+        np.array([rank for rank, _, _ in blocks], dtype=np.int64),
+        [part.size for part in owner_parts],
+    )
+    foreign = owners != ranks
+    owners, counts, ranks = owners[foreign], counts[foreign], ranks[foreign]
+    if kind == "input":
+        machine.post_transfers(owners, ranks, counts, kind=kind)
+    else:
+        machine.post_transfers(ranks, owners, counts, kind=kind)
+        machine.counters.add_flops(owners, counts)
+
+
+def _cuboid_batched(
+    machine: DistributedMachine,
+    a_matrix: np.ndarray,
+    b_matrix: np.ndarray,
+    ordered: list[CuboidDomain],
+) -> np.ndarray:
+    """The cuboid executor's batched path; returns the global product.
+
+    Counters come from the per-owner element counts of the compressed owner
+    maps -- what the per-rank loop's per-owner messages add up to -- posted
+    once per matrix.  In ``plane`` mode every fetched block's values equal
+    the dense source slice (each element is delivered exactly once), the
+    local products run as stacked GEMMs, one ``np.matmul`` per cuboid shape
+    (CARMA-style recursive decompositions produce only a handful of distinct
+    shapes), and each partial block lands with one dense accumulate.  In
+    ``volume`` mode (counters-only transport) the rank stores hold shape
+    tokens and a token is returned as the product.
+    """
+    m, k = a_matrix.shape
+    n = b_matrix.shape[1]
+    numeric = not machine.transport.counters_only
+    a_regions = [(d.rank, d.i_range, d.k_range) for d in ordered]
+    b_regions = [(d.rank, d.k_range, d.j_range) for d in ordered]
+    c_regions = [(d.rank, d.i_range, d.j_range) for d in ordered]
+    _post_block_transfers(machine, _CellOwners((m, k), a_regions), a_regions, kind="input")
+    _post_block_transfers(machine, _CellOwners((k, n), b_regions), b_regions, kind="input")
+
     groups: dict[tuple[int, int, int], list[CuboidDomain]] = {}
-    for domain in domains:
+    for domain in ordered:
         groups.setdefault(domain.shape, []).append(domain)
-    products: dict[int, np.ndarray] = {}
+    c_global = np.zeros((m, n)) if numeric else ShapeToken((m, n))
     for (lm, ln, lk), members in groups.items():
+        # Flops are charged per rank exactly as ``local_multiply`` would.
         machine.post_flops(
             np.array([d.rank for d in members], dtype=np.intp), 2 * lm * ln * lk
         )
-        stacked = np.matmul(
-            np.stack([a_blocks[d.rank] for d in members]),
-            np.stack([b_blocks[d.rank] for d in members]),
-        )
+        if numeric:
+            # Private copies, as a fetch delivers them.
+            a_blocks = np.stack(
+                [a_matrix[d.i_range[0] : d.i_range[1], d.k_range[0] : d.k_range[1]]
+                 for d in members]
+            )
+            b_blocks = np.stack(
+                [b_matrix[d.k_range[0] : d.k_range[1], d.j_range[0] : d.j_range[1]]
+                 for d in members]
+            )
+            products = np.matmul(a_blocks, b_blocks)
+        else:
+            # One token per operand serves every member of the shape group.
+            a_blocks = [ShapeToken((lm, lk))] * len(members)
+            b_blocks = [ShapeToken((lk, ln))] * len(members)
+            products = [ShapeToken((lm, ln))] * len(members)
         for index, domain in enumerate(members):
-            products[domain.rank] = stacked[index]
-    return products
+            rank = machine.rank(domain.rank)
+            rank.put("A", a_blocks[index])
+            rank.put("B", b_blocks[index])
+            rank.put("C_partial", products[index])
+    if numeric:
+        # Every element of a partial block is added to its output position
+        # exactly once, in rank order like the masked per-owner path.
+        for domain in ordered:
+            (i0, i1), (j0, j1) = domain.i_range, domain.j_range
+            c_global[i0:i1, j0:j1] += machine.rank(domain.rank).get("C_partial")
+    _post_block_transfers(machine, _CellOwners((m, n), c_regions), c_regions, kind="output")
+    return c_global
 
 
 def cuboid_multiply(
@@ -214,6 +320,11 @@ def cuboid_multiply(
         machine = DistributedMachine(p, memory_words=memory_words or (1 << 20))
 
     ordered = sorted(domains, key=lambda d: d.rank)
+    if machine.transport.planar or machine.transport.counters_only:
+        c_global = _cuboid_batched(machine, a_matrix, b_matrix, ordered)
+        machine.check_memory()
+        return CuboidRunResult(matrix=c_global, domains=tuple(domains), counters=machine.counters)
+
     a_owners = _ownership_map((m, k), [(d.rank, d.i_range, d.k_range) for d in ordered])
     b_owners = _ownership_map((k, n), [(d.rank, d.k_range, d.j_range) for d in ordered])
     c_owners = _ownership_map((m, n), [(d.rank, d.i_range, d.j_range) for d in ordered])
@@ -222,40 +333,20 @@ def cuboid_multiply(
     # input fetch + local multiplication
     # ------------------------------------------------------------------
     partial_c: dict[int, np.ndarray] = {}
-    if machine.transport.planar:
-        # Stacked-array path: fetch all blocks (counters batched per block),
-        # then run the local products as stacked GEMMs grouped by shape.
-        a_blocks: dict[int, np.ndarray] = {}
-        b_blocks: dict[int, np.ndarray] = {}
-        for domain in ordered:
-            a_blocks[domain.rank] = _fetch_block(
-                machine, domain.rank, domain.i_range, domain.k_range,
-                a_owners, a_matrix, kind="input",
-            )
-            b_blocks[domain.rank] = _fetch_block(
-                machine, domain.rank, domain.k_range, domain.j_range,
-                b_owners, b_matrix, kind="input",
-            )
-            machine.rank(domain.rank).put("A", a_blocks[domain.rank])
-            machine.rank(domain.rank).put("B", b_blocks[domain.rank])
-        partial_c = _batched_products(machine, ordered, a_blocks, b_blocks)
-        for domain in ordered:
-            machine.rank(domain.rank).put("C_partial", partial_c[domain.rank])
-    else:
-        for domain in ordered:
-            a_block = _fetch_block(
-                machine, domain.rank, domain.i_range, domain.k_range, a_owners, a_matrix,
-                kind="input",
-            )
-            b_block = _fetch_block(
-                machine, domain.rank, domain.k_range, domain.j_range, b_owners, b_matrix,
-                kind="input",
-            )
-            machine.rank(domain.rank).put("A", a_block)
-            machine.rank(domain.rank).put("B", b_block)
-            product = machine.local_multiply(domain.rank, a_block, b_block)
-            partial_c[domain.rank] = product
-            machine.rank(domain.rank).put("C_partial", product)
+    for domain in ordered:
+        a_block = _fetch_block(
+            machine, domain.rank, domain.i_range, domain.k_range, a_owners, a_matrix,
+            kind="input",
+        )
+        b_block = _fetch_block(
+            machine, domain.rank, domain.k_range, domain.j_range, b_owners, b_matrix,
+            kind="input",
+        )
+        machine.rank(domain.rank).put("A", a_block)
+        machine.rank(domain.rank).put("B", b_block)
+        product = machine.local_multiply(domain.rank, a_block, b_block)
+        partial_c[domain.rank] = product
+        machine.rank(domain.rank).put("C_partial", product)
 
     # ------------------------------------------------------------------
     # reduce partial C blocks onto the element owners and assemble the result
@@ -266,22 +357,6 @@ def cuboid_multiply(
         j0, j1 = domain.j_range
         block = partial_c[domain.rank]
         local_owners = c_owners[i0:i1, j0:j1]
-        if machine.transport.counters_only or machine.transport.planar:
-            # Post the per-owner element counts (transfer + accumulation
-            # flops) in one batched update -- no per-owner masks.  In plane
-            # mode the values land with one dense accumulate: every element
-            # of the block is added to its output position exactly once, as
-            # the masked per-owner path would.
-            unique, counts = np.unique(local_owners, return_counts=True)
-            foreign = unique != domain.rank
-            machine.post_transfers(
-                np.full(int(foreign.sum()), domain.rank), unique[foreign],
-                counts[foreign], kind="output",
-            )
-            machine.counters.add_flops(unique[foreign], counts[foreign])
-            if machine.transport.planar:
-                c_global[i0:i1, j0:j1] += block
-            continue
         for owner in np.unique(local_owners):
             mask = local_owners == owner
             values = block[mask]

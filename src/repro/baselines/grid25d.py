@@ -11,6 +11,11 @@ When no memory-matching ``c`` divides ``p`` into a square layer, the
 implementation falls back to smaller ``c`` (ultimately ``c = 1``, plain 2D),
 mirroring how CTF's decompositions can end up far from optimal for awkward
 processor counts -- one of the effects the paper's evaluation highlights.
+
+``plane`` and ``volume`` runs take the stacked-array engine
+(:func:`_grid25d_plane`; ``volume`` is that engine minus the numerics); the
+per-rank loop in :func:`grid25d_multiply` serves ``legacy`` / ``zerocopy``
+only.
 """
 
 from __future__ import annotations
@@ -23,12 +28,7 @@ import numpy as np
 from repro.machine.collectives import reduce, reduce_hops
 from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import (
-    as_payload,
-    ascontiguous,
-    concat_payloads,
-    payload_words,
-)
+from repro.machine.transport import ShapeToken, as_payload, ascontiguous, concat_payloads
 from repro.utils.intmath import divisors, split_offsets
 from repro.utils.validation import check_positive_int
 
@@ -123,7 +123,7 @@ def grid25d_multiply(
     j_ranges = split_offsets(n, qn)
     layer_k_ranges = split_offsets(k, c)
 
-    if machine.transport.planar:
+    if machine.transport.planar or machine.transport.counters_only:
         c_global = _grid25d_plane(
             machine, a_matrix, b_matrix, qm, qn, c,
             i_ranges, j_ranges, layer_k_ranges,
@@ -172,33 +172,17 @@ def grid25d_multiply(
                 j0, j1 = j_ranges[j]
                 a_owners = [rank_of(i, jj, layer) for jj in range(qn)]
                 b_owners = [rank_of(ii, j, layer) for ii in range(qm)]
-                if machine.transport.counters_only:
-                    # Counters-only payloads: account the whole row+column
-                    # gather as one batched update per panel.
-                    srcs = [o for o in a_owners if o != r]
-                    machine.post_transfers(
-                        srcs, [r] * len(srcs),
-                        [payload_words(local_a[o]) for o in srcs], kind="input",
-                    )
-                    srcs = [o for o in b_owners if o != r]
-                    machine.post_transfers(
-                        srcs, [r] * len(srcs),
-                        [payload_words(local_b[o]) for o in srcs], kind="input",
-                    )
-                    a_parts = [local_a[o] for o in a_owners]
-                    b_parts = [local_b[o] for o in b_owners]
-                else:
-                    # Gather the A panel A[i-block, layer k-slice] from the
-                    # process row and the B panel B[layer k-slice, j-block]
-                    # from the process column.
-                    a_parts = [
-                        local_a[o] if o == r else machine.send(o, r, local_a[o], kind="input")
-                        for o in a_owners
-                    ]
-                    b_parts = [
-                        local_b[o] if o == r else machine.send(o, r, local_b[o], kind="input")
-                        for o in b_owners
-                    ]
+                # Gather the A panel A[i-block, layer k-slice] from the
+                # process row and the B panel B[layer k-slice, j-block]
+                # from the process column.
+                a_parts = [
+                    local_a[o] if o == r else machine.send(o, r, local_a[o], kind="input")
+                    for o in a_owners
+                ]
+                b_parts = [
+                    local_b[o] if o == r else machine.send(o, r, local_b[o], kind="input")
+                    for o in b_owners
+                ]
                 a_panel = concat_payloads(a_parts, axis=1)
                 b_panel = concat_payloads(b_parts, axis=0)
                 machine.local_multiply(r, a_panel, b_panel, accumulate_into=local_c[r])
@@ -239,9 +223,14 @@ def _grid25d_plane(
     the final cross-layer reduction is one ``np.add.reduce`` over each
     ``(i, j)`` fiber's contiguous slot run.  Counters are posted batched and
     byte-identical to the per-hop reference path.
+
+    In ``volume`` mode (counters-only transport) the same loop runs without
+    the numerics: rank stores hold shape tokens of the true block shapes, no
+    plane is allocated, and a token is returned as the product.
     """
     m = i_ranges[-1][1]
     n = j_ranges[-1][1]
+    numeric = not machine.transport.counters_only
     lm = np.array([hi - lo for lo, hi in i_ranges], dtype=np.int64)
     ln = np.array([hi - lo for lo, hi in j_ranges], dtype=np.int64)
     lm_max, ln_max = int(lm.max()), int(ln.max())
@@ -254,10 +243,11 @@ def _grid25d_plane(
     aw_max = max(1, max(hi - lo for slices in layer_a_slices for lo, hi in slices))
     bw_max = max(1, max(hi - lo for slices in layer_b_slices for lo, hi in slices))
 
-    slots = qm * qn * c
-    a_plane = machine.new_plane("grid25d.A", (slots, lm_max, aw_max))
-    b_plane = machine.new_plane("grid25d.B", (slots, bw_max, ln_max))
-    c_plane = machine.new_plane("grid25d.C", (slots, lm_max, ln_max))
+    if numeric:
+        slots = qm * qn * c
+        a_plane = machine.new_plane("grid25d.A", (slots, lm_max, aw_max))
+        b_plane = machine.new_plane("grid25d.B", (slots, bw_max, ln_max))
+        c_plane = machine.new_plane("grid25d.C", (slots, lm_max, ln_max))
 
     def rank_of(i: int, j: int, layer: int) -> int:
         return (i * qn + j) * c + layer
@@ -270,9 +260,14 @@ def _grid25d_plane(
                 j0, j1 = j_ranges[j]
                 ak0, ak1 = layer_a_slices[layer][j]
                 slot = rank_of(i, j, layer)
+                rank = machine.rank(slot)
+                if not numeric:
+                    rank.put("A", ShapeToken((i1 - i0, ak1 - ak0)))
+                    rank.put("B", ShapeToken((bk1 - bk0, j1 - j0)))
+                    rank.put("C", ShapeToken((i1 - i0, j1 - j0)))
+                    continue
                 a_plane.data[slot, : i1 - i0, : ak1 - ak0] = a_matrix[i0:i1, ak0:ak1]
                 b_plane.data[slot, : bk1 - bk0, : j1 - j0] = b_matrix[bk0:bk1, j0:j1]
-                rank = machine.rank(slot)
                 rank.put("A", a_plane.attach(
                     slot, slot, slice(0, i1 - i0), slice(0, ak1 - ak0)))
                 rank.put("B", b_plane.attach(
@@ -322,6 +317,8 @@ def _grid25d_plane(
                 np.concatenate(word_parts), kind="input",
             )
         machine.post_flops(layer_ranks, mn_outer * (2 * lk))
+        if not numeric:
+            continue
 
         # Panel assembly from strided slot slices + one broadcasting GEMM.
         a_panels = np.zeros((qm, lm_max, max(1, lk)))
@@ -358,15 +355,19 @@ def _grid25d_plane(
             (bases[:, None] + r_src[None, :]).ravel(), dsts, hop_words, kind="output",
         )
         machine.counters.add_flops(dsts, hop_words)
-    totals = np.add.reduce(
-        c_plane.data.reshape(qm * qn, c, lm_max, ln_max), axis=1
-    )
-    c_global = np.zeros((m, n))
+    if numeric:
+        totals = np.add.reduce(
+            c_plane.data.reshape(qm * qn, c, lm_max, ln_max), axis=1
+        )
+    c_global = np.zeros((m, n)) if numeric else ShapeToken((m, n))
     for i in range(qm):
         i0, i1 = i_ranges[i]
         for j in range(qn):
             j0, j1 = j_ranges[j]
-            total = totals[i * qn + j, : i1 - i0, : j1 - j0]
-            c_global[i0:i1, j0:j1] = total
+            if numeric:
+                total = totals[i * qn + j, : i1 - i0, : j1 - j0]
+                c_global[i0:i1, j0:j1] = total
+            else:
+                total = ShapeToken((i1 - i0, j1 - j0))
             machine.rank(rank_of(i, j, 0)).put("C_final", total)
     return c_global

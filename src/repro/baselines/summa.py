@@ -10,6 +10,10 @@ every rank performs a rank-``nb`` update of its local C block.
 This serves as the library's ScaLAPACK stand-in: like ``PDGEMM`` it never uses
 more memory than a 2D decomposition needs, so it is communication-inefficient
 whenever extra memory is available (the paper's motivating observation).
+
+``plane`` and ``volume`` runs take the stacked-array engine
+(:func:`_summa_plane`; ``volume`` is that engine minus the numerics); the
+per-rank loop in :func:`summa_multiply` serves ``legacy`` / ``zerocopy`` only.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 from repro.machine.collectives import broadcast, broadcast_hops
 from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import as_payload, ascontiguous, concat_payloads
+from repro.machine.transport import ShapeToken, as_payload, ascontiguous, concat_payloads
 from repro.utils.intmath import divisors, split_offsets
 from repro.utils.validation import check_positive_int
 
@@ -120,7 +124,7 @@ def summa_multiply(
     k_col_slices = split_offsets(k, pn)
     k_row_slices = split_offsets(k, pm)
 
-    if machine.transport.planar:
+    if machine.transport.planar or machine.transport.counters_only:
         c_global = _summa_plane(
             machine, a_matrix, b_matrix, pm, pn, panel_width,
             i_ranges, j_ranges, k_col_slices, k_row_slices,
@@ -146,29 +150,9 @@ def summa_multiply(
             machine.rank(r).put("B", local_b[r])
             machine.rank(r).put("C", local_c[r])
 
-    # Panel loop over k.  A panel step's schedule is determined by which
-    # owners contribute how many k-columns to the A/B panels; consecutive
-    # panels inside the same ownership slices repeat that pattern exactly,
-    # so under round compression the steady state replays from cache.
+    # Panel loop over k.
     for panel_start in range(0, k, panel_width):
         panel_stop = min(panel_start + panel_width, k)
-        if machine.compressor is not None:
-            fingerprint = (
-                "summa", m, n, k, pm, pn, panel_width,
-                tuple(
-                    (j, min(ak1, panel_stop) - max(ak0, panel_start))
-                    for j, (ak0, ak1) in enumerate(k_col_slices)
-                    if min(ak1, panel_stop) > max(ak0, panel_start)
-                ),
-                tuple(
-                    (i, min(bk1, panel_stop) - max(bk0, panel_start))
-                    for i, (bk0, bk1) in enumerate(k_row_slices)
-                    if min(bk1, panel_stop) > max(bk0, panel_start)
-                ),
-            )
-            if machine.replay_round(fingerprint) is not None:
-                continue
-
         # Broadcast this panel's A pieces along every process row.
         a_panel_by_row: list[np.ndarray] = []
         for i in range(pm):
@@ -216,7 +200,7 @@ def summa_multiply(
         machine.check_memory()
         machine.commit_round()
 
-    # Assemble the result for verification (a shape token in volume mode).
+    # Assemble the result for verification.
     c_global = machine.zeros((m, n))
     for i in range(pm):
         for j in range(pn):
@@ -248,19 +232,25 @@ def _summa_plane(
     exactly grid column ``j``), multiplies all ``pm x pn`` blocks with one
     broadcasting ``np.matmul`` and posts the panel broadcasts' counters as
     one batched update -- byte-identical to the per-hop reference path.
+
+    In ``volume`` mode (counters-only transport) the same loop runs without
+    the numerics: rank stores hold shape tokens of the true block shapes, no
+    plane is allocated, and a token is returned as the product.
     """
     m = i_ranges[-1][1]
     n = j_ranges[-1][1]
     k = k_col_slices[-1][1]
+    numeric = not machine.transport.counters_only
     lm = np.array([hi - lo for lo, hi in i_ranges], dtype=np.int64)
     ln = np.array([hi - lo for lo, hi in j_ranges], dtype=np.int64)
     akw = np.array([hi - lo for lo, hi in k_col_slices], dtype=np.int64)
     bkw = np.array([hi - lo for lo, hi in k_row_slices], dtype=np.int64)
     lm_max, ln_max = int(lm.max()), int(ln.max())
 
-    a_plane = machine.new_plane("summa.A", (pm * pn, lm_max, max(1, int(akw.max()))))
-    b_plane = machine.new_plane("summa.B", (pm * pn, max(1, int(bkw.max())), ln_max))
-    c_plane = machine.new_plane("summa.C", (pm * pn, lm_max, ln_max))
+    if numeric:
+        a_plane = machine.new_plane("summa.A", (pm * pn, lm_max, max(1, int(akw.max()))))
+        b_plane = machine.new_plane("summa.B", (pm * pn, max(1, int(bkw.max())), ln_max))
+        c_plane = machine.new_plane("summa.C", (pm * pn, lm_max, ln_max))
     for i in range(pm):
         i0, i1 = i_ranges[i]
         bk0, bk1 = k_row_slices[i]
@@ -268,9 +258,14 @@ def _summa_plane(
             j0, j1 = j_ranges[j]
             ak0, ak1 = k_col_slices[j]
             slot = i * pn + j
+            rank = machine.rank(slot)
+            if not numeric:
+                rank.put("A", ShapeToken((i1 - i0, ak1 - ak0)))
+                rank.put("B", ShapeToken((bk1 - bk0, j1 - j0)))
+                rank.put("C", ShapeToken((i1 - i0, j1 - j0)))
+                continue
             a_plane.data[slot, : i1 - i0, : ak1 - ak0] = a_matrix[i0:i1, ak0:ak1]
             b_plane.data[slot, : bk1 - bk0, : j1 - j0] = b_matrix[bk0:bk1, j0:j1]
-            rank = machine.rank(slot)
             rank.put("A", a_plane.attach(slot, slot, slice(0, i1 - i0), slice(0, ak1 - ak0)))
             rank.put("B", b_plane.attach(slot, slot, slice(0, bk1 - bk0), slice(0, j1 - j0)))
             rank.put("C", c_plane.attach(slot, slot, slice(0, i1 - i0), slice(0, j1 - j0)))
@@ -301,16 +296,26 @@ def _summa_plane(
     ak_hi = np.array([hi for _, hi in k_col_slices], dtype=np.int64)
     bk_lo = np.array([lo for lo, _ in k_row_slices], dtype=np.int64)
     bk_hi = np.array([hi for _, hi in k_row_slices], dtype=np.int64)
+    fingerprint_context = ("summa", m, n, k, pm, pn, panel_width)
 
-    c_view = c_plane.data.reshape(pm, pn, lm_max, ln_max)
+    if numeric:
+        c_view = c_plane.data.reshape(pm, pn, lm_max, ln_max)
     for panel_start in range(0, k, panel_width):
         panel_stop = min(panel_start + panel_width, k)
         width = panel_stop - panel_start
+        # k-columns each owner contributes to this step's A / B panels.
+        w_a = np.maximum(np.minimum(ak_hi, panel_stop) - np.maximum(ak_lo, panel_start), 0)
+        w_b = np.maximum(np.minimum(bk_hi, panel_stop) - np.maximum(bk_lo, panel_start), 0)
+        # A panel step's schedule is determined by those contributions;
+        # consecutive panels inside the same ownership slices repeat them
+        # exactly, so under round compression the steady state replays.
+        if machine.compressor is not None and machine.replay_round(
+            fingerprint_context + (w_a.tobytes(), w_b.tobytes())
+        ) is not None:
+            continue
         src_parts: list[np.ndarray] = []
         dst_parts: list[np.ndarray] = []
         word_parts: list[np.ndarray] = []
-        w_a = np.minimum(ak_hi, panel_stop) - np.maximum(ak_lo, panel_start)
-        w_b = np.minimum(bk_hi, panel_stop) - np.maximum(bk_lo, panel_start)
         if pn > 1:
             active = w_a > 0
             if active.any():
@@ -333,28 +338,31 @@ def _summa_plane(
                 np.concatenate(word_parts), kind="input",
             )
         machine.post_flops(all_ranks, mn_outer * (2 * width))
+        if numeric:
+            # Strided panel assembly + one broadcasting batched GEMM.
+            a_panels = np.zeros((pm, lm_max, width))
+            for j in range(pn):
+                if w_a[j] <= 0:
+                    continue
+                lo = max(int(ak_lo[j]), panel_start)
+                hi = min(int(ak_hi[j]), panel_stop)
+                a_panels[:, :, lo - panel_start : hi - panel_start] = (
+                    a_plane.data[j::pn, :, lo - ak_lo[j] : hi - ak_lo[j]]
+                )
+            b_panels = np.zeros((pn, width, ln_max))
+            for i in range(pm):
+                if w_b[i] <= 0:
+                    continue
+                lo = max(int(bk_lo[i]), panel_start)
+                hi = min(int(bk_hi[i]), panel_stop)
+                b_panels[:, lo - panel_start : hi - panel_start, :] = (
+                    b_plane.data[i * pn : (i + 1) * pn, lo - bk_lo[i] : hi - bk_lo[i], :]
+                )
+            c_view += np.matmul(a_panels[:, None], b_panels[None, :])
+        machine.commit_round()
 
-        # Strided panel assembly + one broadcasting batched GEMM.
-        a_panels = np.zeros((pm, lm_max, width))
-        for j in range(pn):
-            if w_a[j] <= 0:
-                continue
-            lo = max(int(ak_lo[j]), panel_start)
-            hi = min(int(ak_hi[j]), panel_stop)
-            a_panels[:, :, lo - panel_start : hi - panel_start] = (
-                a_plane.data[j::pn, :, lo - ak_lo[j] : hi - ak_lo[j]]
-            )
-        b_panels = np.zeros((pn, width, ln_max))
-        for i in range(pm):
-            if w_b[i] <= 0:
-                continue
-            lo = max(int(bk_lo[i]), panel_start)
-            hi = min(int(bk_hi[i]), panel_stop)
-            b_panels[:, lo - panel_start : hi - panel_start, :] = (
-                b_plane.data[i * pn : (i + 1) * pn, lo - bk_lo[i] : hi - bk_lo[i], :]
-            )
-        c_view += np.matmul(a_panels[:, None], b_panels[None, :])
-
+    if not numeric:
+        return ShapeToken((m, n))
     c_global = np.zeros((m, n))
     for i in range(pm):
         i0, i1 = i_ranges[i]

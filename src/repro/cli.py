@@ -58,7 +58,7 @@ from repro.experiments.harness import sweep
 from repro.experiments.perf_model import simulated_time
 from repro.experiments.report import format_table, group_by_scenario
 from repro.machine.topology import MachineSpec
-from repro.machine.transport import MODES, PLANE_DTYPES
+from repro.machine.transport import MODES, PLANE_DTYPES, ShapeToken
 from repro.obs import (
     LOG_LEVELS,
     CampaignProgress,
@@ -316,9 +316,13 @@ def _add_sweep_args(p_sweep: argparse.ArgumentParser) -> None:
 
 
 def _cmd_multiply(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    a = rng.standard_normal((args.m, args.k))
-    b = rng.standard_normal((args.k, args.n))
+    if args.mode == "volume":
+        # Counters-only: no run reads the values, so generate none.
+        a, b = ShapeToken((args.m, args.k)), ShapeToken((args.k, args.n))
+    else:
+        rng = np.random.default_rng(args.seed)
+        a = rng.standard_normal((args.m, args.k))
+        b = rng.standard_normal((args.k, args.n))
     result = multiply(
         a, b, processors=args.processors, memory_words=args.memory,
         algorithm=args.algorithm, mode=args.mode,

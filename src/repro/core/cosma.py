@@ -16,6 +16,11 @@ Execution outline for a fitted grid ``[pm x pn x pk]``:
 Every transferred word is counted by the machine's communication layer; the
 returned :class:`CosmaRunResult` exposes the counters, the assembled global
 product and the per-round volumes needed by the overlap performance model.
+
+``plane`` and ``volume`` runs take the batched round engine
+(:func:`_cosma_batched`; ``volume`` is that engine minus the numerics); the
+per-hop loop in :func:`cosma_multiply` serves ``legacy`` / ``zerocopy`` and
+``use_rma`` runs.
 """
 
 from __future__ import annotations
@@ -58,6 +63,41 @@ class CosmaRunResult:
     @property
     def max_words_per_rank(self) -> int:
         return self.counters.max_words_per_rank()
+
+
+def _round_fingerprinter(decomposition: CosmaDecomposition, use_rma: bool):
+    """Round fingerprints for steady-state compression, as ``offset -> tuple``.
+
+    With the grid and the domains fixed, a round's whole communication
+    schedule (which owners broadcast along which fibers, the piece and chunk
+    shapes, the local multiply sizes) is a pure function of the *overlap
+    widths* between the round's clamped chunk and each ownership slice.  The
+    widths are translation-invariant -- two offsets inside the same ownership
+    segment produce the identical counter delta -- and there are only
+    O(pk * (pm + pn)) distinct (k-range, owned-slice) classes, so the
+    fingerprint is a short tuple even at paper scale.  Shared by the per-hop
+    loop and the batched engine.
+    """
+    grid = decomposition.grid
+    step = decomposition.step_size
+    ownership_classes = sorted(
+        {(d.k_range, d.a_owned_k_range) for d in decomposition.domains}
+        | {(d.k_range, d.b_owned_k_range) for d in decomposition.domains}
+    )
+    context = (
+        "cosma", decomposition.m, decomposition.n, decomposition.k,
+        grid.pm, grid.pn, grid.pk, step, use_rma,
+    )
+
+    def round_fingerprint(chunk_offset: int) -> tuple:
+        widths = []
+        for (k0, k1), (o0, o1) in ownership_classes:
+            c0 = min(k0 + chunk_offset, k1)
+            c1 = min(c0 + step, k1)
+            widths.append((c1 - c0, max(0, min(o1, c1) - max(o0, c0))))
+        return context + tuple(widths)
+
+    return round_fingerprint
 
 
 def cosma_multiply(
@@ -134,30 +174,7 @@ def cosma_multiply(
     max_lk = max(d.k_range[1] - d.k_range[0] for d in decomposition.domains)
     step = decomposition.step_size
     offsets = list(range(0, max_lk, step))
-    # Round fingerprints for steady-state compression: with the grid and the
-    # domains fixed, a round's whole communication schedule (which owners
-    # broadcast along which fibers, the piece and chunk shapes, the local
-    # multiply sizes) is a pure function of the *overlap widths* between the
-    # round's clamped chunk and each ownership slice.  The widths are
-    # translation-invariant -- two offsets inside the same ownership segment
-    # produce the identical counter delta -- and there are only
-    # O(pk * (pm + pn)) distinct (k-range, owned-slice) classes, so the
-    # fingerprint is a short tuple even at paper scale.
-    ownership_classes = sorted(
-        {(d.k_range, d.a_owned_k_range) for d in decomposition.domains}
-        | {(d.k_range, d.b_owned_k_range) for d in decomposition.domains}
-    )
-    fingerprint_context = (
-        "cosma", m, n, k, gridspec.pm, gridspec.pn, gridspec.pk, step, use_rma,
-    )
-
-    def round_fingerprint(chunk_offset: int) -> tuple:
-        widths = []
-        for (k0, k1), (o0, o1) in ownership_classes:
-            c0 = min(k0 + chunk_offset, k1)
-            c1 = min(c0 + step, k1)
-            widths.append((c1 - c0, max(0, min(o1, c1) - max(o0, c0))))
-        return fingerprint_context + tuple(widths)
+    round_fingerprint = _round_fingerprinter(decomposition, use_rma)
 
     for chunk_index, chunk_offset in enumerate(offsets):
         if machine.compressor is not None:
@@ -459,23 +476,10 @@ def _cosma_batched(
     ]
     mn_outer = np.multiply.outer(lm, ln).ravel()
 
-    # Round fingerprints for steady-state compression (see cosma_multiply).
     step = decomposition.step_size
     max_lk = max(hi - lo for lo, hi in k_ranges)
     offsets = list(range(0, max_lk, step))
-    ownership_classes = sorted(
-        {(d.k_range, d.a_owned_k_range) for d in decomposition.domains}
-        | {(d.k_range, d.b_owned_k_range) for d in decomposition.domains}
-    )
-    fingerprint_context = ("cosma", m, n, k, pm, pn, pk, step, False)
-
-    def round_fingerprint(chunk_offset: int) -> tuple:
-        widths = []
-        for (k0, k1), (o0, o1) in ownership_classes:
-            c0 = min(k0 + chunk_offset, k1)
-            c1 = min(c0 + step, k1)
-            widths.append((c1 - c0, max(0, min(o1, c1) - max(o0, c0))))
-        return fingerprint_context + tuple(widths)
+    round_fingerprint = _round_fingerprinter(decomposition, use_rma=False)
 
     # ------------------------------------------------------------------
     # main loop: one batched counter update per round

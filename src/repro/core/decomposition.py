@@ -18,6 +18,7 @@ result.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -136,6 +137,9 @@ def build_decomposition(
     grid:
         Optional explicit processor grid (used by tests and ablation
         benchmarks); when omitted, :func:`repro.core.grid.fit_ranks` chooses it.
+
+    The result is memoized on ``(m, n, k, p, s, grid)`` with the grid
+    resolved, so a plan and the runs it feeds share one decomposition.
     """
     m = check_positive_int(m, "m")
     n = check_positive_int(n, "n")
@@ -151,6 +155,20 @@ def build_decomposition(
     if grid.p_used > p:
         raise ValueError(f"grid {grid.as_tuple()} uses {grid.p_used} ranks but only {p} are available")
 
+    return _decompose(m, n, k, p, s, grid)
+
+
+# A plan and the runs it feeds follow each other, so a few entries catch
+# them all; each entry pins one LocalDomain per rank, so more would only cost
+# a long campaign's workers memory.
+@lru_cache(maxsize=4)
+def _decompose(m: int, n: int, k: int, p: int, s: int, grid: ProcessorGrid) -> CosmaDecomposition:
+    """The decomposition of one problem on one fitted grid, memoized.
+
+    Planning and every run of a scenario ask for the same (frozen) value;
+    :func:`repro.algorithms.plan_cache_clear` drops the memo (through
+    :func:`decomposition_cache_clear`) together with the plans built from it.
+    """
     i_ranges = split_offsets(m, grid.pm)
     j_ranges = split_offsets(n, grid.pn)
     k_ranges = split_offsets(k, grid.pk)
@@ -210,6 +228,11 @@ def build_decomposition(
         step_size=step_size,
         num_steps=num_steps,
     )
+
+
+def decomposition_cache_clear() -> None:
+    """Drop every memoized decomposition."""
+    _decompose.cache_clear()
 
 
 def distribute_matrices(

@@ -91,7 +91,7 @@ class AlgorithmRun:
     output_words_per_rank: float
     #: Number of messages on the busiest rank.
     max_messages_per_rank: int
-    #: Execution mode the run used (``legacy`` / ``zerocopy`` / ``volume``).
+    #: Execution mode the run used (``legacy`` / ``zerocopy`` / ``plane`` / ``volume``).
     mode: str = "legacy"
     #: Whether the numerical result was actually checked against ``A @ B``.
     verified: bool = True

@@ -46,7 +46,9 @@ across modes because accounting only ever reads payload shapes:
     descriptors with no numpy allocation at all; local multiplies update only
     the flop counters and results cannot be verified numerically.  Preserves
     every communication counter exactly; orders of magnitude faster, enabling
-    sweeps at the paper's true scale (thousands of ranks).
+    sweeps at the paper's true scale (thousands of ranks).  Every built-in
+    algorithm runs its ``plane`` engine minus the numerics here; algorithms
+    without one go through the collectives' batched token accounting.
 """
 
 from __future__ import annotations
@@ -158,8 +160,9 @@ class DistributedMachine:
         communication round.
     mode:
         Payload transport: ``"legacy"`` (copy per delivery), ``"zerocopy"``
-        (shared read-only views) or ``"volume"`` (counters-only shape tokens);
-        see the module docstring and :mod:`repro.machine.transport`.
+        (shared read-only views), ``"plane"`` (stacked-array numerics) or
+        ``"volume"`` (counters-only shape tokens); see the module docstring
+        and :mod:`repro.machine.transport`.
     compress_rounds:
         Opt into steady-state round compression: algorithms fingerprint each
         communication round and, when consecutive rounds repeat, the cached
@@ -248,7 +251,7 @@ class DistributedMachine:
 
     @property
     def mode(self) -> str:
-        """The active transport mode (``legacy`` / ``zerocopy`` / ``volume``)."""
+        """The active transport mode (``legacy`` / ``zerocopy`` / ``plane`` / ``volume``)."""
         return self.transport.mode
 
     def zeros(self, shape: Sequence[int]):

@@ -111,3 +111,39 @@ class TestDistributeMatrices:
         decomposition = build_decomposition(32, 32, 32, 8, 4096)
         assert decomposition.max_local_words() > 0
         assert decomposition.max_local_words() <= 32 * 32 * 3
+
+
+class TestDecompositionMemo:
+    """Planning and every run of one scenario share a single decomposition."""
+
+    def test_plan_and_two_runs_build_one_decomposition(self, monkeypatch):
+        from repro.algorithms import get_algorithm, plan_cache_clear
+        from repro.core import decomposition as module
+        from repro.experiments.harness import run_algorithm
+        from repro.workloads.scaling import limited_memory_sweep
+
+        builds = []
+        real = module.LocalDomain
+
+        def counting_domain(*args, **kwargs):
+            builds.append(kwargs["rank"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "LocalDomain", counting_domain)
+        plan_cache_clear()
+        scenario = limited_memory_sweep("square", [16], 2048)[0]
+        plan = get_algorithm("COSMA").plan(scenario)
+        first = run_algorithm("COSMA", scenario, mode="volume")
+        assert run_algorithm("COSMA", scenario, mode="volume") == first
+        # One LocalDomain per used rank, once: the plan built them, the
+        # planned grid handed to both runs found them memoized.
+        assert sorted(builds) == list(range(plan.processors_used))
+
+    def test_fitted_and_explicit_grid_share_the_entry(self):
+        from repro.algorithms import plan_cache_clear
+
+        fitted = build_decomposition(64, 64, 64, 8, 4096)
+        assert build_decomposition(64, 64, 64, 8, 4096, grid=fitted.grid) is fitted
+        plan_cache_clear()
+        rebuilt = build_decomposition(64, 64, 64, 8, 4096)
+        assert rebuilt == fitted and rebuilt is not fitted

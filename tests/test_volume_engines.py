@@ -1,0 +1,170 @@
+"""``volume`` mode rides the batched engines: structure, ownership and scale.
+
+Counter parity with the per-rank loops is ``test_counter_parity.py``'s job;
+this file pins what the counters-only route is made of:
+
+* the cuboid executor's compressed owner map (``_CellOwners``) against the
+  element-wise ``_ownership_map`` oracle, block by block;
+* the two paper-scale points the ledger leaves out as too slow for the
+  per-rank loops (CARMA and Cannon on 8192^3, p=4096), with values captured
+  from the per-rank paths;
+* a structural guard: no built-in algorithm's ``volume`` run touches a
+  per-rank primitive or allocates an element-sized array.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.baselines import cannon, cuboid, grid25d, summa
+from repro.baselines.carma import carma_domains
+from repro.baselines.cuboid import CuboidDomain, _CellOwners, _ownership_map
+from repro.core import cosma
+from repro.experiments.harness import run_algorithm
+from repro.machine.simulator import DistributedMachine
+from repro.workloads.scaling import Scenario
+from repro.workloads.shapes import square_shape
+
+BUILTINS = ("COSMA", "ScaLAPACK", "CTF", "CARMA", "Cannon")
+
+
+def paper_scenario(side: int, p: int) -> Scenario:
+    """The ledger's paper-scale points: ``side``^3 on ``p`` ranks, S=101000."""
+    return Scenario(name=f"square-paper-p{p}", shape=square_shape(side), p=p,
+                    memory_words=101_000, regime="limited")
+
+
+# ---------------------------------------------------------------------------
+# compressed ownership vs the element-wise oracle
+# ---------------------------------------------------------------------------
+def _cuts(draw, extent: int, parts: int) -> list[tuple[int, int]]:
+    """``parts`` consecutive ranges covering ``[0, extent)`` at drawn cut points."""
+    inner = sorted(draw(st.lists(
+        st.integers(0, extent), min_size=parts - 1, max_size=parts - 1)))
+    edges = [0, *inner, extent]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+@st.composite
+def tilings(draw):
+    """``(m, n, k, domains)``: a cuboid tiling of the iteration space.
+
+    CARMA at arbitrary (mostly non-power-of-two) sizes, where the halved
+    ranges make neighbouring projections overlap partially; irregular grids
+    with drawn cut points (empty ranges included) and shuffled rank order,
+    so the first-listed-rank rule is exercised; a single domain; and pure
+    k-splits, where p ranks share one C cell (p > distinct breakpoints).
+    """
+    m, n, k = (draw(st.integers(1, 40)) for _ in range(3))
+    kind = draw(st.sampled_from(["carma", "grid", "single", "k-split"]))
+    if kind == "carma":
+        p = draw(st.sampled_from([1, 2, 4, 8, 16, 32, 64]))
+        return m, n, k, carma_domains(m, n, k, min(p, m * n * k))
+    if kind == "single":
+        return m, n, k, [CuboidDomain(0, (0, m), (0, n), (0, k))]
+    pm, pn, pk = (1, 1, draw(st.integers(2, 12))) if kind == "k-split" else (
+        draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    cells = [(i, j, kk) for i in _cuts(draw, m, pm) for j in _cuts(draw, n, pn)
+             for kk in _cuts(draw, k, pk)]
+    ranks = draw(st.permutations(range(len(cells))))
+    return m, n, k, [CuboidDomain(r, *cell) for r, cell in zip(ranks, cells)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tilings())
+def test_cell_owner_counts_equal_the_element_map(tiling):
+    m, n, k, domains = tiling
+    ordered = sorted(domains, key=lambda d: d.rank)
+    for shape, regions in (
+        ((m, k), [(d.rank, d.i_range, d.k_range) for d in ordered]),
+        ((k, n), [(d.rank, d.k_range, d.j_range) for d in ordered]),
+        ((m, n), [(d.rank, d.i_range, d.j_range) for d in ordered]),
+    ):
+        element_map = _ownership_map(shape, regions)
+        cell_map = _CellOwners(shape, regions)
+        for _, rows, cols in regions:
+            owners, counts = cell_map.owner_counts(rows, cols)
+            expected_owners, expected_counts = np.unique(
+                element_map[rows[0] : rows[1], cols[0] : cols[1]], return_counts=True)
+            assert owners.dtype == counts.dtype == np.int64
+            assert owners.tolist() == expected_owners.tolist()
+            assert counts.tolist() == expected_counts.tolist()
+
+
+def test_cell_counts_are_exact_beyond_float_precision():
+    """Areas are summed as int64: 2^53 + 1 elements survive, as no float sum would."""
+    side = 94_906_267  # side * side > 2**53
+    regions = [(0, (0, side), (0, side)), (1, (0, side), (side, side + 1))]
+    owners, counts = _CellOwners((side, side + 1), regions).owner_counts(
+        (0, side), (0, side + 1))
+    assert owners.tolist() == [0, 1]
+    assert counts.tolist() == [side * side, side]
+    assert int(counts.sum()) == side * (side + 1) > 2**53
+
+
+# ---------------------------------------------------------------------------
+# paper-scale points outside the ledger
+# ---------------------------------------------------------------------------
+def test_carma_on_sq4096_volume():
+    run = run_algorithm("CARMA", paper_scenario(8192, 4096), mode="volume")
+    assert run.mean_words_per_rank == 1474560.0
+    assert run.max_words_per_rank == 11796480
+    assert run.rounds == 45
+    assert run.total_flops == 1100518260736
+
+
+def test_cannon_on_sq4096_volume():
+    run = run_algorithm("Cannon", paper_scenario(8192, 4096), mode="volume")
+    assert run.mean_words_per_rank == 4193280.0
+    assert run.max_words_per_rank == 4194304
+    assert run.rounds == 128
+    assert run.max_messages_per_rank == 256
+
+
+# ---------------------------------------------------------------------------
+# structural guard: volume never enters a per-rank loop
+# ---------------------------------------------------------------------------
+class _CountingNumpy:
+    """``numpy`` as one module sees it, recording ``full`` / ``zeros`` sizes."""
+
+    def __init__(self) -> None:
+        self.largest = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in ("full", "zeros"):
+            return attr
+
+        def allocate(shape, *args, **kwargs):
+            self.largest = max(self.largest, int(np.prod(shape)))
+            return attr(shape, *args, **kwargs)
+
+        return allocate
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_volume_runs_use_no_per_rank_primitive(name, monkeypatch):
+    """Built-ins only; a registered extension without a batched engine
+    (``extensions/allgather.py``) keeps its collective-based volume path."""
+    calls: list[str] = []
+
+    def forbid(label):
+        def forbidden(*args, **kwargs):
+            calls.append(label)
+            raise AssertionError(f"{name} volume run called {label}")
+        return forbidden
+
+    monkeypatch.setattr(DistributedMachine, "local_multiply", forbid("machine.local_multiply"))
+    monkeypatch.setattr(DistributedMachine, "send", forbid("machine.send"))
+    for module in (summa, grid25d, cannon, cuboid, cosma):
+        for primitive in ("broadcast", "ring_shift", "reduce", "concat_payloads"):
+            if hasattr(module, primitive):
+                monkeypatch.setattr(module, primitive, forbid(f"{module.__name__}.{primitive}"))
+    counting = _CountingNumpy()
+    monkeypatch.setattr(cuboid, "np", counting)
+
+    run = run_algorithm(name, paper_scenario(4096, 1024), mode="volume")
+    assert calls == []
+    assert run.mean_words_per_rank > 0
+    assert counting.largest <= 10**5
