@@ -28,7 +28,13 @@ import numpy as np
 from repro.machine.collectives import reduce, reduce_hops
 from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import ShapeToken, as_payload, ascontiguous, concat_payloads
+from repro.machine.transport import (
+    ShapeToken,
+    TokenPool,
+    as_payload,
+    ascontiguous,
+    concat_payloads,
+)
 from repro.utils.intmath import divisors, split_offsets
 from repro.utils.validation import check_positive_int
 
@@ -243,6 +249,7 @@ def _grid25d_plane(
     aw_max = max(1, max(hi - lo for slices in layer_a_slices for lo, hi in slices))
     bw_max = max(1, max(hi - lo for slices in layer_b_slices for lo, hi in slices))
 
+    tokens = TokenPool()  # volume mode: the rank stores share a token per block shape
     if numeric:
         slots = qm * qn * c
         a_plane = machine.new_plane("grid25d.A", (slots, lm_max, aw_max))
@@ -262,9 +269,9 @@ def _grid25d_plane(
                 slot = rank_of(i, j, layer)
                 rank = machine.rank(slot)
                 if not numeric:
-                    rank.put("A", ShapeToken((i1 - i0, ak1 - ak0)))
-                    rank.put("B", ShapeToken((bk1 - bk0, j1 - j0)))
-                    rank.put("C", ShapeToken((i1 - i0, j1 - j0)))
+                    rank.put("A", tokens[i1 - i0, ak1 - ak0])
+                    rank.put("B", tokens[bk1 - bk0, j1 - j0])
+                    rank.put("C", tokens[i1 - i0, j1 - j0])
                     continue
                 a_plane.data[slot, : i1 - i0, : ak1 - ak0] = a_matrix[i0:i1, ak0:ak1]
                 b_plane.data[slot, : bk1 - bk0, : j1 - j0] = b_matrix[bk0:bk1, j0:j1]
@@ -368,6 +375,6 @@ def _grid25d_plane(
                 total = totals[i * qn + j, : i1 - i0, : j1 - j0]
                 c_global[i0:i1, j0:j1] = total
             else:
-                total = ShapeToken((i1 - i0, j1 - j0))
+                total = tokens[i1 - i0, j1 - j0]
             machine.rank(rank_of(i, j, 0)).put("C_final", total)
     return c_global

@@ -26,7 +26,13 @@ import numpy as np
 from repro.machine.collectives import broadcast, broadcast_hops
 from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import ShapeToken, as_payload, ascontiguous, concat_payloads
+from repro.machine.transport import (
+    ShapeToken,
+    TokenPool,
+    as_payload,
+    ascontiguous,
+    concat_payloads,
+)
 from repro.utils.intmath import divisors, split_offsets
 from repro.utils.validation import check_positive_int
 
@@ -247,6 +253,7 @@ def _summa_plane(
     bkw = np.array([hi - lo for lo, hi in k_row_slices], dtype=np.int64)
     lm_max, ln_max = int(lm.max()), int(ln.max())
 
+    tokens = TokenPool()  # volume mode: the rank stores share a token per block shape
     if numeric:
         a_plane = machine.new_plane("summa.A", (pm * pn, lm_max, max(1, int(akw.max()))))
         b_plane = machine.new_plane("summa.B", (pm * pn, max(1, int(bkw.max())), ln_max))
@@ -260,9 +267,9 @@ def _summa_plane(
             slot = i * pn + j
             rank = machine.rank(slot)
             if not numeric:
-                rank.put("A", ShapeToken((i1 - i0, ak1 - ak0)))
-                rank.put("B", ShapeToken((bk1 - bk0, j1 - j0)))
-                rank.put("C", ShapeToken((i1 - i0, j1 - j0)))
+                rank.put("A", tokens[i1 - i0, ak1 - ak0])
+                rank.put("B", tokens[bk1 - bk0, j1 - j0])
+                rank.put("C", tokens[i1 - i0, j1 - j0])
                 continue
             a_plane.data[slot, : i1 - i0, : ak1 - ak0] = a_matrix[i0:i1, ak0:ak1]
             b_plane.data[slot, : bk1 - bk0, : j1 - j0] = b_matrix[bk0:bk1, j0:j1]

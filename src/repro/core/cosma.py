@@ -18,9 +18,12 @@ returned :class:`CosmaRunResult` exposes the counters, the assembled global
 product and the per-round volumes needed by the overlap performance model.
 
 ``plane`` and ``volume`` runs take the batched round engine
-(:func:`_cosma_batched`; ``volume`` is that engine minus the numerics); the
-per-hop loop in :func:`cosma_multiply` serves ``legacy`` / ``zerocopy`` and
-``use_rma`` runs.
+(:func:`_cosma_batched`; ``volume`` is that engine minus the numerics), with
+``use_rma`` or without.  Algorithm 1 is a steady-state schedule, so that engine
+posts each *distinct* round once -- a round class, O(pk (pm + pn)) of them
+however many rounds there are -- and replays its counter delta; the product is
+one GEMM into a single C sheet.  The per-hop loop in :func:`cosma_multiply`
+serves ``legacy`` / ``zerocopy`` only.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from repro.machine.collectives import broadcast, broadcast_hops, reduce, reduce_
 from repro.machine.counters import CommCounters
 from repro.machine.rma import rma_get
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import PayloadPlane, ShapeToken, as_payload
+from repro.machine.transport import PayloadPlane, TokenPool, as_payload
 from repro.utils.intmath import split_offsets
 
 
@@ -63,41 +66,6 @@ class CosmaRunResult:
     @property
     def max_words_per_rank(self) -> int:
         return self.counters.max_words_per_rank()
-
-
-def _round_fingerprinter(decomposition: CosmaDecomposition, use_rma: bool):
-    """Round fingerprints for steady-state compression, as ``offset -> tuple``.
-
-    With the grid and the domains fixed, a round's whole communication
-    schedule (which owners broadcast along which fibers, the piece and chunk
-    shapes, the local multiply sizes) is a pure function of the *overlap
-    widths* between the round's clamped chunk and each ownership slice.  The
-    widths are translation-invariant -- two offsets inside the same ownership
-    segment produce the identical counter delta -- and there are only
-    O(pk * (pm + pn)) distinct (k-range, owned-slice) classes, so the
-    fingerprint is a short tuple even at paper scale.  Shared by the per-hop
-    loop and the batched engine.
-    """
-    grid = decomposition.grid
-    step = decomposition.step_size
-    ownership_classes = sorted(
-        {(d.k_range, d.a_owned_k_range) for d in decomposition.domains}
-        | {(d.k_range, d.b_owned_k_range) for d in decomposition.domains}
-    )
-    context = (
-        "cosma", decomposition.m, decomposition.n, decomposition.k,
-        grid.pm, grid.pn, grid.pk, step, use_rma,
-    )
-
-    def round_fingerprint(chunk_offset: int) -> tuple:
-        widths = []
-        for (k0, k1), (o0, o1) in ownership_classes:
-            c0 = min(k0 + chunk_offset, k1)
-            c1 = min(c0 + step, k1)
-            widths.append((c1 - c0, max(0, min(o1, c1) - max(o0, c0))))
-        return context + tuple(widths)
-
-    return round_fingerprint
 
 
 def cosma_multiply(
@@ -146,10 +114,10 @@ def cosma_multiply(
     )
     if machine is None:
         machine = DistributedMachine(p, memory_words=memory_words)
-    if not use_rma and (machine.transport.counters_only or machine.transport.planar):
+    if machine.transport.counters_only or machine.transport.planar:
         # Batched round engine: identical schedule, vectorized accounting;
-        # numerics (plane mode) run as stacked-array GEMMs.
-        return _cosma_batched(a_matrix, b_matrix, machine, decomposition)
+        # numerics (plane mode) run as one GEMM over the operand planes.
+        return _cosma_batched(a_matrix, b_matrix, machine, decomposition, use_rma)
     owned = distribute_matrices(decomposition, a_matrix, b_matrix)
     for rank, pieces in owned.items():
         machine.rank(rank).put("A_own", pieces["A"])
@@ -174,15 +142,8 @@ def cosma_multiply(
     max_lk = max(d.k_range[1] - d.k_range[0] for d in decomposition.domains)
     step = decomposition.step_size
     offsets = list(range(0, max_lk, step))
-    round_fingerprint = _round_fingerprinter(decomposition, use_rma)
 
     for chunk_index, chunk_offset in enumerate(offsets):
-        if machine.compressor is not None:
-            replayed = machine.replay_round(round_fingerprint(chunk_offset))
-            if replayed is not None:
-                num_rounds += 1
-                round_volumes.append(replayed.max_words_delta)
-                continue
         # Round-delta tracking: mark the per-rank totals instead of deep
         # copying the whole counter set every round.
         machine.counters.mark_round_start()
@@ -322,8 +283,7 @@ def _sharded_gemm(
 
     The parent copies A and B into shared-memory segments once; each worker
     owns a contiguous row stripe of the output and computes
-    ``out[r0:r1] = a[r0:r1] @ b`` straight into the shared output segment
-    (fusing the per-layer GEMM and the k reduction of the in-process path).
+    ``out[r0:r1] = a[r0:r1] @ b`` straight into the shared output segment.
     Only (job id, slice spec) messages cross the pipes.  All counters were
     already posted in the parent -- nothing here touches accounting.
     """
@@ -364,31 +324,40 @@ def _cosma_batched(
     b_matrix: np.ndarray,
     machine: DistributedMachine,
     decomposition: CosmaDecomposition,
+    use_rma: bool,
 ) -> CosmaRunResult:
-    """Run COSMA's schedule with vectorized accounting and stacked numerics.
+    """Run COSMA's schedule with vectorized accounting and one-GEMM numerics.
 
-    Walks the exact communication schedule of the per-hop reference path --
-    the same rounds, the same binomial broadcast/reduction trees, the same
-    payload sizes -- but posts each round's counter updates as one batched
-    :meth:`~repro.machine.simulator.DistributedMachine.post_transfers` call
-    (plus one batched flop update), so the counters are byte-identical to the
-    ``legacy``/``zerocopy`` execution at a fraction of the Python cost.
+    Counts the exact communication schedule of the per-hop reference path --
+    the same rounds, the same binomial broadcast/reduction trees (or, with
+    ``use_rma``, the same one-sided gets: a star from each owner to the rest
+    of its fiber, a round charged to the origin only), the same payload
+    sizes -- so the counters are byte-identical to the ``legacy``/``zerocopy``
+    execution at a fraction of the Python cost.
+
+    A round's schedule is a function of the overlap widths between the
+    round's k-chunk and each ownership slice, and those take O(pk (pm + pn))
+    distinct values however many rounds there are.  The whole schedule's
+    width table is one broadcast expression; a maximal run of equal rows is a
+    *round class*.  Each class is posted once (one batched ``post_transfers``
+    plus one flop update) into a scratch counter set, and every round of the
+    class then adds that delta to the machine's counters -- so spans,
+    ``round_log`` and ``round_start_words`` mean what they mean on the
+    per-hop path, traced or not, ``compress_rounds`` on or off.
 
     In ``volume`` mode that is the whole story (payloads are tokens).  In
     ``plane`` mode the operands live in :class:`PayloadPlane` stacks:
 
     * A and B are single-sheet planes over the global matrices; every rank's
       owned piece and every broadcast delivery is a rectangular view;
-    * the per-rank partial products are one ``(pk, m, n)`` stacked plane --
-      the round-chunked multiply-accumulates of the reference path collapse
-      into one GEMM per k-layer over the plane sheets (same sums, associated
-      per layer instead of per chunk);
-    * the C reduction along the k fibers is a single ``np.add.reduce`` over
-      the plane's slot axis.
+    * C is a single sheet too: the round-chunked multiply-accumulates and the
+      k-fiber reduction of the reference path collapse into one GEMM over the
+      whole k extent (same sums, associated by BLAS instead of per chunk and
+      per layer), on the shard pool when ``machine.shards > 1``.
 
-    Rank stores still hold true-shape views of the planes, so memory
-    accounting (``check_memory`` / ``peak_resident_words``) matches the
-    reference path.
+    Rank stores still hold true-shape views of the planes (the ``pk`` partial
+    blocks of a k fiber alias one region of the sheet), so memory accounting
+    (``check_memory`` / ``peak_resident_words``) matches the reference path.
     """
     grid = decomposition.grid
     pm, pn, pk = grid.pm, grid.pn, grid.pk
@@ -398,30 +367,25 @@ def _cosma_batched(
 
     i_ranges = [domains_by_coords[(pi, 0, 0)].i_range for pi in range(pm)]
     j_ranges = [domains_by_coords[(0, pj, 0)].j_range for pj in range(pn)]
-    k_ranges = [domains_by_coords[(0, 0, kk)].k_range for kk in range(pk)]
+    k_lo, k_hi = np.array(
+        [domains_by_coords[(0, 0, kk)].k_range for kk in range(pk)], dtype=np.int64
+    ).T
     lm = np.array([hi - lo for lo, hi in i_ranges], dtype=np.int64)
     ln = np.array([hi - lo for lo, hi in j_ranges], dtype=np.int64)
     # Ownership slices: the A split depends on (pj, kk) only, the B split on
     # (pi, kk) only (see build_decomposition).
-    a_lo = np.array([[domains_by_coords[(0, pj, kk)].a_owned_k_range[0]
-                      for pj in range(pn)] for kk in range(pk)], dtype=np.int64)
-    a_hi = np.array([[domains_by_coords[(0, pj, kk)].a_owned_k_range[1]
-                      for pj in range(pn)] for kk in range(pk)], dtype=np.int64)
-    b_lo = np.array([[domains_by_coords[(pi, 0, kk)].b_owned_k_range[0]
-                      for pi in range(pm)] for kk in range(pk)], dtype=np.int64)
-    b_hi = np.array([[domains_by_coords[(pi, 0, kk)].b_owned_k_range[1]
-                      for pi in range(pm)] for kk in range(pk)], dtype=np.int64)
+    a_lo, a_hi = np.array(
+        [[domains_by_coords[(0, pj, kk)].a_owned_k_range for pj in range(pn)]
+         for kk in range(pk)], dtype=np.int64,
+    ).transpose(2, 0, 1)
+    b_lo, b_hi = np.array(
+        [[domains_by_coords[(pi, 0, kk)].b_owned_k_range for pi in range(pm)]
+         for kk in range(pk)], dtype=np.int64,
+    ).transpose(2, 0, 1)
 
     # ------------------------------------------------------------------
     # storage: planes + per-rank views (plane mode) or tokens (volume mode)
     # ------------------------------------------------------------------
-    # Sharded numeric execution (shards > 1): the k-layer stack never
-    # materializes -- shard workers write row stripes of the *final* product
-    # into one shared (m, n) output, so the C plane collapses to a single
-    # sheet.  Every per-rank view keeps its true shape either way, which is
-    # what keeps memory accounting (and all counters) byte-identical across
-    # shard counts.
-    sharded = numeric and machine.shards > 1
     if numeric:
         a_plane = machine.register_plane(
             "cosma.A", PayloadPlane("cosma.A", data=np.asarray(a_matrix)[None]),
@@ -431,7 +395,11 @@ def _cosma_batched(
             "cosma.B", PayloadPlane("cosma.B", data=np.asarray(b_matrix)[None]),
             replace=True,
         )
-        c_plane = machine.new_plane("cosma.C", (1 if sharded else pk, m, n))
+        c_plane = machine.new_plane("cosma.C", (1, m, n))
+        c_global = c_plane.data[0]
+    else:
+        tokens = TokenPool()  # the rank stores share a token per block shape
+        c_global = tokens[m, n]
     for domain in decomposition.domains:
         rank = machine.rank(domain.rank)
         i0, i1 = domain.i_range
@@ -441,31 +409,35 @@ def _cosma_batched(
         if numeric:
             rank.put("A_own", a_plane.attach(domain.rank, 0, slice(i0, i1), slice(ak0, ak1)))
             rank.put("B_own", b_plane.attach(domain.rank, 0, slice(bk0, bk1), slice(j0, j1)))
-            rank.put("C_acc", c_plane.attach(
-                domain.rank, 0 if sharded else domain.coords[2],
-                slice(i0, i1), slice(j0, j1),
-            ))
+            rank.put("C_acc", c_plane.attach(domain.rank, 0, slice(i0, i1), slice(j0, j1)))
         else:
-            rank.put("A_own", ShapeToken((i1 - i0, ak1 - ak0)))
-            rank.put("B_own", ShapeToken((bk1 - bk0, j1 - j0)))
-            rank.put("C_acc", ShapeToken((i1 - i0, j1 - j0)))
+            rank.put("A_own", tokens[i1 - i0, ak1 - ak0])
+            rank.put("B_own", tokens[bk1 - bk0, j1 - j0])
+            rank.put("C_acc", tokens[i1 - i0, j1 - j0])
 
     # ------------------------------------------------------------------
     # round-invariant schedule structure
     # ------------------------------------------------------------------
-    # Broadcast hop arrays, precomputed per owner *position* and mapped onto
-    # the row-major rank layout.  A j-fiber (pi, *, kk) rooted at owner pj_o
+    # Hop arrays, precomputed per owner *position* and mapped onto the
+    # row-major rank layout.  A j-fiber (pi, *, kk) rooted at owner pj_o
     # performs hops fiber[(pj_o + s) % pn] -> fiber[(pj_o + d) % pn]; the
     # arrays below hold those rank ids for every (pi | pj, owner, hop) with
-    # the layer offset kk added at use.
+    # the layer offset kk added at use.  One-sided gets replace the binomial
+    # tree by a star (position 0 -> every other position): the same q - 1
+    # hops per owner, so the word arrays are shared.
+    def fiber_hops(q: int) -> tuple[np.ndarray, np.ndarray]:
+        if use_rma:
+            return np.zeros(q - 1, dtype=np.int64), np.arange(1, q, dtype=np.int64)
+        return _hop_positions(broadcast_hops(q))
+
     if pn > 1:
-        s_pos, d_pos = _hop_positions(broadcast_hops(pn))
+        s_pos, d_pos = fiber_hops(pn)
         pj_src = (np.arange(pn)[:, None] + s_pos[None, :]) % pn  # (owner, hop)
         pj_dst = (np.arange(pn)[:, None] + d_pos[None, :]) % pn
         a_srcs = (np.arange(pm)[:, None, None] * pn + pj_src[None]) * pk
         a_dsts = (np.arange(pm)[:, None, None] * pn + pj_dst[None]) * pk
     if pm > 1:
-        s_pos_b, d_pos_b = _hop_positions(broadcast_hops(pm))
+        s_pos_b, d_pos_b = fiber_hops(pm)
         pi_src = (np.arange(pm)[:, None] + s_pos_b[None, :]) % pm
         pi_dst = (np.arange(pm)[:, None] + d_pos_b[None, :]) % pm
         b_srcs = (pi_src[None] * pn + np.arange(pn)[:, None, None]) * pk
@@ -476,89 +448,106 @@ def _cosma_batched(
     ]
     mn_outer = np.multiply.outer(lm, ln).ravel()
 
+    # ------------------------------------------------------------------
+    # round classes: the overlap-width table of the whole schedule
+    # ------------------------------------------------------------------
+    # Row r holds, for every k-layer, the width of round r's clamped chunk
+    # and its overlap with each A / B ownership slice of the layer.  Rounds
+    # with equal rows have the identical schedule, and they are consecutive
+    # (every layer's chunk moves monotonically through its ownership slices,
+    # so a row never comes back): a class is a run of rounds.
     step = decomposition.step_size
-    max_lk = max(hi - lo for lo, hi in k_ranges)
-    offsets = list(range(0, max_lk, step))
-    round_fingerprint = _round_fingerprinter(decomposition, use_rma=False)
+    offsets = np.arange(0, int((k_hi - k_lo).max()), step, dtype=np.int64)
+    num_rounds = len(offsets)
+    c0 = np.minimum(k_lo + offsets[:, None], k_hi)  # (round, layer)
+    c1 = np.minimum(c0 + step, k_hi)
+    w_a = np.maximum(np.minimum(a_hi, c1[:, :, None]) - np.maximum(a_lo, c0[:, :, None]), 0)
+    w_b = np.maximum(np.minimum(b_hi, c1[:, :, None]) - np.maximum(b_lo, c0[:, :, None]), 0)
+    table = np.concatenate(
+        [c1 - c0, w_a.reshape(num_rounds, -1), w_b.reshape(num_rounds, -1)], axis=1
+    )
+    class_starts = np.flatnonzero(np.r_[True, (table[1:] != table[:-1]).any(axis=1)])
 
-    # ------------------------------------------------------------------
-    # main loop: one batched counter update per round
-    # ------------------------------------------------------------------
     # The reference path checks memory at the end of every round, but the
     # rank stores (A_own / B_own / C_acc) do not change between rounds -- the
     # per-round check always sees the same footprint.  One check up front
     # records the identical peak and enforces the identical budget.
     machine.check_memory()
-    num_rounds = 0
     round_volumes: list[int] = []
-    # Traced runs split the batched accounting loop from the stacked GEMMs
-    # below, so a plane-mode profile shows where the wall time actually goes.
+    # Traced runs split the batched accounting from the GEMM below, so a
+    # plane-mode profile shows where the wall time actually goes.
     trace = machine.trace
     accounting_span = (
         trace.tracer.span(
             "cosma-counter-accounting", cat="phase",
-            args={"rounds": len(offsets), "mode": machine.mode},
+            args={"rounds": num_rounds, "mode": machine.mode},
         )
         if trace is not None
         else nullcontext()
     )
+    # One class at a time: its schedule is posted into the scratch counters,
+    # whose matrix is then the fields x p delta every round of the class adds.
+    scratch = CommCounters.for_ranks(machine.p)
+    data = machine.counters.matrix.data
     with accounting_span:
-        for chunk_index, chunk_offset in enumerate(offsets):
-            if machine.compressor is not None:
-                replayed = machine.replay_round(round_fingerprint(chunk_offset))
-                if replayed is not None:
-                    num_rounds += 1
-                    round_volumes.append(replayed.max_words_delta)
-                    continue
-            machine.counters.mark_round_start()
+        for first, stop in zip(class_starts, [*class_starts[1:], num_rounds]):
+            chunk_w = table[first, :pk]
+            class_w_a = table[first, pk : pk + pk * pn].reshape(pk, pn)
+            class_w_b = table[first, pk + pk * pn :].reshape(pk, pm)
             src_parts: list[np.ndarray] = []
             dst_parts: list[np.ndarray] = []
             word_parts: list[np.ndarray] = []
             flop_ranks: list[np.ndarray] = []
             flop_amounts: list[np.ndarray] = []
-            for kk in range(pk):
-                k0, k1 = k_ranges[kk]
-                c0 = min(k0 + chunk_offset, k1)
-                c1 = min(c0 + step, k1)
-                chunk_w = c1 - c0
-                if chunk_w <= 0:
-                    continue
+            for kk in np.flatnonzero(chunk_w):
                 if pn > 1:
-                    w = np.minimum(a_hi[kk], c1) - np.maximum(a_lo[kk], c0)
-                    active = w > 0
-                    if active.any():
-                        src_parts.append((a_srcs[:, active, :] + kk).ravel())
-                        dst_parts.append((a_dsts[:, active, :] + kk).ravel())
-                        word_parts.append(np.repeat(
-                            np.multiply.outer(lm, w[active]).ravel(), pn - 1
-                        ))
+                    active = class_w_a[kk] > 0
+                    src_parts.append((a_srcs[:, active, :] + kk).ravel())
+                    dst_parts.append((a_dsts[:, active, :] + kk).ravel())
+                    word_parts.append(np.repeat(
+                        np.multiply.outer(lm, class_w_a[kk, active]).ravel(), pn - 1
+                    ))
                 if pm > 1:
-                    w = np.minimum(b_hi[kk], c1) - np.maximum(b_lo[kk], c0)
-                    active = w > 0
-                    if active.any():
-                        src_parts.append((b_srcs[:, active, :] + kk).ravel())
-                        dst_parts.append((b_dsts[:, active, :] + kk).ravel())
-                        word_parts.append(np.repeat(
-                            np.multiply.outer(ln, w[active]).ravel(), pm - 1
-                        ))
+                    active = class_w_b[kk] > 0
+                    src_parts.append((b_srcs[:, active, :] + kk).ravel())
+                    dst_parts.append((b_dsts[:, active, :] + kk).ravel())
+                    word_parts.append(np.repeat(
+                        np.multiply.outer(ln, class_w_b[kk, active]).ravel(), pm - 1
+                    ))
                 flop_ranks.append(ranks_of_layer[kk])
-                flop_amounts.append(mn_outer * (2 * chunk_w))
+                flop_amounts.append(mn_outer * (2 * chunk_w[kk]))
+            scratch.reset()
+            hops = 0
             if src_parts:
-                machine.post_transfers(
-                    np.concatenate(src_parts), np.concatenate(dst_parts),
-                    np.concatenate(word_parts), kind="input",
+                dsts = np.concatenate(dst_parts)
+                hops = len(dsts)
+                scratch.post_transfers(
+                    np.concatenate(src_parts), dsts, np.concatenate(word_parts),
+                    kind="input", count_rounds=not use_rma,
                 )
-            if flop_ranks:
-                machine.post_flops(np.concatenate(flop_ranks), np.concatenate(flop_amounts))
-            num_rounds += 1
-            round_volumes.append(int(machine.counters.max_round_delta()))
-            machine.log_round(f"cosma-step-{chunk_index}")
-            machine.commit_round()
+                if use_rma:
+                    scratch.add_rounds(dsts)
+            scratch.add_flops(np.concatenate(flop_ranks), np.concatenate(flop_amounts))
+            volume = scratch.max_words_per_rank()
+
+            for chunk_index in range(first, stop):
+                machine.counters.mark_round_start()
+                data += scratch.matrix.data
+                if trace is not None:
+                    trace.hops_batch(hops)
+                round_volumes.append(volume)
+                machine.log_round(f"cosma-step-{chunk_index}")
+    if machine.compressor is not None:
+        # ``compress_rounds`` has nothing left to do here; its tallies still
+        # say how many rounds were posted and how many replayed a delta.
+        machine.compressor.executed_rounds += len(class_starts)
+        machine.compressor.replayed_rounds += num_rounds - len(class_starts)
 
     # ------------------------------------------------------------------
-    # numerics: one GEMM per k-layer into the stacked C plane
+    # numerics: one GEMM over the whole k extent into the single C sheet
     # ------------------------------------------------------------------
     if numeric:
+        sharded = machine.shards > 1
         gemm_span = (
             trace.tracer.span(
                 "cosma-plane-gemm", cat="gemm",
@@ -575,12 +564,10 @@ def _cosma_batched(
             if sharded:
                 _sharded_gemm(machine, a_data, b_data, c_plane)
             else:
-                for kk in range(pk):
-                    k0, k1 = k_ranges[kk]
-                    np.matmul(a_data[:, k0:k1], b_data[k0:k1, :], out=c_plane.data[kk])
+                np.matmul(a_data, b_data, out=c_global)
 
     # ------------------------------------------------------------------
-    # C reduction along the k fibers (single np.add.reduce over the stack)
+    # C reduction along the k fibers (counted; the GEMM already summed k)
     # ------------------------------------------------------------------
     if pk > 1:
         r_src, r_dst = _hop_positions(reduce_hops(pk))
@@ -591,13 +578,12 @@ def _cosma_batched(
             (bases[:, None] + r_src[None, :]).ravel(), dsts, hop_words, kind="output",
         )
         machine.counters.add_flops(dsts, hop_words)
-    c_global = c_plane.reduce_slots() if numeric else ShapeToken((m, n))
     for pi in range(pm):
         for pj in range(pn):
             owner_domain = domains_by_coords[(pi, pj, 0)]
             i0, i1 = owner_domain.i_range
             j0, j1 = owner_domain.j_range
-            total = c_global[i0:i1, j0:j1] if numeric else ShapeToken((i1 - i0, j1 - j0))
+            total = c_global[i0:i1, j0:j1] if numeric else tokens[i1 - i0, j1 - j0]
             machine.rank(owner_domain.rank).put("C_final", total)
 
     machine.check_memory()

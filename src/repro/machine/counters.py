@@ -22,7 +22,9 @@ The matrix layout is also what makes steady-state **round compression**
 possible (:class:`RoundCompressor`): the counter delta of a whole
 communication round is a ``fields x p`` integer array that can be captured
 once and replayed with a single vectorized add for every structurally
-identical round that follows.
+identical round that follows.  COSMA's batched engine knows its repeats up
+front (its round classes) and needs no cache: it posts a class into a scratch
+:class:`CommCounters` and adds that matrix once per round of the class.
 """
 
 from __future__ import annotations
@@ -212,13 +214,15 @@ class CommCounters:
     """Aggregated counters for a whole distributed run.
 
     Owns the machine's :class:`CounterMatrix`; ``per_rank`` is the list of
-    per-column :class:`RankCounters` views.  Constructing from an existing
+    per-column :class:`RankCounters` views, built on first use (a scratch
+    counter set that only takes batched posts never pays for ``p`` view
+    objects).  Constructing from an existing
     ``per_rank`` list *copies* the given values into a fresh matrix (the
     simulator shares state the other way around: it hands the matrix's views
     to its ranks).
     """
 
-    __slots__ = ("matrix", "per_rank")
+    __slots__ = ("matrix", "_per_rank")
 
     def __init__(
         self,
@@ -231,7 +235,15 @@ class CommCounters:
                 for column, counters in enumerate(per_rank):
                     matrix.data[:, column] = counters.as_tuple()
         self.matrix = matrix
-        self.per_rank = [RankCounters(_matrix=matrix, _rank=i) for i in range(matrix.p)]
+        self._per_rank: list[RankCounters] | None = None
+
+    @property
+    def per_rank(self) -> list[RankCounters]:
+        if self._per_rank is None:
+            self._per_rank = [
+                RankCounters(_matrix=self.matrix, _rank=i) for i in range(self.matrix.p)
+            ]
+        return self._per_rank
 
     @classmethod
     def for_ranks(cls, p: int) -> "CommCounters":
@@ -372,7 +384,9 @@ class CommCounters:
 
     def add_rounds(self, ranks: Iterable[int], amount: int = 1) -> None:
         """Advance the round counter of every rank in ``ranks`` by ``amount``."""
-        np.add.at(self.matrix.data[ROUNDS], np.asarray(list(ranks), dtype=np.intp), amount)
+        if not isinstance(ranks, np.ndarray):
+            ranks = list(ranks)
+        _scatter_add(self.matrix.data[ROUNDS], np.asarray(ranks, dtype=np.intp), amount)
 
     # -- lifecycle -------------------------------------------------------
     def reset(self) -> None:

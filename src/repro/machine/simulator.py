@@ -164,14 +164,19 @@ class DistributedMachine:
         ``"volume"`` (counters-only shape tokens); see the module docstring
         and :mod:`repro.machine.transport`.
     compress_rounds:
-        Opt into steady-state round compression: algorithms fingerprint each
-        communication round and, when consecutive rounds repeat, the cached
-        batched counter delta is replayed instead of re-executing the
-        schedule (:class:`~repro.machine.counters.RoundCompressor`).
-        Counters are byte-identical to uncompressed execution; only active
-        with counters-only payloads (``volume`` mode) -- silently ignored
+        Opt into steady-state round compression: SUMMA's and Cannon's
+        batched engines fingerprint each communication round and, when
+        consecutive rounds repeat, the cached batched counter delta is
+        replayed instead of re-executing the schedule
+        (:class:`~repro.machine.counters.RoundCompressor`).  Counters are
+        byte-identical to uncompressed execution; only active with
+        counters-only payloads (``volume`` mode) -- silently ignored
         otherwise, because replaying a round would skip real data movement.
-        Replayed rounds do not appear in ``round_log``.
+        Replayed rounds do not appear in ``round_log``.  COSMA's batched
+        engine posts each distinct round once whatever this flag says (it
+        never consults :meth:`replay_round`, and every round is logged); it
+        only feeds the compressor's ``executed_rounds`` /
+        ``replayed_rounds`` tallies.
     shards:
         Numeric execution policy for plane-mode algorithms: the number of
         worker processes the batched GEMMs are sharded across

@@ -66,10 +66,12 @@ def test_compression_actually_replays_rounds():
 
 
 def test_paper_scale_fingerprints_compress_cosma():
-    """COSMA's ownership-class fingerprints must repeat across chunk offsets.
+    """COSMA's round classes must repeat across chunk offsets.
 
     A long local-k run (many single-step chunks per ownership slice) is the
-    paper-scale steady state in miniature: almost every round must replay.
+    paper-scale steady state in miniature: almost every round must replay a
+    class delta.  The batched engine does that with the flag on or off and
+    reports it through the compressor's tallies when there is one.
     """
     scenario = Scenario(
         name="compress-probe-p64", shape=square_shape(1024), p=64,

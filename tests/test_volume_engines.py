@@ -9,7 +9,8 @@ this file pins what the counters-only route is made of:
   per-rank loops (CARMA and Cannon on 8192^3, p=4096), with values captured
   from the per-rank paths;
 * a structural guard: no built-in algorithm's ``volume`` run touches a
-  per-rank primitive or allocates an element-sized array.
+  per-rank primitive or allocates an element-sized array, COSMA posts once
+  per round class, and ``use_rma`` stays on the batched engine.
 """
 
 import numpy as np
@@ -17,12 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import cosma_idle_fraction, get_algorithm
 from repro.baselines import cannon, cuboid, grid25d, summa
 from repro.baselines.carma import carma_domains
 from repro.baselines.cuboid import CuboidDomain, _CellOwners, _ownership_map
 from repro.core import cosma
 from repro.experiments.harness import run_algorithm
+from repro.machine import rma
+from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
+from repro.machine.transport import ShapeToken
 from repro.workloads.scaling import Scenario
 from repro.workloads.shapes import square_shape
 
@@ -168,3 +173,57 @@ def test_volume_runs_use_no_per_rank_primitive(name, monkeypatch):
     assert calls == []
     assert run.mean_words_per_rank > 0
     assert counting.largest <= 10**5
+
+
+def _cosma_sq1024_volume(use_rma=False):
+    """COSMA on the harness's sq1024 grid, straight through ``cosma_multiply``."""
+    scenario = paper_scenario(4096, 1024)
+    machine = DistributedMachine(scenario.p, memory_words=scenario.memory_words, mode="volume")
+    result = cosma.cosma_multiply(
+        ShapeToken((4096, 4096)), ShapeToken((4096, 4096)), scenario.p,
+        scenario.memory_words, machine=machine, use_rma=use_rma,
+        max_idle_fraction=cosma_idle_fraction(scenario.p),
+    )
+    return machine, result
+
+
+def test_cosma_posts_once_per_round_class(monkeypatch):
+    """sq1024 has 683 rounds in 20 classes: 20 posts plus the C reduction, not 684."""
+    posts = []
+    post_transfers = CommCounters.post_transfers
+
+    def counting(self, *args, **kwargs):
+        posts.append(self)
+        return post_transfers(self, *args, **kwargs)
+
+    monkeypatch.setattr(CommCounters, "post_transfers", counting)
+    machine, result = _cosma_sq1024_volume()
+    assert result.num_rounds == 683
+    assert len(set(result.round_volumes)) > 1
+    assert len(posts) <= 21
+    assert sum(counters is machine.counters for counters in posts) == 1  # the reduction
+
+
+def test_use_rma_volume_run_stays_on_the_batched_engine(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("use_rma volume run reached the per-hop loop")
+
+    monkeypatch.setattr(DistributedMachine, "send", forbidden)
+    monkeypatch.setattr(rma, "rma_get", forbidden)
+    monkeypatch.setattr(cosma, "rma_get", forbidden)
+    _, one_sided = _cosma_sq1024_volume(use_rma=True)
+    tree = run_algorithm("COSMA", paper_scenario(4096, 1024), mode="volume")
+    assert one_sided.mean_words_per_rank == tree.mean_words_per_rank
+    assert one_sided.counters.max_rounds() < tree.rounds  # only the origin pays a round
+
+
+@pytest.mark.parametrize("name", ["COSMA", "ScaLAPACK", "CTF"])
+def test_rank_stores_share_one_token_per_shape(name):
+    """Thousands of stored blocks, a few dozen shapes: a token per shape, not per block."""
+    scenario = paper_scenario(4096, 1024)
+    machine = DistributedMachine(scenario.p, memory_words=scenario.memory_words, mode="volume")
+    get_algorithm(name).runner(
+        ShapeToken((4096, 4096)), ShapeToken((4096, 4096)), scenario, machine)
+    blocks = [block for rank in machine.ranks for block in rank.store.values()]
+    assert len(blocks) >= 3 * 1000
+    assert len({id(block) for block in blocks}) == len({block.shape for block in blocks}) < 40
