@@ -9,11 +9,15 @@
 #   make ledger       - layered performance ledger (benchmarks/ledger/README.md):
 #                       five workloads, end-to-end + per-layer metrics, written
 #                       to LEDGER.json; non-zero exit on any incorrect workload
+#   make ledger-pairs BASE=<rev> WORKLOAD=<name> [N=10]
+#                     - alternating paired ledger runs of one workload, BASE
+#                       against the working tree: quartiles per side and
+#                       wins/pairs (scripts/ledger_pairs.py)
 
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify lint sweep-smoke chaos bench ledger
+.PHONY: verify lint sweep-smoke chaos bench ledger ledger-pairs
 
 verify:
 	$(PY) -m pytest -x -q
@@ -37,3 +41,7 @@ bench:
 
 ledger:
 	$(PY) benchmarks/ledger/run.py --out LEDGER.json
+
+N ?= 10
+ledger-pairs:
+	$(PY) scripts/ledger_pairs.py --base $(BASE) --workload $(WORKLOAD) -n $(N)

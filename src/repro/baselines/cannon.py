@@ -209,8 +209,10 @@ def _cannon_plane(
     and every shift's counters are one batched post.
 
     In ``volume`` mode (counters-only transport) the same loop runs without
-    the numerics: rank stores hold shape tokens of the block shapes, no
-    stack is built, and a token is returned as the product.
+    the numerics: no stack is built and a token is returned as the product.
+    Either way the ranks' ``A`` / ``B`` / ``C`` words (every block of an
+    operand has the same shape) are posted to the machine's resident-words
+    vector, not stored.
     """
     numeric = not machine.transport.counters_only
 
@@ -234,14 +236,10 @@ def _cannon_plane(
         # buffers, they never overwrite the initially stored blocks).
         a_stack = a_plane.data
         b_stack = b_plane.data
-    else:
-        # Every block of an operand has the same shape: one token each.
-        a_token, b_token, c_token = ShapeToken((bm, bk)), ShapeToken((bk, bn)), ShapeToken((bm, bn))
-    for slot in range(q * q):
-        rank = machine.rank(slot)
-        rank.put("A", a_plane.attach(slot, slot) if numeric else a_token)
-        rank.put("B", b_plane.attach(slot, slot) if numeric else b_token)
-        rank.put("C", c_plane.attach(slot, slot) if numeric else c_token)
+    grid_ranks = slice(0, q * q)
+    machine.post_resident("A", grid_ranks, bm * bk)
+    machine.post_resident("B", grid_ranks, bk * bn)
+    machine.post_resident("C", grid_ranks, bm * bn)
 
     # Initial alignment: row i of A shifts left by i, column j of B up by j.
     # Each row/column has its own displacement; rounds are charged per

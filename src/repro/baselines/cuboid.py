@@ -131,7 +131,11 @@ class _CellOwners:
         self._heights = np.diff(np.array(row_edges, dtype=np.int64))
         self._widths = np.diff(np.array(col_edges, dtype=np.int64))
         self._cells = np.full((len(row_edges) - 1, len(col_edges) - 1), -1, dtype=np.int64)
+        painted: set[tuple[Range, Range]] = set()
         for rank, rows, cols in regions:
+            if (rows, cols) in painted:  # the first lister already claimed every cell
+                continue
+            painted.add((rows, cols))
             view = self._cells[self._window(rows, cols)]
             view[view == -1] = rank
 
@@ -199,12 +203,17 @@ def _post_block_transfers(
     owner -> rank; partial outputs flow rank -> owner, where each received
     element costs one accumulation flop.
     """
+    # Ranks that share a projection (an A block serves a whole j-fiber)
+    # share its owner counts: one lookup per distinct block.
+    distinct: dict[tuple[Range, Range], tuple[np.ndarray, np.ndarray]] = {}
     owner_parts: list[np.ndarray] = []
     count_parts: list[np.ndarray] = []
     for _, rows, cols in blocks:
-        owners, counts = cell_owners.owner_counts(rows, cols)
-        owner_parts.append(owners)
-        count_parts.append(counts)
+        found = distinct.get((rows, cols))
+        if found is None:
+            found = distinct[rows, cols] = cell_owners.owner_counts(rows, cols)
+        owner_parts.append(found[0])
+        count_parts.append(found[1])
     owners = np.concatenate(owner_parts)
     counts = np.concatenate(count_parts)
     ranks = np.repeat(
@@ -235,8 +244,9 @@ def _cuboid_batched(
     local products run as stacked GEMMs, one ``np.matmul`` per cuboid shape
     (CARMA-style recursive decompositions produce only a handful of distinct
     shapes), and each partial block lands with one dense accumulate.  In
-    ``volume`` mode (counters-only transport) the rank stores hold shape
-    tokens and a token is returned as the product.
+    ``volume`` mode (counters-only transport) a token is returned as the
+    product.  Either way the ranks' ``A`` / ``B`` / ``C_partial`` words are
+    posted to the machine's resident-words vector, not stored.
     """
     m, k = a_matrix.shape
     n = b_matrix.shape[1]
@@ -247,16 +257,20 @@ def _cuboid_batched(
     _post_block_transfers(machine, _CellOwners((m, k), a_regions), a_regions, kind="input")
     _post_block_transfers(machine, _CellOwners((k, n), b_regions), b_regions, kind="input")
 
-    groups: dict[tuple[int, int, int], list[CuboidDomain]] = {}
-    for domain in ordered:
-        groups.setdefault(domain.shape, []).append(domain)
+    ranks = np.array([d.rank for d in ordered], dtype=np.intp)
+    lm, ln, lk = np.array([d.shape for d in ordered], dtype=np.int64).reshape(-1, 3).T
+    machine.post_resident("A", ranks, lm * lk)
+    machine.post_resident("B", ranks, lk * ln)
+    machine.post_resident("C_partial", ranks, lm * ln)
+    # Flops are charged per rank exactly as ``local_multiply`` would.
+    machine.post_flops(ranks, 2 * lm * ln * lk)
     c_global = np.zeros((m, n)) if numeric else ShapeToken((m, n))
-    for (lm, ln, lk), members in groups.items():
-        # Flops are charged per rank exactly as ``local_multiply`` would.
-        machine.post_flops(
-            np.array([d.rank for d in members], dtype=np.intp), 2 * lm * ln * lk
-        )
-        if numeric:
+    if numeric:
+        groups: dict[tuple[int, int, int], list[CuboidDomain]] = {}
+        for domain in ordered:
+            groups.setdefault(domain.shape, []).append(domain)
+        partial_c: dict[int, np.ndarray] = {}
+        for members in groups.values():
             # Private copies, as a fetch delivers them.
             a_blocks = np.stack(
                 [a_matrix[d.i_range[0] : d.i_range[1], d.k_range[0] : d.k_range[1]]
@@ -266,23 +280,13 @@ def _cuboid_batched(
                 [b_matrix[d.k_range[0] : d.k_range[1], d.j_range[0] : d.j_range[1]]
                  for d in members]
             )
-            products = np.matmul(a_blocks, b_blocks)
-        else:
-            # One token per operand serves every member of the shape group.
-            a_blocks = [ShapeToken((lm, lk))] * len(members)
-            b_blocks = [ShapeToken((lk, ln))] * len(members)
-            products = [ShapeToken((lm, ln))] * len(members)
-        for index, domain in enumerate(members):
-            rank = machine.rank(domain.rank)
-            rank.put("A", a_blocks[index])
-            rank.put("B", b_blocks[index])
-            rank.put("C_partial", products[index])
-    if numeric:
+            for domain, product in zip(members, np.matmul(a_blocks, b_blocks)):
+                partial_c[domain.rank] = product
         # Every element of a partial block is added to its output position
         # exactly once, in rank order like the masked per-owner path.
         for domain in ordered:
             (i0, i1), (j0, j1) = domain.i_range, domain.j_range
-            c_global[i0:i1, j0:j1] += machine.rank(domain.rank).get("C_partial")
+            c_global[i0:i1, j0:j1] += partial_c[domain.rank]
     _post_block_transfers(machine, _CellOwners((m, n), c_regions), c_regions, kind="output")
     return c_global
 

@@ -30,7 +30,6 @@ from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import (
     ShapeToken,
-    TokenPool,
     as_payload,
     ascontiguous,
     concat_payloads,
@@ -231,8 +230,10 @@ def _grid25d_plane(
     byte-identical to the per-hop reference path.
 
     In ``volume`` mode (counters-only transport) the same loop runs without
-    the numerics: rank stores hold shape tokens of the true block shapes, no
-    plane is allocated, and a token is returned as the product.
+    the numerics: no plane is allocated and a token is returned as the
+    product.  Either way the ranks' ``A`` / ``B`` / ``C`` (and the layer-0
+    ``C_final``) words are posted to the machine's resident-words vector,
+    not stored.
     """
     m = i_ranges[-1][1]
     n = j_ranges[-1][1]
@@ -246,41 +247,34 @@ def _grid25d_plane(
         lk0, lk1 = layer_k_ranges[layer]
         layer_a_slices.append([(lk0 + lo, lk0 + hi) for lo, hi in split_offsets(lk1 - lk0, qn)])
         layer_b_slices.append([(lk0 + lo, lk0 + hi) for lo, hi in split_offsets(lk1 - lk0, qm)])
-    aw_max = max(1, max(hi - lo for slices in layer_a_slices for lo, hi in slices))
-    bw_max = max(1, max(hi - lo for slices in layer_b_slices for lo, hi in slices))
+    # Slice widths, (layer, j) for A and (layer, i) for B.
+    a_widths = np.array(
+        [[hi - lo for lo, hi in slices] for slices in layer_a_slices], dtype=np.int64)
+    b_widths = np.array(
+        [[hi - lo for lo, hi in slices] for slices in layer_b_slices], dtype=np.int64)
 
-    tokens = TokenPool()  # volume mode: the rank stores share a token per block shape
+    slots = qm * qn * c
     if numeric:
-        slots = qm * qn * c
-        a_plane = machine.new_plane("grid25d.A", (slots, lm_max, aw_max))
-        b_plane = machine.new_plane("grid25d.B", (slots, bw_max, ln_max))
+        a_plane = machine.new_plane("grid25d.A", (slots, lm_max, max(1, int(a_widths.max()))))
+        b_plane = machine.new_plane("grid25d.B", (slots, max(1, int(b_widths.max())), ln_max))
         c_plane = machine.new_plane("grid25d.C", (slots, lm_max, ln_max))
-
-    def rank_of(i: int, j: int, layer: int) -> int:
-        return (i * qn + j) * c + layer
-
-    for layer in range(c):
-        for i in range(qm):
-            i0, i1 = i_ranges[i]
-            bk0, bk1 = layer_b_slices[layer][i]
-            for j in range(qn):
-                j0, j1 = j_ranges[j]
-                ak0, ak1 = layer_a_slices[layer][j]
-                slot = rank_of(i, j, layer)
-                rank = machine.rank(slot)
-                if not numeric:
-                    rank.put("A", tokens[i1 - i0, ak1 - ak0])
-                    rank.put("B", tokens[bk1 - bk0, j1 - j0])
-                    rank.put("C", tokens[i1 - i0, j1 - j0])
-                    continue
-                a_plane.data[slot, : i1 - i0, : ak1 - ak0] = a_matrix[i0:i1, ak0:ak1]
-                b_plane.data[slot, : bk1 - bk0, : j1 - j0] = b_matrix[bk0:bk1, j0:j1]
-                rank.put("A", a_plane.attach(
-                    slot, slot, slice(0, i1 - i0), slice(0, ak1 - ak0)))
-                rank.put("B", b_plane.attach(
-                    slot, slot, slice(0, bk1 - bk0), slice(0, j1 - j0)))
-                rank.put("C", c_plane.attach(
-                    slot, slot, slice(0, i1 - i0), slice(0, j1 - j0)))
+        for layer in range(c):
+            for i in range(qm):
+                i0, i1 = i_ranges[i]
+                bk0, bk1 = layer_b_slices[layer][i]
+                for j in range(qn):
+                    j0, j1 = j_ranges[j]
+                    ak0, ak1 = layer_a_slices[layer][j]
+                    slot = (i * qn + j) * c + layer
+                    a_plane.data[slot, : i1 - i0, : ak1 - ak0] = a_matrix[i0:i1, ak0:ak1]
+                    b_plane.data[slot, : bk1 - bk0, : j1 - j0] = b_matrix[bk0:bk1, j0:j1]
+    # Ranks are row-major in (i, j, layer), each holding its true-shape blocks.
+    mn_outer = np.multiply.outer(lm, ln).ravel()
+    machine.post_resident(
+        "A", slice(0, slots), (lm[:, None, None] * a_widths.T[None, :, :]).ravel())
+    machine.post_resident(
+        "B", slice(0, slots), (b_widths.T[:, None, :] * ln[None, :, None]).ravel())
+    machine.post_resident("C", slice(0, slots), np.repeat(mn_outer, c))
     # Stores are layer-invariant; one check records the reference path's peak.
     machine.check_memory()
 
@@ -293,13 +287,11 @@ def _grid25d_plane(
     )
     all_i = np.arange(qm)
     all_j = np.arange(qn)
-    mn_outer = np.multiply.outer(lm, ln).ravel()
 
     for layer in range(c):
         lk0, lk1 = layer_k_ranges[layer]
         lk = lk1 - lk0
-        aw = np.array([hi - lo for lo, hi in layer_a_slices[layer]], dtype=np.int64)
-        bw = np.array([hi - lo for lo, hi in layer_b_slices[layer]], dtype=np.int64)
+        aw, bw = a_widths[layer], b_widths[layer]
         layer_ranks = ((all_i[:, None] * qn + all_j[None, :]) * c + layer).ravel()
         # Row gathers: rank (i, j) receives (i, j') for every j' != j; column
         # gathers symmetrically.  One batched post for the whole layer.
@@ -366,15 +358,13 @@ def _grid25d_plane(
         totals = np.add.reduce(
             c_plane.data.reshape(qm * qn, c, lm_max, ln_max), axis=1
         )
-    c_global = np.zeros((m, n)) if numeric else ShapeToken((m, n))
+    machine.post_resident("C_final", slice(0, slots, c), mn_outer)
+    if not numeric:
+        return ShapeToken((m, n))
+    c_global = np.zeros((m, n))
     for i in range(qm):
         i0, i1 = i_ranges[i]
         for j in range(qn):
             j0, j1 = j_ranges[j]
-            if numeric:
-                total = totals[i * qn + j, : i1 - i0, : j1 - j0]
-                c_global[i0:i1, j0:j1] = total
-            else:
-                total = tokens[i1 - i0, j1 - j0]
-            machine.rank(rank_of(i, j, 0)).put("C_final", total)
+            c_global[i0:i1, j0:j1] = totals[i * qn + j, : i1 - i0, : j1 - j0]
     return c_global

@@ -28,7 +28,6 @@ from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import (
     ShapeToken,
-    TokenPool,
     as_payload,
     ascontiguous,
     concat_payloads,
@@ -240,8 +239,9 @@ def _summa_plane(
     one batched update -- byte-identical to the per-hop reference path.
 
     In ``volume`` mode (counters-only transport) the same loop runs without
-    the numerics: rank stores hold shape tokens of the true block shapes, no
-    plane is allocated, and a token is returned as the product.
+    the numerics: no plane is allocated and a token is returned as the
+    product.  Either way the ranks' ``A`` / ``B`` / ``C`` words are posted to
+    the machine's resident-words vector, not stored.
     """
     m = i_ranges[-1][1]
     n = j_ranges[-1][1]
@@ -253,29 +253,25 @@ def _summa_plane(
     bkw = np.array([hi - lo for lo, hi in k_row_slices], dtype=np.int64)
     lm_max, ln_max = int(lm.max()), int(ln.max())
 
-    tokens = TokenPool()  # volume mode: the rank stores share a token per block shape
     if numeric:
         a_plane = machine.new_plane("summa.A", (pm * pn, lm_max, max(1, int(akw.max()))))
         b_plane = machine.new_plane("summa.B", (pm * pn, max(1, int(bkw.max())), ln_max))
         c_plane = machine.new_plane("summa.C", (pm * pn, lm_max, ln_max))
-    for i in range(pm):
-        i0, i1 = i_ranges[i]
-        bk0, bk1 = k_row_slices[i]
-        for j in range(pn):
-            j0, j1 = j_ranges[j]
-            ak0, ak1 = k_col_slices[j]
-            slot = i * pn + j
-            rank = machine.rank(slot)
-            if not numeric:
-                rank.put("A", tokens[i1 - i0, ak1 - ak0])
-                rank.put("B", tokens[bk1 - bk0, j1 - j0])
-                rank.put("C", tokens[i1 - i0, j1 - j0])
-                continue
-            a_plane.data[slot, : i1 - i0, : ak1 - ak0] = a_matrix[i0:i1, ak0:ak1]
-            b_plane.data[slot, : bk1 - bk0, : j1 - j0] = b_matrix[bk0:bk1, j0:j1]
-            rank.put("A", a_plane.attach(slot, slot, slice(0, i1 - i0), slice(0, ak1 - ak0)))
-            rank.put("B", b_plane.attach(slot, slot, slice(0, bk1 - bk0), slice(0, j1 - j0)))
-            rank.put("C", c_plane.attach(slot, slot, slice(0, i1 - i0), slice(0, j1 - j0)))
+        for i in range(pm):
+            i0, i1 = i_ranges[i]
+            bk0, bk1 = k_row_slices[i]
+            for j in range(pn):
+                j0, j1 = j_ranges[j]
+                ak0, ak1 = k_col_slices[j]
+                slot = i * pn + j
+                a_plane.data[slot, : i1 - i0, : ak1 - ak0] = a_matrix[i0:i1, ak0:ak1]
+                b_plane.data[slot, : bk1 - bk0, : j1 - j0] = b_matrix[bk0:bk1, j0:j1]
+    # Rank (i, j) = i * pn + j holds its true-shape A, B and C blocks.
+    grid_ranks = slice(0, pm * pn)
+    mn_outer = np.multiply.outer(lm, ln).ravel()
+    machine.post_resident("A", grid_ranks, np.multiply.outer(lm, akw).ravel())
+    machine.post_resident("B", grid_ranks, np.multiply.outer(bkw, ln).ravel())
+    machine.post_resident("C", grid_ranks, mn_outer)
     # The reference path checks memory once per panel; the stores never
     # change between panels, so one check records the identical peak.
     machine.check_memory()
@@ -298,7 +294,6 @@ def _summa_plane(
         col_srcs = pi_src[None] * pn + np.arange(pn)[:, None, None]  # (j, owner, hop)
         col_dsts = pi_dst[None] * pn + np.arange(pn)[:, None, None]
     all_ranks = np.arange(pm * pn)
-    mn_outer = np.multiply.outer(lm, ln).ravel()
     ak_lo = np.array([lo for lo, _ in k_col_slices], dtype=np.int64)
     ak_hi = np.array([hi for _, hi in k_col_slices], dtype=np.int64)
     bk_lo = np.array([lo for lo, _ in k_row_slices], dtype=np.int64)

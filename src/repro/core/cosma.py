@@ -39,7 +39,7 @@ from repro.machine.collectives import broadcast, broadcast_hops, reduce, reduce_
 from repro.machine.counters import CommCounters
 from repro.machine.rma import rma_get
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import PayloadPlane, TokenPool, as_payload
+from repro.machine.transport import PayloadPlane, ShapeToken, as_payload
 from repro.utils.intmath import split_offsets
 
 
@@ -355,65 +355,50 @@ def _cosma_batched(
       whole k extent (same sums, associated by BLAS instead of per chunk and
       per layer), on the shard pool when ``machine.shards > 1``.
 
-    Rank stores still hold true-shape views of the planes (the ``pk`` partial
-    blocks of a k fiber alias one region of the sheet), so memory accounting
-    (``check_memory`` / ``peak_resident_words``) matches the reference path.
+    Residency is posted, not stored: every rank's ``A_own`` / ``B_own`` /
+    ``C_acc`` (and the owners' ``C_final``) words go to the machine's
+    resident-words vector as one array expression each, the sizes the
+    reference path's rank stores would hold, so ``check_memory`` /
+    ``peak_resident_words`` match it; the rank stores stay empty.
     """
     grid = decomposition.grid
     pm, pn, pk = grid.pm, grid.pn, grid.pk
     m, n, k = decomposition.m, decomposition.n, decomposition.k
     numeric = not machine.transport.counters_only
-    domains_by_coords = {d.coords: d for d in decomposition.domains}
 
-    i_ranges = [domains_by_coords[(pi, 0, 0)].i_range for pi in range(pm)]
-    j_ranges = [domains_by_coords[(0, pj, 0)].j_range for pj in range(pn)]
-    k_lo, k_hi = np.array(
-        [domains_by_coords[(0, 0, kk)].k_range for kk in range(pk)], dtype=np.int64
-    ).T
-    lm = np.array([hi - lo for lo, hi in i_ranges], dtype=np.int64)
-    ln = np.array([hi - lo for lo, hi in j_ranges], dtype=np.int64)
+    lm = np.diff(decomposition.i_bounds)
+    ln = np.diff(decomposition.j_bounds)
+    k_lo, k_hi = decomposition.k_bounds[:-1], decomposition.k_bounds[1:]
     # Ownership slices: the A split depends on (pj, kk) only, the B split on
     # (pi, kk) only (see build_decomposition).
-    a_lo, a_hi = np.array(
-        [[domains_by_coords[(0, pj, kk)].a_owned_k_range for pj in range(pn)]
-         for kk in range(pk)], dtype=np.int64,
-    ).transpose(2, 0, 1)
-    b_lo, b_hi = np.array(
-        [[domains_by_coords[(pi, 0, kk)].b_owned_k_range for pi in range(pm)]
-         for kk in range(pk)], dtype=np.int64,
-    ).transpose(2, 0, 1)
+    a_lo, a_hi = decomposition.a_bounds[:, :-1], decomposition.a_bounds[:, 1:]  # (pk, pn)
+    b_lo, b_hi = decomposition.b_bounds[:, :-1], decomposition.b_bounds[:, 1:]  # (pk, pm)
 
     # ------------------------------------------------------------------
-    # storage: planes + per-rank views (plane mode) or tokens (volume mode)
+    # storage: operand planes (plane mode), resident words of every rank
     # ------------------------------------------------------------------
     if numeric:
-        a_plane = machine.register_plane(
+        machine.register_plane(
             "cosma.A", PayloadPlane("cosma.A", data=np.asarray(a_matrix)[None]),
             replace=True,
         )
-        b_plane = machine.register_plane(
+        machine.register_plane(
             "cosma.B", PayloadPlane("cosma.B", data=np.asarray(b_matrix)[None]),
             replace=True,
         )
         c_plane = machine.new_plane("cosma.C", (1, m, n))
         c_global = c_plane.data[0]
     else:
-        tokens = TokenPool()  # the rank stores share a token per block shape
-        c_global = tokens[m, n]
-    for domain in decomposition.domains:
-        rank = machine.rank(domain.rank)
-        i0, i1 = domain.i_range
-        j0, j1 = domain.j_range
-        ak0, ak1 = domain.a_owned_k_range
-        bk0, bk1 = domain.b_owned_k_range
-        if numeric:
-            rank.put("A_own", a_plane.attach(domain.rank, 0, slice(i0, i1), slice(ak0, ak1)))
-            rank.put("B_own", b_plane.attach(domain.rank, 0, slice(bk0, bk1), slice(j0, j1)))
-            rank.put("C_acc", c_plane.attach(domain.rank, 0, slice(i0, i1), slice(j0, j1)))
-        else:
-            rank.put("A_own", tokens[i1 - i0, ak1 - ak0])
-            rank.put("B_own", tokens[bk1 - bk0, j1 - j0])
-            rank.put("C_acc", tokens[i1 - i0, j1 - j0])
+        c_global = ShapeToken((m, n))
+    # Ranks are row-major in (pi, pj, kk); the pk partial C blocks of a k
+    # fiber alias one region of the C sheet but count once per rank.
+    used = slice(0, grid.p_used)
+    mn_outer = np.multiply.outer(lm, ln).ravel()
+    machine.post_resident(
+        "A_own", used, (lm[:, None, None] * (a_hi - a_lo).T[None, :, :]).ravel())
+    machine.post_resident(
+        "B_own", used, ((b_hi - b_lo).T[:, None, :] * ln[None, :, None]).ravel())
+    machine.post_resident("C_acc", used, np.repeat(mn_outer, pk))
 
     # ------------------------------------------------------------------
     # round-invariant schedule structure
@@ -446,7 +431,6 @@ def _cosma_batched(
         ((np.arange(pm)[:, None] * pn + np.arange(pn)[None, :]) * pk + kk).ravel()
         for kk in range(pk)
     ]
-    mn_outer = np.multiply.outer(lm, ln).ravel()
 
     # ------------------------------------------------------------------
     # round classes: the overlap-width table of the whole schedule
@@ -578,13 +562,7 @@ def _cosma_batched(
             (bases[:, None] + r_src[None, :]).ravel(), dsts, hop_words, kind="output",
         )
         machine.counters.add_flops(dsts, hop_words)
-    for pi in range(pm):
-        for pj in range(pn):
-            owner_domain = domains_by_coords[(pi, pj, 0)]
-            i0, i1 = owner_domain.i_range
-            j0, j1 = owner_domain.j_range
-            total = c_global[i0:i1, j0:j1] if numeric else tokens[i1 - i0, j1 - j0]
-            machine.rank(owner_domain.rank).put("C_final", total)
+    machine.post_resident("C_final", slice(0, grid.p_used, pk), mn_outer)
 
     machine.check_memory()
     return CosmaRunResult(

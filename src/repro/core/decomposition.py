@@ -17,14 +17,13 @@ result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from repro.core.grid import GridFit, ProcessorGrid, fit_ranks
 from repro.machine.transport import as_payload, ascontiguous
-from repro.utils.intmath import split_offsets
 from repro.utils.validation import check_positive_int
 
 Range = tuple[int, int]
@@ -59,9 +58,28 @@ class LocalDomain:
     owns_c: bool = False
 
 
+def _split_bounds(extents, parts: int) -> np.ndarray:
+    """``split_offsets`` boundaries as an int64 array, for every extent at once.
+
+    ``result[..., j]`` is where part ``j`` of ``extents[...]`` starts and
+    ``result[..., parts]`` the extent itself: the first ``extent % parts``
+    parts are one element longer, exactly as :func:`split_offsets` cuts.
+    """
+    extents = np.asarray(extents, dtype=np.int64)[..., None]
+    index = np.arange(parts + 1, dtype=np.int64)
+    return index * (extents // parts) + np.minimum(index, extents % parts)
+
+
 @dataclass(frozen=True)
 class CosmaDecomposition:
-    """The complete COSMA decomposition for a problem instance."""
+    """The complete COSMA decomposition for a problem instance.
+
+    Algorithm 1's decomposition is three 1-D splits plus two ownership splits
+    per k-layer, and that is what is stored: O(pm + pn + pk (pm + pn))
+    boundaries, whatever ``p`` is.  The per-rank :class:`LocalDomain` objects
+    are a view of those arrays, built on first use of :attr:`domains` (the
+    per-hop executor and the tests read them; the batched engine never does).
+    """
 
     m: int
     n: int
@@ -69,20 +87,59 @@ class CosmaDecomposition:
     p: int
     s: int
     grid: ProcessorGrid
-    domains: tuple[LocalDomain, ...]
     idle_ranks: tuple[int, ...]
     step_size: int
     num_steps: int
+    #: Boundaries of the ``pm`` / ``pn`` / ``pk`` parts of the i / j / k axes
+    #: (``parts + 1`` increasing offsets each).  Like the ownership splits
+    #: below they are a function of the fields above, so they stay out of
+    #: ``==`` and ``repr``.
+    i_bounds: np.ndarray = field(compare=False, repr=False)
+    j_bounds: np.ndarray = field(compare=False, repr=False)
+    k_bounds: np.ndarray = field(compare=False, repr=False)
+    #: ``a_bounds[kk]``: layer ``kk``'s k-range cut into the ``pn`` slices of
+    #: the local A panel that the ranks of a j-fiber own (rank ``pj`` owns
+    #: slice ``pj`` and broadcasts it); ``b_bounds[kk]``: the ``pm`` slices of
+    #: the B panel along the i-fiber.  Absolute k offsets.
+    a_bounds: np.ndarray = field(compare=False, repr=False)
+    b_bounds: np.ndarray = field(compare=False, repr=False)
 
     @property
     def p_used(self) -> int:
         return self.grid.p_used
 
+    @cached_property
+    def _bounds(self) -> tuple[list, ...]:
+        """The five boundary arrays as (nested) lists of Python ints."""
+        return tuple(
+            bounds.tolist() for bounds in
+            (self.i_bounds, self.j_bounds, self.k_bounds, self.a_bounds, self.b_bounds)
+        )
+
+    def _domain(self, rank: int) -> LocalDomain:
+        i_bounds, j_bounds, k_bounds, a_bounds, b_bounds = self._bounds
+        rest, pk = divmod(rank, self.grid.pk)
+        pi, pj = divmod(rest, self.grid.pn)
+        return LocalDomain(
+            rank=rank,
+            coords=(pi, pj, pk),
+            i_range=(i_bounds[pi], i_bounds[pi + 1]),
+            j_range=(j_bounds[pj], j_bounds[pj + 1]),
+            k_range=(k_bounds[pk], k_bounds[pk + 1]),
+            a_owned_k_range=(a_bounds[pk][pj], a_bounds[pk][pj + 1]),
+            b_owned_k_range=(b_bounds[pk][pi], b_bounds[pk][pi + 1]),
+            owns_c=(pk == 0),
+        )
+
+    @cached_property
+    def domains(self) -> tuple[LocalDomain, ...]:
+        """One :class:`LocalDomain` per used rank, in rank order."""
+        return tuple(self._domain(rank) for rank in range(self.p_used))
+
     def domain_of(self, rank: int) -> LocalDomain:
-        for domain in self.domains:
-            if domain.rank == rank:
-                return domain
-        raise KeyError(f"rank {rank} has no local domain (it may be idle)")
+        if not 0 <= rank < self.p_used:
+            raise KeyError(f"rank {rank} has no local domain (it may be idle)")
+        return self._domain(rank)
 
     def coords_to_rank(self, pi: int, pj: int, pk: int) -> int:
         """Row-major mapping of grid coordinates to machine ranks."""
@@ -102,15 +159,12 @@ class CosmaDecomposition:
 
     def max_local_words(self) -> int:
         """Peak words a rank must hold: its A panel slice + B panel slice + C block + step buffers."""
-        worst = 0
-        for domain in self.domains:
-            lm, ln, _lk = domain.shape
-            a_words = lm * (domain.a_owned_k_range[1] - domain.a_owned_k_range[0])
-            b_words = ln * (domain.b_owned_k_range[1] - domain.b_owned_k_range[0])
-            c_words = lm * ln
-            step_words = (lm + ln) * self.step_size
-            worst = max(worst, a_words + b_words + c_words + step_words)
-        return worst
+        lm = np.diff(self.i_bounds)[:, None, None]
+        ln = np.diff(self.j_bounds)[None, :, None]
+        a_width = np.diff(self.a_bounds).T[None, :, :]  # (1, pn, pk)
+        b_width = np.diff(self.b_bounds).T[:, None, :]  # (pm, 1, pk)
+        words = lm * a_width + ln * b_width + lm * ln + (lm + ln) * self.step_size
+        return int(words.max())
 
 
 def build_decomposition(
@@ -159,8 +213,8 @@ def build_decomposition(
 
 
 # A plan and the runs it feeds follow each other, so a few entries catch
-# them all; each entry pins one LocalDomain per rank, so more would only cost
-# a long campaign's workers memory.
+# them all; an entry that served a per-hop run pins one LocalDomain per rank,
+# so more would only cost a long campaign's workers memory.
 @lru_cache(maxsize=4)
 def _decompose(m: int, n: int, k: int, p: int, s: int, grid: ProcessorGrid) -> CosmaDecomposition:
     """The decomposition of one problem on one fitted grid, memoized.
@@ -169,15 +223,15 @@ def _decompose(m: int, n: int, k: int, p: int, s: int, grid: ProcessorGrid) -> C
     :func:`repro.algorithms.plan_cache_clear` drops the memo (through
     :func:`decomposition_cache_clear`) together with the plans built from it.
     """
-    i_ranges = split_offsets(m, grid.pm)
-    j_ranges = split_offsets(n, grid.pn)
-    k_ranges = split_offsets(k, grid.pk)
+    i_bounds = _split_bounds(m, grid.pm)
+    j_bounds = _split_bounds(n, grid.pn)
+    k_bounds = _split_bounds(k, grid.pk)
 
     # Latency-minimizing communication step: with lm x ln partial results
     # resident, 2 * step * max(lm, ln) extra words must fit in memory.
-    lm0 = i_ranges[0][1] - i_ranges[0][0]
-    ln0 = j_ranges[0][1] - j_ranges[0][0]
-    lk0 = k_ranges[0][1] - k_ranges[0][0]
+    lm0 = int(i_bounds[1])
+    ln0 = int(j_bounds[1])
+    lk0 = int(k_bounds[1])
     free_words = s - lm0 * ln0
     if free_words >= (lm0 + ln0) * lk0:
         step_size = lk0
@@ -185,37 +239,10 @@ def _decompose(m: int, n: int, k: int, p: int, s: int, grid: ProcessorGrid) -> C
         step_size = max(1, free_words // (lm0 + ln0))
     num_steps = max(1, -(-lk0 // step_size))
 
-    domains: list[LocalDomain] = []
-    for pi in range(grid.pm):
-        for pj in range(grid.pn):
-            for pk in range(grid.pk):
-                rank = (pi * grid.pn + pj) * grid.pk + pk
-                i_range = i_ranges[pi]
-                j_range = j_ranges[pj]
-                k_range = k_ranges[pk]
-                # Ownership: the local A panel's k-extent is split across the
-                # pn ranks of the j fiber; rank pj owns its pj-th slice.
-                a_slices = split_offsets(k_range[1] - k_range[0], grid.pn)
-                a_lo, a_hi = a_slices[pj]
-                a_owned = (k_range[0] + a_lo, k_range[0] + a_hi)
-                # Symmetrically, the local B panel's k-extent is split across
-                # the pm ranks of the i fiber.
-                b_slices = split_offsets(k_range[1] - k_range[0], grid.pm)
-                b_lo, b_hi = b_slices[pi]
-                b_owned = (k_range[0] + b_lo, k_range[0] + b_hi)
-                domains.append(
-                    LocalDomain(
-                        rank=rank,
-                        coords=(pi, pj, pk),
-                        i_range=i_range,
-                        j_range=j_range,
-                        k_range=k_range,
-                        a_owned_k_range=a_owned,
-                        b_owned_k_range=b_owned,
-                        owns_c=(pk == 0),
-                    )
-                )
-    idle = tuple(range(grid.p_used, p))
+    # Ownership: every layer's k extent is split across the pn ranks of a
+    # j fiber for A and, symmetrically, across the pm ranks of an i fiber for B.
+    layer_extents = np.diff(k_bounds)
+    layer_starts = k_bounds[:-1, None]
     return CosmaDecomposition(
         m=m,
         n=n,
@@ -223,10 +250,14 @@ def _decompose(m: int, n: int, k: int, p: int, s: int, grid: ProcessorGrid) -> C
         p=p,
         s=s,
         grid=grid,
-        domains=tuple(domains),
-        idle_ranks=idle,
+        idle_ranks=tuple(range(grid.p_used, p)),
         step_size=step_size,
         num_steps=num_steps,
+        i_bounds=i_bounds,
+        j_bounds=j_bounds,
+        k_bounds=k_bounds,
+        a_bounds=layer_starts + _split_bounds(layer_extents, grid.pn),
+        b_bounds=layer_starts + _split_bounds(layer_extents, grid.pm),
     )
 
 

@@ -181,10 +181,6 @@ class RankCounters:
         """Remember the current total words so the round's delta can be read off."""
         self.round_start_words = self.words_sent + self.words_received
 
-    def round_delta_words(self) -> int:
-        """Words moved through this rank since the last :meth:`mark_round_start`."""
-        return self.words_sent + self.words_received - self.round_start_words
-
     def as_tuple(self) -> tuple[int, ...]:
         """The column values in :data:`COUNTER_FIELDS` order."""
         return tuple(int(v) for v in self._matrix.data[:, self._rank])
@@ -414,13 +410,6 @@ class RoundDelta:
 
     def __init__(self, data: np.ndarray) -> None:
         self.data = data
-
-    @property
-    def max_words_delta(self) -> int:
-        """Maximum words any rank moved in the round (the per-round volume)."""
-        if not self.data.shape[1]:
-            return 0
-        return int((self.data[WORDS_SENT] + self.data[WORDS_RECEIVED]).max())
 
 
 class RoundCompressor:

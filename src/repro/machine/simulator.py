@@ -5,11 +5,18 @@ memory of ``S`` words; any processor can exchange up to ``S`` words with any
 other; all operands of a computation must reside in local memory.
 
 Algorithms in :mod:`repro.core` and :mod:`repro.baselines` are written as
-coordinator-style programs that keep one :class:`Rank` object per simulated
-processor and move numpy blocks between ranks *only* through the machine's
-communication primitives.  Every primitive updates the per-rank
-:class:`~repro.machine.counters.RankCounters`, so the harness can read off the
-same "MB communicated per rank" quantity that the paper measures with mpiP.
+coordinator-style programs that move numpy blocks between ranks *only*
+through the machine's communication primitives.  Every primitive updates the
+machine's :class:`~repro.machine.counters.CounterMatrix`, so the harness can
+read off the same "MB communicated per rank" quantity that the paper measures
+with mpiP.  Per-rank state is two machine-level arrays -- the counter matrix
+and one int64 vector of resident words -- and a :class:`Rank` is a view of
+one column of each, built on first use of :attr:`DistributedMachine.ranks`:
+the per-hop executors keep their blocks in the ranks' stores, the batched
+engines post whole-machine array expressions
+(:meth:`~DistributedMachine.post_resident`,
+:meth:`~DistributedMachine.post_transfers`), build no rank and leave every
+store empty.
 
 The simulator does not try to model time directly; the analytic performance
 model in :mod:`repro.experiments.perf_model` converts the counters into
@@ -18,42 +25,28 @@ simulated runtimes using an alpha-beta-gamma model.
 Execution modes
 ---------------
 
-The physical representation of payloads is pluggable (``mode=`` argument,
-see :mod:`repro.machine.transport`); all communication counters are identical
-across modes because accounting only ever reads payload shapes:
+The physical representation of payloads is pluggable (``mode=`` argument);
+:mod:`repro.machine.transport` describes the four transports.  All
+communication counters are identical across modes because accounting only
+ever reads payload shapes:
 
-``legacy``
-    Every delivery is a private writable numpy copy -- the reference
-    semantics.  Preserves numerics; slowest (O(q) copies per binomial-tree
-    collective over ``q`` ranks).
-``zerocopy``
-    Deliveries are shared read-only numpy views (``writeable=False``).
-    Preserves numerics bit-for-bit (receivers only read payloads; writers
-    that would violate MPI no-aliasing semantics raise); eliminates the
-    per-hop payload copies.
+``legacy`` / ``zerocopy``
+    Per-hop execution: every delivery is a private writable copy, or a shared
+    read-only view.  Numerics preserved; these are the reference semantics.
 ``plane``
-    The stacked-array numeric engine: per-payload deliveries behave like
-    ``zerocopy`` (so unported algorithms run unchanged), but opted-in
-    algorithms keep each logical operand in a
-    :class:`~repro.machine.transport.PayloadPlane` registered per-name on
-    the machine (:meth:`DistributedMachine.register_plane`) and execute
-    collectives/multiplies/reductions as whole-stack numpy operations while
-    posting counters through the same batched path as ``volume`` mode.
-    Preserves numerics (results verify) at a large fraction of volume-mode
-    speed.
+    The stacked-array numeric engine: opted-in algorithms keep each operand
+    in a :class:`~repro.machine.transport.PayloadPlane` registered on the
+    machine (:meth:`DistributedMachine.register_plane`) and run whole-stack
+    numpy operations while posting counters batched.  Results verify.
 ``volume``
-    Payloads are :class:`~repro.machine.transport.ShapeToken` shape
-    descriptors with no numpy allocation at all; local multiplies update only
-    the flop counters and results cannot be verified numerically.  Preserves
-    every communication counter exactly; orders of magnitude faster, enabling
-    sweeps at the paper's true scale (thousands of ranks).  Every built-in
-    algorithm runs its ``plane`` engine minus the numerics here; algorithms
-    without one go through the collectives' batched token accounting.
+    Payloads are :class:`~repro.machine.transport.ShapeToken` descriptors:
+    counters only, no numerics, paper-scale sweeps.  Every built-in algorithm
+    runs its ``plane`` engine minus the numerics here; algorithms without
+    one go through the collectives' batched token accounting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -89,50 +82,43 @@ class LocalMemoryExceededError(RuntimeError):
     """Raised when a rank's resident data exceeds its local memory ``S``."""
 
 
-@dataclass
 class Rank:
-    """State of one simulated processor.
+    """One simulated processor: a lazy view of the machine's per-rank state.
 
-    Attributes
-    ----------
-    rank_id:
-        Processor index in ``[0, p)``.
-    store:
-        Named local blocks (numpy arrays).  Algorithms are free to use any
-        naming convention; the memory accounting sums the sizes of all stored
-        arrays.
-    counters:
-        Per-rank communication/computation counters.
+    ``rank_id`` is the processor index in ``[0, p)``, ``counters`` its column
+    of the counter matrix and ``store`` its named local blocks (any naming
+    convention; only the per-hop executors keep blocks here).  The resident
+    footprint lives in the machine's resident-words vector: :meth:`put` /
+    :meth:`pop` write their size deltas through to it, so blocks stored here
+    and residency posted in bulk share one ledger.
     """
 
-    rank_id: int
-    store: dict[str, np.ndarray] = field(default_factory=dict)
-    counters: RankCounters = field(default_factory=RankCounters)
-    #: Incrementally maintained resident footprint (kept in sync by put/pop,
-    #: so check_memory never has to rescan the whole store).
-    _resident_words: int = field(default=0, repr=False)
+    __slots__ = ("rank_id", "store", "counters", "_resident")
 
-    def __post_init__(self) -> None:
-        self._resident_words = int(sum(payload_words(b) for b in self.store.values()))
+    def __init__(self, rank_id: int, counters: RankCounters, resident: np.ndarray) -> None:
+        self.rank_id = rank_id
+        self.store: dict[str, np.ndarray] = {}
+        self.counters = counters
+        self._resident = resident
 
     def resident_words(self) -> int:
         """Number of words currently resident in this rank's local memory."""
-        return self._resident_words
+        return int(self._resident[self.rank_id])
 
     def put(self, name: str, block: np.ndarray) -> None:
         """Place ``block`` into the local store under ``name``."""
         old = self.store.get(name)
-        if old is not None:
-            self._resident_words -= payload_words(old)
         self.store[name] = block
-        self._resident_words += payload_words(block)
+        self._resident[self.rank_id] += payload_words(block) - (
+            0 if old is None else payload_words(old)
+        )
 
     def get(self, name: str) -> np.ndarray:
         return self.store[name]
 
     def pop(self, name: str) -> np.ndarray:
         block = self.store.pop(name)
-        self._resident_words -= payload_words(block)
+        self._resident[self.rank_id] -= payload_words(block)
         return block
 
     def has(self, name: str) -> bool:
@@ -214,11 +200,14 @@ class DistributedMachine:
         if self.memory_words <= 0:
             raise ValueError(f"memory_words must be positive, got {self.memory_words}")
         self.enforce_memory = bool(enforce_memory)
-        # One shared counter matrix; every rank's counters are views into it.
+        # One shared counter matrix and one resident-words vector; ranks and
+        # their counters are views into them, built on first use.
         self.counters = CommCounters.for_ranks(self.p)
-        self.ranks = [
-            Rank(rank_id=i, counters=self.counters.per_rank[i]) for i in range(self.p)
-        ]
+        self._resident = np.zeros(self.p, dtype=np.int64)
+        #: Words posted per block name by :meth:`post_resident`, so that
+        #: posting a name again replaces it (as :meth:`Rank.put` does).
+        self._posted: dict[str, np.ndarray] = {}
+        self._ranks: list[Rank] | None = None
         self.compressor: RoundCompressor | None = (
             RoundCompressor(self.counters)
             if compress_rounds and self.transport.counters_only
@@ -246,13 +235,18 @@ class DistributedMachine:
     # ------------------------------------------------------------------
     # basic rank access
     # ------------------------------------------------------------------
+    @property
+    def ranks(self) -> list[Rank]:
+        """One :class:`Rank` view per processor, materialized on first use."""
+        if self._ranks is None:
+            per_rank = self.counters.per_rank
+            self._ranks = [Rank(i, per_rank[i], self._resident) for i in range(self.p)]
+        return self._ranks
+
     def rank(self, rank_id: int) -> Rank:
         if not 0 <= rank_id < self.p:
             raise IndexError(f"rank {rank_id} out of range for machine with p={self.p}")
         return self.ranks[rank_id]
-
-    def __len__(self) -> int:
-        return self.p
 
     @property
     def mode(self) -> str:
@@ -380,8 +374,7 @@ class DistributedMachine:
         """Two simultaneous transfers counted as a single round on each rank."""
         out_a = self.send(a_src, a_dst, a_block, kind=kind, count_round=False)
         out_b = self.send(b_src, b_dst, b_block, kind=kind, count_round=False)
-        for r in {a_src, a_dst, b_src, b_dst}:
-            self.rank(r).counters.rounds += 1
+        self.counters.add_rounds({a_src, a_dst, b_src, b_dst})
         return out_a, out_b
 
     # ------------------------------------------------------------------
@@ -479,26 +472,36 @@ class DistributedMachine:
     # ------------------------------------------------------------------
     # memory accounting
     # ------------------------------------------------------------------
+    def post_resident(self, name: str, ranks, words) -> None:
+        """Batched :meth:`Rank.put` accounting: ``ranks`` now hold ``words`` under ``name``.
+
+        ``ranks`` is an index array or a slice naming each rank at most once,
+        ``words`` a scalar or one entry per rank.  Posting a name again
+        replaces what the rank held under it; nothing is stored, only the
+        resident-words vector moves (by the same amounts as one ``put`` of a
+        block of that size per rank).
+        """
+        posted = self._posted.get(name)
+        if posted is None:
+            posted = self._posted[name] = np.zeros(self.p, dtype=np.int64)
+        self._resident[ranks] += words - posted[ranks]
+        posted[ranks] = words
+
     def check_memory(self, extra_words: Mapping[int, int] | None = None) -> int:
         """Record (and optionally enforce) the per-rank resident footprint.
 
-        Parameters
-        ----------
-        extra_words:
-            Optional per-rank extra words (e.g. communication buffers not kept
-            in ``store``).
-
-        Returns the current maximum resident words over all ranks.
+        ``extra_words`` maps ranks to words they hold outside any store (e.g.
+        communication buffers), counted for this check only.  Returns the
+        current maximum resident words over all ranks.
         """
-        worst = 0
-        offender = -1
-        for rank in self.ranks:
-            resident = rank.resident_words()
-            if extra_words is not None:
-                resident += int(extra_words.get(rank.rank_id, 0))
-            if resident > worst:
-                worst = resident
-                offender = rank.rank_id
+        resident = self._resident
+        if extra_words:
+            resident = resident.copy()
+            for rank_id, words in extra_words.items():
+                if 0 <= rank_id < self.p:
+                    resident[rank_id] += int(words)
+        offender = int(resident.argmax())  # the first rank at the maximum
+        worst = int(resident[offender])
         if worst > self.peak_resident_words:
             self.peak_resident_words = worst
         if self.enforce_memory and worst > self.memory_words:
@@ -560,6 +563,10 @@ class DistributedMachine:
         self.counters.reset()
         if self.compressor is not None:
             self.compressor.clear()
+        self._resident[...] = 0
+        self._posted.clear()
+        for rank in self._ranks or ():
+            rank.store.clear()
         self.peak_resident_words = 0
         self.round_log.clear()
         self.clear_planes()

@@ -187,18 +187,6 @@ def _check_broadcastable(target_shape: tuple[int, ...], value, verb: str) -> Non
             )
 
 
-class TokenPool(dict):
-    """``pool[rows, cols]``: one shared :class:`ShapeToken` per distinct shape.
-
-    Tokens carry no state beyond their shape, so the volume-mode rank stores
-    of a run (thousands of blocks, a few dozen shapes) can share them.
-    """
-
-    def __missing__(self, shape: tuple[int, ...]) -> ShapeToken:
-        token = self[shape] = ShapeToken(shape)
-        return token
-
-
 def is_token(block) -> bool:
     """Whether ``block`` is a counters-only payload."""
     return isinstance(block, ShapeToken)

@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.decomposition import build_decomposition, distribute_matrices
+from repro.core.decomposition import (
+    LocalDomain,
+    build_decomposition,
+    decomposition_cache_clear,
+    distribute_matrices,
+)
 from repro.core.grid import ProcessorGrid
+from repro.utils.intmath import split_offsets
 
 
 class TestBuildDecomposition:
@@ -77,6 +85,59 @@ class TestBuildDecomposition:
         assert len(owners) == 4  # one per (pi, pj) block
 
 
+def _eager_domains(m, n, k, grid):
+    """``GetDataDecomp`` rank by rank: the loop the boundary arrays replaced."""
+    domains = []
+    for pi, i_range in enumerate(split_offsets(m, grid.pm)):
+        for pj, j_range in enumerate(split_offsets(n, grid.pn)):
+            for pk, (k0, k1) in enumerate(split_offsets(k, grid.pk)):
+                a_lo, a_hi = split_offsets(k1 - k0, grid.pn)[pj]
+                b_lo, b_hi = split_offsets(k1 - k0, grid.pm)[pi]
+                domains.append(LocalDomain(
+                    rank=(pi * grid.pn + pj) * grid.pk + pk, coords=(pi, pj, pk),
+                    i_range=i_range, j_range=j_range, k_range=(k0, k1),
+                    a_owned_k_range=(k0 + a_lo, k0 + a_hi),
+                    b_owned_k_range=(k0 + b_lo, k0 + b_hi), owns_c=(pk == 0),
+                ))
+    return tuple(domains)
+
+
+class TestLazyDomains:
+    """``domains`` / ``domain_of`` / ``max_local_words`` are views of five boundary arrays."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dims=st.tuples(*(st.integers(1, 5) for _ in range(3))),
+        slack=st.tuples(*(st.integers(0, 13) for _ in range(3))),
+        idle=st.integers(0, 2), s=st.integers(1, 400),
+    )
+    def test_views_equal_the_eager_loop(self, dims, slack, idle, s):
+        grid = ProcessorGrid(*dims)
+        m, n, k = (parts + extra for parts, extra in zip(dims, slack))  # uneven splits
+        decomposition = build_decomposition(m, n, k, grid.p_used + idle, s, grid=grid)
+        eager = _eager_domains(m, n, k, grid)
+        assert decomposition.domains == eager
+        assert all(type(bound) is int for domain in decomposition.domains
+                   for bound in domain.i_range + domain.k_range + domain.a_owned_k_range)
+        assert [decomposition.domain_of(d.rank) for d in eager] == list(eager)
+        for rank in (-1, *decomposition.idle_ranks, decomposition.p):
+            with pytest.raises(KeyError):
+                decomposition.domain_of(rank)
+        step = decomposition.step_size
+        assert decomposition.max_local_words() == max(
+            lm * (d.a_owned_k_range[1] - d.a_owned_k_range[0])
+            + ln * (d.b_owned_k_range[1] - d.b_owned_k_range[0])
+            + lm * ln + (lm + ln) * step
+            for d in eager for lm, ln, _lk in [d.shape]
+        )
+
+    def test_domains_are_built_once_and_only_on_request(self):
+        decomposition_cache_clear()  # an earlier test may have read this entry's domains
+        decomposition = build_decomposition(16, 16, 16, 8, 4096, grid=ProcessorGrid(2, 2, 2))
+        assert "domains" not in vars(decomposition)
+        assert decomposition.domains is decomposition.domains
+
+
 class TestDistributeMatrices:
     def test_every_a_element_owned_exactly_once(self, rng):
         m, n, k = 12, 10, 8
@@ -116,28 +177,25 @@ class TestDistributeMatrices:
 class TestDecompositionMemo:
     """Planning and every run of one scenario share a single decomposition."""
 
-    def test_plan_and_two_runs_build_one_decomposition(self, monkeypatch):
+    def test_plan_and_two_runs_build_one_decomposition(self):
         from repro.algorithms import get_algorithm, plan_cache_clear
         from repro.core import decomposition as module
         from repro.experiments.harness import run_algorithm
         from repro.workloads.scaling import limited_memory_sweep
 
-        builds = []
-        real = module.LocalDomain
-
-        def counting_domain(*args, **kwargs):
-            builds.append(kwargs["rank"])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(module, "LocalDomain", counting_domain)
         plan_cache_clear()
         scenario = limited_memory_sweep("square", [16], 2048)[0]
         plan = get_algorithm("COSMA").plan(scenario)
         first = run_algorithm("COSMA", scenario, mode="volume")
         assert run_algorithm("COSMA", scenario, mode="volume") == first
-        # One LocalDomain per used rank, once: the plan built them, the
-        # planned grid handed to both runs found them memoized.
-        assert sorted(builds) == list(range(plan.processors_used))
+        # Decomposed once: the plan did it, the planned grid handed to both
+        # runs found the entry memoized.
+        info = module._decompose.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert build_decomposition(
+            scenario.shape.m, scenario.shape.n, scenario.shape.k, scenario.p,
+            scenario.memory_words, grid=ProcessorGrid(*plan.grid),
+        ).p_used == plan.processors_used
 
     def test_fitted_and_explicit_grid_share_the_entry(self):
         from repro.algorithms import plan_cache_clear

@@ -138,13 +138,14 @@ class TestPlaneEngine:
             scenario.p, memory_words=scenario.memory_words, mode="plane"
         )
         a, b = scenario.shape.random_matrices(seed=0)
-        get_algorithm("COSMA").runner(a, b, scenario, machine)
+        product = get_algorithm("COSMA").runner(a, b, scenario, machine)
         assert set(machine.planes) == {"cosma.A", "cosma.B", "cosma.C"}
-        # The C plane stacks one sheet per k-layer; ranks hold views into it.
+        # The C plane is one sheet and the product is that sheet, not a copy;
+        # ranks hold nothing (residency is posted, not stored).
         c_plane = machine.get_plane("cosma.C")
-        assert c_plane.data.shape[1:] == (scenario.shape.m, scenario.shape.n)
-        rank = c_plane.attached_ranks()[0]
-        assert np.shares_memory(c_plane.block(rank), c_plane.data)
+        assert c_plane.data.shape == (1, scenario.shape.m, scenario.shape.n)
+        assert np.shares_memory(product, c_plane.data)
+        assert c_plane.attached_ranks() == ()
 
     def test_plane_harness_run_is_verified(self):
         scenario = limited_memory_sweep("square", [9], 2048)[0]

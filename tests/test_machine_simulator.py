@@ -173,6 +173,67 @@ class TestDistributedMachine:
         assert machine.peak_resident_words == 0
 
 
+class TestResidentLedger:
+    """Residency is one int64 vector: batched posts and ``Rank.put`` share it."""
+
+    def test_ranks_are_built_on_first_use(self):
+        machine = DistributedMachine(4)
+        machine.post_resident("A", slice(0, 4), 5)
+        assert machine.check_memory() == 5
+        assert machine._ranks is None and machine.counters._per_rank is None
+        assert machine.rank(3).resident_words() == 5
+        assert machine.ranks is machine.ranks and len(machine.ranks) == 4
+
+    def test_posting_a_name_again_replaces_it(self):
+        """What a second run on the same machine does to its same-named blocks."""
+        machine = DistributedMachine(4)
+        machine.post_resident("A", np.array([0, 2]), np.array([10, 20]))
+        machine.post_resident("B", slice(0, 4), 1)
+        machine.post_resident("A", slice(0, 4), np.array([3, 3, 3, 3]))
+        assert [machine.rank(r).resident_words() for r in range(4)] == [4, 4, 4, 4]
+        machine.post_resident("A", slice(0, 4, 2), 0)
+        assert machine.check_memory() == 4
+        assert machine.rank(0).resident_words() == 1
+
+    def test_put_and_post_report_the_sum(self):
+        machine = DistributedMachine(3)
+        machine.rank(1).put("A", np.ones(7))
+        machine.post_resident("A", slice(0, 3), 5)  # a posted name is not a stored one
+        machine.rank(1).put("A", np.ones(2))  # replaces the stored block only
+        assert [rank.resident_words() for rank in machine.ranks] == [5, 7, 5]
+        machine.rank(1).pop("A")
+        assert machine.check_memory() == 5
+        assert machine.peak_resident_words == 5
+
+    def test_error_names_the_first_rank_at_the_maximum(self):
+        machine = DistributedMachine(5, memory_words=10, enforce_memory=True)
+        machine.post_resident("A", slice(0, 5), np.array([3, 12, 9, 12, 0]))
+        with pytest.raises(LocalMemoryExceededError) as excinfo:
+            machine.check_memory()
+        assert str(excinfo.value) == (
+            "rank 1 holds 12 words which exceeds the local memory S=10"
+        )
+        assert machine.peak_resident_words == 12  # recorded before it raises
+
+    def test_extra_words_do_not_enter_the_ledger(self):
+        machine = DistributedMachine(3, memory_words=100)
+        machine.post_resident("A", slice(0, 3), np.array([10, 30, 20]))
+        assert machine.check_memory(extra_words={2: 15, 7: 1000}) == 35  # rank 7: not ours
+        assert machine.check_memory() == 30
+        assert machine.peak_resident_words == 35
+
+    def test_reset_counters_clears_residency(self):
+        machine = DistributedMachine(2)
+        machine.rank(0).put("A", np.ones(6))
+        machine.post_resident("B", slice(0, 2), 4)
+        machine.check_memory()
+        machine.reset_counters()
+        assert machine.check_memory() == 0 and machine.peak_resident_words == 0
+        assert not machine.rank(0).has("A")
+        machine.post_resident("B", slice(0, 2), 4)  # a fresh post, not a replacement
+        assert machine.check_memory() == 4
+
+
 class TestBatchedCounterEngine:
     """post_transfers and the CounterMatrix must mirror per-send accounting."""
 

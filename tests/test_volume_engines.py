@@ -10,7 +10,8 @@ this file pins what the counters-only route is made of:
   from the per-rank paths;
 * a structural guard: no built-in algorithm's ``volume`` run touches a
   per-rank primitive or allocates an element-sized array, COSMA posts once
-  per round class, and ``use_rma`` stays on the batched engine.
+  per round class, ``use_rma`` stays on the batched engine, and neither a
+  ``volume`` nor a ``plane`` run builds a ``Rank`` or a ``LocalDomain``.
 """
 
 import numpy as np
@@ -18,17 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import cosma_idle_fraction, get_algorithm
+from repro.algorithms import cosma_idle_fraction, get_algorithm, plan_cache_clear
 from repro.baselines import cannon, cuboid, grid25d, summa
 from repro.baselines.carma import carma_domains
 from repro.baselines.cuboid import CuboidDomain, _CellOwners, _ownership_map
-from repro.core import cosma
+from repro.core import cosma, decomposition
 from repro.experiments.harness import run_algorithm
-from repro.machine import rma
+from repro.machine import rma, simulator
 from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import ShapeToken
-from repro.workloads.scaling import Scenario
+from repro.workloads.scaling import Scenario, limited_memory_sweep
 from repro.workloads.shapes import square_shape
 
 BUILTINS = ("COSMA", "ScaLAPACK", "CTF", "CARMA", "Cannon")
@@ -217,13 +218,24 @@ def test_use_rma_volume_run_stays_on_the_batched_engine(monkeypatch):
     assert one_sided.counters.max_rounds() < tree.rounds  # only the origin pays a round
 
 
-@pytest.mark.parametrize("name", ["COSMA", "ScaLAPACK", "CTF"])
-def test_rank_stores_share_one_token_per_shape(name):
-    """Thousands of stored blocks, a few dozen shapes: a token per shape, not per block."""
-    scenario = paper_scenario(4096, 1024)
-    machine = DistributedMachine(scenario.p, memory_words=scenario.memory_words, mode="volume")
-    get_algorithm(name).runner(
-        ShapeToken((4096, 4096)), ShapeToken((4096, 4096)), scenario, machine)
-    blocks = [block for rank in machine.ranks for block in rank.store.values()]
-    assert len(blocks) >= 3 * 1000
-    assert len({id(block) for block in blocks}) == len({block.shape for block in blocks}) < 40
+@pytest.mark.parametrize("mode", ["volume", "plane"])
+@pytest.mark.parametrize("name", BUILTINS)
+def test_batched_runs_build_no_rank_and_no_domain(name, mode, monkeypatch):
+    """Residency is posted to the machine's vector: no ``Rank`` view, no
+    ``LocalDomain``, nothing stored -- and the resident peak is still there."""
+    def forbid(label):
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"{name} {mode} run constructed a {label}")
+        return forbidden
+
+    monkeypatch.setattr(simulator, "Rank", forbid("Rank"))
+    monkeypatch.setattr(decomposition, "LocalDomain", forbid("LocalDomain"))
+    plan_cache_clear()  # a memoized decomposition may already hold its domains
+    scenario = limited_memory_sweep("square", [16], 2048)[0]
+    machine = DistributedMachine(scenario.p, memory_words=scenario.memory_words, mode=mode)
+    shape = scenario.shape
+    a, b = ((ShapeToken((shape.m, shape.k)), ShapeToken((shape.k, shape.n)))
+            if mode == "volume" else shape.random_matrices(seed=0))
+    product = get_algorithm(name).runner(a, b, scenario, machine)
+    assert product.shape == (shape.m, shape.n)
+    assert 0 < machine.check_memory() <= machine.peak_resident_words
