@@ -24,7 +24,7 @@ verify:
 
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests benchmarks examples; \
+		ruff check src tests benchmarks examples scripts; \
 	else \
 		echo "ruff not installed - skipping lint (pip install ruff)"; \
 	fi

@@ -117,7 +117,6 @@ def multiply(
     *,
     algorithm: str = "COSMA",
     mode: str = "legacy",
-    compress_rounds: bool = False,
     shards: int = 1,
     plane_dtype: str = "float64",
 ) -> RunReport:
@@ -144,17 +143,12 @@ def multiply(
         and verify real numerics (``"plane"`` on stacked arrays -- the
         fastest verified mode); ``"volume"`` counts communication only
         (``matrix`` is ``None``) and scales to paper-size grids.
-    compress_rounds:
-        Opt into steady-state round compression: structurally identical
-        communication rounds replay a cached counter delta instead of
-        re-executing the schedule.  Only effective in ``"volume"`` mode;
-        counters are byte-identical either way.
     shards:
         Numeric execution policy for ``"plane"`` mode: number of worker
         processes the batched GEMMs are sharded across over shared memory
         (:mod:`repro.machine.shard`).  ``1`` (default) keeps the in-process
-        engine.  Counters are byte-identical across shard counts; like
-        ``compress_rounds``, shards never enters a sweep run's identity key.
+        engine.  Counters are byte-identical across shard counts; shards
+        never enters a sweep run's identity key.
     plane_dtype:
         Element dtype for numeric payloads (``"float64"`` default,
         ``"float32"`` opt-in).  Verification switches to relative
@@ -191,8 +185,7 @@ def multiply(
     run_plan = spec.plan(scenario, **options)
     product, counters, verified, correct = _execute(
         spec, scenario, a_matrix, b_matrix, mode=mode, span="multiply", verify=True,
-        run_plan=run_plan, options=options,
-        compress_rounds=compress_rounds, shards=shards, plane_dtype=plane_dtype,
+        run_plan=run_plan, options=options, shards=shards, plane_dtype=plane_dtype,
     )
     bound = run_plan.lower_bound_per_rank  # same inputs as the Theorem 2 call
     return RunReport(

@@ -79,8 +79,10 @@ def cannon_multiply(
         it models that variant.
     """
     p = check_positive_int(p, "p")
-    a_matrix = as_payload(a_matrix)
-    b_matrix = as_payload(b_matrix)
+    # Operands at the machine's plane dtype, as in cosma_multiply.
+    plane_dtype = None if machine is None else machine.transport.dtype
+    a_matrix = as_payload(a_matrix, dtype=plane_dtype)
+    b_matrix = as_payload(b_matrix, dtype=plane_dtype)
     m, k = a_matrix.shape
     k2, n = b_matrix.shape
     if k != k2:
@@ -178,7 +180,7 @@ def _shift_permutation(q: int, displacement: int, axis: str) -> np.ndarray:
     return ((i_idx + displacement) % q) * q + j_idx
 
 
-def _post_shift(machine: DistributedMachine, perm: np.ndarray, words: int) -> None:
+def _post_shift(counters: CommCounters, perm: np.ndarray, words: int) -> None:
     """Counter accounting of one all-rows (or all-columns) ring-shift step.
 
     Counter-equivalent to one :func:`ring_shift` per grid row/column: every
@@ -187,9 +189,9 @@ def _post_shift(machine: DistributedMachine, perm: np.ndarray, words: int) -> No
     """
     slots = np.arange(perm.size)
     moving = perm != slots
-    machine.post_transfers(perm[moving], slots[moving], words, kind="input",
-                           count_rounds=False)
-    machine.counters.add_rounds(slots)
+    counters.post_transfers(perm[moving], slots[moving], words, kind="input",
+                            count_rounds=False)
+    counters.add_rounds(slots)
 
 
 def _cannon_plane(
@@ -272,34 +274,31 @@ def _cannon_plane(
 
     # Main loop: q rounds of batched multiply + whole-grid shift by one.
     # Every non-final round is structurally identical (same grid, same block
-    # shapes, shift by one), so under round compression the steady state is
-    # replayed from the cached counter delta.
+    # shapes, shift by one): two round classes, the steady shift round and
+    # the final multiply-only round.
     all_slots = np.arange(q * q)
     perm_a = _shift_permutation(q, 1, "row")
     perm_b = _shift_permutation(q, 1, "col")
-    flops_each = 2 * bm * bn * bk
-    for step in range(q):
-        if machine.compressor is not None and machine.replay_round(
-            ("cannon", q, bm, bn, bk, step == q - 1)
-        ) is not None:
-            continue
-        if numeric:
-            np.add(c_plane.data, a_stack @ b_stack, out=c_plane.data)
-        machine.post_flops(all_slots, flops_each)
-        if step == q - 1:
+
+    def post_step(delta: CommCounters, row: np.ndarray) -> None:
+        delta.add_flops(all_slots, 2 * bm * bn * bk)
+        if not row[0]:  # not the final round
+            _post_shift(delta, perm_a, bm * bk)
+            _post_shift(delta, perm_b, bk * bn)
+
+    is_final = (np.arange(q) == q - 1)[:, None]
+    for steps, delta in machine.round_classes(is_final, post_step):
+        for step in steps:
+            machine.post_round(delta)
+            if numeric:
+                np.add(c_plane.data, a_stack @ b_stack, out=c_plane.data)
+            if step < q - 1:
+                if numeric:
+                    a_stack = a_stack[perm_a]
+                    b_stack = b_stack[perm_b]
+                machine.check_memory()
             machine.commit_round()
-            break
-        _post_shift(machine, perm_a, bm * bk)
-        _post_shift(machine, perm_b, bk * bn)
-        if numeric:
-            a_stack = a_stack[perm_a]
-            b_stack = b_stack[perm_b]
-        machine.check_memory()
-        machine.commit_round()
 
     if not numeric:
         return ShapeToken((bm * q, bn * q))
-    c_pad = np.zeros((bm * q, bn * q))
-    c_view = c_plane.data.reshape(q, q, bm, bn)
-    c_pad[...] = c_view.transpose(0, 2, 1, 3).reshape(bm * q, bn * q)
-    return c_pad
+    return c_plane.data.reshape(q, q, bm, bn).transpose(0, 2, 1, 3).reshape(bm * q, bn * q)

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import ShapeToken, as_payload
+from repro.machine.transport import as_payload
 
 Range = tuple[int, int]
 
@@ -264,7 +264,7 @@ def _cuboid_batched(
     machine.post_resident("C_partial", ranks, lm * ln)
     # Flops are charged per rank exactly as ``local_multiply`` would.
     machine.post_flops(ranks, 2 * lm * ln * lk)
-    c_global = np.zeros((m, n)) if numeric else ShapeToken((m, n))
+    c_global = machine.zeros((m, n))  # at the plane dtype; a token in volume mode
     if numeric:
         groups: dict[tuple[int, int, int], list[CuboidDomain]] = {}
         for domain in ordered:
@@ -312,8 +312,10 @@ def cuboid_multiply(
         Optional pre-built simulator; built from ``p``/``memory_words``
         otherwise (``p`` defaults to the number of domains).
     """
-    a_matrix = as_payload(a_matrix)
-    b_matrix = as_payload(b_matrix)
+    # Operands at the machine's plane dtype, as in cosma_multiply.
+    plane_dtype = None if machine is None else machine.transport.dtype
+    a_matrix = as_payload(a_matrix, dtype=plane_dtype)
+    b_matrix = as_payload(b_matrix, dtype=plane_dtype)
     m, k = a_matrix.shape
     k2, n = b_matrix.shape
     if k != k2:

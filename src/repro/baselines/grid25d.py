@@ -107,8 +107,10 @@ def grid25d_multiply(
         Optional explicit ``(q, q, c)`` grid override.
     """
     p = check_positive_int(p, "p")
-    a_matrix = as_payload(a_matrix)
-    b_matrix = as_payload(b_matrix)
+    # Operands at the machine's plane dtype, as in cosma_multiply.
+    plane_dtype = None if machine is None else machine.transport.dtype
+    a_matrix = as_payload(a_matrix, dtype=plane_dtype)
+    b_matrix = as_payload(b_matrix, dtype=plane_dtype)
     m, k = a_matrix.shape
     k2, n = b_matrix.shape
     if k != k2:
@@ -238,6 +240,7 @@ def _grid25d_plane(
     m = i_ranges[-1][1]
     n = j_ranges[-1][1]
     numeric = not machine.transport.counters_only
+    dtype = machine.transport.dtype
     lm = np.array([hi - lo for lo, hi in i_ranges], dtype=np.int64)
     ln = np.array([hi - lo for lo, hi in j_ranges], dtype=np.int64)
     lm_max, ln_max = int(lm.max()), int(ln.max())
@@ -320,7 +323,7 @@ def _grid25d_plane(
             continue
 
         # Panel assembly from strided slot slices + one broadcasting GEMM.
-        a_panels = np.zeros((qm, lm_max, max(1, lk)))
+        a_panels = np.zeros((qm, lm_max, max(1, lk)), dtype=dtype)
         offset = 0
         for j in range(qn):
             if aw[j] > 0:
@@ -328,7 +331,7 @@ def _grid25d_plane(
                     a_plane.data[j * c + layer :: qn * c, :, : aw[j]]
                 )
             offset += int(aw[j])
-        b_panels = np.zeros((qn, max(1, lk), ln_max))
+        b_panels = np.zeros((qn, max(1, lk), ln_max), dtype=dtype)
         offset = 0
         for i in range(qm):
             if bw[i] > 0:
@@ -361,7 +364,7 @@ def _grid25d_plane(
     machine.post_resident("C_final", slice(0, slots, c), mn_outer)
     if not numeric:
         return ShapeToken((m, n))
-    c_global = np.zeros((m, n))
+    c_global = np.zeros((m, n), dtype=dtype)
     for i in range(qm):
         i0, i1 = i_ranges[i]
         for j in range(qn):

@@ -95,8 +95,10 @@ def summa_multiply(
         limit is given).
     """
     p = check_positive_int(p, "p")
-    a_matrix = as_payload(a_matrix)
-    b_matrix = as_payload(b_matrix)
+    # Operands at the machine's plane dtype, as in cosma_multiply.
+    plane_dtype = None if machine is None else machine.transport.dtype
+    a_matrix = as_payload(a_matrix, dtype=plane_dtype)
+    b_matrix = as_payload(b_matrix, dtype=plane_dtype)
     m, k = a_matrix.shape
     k2, n = b_matrix.shape
     if k != k2:
@@ -247,6 +249,7 @@ def _summa_plane(
     n = j_ranges[-1][1]
     k = k_col_slices[-1][1]
     numeric = not machine.transport.counters_only
+    dtype = machine.transport.dtype
     lm = np.array([hi - lo for lo, hi in i_ranges], dtype=np.int64)
     ln = np.array([hi - lo for lo, hi in j_ranges], dtype=np.int64)
     akw = np.array([hi - lo for lo, hi in k_col_slices], dtype=np.int64)
@@ -298,74 +301,77 @@ def _summa_plane(
     ak_hi = np.array([hi for _, hi in k_col_slices], dtype=np.int64)
     bk_lo = np.array([lo for lo, _ in k_row_slices], dtype=np.int64)
     bk_hi = np.array([hi for _, hi in k_row_slices], dtype=np.int64)
-    fingerprint_context = ("summa", m, n, k, pm, pn, panel_width)
 
-    if numeric:
-        c_view = c_plane.data.reshape(pm, pn, lm_max, ln_max)
-    for panel_start in range(0, k, panel_width):
-        panel_stop = min(panel_start + panel_width, k)
-        width = panel_stop - panel_start
-        # k-columns each owner contributes to this step's A / B panels.
-        w_a = np.maximum(np.minimum(ak_hi, panel_stop) - np.maximum(ak_lo, panel_start), 0)
-        w_b = np.maximum(np.minimum(bk_hi, panel_stop) - np.maximum(bk_lo, panel_start), 0)
-        # A panel step's schedule is determined by those contributions;
-        # consecutive panels inside the same ownership slices repeat them
-        # exactly, so under round compression the steady state replays.
-        if machine.compressor is not None and machine.replay_round(
-            fingerprint_context + (w_a.tobytes(), w_b.tobytes())
-        ) is not None:
-            continue
+    # Round classes: row r holds the k-columns each owner contributes to
+    # panel r's A and B panels, which determine the panel step's schedule.
+    # Consecutive panels inside the same ownership slices repeat the row.
+    starts = np.arange(0, k, panel_width, dtype=np.int64)[:, None]
+    stops = np.minimum(starts + panel_width, k)
+    table = np.concatenate([
+        np.maximum(np.minimum(ak_hi, stops) - np.maximum(ak_lo, starts), 0),
+        np.maximum(np.minimum(bk_hi, stops) - np.maximum(bk_lo, starts), 0),
+    ], axis=1)
+
+    def post_panel(delta: CommCounters, row: np.ndarray) -> None:
+        w_a, w_b = row[:pn], row[pn:]
         src_parts: list[np.ndarray] = []
         dst_parts: list[np.ndarray] = []
         word_parts: list[np.ndarray] = []
         if pn > 1:
             active = w_a > 0
-            if active.any():
-                src_parts.append(row_srcs[:, active, :].ravel())
-                dst_parts.append(row_dsts[:, active, :].ravel())
-                word_parts.append(np.repeat(
-                    np.multiply.outer(lm, w_a[active]).ravel(), pn - 1
-                ))
+            src_parts.append(row_srcs[:, active, :].ravel())
+            dst_parts.append(row_dsts[:, active, :].ravel())
+            word_parts.append(np.repeat(
+                np.multiply.outer(lm, w_a[active]).ravel(), pn - 1
+            ))
         if pm > 1:
             active = w_b > 0
-            if active.any():
-                src_parts.append(col_srcs[:, active, :].ravel())
-                dst_parts.append(col_dsts[:, active, :].ravel())
-                word_parts.append(np.repeat(
-                    np.multiply.outer(ln, w_b[active]).ravel(), pm - 1
-                ))
+            src_parts.append(col_srcs[:, active, :].ravel())
+            dst_parts.append(col_dsts[:, active, :].ravel())
+            word_parts.append(np.repeat(
+                np.multiply.outer(ln, w_b[active]).ravel(), pm - 1
+            ))
         if src_parts:
-            machine.post_transfers(
+            delta.post_transfers(
                 np.concatenate(src_parts), np.concatenate(dst_parts),
                 np.concatenate(word_parts), kind="input",
             )
-        machine.post_flops(all_ranks, mn_outer * (2 * width))
-        if numeric:
-            # Strided panel assembly + one broadcasting batched GEMM.
-            a_panels = np.zeros((pm, lm_max, width))
-            for j in range(pn):
-                if w_a[j] <= 0:
-                    continue
-                lo = max(int(ak_lo[j]), panel_start)
-                hi = min(int(ak_hi[j]), panel_stop)
-                a_panels[:, :, lo - panel_start : hi - panel_start] = (
-                    a_plane.data[j::pn, :, lo - ak_lo[j] : hi - ak_lo[j]]
-                )
-            b_panels = np.zeros((pn, width, ln_max))
-            for i in range(pm):
-                if w_b[i] <= 0:
-                    continue
-                lo = max(int(bk_lo[i]), panel_start)
-                hi = min(int(bk_hi[i]), panel_stop)
-                b_panels[:, lo - panel_start : hi - panel_start, :] = (
-                    b_plane.data[i * pn : (i + 1) * pn, lo - bk_lo[i] : hi - bk_lo[i], :]
-                )
-            c_view += np.matmul(a_panels[:, None], b_panels[None, :])
-        machine.commit_round()
+        # The ownership slices tile k, so the overlaps sum to the panel width.
+        delta.add_flops(all_ranks, mn_outer * (2 * int(w_a.sum())))
+
+    def multiply_panel(panel: int) -> None:
+        """Strided panel assembly + one broadcasting batched GEMM."""
+        panel_start = panel * panel_width
+        panel_stop = min(panel_start + panel_width, k)
+        width = panel_stop - panel_start
+        a_panels = np.zeros((pm, lm_max, width), dtype=dtype)
+        for j in np.flatnonzero(table[panel, :pn]):
+            lo = max(int(ak_lo[j]), panel_start)
+            hi = min(int(ak_hi[j]), panel_stop)
+            a_panels[:, :, lo - panel_start : hi - panel_start] = (
+                a_plane.data[j::pn, :, lo - ak_lo[j] : hi - ak_lo[j]]
+            )
+        b_panels = np.zeros((pn, width, ln_max), dtype=dtype)
+        for i in np.flatnonzero(table[panel, pn:]):
+            lo = max(int(bk_lo[i]), panel_start)
+            hi = min(int(bk_hi[i]), panel_stop)
+            b_panels[:, lo - panel_start : hi - panel_start, :] = (
+                b_plane.data[i * pn : (i + 1) * pn, lo - bk_lo[i] : hi - bk_lo[i], :]
+            )
+        np.add(c_view, np.matmul(a_panels[:, None], b_panels[None, :]), out=c_view)
+
+    if numeric:
+        c_view = c_plane.data.reshape(pm, pn, lm_max, ln_max)
+    for panels, delta in machine.round_classes(table, post_panel):
+        for panel in panels:
+            machine.post_round(delta)
+            if numeric:
+                multiply_panel(panel)
+            machine.commit_round()
 
     if not numeric:
         return ShapeToken((m, n))
-    c_global = np.zeros((m, n))
+    c_global = np.zeros((m, n), dtype=dtype)
     for i in range(pm):
         i0, i1 = i_ranges[i]
         for j in range(pn):

@@ -92,13 +92,6 @@ def _add_multiply_args(p_mult: argparse.ArgumentParser) -> None:
         ),
     )
     p_mult.add_argument(
-        "--compress-rounds", action="store_true",
-        help=(
-            "replay cached counter deltas for structurally identical rounds "
-            "(volume mode only; counters are byte-identical, runs much faster)"
-        ),
-    )
-    p_mult.add_argument(
         "--shards", type=int, default=1,
         help=(
             "shard the plane engine's numeric GEMMs across this many worker "
@@ -291,13 +284,6 @@ def _add_sweep_args(p_sweep: argparse.ArgumentParser) -> None:
         help="re-execute cached 'failed' records (successes still come from cache)",
     )
     p_sweep.add_argument(
-        "--compress-rounds", action="store_true",
-        help=(
-            "execute runs with steady-state round compression (volume mode "
-            "only); a pure speed knob -- records and cache keys are identical"
-        ),
-    )
-    p_sweep.add_argument(
         "--spec", default=None, metavar="SPEC.json",
         help=(
             "load the whole campaign (grid, algorithms, mode, seed) from a "
@@ -326,7 +312,6 @@ def _cmd_multiply(args: argparse.Namespace) -> int:
     result = multiply(
         a, b, processors=args.processors, memory_words=args.memory,
         algorithm=args.algorithm, mode=args.mode,
-        compress_rounds=args.compress_rounds,
         shards=args.shards, plane_dtype=args.plane_dtype,
     )
     print(f"problem              : C({args.m}x{args.n}) = A({args.m}x{args.k}) B({args.k}x{args.n})")
@@ -465,7 +450,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         result = run_campaign(
             spec, store=args.out, jobs=args.jobs, resume=args.resume,
-            retry_failures=args.retry_failures, compress_rounds=args.compress_rounds,
+            retry_failures=args.retry_failures,
             timeout_s=args.timeout_s, retry=retry,
             memory_budget_words=args.memory_budget,
             progress=heartbeat,

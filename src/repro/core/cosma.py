@@ -341,9 +341,10 @@ def _cosma_batched(
     width table is one broadcast expression; a maximal run of equal rows is a
     *round class*.  Each class is posted once (one batched ``post_transfers``
     plus one flop update) into a scratch counter set, and every round of the
-    class then adds that delta to the machine's counters -- so spans,
-    ``round_log`` and ``round_start_words`` mean what they mean on the
-    per-hop path, traced or not, ``compress_rounds`` on or off.
+    class then adds that delta to the machine's counters
+    (:meth:`DistributedMachine.round_classes`) -- so spans, ``round_log`` and
+    ``round_start_words`` mean what they mean on the per-hop path, traced or
+    not.
 
     In ``volume`` mode that is the whole story (payloads are tokens).  In
     ``plane`` mode the operands live in :class:`PayloadPlane` stacks:
@@ -450,7 +451,42 @@ def _cosma_batched(
     table = np.concatenate(
         [c1 - c0, w_a.reshape(num_rounds, -1), w_b.reshape(num_rounds, -1)], axis=1
     )
-    class_starts = np.flatnonzero(np.r_[True, (table[1:] != table[:-1]).any(axis=1)])
+
+    def post_class(delta: CommCounters, row: np.ndarray) -> None:
+        chunk_w = row[:pk]
+        class_w_a = row[pk : pk + pk * pn].reshape(pk, pn)
+        class_w_b = row[pk + pk * pn :].reshape(pk, pm)
+        src_parts: list[np.ndarray] = []
+        dst_parts: list[np.ndarray] = []
+        word_parts: list[np.ndarray] = []
+        flop_ranks: list[np.ndarray] = []
+        flop_amounts: list[np.ndarray] = []
+        for kk in np.flatnonzero(chunk_w):
+            if pn > 1:
+                active = class_w_a[kk] > 0
+                src_parts.append((a_srcs[:, active, :] + kk).ravel())
+                dst_parts.append((a_dsts[:, active, :] + kk).ravel())
+                word_parts.append(np.repeat(
+                    np.multiply.outer(lm, class_w_a[kk, active]).ravel(), pn - 1
+                ))
+            if pm > 1:
+                active = class_w_b[kk] > 0
+                src_parts.append((b_srcs[:, active, :] + kk).ravel())
+                dst_parts.append((b_dsts[:, active, :] + kk).ravel())
+                word_parts.append(np.repeat(
+                    np.multiply.outer(ln, class_w_b[kk, active]).ravel(), pm - 1
+                ))
+            flop_ranks.append(ranks_of_layer[kk])
+            flop_amounts.append(mn_outer * (2 * chunk_w[kk]))
+        if src_parts:
+            dsts = np.concatenate(dst_parts)
+            delta.post_transfers(
+                np.concatenate(src_parts), dsts, np.concatenate(word_parts),
+                kind="input", count_rounds=not use_rma,
+            )
+            if use_rma:
+                delta.add_rounds(dsts)
+        delta.add_flops(np.concatenate(flop_ranks), np.concatenate(flop_amounts))
 
     # The reference path checks memory at the end of every round, but the
     # rank stores (A_own / B_own / C_acc) do not change between rounds -- the
@@ -469,63 +505,14 @@ def _cosma_batched(
         if trace is not None
         else nullcontext()
     )
-    # One class at a time: its schedule is posted into the scratch counters,
-    # whose matrix is then the fields x p delta every round of the class adds.
-    scratch = CommCounters.for_ranks(machine.p)
-    data = machine.counters.matrix.data
     with accounting_span:
-        for first, stop in zip(class_starts, [*class_starts[1:], num_rounds]):
-            chunk_w = table[first, :pk]
-            class_w_a = table[first, pk : pk + pk * pn].reshape(pk, pn)
-            class_w_b = table[first, pk + pk * pn :].reshape(pk, pm)
-            src_parts: list[np.ndarray] = []
-            dst_parts: list[np.ndarray] = []
-            word_parts: list[np.ndarray] = []
-            flop_ranks: list[np.ndarray] = []
-            flop_amounts: list[np.ndarray] = []
-            for kk in np.flatnonzero(chunk_w):
-                if pn > 1:
-                    active = class_w_a[kk] > 0
-                    src_parts.append((a_srcs[:, active, :] + kk).ravel())
-                    dst_parts.append((a_dsts[:, active, :] + kk).ravel())
-                    word_parts.append(np.repeat(
-                        np.multiply.outer(lm, class_w_a[kk, active]).ravel(), pn - 1
-                    ))
-                if pm > 1:
-                    active = class_w_b[kk] > 0
-                    src_parts.append((b_srcs[:, active, :] + kk).ravel())
-                    dst_parts.append((b_dsts[:, active, :] + kk).ravel())
-                    word_parts.append(np.repeat(
-                        np.multiply.outer(ln, class_w_b[kk, active]).ravel(), pm - 1
-                    ))
-                flop_ranks.append(ranks_of_layer[kk])
-                flop_amounts.append(mn_outer * (2 * chunk_w[kk]))
-            scratch.reset()
-            hops = 0
-            if src_parts:
-                dsts = np.concatenate(dst_parts)
-                hops = len(dsts)
-                scratch.post_transfers(
-                    np.concatenate(src_parts), dsts, np.concatenate(word_parts),
-                    kind="input", count_rounds=not use_rma,
-                )
-                if use_rma:
-                    scratch.add_rounds(dsts)
-            scratch.add_flops(np.concatenate(flop_ranks), np.concatenate(flop_amounts))
-            volume = scratch.max_words_per_rank()
-
-            for chunk_index in range(first, stop):
+        for rounds, delta in machine.round_classes(table, post_class):
+            volume = delta.max_words_per_rank()
+            for chunk_index in rounds:
                 machine.counters.mark_round_start()
-                data += scratch.matrix.data
-                if trace is not None:
-                    trace.hops_batch(hops)
+                machine.post_round(delta)
                 round_volumes.append(volume)
                 machine.log_round(f"cosma-step-{chunk_index}")
-    if machine.compressor is not None:
-        # ``compress_rounds`` has nothing left to do here; its tallies still
-        # say how many rounds were posted and how many replayed a delta.
-        machine.compressor.executed_rounds += len(class_starts)
-        machine.compressor.replayed_rounds += num_rounds - len(class_starts)
 
     # ------------------------------------------------------------------
     # numerics: one GEMM over the whole k extent into the single C sheet

@@ -156,7 +156,6 @@ def _execute(
     reference: Callable[[], np.ndarray] | None = None,
     run_plan: Plan | None = None,
     options: Mapping | None = None,
-    compress_rounds: bool,
     shards: int,
     plane_dtype: str,
 ) -> tuple[np.ndarray | ShapeToken, CommCounters, bool, bool]:
@@ -164,7 +163,7 @@ def _execute(
     and :func:`repro.api.multiply`.
 
     Validates ``mode`` against the registry's capability flags, builds the
-    machine from the four execution-policy arguments, hands COSMA the grid
+    machine from the three execution-policy arguments, hands COSMA the grid
     ``run_plan`` already fitted (so the fitting search runs once per
     scenario, not once per plan *and* run), executes under a
     ``<span>:<algorithm>`` run span, asserts word conservation and -- for
@@ -184,7 +183,7 @@ def _execute(
         a_matrix, b_matrix = np.asarray(a_matrix), np.asarray(b_matrix)
     machine = DistributedMachine(
         scenario.p, memory_words=scenario.memory_words, mode=mode,
-        compress_rounds=compress_rounds, shards=shards, plane_dtype=plane_dtype,
+        shards=shards, plane_dtype=plane_dtype,
     )
     options = dict(options or {})
     if spec.name == "COSMA" and run_plan is not None and run_plan.feasible and run_plan.grid is not None:
@@ -224,6 +223,7 @@ def run_algorithm(
     seed: int = 0,
     verify: bool = True,
     mode: str = "legacy",
+    # Ignored: the frozen ledger layer machine.compress_replay_s still passes it; the [benchmark] re-baseline drops it.
     compress_rounds: bool = False,
     shards: int = 1,
     plane_dtype: str = "float64",
@@ -234,10 +234,7 @@ def run_algorithm(
     (:mod:`repro.algorithms`); the returned run carries the canonical name.
     ``mode`` selects the payload transport; in ``"volume"`` mode the inputs
     are shape tokens and numerical verification is skipped (counters only).
-    ``compress_rounds`` opts into steady-state round compression (effective
-    in volume mode only; counters are byte-identical either way, see
-    :class:`~repro.machine.counters.RoundCompressor`).  ``shards`` shards
-    the plane engine's numeric GEMMs over worker processes
+    ``shards`` shards the plane engine's numeric GEMMs over worker processes
     (:mod:`repro.machine.shard`; counters are byte-identical across shard
     counts) and ``plane_dtype`` selects the numeric payload dtype
     (verification uses dtype-appropriate relative tolerances).  Every run
@@ -258,7 +255,7 @@ def run_algorithm(
     _, counters, verified, correct = _execute(
         spec, scenario, *inputs, mode=mode, span="run", verify=verify,
         reference=lambda: _reference_product(shape, seed), run_plan=run_plan,
-        compress_rounds=compress_rounds, shards=shards, plane_dtype=plane_dtype,
+        shards=shards, plane_dtype=plane_dtype,
     )
     return AlgorithmRun(
         algorithm=spec.name,
@@ -285,7 +282,6 @@ def run_algorithm_safe(
     seed: int = 0,
     verify: bool = True,
     mode: str = "legacy",
-    compress_rounds: bool = False,
     shards: int = 1,
     plane_dtype: str = "float64",
 ) -> AlgorithmRun | RunFailure:
@@ -302,7 +298,7 @@ def run_algorithm_safe(
     try:
         return run_algorithm(
             name, scenario, seed=seed, verify=verify, mode=mode,
-            compress_rounds=compress_rounds, shards=shards, plane_dtype=plane_dtype,
+            shards=shards, plane_dtype=plane_dtype,
         )
     except Exception as exc:  # noqa: BLE001 - the point is to capture anything
         return RunFailure(
@@ -320,14 +316,10 @@ def run_scenario(
     seed: int = 0,
     verify: bool = True,
     mode: str = "legacy",
-    compress_rounds: bool = False,
 ) -> dict[str, AlgorithmRun]:
     """Run several algorithms on the same scenario (same input matrices)."""
     return {
-        name: run_algorithm(
-            name, scenario, seed=seed, verify=verify, mode=mode,
-            compress_rounds=compress_rounds,
-        )
+        name: run_algorithm(name, scenario, seed=seed, verify=verify, mode=mode)
         for name in algorithms
     }
 
@@ -339,7 +331,6 @@ def sweep(
     verify: bool = True,
     mode: str = "legacy",
     on_error: str = "raise",
-    compress_rounds: bool = False,
 ) -> list[AlgorithmRun | RunFailure]:
     """Run the full cross product of scenarios and algorithms.
 
@@ -354,12 +345,7 @@ def sweep(
     runs: list[AlgorithmRun | RunFailure] = []
     for scenario in scenarios:
         for name in algorithms:
-            runs.append(
-                runner(
-                    name, scenario, seed=seed, verify=verify, mode=mode,
-                    compress_rounds=compress_rounds,
-                )
-            )
+            runs.append(runner(name, scenario, seed=seed, verify=verify, mode=mode))
     return runs
 
 

@@ -17,8 +17,6 @@ from repro.machine.counters import (
     ConservationError,
     CounterMatrix,
     RankCounters,
-    RoundCompressor,
-    RoundDelta,
 )
 from repro.machine.memory import AccessStats, LRUCacheMemory, MemoryHierarchy
 from repro.machine.simulator import DistributedMachine, Rank
@@ -36,8 +34,6 @@ __all__ = [
     "CounterMatrix",
     "COUNTER_FIELDS",
     "RankCounters",
-    "RoundCompressor",
-    "RoundDelta",
     "ConservationError",
     "MODES",
     "ShapeToken",

@@ -93,44 +93,6 @@ def _post_hops(machine, order, hops, words, kind, combine: bool) -> None:
         machine.counters.add_flops(dsts, words)
 
 
-def post_broadcast(
-    machine: DistributedMachine,
-    root: int,
-    ranks: Sequence[int],
-    words: int,
-    kind: str = "input",
-) -> None:
-    """Counter-only accounting of a binomial broadcast of ``words`` words.
-
-    Posts the exact hop schedule :func:`broadcast` walks (one batched
-    ``post_transfers`` update), without delivering any payload.  Shared by
-    the ``volume`` branch of :func:`broadcast` and the plane-mode engines,
-    which deliver the payload separately via stacked-array gathers.
-    """
-    order = _reorder_for_root(ranks, root)
-    if machine.trace is not None:
-        machine.trace.collective("broadcast", len(order))
-    _post_hops(machine, order, broadcast_hops(len(order)), words, kind, combine=False)
-
-
-def post_reduce(
-    machine: DistributedMachine,
-    root: int,
-    ranks: Sequence[int],
-    words: int,
-    kind: str = "output",
-) -> None:
-    """Counter-only accounting of a binomial reduction of ``words``-word blocks.
-
-    Posts :func:`reduce`'s hop schedule plus one combine (``words`` flops)
-    per hop charged to the accumulating rank.
-    """
-    order = _reorder_for_root(ranks, root)
-    if machine.trace is not None:
-        machine.trace.collective("reduce", len(order))
-    _post_hops(machine, order, reduce_hops(len(order)), words, kind, combine=True)
-
-
 def broadcast(
     machine: DistributedMachine,
     root: int,

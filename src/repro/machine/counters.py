@@ -18,18 +18,17 @@ post_transfers`) instead of iterating Python ``Rank`` objects, and every
 machine-wide aggregate (totals, means, maxima, conservation, round deltas)
 is one vectorized numpy reduction.
 
-The matrix layout is also what makes steady-state **round compression**
-possible (:class:`RoundCompressor`): the counter delta of a whole
-communication round is a ``fields x p`` integer array that can be captured
-once and replayed with a single vectorized add for every structurally
-identical round that follows.  COSMA's batched engine knows its repeats up
-front (its round classes) and needs no cache: it posts a class into a scratch
-:class:`CommCounters` and adds that matrix once per round of the class.
+The matrix layout is also what makes **round classes** cheap: the counter
+delta of a whole communication round is a ``fields x p`` integer array, so a
+batched engine that knows its repeats up front posts each distinct round once
+into a scratch :class:`CommCounters` and adds that matrix once per round of
+the class (:meth:`DistributedMachine.round_classes
+<repro.machine.simulator.DistributedMachine.round_classes>`).
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -394,88 +393,3 @@ class CommCounters:
         """Deep copy of the current counters (for before/after diffing)."""
         return CommCounters(matrix=self.matrix.copy())
 
-
-# ---------------------------------------------------------------------------
-# Steady-state round compression
-# ---------------------------------------------------------------------------
-class RoundDelta:
-    """The counter delta of one executed communication round.
-
-    A ``fields x p`` integer array: everything one round added to the
-    machine's :class:`CounterMatrix`.  Replaying it is a single vectorized
-    add, byte-identical to re-executing the round's schedule.
-    """
-
-    __slots__ = ("data",)
-
-    def __init__(self, data: np.ndarray) -> None:
-        self.data = data
-
-
-class RoundCompressor:
-    """Replay cached counter deltas for structurally identical rounds.
-
-    Algorithms fingerprint each communication round (participants and payload
-    shapes -- anything that determines the round's schedule).  The first time
-    a fingerprint is seen its executed delta is captured; afterwards
-    :meth:`replay` applies the cached delta without re-executing the
-    schedule.  Only meaningful with counters-only payloads (``volume`` mode),
-    where skipping a round's execution loses no numerical state.
-
-    Cache keys are ``(previous fingerprint, fingerprint)`` pairs: the
-    ``round_start_words`` row of a round's delta depends on how many words
-    the *previous* round moved (``mark_round_start`` records a running
-    total), so a delta is only reused when the preceding round was
-    structurally identical too.  This is what makes the replayed counters
-    provably byte-identical to uncompressed execution.
-    """
-
-    #: Sentinel "no previous round" fingerprint.
-    _START: Hashable = object()
-
-    def __init__(self, counters: CommCounters) -> None:
-        self._counters = counters
-        self._cache: dict[tuple[Hashable, Hashable], RoundDelta] = {}
-        self._last_fp: Hashable = self._START
-        self._pending_fp: Hashable | None = None
-        self._start_data: np.ndarray | None = None
-        #: Rounds answered from the delta cache / executed for real.
-        self.replayed_rounds = 0
-        self.executed_rounds = 0
-
-    def replay(self, fingerprint: Hashable) -> RoundDelta | None:
-        """Replay the cached delta for ``fingerprint``, or begin capturing.
-
-        Returns the applied :class:`RoundDelta` on a cache hit (the caller
-        must then *skip* the round's execution), or ``None`` on a miss --
-        in which case capture starts and the caller must execute the round
-        and call :meth:`commit`.
-        """
-        delta = self._cache.get((self._last_fp, fingerprint))
-        if delta is not None:
-            self._counters.matrix.data += delta.data
-            self._last_fp = fingerprint
-            self.replayed_rounds += 1
-            return delta
-        self._pending_fp = fingerprint
-        self._start_data = self._counters.matrix.data.copy()
-        return None
-
-    def commit(self) -> RoundDelta:
-        """Capture the executed round's delta and cache it."""
-        if self._start_data is None:
-            raise RuntimeError("commit() without a preceding replay() miss")
-        delta = RoundDelta(self._counters.matrix.data - self._start_data)
-        self._cache[(self._last_fp, self._pending_fp)] = delta
-        self._last_fp = self._pending_fp
-        self._pending_fp = None
-        self._start_data = None
-        self.executed_rounds += 1
-        return delta
-
-    def clear(self) -> None:
-        """Drop every cached delta (counter reset, machine reuse)."""
-        self._cache.clear()
-        self._last_fp = self._START
-        self._pending_fp = None
-        self._start_data = None

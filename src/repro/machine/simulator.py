@@ -47,7 +47,7 @@ ever reads payload shapes:
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -61,8 +61,6 @@ from repro.machine.counters import (
     WORDS_SENT,
     CommCounters,
     RankCounters,
-    RoundCompressor,
-    RoundDelta,
 )
 from repro.machine.topology import MachineSpec, laptop_spec
 from repro.machine.transport import (
@@ -149,20 +147,6 @@ class DistributedMachine:
         (shared read-only views), ``"plane"`` (stacked-array numerics) or
         ``"volume"`` (counters-only shape tokens); see the module docstring
         and :mod:`repro.machine.transport`.
-    compress_rounds:
-        Opt into steady-state round compression: SUMMA's and Cannon's
-        batched engines fingerprint each communication round and, when
-        consecutive rounds repeat, the cached batched counter delta is
-        replayed instead of re-executing the schedule
-        (:class:`~repro.machine.counters.RoundCompressor`).  Counters are
-        byte-identical to uncompressed execution; only active with
-        counters-only payloads (``volume`` mode) -- silently ignored
-        otherwise, because replaying a round would skip real data movement.
-        Replayed rounds do not appear in ``round_log``.  COSMA's batched
-        engine posts each distinct round once whatever this flag says (it
-        never consults :meth:`replay_round`, and every round is logged); it
-        only feeds the compressor's ``executed_rounds`` /
-        ``replayed_rounds`` tallies.
     shards:
         Numeric execution policy for plane-mode algorithms: the number of
         worker processes the batched GEMMs are sharded across
@@ -170,8 +154,7 @@ class DistributedMachine:
         in-process engine -- no pool, no shared memory.  Counters are
         byte-identical across shard counts because all accounting stays in
         the parent on the :class:`~repro.machine.counters.CounterMatrix`
-        path; like ``compress_rounds``, shards never participates in a
-        run's identity key.
+        path; shards never participates in a run's identity key.
     plane_dtype:
         Element dtype for numeric payloads/planes (``"float64"`` default,
         ``"float32"`` opt-in).  Counters are dtype-independent (words are
@@ -186,7 +169,6 @@ class DistributedMachine:
         spec: MachineSpec | None = None,
         enforce_memory: bool = False,
         mode: str = "legacy",
-        compress_rounds: bool = False,
         shards: int = 1,
         plane_dtype: str = "float64",
     ) -> None:
@@ -208,11 +190,6 @@ class DistributedMachine:
         #: posting a name again replaces it (as :meth:`Rank.put` does).
         self._posted: dict[str, np.ndarray] = {}
         self._ranks: list[Rank] | None = None
-        self.compressor: RoundCompressor | None = (
-            RoundCompressor(self.counters)
-            if compress_rounds and self.transport.counters_only
-            else None
-        )
         self.peak_resident_words = 0
         #: Log of (round_label, participating_ranks) entries, useful for debugging.
         self.round_log: list[str] = []
@@ -286,9 +263,6 @@ class DistributedMachine:
             name, PayloadPlane(name, shape=shape, dtype=self.transport.dtype),
             replace=True,
         )
-
-    def get_plane(self, name: str) -> PayloadPlane:
-        return self.planes[name]
 
     def post_flops(self, ranks, amounts) -> None:
         """Batched flop accounting: the plane-mode counterpart of the per-rank
@@ -529,40 +503,43 @@ class DistributedMachine:
             self.trace.end_round(label, self.peak_resident_words)
 
     # ------------------------------------------------------------------
-    # steady-state round compression
+    # round classes
     # ------------------------------------------------------------------
-    def replay_round(self, fingerprint) -> RoundDelta | None:
-        """Replay a structurally identical round from the compressor cache.
+    def round_classes(
+        self, table: np.ndarray, post_class: Callable[[CommCounters, np.ndarray], None]
+    ) -> Iterator[tuple[range, CommCounters]]:
+        """Post every maximal run of equal ``table`` rows once (a round class).
 
-        ``fingerprint`` must uniquely determine the round's communication
-        schedule (participants, payload shapes, local compute) for the
-        algorithm running on this machine.  Returns the applied
-        :class:`~repro.machine.counters.RoundDelta` on a hit -- the caller
-        skips the round's body -- or ``None``, in which case the round must
-        execute and end with :meth:`commit_round`.  Always ``None`` when
-        compression is inactive (``compress_rounds=False`` or a transport
-        that carries real payloads).
+        Row ``r`` of ``table`` must determine round ``r``'s whole schedule
+        (participants, payload sizes, flops); steady-state schedules repeat
+        rows by construction.  For each run, ``post_class(delta, row)`` posts
+        one round's transfers and flops into the zeroed scratch counter set
+        ``delta`` and ``(rounds, delta)`` is yielded: the engine calls
+        :meth:`post_round` once per round and keeps everything else it does
+        at a round boundary (``log_round`` / ``commit_round``, memory checks,
+        numerics) per round.  The scratch set is reused from run to run.
         """
-        if self.compressor is None:
-            return None
-        delta = self.compressor.replay(fingerprint)
-        # Replayed rounds skip log_round; emit their span here so a traced
-        # compressed run still shows one span per counted round.
-        if delta is not None and self.trace is not None:
-            self.trace.end_round("replay", self.peak_resident_words, replayed=True)
-        return delta
+        delta = CommCounters.for_ranks(self.p)
+        starts = np.flatnonzero(np.r_[True, (table[1:] != table[:-1]).any(axis=1)])
+        for first, stop in zip(starts, [*starts[1:], len(table)]):
+            delta.reset()
+            post_class(delta, table[first])
+            yield range(first, stop), delta
+
+    def post_round(self, delta: CommCounters) -> None:
+        """Add one round of a class to the counters: a single vectorized add,
+        byte-identical to posting the round's schedule again."""
+        self.counters.matrix.data += delta.matrix.data
+        if self.trace is not None:
+            self.trace.hops_batch(delta.total_messages)
 
     def commit_round(self) -> None:
-        """Capture the just-executed round's counter delta for future replays."""
+        """Round boundary for algorithms that do not label rounds with :meth:`log_round`."""
         if self.trace is not None:
             self.trace.commit_round(self.peak_resident_words)
-        if self.compressor is not None:
-            self.compressor.commit()
 
     def reset_counters(self) -> None:
         self.counters.reset()
-        if self.compressor is not None:
-            self.compressor.clear()
         self._resident[...] = 0
         self._posted.clear()
         for rank in self._ranks or ():

@@ -290,10 +290,8 @@ class PayloadPlane:
 
     ``data`` has shape ``(slots, rows, cols)``: each slot is one 2-D sheet of
     the operand (one rank's block, or one reduction layer shared by a fiber
-    of ranks).  A rank's handle on the operand is a rectangular *view* into a
-    sheet (:meth:`attach` / :meth:`block`), so rank stores and memory
-    accounting see ordinary per-rank payloads while the engine operates on
-    the whole stack at once:
+    of ranks).  A rank's block is a rectangular region of a sheet; the engine
+    operates on the whole stack at once:
 
     * collective delivery = fancy-indexed / strided gather into ``data``;
     * per-round local multiplies = one batched ``np.matmul`` over the
@@ -305,10 +303,10 @@ class PayloadPlane:
     (:meth:`~repro.machine.simulator.DistributedMachine.register_plane`);
     sheets may be zero-padded to a uniform shape -- padding rows/columns stay
     zero and therefore never contribute to a product or a reduction, while
-    all counter accounting is derived from the attached views' true shapes.
+    all counter accounting is derived from the blocks' true shapes.
     """
 
-    __slots__ = ("name", "data", "_views")
+    __slots__ = ("name", "data")
 
     def __init__(self, name: str, shape: Sequence[int] | None = None,
                  data: np.ndarray | None = None, dtype=None) -> None:
@@ -322,28 +320,10 @@ class PayloadPlane:
             raise ValueError(f"a plane is a stack of 2-D sheets, got shape {data.shape}")
         self.name = str(name)
         self.data = data
-        #: rank -> (slot, row slice, column slice)
-        self._views: dict[int, tuple[int, slice, slice]] = {}
 
     @property
     def slots(self) -> int:
         return int(self.data.shape[0])
-
-    def attach(self, rank: int, slot: int, rows: slice = slice(None),
-               cols: slice = slice(None)) -> np.ndarray:
-        """Declare ``rank``'s block to be ``data[slot][rows, cols]``; return the view."""
-        if not 0 <= int(slot) < self.slots:
-            raise IndexError(f"slot {slot} out of range for plane with {self.slots} slots")
-        self._views[int(rank)] = (int(slot), rows, cols)
-        return self.block(rank)
-
-    def block(self, rank: int) -> np.ndarray:
-        """The (true-shape, writable) view of ``rank``'s block."""
-        slot, rows, cols = self._views[int(rank)]
-        return self.data[slot][rows, cols]
-
-    def attached_ranks(self) -> tuple[int, ...]:
-        return tuple(self._views)
 
     def reduce_slots(self) -> np.ndarray:
         """Sum the stacked sheets: one ``np.add.reduce`` over the slot axis."""

@@ -23,7 +23,7 @@ registered algorithm.
 :class:`MachineTrace` is the per-machine accumulator the simulator attaches
 at construction when tracing is active: it aggregates one round's hop count,
 collective kinds and payload deliveries, and emits one ``"round"`` span per
-round (replayed compressed rounds included) carrying the round's posted
+round (every round of a round class included) carrying the round's posted
 words, flops and resident-words high-water.
 """
 
@@ -196,13 +196,12 @@ class MachineTrace:
         if self._dirty():
             self.end_round("round", peak_resident_words)
 
-    def end_round(self, label: str, peak_resident_words: int,
-                  replayed: bool = False) -> None:
+    def end_round(self, label: str, peak_resident_words: int) -> None:
         """Close the current round: emit one span, reset per-round state.
 
-        Called from ``machine.log_round`` (executed rounds) and
-        ``machine.replay_round`` (compressed replays), so a traced run emits
-        at least one span per counted round either way.
+        Called from ``machine.log_round`` and (through :meth:`commit_round`)
+        ``machine.commit_round``, so a traced run emits at least one span
+        per counted round.
         """
         now = self.tracer.now_ns()
         words = int(self._data[WORDS_SENT].sum())
@@ -218,8 +217,6 @@ class MachineTrace:
         }
         if self._collectives:
             args["collectives"] = dict(self._collectives)
-        if replayed:
-            args["replayed"] = True
         self.tracer.complete("round", "round", self._round_start_ns,
                              now - self._round_start_ns, args)
         self.rounds += 1

@@ -61,7 +61,7 @@ import threading
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -250,7 +250,6 @@ def execute_request(request: RunRequest) -> dict:
         seed=request.seed,
         verify=request.verify,
         mode=request.mode,
-        compress_rounds=request.compress_rounds,
         shards=request.shards,
         plane_dtype=request.plane_dtype,
     )
@@ -660,7 +659,6 @@ def run_campaign(
     resume: bool = True,
     retry_failures: bool = False,
     prune: bool = True,
-    compress_rounds: bool = False,
     progress: Callable[[dict, bool], None] | None = None,
     timeout_s: float | None = None,
     retry: RetryPolicy | None = None,
@@ -701,11 +699,6 @@ def run_campaign(
         point violates the parallel schedule's ``p*S >= mn + mk + nk``
         precondition, not a crash prediction (the lenient simulator would
         execute it); pass ``prune=False`` to execute such points anyway.
-    compress_rounds:
-        Execute every run with steady-state round compression (volume mode
-        only; a pure speed knob).  Counters -- and therefore records, keys
-        and tidy rows -- are byte-identical with or without it, so cached
-        results remain valid across the flag.
     progress:
         Optional callback invoked as ``progress(record, from_cache)`` after
         every request resolves, in expansion order for cached entries and in
@@ -744,11 +737,6 @@ def run_campaign(
         requests = spec.expand()
     else:
         requests = list(spec)
-    if compress_rounds:
-        requests = [
-            request if request.compress_rounds else replace(request, compress_rounds=True)
-            for request in requests
-        ]
     if store is None or isinstance(store, (str, bytes)) or hasattr(store, "__fspath__"):
         store = ResultStore(store if store is not None else DEFAULT_STORE_PATH, faults=faults)
     elif faults is not None and store.faults is None:

@@ -37,16 +37,14 @@ REGIMES = ("strong", "limited", "extra")
 class RunRequest:
     """One executable point of a campaign: algorithm x scenario x mode.
 
-    ``compress_rounds`` is an execution policy, not part of the run's
-    identity: compressed and uncompressed executions produce byte-identical
-    counters (guarded by the golden sweep and the compression-parity tests),
-    so it deliberately does not participate in :attr:`key` -- a cached
-    uncompressed record answers a compressed request and vice versa.  The
-    same holds for ``shards`` (the plane engine's worker-process count:
-    counters byte-identical, products ``allclose`` across shard counts) and
-    for the campaign's fault-tolerance knobs (retry policy, deadlines,
-    fault injection): attempt counts and injected faults never participate
-    in keys (see the contract in :mod:`repro.sweeps`).
+    ``shards`` (the plane engine's worker-process count) is an execution
+    policy, not part of the run's identity: counters are byte-identical and
+    products ``allclose`` across shard counts, so it deliberately does not
+    participate in :attr:`key` -- a cached one-shard record answers a sharded
+    request and vice versa.  The same holds for the campaign's
+    fault-tolerance knobs (retry policy, deadlines, fault injection): attempt
+    counts and injected faults never participate in keys (see the contract
+    in :mod:`repro.sweeps`).
 
     ``plane_dtype`` *does* participate in the key: a float32 run's product
     (and verification outcome) is not interchangeable with a float64 run's.
@@ -57,7 +55,6 @@ class RunRequest:
     mode: str = "volume"
     seed: int = 0
     verify: bool = True
-    compress_rounds: bool = False
     shards: int = 1
     plane_dtype: str = "float64"
 
@@ -75,7 +72,6 @@ class RunRequest:
             "mode": self.mode,
             "seed": self.seed,
             "verify": self.verify,
-            "compress_rounds": self.compress_rounds,
             "shards": self.shards,
             "plane_dtype": self.plane_dtype,
         }
@@ -88,7 +84,6 @@ def request_from_dict(data: Mapping) -> RunRequest:
         mode=data["mode"],
         seed=data["seed"],
         verify=data["verify"],
-        compress_rounds=bool(data.get("compress_rounds", False)),
         shards=int(data.get("shards", 1)),
         plane_dtype=str(data.get("plane_dtype", "float64")),
     )

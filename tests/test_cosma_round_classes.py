@@ -1,21 +1,27 @@
-"""COSMA's batched engine posts each distinct round once (round classes).
+"""Batched engines post each distinct round once (round classes).
 
-The engine's contract is that nobody can tell: raw counter bytes, round
-volumes, the resident peak and the per-round spans equal the per-hop
-``legacy`` loop's, with one-sided gets or tree broadcasts, on a fresh machine
-or one that already holds counters, traced or not, ``compress_rounds`` on or
-off.  The plane-mode product comes from one GEMM into a single C sheet.
+The engines' contract is that nobody can tell: raw counter bytes, the
+resident peak, the per-round spans (and COSMA's round volumes) equal the
+per-hop ``legacy`` loop's, in ``volume`` and in ``plane`` mode, on a fresh
+machine or one that already holds counters, traced or not.  COSMA posts its
+overlap-width classes (with one-sided gets or tree broadcasts; its plane-mode
+product comes from one GEMM into a single C sheet), SUMMA its panel classes,
+Cannon "steady shift round" and "final round" -- all through
+``DistributedMachine.round_classes``.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import get_algorithm
+from repro.baselines.cannon import cannon_multiply
+from repro.baselines.summa import summa_multiply
 from repro.core.cosma import cosma_multiply
 from repro.core.grid import ProcessorGrid
 from repro.experiments.harness import run_algorithm
+from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import ShapeToken, allclose_tolerances
 from repro.obs import tracing
@@ -23,13 +29,11 @@ from repro.workloads.scaling import Scenario
 from repro.workloads.shapes import square_shape
 
 
-def _run(m, n, k, grid, idle, memory_words, mode, use_rma=False, runs=1,
-         compress_rounds=False, plane_dtype="float64", shards=1):
-    """``runs`` COSMA multiplications on one machine; the machine and the last result."""
-    p = grid.p_used + idle
+def _run_on(multiply, m, n, k, p, memory_words, mode, runs=1,
+            plane_dtype="float64", shards=1):
+    """``runs`` calls of ``multiply(a, b, machine)`` on one machine; it and the last result."""
     machine = DistributedMachine(
-        p, memory_words=memory_words, mode=mode, compress_rounds=compress_rounds,
-        plane_dtype=plane_dtype, shards=shards,
+        p, memory_words=memory_words, mode=mode, plane_dtype=plane_dtype, shards=shards,
     )
     if mode == "volume":
         a, b = ShapeToken((m, k)), ShapeToken((k, n))
@@ -37,18 +41,40 @@ def _run(m, n, k, grid, idle, memory_words, mode, use_rma=False, runs=1,
         rng = np.random.default_rng(0)
         a, b = rng.random((m, k)), rng.random((k, n))
     for _ in range(runs):
-        result = cosma_multiply(a, b, p, memory_words, machine=machine, grid=grid,
-                                use_rma=use_rma)
+        result = multiply(a, b, machine)
     return machine, result
+
+
+def _run(m, n, k, grid, idle, memory_words, mode, use_rma=False, **options):
+    """COSMA on an explicit grid plus ``idle`` ranks."""
+    p = grid.p_used + idle
+
+    def multiply(a, b, machine):
+        return cosma_multiply(a, b, p, memory_words, machine=machine, grid=grid,
+                              use_rma=use_rma)
+
+    return _run_on(multiply, m, n, k, p, memory_words, mode, **options)
 
 
 def _observables(machine, result):
     return (
         machine.counters.matrix.data.tobytes(),
-        result.num_rounds,
-        result.round_volumes,
-        result.peak_resident_words,
+        machine.peak_resident_words,
+        # COSMA's result also reports its rounds.
+        getattr(result, "num_rounds", None),
+        getattr(result, "round_volumes", None),
+        getattr(result, "peak_resident_words", None),
     )
+
+
+def _round_spans(run, *args, **options):
+    """The traced round spans of ``run(*args, **options)`` and what it returned."""
+    with tracing() as tracer:
+        outcome = run(*args, **options)
+    return [
+        {key: span_args[key] for key in ("label", "words_posted", "flops", "hops")}
+        for _name, _cat, _start, _dur, span_args, _track in tracer.spans("round")
+    ], outcome
 
 
 @st.composite
@@ -85,34 +111,12 @@ def test_machine_entered_with_counters(use_rma):
     assert _observables(*_run(*problem, mode="volume", use_rma=use_rma, runs=2)) == reference
 
 
-def _round_spans(problem, mode, **options):
-    with tracing() as tracer:
-        _run(*problem, mode=mode, **options)
-    return [
-        {key: args[key] for key in ("label", "words_posted", "flops", "hops")}
-        for _name, _cat, _start, _dur, args, _track in tracer.spans("round")
-    ]
-
-
 @pytest.mark.parametrize("use_rma", [False, True])
 def test_traced_spans_equal_the_per_hop_loops(use_rma):
     problem = (13, 11, 47, ProcessorGrid(2, 3, 3), 1, 55)  # step 2: 8 rounds, uneven layers
-    reference = _round_spans(problem, "legacy", use_rma=use_rma)
+    reference, _ = _round_spans(_run, *problem, mode="legacy", use_rma=use_rma)
     assert len(reference) > 5
-    assert _round_spans(problem, "volume", use_rma=use_rma) == reference
-    assert _round_spans(problem, "volume", use_rma=use_rma, compress_rounds=True) == reference
-
-
-def test_compress_rounds_changes_nothing():
-    problem = (13, 11, 47, ProcessorGrid(2, 3, 3), 1, 55)  # step 2: 8 rounds, uneven layers
-    plain_machine, plain = _run(*problem, mode="volume")
-    machine, compressed = _run(*problem, mode="volume", compress_rounds=True)
-    assert _observables(machine, compressed) == _observables(plain_machine, plain)
-    assert machine.round_log == plain_machine.round_log
-    # The tallies come from the class counts: every round is one or the other.
-    tallies = machine.compressor
-    assert tallies.executed_rounds + tallies.replayed_rounds == compressed.num_rounds
-    assert 0 < tallies.executed_rounds < compressed.num_rounds
+    assert _round_spans(_run, *problem, mode="volume", use_rma=use_rma)[0] == reference
 
 
 def test_top_of_the_strong_scaling_range():
@@ -133,7 +137,7 @@ def test_plane_product_from_the_single_sheet(plane_dtype, shards):
     m, n, k = 37, 29, 83
     machine, result = _run(m, n, k, ProcessorGrid(2, 3, 3), 0, 4000, mode="plane",
                            plane_dtype=plane_dtype, shards=shards)
-    assert machine.get_plane("cosma.C").data.shape == (1, m, n)
+    assert machine.planes["cosma.C"].data.shape == (1, m, n)
     assert result.matrix.dtype == np.dtype(plane_dtype)
     rng = np.random.default_rng(0)
     expected = rng.random((m, k)) @ rng.random((k, n))
@@ -141,3 +145,87 @@ def test_plane_product_from_the_single_sheet(plane_dtype, shards):
     assert np.allclose(result.matrix, expected, rtol=rtol, atol=atol_unit * k)
     reference = _observables(*_run(m, n, k, ProcessorGrid(2, 3, 3), 0, 4000, mode="legacy"))
     assert _observables(machine, result) == reference
+
+
+# ---------------------------------------------------------------------------
+# SUMMA and Cannon: the same contract through the same helpers
+# ---------------------------------------------------------------------------
+def _assert_engines_equal_the_per_hop_loop(multiply, m, n, k, p):
+    """``volume`` and ``plane`` against ``legacy``: one run, two runs, traced."""
+    args = (multiply, m, n, k, p, 1 << 20)
+    legacy_machine, oracle = _run_on(*args, mode="legacy")
+    once = _observables(legacy_machine, oracle)
+    twice = _observables(*_run_on(*args, mode="legacy", runs=2))
+    spans, _ = _round_spans(_run_on, *args, mode="legacy")
+    for mode in ("volume", "plane"):
+        machine, result = _run_on(*args, mode=mode)
+        assert _observables(machine, result) == once, mode
+        assert _observables(*_run_on(*args, mode=mode, runs=2)) == twice, mode
+        traced_spans, traced = _round_spans(_run_on, *args, mode=mode)
+        assert traced_spans == spans, mode
+        assert _observables(*traced) == once, mode
+    # (Not A @ B: Cannon without the skew models a pre-skewed layout.)
+    assert np.allclose(result.matrix, oracle.matrix, rtol=1e-10, atol=1e-8 * k)
+
+
+@st.composite
+def summa_problems(draw):
+    """``(m, n, k, (pm, pn), panel width, idle ranks)``; grids are drawn, not
+    fitted, so pm = 1 and pn = 1 occur, k may be smaller than the grid (empty
+    ownership slices) and the panel runs from one column to wider than k."""
+    pm, pn = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    k = draw(st.integers(1, 50))
+    return (draw(st.integers(pm, 20)), draw(st.integers(pn, 20)), k, (pm, pn),
+            draw(st.integers(1, k + 3)), draw(st.integers(0, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=summa_problems())
+@example(problem=(13, 11, 47, (2, 3), 1, 0))    # one-column panels: 47 rounds
+@example(problem=(13, 11, 47, (2, 3), 30, 1))   # panels wider than an ownership slice, idle rank
+@example(problem=(13, 11, 47, (2, 3), 5, 2))    # k not a multiple of the panel width
+@example(problem=(9, 14, 31, (1, 4), 3, 0))     # pm = 1: no B broadcasts
+@example(problem=(9, 14, 31, (4, 1), 3, 1))     # pn = 1: no A broadcasts
+@example(problem=(7, 5, 2, (3, 4), 1, 0))       # k < pm, pn: empty ownership slices
+def test_summa_equals_the_per_hop_loop(problem):
+    m, n, k, grid, panel_width, idle = problem
+    p = grid[0] * grid[1] + idle
+
+    def multiply(a, b, machine):
+        return summa_multiply(a, b, p, machine=machine, grid=grid, panel_width=panel_width)
+
+    _assert_engines_equal_the_per_hop_loop(multiply, m, n, k, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 20), st.integers(1, 20), st.integers(1, 20)),
+    p=st.integers(1, 11),  # q = 1, 2, 3, with and without idle ranks
+    skew=st.booleans(),
+)
+@example(shape=(12, 12, 12), p=1, skew=True)    # q = 1: the final round is the only round
+@example(shape=(13, 11, 7), p=4, skew=False)    # q = 2, pre-skewed layout, padded blocks
+@example(shape=(13, 11, 7), p=11, skew=True)    # q = 3 and two idle ranks
+def test_cannon_equals_the_per_hop_loop(shape, p, skew):
+    def multiply(a, b, machine):
+        return cannon_multiply(a, b, p, machine=machine, skew=skew)
+
+    _assert_engines_equal_the_per_hop_loop(multiply, *shape, p)
+
+
+def test_many_panel_summa_posts_once_per_class(monkeypatch):
+    """500 one-to-three-column panels are a handful of classes, not 167 postings."""
+    posts = []
+    post_transfers = CommCounters.post_transfers
+    monkeypatch.setattr(
+        CommCounters, "post_transfers",
+        lambda self, *args, **kwargs: posts.append(1) or post_transfers(self, *args, **kwargs),
+    )
+    pm, pn = 2, 4
+
+    def multiply(a, b, machine):
+        return summa_multiply(a, b, pm * pn, machine=machine, grid=(pm, pn), panel_width=3)
+
+    machine, _ = _run_on(multiply, 16, 16, 500, pm * pn, 1 << 20, mode="volume")
+    assert machine.counters.max_rounds() > 167  # every panel was counted ...
+    assert 1 < len(posts) <= 2 * (pm + pn) + 2  # ... but posted once per class

@@ -140,12 +140,10 @@ class TestPlaneEngine:
         a, b = scenario.shape.random_matrices(seed=0)
         product = get_algorithm("COSMA").runner(a, b, scenario, machine)
         assert set(machine.planes) == {"cosma.A", "cosma.B", "cosma.C"}
-        # The C plane is one sheet and the product is that sheet, not a copy;
-        # ranks hold nothing (residency is posted, not stored).
-        c_plane = machine.get_plane("cosma.C")
+        # The C plane is one sheet and the product is that sheet, not a copy.
+        c_plane = machine.planes["cosma.C"]
         assert c_plane.data.shape == (1, scenario.shape.m, scenario.shape.n)
         assert np.shares_memory(product, c_plane.data)
-        assert c_plane.attached_ranks() == ()
 
     def test_plane_harness_run_is_verified(self):
         scenario = limited_memory_sweep("square", [9], 2048)[0]
@@ -306,12 +304,12 @@ class TestPlaneDtype:
         b32 = np.ascontiguousarray(b, dtype=np.float32)
         product = get_algorithm("COSMA").runner(a32, b32, scenario, machine)
         assert product.dtype == np.float32
-        a_plane = machine.get_plane("cosma.A")
+        a_plane = machine.planes["cosma.A"]
         assert a_plane.data.dtype == np.float32
         # Shared memory proves no dtype conversion (a float64 round-trip
         # would have allocated a new buffer).
         assert np.shares_memory(a_plane.data, a32)
-        assert machine.get_plane("cosma.C").data.dtype == np.float32
+        assert machine.planes["cosma.C"].data.dtype == np.float32
 
     def test_local_multiply_keeps_float32_operands_float32(self):
         machine = DistributedMachine(2, memory_words=4096, plane_dtype="float32")
@@ -343,6 +341,19 @@ class TestPlaneDtype:
     def test_harness_verifies_float32_at_relative_tolerance(self):
         run = run_algorithm("COSMA", self.SCENARIO, mode="plane", plane_dtype="float32")
         assert run.verified and run.correct
+
+    @pytest.mark.parametrize("name", sorted(registered_algorithms()))
+    def test_every_engine_returns_a_verified_float32_product(self, name):
+        """float32 means one thing: float32 operands, GEMMs and product, float32 tolerances."""
+        scenario = self.SCENARIO
+        run = run_algorithm(name, scenario, mode="plane", plane_dtype="float32")
+        assert run.verified and run.correct
+        machine = DistributedMachine(
+            scenario.p, memory_words=scenario.memory_words, mode="plane",
+            plane_dtype="float32",
+        )
+        a, b = scenario.shape.random_matrices(seed=0)
+        assert get_algorithm(name).runner(a, b, scenario, machine).dtype == np.float32
 
     def test_unknown_plane_dtype_rejected(self):
         with pytest.raises(ValueError, match="unsupported plane dtype"):

@@ -72,6 +72,12 @@ class TestHarness:
                 continue
             assert cosma <= run.mean_received_per_rank * 1.3
 
+    @pytest.mark.parametrize("name", sorted(registered_algorithms()))
+    def test_retired_compress_rounds_keyword_is_accepted_and_ignored(self, name, small_scenario):
+        # Kept for the frozen ledger layer that still passes it (see run_algorithm).
+        assert run_algorithm(name, small_scenario, mode="volume", compress_rounds=True) == \
+            run_algorithm(name, small_scenario, mode="volume")
+
     def test_sweep_cross_product(self):
         scenarios = strong_scaling_sweep(square_shape(16), [2, 4], memory_words=4096)
         runs = sweep(scenarios, algorithms=("COSMA", "CARMA"), verify=False)

@@ -7,8 +7,6 @@ from repro.machine.collectives import (
     allgather,
     allreduce,
     broadcast,
-    post_broadcast,
-    post_reduce,
     reduce,
     reduce_scatter_blocks,
     ring_shift,
@@ -20,36 +18,6 @@ from repro.machine.simulator import DistributedMachine
 @pytest.fixture
 def machine():
     return DistributedMachine(8, memory_words=1 << 16)
-
-
-class TestCounterOnlyPosting:
-    """post_broadcast / post_reduce must match the executed collectives.
-
-    These are the plane-engine entry points: an algorithm ports to plane
-    mode by posting the tree schedule through them while delivering the
-    payload via stacked-array gathers.
-    """
-
-    def test_post_broadcast_matches_broadcast(self):
-        executed = DistributedMachine(8, memory_words=1 << 16)
-        block = np.ones((3, 5))
-        broadcast(executed, 2, [1, 2, 4, 7], block)
-        posted = DistributedMachine(8, memory_words=1 << 16)
-        post_broadcast(posted, 2, [1, 2, 4, 7], int(block.size))
-        assert [r.counters.copy() for r in posted.ranks] == [
-            r.counters.copy() for r in executed.ranks
-        ]
-
-    def test_post_reduce_matches_reduce(self):
-        executed = DistributedMachine(8, memory_words=1 << 16)
-        ranks = [0, 3, 5, 6]
-        blocks = {r: np.full((2, 2), float(r)) for r in ranks}
-        reduce(executed, 3, ranks, blocks)
-        posted = DistributedMachine(8, memory_words=1 << 16)
-        post_reduce(posted, 3, ranks, 4)
-        assert [r.counters.copy() for r in posted.ranks] == [
-            r.counters.copy() for r in executed.ranks
-        ]
 
 
 class TestBroadcast:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.machine.counters import CommCounters, RankCounters
 from repro.machine.simulator import DistributedMachine, LocalMemoryExceededError
+from repro.obs import tracing
 
 
 class TestRankCounters:
@@ -17,6 +18,17 @@ class TestRankCounters:
         clone = counters.copy()
         clone.words_sent = 100
         assert counters.words_sent == 5
+
+    def test_dataclass_style_construction(self):
+        # RankCounters predates the CounterMatrix and was a dataclass;
+        # positional field order and duplicate rejection must survive.
+        counters = RankCounters(5, 7)
+        assert counters.words_sent == 5
+        assert counters.words_received == 7
+        with pytest.raises(TypeError):
+            RankCounters(5, words_sent=1)
+        with pytest.raises(TypeError):
+            RankCounters(unknown_field=1)
 
 
 class TestCommCounters:
@@ -274,72 +286,51 @@ class TestBatchedCounterEngine:
         assert isinstance(counters.max_messages_per_rank(), int)
 
 
-class TestRoundCompression:
-    """The machine-level replay/commit protocol."""
+class TestRoundClasses:
+    """``round_classes`` / ``post_round``: post a run of equal rows once, add it per round."""
 
-    def _round(self, machine):
-        machine.send(0, 1, machine.zeros((3, 3)))
-        machine.send(1, 2, machine.zeros((2, 2)))
+    @staticmethod
+    def _post(counters, row):
+        # Row = (words 0 -> 1, words 1 -> 2); a zero entry posts nothing.
+        pairs = [(src, src + 1, int(words)) for src, words in enumerate(row) if words]
+        counters.post_transfers(
+            [src for src, _, _ in pairs], [dst for _, dst, _ in pairs],
+            [words for _, _, words in pairs],
+        )
+        counters.add_flops([2], 10 * int(row.sum()))
 
-    def test_replay_requires_volume_mode(self):
-        machine = DistributedMachine(2, mode="legacy", compress_rounds=True)
-        assert machine.compressor is None
-        assert machine.replay_round("fp") is None
+    def test_each_run_is_posted_once_and_replayed_per_round(self):
+        table = np.array([[9, 4], [9, 4], [9, 0], [9, 0], [9, 0], [9, 4]])
+        posted = []
 
-    def test_identical_consecutive_rounds_replay(self):
-        compressed = DistributedMachine(3, mode="volume", compress_rounds=True)
+        def post_class(delta, row):
+            posted.append(tuple(row))
+            self._post(delta, row)
+
+        classed = DistributedMachine(3, mode="volume")
         plain = DistributedMachine(3, mode="volume")
-        for _ in range(5):
-            if compressed.replay_round("steady") is None:
-                self._round(compressed)
-                compressed.commit_round()
-            self._round(plain)
-        assert [r.counters.copy() for r in compressed.ranks] == [
-            r.counters.copy() for r in plain.ranks
-        ]
-        # Round 1 executes, round 2 executes (different predecessor), 3-5 replay.
-        assert compressed.compressor.executed_rounds == 2
-        assert compressed.compressor.replayed_rounds == 3
-
-    def test_round_start_words_stays_identical(self):
-        # mark_round_start couples a round's delta to its predecessor; the
-        # (prev, cur) cache keying must keep the bookkeeping byte-identical.
-        compressed = DistributedMachine(3, mode="volume", compress_rounds=True)
-        plain = DistributedMachine(3, mode="volume")
-        for i in range(6):
-            fp = "warmup" if i == 0 else "steady"
-            if compressed.replay_round(fp) is None:
-                compressed.counters.mark_round_start()
-                self._round(compressed)
-                if i == 0:
-                    compressed.send(0, 2, compressed.zeros((4, 4)))
-                compressed.commit_round()
+        runs = []
+        for rounds, delta in classed.round_classes(table, post_class):
+            runs.append(list(rounds))
+            for _ in rounds:
+                classed.counters.mark_round_start()
+                classed.post_round(delta)
+        for row in table:
             plain.counters.mark_round_start()
-            self._round(plain)
-            if i == 0:
-                plain.send(0, 2, plain.zeros((4, 4)))
-        assert [r.counters.copy() for r in compressed.ranks] == [
-            r.counters.copy() for r in plain.ranks
+            self._post(plain.counters, row)
+        assert runs == [[0, 1], [2, 3, 4], [5]]
+        assert posted == [(9, 4), (9, 0), (9, 4)]  # a row that comes back is a new run
+        assert classed.counters.matrix.data.tobytes() == plain.counters.matrix.data.tobytes()
+
+    def test_traced_rounds_report_the_class_hops(self):
+        table = np.array([[9, 4], [9, 4], [9, 0]])
+        with tracing() as tracer:
+            machine = DistributedMachine(3, mode="volume")
+            for rounds, delta in machine.round_classes(table, self._post):
+                for _ in rounds:
+                    machine.post_round(delta)
+                    machine.commit_round()
+        spans = [args for _n, _c, _s, _d, args, _t in tracer.spans("round")]
+        assert [(a["hops"], a["words_posted"], a["flops"]) for a in spans] == [
+            (2, 13, 130), (2, 13, 130), (1, 9, 90),
         ]
-
-    def test_reset_counters_clears_compressor_cache(self):
-        machine = DistributedMachine(3, mode="volume", compress_rounds=True)
-        assert machine.replay_round("fp") is None
-        self._round(machine)
-        machine.commit_round()
-        machine.reset_counters()
-        assert machine.compressor.replayed_rounds == 0
-        assert machine.replay_round("fp") is None  # cache is empty again
-        self._round(machine)
-        machine.commit_round()
-
-    def test_dataclass_style_construction(self):
-        # RankCounters predates the CounterMatrix and was a dataclass;
-        # positional field order and duplicate rejection must survive.
-        counters = RankCounters(5, 7)
-        assert counters.words_sent == 5
-        assert counters.words_received == 7
-        with pytest.raises(TypeError):
-            RankCounters(5, words_sent=1)
-        with pytest.raises(TypeError):
-            RankCounters(unknown_field=1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.machine.collectives import broadcast, reduce
-from repro.machine.counters import COUNTER_FIELDS, CommCounters, ConservationError, RankCounters
+from repro.machine.counters import COUNTER_FIELDS, CommCounters, ConservationError
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import (
     MODES,
@@ -263,16 +263,6 @@ class TestIncrementalAccounting:
 
 
 class TestPayloadPlane:
-    def test_attach_and_block_views(self):
-        plane = PayloadPlane("ops.A", shape=(2, 4, 6))
-        view = plane.attach(rank=3, slot=1, rows=slice(0, 2), cols=slice(1, 4))
-        assert view.shape == (2, 3)
-        view[...] = 7.0
-        assert plane.data[1, 0:2, 1:4].sum() == 7.0 * 6
-        assert plane.block(3) is not view  # fresh view, same storage
-        assert np.shares_memory(plane.block(3), plane.data)
-        assert plane.attached_ranks() == (3,)
-
     def test_reduce_slots_sums_sheets(self):
         plane = PayloadPlane("ops.C", shape=(3, 2, 2))
         plane.data[0] = 1.0
@@ -290,13 +280,11 @@ class TestPayloadPlane:
             PayloadPlane("x")
         with pytest.raises(ValueError):
             PayloadPlane("x", shape=(2, 2))  # sheets must be 2-D stacks
-        with pytest.raises(IndexError):
-            PayloadPlane("x", shape=(2, 2, 2)).attach(0, slot=5)
 
     def test_machine_plane_registry(self):
         machine = DistributedMachine(2, mode="plane")
         plane = machine.new_plane("C", (2, 3, 3))
-        assert machine.get_plane("C") is plane
+        assert machine.planes["C"] is plane
         with pytest.raises(ValueError):
             machine.register_plane("C", plane)
         machine.reset_counters()

@@ -171,26 +171,6 @@ class TestFailureCapture:
         assert (retried.executed, retried.cached, retried.failed) == (2, 2, 0)
 
 
-class TestCompressedCampaigns:
-    def test_compressed_rows_byte_identical_to_plain(self, tmp_path, spec):
-        """compress_rounds is a pure speed knob: records and rows match."""
-        plain = run_campaign(spec, store=tmp_path / "plain", jobs=1)
-        compressed = run_campaign(
-            spec, store=tmp_path / "compressed", jobs=1, compress_rounds=True
-        )
-        assert compressed.executed == plain.executed
-        assert rows_to_json(tidy_rows(compressed.records)) == rows_to_json(tidy_rows(plain.records))
-
-    def test_compressed_campaign_resumes_plain_store(self, tmp_path, spec):
-        """Same keys across the flag, so a plain store answers a compressed rerun."""
-        plain = run_campaign(spec, store=tmp_path / "store", jobs=1)
-        rerun = run_campaign(
-            spec, store=tmp_path / "store", jobs=1, compress_rounds=True
-        )
-        assert rerun.executed == 0
-        assert rerun.cached == plain.executed + plain.cached
-
-
 class TestRetryPolicy:
     def test_backoff_is_deterministic_and_bounded(self):
         policy = RetryPolicy(max_attempts=5, backoff_s=0.1, backoff_factor=2.0,

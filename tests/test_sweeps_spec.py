@@ -116,23 +116,10 @@ class TestKeys:
         assert len(keys) == 1 + len(variants)
 
 
-class TestCompressRounds:
-    def test_compress_rounds_is_not_part_of_the_key(self):
+class TestRetiredKeys:
+    def test_payload_carrying_compress_rounds_still_loads(self):
+        # Worker payloads and spec files written before the option was
+        # retired carry the key; request_from_dict reads keys by name.
         base = small_spec().expand()[0]
-        compressed = RunRequest(
-            algorithm=base.algorithm, scenario=base.scenario, mode=base.mode,
-            seed=base.seed, verify=base.verify, compress_rounds=True,
-        )
-        # Counters are byte-identical across the flag, so cached records must
-        # answer both variants.
-        assert compressed.key == base.key
-
-    def test_compress_rounds_roundtrips_and_defaults(self):
-        base = small_spec().expand()[0]
-        compressed = RunRequest(
-            algorithm=base.algorithm, scenario=base.scenario, compress_rounds=True,
-        )
-        assert request_from_dict(compressed.to_dict()).compress_rounds is True
-        payload = base.to_dict()
-        payload.pop("compress_rounds")  # pre-flag worker payloads stay loadable
-        assert request_from_dict(payload).compress_rounds is False
+        payload = {**base.to_dict(), "compress_rounds": True}
+        assert request_from_dict(payload) == base
