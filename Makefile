@@ -13,11 +13,17 @@
 #                     - alternating paired ledger runs of one workload, BASE
 #                       against the working tree: quartiles per side and
 #                       wins/pairs (scripts/ledger_pairs.py)
+#   make identity BASE=<rev>
+#                     - is the working tree observably identical to BASE?
+#                       counters, peaks, round logs, spans and plane products
+#                       of every algorithm over grid240, the paper-scale volume
+#                       points and a list of awkward ones; exit 1 on any
+#                       difference (scripts/identity_pairs.py)
 
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify lint sweep-smoke chaos bench ledger ledger-pairs
+.PHONY: verify lint sweep-smoke chaos bench ledger ledger-pairs identity
 
 verify:
 	$(PY) -m pytest -x -q
@@ -45,3 +51,6 @@ ledger:
 N ?= 10
 ledger-pairs:
 	$(PY) scripts/ledger_pairs.py --base $(BASE) --workload $(WORKLOAD) -n $(N)
+
+identity:
+	$(PY) scripts/identity_pairs.py --base $(BASE)

@@ -1,0 +1,289 @@
+#!/usr/bin/env python3
+"""Is the working tree observably identical to a base revision?
+
+    python scripts/identity_pairs.py --base <rev>        (make identity BASE=<rev>)
+
+Extracts ``<rev>`` with :func:`ledger_pairs.extract`, then runs *this* file's
+:func:`observe` once against each tree's ``src/`` (a child process per side,
+so neither import state nor memoized plans leak across).  ``observe`` drives
+every registered algorithm over the ``grid240`` campaign points and a fixed
+list of awkward points -- pm, pn or pk = 1, idle ranks, k smaller than the
+grid side, a partial last chunk, layers that run out of rounds early,
+``use_rma`` -- in ``volume`` and ``plane`` mode, traced and untraced, one and
+two runs per machine, and the paper-scale ``volume_requests`` points in
+``volume`` mode (their plane products would need gigabytes).  What it records
+per run: sha256 of the raw ``CounterMatrix`` bytes (and, to name what moved
+when that differs, each counter row's total and digest), ``peak_resident_words``,
+the final ``check_memory()``, ``round_log``, COSMA's ``num_rounds`` and
+``round_volumes``, the round spans' count and arguments, and the plane
+product's bytes.
+
+Prints one line per point -- equal, or which observables differ, in how many
+of the point's runs and by how much in the first of them -- and exits 1 on
+any difference.  The point sets are restated here from public ``repro``
+functions: nothing is imported from, or written under, ``benchmarks/ledger/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from ledger_pairs import REPO, extract
+
+MODES = ("volume", "plane")
+SPAN_ARGS = ("label", "round", "mode", "words_posted", "flops", "hops",
+             "resident_peak_words", "collectives")
+
+
+# ---------------------------------------------------------------------------
+# the points: (label, multiply(a, b, machine), (m, n, k), p, S, modes)
+# ---------------------------------------------------------------------------
+def _registry_point(prefix, name, scenario, modes=MODES):
+    from repro.algorithms import cosma_idle_fraction, get_algorithm
+    from repro.core.cosma import cosma_multiply
+
+    if name == "COSMA":
+        # The registry's runner, kept as a result object: it carries the rounds.
+        def multiply(a, b, machine):
+            return cosma_multiply(a, b, scenario.p, scenario.memory_words, machine=machine,
+                                  max_idle_fraction=cosma_idle_fraction(scenario.p))
+    else:
+        def multiply(a, b, machine):
+            return get_algorithm(name).run(a, b, scenario, machine)
+
+    shape = scenario.shape
+    return (f"{prefix}/{name}/{scenario.name}", multiply, (shape.m, shape.n, shape.k),
+            scenario.p, scenario.memory_words, modes)
+
+
+def _campaign_points():
+    """The ledger's ``grid240`` spec and its ``volume_requests``, restated."""
+    from repro.algorithms import registered_algorithms
+    from repro.sweeps import SweepSpec
+    from repro.workloads.scaling import Scenario
+    from repro.workloads.shapes import square_shape
+
+    grid240 = SweepSpec(
+        name="grid240", algorithms=registered_algorithms(),
+        families=("square", "largeK", "largeM", "flat"), regimes=("limited", "extra"),
+        p_values=(16, 64, 144, 256, 576, 1024), memory_words=2048, mode="volume", seed=0,
+    )
+    points = [_registry_point("grid240", r.algorithm, r.scenario) for r in grid240.expand()]
+    for side, p, names in ((4096, 1024, registered_algorithms()),
+                           (8192, 4096, ("COSMA", "ScaLAPACK", "CTF"))):
+        scenario = Scenario(name=f"square-paper-p{p}", shape=square_shape(side), p=p,
+                            memory_words=101_000, regime="limited")
+        points += [_registry_point("volume_requests", name, scenario, modes=("volume",))
+                   for name in names]
+    return points
+
+
+def _awkward_points():
+    from repro.algorithms import registered_algorithms
+    from repro.baselines.grid25d import grid25d_multiply
+    from repro.baselines.summa import summa_multiply
+    from repro.core.cosma import cosma_multiply
+    from repro.core.grid import ProcessorGrid
+    from repro.workloads.scaling import Scenario
+    from repro.workloads.shapes import ProblemShape
+
+    points = []
+
+    def cosma(why, m, n, k, grid, idle, memory_words, use_rma=False):
+        p = grid[0] * grid[1] * grid[2] + idle
+        points.append((
+            f"awkward/COSMA/{why}",
+            lambda a, b, machine: cosma_multiply(
+                a, b, p, memory_words, machine=machine, grid=ProcessorGrid(*grid),
+                use_rma=use_rma),
+            (m, n, k), p, memory_words, MODES))
+
+    def summa(why, m, n, k, grid, panel_width, idle):
+        p = grid[0] * grid[1] + idle
+        points.append((
+            f"awkward/ScaLAPACK/{why}",
+            lambda a, b, machine: summa_multiply(
+                a, b, p, machine=machine, grid=grid, panel_width=panel_width),
+            (m, n, k), p, 1 << 20, MODES))
+
+    def grid25d(why, m, n, k, grid, idle):
+        p = grid[0] * grid[1] * grid[2] + idle
+        points.append((
+            f"awkward/CTF/{why}",
+            lambda a, b, machine: grid25d_multiply(a, b, p, 4096, machine=machine, grid=grid),
+            (m, n, k), p, 4096, MODES))
+
+    for use_rma in (False, True):
+        tag = "-rma" if use_rma else ""
+        cosma(f"uneven-layers-partial-chunk{tag}", 13, 11, 47, (2, 3, 3), 1, 55, use_rma)
+        cosma(f"pm1{tag}", 9, 14, 31, (1, 4, 2), 0, 80, use_rma)
+        cosma(f"pn1{tag}", 9, 14, 31, (4, 1, 2), 2, 80, use_rma)
+        cosma(f"pk1{tag}", 13, 11, 47, (2, 3, 1), 0, 60, use_rma)
+        cosma(f"k-below-grid-side{tag}", 7, 5, 2, (3, 4, 1), 0, 40, use_rma)
+        cosma(f"one-round{tag}", 13, 11, 47, (2, 3, 3), 0, 4000, use_rma)
+    summa("one-column-panels", 13, 11, 47, (2, 3), 1, 0)
+    summa("panel-wider-than-slice-idle", 13, 11, 47, (2, 3), 30, 1)
+    summa("partial-last-panel-idle", 13, 11, 47, (2, 3), 5, 2)
+    summa("panel-wider-than-k", 13, 11, 47, (2, 3), 50, 0)
+    summa("pm1", 9, 14, 31, (1, 4), 3, 0)
+    summa("pn1", 9, 14, 31, (4, 1), 3, 1)
+    summa("k-below-grid-side", 7, 5, 2, (3, 4), 1, 0)
+    grid25d("empty-slices", 100, 90, 7, (3, 3, 3), 0)
+    grid25d("uneven-layers-idle", 13, 11, 47, (2, 2, 3), 2)
+    grid25d("c1", 13, 11, 47, (3, 3, 1), 0)
+    grid25d("q1", 13, 11, 47, (1, 1, 4), 1)
+    grid25d("k-below-c", 6, 6, 2, (2, 2, 3), 0)
+    # The cuboid executor and Cannon take no grid: odd shapes, idle ranks.
+    for name in registered_algorithms():
+        for m, n, k, p in ((13, 11, 7, 11), (5, 3, 2, 8), (12, 12, 12, 1)):
+            scenario = Scenario(name=f"{m}x{n}x{k}-p{p}", shape=ProblemShape(m=m, n=n, k=k),
+                                p=p, memory_words=512, regime="limited")
+            points.append(_registry_point("awkward", name, scenario))
+    return points
+
+
+# ---------------------------------------------------------------------------
+# one side: run every point, print one JSON object per run
+# ---------------------------------------------------------------------------
+def _digest(value) -> str:
+    data = value if isinstance(value, bytes) else json.dumps(value, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()[:20]
+
+
+def _summary(values: list) -> list:
+    """A list as (length, sum of its numbers, digest): equal lists, equal summaries;
+    unequal ones show whether the count or the total moved."""
+    numbers = [v for v in values if isinstance(v, int)]
+    return [len(values), sum(numbers), _digest(values)]
+
+
+def _observe_run(multiply, dims, p, memory_words, mode, traced, runs) -> dict:
+    import numpy as np
+
+    from repro.machine.counters import COUNTER_FIELDS
+    from repro.machine.simulator import DistributedMachine
+    from repro.machine.transport import ShapeToken
+    from repro.obs import disable_tracing, enable_tracing
+
+    m, n, k = dims
+    if mode == "volume":
+        a, b = ShapeToken((m, k)), ShapeToken((k, n))
+    else:
+        rng = np.random.default_rng(0)
+        a, b = rng.random((m, k)), rng.random((k, n))
+    tracer = enable_tracing() if traced else None
+    try:
+        machine = DistributedMachine(p, memory_words=memory_words, mode=mode)
+        for _ in range(runs):
+            result = multiply(a, b, machine)
+        if machine.trace is not None:  # the harness's final flush
+            machine.trace.commit_round(machine.peak_resident_words)
+    finally:
+        disable_tracing()
+    data = machine.counters.matrix.data
+    observed = {"counters": _digest(data.tobytes())}
+    for field, row in zip(COUNTER_FIELDS, data):
+        observed[f"counters.{field}"] = [len(row), int(row.sum()), _digest(row.tobytes())]
+    observed["peak_resident_words"] = machine.peak_resident_words
+    observed["check_memory"] = machine.check_memory()
+    observed["round_log"] = _summary(machine.round_log)
+    if hasattr(result, "num_rounds"):
+        observed["num_rounds"] = result.num_rounds
+        observed["round_volumes"] = _summary(result.round_volumes)
+    if tracer is not None:
+        spans = [args for _name, _cat, _start, _dur, args, _track in tracer.spans("round")]
+        observed["spans"] = len(spans)
+        for key in SPAN_ARGS:
+            observed[f"spans.{key}"] = _summary([span.get(key) for span in spans])
+    if mode == "plane":
+        matrix = getattr(result, "matrix", result)
+        observed["product"] = _digest(np.ascontiguousarray(matrix).tobytes())
+    return observed
+
+
+def observe() -> None:
+    """Run every point in every variant against the ``repro`` on ``sys.path``."""
+    for label, multiply, dims, p, memory_words, modes in _campaign_points() + _awkward_points():
+        for mode in modes:
+            for traced in (False, True):
+                for runs in (1, 2):
+                    variant = f"{mode} {'traced' if traced else 'untraced'} x{runs}"
+                    observed = _observe_run(multiply, dims, p, memory_words, mode, traced, runs)
+                    print(json.dumps({"point": label, "variant": variant, "observed": observed}),
+                          flush=True)
+
+
+# ---------------------------------------------------------------------------
+# both sides, compared
+# ---------------------------------------------------------------------------
+def _observations(tree: Path) -> dict[str, dict[str, dict]]:
+    """``{point: {variant: observed}}`` from a child process importing ``tree/src``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(REPO / "scripts")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import identity_pairs; identity_pairs.observe()"],
+        cwd=tree, env=env, check=True, capture_output=True, text=True,
+    )
+    points: dict[str, dict[str, dict]] = {}
+    for line in done.stdout.splitlines():
+        record = json.loads(line)
+        points.setdefault(record["point"], {})[record["variant"]] = record["observed"]
+    return points
+
+
+def _moved(base, change) -> str:
+    """How an observable moved: by how many entries or by how much in total,
+    when it is a number or a ``[length, total, digest]`` summary."""
+    if isinstance(base, list) and isinstance(change, list):
+        if base[0] != change[0]:
+            return f"{change[0] - base[0]:+d} entries"
+        base, change = base[1], change[1]
+    if isinstance(base, int) and isinstance(change, int):
+        return f"total {change - base:+d}" if base != change else "same total, other entries"
+    return "digests differ"
+
+
+def report(base: dict, change: dict) -> int:
+    differing_points = 0
+    observations = 0
+    for point in sorted(set(base) | set(change)):
+        variants = sorted(set(base.get(point, {})) | set(change.get(point, {})))
+        findings: dict[str, list[str]] = {}
+        for variant in variants:
+            ours = change.get(point, {}).get(variant, {})
+            theirs = base.get(point, {}).get(variant, {})
+            for name in sorted(set(ours) | set(theirs)):
+                observations += 1
+                if ours.get(name) != theirs.get(name):
+                    findings.setdefault(name, []).append(
+                        f"{variant}: {_moved(theirs.get(name), ours.get(name))}")
+        if not findings:
+            print(f"{point:<58} equal ({len(variants)} runs)")
+            continue
+        differing_points += 1
+        print(f"{point:<58} DIFFERENT")
+        for name, where in findings.items():
+            print(f"    {name:<28} in {len(where)}/{len(variants)} runs; first {where[0]}")
+    print(f"{len(set(base) | set(change))} points, {observations} observations, "
+          f"{differing_points} points differ")
+    return 1 if differing_points else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision to compare the working tree against")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="identity-base-") as scratch:
+        base_tree = Path(scratch)
+        extract(args.base, base_tree)
+        return report(_observations(base_tree), _observations(REPO))
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -2,9 +2,10 @@
 
 The names mirror the paper's comparison targets: our SUMMA stands in for
 ScaLAPACK, our 2.5D for CTF.  Each spec bundles the runner (the same closure
-bodies the harness used to hard-code), a cheap planner that mirrors the
-runner's grid/schedule derivation without touching matrices, and the Table 3
-cost formulas of :mod:`repro.baselines.costs`.
+bodies the harness used to hard-code), a cheap planner that calls the very
+function the runner derives its grid and schedule from (never a copy of the
+derivation) without touching matrices, and the Table 3 cost formulas of
+:mod:`repro.baselines.costs`.
 
 Importing :mod:`repro.algorithms` registers everything here exactly once.
 """
@@ -15,19 +16,14 @@ import math
 
 from repro.algorithms.registry import AlgorithmSpec, Plan, register
 from repro.baselines import costs
-from repro.baselines.cannon import cannon_multiply
-from repro.baselines.carma import (
-    carma_multiply,
-    carma_recursion_depth,
-    largest_power_of_two_at_most,
-)
-from repro.baselines.grid25d import choose_25d_grid, grid25d_multiply
-from repro.baselines.summa import choose_2d_grid, summa_multiply
+from repro.baselines.cannon import _largest_square, cannon_multiply
+from repro.baselines.carma import carma_multiply, carma_recursion_depth, usable_ranks
+from repro.baselines.grid25d import grid25d_decomposition, grid25d_multiply
+from repro.baselines.summa import summa_decomposition, summa_multiply
 from repro.core.cosma import cosma_multiply
 from repro.core.decomposition import build_decomposition
 from repro.core.grid import ProcessorGrid, communication_volume_per_rank
 from repro.pebbling.mmm_bounds import parallel_io_lower_bound
-from repro.utils.intmath import ceil_div, split_offsets
 from repro.workloads.scaling import Scenario
 
 
@@ -105,17 +101,14 @@ def _run_summa(a, b, scenario, machine):
 def _plan_summa(scenario: Scenario) -> Plan:
     shape = scenario.shape
     m, n, k = shape.m, shape.n, shape.k
-    pm, pn = choose_2d_grid(m, n, scenario.p)
-    # Mirror summa_multiply's default panel width: the widest panel that fits
-    # next to the local C block in memory.
-    lm = max(hi - lo for lo, hi in split_offsets(m, pm))
-    ln = max(hi - lo for lo, hi in split_offsets(n, pn))
-    free = scenario.memory_words - lm * ln
-    panel_width = max(1, min(k, free // max(1, lm + ln)))
+    # The decomposition summa_multiply executes: planned grid and panel count
+    # are the run's by construction.
+    decomposition = summa_decomposition(m, n, k, scenario.p, scenario.memory_words)
+    pm, pn, _ = decomposition.grid
     return Plan(
         algorithm="ScaLAPACK", scenario=scenario, feasible=True,
         grid=(pm, pn), processors_used=pm * pn,
-        rounds=ceil_div(k, panel_width),
+        rounds=decomposition.num_steps,
         predicted_words_per_rank=costs.io_cost_2d(m, n, k, pm * pn),
         lower_bound_per_rank=_bound(scenario),
     )
@@ -129,7 +122,7 @@ def _run_cannon(a, b, scenario, machine):
 
 def _plan_cannon(scenario: Scenario) -> Plan:
     shape = scenario.shape
-    q = max(1, math.isqrt(scenario.p))
+    q = _largest_square(scenario.p)
     return Plan(
         algorithm="Cannon", scenario=scenario, feasible=True,
         grid=(q, q), processors_used=q * q,
@@ -151,11 +144,12 @@ def _run_25d(a, b, scenario, machine):
 def _plan_25d(scenario: Scenario) -> Plan:
     shape = scenario.shape
     m, n, k = shape.m, shape.n, shape.k
-    q, _, c = choose_25d_grid(m, n, k, scenario.p, scenario.memory_words)
-    p_used = q * q * c
+    # The decomposition grid25d_multiply executes.
+    grid = grid25d_decomposition(m, n, k, scenario.p, scenario.memory_words).grid
+    p_used = grid.p_used
     return Plan(
         algorithm="CTF", scenario=scenario, feasible=True,
-        grid=(q, q, c), processors_used=p_used,
+        grid=grid.as_tuple(), processors_used=p_used,
         rounds=max(1, int(math.ceil(
             costs.latency_cost_25d(m, n, k, p_used, scenario.memory_words)
         ))),
@@ -173,10 +167,7 @@ def _run_carma(a, b, scenario, machine):
 def _plan_carma(scenario: Scenario) -> Plan:
     shape = scenario.shape
     m, n, k = shape.m, shape.n, shape.k
-    usable = largest_power_of_two_at_most(scenario.p)
-    # Mirror carma_multiply's degenerate-split guard.
-    while usable > 1 and usable > m * n * k:
-        usable //= 2
+    usable = usable_ranks(m, n, k, scenario.p)
     return Plan(
         algorithm="CARMA", scenario=scenario, feasible=True,
         grid=(usable,), processors_used=usable,

@@ -78,7 +78,7 @@ class RunReport:
     lower_bound_per_rank: float
     #: The pre-execution plan (fitted grid, predicted words, feasibility).
     plan: Plan
-    #: Transport mode the run used (``legacy`` / ``zerocopy`` / ``volume``).
+    #: Transport mode the run used (``legacy`` / ``zerocopy`` / ``plane`` / ``volume``).
     mode: str = "legacy"
     #: Whether the numerical result was checked against ``A @ B``.
     verified: bool = True

@@ -37,6 +37,16 @@ def largest_power_of_two_at_most(p: int) -> int:
     return 1 << (p.bit_length() - 1)
 
 
+def usable_ranks(m: int, n: int, k: int, p: int) -> int:
+    """The ranks a CARMA run of ``m x n x k`` on ``p`` processors uses: a power
+    of two, and never more than there are multiplications (a degenerate split
+    would leave empty domains)."""
+    usable = largest_power_of_two_at_most(p)
+    while usable > 1 and usable > m * n * k:
+        usable //= 2
+    return usable
+
+
 def _split_range(r: Range) -> tuple[Range, Range]:
     lo, hi = r
     mid = (lo + hi) // 2
@@ -120,10 +130,7 @@ def carma_multiply(
     if k != k2:
         raise ValueError(f"inner dimensions do not match: {a_matrix.shape} x {b_matrix.shape}")
     p = check_positive_int(p, "p")
-    usable = largest_power_of_two_at_most(p)
-    # Guard against degenerate splits: never use more ranks than multiplications.
-    while usable > 1 and usable > m * n * k:
-        usable //= 2
+    usable = usable_ranks(m, n, k, p)
     domains = carma_domains(m, n, k, usable)
     if machine is None:
         machine = DistributedMachine(p, memory_words=memory_words or (1 << 20))

@@ -263,7 +263,7 @@ def _cuboid_batched(
     machine.post_resident("B", ranks, lk * ln)
     machine.post_resident("C_partial", ranks, lm * ln)
     # Flops are charged per rank exactly as ``local_multiply`` would.
-    machine.post_flops(ranks, 2 * lm * ln * lk)
+    machine.counters.add_flops(ranks, 2 * lm * ln * lk)
     c_global = machine.zeros((m, n))  # at the plane dtype; a token in volume mode
     if numeric:
         groups: dict[tuple[int, int, int], list[CuboidDomain]] = {}

@@ -12,10 +12,15 @@ implementation falls back to smaller ``c`` (ultimately ``c = 1``, plain 2D),
 mirroring how CTF's decompositions can end up far from optimal for awkward
 processor counts -- one of the effects the paper's evaluation highlights.
 
-``plane`` and ``volume`` runs take the stacked-array engine
-(:func:`_grid25d_plane`; ``volume`` is that engine minus the numerics); the
-per-rank loop in :func:`grid25d_multiply` serves ``legacy`` / ``zerocopy``
-only.
+Like SUMMA, 2.5D is a grid choice rather than a schedule of its own: it is
+COSMA's fiber exchange on ``[q x q x c]`` with the whole layer as the one
+communication step and direct sends in place of the broadcast tree
+(:func:`grid25d_decomposition`).  ``plane`` and ``volume`` runs say so
+literally -- :func:`_grid25d_plane` posts its residency, its gather round and
+its C reduction through the accounting core of :mod:`repro.core.cosma` and
+adds only its per-layer stacked GEMMs.  The per-rank loop in
+:func:`grid25d_multiply` (``legacy`` / ``zerocopy`` only) is written
+independently of that core and is the parity suites' oracle for it.
 """
 
 from __future__ import annotations
@@ -25,7 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.machine.collectives import reduce, reduce_hops
+from repro.baselines.summa import BlockStacks
+from repro.core.cosma import fiber_exchange_rounds, post_c_reduction, post_owned_words
+from repro.core.decomposition import CosmaDecomposition, build_decomposition
+from repro.core.grid import ProcessorGrid
+from repro.machine.collectives import reduce
 from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import (
@@ -34,7 +43,7 @@ from repro.machine.transport import (
     ascontiguous,
     concat_payloads,
 )
-from repro.utils.intmath import divisors, split_offsets
+from repro.utils.intmath import ceil_div, divisors, split_offsets
 from repro.utils.validation import check_positive_int
 
 
@@ -87,6 +96,21 @@ def choose_25d_grid(m: int, n: int, k: int, p: int, memory_words: int) -> tuple[
     return best
 
 
+def grid25d_decomposition(
+    m: int, n: int, k: int, p: int, memory_words: int, grid: tuple[int, int, int] | None = None
+) -> CosmaDecomposition:
+    """2.5D's schedule as a decomposition: the ``[q, q, c]`` grid with each
+    layer's whole k-slice as the single communication step.
+
+    A plan and the run it predicts both come here.
+    """
+    if grid is None:
+        grid = choose_25d_grid(m, n, k, p, memory_words)
+    return build_decomposition(
+        m, n, k, p, memory_words, grid=ProcessorGrid(*grid), step_size=ceil_div(k, grid[2])
+    )
+
+
 def grid25d_multiply(
     a_matrix: np.ndarray,
     b_matrix: np.ndarray,
@@ -115,13 +139,14 @@ def grid25d_multiply(
     k2, n = b_matrix.shape
     if k != k2:
         raise ValueError(f"inner dimensions do not match: {a_matrix.shape} x {b_matrix.shape}")
-    if grid is None:
-        grid = choose_25d_grid(m, n, k, p, memory_words)
-    qm, qn, c = grid
-    if qm * qn * c > p:
-        raise ValueError(f"grid {grid} needs {qm * qn * c} ranks but only {p} are available")
+    decomposition = grid25d_decomposition(m, n, k, p, memory_words, grid)
+    qm, qn, c = decomposition.grid
     if machine is None:
         machine = DistributedMachine(p, memory_words=memory_words)
+
+    if machine.transport.planar or machine.transport.counters_only:
+        c_global = _grid25d_plane(machine, a_matrix, b_matrix, decomposition)
+        return Grid25DRunResult(matrix=c_global, grid=(qm, qn, c), counters=machine.counters)
 
     def rank_of(i: int, j: int, layer: int) -> int:
         return (i * qn + j) * c + layer
@@ -129,13 +154,6 @@ def grid25d_multiply(
     i_ranges = split_offsets(m, qm)
     j_ranges = split_offsets(n, qn)
     layer_k_ranges = split_offsets(k, c)
-
-    if machine.transport.planar or machine.transport.counters_only:
-        c_global = _grid25d_plane(
-            machine, a_matrix, b_matrix, qm, qn, c,
-            i_ranges, j_ranges, layer_k_ranges,
-        )
-        return Grid25DRunResult(matrix=c_global, grid=(qm, qn, c), counters=machine.counters)
 
     # Initial distribution: layer l owns the k-slice l of A and B, 2D-distributed
     # within the layer (A by [i-block, k-sub-slice], B by [k-sub-slice, j-block]).
@@ -181,13 +199,16 @@ def grid25d_multiply(
                 b_owners = [rank_of(ii, j, layer) for ii in range(qm)]
                 # Gather the A panel A[i-block, layer k-slice] from the
                 # process row and the B panel B[layer k-slice, j-block]
-                # from the process column.
+                # from the process column; an owner whose k-slice is empty
+                # (the layer is narrower than the grid side) sends nothing.
                 a_parts = [
-                    local_a[o] if o == r else machine.send(o, r, local_a[o], kind="input")
+                    local_a[o] if o == r or not local_a[o].shape[1]
+                    else machine.send(o, r, local_a[o], kind="input")
                     for o in a_owners
                 ]
                 b_parts = [
-                    local_b[o] if o == r else machine.send(o, r, local_b[o], kind="input")
+                    local_b[o] if o == r or not local_b[o].shape[0]
+                    else machine.send(o, r, local_b[o], kind="input")
                     for o in b_owners
                 ]
                 a_panel = concat_payloads(a_parts, axis=1)
@@ -215,159 +236,28 @@ def _grid25d_plane(
     machine: DistributedMachine,
     a_matrix: np.ndarray,
     b_matrix: np.ndarray,
-    qm: int,
-    qn: int,
-    c: int,
-    i_ranges: list[tuple[int, int]],
-    j_ranges: list[tuple[int, int]],
-    layer_k_ranges: list[tuple[int, int]],
+    decomposition: CosmaDecomposition,
 ) -> np.ndarray:
     """2.5D on the stacked-array engine; returns the global product.
 
-    All ``qm*qn*c`` local blocks live in zero-padded planes (slot = rank id).
-    Per layer, the row/column panel gathers are strided slot slices, the
-    layer's ``qm x qn`` multiplies are one broadcasting ``np.matmul``, and
-    the final cross-layer reduction is one ``np.add.reduce`` over each
-    ``(i, j)`` fiber's contiguous slot run.  Counters are posted batched and
-    byte-identical to the per-hop reference path.
-
-    In ``volume`` mode (counters-only transport) the same loop runs without
-    the numerics: no plane is allocated and a token is returned as the
-    product.  Either way the ranks' ``A`` / ``B`` / ``C`` (and the layer-0
-    ``C_final``) words are posted to the machine's resident-words vector,
-    not stored.
+    2.5D's own part of a run (see the module docstring) is that its one
+    gather round (all layers at once, a single round class) marks no round
+    boundary, that memory is checked before the reduced blocks land, and one
+    stacked GEMM per layer over the layer's whole k-slice.  In ``volume``
+    mode only the accounting runs: no plane is allocated and a token is
+    returned as the product.
     """
-    m = i_ranges[-1][1]
-    n = j_ranges[-1][1]
-    numeric = not machine.transport.counters_only
-    dtype = machine.transport.dtype
-    lm = np.array([hi - lo for lo, hi in i_ranges], dtype=np.int64)
-    ln = np.array([hi - lo for lo, hi in j_ranges], dtype=np.int64)
-    lm_max, ln_max = int(lm.max()), int(ln.max())
-    layer_a_slices = []
-    layer_b_slices = []
-    for layer in range(c):
-        lk0, lk1 = layer_k_ranges[layer]
-        layer_a_slices.append([(lk0 + lo, lk0 + hi) for lo, hi in split_offsets(lk1 - lk0, qn)])
-        layer_b_slices.append([(lk0 + lo, lk0 + hi) for lo, hi in split_offsets(lk1 - lk0, qm)])
-    # Slice widths, (layer, j) for A and (layer, i) for B.
-    a_widths = np.array(
-        [[hi - lo for lo, hi in slices] for slices in layer_a_slices], dtype=np.int64)
-    b_widths = np.array(
-        [[hi - lo for lo, hi in slices] for slices in layer_b_slices], dtype=np.int64)
-
-    slots = qm * qn * c
-    if numeric:
-        a_plane = machine.new_plane("grid25d.A", (slots, lm_max, max(1, int(a_widths.max()))))
-        b_plane = machine.new_plane("grid25d.B", (slots, max(1, int(b_widths.max())), ln_max))
-        c_plane = machine.new_plane("grid25d.C", (slots, lm_max, ln_max))
-        for layer in range(c):
-            for i in range(qm):
-                i0, i1 = i_ranges[i]
-                bk0, bk1 = layer_b_slices[layer][i]
-                for j in range(qn):
-                    j0, j1 = j_ranges[j]
-                    ak0, ak1 = layer_a_slices[layer][j]
-                    slot = (i * qn + j) * c + layer
-                    a_plane.data[slot, : i1 - i0, : ak1 - ak0] = a_matrix[i0:i1, ak0:ak1]
-                    b_plane.data[slot, : bk1 - bk0, : j1 - j0] = b_matrix[bk0:bk1, j0:j1]
-    # Ranks are row-major in (i, j, layer), each holding its true-shape blocks.
-    mn_outer = np.multiply.outer(lm, ln).ravel()
-    machine.post_resident(
-        "A", slice(0, slots), (lm[:, None, None] * a_widths.T[None, :, :]).ravel())
-    machine.post_resident(
-        "B", slice(0, slots), (b_widths.T[:, None, :] * ln[None, :, None]).ravel())
-    machine.post_resident("C", slice(0, slots), np.repeat(mn_outer, c))
+    post_owned_words(machine, decomposition, "A", "B", "C")
     # Stores are layer-invariant; one check records the reference path's peak.
     machine.check_memory()
-
-    # Off-diagonal (receiver, source) index pairs within a row / a column.
-    pair_dst_j, pair_src_j = np.nonzero(
-        np.arange(qn)[:, None] != np.arange(qn)[None, :]
-    )
-    pair_dst_i, pair_src_i = np.nonzero(
-        np.arange(qm)[:, None] != np.arange(qm)[None, :]
-    )
-    all_i = np.arange(qm)
-    all_j = np.arange(qn)
-
-    for layer in range(c):
-        lk0, lk1 = layer_k_ranges[layer]
-        lk = lk1 - lk0
-        aw, bw = a_widths[layer], b_widths[layer]
-        layer_ranks = ((all_i[:, None] * qn + all_j[None, :]) * c + layer).ravel()
-        # Row gathers: rank (i, j) receives (i, j') for every j' != j; column
-        # gathers symmetrically.  One batched post for the whole layer.
-        src_parts = []
-        dst_parts = []
-        word_parts = []
-        if qn > 1:
-            src_parts.append(
-                ((all_i[:, None] * qn + pair_src_j[None, :]) * c + layer).ravel())
-            dst_parts.append(
-                ((all_i[:, None] * qn + pair_dst_j[None, :]) * c + layer).ravel())
-            word_parts.append(np.multiply.outer(lm, aw[pair_src_j]).ravel())
-        if qm > 1:
-            src_parts.append(
-                ((pair_src_i[:, None] * qn + all_j[None, :]) * c + layer).ravel())
-            dst_parts.append(
-                ((pair_dst_i[:, None] * qn + all_j[None, :]) * c + layer).ravel())
-            word_parts.append(np.multiply.outer(bw[pair_src_i], ln).ravel())
-        if src_parts:
-            machine.post_transfers(
-                np.concatenate(src_parts), np.concatenate(dst_parts),
-                np.concatenate(word_parts), kind="input",
-            )
-        machine.post_flops(layer_ranks, mn_outer * (2 * lk))
-        if not numeric:
-            continue
-
-        # Panel assembly from strided slot slices + one broadcasting GEMM.
-        a_panels = np.zeros((qm, lm_max, max(1, lk)), dtype=dtype)
-        offset = 0
-        for j in range(qn):
-            if aw[j] > 0:
-                a_panels[:, :, offset : offset + aw[j]] = (
-                    a_plane.data[j * c + layer :: qn * c, :, : aw[j]]
-                )
-            offset += int(aw[j])
-        b_panels = np.zeros((qn, max(1, lk), ln_max), dtype=dtype)
-        offset = 0
-        for i in range(qm):
-            if bw[i] > 0:
-                b_panels[:, offset : offset + bw[i], :] = (
-                    b_plane.data[i * qn * c + layer : (i + 1) * qn * c + layer : c, : bw[i], :]
-                )
-            offset += int(bw[i])
-        layer_c = c_plane.data[layer::c]
-        layer_c += np.matmul(a_panels[:, None], b_panels[None, :]).reshape(
-            qm * qn, lm_max, ln_max
-        )
-
-    # Cross-layer reduction onto layer 0: counters via the binomial schedule,
-    # numerics via one np.add.reduce over each fiber's contiguous slot run.
-    if c > 1:
-        hops = reduce_hops(c)
-        r_src = np.array([s for s, _ in hops], dtype=np.int64)
-        r_dst = np.array([d for _, d in hops], dtype=np.int64)
-        bases = (all_i[:, None] * qn + all_j[None, :]).ravel() * c
-        hop_words = np.repeat(mn_outer, len(hops))
-        dsts = (bases[:, None] + r_dst[None, :]).ravel()
-        machine.post_transfers(
-            (bases[:, None] + r_src[None, :]).ravel(), dsts, hop_words, kind="output",
-        )
-        machine.counters.add_flops(dsts, hop_words)
-    if numeric:
-        totals = np.add.reduce(
-            c_plane.data.reshape(qm * qn, c, lm_max, ln_max), axis=1
-        )
-    machine.post_resident("C_final", slice(0, slots, c), mn_outer)
-    if not numeric:
-        return ShapeToken((m, n))
-    c_global = np.zeros((m, n), dtype=dtype)
-    for i in range(qm):
-        i0, i1 = i_ranges[i]
-        for j in range(qn):
-            j0, j1 = j_ranges[j]
-            c_global[i0:i1, j0:j1] = totals[i * qn + j, : i1 - i0, : j1 - j0]
-    return c_global
+    for rounds, delta in fiber_exchange_rounds(machine, decomposition, "gather"):
+        for _ in rounds:
+            machine.post_round(delta)
+    post_c_reduction(machine, decomposition)
+    if machine.transport.counters_only:
+        return ShapeToken((decomposition.m, decomposition.n))
+    stacks = BlockStacks(machine, "grid25d", decomposition, a_matrix, b_matrix)
+    k_bounds = decomposition.k_bounds.tolist()
+    for layer in range(decomposition.grid.pk):
+        stacks.multiply(layer, k_bounds[layer], k_bounds[layer + 1])
+    return stacks.product()

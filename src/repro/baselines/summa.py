@@ -11,9 +11,14 @@ This serves as the library's ScaLAPACK stand-in: like ``PDGEMM`` it never uses
 more memory than a 2D decomposition needs, so it is communication-inefficient
 whenever extra memory is available (the paper's motivating observation).
 
-``plane`` and ``volume`` runs take the stacked-array engine
-(:func:`_summa_plane`; ``volume`` is that engine minus the numerics); the
-per-rank loop in :func:`summa_multiply` serves ``legacy`` / ``zerocopy`` only.
+That makes SUMMA a grid choice, not a schedule of its own: it is COSMA's
+fiber exchange on the grid ``pm x pn x 1`` with the panel width as the
+communication step (:func:`summa_decomposition`).  ``plane`` and ``volume``
+runs say so literally -- :func:`_summa_plane` posts its residency and its
+panel rounds through the accounting core of :mod:`repro.core.cosma` and adds
+only its round boundary and its per-panel stacked GEMMs.  The per-rank loop
+in :func:`summa_multiply` (``legacy`` / ``zerocopy`` only) is written
+independently of that core and is the parity suites' oracle for it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.machine.collectives import broadcast, broadcast_hops
+from repro.core.cosma import fiber_exchange_rounds, post_owned_words
+from repro.core.decomposition import CosmaDecomposition, build_decomposition
+from repro.core.grid import ProcessorGrid
+from repro.machine.collectives import broadcast
 from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import (
@@ -72,6 +80,23 @@ def choose_2d_grid(m: int, n: int, p: int) -> tuple[int, int]:
     return best
 
 
+def summa_decomposition(
+    m: int, n: int, k: int, p: int, memory_words: int,
+    grid: tuple[int, int] | None = None, panel_width: int | None = None,
+) -> CosmaDecomposition:
+    """SUMMA's schedule as a decomposition: the 2D grid on a single k-layer,
+    the panel width as the communication step.
+
+    Without an explicit ``panel_width`` the step is the decomposition's own
+    rule: the widest panel that fits next to the local C block in
+    ``memory_words``.  A plan and the run it predicts both come here.
+    """
+    pm, pn = grid if grid is not None else choose_2d_grid(m, n, p)
+    return build_decomposition(
+        m, n, k, p, memory_words, grid=ProcessorGrid(pm, pn, 1), step_size=panel_width
+    )
+
+
 def summa_multiply(
     a_matrix: np.ndarray,
     b_matrix: np.ndarray,
@@ -103,25 +128,25 @@ def summa_multiply(
     k2, n = b_matrix.shape
     if k != k2:
         raise ValueError(f"inner dimensions do not match: {a_matrix.shape} x {b_matrix.shape}")
-    if grid is None:
-        grid = choose_2d_grid(m, n, p)
-    pm, pn = grid
-    if pm * pn > p:
-        raise ValueError(f"grid {grid} needs {pm * pn} ranks but only {p} are available")
     if machine is None:
         machine = DistributedMachine(p, memory_words=memory_words or (1 << 20))
+    if panel_width is None and memory_words is None:
+        panel_width = min(k, 64)
+    decomposition = summa_decomposition(
+        m, n, k, p, memory_words or machine.memory_words, grid, panel_width
+    )
+    pm, pn, _ = decomposition.grid
+    panel_width = decomposition.step_size
+
+    if machine.transport.planar or machine.transport.counters_only:
+        c_global = _summa_plane(machine, a_matrix, b_matrix, decomposition)
+        return SummaRunResult(
+            matrix=c_global, grid=(pm, pn), panel_width=panel_width,
+            counters=machine.counters,
+        )
 
     i_ranges = split_offsets(m, pm)
     j_ranges = split_offsets(n, pn)
-    lm = max(hi - lo for lo, hi in i_ranges)
-    ln = max(hi - lo for lo, hi in j_ranges)
-    if panel_width is None:
-        if memory_words is not None:
-            free = memory_words - lm * ln
-            panel_width = max(1, min(k, free // max(1, lm + ln)))
-        else:
-            panel_width = min(k, 64)
-    panel_width = check_positive_int(panel_width, "panel_width")
 
     def rank_of(i: int, j: int) -> int:
         return i * pn + j
@@ -131,15 +156,6 @@ def summa_multiply(
     k_col_slices = split_offsets(k, pn)
     k_row_slices = split_offsets(k, pm)
 
-    if machine.transport.planar or machine.transport.counters_only:
-        c_global = _summa_plane(
-            machine, a_matrix, b_matrix, pm, pn, panel_width,
-            i_ranges, j_ranges, k_col_slices, k_row_slices,
-        )
-        return SummaRunResult(
-            matrix=c_global, grid=(pm, pn), panel_width=panel_width,
-            counters=machine.counters,
-        )
     local_a: dict[int, np.ndarray] = {}
     local_b: dict[int, np.ndarray] = {}
     local_c: dict[int, np.ndarray] = {}
@@ -219,162 +235,116 @@ def summa_multiply(
     )
 
 
+class BlockStacks:
+    """Plane-mode storage and numerics of a 2D / 2.5D grid run.
+
+    Every rank's local A / B / C blocks live in three zero-padded
+    ``(p_used, rows, cols)`` planes (slot = rank id, row-major in
+    ``(i, j, layer)``), so a grid row, a grid column or a layer is a
+    *strided* slot slice -- on a single layer ``A[j::pn]`` is exactly grid
+    column ``j`` -- and one step's ``pm x pn`` block products are a single
+    broadcasting ``np.matmul``.
+    """
+
+    def __init__(
+        self,
+        machine: DistributedMachine,
+        name: str,
+        decomposition: CosmaDecomposition,
+        a_matrix: np.ndarray,
+        b_matrix: np.ndarray,
+    ) -> None:
+        self.decomposition = decomposition
+        pm, pn, pk = decomposition.grid
+        i_bounds, j_bounds = decomposition.i_bounds, decomposition.j_bounds
+        a_bounds, b_bounds = decomposition.a_bounds, decomposition.b_bounds
+        lm_max, ln_max = int(i_bounds[1]), int(j_bounds[1])
+        slots = pm * pn * pk
+        self.a = machine.new_plane(
+            f"{name}.A", (slots, lm_max, max(1, int(np.diff(a_bounds).max())))).data
+        self.b = machine.new_plane(
+            f"{name}.B", (slots, max(1, int(np.diff(b_bounds).max())), ln_max)).data
+        self.c = machine.new_plane(f"{name}.C", (slots, lm_max, ln_max)).data
+        for layer in range(pk):
+            for i in range(pm):
+                i0, i1 = i_bounds[i : i + 2]
+                bk0, bk1 = b_bounds[layer, i : i + 2]
+                for j in range(pn):
+                    j0, j1 = j_bounds[j : j + 2]
+                    ak0, ak1 = a_bounds[layer, j : j + 2]
+                    slot = (i * pn + j) * pk + layer
+                    self.a[slot, : i1 - i0, : ak1 - ak0] = a_matrix[i0:i1, ak0:ak1]
+                    self.b[slot, : bk1 - bk0, : j1 - j0] = b_matrix[bk0:bk1, j0:j1]
+
+    def multiply(self, layer: int, start: int, stop: int) -> None:
+        """``C += A[:, start:stop] @ B[start:stop, :]`` on every rank of ``layer``:
+        strided panel assembly from the owners' slices + one batched GEMM."""
+        pm, pn, pk = self.decomposition.grid
+        lm_max, ln_max = self.c.shape[1:]
+        ak = self.decomposition.a_bounds[layer]
+        bk = self.decomposition.b_bounds[layer]
+        a_panels = np.zeros((pm, lm_max, stop - start), dtype=self.c.dtype)
+        for j in range(pn):
+            lo, hi = max(int(ak[j]), start), min(int(ak[j + 1]), stop)
+            if lo < hi:
+                a_panels[:, :, lo - start : hi - start] = (
+                    self.a[j * pk + layer :: pn * pk, :, lo - ak[j] : hi - ak[j]]
+                )
+        b_panels = np.zeros((pn, stop - start, ln_max), dtype=self.c.dtype)
+        for i in range(pm):
+            lo, hi = max(int(bk[i]), start), min(int(bk[i + 1]), stop)
+            if lo < hi:
+                b_panels[:, lo - start : hi - start, :] = self.b[
+                    i * pn * pk + layer : (i + 1) * pn * pk + layer : pk,
+                    lo - bk[i] : hi - bk[i], :,
+                ]
+        layer_c = self.c[layer::pk]
+        layer_c += np.matmul(a_panels[:, None], b_panels[None, :]).reshape(
+            pm * pn, lm_max, ln_max
+        )
+
+    def product(self) -> np.ndarray:
+        """The global product: one ``np.add.reduce`` over each ``(i, j)`` fiber's
+        contiguous slot run (its layers), then the blocks at their offsets."""
+        decomposition = self.decomposition
+        pm, pn, pk = decomposition.grid
+        i_bounds, j_bounds = decomposition.i_bounds, decomposition.j_bounds
+        totals = np.add.reduce(self.c.reshape(pm * pn, pk, *self.c.shape[1:]), axis=1)
+        c_global = np.zeros((decomposition.m, decomposition.n), dtype=self.c.dtype)
+        for i in range(pm):
+            i0, i1 = i_bounds[i : i + 2]
+            for j in range(pn):
+                j0, j1 = j_bounds[j : j + 2]
+                c_global[i0:i1, j0:j1] = totals[i * pn + j, : i1 - i0, : j1 - j0]
+        return c_global
+
+
 def _summa_plane(
     machine: DistributedMachine,
     a_matrix: np.ndarray,
     b_matrix: np.ndarray,
-    pm: int,
-    pn: int,
-    panel_width: int,
-    i_ranges: list[tuple[int, int]],
-    j_ranges: list[tuple[int, int]],
-    k_col_slices: list[tuple[int, int]],
-    k_row_slices: list[tuple[int, int]],
+    decomposition: CosmaDecomposition,
 ) -> np.ndarray:
     """SUMMA on the stacked-array engine; returns the global product.
 
-    The grid's local A / B / C blocks live in three zero-padded
-    ``(pm*pn, rows, cols)`` stacks.  Each panel step gathers the A row
-    panels and B column panels with *strided* slot slices (``A[j::pn]`` is
-    exactly grid column ``j``), multiplies all ``pm x pn`` blocks with one
-    broadcasting ``np.matmul`` and posts the panel broadcasts' counters as
-    one batched update -- byte-identical to the per-hop reference path.
-
-    In ``volume`` mode (counters-only transport) the same loop runs without
-    the numerics: no plane is allocated and a token is returned as the
-    product.  Either way the ranks' ``A`` / ``B`` / ``C`` words are posted to
-    the machine's resident-words vector, not stored.
+    SUMMA's own part of a run (see the module docstring) is the round
+    boundary -- an unlabelled ``commit_round`` per panel -- and one stacked
+    GEMM per panel.  In ``volume`` mode the same loop runs without the
+    numerics: no plane is allocated and a token is returned as the product.
     """
-    m = i_ranges[-1][1]
-    n = j_ranges[-1][1]
-    k = k_col_slices[-1][1]
+    k, panel_width = decomposition.k, decomposition.step_size
     numeric = not machine.transport.counters_only
-    dtype = machine.transport.dtype
-    lm = np.array([hi - lo for lo, hi in i_ranges], dtype=np.int64)
-    ln = np.array([hi - lo for lo, hi in j_ranges], dtype=np.int64)
-    akw = np.array([hi - lo for lo, hi in k_col_slices], dtype=np.int64)
-    bkw = np.array([hi - lo for lo, hi in k_row_slices], dtype=np.int64)
-    lm_max, ln_max = int(lm.max()), int(ln.max())
-
     if numeric:
-        a_plane = machine.new_plane("summa.A", (pm * pn, lm_max, max(1, int(akw.max()))))
-        b_plane = machine.new_plane("summa.B", (pm * pn, max(1, int(bkw.max())), ln_max))
-        c_plane = machine.new_plane("summa.C", (pm * pn, lm_max, ln_max))
-        for i in range(pm):
-            i0, i1 = i_ranges[i]
-            bk0, bk1 = k_row_slices[i]
-            for j in range(pn):
-                j0, j1 = j_ranges[j]
-                ak0, ak1 = k_col_slices[j]
-                slot = i * pn + j
-                a_plane.data[slot, : i1 - i0, : ak1 - ak0] = a_matrix[i0:i1, ak0:ak1]
-                b_plane.data[slot, : bk1 - bk0, : j1 - j0] = b_matrix[bk0:bk1, j0:j1]
-    # Rank (i, j) = i * pn + j holds its true-shape A, B and C blocks.
-    grid_ranks = slice(0, pm * pn)
-    mn_outer = np.multiply.outer(lm, ln).ravel()
-    machine.post_resident("A", grid_ranks, np.multiply.outer(lm, akw).ravel())
-    machine.post_resident("B", grid_ranks, np.multiply.outer(bkw, ln).ravel())
-    machine.post_resident("C", grid_ranks, mn_outer)
+        stacks = BlockStacks(machine, "summa", decomposition, a_matrix, b_matrix)
+    post_owned_words(machine, decomposition, "A", "B", "C")
     # The reference path checks memory once per panel; the stores never
     # change between panels, so one check records the identical peak.
     machine.check_memory()
-
-    # Round-invariant broadcast hop arrays (see the COSMA batched engine).
-    if pn > 1:
-        hops = broadcast_hops(pn)
-        s_pos = np.array([s for s, _ in hops], dtype=np.int64)
-        d_pos = np.array([d for _, d in hops], dtype=np.int64)
-        pj_src = (np.arange(pn)[:, None] + s_pos[None, :]) % pn  # (owner, hop)
-        pj_dst = (np.arange(pn)[:, None] + d_pos[None, :]) % pn
-        row_srcs = np.arange(pm)[:, None, None] * pn + pj_src[None]  # (i, owner, hop)
-        row_dsts = np.arange(pm)[:, None, None] * pn + pj_dst[None]
-    if pm > 1:
-        hops = broadcast_hops(pm)
-        s_pos = np.array([s for s, _ in hops], dtype=np.int64)
-        d_pos = np.array([d for _, d in hops], dtype=np.int64)
-        pi_src = (np.arange(pm)[:, None] + s_pos[None, :]) % pm
-        pi_dst = (np.arange(pm)[:, None] + d_pos[None, :]) % pm
-        col_srcs = pi_src[None] * pn + np.arange(pn)[:, None, None]  # (j, owner, hop)
-        col_dsts = pi_dst[None] * pn + np.arange(pn)[:, None, None]
-    all_ranks = np.arange(pm * pn)
-    ak_lo = np.array([lo for lo, _ in k_col_slices], dtype=np.int64)
-    ak_hi = np.array([hi for _, hi in k_col_slices], dtype=np.int64)
-    bk_lo = np.array([lo for lo, _ in k_row_slices], dtype=np.int64)
-    bk_hi = np.array([hi for _, hi in k_row_slices], dtype=np.int64)
-
-    # Round classes: row r holds the k-columns each owner contributes to
-    # panel r's A and B panels, which determine the panel step's schedule.
-    # Consecutive panels inside the same ownership slices repeat the row.
-    starts = np.arange(0, k, panel_width, dtype=np.int64)[:, None]
-    stops = np.minimum(starts + panel_width, k)
-    table = np.concatenate([
-        np.maximum(np.minimum(ak_hi, stops) - np.maximum(ak_lo, starts), 0),
-        np.maximum(np.minimum(bk_hi, stops) - np.maximum(bk_lo, starts), 0),
-    ], axis=1)
-
-    def post_panel(delta: CommCounters, row: np.ndarray) -> None:
-        w_a, w_b = row[:pn], row[pn:]
-        src_parts: list[np.ndarray] = []
-        dst_parts: list[np.ndarray] = []
-        word_parts: list[np.ndarray] = []
-        if pn > 1:
-            active = w_a > 0
-            src_parts.append(row_srcs[:, active, :].ravel())
-            dst_parts.append(row_dsts[:, active, :].ravel())
-            word_parts.append(np.repeat(
-                np.multiply.outer(lm, w_a[active]).ravel(), pn - 1
-            ))
-        if pm > 1:
-            active = w_b > 0
-            src_parts.append(col_srcs[:, active, :].ravel())
-            dst_parts.append(col_dsts[:, active, :].ravel())
-            word_parts.append(np.repeat(
-                np.multiply.outer(ln, w_b[active]).ravel(), pm - 1
-            ))
-        if src_parts:
-            delta.post_transfers(
-                np.concatenate(src_parts), np.concatenate(dst_parts),
-                np.concatenate(word_parts), kind="input",
-            )
-        # The ownership slices tile k, so the overlaps sum to the panel width.
-        delta.add_flops(all_ranks, mn_outer * (2 * int(w_a.sum())))
-
-    def multiply_panel(panel: int) -> None:
-        """Strided panel assembly + one broadcasting batched GEMM."""
-        panel_start = panel * panel_width
-        panel_stop = min(panel_start + panel_width, k)
-        width = panel_stop - panel_start
-        a_panels = np.zeros((pm, lm_max, width), dtype=dtype)
-        for j in np.flatnonzero(table[panel, :pn]):
-            lo = max(int(ak_lo[j]), panel_start)
-            hi = min(int(ak_hi[j]), panel_stop)
-            a_panels[:, :, lo - panel_start : hi - panel_start] = (
-                a_plane.data[j::pn, :, lo - ak_lo[j] : hi - ak_lo[j]]
-            )
-        b_panels = np.zeros((pn, width, ln_max), dtype=dtype)
-        for i in np.flatnonzero(table[panel, pn:]):
-            lo = max(int(bk_lo[i]), panel_start)
-            hi = min(int(bk_hi[i]), panel_stop)
-            b_panels[:, lo - panel_start : hi - panel_start, :] = (
-                b_plane.data[i * pn : (i + 1) * pn, lo - bk_lo[i] : hi - bk_lo[i], :]
-            )
-        np.add(c_view, np.matmul(a_panels[:, None], b_panels[None, :]), out=c_view)
-
-    if numeric:
-        c_view = c_plane.data.reshape(pm, pn, lm_max, ln_max)
-    for panels, delta in machine.round_classes(table, post_panel):
+    for panels, delta in fiber_exchange_rounds(machine, decomposition, "tree"):
         for panel in panels:
             machine.post_round(delta)
             if numeric:
-                multiply_panel(panel)
+                start = panel * panel_width
+                stacks.multiply(0, start, min(start + panel_width, k))
             machine.commit_round()
-
-    if not numeric:
-        return ShapeToken((m, n))
-    c_global = np.zeros((m, n), dtype=dtype)
-    for i in range(pm):
-        i0, i1 = i_ranges[i]
-        for j in range(pn):
-            j0, j1 = j_ranges[j]
-            c_global[i0:i1, j0:j1] = c_view[i, j, : i1 - i0, : j1 - j0]
-    return c_global
+    return stacks.product() if numeric else ShapeToken((decomposition.m, decomposition.n))

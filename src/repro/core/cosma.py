@@ -19,15 +19,22 @@ product and the per-round volumes needed by the overlap performance model.
 
 ``plane`` and ``volume`` runs take the batched round engine
 (:func:`_cosma_batched`; ``volume`` is that engine minus the numerics), with
-``use_rma`` or without.  Algorithm 1 is a steady-state schedule, so that engine
-posts each *distinct* round once -- a round class, O(pk (pm + pn)) of them
-however many rounds there are -- and replays its counter delta; the product is
-one GEMM into a single C sheet.  The per-hop loop in :func:`cosma_multiply`
-serves ``legacy`` / ``zerocopy`` only.
+``use_rma`` or without.  Its accounting is three functions of a
+:class:`CosmaDecomposition` -- :func:`post_owned_words`,
+:func:`fiber_exchange_rounds` (Algorithm 1 is a steady-state schedule, so each
+*distinct* round is posted once, a round class, and its counter delta
+replayed) and :func:`post_c_reduction` -- and they are the one accounting
+implementation of the grid family: SUMMA runs them on ``pm x pn x 1`` with its
+panel width as the step, 2.5D on ``q x q x c`` with one whole-layer gather
+round (:mod:`repro.baselines.summa`, :mod:`repro.baselines.grid25d`).  The
+product is one GEMM into a single C sheet.  The per-hop loop in
+:func:`cosma_multiply` serves ``legacy`` / ``zerocopy`` only and is the parity
+suites' oracle.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -266,13 +273,6 @@ def cosma_multiply(
 # ---------------------------------------------------------------------------
 # Batched round engine (volume + plane modes)
 # ---------------------------------------------------------------------------
-def _hop_positions(hops) -> tuple[np.ndarray, np.ndarray]:
-    """Hop (src, dst) position lists as int64 arrays."""
-    src = np.array([s for s, _ in hops], dtype=np.int64)
-    dst = np.array([d for _, d in hops], dtype=np.int64)
-    return src, dst
-
-
 def _sharded_gemm(
     machine: DistributedMachine,
     a_data: np.ndarray,
@@ -319,87 +319,79 @@ def _sharded_gemm(
         pool.release()
 
 
-def _cosma_batched(
-    a_matrix: np.ndarray,
-    b_matrix: np.ndarray,
+#: Transfers after which :func:`fiber_exchange_rounds` posts what a class has
+#: gathered so far instead of gathering further layers.
+_POST_BATCH = 1 << 15
+
+
+def _c_block_words(decomposition: CosmaDecomposition) -> np.ndarray:
+    """Words of every ``(pi, pj)`` block of C, row-major."""
+    return np.multiply.outer(
+        np.diff(decomposition.i_bounds), np.diff(decomposition.j_bounds)
+    ).ravel()
+
+
+def post_owned_words(
     machine: DistributedMachine,
     decomposition: CosmaDecomposition,
-    use_rma: bool,
-) -> CosmaRunResult:
-    """Run COSMA's schedule with vectorized accounting and one-GEMM numerics.
+    a_name: str,
+    b_name: str,
+    c_name: str,
+) -> None:
+    """Post every used rank's owned A / B slices and its C block as resident.
 
-    Counts the exact communication schedule of the per-hop reference path --
-    the same rounds, the same binomial broadcast/reduction trees (or, with
-    ``use_rma``, the same one-sided gets: a star from each owner to the rest
-    of its fiber, a round charged to the origin only), the same payload
-    sizes -- so the counters are byte-identical to the ``legacy``/``zerocopy``
-    execution at a fraction of the Python cost.
-
-    A round's schedule is a function of the overlap widths between the
-    round's k-chunk and each ownership slice, and those take O(pk (pm + pn))
-    distinct values however many rounds there are.  The whole schedule's
-    width table is one broadcast expression; a maximal run of equal rows is a
-    *round class*.  Each class is posted once (one batched ``post_transfers``
-    plus one flop update) into a scratch counter set, and every round of the
-    class then adds that delta to the machine's counters
-    (:meth:`DistributedMachine.round_classes`) -- so spans, ``round_log`` and
-    ``round_start_words`` mean what they mean on the per-hop path, traced or
-    not.
-
-    In ``volume`` mode that is the whole story (payloads are tokens).  In
-    ``plane`` mode the operands live in :class:`PayloadPlane` stacks:
-
-    * A and B are single-sheet planes over the global matrices; every rank's
-      owned piece and every broadcast delivery is a rectangular view;
-    * C is a single sheet too: the round-chunked multiply-accumulates and the
-      k-fiber reduction of the reference path collapse into one GEMM over the
-      whole k extent (same sums, associated by BLAS instead of per chunk and
-      per layer), on the shard pool when ``machine.shards > 1``.
-
-    Residency is posted, not stored: every rank's ``A_own`` / ``B_own`` /
-    ``C_acc`` (and the owners' ``C_final``) words go to the machine's
-    resident-words vector as one array expression each, the sizes the
-    reference path's rank stores would hold, so ``check_memory`` /
-    ``peak_resident_words`` match it; the rank stores stay empty.
+    Posted, not stored: the sizes the per-hop loop's rank stores would hold
+    go to the machine's resident-words vector, one array expression per block
+    name (the per-hop loop's names, so both paths share one ledger on a
+    machine), and the rank stores stay empty.
     """
     grid = decomposition.grid
-    pm, pn, pk = grid.pm, grid.pn, grid.pk
-    m, n, k = decomposition.m, decomposition.n, decomposition.k
-    numeric = not machine.transport.counters_only
-
     lm = np.diff(decomposition.i_bounds)
     ln = np.diff(decomposition.j_bounds)
-    k_lo, k_hi = decomposition.k_bounds[:-1], decomposition.k_bounds[1:]
     # Ownership slices: the A split depends on (pj, kk) only, the B split on
     # (pi, kk) only (see build_decomposition).
+    a_width = np.diff(decomposition.a_bounds)  # (pk, pn)
+    b_width = np.diff(decomposition.b_bounds)  # (pk, pm)
+    # Ranks are row-major in (pi, pj, kk); the pk partial C blocks of a k
+    # fiber count once per rank.
+    used = slice(0, grid.p_used)
+    machine.post_resident(a_name, used, (lm[:, None, None] * a_width.T[None, :, :]).ravel())
+    machine.post_resident(b_name, used, (b_width.T[:, None, :] * ln[None, :, None]).ravel())
+    machine.post_resident(c_name, used, np.repeat(_c_block_words(decomposition), grid.pk))
+
+
+def fiber_exchange_rounds(
+    machine: DistributedMachine, decomposition: CosmaDecomposition, exchange: str
+) -> Iterator[tuple[range, CommCounters]]:
+    """The round classes of the decomposition's panel exchange, each posted once.
+
+    In round ``r`` every k-layer moves its ``r``-th chunk of ``step_size``
+    outer products: the owners of the chunk's A panel send their pieces along
+    their ``j`` fiber, the owners of its B panel along their ``i`` fiber
+    (owners whose slice misses the chunk send nothing), and every rank of the
+    layer multiplies the panels into its C block.  ``exchange`` is how a
+    piece reaches the other ``q - 1`` ranks of the fiber: ``"tree"``, a
+    binomial broadcast; ``"get"``, one-sided gets (a star, the round charged
+    to the origin only); ``"gather"``, direct sends (the same star, rounds on
+    both ends).
+
+    A round's schedule is a function of the overlap widths between its
+    k-chunk and each ownership slice, and those take O(pk (pm + pn)) distinct
+    values however many rounds there are.  The whole schedule's width table
+    is one broadcast expression and a maximal run of equal rows is a *round
+    class*, posted once into a scratch counter set and yielded as ``(rounds,
+    delta)`` (:meth:`DistributedMachine.round_classes`).  The caller adds the
+    delta once per round (``post_round``) and keeps its own round boundary,
+    so spans, ``round_log`` and ``round_start_words`` mean what they mean on
+    the per-hop path.
+    """
+    pm, pn, pk = decomposition.grid
+    lm = np.diff(decomposition.i_bounds)
+    ln = np.diff(decomposition.j_bounds)
+    mn_outer = _c_block_words(decomposition)
+    k_lo, k_hi = decomposition.k_bounds[:-1], decomposition.k_bounds[1:]
     a_lo, a_hi = decomposition.a_bounds[:, :-1], decomposition.a_bounds[:, 1:]  # (pk, pn)
     b_lo, b_hi = decomposition.b_bounds[:, :-1], decomposition.b_bounds[:, 1:]  # (pk, pm)
-
-    # ------------------------------------------------------------------
-    # storage: operand planes (plane mode), resident words of every rank
-    # ------------------------------------------------------------------
-    if numeric:
-        machine.register_plane(
-            "cosma.A", PayloadPlane("cosma.A", data=np.asarray(a_matrix)[None]),
-            replace=True,
-        )
-        machine.register_plane(
-            "cosma.B", PayloadPlane("cosma.B", data=np.asarray(b_matrix)[None]),
-            replace=True,
-        )
-        c_plane = machine.new_plane("cosma.C", (1, m, n))
-        c_global = c_plane.data[0]
-    else:
-        c_global = ShapeToken((m, n))
-    # Ranks are row-major in (pi, pj, kk); the pk partial C blocks of a k
-    # fiber alias one region of the C sheet but count once per rank.
-    used = slice(0, grid.p_used)
-    mn_outer = np.multiply.outer(lm, ln).ravel()
-    machine.post_resident(
-        "A_own", used, (lm[:, None, None] * (a_hi - a_lo).T[None, :, :]).ravel())
-    machine.post_resident(
-        "B_own", used, ((b_hi - b_lo).T[:, None, :] * ln[None, :, None]).ravel())
-    machine.post_resident("C_acc", used, np.repeat(mn_outer, pk))
 
     # ------------------------------------------------------------------
     # round-invariant schedule structure
@@ -407,31 +399,22 @@ def _cosma_batched(
     # Hop arrays, precomputed per owner *position* and mapped onto the
     # row-major rank layout.  A j-fiber (pi, *, kk) rooted at owner pj_o
     # performs hops fiber[(pj_o + s) % pn] -> fiber[(pj_o + d) % pn]; the
-    # arrays below hold those rank ids for every (pi | pj, owner, hop) with
-    # the layer offset kk added at use.  One-sided gets replace the binomial
-    # tree by a star (position 0 -> every other position): the same q - 1
-    # hops per owner, so the word arrays are shared.
-    def fiber_hops(q: int) -> tuple[np.ndarray, np.ndarray]:
-        if use_rma:
-            return np.zeros(q - 1, dtype=np.int64), np.arange(1, q, dtype=np.int64)
-        return _hop_positions(broadcast_hops(q))
+    # arrays below hold those rank ids, sources in [0] and destinations in
+    # [1], for every (pi | pj, owner, hop), with the layer offset kk added at
+    # use.  The star (position 0 -> every other position) has the same q - 1
+    # hops per owner as the binomial tree.
+    def fiber_hops(q: int) -> np.ndarray:
+        if exchange == "tree":
+            hops = np.array(broadcast_hops(q), dtype=np.int64).T
+        else:
+            hops = np.stack([np.zeros(q - 1, dtype=np.int64), np.arange(1, q, dtype=np.int64)])
+        return (np.arange(q)[None, :, None] + hops[:, None, :]) % q  # (2, owner, hop)
 
     if pn > 1:
-        s_pos, d_pos = fiber_hops(pn)
-        pj_src = (np.arange(pn)[:, None] + s_pos[None, :]) % pn  # (owner, hop)
-        pj_dst = (np.arange(pn)[:, None] + d_pos[None, :]) % pn
-        a_srcs = (np.arange(pm)[:, None, None] * pn + pj_src[None]) * pk
-        a_dsts = (np.arange(pm)[:, None, None] * pn + pj_dst[None]) * pk
+        a_hops = np.arange(pm)[:, None, None] * (pn * pk) + fiber_hops(pn)[:, None] * pk
     if pm > 1:
-        s_pos_b, d_pos_b = fiber_hops(pm)
-        pi_src = (np.arange(pm)[:, None] + s_pos_b[None, :]) % pm
-        pi_dst = (np.arange(pm)[:, None] + d_pos_b[None, :]) % pm
-        b_srcs = (pi_src[None] * pn + np.arange(pn)[:, None, None]) * pk
-        b_dsts = (pi_dst[None] * pn + np.arange(pn)[:, None, None]) * pk
-    ranks_of_layer = [
-        ((np.arange(pm)[:, None] * pn + np.arange(pn)[None, :]) * pk + kk).ravel()
-        for kk in range(pk)
-    ]
+        b_hops = fiber_hops(pm)[:, None] * (pn * pk) + np.arange(pn)[:, None, None] * pk
+    layer_ranks = np.arange(pm * pn) * pk
 
     # ------------------------------------------------------------------
     # round classes: the overlap-width table of the whole schedule
@@ -452,41 +435,113 @@ def _cosma_batched(
         [c1 - c0, w_a.reshape(num_rounds, -1), w_b.reshape(num_rounds, -1)], axis=1
     )
 
+    def fiber_transfers(hops, block, widths, kk):
+        """Layer ``kk``'s hops along one fiber direction and their words: an
+        owner with a nonempty overlap sends its ``block x width`` piece over
+        each of its ``q - 1`` hops.  (In the steady state every owner is
+        active, and masking the hop arrays would only copy them.)"""
+        active = widths > 0
+        if not active.all():
+            hops, widths = hops[:, :, active], widths[active]
+        words = np.repeat(np.multiply.outer(block, widths).ravel(), hops.shape[3])
+        return (hops + kk).reshape(2, -1), words
+
     def post_class(delta: CommCounters, row: np.ndarray) -> None:
         chunk_w = row[:pk]
         class_w_a = row[pk : pk + pk * pn].reshape(pk, pn)
         class_w_b = row[pk + pk * pn :].reshape(pk, pm)
-        src_parts: list[np.ndarray] = []
-        dst_parts: list[np.ndarray] = []
-        word_parts: list[np.ndarray] = []
-        flop_ranks: list[np.ndarray] = []
-        flop_amounts: list[np.ndarray] = []
-        for kk in np.flatnonzero(chunk_w):
-            if pn > 1:
-                active = class_w_a[kk] > 0
-                src_parts.append((a_srcs[:, active, :] + kk).ravel())
-                dst_parts.append((a_dsts[:, active, :] + kk).ravel())
-                word_parts.append(np.repeat(
-                    np.multiply.outer(lm, class_w_a[kk, active]).ravel(), pn - 1
-                ))
-            if pm > 1:
-                active = class_w_b[kk] > 0
-                src_parts.append((b_srcs[:, active, :] + kk).ravel())
-                dst_parts.append((b_dsts[:, active, :] + kk).ravel())
-                word_parts.append(np.repeat(
-                    np.multiply.outer(ln, class_w_b[kk, active]).ravel(), pm - 1
-                ))
-            flop_ranks.append(ranks_of_layer[kk])
-            flop_amounts.append(mn_outer * (2 * chunk_w[kk]))
-        if src_parts:
-            dsts = np.concatenate(dst_parts)
-            delta.post_transfers(
-                np.concatenate(src_parts), dsts, np.concatenate(word_parts),
-                kind="input", count_rounds=not use_rma,
-            )
-            if use_rma:
+        layers = np.flatnonzero(chunk_w)
+        pending: list[tuple[np.ndarray, np.ndarray]] = []
+
+        def post_pending() -> None:
+            (srcs, dsts), words = (np.concatenate(parts, axis=-1) for parts in zip(*pending))
+            delta.post_transfers(srcs, dsts, words, kind="input", count_rounds=exchange != "get")
+            if exchange == "get":
                 delta.add_rounds(dsts)
-        delta.add_flops(np.concatenate(flop_ranks), np.concatenate(flop_amounts))
+            pending.clear()
+
+        for kk in layers:
+            if pn > 1:
+                pending.append(fiber_transfers(a_hops, lm, class_w_a[kk], kk))
+            if pm > 1:
+                pending.append(fiber_transfers(b_hops, ln, class_w_b[kk], kk))
+            # One post per class unless the class is large: the index arrays of
+            # a post stay a few MB however many layers a round spans (2.5D's
+            # single round spans them all: 8.3 M transfers at p = 65536).
+            if sum(words.size for _, words in pending) >= _POST_BATCH:
+                post_pending()
+        if pending:
+            post_pending()
+        delta.add_flops(
+            np.add.outer(layers, layer_ranks).ravel(),
+            np.multiply.outer(2 * chunk_w[layers], mn_outer).ravel(),
+        )
+
+    return machine.round_classes(table, post_class)
+
+
+def post_c_reduction(machine: DistributedMachine, decomposition: CosmaDecomposition) -> None:
+    """Count the binomial reduction of the partial C blocks along every k fiber
+    onto its ``kk = 0`` rank, and post the reduced blocks those ranks then hold."""
+    grid = decomposition.grid
+    mn_outer = _c_block_words(decomposition)
+    if grid.pk > 1:
+        r_src, r_dst = np.array(reduce_hops(grid.pk), dtype=np.int64).T
+        bases = np.arange(grid.pm * grid.pn)[:, None] * grid.pk
+        hop_words = np.repeat(mn_outer, len(r_src))
+        dsts = (bases + r_dst[None, :]).ravel()
+        machine.post_transfers(
+            (bases + r_src[None, :]).ravel(), dsts, hop_words, kind="output",
+        )
+        machine.counters.add_flops(dsts, hop_words)
+    machine.post_resident("C_final", slice(0, grid.p_used, grid.pk), mn_outer)
+
+
+def _cosma_batched(
+    a_matrix: np.ndarray,
+    b_matrix: np.ndarray,
+    machine: DistributedMachine,
+    decomposition: CosmaDecomposition,
+    use_rma: bool,
+) -> CosmaRunResult:
+    """Run COSMA's schedule with vectorized accounting and one-GEMM numerics.
+
+    Counts the exact communication schedule of the per-hop reference path --
+    the same rounds, the same binomial broadcast/reduction trees (or, with
+    ``use_rma``, the same one-sided gets), the same payload sizes -- so the
+    counters are byte-identical to the ``legacy``/``zerocopy`` execution at a
+    fraction of the Python cost.  The accounting is the three functions
+    above; what is COSMA's own is the round boundary (a labelled round with
+    its volume) and the numerics.
+
+    In ``volume`` mode the accounting is the whole story (payloads are
+    tokens).  In ``plane`` mode the operands live in :class:`PayloadPlane`
+    stacks:
+
+    * A and B are single-sheet planes over the global matrices; every rank's
+      owned piece and every broadcast delivery is a rectangular view;
+    * C is a single sheet too: the round-chunked multiply-accumulates and the
+      k-fiber reduction of the reference path collapse into one GEMM over the
+      whole k extent (same sums, associated by BLAS instead of per chunk and
+      per layer), on the shard pool when ``machine.shards > 1``.
+    """
+    m, n, k = decomposition.m, decomposition.n, decomposition.k
+    numeric = not machine.transport.counters_only
+    if numeric:
+        machine.register_plane(
+            "cosma.A", PayloadPlane("cosma.A", data=np.asarray(a_matrix)[None]),
+            replace=True,
+        )
+        machine.register_plane(
+            "cosma.B", PayloadPlane("cosma.B", data=np.asarray(b_matrix)[None]),
+            replace=True,
+        )
+        c_plane = machine.new_plane("cosma.C", (1, m, n))
+        c_global = c_plane.data[0]
+    else:
+        c_global = ShapeToken((m, n))
+    post_owned_words(machine, decomposition, "A_own", "B_own", "C_acc")
+    classes = fiber_exchange_rounds(machine, decomposition, "get" if use_rma else "tree")
 
     # The reference path checks memory at the end of every round, but the
     # rank stores (A_own / B_own / C_acc) do not change between rounds -- the
@@ -500,13 +555,13 @@ def _cosma_batched(
     accounting_span = (
         trace.tracer.span(
             "cosma-counter-accounting", cat="phase",
-            args={"rounds": num_rounds, "mode": machine.mode},
+            args={"rounds": decomposition.num_steps, "mode": machine.mode},
         )
         if trace is not None
         else nullcontext()
     )
     with accounting_span:
-        for rounds, delta in machine.round_classes(table, post_class):
+        for rounds, delta in classes:
             volume = delta.max_words_per_rank()
             for chunk_index in rounds:
                 machine.counters.mark_round_start()
@@ -522,7 +577,7 @@ def _cosma_batched(
         gemm_span = (
             trace.tracer.span(
                 "cosma-plane-gemm", cat="gemm",
-                args={"layers": pk, "m": m, "n": n, "k": k,
+                args={"layers": decomposition.grid.pk, "m": m, "n": n, "k": k,
                       "shards": machine.shards if sharded else 1},
                 track="gemm",
             )
@@ -537,26 +592,14 @@ def _cosma_batched(
             else:
                 np.matmul(a_data, b_data, out=c_global)
 
-    # ------------------------------------------------------------------
-    # C reduction along the k fibers (counted; the GEMM already summed k)
-    # ------------------------------------------------------------------
-    if pk > 1:
-        r_src, r_dst = _hop_positions(reduce_hops(pk))
-        bases = (np.arange(pm)[:, None] * pn + np.arange(pn)[None, :]).ravel() * pk
-        hop_words = np.repeat(mn_outer, len(r_src))
-        dsts = (bases[:, None] + r_dst[None, :]).ravel()
-        machine.post_transfers(
-            (bases[:, None] + r_src[None, :]).ravel(), dsts, hop_words, kind="output",
-        )
-        machine.counters.add_flops(dsts, hop_words)
-    machine.post_resident("C_final", slice(0, grid.p_used, pk), mn_outer)
-
+    # The C reduction is counted only: the GEMM already summed over k.
+    post_c_reduction(machine, decomposition)
     machine.check_memory()
     return CosmaRunResult(
         matrix=c_global,
         decomposition=decomposition,
         counters=machine.counters,
-        num_rounds=num_rounds,
+        num_rounds=len(round_volumes),
         round_volumes=round_volumes,
         peak_resident_words=machine.peak_resident_words,
     )

@@ -175,6 +175,7 @@ def build_decomposition(
     s: int,
     max_idle_fraction: float = 0.03,
     grid: ProcessorGrid | None = None,
+    step_size: int | None = None,
 ) -> CosmaDecomposition:
     """Build the full COSMA decomposition (Algorithm 1, lines 1-7).
 
@@ -191,9 +192,13 @@ def build_decomposition(
     grid:
         Optional explicit processor grid (used by tests and ablation
         benchmarks); when omitted, :func:`repro.core.grid.fit_ranks` chooses it.
+    step_size:
+        Optional explicit communication step (outer products per round):
+        SUMMA's panel width, 2.5D's whole layer.  When omitted, the largest
+        step whose panels fit in ``s`` next to the C block is used.
 
-    The result is memoized on ``(m, n, k, p, s, grid)`` with the grid
-    resolved, so a plan and the runs it feeds share one decomposition.
+    The result is memoized on ``(m, n, k, p, s, grid, step_size)`` with the
+    grid resolved, so a plan and the runs it feeds share one decomposition.
     """
     m = check_positive_int(m, "m")
     n = check_positive_int(n, "n")
@@ -209,14 +214,18 @@ def build_decomposition(
     if grid.p_used > p:
         raise ValueError(f"grid {grid.as_tuple()} uses {grid.p_used} ranks but only {p} are available")
 
-    return _decompose(m, n, k, p, s, grid)
+    if step_size is not None:
+        step_size = check_positive_int(step_size, "step_size")
+    return _decompose(m, n, k, p, s, grid, step_size)
 
 
 # A plan and the runs it feeds follow each other, so a few entries catch
 # them all; an entry that served a per-hop run pins one LocalDomain per rank,
 # so more would only cost a long campaign's workers memory.
 @lru_cache(maxsize=4)
-def _decompose(m: int, n: int, k: int, p: int, s: int, grid: ProcessorGrid) -> CosmaDecomposition:
+def _decompose(
+    m: int, n: int, k: int, p: int, s: int, grid: ProcessorGrid, step_size: int | None
+) -> CosmaDecomposition:
     """The decomposition of one problem on one fitted grid, memoized.
 
     Planning and every run of a scenario ask for the same (frozen) value;
@@ -232,11 +241,12 @@ def _decompose(m: int, n: int, k: int, p: int, s: int, grid: ProcessorGrid) -> C
     lm0 = int(i_bounds[1])
     ln0 = int(j_bounds[1])
     lk0 = int(k_bounds[1])
-    free_words = s - lm0 * ln0
-    if free_words >= (lm0 + ln0) * lk0:
-        step_size = lk0
-    else:
-        step_size = max(1, free_words // (lm0 + ln0))
+    if step_size is None:
+        free_words = s - lm0 * ln0
+        if free_words >= (lm0 + ln0) * lk0:
+            step_size = lk0
+        else:
+            step_size = max(1, free_words // (lm0 + ln0))
     num_steps = max(1, -(-lk0 // step_size))
 
     # Ownership: every layer's k extent is split across the pn ranks of a

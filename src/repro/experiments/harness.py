@@ -7,7 +7,7 @@ verifies the numerical result against ``A @ B`` and records the communication
 counters.  Every run additionally asserts word conservation (every word sent
 was received by exactly one rank).
 
-Runs accept a ``mode`` (``legacy`` / ``zerocopy`` / ``volume``, see
+Runs accept a ``mode`` (``legacy`` / ``zerocopy`` / ``plane`` / ``volume``, see
 :mod:`repro.machine.transport`).  In volume mode the inputs are shape tokens
 -- no matrices are generated or multiplied -- so numerical verification is
 skipped; all communication counters are identical to the other modes, which

@@ -264,11 +264,6 @@ class DistributedMachine:
             replace=True,
         )
 
-    def post_flops(self, ranks, amounts) -> None:
-        """Batched flop accounting: the plane-mode counterpart of the per-rank
-        flop updates done by :meth:`local_multiply` / :meth:`local_add`."""
-        self.counters.add_flops(ranks, amounts)
-
     # ------------------------------------------------------------------
     # point-to-point communication
     # ------------------------------------------------------------------

@@ -25,9 +25,10 @@ exactly these code-relevant parameters::
      "algorithm":  <harness registry name>,
      "scenario":   {"name", "shape": {"m", "n", "k", "family"},
                     "p", "memory_words", "regime"},
-     "mode":       <legacy | zerocopy | volume>,
+     "mode":       <legacy | zerocopy | plane | volume>,
      "seed":       <input-matrix seed>,
-     "verify":     <bool>}
+     "verify":     <bool>,
+     "plane_dtype": <float64 | float32>}
 
 Consequences:
 

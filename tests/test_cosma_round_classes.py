@@ -8,25 +8,41 @@ overlap-width classes (with one-sided gets or tree broadcasts; its plane-mode
 product comes from one GEMM into a single C sheet), SUMMA its panel classes,
 Cannon "steady shift round" and "final round" -- all through
 ``DistributedMachine.round_classes``.
+
+SUMMA and 2.5D post through COSMA's accounting core, so the grid family is
+also held to the identities that make that legitimate -- SUMMA is COSMA on
+``pm x pn x 1`` with the panel width as the step, 2.5D is COSMA on
+``q x q x c`` with one whole-layer round of direct sends -- between the
+independently written per-hop loops, not only between the engines.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import get_algorithm
+from repro.algorithms import builtins as builtin_specs
+from repro.algorithms import get_algorithm, registered_algorithms
 from repro.baselines.cannon import cannon_multiply
+from repro.baselines.grid25d import grid25d_multiply
 from repro.baselines.summa import summa_multiply
-from repro.core.cosma import cosma_multiply
+from repro.core.cosma import (
+    cosma_multiply,
+    fiber_exchange_rounds,
+    post_c_reduction,
+    post_owned_words,
+)
+from repro.core.decomposition import build_decomposition
 from repro.core.grid import ProcessorGrid
 from repro.experiments.harness import run_algorithm
-from repro.machine.counters import CommCounters
+from repro.machine.counters import MESSAGES_SENT, ROUND_START_WORDS, ROUNDS, CommCounters
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import ShapeToken, allclose_tolerances
 from repro.obs import tracing
 from repro.workloads.scaling import Scenario
-from repro.workloads.shapes import square_shape
+from repro.workloads.shapes import ProblemShape, square_shape
 
 
 def _run_on(multiply, m, n, k, p, memory_words, mode, runs=1,
@@ -229,3 +245,177 @@ def test_many_panel_summa_posts_once_per_class(monkeypatch):
     machine, _ = _run_on(multiply, 16, 16, 500, pm * pn, 1 << 20, mode="volume")
     assert machine.counters.max_rounds() > 167  # every panel was counted ...
     assert 1 < len(posts) <= 2 * (pm + pn) + 2  # ... but posted once per class
+
+
+# ---------------------------------------------------------------------------
+# 2D and 2.5D are grid choices: the identities behind the shared accounting core
+# ---------------------------------------------------------------------------
+def _counter_rows(machine, *, without=()):
+    """The raw counter matrix minus the ``without`` rows."""
+    data = machine.counters.matrix.data
+    return np.delete(data, list(without), axis=0).tobytes()
+
+
+def _assert_summa_is_cosma_on_one_layer(m, n, k, grid, panel_width, idle, modes):
+    """The eight communication and flop rows (``round_start_words`` is COSMA's
+    own bookkeeping: only its round boundary marks it)."""
+    pm, pn = grid
+    p = pm * pn + idle
+    lm, ln = -(-m // pm), -(-n // pn)
+
+    def summa(a, b, machine):
+        return summa_multiply(a, b, p, machine=machine, grid=grid, panel_width=panel_width)
+
+    def cosma(a, b, machine):
+        # S leaves room for exactly ``panel_width`` outer products per round.
+        return cosma_multiply(a, b, p, lm * ln + panel_width * (lm + ln), machine=machine,
+                              grid=ProcessorGrid(pm, pn, 1))
+
+    for mode in modes:
+        two_d, _ = _run_on(summa, m, n, k, p, 1 << 20, mode)
+        one_layer, result = _run_on(cosma, m, n, k, p, 1 << 20, mode)
+        assert result.decomposition.step_size == min(panel_width, k)
+        assert (_counter_rows(two_d, without=[ROUND_START_WORDS])
+                == _counter_rows(one_layer, without=[ROUND_START_WORDS])), mode
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=summa_problems())
+@example(problem=(13, 11, 47, (2, 3), 1, 0))    # panel width 1
+@example(problem=(13, 11, 47, (2, 3), 30, 0))   # a panel wider than an ownership slice
+@example(problem=(9, 14, 31, (1, 4), 3, 0))     # pm = 1
+@example(problem=(9, 14, 31, (4, 1), 3, 0))     # pn = 1
+@example(problem=(7, 5, 2, (3, 4), 1, 0))       # k smaller than the grid side
+@example(problem=(13, 11, 47, (2, 3), 5, 2))    # idle ranks
+def test_summa_is_cosma_on_a_one_layer_grid(problem):
+    """Between the two batched engines (the shared core on both sides: this
+    pins the *grid and step* SUMMA hands it) ..."""
+    _assert_summa_is_cosma_on_one_layer(*problem, modes=("volume",))
+
+
+@pytest.mark.parametrize("problem", [
+    (13, 11, 47, (2, 3), 5, 1), (9, 14, 31, (1, 4), 3, 0), (9, 14, 31, (4, 1), 30, 0),
+    (7, 5, 2, (3, 4), 1, 0), (12, 10, 20, (3, 2), 1, 0),
+])
+def test_summa_loop_is_the_cosma_loop_on_a_one_layer_grid(problem):
+    """... and between the two *per-hop* loops, which share no code."""
+    _assert_summa_is_cosma_on_one_layer(*problem, modes=("legacy",))
+
+
+@st.composite
+def grid25d_problems(draw):
+    """``(m, n, k, (q, q, c), idle ranks)``; q = 1 and c = 1 occur, and k may be
+    narrower than a layer's grid side (empty ownership slices) or than c."""
+    q, c = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    return (draw(st.integers(q, 20)), draw(st.integers(q, 20)), draw(st.integers(1, 30)),
+            (q, q, c), draw(st.integers(0, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=grid25d_problems())
+@example(problem=(13, 11, 47, (3, 3, 1), 0))    # c = 1: plain 2D, no reduction
+@example(problem=(13, 11, 47, (1, 1, 4), 1))    # q = 1: nothing to gather
+@example(problem=(100, 90, 7, (3, 3, 3), 0))    # layers narrower than the grid side
+def test_grid25d_is_cosma_with_a_one_round_gather(problem):
+    """All nine rows: COSMA's accounting core on ``(q, q, c)``, the whole layer
+    as the step and direct sends, against 2.5D's per-hop loop and its engine.
+    With one-sided gets (the same star) COSMA's *own* per-hop loop differs
+    from 2.5D's in the round count alone: a get charges only its origin."""
+    m, n, k, grid, idle = problem
+    p = grid[0] * grid[1] * grid[2] + idle
+    memory_words = 1 << 20  # one round: the whole layer fits
+
+    def grid25d(a, b, machine):
+        return grid25d_multiply(a, b, p, memory_words, machine=machine, grid=grid)
+
+    def cosma_gather(a, b, machine):
+        decomposition = build_decomposition(
+            m, n, k, p, memory_words, grid=ProcessorGrid(*grid), step_size=-(-k // grid[2]))
+        post_owned_words(machine, decomposition, "A", "B", "C")
+        for rounds, delta in fiber_exchange_rounds(machine, decomposition, "gather"):
+            assert rounds == range(1)
+            machine.post_round(delta)
+        post_c_reduction(machine, decomposition)
+
+    def cosma_gets(a, b, machine):
+        return cosma_multiply(a, b, p, memory_words, machine=machine,
+                              grid=ProcessorGrid(*grid), use_rma=True)
+
+    core, _ = _run_on(cosma_gather, m, n, k, p, memory_words, "volume")
+    loop, _ = _run_on(grid25d, m, n, k, p, memory_words, "legacy")
+    assert _counter_rows(core) == _counter_rows(loop)
+    assert _counter_rows(core) == _counter_rows(_run_on(grid25d, m, n, k, p, memory_words, "volume")[0])
+    gets, _ = _run_on(cosma_gets, m, n, k, p, memory_words, "legacy")
+    assert _counter_rows(gets, without=[ROUNDS]) == _counter_rows(loop, without=[ROUNDS])
+    sender_rounds = loop.counters.matrix.data[ROUNDS] - gets.counters.matrix.data[ROUNDS]
+    assert (sender_rounds >= 0).all()
+    assert sender_rounds.sum() == core.counters.matrix.data[MESSAGES_SENT].sum() - (
+        grid[0] * grid[1] * (grid[2] - 1))  # every message but the reduction's hops
+
+
+@pytest.mark.parametrize("mode", ["legacy", "volume", "plane"])
+def test_grid25d_sends_no_empty_slice(mode):
+    """100 x 90 x 7 on 3 x 3 x 3: layers of 3 / 2 / 2 columns over a grid side
+    of 3, so two layers have an owner with nothing to send.  126 messages when
+    those were posted as zero-word transfers; the words never moved."""
+    def multiply(a, b, machine):
+        return grid25d_multiply(a, b, 27, 4096, machine=machine, grid=(3, 3, 3))
+
+    machine, result = _run_on(multiply, 100, 90, 7, 27, 4096, mode)
+    assert machine.counters.total_messages == 102
+    assert machine.counters.total_words_received == 20660
+    if mode == "plane":
+        rng = np.random.default_rng(0)
+        assert np.allclose(result.matrix, rng.random((100, 7)) @ rng.random((7, 90)))
+
+
+#: What each built-in's runner calls, and the grid that call's result reports.
+_EXECUTED_GRID = {
+    "COSMA": ("cosma_multiply", lambda result: result.grid.as_tuple()),
+    "ScaLAPACK": ("summa_multiply", lambda result: result.grid),
+    "CTF": ("grid25d_multiply", lambda result: result.grid),
+    "CARMA": ("carma_multiply", lambda result: (result.p_used,)),
+    "Cannon": ("cannon_multiply", lambda result: (result.grid_size, result.grid_size)),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(dims=st.tuples(st.integers(1, 30), st.integers(1, 30), st.integers(1, 30)),
+       p=st.integers(1, 24), slack=st.integers(0, 400))
+def test_a_plan_reports_the_grid_and_rounds_its_run_executes(dims, p, slack):
+    """Every registered algorithm: no rank outside the planned grid is touched;
+    the built-ins' planned grid is the executed one; COSMA's and ScaLAPACK's
+    planned rounds are the round boundaries the run marks."""
+    shape = ProblemShape(m=dims[0], n=dims[1], k=dims[2])
+    scenario = Scenario(name="drawn", shape=shape, p=p, regime="limited",
+                        memory_words=-(-shape.footprint_words // p) + slack)
+    assert set(_EXECUTED_GRID) <= set(registered_algorithms())
+    for name in registered_algorithms():
+        spec = get_algorithm(name)
+        run_plan = spec.plan(scenario)
+        assert run_plan.feasible, name
+        attr, executed_grid = _EXECUTED_GRID.get(name, (None, None))
+        results = []
+
+        def multiply(a, b, machine):
+            if attr is None:
+                return spec.run(a, b, scenario, machine)
+            inner = getattr(builtin_specs, attr)
+
+            def recording(*args, **kwargs):
+                results.append(inner(*args, **kwargs))
+                return results[-1]
+
+            with mock.patch.object(builtin_specs, attr, recording):
+                return spec.run(a, b, scenario, machine)
+
+        spans, (machine, _) = _round_spans(
+            _run_on, multiply, *dims, p, scenario.memory_words, mode="volume")
+        touched = np.flatnonzero(machine.counters.matrix.data.any(axis=0))
+        assert touched.size == 0 or touched[-1] < run_plan.processors_used, name
+        if attr is not None:
+            assert run_plan.grid == executed_grid(results[0]), name
+        if name == "COSMA":
+            assert run_plan.rounds == results[0].num_rounds
+        if name == "ScaLAPACK":
+            assert run_plan.rounds == len(spans)

@@ -10,9 +10,12 @@ this file pins what the counters-only route is made of:
   from the per-rank paths;
 * a structural guard: no built-in algorithm's ``volume`` run touches a
   per-rank primitive or allocates an element-sized array, COSMA posts once
-  per round class, ``use_rma`` stays on the batched engine, and neither a
+  per round class, ScaLAPACK and CTF post transfers only from inside COSMA's
+  accounting core, ``use_rma`` stays on the batched engine, and neither a
   ``volume`` nor a ``plane`` run builds a ``Rank`` or a ``LocalDomain``.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -203,6 +206,25 @@ def test_cosma_posts_once_per_round_class(monkeypatch):
     assert len(set(result.round_volumes)) > 1
     assert len(posts) <= 21
     assert sum(counters is machine.counters for counters in posts) == 1  # the reduction
+
+
+@pytest.mark.parametrize("name", ["ScaLAPACK", "CTF"])
+def test_grid_baselines_post_transfers_only_from_the_cosma_core(name, monkeypatch):
+    """2D and 2.5D are grid choices: their engines hold no posting body."""
+    posters = []
+    post_transfers = CommCounters.post_transfers
+
+    def recording(self, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_globals["__name__"].startswith("repro.machine."):
+            frame = frame.f_back  # machine.post_transfers; round_classes driving post_class
+        posters.append(frame.f_globals["__name__"])
+        return post_transfers(self, *args, **kwargs)
+
+    monkeypatch.setattr(CommCounters, "post_transfers", recording)
+    run = run_algorithm(name, paper_scenario(4096, 1024), mode="volume")
+    assert run.mean_words_per_rank > 0
+    assert set(posters) == {"repro.core.cosma"}
 
 
 def test_use_rma_volume_run_stays_on_the_batched_engine(monkeypatch):
