@@ -17,7 +17,8 @@
 #                     - is the working tree observably identical to BASE?
 #                       counters, peaks, round logs, spans and plane products
 #                       of every algorithm over grid240, the paper-scale volume
-#                       points and a list of awkward ones; exit 1 on any
+#                       points, the grid family at p = 16384 / 65536 and a
+#                       list of awkward ones (~1 min per side); exit 1 on any
 #                       difference (scripts/identity_pairs.py)
 
 PY ?= python

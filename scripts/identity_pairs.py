@@ -10,8 +10,9 @@ every registered algorithm over the ``grid240`` campaign points and a fixed
 list of awkward points -- pm, pn or pk = 1, idle ranks, k smaller than the
 grid side, a partial last chunk, layers that run out of rounds early,
 ``use_rma`` -- in ``volume`` and ``plane`` mode, traced and untraced, one and
-two runs per machine, and the paper-scale ``volume_requests`` points in
-``volume`` mode (their plane products would need gigabytes).  What it records
+two runs per machine, and the paper-scale ``volume_requests`` points and the
+grid family at p = 16384 and p = 65536 (``xl``) in ``volume`` mode (their
+plane products would need gigabytes).  What it records
 per run: sha256 of the raw ``CounterMatrix`` bytes (and, to name what moved
 when that differs, each counter row's total and digest), ``peak_resident_words``,
 the final ``check_memory()``, ``round_log``, COSMA's ``num_rounds`` and
@@ -64,7 +65,8 @@ def _registry_point(prefix, name, scenario, modes=MODES):
 
 
 def _campaign_points():
-    """The ledger's ``grid240`` spec and its ``volume_requests``, restated."""
+    """The ledger's ``grid240`` spec and its ``volume_requests``, restated, and
+    the grid family two and three octaves above them."""
     from repro.algorithms import registered_algorithms
     from repro.sweeps import SweepSpec
     from repro.workloads.scaling import Scenario
@@ -76,12 +78,17 @@ def _campaign_points():
         p_values=(16, 64, 144, 256, 576, 1024), memory_words=2048, mode="volume", seed=0,
     )
     points = [_registry_point("grid240", r.algorithm, r.scenario) for r in grid240.expand()]
-    for side, p, names in ((4096, 1024, registered_algorithms()),
-                           (8192, 4096, ("COSMA", "ScaLAPACK", "CTF"))):
+    grid_family = ("COSMA", "ScaLAPACK", "CTF")
+    for prefix, side, p, names in (
+        ("volume_requests", 4096, 1024, registered_algorithms()),
+        ("volume_requests", 8192, 4096, grid_family),
+        # Beyond the ledger: where per-rank arrays (and, once, hop arrays) are largest.
+        ("xl", 16384, 16384, grid_family),
+        ("xl", 32768, 65536, grid_family),
+    ):
         scenario = Scenario(name=f"square-paper-p{p}", shape=square_shape(side), p=p,
                             memory_words=101_000, regime="limited")
-        points += [_registry_point("volume_requests", name, scenario, modes=("volume",))
-                   for name in names]
+        points += [_registry_point(prefix, name, scenario, modes=("volume",)) for name in names]
     return points
 
 

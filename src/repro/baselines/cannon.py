@@ -287,18 +287,17 @@ def _cannon_plane(
             _post_shift(delta, perm_b, bk * bn)
 
     is_final = (np.arange(q) == q - 1)[:, None]
+    if q > 1:
+        # The stores never change: one check records the per-shift checks' peak.
+        machine.check_memory()
     for steps, delta in machine.round_classes(is_final, post_step):
-        for step in steps:
-            machine.post_round(delta)
-            if numeric:
-                np.add(c_plane.data, a_stack @ b_stack, out=c_plane.data)
-            if step < q - 1:
-                if numeric:
-                    a_stack = a_stack[perm_a]
-                    b_stack = b_stack[perm_b]
-                machine.check_memory()
-            machine.commit_round()
+        machine.post_rounds(delta, steps, lambda _: machine.commit_round())
 
     if not numeric:
         return ShapeToken((bm * q, bn * q))
+    for step in range(q):
+        np.add(c_plane.data, a_stack @ b_stack, out=c_plane.data)
+        if step < q - 1:
+            a_stack = a_stack[perm_a]
+            b_stack = b_stack[perm_b]
     return c_plane.data.reshape(q, q, bm, bn).transpose(0, 2, 1, 3).reshape(bm * q, bn * q)

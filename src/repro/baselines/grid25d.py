@@ -251,8 +251,7 @@ def _grid25d_plane(
     # Stores are layer-invariant; one check records the reference path's peak.
     machine.check_memory()
     for rounds, delta in fiber_exchange_rounds(machine, decomposition, "gather"):
-        for _ in rounds:
-            machine.post_round(delta)
+        machine.post_rounds(delta, rounds)
     post_c_reduction(machine, decomposition)
     if machine.transport.counters_only:
         return ShapeToken((decomposition.m, decomposition.n))

@@ -328,9 +328,9 @@ def _summa_plane(
     """SUMMA on the stacked-array engine; returns the global product.
 
     SUMMA's own part of a run (see the module docstring) is the round
-    boundary -- an unlabelled ``commit_round`` per panel -- and one stacked
-    GEMM per panel.  In ``volume`` mode the same loop runs without the
-    numerics: no plane is allocated and a token is returned as the product.
+    boundary -- an unlabelled ``commit_round`` per panel -- and, after the
+    accounting, one stacked GEMM per panel.  In ``volume`` mode the numerics
+    are skipped: no plane is allocated and a token is returned as the product.
     """
     k, panel_width = decomposition.k, decomposition.step_size
     numeric = not machine.transport.counters_only
@@ -341,10 +341,9 @@ def _summa_plane(
     # change between panels, so one check records the identical peak.
     machine.check_memory()
     for panels, delta in fiber_exchange_rounds(machine, decomposition, "tree"):
-        for panel in panels:
-            machine.post_round(delta)
-            if numeric:
-                start = panel * panel_width
-                stacks.multiply(0, start, min(start + panel_width, k))
-            machine.commit_round()
-    return stacks.product() if numeric else ShapeToken((decomposition.m, decomposition.n))
+        machine.post_rounds(delta, panels, lambda _: machine.commit_round())
+    if not numeric:
+        return ShapeToken((decomposition.m, decomposition.n))
+    for start in range(0, k, panel_width):
+        stacks.multiply(0, start, min(start + panel_width, k))
+    return stacks.product()

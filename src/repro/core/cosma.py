@@ -22,14 +22,14 @@ product and the per-round volumes needed by the overlap performance model.
 ``use_rma`` or without.  Its accounting is three functions of a
 :class:`CosmaDecomposition` -- :func:`post_owned_words`,
 :func:`fiber_exchange_rounds` (Algorithm 1 is a steady-state schedule, so each
-*distinct* round is posted once, a round class, and its counter delta
-replayed) and :func:`post_c_reduction` -- and they are the one accounting
-implementation of the grid family: SUMMA runs them on ``pm x pn x 1`` with its
-panel width as the step, 2.5D on ``q x q x c`` with one whole-layer gather
-round (:mod:`repro.baselines.summa`, :mod:`repro.baselines.grid25d`).  The
-product is one GEMM into a single C sheet.  The per-hop loop in
-:func:`cosma_multiply` serves ``legacy`` / ``zerocopy`` only and is the parity
-suites' oracle.
+*distinct* round, a round class, is written once -- in closed form from its
+overlap widths, no hop expanded -- and added with its multiplicity) and
+:func:`post_c_reduction` -- and they are the one accounting implementation of
+the grid family: SUMMA runs them on ``pm x pn x 1`` with its panel width as
+the step, 2.5D on ``q x q x c`` with one whole-layer gather round
+(:mod:`repro.baselines.summa`, :mod:`repro.baselines.grid25d`).  The product
+is one GEMM into a single C sheet.  The per-hop loop in :func:`cosma_multiply`
+serves ``legacy`` / ``zerocopy`` only and is the parity suites' oracle.
 """
 
 from __future__ import annotations
@@ -42,8 +42,19 @@ import numpy as np
 
 from repro.core.decomposition import CosmaDecomposition, build_decomposition, distribute_matrices
 from repro.core.grid import ProcessorGrid
-from repro.machine.collectives import broadcast, broadcast_hops, reduce, reduce_hops
-from repro.machine.counters import CommCounters
+from repro.machine.collectives import broadcast, reduce, tree_fanout
+from repro.machine.counters import (
+    FLOPS,
+    INPUT_WORDS,
+    MESSAGES_RECEIVED,
+    MESSAGES_SENT,
+    OUTPUT_WORDS,
+    ROUND_START_WORDS,
+    ROUNDS,
+    WORDS_RECEIVED,
+    WORDS_SENT,
+    CommCounters,
+)
 from repro.machine.rma import rma_get
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import PayloadPlane, ShapeToken, as_payload
@@ -319,11 +330,6 @@ def _sharded_gemm(
         pool.release()
 
 
-#: Transfers after which :func:`fiber_exchange_rounds` posts what a class has
-#: gathered so far instead of gathering further layers.
-_POST_BATCH = 1 << 15
-
-
 def _c_block_words(decomposition: CosmaDecomposition) -> np.ndarray:
     """Words of every ``(pi, pj)`` block of C, row-major."""
     return np.multiply.outer(
@@ -363,7 +369,7 @@ def post_owned_words(
 def fiber_exchange_rounds(
     machine: DistributedMachine, decomposition: CosmaDecomposition, exchange: str
 ) -> Iterator[tuple[range, CommCounters]]:
-    """The round classes of the decomposition's panel exchange, each posted once.
+    """The round classes of the decomposition's panel exchange, each written once.
 
     In round ``r`` every k-layer moves its ``r``-th chunk of ``step_size``
     outer products: the owners of the chunk's A panel send their pieces along
@@ -379,42 +385,36 @@ def fiber_exchange_rounds(
     k-chunk and each ownership slice, and those take O(pk (pm + pn)) distinct
     values however many rounds there are.  The whole schedule's width table
     is one broadcast expression and a maximal run of equal rows is a *round
-    class*, posted once into a scratch counter set and yielded as ``(rounds,
-    delta)`` (:meth:`DistributedMachine.round_classes`).  The caller adds the
-    delta once per round (``post_round``) and keeps its own round boundary,
-    so spans, ``round_log`` and ``round_start_words`` mean what they mean on
-    the per-hop path.
+    class* (:meth:`DistributedMachine.round_classes`), yielded as ``(rounds,
+    delta)`` for the caller to add with its multiplicity and its own round
+    boundary (:meth:`DistributedMachine.post_rounds`).
+
+    No hop is expanded to write a delta.  In a fiber of ``q`` positions rooted
+    at owner ``o``, position ``(pos - o) % q`` sends that position's fan-out
+    of messages and receives one unless it is the root; summed over owners, a
+    position sends the circulant product ``widths @ fan`` and receives every
+    width but its own, in units of its rank's block side (``lm`` for A pieces,
+    ``ln`` for B): a class delta is O(p) array arithmetic, whatever ``q`` is.
     """
     pm, pn, pk = decomposition.grid
-    lm = np.diff(decomposition.i_bounds)
-    ln = np.diff(decomposition.j_bounds)
-    mn_outer = _c_block_words(decomposition)
+    lm = np.diff(decomposition.i_bounds)[:, None, None]  # against (pm, pn, pk)
+    ln = np.diff(decomposition.j_bounds)[:, None]
     k_lo, k_hi = decomposition.k_bounds[:-1], decomposition.k_bounds[1:]
     a_lo, a_hi = decomposition.a_bounds[:, :-1], decomposition.a_bounds[:, 1:]  # (pk, pn)
     b_lo, b_hi = decomposition.b_bounds[:, :-1], decomposition.b_bounds[:, 1:]  # (pk, pm)
 
-    # ------------------------------------------------------------------
-    # round-invariant schedule structure
-    # ------------------------------------------------------------------
-    # Hop arrays, precomputed per owner *position* and mapped onto the
-    # row-major rank layout.  A j-fiber (pi, *, kk) rooted at owner pj_o
-    # performs hops fiber[(pj_o + s) % pn] -> fiber[(pj_o + d) % pn]; the
-    # arrays below hold those rank ids, sources in [0] and destinations in
-    # [1], for every (pi | pj, owner, hop), with the layer offset kk added at
-    # use.  The star (position 0 -> every other position) has the same q - 1
-    # hops per owner as the binomial tree.
-    def fiber_hops(q: int) -> np.ndarray:
-        if exchange == "tree":
-            hops = np.array(broadcast_hops(q), dtype=np.int64).T
-        else:
-            hops = np.stack([np.zeros(q - 1, dtype=np.int64), np.arange(1, q, dtype=np.int64)])
-        return (np.arange(q)[None, :, None] + hops[:, None, :]) % q  # (2, owner, hop)
+    def circulant(q: int) -> np.ndarray:
+        """``fan[o, pos]``: messages position ``pos`` sends of owner ``o``'s piece
+        (the star sends all ``q - 1`` from the owner itself)."""
+        fanout = np.array(tree_fanout(q) if exchange == "tree" else [q - 1] + [0] * (q - 1))
+        return fanout[(np.arange(q) - np.arange(q)[:, None]) % q]
 
-    if pn > 1:
-        a_hops = np.arange(pm)[:, None, None] * (pn * pk) + fiber_hops(pn)[:, None] * pk
-    if pm > 1:
-        b_hops = fiber_hops(pm)[:, None] * (pn * pk) + np.arange(pn)[:, None, None] * pk
-    layer_ranks = np.arange(pm * pn) * pk
+    fan_a, fan_b = circulant(pn), circulant(pm)
+
+    def exchanged(widths: np.ndarray, fan: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(sent, received) by every position of every layer's fibers, as
+        ``(position, layer)`` tables, given the ``(layer, owner)`` widths."""
+        return (widths @ fan).T, (widths.sum(axis=1, keepdims=True) - widths).T
 
     # ------------------------------------------------------------------
     # round classes: the overlap-width table of the whole schedule
@@ -435,66 +435,52 @@ def fiber_exchange_rounds(
         [c1 - c0, w_a.reshape(num_rounds, -1), w_b.reshape(num_rounds, -1)], axis=1
     )
 
-    def fiber_transfers(hops, block, widths, kk):
-        """Layer ``kk``'s hops along one fiber direction and their words: an
-        owner with a nonempty overlap sends its ``block x width`` piece over
-        each of its ``q - 1`` hops.  (In the steady state every owner is
-        active, and masking the hop arrays would only copy them.)"""
-        active = widths > 0
-        if not active.all():
-            hops, widths = hops[:, :, active], widths[active]
-        words = np.repeat(np.multiply.outer(block, widths).ravel(), hops.shape[3])
-        return (hops + kk).reshape(2, -1), words
-
     def post_class(delta: CommCounters, row: np.ndarray) -> None:
         chunk_w = row[:pk]
         class_w_a = row[pk : pk + pk * pn].reshape(pk, pn)
         class_w_b = row[pk + pk * pn :].reshape(pk, pm)
-        layers = np.flatnonzero(chunk_w)
-        pending: list[tuple[np.ndarray, np.ndarray]] = []
-
-        def post_pending() -> None:
-            (srcs, dsts), words = (np.concatenate(parts, axis=-1) for parts in zip(*pending))
-            delta.post_transfers(srcs, dsts, words, kind="input", count_rounds=exchange != "get")
-            if exchange == "get":
-                delta.add_rounds(dsts)
-            pending.clear()
-
-        for kk in layers:
-            if pn > 1:
-                pending.append(fiber_transfers(a_hops, lm, class_w_a[kk], kk))
-            if pm > 1:
-                pending.append(fiber_transfers(b_hops, ln, class_w_b[kk], kk))
-            # One post per class unless the class is large: the index arrays of
-            # a post stay a few MB however many layers a round spans (2.5D's
-            # single round spans them all: 8.3 M transfers at p = 65536).
-            if sum(words.size for _, words in pending) >= _POST_BATCH:
-                post_pending()
-        if pending:
-            post_pending()
-        delta.add_flops(
-            np.add.outer(layers, layer_ranks).ravel(),
-            np.multiply.outer(2 * chunk_w[layers], mn_outer).ravel(),
-        )
+        # Ranks are row-major in (pi, pj, kk); a layer that ran out of k has
+        # zero widths throughout and its ranks stay zero.
+        rows = delta.matrix.data[:, : pm * pn * pk].reshape(-1, pm, pn, pk)
+        sent_a, received_a = exchanged(class_w_a, fan_a)
+        sent_b, received_b = exchanged(class_w_b, fan_b)
+        rows[WORDS_SENT] = lm * sent_a + sent_b[:, None] * ln
+        rows[WORDS_RECEIVED] = lm * received_a + received_b[:, None] * ln
+        sent_a, received_a = exchanged((class_w_a > 0).astype(np.int64), fan_a)
+        sent_b, received_b = exchanged((class_w_b > 0).astype(np.int64), fan_b)
+        rows[MESSAGES_SENT] = sent_a + sent_b[:, None]
+        rows[MESSAGES_RECEIVED] = received_a + received_b[:, None]
+        # A get is charged to its origin only; a send or a tree hop to both ends.
+        rows[ROUNDS] = rows[MESSAGES_RECEIVED] + (exchange != "get") * rows[MESSAGES_SENT]
+        rows[INPUT_WORDS] = rows[WORDS_SENT] + rows[WORDS_RECEIVED]
+        rows[FLOPS] = 2 * chunk_w * lm * ln
 
     return machine.round_classes(table, post_class)
 
 
 def post_c_reduction(machine: DistributedMachine, decomposition: CosmaDecomposition) -> None:
     """Count the binomial reduction of the partial C blocks along every k fiber
-    onto its ``kk = 0`` rank, and post the reduced blocks those ranks then hold."""
-    grid = decomposition.grid
+    onto its ``kk = 0`` rank, and post the reduced blocks those ranks then hold.
+
+    One more delta, added once.  The broadcast tree mirrored: every position
+    but the root sends its block once, position ``kk`` receives (and combines,
+    a flop per word) ``fanout[kk]``.
+    """
+    pm, pn, pk = decomposition.grid
     mn_outer = _c_block_words(decomposition)
-    if grid.pk > 1:
-        r_src, r_dst = np.array(reduce_hops(grid.pk), dtype=np.int64).T
-        bases = np.arange(grid.pm * grid.pn)[:, None] * grid.pk
-        hop_words = np.repeat(mn_outer, len(r_src))
-        dsts = (bases + r_dst[None, :]).ravel()
-        machine.post_transfers(
-            (bases + r_src[None, :]).ravel(), dsts, hop_words, kind="output",
-        )
-        machine.counters.add_flops(dsts, hop_words)
-    machine.post_resident("C_final", slice(0, grid.p_used, grid.pk), mn_outer)
+    if pk > 1:
+        received = np.array(tree_fanout(pk))
+        sent = np.arange(pk) > 0
+        delta = CommCounters.for_ranks(machine.p)
+        rows = delta.matrix.data[:, : pm * pn * pk].reshape(-1, pm * pn, pk)
+        rows[WORDS_SENT] = mn_outer[:, None] * sent
+        rows[WORDS_RECEIVED] = rows[FLOPS] = mn_outer[:, None] * received
+        rows[MESSAGES_SENT] = sent
+        rows[MESSAGES_RECEIVED] = received
+        rows[ROUNDS] = sent + received
+        rows[OUTPUT_WORDS] = rows[WORDS_SENT] + rows[WORDS_RECEIVED]
+        machine.post_rounds(delta, range(1))
+    machine.post_resident("C_final", slice(0, pm * pn * pk, pk), mn_outer)
 
 
 def _cosma_batched(
@@ -562,12 +548,13 @@ def _cosma_batched(
     )
     with accounting_span:
         for rounds, delta in classes:
-            volume = delta.max_words_per_rank()
-            for chunk_index in rounds:
-                machine.counters.mark_round_start()
-                machine.post_round(delta)
-                round_volumes.append(volume)
-                machine.log_round(f"cosma-step-{chunk_index}")
+            machine.post_rounds(delta, rounds, lambda r: machine.log_round(f"cosma-step-{r}"))
+            round_volumes.extend([delta.max_words_per_rank()] * len(rounds))
+        # The per-hop loop leaves the start of the last round marked: mark now
+        # and take that round (the scratch set still holds its class) back out.
+        last = delta.matrix.data
+        machine.counters.mark_round_start()
+        machine.counters.matrix.data[ROUND_START_WORDS] -= last[WORDS_SENT] + last[WORDS_RECEIVED]
 
     # ------------------------------------------------------------------
     # numerics: one GEMM over the whole k extent into the single C sheet

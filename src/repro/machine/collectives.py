@@ -48,8 +48,7 @@ def broadcast_hops(q: int) -> tuple[tuple[int, int], ...]:
 
     In round ``r``, position ``i < 2**r`` sends to position ``i + 2**r``; each
     non-root position receives exactly once, matching MPI_Bcast's volume.
-    Positions are relative to the root (position 0); plane-mode engines map
-    them onto fiber rank lists to precompute whole-schedule hop arrays.
+    Positions are relative to the root (position 0).
     """
     hops: list[tuple[int, int]] = []
     span = 1
@@ -61,6 +60,18 @@ def broadcast_hops(q: int) -> tuple[tuple[int, int], ...]:
             hops.append((pos, partner))
         span *= 2
     return tuple(hops)
+
+
+@lru_cache(maxsize=256)
+def tree_fanout(q: int) -> tuple[int, ...]:
+    """Messages each position of the :func:`broadcast_hops` tree sends; mirrored,
+    what each position of the :func:`reduce_hops` tree receives.  Every non-root
+    position receives (sends) exactly once, so this is all of the tree a batched
+    engine needs: per-rank counters are sums over positions, not over hops."""
+    fanout = [0] * q
+    for src, _ in broadcast_hops(q):
+        fanout[src] += 1
+    return tuple(fanout)
 
 
 @lru_cache(maxsize=256)

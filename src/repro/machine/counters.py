@@ -20,10 +20,10 @@ is one vectorized numpy reduction.
 
 The matrix layout is also what makes **round classes** cheap: the counter
 delta of a whole communication round is a ``fields x p`` integer array, so a
-batched engine that knows its repeats up front posts each distinct round once
-into a scratch :class:`CommCounters` and adds that matrix once per round of
-the class (:meth:`DistributedMachine.round_classes
-<repro.machine.simulator.DistributedMachine.round_classes>`).
+batched engine that knows its repeats up front writes each distinct round once
+into a scratch :class:`CommCounters` (the grid family as array arithmetic over
+its rows, no transfer list) and adds it times the class's rounds (:meth:`post_rounds
+<repro.machine.simulator.DistributedMachine.post_rounds>`).
 """
 
 from __future__ import annotations

@@ -507,12 +507,11 @@ class DistributedMachine:
 
         Row ``r`` of ``table`` must determine round ``r``'s whole schedule
         (participants, payload sizes, flops); steady-state schedules repeat
-        rows by construction.  For each run, ``post_class(delta, row)`` posts
-        one round's transfers and flops into the zeroed scratch counter set
-        ``delta`` and ``(rounds, delta)`` is yielded: the engine calls
-        :meth:`post_round` once per round and keeps everything else it does
-        at a round boundary (``log_round`` / ``commit_round``, memory checks,
-        numerics) per round.  The scratch set is reused from run to run.
+        rows by construction.  For each run, ``post_class(delta, row)`` writes
+        one round's counters into the zeroed scratch counter set ``delta`` and
+        ``(rounds, delta)`` is yielded for the engine to add with its
+        multiplicity (:meth:`post_rounds`).  The scratch set is reused from
+        run to run.
         """
         delta = CommCounters.for_ranks(self.p)
         starts = np.flatnonzero(np.r_[True, (table[1:] != table[:-1]).any(axis=1)])
@@ -521,12 +520,24 @@ class DistributedMachine:
             post_class(delta, table[first])
             yield range(first, stop), delta
 
-    def post_round(self, delta: CommCounters) -> None:
-        """Add one round of a class to the counters: a single vectorized add,
-        byte-identical to posting the round's schedule again."""
-        self.counters.matrix.data += delta.matrix.data
-        if self.trace is not None:
-            self.trace.hops_batch(delta.total_messages)
+    def post_rounds(
+        self, delta: CommCounters, rounds: range, boundary: Callable[[int], None] | None = None
+    ) -> None:
+        """Add every round of a class to the counters, byte-identical to
+        posting each round's schedule again, with the engine's round boundary
+        ``boundary(r)`` (``log_round`` / ``commit_round``) after each.  Untraced
+        that is one add of ``len(rounds) * delta``; a round span reads the
+        matrix at its boundary, so under a tracer adds and boundaries alternate."""
+        data, step = self.counters.matrix.data, delta.matrix.data
+        if self.trace is None:
+            data += len(rounds) * step
+        hops = None if self.trace is None else delta.total_messages
+        for r in rounds:
+            if hops is not None:
+                data += step
+                self.trace.hops_batch(hops)
+            if boundary is not None:
+                boundary(r)
 
     def commit_round(self) -> None:
         """Round boundary for algorithms that do not label rounds with :meth:`log_round`."""

@@ -22,3 +22,35 @@ def small_matrices(rng) -> tuple[np.ndarray, np.ndarray]:
 def square_matrices(rng) -> tuple[np.ndarray, np.ndarray]:
     """A square pair (32x32)."""
     return rng.standard_normal((32, 32)), rng.standard_normal((32, 32))
+
+
+@pytest.fixture
+def class_posts(monkeypatch) -> list[str]:
+    """The grid family's batched accounting, observed.
+
+    Every ``post_class`` call that ``DistributedMachine.round_classes`` makes
+    appends the module the callback lives in (one entry per class delta
+    written), and expanding a schedule into a transfer list -- reaching
+    ``CommCounters.post_transfers`` or the ``_scatter_add`` behind it,
+    ``add_flops`` and ``add_rounds`` -- fails the test.
+    """
+    from repro.machine import counters
+    from repro.machine.simulator import DistributedMachine
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the run expanded its schedule into a transfer list")
+
+    monkeypatch.setattr(counters.CommCounters, "post_transfers", forbidden)
+    monkeypatch.setattr(counters, "_scatter_add", forbidden)
+    posts: list[str] = []
+    round_classes = DistributedMachine.round_classes
+
+    def recording(self, table, post_class):
+        def counted(delta, row):
+            posts.append(post_class.__module__)
+            post_class(delta, row)
+
+        return round_classes(self, table, counted)
+
+    monkeypatch.setattr(DistributedMachine, "round_classes", recording)
+    return posts

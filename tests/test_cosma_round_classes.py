@@ -7,7 +7,9 @@ machine or one that already holds counters, traced or not.  COSMA posts its
 overlap-width classes (with one-sided gets or tree broadcasts; its plane-mode
 product comes from one GEMM into a single C sheet), SUMMA its panel classes,
 Cannon "steady shift round" and "final round" -- all through
-``DistributedMachine.round_classes``.
+``DistributedMachine.round_classes`` / ``post_rounds``.  The grid family's
+class deltas are written in closed form; the hop expansion they replaced is
+kept here as their oracle.
 
 SUMMA and 2.5D post through COSMA's accounting core, so the grid family is
 also held to the identities that make that legitimate -- SUMMA is COSMA on
@@ -16,6 +18,9 @@ also held to the identities that make that legitimate -- SUMMA is COSMA on
 independently written per-hop loops, not only between the engines.
 """
 
+import hashlib
+import time
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -37,6 +42,7 @@ from repro.core.cosma import (
 from repro.core.decomposition import build_decomposition
 from repro.core.grid import ProcessorGrid
 from repro.experiments.harness import run_algorithm
+from repro.machine.collectives import broadcast_hops, reduce
 from repro.machine.counters import MESSAGES_SENT, ROUND_START_WORDS, ROUNDS, CommCounters
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import ShapeToken, allclose_tolerances
@@ -135,6 +141,27 @@ def test_traced_spans_equal_the_per_hop_loops(use_rma):
     assert _round_spans(_run, *problem, mode="volume", use_rma=use_rma)[0] == reference
 
 
+@pytest.mark.parametrize("use_rma", [False, True])
+def test_round_bookkeeping_equals_the_per_hop_loops(use_rma):
+    """What the per-hop loop does at every round boundary and the engine once
+    per class or once per run: the round log, the round volumes, and the words
+    marked at the start of the last round -- after one run and after two."""
+    problem = (13, 11, 47, ProcessorGrid(2, 3, 3), 1, 55)  # step 2: 8 rounds, uneven layers
+    for runs in (1, 2):
+        loop, oracle = _run(*problem, mode="legacy", use_rma=use_rma, runs=runs)
+        with tracing():
+            engines = [_run(*problem, mode="volume", use_rma=use_rma, runs=runs)]
+        engines.append(_run(*problem, mode="volume", use_rma=use_rma, runs=runs))
+        for machine, result in engines:  # traced, then untraced
+            assert machine.round_log == loop.round_log
+            assert len(machine.round_log) == 8 * runs == result.num_rounds * runs
+            assert result.round_volumes == oracle.round_volumes
+            marked = machine.counters.matrix.data[ROUND_START_WORDS]
+            assert marked.any()
+            assert np.array_equal(marked, loop.counters.matrix.data[ROUND_START_WORDS])
+            assert machine.counters.matrix.data.tobytes() == loop.counters.matrix.data.tobytes()
+
+
 def test_top_of_the_strong_scaling_range():
     """COSMA 16384^3 on p=16384, S=101000: values captured at the parent (2.2-2.6 s there)."""
     scenario = Scenario(name="square-paper-p16384", shape=square_shape(16384), p=16384,
@@ -145,6 +172,35 @@ def test_top_of_the_strong_scaling_range():
     assert run.max_words_per_rank == 3692763
     assert run.rounds == 3717
     assert run.total_flops == 8797435199488
+
+
+@pytest.mark.parametrize("name, grid, pinned, ceiling_s", [
+    ("ScaLAPACK", (256, 256), (16711680.0, 16711680, 1420, 1420,
+     "2f8951f44f67a024b8b7eb6b6d7201f346817981999428e58a3eb32e9786efb0"), 2.0),
+    ("CTF", (128, 128, 4), (8421376.0, 8454144, 510, 510,
+     "8d0ffdd8f257dbd99941192db82cc44226acb11fe308e9792d709a7bb8b8f667"), 0.5),
+], ids=["ScaLAPACK", "CTF"])
+def test_grid_baselines_three_octaves_up(name, grid, pinned, ceiling_s):
+    """32768^3 on p=65536, S=101000: values and the counter matrix's sha256
+    captured at the parent, where the hop arrays made these 2.5-5.4 s / 600 MiB
+    (ScaLAPACK) and 0.9 s / 340 MiB (CTF); 0.25 s and 0.015 s without them.  The
+    ceiling is on the faster of two runs and far above that: it guards the
+    order of magnitude, not the box."""
+    scenario = Scenario(name="square-paper-p65536", shape=square_shape(32768), p=65536,
+                        memory_words=101_000, regime="limited")
+    spec = get_algorithm(name)
+    assert spec.plan(scenario).grid == grid
+    seconds = []
+    for _ in range(2):
+        start = time.perf_counter()
+        machine, _ = _run_on(lambda a, b, machine: spec.run(a, b, scenario, machine),
+                             32768, 32768, 32768, scenario.p, scenario.memory_words, "volume")
+        seconds.append(time.perf_counter() - start)
+    counters = machine.counters
+    assert (counters.mean_words_per_rank(), counters.max_words_per_rank(), counters.max_rounds(),
+            counters.max_messages_per_rank(),
+            hashlib.sha256(counters.matrix.data.tobytes()).hexdigest()) == pinned
+    assert min(seconds) < ceiling_s
 
 
 @pytest.mark.parametrize("shards", [1, 2])
@@ -229,22 +285,120 @@ def test_cannon_equals_the_per_hop_loop(shape, p, skew):
     _assert_engines_equal_the_per_hop_loop(multiply, *shape, p)
 
 
-def test_many_panel_summa_posts_once_per_class(monkeypatch):
-    """500 one-to-three-column panels are a handful of classes, not 167 postings."""
-    posts = []
-    post_transfers = CommCounters.post_transfers
-    monkeypatch.setattr(
-        CommCounters, "post_transfers",
-        lambda self, *args, **kwargs: posts.append(1) or post_transfers(self, *args, **kwargs),
-    )
-    pm, pn = 2, 4
+def test_many_panel_summa_posts_once_per_class(class_posts):
+    """ScaLAPACK 8192^3 on p=4096 with S=8000: 8192 one-column panels are 64
+    class deltas, not 8192 postings (and no transfer list)."""
+    scenario = Scenario(name="square-many-panels", shape=square_shape(8192), p=4096,
+                        memory_words=8000, regime="limited")
+    run = run_algorithm("ScaLAPACK", scenario, mode="volume")
+    assert run.rounds == 32256  # every panel was counted ...
+    assert run.mean_received_per_rank == 2064384.0
+    assert class_posts == ["repro.core.cosma"] * 64  # ... but written once per class
 
-    def multiply(a, b, machine):
-        return summa_multiply(a, b, pm * pn, machine=machine, grid=(pm, pn), panel_width=3)
 
-    machine, _ = _run_on(multiply, 16, 16, 500, pm * pn, 1 << 20, mode="volume")
-    assert machine.counters.max_rounds() > 167  # every panel was counted ...
-    assert 1 < len(posts) <= 2 * (pm + pn) + 2  # ... but posted once per class
+# ---------------------------------------------------------------------------
+# class deltas are written in closed form: the hop expansion they replaced is the oracle
+# ---------------------------------------------------------------------------
+def _expanded_round(decomposition, p, exchange, r):
+    """Round ``r`` of the panel exchange posted hop by hop through
+    ``CommCounters.post_transfers``: the body ``fiber_exchange_rounds`` had
+    before it wrote its deltas from the overlap widths, unrolled into loops."""
+    pm, pn, pk = decomposition.grid
+    lm, ln = np.diff(decomposition.i_bounds), np.diff(decomposition.j_bounds)
+    step = decomposition.step_size
+    delta = CommCounters.for_ranks(p)
+    srcs, dsts, words = [], [], []
+
+    def send_pieces(fiber, slices, c0, c1, side):
+        """Every owner of ``fiber`` whose slice meets ``[c0, c1)`` sends its piece."""
+        q = len(fiber)
+        hops = broadcast_hops(q) if exchange == "tree" else [(0, d) for d in range(1, q)]
+        for owner in range(q):
+            width = min(slices[owner + 1], c1) - max(slices[owner], c0)
+            for s, d in hops if width > 0 else ():
+                srcs.append(fiber[(owner + s) % q])
+                dsts.append(fiber[(owner + d) % q])
+                words.append(side * width)
+
+    for kk in range(pk):
+        k0, k1 = decomposition.k_bounds[kk : kk + 2]
+        c0 = min(k0 + r * step, k1)
+        c1 = min(c0 + step, k1)
+        if c0 == c1:
+            continue  # this layer ran out of k in an earlier round
+        for pi in range(pm):
+            send_pieces(decomposition.j_fiber(pi, kk), decomposition.a_bounds[kk], c0, c1, lm[pi])
+        for pj in range(pn):
+            send_pieces(decomposition.i_fiber(pj, kk), decomposition.b_bounds[kk], c0, c1, ln[pj])
+        for pi in range(pm):
+            for pj in range(pn):
+                delta.add_flops([decomposition.coords_to_rank(pi, pj, kk)],
+                                2 * (c1 - c0) * lm[pi] * ln[pj])
+    delta.post_transfers(srcs, dsts, words, kind="input", count_rounds=exchange != "get")
+    if exchange == "get":
+        delta.add_rounds(dsts)  # a get is charged to its origin only
+    return delta.matrix.data
+
+
+@st.composite
+def exchange_problems(draw):
+    """A decomposition on a drawn grid with fiber lengths up to 7 (3, 5, 6, 7:
+    binomial trees that are not full), idle ranks and an explicit step, from
+    one outer product per round to the whole layer in one."""
+    pm, pn, pk = draw(st.integers(1, 7)), draw(st.integers(1, 7)), draw(st.integers(1, 4))
+    m, n, k = draw(st.integers(pm, 20)), draw(st.integers(pn, 20)), draw(st.integers(1, 40))
+    p = pm * pn * pk + draw(st.integers(0, 2))
+    return p, build_decomposition(m, n, k, p, 1 << 20, grid=ProcessorGrid(pm, pn, pk),
+                                  step_size=draw(st.integers(1, -(-k // pk))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(problem=exchange_problems(), exchange=st.sampled_from(["tree", "get", "gather"]))
+@example(problem=(36, build_decomposition(12, 12, 5, 36, 1 << 20, grid=ProcessorGrid(6, 5, 1),
+                                          step_size=1)), exchange="tree")  # k < pm: empty slices
+@example(problem=(15, build_decomposition(9, 9, 7, 15, 1 << 20, grid=ProcessorGrid(1, 7, 2),
+                                          step_size=2)), exchange="gather")  # pm = 1, uneven layers
+@example(problem=(9, build_decomposition(9, 9, 31, 9, 1 << 20, grid=ProcessorGrid(7, 1, 1),
+                                         step_size=3)), exchange="get")  # pn = 1, two idle ranks
+def test_class_deltas_equal_the_hop_expansion(problem, exchange):
+    """Every class's delta, on all nine rows, at the first and the last round
+    of the class (so the run detection is held to the same oracle), and the
+    classes cover the schedule."""
+    p, decomposition = problem
+    machine = DistributedMachine(p, mode="volume")
+    covered = []
+    for rounds, delta in fiber_exchange_rounds(machine, decomposition, exchange):
+        for r in {rounds[0], rounds[-1]}:
+            assert np.array_equal(delta.matrix.data, _expanded_round(decomposition, p, exchange, r))
+        covered += rounds
+    assert covered == list(range(decomposition.num_steps))
+    assert not machine.counters.matrix.data.any()  # yielded, not added
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("pk", [1, 2, 3, 5, 8])
+def test_c_reduction_equals_the_hop_expansion(pk, traced):
+    """The mirrored tree along every k fiber, on a machine that already holds counters."""
+    p = 2 * 3 * pk + 1
+    decomposition = build_decomposition(7, 8, 40, p, 1 << 20, grid=ProcessorGrid(2, 3, pk))
+    lm, ln = np.diff(decomposition.i_bounds), np.diff(decomposition.j_bounds)
+    expected = DistributedMachine(p, mode="volume")
+    expected.post_transfers([0], [p - 1], 11)
+    for pi in range(2):
+        for pj in range(3):  # the per-hop loop's call: the collective walks reduce_hops
+            fiber = decomposition.k_fiber(pi, pj)
+            reduce(expected, fiber[0], fiber, dict.fromkeys(fiber, ShapeToken((lm[pi], ln[pj]))))
+    with (tracing() if traced else nullcontext()) as tracer:
+        machine = DistributedMachine(p, mode="volume")
+        machine.post_transfers([0], [p - 1], 11)
+        post_c_reduction(machine, decomposition)
+        if traced:
+            machine.commit_round()
+    assert np.array_equal(machine.counters.matrix.data, expected.counters.matrix.data)
+    assert machine.check_memory() == lm[0] * ln[0]  # the reduced blocks, on the kk = 0 ranks
+    if traced:
+        (span,) = tracer.spans("round")
+        assert span[4]["hops"] == 1 + 6 * (pk - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +488,7 @@ def test_grid25d_is_cosma_with_a_one_round_gather(problem):
         post_owned_words(machine, decomposition, "A", "B", "C")
         for rounds, delta in fiber_exchange_rounds(machine, decomposition, "gather"):
             assert rounds == range(1)
-            machine.post_round(delta)
+            machine.post_rounds(delta, rounds)
         post_c_reduction(machine, decomposition)
 
     def cosma_gets(a, b, machine):

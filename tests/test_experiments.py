@@ -2,9 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.algorithms import registered_algorithms
+from repro.algorithms import register_algorithm, registered_algorithms, unregister
+from repro.api import multiply
+from repro.experiments import harness
 from repro.experiments.harness import (
     DEFAULT_ALGORITHMS,
     group_by_scenario,
@@ -90,6 +93,49 @@ class TestHarness:
         assert len(grouped) == 2
         for by_algo in grouped.values():
             assert set(by_algo) == {"COSMA", "CARMA"}
+
+
+class TestVerification:
+    """``_execute`` compares product and reference in row blocks; the verdict
+    is the whole-array ``np.allclose``'s for every input."""
+
+    M, N, K = harness._VERIFY_ROWS + 44, 7, 5  # two blocks, the second one partial
+
+    @pytest.mark.parametrize("flaw", [
+        lambda c: c,
+        lambda c: c + 1e-9,                                      # inside the tolerance
+        lambda c: c + 1e-3 * (np.arange(len(c)) == 3)[:, None],       # first block
+        lambda c: c + 1e-3 * (np.arange(len(c)) == len(c) - 1)[:, None],  # last row of the partial block
+        lambda c: np.where(np.arange(len(c))[:, None] == len(c) - 1, np.nan, c),
+        lambda c: c[:1],                                         # broadcasts against the reference
+        lambda c: c[:, :1],
+    ])
+    def test_row_block_verdict_is_the_whole_array_verdict(self, flaw, rng):
+        a, b = rng.standard_normal((self.M, self.K)), rng.standard_normal((self.K, self.N))
+
+        @register_algorithm("_tmp-flawed")
+        def flawed(a_matrix, b_matrix, scenario, machine):
+            return flaw(np.asarray(a_matrix) @ np.asarray(b_matrix))
+
+        try:
+            report = multiply(a, b, processors=1, memory_words=1 << 20, algorithm="_tmp-flawed")
+        finally:
+            unregister("_tmp-flawed")
+        assert report.verified
+        assert report.correct == bool(np.allclose(flaw(a @ b), a @ b, rtol=1e-5, atol=1e-8 * self.K))
+
+    def test_unbroadcastable_product_still_raises(self, rng):
+        a, b = rng.standard_normal((self.M, self.K)), rng.standard_normal((self.K, self.N))
+
+        @register_algorithm("_tmp-flawed")
+        def flawed(a_matrix, b_matrix, scenario, machine):
+            return np.zeros((self.M + 1, self.N))
+
+        try:
+            with pytest.raises(ValueError, match="broadcast"):
+                multiply(a, b, processors=1, memory_words=1 << 20, algorithm="_tmp-flawed")
+        finally:
+            unregister("_tmp-flawed")
 
 
 class TestPerfModel:

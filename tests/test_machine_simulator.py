@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.machine.counters import CommCounters, RankCounters
+from repro.machine.counters import ROUND_START_WORDS, CommCounters, RankCounters
 from repro.machine.simulator import DistributedMachine, LocalMemoryExceededError
 from repro.obs import tracing
 
@@ -287,7 +287,7 @@ class TestBatchedCounterEngine:
 
 
 class TestRoundClasses:
-    """``round_classes`` / ``post_round``: post a run of equal rows once, add it per round."""
+    """``round_classes`` / ``post_rounds``: write a run of equal rows once, add it times its rounds."""
 
     @staticmethod
     def _post(counters, row):
@@ -298,6 +298,8 @@ class TestRoundClasses:
             [words for _, _, words in pairs],
         )
         counters.add_flops([2], 10 * int(row.sum()))
+        # No engine's class writes this row; it is multiplied like the other eight.
+        counters.matrix.data[ROUND_START_WORDS, :2] += row
 
     def test_each_run_is_posted_once_and_replayed_per_round(self):
         table = np.array([[9, 4], [9, 4], [9, 0], [9, 0], [9, 0], [9, 4]])
@@ -308,29 +310,40 @@ class TestRoundClasses:
             self._post(delta, row)
 
         classed = DistributedMachine(3, mode="volume")
+        added = DistributedMachine(3, mode="volume")
         plain = DistributedMachine(3, mode="volume")
-        runs = []
+        runs, boundaries = [], []
         for rounds, delta in classed.round_classes(table, post_class):
             runs.append(list(rounds))
+            classed.post_rounds(delta, rounds, boundaries.append)
             for _ in rounds:
-                classed.counters.mark_round_start()
-                classed.post_round(delta)
+                added.counters.matrix.data += delta.matrix.data
         for row in table:
-            plain.counters.mark_round_start()
             self._post(plain.counters, row)
         assert runs == [[0, 1], [2, 3, 4], [5]]
         assert posted == [(9, 4), (9, 0), (9, 4)]  # a row that comes back is a new run
+        assert boundaries == list(range(6))
+        assert classed.counters.matrix.data[ROUND_START_WORDS].any()
+        assert classed.counters.matrix.data.tobytes() == added.counters.matrix.data.tobytes()
         assert classed.counters.matrix.data.tobytes() == plain.counters.matrix.data.tobytes()
 
     def test_traced_rounds_report_the_class_hops(self):
+        """One span per round with the class's hops, words and flops; what was
+        posted before the first round lands in the first span; the matrix is
+        the untraced run's."""
         table = np.array([[9, 4], [9, 4], [9, 0]])
-        with tracing() as tracer:
+
+        def run():
             machine = DistributedMachine(3, mode="volume")
+            machine.post_transfers([2], [0], 5)  # pre-loop activity (Cannon's skew)
             for rounds, delta in machine.round_classes(table, self._post):
-                for _ in rounds:
-                    machine.post_round(delta)
-                    machine.commit_round()
+                machine.post_rounds(delta, rounds, lambda _: machine.commit_round())
+            return machine.counters.matrix.data.tobytes()
+
+        with tracing() as tracer:
+            traced = run()
         spans = [args for _n, _c, _s, _d, args, _t in tracer.spans("round")]
         assert [(a["hops"], a["words_posted"], a["flops"]) for a in spans] == [
-            (2, 13, 130), (2, 13, 130), (1, 9, 90),
+            (3, 18, 130), (2, 13, 130), (1, 9, 90),
         ]
+        assert traced == run()

@@ -9,13 +9,12 @@ this file pins what the counters-only route is made of:
   per-rank loops (CARMA and Cannon on 8192^3, p=4096), with values captured
   from the per-rank paths;
 * a structural guard: no built-in algorithm's ``volume`` run touches a
-  per-rank primitive or allocates an element-sized array, COSMA posts once
-  per round class, ScaLAPACK and CTF post transfers only from inside COSMA's
-  accounting core, ``use_rma`` stays on the batched engine, and neither a
+  per-rank primitive or allocates an element-sized array, COSMA writes one
+  delta per round class, ScaLAPACK and CTF write theirs only from inside
+  COSMA's accounting core, none of the three expands a transfer list,
+  ``use_rma`` stays on the batched engine, and neither a
   ``volume`` nor a ``plane`` run builds a ``Rank`` or a ``LocalDomain``.
 """
-
-import sys
 
 import numpy as np
 import pytest
@@ -29,7 +28,6 @@ from repro.baselines.cuboid import CuboidDomain, _CellOwners, _ownership_map
 from repro.core import cosma, decomposition
 from repro.experiments.harness import run_algorithm
 from repro.machine import rma, simulator
-from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import ShapeToken
 from repro.workloads.scaling import Scenario, limited_memory_sweep
@@ -191,40 +189,23 @@ def _cosma_sq1024_volume(use_rma=False):
     return machine, result
 
 
-def test_cosma_posts_once_per_round_class(monkeypatch):
-    """sq1024 has 683 rounds in 20 classes: 20 posts plus the C reduction, not 684."""
-    posts = []
-    post_transfers = CommCounters.post_transfers
-
-    def counting(self, *args, **kwargs):
-        posts.append(self)
-        return post_transfers(self, *args, **kwargs)
-
-    monkeypatch.setattr(CommCounters, "post_transfers", counting)
+def test_cosma_posts_once_per_round_class(class_posts):
+    """sq1024 has 683 rounds in 20 classes: 20 class deltas written (and the C
+    reduction), none of them through a transfer list."""
     machine, result = _cosma_sq1024_volume()
     assert result.num_rounds == 683
     assert len(set(result.round_volumes)) > 1
-    assert len(posts) <= 21
-    assert sum(counters is machine.counters for counters in posts) == 1  # the reduction
+    assert class_posts == ["repro.core.cosma"] * 20
+    assert machine.counters.mean_output_words_per_rank() > 0  # the reduction
 
 
 @pytest.mark.parametrize("name", ["ScaLAPACK", "CTF"])
-def test_grid_baselines_post_transfers_only_from_the_cosma_core(name, monkeypatch):
-    """2D and 2.5D are grid choices: their engines hold no posting body."""
-    posters = []
-    post_transfers = CommCounters.post_transfers
-
-    def recording(self, *args, **kwargs):
-        frame = sys._getframe(1)
-        while frame.f_globals["__name__"].startswith("repro.machine."):
-            frame = frame.f_back  # machine.post_transfers; round_classes driving post_class
-        posters.append(frame.f_globals["__name__"])
-        return post_transfers(self, *args, **kwargs)
-
-    monkeypatch.setattr(CommCounters, "post_transfers", recording)
+def test_grid_baselines_post_transfers_only_from_the_cosma_core(name, class_posts):
+    """2D and 2.5D are grid choices: their engines hold no posting body, and
+    the core they post through expands no transfer list."""
     run = run_algorithm(name, paper_scenario(4096, 1024), mode="volume")
     assert run.mean_words_per_rank > 0
-    assert set(posters) == {"repro.core.cosma"}
+    assert set(class_posts) == {"repro.core.cosma"}
 
 
 def test_use_rma_volume_run_stays_on_the_batched_engine(monkeypatch):
