@@ -17,7 +17,7 @@
 #                     - is the working tree observably identical to BASE?
 #                       counters, peaks, round logs, spans and plane products
 #                       of every algorithm over grid240, the paper-scale volume
-#                       points, the grid family at p = 16384 / 65536 and a
+#                       points, every algorithm at p = 16384 / 65536 and a
 #                       list of awkward ones (~1 min per side); exit 1 on any
 #                       difference (scripts/identity_pairs.py)
 

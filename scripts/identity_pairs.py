@@ -9,10 +9,12 @@ so neither import state nor memoized plans leak across).  ``observe`` drives
 every registered algorithm over the ``grid240`` campaign points and a fixed
 list of awkward points -- pm, pn or pk = 1, idle ranks, k smaller than the
 grid side, a partial last chunk, layers that run out of rounds early,
-``use_rma`` -- in ``volume`` and ``plane`` mode, traced and untraced, one and
-two runs per machine, and the paper-scale ``volume_requests`` points and the
-grid family at p = 16384 and p = 65536 (``xl``) in ``volume`` mode (their
-plane products would need gigabytes).  What it records
+``use_rma``, cuboids whose projections overlap partially, a hand-written
+tiling with shuffled ranks and an empty range, Cannon pre-skewed and on one
+rank -- in ``volume`` and ``plane`` mode, traced and untraced, one and two runs
+per machine, and the paper-scale ``volume_requests`` points and every
+algorithm at p = 16384 and p = 65536 (``xl``) in ``volume`` mode (their plane
+products would need gigabytes).  What it records
 per run: sha256 of the raw ``CounterMatrix`` bytes (and, to name what moved
 when that differs, each counter row's total and digest), ``peak_resident_words``,
 the final ``check_memory()``, ``round_log``, COSMA's ``num_rounds`` and
@@ -66,7 +68,7 @@ def _registry_point(prefix, name, scenario, modes=MODES):
 
 def _campaign_points():
     """The ledger's ``grid240`` spec and its ``volume_requests``, restated, and
-    the grid family two and three octaves above them."""
+    every algorithm two and three octaves above them."""
     from repro.algorithms import registered_algorithms
     from repro.sweeps import SweepSpec
     from repro.workloads.scaling import Scenario
@@ -83,8 +85,8 @@ def _campaign_points():
         ("volume_requests", 4096, 1024, registered_algorithms()),
         ("volume_requests", 8192, 4096, grid_family),
         # Beyond the ledger: where per-rank arrays (and, once, hop arrays) are largest.
-        ("xl", 16384, 16384, grid_family),
-        ("xl", 32768, 65536, grid_family),
+        ("xl", 16384, 16384, registered_algorithms()),
+        ("xl", 32768, 65536, registered_algorithms()),
     ):
         scenario = Scenario(name=f"square-paper-p{p}", shape=square_shape(side), p=p,
                             memory_words=101_000, regime="limited")
@@ -94,6 +96,8 @@ def _campaign_points():
 
 def _awkward_points():
     from repro.algorithms import registered_algorithms
+    from repro.baselines.cannon import cannon_multiply
+    from repro.baselines.cuboid import CuboidDomain, cuboid_multiply
     from repro.baselines.grid25d import grid25d_multiply
     from repro.baselines.summa import summa_multiply
     from repro.core.cosma import cosma_multiply
@@ -147,12 +151,32 @@ def _awkward_points():
     grid25d("c1", 13, 11, 47, (3, 3, 1), 0)
     grid25d("q1", 13, 11, 47, (1, 1, 4), 1)
     grid25d("k-below-c", 6, 6, 2, (2, 2, 3), 0)
+    def registered(name, m, n, k, p):
+        scenario = Scenario(name=f"{m}x{n}x{k}-p{p}", shape=ProblemShape(m=m, n=n, k=k),
+                            p=p, memory_words=512, regime="limited")
+        points.append(_registry_point("awkward", name, scenario))
+
     # The cuboid executor and Cannon take no grid: odd shapes, idle ranks.
     for name in registered_algorithms():
-        for m, n, k, p in ((13, 11, 7, 11), (5, 3, 2, 8), (12, 12, 12, 1)):
-            scenario = Scenario(name=f"{m}x{n}x{k}-p{p}", shape=ProblemShape(m=m, n=n, k=k),
-                                p=p, memory_words=512, regime="limited")
-            points.append(_registry_point("awkward", name, scenario))
+        for dims in ((13, 11, 7, 11), (5, 3, 2, 8), (12, 12, 12, 1)):
+            registered(name, *dims)
+    # CARMA where halved odd ranges make projections overlap partially (with
+    # idle ranks at p = 144), and with fewer multiplications than ranks.
+    for dims in ((73, 73, 73, 16), (158, 158, 9, 144), (3, 2, 2, 64)):
+        registered("CARMA", *dims)
+    # A hand-written tiling: ranks listed out of order, an empty j range, a rank gap.
+    tiling = [CuboidDomain(3, (0, 5), (0, 4), (0, 3)), CuboidDomain(0, (5, 9), (0, 4), (0, 3)),
+              CuboidDomain(2, (0, 5), (4, 4), (0, 3)), CuboidDomain(1, (0, 9), (4, 7), (0, 3)),
+              CuboidDomain(5, (0, 9), (0, 7), (3, 6))]
+    points.append((
+        "awkward/cuboid/shuffled-ranks-empty-range",
+        lambda a, b, machine: cuboid_multiply(a, b, tiling, machine=machine),
+        (9, 7, 6), 7, 1 << 20, MODES))
+    for why, p, skew in (("pre-skewed", 11, False), ("q1", 3, True)):
+        points.append((
+            f"awkward/Cannon/{why}",
+            lambda a, b, machine, p=p, skew=skew: cannon_multiply(a, b, p, machine=machine, skew=skew),
+            (13, 11, 7), p, 1 << 20, MODES))
     return points
 
 

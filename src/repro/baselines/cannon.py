@@ -18,10 +18,10 @@ stacked-array engine: the ``q^2`` A / B / C blocks live in three
 :class:`~repro.machine.transport.PayloadPlane` stacks, a ring shift becomes
 one fancy-indexed permutation of a stack's leading axis, and each round's
 ``q^2`` local multiply-accumulates become a single batched ``np.matmul``.
-``volume`` mode is that engine minus the numerics (shape tokens in the rank
-stores, no stacks, no GEMMs).  Counters are posted batched and are
-byte-identical to the per-rank loop in :func:`cannon_multiply`, which serves
-``legacy`` / ``zerocopy`` only.
+``volume`` mode is that engine minus the numerics (no stacks, no GEMMs).
+Counters are written in closed form -- every entry of a shift's delta is a
+constant of the rank's grid position -- and are byte-identical to the per-rank
+loop in :func:`cannon_multiply`, which serves ``legacy`` / ``zerocopy`` only.
 """
 
 from __future__ import annotations
@@ -32,7 +32,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.machine.collectives import ring_shift
-from repro.machine.counters import CommCounters
+from repro.machine.counters import (
+    FLOPS,
+    INPUT_WORDS,
+    MESSAGES_RECEIVED,
+    MESSAGES_SENT,
+    ROUNDS,
+    WORDS_RECEIVED,
+    WORDS_SENT,
+    CommCounters,
+)
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import PayloadPlane, ShapeToken, as_payload, ascontiguous
 from repro.utils.intmath import ceil_div
@@ -167,31 +176,19 @@ def cannon_multiply(
     return CannonRunResult(matrix=c_pad[:m, :n], grid_size=q, counters=machine.counters)
 
 
-def _shift_permutation(q: int, displacement: int, axis: str) -> np.ndarray:
+def _shift_permutation(q: int, displacement, axis: str) -> np.ndarray:
     """Slot permutation of one ring-shift step: ``new[slot] = old[perm[slot]]``.
 
     ``axis="row"`` shifts every grid row left by ``displacement`` blocks (the
     A shift); ``axis="col"`` shifts every column up (the B shift) -- exactly
     what :func:`~repro.machine.collectives.ring_shift` does rank by rank.
+    ``displacement`` is one number, or one per slot (the skew's row ``i`` by
+    ``i`` and column ``j`` by ``j``, composed into one permutation).
     """
     i_idx, j_idx = np.divmod(np.arange(q * q), q)
     if axis == "row":
         return i_idx * q + (j_idx + displacement) % q
     return ((i_idx + displacement) % q) * q + j_idx
-
-
-def _post_shift(counters: CommCounters, perm: np.ndarray, words: int) -> None:
-    """Counter accounting of one all-rows (or all-columns) ring-shift step.
-
-    Counter-equivalent to one :func:`ring_shift` per grid row/column: every
-    rank whose block actually moves posts one ``words``-word transfer, and
-    every rank's round counter advances once.
-    """
-    slots = np.arange(perm.size)
-    moving = perm != slots
-    counters.post_transfers(perm[moving], slots[moving], words, kind="input",
-                            count_rounds=False)
-    counters.add_rounds(slots)
 
 
 def _cannon_plane(
@@ -207,8 +204,10 @@ def _cannon_plane(
     """Cannon on the stacked-array engine; returns the padded global product.
 
     The ``q x q`` block grid of each operand is one ``(q^2, rows, cols)``
-    stack; shifts permute the leading axis, multiplies are batched GEMMs,
-    and every shift's counters are one batched post.
+    stack; shifts permute the leading axis and multiplies are batched GEMMs.
+    No transfer is expanded to count a shift: every entry of its delta is a
+    constant of the rank's grid position, written by row assignment -- the
+    skew as one delta added once, the main loop as two round classes.
 
     In ``volume`` mode (counters-only transport) the same loop runs without
     the numerics: no stack is built and a token is returned as the product.
@@ -243,48 +242,37 @@ def _cannon_plane(
     machine.post_resident("B", grid_ranks, bk * bn)
     machine.post_resident("C", grid_ranks, bm * bn)
 
-    # Initial alignment: row i of A shifts left by i, column j of B up by j.
-    # Each row/column has its own displacement; rounds are charged per
-    # row/column, mirroring one ring_shift call each.
+    i_idx, j_idx = np.divmod(np.arange(q * q), q)
+
+    def post_shifts(delta: CommCounters, a_moves, b_moves) -> None:
+        """One ring shift of every grid row (A) and one of every column (B).
+        ``a_moves`` / ``b_moves`` are 1 where a rank's block moves and 0 where
+        it stays: a moving rank sends its block and receives another of the
+        same size, and every grid rank's round counter advances once per shift."""
+        rows = delta.matrix.data[:, : q * q]
+        rows[WORDS_SENT] = rows[WORDS_RECEIVED] = a_moves * (bm * bk) + b_moves * (bk * bn)
+        rows[MESSAGES_SENT] = rows[MESSAGES_RECEIVED] = a_moves + b_moves
+        rows[INPUT_WORDS] = 2 * rows[WORDS_SENT]
+        rows[ROUNDS] = 2
+
+    # Initial alignment: row i of A shifts left by i, column j of B up by j
+    # (row 0 and column 0 stay put).  Not a round of its own: no boundary.
     if skew:
-        for i in range(q):
-            perm = np.arange(q * q)
-            row = slice(i * q, (i + 1) * q)
-            perm[row] = i * q + (np.arange(q) + i) % q
-            moving = perm != np.arange(q * q)
-            machine.post_transfers(
-                perm[moving], np.flatnonzero(moving), bm * bk, kind="input",
-                count_rounds=False,
-            )
-            machine.counters.add_rounds(range(i * q, (i + 1) * q))
-            if numeric:
-                a_stack = a_stack[perm]
-        for j in range(q):
-            perm = np.arange(q * q)
-            col = np.arange(q) * q + j
-            perm[col] = ((np.arange(q) + j) % q) * q + j
-            moving = perm != np.arange(q * q)
-            machine.post_transfers(
-                perm[moving], np.flatnonzero(moving), bk * bn, kind="input",
-                count_rounds=False,
-            )
-            machine.counters.add_rounds(col)
-            if numeric:
-                b_stack = b_stack[perm]
+        delta = CommCounters.for_ranks(machine.p)
+        post_shifts(delta, np.minimum(i_idx, 1), np.minimum(j_idx, 1))
+        machine.post_rounds(delta, range(1))
+        if numeric:
+            a_stack = a_stack[_shift_permutation(q, i_idx, "row")]
+            b_stack = b_stack[_shift_permutation(q, j_idx, "col")]
 
     # Main loop: q rounds of batched multiply + whole-grid shift by one.
     # Every non-final round is structurally identical (same grid, same block
     # shapes, shift by one): two round classes, the steady shift round and
     # the final multiply-only round.
-    all_slots = np.arange(q * q)
-    perm_a = _shift_permutation(q, 1, "row")
-    perm_b = _shift_permutation(q, 1, "col")
-
     def post_step(delta: CommCounters, row: np.ndarray) -> None:
-        delta.add_flops(all_slots, 2 * bm * bn * bk)
-        if not row[0]:  # not the final round
-            _post_shift(delta, perm_a, bm * bk)
-            _post_shift(delta, perm_b, bk * bn)
+        delta.matrix.data[FLOPS, : q * q] = 2 * bm * bn * bk
+        if not row[0]:  # not the final round (there is one only when q > 1)
+            post_shifts(delta, 1, 1)
 
     is_final = (np.arange(q) == q - 1)[:, None]
     if q > 1:
@@ -295,6 +283,8 @@ def _cannon_plane(
 
     if not numeric:
         return ShapeToken((bm * q, bn * q))
+    perm_a = _shift_permutation(q, 1, "row")
+    perm_b = _shift_permutation(q, 1, "col")
     for step in range(q):
         np.add(c_plane.data, a_stack @ b_stack, out=c_plane.data)
         if step < q - 1:

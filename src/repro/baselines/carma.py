@@ -9,9 +9,12 @@ for all shapes but -- as section 6.2 of the paper shows -- communicates up to
 regime, and only supports processor counts that are powers of two (extra ranks
 stay idle, mirroring the real implementation's restriction).
 
-Execution rides the generic cuboid executor, so CARMA participates in every
-transport mode -- including the stacked-array ``plane`` engine, where its
-near-uniform recursive cuboids batch into a handful of stacked GEMMs (see
+The decomposition is built as the executor's int64 table (:func:`carma_table`:
+a row per rank, the recursion run level by level as array steps over all
+sub-problems of a level); :func:`carma_domains` is that table viewed as
+objects.  Execution rides the generic cuboid executor, so CARMA participates
+in every transport mode -- including the stacked-array ``plane`` engine, where
+its near-uniform recursive cuboids batch into a handful of stacked GEMMs (see
 :mod:`repro.baselines.cuboid`).
 """
 
@@ -22,13 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.cuboid import CuboidDomain, CuboidRunResult, cuboid_multiply
+from repro.baselines.cuboid import CuboidDomain, cuboid_multiply, table_domains
 from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import as_payload
 from repro.utils.validation import check_positive_int
-
-Range = tuple[int, int]
 
 
 def largest_power_of_two_at_most(p: int) -> int:
@@ -47,59 +48,37 @@ def usable_ranks(m: int, n: int, k: int, p: int) -> int:
     return usable
 
 
-def _split_range(r: Range) -> tuple[Range, Range]:
-    lo, hi = r
-    mid = (lo + hi) // 2
-    return (lo, mid), (mid, hi)
-
-
-def carma_domains(m: int, n: int, k: int, p: int) -> list[CuboidDomain]:
-    """Recursively derive the CARMA cuboid of every rank.
+def carma_table(m: int, n: int, k: int, p: int) -> np.ndarray:
+    """The CARMA cuboid of every rank, as a :func:`~repro.baselines.cuboid.domain_table`.
 
     ``p`` is rounded down to a power of two; at every level the currently
-    largest dimension of the sub-problem is halved and the processors split
-    evenly between the halves.
+    largest dimension of each sub-problem is halved and its processors split
+    evenly between the halves.  The recursion runs level by level: one row
+    ``i0, i1, j0, j1, k0, k1`` per sub-problem of the level, ``log2(p)`` array
+    steps in all.
     """
     m = check_positive_int(m, "m")
     n = check_positive_int(n, "n")
     k = check_positive_int(k, "k")
     p = check_positive_int(p, "p")
-    usable = largest_power_of_two_at_most(p)
+    bounds = np.array([[0, m, 0, n, 0, k]], dtype=np.int64)
+    for _ in range(carma_recursion_depth(p)):
+        each = np.arange(len(bounds))
+        # Split the largest dimension; ``argmax`` returns the first maximum:
+        # ties broken m, then n, then k, as in the reference implementation.
+        split = np.argmax(bounds[:, 1::2] - bounds[:, 0::2], axis=1)
+        mid = (bounds[each, 2 * split] + bounds[each, 2 * split + 1]) // 2
+        # The two halves interleave, so a sub-problem's row is its first rank
+        # in units of the level's ranks per sub-problem.
+        bounds = np.repeat(bounds, 2, axis=0)
+        bounds[0::2][each, 2 * split + 1] = mid
+        bounds[1::2][each, 2 * split] = mid
+    return np.column_stack((np.arange(len(bounds)), bounds))
 
-    domains: list[CuboidDomain] = []
 
-    def recurse(i_range: Range, j_range: Range, k_range: Range, ranks: Range) -> None:
-        lo, hi = ranks
-        count = hi - lo
-        if count == 1:
-            domains.append(
-                CuboidDomain(rank=lo, i_range=i_range, j_range=j_range, k_range=k_range)
-            )
-            return
-        extents = {
-            "m": i_range[1] - i_range[0],
-            "n": j_range[1] - j_range[0],
-            "k": k_range[1] - k_range[0],
-        }
-        # Split the largest dimension (ties broken m, then n, then k, as in the
-        # reference implementation).
-        dimension = max(extents, key=lambda d: (extents[d], d == "m", d == "n"))
-        mid_ranks = (lo + hi) // 2
-        if dimension == "m":
-            first, second = _split_range(i_range)
-            recurse(first, j_range, k_range, (lo, mid_ranks))
-            recurse(second, j_range, k_range, (mid_ranks, hi))
-        elif dimension == "n":
-            first, second = _split_range(j_range)
-            recurse(i_range, first, k_range, (lo, mid_ranks))
-            recurse(i_range, second, k_range, (mid_ranks, hi))
-        else:
-            first, second = _split_range(k_range)
-            recurse(i_range, j_range, first, (lo, mid_ranks))
-            recurse(i_range, j_range, second, (mid_ranks, hi))
-
-    recurse((0, m), (0, n), (0, k), (0, usable))
-    return domains
+def carma_domains(m: int, n: int, k: int, p: int) -> list[CuboidDomain]:
+    """:func:`carma_table` viewed as one :class:`CuboidDomain` per rank."""
+    return table_domains(carma_table(m, n, k, p))
 
 
 @dataclass
@@ -131,10 +110,9 @@ def carma_multiply(
         raise ValueError(f"inner dimensions do not match: {a_matrix.shape} x {b_matrix.shape}")
     p = check_positive_int(p, "p")
     usable = usable_ranks(m, n, k, p)
-    domains = carma_domains(m, n, k, usable)
     if machine is None:
         machine = DistributedMachine(p, memory_words=memory_words or (1 << 20))
-    result: CuboidRunResult = cuboid_multiply(a_matrix, b_matrix, domains, machine=machine)
+    result = cuboid_multiply(a_matrix, b_matrix, carma_table(m, n, k, usable), machine=machine)
     return CarmaRunResult(matrix=result.matrix, p_used=usable, counters=result.counters)
 
 

@@ -21,15 +21,27 @@ overlap partially in their projections (as happens for CARMA with
 non-power-of-two dimensions); the element-wise ownership handles that
 correctly.
 
-``plane`` and ``volume`` runs take the batched path (:func:`_cuboid_batched`):
-ownership is resolved on the *coordinate-compressed* grid (:class:`_CellOwners`
--- one cell per pair of consecutive domain-range endpoints, so the cost is
-O(cells), not O(mn + mk + nk)), every fetch / reduction posts its per-owner
-element counts batched, values (plane mode) move as dense slices and the local
-products run as stacked GEMMs grouped by cuboid shape; ``volume`` is that path
-minus the numerics.  The per-rank loop in :func:`cuboid_multiply`, with its
-element-wise owner maps and per-owner masks, serves ``legacy`` / ``zerocopy``
-only.  CARMA inherits both through :func:`cuboid_multiply`.
+A decomposition is one int64 *table* (:func:`domain_table`): a row ``rank, i0,
+i1, j0, j1, k0, k1`` per used rank, in rank order.  A caller's list of
+:class:`CuboidDomain` objects is converted once on entry, and the objects are
+a view of the table's rows (:func:`table_domains`) that only the per-hop loop
+and the tests build.
+
+``plane`` and ``volume`` runs take the batched path (:func:`_cuboid_batched`),
+array expressions over the table's columns with no loop over ranks: ownership
+is resolved per matrix on the *coordinate-compressed* grid
+(:func:`_owner_words` -- one cell per pair of consecutive range endpoints, so
+the cost is O(cells), not O(mn + mk + nk)), whose single ``np.minimum``
+reduction *is* the ownership rule, and every rank's per-owner element counts
+are posted with one ``post_transfers`` per matrix, three per run; values
+(plane mode) move as dense slices and the local products run as stacked GEMMs
+grouped by cuboid shape; ``volume`` is that path minus the numerics.  The
+executor stays general rather than assuming a regular grid: of the 54 CARMA
+points the ledger's campaigns and the roadmap's RPA readings touch, 16 (every
+odd-sided one) have partially overlapping projections.  The per-rank loop in
+:func:`cuboid_multiply`, with its element-wise owner maps and per-owner masks,
+serves ``legacy`` / ``zerocopy`` only and is the batched path's oracle.  CARMA
+inherits both through :func:`cuboid_multiply`.
 """
 
 from __future__ import annotations
@@ -68,34 +80,64 @@ class CuboidDomain:
         return lm * ln * lk
 
 
+#: Columns of a decomposition table (see :func:`domain_table`).
+RANK, I0, I1, J0, J1, K0, K1 = range(7)
+
+
+def domain_table(domains: list[CuboidDomain] | np.ndarray) -> np.ndarray:
+    """A decomposition as one int64 table: a row ``rank, i0, i1, j0, j1, k0, k1``
+    per used rank, in rank order (a table passes through, re-sorted)."""
+    if not isinstance(domains, np.ndarray):
+        domains = np.array(
+            [(d.rank, *d.i_range, *d.j_range, *d.k_range) for d in domains], dtype=np.int64
+        ).reshape(-1, 7)
+    return domains[np.argsort(domains[:, RANK], kind="stable")]
+
+
+def table_domains(table: np.ndarray) -> list[CuboidDomain]:
+    """The table's rows viewed as :class:`CuboidDomain` objects, in row order."""
+    return [
+        CuboidDomain(rank, (i0, i1), (j0, j1), (k0, k1))
+        for rank, i0, i1, j0, j1, k0, k1 in table.tolist()
+    ]
+
+
 @dataclass
 class CuboidRunResult:
     """Outcome of a cuboid-decomposition run."""
 
     matrix: np.ndarray
-    domains: tuple[CuboidDomain, ...]
+    table: np.ndarray
     counters: CommCounters
+
+    @property
+    def domains(self) -> tuple[CuboidDomain, ...]:
+        return tuple(table_domains(self.table))
 
     @property
     def mean_words_per_rank(self) -> float:
         return self.counters.mean_words_per_rank()
 
 
-def validate_domains(m: int, n: int, k: int, domains: list[CuboidDomain]) -> None:
+def validate_domains(m: int, n: int, k: int, domains: list[CuboidDomain] | np.ndarray) -> None:
     """Check that the cuboids tile the full ``m x n x k`` iteration space.
 
-    The check is volumetric plus per-dimension bounds; together with
-    disjointness of the per-rank cuboids (guaranteed by every generator in
-    this library) this implies an exact tiling.
+    The check is volumetric plus per-dimension bounds, and no rank holds two
+    cuboids; together with disjointness of the per-rank cuboids (guaranteed
+    by every generator in this library) this implies an exact tiling.
     """
-    total = 0
-    for domain in domains:
-        for (lo, hi), extent in zip(
-            (domain.i_range, domain.j_range, domain.k_range), (m, n, k)
-        ):
-            if not (0 <= lo <= hi <= extent):
-                raise ValueError(f"domain {domain} exceeds the iteration space {m}x{n}x{k}")
-        total += domain.volume
+    table = domain_table(domains)
+    lo, hi = table[:, I0::2], table[:, I1::2]
+    outside = ((lo < 0) | (lo > hi) | (hi > (m, n, k))).any(axis=1)
+    if outside.any():
+        domain = table_domains(table[outside][:1])[0]
+        raise ValueError(f"domain {domain} exceeds the iteration space {m}x{n}x{k}")
+    ranks = table[:, RANK]
+    repeated = ranks[1:][ranks[1:] == ranks[:-1]]
+    if repeated.size:
+        # The volume cannot see it, and the executor keeps one block per rank.
+        raise ValueError(f"rank {repeated[0]} is assigned more than one domain")
+    total = int((hi - lo).prod(axis=1).sum())
     if total != m * n * k:
         raise ValueError(
             f"domains cover {total} multiplications, expected {m * n * k}: "
@@ -112,55 +154,67 @@ def _ownership_map(shape: tuple[int, int], regions: list[tuple[int, Range, Range
     return owners
 
 
-class _CellOwners:
-    """Owner map of one matrix over the coordinate-compressed grid.
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(index, offset)`` of a ragged expansion: ``index`` names entry ``i`` of
+    ``counts`` ``counts[i]`` times, ``offset`` runs from 0 within each entry."""
+    index = np.repeat(np.arange(counts.size), counts)
+    return index, np.arange(index.size) - np.repeat(np.cumsum(counts) - counts, counts)
 
-    The breakpoints of an axis are the sorted endpoints of every region's
-    range on it; between two consecutive breakpoints no region starts or
-    ends, so all elements of a cell (a breakpoint interval on each axis)
-    have the same owner -- the first listed rank whose region covers the
-    cell, exactly :func:`_ownership_map`'s rule applied to cells.  Region
-    (and therefore block) boundaries always fall on breakpoints.
+
+def _owner_words(
+    ranks: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every rank's block of one matrix, split by who owns its elements.
+
+    ``ranks`` (ascending) project onto the element blocks ``rows[r, 0] :
+    rows[r, 1]`` x ``cols[r, 0] : cols[r, 1]``.  Returns int64 ``(owner, rank,
+    words)`` triples, one per (block, foreign owner) pair: per rank, what
+    ``np.unique(element_map[block], return_counts=True)`` holds with the
+    rank's own elements dropped.
+
+    The breakpoints of an axis are the sorted endpoints of every block's
+    range on it; between two consecutive breakpoints no block starts or ends,
+    so all elements of a cell (a breakpoint interval on each axis) have the
+    same owner -- :func:`_ownership_map`'s rule applied to cells -- and a
+    block is a window of whole cells.
     """
-
-    def __init__(self, shape: tuple[int, int], regions: list[tuple[int, Range, Range]]) -> None:
-        row_edges = sorted({0, shape[0]}.union(*(rows for _, rows, _ in regions)))
-        col_edges = sorted({0, shape[1]}.union(*(cols for _, _, cols in regions)))
-        self._row_index = {edge: index for index, edge in enumerate(row_edges)}
-        self._col_index = {edge: index for index, edge in enumerate(col_edges)}
-        self._heights = np.diff(np.array(row_edges, dtype=np.int64))
-        self._widths = np.diff(np.array(col_edges, dtype=np.int64))
-        self._cells = np.full((len(row_edges) - 1, len(col_edges) - 1), -1, dtype=np.int64)
-        painted: set[tuple[Range, Range]] = set()
-        for rank, rows, cols in regions:
-            if (rows, cols) in painted:  # the first lister already claimed every cell
-                continue
-            painted.add((rows, cols))
-            view = self._cells[self._window(rows, cols)]
-            view[view == -1] = rank
-
-    def _window(self, rows: Range, cols: Range) -> tuple[slice, slice]:
-        """Cell-index window of an element block whose bounds are breakpoints."""
-        return (
-            slice(self._row_index[rows[0]], self._row_index[rows[1]]),
-            slice(self._col_index[cols[0]], self._col_index[cols[1]]),
-        )
-
-    def owner_counts(self, rows: Range, cols: Range) -> tuple[np.ndarray, np.ndarray]:
-        """Owners of the ``rows x cols`` block and how many elements each owns.
-
-        Equal to ``np.unique(element_map[block], return_counts=True)``; the
-        counts are exact int64 sums of cell areas.
-        """
-        row_span, col_span = self._window(rows, cols)
-        owners = self._cells[row_span, col_span].ravel()
-        areas = np.multiply.outer(self._heights[row_span], self._widths[col_span]).ravel()
-        if owners.size <= 1:  # one cell, or an empty block (reduceat needs a start)
-            return owners, areas
-        order = np.argsort(owners, kind="stable")
-        owners = owners[order]
-        starts = np.flatnonzero(np.concatenate(([True], owners[1:] != owners[:-1])))
-        return owners[starts], np.add.reduceat(areas[order], starts)
+    row_edges, col_edges = np.unique(rows), np.unique(cols)
+    window = np.concatenate(
+        (np.searchsorted(row_edges, rows), np.searchsorted(col_edges, cols)), axis=1
+    )
+    # Ranks that share a projection (an A block serves a whole j-fiber) share
+    # its cells: one expansion per distinct window, keyed by its two corners.
+    # (The key fits wherever the cell grid below fits in memory.)
+    corners = row_edges.size * col_edges.size
+    key = (window[:, 0] * col_edges.size + window[:, 2]) * corners + (
+        window[:, 1] * col_edges.size + window[:, 3]
+    )
+    _, first, member = np.unique(key, return_index=True, return_inverse=True)
+    row0, row1, col0, col1 = window[first].T
+    which, offset = _ragged((row1 - row0) * (col1 - col0))
+    width = (col1 - col0)[which]
+    cell_row, cell_col = row0[which] + offset // width, col0[which] + offset % width
+    cell = cell_row * (col_edges.size - 1) + cell_col
+    # The ownership rule: a cell belongs to the first listed (lowest) rank
+    # whose block covers it; ``first`` is a window's first lister.
+    owner = np.full((row_edges.size - 1) * (col_edges.size - 1), np.iinfo(np.int64).max)
+    np.minimum.at(owner, cell, ranks[first][which])
+    # Words per (window, owner): exact int64 sums of cell areas.
+    owner = owner[cell]
+    order = np.lexsort((owner, which))
+    which, owner = which[order], owner[order]
+    area = (np.diff(row_edges)[cell_row] * np.diff(col_edges)[cell_col])[order]
+    new_group = np.ones(which.size, dtype=bool)
+    new_group[1:] = (which[1:] != which[:-1]) | (owner[1:] != owner[:-1])
+    starts = np.flatnonzero(new_group)
+    words = np.add.reduceat(area, starts)
+    # Back to the ranks sharing each window (its groups are consecutive).
+    groups = np.bincount(which[starts], minlength=first.size)
+    rank_index, offset = _ragged(groups[member])
+    group = (np.cumsum(groups) - groups)[member][rank_index] + offset
+    owners, receivers = owner[starts][group], ranks[rank_index]
+    foreign = owners != receivers
+    return owners[foreign], receivers[foreign], words[group][foreign]
 
 
 def _fetch_block(
@@ -190,111 +244,68 @@ def _fetch_block(
     return block
 
 
-def _post_block_transfers(
-    machine: DistributedMachine,
-    cell_owners: _CellOwners,
-    blocks: list[tuple[int, Range, Range]],
-    kind: str,
-) -> None:
-    """Post every ``(rank, rows, cols)`` block's exchange with its element owners.
-
-    One message per (block, foreign owner) pair carrying the owner's element
-    count, all blocks of one matrix in a single batched update: inputs flow
-    owner -> rank; partial outputs flow rank -> owner, where each received
-    element costs one accumulation flop.
-    """
-    # Ranks that share a projection (an A block serves a whole j-fiber)
-    # share its owner counts: one lookup per distinct block.
-    distinct: dict[tuple[Range, Range], tuple[np.ndarray, np.ndarray]] = {}
-    owner_parts: list[np.ndarray] = []
-    count_parts: list[np.ndarray] = []
-    for _, rows, cols in blocks:
-        found = distinct.get((rows, cols))
-        if found is None:
-            found = distinct[rows, cols] = cell_owners.owner_counts(rows, cols)
-        owner_parts.append(found[0])
-        count_parts.append(found[1])
-    owners = np.concatenate(owner_parts)
-    counts = np.concatenate(count_parts)
-    ranks = np.repeat(
-        np.array([rank for rank, _, _ in blocks], dtype=np.int64),
-        [part.size for part in owner_parts],
-    )
-    foreign = owners != ranks
-    owners, counts, ranks = owners[foreign], counts[foreign], ranks[foreign]
-    if kind == "input":
-        machine.post_transfers(owners, ranks, counts, kind=kind)
-    else:
-        machine.post_transfers(ranks, owners, counts, kind=kind)
-        machine.counters.add_flops(owners, counts)
-
-
 def _cuboid_batched(
     machine: DistributedMachine,
     a_matrix: np.ndarray,
     b_matrix: np.ndarray,
-    ordered: list[CuboidDomain],
+    table: np.ndarray,
 ) -> np.ndarray:
     """The cuboid executor's batched path; returns the global product.
 
     Counters come from the per-owner element counts of the compressed owner
     maps -- what the per-rank loop's per-owner messages add up to -- posted
-    once per matrix.  In ``plane`` mode every fetched block's values equal
-    the dense source slice (each element is delivered exactly once), the
-    local products run as stacked GEMMs, one ``np.matmul`` per cuboid shape
-    (CARMA-style recursive decompositions produce only a handful of distinct
-    shapes), and each partial block lands with one dense accumulate.  In
-    ``volume`` mode (counters-only transport) a token is returned as the
-    product.  Either way the ranks' ``A`` / ``B`` / ``C_partial`` words are
-    posted to the machine's resident-words vector, not stored.
+    once per matrix: one message per (block, foreign owner) pair carrying the
+    owner's element count; inputs flow owner -> rank, partial outputs rank ->
+    owner, where each received element costs one accumulation flop.  In
+    ``plane`` mode every fetched block's values equal the dense source slice
+    (each element is delivered exactly once), the local products run as
+    stacked GEMMs, one ``np.matmul`` per cuboid shape (CARMA-style recursive
+    decompositions produce only a handful of distinct shapes), and each
+    partial block lands with one dense accumulate.  In ``volume`` mode
+    (counters-only transport) a token is returned as the product.  Either way
+    the ranks' ``A`` / ``B`` / ``C_partial`` words are posted to the
+    machine's resident-words vector, not stored.
     """
-    m, k = a_matrix.shape
-    n = b_matrix.shape[1]
-    numeric = not machine.transport.counters_only
-    a_regions = [(d.rank, d.i_range, d.k_range) for d in ordered]
-    b_regions = [(d.rank, d.k_range, d.j_range) for d in ordered]
-    c_regions = [(d.rank, d.i_range, d.j_range) for d in ordered]
-    _post_block_transfers(machine, _CellOwners((m, k), a_regions), a_regions, kind="input")
-    _post_block_transfers(machine, _CellOwners((k, n), b_regions), b_regions, kind="input")
+    m, n = a_matrix.shape[0], b_matrix.shape[1]
+    ranks, i_range, j_range, k_range = table[:, RANK], table[:, I0:J0], table[:, J0:K0], table[:, K0:]
+    for rows, cols in ((i_range, k_range), (k_range, j_range)):
+        owners, receivers, words = _owner_words(ranks, rows, cols)
+        machine.post_transfers(owners, receivers, words, kind="input")
 
-    ranks = np.array([d.rank for d in ordered], dtype=np.intp)
-    lm, ln, lk = np.array([d.shape for d in ordered], dtype=np.int64).reshape(-1, 3).T
+    lm, ln, lk = (table[:, I1::2] - table[:, I0::2]).T
     machine.post_resident("A", ranks, lm * lk)
     machine.post_resident("B", ranks, lk * ln)
     machine.post_resident("C_partial", ranks, lm * ln)
     # Flops are charged per rank exactly as ``local_multiply`` would.
     machine.counters.add_flops(ranks, 2 * lm * ln * lk)
     c_global = machine.zeros((m, n))  # at the plane dtype; a token in volume mode
-    if numeric:
-        groups: dict[tuple[int, int, int], list[CuboidDomain]] = {}
-        for domain in ordered:
-            groups.setdefault(domain.shape, []).append(domain)
-        partial_c: dict[int, np.ndarray] = {}
+    if not machine.transport.counters_only:
+        spans = [(slice(i0, i1), slice(j0, j1), slice(k0, k1))
+                 for i0, i1, j0, j1, k0, k1 in table[:, I0:].tolist()]
+        groups: dict[tuple[int, int, int], list[int]] = {}
+        for row, shape in enumerate(zip(lm.tolist(), ln.tolist(), lk.tolist())):
+            groups.setdefault(shape, []).append(row)
+        partial_c: list[np.ndarray | None] = [None] * len(spans)
         for members in groups.values():
             # Private copies, as a fetch delivers them.
-            a_blocks = np.stack(
-                [a_matrix[d.i_range[0] : d.i_range[1], d.k_range[0] : d.k_range[1]]
-                 for d in members]
-            )
-            b_blocks = np.stack(
-                [b_matrix[d.k_range[0] : d.k_range[1], d.j_range[0] : d.j_range[1]]
-                 for d in members]
-            )
-            for domain, product in zip(members, np.matmul(a_blocks, b_blocks)):
-                partial_c[domain.rank] = product
+            a_blocks = np.stack([a_matrix[spans[row][0], spans[row][2]] for row in members])
+            b_blocks = np.stack([b_matrix[spans[row][2], spans[row][1]] for row in members])
+            for row, product in zip(members, np.matmul(a_blocks, b_blocks)):
+                partial_c[row] = product
         # Every element of a partial block is added to its output position
         # exactly once, in rank order like the masked per-owner path.
-        for domain in ordered:
-            (i0, i1), (j0, j1) = domain.i_range, domain.j_range
-            c_global[i0:i1, j0:j1] += partial_c[domain.rank]
-    _post_block_transfers(machine, _CellOwners((m, n), c_regions), c_regions, kind="output")
+        for (i_span, j_span, _), product in zip(spans, partial_c):
+            c_global[i_span, j_span] += product
+    owners, senders, words = _owner_words(ranks, i_range, j_range)
+    machine.post_transfers(senders, owners, words, kind="output")
+    machine.counters.add_flops(owners, words)
     return c_global
 
 
 def cuboid_multiply(
     a_matrix: np.ndarray,
     b_matrix: np.ndarray,
-    domains: list[CuboidDomain],
+    domains: list[CuboidDomain] | np.ndarray,
     machine: DistributedMachine | None = None,
     p: int | None = None,
     memory_words: int | None = None,
@@ -306,8 +317,8 @@ def cuboid_multiply(
     a_matrix, b_matrix:
         Global inputs.
     domains:
-        One :class:`CuboidDomain` per participating rank; they must tile the
-        iteration space.
+        One :class:`CuboidDomain` per participating rank, or the same as a
+        :func:`domain_table`; they must tile the iteration space.
     machine:
         Optional pre-built simulator; built from ``p``/``memory_words``
         otherwise (``p`` defaults to the number of domains).
@@ -320,17 +331,18 @@ def cuboid_multiply(
     k2, n = b_matrix.shape
     if k != k2:
         raise ValueError(f"inner dimensions do not match: {a_matrix.shape} x {b_matrix.shape}")
-    validate_domains(m, n, k, domains)
+    table = domain_table(domains)
+    validate_domains(m, n, k, table)
     if machine is None:
-        p = p if p is not None else max(d.rank for d in domains) + 1
+        p = p if p is not None else int(table[:, RANK].max()) + 1
         machine = DistributedMachine(p, memory_words=memory_words or (1 << 20))
 
-    ordered = sorted(domains, key=lambda d: d.rank)
     if machine.transport.planar or machine.transport.counters_only:
-        c_global = _cuboid_batched(machine, a_matrix, b_matrix, ordered)
+        c_global = _cuboid_batched(machine, a_matrix, b_matrix, table)
         machine.check_memory()
-        return CuboidRunResult(matrix=c_global, domains=tuple(domains), counters=machine.counters)
+        return CuboidRunResult(matrix=c_global, table=table, counters=machine.counters)
 
+    ordered = table_domains(table)
     a_owners = _ownership_map((m, k), [(d.rank, d.i_range, d.k_range) for d in ordered])
     b_owners = _ownership_map((k, n), [(d.rank, d.k_range, d.j_range) for d in ordered])
     c_owners = _ownership_map((m, n), [(d.rank, d.i_range, d.j_range) for d in ordered])
@@ -374,4 +386,4 @@ def cuboid_multiply(
             c_global[i0:i1, j0:j1] = target
 
     machine.check_memory()
-    return CuboidRunResult(matrix=c_global, domains=tuple(domains), counters=machine.counters)
+    return CuboidRunResult(matrix=c_global, table=table, counters=machine.counters)

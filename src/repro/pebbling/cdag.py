@@ -8,15 +8,18 @@ explicitly marked as outputs).
 
 The class is a thin, dependency-free adjacency structure with a
 ``to_networkx`` bridge for algorithms (e.g. topological sorting of large
-graphs) where networkx is convenient.
+graphs) where networkx is convenient.  networkx is imported by that bridge
+only: ``import repro`` reaches this module on every CLI launch and in every
+sweep worker, and none of them calls it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Hashable, Iterable, Iterator
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 Vertex = Hashable
 
@@ -167,6 +170,8 @@ class CDAG:
     # -- interop -----------------------------------------------------------------
     def to_networkx(self) -> nx.DiGraph:
         """Export to a :class:`networkx.DiGraph` (vertex attributes are not copied)."""
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_nodes_from(self._parents)
         g.add_edges_from(self.iter_edges())

@@ -2,10 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.cannon import cannon_multiply
-from repro.baselines.carma import carma_domains, carma_multiply, largest_power_of_two_at_most
-from repro.baselines.cuboid import CuboidDomain, cuboid_multiply, validate_domains
+from repro.baselines.carma import (
+    carma_domains,
+    carma_multiply,
+    carma_table,
+    largest_power_of_two_at_most,
+    usable_ranks,
+)
+from repro.baselines.cuboid import (
+    CuboidDomain,
+    cuboid_multiply,
+    domain_table,
+    table_domains,
+    validate_domains,
+)
 from repro.baselines.grid25d import choose_25d_grid, grid25d_multiply
 from repro.baselines.summa import choose_2d_grid, summa_multiply
 from repro.machine.simulator import DistributedMachine
@@ -183,9 +197,70 @@ class TestCuboid:
                 4, 4, 4, [CuboidDomain(rank=0, i_range=(0, 5), j_range=(0, 4), k_range=(0, 4))]
             )
 
+    @pytest.mark.parametrize("mode", ["legacy", "plane", "volume"])
+    def test_validate_rejects_a_rank_listed_twice(self, rng, mode):
+        """The volume check cannot see it, and the second block used to
+        overwrite the first: a wrong product with no error."""
+        halves = [CuboidDomain(0, (0, 2), (0, 4), (0, 4)), CuboidDomain(0, (2, 4), (0, 4), (0, 4))]
+        machine = DistributedMachine(2, memory_words=1 << 16, mode=mode)
+        with pytest.raises(ValueError, match="rank 0 is assigned more than one domain"):
+            cuboid_multiply(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)), halves,
+                            machine=machine)
+
     def test_dimension_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
             cuboid_multiply(rng.standard_normal((4, 3)), rng.standard_normal((4, 4)), [])
+
+    def test_table_and_domain_list_are_one_decomposition(self, rng):
+        """A list is converted to the rank-ordered table once; the objects are
+        a view of its rows; both forms validate, fail and multiply alike."""
+        domains = [
+            CuboidDomain(rank=2, i_range=(0, 6), j_range=(0, 3), k_range=(0, 8)),
+            CuboidDomain(rank=0, i_range=(0, 6), j_range=(3, 6), k_range=(0, 5)),
+            CuboidDomain(rank=1, i_range=(0, 6), j_range=(3, 6), k_range=(5, 8)),
+        ]
+        table = domain_table(domains)
+        assert table.dtype == np.int64
+        assert table.tolist() == [[0, 0, 6, 3, 6, 0, 5], [1, 0, 6, 3, 6, 5, 8], [2, 0, 6, 0, 3, 0, 8]]
+        assert table_domains(table) == sorted(domains, key=lambda d: d.rank)
+        assert domain_table(table).tolist() == table.tolist()
+        validate_domains(6, 6, 8, domains)
+        validate_domains(6, 6, 8, table)
+        a, b = rng.standard_normal((6, 8)), rng.standard_normal((8, 6))
+        from_list, from_table = cuboid_multiply(a, b, domains), cuboid_multiply(a, b, table)
+        assert np.allclose(from_table.matrix, a @ b)
+        assert from_table.domains == from_list.domains == tuple(table_domains(table))
+        assert (from_table.counters.matrix.data == from_list.counters.matrix.data).all()
+        for extents in ((6, 6, 9), (6, 5, 8)):  # not a tiling; out of bounds
+            with pytest.raises(ValueError) as from_objects:
+                validate_domains(*extents, domains)
+            with pytest.raises(ValueError) as from_rows:
+                validate_domains(*extents, table)
+            assert str(from_objects.value) == str(from_rows.value)
+
+
+def _recursive_carma_domains(m, n, k, p):
+    """The recursive closure ``carma_domains`` was before it ran level by level."""
+    domains = []
+
+    def recurse(i_range, j_range, k_range, ranks):
+        lo, hi = ranks
+        if hi - lo == 1:
+            domains.append(CuboidDomain(rank=lo, i_range=i_range, j_range=j_range, k_range=k_range))
+            return
+        extents = {"m": i_range[1] - i_range[0], "n": j_range[1] - j_range[0],
+                   "k": k_range[1] - k_range[0]}
+        # Split the largest dimension (ties broken m, then n, then k).
+        dimension = max(extents, key=lambda d: (extents[d], d == "m", d == "n"))
+        halves = {"m": i_range, "n": j_range, "k": k_range}
+        r0, r1 = halves[dimension]
+        mid, mid_ranks = (r0 + r1) // 2, (lo + hi) // 2
+        for half, half_ranks in (((r0, mid), (lo, mid_ranks)), ((mid, r1), (mid_ranks, hi))):
+            halves[dimension] = half
+            recurse(halves["m"], halves["n"], halves["k"], half_ranks)
+
+    recurse((0, m), (0, n), (0, k), (0, largest_power_of_two_at_most(p)))
+    return domains
 
 
 class TestCarma:
@@ -225,6 +300,21 @@ class TestCarma:
         domains = carma_domains(4, 4, 1024, 2)
         # With k dominating, the first split must divide k.
         assert all(d.shape[2] == 512 for d in domains)
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 60), n=st.integers(1, 60), k=st.integers(1, 60), p=st.integers(1, 128),
+           clipped=st.booleans())
+    @example(m=7, n=7, k=7, p=64, clipped=False)     # three-way ties at every level
+    @example(m=5, n=9, k=9, p=32, clipped=False)     # n = k ties; m reaches 1 first
+    @example(m=1, n=1, k=3, p=128, clipped=True)     # p > mnk, clipped by usable_ranks
+    @example(m=1, n=2, k=1, p=16, clipped=False)     # p > mnk unclipped: empty domains
+    def test_level_wise_recursion_equals_the_recursive_closure(self, m, n, k, p, clipped):
+        if clipped:
+            p = usable_ranks(m, n, k, p)
+        table = carma_table(m, n, k, p)
+        assert table.dtype == np.int64
+        assert table_domains(table) == _recursive_carma_domains(m, n, k, p)
+        assert carma_domains(m, n, k, p) == table_domains(table)
 
     def test_tall_matrix_correctness(self, rng):
         a = rng.standard_normal((4, 128))

@@ -179,17 +179,24 @@ def test_top_of_the_strong_scaling_range():
      "2f8951f44f67a024b8b7eb6b6d7201f346817981999428e58a3eb32e9786efb0"), 2.0),
     ("CTF", (128, 128, 4), (8421376.0, 8454144, 510, 510,
      "8d0ffdd8f257dbd99941192db82cc44226acb11fe308e9792d709a7bb8b8f667"), 0.5),
-], ids=["ScaLAPACK", "CTF"])
+    # No grid to plan: a recursion table (0.55 s as p objects, 0.08 s as arrays)
+    # and two closed-form class deltas (0.32 s through transfer lists, 0.01 s).
+    ("CARMA", None, (4096000.0, 98566144, 125, 125,
+     "f940ada02a60e6211d4b32f234ab42a8c2bc2033d858377a88e0a2b4bb9d8592"), 0.5),
+    ("Cannon", None, (16776960.0, 16777216, 512, 1024,
+     "9b4bb08b7af606cb441a4c7bb0f2ca00d2e133da5daf15b4ac280aae35f15e7d"), 0.2),
+], ids=["ScaLAPACK", "CTF", "CARMA", "Cannon"])
 def test_grid_baselines_three_octaves_up(name, grid, pinned, ceiling_s):
     """32768^3 on p=65536, S=101000: values and the counter matrix's sha256
     captured at the parent, where the hop arrays made these 2.5-5.4 s / 600 MiB
     (ScaLAPACK) and 0.9 s / 340 MiB (CTF); 0.25 s and 0.015 s without them.  The
     ceiling is on the faster of two runs and far above that: it guards the
-    order of magnitude, not the box."""
+    order of magnitude, not the box.  CARMA and Cannon ride along at the same
+    point (they plan no grid), pinned the same way at their parent."""
     scenario = Scenario(name="square-paper-p65536", shape=square_shape(32768), p=65536,
                         memory_words=101_000, regime="limited")
     spec = get_algorithm(name)
-    assert spec.plan(scenario).grid == grid
+    assert grid is None or spec.plan(scenario).grid == grid
     seconds = []
     for _ in range(2):
         start = time.perf_counter()
@@ -272,12 +279,13 @@ def test_summa_equals_the_per_hop_loop(problem):
 @settings(max_examples=40, deadline=None)
 @given(
     shape=st.tuples(st.integers(1, 20), st.integers(1, 20), st.integers(1, 20)),
-    p=st.integers(1, 11),  # q = 1, 2, 3, with and without idle ranks
+    p=st.integers(1, 30),  # q = 1 .. 5, with and without idle ranks
     skew=st.booleans(),
 )
 @example(shape=(12, 12, 12), p=1, skew=True)    # q = 1: the final round is the only round
 @example(shape=(13, 11, 7), p=4, skew=False)    # q = 2, pre-skewed layout, padded blocks
 @example(shape=(13, 11, 7), p=11, skew=True)    # q = 3 and two idle ranks
+@example(shape=(13, 11, 7), p=29, skew=True)    # q = 5, four idle ranks, padded blocks
 def test_cannon_equals_the_per_hop_loop(shape, p, skew):
     def multiply(a, b, machine):
         return cannon_multiply(a, b, p, machine=machine, skew=skew)

@@ -3,8 +3,8 @@
 Counter parity with the per-rank loops is ``test_counter_parity.py``'s job;
 this file pins what the counters-only route is made of:
 
-* the cuboid executor's compressed owner map (``_CellOwners``) against the
-  element-wise ``_ownership_map`` oracle, block by block;
+* the cuboid executor's per-matrix ownership function (``_owner_words``)
+  against the element-wise ``_ownership_map`` oracle, block by block;
 * the two paper-scale points the ledger leaves out as too slow for the
   per-rank loops (CARMA and Cannon on 8192^3, p=4096), with values captured
   from the per-rank paths;
@@ -12,9 +12,13 @@ this file pins what the counters-only route is made of:
   per-rank primitive or allocates an element-sized array, COSMA writes one
   delta per round class, ScaLAPACK and CTF write theirs only from inside
   COSMA's accounting core, none of the three expands a transfer list,
-  ``use_rma`` stays on the batched engine, and neither a
-  ``volume`` nor a ``plane`` run builds a ``Rank`` or a ``LocalDomain``.
+  ``use_rma`` stays on the batched engine, neither a ``volume`` nor a
+  ``plane`` run builds a ``Rank``, a ``LocalDomain`` or a ``CuboidDomain``,
+  CARMA posts three transfer batches from a handful of Python frames, and
+  Cannon writes its two class deltas without a transfer list.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -24,10 +28,11 @@ from hypothesis import strategies as st
 from repro.algorithms import cosma_idle_fraction, get_algorithm, plan_cache_clear
 from repro.baselines import cannon, cuboid, grid25d, summa
 from repro.baselines.carma import carma_domains
-from repro.baselines.cuboid import CuboidDomain, _CellOwners, _ownership_map
+from repro.baselines.cuboid import CuboidDomain, _owner_words, _ownership_map, domain_table
 from repro.core import cosma, decomposition
 from repro.experiments.harness import run_algorithm
 from repro.machine import rma, simulator
+from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import ShapeToken
 from repro.workloads.scaling import Scenario, limited_memory_sweep
@@ -83,31 +88,38 @@ def tilings(draw):
 def test_cell_owner_counts_equal_the_element_map(tiling):
     m, n, k, domains = tiling
     ordered = sorted(domains, key=lambda d: d.rank)
-    for shape, regions in (
-        ((m, k), [(d.rank, d.i_range, d.k_range) for d in ordered]),
-        ((k, n), [(d.rank, d.k_range, d.j_range) for d in ordered]),
-        ((m, n), [(d.rank, d.i_range, d.j_range) for d in ordered]),
+    table = domain_table(domains)
+    ranks, i_range, j_range, k_range = table[:, 0], table[:, 1:3], table[:, 3:5], table[:, 5:7]
+    for shape, regions, (rows, cols) in (
+        ((m, k), [(d.rank, d.i_range, d.k_range) for d in ordered], (i_range, k_range)),
+        ((k, n), [(d.rank, d.k_range, d.j_range) for d in ordered], (k_range, j_range)),
+        ((m, n), [(d.rank, d.i_range, d.j_range) for d in ordered], (i_range, j_range)),
     ):
         element_map = _ownership_map(shape, regions)
-        cell_map = _CellOwners(shape, regions)
-        for _, rows, cols in regions:
-            owners, counts = cell_map.owner_counts(rows, cols)
+        owners, receivers, words = _owner_words(ranks, rows, cols)
+        assert owners.dtype == receivers.dtype == words.dtype == np.int64
+        for rank, (r0, r1), (c0, c1) in regions:
             expected_owners, expected_counts = np.unique(
-                element_map[rows[0] : rows[1], cols[0] : cols[1]], return_counts=True)
-            assert owners.dtype == counts.dtype == np.int64
-            assert owners.tolist() == expected_owners.tolist()
-            assert counts.tolist() == expected_counts.tolist()
+                element_map[r0:r1, c0:c1], return_counts=True)
+            foreign = expected_owners != rank  # a rank's own cells are not posted
+            mine = receivers == rank
+            order = np.argsort(owners[mine])
+            assert owners[mine][order].tolist() == expected_owners[foreign].tolist()
+            assert words[mine][order].tolist() == expected_counts[foreign].tolist()
 
 
 def test_cell_counts_are_exact_beyond_float_precision():
     """Areas are summed as int64: 2^53 + 1 elements survive, as no float sum would."""
     side = 94_906_267  # side * side > 2**53
-    regions = [(0, (0, side), (0, side)), (1, (0, side), (side, side + 1))]
-    owners, counts = _CellOwners((side, side + 1), regions).owner_counts(
-        (0, side), (0, side + 1))
-    assert owners.tolist() == [0, 1]
-    assert counts.tolist() == [side * side, side]
-    assert int(counts.sum()) == side * (side + 1) > 2**53
+    ranks = np.arange(3)
+    # Rank 0 owns a side x side cell and a side x 2 one; rank 2 fetches both.
+    rows = np.array([[0, side]] * 3)
+    cols = np.array([[0, side + 2], [0, side], [0, side + 2]])
+    owners, receivers, words = _owner_words(ranks, rows, cols)
+    assert words.dtype == np.int64
+    assert (owners.tolist(), receivers.tolist()) == ([0, 0], [1, 2])
+    assert words.tolist() == [side * side, side * (side + 2)]
+    assert side * (side + 2) > 2**53 and side * (side + 2) % 2 == 1  # no float64 holds it
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +237,8 @@ def test_use_rma_volume_run_stays_on_the_batched_engine(monkeypatch):
 @pytest.mark.parametrize("name", BUILTINS)
 def test_batched_runs_build_no_rank_and_no_domain(name, mode, monkeypatch):
     """Residency is posted to the machine's vector: no ``Rank`` view, no
-    ``LocalDomain``, nothing stored -- and the resident peak is still there."""
+    ``LocalDomain``, no ``CuboidDomain``, nothing stored -- and the resident
+    peak is still there."""
     def forbid(label):
         def forbidden(*args, **kwargs):
             raise AssertionError(f"{name} {mode} run constructed a {label}")
@@ -233,6 +246,7 @@ def test_batched_runs_build_no_rank_and_no_domain(name, mode, monkeypatch):
 
     monkeypatch.setattr(simulator, "Rank", forbid("Rank"))
     monkeypatch.setattr(decomposition, "LocalDomain", forbid("LocalDomain"))
+    monkeypatch.setattr(cuboid, "CuboidDomain", forbid("CuboidDomain"))
     plan_cache_clear()  # a memoized decomposition may already hold its domains
     scenario = limited_memory_sweep("square", [16], 2048)[0]
     machine = DistributedMachine(scenario.p, memory_words=scenario.memory_words, mode=mode)
@@ -242,3 +256,48 @@ def test_batched_runs_build_no_rank_and_no_domain(name, mode, monkeypatch):
     product = get_algorithm(name).runner(a, b, scenario, machine)
     assert product.shape == (shape.m, shape.n)
     assert 0 < machine.check_memory() <= machine.peak_resident_words
+
+
+def test_carma_posts_three_batches_from_a_handful_of_frames(monkeypatch):
+    """One ``post_transfers`` per matrix and no Python loop over ranks: the
+    per-rank recursion and per-block owner lookups entered 17 376 frames of
+    these two modules on sq1024, the table path about twenty."""
+    posts = []
+    post_transfers = CommCounters.post_transfers
+
+    def counted(self, srcs, dsts, words, **kwargs):
+        posts.append(len(srcs))
+        post_transfers(self, srcs, dsts, words, **kwargs)
+
+    monkeypatch.setattr(CommCounters, "post_transfers", counted)
+    scenario = paper_scenario(4096, 1024)
+    machine = DistributedMachine(scenario.p, memory_words=scenario.memory_words, mode="volume")
+    tokens = ShapeToken((4096, 4096)), ShapeToken((4096, 4096))
+    frames = []
+
+    def profiler(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.endswith(
+                ("baselines/carma.py", "baselines/cuboid.py")):
+            frames.append(frame.f_code.co_name)
+
+    sys.setprofile(profiler)
+    try:
+        get_algorithm("CARMA").runner(*tokens, scenario, machine)
+    finally:
+        sys.setprofile(None)
+    assert len(posts) == 3 and all(posts)
+    assert 0 < len(frames) < 200, len(frames)
+    assert machine.counters.mean_words_per_rank() == 950272.0
+
+
+def test_cannon_writes_two_class_deltas_and_no_transfer_list(class_posts, monkeypatch):
+    """Skew, steady round and final round are constants of the grid position:
+    two class deltas, nothing scattered."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Cannon's volume run posted through a per-rank list")
+
+    monkeypatch.setattr(CommCounters, "add_flops", forbidden)
+    monkeypatch.setattr(CommCounters, "add_rounds", forbidden)
+    run = run_algorithm("Cannon", paper_scenario(4096, 1024), mode="volume")
+    assert class_posts == ["repro.baselines.cannon"] * 2
+    assert run.rounds == 64 and run.max_messages_per_rank == 128
