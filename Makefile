@@ -19,7 +19,8 @@
 #                       of every algorithm over grid240, the paper-scale volume
 #                       points, every algorithm at p = 16384 / 65536 and a
 #                       list of awkward ones (~1 min per side); exit 1 on any
-#                       difference (scripts/identity_pairs.py)
+#                       difference; the large volume points also print each
+#                       side's wall seconds (scripts/identity_pairs.py)
 
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))

@@ -23,8 +23,12 @@ product's bytes.
 
 Prints one line per point -- equal, or which observables differ, in how many
 of the point's runs and by how much in the first of them -- and exits 1 on
-any difference.  The point sets are restated here from public ``repro``
-functions: nothing is imported from, or written under, ``benchmarks/ledger/``.
+any difference.  The ``xl/`` and ``volume_requests/`` lines also carry each
+side's wall seconds for the point's single untraced run (the call as the
+registry makes it, COSMA's grid search included): a speed-up reads next to the
+proof that nothing observable moved.  Seconds are never compared.  The point
+sets are restated here from public ``repro`` functions: nothing is imported
+from, or written under, ``benchmarks/ledger/``.
 """
 
 from __future__ import annotations
@@ -36,11 +40,15 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from ledger_pairs import REPO, extract
 
 MODES = ("volume", "plane")
+#: Points whose wall seconds are printed, and the variant they are read from.
+TIMED_PREFIXES = ("xl/", "volume_requests/")
+TIMED_VARIANT = "volume untraced x1"
 SPAN_ARGS = ("label", "round", "mode", "words_posted", "flops", "hops",
              "resident_peak_words", "collectives")
 
@@ -195,7 +203,8 @@ def _summary(values: list) -> list:
     return [len(values), sum(numbers), _digest(values)]
 
 
-def _observe_run(multiply, dims, p, memory_words, mode, traced, runs) -> dict:
+def _observe_run(multiply, dims, p, memory_words, mode, traced, runs) -> tuple[dict, float]:
+    """What the run left behind, and the wall seconds of its ``multiply`` calls."""
     import numpy as np
 
     from repro.machine.counters import COUNTER_FIELDS
@@ -212,8 +221,10 @@ def _observe_run(multiply, dims, p, memory_words, mode, traced, runs) -> dict:
     tracer = enable_tracing() if traced else None
     try:
         machine = DistributedMachine(p, memory_words=memory_words, mode=mode)
+        start = time.perf_counter()
         for _ in range(runs):
             result = multiply(a, b, machine)
+        seconds = time.perf_counter() - start
         if machine.trace is not None:  # the harness's final flush
             machine.trace.commit_round(machine.peak_resident_words)
     finally:
@@ -236,7 +247,7 @@ def _observe_run(multiply, dims, p, memory_words, mode, traced, runs) -> dict:
     if mode == "plane":
         matrix = getattr(result, "matrix", result)
         observed["product"] = _digest(np.ascontiguousarray(matrix).tobytes())
-    return observed
+    return observed, seconds
 
 
 def observe() -> None:
@@ -246,26 +257,31 @@ def observe() -> None:
             for traced in (False, True):
                 for runs in (1, 2):
                     variant = f"{mode} {'traced' if traced else 'untraced'} x{runs}"
-                    observed = _observe_run(multiply, dims, p, memory_words, mode, traced, runs)
-                    print(json.dumps({"point": label, "variant": variant, "observed": observed}),
-                          flush=True)
+                    observed, seconds = _observe_run(
+                        multiply, dims, p, memory_words, mode, traced, runs)
+                    print(json.dumps({"point": label, "variant": variant, "observed": observed,
+                                      "seconds": seconds}), flush=True)
 
 
 # ---------------------------------------------------------------------------
 # both sides, compared
 # ---------------------------------------------------------------------------
-def _observations(tree: Path) -> dict[str, dict[str, dict]]:
-    """``{point: {variant: observed}}`` from a child process importing ``tree/src``."""
+def _observations(tree: Path) -> tuple[dict[str, dict[str, dict]], dict[str, float]]:
+    """``{point: {variant: observed}}`` and ``{timed point: seconds}`` from a
+    child process importing ``tree/src``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(REPO / "scripts")]))
     done = subprocess.run(
         [sys.executable, "-c", "import identity_pairs; identity_pairs.observe()"],
         cwd=tree, env=env, check=True, capture_output=True, text=True,
     )
     points: dict[str, dict[str, dict]] = {}
+    seconds: dict[str, float] = {}
     for line in done.stdout.splitlines():
         record = json.loads(line)
         points.setdefault(record["point"], {})[record["variant"]] = record["observed"]
-    return points
+        if record["variant"] == TIMED_VARIANT and record["point"].startswith(TIMED_PREFIXES):
+            seconds[record["point"]] = record["seconds"]
+    return points, seconds
 
 
 def _moved(base, change) -> str:
@@ -280,7 +296,7 @@ def _moved(base, change) -> str:
     return "digests differ"
 
 
-def report(base: dict, change: dict) -> int:
+def report(base: dict, change: dict, base_seconds: dict, change_seconds: dict) -> int:
     differing_points = 0
     observations = 0
     for point in sorted(set(base) | set(change)):
@@ -294,11 +310,14 @@ def report(base: dict, change: dict) -> int:
                 if ours.get(name) != theirs.get(name):
                     findings.setdefault(name, []).append(
                         f"{variant}: {_moved(theirs.get(name), ours.get(name))}")
+        timing = ""
+        if point in base_seconds and point in change_seconds:
+            timing = f"  base {base_seconds[point]:.3f} s, tree {change_seconds[point]:.3f} s"
         if not findings:
-            print(f"{point:<58} equal ({len(variants)} runs)")
+            print(f"{point:<58} equal ({len(variants)} runs){timing}")
             continue
         differing_points += 1
-        print(f"{point:<58} DIFFERENT")
+        print(f"{point:<58} DIFFERENT{timing}")
         for name, where in findings.items():
             print(f"    {name:<28} in {len(where)}/{len(variants)} runs; first {where[0]}")
     print(f"{len(set(base) | set(change))} points, {observations} observations, "
@@ -313,7 +332,9 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="identity-base-") as scratch:
         base_tree = Path(scratch)
         extract(args.base, base_tree)
-        return report(_observations(base_tree), _observations(REPO))
+        (base, base_seconds), (change, change_seconds) = (
+            _observations(base_tree), _observations(REPO))
+        return report(base, change, base_seconds, change_seconds)
 
 
 if __name__ == "__main__":

@@ -53,6 +53,7 @@ import numpy as np
 from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import as_payload
+from repro.utils.intmath import sorted_distinct
 
 Range = tuple[int, int]
 
@@ -178,7 +179,7 @@ def _owner_words(
     same owner -- :func:`_ownership_map`'s rule applied to cells -- and a
     block is a window of whole cells.
     """
-    row_edges, col_edges = np.unique(rows), np.unique(cols)
+    row_edges, col_edges = sorted_distinct(rows), sorted_distinct(cols)
     window = np.concatenate(
         (np.searchsorted(row_edges, rows), np.searchsorted(col_edges, cols)), axis=1
     )

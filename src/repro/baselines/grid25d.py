@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.summa import BlockStacks
-from repro.core.cosma import fiber_exchange_rounds, post_c_reduction, post_owned_words
+from repro.core.cosma import post_c_reduction, post_fiber_exchange, post_owned_words
 from repro.core.decomposition import CosmaDecomposition, build_decomposition
 from repro.core.grid import ProcessorGrid
 from repro.machine.collectives import reduce
@@ -250,8 +250,7 @@ def _grid25d_plane(
     post_owned_words(machine, decomposition, "A", "B", "C")
     # Stores are layer-invariant; one check records the reference path's peak.
     machine.check_memory()
-    for rounds, delta in fiber_exchange_rounds(machine, decomposition, "gather"):
-        machine.post_rounds(delta, rounds)
+    post_fiber_exchange(machine, decomposition, "gather")
     post_c_reduction(machine, decomposition)
     if machine.transport.counters_only:
         return ShapeToken((decomposition.m, decomposition.n))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cosma import fiber_exchange_rounds, post_owned_words
+from repro.core.cosma import post_fiber_exchange, post_owned_words
 from repro.core.decomposition import CosmaDecomposition, build_decomposition
 from repro.core.grid import ProcessorGrid
 from repro.machine.collectives import broadcast
@@ -340,8 +340,7 @@ def _summa_plane(
     # The reference path checks memory once per panel; the stores never
     # change between panels, so one check records the identical peak.
     machine.check_memory()
-    for panels, delta in fiber_exchange_rounds(machine, decomposition, "tree"):
-        machine.post_rounds(delta, panels, lambda _: machine.commit_round())
+    post_fiber_exchange(machine, decomposition, "tree", lambda _: machine.commit_round())
     if not numeric:
         return ShapeToken((decomposition.m, decomposition.n))
     for start in range(0, k, panel_width):

@@ -21,20 +21,36 @@ product and the per-round volumes needed by the overlap performance model.
 (:func:`_cosma_batched`; ``volume`` is that engine minus the numerics), with
 ``use_rma`` or without.  Its accounting is three functions of a
 :class:`CosmaDecomposition` -- :func:`post_owned_words`,
-:func:`fiber_exchange_rounds` (Algorithm 1 is a steady-state schedule, so each
-*distinct* round, a round class, is written once -- in closed form from its
-overlap widths, no hop expanded -- and added with its multiplicity) and
-:func:`post_c_reduction` -- and they are the one accounting implementation of
-the grid family: SUMMA runs them on ``pm x pn x 1`` with its panel width as
-the step, 2.5D on ``q x q x c`` with one whole-layer gather round
-(:mod:`repro.baselines.summa`, :mod:`repro.baselines.grid25d`).  The product
-is one GEMM into a single C sheet.  The per-hop loop in :func:`cosma_multiply`
-serves ``legacy`` / ``zerocopy`` only and is the parity suites' oracle.
+:func:`post_fiber_exchange` and :func:`post_c_reduction` -- and they are the
+one accounting implementation of the grid family: SUMMA runs them on
+``pm x pn x 1`` with its panel width as the step, 2.5D on ``q x q x c`` with
+one whole-layer gather round (:mod:`repro.baselines.summa`,
+:mod:`repro.baselines.grid25d`).  What is posted when:
+
+* **per run** -- the owned words; the panel exchange as ONE expansion to
+  ranks (Algorithm 1 is a steady-state schedule and every counter is linear
+  in a round's overlap widths, so the rounds are summed on the width table,
+  at ``(layer, owner)`` size, before anything of size p exists); the C
+  reduction, one more delta;
+* **per round** -- the engine's boundary call (COSMA's labelled
+  ``log_round``, SUMMA's ``commit_round``, none for 2.5D) and an entry of
+  COSMA's ``round_volumes``, read off the ``(layer, position)`` tables of the
+  round's class, never a per-rank array;
+* **per round class** (a maximal run of rounds with equal widths) -- a
+  ``fields x p`` delta, but only under a tracer: a round span reads the
+  counter matrix at its boundary, so a traced run adds class by class, through
+  the same expand function.  Tracing is the only reader of per-class deltas
+  (:func:`fiber_exchange_rounds`, which is also what the hop-expansion oracle
+  in ``tests/test_cosma_round_classes.py`` checks).
+
+The product is one GEMM into a single C sheet.  The per-hop loop in
+:func:`cosma_multiply` serves ``legacy`` / ``zerocopy`` only and is the parity
+suites' oracle.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -58,7 +74,7 @@ from repro.machine.counters import (
 from repro.machine.rma import rma_get
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import PayloadPlane, ShapeToken, as_payload
-from repro.utils.intmath import split_offsets
+from repro.utils.intmath import run_starts, sorted_distinct, split_offsets
 
 
 @dataclass
@@ -366,10 +382,9 @@ def post_owned_words(
     machine.post_resident(c_name, used, np.repeat(_c_block_words(decomposition), grid.pk))
 
 
-def fiber_exchange_rounds(
-    machine: DistributedMachine, decomposition: CosmaDecomposition, exchange: str
-) -> Iterator[tuple[range, CommCounters]]:
-    """The round classes of the decomposition's panel exchange, each written once.
+class _PanelExchange:
+    """A decomposition's panel exchange as tables: every round's overlap
+    widths, and their expansion to per-rank counters.
 
     In round ``r`` every k-layer moves its ``r``-th chunk of ``step_size``
     outer products: the owners of the chunk's A panel send their pieces along
@@ -382,80 +397,180 @@ def fiber_exchange_rounds(
     both ends).
 
     A round's schedule is a function of the overlap widths between its
-    k-chunk and each ownership slice, and those take O(pk (pm + pn)) distinct
-    values however many rounds there are.  The whole schedule's width table
-    is one broadcast expression and a maximal run of equal rows is a *round
-    class* (:meth:`DistributedMachine.round_classes`), yielded as ``(rounds,
-    delta)`` for the caller to add with its multiplicity and its own round
-    boundary (:meth:`DistributedMachine.post_rounds`).
+    k-chunk and each ownership slice.  ``table`` holds them for the whole
+    schedule, one broadcast expression: row ``r`` is, for every k-layer, the
+    width of round ``r``'s clamped chunk and its overlap with each A / B
+    ownership slice of the layer.
 
-    No hop is expanded to write a delta.  In a fiber of ``q`` positions rooted
-    at owner ``o``, position ``(pos - o) % q`` sends that position's fan-out
-    of messages and receives one unless it is the root; summed over owners, a
-    position sends the circulant product ``widths @ fan`` and receives every
-    width but its own, in units of its rank's block side (``lm`` for A pieces,
-    ``ln`` for B): a class delta is O(p) array arithmetic, whatever ``q`` is.
+    No hop is expanded.  In a fiber of ``q`` positions rooted at owner ``o``,
+    position ``(pos - o) % q`` sends that position's fan-out of messages and
+    receives one unless it is the root; summed over owners, a position sends
+    the circulant product ``widths @ fan`` and receives every width but its
+    own, in units of its rank's block side (``lm`` for A pieces, ``ln`` for
+    B).  Every counter is therefore *linear* in the widths (and in which of
+    them are positive): any set of rounds is added by summing its table rows
+    at ``(layer, position)`` size first and expanding to ranks once
+    (:meth:`expand`).
     """
-    pm, pn, pk = decomposition.grid
-    lm = np.diff(decomposition.i_bounds)[:, None, None]  # against (pm, pn, pk)
-    ln = np.diff(decomposition.j_bounds)[:, None]
-    k_lo, k_hi = decomposition.k_bounds[:-1], decomposition.k_bounds[1:]
-    a_lo, a_hi = decomposition.a_bounds[:, :-1], decomposition.a_bounds[:, 1:]  # (pk, pn)
-    b_lo, b_hi = decomposition.b_bounds[:, :-1], decomposition.b_bounds[:, 1:]  # (pk, pm)
 
-    def circulant(q: int) -> np.ndarray:
-        """``fan[o, pos]``: messages position ``pos`` sends of owner ``o``'s piece
-        (the star sends all ``q - 1`` from the owner itself)."""
-        fanout = np.array(tree_fanout(q) if exchange == "tree" else [q - 1] + [0] * (q - 1))
-        return fanout[(np.arange(q) - np.arange(q)[:, None]) % q]
+    def __init__(self, decomposition: CosmaDecomposition, exchange: str) -> None:
+        pm, pn, pk = self.grid = decomposition.grid
+        self.exchange = exchange
+        self.lm = np.diff(decomposition.i_bounds)
+        self.ln = np.diff(decomposition.j_bounds)
+        k_lo, k_hi = decomposition.k_bounds[:-1], decomposition.k_bounds[1:]
+        a_lo, a_hi = decomposition.a_bounds[:, :-1], decomposition.a_bounds[:, 1:]  # (pk, pn)
+        b_lo, b_hi = decomposition.b_bounds[:, :-1], decomposition.b_bounds[:, 1:]  # (pk, pm)
 
-    fan_a, fan_b = circulant(pn), circulant(pm)
+        def circulant(q: int) -> np.ndarray:
+            """``fan[o, pos]``: messages position ``pos`` sends of owner ``o``'s piece
+            (the star sends all ``q - 1`` from the owner itself)."""
+            fanout = np.array(tree_fanout(q) if exchange == "tree" else [q - 1] + [0] * (q - 1))
+            return fanout[(np.arange(q) - np.arange(q)[:, None]) % q]
 
-    def exchanged(widths: np.ndarray, fan: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(sent, received) by every position of every layer's fibers, as
-        ``(position, layer)`` tables, given the ``(layer, owner)`` widths."""
-        return (widths @ fan).T, (widths.sum(axis=1, keepdims=True) - widths).T
+        self.fan_a, self.fan_b = circulant(pn), circulant(pm)
+        step = decomposition.step_size
+        offsets = np.arange(0, int((k_hi - k_lo).max()), step, dtype=np.int64)
+        c0 = np.minimum(k_lo + offsets[:, None], k_hi)  # (round, layer)
+        c1 = np.minimum(c0 + step, k_hi)
+        # Written in place: the table is the largest array of a run.
+        self.table = np.empty((len(offsets), pk * (1 + pn + pm)), dtype=np.int64)
+        chunk_w, w_a, w_b = self._widths(self.table)
+        np.subtract(c1, c0, out=chunk_w)
+        for widths, lo, hi in ((w_a, a_lo, a_hi), (w_b, b_lo, b_hi)):
+            np.minimum(hi, c1[:, :, None], out=widths)
+            widths -= np.maximum(lo, c0[:, :, None])
+            np.maximum(widths, 0, out=widths)
 
-    # ------------------------------------------------------------------
-    # round classes: the overlap-width table of the whole schedule
-    # ------------------------------------------------------------------
-    # Row r holds, for every k-layer, the width of round r's clamped chunk
-    # and its overlap with each A / B ownership slice of the layer.  Rounds
-    # with equal rows have the identical schedule, and they are consecutive
-    # (every layer's chunk moves monotonically through its ownership slices,
-    # so a row never comes back): a class is a run of rounds.
-    step = decomposition.step_size
-    offsets = np.arange(0, int((k_hi - k_lo).max()), step, dtype=np.int64)
-    num_rounds = len(offsets)
-    c0 = np.minimum(k_lo + offsets[:, None], k_hi)  # (round, layer)
-    c1 = np.minimum(c0 + step, k_hi)
-    w_a = np.maximum(np.minimum(a_hi, c1[:, :, None]) - np.maximum(a_lo, c0[:, :, None]), 0)
-    w_b = np.maximum(np.minimum(b_hi, c1[:, :, None]) - np.maximum(b_lo, c0[:, :, None]), 0)
-    table = np.concatenate(
-        [c1 - c0, w_a.reshape(num_rounds, -1), w_b.reshape(num_rounds, -1)], axis=1
-    )
+    def _widths(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Table rows as chunk widths ``(round, layer)`` and A / B overlap
+        widths ``(round, layer, owner)``."""
+        pm, pn, pk = self.grid
+        split = pk * (1 + pn)
+        return (rows[:, :pk], rows[:, pk:split].reshape(-1, pk, pn),
+                rows[:, split:].reshape(-1, pk, pm))
 
-    def post_class(delta: CommCounters, row: np.ndarray) -> None:
-        chunk_w = row[:pk]
-        class_w_a = row[pk : pk + pk * pn].reshape(pk, pn)
-        class_w_b = row[pk + pk * pn :].reshape(pk, pm)
+    def _by_rank(self, w_a, w_b, lm, ln) -> tuple[np.ndarray, np.ndarray]:
+        """(sent, received) on the ``(pm, pn, pk)`` grid given ``(layer, owner)``
+        widths: ``lm`` per unit of A width along the ``j`` fiber, ``ln`` per unit
+        of B width along the ``i`` fiber."""
+        def exchanged(widths, fan):  # as (position, layer) tables
+            return (widths @ fan).T, (widths.sum(axis=1, keepdims=True) - widths).T
+
+        sent_a, received_a = exchanged(w_a, self.fan_a)
+        sent_b, received_b = exchanged(w_b, self.fan_b)
+        return lm * sent_a + sent_b[:, None] * ln, lm * received_a + received_b[:, None] * ln
+
+    def expand(self, data: np.ndarray, rows: np.ndarray) -> None:
+        """Add the rounds whose table rows are ``rows`` to the ``(field, rank)``
+        counter array ``data``: the one place a width becomes a per-rank count."""
+        pm, pn, pk = self.grid
         # Ranks are row-major in (pi, pj, kk); a layer that ran out of k has
-        # zero widths throughout and its ranks stay zero.
-        rows = delta.matrix.data[:, : pm * pn * pk].reshape(-1, pm, pn, pk)
-        sent_a, received_a = exchanged(class_w_a, fan_a)
-        sent_b, received_b = exchanged(class_w_b, fan_b)
-        rows[WORDS_SENT] = lm * sent_a + sent_b[:, None] * ln
-        rows[WORDS_RECEIVED] = lm * received_a + received_b[:, None] * ln
-        sent_a, received_a = exchanged((class_w_a > 0).astype(np.int64), fan_a)
-        sent_b, received_b = exchanged((class_w_b > 0).astype(np.int64), fan_b)
-        rows[MESSAGES_SENT] = sent_a + sent_b[:, None]
-        rows[MESSAGES_RECEIVED] = received_a + received_b[:, None]
+        # zero widths throughout and its ranks stay as they are.
+        fields = data[:, : pm * pn * pk].reshape(-1, pm, pn, pk)
+        lm, ln = self.lm[:, None, None], self.ln[:, None]
+        chunk_w, w_a, w_b = self._widths(rows)
+        sent, received = self._by_rank(w_a.sum(axis=0), w_b.sum(axis=0), lm, ln)
+        fields[WORDS_SENT] += sent
+        fields[WORDS_RECEIVED] += received
+        fields[INPUT_WORDS] += sent + received
+        sent, received = self._by_rank(
+            np.count_nonzero(w_a, axis=0), np.count_nonzero(w_b, axis=0), 1, 1)
+        fields[MESSAGES_SENT] += sent
+        fields[MESSAGES_RECEIVED] += received
         # A get is charged to its origin only; a send or a tree hop to both ends.
-        rows[ROUNDS] = rows[MESSAGES_RECEIVED] + (exchange != "get") * rows[MESSAGES_SENT]
-        rows[INPUT_WORDS] = rows[WORDS_SENT] + rows[WORDS_RECEIVED]
-        rows[FLOPS] = 2 * chunk_w * lm * ln
+        fields[ROUNDS] += received if self.exchange == "get" else received + sent
+        fields[FLOPS] += 2 * chunk_w.sum(axis=0) * lm * ln
 
-    return machine.round_classes(table, post_class)
+    def classes(self, machine: DistributedMachine) -> Iterator[tuple[range, CommCounters]]:
+        """Rounds with equal rows have the identical schedule, and they are
+        consecutive (every layer's chunk moves monotonically through its
+        ownership slices, so a row never comes back): a *round class* is a run
+        of rounds, yielded as ``(rounds, delta)`` with one round expanded."""
+        return machine.round_classes(
+            self.table, lambda delta, row: self.expand(delta.matrix.data, row[None])
+        )
+
+    def round_volumes(self) -> list[int]:
+        """Per round, the most words (sent + received) any rank moves in it.
+
+        From the classes' ``(layer, position)`` tables only.  Rank ``(i, j)``
+        of a layer moves ``lm_i * by_j[j] + by_i[i] * ln_j``, so over the ranks
+        whose block sides are ``(u, v)`` the maximum is ``u * max by_j + v *
+        max by_i``, each taken over the positions with that side -- and a
+        split has at most two distinct sides.
+        """
+        pm, pn, _ = self.grid
+        starts = run_starts(self.table)
+        _, w_a, w_b = self._widths(self.table[starts])
+        # Sent plus received by position: widths @ fan + (sum of widths - own).
+        by_j = w_a @ (self.fan_a + 1 - np.eye(pn, dtype=np.int64))  # (class, layer, pj)
+        by_i = w_b @ (self.fan_b + 1 - np.eye(pm, dtype=np.int64))  # (class, layer, pi)
+        tops_i = [(u, by_i[:, :, self.lm == u].max(axis=2)) for u in sorted_distinct(self.lm)]
+        volumes = np.zeros(len(starts), dtype=np.int64)
+        for v in sorted_distinct(self.ln):
+            top_j = by_j[:, :, self.ln == v].max(axis=2)
+            for u, top_i in tops_i:
+                np.maximum(volumes, (u * top_j + v * top_i).max(axis=1), out=volumes)
+        return np.repeat(volumes, np.diff(np.r_[starts, len(self.table)])).tolist()
+
+    def mark_last_round(self, counters: CommCounters) -> None:
+        """Leave ``ROUND_START_WORDS`` as the per-hop loop does: every rank's
+        total words at the start of the last round."""
+        pm, pn, pk = self.grid
+        counters.mark_round_start()
+        marked = counters.matrix.data[ROUND_START_WORDS, : pm * pn * pk].reshape(pm, pn, pk)
+        _, w_a, w_b = self._widths(self.table[-1:])
+        sent, received = self._by_rank(w_a[0], w_b[0], self.lm[:, None, None], self.ln[:, None])
+        marked -= sent + received
+
+
+def fiber_exchange_rounds(
+    machine: DistributedMachine, decomposition: CosmaDecomposition, exchange: str
+) -> Iterator[tuple[range, CommCounters]]:
+    """The round classes of the decomposition's panel exchange, each written
+    once into a scratch counter set: ``(rounds, delta)`` with ``delta`` one
+    round of the class (see :class:`_PanelExchange`).  Nothing is added to the
+    machine.  Only a traced run posts class by class; this is also the form the
+    hop-expansion oracle checks."""
+    return _PanelExchange(decomposition, exchange).classes(machine)
+
+
+def post_fiber_exchange(
+    machine: DistributedMachine,
+    decomposition: CosmaDecomposition,
+    exchange: str,
+    boundary: Callable[[int], None] | None = None,
+    round_words: bool = False,
+) -> list[int]:
+    """Add the decomposition's whole panel exchange to the machine's counters,
+    calling the engine's round boundary ``boundary(r)`` once per round.
+
+    Untraced, a run is ONE expansion to ranks: the width table's column sums
+    go through :meth:`_PanelExchange.expand` into the live counter matrix, so
+    the O(p) work is a constant number of array operations whatever the round
+    count.  A round span reads the matrix at its boundary, so under a tracer
+    the same function expands class by class and :meth:`post_rounds
+    <repro.machine.simulator.DistributedMachine.post_rounds>` alternates adds
+    and boundaries.
+
+    With ``round_words`` (COSMA's round bookkeeping) the start of the last
+    round is left marked in ``ROUND_START_WORDS`` and the per-round maximum
+    words of any rank are returned; otherwise an empty list.
+    """
+    panels = _PanelExchange(decomposition, exchange)
+    if machine.trace is not None:
+        for rounds, delta in panels.classes(machine):
+            machine.post_rounds(delta, rounds, boundary)
+    else:
+        panels.expand(machine.counters.matrix.data, panels.table)
+        if boundary is not None:
+            for r in range(len(panels.table)):
+                boundary(r)
+    if not round_words:
+        return []
+    panels.mark_last_round(machine.counters)
+    return panels.round_volumes()
 
 
 def post_c_reduction(machine: DistributedMachine, decomposition: CosmaDecomposition) -> None:
@@ -527,14 +642,11 @@ def _cosma_batched(
     else:
         c_global = ShapeToken((m, n))
     post_owned_words(machine, decomposition, "A_own", "B_own", "C_acc")
-    classes = fiber_exchange_rounds(machine, decomposition, "get" if use_rma else "tree")
-
     # The reference path checks memory at the end of every round, but the
     # rank stores (A_own / B_own / C_acc) do not change between rounds -- the
     # per-round check always sees the same footprint.  One check up front
     # records the identical peak and enforces the identical budget.
     machine.check_memory()
-    round_volumes: list[int] = []
     # Traced runs split the batched accounting from the GEMM below, so a
     # plane-mode profile shows where the wall time actually goes.
     trace = machine.trace
@@ -547,14 +659,10 @@ def _cosma_batched(
         else nullcontext()
     )
     with accounting_span:
-        for rounds, delta in classes:
-            machine.post_rounds(delta, rounds, lambda r: machine.log_round(f"cosma-step-{r}"))
-            round_volumes.extend([delta.max_words_per_rank()] * len(rounds))
-        # The per-hop loop leaves the start of the last round marked: mark now
-        # and take that round (the scratch set still holds its class) back out.
-        last = delta.matrix.data
-        machine.counters.mark_round_start()
-        machine.counters.matrix.data[ROUND_START_WORDS] -= last[WORDS_SENT] + last[WORDS_RECEIVED]
+        round_volumes = post_fiber_exchange(
+            machine, decomposition, "get" if use_rma else "tree",
+            lambda r: machine.log_round(f"cosma-step-{r}"), round_words=True,
+        )
 
     # ------------------------------------------------------------------
     # numerics: one GEMM over the whole k extent into the single C sheet

@@ -21,9 +21,15 @@ is one vectorized numpy reduction.
 The matrix layout is also what makes **round classes** cheap: the counter
 delta of a whole communication round is a ``fields x p`` integer array, so a
 batched engine that knows its repeats up front writes each distinct round once
-into a scratch :class:`CommCounters` (the grid family as array arithmetic over
-its rows, no transfer list) and adds it times the class's rounds (:meth:`post_rounds
-<repro.machine.simulator.DistributedMachine.post_rounds>`).
+into a scratch :class:`CommCounters` (array arithmetic over its rows, no
+transfer list) and adds it times the class's rounds (:meth:`post_rounds
+<repro.machine.simulator.DistributedMachine.post_rounds>`).  Cannon does so
+for its two classes.  The grid family (COSMA, SUMMA, 2.5D) writes class deltas
+only under a tracer, whose round spans read this matrix at every boundary;
+untraced it sums its rounds before they reach rank size and adds one
+expansion per run straight into the rows of the live matrix
+(:func:`repro.core.cosma.post_fiber_exchange`), so a second run on the same
+machine still accumulates.
 """
 
 from __future__ import annotations

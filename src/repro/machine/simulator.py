@@ -73,6 +73,7 @@ from repro.machine.transport import (
     payload_words,
 )
 from repro.obs.trace import MachineTrace, active_tracer
+from repro.utils.intmath import run_starts
 from repro.utils.validation import check_positive_int
 
 
@@ -514,7 +515,7 @@ class DistributedMachine:
         run to run.
         """
         delta = CommCounters.for_ranks(self.p)
-        starts = np.flatnonzero(np.r_[True, (table[1:] != table[:-1]).any(axis=1)])
+        starts = run_starts(table)
         for first, stop in zip(starts, [*starts[1:], len(table)]):
             delta.reset()
             post_class(delta, table[first])

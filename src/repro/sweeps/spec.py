@@ -16,6 +16,7 @@ serial row order (``tests/test_sweeps_runner.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from repro.algorithms import DEFAULT_ALGORITHMS, resolve_algorithm
@@ -58,8 +59,12 @@ class RunRequest:
     shards: int = 1
     plane_dtype: str = "float64"
 
-    @property
+    @cached_property
     def key(self) -> str:
+        """The run's identity digest, derived once per request object (a
+        campaign reads it four times per request; ``dataclasses.replace``
+        yields a fresh object and a fresh key).  Not a field: equality,
+        hashing, ``repr`` and :meth:`to_dict` never see it."""
         return run_key(
             self.algorithm, self.scenario, self.mode, self.seed, self.verify,
             plane_dtype=self.plane_dtype,

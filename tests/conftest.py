@@ -26,13 +26,14 @@ def square_matrices(rng) -> tuple[np.ndarray, np.ndarray]:
 
 @pytest.fixture
 def class_posts(monkeypatch) -> list[str]:
-    """The grid family's batched accounting, observed.
+    """The batched engines' class deltas, observed.
 
     Every ``post_class`` call that ``DistributedMachine.round_classes`` makes
-    appends the module the callback lives in (one entry per class delta
-    written), and expanding a schedule into a transfer list -- reaching
-    ``CommCounters.post_transfers`` or the ``_scatter_add`` behind it,
-    ``add_flops`` and ``add_rounds`` -- fails the test.
+    appends the module the callback lives in (one entry per class delta of
+    size p written: Cannon's two; the grid family's only under a tracer, an
+    untraced run of it writes none), and expanding a schedule into a transfer
+    list -- reaching ``CommCounters.post_transfers`` or the ``_scatter_add``
+    behind it, ``add_flops`` and ``add_rounds`` -- fails the test.
     """
     from repro.machine import counters
     from repro.machine.simulator import DistributedMachine
@@ -54,3 +55,21 @@ def class_posts(monkeypatch) -> list[str]:
 
     monkeypatch.setattr(DistributedMachine, "round_classes", recording)
     return posts
+
+
+@pytest.fixture
+def panel_expansions(monkeypatch) -> list[int]:
+    """Every expansion of the grid family's width table to ranks
+    (``core.cosma._PanelExchange.expand``), as the number of table rows --
+    rounds -- it added at once."""
+    from repro.core import cosma
+
+    expansions: list[int] = []
+    expand = cosma._PanelExchange.expand
+
+    def recording(self, data, rows):
+        expansions.append(len(rows))
+        expand(self, data, rows)
+
+    monkeypatch.setattr(cosma._PanelExchange, "expand", recording)
+    return expansions

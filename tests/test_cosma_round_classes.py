@@ -37,13 +37,22 @@ from repro.core.cosma import (
     cosma_multiply,
     fiber_exchange_rounds,
     post_c_reduction,
+    post_fiber_exchange,
     post_owned_words,
 )
 from repro.core.decomposition import build_decomposition
 from repro.core.grid import ProcessorGrid
 from repro.experiments.harness import run_algorithm
 from repro.machine.collectives import broadcast_hops, reduce
-from repro.machine.counters import MESSAGES_SENT, ROUND_START_WORDS, ROUNDS, CommCounters
+from repro.machine.counters import (
+    COUNTER_FIELDS,
+    MESSAGES_SENT,
+    ROUND_START_WORDS,
+    ROUNDS,
+    WORDS_RECEIVED,
+    WORDS_SENT,
+    CommCounters,
+)
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import ShapeToken, allclose_tolerances
 from repro.obs import tracing
@@ -175,6 +184,10 @@ def test_top_of_the_strong_scaling_range():
 
 
 @pytest.mark.parametrize("name, grid, pinned, ceiling_s", [
+    # 1821 rounds in 371 classes: 1.02 s as one O(p) delta per class, 0.05 s as
+    # one expansion of the summed width table (plus the decomposition).
+    ("COSMA", (99, 110, 6), (6946816.0, 7127814, 7526, 7526,
+     "2571d65fd6bcac6a1469870ab58cfab07b191128779a6ff7af703a8a3db996a1"), 0.5),
     ("ScaLAPACK", (256, 256), (16711680.0, 16711680, 1420, 1420,
      "2f8951f44f67a024b8b7eb6b6d7201f346817981999428e58a3eb32e9786efb0"), 2.0),
     ("CTF", (128, 128, 4), (8421376.0, 8454144, 510, 510,
@@ -185,22 +198,25 @@ def test_top_of_the_strong_scaling_range():
      "f940ada02a60e6211d4b32f234ab42a8c2bc2033d858377a88e0a2b4bb9d8592"), 0.5),
     ("Cannon", None, (16776960.0, 16777216, 512, 1024,
      "9b4bb08b7af606cb441a4c7bb0f2ca00d2e133da5daf15b4ac280aae35f15e7d"), 0.2),
-], ids=["ScaLAPACK", "CTF", "CARMA", "Cannon"])
+], ids=["COSMA", "ScaLAPACK", "CTF", "CARMA", "Cannon"])
 def test_grid_baselines_three_octaves_up(name, grid, pinned, ceiling_s):
     """32768^3 on p=65536, S=101000: values and the counter matrix's sha256
     captured at the parent, where the hop arrays made these 2.5-5.4 s / 600 MiB
     (ScaLAPACK) and 0.9 s / 340 MiB (CTF); 0.25 s and 0.015 s without them.  The
     ceiling is on the faster of two runs and far above that: it guards the
     order of magnitude, not the box.  CARMA and Cannon ride along at the same
-    point (they plan no grid), pinned the same way at their parent."""
+    point (they plan no grid), pinned the same way at their parent, and COSMA
+    with the planned grid handed back to its runner, as ``repro.multiply``
+    does: the grid search (0.7 s, memoized behind ``plan``) is not the engine."""
     scenario = Scenario(name="square-paper-p65536", shape=square_shape(32768), p=65536,
                         memory_words=101_000, regime="limited")
     spec = get_algorithm(name)
     assert grid is None or spec.plan(scenario).grid == grid
+    options = {"grid": grid} if name == "COSMA" else {}
     seconds = []
     for _ in range(2):
         start = time.perf_counter()
-        machine, _ = _run_on(lambda a, b, machine: spec.run(a, b, scenario, machine),
+        machine, _ = _run_on(lambda a, b, machine: spec.run(a, b, scenario, machine, **options),
                              32768, 32768, 32768, scenario.p, scenario.memory_words, "volume")
         seconds.append(time.perf_counter() - start)
     counters = machine.counters
@@ -293,15 +309,21 @@ def test_cannon_equals_the_per_hop_loop(shape, p, skew):
     _assert_engines_equal_the_per_hop_loop(multiply, *shape, p)
 
 
-def test_many_panel_summa_posts_once_per_class(class_posts):
-    """ScaLAPACK 8192^3 on p=4096 with S=8000: 8192 one-column panels are 64
-    class deltas, not 8192 postings (and no transfer list)."""
+def test_many_panel_summa_posts_once_per_class(class_posts, panel_expansions):
+    """ScaLAPACK 8192^3 on p=4096 with S=8000: 8192 one-column panels are one
+    expansion of the summed width table, no class delta of size p (and no
+    transfer list); under a tracer, 64 class deltas, not 8192 postings."""
     scenario = Scenario(name="square-many-panels", shape=square_shape(8192), p=4096,
                         memory_words=8000, regime="limited")
     run = run_algorithm("ScaLAPACK", scenario, mode="volume")
     assert run.rounds == 32256  # every panel was counted ...
     assert run.mean_received_per_rank == 2064384.0
-    assert class_posts == ["repro.core.cosma"] * 64  # ... but written once per class
+    assert class_posts == [] and panel_expansions == [8192]  # ... in one expansion to ranks
+    with tracing():
+        traced = run_algorithm("ScaLAPACK", scenario, mode="volume")
+    assert (traced.rounds, traced.mean_received_per_rank) == (32256, 2064384.0)
+    assert class_posts == ["repro.core.cosma"] * 64  # written once per class
+    assert panel_expansions == [8192] + [1] * 64
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +403,48 @@ def test_class_deltas_equal_the_hop_expansion(problem, exchange):
         covered += rounds
     assert covered == list(range(decomposition.num_steps))
     assert not machine.counters.matrix.data.any()  # yielded, not added
+
+
+@settings(max_examples=80, deadline=None)
+@given(problem=exchange_problems(), exchange=st.sampled_from(["tree", "get", "gather"]))
+@example(problem=(36, build_decomposition(12, 12, 5, 36, 1 << 20, grid=ProcessorGrid(6, 5, 1),
+                                          step_size=1)), exchange="tree")  # k < pm: empty slices
+@example(problem=(15, build_decomposition(9, 9, 7, 15, 1 << 20, grid=ProcessorGrid(1, 7, 2),
+                                          step_size=2)), exchange="gather")  # pm = 1, uneven layers
+@example(problem=(9, build_decomposition(9, 9, 31, 9, 1 << 20, grid=ProcessorGrid(7, 1, 1),
+                                         step_size=3)), exchange="get")  # pn = 1, two idle ranks
+def test_one_expansion_equals_the_summed_class_deltas(problem, exchange):
+    """An untraced run sums its width table before anything of size p exists:
+    on a machine that already holds counters, all nine rows equal
+    ``sum(len(rounds) * delta)`` over the class deltas held to the hop
+    expansion above; the round volumes are each class's busiest rank,
+    repeated; the round-start mark is the total words minus the last class;
+    and the boundary is called once per round.  A traced run posts the class
+    deltas themselves and lands on the same bytes."""
+    p, decomposition = problem
+    held = np.random.default_rng(0).integers(0, 1000, size=(len(COUNTER_FIELDS), p))
+    expected, volumes = held.copy(), []
+    for rounds, delta in fiber_exchange_rounds(
+            DistributedMachine(p, mode="volume"), decomposition, exchange):
+        expected += len(rounds) * delta.matrix.data
+        volumes += [delta.max_words_per_rank()] * len(rounds)
+        last_words = delta.matrix.data[WORDS_SENT] + delta.matrix.data[WORDS_RECEIVED]
+
+    machine = DistributedMachine(p, mode="volume")
+    machine.counters.matrix.data[...] = held
+    assert post_fiber_exchange(machine, decomposition, exchange) == []
+    assert np.array_equal(machine.counters.matrix.data, expected)  # the mark untouched
+
+    expected[ROUND_START_WORDS] = expected[WORDS_SENT] + expected[WORDS_RECEIVED] - last_words
+    for traced in (False, True):
+        with tracing() if traced else nullcontext():
+            machine = DistributedMachine(p, mode="volume")
+            machine.counters.matrix.data[...] = held
+            boundaries = []
+            assert post_fiber_exchange(machine, decomposition, exchange, boundaries.append,
+                                       round_words=True) == volumes
+        assert np.array_equal(machine.counters.matrix.data, expected), traced
+        assert boundaries == list(range(decomposition.num_steps))
 
 
 @pytest.mark.parametrize("traced", [False, True])
@@ -494,9 +558,8 @@ def test_grid25d_is_cosma_with_a_one_round_gather(problem):
         decomposition = build_decomposition(
             m, n, k, p, memory_words, grid=ProcessorGrid(*grid), step_size=-(-k // grid[2]))
         post_owned_words(machine, decomposition, "A", "B", "C")
-        for rounds, delta in fiber_exchange_rounds(machine, decomposition, "gather"):
-            assert rounds == range(1)
-            machine.post_rounds(delta, rounds)
+        assert decomposition.num_steps == 1
+        post_fiber_exchange(machine, decomposition, "gather")
         post_c_reduction(machine, decomposition)
 
     def cosma_gets(a, b, machine):

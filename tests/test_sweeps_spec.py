@@ -1,7 +1,11 @@
 """Tests for the declarative sweep specification and its expansion."""
 
+import dataclasses
+import pickle
+
 import pytest
 
+from repro.sweeps import spec as spec_module
 from repro.sweeps.spec import FAMILIES, REGIMES, RunRequest, SweepSpec, request_from_dict, spec_from_scenarios
 from repro.workloads.scaling import Scenario
 from repro.workloads.shapes import square_shape
@@ -114,6 +118,33 @@ class TestKeys:
         ]
         keys = {base.key} | {v.key for v in variants}
         assert len(keys) == 1 + len(variants)
+
+    def test_key_is_derived_once_per_request_object(self, monkeypatch):
+        """A campaign reads ``key`` four times per request: one digest, and
+        the cached value is invisible to equality, hashing, ``repr``,
+        ``to_dict`` and pickling round trips."""
+        derivations = []
+        run_key = spec_module.run_key
+
+        def counted(*args, **kwargs):
+            derivations.append(args[0])
+            return run_key(*args, **kwargs)
+
+        monkeypatch.setattr(spec_module, "run_key", counted)
+        request = small_spec().expand()[0]
+        fresh = request_from_dict(request.to_dict())
+        before = (hash(request), repr(request), request.to_dict())
+        assert [request.key for _ in range(4)] == [run_key(
+            request.algorithm, request.scenario, request.mode, request.seed, request.verify,
+            plane_dtype=request.plane_dtype)] * 4
+        assert derivations == [request.algorithm]
+        assert (hash(request), repr(request), request.to_dict()) == before
+        assert request == fresh and hash(request) == hash(fresh)  # fresh holds no key yet
+        assert pickle.loads(pickle.dumps(request)) == request
+        # A changed field is a new object and a new digest; shards is not identity.
+        assert dataclasses.replace(request, seed=request.seed + 1).key != request.key
+        assert dataclasses.replace(request, shards=2).key == request.key
+        assert len(derivations) == 3
 
 
 class TestRetiredKeys:

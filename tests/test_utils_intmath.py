@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.utils.intmath import (
     all_factorizations_3d,
@@ -14,6 +17,8 @@ from repro.utils.intmath import (
     nearly_equal,
     prod,
     round_to_multiple,
+    run_starts,
+    sorted_distinct,
     split_evenly,
     split_offsets,
 )
@@ -192,3 +197,17 @@ class TestMathSanity:
         factors = factorize(n)
         expected = math.prod(e + 1 for e in factors.values())
         assert len(divisors(n)) == expected
+
+
+class TestNeighbourMasks:
+    @given(st.lists(st.integers(-5, 5), max_size=30))
+    def test_sorted_distinct_is_plain_unique(self, values):
+        assert sorted_distinct(np.array(values, dtype=np.int64)).tolist() == sorted(set(values))
+
+    def test_sorted_distinct_flattens(self):
+        assert sorted_distinct(np.array([[7, 3], [3, 0]])).tolist() == [0, 3, 7]
+
+    def test_run_starts(self):
+        table = np.array([[1, 2], [1, 2], [1, 3], [1, 2], [1, 2]])
+        assert run_starts(table).tolist() == [0, 2, 3]
+        assert run_starts(table[:1]).tolist() == [0]

@@ -9,15 +9,18 @@ this file pins what the counters-only route is made of:
   per-rank loops (CARMA and Cannon on 8192^3, p=4096), with values captured
   from the per-rank paths;
 * a structural guard: no built-in algorithm's ``volume`` run touches a
-  per-rank primitive or allocates an element-sized array, COSMA writes one
-  delta per round class, ScaLAPACK and CTF write theirs only from inside
-  COSMA's accounting core, none of the three expands a transfer list,
+  per-rank primitive or allocates an element-sized array, an untraced COSMA
+  run expands its width table to ranks once and writes no class delta (a
+  traced one writes one per round class), ScaLAPACK and CTF do so only from
+  inside COSMA's accounting core, none of the three expands a transfer list,
   ``use_rma`` stays on the batched engine, neither a ``volume`` nor a
   ``plane`` run builds a ``Rank``, a ``LocalDomain`` or a ``CuboidDomain``,
   CARMA posts three transfer batches from a handful of Python frames, and
   Cannon writes its two class deltas without a transfer list.
 """
 
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -35,6 +38,7 @@ from repro.machine import rma, simulator
 from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import ShapeToken
+from repro.obs import tracing
 from repro.workloads.scaling import Scenario, limited_memory_sweep
 from repro.workloads.shapes import square_shape
 
@@ -201,23 +205,38 @@ def _cosma_sq1024_volume(use_rma=False):
     return machine, result
 
 
-def test_cosma_posts_once_per_round_class(class_posts):
-    """sq1024 has 683 rounds in 20 classes: 20 class deltas written (and the C
-    reduction), none of them through a transfer list."""
+def test_cosma_posts_once_per_round_class(class_posts, panel_expansions):
+    """sq1024 has 683 rounds in 20 classes.  Untraced they are one expansion of
+    the summed width table: no class delta of size p is written.  Traced, 20
+    class deltas.  Neither goes through a transfer list, and both count the C
+    reduction."""
     machine, result = _cosma_sq1024_volume()
     assert result.num_rounds == 683
     assert len(set(result.round_volumes)) > 1
-    assert class_posts == ["repro.core.cosma"] * 20
+    assert class_posts == [] and panel_expansions == [683]
     assert machine.counters.mean_output_words_per_rank() > 0  # the reduction
+    with tracing():
+        traced_machine, traced = _cosma_sq1024_volume()
+    assert class_posts == ["repro.core.cosma"] * 20
+    assert panel_expansions == [683] + [1] * 20
+    assert traced.round_volumes == result.round_volumes
+    assert traced_machine.counters.matrix.data.tobytes() == machine.counters.matrix.data.tobytes()
 
 
 @pytest.mark.parametrize("name", ["ScaLAPACK", "CTF"])
-def test_grid_baselines_post_transfers_only_from_the_cosma_core(name, class_posts):
+def test_grid_baselines_post_transfers_only_from_the_cosma_core(name, class_posts,
+                                                                 panel_expansions):
     """2D and 2.5D are grid choices: their engines hold no posting body, and
-    the core they post through expands no transfer list."""
+    the core they post through expands no transfer list -- one expansion to
+    ranks per untraced run, one class delta per class under a tracer."""
     run = run_algorithm(name, paper_scenario(4096, 1024), mode="volume")
     assert run.mean_words_per_rank > 0
-    assert set(class_posts) == {"repro.core.cosma"}
+    assert class_posts == [] and len(panel_expansions) == 1
+    with tracing():
+        traced = run_algorithm(name, paper_scenario(4096, 1024), mode="volume")
+    assert traced.mean_words_per_rank == run.mean_words_per_rank
+    assert class_posts and set(class_posts) == {"repro.core.cosma"}
+    assert panel_expansions[1:] == [1] * len(class_posts)
 
 
 def test_use_rma_volume_run_stays_on_the_batched_engine(monkeypatch):
@@ -301,3 +320,23 @@ def test_cannon_writes_two_class_deltas_and_no_transfer_list(class_posts, monkey
     run = run_algorithm("Cannon", paper_scenario(4096, 1024), mode="volume")
     assert class_posts == ["repro.baselines.cannon"] * 2
     assert run.rounds == 64 and run.max_messages_per_rank == 128
+
+
+def test_volume_runs_leave_numpy_ma_unimported():
+    """The first plain ``np.unique(x)`` of a process imports ``numpy.ma`` (about
+    20 ms, paid by every sweep worker and every CLI launch on its first CARMA
+    run): a fresh interpreter that runs every registered algorithm in
+    ``volume`` mode never loads it."""
+    script = (
+        "import sys\n"
+        "from repro.algorithms import registered_algorithms\n"
+        "from repro.experiments.harness import run_algorithm\n"
+        "from repro.workloads.scaling import limited_memory_sweep\n"
+        "scenario = limited_memory_sweep('square', [16], 2048)[0]\n"
+        "for name in registered_algorithms():\n"
+        "    assert run_algorithm(name, scenario, mode='volume').mean_words_per_rank > 0\n"
+        "    assert 'numpy.ma' not in sys.modules, name\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr
