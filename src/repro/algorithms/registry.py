@@ -290,7 +290,7 @@ def register_algorithm(
 
     This is the extension point: a module under ``extensions/`` (or any user
     code) decorates its runner and the algorithm immediately works everywhere
-    -- ``api.multiply(..., algorithm=name)``, ``repro compare/sweep`` choice
+    -- ``api.multiply(..., algorithm=name)``, ``repro multiply/plan/sweep`` choice
     lists, the sweep engine, and (when ``io_cost`` is given) the analytic
     columns of every campaign table.  See the README's "adding a new
     algorithm" walkthrough and :mod:`repro.extensions.allgather`.

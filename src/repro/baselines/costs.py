@@ -121,8 +121,7 @@ def latency_cost_cosma(m: int, n: int, k: int, p: int, s: int) -> float:
 
 # ---------------------------------------------------------------------------
 # Shared prediction entry point (used by the sweep aggregator, the CLI and the
-# performance model -- the one place that maps an algorithm name onto its
-# Table 3 formulas, instead of per-call-site math).
+# performance model); the registry decides which formulas a name maps onto.
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class CostPrediction:
@@ -137,21 +136,11 @@ class CostPrediction:
     flops_per_rank: float
 
 
-#: Algorithm name -> (io, latency) formula pair, all with the uniform
-#: signature ``(m, n, k, p, s)``.  The harness names map onto the paper's
-#: comparison targets (ScaLAPACK ~ 2D SUMMA, CTF ~ 2.5D); the decomposition
-#: aliases are accepted too.
-_COST_MODELS: dict[str, tuple] = {
-    "COSMA": (io_cost_cosma, latency_cost_cosma),
-    "ScaLAPACK": (lambda m, n, k, p, s: io_cost_2d(m, n, k, p),
-                  lambda m, n, k, p, s: latency_cost_2d(m, n, k, p)),
-    "CTF": (io_cost_25d, latency_cost_25d),
-    "CARMA": (io_cost_carma, latency_cost_carma),
-    "Cannon": (lambda m, n, k, p, s: io_cost_2d(m, n, k, p),
-               lambda m, n, k, p, s: latency_cost_2d(m, n, k, p)),
-}
-_COST_MODELS["SUMMA"] = _COST_MODELS["2D"] = _COST_MODELS["ScaLAPACK"]
-_COST_MODELS["2.5D"] = _COST_MODELS["CTF"]
+#: Algorithm name or alias -> (io, latency) formula pair, all with the uniform
+#: signature ``(m, n, k, p, s)``.  Filled by the algorithm registry: every
+#: registered spec that carries ``io_cost`` lands here, the built-ins when
+#: ``repro`` is imported.
+_COST_MODELS: dict[str, tuple] = {}
 
 
 def register_cost_model(algorithm: str, io_fn, latency_fn=None, aliases=()) -> None:

@@ -5,16 +5,14 @@ Exposes the library's main entry points without writing any Python::
     python -m repro multiply --m 256 --n 320 --k 192 --processors 16 --memory 16384
     python -m repro multiply --m 256 --n 256 --k 256 --processors 16 --memory 16384 --algorithm CARMA
     python -m repro plan     --m 4096 --n 4096 --k 4096 --processors 1024 --memory 65536 --algorithm CTF
-    python -m repro compare  --family square --regime limited --processors 4 16 36
-    python -m repro compare  --family square --regime limited --processors 256 1024 --mode volume
+    python -m repro plan     --m 4096 --n 4096 --k 4096 --processors 65 --memory 1000000
+    python -m repro sweep    --families square --regimes limited --processors 4 16 36 --mode legacy
     python -m repro sweep    --families square largeK --regimes limited extra --processors 4 16 36 64 --jobs 4
     python -m repro bounds   --m 4096 --n 4096 --k 4096 --processors 512 --memory 65536
-    python -m repro grid     --m 4096 --n 4096 --k 4096 --processors 65
     python -m repro sequential --size 32 --memory 64 128 256
     python -m repro store verify  --store .sweep-cache
     python -m repro store compact --store .sweep-cache
-    python -m repro trace --out trace.json multiply --processors 16 --mode plane
-    python -m repro trace --out trace.json sweep --processors 4 16
+    python -m repro multiply --processors 16 --mode plane --trace trace.json --trace-events events.jsonl
 
 Algorithm names (and their choice lists) come from the algorithm registry
 (:mod:`repro.algorithms`); aliases like ``SUMMA`` or ``2.5D`` are accepted
@@ -27,9 +25,10 @@ drifted lines, 2 = no store at the given path.
 
 Observability: the global ``--log-level`` flag configures the ``repro``
 logger hierarchy; ``multiply`` and ``sweep`` accept ``--trace FILE`` (write a
-Perfetto-loadable Chrome trace of the run) and ``--profile [N]`` (cProfile
-the command and print the top N cumulative entries); the ``trace``
-subcommand is the spelled-out form of ``--trace``.
+Perfetto-loadable Chrome trace of the run), ``--trace-events FILE`` (write the
+raw span/event stream as JSON lines; either flag turns tracing on) and
+``--profile [N]`` (cProfile the command and print the top N cumulative
+entries).
 """
 
 from __future__ import annotations
@@ -44,20 +43,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.algorithms import (
-    DEFAULT_ALGORITHMS,
-    algorithm_choices,
-    algorithm_specs,
-    registered_algorithms,
-    resolve_algorithm,
-)
+from repro.algorithms import algorithm_choices, algorithm_specs, registered_algorithms
 from repro.api import lower_bound_parallel, lower_bound_sequential, multiply, plan
 from repro.baselines.costs import predict_mnk
-from repro.core.grid import fit_ranks
-from repro.experiments.harness import sweep
-from repro.experiments.perf_model import simulated_time
-from repro.experiments.report import format_table, group_by_scenario
-from repro.machine.topology import MachineSpec
+from repro.experiments.report import format_table
 from repro.machine.transport import MODES, PLANE_DTYPES, ShapeToken
 from repro.obs import (
     LOG_LEVELS,
@@ -72,8 +61,6 @@ from repro.sequential import tiled_multiply
 from repro.sweeps import ResultStore, RetryPolicy, SweepSpec, run_campaign, scenario_summary_table, tidy_rows
 from repro.sweeps.runner import DEFAULT_STORE_PATH
 from repro.sweeps.spec import FAMILIES, REGIMES
-from repro.workloads.scaling import extra_memory_sweep, limited_memory_sweep, strong_scaling_sweep
-from repro.workloads.shapes import square_shape
 
 
 def _add_multiply_args(p_mult: argparse.ArgumentParser) -> None:
@@ -109,10 +96,15 @@ def _add_multiply_args(p_mult: argparse.ArgumentParser) -> None:
 
 
 def _add_instrumentation_flags(p: argparse.ArgumentParser) -> None:
-    """``--trace`` / ``--profile``, shared by the multiply and sweep commands."""
+    """``--trace`` / ``--trace-events`` / ``--profile``, shared by the multiply
+    and sweep commands."""
     p.add_argument(
         "--trace", default=None, metavar="TRACE.json",
         help="run with tracing enabled and write a Chrome trace (open in ui.perfetto.dev)",
+    )
+    p.add_argument(
+        "--trace-events", default=None, metavar="EVENTS.jsonl",
+        help="run with tracing enabled and write the raw span/event stream as JSON lines",
     )
     p.add_argument(
         "--profile", type=int, nargs="?", const=25, default=None, metavar="N",
@@ -143,29 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--memory", type=int, required=True)
     p_plan.add_argument("--algorithm", choices=algorithm_choices(), default="COSMA")
 
-    p_cmp = sub.add_parser("compare", help="compare COSMA against the baselines on a scenario sweep")
-    p_cmp.add_argument("--family", choices=list(FAMILIES), default="square")
-    p_cmp.add_argument("--regime", choices=list(REGIMES), default="limited")
-    p_cmp.add_argument("--processors", type=int, nargs="+", default=[4, 16, 36])
-    p_cmp.add_argument("--memory", type=int, default=2048)
-    p_cmp.add_argument(
-        "--algorithms", nargs="+", choices=algorithm_choices(),
-        default=list(DEFAULT_ALGORITHMS),
-        help="registry names or aliases (e.g. SUMMA for ScaLAPACK)",
-    )
-    p_cmp.add_argument(
-        "--mode",
-        choices=list(MODES),
-        default="legacy",
-        help=(
-            "execution mode: 'legacy' copies payloads per hop, 'zerocopy' shares "
-            "read-only views (same numerics, faster), 'plane' runs verified "
-            "numerics on stacked arrays (fastest numeric mode), 'volume' "
-            "simulates counters only (no numerics; enables paper-scale "
-            "processor counts)"
-        ),
-    )
-
     p_sweep = sub.add_parser(
         "sweep",
         help="run a cached, parallel scenario campaign (the sweep engine)",
@@ -179,14 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--k", type=int, required=True)
     p_bounds.add_argument("--processors", type=int, required=True)
     p_bounds.add_argument("--memory", type=int, required=True)
-
-    p_grid = sub.add_parser("grid", help="show the processor grid COSMA would fit (FitRanks)")
-    p_grid.add_argument("--m", type=int, required=True)
-    p_grid.add_argument("--n", type=int, required=True)
-    p_grid.add_argument("--k", type=int, required=True)
-    p_grid.add_argument("--processors", type=int, required=True)
-    p_grid.add_argument("--memory", type=int, default=None)
-    p_grid.add_argument("--max-idle", type=float, default=0.03)
 
     p_seq = sub.add_parser("sequential", help="measure sequential I/O of the tiled kernel vs the bound")
     p_seq.add_argument("--size", type=int, default=32, help="m = n = k")
@@ -221,23 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"result-store directory (default: {DEFAULT_STORE_PATH})",
     )
 
-    p_trace = sub.add_parser(
-        "trace",
-        help="run multiply or sweep with tracing enabled and export a Chrome trace",
-    )
-    p_trace.add_argument(
-        "--out", dest="trace_out", default="trace.json", metavar="TRACE.json",
-        help="Chrome trace-event output file (default: trace.json; open in ui.perfetto.dev)",
-    )
-    p_trace.add_argument(
-        "--events", dest="trace_events", default=None, metavar="EVENTS.jsonl",
-        help="also write the raw span/event stream as JSON lines",
-    )
-    trace_sub = p_trace.add_subparsers(dest="trace_command", required=True)
-    t_mult = trace_sub.add_parser("multiply", help="traced variant of 'repro multiply'")
-    _add_multiply_args(t_mult)
-    t_sweep = trace_sub.add_parser("sweep", help="traced variant of 'repro sweep'")
-    _add_sweep_args(t_sweep)
     return parser
 
 
@@ -340,44 +284,12 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         return 1
     print(f"fitted grid          : {run_plan.grid}")
     print(f"ranks used/available : {run_plan.processors_used}/{args.processors}")
+    print(f"idle ranks           : {args.processors - run_plan.processors_used}")
     print(f"scheduled steps      : {run_plan.rounds}")
     print(f"predicted words/rank : {run_plan.predicted_words_per_rank:,.0f}")
     print(f"Theorem 2 bound      : {run_plan.lower_bound_per_rank:,.0f}")
     print(f"predicted ratio      : {run_plan.predicted_optimality_ratio:.3f}")
     return 0
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    # Registry aliases (e.g. SUMMA) are valid on the command line; runs are
-    # recorded under canonical names, so canonicalize before grouping.
-    args.algorithms = [resolve_algorithm(name) for name in args.algorithms]
-    if args.regime == "strong":
-        scenarios = strong_scaling_sweep(square_shape(96), args.processors, memory_words=8 * args.memory)
-    elif args.regime == "limited":
-        scenarios = limited_memory_sweep(args.family, args.processors, args.memory)
-    else:
-        scenarios = extra_memory_sweep(args.family, args.processors, args.memory)
-    runs = sweep(scenarios, algorithms=args.algorithms, seed=0, mode=args.mode)
-    spec = MachineSpec(name="bandwidth-bound", network_latency_s=0.0)
-    grouped = group_by_scenario(runs)
-    headers = ["p", "m", "n", "k"] + [f"{a} words/rank" for a in args.algorithms] + ["fastest (simulated)"]
-    rows = []
-    all_correct = all(run.correct for run in runs)
-    for name in sorted(grouped, key=lambda s: int(s.rsplit("p", 1)[-1])):
-        by_algo = grouped[name]
-        shape = next(iter(by_algo.values())).scenario.shape
-        row = [next(iter(by_algo.values())).scenario.p, shape.m, shape.n, shape.k]
-        for algo in args.algorithms:
-            row.append(round(by_algo[algo].mean_received_per_rank))
-        fastest = min(by_algo, key=lambda algo: simulated_time(by_algo[algo], spec, overlap=True))
-        row.append(fastest)
-        rows.append(row)
-    print(format_table(headers, rows))
-    if args.mode == "volume":
-        print("\nnumerical verification skipped (volume mode: counters-only payloads)")
-    else:
-        print(f"\nall runs verified against numpy: {'OK' if all_correct else 'MISMATCH'}")
-    return 0 if all_correct else 1
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
@@ -434,19 +346,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             seed=values["seed"],
         )
     total = len(spec.expand())
-    json_out = getattr(args, "json", False)
-    if not json_out:
+    if not args.json:
         print(
             f"campaign '{spec.name}': {total} runs "
             f"({len(spec.scenarios())} scenarios x {len(spec.algorithms)} algorithms, "
             f"mode={spec.mode}, jobs={args.jobs}, store={args.out})"
         )
     retry = RetryPolicy(max_attempts=args.max_attempts) if args.max_attempts is not None else None
-    heartbeat = (
-        CampaignProgress(total, store_path=args.out)
-        if getattr(args, "show_progress", True)
-        else None
-    )
+    heartbeat = CampaignProgress(total, store_path=args.out) if args.show_progress else None
     try:
         result = run_campaign(
             spec, store=args.out, jobs=args.jobs, resume=args.resume,
@@ -460,7 +367,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             heartbeat.close()
     rows = tidy_rows(result.records)
     exit_code = 0 if result.failed == 0 and all(row.get("correct", True) for row in rows) else 1
-    if json_out:
+    if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
         return exit_code
     print(result.summary_line())
@@ -478,18 +385,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if spec.mode == "volume":
         print("\nnumerical verification skipped (volume mode: counters-only payloads)")
     return exit_code
-
-
-def _cmd_grid(args: argparse.Namespace) -> int:
-    fit = fit_ranks(
-        args.m, args.n, args.k, args.processors,
-        max_idle_fraction=args.max_idle, memory_words=args.memory,
-    )
-    print(f"fitted grid            : {fit.grid.as_tuple()}")
-    print(f"ranks used / available : {fit.grid.p_used} / {args.processors} ({fit.idle_ranks} idle)")
-    print(f"words received per rank: {fit.communication_per_rank:,.0f}")
-    print(f"multiplications per rank: {fit.computation_per_rank:,}")
-    return 0
 
 
 def _cmd_sequential(args: argparse.Namespace) -> int:
@@ -531,24 +426,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
     return 0 if report.clean else 1
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    """Run the wrapped multiply/sweep under tracing, then export the trace."""
-    handler = _COMMANDS[args.trace_command]
-    with tracing() as tracer:
-        code = handler(args)
-    write_chrome_trace(args.trace_out, tracer)
-    # Stderr so 'trace ... sweep --json' keeps machine-readable stdout.
-    print(
-        f"wrote Chrome trace ({len(tracer.events)} events) to {args.trace_out}; "
-        "open in ui.perfetto.dev",
-        file=sys.stderr,
-    )
-    if args.trace_events:
-        write_event_log(args.trace_events, tracer)
-        print(f"wrote event log to {args.trace_events}", file=sys.stderr)
-    return code
-
-
 def _profiled(handler: Callable[[argparse.Namespace], int], top_n: int):
     def run(args: argparse.Namespace) -> int:
         profiler = cProfile.Profile()
@@ -562,13 +439,10 @@ def _profiled(handler: Callable[[argparse.Namespace], int], top_n: int):
 _COMMANDS = {
     "multiply": _cmd_multiply,
     "plan": _cmd_plan,
-    "compare": _cmd_compare,
     "sweep": _cmd_sweep,
     "bounds": _cmd_bounds,
-    "grid": _cmd_grid,
     "sequential": _cmd_sequential,
     "store": _cmd_store,
-    "trace": _cmd_trace,
 }
 
 
@@ -582,17 +456,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     if profile_n is not None:
         handler = _profiled(handler, profile_n)
     trace_path = getattr(args, "trace", None)
-    if trace_path is None:
+    events_path = getattr(args, "trace_events", None)
+    if trace_path is None and events_path is None:
         return handler(args)
-    # The --trace flag is the inline spelling of the 'trace' subcommand.
     with tracing() as tracer:
         code = handler(args)
-    write_chrome_trace(trace_path, tracer)
-    print(
-        f"wrote Chrome trace ({len(tracer.events)} events) to {trace_path}; "
-        "open in ui.perfetto.dev",
-        file=sys.stderr,
-    )
+    # Notices go to stderr so 'sweep --json' keeps machine-readable stdout.
+    if trace_path is not None:
+        write_chrome_trace(trace_path, tracer)
+        print(
+            f"wrote Chrome trace ({len(tracer.events)} events) to {trace_path}; "
+            "open in ui.perfetto.dev",
+            file=sys.stderr,
+        )
+    if events_path is not None:
+        write_event_log(events_path, tracer)
+        print(f"wrote event log to {events_path}", file=sys.stderr)
     return code
 
 

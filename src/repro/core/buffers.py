@@ -5,7 +5,9 @@ instead pre-allocates all buffers once, sized for the largest message, and
 reuses them every round (optionally double-buffered for communication--
 computation overlap).  These helpers compute the buffer sizes for a given
 decomposition so that tests and the memory accounting can verify that the
-whole working set still fits within ``S``.
+whole working set still fits within ``S``.  No engine reads them yet;
+memory-aware grid fitting (a grid chosen with the buffers counted) is their
+intended consumer.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ I/O and latency costs are::
 Growing ``a`` reduces I/O but increases latency (fewer words fit alongside the
 larger accumulator, so more rounds are needed).  COSMA by default minimizes
 ``Q`` and spends any spare memory on reducing ``L``; these helpers expose the
-whole trade-off curve for the ablation benchmark.
+whole trade-off curve for ``benchmarks/bench_theorem2_parallel.py``.  No
+engine reads them yet; memory-aware grid fitting is their intended consumer.
 """
 
 from __future__ import annotations

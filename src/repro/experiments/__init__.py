@@ -12,7 +12,7 @@ These modules regenerate every evaluation artifact of the paper:
   (Table 4, Figures 6-14) as plain-text tables/series.
 """
 
-from repro.experiments.harness import AlgorithmRun, run_algorithm, run_scenario, sweep
+from repro.experiments.harness import AlgorithmRun, run_algorithm, run_scenario
 from repro.experiments.perf_model import percent_of_peak, simulated_time
 from repro.experiments.report import format_table, geometric_mean
 
@@ -20,7 +20,6 @@ __all__ = [
     "AlgorithmRun",
     "run_algorithm",
     "run_scenario",
-    "sweep",
     "simulated_time",
     "percent_of_peak",
     "format_table",

@@ -333,31 +333,6 @@ def run_scenario(
     }
 
 
-def sweep(
-    scenarios: Iterable[Scenario],
-    algorithms: Iterable[str] = DEFAULT_ALGORITHMS,
-    seed: int = 0,
-    verify: bool = True,
-    mode: str = "legacy",
-    on_error: str = "raise",
-) -> list[AlgorithmRun | RunFailure]:
-    """Run the full cross product of scenarios and algorithms.
-
-    ``on_error="capture"`` records a :class:`RunFailure` for any point that
-    raises and keeps sweeping; the default ``"raise"`` preserves the historic
-    fail-fast behaviour.
-    """
-    if on_error not in ("raise", "capture"):
-        raise ValueError(f"on_error must be 'raise' or 'capture', got {on_error!r}")
-    algorithms = tuple(algorithms)
-    runner = run_algorithm if on_error == "raise" else run_algorithm_safe
-    runs: list[AlgorithmRun | RunFailure] = []
-    for scenario in scenarios:
-        for name in algorithms:
-            runs.append(runner(name, scenario, seed=seed, verify=verify, mode=mode))
-    return runs
-
-
 def group_by_scenario(runs: Iterable[AlgorithmRun]) -> Mapping[str, dict[str, AlgorithmRun]]:
     """Group a flat list of runs into ``{scenario name: {algorithm: run}}``."""
     grouped: dict[str, dict[str, AlgorithmRun]] = {}

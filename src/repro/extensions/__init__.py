@@ -1,40 +1,6 @@
-"""Extensions beyond the paper's core results.
+"""Algorithms registered from outside the core package.
 
-The paper's conclusion notes that the I/O-optimality machinery "is
-generalizable to other machine models (e.g., multiple levels of memory) and
-linear algebra kernels (e.g., LU or Cholesky decompositions)".  This
-subpackage implements those two generalizations:
-
-* :mod:`repro.extensions.multilevel` -- nested tiled schedules and per-level
-  I/O bounds for memory hierarchies with more than two levels;
-* :mod:`repro.extensions.factorizations` -- communication cost models for LU
-  and Cholesky factorizations built on the MMM bounds, plus an out-of-core
-  blocked Cholesky whose slow-memory traffic is measured against the
-  corresponding bound.
+* :mod:`repro.extensions.allgather` -- the naive 1D all-gather baseline of
+  Figure 2, and the worked example of extending the algorithm registry:
+  importing it registers ``AllGather1D``.
 """
-
-from repro.extensions.factorizations import (
-    cholesky_io_lower_bound,
-    lu_io_lower_bound,
-    out_of_core_cholesky,
-    parallel_cholesky_cost,
-    parallel_lu_cost,
-)
-from repro.extensions.multilevel import (
-    MultilevelSchedule,
-    multilevel_io_lower_bounds,
-    multilevel_schedule,
-    simulate_multilevel_io,
-)
-
-__all__ = [
-    "multilevel_schedule",
-    "MultilevelSchedule",
-    "multilevel_io_lower_bounds",
-    "simulate_multilevel_io",
-    "lu_io_lower_bound",
-    "cholesky_io_lower_bound",
-    "parallel_lu_cost",
-    "parallel_cholesky_cost",
-    "out_of_core_cholesky",
-]

@@ -6,6 +6,10 @@ arranged so that ranks which communicate first own neighbouring blocks.  For
 compatibility with the rest of the linear-algebra ecosystem the library also
 implements the ScaLAPACK block-cyclic layout and counted redistribution
 between any two layouts.
+
+No engine imports these modules (the decompositions carry their own blocked
+ownership); they are kept for the section-7.6 layout ablation,
+``benchmarks/bench_ablation_layout.py``.
 """
 
 from repro.layouts.blocked import BlockedLayout

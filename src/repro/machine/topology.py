@@ -87,23 +87,3 @@ def laptop_spec(memory_words_per_core: int = 1 << 20) -> MachineSpec:
         network_latency_s=1e-6,
         network_bandwidth_words_per_s=2e9,
     )
-
-
-def scaled_spec(base: MachineSpec, memory_words_per_core: int) -> MachineSpec:
-    """Return a copy of ``base`` with a different per-core memory size.
-
-    The paper's "limited memory" and "extra memory" regimes (section 8) fix the
-    ratio of the problem footprint to the aggregate memory; in the simulator we
-    instead shrink the per-core memory so that the same regimes are exercised
-    at laptop scale.
-    """
-    return MachineSpec(
-        name=f"{base.name}-S{memory_words_per_core}",
-        cores_per_node=base.cores_per_node,
-        peak_flops_per_core=base.peak_flops_per_core,
-        memory_words_per_core=memory_words_per_core,
-        network_latency_s=base.network_latency_s,
-        network_bandwidth_words_per_s=base.network_bandwidth_words_per_s,
-        word_bytes=base.word_bytes,
-        injection_overhead_s=base.injection_overhead_s,
-    )

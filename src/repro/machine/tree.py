@@ -12,6 +12,9 @@ distance under a pluggable distance function (grid Manhattan distance by
 default, or node-granularity distance for a "nodes of 36 cores" placement) and
 exposes the per-tree hop statistics that the ablation benchmark compares
 against a placement-oblivious binomial tree.
+
+No engine imports it: the simulator's collectives count words, not hops.  It
+is kept for that ablation, ``benchmarks/bench_ablation_broadcast_tree.py``.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ instants, one thread lane per tracer *track* (``sim`` for machine rounds,
 ``run`` for harness runs, ``campaign`` for the sweep supervisor).  Load the
 file at https://ui.perfetto.dev or ``chrome://tracing``.
 
-:func:`validate_chrome_trace` is the schema check the test suite (and the
-``repro trace`` CLI) runs over exported documents, so a format drift fails
-fast instead of producing a file Perfetto silently refuses.
+:func:`validate_chrome_trace` is the schema check the test suite runs over
+exported documents, so a format drift fails fast instead of producing a file
+Perfetto silently refuses.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ can check exactness) and the :class:`~repro.machine.memory.AccessStats`
 describing the vertical I/O the kernel's access pattern generates on a fast
 memory of ``S`` words.
 
-The interesting comparison (regenerated by ``benchmarks/bench_theorem1_sequential.py``):
+The interesting comparison (regenerated by ``benchmarks/bench_theorem1_sequential.py``
+and printed by ``repro sequential``, the Theorem 1 command):
 
 * :func:`naive_multiply_lru` -- untiled triple loop under an LRU cache,
   ``Q ~ mnk`` once the matrices exceed the cache;

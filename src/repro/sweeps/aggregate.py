@@ -13,7 +13,7 @@ timestamps, no durations), which is what makes serial and parallel campaigns
 aggregate byte-identically -- asserted by ``tests/test_sweeps_runner.py``.
 The successful rows are also convertible back into
 :class:`~repro.experiments.harness.AlgorithmRun` lists for the existing
-figure machinery (:mod:`repro.experiments.report`, ``plotting``).
+figure machinery (:mod:`repro.experiments.report`).
 """
 
 from __future__ import annotations

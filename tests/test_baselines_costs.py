@@ -184,6 +184,30 @@ class TestPredict:
         with pytest.raises(KeyError):
             predict("MAGMA", self._scenario())
 
+    def test_registry_is_the_one_source_of_cost_models(self):
+        """Every registered name and alias predicts exactly its spec's
+        formulas, and an unregistered algorithm predicts nothing."""
+        from repro.algorithms import AlgorithmSpec, algorithm_specs, register, unregister
+        from repro.baselines.costs import predict
+
+        scenario = self._scenario()
+        m, n, k, p, s = 512, 512, 512, 64, 16384
+        for spec in algorithm_specs():
+            if spec.io_cost is None:
+                continue
+            for name in (spec.name, *spec.aliases):
+                prediction = predict(name, scenario)
+                assert prediction.io_words_per_rank == spec.io_cost(m, n, k, p, s)
+                assert prediction.latency_rounds == spec.latency_cost(m, n, k, p, s)
+
+        register(AlgorithmSpec(name="_tmp-costed", runner=lambda *a: None,
+                               io_cost=lambda m, n, k, p, s: 1.0, aliases=("_tmp-alias",)))
+        assert predict("_tmp-alias", scenario).io_words_per_rank == 1.0
+        unregister("_tmp-costed")
+        for name in ("_tmp-costed", "_tmp-alias"):
+            with pytest.raises(KeyError):
+                predict(name, scenario)
+
     def test_analytic_time_prices_the_prediction(self):
         from repro.baselines.costs import predict
         from repro.experiments.perf_model import analytic_time

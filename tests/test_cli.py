@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
 
 
 class TestMultiplyCommand:
@@ -19,28 +21,8 @@ class TestMultiplyCommand:
         assert "Theorem 2 bound" in out
 
 
-class TestCompareCommand:
-    def test_limited_regime(self, capsys):
-        code = main(["compare", "--family", "square", "--regime", "limited", "--processors", "4", "9", "--memory", "1024"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "COSMA words/rank" in out
-        assert "all runs verified against numpy: OK" in out
-
-    def test_subset_of_algorithms(self, capsys):
-        code = main([
-            "compare", "--family", "largeK", "--regime", "extra",
-            "--processors", "4", "--memory", "1024",
-            "--algorithms", "COSMA", "CARMA",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "CARMA" in out
-        assert "ScaLAPACK" not in out
-
-
 class TestRegistryDrivenCli:
-    """The registry feeds every algorithm choice list (multiply/plan/compare/sweep)."""
+    """The registry feeds every algorithm choice list (multiply/plan/sweep)."""
 
     def test_multiply_with_alternative_algorithm(self, capsys):
         code = main(["multiply", "--m", "32", "--n", "32", "--k", "32",
@@ -82,10 +64,13 @@ class TestRegistryDrivenCli:
         assert "footprint" in out
 
     def test_compare_rejects_unknown_algorithm(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["compare", "--processors", "4", "--algorithms", "MAGMA"])
-        assert excinfo.value.code == 2
-        assert "invalid choice: 'MAGMA'" in capsys.readouterr().err
+        # Comparing algorithms now goes through the single-algorithm commands
+        # and ``sweep``; each rejects a name the registry does not know.
+        for command in ("multiply", "plan"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, "--processors", "4", "--algorithm", "MAGMA"])
+            assert excinfo.value.code == 2
+            assert "invalid choice: 'MAGMA'" in capsys.readouterr().err
 
     def test_sweep_rejects_unknown_algorithm(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -94,16 +79,48 @@ class TestRegistryDrivenCli:
         assert excinfo.value.code == 2
         assert "invalid choice: 'MAGMA'" in capsys.readouterr().err
 
-    def test_compare_accepts_alias(self, capsys):
-        code = main(["compare", "--family", "square", "--regime", "limited",
+    def test_sweep_accepts_alias(self, capsys, tmp_path):
+        code = main(["sweep", "--families", "square", "--regimes", "limited",
                      "--processors", "4", "--memory", "1024",
-                     "--algorithms", "COSMA", "SUMMA"])
+                     "--algorithms", "COSMA", "SUMMA", "--mode", "legacy",
+                     "--out", str(tmp_path / "store"), "--no-progress"])
         out = capsys.readouterr().out
         assert code == 0
         assert "ScaLAPACK words/rank" in out
 
 
 class TestSweepCommand:
+    def test_verified_limited_regime(self, capsys, tmp_path):
+        code = main(["sweep", "--families", "square", "--regimes", "limited",
+                     "--processors", "4", "9", "--memory", "1024", "--mode", "legacy",
+                     "--out", str(tmp_path / "store"), "--no-progress"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "failed=0" in out
+        assert "COSMA words/rank" in out and "fastest (simulated)" in out
+        assert "verification skipped" not in out
+
+    def test_subset_of_algorithms(self, capsys, tmp_path):
+        code = main([
+            "sweep", "--families", "largeK", "--regimes", "extra",
+            "--processors", "4", "--memory", "1024", "--mode", "legacy",
+            "--algorithms", "COSMA", "CARMA",
+            "--out", str(tmp_path / "store"), "--no-progress",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "CARMA" in out
+        assert "ScaLAPACK" not in out
+
+    def test_strong_regime(self, capsys, tmp_path):
+        code = main(["sweep", "--families", "square", "--regimes", "strong",
+                     "--processors", "16", "--algorithms", "COSMA", "ScaLAPACK",
+                     "--out", str(tmp_path / "store"), "--no-progress"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "failed=0 executed=2" in out
+        assert "square-strong-p16" in out
+
     def test_small_campaign_and_cached_rerun(self, capsys, tmp_path):
         argv = [
             "sweep", "--families", "square", "--regimes", "limited",
@@ -182,20 +199,27 @@ class TestBoundsCommand:
             assert label in out
 
 
-class TestGridCommand:
+class TestPlanGridFitting:
+    """``plan`` prints COSMA's FitRanks grid (section 7.1) and its idle ranks."""
+
     def test_figure5_case(self, capsys):
-        code = main(["grid", "--m", "4096", "--n", "4096", "--k", "4096", "--processors", "65"])
+        # Figure 5: with memory to spare, 4096^3 on p = 65 idles one rank to
+        # reach the cubic 4 x 4 x 4 grid.
+        code = main(["plan", "--m", "4096", "--n", "4096", "--k", "4096",
+                     "--processors", "65", "--memory", str(1 << 24)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "(4, 4, 4)" in out
-        assert "1 idle" in out
+        assert "fitted grid          : (4, 4, 4)" in out
+        assert "idle ranks           : 1" in out
 
     def test_memory_aware(self, capsys):
-        code = main([
-            "grid", "--m", "64", "--n", "64", "--k", "256", "--processors", "4", "--memory", "2048",
-        ])
+        # Less memory than a cubic domain needs: the grid flattens in k.
+        code = main(["plan", "--m", "4096", "--n", "4096", "--k", "4096",
+                     "--processors", "65", "--memory", "1000000"])
+        out = capsys.readouterr().out
         assert code == 0
-        assert "fitted grid" in capsys.readouterr().out
+        assert "fitted grid          : (4, 8, 2)" in out
+        assert "idle ranks           : 1" in out
 
 
 class TestSequentialCommand:
@@ -208,6 +232,18 @@ class TestSequentialCommand:
 
 
 class TestParser:
+    def test_subcommand_set_is_pinned(self):
+        (subcommands,) = [action for action in _build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction)]
+        assert set(subcommands.choices) == {"multiply", "plan", "sweep", "bounds", "sequential", "store"}
+
+    @pytest.mark.parametrize("command", ["compare", "grid", "trace"])
+    def test_retired_subcommands_exit_2(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--processors", "4"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

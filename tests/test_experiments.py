@@ -13,7 +13,6 @@ from repro.experiments.harness import (
     group_by_scenario,
     run_algorithm,
     run_scenario,
-    sweep,
 )
 from repro.experiments.perf_model import percent_of_peak, simulated_time, speedup, time_breakdown
 from repro.experiments.report import (
@@ -81,14 +80,10 @@ class TestHarness:
         assert run_algorithm(name, small_scenario, mode="volume", compress_rounds=True) == \
             run_algorithm(name, small_scenario, mode="volume")
 
-    def test_sweep_cross_product(self):
-        scenarios = strong_scaling_sweep(square_shape(16), [2, 4], memory_words=4096)
-        runs = sweep(scenarios, algorithms=("COSMA", "CARMA"), verify=False)
-        assert len(runs) == 4
-
     def test_group_by_scenario(self):
         scenarios = strong_scaling_sweep(square_shape(16), [2, 4], memory_words=4096)
-        runs = sweep(scenarios, algorithms=("COSMA", "CARMA"), verify=False)
+        runs = [run_algorithm(name, scenario, verify=False)
+                for scenario in scenarios for name in ("COSMA", "CARMA")]
         grouped = group_by_scenario(runs)
         assert len(grouped) == 2
         for by_algo in grouped.values():

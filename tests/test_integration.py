@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines.costs import io_cost_25d, io_cost_2d, io_cost_carma, io_cost_cosma
-from repro.experiments.harness import DEFAULT_ALGORITHMS, run_scenario, sweep
+from repro.experiments.harness import DEFAULT_ALGORITHMS, run_scenario
 from repro.experiments.perf_model import simulated_time
 from repro.experiments.report import group_by_scenario, volume_series
 from repro.pebbling.game import PebbleGame
@@ -11,6 +11,7 @@ from repro.pebbling.mmm_bounds import sequential_io_lower_bound, sequential_opti
 from repro.pebbling.mmm_cdag import build_mmm_cdag
 from repro.pebbling.mmm_schedule import sequential_mmm_schedule
 from repro.sequential import tiled_multiply
+from repro.sweeps import run_campaign, spec_from_scenarios
 from repro.workloads.scaling import Scenario, extra_memory_sweep, limited_memory_sweep
 from repro.workloads.shapes import flat_shape, large_k_shape, square_shape
 
@@ -52,9 +53,12 @@ class TestCommunicationComparison:
     """Figures 6-7 / Table 4: COSMA communicates the least in every regime."""
 
     @pytest.fixture(scope="class")
-    def limited_runs(self):
+    def limited_runs(self, tmp_path_factory):
         scenarios = limited_memory_sweep("square", [4, 9, 16], memory_words=2048)
-        return sweep(scenarios, algorithms=DEFAULT_ALGORITHMS, seed=2)
+        spec = spec_from_scenarios(scenarios, algorithms=DEFAULT_ALGORITHMS, mode="legacy", seed=2)
+        result = run_campaign(spec, store=tmp_path_factory.mktemp("store"))
+        assert result.failed == 0
+        return result.runs()
 
     def test_all_algorithms_correct_everywhere(self, limited_runs):
         assert all(run.correct for run in limited_runs)

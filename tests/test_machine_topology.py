@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.machine.topology import PIZ_DAINT_LIKE, MachineSpec, laptop_spec, scaled_spec
+from repro.machine.topology import PIZ_DAINT_LIKE, MachineSpec, laptop_spec
 
 
 class TestMachineSpec:
@@ -36,12 +36,6 @@ class TestMachineSpec:
     def test_laptop_spec_memory_override(self):
         spec = laptop_spec(memory_words_per_core=1234)
         assert spec.memory_words_per_core == 1234
-
-    def test_scaled_spec_changes_only_memory(self):
-        scaled = scaled_spec(PIZ_DAINT_LIKE, 999)
-        assert scaled.memory_words_per_core == 999
-        assert scaled.peak_flops_per_core == PIZ_DAINT_LIKE.peak_flops_per_core
-        assert scaled.network_latency_s == PIZ_DAINT_LIKE.network_latency_s
 
     def test_frozen(self):
         with pytest.raises(Exception):

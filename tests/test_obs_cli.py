@@ -1,9 +1,9 @@
 """Telemetry layer: the CLI surface (trace subcommand, flags, structured output).
 
-Contracts under test: ``repro trace <multiply|sweep ...>`` writes a
-Perfetto-loadable Chrome trace (and optional JSONL event log) while keeping
-``--json`` stdout machine-readable (all notices go to stderr); the inline
-``--trace`` / ``--profile`` flags do the same for plain multiply/sweep; and
+Contracts under test: ``multiply|sweep --trace FILE --trace-events FILE``
+write a Perfetto-loadable Chrome trace and a JSONL event log while keeping
+``--json`` stdout machine-readable (all notices go to stderr); either flag
+alone turns tracing on; ``--profile`` reports to stderr; and
 ``store verify`` honours its documented exit-code contract (0 clean, 1
 dirty, 2 no store) with a ``--json`` structured report.
 """
@@ -29,13 +29,12 @@ def _sweep_args(store, *extra: str) -> list[str]:
             "--no-progress", *extra]
 
 
-class TestTraceSubcommand:
+class TestTraceFlags:
     def test_traced_multiply_writes_valid_chrome_trace(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"
         events_path = tmp_path / "events.jsonl"
-        code = main(["trace", "--out", str(trace_path),
-                     "--events", str(events_path),
-                     "multiply", *_multiply_args()])
+        code = main(["multiply", *_multiply_args("--trace", str(trace_path),
+                                                 "--trace-events", str(events_path))])
         assert code == 0
         document = json.loads(trace_path.read_text())
         assert validate_chrome_trace(document) == []
@@ -49,8 +48,8 @@ class TestTraceSubcommand:
 
     def test_traced_sweep_json_stdout_stays_machine_readable(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"
-        code = main(["trace", "--out", str(trace_path),
-                     "sweep", *_sweep_args(tmp_path / "store", "--json")])
+        code = main(["sweep", *_sweep_args(tmp_path / "store", "--json",
+                                           "--trace", str(trace_path))])
         captured = capsys.readouterr()
         assert code == 0
         payload = json.loads(captured.out)  # notices must not corrupt stdout
@@ -58,9 +57,18 @@ class TestTraceSubcommand:
         assert validate_chrome_trace(json.loads(trace_path.read_text())) == []
 
     def test_tracer_deactivated_after_command(self, tmp_path):
-        main(["trace", "--out", str(tmp_path / "t.json"),
-              "multiply", *_multiply_args()])
+        main(["multiply", *_multiply_args("--trace", str(tmp_path / "t.json"))])
         assert active_tracer() is None
+
+    def test_event_log_alone_turns_tracing_on(self, tmp_path, capsys):
+        events_path = tmp_path / "events.jsonl"
+        code = main(["sweep", *_sweep_args(tmp_path / "store",
+                                           "--trace-events", str(events_path))])
+        assert code == 0
+        names = {json.loads(line)["name"] for line in events_path.read_text().splitlines()}
+        assert "round" in names and "run:COSMA" in names
+        err = capsys.readouterr().err
+        assert "wrote event log" in err and "Chrome trace" not in err
 
 
 class TestInlineFlags:

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from repro.algorithms import AlgorithmSpec, get_algorithm, register, unregister
-from repro.experiments.harness import AlgorithmRun, RunFailure, run_algorithm_safe, sweep
+from repro.experiments.harness import AlgorithmRun, RunFailure, run_algorithm_safe
 from repro.sweeps.aggregate import rows_to_json, runs_from_records, scenario_summary_table, tidy_rows
 from repro.sweeps.runner import NO_RETRY, RetryPolicy, predicted_working_set_words, run_campaign
 from repro.sweeps.spec import SweepSpec, spec_from_scenarios
@@ -125,18 +125,6 @@ class TestFailureCapture:
         scenario = Scenario(name="s", shape=square_shape(16), p=4, memory_words=1024, regime="strong")
         with pytest.raises(KeyError):
             run_algorithm_safe("MAGMA", scenario)
-
-    def test_sweep_capture_keeps_going(self, exploding_algorithm):
-        scenarios = [Scenario(name=f"s{p}", shape=square_shape(16), p=p,
-                              memory_words=1024, regime="strong") for p in (2, 4)]
-        outcomes = sweep(scenarios, algorithms=("COSMA", exploding_algorithm),
-                         mode="volume", on_error="capture")
-        assert len(outcomes) == 4
-        assert sum(isinstance(o, RunFailure) for o in outcomes) == 2
-        with pytest.raises(RuntimeError):
-            sweep(scenarios, algorithms=(exploding_algorithm,), mode="volume")
-        with pytest.raises(ValueError):
-            sweep(scenarios, algorithms=("COSMA",), on_error="ignore")
 
     def test_campaign_persists_failures_and_completes(self, tmp_path, exploding_algorithm):
         scenarios = [Scenario(name=f"s{p}", shape=square_shape(16), p=p,
