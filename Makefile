@@ -2,7 +2,10 @@
 #
 #   make verify       - tier-1 test suite
 #   make lint         - ruff check (config in pyproject.toml; skipped when absent)
-#   make sweep-smoke  - tiny 4-point sweep campaign through the engine (--jobs 2)
+#   make sweep-smoke  - 12-run sweep campaign through the engine (--jobs 2, so
+#                       workers take multi-run chunks) into a fresh store, then
+#                       `repro store verify` on it (exit 1 on a torn or
+#                       duplicate line)
 #   make chaos        - deterministic fault-injection suite (crashes, hangs,
 #                       transients, torn writes; writes CHAOS_quarantine.json)
 #   make bench        - full paper figure/table benchmark suite
@@ -38,8 +41,10 @@ lint:
 	fi
 
 sweep-smoke:
-	$(PY) -m repro sweep --families square --regimes limited --processors 4 9 \
-		--algorithms COSMA CARMA --mode volume --jobs 2 --out .sweep-cache/smoke
+	rm -rf .sweep-cache/smoke
+	$(PY) -m repro sweep --families square --regimes limited --processors 4 9 16 25 \
+		--algorithms COSMA CARMA ScaLAPACK --mode volume --jobs 2 --out .sweep-cache/smoke
+	$(PY) -m repro store verify --store .sweep-cache/smoke
 
 chaos:
 	REPRO_CHAOS_REPORT=CHAOS_quarantine.json $(PY) -m pytest tests/test_sweeps_chaos.py -q

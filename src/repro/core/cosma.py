@@ -158,13 +158,14 @@ def cosma_multiply(
         machine.rank(rank).put("B_own", pieces["B"])
 
     gridspec = decomposition.grid
+    domains = decomposition.domains
     # Per-rank accumulators for the local C block.
-    for domain in decomposition.domains:
+    for domain in domains:
         lm = domain.i_range[1] - domain.i_range[0]
         ln = domain.j_range[1] - domain.j_range[0]
         machine.rank(domain.rank).put("C_acc", machine.zeros((lm, ln)))
 
-    domains_by_rank = {d.rank: d for d in decomposition.domains}
+    domains_by_rank = {d.rank: d for d in domains}
     round_volumes: list[int] = []
     num_rounds = 0
 
@@ -173,7 +174,7 @@ def cosma_multiply(
     # ------------------------------------------------------------------
     # All ranks share the same number of steps because the k extents are
     # nearly equal; iterate over the global maximum.
-    max_lk = max(d.k_range[1] - d.k_range[0] for d in decomposition.domains)
+    max_lk = max(d.k_range[1] - d.k_range[0] for d in domains)
     step = decomposition.step_size
     offsets = list(range(0, max_lk, step))
 
@@ -253,7 +254,7 @@ def cosma_multiply(
                             b_chunks[r][lo - c0 : hi - c0, :] = received[r]
 
         # --- local multiply-accumulate on every rank that has work this round ---
-        for domain in decomposition.domains:
+        for domain in domains:
             rank = domain.rank
             if rank not in a_chunks or rank not in b_chunks:
                 continue

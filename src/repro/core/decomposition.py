@@ -18,7 +18,8 @@ result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -77,8 +78,10 @@ class CosmaDecomposition:
     Algorithm 1's decomposition is three 1-D splits plus two ownership splits
     per k-layer, and that is what is stored: O(pm + pn + pk (pm + pn))
     boundaries, whatever ``p`` is.  The per-rank :class:`LocalDomain` objects
-    are a view of those arrays, built on first use of :attr:`domains` (the
-    per-hop executor and the tests read them; the batched engine never does).
+    are a view of those arrays, built on each read of :attr:`domains` and
+    never stored here: a decomposition is memoized and shared by every run of
+    its scenario, so it must not pin one object per rank (the per-hop
+    executor and the tests read them; the batched engine never does).
     """
 
     m: int
@@ -108,38 +111,35 @@ class CosmaDecomposition:
     def p_used(self) -> int:
         return self.grid.p_used
 
-    @cached_property
-    def _bounds(self) -> tuple[list, ...]:
-        """The five boundary arrays as (nested) lists of Python ints."""
-        return tuple(
+    def _domains(self, ranks: Iterable[int]) -> Iterator[LocalDomain]:
+        """The :class:`LocalDomain` of each of ``ranks``, bounds as Python ints."""
+        i_bounds, j_bounds, k_bounds, a_bounds, b_bounds = (
             bounds.tolist() for bounds in
             (self.i_bounds, self.j_bounds, self.k_bounds, self.a_bounds, self.b_bounds)
         )
+        for rank in ranks:
+            rest, pk = divmod(rank, self.grid.pk)
+            pi, pj = divmod(rest, self.grid.pn)
+            yield LocalDomain(
+                rank=rank,
+                coords=(pi, pj, pk),
+                i_range=(i_bounds[pi], i_bounds[pi + 1]),
+                j_range=(j_bounds[pj], j_bounds[pj + 1]),
+                k_range=(k_bounds[pk], k_bounds[pk + 1]),
+                a_owned_k_range=(a_bounds[pk][pj], a_bounds[pk][pj + 1]),
+                b_owned_k_range=(b_bounds[pk][pi], b_bounds[pk][pi + 1]),
+                owns_c=(pk == 0),
+            )
 
-    def _domain(self, rank: int) -> LocalDomain:
-        i_bounds, j_bounds, k_bounds, a_bounds, b_bounds = self._bounds
-        rest, pk = divmod(rank, self.grid.pk)
-        pi, pj = divmod(rest, self.grid.pn)
-        return LocalDomain(
-            rank=rank,
-            coords=(pi, pj, pk),
-            i_range=(i_bounds[pi], i_bounds[pi + 1]),
-            j_range=(j_bounds[pj], j_bounds[pj + 1]),
-            k_range=(k_bounds[pk], k_bounds[pk + 1]),
-            a_owned_k_range=(a_bounds[pk][pj], a_bounds[pk][pj + 1]),
-            b_owned_k_range=(b_bounds[pk][pi], b_bounds[pk][pi + 1]),
-            owns_c=(pk == 0),
-        )
-
-    @cached_property
+    @property
     def domains(self) -> tuple[LocalDomain, ...]:
-        """One :class:`LocalDomain` per used rank, in rank order."""
-        return tuple(self._domain(rank) for rank in range(self.p_used))
+        """One :class:`LocalDomain` per used rank, in rank order (built per read)."""
+        return tuple(self._domains(range(self.p_used)))
 
     def domain_of(self, rank: int) -> LocalDomain:
         if not 0 <= rank < self.p_used:
             raise KeyError(f"rank {rank} has no local domain (it may be idle)")
-        return self._domain(rank)
+        return next(self._domains((rank,)))
 
     def coords_to_rank(self, pi: int, pj: int, pk: int) -> int:
         """Row-major mapping of grid coordinates to machine ranks."""
@@ -219,10 +219,11 @@ def build_decomposition(
     return _decompose(m, n, k, p, s, grid, step_size)
 
 
-# A plan and the runs it feeds follow each other, so a few entries catch
-# them all; an entry that served a per-hop run pins one LocalDomain per rank,
-# so more would only cost a long campaign's workers memory.
-@lru_cache(maxsize=4)
+# As deep as the plan memo: a campaign's pruning pass plans every request
+# before any runs, so each run (in process, or in a worker forked after that
+# pass) finds the decomposition its plan built.  An entry is the boundary
+# arrays only -- no per-rank objects are stored on it.
+@lru_cache(maxsize=4096)
 def _decompose(
     m: int, n: int, k: int, p: int, s: int, grid: ProcessorGrid, step_size: int | None
 ) -> CosmaDecomposition:

@@ -2,7 +2,8 @@
 
 A :class:`MetricsRegistry` is plain in-process bookkeeping -- no background
 threads, no sampling -- populated by :func:`repro.sweeps.runner.run_campaign`
-(worker spawns/deaths/retries, lease waits, queue depth, per-run latency)
+(worker spawns/deaths/retries, dispatched chunks and their sizes, store
+appends, lease waits, queue depth, per-run latency)
 and snapshotted into ``CampaignResult.metrics`` plus a
 ``campaign_metrics.json`` sidecar beside the result store.  Snapshots are
 plain JSON-serializable dicts keyed by metric name.
@@ -104,10 +105,10 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
 
-    def _get(self, name: str, kind):
+    def _get(self, name: str, kind, *args):
         metric = self._metrics.get(name)
         if metric is None:
-            metric = self._metrics[name] = kind()
+            metric = self._metrics[name] = kind(*args)
         elif not isinstance(metric, kind):
             raise TypeError(
                 f"metric {name!r} is a {type(metric).__name__}, not a {kind.__name__}"
@@ -120,8 +121,9 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get(name, Gauge)
 
-    def histogram(self, name: str) -> Histogram:
-        return self._get(name, Histogram)
+    def histogram(self, name: str, buckets=DEFAULT_LATENCY_BUCKETS) -> Histogram:
+        """The histogram ``name``; ``buckets`` apply when first use creates it."""
+        return self._get(name, Histogram, buckets)
 
     def snapshot(self) -> dict:
         """All metrics as ``{name: {"type": ..., ...}}``, in creation order."""

@@ -21,8 +21,8 @@ Worker-side (drawn from one uniform stream per key, rates stacked):
 * ``"transient"`` -- the worker raises :class:`TransientFault`, a retryable
   error (the moral equivalent of a flaked network or filesystem call).
 
-Store-side (an independent stream, applied by :class:`~repro.sweeps.store.
-ResultStore.put`):
+Store-side (an independent stream, applied record by record by
+:meth:`~repro.sweeps.store.ResultStore.put_many`):
 
 * ``"torn"``      -- the first append of the key's record is cut mid-line
   (no trailing newline) before the real record lands, simulating a writer

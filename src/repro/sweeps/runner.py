@@ -4,10 +4,21 @@ The runner is the layer between "one harness run" and "a paper figure": it
 expands a :class:`~repro.sweeps.spec.SweepSpec` (or takes explicit
 :class:`~repro.sweeps.spec.RunRequest` lists), skips every run whose key the
 :class:`~repro.sweeps.store.ResultStore` already holds (``resume``), executes
-the rest, and appends each record to the store as soon as it lands.  Workers
-execute via :func:`repro.experiments.harness.run_algorithm_safe`, so an
-infeasible point becomes a ``"failed"`` record instead of aborting the
-campaign.
+the rest, and appends records to the store as soon as they land -- one
+locked append per worker reply.  Workers execute via
+:func:`repro.experiments.harness.run_algorithm_safe`, so an infeasible point
+becomes a ``"failed"`` record instead of aborting the campaign.
+
+Dispatch is in *chunks*: a worker receives a list of requests in one
+message, runs them in order and replies once with their outcomes, and the
+supervisor persists the reply's final records with one append.  A chunk is
+``ceil(queued / (2 * workers))`` runs, at most :data:`MAX_CHUNK_RUNS`
+(guided self-scheduling: chunks shrink as the queue drains).  Three kinds of
+run go alone: every run of a campaign with a deadline (``timeout_s`` stays
+per run), numeric-mode runs (their cost dwarfs the dispatch cost) and
+*suspects* -- the runs of a chunk whose worker died.  Such a death charges
+no attempt; the suspects return to the front of the queue, so the next
+death is charged to exactly one run, as with one run per message.
 
 Fault tolerance: instead of a bare ``multiprocessing.Pool.imap`` (where one
 OOM-killed or hung worker wedges the whole campaign), execution runs under a
@@ -15,7 +26,8 @@ OOM-killed or hung worker wedges the whole campaign), execution runs under a
 worker-process primitive, shared with the plane engine's shard pool
 (:mod:`repro.machine.shard`).  ``jobs=1`` without a deadline or fault plan is
 the same supervisor's *in-process slot*: no process is spawned, and every
-attempt goes through the same retry loop.  The supervisor enforces a per-run
+attempt goes through the same retry loop, one run and one append at a time.
+The supervisor enforces a per-run
 wall-clock deadline (``timeout_s``), detects hard worker deaths (SIGKILL /
 OOM / segfault) without hanging,
 re-executes failed attempts under a :class:`RetryPolicy` (bounded attempts,
@@ -35,8 +47,9 @@ runs that cannot fit the budget at all are *refused* as structured
 ``MemoryBudgetExceeded`` records without executing, and runs too large to
 run concurrently are *serialized* through a single worker after the
 parallel wave.  ``KeyboardInterrupt`` / ``SIGTERM`` cancel cooperatively:
-finished results still sitting in worker pipes are drained to the store
-before the interrupt re-raises.
+finished replies still sitting in worker pipes are drained to the store
+before the interrupt re-raises; a killed campaign loses at most the chunk
+each worker was running.
 
 Concurrent campaigns sharing one store coordinate through leases
 (:meth:`~repro.sweeps.store.ResultStore.acquire_leases`): keys leased by a
@@ -89,6 +102,12 @@ METRICS_SIDECAR = "campaign_metrics.json"
 
 #: Default store directory, relative to the current working directory.
 DEFAULT_STORE_PATH = ".sweep-cache"
+
+#: Most runs one worker message carries: a campaign killed mid-chunk loses
+#: at most this many finished runs per worker.
+MAX_CHUNK_RUNS = 32
+#: Bucket bounds of the ``sweeps.dispatch.chunk_runs`` histogram (runs).
+CHUNK_BUCKETS = (1, 2, 4, 8, 16, 32)
 
 #: Error classes worth re-executing: injected transients, hard worker
 #: deaths, deadline trips and environment-induced failures.  Deterministic
@@ -335,7 +354,8 @@ def _attempt(request: RunRequest | dict, attempt: int, faults: FaultPlan | None)
 
 
 def _worker_loop(conn, faults_payload: dict | None) -> None:
-    """One supervised worker: recv ``(payload, attempt)``, send its :func:`_attempt`.
+    """One supervised worker: recv a chunk ``[(payload, attempt), ...]``, run
+    it in order and send the list of its :func:`_attempt` messages as one reply.
 
     A ``None`` message shuts the worker down.  SIGINT is ignored so a Ctrl-C
     interrupts the supervisor (which drains and shuts workers down
@@ -348,14 +368,13 @@ def _worker_loop(conn, faults_payload: dict | None) -> None:
     faults = FaultPlan.from_dict(faults_payload) if faults_payload else None
     while True:
         try:
-            message = conn.recv()
+            chunk = conn.recv()
         except (EOFError, OSError, KeyboardInterrupt):
             return
-        if message is None:
+        if chunk is None:
             return
-        payload, attempt = message
         try:
-            conn.send(_attempt(payload, attempt, faults))
+            conn.send([_attempt(payload, attempt, faults) for payload, attempt in chunk])
         except (OSError, BrokenPipeError):
             return
 
@@ -364,7 +383,8 @@ def _worker_loop(conn, faults_payload: dict | None) -> None:
 # Supervisor side
 # ---------------------------------------------------------------------------
 class _Task:
-    __slots__ = ("request", "key", "attempts", "duration_s", "seq", "t0_ns", "started")
+    __slots__ = ("request", "key", "attempts", "duration_s", "seq", "t0_ns", "started",
+                 "suspect")
 
     def __init__(self, request: RunRequest, seq: int):
         self.request = request
@@ -376,6 +396,14 @@ class _Task:
         self.t0_ns: int | None = None
         #: ``time.monotonic()`` at the current attempt's dispatch.
         self.started = 0.0
+        #: It was in a chunk whose worker died, so it may be the killer.
+        self.suspect = False
+
+    @property
+    def alone(self) -> bool:
+        """Dispatched in a chunk of its own: a suspect, or a numeric run
+        (whose own cost dwarfs what a chunk saves)."""
+        return self.suspect or self.request.mode != "volume"
 
 
 @dataclass
@@ -394,11 +422,22 @@ class _Supervisor:
 
     With ``jobs >= 1`` the batch runs crash-isolated: each of ``jobs``
     :class:`~repro.utils.workers.Worker` processes holds at most one
-    in-flight run, and :func:`~repro.utils.workers.wait_any` multiplexes
-    their replies and deaths, so a dead or hung worker never blocks results
-    from the others.  Worker deaths and deadline trips are converted into
-    retryable attempt failures (``WorkerCrash`` / ``RunTimeout``) and the
-    worker is respawned.
+    in-flight *chunk* -- a list of runs sent in one message, run in order and
+    answered in one reply, whose final records reach the store in one append
+    -- and :func:`~repro.utils.workers.wait_any` multiplexes replies and
+    deaths, so a dead or hung worker never blocks results from the others.
+    Chunks follow guided self-scheduling (:meth:`_take_chunk`); three rules
+    keep crash isolation per run:
+
+    * **deadline** -- with ``timeout_s`` every run goes alone, so a deadline
+      trip is a retryable ``RunTimeout`` of exactly that run;
+    * **death** -- a worker dying under a chunk of several runs charges none
+      of them an attempt: they return to the front of the queue as
+      *suspects*;
+    * **suspect** -- a suspect (like a numeric run) always goes alone, so
+      the next death is a retryable ``WorkerCrash`` of exactly one run.
+
+    A dead worker is respawned.
 
     With ``jobs=0`` no process is spawned: the in-process slot executes each
     attempt inline and feeds its message through the same outcome handling,
@@ -411,7 +450,7 @@ class _Supervisor:
         self,
         requests: Iterable[RunRequest],
         jobs: int,
-        put: Callable[[dict], None],
+        put: Callable[[list[dict]], None],
         policy: RetryPolicy,
         timeout_s: float | None,
         faults: FaultPlan | None,
@@ -422,7 +461,7 @@ class _Supervisor:
     ):
         self.tasks = [_Task(request, seq) for seq, request in enumerate(requests)]
         self.jobs = min(jobs, len(self.tasks))
-        #: Persists one final record (store append + progress callback).
+        #: Persists final records (one store append + a progress callback each).
         self.put = put
         self.policy = policy
         self.timeout_s = timeout_s
@@ -435,7 +474,7 @@ class _Supervisor:
         self.tracer = active_tracer()
         self.queue: deque[_Task] = deque(self.tasks)
         self.retry_heap: list[tuple[float, int, _Task]] = []
-        self.in_flight: dict[Worker, _Task] = {}
+        self.in_flight: dict[Worker, list[_Task]] = {}
         self.unfinished: set[str] = {task.key for task in self.tasks}
 
     def _run_span(self, task: _Task, status: str) -> None:
@@ -450,8 +489,7 @@ class _Supervisor:
         )
 
     # -- outcome handling ---------------------------------------------------
-    def _finish_ok(self, task: _Task, record: dict) -> None:
-        self.put(record)
+    def _finish_ok(self, task: _Task) -> None:
         self.stats.ok += 1
         self.unfinished.discard(task.key)
         self.metrics.counter("sweeps.runs.ok").inc()
@@ -459,15 +497,7 @@ class _Supervisor:
         self._run_span(task, "ok")
 
     def _quarantine(self, task: _Task, error_type: str, message: str,
-                    tb_tail: str, exit_signal: int | None, retryable: bool) -> None:
-        self.put(_failed_record(
-            task.request, error_type, message,
-            attempts=task.attempts,
-            duration_s=round(task.duration_s, 3),
-            exit_signal=exit_signal,
-            traceback_tail=tb_tail,
-            retryable=retryable,
-        ))
+                    tb_tail: str, exit_signal: int | None, retryable: bool) -> dict:
         self.stats.quarantined += 1
         self.unfinished.discard(task.key)
         self.metrics.counter("sweeps.runs.quarantined").inc()
@@ -477,9 +507,18 @@ class _Supervisor:
             "quarantined %s after %d attempt(s): %s: %s",
             task.key, task.attempts, error_type, message,
         )
+        return _failed_record(
+            task.request, error_type, message,
+            attempts=task.attempts,
+            duration_s=round(task.duration_s, 3),
+            exit_signal=exit_signal,
+            traceback_tail=tb_tail,
+            retryable=retryable,
+        )
 
     def _resolve_failure(self, task: _Task, error_type: str, message: str,
-                         tb_tail: str = "", exit_signal: int | None = None) -> None:
+                         tb_tail: str = "", exit_signal: int | None = None) -> dict | None:
+        """Schedule a retry (``None``) or return the run's quarantine record."""
         retryable = self.policy.is_retryable(error_type)
         if retryable and task.attempts < self.policy.max_attempts:
             self.stats.retried += 1
@@ -491,60 +530,100 @@ class _Supervisor:
             )
             eligible_at = time.monotonic() + backoff
             heapq.heappush(self.retry_heap, (eligible_at, task.seq, task))
-            return
-        self._quarantine(task, error_type, message, tb_tail, exit_signal, retryable)
+            return None
+        return self._quarantine(task, error_type, message, tb_tail, exit_signal, retryable)
 
-    def _handle_message(self, task: _Task, message: tuple) -> None:
+    def _outcome(self, task: _Task, message: tuple) -> dict | None:
+        """The final record one attempt's message settles, or ``None`` (a retry)."""
         if message[0] == "done":
             _, record, duration = message
             task.duration_s += duration
             if record.get("status") == "ok":
-                self._finish_ok(task, record)
-            else:
-                error = record.get("error", {})
-                self._resolve_failure(
-                    task, error.get("type", "UnknownError"), error.get("message", ""),
-                )
-        else:  # "raised"
-            _, error_type, message_text, tb_tail, duration = message
-            task.duration_s += duration
-            self._resolve_failure(task, error_type, message_text, tb_tail)
+                self._finish_ok(task)
+                return record
+            error = record.get("error", {})
+            return self._resolve_failure(
+                task, error.get("type", "UnknownError"), error.get("message", ""),
+            )
+        _, error_type, message_text, tb_tail, duration = message  # "raised"
+        task.duration_s += duration
+        return self._resolve_failure(task, error_type, message_text, tb_tail)
+
+    def _persist(self, records: list[dict | None]) -> None:
+        """One store append for the final records among ``records``."""
+        records = [record for record in records if record is not None]
+        if records:
+            self.put(records)
 
     def _handle_lost_worker(self, worker: Worker, metric: str, error_type: str,
                             message: str, exit_signal: int | None) -> None:
-        """The worker running a task died or overran its deadline: replace
-        it (killing it first if it still runs) and fail the attempt."""
-        task = self.in_flight.pop(worker)
-        task.duration_s += time.monotonic() - task.started
+        """The worker running a chunk died or overran its deadline: replace it
+        (killing it first if it still runs).  A lone run's attempt fails; the
+        runs of a larger chunk are charged nothing and go back to the front of
+        the queue as suspects."""
+        chunk = self.in_flight.pop(worker)
         worker.respawn()
         self.metrics.counter(metric).inc()
         self.metrics.counter("sweeps.workers.spawns").inc()
+        if len(chunk) > 1:
+            for task in chunk:
+                task.attempts -= 1
+                task.suspect = True
+            self.queue.extendleft(reversed(chunk))
+            _LOG.warning("%s under a chunk of %d runs; worker respawned, runs requeued alone",
+                         message, len(chunk))
+            return
+        [task] = chunk
+        task.duration_s += time.monotonic() - task.started
         _LOG.warning("%s on %s; worker respawned", message, task.key)
-        self._resolve_failure(task, error_type, message, exit_signal=exit_signal)
+        self._persist([self._resolve_failure(task, error_type, message, exit_signal=exit_signal)])
 
     # -- main loop ----------------------------------------------------------
-    def _start(self, task: _Task) -> _Task:
-        task.attempts += 1
-        task.started = time.monotonic()
-        if self.tracer is not None and task.t0_ns is None:
-            task.t0_ns = self.tracer.now_ns()
-        return task
+    def _start(self, chunk: list[_Task]) -> list[_Task]:
+        """Charge every run of a dispatched chunk one attempt."""
+        now = time.monotonic()
+        for task in chunk:
+            task.attempts += 1
+            task.started = now
+            if self.tracer is not None and task.t0_ns is None:
+                task.t0_ns = self.tracer.now_ns()
+        self.metrics.counter("sweeps.dispatch.chunks").inc()
+        self.metrics.histogram("sweeps.dispatch.chunk_runs", CHUNK_BUCKETS).observe(len(chunk))
+        return chunk
+
+    def _take_chunk(self) -> list[_Task]:
+        """Pop the next chunk off the queue by guided self-scheduling.
+
+        ``ceil(queued / (2 * workers))`` runs, at most :data:`MAX_CHUNK_RUNS`,
+        so chunks shrink as the queue drains and the workers finish together.
+        With a deadline, or when a run must go :attr:`~_Task.alone`, the
+        chunk is that one run.
+        """
+        size = 1 if self.timeout_s is not None else min(
+            MAX_CHUNK_RUNS, -(-len(self.queue) // (2 * self.jobs)),
+        )
+        chunk = [self.queue.popleft()]
+        while (len(chunk) < size and self.queue
+               and not chunk[0].alone and not self.queue[0].alone):
+            chunk.append(self.queue.popleft())
+        return chunk
 
     def _dispatch(self, workers: list[Worker]) -> None:
-        """Hand queued tasks to idle workers (one in-flight run each)."""
+        """Hand a chunk of queued tasks to each idle worker."""
         for worker in workers:
             if worker in self.in_flight or not self.queue:
                 continue
-            task = self.queue[0]
+            chunk = self._take_chunk()
             try:
-                worker.send((task.request.to_dict(), task.attempts + 1))
+                worker.send([(task.request.to_dict(), task.attempts + 1) for task in chunk])
             except WorkerDied:
-                # Died between runs, so no attempt was lost: replace it and
-                # leave the task queued for the next free worker.
+                # Died between chunks, so no attempt was lost: replace it and
+                # put the chunk back for the next free worker.
+                self.queue.extendleft(reversed(chunk))
                 worker.respawn()
                 self.metrics.counter("sweeps.workers.spawns").inc()
                 continue
-            self.in_flight[worker] = self._start(self.queue.popleft())
+            self.in_flight[worker] = self._start(chunk)
 
     def _wait_timeout(self, last_renew: float) -> float | None:
         """Seconds the loop may block: until the next retry falls due, the
@@ -554,7 +633,7 @@ class _Supervisor:
         if self.retry_heap:
             wake_at.append(self.retry_heap[0][0])
         if self.timeout_s is not None and self.in_flight:
-            wake_at.append(min(t.started for t in self.in_flight.values()) + self.timeout_s)
+            wake_at.append(min(c[0].started for c in self.in_flight.values()) + self.timeout_s)
         if self.renew is not None:
             wake_at.append(last_renew + self.renew_interval_s)
         if not wake_at:
@@ -578,8 +657,8 @@ class _Supervisor:
                 if workers:
                     self._dispatch(workers)
                 elif self.queue:  # the in-process slot: one attempt, inline
-                    task = self._start(self.queue.popleft())
-                    self._handle_message(task, _attempt(task.request, task.attempts, None))
+                    [task] = self._start([self.queue.popleft()])
+                    self._persist([self._outcome(task, _attempt(task.request, task.attempts, None))])
                 if self.renew is not None and time.monotonic() - last_renew >= self.renew_interval_s:
                     self.renew(sorted(self.unfinished))
                     last_renew = time.monotonic()
@@ -599,12 +678,13 @@ class _Supervisor:
                             exit_signal=reply.signal,
                         )
                     else:
-                        self._handle_message(self.in_flight.pop(worker), reply)
+                        chunk = self.in_flight.pop(worker)
+                        self._persist([self._outcome(t, m) for t, m in zip(chunk, reply)])
                 if self.timeout_s is None:
                     continue
                 now = time.monotonic()
-                for worker, task in list(self.in_flight.items()):
-                    if now - task.started > self.timeout_s:
+                for worker, chunk in list(self.in_flight.items()):
+                    if now - chunk[0].started > self.timeout_s:
                         self._handle_lost_worker(
                             worker, "sweeps.workers.timeouts", "RunTimeout",
                             f"run exceeded the {self.timeout_s}s wall-clock deadline",
@@ -622,14 +702,18 @@ class _Supervisor:
 
     def _drain(self) -> None:
         for worker, reply in wait_any(list(self.in_flight), timeout=0):
+            if isinstance(reply, WorkerDied):
+                continue
             # Persist completed results only; a failed attempt mid-retry must
             # not be quarantined by the interrupt (a resumed campaign would
             # mistake it for a final record) -- it simply re-executes later.
-            if not isinstance(reply, WorkerDied) and reply[0] == "done" \
-                    and reply[1].get("status") == "ok":
-                task = self.in_flight.pop(worker)
-                task.duration_s += reply[2]
-                self._finish_ok(task, reply[1])
+            done = []
+            for task, message in zip(self.in_flight.pop(worker), reply):
+                if message[0] == "done" and message[1].get("status") == "ok":
+                    task.duration_s += message[2]
+                    self._finish_ok(task)
+                    done.append(message[1])
+            self._persist(done)
 
 
 def _install_sigterm_as_interrupt():
@@ -702,7 +786,8 @@ def run_campaign(
     progress:
         Optional callback invoked as ``progress(record, from_cache)`` after
         every request resolves, in expansion order for cached entries and in
-        completion order for executed ones.
+        completion order for executed ones (whose records are already in the
+        store: a batch is appended first, then reported record by record).
     timeout_s:
         Per-run wall-clock deadline.  A run past its deadline is SIGKILLed
         and treated as a retryable ``RunTimeout`` attempt failure.  Setting
@@ -767,12 +852,18 @@ def run_campaign(
             continue
         pending[key] = request
 
-    def _put(record: dict) -> None:
-        store.put(record)
-        if progress is not None:
-            progress(record, False)
+    registry = MetricsRegistry()
 
-    pruned = 0
+    def _put(records: list[dict]) -> None:
+        # One locked append per batch (a chunk's final records), then the
+        # progress callback per record: everything it reports is on disk.
+        store.put_many(records)
+        registry.counter("sweeps.store.appends").inc()
+        if progress is not None:
+            for record in records:
+                progress(record, False)
+
+    pruned_records: list[dict] = []
     if prune and pending:
         executable: dict[str, RunRequest] = {}
         for key, request in pending.items():
@@ -780,29 +871,33 @@ def run_campaign(
             if run_plan is None or run_plan.feasible:
                 executable[key] = request
                 continue
-            _put(_failed_record(request, "InfeasiblePlan", run_plan.reason))
-            pruned += 1
+            pruned_records.append(_failed_record(request, "InfeasiblePlan", run_plan.reason))
         pending = executable
+        if pruned_records:
+            _put(pruned_records)
+    pruned = len(pruned_records)
 
     # -- admission gating against the host-memory budget --------------------
-    refused = 0
+    refused_records: list[dict] = []
     serial_tail: dict[str, RunRequest] = {}
     if memory_budget_words is not None and pending:
         admitted: dict[str, RunRequest] = {}
         for key, request in pending.items():
             need = predicted_working_set_words(request)
             if need > memory_budget_words:
-                _put(_failed_record(
+                refused_records.append(_failed_record(
                     request, "MemoryBudgetExceeded",
                     f"predicted working set {need} words exceeds the "
                     f"{memory_budget_words}-word host budget",
                 ))
-                refused += 1
             elif jobs > 1 and need > memory_budget_words // jobs:
                 serial_tail[key] = request
             else:
                 admitted[key] = request
         pending = admitted
+        if refused_records:
+            _put(refused_records)
+    refused = len(refused_records)
 
     # -- lease coordination with concurrent campaigns ------------------------
     to_execute: dict[str, RunRequest] = {**pending, **serial_tail}
@@ -822,7 +917,6 @@ def run_campaign(
             _store.renew_leases(keys, _owner, ttl_s=_ttl)
     renew_interval_s = max(lease_ttl_s / 3.0, 0.5)
 
-    registry = MetricsRegistry()
     stats = _ExecStats()
 
     def _execute_batch(batch: dict[str, RunRequest], batch_jobs: int) -> None:

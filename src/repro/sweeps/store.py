@@ -8,12 +8,14 @@ code-relevant parameter of the run (see the package docstring in
 
 Hardening (fault-tolerant campaign execution):
 
-* **Crash-safe appends.**  Each record is written as one line under an
-  inter-process ``flock`` on ``store.lock`` and flushed before the lock
-  drops; ``fsync="always"`` additionally fsyncs every append (pay per-put
-  latency for power-loss durability).  A writer killed mid-append leaves at
-  most one torn line, which reload skips -- including torn lines that cut a
-  multibyte UTF-8 character (the file is parsed as bytes, per line).
+* **Crash-safe appends.**  Each record is one line; a batch of them
+  (:meth:`ResultStore.put_many`, one campaign chunk's records) is written in
+  one write under an inter-process ``flock`` on ``store.lock`` and flushed
+  before the lock drops; ``fsync="always"`` additionally fsyncs every append
+  (pay per-append latency for power-loss durability).  A writer killed
+  mid-append leaves at most one torn line, which reload skips -- including
+  torn lines that cut a multibyte UTF-8 character (the file is parsed as
+  bytes, per line).
 * **Concurrent campaigns.**  The same lock serializes appends and
   compaction across processes, and a lease file (``leases.json``) lets
   concurrent campaigns sharing the store claim in-progress keys so no key
@@ -28,8 +30,9 @@ Hardening (fault-tolerant campaign execution):
   would drop, which is what keeps ``resume=False`` / ``retry_failures=True``
   reruns from growing the file without bound.
 * **Deterministic write faults.**  A :class:`~repro.sweeps.faults.FaultPlan`
-  attached via ``faults=`` makes :meth:`put` tear or duplicate specific
-  keys' appends -- the chaos harness's store-side injection point.  Faults
+  attached via ``faults=`` makes :meth:`~ResultStore.put_many` tear or
+  duplicate specific keys' lines, inside a batch too -- the chaos harness's
+  store-side injection point.  Faults
   never change record *contents*, only the bytes around them.
 """
 
@@ -42,7 +45,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 try:  # file locking is POSIX-only; the store degrades gracefully without it
     import fcntl
@@ -306,17 +309,17 @@ class StoreVerifyReport:
 class ResultStore:
     """Append-only JSON-lines store of run records, indexed by run key.
 
-    The in-memory index is loaded once at construction; :meth:`put` updates
-    both the index and the file (locked append + flush), so a store object
-    stays consistent with the directory it wraps.  Reopening -- or
-    :meth:`refresh`-ing -- the same directory in another process sees every
-    fully written record.
+    The in-memory index is loaded once at construction; :meth:`put_many`
+    (and :meth:`put`, its one-record case) updates both the index and the
+    file (locked append + flush), so a store object stays consistent with the
+    directory it wraps.  Reopening -- or :meth:`refresh`-ing -- the same
+    directory in another process sees every fully written record.
 
-    ``fsync="always"`` fsyncs every append (power-loss durability at per-put
-    latency cost); the default ``"flush"`` flushes to the OS only, which is
-    already process-crash-safe.  ``faults`` attaches a deterministic
+    ``fsync="always"`` fsyncs every append (power-loss durability at
+    per-append latency cost); the default ``"flush"`` flushes to the OS only,
+    which is already process-crash-safe.  ``faults`` attaches a deterministic
     :class:`~repro.sweeps.faults.FaultPlan` whose store-side faults
-    :meth:`put` injects (chaos testing only).
+    :meth:`put_many` injects (chaos testing only).
     """
 
     def __init__(self, path: str | Path, fsync: str = "flush", faults: FaultPlan | None = None):
@@ -396,42 +399,51 @@ class ResultStore:
 
     # -- writing ------------------------------------------------------------
     def put(self, record: Mapping) -> None:
-        """Append one record (a dict with a ``"key"``) and index it.
+        """Append one record (a dict with a ``"key"``) and index it: the
+        one-record case of :meth:`put_many`."""
+        self.put_many((record,))
+
+    def put_many(self, records: Iterable[Mapping]) -> None:
+        """Append records (dicts with a ``"key"``) in one write and index them.
 
         The append happens under the inter-process lock as a single
-        write-and-flush, so concurrent campaigns interleave whole lines, not
-        bytes.  With an attached fault plan, the key's scheduled store fault
-        (torn / duplicate append) is injected here -- the record content
-        itself is never altered.
+        write-and-flush, so concurrent campaigns interleave whole batches of
+        lines, not bytes.  With an attached fault plan, each key's scheduled
+        store fault (torn / duplicate append) is injected here, record by
+        record -- the record content itself is never altered.
         """
-        record = dict(record)
-        key = record.get("key")
-        if key is None:
-            raise ValueError("record must carry its run key under 'key'")
-        line = json.dumps(record, sort_keys=True)
-        fault = self.faults.store_fault(key) if self.faults is not None else None
+        records = [dict(record) for record in records]
+        if not records:
+            return
+        payload = []
+        for record in records:
+            key = record.get("key")
+            if key is None:
+                raise ValueError("record must carry its run key under 'key'")
+            line = json.dumps(record, sort_keys=True).encode("utf-8")
+            fault = self.faults.store_fault(key) if self.faults is not None else None
+            if fault == "torn":
+                # A writer killed mid-append, then the retry lands the full
+                # record: torn debris followed by the real line.
+                payload.append(line[: max(1, len(line) // 2)] + b"\n")
+            payload.append(line + b"\n")
+            if fault == "duplicate":
+                payload.append(line + b"\n")
         with self._locked():
             # Open inside the lock: a concurrent compaction swaps the file by
             # rename, and an append handle opened before the swap would write
             # to the dead inode.
             with self.results_file.open("ab") as handle:
-                if fault == "torn":
-                    # A writer killed mid-append, then the retry lands the
-                    # full record: torn debris followed by the real line.
-                    encoded = line.encode("utf-8")
-                    handle.write(encoded[: max(1, len(encoded) // 2)] + b"\n")
-                    self.stale_lines += 1
-                payload = line + "\n"
-                if fault == "duplicate":
-                    payload += line + "\n"
-                    self.stale_lines += 1
-                handle.write(payload.encode("utf-8"))
+                handle.write(b"".join(payload))
                 handle.flush()
                 if self.fsync == "always":
                     os.fsync(handle.fileno())
-        if key in self._records:
-            self.stale_lines += 1
-        self._records[key] = record
+        # Injected debris and duplicates are the lines beyond one per record.
+        self.stale_lines += len(payload) - len(records)
+        for record in records:
+            if record["key"] in self._records:
+                self.stale_lines += 1
+            self._records[record["key"]] = record
 
     def records(self) -> list[dict]:
         """All indexed records (last write per key wins), in file order."""

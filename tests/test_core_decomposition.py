@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.core.decomposition import (
     LocalDomain,
     build_decomposition,
-    decomposition_cache_clear,
     distribute_matrices,
 )
 from repro.core.grid import ProcessorGrid
@@ -131,11 +130,14 @@ class TestLazyDomains:
             for d in eager for lm, ln, _lk in [d.shape]
         )
 
-    def test_domains_are_built_once_and_only_on_request(self):
-        decomposition_cache_clear()  # an earlier test may have read this entry's domains
+    def test_domains_are_never_stored_on_the_shared_decomposition(self):
         decomposition = build_decomposition(16, 16, 16, 8, 4096, grid=ProcessorGrid(2, 2, 2))
-        assert "domains" not in vars(decomposition)
-        assert decomposition.domains is decomposition.domains
+        domains = decomposition.domains
+        assert decomposition.domain_of(7) == domains[7]
+        # The memoized entry every run of the scenario shares holds the
+        # boundary arrays only: reading the per-rank view stores nothing.
+        assert not {"domains", "_bounds"} & set(vars(decomposition))
+        assert decomposition.domains == domains and decomposition.domains is not domains
 
 
 class TestDistributeMatrices:
@@ -196,6 +198,27 @@ class TestDecompositionMemo:
             scenario.shape.m, scenario.shape.n, scenario.shape.k, scenario.p,
             scenario.memory_words, grid=ProcessorGrid(*plan.grid),
         ).p_used == plan.processors_used
+
+    def test_campaign_runs_reuse_the_decompositions_pruning_built(self, tmp_path):
+        """The pruning pass plans every request before any runs; each grid-family
+        run then finds its plan's decomposition instead of rebuilding it."""
+        from repro.algorithms import plan_cache_clear
+        from repro.core import decomposition as module
+        from repro.sweeps import SweepSpec, run_campaign
+
+        spec = SweepSpec(
+            name="memo", algorithms=("COSMA", "ScaLAPACK", "CTF"),
+            families=("square", "largeK"), regimes=("limited",),
+            p_values=(4, 9, 16, 25), memory_words=1024, mode="volume",
+        )
+        plan_cache_clear()
+        result = run_campaign(spec, store=tmp_path / "store", jobs=1)
+        assert result.pruned == 0 and result.executed == len(spec.expand()) == 24
+        info = module._decompose.cache_info()
+        # One miss per distinct decomposition (every entry is still held),
+        # and at least one hit per run.
+        assert info.misses == info.currsize <= 24
+        assert info.hits >= result.executed
 
     def test_fitted_and_explicit_grid_share_the_entry(self):
         from repro.algorithms import plan_cache_clear

@@ -1,6 +1,9 @@
 """Tests for the campaign runner: parallel determinism and failure capture."""
 
+import json
 import multiprocessing
+import os
+import signal
 import sys
 
 import pytest
@@ -57,6 +60,26 @@ def flaky_algorithm():
     register(AlgorithmSpec(name="Flaky", runner=_flaky))
     yield "Flaky"
     unregister("Flaky")
+
+
+#: The one core count on which :func:`_kill_on_p9` SIGKILLs its process.
+_DOOMED_P = 9
+
+
+def _kill_on_p9(a, b, scenario, machine):
+    """SIGKILL the worker running the ``p = 9`` scenario; run COSMA elsewhere."""
+    if scenario.p == _DOOMED_P:
+        if multiprocessing.parent_process() is None:
+            raise RuntimeError("refusing to SIGKILL the campaign's own process")
+        os.kill(os.getpid(), signal.SIGKILL)
+    return get_algorithm("COSMA").runner(a, b, scenario, machine)
+
+
+@pytest.fixture
+def killer_algorithm():
+    register(AlgorithmSpec(name="Killer", runner=_kill_on_p9))
+    yield "Killer"
+    unregister("Killer")
 
 
 class TestDeterminism:
@@ -316,3 +339,72 @@ class TestInProcessSlot:
         error = in_process.failed_records[0]["error"]
         assert (error["type"], error["attempts"], error["retryable"]) == ("KeyError", 1, False)
         assert "registry lost COSMA" in error["traceback_tail"]
+
+
+def _metric(result, name: str, field: str = "value"):
+    return result.metrics.get(name, {field: 0})[field]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the test-registered algorithms")
+class TestChunkedDispatch:
+    """Workers take chunks of runs; a chunk's records reach the store in one
+    append; deadlines, numeric runs and suspects go alone."""
+
+    FAST_RETRY = RetryPolicy(max_attempts=3, backoff_s=0.01, jitter_s=0.005)
+
+    def test_volume_campaign_dispatches_and_appends_per_chunk(self, tmp_path):
+        spec = SweepSpec(
+            name="chunks", algorithms=("COSMA", "ScaLAPACK", "CTF", "CARMA"),
+            families=("square", "largeK"), regimes=("limited",),
+            p_values=(4, 9, 16, 25, 36), memory_words=1024, mode="volume",
+        )
+        serial = run_campaign(spec, store=tmp_path / "serial", jobs=1)
+        chunked = run_campaign(spec, store=tmp_path / "chunked", jobs=2)
+        runs = chunked.executed
+        assert runs == len(spec.expand()) == 40
+        chunks = _metric(chunked, "sweeps.dispatch.chunks")
+        assert chunks < runs and _metric(chunked, "sweeps.store.appends") < runs
+        assert _metric(chunked, "sweeps.dispatch.chunk_runs", "count") == chunks
+        assert _metric(chunked, "sweeps.dispatch.chunk_runs", "sum") == runs
+        assert _metric(chunked, "sweeps.run.latency_s", "count") == runs
+        # The in-process slot still dispatches and appends run by run.
+        assert _metric(serial, "sweeps.dispatch.chunks") == _metric(serial, "sweeps.store.appends") == runs
+        assert chunked.records == serial.records
+        assert (tmp_path / "chunked" / "results.jsonl").read_bytes().count(b"\n") == runs
+
+    @pytest.mark.parametrize("mode, timeout_s", [("plane", None), ("volume", 60.0)],
+                             ids=["numeric", "deadline"])
+    def test_numeric_runs_and_deadlines_go_alone(self, tmp_path, mode, timeout_s):
+        spec = SweepSpec(name="alone", algorithms=("COSMA", "ScaLAPACK"),
+                         p_values=(4, 9, 16), memory_words=1024, mode=mode)
+        result = run_campaign(spec, store=tmp_path / "store", jobs=2, timeout_s=timeout_s)
+        assert result.executed == len(spec.expand()) == 6 and result.failed == 0
+        assert _metric(result, "sweeps.dispatch.chunks") == result.executed
+        assert _metric(result, "sweeps.dispatch.chunk_runs", "max") == 1
+
+    def test_death_in_a_chunk_is_charged_to_the_killer_alone(self, tmp_path, killer_algorithm):
+        """No fault plan: a registered runner SIGKILLs its worker on one
+        scenario.  Its chunk-mates are requeued uncharged and finish; the
+        killer, now a suspect dispatched alone, exhausts its attempts."""
+        spec = SweepSpec(name="killer", algorithms=("COSMA", "ScaLAPACK", killer_algorithm),
+                         p_values=(4, _DOOMED_P, 16, 25), memory_words=1024, mode="volume")
+        requests = spec.expand()
+        [doomed] = [r.key for r in requests
+                    if r.algorithm == killer_algorithm and r.scenario.p == _DOOMED_P]
+        result = run_campaign(spec, store=tmp_path / "chunked", jobs=2, retry=self.FAST_RETRY)
+        assert len(requests) == result.executed == 12
+        assert [r["key"] for r in result.failed_records] == [doomed]
+        error = result.failed_records[0]["error"]
+        assert error["type"] == "WorkerCrash"
+        assert error["attempts"] == self.FAST_RETRY.max_attempts
+        assert error["exit_signal"] == int(signal.SIGKILL)
+        # One death under a multi-run chunk (charged to no run), then one per
+        # attempt of the killer alone.
+        assert _metric(result, "sweeps.workers.deaths") == self.FAST_RETRY.max_attempts + 1
+        assert result.retried == self.FAST_RETRY.max_attempts - 1
+
+        survivors = [r for r in requests if r.key != doomed]
+        serial = run_campaign(survivors, store=tmp_path / "serial", jobs=1)
+        assert json.dumps(result.ok_records, sort_keys=True) == json.dumps(
+            serial.ok_records, sort_keys=True)

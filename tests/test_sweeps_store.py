@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.experiments.harness import run_algorithm
+from repro.sweeps.faults import FaultPlan
 from repro.sweeps.runner import run_campaign
 from repro.sweeps.spec import SweepSpec
 from repro.sweeps.store import (
@@ -248,6 +249,39 @@ class TestVerifyCompact:
         reloaded = ResultStore(path)
         assert reloaded.verify().clean
         assert len(reloaded) == 2
+
+    def test_faulted_batch_append_verifies_and_compacts_clean(self, tmp_path):
+        """Store faults are injected per record inside one batch append."""
+        plan = FaultPlan(seed=5, torn_write_rate=0.25, duplicate_write_rate=0.25)
+        records = [{"key": f"k{i}", "status": "ok", "metrics": {"i": i}} for i in range(24)]
+        faults = [plan.store_fault(record["key"]) for record in records]
+        torn, duplicate = faults.count("torn"), faults.count("duplicate")
+        assert torn and duplicate and faults.count(None)
+
+        store = ResultStore(tmp_path / "store", faults=plan)
+        store.put_many(records)
+        report = store.verify()
+        assert (report.torn_lines, report.duplicate_lines) == (torn, duplicate)
+        assert report.total_lines == len(records) + torn + duplicate
+        assert report.live_records == len(records)
+        assert store.stale_lines == torn + duplicate
+        assert store.compact() == torn + duplicate
+        assert store.verify().clean
+        assert ResultStore(tmp_path / "store").records() == records
+
+    def test_put_is_the_one_record_batch(self, tmp_path):
+        """Record by record or in one batch: the same bytes, faults included."""
+        plan = FaultPlan(seed=5, torn_write_rate=0.25, duplicate_write_rate=0.25)
+        records = [{"key": f"k{i}", "status": "ok", "metrics": {}} for i in range(12)]
+        single = ResultStore(tmp_path / "single", faults=plan)
+        for record in records:
+            single.put(record)
+        batch = ResultStore(tmp_path / "batch", faults=plan)
+        batch.put_many(records)
+        assert single.results_file.read_bytes() == batch.results_file.read_bytes()
+        assert single.stale_lines == batch.stale_lines > 0
+        batch.put_many([])  # an empty batch writes nothing
+        assert single.results_file.read_bytes() == batch.results_file.read_bytes()
 
     def test_fsync_policy_validated(self, tmp_path):
         with pytest.raises(ValueError):
