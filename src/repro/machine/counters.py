@@ -12,9 +12,9 @@ All per-rank counters of one machine live in a single dense
 :class:`CounterMatrix` -- one ``int64`` row per counter field, one column per
 rank.  :class:`RankCounters` objects are *lazy views* onto one column: every
 pre-existing caller (``rank.counters.words_sent += n``, harness metric reads,
-dataclass-style equality) keeps working, while collectives can post **one
-batched update for all participating ranks** (:meth:`CommCounters.
-post_transfers`) instead of iterating Python ``Rank`` objects, and every
+dataclass-style equality) keeps working, while a batched engine can post **one
+update for a whole transfer list** (:meth:`CommCounters.post_transfers`)
+instead of iterating Python ``Rank`` objects, and every
 machine-wide aggregate (totals, means, maxima, conservation, round deltas)
 is one vectorized numpy reduction.
 

@@ -110,8 +110,8 @@ class MemoryHierarchy:
         return self.capacity - len(self._fast)
 
     # -- pebble-game moves ------------------------------------------------
-    def _load_one(self, address: Address) -> None:
-        """The blue-to-red move itself, without peak tracking."""
+    def load(self, address: Address) -> None:
+        """Load ``address`` from slow into fast memory (a blue-to-red move)."""
         if address in self._fast:
             return
         if address not in self._slow:
@@ -119,25 +119,7 @@ class MemoryHierarchy:
         self._ensure_space(1)
         self._fast.add(address)
         self.stats.loads += 1
-
-    def load(self, address: Address) -> None:
-        """Load ``address`` from slow into fast memory (a blue-to-red move)."""
-        self._load_one(address)
         self._track_peak()
-
-    def load_many(self, addresses: Iterable[Address]) -> None:
-        """Batched :meth:`load`: one peak-tracking update for the whole batch.
-
-        Sequential kernels load whole tiles at a time; residency only grows
-        during a batch, so tracking the peak once at the end (or at the point
-        of failure) is exact while the pebble-game semantics -- including
-        partial loads before an error -- are untouched.
-        """
-        try:
-            for address in addresses:
-                self._load_one(address)
-        finally:
-            self._track_peak()
 
     def store(self, address: Address) -> None:
         """Store ``address`` from fast into slow memory (a red-to-blue move)."""
@@ -168,10 +150,6 @@ class MemoryHierarchy:
     def evict(self, address: Address) -> None:
         """Remove a red pebble.  Data not previously stored is lost."""
         self._fast.discard(address)
-
-    def evict_many(self, addresses: Iterable[Address]) -> None:
-        for address in addresses:
-            self.evict(address)
 
     def discard_slow(self, address: Address) -> None:
         """Remove a blue pebble (free slow memory)."""

@@ -1,4 +1,4 @@
-"""One-sided (RMA-style) communication primitives.
+"""One-sided (RMA-style) get.
 
 Section 7.4 of the paper implements COSMA's communication both with MPI
 two-sided primitives and with MPI RMA (``MPI_Get`` / ``MPI_Accumulate``) to
@@ -7,8 +7,8 @@ differs is the latency accounting: a one-sided epoch charges a round only to
 the origin rank (the target is passive), which is how RDMA lowers the latency
 cost in practice.
 
-These wrappers let the COSMA executor switch between back-ends with a flag so
-that the latency difference shows up in the simulated round counts.
+COSMA's per-hop loop calls this get when ``use_rma`` is set, so that the
+latency difference shows up in the simulated round counts.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import payload_words
 
 
 def rma_get(
@@ -38,41 +37,3 @@ def rma_get(
     machine.rank(origin).counters.rounds += 1
     return delivered
 
-
-def rma_put(
-    machine: DistributedMachine,
-    origin: int,
-    target: int,
-    block: np.ndarray,
-    kind: str = "input",
-) -> np.ndarray:
-    """One-sided put: ``origin`` writes ``block`` into ``target``'s memory."""
-    if origin == target:
-        return machine.transport.self_copy(block)
-    delivered = machine.send(origin, target, block, kind=kind, count_round=False)
-    machine.rank(origin).counters.rounds += 1
-    return delivered
-
-
-def rma_accumulate(
-    machine: DistributedMachine,
-    origin: int,
-    target: int,
-    block: np.ndarray,
-    target_buffer: np.ndarray,
-    kind: str = "output",
-) -> np.ndarray:
-    """One-sided accumulate: add ``block`` into ``target_buffer`` on ``target``.
-
-    Returns the updated target buffer.  The addition is charged to the target
-    rank's flop counter (the NIC/host performs it there), the round only to the
-    origin.
-    """
-    if origin == target:
-        machine.rank(target).counters.flops += payload_words(block)
-        target_buffer += block
-        return target_buffer
-    delivered = machine.send(origin, target, block, kind=kind, count_round=False)
-    machine.rank(origin).counters.rounds += 1
-    machine.local_add(target, target_buffer, delivered)
-    return target_buffer

@@ -41,13 +41,14 @@ ever reads payload shapes:
 ``volume``
     Payloads are :class:`~repro.machine.transport.ShapeToken` descriptors:
     counters only, no numerics, paper-scale sweeps.  Every built-in algorithm
-    runs its ``plane`` engine minus the numerics here; algorithms without
-    one go through the collectives' batched token accounting.
+    runs its ``plane`` engine minus the numerics here; an algorithm without
+    one runs its per-hop loop on tokens, one :meth:`DistributedMachine.send`
+    per hop.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -295,7 +296,7 @@ class DistributedMachine:
             raise IndexError(f"rank {dst} out of range for machine with p={self.p}")
         words = payload_words(block)
         # Scalar update straight into the shared counter matrix (the batched
-        # equivalent for whole collectives is post_transfers).
+        # equivalent for a whole transfer list is post_transfers).
         data = self.counters.matrix.data
         data[WORDS_SENT, src] += words
         data[MESSAGES_SENT, src] += 1
@@ -323,29 +324,12 @@ class DistributedMachine:
 
         Counter-equivalent to one :meth:`send` per ``(srcs[i], dsts[i])``
         pair moving ``words`` (a scalar, or one entry per pair); no payload
-        is delivered.  Collectives use this in counters-only (``volume``)
-        mode to post a single vectorized update for all participating ranks
-        instead of iterating :class:`Rank` objects.
+        is delivered.  The cuboid executor posts each matrix's transfers
+        through it as one vectorized update instead of one ``send`` per pair.
         """
         self.counters.post_transfers(srcs, dsts, words, kind=kind, count_rounds=count_rounds)
         if self.trace is not None:
             self.trace.hops_batch(len(srcs))
-
-    def sendrecv(
-        self,
-        a_src: int,
-        a_dst: int,
-        a_block: np.ndarray,
-        b_src: int,
-        b_dst: int,
-        b_block: np.ndarray,
-        kind: str = "input",
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Two simultaneous transfers counted as a single round on each rank."""
-        out_a = self.send(a_src, a_dst, a_block, kind=kind, count_round=False)
-        out_b = self.send(b_src, b_dst, b_block, kind=kind, count_round=False)
-        self.counters.add_rounds({a_src, a_dst, b_src, b_dst})
-        return out_a, out_b
 
     # ------------------------------------------------------------------
     # local compute accounting
@@ -415,30 +399,6 @@ class DistributedMachine:
         target += other
         return target
 
-    def local_combine(
-        self,
-        rank_id: int,
-        target: np.ndarray,
-        other: np.ndarray,
-        op=None,
-    ) -> np.ndarray:
-        """Combine ``other`` into ``target`` with a reduction operator.
-
-        ``op=None`` is element-wise addition (in place, via
-        :meth:`local_add`).  A custom ``op`` is applied out of place and its
-        result returned; either way one flop per output element is charged to
-        ``rank_id``, so reductions are accounted identically no matter which
-        operator the collective uses.  In volume mode the operator is not
-        invoked (payloads carry no data) and the target token is returned.
-        """
-        if op is None:
-            return self.local_add(rank_id, target, other)
-        rank = self.rank(rank_id)
-        rank.counters.flops += payload_words(target)
-        if is_token(target) or is_token(other):
-            return target
-        return op(target, other)
-
     # ------------------------------------------------------------------
     # memory accounting
     # ------------------------------------------------------------------
@@ -483,16 +443,6 @@ class DistributedMachine:
     # ------------------------------------------------------------------
     # convenience
     # ------------------------------------------------------------------
-    def gather_results(self, name: str, ranks: Iterable[int] | None = None) -> dict[int, np.ndarray]:
-        """Collect the block called ``name`` from each rank (no accounting).
-
-        This is a *debug/verification* helper, equivalent to the test harness
-        reading back the distributed result; it does not represent algorithmic
-        communication and therefore does not touch the counters.
-        """
-        selected = range(self.p) if ranks is None else ranks
-        return {r: self.rank(r).get(name) for r in selected if self.rank(r).has(name)}
-
     def log_round(self, label: str) -> None:
         self.round_log.append(label)
         if self.trace is not None:

@@ -6,20 +6,15 @@ edge ``(u, v)`` says that ``v`` consumes the result of ``u``.  Inputs are
 vertices without parents; outputs are vertices without children (or vertices
 explicitly marked as outputs).
 
-The class is a thin, dependency-free adjacency structure with a
-``to_networkx`` bridge for algorithms (e.g. topological sorting of large
-graphs) where networkx is convenient.  networkx is imported by that bridge
-only: ``import repro`` reaches this module on every CLI launch and in every
-sweep worker, and none of them calls it.
+The class is a thin, dependency-free adjacency structure; the graph
+algorithms the library needs (topological order, ancestors, descendants) are
+methods on it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Hashable, Iterable, Iterator
-
-if TYPE_CHECKING:
-    import networkx as nx
+from typing import Hashable, Iterable, Iterator
 
 Vertex = Hashable
 
@@ -167,21 +162,3 @@ class CDAG:
             for v in children:
                 yield (u, v)
 
-    # -- interop -----------------------------------------------------------------
-    def to_networkx(self) -> nx.DiGraph:
-        """Export to a :class:`networkx.DiGraph` (vertex attributes are not copied)."""
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_nodes_from(self._parents)
-        g.add_edges_from(self.iter_edges())
-        return g
-
-    @classmethod
-    def from_networkx(cls, graph: nx.DiGraph) -> "CDAG":
-        cdag = cls()
-        for v in graph.nodes:
-            cdag.add_vertex(v)
-        for u, v in graph.edges:
-            cdag.add_edge(u, v)
-        return cdag

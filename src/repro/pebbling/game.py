@@ -24,18 +24,11 @@ its measured cost compared against the lower bounds of
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from repro.pebbling.cdag import CDAG, Vertex
-
-#: Per-CDAG encoding cache for array-based runs (vertex ids + CSR parents),
-#: shared by every game on the same graph and dropped with the graph.
-_ENCODED_CDAGS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 class Move(str, Enum):
@@ -167,29 +160,13 @@ class PebbleGame:
     def run(self, moves: Sequence[PebbleMove]) -> PebblingResult:
         """Execute a full move sequence and return the accumulated result.
 
-        The schedule is executed with array-based pebble-state updates: the
-        move list is encoded into kind/vertex arrays once, per-vertex red and
-        blue timelines are derived with vectorized group scans, every move's
-        legality is checked against the state *at its position in the
-        schedule*, and the counters (loads / stores / computes / peak red
-        pebbles) come out of vectorized reductions.  Semantics are identical
-        to executing the moves one at a time through :meth:`load` /
-        :meth:`store` / :meth:`compute` / :meth:`free_red` /
-        :meth:`free_blue`; schedules containing an illegal move fall back to
-        the sequential path so the exception (and the partially executed
-        state it leaves behind) match move-by-move execution exactly.
-
-        After the run, :attr:`PebblingResult.complete` records whether every
-        CDAG output ended up with a blue pebble (i.e. whether this was a
-        *complete calculation*).
+        Moves run one at a time through :meth:`load` / :meth:`store` /
+        :meth:`compute` / :meth:`free_red` / :meth:`free_blue`, so an illegal
+        move raises with every earlier move applied.  After the run,
+        :attr:`PebblingResult.complete` records whether every CDAG output
+        ended up with a blue pebble (i.e. whether this was a *complete
+        calculation*).
         """
-        moves = list(moves)
-        if len(moves) < 32 or not self._run_vectorized(moves):
-            self._run_sequential(moves)
-        return self.finish()
-
-    def _run_sequential(self, moves: Sequence[PebbleMove]) -> None:
-        """Reference move-by-move execution (also the error-reporting path)."""
         dispatch = {
             Move.LOAD: self.load,
             Move.STORE: self.store,
@@ -200,183 +177,7 @@ class PebbleGame:
         for move in moves:
             dispatch[move.kind](move.vertex)
             self.result.moves_executed += 1
-
-    def _schedule_arrays(self):
-        """Cached vertex encoding + CSR parent structure for array-based runs.
-
-        Rebuilt only when the CDAG's size changes (the graphs this library
-        builds are frozen before pebbling; the key guards against the
-        unlikely mutate-between-runs case).
-        """
-        key = (len(self.cdag), self.cdag.num_edges)
-        cached = _ENCODED_CDAGS.get(self.cdag)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        index = {v: i for i, v in enumerate(self.cdag.vertices)}
-        vertex_of = list(index)
-        parent_lists = [None] * len(index)
-        for vertex, vid in index.items():
-            parent_lists[vid] = [index[p] for p in self.cdag.parents(vertex)]
-        counts = np.array([len(parents) for parents in parent_lists], dtype=np.int64)
-        parent_indptr = np.concatenate(([0], np.cumsum(counts)))
-        parent_ids = np.array(
-            [p for parents in parent_lists for p in parents], dtype=np.int64
-        )
-        encoded = (index, vertex_of, parent_indptr, parent_ids)
-        _ENCODED_CDAGS[self.cdag] = (key, encoded)
-        return encoded
-
-    def _run_vectorized(self, moves: Sequence[PebbleMove]) -> bool:
-        """Array-based execution of a legal schedule.
-
-        Returns ``True`` when the whole schedule was validated and applied;
-        ``False`` defers to :meth:`_run_sequential` (illegal or unknown-vertex
-        moves, whose exception and partial-state semantics must match the
-        single-move methods bit for bit).  Until the moment it applies its
-        updates this method does not mutate any game state, so deferring is
-        always safe.
-        """
-        load_c, store_c, compute_c, free_red_c, free_blue_c = range(5)
-        index, vertex_of, parent_indptr, parent_ids = self._schedule_arrays()
-        n_vertices = len(index)
-        dummy = n_vertices  # unknown vertices in free moves: legal no-ops
-        n_moves = len(moves)
-        code_of = {
-            Move.LOAD: load_c, Move.STORE: store_c, Move.COMPUTE: compute_c,
-            Move.FREE_RED: free_red_c, Move.FREE_BLUE: free_blue_c,
-        }
-        index_get = index.get
-        kinds = np.array([code_of[move.kind] for move in moves], dtype=np.int8)
-        vids = np.array([index_get(move.vertex, dummy) for move in moves], dtype=np.int64)
-        if ((vids == dummy) & (kinds <= compute_c)).any():
-            return False  # _check_vertex raises KeyError
-
-        init_red = np.zeros(n_vertices + 1, dtype=np.int8)
-        init_blue = np.zeros(n_vertices + 1, dtype=np.int8)
-        for v in self.red:
-            init_red[index[v]] = 1
-        for v in self.blue:
-            init_blue[index[v]] = 1
-        times = np.arange(n_moves, dtype=np.int64)
-
-        def timeline(changer_mask: np.ndarray, after: np.ndarray, init: np.ndarray):
-            """Per-vertex state scan over the changer events of one colour.
-
-            Returns ``(prior, sorted_vids, sorted_times, sorted_after,
-            group_start)`` where ``prior`` is each changer's state *before*
-            it executes, in (vid, time)-sorted order.
-            """
-            idx = np.flatnonzero(changer_mask)
-            order = np.argsort(vids[idx], kind="stable")
-            s_vid = vids[idx][order]
-            s_time = idx[order]
-            s_after = after[order]
-            group_start = np.empty(len(idx), dtype=bool)
-            if len(idx):
-                group_start[0] = True
-                group_start[1:] = s_vid[1:] != s_vid[:-1]
-            prior = np.empty_like(s_after)
-            prior[1:] = s_after[:-1]
-            prior[group_start] = init[s_vid[group_start]]
-            return prior, s_vid, s_time, s_after, group_start
-
-        def state_at(s_vid, s_time, s_after, init, q_vid, q_time):
-            """State of vertex ``q_vid`` just before time ``q_time``."""
-            stride = n_moves + 1
-            pos = np.searchsorted(s_vid * stride + s_time, q_vid * stride + q_time)
-            state = init[q_vid].copy()
-            has_prev = pos > 0
-            prev = pos[has_prev] - 1
-            same = s_vid[prev] == q_vid[has_prev]
-            updated = state[has_prev]
-            updated[same] = s_after[prev[same]]
-            state[has_prev] = updated
-            return state
-
-        # --- red timeline: LOAD / COMPUTE place, FREE_RED removes ----------
-        red_changers = (kinds == load_c) | (kinds == compute_c) | (kinds == free_red_c)
-        red_after = (kinds[red_changers] != free_red_c).astype(np.int8)
-        r_prior, r_vid, r_time, r_after, r_start = timeline(
-            red_changers, red_after, init_red
-        )
-        delta_t = np.zeros(n_moves, dtype=np.int64)
-        delta_t[r_time] = r_after - r_prior
-        prior_red_t = np.ones(n_moves, dtype=np.int8)  # queries fill below
-        prior_red_t[r_time] = r_prior
-        red_count = int(len(self.red)) + np.cumsum(delta_t)
-
-        # --- blue timeline: STORE places, FREE_BLUE removes ----------------
-        blue_changers = (kinds == store_c) | (kinds == free_blue_c)
-        blue_after = (kinds[blue_changers] != free_blue_c).astype(np.int8)
-        b_prior, b_vid, b_time, b_after, _ = timeline(
-            blue_changers, blue_after, init_blue
-        )
-
-        # --- per-kind legality, in each move's own check order -------------
-        load_pos = np.flatnonzero(kinds == load_c)
-        load_needs_blue = load_pos[prior_red_t[load_pos] == 0]
-        if len(load_needs_blue) and not state_at(
-            b_vid, b_time, b_after, init_blue,
-            vids[load_needs_blue], load_needs_blue,
-        ).all():
-            return False  # load without a blue pebble
-        store_pos = np.flatnonzero(kinds == store_c)
-        store_red = state_at(r_vid, r_time, r_after, init_red,
-                             vids[store_pos], store_pos)
-        if len(store_pos) and not store_red.all():
-            return False  # store without a red pebble
-        compute_pos = np.flatnonzero(kinds == compute_c)
-        if len(compute_pos):
-            compute_vids = vids[compute_pos]
-            counts = parent_indptr[compute_vids + 1] - parent_indptr[compute_vids]
-            if (counts == 0).any():
-                return False  # compute of an input vertex
-            # Flat (parent, query-time) pairs gathered through the CSR layout.
-            total = int(counts.sum())
-            starts = np.repeat(parent_indptr[compute_vids], counts)
-            within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-            q_vid = parent_ids[starts + within]
-            q_time = np.repeat(compute_pos, counts)
-            if not state_at(r_vid, r_time, r_after, init_red, q_vid, q_time).all():
-                return False  # compute with an unpebbled parent
-        placements = delta_t == 1
-        if (red_count[placements] > self.capacity).any():
-            return False  # red-pebble capacity exceeded
-
-        # --- apply: counters, peak, final pebble sets ----------------------
-        counted_loads = load_pos[prior_red_t[load_pos] == 0]
-        # A store counts (and tracks the peak) only when the vertex had no
-        # blue pebble yet -- its prior on the blue timeline.
-        counted_stores = b_time[(kinds[b_time] == store_c) & (b_prior == 0)]
-        self.result.loads += len(counted_loads)
-        self.result.stores += len(counted_stores)
-        self.result.computes += len(compute_pos)
-        self.result.moves_executed += n_moves
-        tracked = np.concatenate((counted_loads, counted_stores, compute_pos))
-        if len(tracked):
-            peak = int(red_count[tracked].max())
-            if peak > self.result.max_red_in_use:
-                self.result.max_red_in_use = peak
-        self.computed.update(vertex_of[v] for v in np.unique(vids[compute_pos]))
-
-        def apply_final(s_vid, s_after, group_start, init, pebbles: set) -> None:
-            """Rebuild a pebble set from the final per-vertex timeline states."""
-            final = init.copy()
-            if len(s_vid):
-                group_end = np.empty(len(s_vid), dtype=bool)
-                group_end[:-1] = group_start[1:]
-                group_end[-1] = True
-                final[s_vid[group_end]] = s_after[group_end]
-            pebbles.clear()
-            pebbles.update(vertex_of[v] for v in np.flatnonzero(final[:n_vertices]))
-
-        apply_final(r_vid, r_after, r_start, init_red, self.red)
-        b_start = np.empty(len(b_vid), dtype=bool)
-        if len(b_vid):
-            b_start[0] = True
-            b_start[1:] = b_vid[1:] != b_vid[:-1]
-        apply_final(b_vid, b_after, b_start, init_blue, self.blue)
-        return True
+        return self.finish()
 
     def finish(self) -> PebblingResult:
         """Finalize the result: check the terminal configuration."""

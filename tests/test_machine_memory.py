@@ -81,15 +81,18 @@ class TestMemoryHierarchyBasics:
 
     def test_compute_creates_result(self):
         mem = MemoryHierarchy(4, initial_slow=["a", "b"])
-        mem.load_many(["a", "b"])
+        mem.load("a")
+        mem.load("b")
         mem.compute("c", operands=["a", "b"])
         assert mem.in_fast("c")
         assert mem.stats.computes == 1
 
     def test_peak_resident_tracked(self):
         mem = MemoryHierarchy(5, initial_slow=["a", "b", "c"])
-        mem.load_many(["a", "b", "c"])
-        mem.evict_many(["a", "b", "c"])
+        for address in "abc":
+            mem.load(address)
+        for address in "abc":
+            mem.evict(address)
         assert mem.stats.peak_resident == 3
 
     def test_io_is_loads_plus_stores(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.machine.rma import rma_accumulate, rma_get, rma_put
+from repro.machine.rma import rma_get
 from repro.machine.simulator import DistributedMachine
 
 
@@ -30,39 +30,3 @@ class TestRmaGet:
         assert np.allclose(out, 1.0)
         assert machine.counters.total_words_sent == 0
 
-
-class TestRmaPut:
-    def test_data_flows_origin_to_target(self, machine):
-        out = rma_put(machine, origin=0, target=3, block=np.full(5, 2.0))
-        assert np.allclose(out, 2.0)
-        assert machine.rank(0).counters.words_sent == 5
-        assert machine.rank(3).counters.words_received == 5
-
-    def test_only_origin_round_advances(self, machine):
-        rma_put(machine, origin=0, target=3, block=np.ones(2))
-        assert machine.rank(0).counters.rounds == 1
-        assert machine.rank(3).counters.rounds == 0
-
-
-class TestRmaAccumulate:
-    def test_accumulates_into_target_buffer(self, machine):
-        buffer = np.ones(4)
-        rma_accumulate(machine, origin=0, target=1, block=np.full(4, 3.0), target_buffer=buffer)
-        assert np.allclose(buffer, 4.0)
-
-    def test_addition_flops_charged_to_target(self, machine):
-        buffer = np.zeros(4)
-        rma_accumulate(machine, origin=0, target=1, block=np.ones(4), target_buffer=buffer)
-        assert machine.rank(1).counters.flops == 4
-        assert machine.rank(0).counters.flops == 0
-
-    def test_self_accumulate(self, machine):
-        buffer = np.zeros(3)
-        rma_accumulate(machine, origin=2, target=2, block=np.ones(3), target_buffer=buffer)
-        assert np.allclose(buffer, 1.0)
-        assert machine.counters.total_words_sent == 0
-
-    def test_volume_counted_as_output(self, machine):
-        buffer = np.zeros(4)
-        rma_accumulate(machine, origin=0, target=1, block=np.ones(4), target_buffer=buffer)
-        assert machine.rank(1).counters.output_words == 4

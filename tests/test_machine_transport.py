@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.machine.collectives import broadcast, reduce
+from repro.machine.collectives import broadcast
 from repro.machine.counters import COUNTER_FIELDS, CommCounters, ConservationError
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import (
@@ -181,39 +181,6 @@ class TestTransports:
         target = ShapeToken((3,))
         machine.local_add(0, target, ShapeToken((3,)))
         assert machine.rank(0).counters.flops == 3
-
-
-class TestReductionOpAccounting:
-    """The custom-``op`` reduce path must count flops like the default path."""
-
-    def _reduce_flops(self, op):
-        machine = DistributedMachine(4)
-        blocks = {r: np.full((2, 2), float(r)) for r in range(4)}
-        total = reduce(machine, 0, [0, 1, 2, 3], blocks, op=op)
-        return machine.counters.total_flops, total
-
-    def test_custom_op_counts_same_flops_as_default(self):
-        default_flops, default_total = self._reduce_flops(None)
-        custom_flops, custom_total = self._reduce_flops(lambda a, b: a + b)
-        assert custom_flops == default_flops > 0
-        assert np.allclose(custom_total, default_total)
-
-    def test_custom_op_result_still_applied(self):
-        _, total = self._reduce_flops(np.maximum)
-        assert np.allclose(total, np.full((2, 2), 3.0))
-
-    def test_local_combine_volume_skips_op(self):
-        machine = DistributedMachine(1, mode="volume")
-        calls = []
-
-        def op(a, b):  # pragma: no cover - must not run
-            calls.append(1)
-            return a
-
-        result = machine.local_combine(0, ShapeToken((2, 2)), ShapeToken((2, 2)), op=op)
-        assert isinstance(result, ShapeToken)
-        assert not calls
-        assert machine.rank(0).counters.flops == 4
 
 
 class TestIncrementalAccounting:

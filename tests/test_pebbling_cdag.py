@@ -1,8 +1,5 @@
 """Tests for the CDAG data structure."""
 
-import subprocess
-import sys
-
 import pytest
 
 from repro.pebbling.cdag import CDAG
@@ -103,27 +100,3 @@ class TestTopologicalOrder:
     def test_acyclic_true(self, diamond):
         assert diamond.is_acyclic()
 
-
-class TestNetworkxInterop:
-    def test_roundtrip(self, diamond):
-        nx_graph = diamond.to_networkx()
-        back = CDAG.from_networkx(nx_graph)
-        assert back.vertices == diamond.vertices
-        assert set(back.iter_edges()) == set(diamond.iter_edges())
-
-    def test_to_networkx_counts(self, diamond):
-        nx_graph = diamond.to_networkx()
-        assert nx_graph.number_of_nodes() == 4
-        assert nx_graph.number_of_edges() == 4
-
-    def test_import_repro_loads_no_networkx(self):
-        """Only the bridge imports networkx: every CLI launch and sweep worker
-        imports this module (through the cost model) and never calls it."""
-        script = (
-            "import sys; import repro; "
-            "print([name for name in ('networkx', 'matplotlib') if name in sys.modules])"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == "[]"

@@ -169,7 +169,7 @@ class _CountingNumpy:
 @pytest.mark.parametrize("name", BUILTINS)
 def test_volume_runs_use_no_per_rank_primitive(name, monkeypatch):
     """Built-ins only; a registered extension without a batched engine
-    (``extensions/allgather.py``) keeps its collective-based volume path."""
+    (``extensions/allgather.py``) runs its per-hop loop on tokens in volume."""
     calls: list[str] = []
 
     def forbid(label):
