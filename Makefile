@@ -18,7 +18,7 @@
 #                       wins/pairs (scripts/ledger_pairs.py)
 #   make identity BASE=<rev>
 #                     - is the working tree observably identical to BASE?
-#                       counters, peaks, round logs, spans and plane products
+#                       counter rows, peaks, round counts, spans and plane products
 #                       of every algorithm over grid240, the paper-scale volume
 #                       points, every algorithm at p = 16384 / 65536 and a
 #                       list of awkward ones (~1 min per side); exit 1 on any

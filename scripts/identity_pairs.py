@@ -15,15 +15,16 @@ rank -- in ``volume`` and ``plane`` mode, traced and untraced, one and two runs
 per machine, and the paper-scale ``volume_requests`` points and every
 algorithm at p = 16384 and p = 65536 (``xl``) in ``volume`` mode (their plane
 products would need gigabytes).  What it records
-per run: sha256 of the raw ``CounterMatrix`` bytes (and, to name what moved
-when that differs, each counter row's total and digest), ``peak_resident_words``,
-the final ``check_memory()``, ``round_log``, COSMA's ``num_rounds`` and
-``round_volumes``, the round spans' count and arguments, and the plane
-product's bytes.
+per run: each counter row's length, total and digest (``counters.<field>``,
+one observable per row of the counter matrix), ``peak_resident_words``, the
+final ``check_memory()``, COSMA's ``num_rounds``, the round spans' count and
+arguments, and the plane product's bytes.
 
 Prints one line per point -- equal, or which observables differ, in how many
 of the point's runs and by how much in the first of them -- and exits 1 on
-any difference.  The ``xl/`` and ``volume_requests/`` lines also carry each
+any difference.  An observable that only one side records anywhere (a counter
+row one revision has and the other does not) is listed once, at the end, and
+is not a difference.  The ``xl/`` and ``volume_requests/`` lines also carry each
 side's wall seconds for the point's single untraced run (the call as the
 registry makes it, COSMA's grid search included): a speed-up reads next to the
 proof that nothing observable moved.  Seconds are never compared.  The point
@@ -229,16 +230,16 @@ def _observe_run(multiply, dims, p, memory_words, mode, traced, runs) -> tuple[d
             machine.trace.commit_round(machine.peak_resident_words)
     finally:
         disable_tracing()
-    data = machine.counters.matrix.data
-    observed = {"counters": _digest(data.tobytes())}
+    data = getattr(machine.counters, "data", None)
+    if data is None:  # revisions whose matrix sits behind ``counters.matrix``
+        data = machine.counters.matrix.data
+    observed = {}
     for field, row in zip(COUNTER_FIELDS, data):
         observed[f"counters.{field}"] = [len(row), int(row.sum()), _digest(row.tobytes())]
     observed["peak_resident_words"] = machine.peak_resident_words
     observed["check_memory"] = machine.check_memory()
-    observed["round_log"] = _summary(machine.round_log)
     if hasattr(result, "num_rounds"):
         observed["num_rounds"] = result.num_rounds
-        observed["round_volumes"] = _summary(result.round_volumes)
     if tracer is not None:
         spans = [args for _name, _cat, _start, _dur, args, _track in tracer.spans("round")]
         observed["spans"] = len(spans)
@@ -296,16 +297,23 @@ def _moved(base, change) -> str:
     return "digests differ"
 
 
+def _recorded(side: dict) -> set[str]:
+    """Every observable name one side records at some point."""
+    return {name for variants in side.values() for observed in variants.values()
+            for name in observed}
+
+
 def report(base: dict, change: dict, base_seconds: dict, change_seconds: dict) -> int:
     differing_points = 0
     observations = 0
+    base_only, tree_only = _recorded(base) - _recorded(change), _recorded(change) - _recorded(base)
     for point in sorted(set(base) | set(change)):
         variants = sorted(set(base.get(point, {})) | set(change.get(point, {})))
         findings: dict[str, list[str]] = {}
         for variant in variants:
             ours = change.get(point, {}).get(variant, {})
             theirs = base.get(point, {}).get(variant, {})
-            for name in sorted(set(ours) | set(theirs)):
+            for name in sorted((set(ours) | set(theirs)) - base_only - tree_only):
                 observations += 1
                 if ours.get(name) != theirs.get(name):
                     findings.setdefault(name, []).append(
@@ -320,6 +328,9 @@ def report(base: dict, change: dict, base_seconds: dict, change_seconds: dict) -
         print(f"{point:<58} DIFFERENT{timing}")
         for name, where in findings.items():
             print(f"    {name:<28} in {len(where)}/{len(variants)} runs; first {where[0]}")
+    for side, names in (("base", base_only), ("tree", tree_only)):
+        if names:
+            print(f"recorded by the {side} only (not compared): {', '.join(sorted(names))}")
     print(f"{len(set(base) | set(change))} points, {observations} observations, "
           f"{differing_points} points differ")
     return 1 if differing_points else 0

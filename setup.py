@@ -17,5 +17,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24"],
+    install_requires=["numpy>=1.25"],
 )

@@ -249,7 +249,7 @@ def _cannon_plane(
         ``a_moves`` / ``b_moves`` are 1 where a rank's block moves and 0 where
         it stays: a moving rank sends its block and receives another of the
         same size, and every grid rank's round counter advances once per shift."""
-        rows = delta.matrix.data[:, : q * q]
+        rows = delta.data[:, : q * q]
         rows[WORDS_SENT] = rows[WORDS_RECEIVED] = a_moves * (bm * bk) + b_moves * (bk * bn)
         rows[MESSAGES_SENT] = rows[MESSAGES_RECEIVED] = a_moves + b_moves
         rows[INPUT_WORDS] = 2 * rows[WORDS_SENT]
@@ -270,7 +270,7 @@ def _cannon_plane(
     # shapes, shift by one): two round classes, the steady shift round and
     # the final multiply-only round.
     def post_step(delta: CommCounters, row: np.ndarray) -> None:
-        delta.matrix.data[FLOPS, : q * q] = 2 * bm * bn * bk
+        delta.data[FLOPS, : q * q] = 2 * bm * bn * bk
         if not row[0]:  # not the final round (there is one only when q > 1)
             post_shifts(delta, 1, 1)
 

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.machine.counters import CommCounters
+from repro.machine.counters import FLOPS, CommCounters
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import as_payload
 from repro.utils.intmath import sorted_distinct
@@ -278,7 +278,7 @@ def _cuboid_batched(
     machine.post_resident("B", ranks, lk * ln)
     machine.post_resident("C_partial", ranks, lm * ln)
     # Flops are charged per rank exactly as ``local_multiply`` would.
-    machine.counters.add_flops(ranks, 2 * lm * ln * lk)
+    np.add.at(machine.counters.data[FLOPS], ranks, 2 * lm * ln * lk)
     c_global = machine.zeros((m, n))  # at the plane dtype; a token in volume mode
     if not machine.transport.counters_only:
         spans = [(slice(i0, i1), slice(j0, j1), slice(k0, k1))
@@ -299,7 +299,7 @@ def _cuboid_batched(
             c_global[i_span, j_span] += product
     owners, senders, words = _owner_words(ranks, i_range, j_range)
     machine.post_transfers(senders, owners, words, kind="output")
-    machine.counters.add_flops(owners, words)
+    np.add.at(machine.counters.data[FLOPS], owners, words)
     return c_global
 
 
@@ -381,7 +381,7 @@ def cuboid_multiply(
             values = block[mask]
             if owner != domain.rank:
                 values = machine.send(domain.rank, int(owner), values, kind="output")
-                machine.rank(int(owner)).counters.flops += int(values.size)
+                machine.counters.data[FLOPS, machine.check_rank(int(owner))] += int(values.size)
             target = c_global[i0:i1, j0:j1]
             target[mask] += values
             c_global[i0:i1, j0:j1] = target

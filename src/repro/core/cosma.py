@@ -15,7 +15,7 @@ Execution outline for a fitted grid ``[pm x pn x pk]``:
 
 Every transferred word is counted by the machine's communication layer; the
 returned :class:`CosmaRunResult` exposes the counters, the assembled global
-product and the per-round volumes needed by the overlap performance model.
+product and the round count.
 
 ``plane`` and ``volume`` runs take the batched round engine
 (:func:`_cosma_batched`; ``volume`` is that engine minus the numerics), with
@@ -32,10 +32,8 @@ one whole-layer gather round (:mod:`repro.baselines.summa`,
   in a round's overlap widths, so the rounds are summed on the width table,
   at ``(layer, owner)`` size, before anything of size p exists); the C
   reduction, one more delta;
-* **per round** -- the engine's boundary call (COSMA's labelled
-  ``log_round``, SUMMA's ``commit_round``, none for 2.5D) and an entry of
-  COSMA's ``round_volumes``, read off the ``(layer, position)`` tables of the
-  round's class, never a per-rank array;
+* **per round** -- the engine's boundary call only (COSMA's labelled
+  ``log_round``, SUMMA's ``commit_round``, none for 2.5D);
 * **per round class** (a maximal run of rounds with equal widths) -- a
   ``fields x p`` delta, but only under a tracer: a round span reads the
   counter matrix at its boundary, so a traced run adds class by class, through
@@ -52,7 +50,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +63,6 @@ from repro.machine.counters import (
     MESSAGES_RECEIVED,
     MESSAGES_SENT,
     OUTPUT_WORDS,
-    ROUND_START_WORDS,
     ROUNDS,
     WORDS_RECEIVED,
     WORDS_SENT,
@@ -74,7 +71,7 @@ from repro.machine.counters import (
 from repro.machine.rma import rma_get
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import PayloadPlane, ShapeToken, as_payload
-from repro.utils.intmath import run_starts, sorted_distinct, split_offsets
+from repro.utils.intmath import split_offsets
 
 
 @dataclass
@@ -85,8 +82,6 @@ class CosmaRunResult:
     decomposition: CosmaDecomposition
     counters: CommCounters
     num_rounds: int
-    #: Per-round maximum words received by any rank (drives the overlap model).
-    round_volumes: list[int] = field(default_factory=list)
     peak_resident_words: int = 0
 
     @property
@@ -166,7 +161,6 @@ def cosma_multiply(
         machine.rank(domain.rank).put("C_acc", machine.zeros((lm, ln)))
 
     domains_by_rank = {d.rank: d for d in domains}
-    round_volumes: list[int] = []
     num_rounds = 0
 
     # ------------------------------------------------------------------
@@ -179,10 +173,6 @@ def cosma_multiply(
     offsets = list(range(0, max_lk, step))
 
     for chunk_index, chunk_offset in enumerate(offsets):
-        # Round-delta tracking: mark the per-rank totals instead of deep
-        # copying the whole counter set every round.
-        machine.counters.mark_round_start()
-
         def chunk_bounds(domain):
             k0, k1 = domain.k_range
             c0 = min(k0 + chunk_offset, k1)
@@ -263,7 +253,6 @@ def cosma_multiply(
             )
 
         num_rounds += 1
-        round_volumes.append(int(machine.counters.max_round_delta()))
         machine.check_memory()
         machine.log_round(f"cosma-step-{chunk_index}")
         machine.commit_round()
@@ -293,7 +282,6 @@ def cosma_multiply(
         decomposition=decomposition,
         counters=machine.counters,
         num_rounds=num_rounds,
-        round_volumes=round_volumes,
         peak_resident_words=machine.peak_resident_words,
     )
 
@@ -489,41 +477,8 @@ class _PanelExchange:
         ownership slices, so a row never comes back): a *round class* is a run
         of rounds, yielded as ``(rounds, delta)`` with one round expanded."""
         return machine.round_classes(
-            self.table, lambda delta, row: self.expand(delta.matrix.data, row[None])
+            self.table, lambda delta, row: self.expand(delta.data, row[None])
         )
-
-    def round_volumes(self) -> list[int]:
-        """Per round, the most words (sent + received) any rank moves in it.
-
-        From the classes' ``(layer, position)`` tables only.  Rank ``(i, j)``
-        of a layer moves ``lm_i * by_j[j] + by_i[i] * ln_j``, so over the ranks
-        whose block sides are ``(u, v)`` the maximum is ``u * max by_j + v *
-        max by_i``, each taken over the positions with that side -- and a
-        split has at most two distinct sides.
-        """
-        pm, pn, _ = self.grid
-        starts = run_starts(self.table)
-        _, w_a, w_b = self._widths(self.table[starts])
-        # Sent plus received by position: widths @ fan + (sum of widths - own).
-        by_j = w_a @ (self.fan_a + 1 - np.eye(pn, dtype=np.int64))  # (class, layer, pj)
-        by_i = w_b @ (self.fan_b + 1 - np.eye(pm, dtype=np.int64))  # (class, layer, pi)
-        tops_i = [(u, by_i[:, :, self.lm == u].max(axis=2)) for u in sorted_distinct(self.lm)]
-        volumes = np.zeros(len(starts), dtype=np.int64)
-        for v in sorted_distinct(self.ln):
-            top_j = by_j[:, :, self.ln == v].max(axis=2)
-            for u, top_i in tops_i:
-                np.maximum(volumes, (u * top_j + v * top_i).max(axis=1), out=volumes)
-        return np.repeat(volumes, np.diff(np.r_[starts, len(self.table)])).tolist()
-
-    def mark_last_round(self, counters: CommCounters) -> None:
-        """Leave ``ROUND_START_WORDS`` as the per-hop loop does: every rank's
-        total words at the start of the last round."""
-        pm, pn, pk = self.grid
-        counters.mark_round_start()
-        marked = counters.matrix.data[ROUND_START_WORDS, : pm * pn * pk].reshape(pm, pn, pk)
-        _, w_a, w_b = self._widths(self.table[-1:])
-        sent, received = self._by_rank(w_a[0], w_b[0], self.lm[:, None, None], self.ln[:, None])
-        marked -= sent + received
 
 
 def fiber_exchange_rounds(
@@ -542,8 +497,7 @@ def post_fiber_exchange(
     decomposition: CosmaDecomposition,
     exchange: str,
     boundary: Callable[[int], None] | None = None,
-    round_words: bool = False,
-) -> list[int]:
+) -> None:
     """Add the decomposition's whole panel exchange to the machine's counters,
     calling the engine's round boundary ``boundary(r)`` once per round.
 
@@ -554,24 +508,16 @@ def post_fiber_exchange(
     the same function expands class by class and :meth:`post_rounds
     <repro.machine.simulator.DistributedMachine.post_rounds>` alternates adds
     and boundaries.
-
-    With ``round_words`` (COSMA's round bookkeeping) the start of the last
-    round is left marked in ``ROUND_START_WORDS`` and the per-round maximum
-    words of any rank are returned; otherwise an empty list.
     """
     panels = _PanelExchange(decomposition, exchange)
     if machine.trace is not None:
         for rounds, delta in panels.classes(machine):
             machine.post_rounds(delta, rounds, boundary)
     else:
-        panels.expand(machine.counters.matrix.data, panels.table)
+        panels.expand(machine.counters.data, panels.table)
         if boundary is not None:
             for r in range(len(panels.table)):
                 boundary(r)
-    if not round_words:
-        return []
-    panels.mark_last_round(machine.counters)
-    return panels.round_volumes()
 
 
 def post_c_reduction(machine: DistributedMachine, decomposition: CosmaDecomposition) -> None:
@@ -588,7 +534,7 @@ def post_c_reduction(machine: DistributedMachine, decomposition: CosmaDecomposit
         received = np.array(tree_fanout(pk))
         sent = np.arange(pk) > 0
         delta = CommCounters.for_ranks(machine.p)
-        rows = delta.matrix.data[:, : pm * pn * pk].reshape(-1, pm * pn, pk)
+        rows = delta.data[:, : pm * pn * pk].reshape(-1, pm * pn, pk)
         rows[WORDS_SENT] = mn_outer[:, None] * sent
         rows[WORDS_RECEIVED] = rows[FLOPS] = mn_outer[:, None] * received
         rows[MESSAGES_SENT] = sent
@@ -613,8 +559,8 @@ def _cosma_batched(
     ``use_rma``, the same one-sided gets), the same payload sizes -- so the
     counters are byte-identical to the ``legacy``/``zerocopy`` execution at a
     fraction of the Python cost.  The accounting is the three functions
-    above; what is COSMA's own is the round boundary (a labelled round with
-    its volume) and the numerics.
+    above; what is COSMA's own is the round boundary (a labelled round) and
+    the numerics.
 
     In ``volume`` mode the accounting is the whole story (payloads are
     tokens).  In ``plane`` mode the operands live in :class:`PayloadPlane`
@@ -660,9 +606,9 @@ def _cosma_batched(
         else nullcontext()
     )
     with accounting_span:
-        round_volumes = post_fiber_exchange(
+        post_fiber_exchange(
             machine, decomposition, "get" if use_rma else "tree",
-            lambda r: machine.log_round(f"cosma-step-{r}"), round_words=True,
+            lambda r: machine.log_round(f"cosma-step-{r}"),
         )
 
     # ------------------------------------------------------------------
@@ -695,8 +641,7 @@ def _cosma_batched(
         matrix=c_global,
         decomposition=decomposition,
         counters=machine.counters,
-        num_rounds=len(round_volumes),
-        round_volumes=round_volumes,
+        num_rounds=decomposition.num_steps,
         peak_resident_words=machine.peak_resident_words,
     )
 

@@ -3,9 +3,9 @@
 COSMA's rounds naturally pipeline: while round ``t`` is being multiplied, the
 panels of round ``t+1`` are already being fetched (double buffering, RDMA
 back-end).  Given per-round communication and computation times this module
-computes the total runtime with and without overlap; the experiment harness
-feeds it the simulator-measured round volumes to produce the Figure 12
-breakdowns.
+computes the total runtime with and without overlap.  The Figure 12
+breakdowns (:func:`repro.experiments.perf_model.time_breakdown`) split a run's
+measured totals evenly over its rounds (:func:`even_rounds`).
 """
 
 from __future__ import annotations

@@ -11,13 +11,7 @@ The paper's experiments measure two kinds of data movement:
   mpiP profiler used in the paper.
 """
 
-from repro.machine.counters import (
-    COUNTER_FIELDS,
-    CommCounters,
-    ConservationError,
-    CounterMatrix,
-    RankCounters,
-)
+from repro.machine.counters import COUNTER_FIELDS, CommCounters, ConservationError
 from repro.machine.memory import AccessStats, LRUCacheMemory, MemoryHierarchy
 from repro.machine.simulator import DistributedMachine, Rank
 from repro.machine.topology import MachineSpec, PIZ_DAINT_LIKE, laptop_spec
@@ -31,9 +25,7 @@ __all__ = [
     "DistributedMachine",
     "Rank",
     "CommCounters",
-    "CounterMatrix",
     "COUNTER_FIELDS",
-    "RankCounters",
     "ConservationError",
     "MODES",
     "ShapeToken",

@@ -25,6 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.machine.counters import ROUNDS
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import payload_view
 
@@ -172,7 +173,7 @@ def allgather(
             delivered = machine.send(r, dst, payload, kind=kind, count_round=False)
             gathered[dst][send_pos] = delivered
         for r in order:
-            machine.rank(r).counters.rounds += 1
+            machine.counters.data[ROUNDS, machine.check_rank(r)] += 1
     return gathered
 
 
@@ -223,5 +224,5 @@ def ring_shift(
         else:
             out[dst] = machine.send(r, dst, blocks[r], kind=kind, count_round=False)
     for r in order:
-        machine.rank(r).counters.rounds += 1
+        machine.counters.data[ROUNDS, machine.check_rank(r)] += 1
     return out

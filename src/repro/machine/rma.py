@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.machine.counters import ROUNDS
 from repro.machine.simulator import DistributedMachine
 
 
@@ -34,6 +35,6 @@ def rma_get(
     if origin == target:
         return machine.transport.self_copy(block)
     delivered = machine.send(target, origin, block, kind=kind, count_round=False)
-    machine.rank(origin).counters.rounds += 1
+    machine.counters.data[ROUNDS, machine.check_rank(origin)] += 1
     return delivered
 

@@ -16,7 +16,7 @@ across a pool of worker *processes* over ``multiprocessing.shared_memory``:
   workers split the machine's cores instead of oversubscribing them.
 
 Counter accounting never enters this module: all counters stay in the parent
-on the :class:`~repro.machine.counters.CounterMatrix` path, which is what
+in its :class:`~repro.machine.counters.CommCounters` matrix, which is what
 makes counters byte-identical across shard counts by construction.
 
 Supervision is SIGKILL-safe: workers are :class:`repro.utils.workers.Worker`

@@ -7,13 +7,15 @@ other; all operands of a computation must reside in local memory.
 Algorithms in :mod:`repro.core` and :mod:`repro.baselines` are written as
 coordinator-style programs that move numpy blocks between ranks *only*
 through the machine's communication primitives.  Every primitive updates the
-machine's :class:`~repro.machine.counters.CounterMatrix`, so the harness can
-read off the same "MB communicated per rank" quantity that the paper measures
-with mpiP.  Per-rank state is two machine-level arrays -- the counter matrix
-and one int64 vector of resident words -- and a :class:`Rank` is a view of
-one column of each, built on first use of :attr:`DistributedMachine.ranks`:
-the per-hop executors keep their blocks in the ranks' stores, the batched
-engines post whole-machine array expressions
+machine's counter matrix (:attr:`CommCounters.data
+<repro.machine.counters.CommCounters.data>`, one row per counter field, one
+column per rank), so the harness can read off the same "MB communicated per
+rank" quantity that the paper measures with mpiP.  Per-rank state is two
+machine-level arrays -- the counter matrix and one int64 vector of resident
+words.  A per-hop primitive writes cells of the matrix; a :class:`Rank` holds
+one rank's store and views its resident words, built on first use of
+:attr:`DistributedMachine.ranks`: the per-hop executors keep their blocks in
+the ranks' stores, the batched engines post whole-machine array expressions
 (:meth:`~DistributedMachine.post_resident`,
 :meth:`~DistributedMachine.post_transfers`), build no rank and leave every
 store empty.
@@ -48,11 +50,12 @@ ever reads payload shapes:
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from repro.machine.counters import (
+    FLOPS,
     INPUT_WORDS,
     MESSAGES_RECEIVED,
     MESSAGES_SENT,
@@ -61,7 +64,6 @@ from repro.machine.counters import (
     WORDS_RECEIVED,
     WORDS_SENT,
     CommCounters,
-    RankCounters,
 )
 from repro.machine.topology import MachineSpec, laptop_spec
 from repro.machine.transport import (
@@ -85,20 +87,19 @@ class LocalMemoryExceededError(RuntimeError):
 class Rank:
     """One simulated processor: a lazy view of the machine's per-rank state.
 
-    ``rank_id`` is the processor index in ``[0, p)``, ``counters`` its column
-    of the counter matrix and ``store`` its named local blocks (any naming
-    convention; only the per-hop executors keep blocks here).  The resident
+    ``rank_id`` is the processor index in ``[0, p)`` and ``store`` its named
+    local blocks (any naming convention; only the per-hop executors keep
+    blocks here).  The resident
     footprint lives in the machine's resident-words vector: :meth:`put` /
     :meth:`pop` write their size deltas through to it, so blocks stored here
     and residency posted in bulk share one ledger.
     """
 
-    __slots__ = ("rank_id", "store", "counters", "_resident")
+    __slots__ = ("rank_id", "store", "_resident")
 
-    def __init__(self, rank_id: int, counters: RankCounters, resident: np.ndarray) -> None:
+    def __init__(self, rank_id: int, resident: np.ndarray) -> None:
         self.rank_id = rank_id
         self.store: dict[str, np.ndarray] = {}
-        self.counters = counters
         self._resident = resident
 
     def resident_words(self) -> int:
@@ -155,8 +156,8 @@ class DistributedMachine:
         (:mod:`repro.machine.shard`).  ``1`` (the default) keeps the
         in-process engine -- no pool, no shared memory.  Counters are
         byte-identical across shard counts because all accounting stays in
-        the parent on the :class:`~repro.machine.counters.CounterMatrix`
-        path; shards never participates in a run's identity key.
+        the parent on the counter matrix; shards never participates in a
+        run's identity key.
     plane_dtype:
         Element dtype for numeric payloads/planes (``"float64"`` default,
         ``"float32"`` opt-in).  Counters are dtype-independent (words are
@@ -184,8 +185,8 @@ class DistributedMachine:
         if self.memory_words <= 0:
             raise ValueError(f"memory_words must be positive, got {self.memory_words}")
         self.enforce_memory = bool(enforce_memory)
-        # One shared counter matrix and one resident-words vector; ranks and
-        # their counters are views into them, built on first use.
+        # One shared counter matrix and one resident-words vector; ranks view
+        # the vector and are built on first use.
         self.counters = CommCounters.for_ranks(self.p)
         self._resident = np.zeros(self.p, dtype=np.int64)
         #: Words posted per block name by :meth:`post_resident`, so that
@@ -193,8 +194,6 @@ class DistributedMachine:
         self._posted: dict[str, np.ndarray] = {}
         self._ranks: list[Rank] | None = None
         self.peak_resident_words = 0
-        #: Log of (round_label, participating_ranks) entries, useful for debugging.
-        self.round_log: list[str] = []
         #: Named :class:`~repro.machine.transport.PayloadPlane` stacks
         #: registered by plane-mode algorithms (one per logical operand).
         self.planes: dict[str, PayloadPlane] = {}
@@ -204,7 +203,7 @@ class DistributedMachine:
         #: are byte-identical traced vs untraced.
         tracer = active_tracer()
         self.trace: MachineTrace | None = (
-            MachineTrace(tracer, self.counters.matrix.data, self.transport.mode)
+            MachineTrace(tracer, self.counters.data, self.transport.mode)
             if tracer is not None
             else None
         )
@@ -218,14 +217,18 @@ class DistributedMachine:
     def ranks(self) -> list[Rank]:
         """One :class:`Rank` view per processor, materialized on first use."""
         if self._ranks is None:
-            per_rank = self.counters.per_rank
-            self._ranks = [Rank(i, per_rank[i], self._resident) for i in range(self.p)]
+            self._ranks = [Rank(i, self._resident) for i in range(self.p)]
         return self._ranks
 
     def rank(self, rank_id: int) -> Rank:
+        return self.ranks[self.check_rank(rank_id)]
+
+    def check_rank(self, rank_id: int) -> int:
+        """``rank_id``, once it is known to name one of the ``p`` ranks (a
+        counter cell is written at it; a negative index would wrap)."""
         if not 0 <= rank_id < self.p:
             raise IndexError(f"rank {rank_id} out of range for machine with p={self.p}")
-        return self.ranks[rank_id]
+        return rank_id
 
     @property
     def mode(self) -> str:
@@ -297,7 +300,7 @@ class DistributedMachine:
         words = payload_words(block)
         # Scalar update straight into the shared counter matrix (the batched
         # equivalent for a whole transfer list is post_transfers).
-        data = self.counters.matrix.data
+        data = self.counters.data
         data[WORDS_SENT, src] += words
         data[MESSAGES_SENT, src] += 1
         data[WORDS_RECEIVED, dst] += words
@@ -347,7 +350,7 @@ class DistributedMachine:
         product.  With token payloads (volume mode) only the flop counter is
         updated and a token of the product's shape is returned.
         """
-        rank = self.rank(rank_id)
+        self.check_rank(rank_id)
         counters_only = is_token(a_block) or is_token(b_block) or is_token(accumulate_into)
         if not counters_only:
             # A float32 x float32 multiply stays float32 (the opt-in plane
@@ -373,7 +376,7 @@ class DistributedMachine:
                 f"accumulation buffer shape {payload_shape(accumulate_into)} "
                 f"does not match product {(m, n)}"
             )
-        rank.counters.flops += 2 * m * n * k
+        self.counters.data[FLOPS, rank_id] += 2 * m * n * k
         if counters_only:
             return ShapeToken((m, n)) if accumulate_into is None else accumulate_into
         product = a_block @ b_block
@@ -384,18 +387,18 @@ class DistributedMachine:
 
     def local_add(self, rank_id: int, target: np.ndarray, other: np.ndarray) -> np.ndarray:
         """Accumulate ``other`` into ``target`` on ``rank_id`` (reduction flops)."""
-        rank = self.rank(rank_id)
+        self.check_rank(rank_id)
         if is_token(target) or is_token(other):
             if payload_shape(target) != payload_shape(other):
                 raise ValueError(
                     f"shape mismatch in local_add: {payload_shape(target)} vs {payload_shape(other)}"
                 )
-            rank.counters.flops += payload_words(target)
+            self.counters.data[FLOPS, rank_id] += payload_words(target)
             return target
         other = np.asarray(other)
         if target.shape != other.shape:
             raise ValueError(f"shape mismatch in local_add: {target.shape} vs {other.shape}")
-        rank.counters.flops += int(target.size)
+        self.counters.data[FLOPS, rank_id] += int(target.size)
         target += other
         return target
 
@@ -417,19 +420,12 @@ class DistributedMachine:
         self._resident[ranks] += words - posted[ranks]
         posted[ranks] = words
 
-    def check_memory(self, extra_words: Mapping[int, int] | None = None) -> int:
+    def check_memory(self) -> int:
         """Record (and optionally enforce) the per-rank resident footprint.
 
-        ``extra_words`` maps ranks to words they hold outside any store (e.g.
-        communication buffers), counted for this check only.  Returns the
-        current maximum resident words over all ranks.
+        Returns the current maximum resident words over all ranks.
         """
         resident = self._resident
-        if extra_words:
-            resident = resident.copy()
-            for rank_id, words in extra_words.items():
-                if 0 <= rank_id < self.p:
-                    resident[rank_id] += int(words)
         offender = int(resident.argmax())  # the first rank at the maximum
         worst = int(resident[offender])
         if worst > self.peak_resident_words:
@@ -444,7 +440,7 @@ class DistributedMachine:
     # convenience
     # ------------------------------------------------------------------
     def log_round(self, label: str) -> None:
-        self.round_log.append(label)
+        """A labelled round boundary: the label names the round's span."""
         if self.trace is not None:
             self.trace.end_round(label, self.peak_resident_words)
 
@@ -479,7 +475,7 @@ class DistributedMachine:
         ``boundary(r)`` (``log_round`` / ``commit_round``) after each.  Untraced
         that is one add of ``len(rounds) * delta``; a round span reads the
         matrix at its boundary, so under a tracer adds and boundaries alternate."""
-        data, step = self.counters.matrix.data, delta.matrix.data
+        data, step = self.counters.data, delta.data
         if self.trace is None:
             data += len(rounds) * step
         hops = None if self.trace is None else delta.total_messages
@@ -494,13 +490,3 @@ class DistributedMachine:
         """Round boundary for algorithms that do not label rounds with :meth:`log_round`."""
         if self.trace is not None:
             self.trace.commit_round(self.peak_resident_words)
-
-    def reset_counters(self) -> None:
-        self.counters.reset()
-        self._resident[...] = 0
-        self._posted.clear()
-        for rank in self._ranks or ():
-            rank.store.clear()
-        self.peak_resident_words = 0
-        self.round_log.clear()
-        self.clear_planes()

@@ -28,7 +28,7 @@ three interchangeable transports:
     gather into the plane, a round's local multiplies become one batched
     ``np.matmul`` over the stack, and output reductions become a single
     ``np.add.reduce`` over plane slices.  Counter accounting rides the same
-    batched ``post_transfers``/``CounterMatrix`` path as ``volume`` mode, so
+    batched counter-matrix path as ``volume`` mode, so
     counters stay byte-identical to the other modes while numerics (and
     result verification) are preserved.
 

@@ -6,15 +6,14 @@ edge ``(u, v)`` says that ``v`` consumes the result of ``u``.  Inputs are
 vertices without parents; outputs are vertices without children (or vertices
 explicitly marked as outputs).
 
-The class is a thin, dependency-free adjacency structure; the graph
-algorithms the library needs (topological order, ancestors, descendants) are
-methods on it.
+The class is a thin, dependency-free adjacency structure: construction and
+the parent / child, input / output queries the pebble game and the partition
+analysis read.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterable
 
 Vertex = Hashable
 
@@ -45,10 +44,6 @@ class CDAG:
         self._parents[v].add(u)
         self._children[u].add(v)
 
-    def add_edges(self, edges: Iterable[tuple[Vertex, Vertex]]) -> None:
-        for u, v in edges:
-            self.add_edge(u, v)
-
     def mark_outputs(self, outputs: Iterable[Vertex]) -> None:
         """Explicitly designate the output set ``O`` (otherwise: childless vertices)."""
         outputs = set(outputs)
@@ -67,10 +62,6 @@ class CDAG:
     @property
     def vertices(self) -> frozenset[Vertex]:
         return frozenset(self._parents)
-
-    @property
-    def num_edges(self) -> int:
-        return sum(len(children) for children in self._children.values())
 
     def parents(self, v: Vertex) -> frozenset[Vertex]:
         """``Pred(v)``: immediate predecessors of ``v``."""
@@ -96,69 +87,3 @@ class CDAG:
     def computation_vertices(self) -> frozenset[Vertex]:
         """Non-input vertices, i.e. vertices that must be computed."""
         return self.vertices - self.inputs
-
-    # -- graph algorithms ------------------------------------------------------
-    def topological_order(self) -> list[Vertex]:
-        """Kahn topological order; raises ``ValueError`` if the graph has a cycle."""
-        in_degree = {v: len(ps) for v, ps in self._parents.items()}
-        ready = deque(sorted((v for v, d in in_degree.items() if d == 0), key=repr))
-        order: list[Vertex] = []
-        while ready:
-            v = ready.popleft()
-            order.append(v)
-            for child in sorted(self._children[v], key=repr):
-                in_degree[child] -= 1
-                if in_degree[child] == 0:
-                    ready.append(child)
-        if len(order) != len(self._parents):
-            raise ValueError("CDAG contains a cycle")
-        return order
-
-    def is_acyclic(self) -> bool:
-        try:
-            self.topological_order()
-        except ValueError:
-            return False
-        return True
-
-    def ancestors(self, v: Vertex) -> set[Vertex]:
-        """All (transitive) predecessors of ``v`` (excluding ``v``)."""
-        seen: set[Vertex] = set()
-        stack = list(self._parents[v])
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.extend(self._parents[u])
-        return seen
-
-    def descendants(self, v: Vertex) -> set[Vertex]:
-        """All (transitive) successors of ``v`` (excluding ``v``)."""
-        seen: set[Vertex] = set()
-        stack = list(self._children[v])
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.extend(self._children[u])
-        return seen
-
-    def subgraph_vertices_reaching(self, targets: Iterable[Vertex]) -> set[Vertex]:
-        """All vertices from which some vertex in ``targets`` is reachable (incl. targets)."""
-        result: set[Vertex] = set()
-        stack = list(targets)
-        while stack:
-            v = stack.pop()
-            if v in result:
-                continue
-            result.add(v)
-            stack.extend(self._parents[v])
-        return result
-
-    def iter_edges(self) -> Iterator[tuple[Vertex, Vertex]]:
-        for u, children in self._children.items():
-            for v in children:
-                yield (u, v)
-

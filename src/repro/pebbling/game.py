@@ -205,39 +205,3 @@ class PebbleGame:
     def _track(self) -> None:
         if len(self.red) > self.result.max_red_in_use:
             self.result.max_red_in_use = len(self.red)
-
-
-def naive_pebbling(cdag: CDAG, red_pebbles: int) -> PebblingResult:
-    """Pebble a CDAG by processing vertices in topological order.
-
-    For every non-input vertex, all parents are loaded (if not resident), the
-    vertex is computed, stored if it is an output, and then every red pebble
-    whose children are all already computed is freed.  This is a simple but
-    legal baseline pebbling used in tests to contrast against scheduled
-    (I/O-aware) pebblings.
-    """
-    game = PebbleGame(cdag, red_pebbles)
-    remaining_children = {v: len(cdag.children(v)) for v in cdag.vertices}
-    outputs = cdag.outputs
-    for v in cdag.topological_order():
-        if v in cdag.inputs:
-            continue
-        for parent in cdag.parents(v):
-            if parent not in game.red:
-                if parent in game.blue:
-                    game.load(parent)
-                else:
-                    raise IllegalMoveError(
-                        f"naive pebbling needs parent {parent!r} which is neither red nor blue"
-                    )
-        game.compute(v)
-        if v in outputs:
-            game.store(v)
-        # Free pebbles that are no longer needed.
-        for parent in cdag.parents(v):
-            remaining_children[parent] -= 1
-            if remaining_children[parent] == 0:
-                game.free_red(parent)
-        if remaining_children[v] == 0:
-            game.free_red(v)
-    return game.finish()

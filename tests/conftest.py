@@ -32,8 +32,7 @@ def class_posts(monkeypatch) -> list[str]:
     appends the module the callback lives in (one entry per class delta of
     size p written: Cannon's two; the grid family's only under a tracer, an
     untraced run of it writes none), and expanding a schedule into a transfer
-    list -- reaching ``CommCounters.post_transfers`` or the ``_scatter_add``
-    behind it, ``add_flops`` and ``add_rounds`` -- fails the test.
+    list -- reaching ``CommCounters.post_transfers`` -- fails the test.
     """
     from repro.machine import counters
     from repro.machine.simulator import DistributedMachine
@@ -42,7 +41,6 @@ def class_posts(monkeypatch) -> list[str]:
         raise AssertionError("the run expanded its schedule into a transfer list")
 
     monkeypatch.setattr(counters.CommCounters, "post_transfers", forbidden)
-    monkeypatch.setattr(counters, "_scatter_add", forbidden)
     posts: list[str] = []
     round_classes = DistributedMachine.round_classes
 

@@ -230,7 +230,7 @@ class TestCuboid:
         from_list, from_table = cuboid_multiply(a, b, domains), cuboid_multiply(a, b, table)
         assert np.allclose(from_table.matrix, a @ b)
         assert from_table.domains == from_list.domains == tuple(table_domains(table))
-        assert (from_table.counters.matrix.data == from_list.counters.matrix.data).all()
+        assert (from_table.counters.data == from_list.counters.data).all()
         for extents in ((6, 6, 9), (6, 5, 8)):  # not a tiling; out of bounds
             with pytest.raises(ValueError) as from_objects:
                 validate_domains(*extents, domains)

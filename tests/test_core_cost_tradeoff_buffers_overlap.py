@@ -33,6 +33,21 @@ class TestCostModel:
         a, b = cosma_local_domain(64, 64, 64, 8, 1 << 20)
         assert a == pytest.approx(b)
 
+    @pytest.mark.parametrize("m, n, k, p, s, width, depth", [
+        (1024, 1024, 1024, 16, 256, 16.0, 1024 ** 3 / (16 * 256)),  # a = sqrt(S), b = mnk/(pS)
+        (64, 64, 64, 8, 1 << 20, 32.0, 32.0),            # a = b = (mnk/p)^(1/3)
+        (512, 512, 512, 64, 16384, 128.0, 128.0),        # the two branches meet
+        (1024, 1024, 1024, 512, 8192, math.sqrt(8192), 256.0),  # a^2 = S exactly
+        (1024, 1024, 1024, 1024, 4096, 64.0, 256.0),     # a tall slab: b = 4a
+    ], ids=["limited", "extra", "meet", "sqrt-s", "slab"])
+    def test_local_domain_eq32(self, m, n, k, p, s, width, depth):
+        """Equation 32: the width and depth of the local domain, every rank gets
+        ``mnk / p`` multiplications, and its output block fits in S."""
+        a, b = cosma_local_domain(m, n, k, p, s)
+        assert (a, b) == (pytest.approx(width), pytest.approx(depth))
+        assert a * a * b == pytest.approx(m * n * k / p, rel=1e-9)
+        assert a * a <= s * (1 + 1e-12)
+
     def test_memory_per_rank_within_s(self):
         for p in [16, 64, 256]:
             assert cosma_memory_per_rank(1024, 1024, 1024, p, 4096) <= 4096 * 1.01

@@ -1,7 +1,7 @@
 """Batched engines post each distinct round once (round classes).
 
 The engines' contract is that nobody can tell: raw counter bytes, the
-resident peak, the per-round spans (and COSMA's round volumes) equal the
+resident peak, the per-round spans (and COSMA's round count) equal the
 per-hop ``legacy`` loop's, in ``volume`` and in ``plane`` mode, on a fresh
 machine or one that already holds counters, traced or not.  COSMA posts its
 overlap-width classes (with one-sided gets or tree broadcasts; its plane-mode
@@ -46,11 +46,9 @@ from repro.experiments.harness import run_algorithm
 from repro.machine.collectives import broadcast_hops, reduce
 from repro.machine.counters import (
     COUNTER_FIELDS,
+    FLOPS,
     MESSAGES_SENT,
-    ROUND_START_WORDS,
     ROUNDS,
-    WORDS_RECEIVED,
-    WORDS_SENT,
     CommCounters,
 )
 from repro.machine.simulator import DistributedMachine
@@ -89,11 +87,10 @@ def _run(m, n, k, grid, idle, memory_words, mode, use_rma=False, **options):
 
 def _observables(machine, result):
     return (
-        machine.counters.matrix.data.tobytes(),
+        machine.counters.data.tobytes(),
         machine.peak_resident_words,
         # COSMA's result also reports its rounds.
         getattr(result, "num_rounds", None),
-        getattr(result, "round_volumes", None),
         getattr(result, "peak_resident_words", None),
     )
 
@@ -153,22 +150,21 @@ def test_traced_spans_equal_the_per_hop_loops(use_rma):
 @pytest.mark.parametrize("use_rma", [False, True])
 def test_round_bookkeeping_equals_the_per_hop_loops(use_rma):
     """What the per-hop loop does at every round boundary and the engine once
-    per class or once per run: the round log, the round volumes, and the words
-    marked at the start of the last round -- after one run and after two."""
+    per class or once per run: the labelled rounds, the round count and the
+    counters -- after one run and after two."""
     problem = (13, 11, 47, ProcessorGrid(2, 3, 3), 1, 55)  # step 2: 8 rounds, uneven layers
     for runs in (1, 2):
-        loop, oracle = _run(*problem, mode="legacy", use_rma=use_rma, runs=runs)
-        with tracing():
-            engines = [_run(*problem, mode="volume", use_rma=use_rma, runs=runs)]
-        engines.append(_run(*problem, mode="volume", use_rma=use_rma, runs=runs))
-        for machine, result in engines:  # traced, then untraced
-            assert machine.round_log == loop.round_log
-            assert len(machine.round_log) == 8 * runs == result.num_rounds * runs
-            assert result.round_volumes == oracle.round_volumes
-            marked = machine.counters.matrix.data[ROUND_START_WORDS]
-            assert marked.any()
-            assert np.array_equal(marked, loop.counters.matrix.data[ROUND_START_WORDS])
-            assert machine.counters.matrix.data.tobytes() == loop.counters.matrix.data.tobytes()
+        spans, (loop, oracle) = _round_spans(_run, *problem, mode="legacy", use_rma=use_rma,
+                                             runs=runs)
+        labels = [span["label"] for span in spans if span["label"].startswith("cosma-step-")]
+        assert labels == [f"cosma-step-{r}" for r in range(8)] * runs
+        traced_spans, traced = _round_spans(_run, *problem, mode="volume", use_rma=use_rma,
+                                            runs=runs)
+        assert traced_spans == spans
+        untraced = _run(*problem, mode="volume", use_rma=use_rma, runs=runs)
+        for machine, result in (traced, untraced):
+            assert result.num_rounds == oracle.num_rounds == 8
+            assert machine.counters.data.tobytes() == loop.counters.data.tobytes()
 
 
 def test_top_of_the_strong_scaling_range():
@@ -187,21 +183,21 @@ def test_top_of_the_strong_scaling_range():
     # 1821 rounds in 371 classes: 1.02 s as one O(p) delta per class, 0.05 s as
     # one expansion of the summed width table (plus the decomposition).
     ("COSMA", (99, 110, 6), (6946816.0, 7127814, 7526, 7526,
-     "2571d65fd6bcac6a1469870ab58cfab07b191128779a6ff7af703a8a3db996a1"), 0.5),
+     "b43b276e75ce30e3fee236385925ea1ec32acad0c0e6f4656df6e90737da43b4"), 0.5),
     ("ScaLAPACK", (256, 256), (16711680.0, 16711680, 1420, 1420,
-     "2f8951f44f67a024b8b7eb6b6d7201f346817981999428e58a3eb32e9786efb0"), 2.0),
+     "32cabfafd8d601f5ef4c259b6efea96175b83ebadfc06b3cc828439d07214f58"), 2.0),
     ("CTF", (128, 128, 4), (8421376.0, 8454144, 510, 510,
-     "8d0ffdd8f257dbd99941192db82cc44226acb11fe308e9792d709a7bb8b8f667"), 0.5),
+     "d1245d75a8f31a5c3c29e50114b454dd99023cea3bc9d478b77f7dd9f92b40c3"), 0.5),
     # No grid to plan: a recursion table (0.55 s as p objects, 0.08 s as arrays)
     # and two closed-form class deltas (0.32 s through transfer lists, 0.01 s).
     ("CARMA", None, (4096000.0, 98566144, 125, 125,
-     "f940ada02a60e6211d4b32f234ab42a8c2bc2033d858377a88e0a2b4bb9d8592"), 0.5),
+     "f9edd10deb6825e44ac70e0b57e60f7b8da62bc844b29679ba7a2ee6019d42d3"), 0.5),
     ("Cannon", None, (16776960.0, 16777216, 512, 1024,
-     "9b4bb08b7af606cb441a4c7bb0f2ca00d2e133da5daf15b4ac280aae35f15e7d"), 0.2),
+     "e0036800107951b45dd229136840ade0e92b40bbdbd28c79349598bf0ffbd31e"), 0.2),
 ], ids=["COSMA", "ScaLAPACK", "CTF", "CARMA", "Cannon"])
 def test_grid_baselines_three_octaves_up(name, grid, pinned, ceiling_s):
     """32768^3 on p=65536, S=101000: values and the counter matrix's sha256
-    captured at the parent, where the hop arrays made these 2.5-5.4 s / 600 MiB
+    captured at the parent (the hash over the eight rows the matrix keeps), where the hop arrays made these 2.5-5.4 s / 600 MiB
     (ScaLAPACK) and 0.9 s / 340 MiB (CTF); 0.25 s and 0.015 s without them.  The
     ceiling is on the faster of two runs and far above that: it guards the
     order of magnitude, not the box.  CARMA and Cannon ride along at the same
@@ -222,7 +218,7 @@ def test_grid_baselines_three_octaves_up(name, grid, pinned, ceiling_s):
     counters = machine.counters
     assert (counters.mean_words_per_rank(), counters.max_words_per_rank(), counters.max_rounds(),
             counters.max_messages_per_rank(),
-            hashlib.sha256(counters.matrix.data.tobytes()).hexdigest()) == pinned
+            hashlib.sha256(counters.data.tobytes()).hexdigest()) == pinned
     assert min(seconds) < ceiling_s
 
 
@@ -362,12 +358,12 @@ def _expanded_round(decomposition, p, exchange, r):
             send_pieces(decomposition.i_fiber(pj, kk), decomposition.b_bounds[kk], c0, c1, ln[pj])
         for pi in range(pm):
             for pj in range(pn):
-                delta.add_flops([decomposition.coords_to_rank(pi, pj, kk)],
-                                2 * (c1 - c0) * lm[pi] * ln[pj])
+                delta.data[FLOPS, decomposition.coords_to_rank(pi, pj, kk)] += (
+                    2 * (c1 - c0) * lm[pi] * ln[pj])
     delta.post_transfers(srcs, dsts, words, kind="input", count_rounds=exchange != "get")
     if exchange == "get":
-        delta.add_rounds(dsts)  # a get is charged to its origin only
-    return delta.matrix.data
+        np.add.at(delta.data[ROUNDS], dsts, 1)  # a get is charged to its origin only
+    return delta.data
 
 
 @st.composite
@@ -391,7 +387,7 @@ def exchange_problems(draw):
 @example(problem=(9, build_decomposition(9, 9, 31, 9, 1 << 20, grid=ProcessorGrid(7, 1, 1),
                                          step_size=3)), exchange="get")  # pn = 1, two idle ranks
 def test_class_deltas_equal_the_hop_expansion(problem, exchange):
-    """Every class's delta, on all nine rows, at the first and the last round
+    """Every class's delta, on all eight rows, at the first and the last round
     of the class (so the run detection is held to the same oracle), and the
     classes cover the schedule."""
     p, decomposition = problem
@@ -399,10 +395,10 @@ def test_class_deltas_equal_the_hop_expansion(problem, exchange):
     covered = []
     for rounds, delta in fiber_exchange_rounds(machine, decomposition, exchange):
         for r in {rounds[0], rounds[-1]}:
-            assert np.array_equal(delta.matrix.data, _expanded_round(decomposition, p, exchange, r))
+            assert np.array_equal(delta.data, _expanded_round(decomposition, p, exchange, r))
         covered += rounds
     assert covered == list(range(decomposition.num_steps))
-    assert not machine.counters.matrix.data.any()  # yielded, not added
+    assert not machine.counters.data.any()  # yielded, not added
 
 
 @settings(max_examples=80, deadline=None)
@@ -415,35 +411,30 @@ def test_class_deltas_equal_the_hop_expansion(problem, exchange):
                                          step_size=3)), exchange="get")  # pn = 1, two idle ranks
 def test_one_expansion_equals_the_summed_class_deltas(problem, exchange):
     """An untraced run sums its width table before anything of size p exists:
-    on a machine that already holds counters, all nine rows equal
+    on a machine that already holds counters, all eight rows equal
     ``sum(len(rounds) * delta)`` over the class deltas held to the hop
-    expansion above; the round volumes are each class's busiest rank,
-    repeated; the round-start mark is the total words minus the last class;
-    and the boundary is called once per round.  A traced run posts the class
-    deltas themselves and lands on the same bytes."""
+    expansion above, with or without a round boundary, and the boundary is
+    called once per round.  A traced run posts the class deltas themselves and
+    lands on the same bytes."""
     p, decomposition = problem
     held = np.random.default_rng(0).integers(0, 1000, size=(len(COUNTER_FIELDS), p))
-    expected, volumes = held.copy(), []
+    expected = held.copy()
     for rounds, delta in fiber_exchange_rounds(
             DistributedMachine(p, mode="volume"), decomposition, exchange):
-        expected += len(rounds) * delta.matrix.data
-        volumes += [delta.max_words_per_rank()] * len(rounds)
-        last_words = delta.matrix.data[WORDS_SENT] + delta.matrix.data[WORDS_RECEIVED]
+        expected += len(rounds) * delta.data
 
     machine = DistributedMachine(p, mode="volume")
-    machine.counters.matrix.data[...] = held
-    assert post_fiber_exchange(machine, decomposition, exchange) == []
-    assert np.array_equal(machine.counters.matrix.data, expected)  # the mark untouched
+    machine.counters.data[...] = held
+    post_fiber_exchange(machine, decomposition, exchange)
+    assert np.array_equal(machine.counters.data, expected)
 
-    expected[ROUND_START_WORDS] = expected[WORDS_SENT] + expected[WORDS_RECEIVED] - last_words
     for traced in (False, True):
         with tracing() if traced else nullcontext():
             machine = DistributedMachine(p, mode="volume")
-            machine.counters.matrix.data[...] = held
+            machine.counters.data[...] = held
             boundaries = []
-            assert post_fiber_exchange(machine, decomposition, exchange, boundaries.append,
-                                       round_words=True) == volumes
-        assert np.array_equal(machine.counters.matrix.data, expected), traced
+            post_fiber_exchange(machine, decomposition, exchange, boundaries.append)
+        assert np.array_equal(machine.counters.data, expected), traced
         assert boundaries == list(range(decomposition.num_steps))
 
 
@@ -466,7 +457,7 @@ def test_c_reduction_equals_the_hop_expansion(pk, traced):
         post_c_reduction(machine, decomposition)
         if traced:
             machine.commit_round()
-    assert np.array_equal(machine.counters.matrix.data, expected.counters.matrix.data)
+    assert np.array_equal(machine.counters.data, expected.counters.data)
     assert machine.check_memory() == lm[0] * ln[0]  # the reduced blocks, on the kk = 0 ranks
     if traced:
         (span,) = tracer.spans("round")
@@ -478,13 +469,12 @@ def test_c_reduction_equals_the_hop_expansion(pk, traced):
 # ---------------------------------------------------------------------------
 def _counter_rows(machine, *, without=()):
     """The raw counter matrix minus the ``without`` rows."""
-    data = machine.counters.matrix.data
+    data = machine.counters.data
     return np.delete(data, list(without), axis=0).tobytes()
 
 
 def _assert_summa_is_cosma_on_one_layer(m, n, k, grid, panel_width, idle, modes):
-    """The eight communication and flop rows (``round_start_words`` is COSMA's
-    own bookkeeping: only its round boundary marks it)."""
+    """All eight counter rows."""
     pm, pn = grid
     p = pm * pn + idle
     lm, ln = -(-m // pm), -(-n // pn)
@@ -501,8 +491,7 @@ def _assert_summa_is_cosma_on_one_layer(m, n, k, grid, panel_width, idle, modes)
         two_d, _ = _run_on(summa, m, n, k, p, 1 << 20, mode)
         one_layer, result = _run_on(cosma, m, n, k, p, 1 << 20, mode)
         assert result.decomposition.step_size == min(panel_width, k)
-        assert (_counter_rows(two_d, without=[ROUND_START_WORDS])
-                == _counter_rows(one_layer, without=[ROUND_START_WORDS])), mode
+        assert _counter_rows(two_d) == _counter_rows(one_layer), mode
 
 
 @settings(max_examples=40, deadline=None)
@@ -543,7 +532,7 @@ def grid25d_problems(draw):
 @example(problem=(13, 11, 47, (1, 1, 4), 1))    # q = 1: nothing to gather
 @example(problem=(100, 90, 7, (3, 3, 3), 0))    # layers narrower than the grid side
 def test_grid25d_is_cosma_with_a_one_round_gather(problem):
-    """All nine rows: COSMA's accounting core on ``(q, q, c)``, the whole layer
+    """All eight rows: COSMA's accounting core on ``(q, q, c)``, the whole layer
     as the step and direct sends, against 2.5D's per-hop loop and its engine.
     With one-sided gets (the same star) COSMA's *own* per-hop loop differs
     from 2.5D's in the round count alone: a get charges only its origin."""
@@ -572,9 +561,9 @@ def test_grid25d_is_cosma_with_a_one_round_gather(problem):
     assert _counter_rows(core) == _counter_rows(_run_on(grid25d, m, n, k, p, memory_words, "volume")[0])
     gets, _ = _run_on(cosma_gets, m, n, k, p, memory_words, "legacy")
     assert _counter_rows(gets, without=[ROUNDS]) == _counter_rows(loop, without=[ROUNDS])
-    sender_rounds = loop.counters.matrix.data[ROUNDS] - gets.counters.matrix.data[ROUNDS]
+    sender_rounds = loop.counters.data[ROUNDS] - gets.counters.data[ROUNDS]
     assert (sender_rounds >= 0).all()
-    assert sender_rounds.sum() == core.counters.matrix.data[MESSAGES_SENT].sum() - (
+    assert sender_rounds.sum() == core.counters.data[MESSAGES_SENT].sum() - (
         grid[0] * grid[1] * (grid[2] - 1))  # every message but the reduction's hops
 
 
@@ -636,7 +625,7 @@ def test_a_plan_reports_the_grid_and_rounds_its_run_executes(dims, p, slack):
 
         spans, (machine, _) = _round_spans(
             _run_on, multiply, *dims, p, scenario.memory_words, mode="volume")
-        touched = np.flatnonzero(machine.counters.matrix.data.any(axis=0))
+        touched = np.flatnonzero(machine.counters.data.any(axis=0))
         assert touched.size == 0 or touched[-1] < run_plan.processors_used, name
         if attr is not None:
             assert run_plan.grid == executed_grid(results[0]), name

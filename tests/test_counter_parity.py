@@ -3,7 +3,7 @@
 The whole point of the fast-path transports is that the *numbers the paper
 reports* -- words, messages, rounds, the input/output split -- are a function
 of payload shapes only.  Every algorithm must therefore produce byte-identical
-per-rank :class:`~repro.machine.counters.RankCounters` under legacy, zerocopy,
+per-rank counters (every cell of the counter matrix) under legacy, zerocopy,
 plane and volume transports on every scenario; the numeric modes (legacy,
 zerocopy, plane) must additionally agree on the product itself -- the plane
 engine's stacked GEMMs associate sums differently, so its products are
@@ -15,7 +15,7 @@ import pytest
 
 from repro.algorithms import AlgorithmSpec, get_algorithm, register, registered_algorithms, unregister
 from repro.experiments.harness import run_algorithm
-from repro.machine.counters import ConservationError
+from repro.machine.counters import WORDS_SENT, ConservationError
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import MODES, NUMERIC_MODES, ShapeToken
 from repro.workloads.scaling import (
@@ -37,7 +37,7 @@ def _run_mode(name: str, scenario: Scenario, mode: str):
     else:
         a, b = scenario.shape.random_matrices(seed=0)
     product = get_algorithm(name).runner(a, b, scenario, machine)
-    counters = [rank.counters.copy() for rank in machine.ranks]
+    counters = machine.counters.data.tolist()
     return counters, product, machine.peak_resident_words
 
 
@@ -57,7 +57,7 @@ SCENARIO_GRID = (
 @pytest.mark.parametrize("scenario", SCENARIO_GRID, ids=lambda s: s.name)
 def test_counters_identical_across_modes(name, scenario):
     reference = _per_rank_counters(name, scenario, "legacy")
-    assert any(c.total_words > 0 for c in reference), "scenario moved no data at all"
+    assert any(reference[WORDS_SENT]), "scenario moved no data at all"
     for mode in MODES[1:]:
         counters = _per_rank_counters(name, scenario, mode)
         assert counters == reference, f"{name} counters diverge in {mode} mode"
@@ -112,7 +112,7 @@ class TestConservationAssertion:
 
     def test_harness_raises_on_unbalanced_counters(self):
         def leaky(a, b, scenario, machine):
-            machine.rank(0).counters.words_sent += 5  # sent but never received
+            machine.counters.data[WORDS_SENT, 0] += 5  # sent but never received
             return a @ b if not isinstance(a, ShapeToken) else a
 
         register(AlgorithmSpec(name="_leaky", runner=leaky))
@@ -183,7 +183,7 @@ class TestShardedPlane:
     """Sharded plane engine: counters byte-identical, products allclose.
 
     Sharding is an execution policy -- the parent posts every counter on the
-    :class:`~repro.machine.counters.CounterMatrix` path before any worker
+    counter matrix before any worker
     runs, so any shard count (including uneven splits of the participant
     axis) must reproduce the unsharded counters byte-for-byte and a product
     ``np.allclose`` to both the unsharded plane product and ``A @ B``.
@@ -198,7 +198,7 @@ class TestShardedPlane:
         )
         a, b = scenario.shape.random_matrices(seed=0)
         product = get_algorithm(name).runner(a, b, scenario, machine)
-        counters = [rank.counters.copy() for rank in machine.ranks]
+        counters = machine.counters.data.tolist()
         return counters, product, machine.peak_resident_words
 
     def test_shards_one_is_bit_identical_to_plane_engine(self):
@@ -331,7 +331,7 @@ class TestPlaneDtype:
             )
             a, b = scenario.shape.random_matrices(seed=0)
             product = get_algorithm("COSMA").runner(a, b, scenario, machine)
-            runs[dtype] = ([r.counters.copy() for r in machine.ranks], product)
+            runs[dtype] = (machine.counters.data.tolist(), product)
         assert runs["float32"][0] == runs["float64"][0]
         assert np.allclose(
             runs["float32"][1], runs["float64"][1],

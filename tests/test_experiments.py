@@ -1,5 +1,6 @@
 """Tests for the experiment harness, performance model and reports."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.experiments.report import (
     volume_series,
     volume_table,
 )
+from repro.machine.counters import COUNTER_FIELDS, CommCounters
 from repro.machine.topology import laptop_spec
 from repro.workloads.scaling import Scenario, strong_scaling_sweep
 from repro.workloads.shapes import square_shape
@@ -79,6 +81,23 @@ class TestHarness:
         # Kept for the frozen ledger layer that still passes it (see run_algorithm).
         assert run_algorithm(name, small_scenario, mode="volume", compress_rounds=True) == \
             run_algorithm(name, small_scenario, mode="volume")
+
+    @pytest.mark.parametrize("field", COUNTER_FIELDS)
+    def test_every_counter_row_moves_a_stored_aggregate(self, field, small_scenario, monkeypatch):
+        """The counter matrix keeps no row that a run record cannot show: 10^6
+        at rank 0 of any row changes something ``run_algorithm`` stores."""
+        def stored(counters):
+            monkeypatch.setattr(harness, "_execute",
+                                lambda *args, **kwargs: (None, counters, False, True))
+            run = dataclasses.asdict(run_algorithm("COSMA", small_scenario, mode="volume"))
+            return {name: value for name, value in run.items()
+                    if name not in ("algorithm", "scenario", "correct", "mode", "verified")}
+
+        counters = CommCounters.for_ranks(small_scenario.p)
+        zeroed = stored(counters)
+        counters.data[COUNTER_FIELDS.index(field), 0] += 10**6
+        moved = stored(counters)
+        assert [name for name in zeroed if moved[name] != zeroed[name]], field
 
     def test_group_by_scenario(self):
         scenarios = strong_scaling_sweep(square_shape(16), [2, 4], memory_words=4096)

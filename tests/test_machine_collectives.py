@@ -10,6 +10,7 @@ from repro.machine.collectives import (
     ring_shift,
     scatter,
 )
+from repro.machine.counters import MESSAGES_SENT, ROUNDS, WORDS_RECEIVED, WORDS_SENT
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import ShapeToken
 
@@ -31,8 +32,8 @@ class TestBroadcast:
         broadcast(machine, 0, [0, 1, 2, 3], block)
         # Every non-root rank receives the payload exactly once.
         for rank in [1, 2, 3]:
-            assert machine.rank(rank).counters.words_received == 10
-        assert machine.rank(0).counters.words_received == 0
+            assert machine.counters.data[WORDS_RECEIVED, rank] == 10
+        assert machine.counters.data[WORDS_RECEIVED, 0] == 0
 
     def test_total_volume(self, machine):
         broadcast(machine, 0, [0, 1, 2, 3, 4], np.ones(7))
@@ -50,7 +51,7 @@ class TestBroadcast:
     def test_tree_spreads_sender_load(self, machine):
         # With a binomial tree over 8 ranks the root sends 3 messages, not 7.
         broadcast(machine, 0, list(range(8)), np.ones(4))
-        assert machine.rank(0).counters.messages_sent == 3
+        assert machine.counters.data[MESSAGES_SENT, 0] == 3
 
 
 class TestReduce:
@@ -63,7 +64,7 @@ class TestReduce:
         blocks = {r: np.ones(6) for r in range(4)}
         reduce(machine, 0, [0, 1, 2, 3], blocks)
         for rank in [1, 2, 3]:
-            assert machine.rank(rank).counters.words_sent == 6
+            assert machine.counters.data[WORDS_SENT, rank] == 6
 
     def test_missing_block_raises(self, machine):
         with pytest.raises(ValueError):
@@ -94,7 +95,7 @@ class TestAllgather:
         blocks = {r: np.ones(5) for r in ranks}
         allgather(machine, ranks, blocks)
         for rank in ranks:
-            assert machine.rank(rank).counters.words_received == 5 * (len(ranks) - 1)
+            assert machine.counters.data[WORDS_RECEIVED, rank] == 5 * (len(ranks) - 1)
 
 
 class TestScatter:
@@ -111,8 +112,8 @@ class TestScatter:
     def test_root_piece_not_counted(self, machine):
         pieces = {0: np.ones(4), 1: np.ones(4)}
         scatter(machine, 0, [0, 1], pieces)
-        assert machine.rank(0).counters.words_received == 0
-        assert machine.rank(1).counters.words_received == 4
+        assert machine.counters.data[WORDS_RECEIVED, 0] == 0
+        assert machine.counters.data[WORDS_RECEIVED, 1] == 4
 
 
 class TestRingShift:
@@ -146,7 +147,7 @@ class TestRingShift:
         blocks = {r: np.ones(4) for r in ranks}
         ring_shift(machine, ranks, blocks, displacement=1)
         for r in ranks:
-            assert machine.rank(r).counters.rounds == 1
+            assert machine.counters.data[ROUNDS, r] == 1
 
 
 # Each collective over ranks 1..6 of an 8-rank machine (root 3 where there is
@@ -177,6 +178,6 @@ def test_volume_tokens_count_exactly_like_legacy_arrays(name):
     _COLLECTIVES[name](legacy, np.ones)
     volume = DistributedMachine(8, mode="volume")
     result = _COLLECTIVES[name](volume, ShapeToken)
-    assert volume.counters.matrix.data.tobytes() == legacy.counters.matrix.data.tobytes()
+    assert volume.counters.data.tobytes() == legacy.counters.data.tobytes()
     assert volume.counters.total_words_sent > 0
     assert all(isinstance(payload, ShapeToken) for payload in _payloads(result))

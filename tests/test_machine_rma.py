@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.machine.rma import rma_get
+from repro.machine.counters import ROUNDS, WORDS_RECEIVED, WORDS_SENT
 from repro.machine.simulator import DistributedMachine
 
 
@@ -17,13 +18,13 @@ class TestRmaGet:
         block = np.arange(6.0)
         out = rma_get(machine, origin=0, target=1, block=block)
         assert np.allclose(out, block)
-        assert machine.rank(1).counters.words_sent == 6
-        assert machine.rank(0).counters.words_received == 6
+        assert machine.counters.data[WORDS_SENT, 1] == 6
+        assert machine.counters.data[WORDS_RECEIVED, 0] == 6
 
     def test_only_origin_round_advances(self, machine):
         rma_get(machine, origin=0, target=1, block=np.ones(4))
-        assert machine.rank(0).counters.rounds == 1
-        assert machine.rank(1).counters.rounds == 0
+        assert machine.counters.data[ROUNDS, 0] == 1
+        assert machine.counters.data[ROUNDS, 1] == 0
 
     def test_self_get_is_free(self, machine):
         out = rma_get(machine, origin=2, target=2, block=np.ones(3))

@@ -3,32 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.machine.counters import ROUND_START_WORDS, CommCounters, RankCounters
+from repro.machine.counters import (
+    FLOPS,
+    INPUT_WORDS,
+    MESSAGES_RECEIVED,
+    MESSAGES_SENT,
+    OUTPUT_WORDS,
+    ROUNDS,
+    WORDS_RECEIVED,
+    WORDS_SENT,
+    CommCounters,
+)
 from repro.machine.simulator import DistributedMachine, LocalMemoryExceededError
 from repro.obs import tracing
-
-
-class TestRankCounters:
-    def test_total_words(self):
-        counters = RankCounters(words_sent=5, words_received=7)
-        assert counters.total_words == 12
-
-    def test_copy_is_independent(self):
-        counters = RankCounters(words_sent=5)
-        clone = counters.copy()
-        clone.words_sent = 100
-        assert counters.words_sent == 5
-
-    def test_dataclass_style_construction(self):
-        # RankCounters predates the CounterMatrix and was a dataclass;
-        # positional field order and duplicate rejection must survive.
-        counters = RankCounters(5, 7)
-        assert counters.words_sent == 5
-        assert counters.words_received == 7
-        with pytest.raises(TypeError):
-            RankCounters(5, words_sent=1)
-        with pytest.raises(TypeError):
-            RankCounters(unknown_field=1)
 
 
 class TestCommCounters:
@@ -39,27 +26,21 @@ class TestCommCounters:
 
     def test_mean_and_max(self):
         counters = CommCounters.for_ranks(2)
-        counters.per_rank[0].words_sent = 10
-        counters.per_rank[1].words_received = 30
+        counters.data[WORDS_SENT, 0] = 10
+        counters.data[WORDS_RECEIVED, 1] = 30
         assert counters.mean_words_per_rank() == 20.0
         assert counters.max_words_per_rank() == 30
 
     def test_megabytes_conversion(self):
         counters = CommCounters.for_ranks(1)
-        counters.per_rank[0].words_sent = 1_000_000
+        counters.data[WORDS_SENT, 0] = 1_000_000
         assert counters.mean_megabytes_per_rank(word_bytes=8) == pytest.approx(8.0)
 
     def test_reset(self):
         counters = CommCounters.for_ranks(1)
-        counters.per_rank[0].words_sent = 10
+        counters.data[WORDS_SENT, 0] = 10
         counters.reset()
         assert counters.total_words_sent == 0
-
-    def test_snapshot_is_deep(self):
-        counters = CommCounters.for_ranks(1)
-        snap = counters.snapshot()
-        counters.per_rank[0].words_sent = 99
-        assert snap.per_rank[0].words_sent == 0
 
 
 class TestDistributedMachine:
@@ -77,10 +58,11 @@ class TestDistributedMachine:
         block = np.ones((3, 4))
         delivered = machine.send(0, 1, block)
         assert delivered.shape == (3, 4)
-        assert machine.rank(0).counters.words_sent == 12
-        assert machine.rank(1).counters.words_received == 12
-        assert machine.rank(0).counters.messages_sent == 1
-        assert machine.rank(1).counters.messages_received == 1
+        data = machine.counters.data
+        assert data[WORDS_SENT, 0] == 12
+        assert data[WORDS_RECEIVED, 1] == 12
+        assert data[MESSAGES_SENT, 0] == 1
+        assert data[MESSAGES_RECEIVED, 1] == 1
 
     def test_send_to_self_is_free(self):
         machine = DistributedMachine(2)
@@ -104,14 +86,14 @@ class TestDistributedMachine:
         machine = DistributedMachine(2)
         machine.send(0, 1, np.ones(5), kind="input")
         machine.send(0, 1, np.ones(3), kind="output")
-        assert machine.rank(1).counters.input_words == 5
-        assert machine.rank(1).counters.output_words == 3
+        assert machine.counters.data[INPUT_WORDS, 1] == 5
+        assert machine.counters.data[OUTPUT_WORDS, 1] == 3
 
     def test_rounds_counted(self):
         machine = DistributedMachine(2)
         machine.send(0, 1, np.ones(5))
         machine.send(0, 1, np.ones(5), count_round=False)
-        assert machine.rank(0).counters.rounds == 1
+        assert machine.counters.data[ROUNDS, 0] == 1
 
     def test_local_multiply_counts_flops(self):
         machine = DistributedMachine(1)
@@ -119,7 +101,7 @@ class TestDistributedMachine:
         b = np.ones((3, 4))
         product = machine.local_multiply(0, a, b)
         assert product.shape == (2, 4)
-        assert machine.rank(0).counters.flops == 2 * 2 * 3 * 4
+        assert machine.counters.data[FLOPS, 0] == 2 * 2 * 3 * 4
 
     def test_local_multiply_accumulates(self):
         machine = DistributedMachine(1)
@@ -138,7 +120,7 @@ class TestDistributedMachine:
         target = np.zeros(3)
         machine.local_add(0, target, np.arange(3.0))
         assert np.allclose(target, [0, 1, 2])
-        assert machine.rank(0).counters.flops == 3
+        assert machine.counters.data[FLOPS, 0] == 3
 
     def test_store_and_resident_words(self):
         machine = DistributedMachine(1)
@@ -157,18 +139,15 @@ class TestDistributedMachine:
         with pytest.raises(LocalMemoryExceededError):
             machine.check_memory()
 
-    def test_check_memory_with_extra_words(self):
-        machine = DistributedMachine(2, memory_words=100)
-        machine.rank(0).put("A", np.ones(10))
-        worst = machine.check_memory(extra_words={0: 50})
-        assert worst == 60
-
-    def test_reset_counters(self):
+    def test_per_hop_counter_writes_check_the_rank(self):
+        """A counter cell is written at the rank's column: a rank outside
+        ``[0, p)`` raises instead of wrapping to another column."""
         machine = DistributedMachine(2)
-        machine.send(0, 1, np.ones(5))
-        machine.reset_counters()
-        assert machine.counters.total_words_sent == 0
-        assert machine.peak_resident_words == 0
+        with pytest.raises(IndexError):
+            machine.local_multiply(2, np.ones((1, 1)), np.ones((1, 1)))
+        with pytest.raises(IndexError):
+            machine.local_add(-1, np.zeros(2), np.ones(2))
+        assert not machine.counters.data.any()
 
 
 class TestResidentLedger:
@@ -178,7 +157,7 @@ class TestResidentLedger:
         machine = DistributedMachine(4)
         machine.post_resident("A", slice(0, 4), 5)
         assert machine.check_memory() == 5
-        assert machine._ranks is None and machine.counters._per_rank is None
+        assert machine._ranks is None
         assert machine.rank(3).resident_words() == 5
         assert machine.ranks is machine.ranks and len(machine.ranks) == 4
 
@@ -213,27 +192,10 @@ class TestResidentLedger:
         )
         assert machine.peak_resident_words == 12  # recorded before it raises
 
-    def test_extra_words_do_not_enter_the_ledger(self):
-        machine = DistributedMachine(3, memory_words=100)
-        machine.post_resident("A", slice(0, 3), np.array([10, 30, 20]))
-        assert machine.check_memory(extra_words={2: 15, 7: 1000}) == 35  # rank 7: not ours
-        assert machine.check_memory() == 30
-        assert machine.peak_resident_words == 35
-
-    def test_reset_counters_clears_residency(self):
-        machine = DistributedMachine(2)
-        machine.rank(0).put("A", np.ones(6))
-        machine.post_resident("B", slice(0, 2), 4)
-        machine.check_memory()
-        machine.reset_counters()
-        assert machine.check_memory() == 0 and machine.peak_resident_words == 0
-        assert not machine.rank(0).has("A")
-        machine.post_resident("B", slice(0, 2), 4)  # a fresh post, not a replacement
-        assert machine.check_memory() == 4
 
 
 class TestBatchedCounterEngine:
-    """post_transfers and the CounterMatrix must mirror per-send accounting."""
+    """post_transfers and the counter matrix must mirror per-send accounting."""
 
     def test_post_transfers_matches_sequential_sends(self):
         batched = DistributedMachine(4)
@@ -245,22 +207,14 @@ class TestBatchedCounterEngine:
             [s for s, _, _ in pairs], [d for _, d, _ in pairs],
             [w for _, _, w in pairs], kind="output",
         )
-        assert [r.counters.copy() for r in batched.ranks] == [
-            r.counters.copy() for r in serial.ranks
-        ]
+        assert batched.counters.data.tobytes() == serial.counters.data.tobytes()
 
     def test_post_transfers_scalar_words(self):
         machine = DistributedMachine(3)
         machine.post_transfers([0, 0], [1, 2], 4)
-        assert machine.rank(0).counters.words_sent == 8
-        assert machine.rank(1).counters.words_received == 4
+        assert machine.counters.data[WORDS_SENT, 0] == 8
+        assert machine.counters.data[WORDS_RECEIVED, 1] == 4
         assert machine.counters.conservation_ok()
-
-    def test_counter_matrix_is_shared_with_ranks(self):
-        machine = DistributedMachine(2)
-        machine.rank(0).counters.flops += 9
-        assert machine.counters.matrix.data[4, 0] == 9  # FLOPS row
-        assert machine.counters.total_flops == 9
 
     def test_vectorized_aggregates_return_python_numbers(self):
         machine = DistributedMachine(2)
@@ -283,9 +237,9 @@ class TestRoundClasses:
             [src for src, _, _ in pairs], [dst for _, dst, _ in pairs],
             [words for _, _, words in pairs],
         )
-        counters.add_flops([2], 10 * int(row.sum()))
-        # No engine's class writes this row; it is multiplied like the other eight.
-        counters.matrix.data[ROUND_START_WORDS, :2] += row
+        counters.data[FLOPS, 2] += 10 * int(row.sum())
+        # A row the transfers above leave alone; it is multiplied like the others.
+        counters.data[OUTPUT_WORDS, :2] += row
 
     def test_each_run_is_posted_once_and_replayed_per_round(self):
         table = np.array([[9, 4], [9, 4], [9, 0], [9, 0], [9, 0], [9, 4]])
@@ -303,15 +257,15 @@ class TestRoundClasses:
             runs.append(list(rounds))
             classed.post_rounds(delta, rounds, boundaries.append)
             for _ in rounds:
-                added.counters.matrix.data += delta.matrix.data
+                added.counters.data += delta.data
         for row in table:
             self._post(plain.counters, row)
         assert runs == [[0, 1], [2, 3, 4], [5]]
         assert posted == [(9, 4), (9, 0), (9, 4)]  # a row that comes back is a new run
         assert boundaries == list(range(6))
-        assert classed.counters.matrix.data[ROUND_START_WORDS].any()
-        assert classed.counters.matrix.data.tobytes() == added.counters.matrix.data.tobytes()
-        assert classed.counters.matrix.data.tobytes() == plain.counters.matrix.data.tobytes()
+        assert classed.counters.data[OUTPUT_WORDS].any()
+        assert classed.counters.data.tobytes() == added.counters.data.tobytes()
+        assert classed.counters.data.tobytes() == plain.counters.data.tobytes()
 
     def test_traced_rounds_report_the_class_hops(self):
         """One span per round with the class's hops, words and flops; what was
@@ -324,7 +278,7 @@ class TestRoundClasses:
             machine.post_transfers([2], [0], 5)  # pre-loop activity (Cannon's skew)
             for rounds, delta in machine.round_classes(table, self._post):
                 machine.post_rounds(delta, rounds, lambda _: machine.commit_round())
-            return machine.counters.matrix.data.tobytes()
+            return machine.counters.data.tobytes()
 
         with tracing() as tracer:
             traced = run()

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.machine.collectives import broadcast
-from repro.machine.counters import COUNTER_FIELDS, CommCounters, ConservationError
+from repro.machine.counters import (
+    COUNTER_FIELDS,
+    FLOPS,
+    WORDS_RECEIVED,
+    WORDS_SENT,
+    CommCounters,
+    ConservationError,
+)
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import (
     MODES,
@@ -144,13 +151,13 @@ class TestTransports:
         delivered = machine.send(0, 1, ShapeToken((3, 4)))
         assert isinstance(delivered, ShapeToken)
         assert delivered.shape == (3, 4)
-        assert machine.rank(0).counters.words_sent == 12
+        assert machine.counters.data[WORDS_SENT, 0] == 12
 
     def test_volume_send_accepts_arrays_too(self):
         machine = DistributedMachine(2, mode="volume")
         delivered = machine.send(0, 1, np.ones((2, 5)))
         assert isinstance(delivered, ShapeToken)
-        assert machine.rank(1).counters.words_received == 10
+        assert machine.counters.data[WORDS_RECEIVED, 1] == 10
 
     def test_machine_zeros_matches_mode(self):
         assert isinstance(DistributedMachine(1, mode="legacy").zeros((2, 2)), np.ndarray)
@@ -169,7 +176,7 @@ class TestTransports:
         machine = DistributedMachine(1, mode="volume")
         product = machine.local_multiply(0, ShapeToken((2, 3)), ShapeToken((3, 4)))
         assert product.shape == (2, 4)
-        assert machine.rank(0).counters.flops == 2 * 2 * 3 * 4
+        assert machine.counters.data[FLOPS, 0] == 2 * 2 * 3 * 4
 
     def test_volume_local_multiply_shape_mismatch(self):
         machine = DistributedMachine(1, mode="volume")
@@ -180,7 +187,7 @@ class TestTransports:
         machine = DistributedMachine(1, mode="volume")
         target = ShapeToken((3,))
         machine.local_add(0, target, ShapeToken((3,)))
-        assert machine.rank(0).counters.flops == 3
+        assert machine.counters.data[FLOPS, 0] == 3
 
 
 class TestIncrementalAccounting:
@@ -203,28 +210,18 @@ class TestIncrementalAccounting:
         assert rank.resident_words() == 64
         assert machine.check_memory() == 64
 
-    def test_round_delta_tracking(self):
-        machine = DistributedMachine(2)
-        machine.send(0, 1, np.ones(5))
-        machine.counters.mark_round_start()
-        machine.send(0, 1, np.ones(7))
-        assert machine.counters.max_round_delta() == 7
-        machine.counters.mark_round_start()
-        assert machine.counters.max_round_delta() == 0
-
     def test_reset_is_field_driven(self):
         counters = CommCounters.for_ranks(1)
-        rank = counters.per_rank[0]
-        for name in COUNTER_FIELDS:
-            setattr(rank, name, 7)
+        counters.data[:, 0] = 7
+        assert counters.data.shape == (len(COUNTER_FIELDS), 1)
         counters.reset()
-        for name in COUNTER_FIELDS:
-            assert getattr(rank, name) == 0, name
+        for row, name in enumerate(COUNTER_FIELDS):
+            assert counters.data[row, 0] == 0, name
 
     def test_assert_conservation(self):
         counters = CommCounters.for_ranks(2)
         counters.assert_conservation()
-        counters.per_rank[0].words_sent = 5
+        counters.data[WORDS_SENT, 0] = 5
         with pytest.raises(ConservationError):
             counters.assert_conservation()
 
@@ -254,7 +251,7 @@ class TestPayloadPlane:
         assert machine.planes["C"] is plane
         with pytest.raises(ValueError):
             machine.register_plane("C", plane)
-        machine.reset_counters()
+        machine.clear_planes()
         assert machine.planes == {}
 
 

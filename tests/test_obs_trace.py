@@ -50,7 +50,7 @@ def _counter_bytes(algorithm: str, mode: str, traced: bool) -> bytes:
         )
         spec.run(a, b, scenario, machine)
     machine.counters.assert_conservation()
-    return machine.counters.matrix.data.tobytes()
+    return machine.counters.data.tobytes()
 
 
 class TestZeroPerturbation:

@@ -27,7 +27,7 @@ class TestConstruction:
         g = CDAG()
         g.add_edge("u", "v")
         assert "u" in g and "v" in g
-        assert g.num_edges == 1
+        assert g.children("u") == frozenset({"v"}) and g.parents("v") == frozenset({"u"})
 
     def test_self_loop_rejected(self):
         g = CDAG()
@@ -38,12 +38,7 @@ class TestConstruction:
         g = CDAG()
         g.add_edge("u", "v")
         g.add_edge("u", "v")
-        assert g.num_edges == 1
-
-    def test_add_edges_bulk(self):
-        g = CDAG()
-        g.add_edges([("a", "b"), ("b", "c")])
-        assert g.num_edges == 2
+        assert g.children("u") == frozenset({"v"}) and g.parents("v") == frozenset({"u"})
 
 
 class TestNavigation:
@@ -65,38 +60,3 @@ class TestNavigation:
 
     def test_computation_vertices(self, diamond):
         assert diamond.computation_vertices == frozenset({"b", "c", "d"})
-
-    def test_ancestors(self, diamond):
-        assert diamond.ancestors("d") == {"a", "b", "c"}
-        assert diamond.ancestors("a") == set()
-
-    def test_descendants(self, diamond):
-        assert diamond.descendants("a") == {"b", "c", "d"}
-        assert diamond.descendants("d") == set()
-
-    def test_subgraph_reaching(self, diamond):
-        assert diamond.subgraph_vertices_reaching(["b"]) == {"a", "b"}
-
-
-class TestTopologicalOrder:
-    def test_respects_edges(self, diamond):
-        order = diamond.topological_order()
-        position = {v: i for i, v in enumerate(order)}
-        for u, v in diamond.iter_edges():
-            assert position[u] < position[v]
-
-    def test_includes_all_vertices(self, diamond):
-        assert set(diamond.topological_order()) == diamond.vertices
-
-    def test_cycle_detection(self):
-        g = CDAG()
-        g.add_edge("a", "b")
-        g.add_edge("b", "c")
-        g.add_edge("c", "a")
-        assert not g.is_acyclic()
-        with pytest.raises(ValueError):
-            g.topological_order()
-
-    def test_acyclic_true(self, diamond):
-        assert diamond.is_acyclic()
-

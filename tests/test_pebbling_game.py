@@ -8,7 +8,6 @@ from repro.pebbling.game import (
     Move,
     PebbleGame,
     PebbleMove,
-    naive_pebbling,
 )
 
 
@@ -168,38 +167,3 @@ class TestLongScheduleRun:
         moves.append(PebbleMove(Move.LOAD, "nope"))
         with pytest.raises(KeyError):
             PebbleGame(chain, red_pebbles=3).run(moves)
-
-
-class TestNaivePebbling:
-    def test_chain(self, chain):
-        result = naive_pebbling(chain, red_pebbles=3)
-        assert result.complete
-        assert result.computes == 2
-
-    def test_diamond(self):
-        g = CDAG()
-        g.add_edge("a", "b")
-        g.add_edge("a", "c")
-        g.add_edge("b", "d")
-        g.add_edge("c", "d")
-        result = naive_pebbling(g, red_pebbles=4)
-        assert result.complete
-        assert result.loads >= 1
-        assert result.stores >= 1
-
-    def test_insufficient_memory_raises(self):
-        # A vertex with many parents cannot be computed with too few red pebbles.
-        g = CDAG()
-        for i in range(5):
-            g.add_edge(("in", i), "sink")
-        with pytest.raises(IllegalMoveError):
-            naive_pebbling(g, red_pebbles=3)
-
-    def test_io_at_least_inputs_plus_outputs(self):
-        g = CDAG()
-        g.add_edge("a", "c")
-        g.add_edge("b", "c")
-        result = naive_pebbling(g, red_pebbles=4)
-        # Two inputs loaded, one output stored.
-        assert result.loads == 2
-        assert result.stores == 1

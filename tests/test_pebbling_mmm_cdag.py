@@ -51,9 +51,6 @@ class TestVerticesAndEdges:
         children = mmm.cdag.children(c_vertex(0, 1, 0))
         assert children == frozenset({c_vertex(0, 1, 1)})
 
-    def test_acyclic(self):
-        assert build_mmm_cdag(2, 2, 2).cdag.is_acyclic()
-
     def test_rejects_nonpositive_dimensions(self):
         with pytest.raises(ValueError):
             build_mmm_cdag(0, 2, 2)
