@@ -1,90 +1,37 @@
-"""Tests for the COSMA sequential/parallel schedule derivation (Equation 32)."""
+"""Tests for Algorithm 1's schedule derivation (lines 1-2, Equation 32).
 
-import math
+``FindSeqSchedule`` gives the local-domain width ``a`` and
+``ParallelizeSched`` its depth ``b``; both are
+:func:`repro.core.cost_model.cosma_local_domain`.
+"""
 
 import pytest
 
-from repro.core.schedule import (
-    find_sequential_schedule,
-    optimal_local_domain,
-    parallelize_schedule,
-)
+from repro.core.cost_model import cosma_local_domain
 
 
 class TestFindSequentialSchedule:
     def test_limited_memory_gives_sqrt_s(self):
         # Large problem, small memory: a = sqrt(S).
-        a = find_sequential_schedule(s=256, m=1024, n=1024, k=1024, p=16)
+        a, _ = cosma_local_domain(1024, 1024, 1024, 16, 256)
         assert a == pytest.approx(16.0)
 
     def test_extra_memory_gives_cubic_root(self):
-        a = find_sequential_schedule(s=1 << 20, m=64, n=64, k=64, p=8)
+        a, _ = cosma_local_domain(64, 64, 64, 8, 1 << 20)
         assert a == pytest.approx((64 ** 3 / 8) ** (1 / 3))
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            find_sequential_schedule(0, 4, 4, 4, 2)
+            cosma_local_domain(4, 4, 4, 2, 0)
 
 
 class TestParallelizeSchedule:
     def test_limited_memory_depth(self):
         m = n = k = 1024
         p, s = 16, 256
-        a = find_sequential_schedule(s, m, n, k, p)
-        b = parallelize_schedule(a, m, n, k, p, s)
+        _, b = cosma_local_domain(m, n, k, p, s)
         assert b == pytest.approx(m * n * k / (p * s))
 
     def test_extra_memory_cubic(self):
-        m = n = k = 64
-        p, s = 8, 1 << 20
-        a = find_sequential_schedule(s, m, n, k, p)
-        b = parallelize_schedule(a, m, n, k, p, s)
+        a, b = cosma_local_domain(64, 64, 64, 8, 1 << 20)
         assert a == pytest.approx(b)
-
-    def test_rejects_nonpositive_a(self):
-        with pytest.raises(ValueError):
-            parallelize_schedule(0.0, 4, 4, 4, 2, 16)
-
-
-class TestOptimalLocalDomain:
-    def test_load_balance(self):
-        m = n = k = 512
-        p, s = 64, 16384
-        domain = optimal_local_domain(m, n, k, p, s)
-        assert domain.domain_volume == pytest.approx(m * n * k / p, rel=1e-9)
-
-    def test_memory_constraint_respected(self):
-        m = n = k = 1024
-        p, s = 512, 8192
-        domain = optimal_local_domain(m, n, k, p, s)
-        assert domain.a ** 2 <= s + 1e-9
-
-    def test_rejects_insufficient_aggregate_memory(self):
-        with pytest.raises(ValueError):
-            optimal_local_domain(1024, 1024, 1024, 2, 100)
-
-    def test_step_structure_limited_regime(self):
-        m = n = k = 1024
-        p, s = 1024, 4096
-        domain = optimal_local_domain(m, n, k, p, s)
-        assert domain.num_steps >= 1
-        assert domain.step_size >= 1
-        # In the limited regime the domain is a tall slab: b > a.
-        assert domain.b > domain.a
-
-    def test_single_step_when_memory_plentiful(self):
-        m = n = k = 64
-        p, s = 8, 1 << 20
-        domain = optimal_local_domain(m, n, k, p, s)
-        assert domain.num_steps == 1
-
-    def test_io_per_processor_formula(self):
-        m = n = k = 512
-        p, s = 64, 16384
-        domain = optimal_local_domain(m, n, k, p, s)
-        assert domain.io_per_processor == pytest.approx(2 * domain.a * domain.b + domain.a ** 2)
-
-    def test_a_never_exceeds_sqrt_s(self):
-        for p in [128, 256, 512, 1024]:
-            domain = optimal_local_domain(512, 512, 512, p, 10000)
-            assert domain.a <= math.sqrt(10000) + 1e-9
