@@ -18,10 +18,11 @@
 #                       wins/pairs (scripts/ledger_pairs.py)
 #   make identity BASE=<rev>
 #                     - is the working tree observably identical to BASE?
-#                       counter rows, peaks, round counts, spans and plane products
+#                       counter rows, peaks, round counts, spans and products
 #                       of every algorithm over grid240, the paper-scale volume
 #                       points, every algorithm at p = 16384 / 65536 and a
-#                       list of awkward ones (~1 min per side); exit 1 on any
+#                       list of awkward ones, the awkward ones and grid240 at
+#                       p <= 64 per hop too (~1 min per side); exit 1 on any
 #                       difference; the large volume points also print each
 #                       side's wall seconds (scripts/identity_pairs.py)
 

@@ -11,14 +11,16 @@ list of awkward points -- pm, pn or pk = 1, idle ranks, k smaller than the
 grid side, a partial last chunk, layers that run out of rounds early,
 ``use_rma``, cuboids whose projections overlap partially, a hand-written
 tiling with shuffled ranks and an empty range, Cannon pre-skewed and on one
-rank -- in ``volume`` and ``plane`` mode, traced and untraced, one and two runs
-per machine, and the paper-scale ``volume_requests`` points and every
-algorithm at p = 16384 and p = 65536 (``xl``) in ``volume`` mode (their plane
-products would need gigabytes).  What it records
-per run: each counter row's length, total and digest (``counters.<field>``,
+rank -- traced and untraced, one and two runs per machine.  The awkward
+points and the ``grid240`` points with p <= 64 run in all four modes
+(``volume``, ``plane`` and the per-hop ``legacy`` / ``zerocopy``), the other
+``grid240`` points in ``volume`` and ``plane``, and the paper-scale
+``volume_requests`` points and every algorithm at p = 16384 and p = 65536
+(``xl``) in ``volume`` mode only (their plane products would need
+gigabytes).  What it records per run: each counter row's length, total and digest (``counters.<field>``,
 one observable per row of the counter matrix), ``peak_resident_words``, the
 final ``check_memory()``, COSMA's ``num_rounds``, the round spans' count and
-arguments, and the plane product's bytes.
+arguments, and the product's bytes (every mode but ``volume``).
 
 Prints one line per point -- equal, or which observables differ, in how many
 of the point's runs and by how much in the first of them -- and exits 1 on
@@ -47,6 +49,8 @@ from pathlib import Path
 from ledger_pairs import REPO, extract
 
 MODES = ("volume", "plane")
+#: ``MODES`` plus the per-hop transports, for points small enough to run hop by hop.
+ALL_MODES = MODES + ("legacy", "zerocopy")
 #: Points whose wall seconds are printed, and the variant they are read from.
 TIMED_PREFIXES = ("xl/", "volume_requests/")
 TIMED_VARIANT = "volume untraced x1"
@@ -88,7 +92,9 @@ def _campaign_points():
         families=("square", "largeK", "largeM", "flat"), regimes=("limited", "extra"),
         p_values=(16, 64, 144, 256, 576, 1024), memory_words=2048, mode="volume", seed=0,
     )
-    points = [_registry_point("grid240", r.algorithm, r.scenario) for r in grid240.expand()]
+    points = [_registry_point("grid240", r.algorithm, r.scenario,
+                              modes=ALL_MODES if r.scenario.p <= 64 else MODES)
+              for r in grid240.expand()]
     grid_family = ("COSMA", "ScaLAPACK", "CTF")
     for prefix, side, p, names in (
         ("volume_requests", 4096, 1024, registered_algorithms()),
@@ -123,7 +129,7 @@ def _awkward_points():
             lambda a, b, machine: cosma_multiply(
                 a, b, p, memory_words, machine=machine, grid=ProcessorGrid(*grid),
                 use_rma=use_rma),
-            (m, n, k), p, memory_words, MODES))
+            (m, n, k), p, memory_words, ALL_MODES))
 
     def summa(why, m, n, k, grid, panel_width, idle):
         p = grid[0] * grid[1] + idle
@@ -131,14 +137,14 @@ def _awkward_points():
             f"awkward/ScaLAPACK/{why}",
             lambda a, b, machine: summa_multiply(
                 a, b, p, machine=machine, grid=grid, panel_width=panel_width),
-            (m, n, k), p, 1 << 20, MODES))
+            (m, n, k), p, 1 << 20, ALL_MODES))
 
     def grid25d(why, m, n, k, grid, idle):
         p = grid[0] * grid[1] * grid[2] + idle
         points.append((
             f"awkward/CTF/{why}",
             lambda a, b, machine: grid25d_multiply(a, b, p, 4096, machine=machine, grid=grid),
-            (m, n, k), p, 4096, MODES))
+            (m, n, k), p, 4096, ALL_MODES))
 
     for use_rma in (False, True):
         tag = "-rma" if use_rma else ""
@@ -163,7 +169,7 @@ def _awkward_points():
     def registered(name, m, n, k, p):
         scenario = Scenario(name=f"{m}x{n}x{k}-p{p}", shape=ProblemShape(m=m, n=n, k=k),
                             p=p, memory_words=512, regime="limited")
-        points.append(_registry_point("awkward", name, scenario))
+        points.append(_registry_point("awkward", name, scenario, modes=ALL_MODES))
 
     # The cuboid executor and Cannon take no grid: odd shapes, idle ranks.
     for name in registered_algorithms():
@@ -180,12 +186,12 @@ def _awkward_points():
     points.append((
         "awkward/cuboid/shuffled-ranks-empty-range",
         lambda a, b, machine: cuboid_multiply(a, b, tiling, machine=machine),
-        (9, 7, 6), 7, 1 << 20, MODES))
+        (9, 7, 6), 7, 1 << 20, ALL_MODES))
     for why, p, skew in (("pre-skewed", 11, False), ("q1", 3, True)):
         points.append((
             f"awkward/Cannon/{why}",
             lambda a, b, machine, p=p, skew=skew: cannon_multiply(a, b, p, machine=machine, skew=skew),
-            (13, 11, 7), p, 1 << 20, MODES))
+            (13, 11, 7), p, 1 << 20, ALL_MODES))
     return points
 
 
@@ -245,7 +251,7 @@ def _observe_run(multiply, dims, p, memory_words, mode, traced, runs) -> tuple[d
         observed["spans"] = len(spans)
         for key in SPAN_ARGS:
             observed[f"spans.{key}"] = _summary([span.get(key) for span in spans])
-    if mode == "plane":
+    if mode != "volume":
         matrix = getattr(result, "matrix", result)
         observed["product"] = _digest(np.ascontiguousarray(matrix).tobytes())
     return observed, seconds

@@ -12,8 +12,6 @@ Importing :mod:`repro.algorithms` registers everything here exactly once.
 
 from __future__ import annotations
 
-import math
-
 from repro.algorithms.registry import AlgorithmSpec, Plan, register
 from repro.baselines import costs
 from repro.baselines.cannon import _largest_square, cannon_multiply
@@ -144,15 +142,15 @@ def _run_25d(a, b, scenario, machine):
 def _plan_25d(scenario: Scenario) -> Plan:
     shape = scenario.shape
     m, n, k = shape.m, shape.n, shape.k
-    # The decomposition grid25d_multiply executes.
-    grid = grid25d_decomposition(m, n, k, scenario.p, scenario.memory_words).grid
+    # The decomposition grid25d_multiply executes: planned grid and step
+    # count are the run's by construction.
+    decomposition = grid25d_decomposition(m, n, k, scenario.p, scenario.memory_words)
+    grid = decomposition.grid
     p_used = grid.p_used
     return Plan(
         algorithm="CTF", scenario=scenario, feasible=True,
         grid=grid.as_tuple(), processors_used=p_used,
-        rounds=max(1, int(math.ceil(
-            costs.latency_cost_25d(m, n, k, p_used, scenario.memory_words)
-        ))),
+        rounds=decomposition.num_steps,
         predicted_words_per_rank=costs.io_cost_25d(m, n, k, p_used, scenario.memory_words),
         lower_bound_per_rank=_bound(scenario),
     )

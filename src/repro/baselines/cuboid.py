@@ -337,6 +337,13 @@ def cuboid_multiply(
     if machine is None:
         p = p if p is not None else int(table[:, RANK].max()) + 1
         machine = DistributedMachine(p, memory_words=memory_words or (1 << 20))
+    # Ranks index counter columns: a negative one would wrap, silently.
+    outside = (table[:, RANK] < 0) | (table[:, RANK] >= machine.p)
+    if outside.any():
+        raise ValueError(
+            f"domain rank {int(table[outside][0, RANK])} is outside the machine's "
+            f"ranks [0, {machine.p})"
+        )
 
     if machine.transport.planar or machine.transport.counters_only:
         c_global = _cuboid_batched(machine, a_matrix, b_matrix, table)

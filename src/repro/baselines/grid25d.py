@@ -15,12 +15,16 @@ processor counts -- one of the effects the paper's evaluation highlights.
 Like SUMMA, 2.5D is a grid choice rather than a schedule of its own: it is
 COSMA's fiber exchange on ``[q x q x c]`` with the whole layer as the one
 communication step and direct sends in place of the broadcast tree
-(:func:`grid25d_decomposition`).  ``plane`` and ``volume`` runs say so
-literally -- :func:`_grid25d_plane` posts its residency, its gather round and
-its C reduction through the accounting core of :mod:`repro.core.cosma` and
-adds only its per-layer stacked GEMMs.  The per-rank loop in
-:func:`grid25d_multiply` (``legacy`` / ``zerocopy`` only) is written
-independently of that core and is the parity suites' oracle for it.
+(:func:`grid25d_decomposition`), and every mode says so literally.
+``plane`` and ``volume`` runs (:func:`_grid25d_plane`) post their residency,
+gather round and C reduction through the accounting core of
+:mod:`repro.core.cosma` and add only per-layer stacked GEMMs; ``legacy`` /
+``zerocopy`` runs make the same calls on the core's per-hop twins.  Either
+way, what is 2.5D's own is the grid, the whole-layer step, direct sends, no
+round boundary and no memory check after the reduction.  The textbook layout
+(layer ``l`` owns the ``l``-th k-slice, split over the ``q`` ranks of a row
+for A and of a column for B) is pinned on the decomposition's arrays by the
+tests.
 """
 
 from __future__ import annotations
@@ -31,19 +35,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.summa import BlockStacks
-from repro.core.cosma import post_c_reduction, post_fiber_exchange, post_owned_words
+from repro.core.cosma import (
+    hop_c_reduction,
+    hop_fiber_exchange,
+    owner_product,
+    post_c_reduction,
+    post_fiber_exchange,
+    post_owned_words,
+    put_owned_blocks,
+)
 from repro.core.decomposition import CosmaDecomposition, build_decomposition
 from repro.core.grid import ProcessorGrid
-from repro.machine.collectives import reduce
 from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import (
-    ShapeToken,
-    as_payload,
-    ascontiguous,
-    concat_payloads,
-)
-from repro.utils.intmath import ceil_div, divisors, split_offsets
+from repro.machine.transport import ShapeToken, as_payload
+from repro.utils.intmath import ceil_div, divisors
 from repro.utils.validation import check_positive_int
 
 
@@ -146,89 +152,11 @@ def grid25d_multiply(
 
     if machine.transport.planar or machine.transport.counters_only:
         c_global = _grid25d_plane(machine, a_matrix, b_matrix, decomposition)
-        return Grid25DRunResult(matrix=c_global, grid=(qm, qn, c), counters=machine.counters)
-
-    def rank_of(i: int, j: int, layer: int) -> int:
-        return (i * qn + j) * c + layer
-
-    i_ranges = split_offsets(m, qm)
-    j_ranges = split_offsets(n, qn)
-    layer_k_ranges = split_offsets(k, c)
-
-    # Initial distribution: layer l owns the k-slice l of A and B, 2D-distributed
-    # within the layer (A by [i-block, k-sub-slice], B by [k-sub-slice, j-block]).
-    local_a: dict[int, np.ndarray] = {}
-    local_b: dict[int, np.ndarray] = {}
-    local_c: dict[int, np.ndarray] = {}
-    layer_a_slices: list[list[tuple[int, int]]] = []
-    layer_b_slices: list[list[tuple[int, int]]] = []
-    for layer in range(c):
-        lk0, lk1 = layer_k_ranges[layer]
-        a_slices = [(lk0 + lo, lk0 + hi) for lo, hi in split_offsets(lk1 - lk0, qn)]
-        b_slices = [(lk0 + lo, lk0 + hi) for lo, hi in split_offsets(lk1 - lk0, qm)]
-        layer_a_slices.append(a_slices)
-        layer_b_slices.append(b_slices)
-        for i in range(qm):
-            for j in range(qn):
-                r = rank_of(i, j, layer)
-                i0, i1 = i_ranges[i]
-                j0, j1 = j_ranges[j]
-                ak0, ak1 = a_slices[j]
-                bk0, bk1 = b_slices[i]
-                local_a[r] = ascontiguous(a_matrix[i0:i1, ak0:ak1])
-                local_b[r] = ascontiguous(b_matrix[bk0:bk1, j0:j1])
-                local_c[r] = machine.zeros((i1 - i0, j1 - j0))
-                machine.rank(r).put("A", local_a[r])
-                machine.rank(r).put("B", local_b[r])
-                machine.rank(r).put("C", local_c[r])
-
-    # Within each layer: every rank gathers its full A row panel (from its
-    # process row) and full B column panel (from its process column) for the
-    # layer's k slice, then multiplies.  The panel exchange volume matches a
-    # SUMMA sweep over the slice.
-    for layer in range(c):
-        lk0, lk1 = layer_k_ranges[layer]
-        a_slices = layer_a_slices[layer]
-        b_slices = layer_b_slices[layer]
-        for i in range(qm):
-            for j in range(qn):
-                r = rank_of(i, j, layer)
-                i0, i1 = i_ranges[i]
-                j0, j1 = j_ranges[j]
-                a_owners = [rank_of(i, jj, layer) for jj in range(qn)]
-                b_owners = [rank_of(ii, j, layer) for ii in range(qm)]
-                # Gather the A panel A[i-block, layer k-slice] from the
-                # process row and the B panel B[layer k-slice, j-block]
-                # from the process column; an owner whose k-slice is empty
-                # (the layer is narrower than the grid side) sends nothing.
-                a_parts = [
-                    local_a[o] if o == r or not local_a[o].shape[1]
-                    else machine.send(o, r, local_a[o], kind="input")
-                    for o in a_owners
-                ]
-                b_parts = [
-                    local_b[o] if o == r or not local_b[o].shape[0]
-                    else machine.send(o, r, local_b[o], kind="input")
-                    for o in b_owners
-                ]
-                a_panel = concat_payloads(a_parts, axis=1)
-                b_panel = concat_payloads(b_parts, axis=0)
-                machine.local_multiply(r, a_panel, b_panel, accumulate_into=local_c[r])
-        machine.check_memory()
-
-    # Reduce the per-layer partial C blocks across layers onto layer 0.
-    c_global = machine.zeros((m, n))
-    for i in range(qm):
-        for j in range(qn):
-            fiber = [rank_of(i, j, layer) for layer in range(c)]
-            owner = rank_of(i, j, 0)
-            blocks = {r: local_c[r] for r in fiber}
-            total = reduce(machine, owner, fiber, blocks, kind="output") if c > 1 else blocks[owner]
-            i0, i1 = i_ranges[i]
-            j0, j1 = j_ranges[j]
-            c_global[i0:i1, j0:j1] = total
-            machine.rank(owner).put("C_final", total)
-
+    else:
+        put_owned_blocks(machine, decomposition, a_matrix, b_matrix, "A", "B", "C")
+        hop_fiber_exchange(machine, decomposition, "gather", "A", "B", "C")
+        hop_c_reduction(machine, decomposition, "C")
+        c_global = owner_product(machine, decomposition, "C_final")
     return Grid25DRunResult(matrix=c_global, grid=(qm, qn, c), counters=machine.counters)
 
 

@@ -13,12 +13,16 @@ whenever extra memory is available (the paper's motivating observation).
 
 That makes SUMMA a grid choice, not a schedule of its own: it is COSMA's
 fiber exchange on the grid ``pm x pn x 1`` with the panel width as the
-communication step (:func:`summa_decomposition`).  ``plane`` and ``volume``
-runs say so literally -- :func:`_summa_plane` posts its residency and its
-panel rounds through the accounting core of :mod:`repro.core.cosma` and adds
-only its round boundary and its per-panel stacked GEMMs.  The per-rank loop
-in :func:`summa_multiply` (``legacy`` / ``zerocopy`` only) is written
-independently of that core and is the parity suites' oracle for it.
+communication step (:func:`summa_decomposition`), and every mode says so
+literally.  ``plane`` and ``volume`` runs (:func:`_summa_plane`) post their
+residency and panel rounds through the accounting core of
+:mod:`repro.core.cosma` and add only the round boundary and per-panel stacked
+GEMMs; ``legacy`` / ``zerocopy`` runs make the same calls on the core's
+per-hop twins.  Either way, what is SUMMA's own is the grid, the step, binomial
+broadcasts, an unlabelled ``commit_round`` per panel, and a product read off
+the accumulators with no C reduction.  The textbook layout (A's k columns
+split over the ``pn`` ranks of a process row, B's k rows over the ``pm`` ranks
+of a process column) is pinned on the decomposition's arrays by the tests.
 """
 
 from __future__ import annotations
@@ -28,19 +32,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cosma import post_fiber_exchange, post_owned_words
+from repro.core.cosma import (
+    hop_fiber_exchange,
+    owner_product,
+    post_fiber_exchange,
+    post_owned_words,
+    put_owned_blocks,
+)
 from repro.core.decomposition import CosmaDecomposition, build_decomposition
 from repro.core.grid import ProcessorGrid
-from repro.machine.collectives import broadcast
 from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import (
-    ShapeToken,
-    as_payload,
-    ascontiguous,
-    concat_payloads,
-)
-from repro.utils.intmath import divisors, split_offsets
+from repro.machine.transport import ShapeToken, as_payload
+from repro.utils.intmath import divisors
 from repro.utils.validation import check_positive_int
 
 
@@ -140,96 +144,11 @@ def summa_multiply(
 
     if machine.transport.planar or machine.transport.counters_only:
         c_global = _summa_plane(machine, a_matrix, b_matrix, decomposition)
-        return SummaRunResult(
-            matrix=c_global, grid=(pm, pn), panel_width=panel_width,
-            counters=machine.counters,
-        )
-
-    i_ranges = split_offsets(m, pm)
-    j_ranges = split_offsets(n, pn)
-
-    def rank_of(i: int, j: int) -> int:
-        return i * pn + j
-
-    # Initial distribution: rank (i, j) owns A[i-block, j-th k slice] and
-    # B[i-th k slice, j-block]; C[i-block, j-block] accumulates locally.
-    k_col_slices = split_offsets(k, pn)
-    k_row_slices = split_offsets(k, pm)
-
-    local_a: dict[int, np.ndarray] = {}
-    local_b: dict[int, np.ndarray] = {}
-    local_c: dict[int, np.ndarray] = {}
-    for i in range(pm):
-        for j in range(pn):
-            r = rank_of(i, j)
-            i0, i1 = i_ranges[i]
-            j0, j1 = j_ranges[j]
-            ak0, ak1 = k_col_slices[j]
-            bk0, bk1 = k_row_slices[i]
-            local_a[r] = ascontiguous(a_matrix[i0:i1, ak0:ak1])
-            local_b[r] = ascontiguous(b_matrix[bk0:bk1, j0:j1])
-            local_c[r] = machine.zeros((i1 - i0, j1 - j0))
-            machine.rank(r).put("A", local_a[r])
-            machine.rank(r).put("B", local_b[r])
-            machine.rank(r).put("C", local_c[r])
-
-    # Panel loop over k.
-    for panel_start in range(0, k, panel_width):
-        panel_stop = min(panel_start + panel_width, k)
-        # Broadcast this panel's A pieces along every process row.
-        a_panel_by_row: list[np.ndarray] = []
-        for i in range(pm):
-            i0, i1 = i_ranges[i]
-            row_ranks = [rank_of(i, j) for j in range(pn)]
-            parts: list[np.ndarray] = []
-            for j in range(pn):
-                ak0, ak1 = k_col_slices[j]
-                lo, hi = max(ak0, panel_start), min(ak1, panel_stop)
-                if lo >= hi:
-                    continue
-                owner = rank_of(i, j)
-                piece = local_a[owner][:, lo - ak0 : hi - ak0]
-                received = broadcast(machine, owner, row_ranks, piece, kind="input")
-                parts.append(received[owner])
-            panel = concat_payloads(parts, axis=1) if parts else machine.zeros((i1 - i0, 0))
-            a_panel_by_row.append(panel)
-
-        # Broadcast this panel's B pieces along every process column.
-        b_panel_by_col: list[np.ndarray] = []
-        for j in range(pn):
-            j0, j1 = j_ranges[j]
-            col_ranks = [rank_of(i, j) for i in range(pm)]
-            parts = []
-            for i in range(pm):
-                bk0, bk1 = k_row_slices[i]
-                lo, hi = max(bk0, panel_start), min(bk1, panel_stop)
-                if lo >= hi:
-                    continue
-                owner = rank_of(i, j)
-                piece = local_b[owner][lo - bk0 : hi - bk0, :]
-                received = broadcast(machine, owner, col_ranks, piece, kind="input")
-                parts.append(received[owner])
-            panel = concat_payloads(parts, axis=0) if parts else machine.zeros((0, j1 - j0))
-            b_panel_by_col.append(panel)
-
-        # Local rank-nb updates.
-        for i in range(pm):
-            for j in range(pn):
-                r = rank_of(i, j)
-                a_panel = a_panel_by_row[i]
-                b_panel = b_panel_by_col[j]
-                if a_panel.shape[1] and b_panel.shape[0]:
-                    machine.local_multiply(r, a_panel, b_panel, accumulate_into=local_c[r])
-        machine.check_memory()
-        machine.commit_round()
-
-    # Assemble the result for verification.
-    c_global = machine.zeros((m, n))
-    for i in range(pm):
-        for j in range(pn):
-            i0, i1 = i_ranges[i]
-            j0, j1 = j_ranges[j]
-            c_global[i0:i1, j0:j1] = local_c[rank_of(i, j)]
+    else:
+        put_owned_blocks(machine, decomposition, a_matrix, b_matrix, "A", "B", "C")
+        hop_fiber_exchange(
+            machine, decomposition, "tree", "A", "B", "C", lambda _: machine.commit_round())
+        c_global = owner_product(machine, decomposition, "C")
     return SummaRunResult(
         matrix=c_global, grid=(pm, pn), panel_width=panel_width, counters=machine.counters
     )

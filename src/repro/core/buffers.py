@@ -4,8 +4,9 @@ CARMA allocates progressively larger buffers at every recursion level; COSMA
 instead pre-allocates all buffers once, sized for the largest message, and
 reuses them every round (optionally double-buffered for communication--
 computation overlap).  These helpers compute the buffer sizes for a given
-decomposition so that tests and the memory accounting can verify that the
-whole working set still fits within ``S``.  No engine reads them yet;
+decomposition, from its boundary arrays and step alone, so that tests and the
+memory accounting can verify that the whole working set still fits within
+``S``.  No engine reads them yet;
 memory-aware grid fitting (a grid chosen with the buffers counted) is their
 intended consumer.
 """
@@ -13,6 +14,8 @@ intended consumer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core.decomposition import CosmaDecomposition
 
@@ -42,21 +45,16 @@ def plan_buffers(decomposition: CosmaDecomposition, double_buffered: bool = Fals
     Per communication round a rank receives an ``lm x step`` chunk of A and a
     ``step x ln`` chunk of B, and keeps an ``lm x ln`` accumulator of C.  With
     double buffering the receive buffers are duplicated so that round ``t+1``
-    can be fetched while round ``t`` is being multiplied (section 7.3).
+    can be fetched while round ``t`` is being multiplied (section 7.3).  The
+    largest ``lm`` and ``ln`` are the widest parts of the i / j splits.
     """
-    worst_a = 0
-    worst_b = 0
-    worst_c = 0
+    lm = int(np.diff(decomposition.i_bounds).max())
+    ln = int(np.diff(decomposition.j_bounds).max())
     step = decomposition.step_size
-    for domain in decomposition.domains:
-        lm, ln, _lk = domain.shape
-        worst_a = max(worst_a, lm * step)
-        worst_b = max(worst_b, ln * step)
-        worst_c = max(worst_c, lm * ln)
     return BufferPlan(
-        a_receive_words=worst_a,
-        b_receive_words=worst_b,
-        c_accumulator_words=worst_c,
+        a_receive_words=lm * step,
+        b_receive_words=ln * step,
+        c_accumulator_words=lm * ln,
         double_buffered=double_buffered,
     )
 

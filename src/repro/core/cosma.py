@@ -2,8 +2,8 @@
 
 Execution outline for a fitted grid ``[pm x pn x pk]``:
 
-1. every used rank starts with its owned slices of A and B
-   (:func:`repro.core.decomposition.distribute_matrices`);
+1. every used rank starts with its owned slices of A and B (the blocked
+   layout of :mod:`repro.core.decomposition`);
 2. the local ``k`` extent is processed in ``t`` communication rounds of
    ``step_size`` outer products each (Algorithm 1, lines 8-11): in every round
    the pieces of the A panel for the round's k-chunk are broadcast along the
@@ -41,9 +41,16 @@ one whole-layer gather round (:mod:`repro.baselines.summa`,
   (:func:`fiber_exchange_rounds`, which is also what the hop-expansion oracle
   in ``tests/test_cosma_round_classes.py`` checks).
 
-The product is one GEMM into a single C sheet.  The per-hop loop in
-:func:`cosma_multiply` serves ``legacy`` / ``zerocopy`` only and is the parity
-suites' oracle.
+The product is one GEMM into a single C sheet.
+
+``legacy`` / ``zerocopy`` runs execute the same schedule hop by hop, through
+the accounting core's per-hop twins -- :func:`put_owned_blocks`,
+:func:`hop_fiber_exchange` (the same ``exchange`` kinds and ``boundary``
+argument; one A panel per j fiber and one B panel per i fiber per round) and
+:func:`hop_c_reduction` -- which read the same boundary arrays and move every
+word through the machine's primitives.  They are the grid family's one
+per-hop implementation: SUMMA and 2.5D call them in the order their batched
+engines call the core, and the parity suites hold each engine to them.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.decomposition import CosmaDecomposition, build_decomposition, distribute_matrices
+from repro.core.decomposition import CosmaDecomposition, build_decomposition
 from repro.core.grid import ProcessorGrid
 from repro.machine.collectives import broadcast, reduce, tree_fanout
 from repro.machine.counters import (
@@ -70,7 +77,13 @@ from repro.machine.counters import (
 )
 from repro.machine.rma import rma_get
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import PayloadPlane, ShapeToken, as_payload
+from repro.machine.transport import (
+    PayloadPlane,
+    ShapeToken,
+    as_payload,
+    ascontiguous,
+    concat_payloads,
+)
 from repro.utils.intmath import split_offsets
 
 
@@ -147,141 +160,18 @@ def cosma_multiply(
         # Batched round engine: identical schedule, vectorized accounting;
         # numerics (plane mode) run as one GEMM over the operand planes.
         return _cosma_batched(a_matrix, b_matrix, machine, decomposition, use_rma)
-    owned = distribute_matrices(decomposition, a_matrix, b_matrix)
-    for rank, pieces in owned.items():
-        machine.rank(rank).put("A_own", pieces["A"])
-        machine.rank(rank).put("B_own", pieces["B"])
-
-    gridspec = decomposition.grid
-    domains = decomposition.domains
-    # Per-rank accumulators for the local C block.
-    for domain in domains:
-        lm = domain.i_range[1] - domain.i_range[0]
-        ln = domain.j_range[1] - domain.j_range[0]
-        machine.rank(domain.rank).put("C_acc", machine.zeros((lm, ln)))
-
-    domains_by_rank = {d.rank: d for d in domains}
-    num_rounds = 0
-
-    # ------------------------------------------------------------------
-    # main loop: process each k-fiber's local k extent in steps
-    # ------------------------------------------------------------------
-    # All ranks share the same number of steps because the k extents are
-    # nearly equal; iterate over the global maximum.
-    max_lk = max(d.k_range[1] - d.k_range[0] for d in domains)
-    step = decomposition.step_size
-    offsets = list(range(0, max_lk, step))
-
-    for chunk_index, chunk_offset in enumerate(offsets):
-        def chunk_bounds(domain):
-            k0, k1 = domain.k_range
-            c0 = min(k0 + chunk_offset, k1)
-            c1 = min(c0 + step, k1)
-            return c0, c1
-
-        # --- exchange the A panel chunks along every j fiber (tree broadcast, §7.2) ---
-        a_chunks: dict[int, np.ndarray] = {}
-        for pi in range(gridspec.pm):
-            for pk in range(gridspec.pk):
-                fiber = decomposition.j_fiber(pi, pk)
-                sample = domains_by_rank[fiber[0]]
-                c0, c1 = chunk_bounds(sample)
-                if c0 >= c1:
-                    continue
-                lm = sample.i_range[1] - sample.i_range[0]
-                for r in fiber:
-                    a_chunks[r] = machine.zeros((lm, c1 - c0))
-                for owner_rank in fiber:
-                    owner = domains_by_rank[owner_rank]
-                    o0, o1 = owner.a_owned_k_range
-                    lo, hi = max(o0, c0), min(o1, c1)
-                    if lo >= hi:
-                        continue
-                    piece = machine.rank(owner_rank).get("A_own")[:, lo - o0 : hi - o0]
-                    if use_rma:
-                        for r in fiber:
-                            delivered = (
-                                machine.transport.self_copy(piece)
-                                if r == owner_rank
-                                else rma_get(machine, r, owner_rank, piece)
-                            )
-                            a_chunks[r][:, lo - c0 : hi - c0] = delivered
-                    else:
-                        received = broadcast(machine, owner_rank, fiber, piece, kind="input")
-                        for r in fiber:
-                            a_chunks[r][:, lo - c0 : hi - c0] = received[r]
-
-        # --- exchange the B panel chunks along every i fiber ---
-        b_chunks: dict[int, np.ndarray] = {}
-        for pj in range(gridspec.pn):
-            for pk in range(gridspec.pk):
-                fiber = decomposition.i_fiber(pj, pk)
-                sample = domains_by_rank[fiber[0]]
-                c0, c1 = chunk_bounds(sample)
-                if c0 >= c1:
-                    continue
-                ln = sample.j_range[1] - sample.j_range[0]
-                for r in fiber:
-                    b_chunks[r] = machine.zeros((c1 - c0, ln))
-                for owner_rank in fiber:
-                    owner = domains_by_rank[owner_rank]
-                    o0, o1 = owner.b_owned_k_range
-                    lo, hi = max(o0, c0), min(o1, c1)
-                    if lo >= hi:
-                        continue
-                    piece = machine.rank(owner_rank).get("B_own")[lo - o0 : hi - o0, :]
-                    if use_rma:
-                        for r in fiber:
-                            delivered = (
-                                machine.transport.self_copy(piece)
-                                if r == owner_rank
-                                else rma_get(machine, r, owner_rank, piece)
-                            )
-                            b_chunks[r][lo - c0 : hi - c0, :] = delivered
-                    else:
-                        received = broadcast(machine, owner_rank, fiber, piece, kind="input")
-                        for r in fiber:
-                            b_chunks[r][lo - c0 : hi - c0, :] = received[r]
-
-        # --- local multiply-accumulate on every rank that has work this round ---
-        for domain in domains:
-            rank = domain.rank
-            if rank not in a_chunks or rank not in b_chunks:
-                continue
-            machine.local_multiply(
-                rank, a_chunks[rank], b_chunks[rank], accumulate_into=machine.rank(rank).get("C_acc")
-            )
-
-        num_rounds += 1
-        machine.check_memory()
-        machine.log_round(f"cosma-step-{chunk_index}")
-        machine.commit_round()
-
-    # ------------------------------------------------------------------
-    # reduce the partial C blocks along the k fibers onto the owners
-    # ------------------------------------------------------------------
-    c_global = machine.zeros((m, n))
-    for pi in range(gridspec.pm):
-        for pj in range(gridspec.pn):
-            fiber = decomposition.k_fiber(pi, pj)
-            owner = decomposition.coords_to_rank(pi, pj, 0)
-            blocks = {r: machine.rank(r).get("C_acc") for r in fiber}
-            if len(fiber) > 1:
-                total = reduce(machine, owner, fiber, blocks, kind="output")
-            else:
-                total = blocks[owner]
-            machine.rank(owner).put("C_final", total)
-            domain = domains_by_rank[owner]
-            i0, i1 = domain.i_range
-            j0, j1 = domain.j_range
-            c_global[i0:i1, j0:j1] = total
-
+    put_owned_blocks(machine, decomposition, a_matrix, b_matrix, "A_own", "B_own", "C_acc")
+    hop_fiber_exchange(
+        machine, decomposition, "get" if use_rma else "tree", "A_own", "B_own", "C_acc",
+        lambda r: machine.log_round(f"cosma-step-{r}"),
+    )
+    hop_c_reduction(machine, decomposition, "C_acc")
     machine.check_memory()
     return CosmaRunResult(
-        matrix=c_global,
+        matrix=owner_product(machine, decomposition, "C_final"),
         decomposition=decomposition,
         counters=machine.counters,
-        num_rounds=num_rounds,
+        num_rounds=decomposition.num_steps,
         peak_resident_words=machine.peak_resident_words,
     )
 
@@ -351,10 +241,10 @@ def post_owned_words(
 ) -> None:
     """Post every used rank's owned A / B slices and its C block as resident.
 
-    Posted, not stored: the sizes the per-hop loop's rank stores would hold
-    go to the machine's resident-words vector, one array expression per block
-    name (the per-hop loop's names, so both paths share one ledger on a
-    machine), and the rank stores stay empty.
+    Posted, not stored: the sizes :func:`put_owned_blocks` would store go to
+    the machine's resident-words vector, one array expression per block name
+    (the per-hop names, so both paths share one ledger on a machine), and the
+    rank stores stay empty.
     """
     grid = decomposition.grid
     lm = np.diff(decomposition.i_bounds)
@@ -589,8 +479,8 @@ def _cosma_batched(
     else:
         c_global = ShapeToken((m, n))
     post_owned_words(machine, decomposition, "A_own", "B_own", "C_acc")
-    # The reference path checks memory at the end of every round, but the
-    # rank stores (A_own / B_own / C_acc) do not change between rounds -- the
+    # The per-hop path checks memory at the end of every round, but the rank
+    # stores (A_own / B_own / C_acc) do not change between rounds -- the
     # per-round check always sees the same footprint.  One check up front
     # records the identical peak and enforces the identical budget.
     machine.check_memory()
@@ -646,4 +536,162 @@ def _cosma_batched(
     )
 
 
-__all__ = ["cosma_multiply", "CosmaRunResult", "broadcast"]
+# ---------------------------------------------------------------------------
+# Per-hop twins of the accounting core (legacy + zerocopy modes)
+# ---------------------------------------------------------------------------
+def _rank_grid(decomposition: CosmaDecomposition) -> list:
+    """The used ranks as nested ``[pi][pj][kk]`` lists (row-major ranks)."""
+    pm, pn, pk = decomposition.grid
+    return np.arange(pm * pn * pk).reshape(pm, pn, pk).tolist()
+
+
+def put_owned_blocks(
+    machine: DistributedMachine,
+    decomposition: CosmaDecomposition,
+    a_matrix: np.ndarray,
+    b_matrix: np.ndarray,
+    a_name: str,
+    b_name: str,
+    c_name: str,
+) -> None:
+    """Per-hop twin of :func:`post_owned_words`: store every used rank's owned
+    A / B slices and a zeroed C block under the given names.
+
+    This is the initial data layout; no communication is counted (the paper
+    likewise assumes inputs start in COSMA's blocked layout -- converting from
+    block-cyclic is a separate, counted step, see :mod:`repro.layouts.conversion`).
+    """
+    i_bounds, j_bounds, a_bounds, b_bounds = (bounds.tolist() for bounds in (
+        decomposition.i_bounds, decomposition.j_bounds, decomposition.a_bounds,
+        decomposition.b_bounds))
+    for pi, plane in enumerate(_rank_grid(decomposition)):
+        i0, i1 = i_bounds[pi : pi + 2]
+        for pj, fiber in enumerate(plane):
+            j0, j1 = j_bounds[pj : pj + 2]
+            for kk, rank in enumerate(fiber):
+                ak0, ak1 = a_bounds[kk][pj : pj + 2]
+                bk0, bk1 = b_bounds[kk][pi : pi + 2]
+                store = machine.rank(rank)
+                store.put(a_name, ascontiguous(a_matrix[i0:i1, ak0:ak1]))
+                store.put(b_name, ascontiguous(b_matrix[bk0:bk1, j0:j1]))
+                store.put(c_name, machine.zeros((i1 - i0, j1 - j0)))
+
+
+def _fiber_panel(
+    machine: DistributedMachine,
+    exchange: str,
+    fiber: list[int],
+    name: str,
+    slices: list[int],
+    c0: int,
+    c1: int,
+    axis: int,
+):
+    """One fiber's panel of the k-chunk ``[c0, c1)``, cut along ``axis`` from
+    the fiber's ``name`` blocks (owner ``pos`` holds ``slices[pos:pos + 2]``).
+
+    Every owner whose slice meets the chunk moves its piece to the rest of the
+    fiber -- ``"tree"``, one binomial :func:`broadcast`; ``"get"``, one
+    :func:`rma_get` per member; ``"gather"``, one ``machine.send`` per member
+    -- and the pieces, in owner order, are the panel every member multiplies.
+    """
+    parts = []
+    for owner, s0, s1 in zip(fiber, slices, slices[1:]):
+        lo, hi = max(s0, c0), min(s1, c1)
+        if lo >= hi:
+            continue  # the owner's slice misses the chunk: it sends nothing
+        cut = slice(lo - s0, hi - s0)
+        block = machine.rank(owner).get(name)
+        piece = block[:, cut] if axis else block[cut]
+        if exchange == "tree":
+            broadcast(machine, owner, fiber, piece, kind="input")
+        else:
+            for member in fiber:
+                if member == owner:
+                    continue
+                if exchange == "get":
+                    rma_get(machine, member, owner, piece)
+                else:
+                    machine.send(owner, member, piece, kind="input")
+        parts.append(piece)
+    return concat_payloads(parts, axis=axis)
+
+
+def hop_fiber_exchange(
+    machine: DistributedMachine,
+    decomposition: CosmaDecomposition,
+    exchange: str,
+    a_name: str,
+    b_name: str,
+    c_name: str,
+    boundary: Callable[[int], None] | None = None,
+) -> None:
+    """Per-hop twin of :func:`post_fiber_exchange`: run the panel exchange hop
+    by hop on the ranks' stored blocks.
+
+    In round ``r`` every k-layer that still has k assembles one A panel per
+    j fiber and one B panel per i fiber (:func:`_fiber_panel`), and every rank
+    of the layer multiplies its two panels into its ``c_name`` block.  Memory
+    is checked once per round, then ``boundary(r)`` is called.
+    """
+    pm, pn, pk = decomposition.grid
+    ranks = _rank_grid(decomposition)
+    k_bounds, a_bounds, b_bounds = (bounds.tolist() for bounds in (
+        decomposition.k_bounds, decomposition.a_bounds, decomposition.b_bounds))
+    step = decomposition.step_size
+    for r, offset in enumerate(range(0, k_bounds[1] - k_bounds[0], step)):
+        for kk in range(pk):
+            c0 = min(k_bounds[kk] + offset, k_bounds[kk + 1])
+            c1 = min(c0 + step, k_bounds[kk + 1])
+            if c0 == c1:
+                continue  # this layer ran out of k in an earlier round
+            a_panels = [
+                _fiber_panel(machine, exchange, [ranks[pi][pj][kk] for pj in range(pn)],
+                             a_name, a_bounds[kk], c0, c1, axis=1)
+                for pi in range(pm)
+            ]
+            b_panels = [
+                _fiber_panel(machine, exchange, [ranks[pi][pj][kk] for pi in range(pm)],
+                             b_name, b_bounds[kk], c0, c1, axis=0)
+                for pj in range(pn)
+            ]
+            for pi, a_panel in enumerate(a_panels):
+                for pj, b_panel in enumerate(b_panels):
+                    rank = ranks[pi][pj][kk]
+                    machine.local_multiply(
+                        rank, a_panel, b_panel, accumulate_into=machine.rank(rank).get(c_name))
+        machine.check_memory()
+        if boundary is not None:
+            boundary(r)
+
+
+def hop_c_reduction(
+    machine: DistributedMachine, decomposition: CosmaDecomposition, c_name: str
+) -> None:
+    """Per-hop twin of :func:`post_c_reduction`: :func:`reduce` every k fiber's
+    ``c_name`` blocks onto its ``kk = 0`` rank, which stores the sum as
+    ``C_final``."""
+    for plane in _rank_grid(decomposition):
+        for fiber in plane:
+            blocks = {rank: machine.rank(rank).get(c_name) for rank in fiber}
+            owner = fiber[0]
+            total = (reduce(machine, owner, fiber, blocks, kind="output")
+                     if len(fiber) > 1 else blocks[owner])
+            machine.rank(owner).put("C_final", total)
+
+
+def owner_product(
+    machine: DistributedMachine, decomposition: CosmaDecomposition, name: str
+) -> np.ndarray:
+    """The global product of a per-hop run: every ``kk = 0`` rank's ``name``
+    block at its offset."""
+    i_bounds, j_bounds = decomposition.i_bounds.tolist(), decomposition.j_bounds.tolist()
+    c_global = machine.zeros((decomposition.m, decomposition.n))
+    for pi, plane in enumerate(_rank_grid(decomposition)):
+        for pj, fiber in enumerate(plane):
+            c_global[i_bounds[pi] : i_bounds[pi + 1], j_bounds[pj] : j_bounds[pj + 1]] = (
+                machine.rank(fiber[0]).get(name))
+    return c_global
+
+
+__all__ = ["cosma_multiply", "CosmaRunResult"]

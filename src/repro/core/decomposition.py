@@ -1,62 +1,35 @@
 """Local domains and the blocked data decomposition (``GetDataDecomp``, section 7.6).
 
-Given a fitted processor grid ``[pm x pn x pk]``, every used rank is assigned
+Given a fitted processor grid ``[pm x pn x pk]``, used rank
+``(pi * pn + pj) * pk + kk`` (ranks are row-major in ``(pi, pj, kk)``) is
+assigned
 
 * a **local domain**: the cuboid of multiplications
-  ``[i-range] x [j-range] x [k-range]`` it will perform, and
+  ``[i-range pi] x [j-range pj] x [k-range kk]`` it will perform, and
 * its **initially owned** pieces of ``A``, ``B`` and ``C``.
 
 The ownership follows the paper's blocked layout: the ``lm x lk`` panel of A
-needed by a grid row fiber ``(pi, *, pk)`` is stored once across that fiber --
+needed by a grid row fiber ``(pi, *, kk)`` is stored once across that fiber --
 each of the ``pn`` ranks owns a contiguous ``1/pn`` slice of the panel's
 columns, namely the slice it will broadcast to the others.  Symmetrically for
 B along the ``i`` fiber.  The output block ``lm x ln`` of C is owned by the
-``pk = 0`` rank of each ``(pi, pj, *)`` fiber, which receives the reduced
+``kk = 0`` rank of each ``(pi, pj, *)`` fiber, which receives the reduced
 result.
+
+All of that is five boundary arrays (:class:`CosmaDecomposition`); every
+engine, batched or per-hop, reads a rank's ranges off them by its grid
+coordinates.  There is no per-rank object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.core.grid import GridFit, ProcessorGrid, fit_ranks
-from repro.machine.transport import as_payload, ascontiguous
 from repro.utils.validation import check_positive_int
-
-Range = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class LocalDomain:
-    """The cuboid of multiplications assigned to one rank."""
-
-    rank: int
-    coords: tuple[int, int, int]
-    i_range: Range
-    j_range: Range
-    k_range: Range
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return (
-            self.i_range[1] - self.i_range[0],
-            self.j_range[1] - self.j_range[0],
-            self.k_range[1] - self.k_range[0],
-        )
-
-    @property
-    def volume(self) -> int:
-        lm, ln, lk = self.shape
-        return lm * ln * lk
-
-    #: Ownership slices -------------------------------------------------
-    a_owned_k_range: Range = (0, 0)
-    b_owned_k_range: Range = (0, 0)
-    owns_c: bool = False
 
 
 def _split_bounds(extents, parts: int) -> np.ndarray:
@@ -77,11 +50,8 @@ class CosmaDecomposition:
 
     Algorithm 1's decomposition is three 1-D splits plus two ownership splits
     per k-layer, and that is what is stored: O(pm + pn + pk (pm + pn))
-    boundaries, whatever ``p`` is.  The per-rank :class:`LocalDomain` objects
-    are a view of those arrays, built on each read of :attr:`domains` and
-    never stored here: a decomposition is memoized and shared by every run of
-    its scenario, so it must not pin one object per rank (the per-hop
-    executor and the tests read them; the batched engine never does).
+    boundaries, whatever ``p`` is.  A decomposition is memoized and shared by
+    every run of its scenario, so it holds no per-rank object.
     """
 
     m: int
@@ -110,52 +80,6 @@ class CosmaDecomposition:
     @property
     def p_used(self) -> int:
         return self.grid.p_used
-
-    def _domains(self, ranks: Iterable[int]) -> Iterator[LocalDomain]:
-        """The :class:`LocalDomain` of each of ``ranks``, bounds as Python ints."""
-        i_bounds, j_bounds, k_bounds, a_bounds, b_bounds = (
-            bounds.tolist() for bounds in
-            (self.i_bounds, self.j_bounds, self.k_bounds, self.a_bounds, self.b_bounds)
-        )
-        for rank in ranks:
-            rest, pk = divmod(rank, self.grid.pk)
-            pi, pj = divmod(rest, self.grid.pn)
-            yield LocalDomain(
-                rank=rank,
-                coords=(pi, pj, pk),
-                i_range=(i_bounds[pi], i_bounds[pi + 1]),
-                j_range=(j_bounds[pj], j_bounds[pj + 1]),
-                k_range=(k_bounds[pk], k_bounds[pk + 1]),
-                a_owned_k_range=(a_bounds[pk][pj], a_bounds[pk][pj + 1]),
-                b_owned_k_range=(b_bounds[pk][pi], b_bounds[pk][pi + 1]),
-                owns_c=(pk == 0),
-            )
-
-    @property
-    def domains(self) -> tuple[LocalDomain, ...]:
-        """One :class:`LocalDomain` per used rank, in rank order (built per read)."""
-        return tuple(self._domains(range(self.p_used)))
-
-    def domain_of(self, rank: int) -> LocalDomain:
-        if not 0 <= rank < self.p_used:
-            raise KeyError(f"rank {rank} has no local domain (it may be idle)")
-        return next(self._domains((rank,)))
-
-    def coords_to_rank(self, pi: int, pj: int, pk: int) -> int:
-        """Row-major mapping of grid coordinates to machine ranks."""
-        return (pi * self.grid.pn + pj) * self.grid.pk + pk
-
-    def j_fiber(self, pi: int, pk: int) -> list[int]:
-        """Ranks sharing the A panel (same ``pi``/``pk``, all ``pj``)."""
-        return [self.coords_to_rank(pi, pj, pk) for pj in range(self.grid.pn)]
-
-    def i_fiber(self, pj: int, pk: int) -> list[int]:
-        """Ranks sharing the B panel (same ``pj``/``pk``, all ``pi``)."""
-        return [self.coords_to_rank(pi, pj, pk) for pi in range(self.grid.pm)]
-
-    def k_fiber(self, pi: int, pj: int) -> list[int]:
-        """Ranks reducing the same C block (same ``pi``/``pj``, all ``pk``)."""
-        return [self.coords_to_rank(pi, pj, pk) for pk in range(self.grid.pk)]
 
     def max_local_words(self) -> int:
         """Peak words a rank must hold: its A panel slice + B panel slice + C block + step buffers."""
@@ -275,39 +199,3 @@ def _decompose(
 def decomposition_cache_clear() -> None:
     """Drop every memoized decomposition."""
     _decompose.cache_clear()
-
-
-def distribute_matrices(
-    decomposition: CosmaDecomposition,
-    a_matrix: np.ndarray,
-    b_matrix: np.ndarray,
-) -> dict[int, dict[str, np.ndarray]]:
-    """Split the global inputs into each rank's initially owned pieces.
-
-    Returns ``{rank: {"A": owned A slice, "B": owned B slice}}``.  This is the
-    *initial data layout*; building it involves no algorithmic communication
-    (the paper likewise assumes inputs start distributed in COSMA's blocked
-    layout -- converting from block-cyclic is a separate, counted
-    preprocessing step, see :mod:`repro.layouts.conversion`).
-    """
-    a_matrix = as_payload(a_matrix)
-    b_matrix = as_payload(b_matrix)
-    if a_matrix.shape != (decomposition.m, decomposition.k):
-        raise ValueError(
-            f"A has shape {a_matrix.shape}, expected {(decomposition.m, decomposition.k)}"
-        )
-    if b_matrix.shape != (decomposition.k, decomposition.n):
-        raise ValueError(
-            f"B has shape {b_matrix.shape}, expected {(decomposition.k, decomposition.n)}"
-        )
-    owned: dict[int, dict[str, np.ndarray]] = {}
-    for domain in decomposition.domains:
-        i0, i1 = domain.i_range
-        j0, j1 = domain.j_range
-        ak0, ak1 = domain.a_owned_k_range
-        bk0, bk1 = domain.b_owned_k_range
-        owned[domain.rank] = {
-            "A": ascontiguous(a_matrix[i0:i1, ak0:ak1]),
-            "B": ascontiguous(b_matrix[bk0:bk1, j0:j1]),
-        }
-    return owned

@@ -7,8 +7,9 @@ differs is the latency accounting: a one-sided epoch charges a round only to
 the origin rank (the target is passive), which is how RDMA lowers the latency
 cost in practice.
 
-COSMA's per-hop loop calls this get when ``use_rma`` is set, so that the
-latency difference shows up in the simulated round counts.
+The grid family's per-hop exchange (:func:`repro.core.cosma.hop_fiber_exchange`)
+calls this get when COSMA runs with ``use_rma``, so that the latency difference
+shows up in the simulated round counts.
 """
 
 from __future__ import annotations

@@ -69,8 +69,8 @@ class BroadcastTree:
 def grid_distance(grid_shape: tuple[int, int, int]) -> DistanceFn:
     """Manhattan distance between two ranks' coordinates in a processor grid.
 
-    Ranks are mapped to grid coordinates row-major, matching
-    :meth:`repro.core.decomposition.CosmaDecomposition.coords_to_rank`.
+    Ranks are mapped to grid coordinates row-major in ``(pi, pj, kk)``, the
+    rank order of a :class:`repro.core.decomposition.CosmaDecomposition`.
     """
     pm, pn, pk = grid_shape
     check_positive_int(pm, "pm")

@@ -207,6 +207,19 @@ class TestCuboid:
             cuboid_multiply(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)), halves,
                             machine=machine)
 
+    @pytest.mark.parametrize("mode", ["legacy", "zerocopy", "plane", "volume"])
+    @pytest.mark.parametrize("rank", [-1, 3])
+    def test_a_rank_outside_the_machine_is_rejected(self, rng, mode, rank):
+        """A negative rank used to wrap onto rank p - 1 through numpy indexing
+        (``volume`` / ``plane`` charged it there and the product verified) or
+        fail mid-run with an ``IndexError`` (``legacy``)."""
+        halves = [CuboidDomain(rank, (0, 2), (0, 4), (0, 4)), CuboidDomain(0, (2, 4), (0, 4), (0, 4))]
+        machine = DistributedMachine(3, memory_words=1 << 16, mode=mode)
+        with pytest.raises(ValueError, match=rf"domain rank {rank} is outside .*\[0, 3\)"):
+            cuboid_multiply(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)), halves,
+                            machine=machine)
+        assert not machine.counters.data.any()
+
     def test_dimension_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
             cuboid_multiply(rng.standard_normal((4, 3)), rng.standard_normal((4, 4)), [])

@@ -1,28 +1,51 @@
-"""Tests for the COSMA decomposition and blocked data ownership."""
+"""Tests for the COSMA decomposition and blocked data ownership.
+
+A decomposition is its five boundary arrays; these tests hold the arrays to
+the paper's blocked layout (``GetDataDecomp``): the local domains tile the
+iteration space, each layer's A / B ownership slices partition its k-range,
+and each ``(pi, pj)`` fiber has one C owner.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.decomposition import (
-    LocalDomain,
-    build_decomposition,
-    distribute_matrices,
-)
+from repro.core.cosma import cosma_multiply, put_owned_blocks
+from repro.core.decomposition import build_decomposition
 from repro.core.grid import ProcessorGrid
+from repro.machine.simulator import DistributedMachine
 from repro.utils.intmath import split_offsets
+
+
+def _domain_volumes(decomposition):
+    """``lm * ln * lk`` of every ``(pi, pj, kk)`` domain, on the grid."""
+    lm, ln, lk = (np.diff(bounds) for bounds in (
+        decomposition.i_bounds, decomposition.j_bounds, decomposition.k_bounds))
+    return lm[:, None, None] * ln[None, :, None] * lk[None, None, :]
+
+
+def _assert_slices_partition_layers(decomposition):
+    """Every layer's A and B ownership slices cut exactly its k-range."""
+    k_bounds = decomposition.k_bounds
+    for slices, parts in ((decomposition.a_bounds, decomposition.grid.pn),
+                          (decomposition.b_bounds, decomposition.grid.pm)):
+        assert slices.shape == (decomposition.grid.pk, parts + 1)
+        assert (slices[:, 0] == k_bounds[:-1]).all() and (slices[:, -1] == k_bounds[1:]).all()
+        assert (np.diff(slices, axis=1) >= 0).all()
 
 
 class TestBuildDecomposition:
     def test_domains_tile_iteration_space(self):
         decomposition = build_decomposition(24, 18, 12, 8, 4096)
-        total = sum(d.volume for d in decomposition.domains)
-        assert total == 24 * 18 * 12
+        assert int(_domain_volumes(decomposition).sum()) == 24 * 18 * 12
+        for bounds, extent in ((decomposition.i_bounds, 24), (decomposition.j_bounds, 18),
+                               (decomposition.k_bounds, 12)):
+            assert bounds[0] == 0 and bounds[-1] == extent and (np.diff(bounds) >= 0).all()
 
     def test_number_of_domains_matches_grid(self):
         decomposition = build_decomposition(24, 18, 12, 8, 4096)
-        assert len(decomposition.domains) == decomposition.grid.p_used
+        assert _domain_volumes(decomposition).size == decomposition.grid.p_used
 
     def test_idle_ranks_listed(self):
         decomposition = build_decomposition(64, 64, 64, 65, 4096, max_idle_fraction=0.03)
@@ -37,72 +60,51 @@ class TestBuildDecomposition:
         with pytest.raises(ValueError):
             build_decomposition(16, 16, 16, 4, 4096, grid=ProcessorGrid(2, 2, 2))
 
-    def test_coords_to_rank_roundtrip(self):
-        decomposition = build_decomposition(16, 16, 16, 8, 4096, grid=ProcessorGrid(2, 2, 2))
-        seen = set()
-        for domain in decomposition.domains:
-            rank = decomposition.coords_to_rank(*domain.coords)
-            assert rank == domain.rank
-            seen.add(rank)
-        assert seen == set(range(8))
+    def test_domain_of_unknown_rank(self):
+        """An idle rank has no local domain: a per-hop run stores nothing on it
+        and charges it nothing."""
+        decomposition = build_decomposition(64, 64, 64, 65, 4096)
+        assert decomposition.idle_ranks == (64,)
+        rng = np.random.default_rng(0)
+        machine = DistributedMachine(65, mode="legacy")
+        cosma_multiply(rng.standard_normal((64, 64)), rng.standard_normal((64, 64)), 65, 4096,
+                       machine=machine, grid=decomposition.grid)
+        assert not machine.rank(64).store and not machine.counters.data[:, 64].any()
+        assert machine.counters.data[:, :64].any(axis=0).all()
 
     def test_fibers_have_expected_length(self):
-        decomposition = build_decomposition(16, 16, 16, 8, 4096, grid=ProcessorGrid(2, 2, 2))
-        assert len(decomposition.j_fiber(0, 0)) == 2
-        assert len(decomposition.i_fiber(0, 0)) == 2
-        assert len(decomposition.k_fiber(0, 0)) == 2
-
-    def test_domain_of_unknown_rank(self):
-        decomposition = build_decomposition(64, 64, 64, 65, 4096)
-        if decomposition.idle_ranks:
-            with pytest.raises(KeyError):
-                decomposition.domain_of(decomposition.idle_ranks[0])
+        """A j fiber shares one layer's A slices (``pn`` of them), an i fiber
+        its B slices (``pm``), a k fiber the ``pk`` layers."""
+        decomposition = build_decomposition(16, 16, 16, 12, 4096, grid=ProcessorGrid(2, 3, 2))
+        assert decomposition.a_bounds.shape == (2, 3 + 1)
+        assert decomposition.b_bounds.shape == (2, 2 + 1)
+        assert decomposition.k_bounds.shape == (2 + 1,)
 
     def test_step_size_fits_memory(self):
         decomposition = build_decomposition(64, 64, 256, 4, 2048)
-        domain = decomposition.domains[0]
-        lm = domain.i_range[1] - domain.i_range[0]
-        ln = domain.j_range[1] - domain.j_range[0]
+        lm, ln = int(decomposition.i_bounds[1]), int(decomposition.j_bounds[1])
         assert lm * ln + (lm + ln) * decomposition.step_size <= 2048 + (lm + ln)
 
     def test_a_ownership_partitions_k_range(self):
         decomposition = build_decomposition(16, 16, 32, 8, 4096, grid=ProcessorGrid(2, 2, 2))
-        for pi in range(2):
-            for pk in range(2):
-                fiber = decomposition.j_fiber(pi, pk)
-                owned = [decomposition.domain_of(r).a_owned_k_range for r in fiber]
-                covered = sorted(owned)
-                k_range = decomposition.domain_of(fiber[0]).k_range
-                assert covered[0][0] == k_range[0]
-                assert covered[-1][1] == k_range[1]
-                for (lo_a, hi_a), (lo_b, _hi_b) in zip(covered, covered[1:]):
-                    assert hi_a == lo_b
+        _assert_slices_partition_layers(decomposition)
+        assert decomposition.a_bounds.tolist() == [[0, 8, 16], [16, 24, 32]]
 
     def test_c_owner_unique_per_ij_block(self):
-        decomposition = build_decomposition(16, 16, 32, 8, 4096, grid=ProcessorGrid(2, 2, 2))
-        owners = [d for d in decomposition.domains if d.owns_c]
-        assert len(owners) == 4  # one per (pi, pj) block
-
-
-def _eager_domains(m, n, k, grid):
-    """``GetDataDecomp`` rank by rank: the loop the boundary arrays replaced."""
-    domains = []
-    for pi, i_range in enumerate(split_offsets(m, grid.pm)):
-        for pj, j_range in enumerate(split_offsets(n, grid.pn)):
-            for pk, (k0, k1) in enumerate(split_offsets(k, grid.pk)):
-                a_lo, a_hi = split_offsets(k1 - k0, grid.pn)[pj]
-                b_lo, b_hi = split_offsets(k1 - k0, grid.pm)[pi]
-                domains.append(LocalDomain(
-                    rank=(pi * grid.pn + pj) * grid.pk + pk, coords=(pi, pj, pk),
-                    i_range=i_range, j_range=j_range, k_range=(k0, k1),
-                    a_owned_k_range=(k0 + a_lo, k0 + a_hi),
-                    b_owned_k_range=(k0 + b_lo, k0 + b_hi), owns_c=(pk == 0),
-                ))
-    return tuple(domains)
+        """The ``kk = 0`` rank of each ``(pi, pj)`` fiber stores its block, and
+        only it: a per-hop run leaves one ``C_final`` per fiber."""
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal((16, 32)), rng.standard_normal((32, 16))
+        machine = DistributedMachine(8, mode="legacy")
+        result = cosma_multiply(a, b, 8, 4096, machine=machine, grid=ProcessorGrid(2, 2, 2))
+        owners = [rank for rank in range(8) if machine.rank(rank).has("C_final")]
+        assert owners == [0, 2, 4, 6]  # one per (pi, pj) block, at kk = 0
+        assert np.allclose(result.matrix, a @ b)
 
 
 class TestLazyDomains:
-    """``domains`` / ``domain_of`` / ``max_local_words`` are views of five boundary arrays."""
+    """Local domains are never built: they are read off five boundary arrays,
+    which equal the rank-by-rank ``GetDataDecomp`` loop."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -114,61 +116,81 @@ class TestLazyDomains:
         grid = ProcessorGrid(*dims)
         m, n, k = (parts + extra for parts, extra in zip(dims, slack))  # uneven splits
         decomposition = build_decomposition(m, n, k, grid.p_used + idle, s, grid=grid)
-        eager = _eager_domains(m, n, k, grid)
-        assert decomposition.domains == eager
-        assert all(type(bound) is int for domain in decomposition.domains
-                   for bound in domain.i_range + domain.k_range + domain.a_owned_k_range)
-        assert [decomposition.domain_of(d.rank) for d in eager] == list(eager)
-        for rank in (-1, *decomposition.idle_ranks, decomposition.p):
-            with pytest.raises(KeyError):
-                decomposition.domain_of(rank)
+        for bounds, extent, parts in ((decomposition.i_bounds, m, grid.pm),
+                                      (decomposition.j_bounds, n, grid.pn),
+                                      (decomposition.k_bounds, k, grid.pk)):
+            assert [tuple(pair) for pair in zip(bounds.tolist(), bounds[1:].tolist())] == (
+                split_offsets(extent, parts))
+        for kk, (k0, k1) in enumerate(split_offsets(k, grid.pk)):
+            for slices, parts in ((decomposition.a_bounds, grid.pn),
+                                  (decomposition.b_bounds, grid.pm)):
+                assert slices[kk].tolist() == [k0] + [k0 + hi for _, hi in split_offsets(k1 - k0, parts)]
+        _assert_slices_partition_layers(decomposition)
+        assert int(_domain_volumes(decomposition).sum()) == m * n * k
         step = decomposition.step_size
         assert decomposition.max_local_words() == max(
-            lm * (d.a_owned_k_range[1] - d.a_owned_k_range[0])
-            + ln * (d.b_owned_k_range[1] - d.b_owned_k_range[0])
-            + lm * ln + (lm + ln) * step
-            for d in eager for lm, ln, _lk in [d.shape]
+            (i1 - i0) * (a1 - a0) + (j1 - j0) * (b1 - b0) + (i1 - i0) * (j1 - j0)
+            + (i1 - i0 + j1 - j0) * step
+            for pi, (i0, i1) in enumerate(split_offsets(m, grid.pm))
+            for pj, (j0, j1) in enumerate(split_offsets(n, grid.pn))
+            for kk in range(grid.pk)
+            for a0, a1 in [decomposition.a_bounds[kk, pj : pj + 2].tolist()]
+            for b0, b1 in [decomposition.b_bounds[kk, pi : pi + 2].tolist()]
         )
 
     def test_domains_are_never_stored_on_the_shared_decomposition(self):
-        decomposition = build_decomposition(16, 16, 16, 8, 4096, grid=ProcessorGrid(2, 2, 2))
-        domains = decomposition.domains
-        assert decomposition.domain_of(7) == domains[7]
-        # The memoized entry every run of the scenario shares holds the
-        # boundary arrays only: reading the per-rank view stores nothing.
-        assert not {"domains", "_bounds"} & set(vars(decomposition))
-        assert decomposition.domains == domains and decomposition.domains is not domains
+        """The memoized entry every run of the scenario shares holds the
+        boundary arrays only: nothing in it grows with the used ranks."""
+        small = build_decomposition(16, 16, 16, 8, 4096, grid=ProcessorGrid(2, 2, 2))
+        large = build_decomposition(64, 64, 64, 512, 4096, grid=ProcessorGrid(8, 8, 8))
+        for decomposition in (small, large):
+            pm, pn, pk = decomposition.grid
+            arrays = [value for value in vars(decomposition).values()
+                      if isinstance(value, np.ndarray)]
+            assert len(arrays) == 5
+            assert sum(array.size for array in arrays) == (pm + pn + pk + 3) + pk * (pm + pn + 2)
 
 
 class TestDistributeMatrices:
-    def test_every_a_element_owned_exactly_once(self, rng):
+    """The initial data layout: every used rank's owned slices of A and B."""
+
+    def test_every_a_element_owned_exactly_once(self):
+        m, n, k = 12, 10, 8
+        decomposition = build_decomposition(m, n, k, 8, 4096, grid=ProcessorGrid(2, 2, 2))
+        a_owners, b_owners = np.zeros((m, k), dtype=int), np.zeros((k, n), dtype=int)
+        i_bounds, j_bounds = decomposition.i_bounds, decomposition.j_bounds
+        for pi, pj, kk in np.ndindex(decomposition.grid.as_tuple()):
+            ak0, ak1 = decomposition.a_bounds[kk, pj : pj + 2]
+            bk0, bk1 = decomposition.b_bounds[kk, pi : pi + 2]
+            a_owners[i_bounds[pi] : i_bounds[pi + 1], ak0:ak1] += 1
+            b_owners[bk0:bk1, j_bounds[pj] : j_bounds[pj + 1]] += 1
+        assert (a_owners == 1).all() and (b_owners == 1).all()
+
+    def test_owned_pieces_match_global_matrix(self, rng):
+        """The per-hop layout stores every rank's slices of the global inputs."""
         m, n, k = 12, 10, 8
         decomposition = build_decomposition(m, n, k, 8, 4096, grid=ProcessorGrid(2, 2, 2))
         a = rng.standard_normal((m, k))
         b = rng.standard_normal((k, n))
-        owned = distribute_matrices(decomposition, a, b)
-        total_a = sum(pieces["A"].size for pieces in owned.values())
-        total_b = sum(pieces["B"].size for pieces in owned.values())
-        assert total_a == m * k
-        assert total_b == k * n
-
-    def test_owned_pieces_match_global_matrix(self, rng):
-        m, n, k = 12, 10, 8
-        decomposition = build_decomposition(m, n, k, 4, 4096, grid=ProcessorGrid(2, 2, 1))
-        a = rng.standard_normal((m, k))
-        b = rng.standard_normal((k, n))
-        owned = distribute_matrices(decomposition, a, b)
-        reconstructed = np.zeros_like(a)
-        for domain in decomposition.domains:
-            i0, i1 = domain.i_range
-            ak0, ak1 = domain.a_owned_k_range
-            reconstructed[i0:i1, ak0:ak1] = owned[domain.rank]["A"]
-        assert np.allclose(reconstructed, a)
+        machine = DistributedMachine(9, mode="legacy")
+        put_owned_blocks(machine, decomposition, a, b, "A", "B", "C")
+        a_seen, b_seen = np.zeros_like(a), np.zeros_like(b)
+        i_bounds, j_bounds = decomposition.i_bounds, decomposition.j_bounds
+        for rank in range(8):
+            pi, pj, kk = np.unravel_index(rank, (2, 2, 2))
+            i0, i1 = i_bounds[pi : pi + 2]
+            j0, j1 = j_bounds[pj : pj + 2]
+            ak0, ak1 = decomposition.a_bounds[kk, pj : pj + 2]
+            bk0, bk1 = decomposition.b_bounds[kk, pi : pi + 2]
+            a_seen[i0:i1, ak0:ak1] += machine.rank(rank).get("A")
+            b_seen[bk0:bk1, j0:j1] += machine.rank(rank).get("B")
+            assert machine.rank(rank).get("C").shape == (i1 - i0, j1 - j0)
+        assert np.array_equal(a_seen, a) and np.array_equal(b_seen, b)
+        assert not machine.rank(8).store  # the idle rank holds nothing
 
     def test_shape_mismatch_rejected(self, rng):
-        decomposition = build_decomposition(8, 8, 8, 4, 4096)
         with pytest.raises(ValueError):
-            distribute_matrices(decomposition, rng.standard_normal((4, 4)), rng.standard_normal((8, 8)))
+            cosma_multiply(rng.standard_normal((4, 4)), rng.standard_normal((8, 8)), 4, 4096)
 
     def test_max_local_words_reasonable(self):
         decomposition = build_decomposition(32, 32, 32, 8, 4096)

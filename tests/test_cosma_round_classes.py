@@ -11,11 +11,12 @@ Cannon "steady shift round" and "final round" -- all through
 class deltas are written in closed form; the hop expansion they replaced is
 kept here as their oracle.
 
-SUMMA and 2.5D post through COSMA's accounting core, so the grid family is
-also held to the identities that make that legitimate -- SUMMA is COSMA on
-``pm x pn x 1`` with the panel width as the step, 2.5D is COSMA on
-``q x q x c`` with one whole-layer round of direct sends -- between the
-independently written per-hop loops, not only between the engines.
+SUMMA and 2.5D run COSMA's accounting core, and in ``legacy`` / ``zerocopy``
+its per-hop twins (one per-hop implementation for the grid family, held to
+the core here op by op).  What keeps that honest is pinned on the
+decomposition's arrays: SUMMA is ``pm x pn x 1`` with the textbook 2D layout
+and the panel width as the step, 2.5D is ``q x q x c`` with each layer's
+k-slice laid out the same way and one whole-layer round of direct sends.
 """
 
 import hashlib
@@ -31,14 +32,18 @@ from hypothesis import strategies as st
 from repro.algorithms import builtins as builtin_specs
 from repro.algorithms import get_algorithm, registered_algorithms
 from repro.baselines.cannon import cannon_multiply
-from repro.baselines.grid25d import grid25d_multiply
-from repro.baselines.summa import summa_multiply
+from repro.baselines.grid25d import grid25d_decomposition, grid25d_multiply
+from repro.baselines.summa import summa_decomposition, summa_multiply
 from repro.core.cosma import (
     cosma_multiply,
     fiber_exchange_rounds,
+    hop_c_reduction,
+    hop_fiber_exchange,
+    owner_product,
     post_c_reduction,
     post_fiber_exchange,
     post_owned_words,
+    put_owned_blocks,
 )
 from repro.core.decomposition import build_decomposition
 from repro.core.grid import ProcessorGrid
@@ -54,6 +59,7 @@ from repro.machine.counters import (
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import ShapeToken, allclose_tolerances
 from repro.obs import tracing
+from repro.utils.intmath import split_offsets
 from repro.workloads.scaling import Scenario
 from repro.workloads.shapes import ProblemShape, square_shape
 
@@ -325,6 +331,11 @@ def test_many_panel_summa_posts_once_per_class(class_posts, panel_expansions):
 # ---------------------------------------------------------------------------
 # class deltas are written in closed form: the hop expansion they replaced is the oracle
 # ---------------------------------------------------------------------------
+def _rank_grid(decomposition):
+    """The used ranks on the ``(pm, pn, pk)`` grid: row-major in ``(pi, pj, kk)``."""
+    return np.arange(decomposition.p_used).reshape(decomposition.grid.as_tuple())
+
+
 def _expanded_round(decomposition, p, exchange, r):
     """Round ``r`` of the panel exchange posted hop by hop through
     ``CommCounters.post_transfers``: the body ``fiber_exchange_rounds`` had
@@ -346,6 +357,7 @@ def _expanded_round(decomposition, p, exchange, r):
                 dsts.append(fiber[(owner + d) % q])
                 words.append(side * width)
 
+    ranks = _rank_grid(decomposition)
     for kk in range(pk):
         k0, k1 = decomposition.k_bounds[kk : kk + 2]
         c0 = min(k0 + r * step, k1)
@@ -353,13 +365,12 @@ def _expanded_round(decomposition, p, exchange, r):
         if c0 == c1:
             continue  # this layer ran out of k in an earlier round
         for pi in range(pm):
-            send_pieces(decomposition.j_fiber(pi, kk), decomposition.a_bounds[kk], c0, c1, lm[pi])
+            send_pieces(ranks[pi, :, kk], decomposition.a_bounds[kk], c0, c1, lm[pi])
         for pj in range(pn):
-            send_pieces(decomposition.i_fiber(pj, kk), decomposition.b_bounds[kk], c0, c1, ln[pj])
+            send_pieces(ranks[:, pj, kk], decomposition.b_bounds[kk], c0, c1, ln[pj])
         for pi in range(pm):
             for pj in range(pn):
-                delta.data[FLOPS, decomposition.coords_to_rank(pi, pj, kk)] += (
-                    2 * (c1 - c0) * lm[pi] * ln[pj])
+                delta.data[FLOPS, ranks[pi, pj, kk]] += 2 * (c1 - c0) * lm[pi] * ln[pj]
     delta.post_transfers(srcs, dsts, words, kind="input", count_rounds=exchange != "get")
     if exchange == "get":
         np.add.at(delta.data[ROUNDS], dsts, 1)  # a get is charged to its origin only
@@ -367,11 +378,11 @@ def _expanded_round(decomposition, p, exchange, r):
 
 
 @st.composite
-def exchange_problems(draw):
-    """A decomposition on a drawn grid with fiber lengths up to 7 (3, 5, 6, 7:
-    binomial trees that are not full), idle ranks and an explicit step, from
-    one outer product per round to the whole layer in one."""
-    pm, pn, pk = draw(st.integers(1, 7)), draw(st.integers(1, 7)), draw(st.integers(1, 4))
+def exchange_problems(draw, side=7):
+    """A decomposition on a drawn grid with fiber lengths up to ``side`` (3, 5,
+    6, 7: binomial trees that are not full), idle ranks and an explicit step,
+    from one outer product per round to the whole layer in one."""
+    pm, pn, pk = draw(st.integers(1, side)), draw(st.integers(1, side)), draw(st.integers(1, 4))
     m, n, k = draw(st.integers(pm, 20)), draw(st.integers(pn, 20)), draw(st.integers(1, 40))
     p = pm * pn * pk + draw(st.integers(0, 2))
     return p, build_decomposition(m, n, k, p, 1 << 20, grid=ProcessorGrid(pm, pn, pk),
@@ -447,9 +458,10 @@ def test_c_reduction_equals_the_hop_expansion(pk, traced):
     lm, ln = np.diff(decomposition.i_bounds), np.diff(decomposition.j_bounds)
     expected = DistributedMachine(p, mode="volume")
     expected.post_transfers([0], [p - 1], 11)
+    ranks = _rank_grid(decomposition).tolist()
     for pi in range(2):
-        for pj in range(3):  # the per-hop loop's call: the collective walks reduce_hops
-            fiber = decomposition.k_fiber(pi, pj)
+        for pj in range(3):  # the per-hop twin's call: the collective walks reduce_hops
+            fiber = ranks[pi][pj]
             reduce(expected, fiber[0], fiber, dict.fromkeys(fiber, ShapeToken((lm[pi], ln[pj]))))
     with (tracing() if traced else nullcontext()) as tracer:
         machine = DistributedMachine(p, mode="volume")
@@ -464,6 +476,45 @@ def test_c_reduction_equals_the_hop_expansion(pk, traced):
         assert span[4]["hops"] == 1 + 6 * (pk - 1)
 
 
+def _resident(machine):
+    """Every rank's resident words."""
+    return [machine.rank(rank).resident_words() for rank in range(machine.p)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=exchange_problems(side=4), exchange=st.sampled_from(["tree", "get", "gather"]))
+@example(problem=(13, build_decomposition(7, 5, 2, 13, 1 << 20, grid=ProcessorGrid(3, 4, 1),
+                                          step_size=1)), exchange="gather")  # k < pm, pn; idle
+@example(problem=(20, build_decomposition(13, 11, 47, 20, 1 << 20, grid=ProcessorGrid(2, 3, 3),
+                                          step_size=2)), exchange="get")  # partial last chunk
+@example(problem=(9, build_decomposition(9, 9, 3, 9, 1 << 20, grid=ProcessorGrid(2, 2, 2),
+                                         step_size=1)), exchange="gather")  # a layer ends early
+def test_per_hop_twins_equal_the_accounting_core(problem, exchange):
+    """The per-hop twins on a ``legacy`` machine against the accounting core on
+    a ``volume`` one, called in the same order: counter bytes, the resident
+    peak, every rank's resident words and the round boundaries; the per-hop
+    product is ``A @ B``."""
+    p, decomposition = problem
+    m, n, k = decomposition.m, decomposition.n, decomposition.k
+    rng = np.random.default_rng(0)
+    a, b = rng.random((m, k)), rng.random((k, n))
+    hop, core = DistributedMachine(p, mode="legacy"), DistributedMachine(p, mode="volume")
+    hop_rounds, core_rounds = [], []
+    put_owned_blocks(hop, decomposition, a, b, "A", "B", "C")
+    hop_fiber_exchange(hop, decomposition, exchange, "A", "B", "C", hop_rounds.append)
+    hop_c_reduction(hop, decomposition, "C")
+    post_owned_words(core, decomposition, "A", "B", "C")
+    core.check_memory()
+    post_fiber_exchange(core, decomposition, exchange, core_rounds.append)
+    post_c_reduction(core, decomposition)
+    assert hop.counters.data.tobytes() == core.counters.data.tobytes()
+    assert hop.check_memory() == core.check_memory()
+    assert hop.peak_resident_words == core.peak_resident_words
+    assert _resident(hop) == _resident(core)
+    assert hop_rounds == core_rounds == list(range(decomposition.num_steps))
+    assert np.allclose(owner_product(hop, decomposition, "C_final"), a @ b)
+
+
 # ---------------------------------------------------------------------------
 # 2D and 2.5D are grid choices: the identities behind the shared accounting core
 # ---------------------------------------------------------------------------
@@ -473,8 +524,18 @@ def _counter_rows(machine, *, without=()):
     return np.delete(data, list(without), axis=0).tobytes()
 
 
-def _assert_summa_is_cosma_on_one_layer(m, n, k, grid, panel_width, idle, modes):
-    """All eight counter rows."""
+@settings(max_examples=40, deadline=None)
+@given(problem=summa_problems())
+@example(problem=(13, 11, 47, (2, 3), 1, 0))    # panel width 1
+@example(problem=(13, 11, 47, (2, 3), 30, 0))   # a panel wider than an ownership slice
+@example(problem=(9, 14, 31, (1, 4), 3, 0))     # pm = 1
+@example(problem=(9, 14, 31, (4, 1), 3, 0))     # pn = 1
+@example(problem=(7, 5, 2, (3, 4), 1, 0))       # k smaller than the grid side
+@example(problem=(13, 11, 47, (2, 3), 5, 2))    # idle ranks
+def test_summa_is_cosma_on_a_one_layer_grid(problem):
+    """All eight counter rows, between the two engines (the shared core on
+    both sides: this pins the *grid and step* SUMMA hands it)."""
+    m, n, k, grid, panel_width, idle = problem
     pm, pn = grid
     p = pm * pn + idle
     lm, ln = -(-m // pm), -(-n // pn)
@@ -487,34 +548,37 @@ def _assert_summa_is_cosma_on_one_layer(m, n, k, grid, panel_width, idle, modes)
         return cosma_multiply(a, b, p, lm * ln + panel_width * (lm + ln), machine=machine,
                               grid=ProcessorGrid(pm, pn, 1))
 
-    for mode in modes:
-        two_d, _ = _run_on(summa, m, n, k, p, 1 << 20, mode)
-        one_layer, result = _run_on(cosma, m, n, k, p, 1 << 20, mode)
-        assert result.decomposition.step_size == min(panel_width, k)
-        assert _counter_rows(two_d) == _counter_rows(one_layer), mode
+    two_d, _ = _run_on(summa, m, n, k, p, 1 << 20, "volume")
+    one_layer, result = _run_on(cosma, m, n, k, p, 1 << 20, "volume")
+    assert result.decomposition.step_size == min(panel_width, k)
+    assert _counter_rows(two_d) == _counter_rows(one_layer)
+
+
+def _parts(bounds):
+    """Boundary offsets as ``split_offsets``-style ``(start, stop)`` pairs."""
+    bounds = np.asarray(bounds).tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 @settings(max_examples=40, deadline=None)
 @given(problem=summa_problems())
-@example(problem=(13, 11, 47, (2, 3), 1, 0))    # panel width 1
-@example(problem=(13, 11, 47, (2, 3), 30, 0))   # a panel wider than an ownership slice
-@example(problem=(9, 14, 31, (1, 4), 3, 0))     # pm = 1
-@example(problem=(9, 14, 31, (4, 1), 3, 0))     # pn = 1
 @example(problem=(7, 5, 2, (3, 4), 1, 0))       # k smaller than the grid side
-@example(problem=(13, 11, 47, (2, 3), 5, 2))    # idle ranks
-def test_summa_is_cosma_on_a_one_layer_grid(problem):
-    """Between the two batched engines (the shared core on both sides: this
-    pins the *grid and step* SUMMA hands it) ..."""
-    _assert_summa_is_cosma_on_one_layer(*problem, modes=("volume",))
-
-
-@pytest.mark.parametrize("problem", [
-    (13, 11, 47, (2, 3), 5, 1), (9, 14, 31, (1, 4), 3, 0), (9, 14, 31, (4, 1), 30, 0),
-    (7, 5, 2, (3, 4), 1, 0), (12, 10, 20, (3, 2), 1, 0),
-])
-def test_summa_loop_is_the_cosma_loop_on_a_one_layer_grid(problem):
-    """... and between the two *per-hop* loops, which share no code."""
-    _assert_summa_is_cosma_on_one_layer(*problem, modes=("legacy",))
+@example(problem=(13, 11, 47, (2, 3), 50, 1))   # a panel wider than k
+def test_summa_decomposition_is_the_textbook_layout(problem):
+    """SUMMA's layout, pinned on the arrays the per-hop twins read: rank
+    ``(i, j)`` owns ``A[i-block, j-th k slice]`` and ``B[i-th k slice,
+    j-block]`` (the k extent split over ``pn`` and over ``pm``), and one round
+    moves one panel of the given width."""
+    m, n, k, (pm, pn), panel_width, idle = problem
+    decomposition = summa_decomposition(m, n, k, pm * pn + idle, 1 << 20, grid=(pm, pn),
+                                        panel_width=panel_width)
+    assert decomposition.grid.as_tuple() == (pm, pn, 1)
+    assert _parts(decomposition.i_bounds) == split_offsets(m, pm)
+    assert _parts(decomposition.j_bounds) == split_offsets(n, pn)
+    assert _parts(decomposition.a_bounds[0]) == split_offsets(k, pn)
+    assert _parts(decomposition.b_bounds[0]) == split_offsets(k, pm)
+    assert decomposition.step_size == panel_width
+    assert decomposition.num_steps == len(range(0, k, panel_width))
 
 
 @st.composite
@@ -533,9 +597,9 @@ def grid25d_problems(draw):
 @example(problem=(100, 90, 7, (3, 3, 3), 0))    # layers narrower than the grid side
 def test_grid25d_is_cosma_with_a_one_round_gather(problem):
     """All eight rows: COSMA's accounting core on ``(q, q, c)``, the whole layer
-    as the step and direct sends, against 2.5D's per-hop loop and its engine.
-    With one-sided gets (the same star) COSMA's *own* per-hop loop differs
-    from 2.5D's in the round count alone: a get charges only its origin."""
+    as the step and direct sends, against 2.5D's per-hop run and its engine.
+    With one-sided gets (the same star) COSMA's per-hop run differs from
+    2.5D's in the round count alone: a get charges only its origin."""
     m, n, k, grid, idle = problem
     p = grid[0] * grid[1] * grid[2] + idle
     memory_words = 1 << 20  # one round: the whole layer fits
@@ -565,6 +629,25 @@ def test_grid25d_is_cosma_with_a_one_round_gather(problem):
     assert (sender_rounds >= 0).all()
     assert sender_rounds.sum() == core.counters.data[MESSAGES_SENT].sum() - (
         grid[0] * grid[1] * (grid[2] - 1))  # every message but the reduction's hops
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=grid25d_problems())
+@example(problem=(6, 6, 2, (2, 2, 3), 0))       # k below c: an empty layer
+@example(problem=(100, 90, 7, (3, 3, 3), 0))    # layers narrower than the grid side
+def test_grid25d_decomposition_is_the_textbook_layout(problem):
+    """2.5D's layout, pinned on the arrays the per-hop twins read: layer ``l``
+    owns the ``l``-th k-slice, A's cut over the ``q`` ranks of a row and B's
+    over the ``q`` ranks of a column, and one step covers the whole layer."""
+    m, n, k, (q, _, c), idle = problem
+    decomposition = grid25d_decomposition(m, n, k, q * q * c + idle, 4096, grid=(q, q, c))
+    assert decomposition.grid.as_tuple() == (q, q, c)
+    assert _parts(decomposition.k_bounds) == split_offsets(k, c)
+    for layer, (lk0, lk1) in enumerate(split_offsets(k, c)):
+        own = [(lk0 + lo, lk0 + hi) for lo, hi in split_offsets(lk1 - lk0, q)]
+        assert _parts(decomposition.a_bounds[layer]) == _parts(decomposition.b_bounds[layer]) == own
+    assert decomposition.step_size == decomposition.k_bounds[1] - decomposition.k_bounds[0]
+    assert decomposition.num_steps == 1
 
 
 @pytest.mark.parametrize("mode", ["legacy", "volume", "plane"])
@@ -599,7 +682,8 @@ _EXECUTED_GRID = {
 def test_a_plan_reports_the_grid_and_rounds_its_run_executes(dims, p, slack):
     """Every registered algorithm: no rank outside the planned grid is touched;
     the built-ins' planned grid is the executed one; COSMA's and ScaLAPACK's
-    planned rounds are the round boundaries the run marks."""
+    planned rounds are the round boundaries the run marks, CTF's the rounds
+    of the exchange it runs."""
     shape = ProblemShape(m=dims[0], n=dims[1], k=dims[2])
     scenario = Scenario(name="drawn", shape=shape, p=p, regime="limited",
                         memory_words=-(-shape.footprint_words // p) + slack)
@@ -633,3 +717,8 @@ def test_a_plan_reports_the_grid_and_rounds_its_run_executes(dims, p, slack):
             assert run_plan.rounds == results[0].num_rounds
         if name == "ScaLAPACK":
             assert run_plan.rounds == len(spans)
+        if name == "CTF":
+            # 2.5D marks no round boundary: count the exchange its grid schedules.
+            executed = grid25d_decomposition(*dims, p, scenario.memory_words, results[0].grid)
+            assert run_plan.rounds == sum(
+                len(rounds) for rounds, _ in fiber_exchange_rounds(machine, executed, "gather"))

@@ -14,7 +14,7 @@ this file pins what the counters-only route is made of:
   traced one writes one per round class), ScaLAPACK and CTF do so only from
   inside COSMA's accounting core, none of the three expands a transfer list,
   ``use_rma`` stays on the batched engine, neither a ``volume`` nor a
-  ``plane`` run builds a ``Rank``, a ``LocalDomain`` or a ``CuboidDomain``,
+  ``plane`` run builds a ``Rank`` or a ``CuboidDomain``,
   CARMA posts three transfer batches from a handful of Python frames, and
   Cannon writes its two class deltas without a transfer list.
 """
@@ -28,11 +28,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import cosma_idle_fraction, get_algorithm, plan_cache_clear
+from repro.algorithms import cosma_idle_fraction, get_algorithm
 from repro.baselines import cannon, cuboid, grid25d, summa
 from repro.baselines.carma import carma_domains
 from repro.baselines.cuboid import CuboidDomain, _owner_words, _ownership_map, domain_table
-from repro.core import cosma, decomposition
+from repro.core import cosma
 from repro.experiments.harness import run_algorithm
 from repro.machine import rma, simulator
 from repro.machine.counters import CommCounters
@@ -255,17 +255,14 @@ def test_use_rma_volume_run_stays_on_the_batched_engine(monkeypatch):
 @pytest.mark.parametrize("name", BUILTINS)
 def test_batched_runs_build_no_rank_and_no_domain(name, mode, monkeypatch):
     """Residency is posted to the machine's vector: no ``Rank`` view, no
-    ``LocalDomain``, no ``CuboidDomain``, nothing stored -- and the resident
-    peak is still there."""
+    ``CuboidDomain``, nothing stored -- and the resident peak is still there."""
     def forbid(label):
         def forbidden(*args, **kwargs):
             raise AssertionError(f"{name} {mode} run constructed a {label}")
         return forbidden
 
     monkeypatch.setattr(simulator, "Rank", forbid("Rank"))
-    monkeypatch.setattr(decomposition, "LocalDomain", forbid("LocalDomain"))
     monkeypatch.setattr(cuboid, "CuboidDomain", forbid("CuboidDomain"))
-    plan_cache_clear()  # a memoized decomposition may already hold its domains
     scenario = limited_memory_sweep("square", [16], 2048)[0]
     machine = DistributedMachine(scenario.p, memory_words=scenario.memory_words, mode=mode)
     shape = scenario.shape
