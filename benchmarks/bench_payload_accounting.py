@@ -1,11 +1,19 @@
-"""Micro-benchmark for the hot accounting path: ``payload_words`` / ``send``.
+"""Micro-benchmark for the hot accounting path: ``payload_words``, ``send``
+and ``local_multiply``.
 
 Every transfer the simulator counts calls :func:`~repro.machine.transport.
 payload_words` (and every ``Rank.put``/``pop`` does too).  The function used
 to round-trip each payload through ``np.asarray`` just to read ``.size``;
 it now reads the attribute directly when present.  This benchmark prints that
 fast path next to the old asarray-based reference and asserts that the two
-agree on every payload flavour::
+agree on every payload flavour.
+
+It also times the two per-hop primitives a per-hop run calls most: ``send``
+of a 64 x 4 panel on p = 1024, per transfer, in ``legacy``, ``zerocopy`` and
+``volume``, and an accumulating 8 x 8 ``local_multiply``, per call.  Both
+log their counter increments, and the matrix applies the log when it is
+read; each timed loop ends with that read, and the totals it returns are
+asserted against literal counts::
 
     pytest benchmarks/bench_payload_accounting.py -s
 """
@@ -24,6 +32,9 @@ from repro.machine.transport import ShapeToken, payload_words
 #: Calls per timing sample; a few repeats, best-of, to shrug off CI noise.
 CALLS = 50_000
 REPEATS = 5
+#: Transfers / multiplies per timed per-hop loop (one loop per repeat).
+HOPS = 5_000
+P = 1024
 
 
 def _asarray_reference(block) -> int:
@@ -43,7 +54,35 @@ def _best_of(fn, payloads) -> float:
     return best
 
 
-def run_payload_accounting_benchmark() -> dict:
+def _send_loop(mode: str) -> tuple[float, list[int]]:
+    """Best seconds per ``send`` and the machine's counter totals per row."""
+    machine = DistributedMachine(P, mode=mode)
+    panel = ShapeToken((64, 4)) if mode == "volume" else np.ones((64, 4))
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for hop in range(HOPS):
+            machine.send(hop % 512, 512 + hop % 512, panel)
+        data = machine.counters.data  # applies the log
+        best = min(best, time.perf_counter() - start)
+    return best / HOPS, data.sum(axis=1).tolist()
+
+
+def _multiply_loop() -> tuple[float, list[int]]:
+    machine = DistributedMachine(P)
+    a, b, c = np.ones((8, 8)), np.ones((8, 8)), np.zeros((8, 8))
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for call in range(HOPS):
+            machine.local_multiply(call % P, a, b, accumulate_into=c)
+        data = machine.counters.data
+        best = min(best, time.perf_counter() - start)
+    return best / HOPS, data.sum(axis=1).tolist()
+
+
+def run_payload_accounting_benchmark() -> tuple[dict, dict[str, list[int]]]:
+    """The timings, and each per-hop loop's counter totals per row."""
     payloads = [np.empty((8, 8)) for _ in range(CALLS)]
     fast = _best_of(payload_words, payloads)
     reference = _best_of(_asarray_reference, payloads)
@@ -52,34 +91,37 @@ def run_payload_accounting_benchmark() -> dict:
     tokens = [ShapeToken((8, 8))] * CALLS
     fast_tokens = _best_of(payload_words, tokens)
 
-    # End-to-end: the accounting-dominated send loop (tiny payloads, so the
-    # per-transfer bookkeeping is what is being measured).
-    machine = DistributedMachine(2, mode="zerocopy")
-    block = np.empty((4, 4))
-    sends = CALLS // 10
-    start = time.perf_counter()
-    for _ in range(sends):
-        machine.send(0, 1, block)
-    send_seconds = time.perf_counter() - start
-
-    return {
+    report = {
         "calls": CALLS,
         "payload_words_ns": round(fast / CALLS * 1e9, 1),
         "asarray_reference_ns": round(reference / CALLS * 1e9, 1),
         "speedup_vs_asarray": round(reference / fast, 2),
         "token_payload_ns": round(fast_tokens / CALLS * 1e9, 1),
-        "send_per_transfer_us": round(send_seconds / sends * 1e6, 2),
     }
+    totals = {}
+    for mode in ("legacy", "zerocopy", "volume"):
+        seconds, totals[f"send_{mode}"] = _send_loop(mode)
+        report[f"send_{mode}_us"] = round(seconds * 1e6, 2)
+    seconds, totals["local_multiply"] = _multiply_loop()
+    report["local_multiply_us"] = round(seconds * 1e6, 2)
+    return report, totals
 
 
 def test_payload_words_fast_path():
-    report = run_payload_accounting_benchmark()
-    print_rows("Hot accounting path (payload_words / send)", [report])
+    report, totals = run_payload_accounting_benchmark()
+    print_rows("Hot accounting path (payload_words / send / local_multiply)", [report])
     # Correctness: the fast path agrees with the asarray reference on every
     # payload flavour the simulator moves.
     samples = [np.empty((3, 5)), np.empty(0), ShapeToken((7, 2)), [[1.0, 2.0]], 3.0]
     for block in samples:
         assert payload_words(block) == _asarray_reference(block)
+    # The logged increments, applied: 25 000 transfers of 256 words (words,
+    # messages, rounds and input words on both ends), 25 000 multiplies of
+    # 2 * 8^3 flops.  Rows: words sent / received, messages sent / received,
+    # flops, rounds, input words, output words.
+    sends = [6_400_000, 6_400_000, 25_000, 25_000, 0, 50_000, 12_800_000, 0]
+    assert totals == {"send_legacy": sends, "send_zerocopy": sends, "send_volume": sends,
+                      "local_multiply": [0, 0, 0, 0, 25_600_000, 0, 0, 0]}
     # No wall-clock bar: ``speedup_vs_asarray`` is printed, not asserted.  On
     # numpy >= 2.4 ``np.asarray`` of an ndarray is itself an attribute-speed
     # call (the ratio reads ~1.0 with nothing regressed); speed claims live in
@@ -89,4 +131,4 @@ def test_payload_words_fast_path():
 if __name__ == "__main__":
     import json
 
-    print(json.dumps(run_payload_accounting_benchmark(), indent=2))
+    print(json.dumps(run_payload_accounting_benchmark()[0], indent=2))

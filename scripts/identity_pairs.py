@@ -11,8 +11,10 @@ list of awkward points -- pm, pn or pk = 1, idle ranks, k smaller than the
 grid side, a partial last chunk, layers that run out of rounds early,
 ``use_rma``, cuboids whose projections overlap partially, a hand-written
 tiling with shuffled ranks and an empty range, Cannon pre-skewed and on one
-rank -- traced and untraced, one and two runs per machine.  The awkward
-points and the ``grid240`` points with p <= 64 run in all four modes
+rank, and the registry's extension ``AllGather1D`` (no batched engine: all
+of its counters come from per-hop sends) -- traced and untraced, one and two
+runs per machine.  The awkward points and the ``grid240`` points with
+p <= 64 run in all four modes
 (``volume``, ``plane`` and the per-hop ``legacy`` / ``zerocopy``), the other
 ``grid240`` points in ``volume`` and ``plane``, and the paper-scale
 ``volume_requests`` points and every algorithm at p = 16384 and p = 65536
@@ -28,10 +30,12 @@ any difference.  An observable that only one side records anywhere (a counter
 row one revision has and the other does not) is listed once, at the end, and
 is not a difference.  The ``xl/`` and ``volume_requests/`` lines also carry each
 side's wall seconds for the point's single untraced run (the call as the
-registry makes it, COSMA's grid search included): a speed-up reads next to the
-proof that nothing observable moved.  Seconds are never compared.  The point
-sets are restated here from public ``repro`` functions: nothing is imported
-from, or written under, ``benchmarks/ledger/``.
+registry makes it, COSMA's grid search included), and the last line each
+side's wall seconds summed over every ``legacy untraced x1`` run (the per-hop
+path): a speed-up reads next to the proof that nothing observable moved.
+Seconds are never compared.  The point sets are restated here from public
+``repro`` functions: nothing is imported from, or written under,
+``benchmarks/ledger/``.
 """
 
 from __future__ import annotations
@@ -54,6 +58,8 @@ ALL_MODES = MODES + ("legacy", "zerocopy")
 #: Points whose wall seconds are printed, and the variant they are read from.
 TIMED_PREFIXES = ("xl/", "volume_requests/")
 TIMED_VARIANT = "volume untraced x1"
+#: The variant whose wall seconds are summed over every point that has it.
+PERHOP_VARIANT = "legacy untraced x1"
 SPAN_ARGS = ("label", "round", "mode", "words_posted", "flops", "hops",
              "resident_peak_words", "collectives")
 
@@ -172,6 +178,8 @@ def _awkward_points():
         points.append(_registry_point("awkward", name, scenario, modes=ALL_MODES))
 
     # The cuboid executor and Cannon take no grid: odd shapes, idle ranks.
+    # AllGather1D joins them here (only here: it registers on import).
+    import repro.extensions.allgather  # noqa: F401
     for name in registered_algorithms():
         for dims in ((13, 11, 7, 11), (5, 3, 2, 8), (12, 12, 12, 1)):
             registered(name, *dims)
@@ -273,9 +281,10 @@ def observe() -> None:
 # ---------------------------------------------------------------------------
 # both sides, compared
 # ---------------------------------------------------------------------------
-def _observations(tree: Path) -> tuple[dict[str, dict[str, dict]], dict[str, float]]:
-    """``{point: {variant: observed}}`` and ``{timed point: seconds}`` from a
-    child process importing ``tree/src``."""
+def _observations(tree: Path) -> tuple[dict[str, dict[str, dict]], dict[str, float], float]:
+    """``{point: {variant: observed}}``, ``{timed point: seconds}`` and the
+    summed seconds of the per-hop runs, from a child process importing
+    ``tree/src``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(REPO / "scripts")]))
     done = subprocess.run(
         [sys.executable, "-c", "import identity_pairs; identity_pairs.observe()"],
@@ -283,12 +292,15 @@ def _observations(tree: Path) -> tuple[dict[str, dict[str, dict]], dict[str, flo
     )
     points: dict[str, dict[str, dict]] = {}
     seconds: dict[str, float] = {}
+    perhop_seconds = 0.0
     for line in done.stdout.splitlines():
         record = json.loads(line)
         points.setdefault(record["point"], {})[record["variant"]] = record["observed"]
         if record["variant"] == TIMED_VARIANT and record["point"].startswith(TIMED_PREFIXES):
             seconds[record["point"]] = record["seconds"]
-    return points, seconds
+        if record["variant"] == PERHOP_VARIANT:
+            perhop_seconds += record["seconds"]
+    return points, seconds, perhop_seconds
 
 
 def _moved(base, change) -> str:
@@ -309,7 +321,8 @@ def _recorded(side: dict) -> set[str]:
             for name in observed}
 
 
-def report(base: dict, change: dict, base_seconds: dict, change_seconds: dict) -> int:
+def report(base: dict, change: dict, base_seconds: dict, change_seconds: dict,
+           perhop_seconds: tuple[float, float]) -> int:
     differing_points = 0
     observations = 0
     base_only, tree_only = _recorded(base) - _recorded(change), _recorded(change) - _recorded(base)
@@ -338,7 +351,8 @@ def report(base: dict, change: dict, base_seconds: dict, change_seconds: dict) -
         if names:
             print(f"recorded by the {side} only (not compared): {', '.join(sorted(names))}")
     print(f"{len(set(base) | set(change))} points, {observations} observations, "
-          f"{differing_points} points differ")
+          f"{differing_points} points differ  ({PERHOP_VARIANT} runs: "
+          f"base {perhop_seconds[0]:.1f} s, tree {perhop_seconds[1]:.1f} s)")
     return 1 if differing_points else 0
 
 
@@ -349,9 +363,9 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="identity-base-") as scratch:
         base_tree = Path(scratch)
         extract(args.base, base_tree)
-        (base, base_seconds), (change, change_seconds) = (
+        (base, base_seconds, base_perhop), (change, change_seconds, change_perhop) = (
             _observations(base_tree), _observations(REPO))
-        return report(base, change, base_seconds, change_seconds)
+        return report(base, change, base_seconds, change_seconds, (base_perhop, change_perhop))
 
 
 if __name__ == "__main__":

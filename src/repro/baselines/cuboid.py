@@ -388,7 +388,7 @@ def cuboid_multiply(
             values = block[mask]
             if owner != domain.rank:
                 values = machine.send(domain.rank, int(owner), values, kind="output")
-                machine.counters.data[FLOPS, machine.check_rank(int(owner))] += int(values.size)
+                machine.counters.log_tick(FLOPS, machine.check_rank(int(owner)), int(values.size))
             target = c_global[i0:i1, j0:j1]
             target[mask] += values
             c_global[i0:i1, j0:j1] = target

@@ -173,7 +173,7 @@ def allgather(
             delivered = machine.send(r, dst, payload, kind=kind, count_round=False)
             gathered[dst][send_pos] = delivered
         for r in order:
-            machine.counters.data[ROUNDS, machine.check_rank(r)] += 1
+            machine.counters.log_tick(ROUNDS, machine.check_rank(r), 1)
     return gathered
 
 
@@ -224,5 +224,5 @@ def ring_shift(
         else:
             out[dst] = machine.send(r, dst, blocks[r], kind=kind, count_round=False)
     for r in order:
-        machine.counters.data[ROUNDS, machine.check_rank(r)] += 1
+        machine.counters.log_tick(ROUNDS, machine.check_rank(r), 1)
     return out

@@ -34,8 +34,9 @@ def rma_get(
     participate actively.
     """
     if origin == target:
+        machine.check_rank(origin)
         return machine.transport.self_copy(block)
     delivered = machine.send(target, origin, block, kind=kind, count_round=False)
-    machine.counters.data[ROUNDS, machine.check_rank(origin)] += 1
+    machine.counters.log_tick(ROUNDS, origin, 1)  # send checked both ranks
     return delivered
 

@@ -12,7 +12,9 @@ machine's counter matrix (:attr:`CommCounters.data
 column per rank), so the harness can read off the same "MB communicated per
 rank" quantity that the paper measures with mpiP.  Per-rank state is two
 machine-level arrays -- the counter matrix and one int64 vector of resident
-words.  A per-hop primitive writes cells of the matrix; a :class:`Rank` holds
+words.  A per-hop primitive checks its ranks and logs its increments on the
+counters, which apply the log whenever the matrix is read (or the log is
+full) -- it never writes a cell of the matrix itself; a :class:`Rank` holds
 one rank's store and views its resident words, built on first use of
 :attr:`DistributedMachine.ranks`: the per-hop executors keep their blocks in
 the ranks' stores, the batched engines post whole-machine array expressions
@@ -54,17 +56,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.machine.counters import (
-    FLOPS,
-    INPUT_WORDS,
-    MESSAGES_RECEIVED,
-    MESSAGES_SENT,
-    OUTPUT_WORDS,
-    ROUNDS,
-    WORDS_RECEIVED,
-    WORDS_SENT,
-    CommCounters,
-)
+from repro.machine.counters import FLOPS, INPUT_WORDS, OUTPUT_WORDS, CommCounters
 from repro.machine.topology import MachineSpec, laptop_spec
 from repro.machine.transport import (
     PayloadPlane,
@@ -203,7 +195,7 @@ class DistributedMachine:
         #: are byte-identical traced vs untraced.
         tracer = active_tracer()
         self.trace: MachineTrace | None = (
-            MachineTrace(tracer, self.counters.data, self.transport.mode)
+            MachineTrace(tracer, self.counters, self.transport.mode)
             if tracer is not None
             else None
         )
@@ -286,31 +278,23 @@ class DistributedMachine:
         mode (sender and receiver never alias the same buffer, mirroring MPI
         semantics), a shared read-only view in zerocopy mode, or a shape
         token in volume mode.  A transfer from a rank to itself is free, as
-        in MPI shared-memory shortcuts -- no counters are updated.
+        in MPI shared-memory shortcuts -- no counters are updated -- but its
+        rank is checked like any other.
 
         ``kind`` is either ``"input"`` (matrices A/B) or ``"output"``
-        (partial/final C); Figure 12 reports these separately.
+        (partial/final C); Figure 12 reports these separately.  The transfer
+        is logged on the counters (:meth:`CommCounters.log_send
+        <repro.machine.counters.CommCounters.log_send>`) and applied to the
+        matrix with :meth:`post_transfers`' row updates when it is next read.
         """
-        if src == dst:
-            return self.transport.self_copy(block)
         if not 0 <= src < self.p:
             raise IndexError(f"rank {src} out of range for machine with p={self.p}")
         if not 0 <= dst < self.p:
             raise IndexError(f"rank {dst} out of range for machine with p={self.p}")
-        words = payload_words(block)
-        # Scalar update straight into the shared counter matrix (the batched
-        # equivalent for a whole transfer list is post_transfers).
-        data = self.counters.data
-        data[WORDS_SENT, src] += words
-        data[MESSAGES_SENT, src] += 1
-        data[WORDS_RECEIVED, dst] += words
-        data[MESSAGES_RECEIVED, dst] += 1
-        split = OUTPUT_WORDS if kind == "output" else INPUT_WORDS
-        data[split, src] += words
-        data[split, dst] += words
-        if count_round:
-            data[ROUNDS, src] += 1
-            data[ROUNDS, dst] += 1
+        if src == dst:
+            return self.transport.self_copy(block)
+        self.counters.log_send(src, dst, payload_words(block),
+                               OUTPUT_WORDS if kind == "output" else INPUT_WORDS, count_round)
         if self.trace is not None:
             self.trace.hop()
         return self.transport.deliver(block)
@@ -328,7 +312,10 @@ class DistributedMachine:
         Counter-equivalent to one :meth:`send` per ``(srcs[i], dsts[i])``
         pair moving ``words`` (a scalar, or one entry per pair); no payload
         is delivered.  The cuboid executor posts each matrix's transfers
-        through it as one vectorized update instead of one ``send`` per pair.
+        through it as one vectorized update instead of one ``send`` per pair,
+        and the counters apply their log of ``send`` records through the same
+        row updates (:meth:`CommCounters.post_transfers
+        <repro.machine.counters.CommCounters.post_transfers>`).
         """
         self.counters.post_transfers(srcs, dsts, words, kind=kind, count_rounds=count_rounds)
         if self.trace is not None:
@@ -351,16 +338,6 @@ class DistributedMachine:
         updated and a token of the product's shape is returned.
         """
         self.check_rank(rank_id)
-        counters_only = is_token(a_block) or is_token(b_block) or is_token(accumulate_into)
-        if not counters_only:
-            # A float32 x float32 multiply stays float32 (the opt-in plane
-            # dtype must never silently round-trip through float64); any
-            # other operand mix is normalized to the float64 reference path.
-            a_block = np.asarray(a_block)
-            b_block = np.asarray(b_block)
-            if not (a_block.dtype == np.float32 and b_block.dtype == np.float32):
-                a_block = np.asarray(a_block, dtype=np.float64)
-                b_block = np.asarray(b_block, dtype=np.float64)
         # Validation and flop accounting are shared across modes so the two
         # representations can never diverge.
         a_shape = payload_shape(a_block)
@@ -376,9 +353,17 @@ class DistributedMachine:
                 f"accumulation buffer shape {payload_shape(accumulate_into)} "
                 f"does not match product {(m, n)}"
             )
-        self.counters.data[FLOPS, rank_id] += 2 * m * n * k
-        if counters_only:
+        self.counters.log_tick(FLOPS, rank_id, 2 * m * n * k)
+        if is_token(a_block) or is_token(b_block) or is_token(accumulate_into):
             return ShapeToken((m, n)) if accumulate_into is None else accumulate_into
+        # A float32 x float32 multiply stays float32 (the opt-in plane dtype
+        # must never silently round-trip through float64); any other operand
+        # mix is normalized to the float64 reference path.
+        a_block = np.asarray(a_block)
+        b_block = np.asarray(b_block)
+        if not (a_block.dtype == np.float32 and b_block.dtype == np.float32):
+            a_block = np.asarray(a_block, dtype=np.float64)
+            b_block = np.asarray(b_block, dtype=np.float64)
         product = a_block @ b_block
         if accumulate_into is None:
             return product
@@ -393,12 +378,12 @@ class DistributedMachine:
                 raise ValueError(
                     f"shape mismatch in local_add: {payload_shape(target)} vs {payload_shape(other)}"
                 )
-            self.counters.data[FLOPS, rank_id] += payload_words(target)
+            self.counters.log_tick(FLOPS, rank_id, payload_words(target))
             return target
         other = np.asarray(other)
         if target.shape != other.shape:
             raise ValueError(f"shape mismatch in local_add: {target.shape} vs {other.shape}")
-        self.counters.data[FLOPS, rank_id] += int(target.size)
+        self.counters.log_tick(FLOPS, rank_id, int(target.size))
         target += other
         return target
 
@@ -475,13 +460,13 @@ class DistributedMachine:
         ``boundary(r)`` (``log_round`` / ``commit_round``) after each.  Untraced
         that is one add of ``len(rounds) * delta``; a round span reads the
         matrix at its boundary, so under a tracer adds and boundaries alternate."""
-        data, step = self.counters.data, delta.data
+        counters, step = self.counters, delta.data
         if self.trace is None:
-            data += len(rounds) * step
+            counters.data += len(rounds) * step
         hops = None if self.trace is None else delta.total_messages
         for r in rounds:
             if hops is not None:
-                data += step
+                counters.data += step
                 self.trace.hops_batch(hops)
             if boundary is not None:
                 boundary(r)

@@ -32,8 +32,6 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 
-from repro.machine.counters import FLOPS, WORDS_SENT
-
 
 class Tracer:
     """Append-only event sink with a span/instant API.
@@ -133,27 +131,29 @@ class MachineTrace:
     Attached by :class:`~repro.machine.simulator.DistributedMachine` when a
     tracer is active; ``None`` otherwise.  All inputs are *read-only* views
     of machine state: words/flops come from counter-matrix row sums at round
-    boundaries, never from separate bookkeeping that could drift.
+    boundaries, never from separate bookkeeping that could drift.  The matrix
+    is read through the counters object, which applies its log of per-hop
+    increments first.
     """
 
     __slots__ = (
         "tracer", "mode", "rounds", "hops", "deliveries", "delivered_words",
-        "_data", "_round_start_ns", "_words0", "_flops0",
+        "_counters", "_round_start_ns", "_words0", "_flops0",
         "_round_hops", "_collectives",
     )
 
-    def __init__(self, tracer: Tracer, counter_data, mode: str) -> None:
+    def __init__(self, tracer: Tracer, counters, mode: str) -> None:
         self.tracer = tracer
         self.mode = mode
-        self._data = counter_data  # the (fields, p) int64 counter matrix
+        self._counters = counters  # a CommCounters; ``.data`` is the matrix
         self.rounds = 0
         self.hops = 0
         self.deliveries = 0
         self.delivered_words = 0
         self._round_hops = 0
         self._collectives: dict[str, int] = {}
-        self._words0 = int(counter_data[WORDS_SENT].sum())
-        self._flops0 = int(counter_data[FLOPS].sum())
+        self._words0 = counters.total_words_sent
+        self._flops0 = counters.total_flops
         self._round_start_ns = tracer.now_ns()
 
     # -- per-event notifications (guarded call sites keep these tiny) -------
@@ -181,8 +181,8 @@ class MachineTrace:
         return (
             self._round_hops > 0
             or bool(self._collectives)
-            or int(self._data[WORDS_SENT].sum()) != self._words0
-            or int(self._data[FLOPS].sum()) != self._flops0
+            or self._counters.total_words_sent != self._words0
+            or self._counters.total_flops != self._flops0
         )
 
     def commit_round(self, peak_resident_words: int) -> None:
@@ -204,8 +204,8 @@ class MachineTrace:
         per counted round.
         """
         now = self.tracer.now_ns()
-        words = int(self._data[WORDS_SENT].sum())
-        flops = int(self._data[FLOPS].sum())
+        words = self._counters.total_words_sent
+        flops = self._counters.total_flops
         args = {
             "label": label,
             "round": self.rounds,

@@ -1,8 +1,14 @@
 """Tests for the distributed machine simulator and its counters."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.core.cosma import cosma_multiply
+from repro.machine import counters as counters_module
+from repro.machine.collectives import broadcast, reduce
 from repro.machine.counters import (
     FLOPS,
     INPUT_WORDS,
@@ -14,6 +20,7 @@ from repro.machine.counters import (
     WORDS_SENT,
     CommCounters,
 )
+from repro.machine.rma import rma_get
 from repro.machine.simulator import DistributedMachine, LocalMemoryExceededError
 from repro.obs import tracing
 
@@ -39,8 +46,11 @@ class TestCommCounters:
     def test_reset(self):
         counters = CommCounters.for_ranks(1)
         counters.data[WORDS_SENT, 0] = 10
+        counters.log_tick(FLOPS, 0, 5)
         counters.reset()
+        assert not _logged(counters)
         assert counters.total_words_sent == 0
+        assert counters.total_flops == 0
 
 
 class TestDistributedMachine:
@@ -141,12 +151,18 @@ class TestDistributedMachine:
 
     def test_per_hop_counter_writes_check_the_rank(self):
         """A counter cell is written at the rank's column: a rank outside
-        ``[0, p)`` raises instead of wrapping to another column."""
+        ``[0, p)`` raises instead of wrapping to another column, a free
+        self-transfer included."""
         machine = DistributedMachine(2)
         with pytest.raises(IndexError):
             machine.local_multiply(2, np.ones((1, 1)), np.ones((1, 1)))
         with pytest.raises(IndexError):
             machine.local_add(-1, np.zeros(2), np.ones(2))
+        for rank in (2, -1):
+            with pytest.raises(IndexError):
+                machine.send(rank, rank, np.ones(3))
+            with pytest.raises(IndexError):
+                rma_get(machine, rank, rank, np.ones(3))
         assert not machine.counters.data.any()
 
 
@@ -224,6 +240,108 @@ class TestBatchedCounterEngine:
         assert isinstance(counters.max_words_per_rank(), int)
         assert isinstance(counters.mean_words_per_rank(), float)
         assert isinstance(counters.max_messages_per_rank(), int)
+
+
+def _logged(counters) -> int:
+    """Integers in the counters' log of unapplied per-hop increments."""
+    return len(counters._sends) + len(counters._ticks)
+
+
+class TestCounterLog:
+    """Per-hop primitives log their increments; reading ``data`` applies them."""
+
+    def test_mixed_sequence_reads_the_hand_counted_matrix(self):
+        machine = DistributedMachine(3)
+        machine.send(0, 1, np.ones((2, 3)))
+        machine.send(1, 2, np.ones(4), kind="output")
+        machine.send(2, 0, np.ones(5), count_round=False)
+        machine.local_multiply(1, np.ones((2, 3)), np.ones((3, 4)))
+        machine.local_add(2, np.zeros(3), np.ones(3))
+        # Rows: words sent / received, messages sent / received, flops,
+        # rounds, input words, output words; one column per rank.
+        assert machine.counters.data.tolist() == [
+            [6, 4, 5], [5, 6, 4], [1, 1, 1], [1, 1, 1],
+            [0, 48, 3], [1, 2, 1], [11, 6, 5], [0, 4, 4],
+        ]
+        broadcast(machine, 0, [0, 1, 2], np.ones(2))  # hops 0 -> 1, 0 -> 2
+        reduce(machine, 2, [0, 1, 2], {r: np.ones(3) for r in range(3)})  # 1 -> 2, 0 -> 2
+        rma_get(machine, 0, 1, np.ones(7))  # 1 -> 0, the round on 0 only
+        assert machine.counters.data.tolist() == [
+            [13, 14, 5], [12, 8, 12], [4, 3, 1], [2, 2, 4],
+            [0, 48, 9], [5, 4, 4], [22, 15, 7], [3, 7, 10],
+        ]
+
+    @pytest.mark.parametrize("size", [None, 97])
+    def test_every_read_sees_an_empty_log_that_stays_bounded(self, monkeypatch, size):
+        """A p = 64 COSMA run per hop, at the log's own size and at one small
+        enough to be reached many times; the matrix is the batched engine's."""
+        if size is not None:
+            monkeypatch.setattr(counters_module, "_LOG_SIZE", size)
+        logged_after_call, logged_after_read = [], []
+        data = CommCounters.data
+
+        def tracked(method):
+            def call(counters, *args):
+                method(counters, *args)
+                logged_after_call.append(_logged(counters))
+            return call
+
+        def read(counters):
+            matrix = data.fget(counters)
+            logged_after_read.append(_logged(counters))
+            return matrix
+
+        monkeypatch.setattr(CommCounters, "log_send", tracked(CommCounters.log_send))
+        monkeypatch.setattr(CommCounters, "log_tick", tracked(CommCounters.log_tick))
+        monkeypatch.setattr(CommCounters, "data", property(read, data.fset))
+        rng = np.random.default_rng(0)
+        a, b = rng.random((48, 96)), rng.random((96, 40))  # 24 rounds on (4, 4, 4)
+        runs = {}
+        for mode in ("legacy", "volume"):
+            machine = DistributedMachine(64, memory_words=150, mode=mode)
+            cosma_multiply(a, b, 64, 150, machine=machine)
+            runs[mode] = machine.counters.data.tobytes()
+        assert runs["legacy"] == runs["volume"]
+        assert len(logged_after_call) > 2000
+        assert max(logged_after_call) < counters_module._LOG_SIZE
+        if size is not None:
+            assert logged_after_call.count(0) > 10  # the size was reached
+        assert logged_after_read and not any(logged_after_read)
+
+    def test_a_bad_rank_changes_neither_the_matrix_nor_the_log(self):
+        machine = DistributedMachine(3)
+        machine.send(0, 1, np.ones(4))
+        machine.local_add(2, np.zeros(2), np.ones(2))
+        counters = machine.counters
+        before = counters._data.copy(), list(counters._sends), list(counters._ticks)
+        calls = (
+            lambda: machine.send(0, 3, np.ones(4)),
+            lambda: machine.send(-1, 0, np.ones(4)),
+            lambda: machine.send(3, 3, np.ones(4)),
+            lambda: machine.local_multiply(3, np.ones((1, 2)), np.ones((2, 1))),
+            lambda: machine.local_add(-1, np.zeros(2), np.ones(2)),
+            lambda: rma_get(machine, 5, 0, np.ones(4)),
+            lambda: rma_get(machine, 0, -2, np.ones(4)),
+        )
+        for call in calls:
+            with pytest.raises(IndexError):
+                call()
+        after = counters._data, counters._sends, counters._ticks
+        assert after[0].tobytes() == before[0].tobytes()
+        assert after[1:] == before[1:]
+        assert counters.data[WORDS_SENT].tolist() == [4, 0, 0]
+        assert counters.data[FLOPS].tolist() == [0, 0, 2]
+
+    def test_copies_carry_the_applied_matrix(self):
+        machine = DistributedMachine(3)
+        machine.send(0, 2, np.ones(6), kind="output")
+        machine.local_multiply(1, np.ones((2, 2)), np.ones((2, 2)))
+        assert _logged(machine.counters)
+        for clone in (copy.deepcopy(machine.counters),
+                      pickle.loads(pickle.dumps(machine.counters))):
+            assert clone.data.tobytes() == machine.counters.data.tobytes()
+            assert clone.data is not machine.counters.data
+        assert machine.counters.data[OUTPUT_WORDS].tolist() == [6, 0, 6]
 
 
 class TestRoundClasses:
