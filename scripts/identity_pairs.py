@@ -30,12 +30,13 @@ any difference.  An observable that only one side records anywhere (a counter
 row one revision has and the other does not) is listed once, at the end, and
 is not a difference.  The ``xl/`` and ``volume_requests/`` lines also carry each
 side's wall seconds for the point's single untraced run (the call as the
-registry makes it, COSMA's grid search included), and the last line each
-side's wall seconds summed over every ``legacy untraced x1`` run (the per-hop
-path): a speed-up reads next to the proof that nothing observable moved.
-Seconds are never compared.  The point sets are restated here from public
-``repro`` functions: nothing is imported from, or written under,
-``benchmarks/ledger/``.
+registry makes it, COSMA's grid search included), the line before the last
+each side's wall seconds summed over every ``legacy untraced x1`` run (the
+per-hop path) of each algorithm, and the last line the same sums over all
+algorithms: a speed-up reads next to the proof that nothing observable moved,
+and names the engine it belongs to.  Seconds are never compared.  The point
+sets are restated here from public ``repro`` functions: nothing is imported
+from, or written under, ``benchmarks/ledger/``.
 """
 
 from __future__ import annotations
@@ -281,10 +282,12 @@ def observe() -> None:
 # ---------------------------------------------------------------------------
 # both sides, compared
 # ---------------------------------------------------------------------------
-def _observations(tree: Path) -> tuple[dict[str, dict[str, dict]], dict[str, float], float]:
-    """``{point: {variant: observed}}``, ``{timed point: seconds}`` and the
-    summed seconds of the per-hop runs, from a child process importing
-    ``tree/src``."""
+def _observations(
+    tree: Path,
+) -> tuple[dict[str, dict[str, dict]], dict[str, float], dict[str, float]]:
+    """``{point: {variant: observed}}``, ``{timed point: seconds}`` and
+    ``{algorithm: summed seconds of its per-hop runs}``, from a child process
+    importing ``tree/src``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(REPO / "scripts")]))
     done = subprocess.run(
         [sys.executable, "-c", "import identity_pairs; identity_pairs.observe()"],
@@ -292,14 +295,15 @@ def _observations(tree: Path) -> tuple[dict[str, dict[str, dict]], dict[str, flo
     )
     points: dict[str, dict[str, dict]] = {}
     seconds: dict[str, float] = {}
-    perhop_seconds = 0.0
+    perhop_seconds: dict[str, float] = {}
     for line in done.stdout.splitlines():
         record = json.loads(line)
         points.setdefault(record["point"], {})[record["variant"]] = record["observed"]
         if record["variant"] == TIMED_VARIANT and record["point"].startswith(TIMED_PREFIXES):
             seconds[record["point"]] = record["seconds"]
         if record["variant"] == PERHOP_VARIANT:
-            perhop_seconds += record["seconds"]
+            algorithm = record["point"].split("/")[1]
+            perhop_seconds[algorithm] = perhop_seconds.get(algorithm, 0.0) + record["seconds"]
     return points, seconds, perhop_seconds
 
 
@@ -322,7 +326,7 @@ def _recorded(side: dict) -> set[str]:
 
 
 def report(base: dict, change: dict, base_seconds: dict, change_seconds: dict,
-           perhop_seconds: tuple[float, float]) -> int:
+           perhop_seconds: tuple[dict[str, float], dict[str, float]]) -> int:
     differing_points = 0
     observations = 0
     base_only, tree_only = _recorded(base) - _recorded(change), _recorded(change) - _recorded(base)
@@ -350,9 +354,13 @@ def report(base: dict, change: dict, base_seconds: dict, change_seconds: dict,
     for side, names in (("base", base_only), ("tree", tree_only)):
         if names:
             print(f"recorded by the {side} only (not compared): {', '.join(sorted(names))}")
+    base_perhop, tree_perhop = perhop_seconds
+    print(f"{PERHOP_VARIANT} seconds per algorithm (base / tree): " + ", ".join(
+        f"{name} {base_perhop.get(name, 0.0):.2f} / {tree_perhop.get(name, 0.0):.2f}"
+        for name in sorted(set(base_perhop) | set(tree_perhop))))
     print(f"{len(set(base) | set(change))} points, {observations} observations, "
           f"{differing_points} points differ  ({PERHOP_VARIANT} runs: "
-          f"base {perhop_seconds[0]:.1f} s, tree {perhop_seconds[1]:.1f} s)")
+          f"base {sum(base_perhop.values()):.1f} s, tree {sum(tree_perhop.values()):.1f} s)")
     return 1 if differing_points else 0
 
 

@@ -40,7 +40,9 @@ executor stays general rather than assuming a regular grid: of the 54 CARMA
 points the ledger's campaigns and the roadmap's RPA readings touch, 16 (every
 odd-sided one) have partially overlapping projections.  The per-rank loop in
 :func:`cuboid_multiply`, with its element-wise owner maps and per-owner masks,
-serves ``legacy`` / ``zerocopy`` only and is the batched path's oracle.  CARMA
+serves ``legacy`` / ``zerocopy`` only and is the batched path's oracle: it
+never reads the cell grid, and lists the owners of a rank's window with one
+``np.bincount`` over the window's elements (:func:`_window_owners`).  CARMA
 inherits both through :func:`cuboid_multiply`.
 """
 
@@ -155,6 +157,17 @@ def _ownership_map(shape: tuple[int, int], regions: list[tuple[int, Range, Range
     return owners
 
 
+def _window_owners(window: np.ndarray) -> np.ndarray:
+    """The distinct owners in a rank's window of an element-owner map, ascending.
+
+    What ``np.unique(window)`` returns, counted with one ``np.bincount`` (on
+    int64, ``np.unique`` takes a hash path several times slower).  Safe: a
+    rank's window is its own region of :func:`_ownership_map`, so every
+    element of it is covered at least by that rank and no ``-1`` is ever read.
+    """
+    return np.flatnonzero(np.bincount(window.ravel()))
+
+
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(index, offset)`` of a ragged expansion: ``index`` names entry ``i`` of
     ``counts`` ``counts[i]`` times, ``offset`` runs from 0 within each entry."""
@@ -229,13 +242,14 @@ def _fetch_block(
 ) -> np.ndarray:
     """Assemble the dense ``rows x cols`` block of ``source`` on ``receiver``.
 
-    Parts owned by other ranks are transferred (one message per owner) and
-    counted; parts owned by the receiver are free.
+    Parts owned by other ranks are transferred (one message per owner, owners
+    ascending, as :func:`_window_owners` lists them) and counted; parts owned
+    by the receiver are free.
     """
     local_owners = owners[rows[0] : rows[1], cols[0] : cols[1]]
     block = machine.zeros((rows[1] - rows[0], cols[1] - cols[0]))
     local_values = source[rows[0] : rows[1], cols[0] : cols[1]]
-    for owner in np.unique(local_owners):
+    for owner in _window_owners(local_owners):
         mask = local_owners == owner
         values = local_values[mask]
         if owner == receiver:
@@ -383,15 +397,14 @@ def cuboid_multiply(
         j0, j1 = domain.j_range
         block = partial_c[domain.rank]
         local_owners = c_owners[i0:i1, j0:j1]
-        for owner in np.unique(local_owners):
+        target = c_global[i0:i1, j0:j1]  # a view: the masked adds land in c_global
+        for owner in _window_owners(local_owners):
             mask = local_owners == owner
             values = block[mask]
             if owner != domain.rank:
                 values = machine.send(domain.rank, int(owner), values, kind="output")
                 machine.counters.log_tick(FLOPS, machine.check_rank(int(owner)), int(values.size))
-            target = c_global[i0:i1, j0:j1]
             target[mask] += values
-            c_global[i0:i1, j0:j1] = target
 
     machine.check_memory()
     return CuboidRunResult(matrix=c_global, table=table, counters=machine.counters)

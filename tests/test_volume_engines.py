@@ -4,7 +4,8 @@ Counter parity with the per-rank loops is ``test_counter_parity.py``'s job;
 this file pins what the counters-only route is made of:
 
 * the cuboid executor's per-matrix ownership function (``_owner_words``)
-  against the element-wise ``_ownership_map`` oracle, block by block;
+  against the element-wise ``_ownership_map`` oracle, block by block, and
+  against the messages the ``legacy`` per-hop loop sends, one by one;
 * the two paper-scale points the ledger leaves out as too slow for the
   per-rank loops (CARMA and Cannon on 8192^3, p=4096), with values captured
   from the per-rank paths;
@@ -110,6 +111,37 @@ def test_cell_owner_counts_equal_the_element_map(tiling):
             order = np.argsort(owners[mine])
             assert owners[mine][order].tolist() == expected_owners[foreign].tolist()
             assert words[mine][order].tolist() == expected_counts[foreign].tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(tilings())
+def test_per_hop_messages_equal_the_owner_words(tiling):
+    """Every message the ``legacy`` per-hop loop sends, per receiver and in
+    order, is one ``_owner_words`` triple: A then B owner -> rank (owners
+    ascending), then the C reduction rank -> owner (senders ascending)."""
+    m, n, k, domains = tiling
+    table = domain_table(domains)
+    ranks, i_range, j_range, k_range = table[:, 0], table[:, 1:3], table[:, 3:5], table[:, 5:7]
+    sent: dict[int, list] = {}
+    send = DistributedMachine.send
+
+    def recorded(self, src, dst, block, kind="input", count_round=True):
+        sent.setdefault(dst, []).append((src, dst, int(np.size(block)), kind))
+        return send(self, src, dst, block, kind, count_round)
+
+    rng = np.random.default_rng(0)
+    machine = DistributedMachine(int(ranks.max()) + 1, memory_words=1 << 20, mode="legacy")
+    with pytest.MonkeyPatch.context() as patch:  # hypothesis reruns the body: no fixture
+        patch.setattr(DistributedMachine, "send", recorded)
+        cuboid.cuboid_multiply(rng.random((m, k)), rng.random((k, n)), domains, machine=machine)
+
+    expected: dict[int, list] = {}
+    for rows, cols in ((i_range, k_range), (k_range, j_range)):
+        for owner, rank, words in zip(*(a.tolist() for a in _owner_words(ranks, rows, cols))):
+            expected.setdefault(rank, []).append((owner, rank, words, "input"))
+    for owner, rank, words in zip(*(a.tolist() for a in _owner_words(ranks, i_range, j_range))):
+        expected.setdefault(owner, []).append((rank, owner, words, "output"))
+    assert sent == expected
 
 
 def test_cell_counts_are_exact_beyond_float_precision():
