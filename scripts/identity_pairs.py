@@ -10,10 +10,10 @@ every registered algorithm over the ``grid240`` campaign points and a fixed
 list of awkward points -- pm, pn or pk = 1, idle ranks, k smaller than the
 grid side, a partial last chunk, layers that run out of rounds early,
 ``use_rma``, cuboids whose projections overlap partially, a hand-written
-tiling with shuffled ranks and an empty range, Cannon pre-skewed and on one
-rank, and the registry's extension ``AllGather1D`` (no batched engine: all
-of its counters come from per-hop sends) -- traced and untraced, one and two
-runs per machine.  The awkward points and the ``grid240`` points with
+tiling with shuffled ranks and an empty range, Cannon with idle ranks and
+padded blocks and on one rank, and the registry's extension ``AllGather1D``
+(no batched engine: all of its counters come from per-hop sends) -- traced
+and untraced, one and two runs per machine.  The awkward points and the ``grid240`` points with
 p <= 64 run in all four modes
 (``volume``, ``plane`` and the per-hop ``legacy`` / ``zerocopy``), the other
 ``grid240`` points in ``volume`` and ``plane``, and the paper-scale
@@ -196,10 +196,10 @@ def _awkward_points():
         "awkward/cuboid/shuffled-ranks-empty-range",
         lambda a, b, machine: cuboid_multiply(a, b, tiling, machine=machine),
         (9, 7, 6), 7, 1 << 20, ALL_MODES))
-    for why, p, skew in (("pre-skewed", 11, False), ("q1", 3, True)):
+    for why, p in (("idle-padded", 11), ("q1", 3)):
         points.append((
             f"awkward/Cannon/{why}",
-            lambda a, b, machine, p=p, skew=skew: cannon_multiply(a, b, p, machine=machine, skew=skew),
+            lambda a, b, machine, p=p: cannon_multiply(a, b, p, machine=machine),
             (13, 11, 7), p, 1 << 20, ALL_MODES))
     return points
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.algorithms.registry import AlgorithmSpec, Plan, register
 from repro.baselines import costs
-from repro.baselines.cannon import _largest_square, cannon_multiply
+from repro.baselines.cannon import cannon_decomposition, cannon_multiply
 from repro.baselines.carma import carma_multiply, carma_recursion_depth, usable_ranks
 from repro.baselines.grid25d import grid25d_decomposition, grid25d_multiply
 from repro.baselines.summa import summa_decomposition, summa_multiply
@@ -120,11 +120,14 @@ def _run_cannon(a, b, scenario, machine):
 
 def _plan_cannon(scenario: Scenario) -> Plan:
     shape = scenario.shape
-    q = _largest_square(scenario.p)
+    # The decomposition cannon_multiply executes, as for ScaLAPACK.
+    decomposition = cannon_decomposition(
+        shape.m, shape.n, shape.k, scenario.p, scenario.memory_words)
+    q = decomposition.grid.pm
     return Plan(
         algorithm="Cannon", scenario=scenario, feasible=True,
         grid=(q, q), processors_used=q * q,
-        rounds=q,
+        rounds=decomposition.num_steps,
         predicted_words_per_rank=costs.io_cost_2d(shape.m, shape.n, shape.k, q * q),
         lower_bound_per_rank=_bound(scenario),
     )

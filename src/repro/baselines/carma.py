@@ -28,7 +28,7 @@ import numpy as np
 from repro.baselines.cuboid import CuboidDomain, cuboid_multiply, table_domains
 from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import as_payload
+from repro.machine.transport import as_operands
 from repro.utils.validation import check_positive_int
 
 
@@ -102,12 +102,7 @@ def carma_multiply(
     memory_words: int | None = None,
 ) -> CarmaRunResult:
     """Multiply ``A @ B`` with the CARMA decomposition on a simulated machine."""
-    a_matrix = as_payload(a_matrix)
-    b_matrix = as_payload(b_matrix)
-    m, k = a_matrix.shape
-    k2, n = b_matrix.shape
-    if k != k2:
-        raise ValueError(f"inner dimensions do not match: {a_matrix.shape} x {b_matrix.shape}")
+    a_matrix, b_matrix, (m, n, k) = as_operands(a_matrix, b_matrix)
     p = check_positive_int(p, "p")
     usable = usable_ranks(m, n, k, p)
     if machine is None:

@@ -54,7 +54,7 @@ import numpy as np
 
 from repro.machine.counters import FLOPS, CommCounters
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import as_payload
+from repro.machine.transport import as_operands
 from repro.utils.intmath import sorted_distinct
 
 Range = tuple[int, int]
@@ -338,14 +338,7 @@ def cuboid_multiply(
         Optional pre-built simulator; built from ``p``/``memory_words``
         otherwise (``p`` defaults to the number of domains).
     """
-    # Operands at the machine's plane dtype, as in cosma_multiply.
-    plane_dtype = None if machine is None else machine.transport.dtype
-    a_matrix = as_payload(a_matrix, dtype=plane_dtype)
-    b_matrix = as_payload(b_matrix, dtype=plane_dtype)
-    m, k = a_matrix.shape
-    k2, n = b_matrix.shape
-    if k != k2:
-        raise ValueError(f"inner dimensions do not match: {a_matrix.shape} x {b_matrix.shape}")
+    a_matrix, b_matrix, (m, n, k) = as_operands(a_matrix, b_matrix, machine)
     table = domain_table(domains)
     validate_domains(m, n, k, table)
     if machine is None:

@@ -48,7 +48,7 @@ from repro.core.decomposition import CosmaDecomposition, build_decomposition
 from repro.core.grid import ProcessorGrid
 from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import ShapeToken, as_payload
+from repro.machine.transport import ShapeToken, as_operands
 from repro.utils.intmath import ceil_div, divisors
 from repro.utils.validation import check_positive_int
 
@@ -137,14 +137,7 @@ def grid25d_multiply(
         Optional explicit ``(q, q, c)`` grid override.
     """
     p = check_positive_int(p, "p")
-    # Operands at the machine's plane dtype, as in cosma_multiply.
-    plane_dtype = None if machine is None else machine.transport.dtype
-    a_matrix = as_payload(a_matrix, dtype=plane_dtype)
-    b_matrix = as_payload(b_matrix, dtype=plane_dtype)
-    m, k = a_matrix.shape
-    k2, n = b_matrix.shape
-    if k != k2:
-        raise ValueError(f"inner dimensions do not match: {a_matrix.shape} x {b_matrix.shape}")
+    a_matrix, b_matrix, (m, n, k) = as_operands(a_matrix, b_matrix, machine)
     decomposition = grid25d_decomposition(m, n, k, p, memory_words, grid)
     qm, qn, c = decomposition.grid
     if machine is None:

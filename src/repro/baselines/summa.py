@@ -20,9 +20,11 @@ residency and panel rounds through the accounting core of
 GEMMs; ``legacy`` / ``zerocopy`` runs make the same calls on the core's
 per-hop twins.  Either way, what is SUMMA's own is the grid, the step, binomial
 broadcasts, an unlabelled ``commit_round`` per panel, and a product read off
-the accumulators with no C reduction.  The textbook layout (A's k columns
-split over the ``pn`` ranks of a process row, B's k rows over the ``pm`` ranks
-of a process column) is pinned on the decomposition's arrays by the tests.
+the accumulators with no C reduction.  Cannon makes the same calls
+(:func:`run_panels`) with a ring in place of the trees.  The textbook layout
+(A's k columns split over the ``pn`` ranks of a process row, B's k rows over
+the ``pm`` ranks of a process column) is pinned on the decomposition's arrays
+by the tests.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from repro.core.decomposition import CosmaDecomposition, build_decomposition
 from repro.core.grid import ProcessorGrid
 from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import ShapeToken, as_payload
+from repro.machine.transport import ShapeToken, as_operands
 from repro.utils.intmath import divisors
 from repro.utils.validation import check_positive_int
 
@@ -124,14 +126,7 @@ def summa_multiply(
         limit is given).
     """
     p = check_positive_int(p, "p")
-    # Operands at the machine's plane dtype, as in cosma_multiply.
-    plane_dtype = None if machine is None else machine.transport.dtype
-    a_matrix = as_payload(a_matrix, dtype=plane_dtype)
-    b_matrix = as_payload(b_matrix, dtype=plane_dtype)
-    m, k = a_matrix.shape
-    k2, n = b_matrix.shape
-    if k != k2:
-        raise ValueError(f"inner dimensions do not match: {a_matrix.shape} x {b_matrix.shape}")
+    a_matrix, b_matrix, (m, n, k) = as_operands(a_matrix, b_matrix, machine)
     if machine is None:
         machine = DistributedMachine(p, memory_words=memory_words or (1 << 20))
     if panel_width is None and memory_words is None:
@@ -142,16 +137,31 @@ def summa_multiply(
     pm, pn, _ = decomposition.grid
     panel_width = decomposition.step_size
 
-    if machine.transport.planar or machine.transport.counters_only:
-        c_global = _summa_plane(machine, a_matrix, b_matrix, decomposition)
-    else:
-        put_owned_blocks(machine, decomposition, a_matrix, b_matrix, "A", "B", "C")
-        hop_fiber_exchange(
-            machine, decomposition, "tree", "A", "B", "C", lambda _: machine.commit_round())
-        c_global = owner_product(machine, decomposition, "C")
+    c_global = run_panels(machine, a_matrix, b_matrix, decomposition, "tree")
     return SummaRunResult(
         matrix=c_global, grid=(pm, pn), panel_width=panel_width, counters=machine.counters
     )
+
+
+def run_panels(
+    machine: DistributedMachine,
+    a_matrix: np.ndarray,
+    b_matrix: np.ndarray,
+    decomposition: CosmaDecomposition,
+    exchange: str,
+) -> np.ndarray:
+    """Run a one-layer decomposition's panel rounds with the given ``exchange``
+    kind (SUMMA's ``"tree"``, Cannon's ``"ring"``); returns the global product.
+
+    ``plane`` and ``volume`` runs take :func:`_summa_plane`; ``legacy`` /
+    ``zerocopy`` runs make the same calls on the core's per-hop twins.
+    """
+    if machine.transport.planar or machine.transport.counters_only:
+        return _summa_plane(machine, a_matrix, b_matrix, decomposition, exchange)
+    put_owned_blocks(machine, decomposition, a_matrix, b_matrix, "A", "B", "C")
+    hop_fiber_exchange(
+        machine, decomposition, exchange, "A", "B", "C", lambda _: machine.commit_round())
+    return owner_product(machine, decomposition, "C")
 
 
 class BlockStacks:
@@ -243,6 +253,7 @@ def _summa_plane(
     a_matrix: np.ndarray,
     b_matrix: np.ndarray,
     decomposition: CosmaDecomposition,
+    exchange: str,
 ) -> np.ndarray:
     """SUMMA on the stacked-array engine; returns the global product.
 
@@ -259,7 +270,7 @@ def _summa_plane(
     # The reference path checks memory once per panel; the stores never
     # change between panels, so one check records the identical peak.
     machine.check_memory()
-    post_fiber_exchange(machine, decomposition, "tree", lambda _: machine.commit_round())
+    post_fiber_exchange(machine, decomposition, exchange, lambda _: machine.commit_round())
     if not numeric:
         return ShapeToken((decomposition.m, decomposition.n))
     for start in range(0, k, panel_width):

@@ -23,9 +23,11 @@ product and the round count.
 :class:`CosmaDecomposition` -- :func:`post_owned_words`,
 :func:`post_fiber_exchange` and :func:`post_c_reduction` -- and they are the
 one accounting implementation of the grid family: SUMMA runs them on
-``pm x pn x 1`` with its panel width as the step, 2.5D on ``q x q x c`` with
-one whole-layer gather round (:mod:`repro.baselines.summa`,
-:mod:`repro.baselines.grid25d`).  What is posted when:
+``pm x pn x 1`` with its panel width as the step, Cannon on a padded
+``q x q x 1`` with block-wide panels passed around a ring, 2.5D on
+``q x q x c`` with one whole-layer gather round (:mod:`repro.baselines.summa`,
+:mod:`repro.baselines.cannon`, :mod:`repro.baselines.grid25d`).  What is
+posted when:
 
 * **per run** -- the owned words; the panel exchange as ONE expansion to
   ranks (Algorithm 1 is a steady-state schedule and every counter is linear
@@ -33,7 +35,7 @@ one whole-layer gather round (:mod:`repro.baselines.summa`,
   at ``(layer, owner)`` size, before anything of size p exists); the C
   reduction, one more delta;
 * **per round** -- the engine's boundary call only (COSMA's labelled
-  ``log_round``, SUMMA's ``commit_round``, none for 2.5D);
+  ``log_round``, SUMMA's and Cannon's ``commit_round``, none for 2.5D);
 * **per round class** (a maximal run of rounds with equal widths) -- a
   ``fields x p`` delta, but only under a tracer: a round span reads the
   counter matrix at its boundary, so a traced run adds class by class, through
@@ -49,8 +51,8 @@ the accounting core's per-hop twins -- :func:`put_owned_blocks`,
 argument; one A panel per j fiber and one B panel per i fiber per round) and
 :func:`hop_c_reduction` -- which read the same boundary arrays and move every
 word through the machine's primitives.  They are the grid family's one
-per-hop implementation: SUMMA and 2.5D call them in the order their batched
-engines call the core, and the parity suites hold each engine to them.
+per-hop implementation: SUMMA, Cannon and 2.5D call them in the order their
+batched engines call the core, and the parity suites hold each engine to them.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import (
     PayloadPlane,
     ShapeToken,
-    as_payload,
+    as_operands,
     ascontiguous,
     concat_payloads,
 )
@@ -141,15 +143,7 @@ def cosma_multiply(
         Use one-sided gets for the panel exchange instead of broadcast trees
         (section 7.4); the volume is identical, the round accounting differs.
     """
-    # Normalize operands at the machine's plane dtype: a float32 machine
-    # receives float32 payloads directly, never a float64 round-trip.
-    plane_dtype = None if machine is None else machine.transport.dtype
-    a_matrix = as_payload(a_matrix, dtype=plane_dtype)
-    b_matrix = as_payload(b_matrix, dtype=plane_dtype)
-    m, k = a_matrix.shape
-    k2, n = b_matrix.shape
-    if k != k2:
-        raise ValueError(f"inner dimensions do not match: {a_matrix.shape} x {b_matrix.shape}")
+    a_matrix, b_matrix, (m, n, k) = as_operands(a_matrix, b_matrix, machine)
 
     decomposition = build_decomposition(
         m, n, k, p, memory_words, max_idle_fraction=max_idle_fraction, grid=grid
@@ -273,7 +267,8 @@ class _PanelExchange:
     piece reaches the other ``q - 1`` ranks of the fiber: ``"tree"``, a
     binomial broadcast; ``"get"``, one-sided gets (a star, the round charged
     to the origin only); ``"gather"``, direct sends (the same star, rounds on
-    both ends).
+    both ends); ``"ring"``, forwarded from neighbour to neighbour (each hop a
+    sendrecv, its round charged to the receiver).
 
     A round's schedule is a function of the overlap widths between its
     k-chunk and each ownership slice.  ``table`` holds them for the whole
@@ -303,8 +298,14 @@ class _PanelExchange:
 
         def circulant(q: int) -> np.ndarray:
             """``fan[o, pos]``: messages position ``pos`` sends of owner ``o``'s piece
-            (the star sends all ``q - 1`` from the owner itself)."""
-            fanout = np.array(tree_fanout(q) if exchange == "tree" else [q - 1] + [0] * (q - 1))
+            (the star sends all ``q - 1`` from the owner itself, the ring one
+            from every position but the last)."""
+            if exchange == "tree":
+                fanout = np.array(tree_fanout(q))
+            elif exchange == "ring":
+                fanout = np.array([1] * (q - 1) + [0])
+            else:
+                fanout = np.array([q - 1] + [0] * (q - 1))
             return fanout[(np.arange(q) - np.arange(q)[:, None]) % q]
 
         self.fan_a, self.fan_b = circulant(pn), circulant(pm)
@@ -357,8 +358,9 @@ class _PanelExchange:
             np.count_nonzero(w_a, axis=0), np.count_nonzero(w_b, axis=0), 1, 1)
         fields[MESSAGES_SENT] += sent
         fields[MESSAGES_RECEIVED] += received
-        # A get is charged to its origin only; a send or a tree hop to both ends.
-        fields[ROUNDS] += received if self.exchange == "get" else received + sent
+        # A get or a ring hop is charged to its receiver only; a send or a tree
+        # hop to both ends.
+        fields[ROUNDS] += received if self.exchange in ("get", "ring") else received + sent
         fields[FLOPS] += 2 * chunk_w.sum(axis=0) * lm * ln
 
     def classes(self, machine: DistributedMachine) -> Iterator[tuple[range, CommCounters]]:
@@ -592,11 +594,13 @@ def _fiber_panel(
 
     Every owner whose slice meets the chunk moves its piece to the rest of the
     fiber -- ``"tree"``, one binomial :func:`broadcast`; ``"get"``, one
-    :func:`rma_get` per member; ``"gather"``, one ``machine.send`` per member
-    -- and the pieces, in owner order, are the panel every member multiplies.
+    :func:`rma_get` per member; ``"gather"``, one ``machine.send`` per member;
+    ``"ring"``, one ``machine.send`` per hop from the owner onwards, each
+    forwarding what the previous hop delivered -- and the pieces, in owner
+    order, are the panel every member multiplies.
     """
     parts = []
-    for owner, s0, s1 in zip(fiber, slices, slices[1:]):
+    for pos, (owner, s0, s1) in enumerate(zip(fiber, slices, slices[1:])):
         lo, hi = max(s0, c0), min(s1, c1)
         if lo >= hi:
             continue  # the owner's slice misses the chunk: it sends nothing
@@ -605,6 +609,12 @@ def _fiber_panel(
         piece = block[:, cut] if axis else block[cut]
         if exchange == "tree":
             broadcast(machine, owner, fiber, piece, kind="input")
+        elif exchange == "ring":
+            order = fiber[pos:] + fiber[:pos]
+            held = piece
+            for src, dst in zip(order, order[1:]):
+                held = machine.send(src, dst, held, kind="input", count_round=False)
+                machine.counters.log_tick(ROUNDS, dst, 1)  # a sendrecv: send checked dst
         else:
             for member in fiber:
                 if member == owner:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from repro.algorithms import Plan, register_algorithm
 from repro.baselines.costs import io_cost_naive_1d
 from repro.machine.collectives import allgather
-from repro.machine.transport import as_payload, concat_payloads
+from repro.machine.transport import as_operands, concat_payloads
 from repro.pebbling.mmm_bounds import parallel_io_lower_bound
 from repro.utils.intmath import split_offsets
 from repro.workloads.scaling import Scenario
@@ -56,12 +56,7 @@ def _plan_allgather(scenario: Scenario) -> Plan:
 )
 def allgather_multiply(a_matrix, b_matrix, scenario, machine):
     """Run the naive 1D algorithm; returns the assembled global product."""
-    a_matrix = as_payload(a_matrix)
-    b_matrix = as_payload(b_matrix)
-    m, k = a_matrix.shape
-    k2, n = b_matrix.shape
-    if k != k2:
-        raise ValueError(f"inner dimensions do not match: {a_matrix.shape} x {b_matrix.shape}")
+    a_matrix, b_matrix, (m, n, k) = as_operands(a_matrix, b_matrix)
     q = _usable_ranks(m, k, scenario.p)
     ranks = list(range(q))
     i_ranges = split_offsets(m, q)

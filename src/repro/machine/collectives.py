@@ -15,7 +15,9 @@ mode: on a ``volume`` machine the payloads are shape tokens and the transport
 delivers tokens, so the communication counters are byte-identical across
 modes.  The built-in algorithms' batched engines never call these loops; they
 read the tree shape (:func:`tree_fanout`) and post whole schedules
-themselves.
+themselves.  Cannon's ring is not a collective here: it is an ``exchange``
+kind of the grid family's panel exchange (:mod:`repro.core.cosma`), whose
+per-hop twin forwards each piece with one ``send`` per hop.
 """
 
 from __future__ import annotations
@@ -196,33 +198,4 @@ def scatter(
             out[r] = machine.transport.self_copy(pieces[r])
         else:
             out[r] = machine.send(root, r, pieces[r], kind=kind)
-    return out
-
-
-def ring_shift(
-    machine: DistributedMachine,
-    ranks: Sequence[int],
-    blocks: Mapping[int, np.ndarray],
-    displacement: int = 1,
-    kind: str = "input",
-) -> dict[int, np.ndarray]:
-    """Cyclically shift blocks along ``ranks`` by ``displacement`` positions.
-
-    Used by Cannon's algorithm: the block held by the rank at position ``pos``
-    moves to the rank at position ``pos - displacement`` (i.e. data flows
-    "left/up" as in the classical formulation).
-    """
-    order = list(ranks)
-    q = len(order)
-    if machine.trace is not None:
-        machine.trace.collective("ring_shift", q)
-    out = {}
-    for pos, r in enumerate(order):
-        dst = order[(pos - displacement) % q]
-        if dst == r:
-            out[r] = machine.transport.self_copy(blocks[r])
-        else:
-            out[dst] = machine.send(r, dst, blocks[r], kind=kind, count_round=False)
-    for r in order:
-        machine.counters.log_tick(ROUNDS, machine.check_rank(r), 1)
     return out

@@ -32,10 +32,10 @@ delta of a whole communication round is a ``fields x p`` integer array, so a
 batched engine that knows its repeats up front writes each distinct round once
 into a scratch :class:`CommCounters` (array arithmetic over its rows, no
 transfer list) and adds it times the class's rounds (:meth:`post_rounds
-<repro.machine.simulator.DistributedMachine.post_rounds>`).  Cannon does so
-for its two classes.  The grid family (COSMA, SUMMA, 2.5D) writes class deltas
-only under a tracer, whose round spans read this array at every boundary;
-untraced it sums its rounds before they reach rank size and adds one
+<repro.machine.simulator.DistributedMachine.post_rounds>`).  Cannon adds its
+skew that way, one delta once.  The grid family (COSMA, SUMMA, Cannon, 2.5D)
+writes class deltas only under a tracer, whose round spans read this array at
+every boundary; untraced it sums its rounds before they reach rank size and adds one
 expansion per run straight into the rows of the live array
 (:func:`repro.core.cosma.post_fiber_exchange`), so a second run on the same
 machine still accumulates.

@@ -188,8 +188,8 @@ class MachineTrace:
     def commit_round(self, peak_resident_words: int) -> None:
         """Round boundary for algorithms that commit without ``log_round``.
 
-        The baselines (Cannon, SUMMA) end each round with
-        ``machine.commit_round()`` alone, while COSMA labels its rounds via
+        SUMMA and Cannon end each panel round (the boundary they hand the
+        grid core) with ``machine.commit_round()`` alone, while COSMA labels its rounds via
         ``log_round`` first; emitting here only when activity accumulated
         since the last span keeps both paths at exactly one span per round.
         """

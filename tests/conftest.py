@@ -30,7 +30,7 @@ def class_posts(monkeypatch) -> list[str]:
 
     Every ``post_class`` call that ``DistributedMachine.round_classes`` makes
     appends the module the callback lives in (one entry per class delta of
-    size p written: Cannon's two; the grid family's only under a tracer, an
+    size p written: the grid family writes them only under a tracer, an
     untraced run of it writes none), and expanding a schedule into a transfer
     list -- reaching ``CommCounters.post_transfers`` -- fails the test.
     """

@@ -23,6 +23,7 @@ from repro.baselines.cuboid import (
 from repro.baselines.grid25d import choose_25d_grid, grid25d_multiply
 from repro.baselines.summa import choose_2d_grid, summa_multiply
 from repro.machine.simulator import DistributedMachine
+from repro.machine.transport import ShapeToken
 
 
 class TestCannon:
@@ -52,23 +53,36 @@ class TestCannon:
         result = cannon_multiply(a, b, 1)
         assert result.counters.total_words_sent == 0
 
-    def test_volume_close_to_2d_formula(self, rng):
-        m = n = k = 32
-        p = 16
-        a = rng.standard_normal((m, k))
-        b = rng.standard_normal((k, n))
-        result = cannon_multiply(a, b, p)
-        # Received words per rank ~ k(m+n)/sqrt(p) (plus the skew shifts).
-        expected = k * (m + n) / np.sqrt(p)
-        measured = result.counters.mean_received_per_rank()
-        assert 0.5 * expected <= measured <= 2.0 * expected
+    def test_volume_close_to_2d_formula(self):
+        """Exactly SUMMA's words on the same ``q x q`` grid plus the skew, which
+        moves one more block of each operand on all but one row (column) of
+        the grid: ``(q + 1) / q`` times SUMMA's words received per rank."""
+        for side, p, cannon_words, summa_words in (
+            (32, 16, 480, 384),
+            (768, 256, 73440, 69120),
+            (4096, 1024, 1047552, 1015808),
+        ):
+            q = int(np.sqrt(p))
+            tokens = ShapeToken((side, side)), ShapeToken((side, side))
+            cannon = cannon_multiply(*tokens, p, machine=DistributedMachine(p, mode="volume"))
+            summa = summa_multiply(*tokens, p, machine=DistributedMachine(p, mode="volume"),
+                                   grid=(q, q))
+            assert cannon.counters.mean_received_per_rank() == cannon_words
+            assert summa.counters.mean_received_per_rank() == summa_words
+            assert q * cannon_words == (q + 1) * summa_words
 
-    def test_skew_disabled_reduces_volume(self, rng):
-        a = rng.standard_normal((16, 16))
-        b = rng.standard_normal((16, 16))
-        with_skew = cannon_multiply(a, b, 16, skew=True)
-        without = cannon_multiply(a, b, 16, skew=False)
-        assert without.counters.total_words_sent < with_skew.counters.total_words_sent
+    @pytest.mark.parametrize("mode", ["legacy", "zerocopy", "plane", "volume"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_one_rank_grid_records_its_footprint(self, rng, p, mode):
+        """On a 1 x 1 grid the one rank holds all of A, B and C: the peak says so."""
+        machine = DistributedMachine(p, mode=mode)
+        if mode == "volume":
+            a, b = ShapeToken((13, 7)), ShapeToken((7, 11))
+        else:
+            a, b = rng.standard_normal((13, 7)), rng.standard_normal((7, 11))
+        result = cannon_multiply(a, b, p, machine=machine)
+        assert result.grid_size == 1
+        assert machine.peak_resident_words == 13 * 7 + 7 * 11 + 13 * 11
 
 
 class TestSumma:

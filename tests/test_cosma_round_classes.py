@@ -5,18 +5,18 @@ resident peak, the per-round spans (and COSMA's round count) equal the
 per-hop ``legacy`` loop's, in ``volume`` and in ``plane`` mode, on a fresh
 machine or one that already holds counters, traced or not.  COSMA posts its
 overlap-width classes (with one-sided gets or tree broadcasts; its plane-mode
-product comes from one GEMM into a single C sheet), SUMMA its panel classes,
-Cannon "steady shift round" and "final round" -- all through
-``DistributedMachine.round_classes`` / ``post_rounds``.  The grid family's
-class deltas are written in closed form; the hop expansion they replaced is
-kept here as their oracle.
+product comes from one GEMM into a single C sheet), SUMMA and Cannon their
+panel classes -- all through ``DistributedMachine.round_classes`` /
+``post_rounds``.  The grid family's class deltas are written in closed form;
+the hop expansion they replaced is kept here as their oracle.
 
-SUMMA and 2.5D run COSMA's accounting core, and in ``legacy`` / ``zerocopy``
-its per-hop twins (one per-hop implementation for the grid family, held to
-the core here op by op).  What keeps that honest is pinned on the
-decomposition's arrays: SUMMA is ``pm x pn x 1`` with the textbook 2D layout
-and the panel width as the step, 2.5D is ``q x q x c`` with each layer's
-k-slice laid out the same way and one whole-layer round of direct sends.
+SUMMA, Cannon and 2.5D run COSMA's accounting core, and in ``legacy`` /
+``zerocopy`` its per-hop twins (one per-hop implementation for the grid
+family, held to the core here op by op).  What keeps that honest is pinned on
+the decomposition's arrays: SUMMA is ``pm x pn x 1`` with the textbook 2D
+layout and the panel width as the step, Cannon the same on a padded ``q x q``
+grid with ring exchanges, 2.5D is ``q x q x c`` with each layer's k-slice laid
+out the same way and one whole-layer round of direct sends.
 """
 
 import hashlib
@@ -194,11 +194,12 @@ def test_top_of_the_strong_scaling_range():
      "32cabfafd8d601f5ef4c259b6efea96175b83ebadfc06b3cc828439d07214f58"), 2.0),
     ("CTF", (128, 128, 4), (8421376.0, 8454144, 510, 510,
      "d1245d75a8f31a5c3c29e50114b454dd99023cea3bc9d478b77f7dd9f92b40c3"), 0.5),
-    # No grid to plan: a recursion table (0.55 s as p objects, 0.08 s as arrays)
-    # and two closed-form class deltas (0.32 s through transfer lists, 0.01 s).
+    # No grid to plan: a recursion table (0.55 s as p objects, 0.08 s as arrays).
     ("CARMA", None, (4096000.0, 98566144, 125, 125,
      "f9edd10deb6825e44ac70e0b57e60f7b8da62bc844b29679ba7a2ee6019d42d3"), 0.5),
-    ("Cannon", None, (16776960.0, 16777216, 512, 1024,
+    # ScaLAPACK's grid with a ring and a skew: 0.32 s through transfer lists,
+    # 0.01 s as two closed-form class deltas, 0.017 s through the grid core.
+    ("Cannon", (256, 256), (16776960.0, 16777216, 512, 1024,
      "e0036800107951b45dd229136840ade0e92b40bbdbd28c79349598bf0ffbd31e"), 0.2),
 ], ids=["COSMA", "ScaLAPACK", "CTF", "CARMA", "Cannon"])
 def test_grid_baselines_three_octaves_up(name, grid, pinned, ceiling_s):
@@ -206,8 +207,8 @@ def test_grid_baselines_three_octaves_up(name, grid, pinned, ceiling_s):
     captured at the parent (the hash over the eight rows the matrix keeps), where the hop arrays made these 2.5-5.4 s / 600 MiB
     (ScaLAPACK) and 0.9 s / 340 MiB (CTF); 0.25 s and 0.015 s without them.  The
     ceiling is on the faster of two runs and far above that: it guards the
-    order of magnitude, not the box.  CARMA and Cannon ride along at the same
-    point (they plan no grid), pinned the same way at their parent, and COSMA
+    order of magnitude, not the box.  CARMA (which plans no grid) and Cannon
+    ride along at the same point, pinned the same way at their parent, and COSMA
     with the planned grid handed back to its runner, as ``repro.multiply``
     does: the grid search (0.7 s, memoized behind ``plan``) is not the engine."""
     scenario = Scenario(name="square-paper-p65536", shape=square_shape(32768), p=65536,
@@ -261,7 +262,6 @@ def _assert_engines_equal_the_per_hop_loop(multiply, m, n, k, p):
         traced_spans, traced = _round_spans(_run_on, *args, mode=mode)
         assert traced_spans == spans, mode
         assert _observables(*traced) == once, mode
-    # (Not A @ B: Cannon without the skew models a pre-skewed layout.)
     assert np.allclose(result.matrix, oracle.matrix, rtol=1e-10, atol=1e-8 * k)
 
 
@@ -298,15 +298,13 @@ def test_summa_equals_the_per_hop_loop(problem):
 @given(
     shape=st.tuples(st.integers(1, 20), st.integers(1, 20), st.integers(1, 20)),
     p=st.integers(1, 30),  # q = 1 .. 5, with and without idle ranks
-    skew=st.booleans(),
 )
-@example(shape=(12, 12, 12), p=1, skew=True)    # q = 1: the final round is the only round
-@example(shape=(13, 11, 7), p=4, skew=False)    # q = 2, pre-skewed layout, padded blocks
-@example(shape=(13, 11, 7), p=11, skew=True)    # q = 3 and two idle ranks
-@example(shape=(13, 11, 7), p=29, skew=True)    # q = 5, four idle ranks, padded blocks
-def test_cannon_equals_the_per_hop_loop(shape, p, skew):
+@example(shape=(12, 12, 12), p=1)    # q = 1: one round, no ring
+@example(shape=(13, 11, 7), p=11)    # q = 3 and two idle ranks
+@example(shape=(13, 11, 7), p=29)    # q = 5, four idle ranks, padded blocks
+def test_cannon_equals_the_per_hop_loop(shape, p):
     def multiply(a, b, machine):
-        return cannon_multiply(a, b, p, machine=machine, skew=skew)
+        return cannon_multiply(a, b, p, machine=machine)
 
     _assert_engines_equal_the_per_hop_loop(multiply, *shape, p)
 
@@ -349,7 +347,8 @@ def _expanded_round(decomposition, p, exchange, r):
     def send_pieces(fiber, slices, c0, c1, side):
         """Every owner of ``fiber`` whose slice meets ``[c0, c1)`` sends its piece."""
         q = len(fiber)
-        hops = broadcast_hops(q) if exchange == "tree" else [(0, d) for d in range(1, q)]
+        hops = {"tree": broadcast_hops(q), "ring": [(d, d + 1) for d in range(q - 1)]}.get(
+            exchange, [(0, d) for d in range(1, q)])
         for owner in range(q):
             width = min(slices[owner + 1], c1) - max(slices[owner], c0)
             for s, d in hops if width > 0 else ():
@@ -371,9 +370,10 @@ def _expanded_round(decomposition, p, exchange, r):
         for pi in range(pm):
             for pj in range(pn):
                 delta.data[FLOPS, ranks[pi, pj, kk]] += 2 * (c1 - c0) * lm[pi] * ln[pj]
-    delta.post_transfers(srcs, dsts, words, kind="input", count_rounds=exchange != "get")
-    if exchange == "get":
-        np.add.at(delta.data[ROUNDS], dsts, 1)  # a get is charged to its origin only
+    receiver_pays = exchange in ("get", "ring")
+    delta.post_transfers(srcs, dsts, words, kind="input", count_rounds=not receiver_pays)
+    if receiver_pays:  # a get is charged to its origin only, a ring hop to its receiver
+        np.add.at(delta.data[ROUNDS], dsts, 1)
     return delta.data
 
 
@@ -390,13 +390,18 @@ def exchange_problems(draw, side=7):
 
 
 @settings(max_examples=80, deadline=None)
-@given(problem=exchange_problems(), exchange=st.sampled_from(["tree", "get", "gather"]))
+@given(problem=exchange_problems(),
+       exchange=st.sampled_from(["tree", "get", "gather", "ring"]))
 @example(problem=(36, build_decomposition(12, 12, 5, 36, 1 << 20, grid=ProcessorGrid(6, 5, 1),
                                           step_size=1)), exchange="tree")  # k < pm: empty slices
 @example(problem=(15, build_decomposition(9, 9, 7, 15, 1 << 20, grid=ProcessorGrid(1, 7, 2),
                                           step_size=2)), exchange="gather")  # pm = 1, uneven layers
 @example(problem=(9, build_decomposition(9, 9, 31, 9, 1 << 20, grid=ProcessorGrid(7, 1, 1),
                                          step_size=3)), exchange="get")  # pn = 1, two idle ranks
+@example(problem=(2, build_decomposition(5, 4, 9, 2, 1 << 20, grid=ProcessorGrid(1, 1, 1),
+                                         step_size=2)), exchange="ring")  # q = 1: no hop
+@example(problem=(5, build_decomposition(6, 6, 8, 5, 1 << 20, grid=ProcessorGrid(2, 2, 1),
+                                         step_size=4)), exchange="ring")  # q = 2: one hop
 def test_class_deltas_equal_the_hop_expansion(problem, exchange):
     """Every class's delta, on all eight rows, at the first and the last round
     of the class (so the run detection is held to the same oracle), and the
@@ -413,13 +418,18 @@ def test_class_deltas_equal_the_hop_expansion(problem, exchange):
 
 
 @settings(max_examples=80, deadline=None)
-@given(problem=exchange_problems(), exchange=st.sampled_from(["tree", "get", "gather"]))
+@given(problem=exchange_problems(),
+       exchange=st.sampled_from(["tree", "get", "gather", "ring"]))
 @example(problem=(36, build_decomposition(12, 12, 5, 36, 1 << 20, grid=ProcessorGrid(6, 5, 1),
                                           step_size=1)), exchange="tree")  # k < pm: empty slices
 @example(problem=(15, build_decomposition(9, 9, 7, 15, 1 << 20, grid=ProcessorGrid(1, 7, 2),
                                           step_size=2)), exchange="gather")  # pm = 1, uneven layers
 @example(problem=(9, build_decomposition(9, 9, 31, 9, 1 << 20, grid=ProcessorGrid(7, 1, 1),
                                          step_size=3)), exchange="get")  # pn = 1, two idle ranks
+@example(problem=(2, build_decomposition(5, 4, 9, 2, 1 << 20, grid=ProcessorGrid(1, 1, 1),
+                                         step_size=2)), exchange="ring")  # q = 1: no hop
+@example(problem=(5, build_decomposition(6, 6, 8, 5, 1 << 20, grid=ProcessorGrid(2, 2, 1),
+                                         step_size=4)), exchange="ring")  # q = 2: one hop
 def test_one_expansion_equals_the_summed_class_deltas(problem, exchange):
     """An untraced run sums its width table before anything of size p exists:
     on a machine that already holds counters, all eight rows equal
@@ -482,13 +492,18 @@ def _resident(machine):
 
 
 @settings(max_examples=60, deadline=None)
-@given(problem=exchange_problems(side=4), exchange=st.sampled_from(["tree", "get", "gather"]))
+@given(problem=exchange_problems(side=4),
+       exchange=st.sampled_from(["tree", "get", "gather", "ring"]))
 @example(problem=(13, build_decomposition(7, 5, 2, 13, 1 << 20, grid=ProcessorGrid(3, 4, 1),
                                           step_size=1)), exchange="gather")  # k < pm, pn; idle
 @example(problem=(20, build_decomposition(13, 11, 47, 20, 1 << 20, grid=ProcessorGrid(2, 3, 3),
                                           step_size=2)), exchange="get")  # partial last chunk
 @example(problem=(9, build_decomposition(9, 9, 3, 9, 1 << 20, grid=ProcessorGrid(2, 2, 2),
                                          step_size=1)), exchange="gather")  # a layer ends early
+@example(problem=(3, build_decomposition(5, 4, 9, 3, 1 << 20, grid=ProcessorGrid(1, 1, 1),
+                                         step_size=2)), exchange="ring")  # q = 1: no hop
+@example(problem=(10, build_decomposition(6, 6, 8, 10, 1 << 20, grid=ProcessorGrid(2, 2, 2),
+                                          step_size=3)), exchange="ring")  # q = 2, two layers
 def test_per_hop_twins_equal_the_accounting_core(problem, exchange):
     """The per-hop twins on a ``legacy`` machine against the accounting core on
     a ``volume`` one, called in the same order: counter bytes, the resident
@@ -681,8 +696,8 @@ _EXECUTED_GRID = {
        p=st.integers(1, 24), slack=st.integers(0, 400))
 def test_a_plan_reports_the_grid_and_rounds_its_run_executes(dims, p, slack):
     """Every registered algorithm: no rank outside the planned grid is touched;
-    the built-ins' planned grid is the executed one; COSMA's and ScaLAPACK's
-    planned rounds are the round boundaries the run marks, CTF's the rounds
+    the built-ins' planned grid is the executed one; COSMA's, ScaLAPACK's and
+    Cannon's planned rounds are the round boundaries the run marks, CTF's the rounds
     of the exchange it runs."""
     shape = ProblemShape(m=dims[0], n=dims[1], k=dims[2])
     scenario = Scenario(name="drawn", shape=shape, p=p, regime="limited",
@@ -715,7 +730,7 @@ def test_a_plan_reports_the_grid_and_rounds_its_run_executes(dims, p, slack):
             assert run_plan.grid == executed_grid(results[0]), name
         if name == "COSMA":
             assert run_plan.rounds == results[0].num_rounds
-        if name == "ScaLAPACK":
+        if name in ("ScaLAPACK", "Cannon"):
             assert run_plan.rounds == len(spans)
         if name == "CTF":
             # 2.5D marks no round boundary: count the exchange its grid schedules.

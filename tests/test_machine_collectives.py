@@ -7,10 +7,9 @@ from repro.machine.collectives import (
     allgather,
     broadcast,
     reduce,
-    ring_shift,
     scatter,
 )
-from repro.machine.counters import MESSAGES_SENT, ROUNDS, WORDS_RECEIVED, WORDS_SENT
+from repro.machine.counters import MESSAGES_SENT, WORDS_RECEIVED, WORDS_SENT
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import ShapeToken
 
@@ -116,40 +115,6 @@ class TestScatter:
         assert machine.counters.data[WORDS_RECEIVED, 1] == 4
 
 
-class TestRingShift:
-    def test_shift_by_one(self, machine):
-        ranks = [0, 1, 2, 3]
-        blocks = {r: np.full(2, float(r)) for r in ranks}
-        shifted = ring_shift(machine, ranks, blocks, displacement=1)
-        # Block of the rank at position pos moves to position pos - 1.
-        assert np.allclose(shifted[0], 1.0)
-        assert np.allclose(shifted[3], 0.0)
-
-    def test_shift_by_zero_is_identity_and_free(self, machine):
-        ranks = [0, 1, 2]
-        blocks = {r: np.full(1, float(r)) for r in ranks}
-        shifted = ring_shift(machine, ranks, blocks, displacement=0)
-        for r in ranks:
-            assert np.allclose(shifted[r], float(r))
-        assert machine.counters.total_words_sent == 0
-
-    def test_full_cycle_restores(self, machine):
-        ranks = [0, 1, 2, 3]
-        blocks = {r: np.full(1, float(r)) for r in ranks}
-        current = blocks
-        for _ in range(len(ranks)):
-            current = ring_shift(machine, ranks, current, displacement=1)
-        for r in ranks:
-            assert np.allclose(current[r], float(r))
-
-    def test_counts_one_round_per_shift(self, machine):
-        ranks = [0, 1, 2, 3]
-        blocks = {r: np.ones(4) for r in ranks}
-        ring_shift(machine, ranks, blocks, displacement=1)
-        for r in ranks:
-            assert machine.counters.data[ROUNDS, r] == 1
-
-
 # Each collective over ranks 1..6 of an 8-rank machine (root 3 where there is
 # one), called with one payload per rank built by ``make(shape)``.
 _COLLECTIVES = {
@@ -157,8 +122,6 @@ _COLLECTIVES = {
     "reduce": lambda m, make: reduce(m, 3, range(1, 7), {r: make((3, 4)) for r in range(1, 7)}),
     "allgather": lambda m, make: allgather(m, range(1, 7), {r: make((r, 2)) for r in range(1, 7)}),
     "scatter": lambda m, make: scatter(m, 3, range(1, 7), {r: make((r, 3)) for r in range(1, 7)}),
-    "ring_shift": lambda m, make: ring_shift(m, range(1, 7), {r: make((2, r)) for r in range(1, 7)},
-                                             displacement=2),
 }
 
 

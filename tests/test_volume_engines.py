@@ -12,12 +12,11 @@ this file pins what the counters-only route is made of:
 * a structural guard: no built-in algorithm's ``volume`` run touches a
   per-rank primitive or allocates an element-sized array, an untraced COSMA
   run expands its width table to ranks once and writes no class delta (a
-  traced one writes one per round class), ScaLAPACK and CTF do so only from
-  inside COSMA's accounting core, none of the three expands a transfer list,
-  ``use_rma`` stays on the batched engine, neither a ``volume`` nor a
-  ``plane`` run builds a ``Rank`` or a ``CuboidDomain``,
-  CARMA posts three transfer batches from a handful of Python frames, and
-  Cannon writes its two class deltas without a transfer list.
+  traced one writes one per round class), ScaLAPACK, CTF and Cannon do so
+  only from inside COSMA's accounting core, none of them expands a transfer
+  list, ``use_rma`` stays on the batched engine, neither a ``volume`` nor a
+  ``plane`` run builds a ``Rank`` or a ``CuboidDomain``, and CARMA posts
+  three transfer batches from a handful of Python frames.
 """
 
 import os
@@ -213,7 +212,7 @@ def test_volume_runs_use_no_per_rank_primitive(name, monkeypatch):
     monkeypatch.setattr(DistributedMachine, "local_multiply", forbid("machine.local_multiply"))
     monkeypatch.setattr(DistributedMachine, "send", forbid("machine.send"))
     for module in (summa, grid25d, cannon, cuboid, cosma):
-        for primitive in ("broadcast", "ring_shift", "reduce", "concat_payloads"):
+        for primitive in ("broadcast", "reduce", "concat_payloads"):
             if hasattr(module, primitive):
                 monkeypatch.setattr(module, primitive, forbid(f"{module.__name__}.{primitive}"))
     counting = _CountingNumpy()
@@ -337,11 +336,12 @@ def test_carma_posts_three_batches_from_a_handful_of_frames(monkeypatch):
     assert machine.counters.mean_words_per_rank() == 950272.0
 
 
-def test_cannon_writes_two_class_deltas_and_no_transfer_list(class_posts):
-    """Skew, steady round and final round are constants of the grid position:
-    two class deltas, no transfer list."""
+def test_cannon_writes_one_expansion_and_no_transfer_list(class_posts, panel_expansions):
+    """Cannon is SUMMA's ring-exchange run plus a skew: its 32 rounds are one
+    expansion of the core's width table, the skew one closed-form delta; no
+    class delta, no transfer list."""
     run = run_algorithm("Cannon", paper_scenario(4096, 1024), mode="volume")
-    assert class_posts == ["repro.baselines.cannon"] * 2
+    assert class_posts == [] and panel_expansions == [32]
     assert run.rounds == 64 and run.max_messages_per_rank == 128
 
 
