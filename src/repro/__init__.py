@@ -7,8 +7,8 @@ This package reproduces the system described in
 
 It provides:
 
-* :mod:`repro.pebbling` -- the red-blue pebble game, CDAGs, X-partitions and
-  the I/O lower-bound machinery (Lemmas 1-4, Theorems 1-2).
+* :mod:`repro.pebbling` -- the red-blue pebble game, the MMM CDAG, the
+  Listing 1 schedule with its exact I/O, and Theorems 1-2.
 * :mod:`repro.machine` -- a two-level memory hierarchy simulator and a
   distributed machine simulator with exact communication-volume accounting.
 * :mod:`repro.layouts` -- blocked (COSMA, section 7.6) and block-cyclic

@@ -56,7 +56,8 @@ from repro.obs import (
     write_chrome_trace,
     write_event_log,
 )
-from repro.pebbling.mmm_bounds import near_optimal_sequential_io
+from repro.pebbling.mmm_bounds import schedule_io
+from repro.pebbling.mmm_schedule import optimal_tile_sizes
 from repro.sequential import tiled_multiply
 from repro.sweeps import ResultStore, RetryPolicy, SweepSpec, run_campaign, scenario_summary_table, tidy_rows
 from repro.sweeps.runner import DEFAULT_STORE_PATH
@@ -296,7 +297,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     m, n, k, p, s = args.m, args.n, args.k, args.processors, args.memory
     rows = [
         ["sequential lower bound (Theorem 1)", lower_bound_sequential(m, n, k, s)],
-        ["sequential feasible schedule", near_optimal_sequential_io(m, n, k, s)],
+        ["sequential feasible schedule", schedule_io(m, n, k, *optimal_tile_sizes(s))],
         ["parallel lower bound / COSMA (Theorem 2)", lower_bound_parallel(m, n, k, p, s)],
     ]
     # One cost row per registered algorithm that has a Table 3 model.

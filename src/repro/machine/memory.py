@@ -42,15 +42,6 @@ class AccessStats:
         """Total vertical I/O ``Q`` (loads + stores)."""
         return self.loads + self.stores
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "loads": self.loads,
-            "stores": self.stores,
-            "io": self.io,
-            "computes": self.computes,
-            "peak_resident": self.peak_resident,
-        }
-
 
 class FastMemoryFullError(RuntimeError):
     """Raised when a kernel tries to exceed the fast-memory capacity ``S``."""
@@ -80,7 +71,7 @@ class MemoryHierarchy:
     load           :meth:`load`
     store          :meth:`store`
     compute        :meth:`compute`
-    free memory    :meth:`evict` / :meth:`discard_slow`
+    free memory    :meth:`evict`
     ============== =========================================
     """
 
@@ -91,23 +82,6 @@ class MemoryHierarchy:
         self._fast: set[Address] = set()
         self._slow: set[Address] = set(initial_slow)
         self.stats = AccessStats()
-
-    # -- inspection -------------------------------------------------------
-    @property
-    def resident(self) -> frozenset[Address]:
-        """Addresses currently in fast memory."""
-        return frozenset(self._fast)
-
-    @property
-    def in_slow(self) -> frozenset[Address]:
-        """Addresses currently in slow memory."""
-        return frozenset(self._slow)
-
-    def in_fast(self, address: Address) -> bool:
-        return address in self._fast
-
-    def free_words(self) -> int:
-        return self.capacity - len(self._fast)
 
     # -- pebble-game moves ------------------------------------------------
     def load(self, address: Address) -> None:
@@ -151,10 +125,6 @@ class MemoryHierarchy:
         """Remove a red pebble.  Data not previously stored is lost."""
         self._fast.discard(address)
 
-    def discard_slow(self, address: Address) -> None:
-        """Remove a blue pebble (free slow memory)."""
-        self._slow.discard(address)
-
     # -- helpers ----------------------------------------------------------
     def _ensure_space(self, words: int) -> None:
         if len(self._fast) + words > self.capacity:
@@ -186,10 +156,6 @@ class LRUCacheMemory:
         self.capacity = int(capacity_words)
         self._lru: OrderedDict[Address, bool] = OrderedDict()  # address -> dirty
         self.stats = AccessStats()
-
-    @property
-    def resident(self) -> frozenset[Address]:
-        return frozenset(self._lru.keys())
 
     def access(self, address: Address, write: bool = False) -> bool:
         """Touch ``address``; return True on a hit, False on a miss."""

@@ -1,47 +1,37 @@
-"""Red-blue pebble game, CDAGs, X-partitions and I/O lower bounds.
+"""Red-blue pebble game, the MMM CDAG and Theorem 1 as one checked chain.
 
-This subpackage implements the theoretical machinery of sections 2, 4 and 5 of
-the paper:
+This subpackage implements the sequential theory of sections 2 and 5 of the
+paper, and the parallel bound of section 6:
 
 * :mod:`repro.pebbling.cdag` -- computational DAGs.
 * :mod:`repro.pebbling.game` -- a validated red-blue pebble-game executor that
   measures the I/O (loads + stores) of a pebbling.
-* :mod:`repro.pebbling.partition` -- X-partitions, dominator / minimum /
-  reuse / store sets.
-* :mod:`repro.pebbling.bounds` -- Hong & Kung's Lemma 1 and the paper's
-  generalized Lemmas 2-4 (computational intensity).
-* :mod:`repro.pebbling.mmm_cdag` -- the MMM CDAG and its projections.
-* :mod:`repro.pebbling.mmm_schedule` -- the near-optimal greedy sequential MMM
-  schedule (Listing 1) emitted both as an X-partition and as an executable
-  pebbling.
-* :mod:`repro.pebbling.mmm_bounds` -- Theorems 1 and 2: sequential and
-  parallel MMM I/O lower bounds and the matching achievable costs.
+* :mod:`repro.pebbling.mmm_cdag` -- the MMM CDAG.
+* :mod:`repro.pebbling.mmm_schedule` -- the near-optimal sequential MMM
+  schedule (Listing 1), its tiles and its pebble-game moves.
+* :mod:`repro.pebbling.mmm_bounds` -- the schedule's exact I/O, Theorems 1
+  and 2 and the factor between the schedule and Theorem 1.
 """
 
 from repro.pebbling.cdag import CDAG
 from repro.pebbling.game import IllegalMoveError, PebbleGame, PebblingResult
 from repro.pebbling.mmm_bounds import (
-    near_optimal_sequential_io,
     parallel_io_lower_bound,
+    schedule_io,
     sequential_io_lower_bound,
 )
-from repro.pebbling.mmm_cdag import MMMCdag, build_mmm_cdag
+from repro.pebbling.mmm_cdag import build_mmm_cdag
 from repro.pebbling.mmm_schedule import optimal_tile_sizes, sequential_mmm_schedule
-from repro.pebbling.partition import XPartition, dominator_set, minimum_set
 
 __all__ = [
     "CDAG",
     "PebbleGame",
     "PebblingResult",
     "IllegalMoveError",
-    "XPartition",
-    "dominator_set",
-    "minimum_set",
-    "MMMCdag",
     "build_mmm_cdag",
     "optimal_tile_sizes",
     "sequential_mmm_schedule",
+    "schedule_io",
     "sequential_io_lower_bound",
     "parallel_io_lower_bound",
-    "near_optimal_sequential_io",
 ]

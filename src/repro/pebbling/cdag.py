@@ -7,8 +7,7 @@ vertices without parents; outputs are vertices without children (or vertices
 explicitly marked as outputs).
 
 The class is a thin, dependency-free adjacency structure: construction and
-the parent / child, input / output queries the pebble game and the partition
-analysis read.
+the parent / child, input / output queries the pebble game reads.
 """
 
 from __future__ import annotations

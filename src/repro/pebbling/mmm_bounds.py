@@ -2,15 +2,18 @@
 
 All functions are closed-form formulas in the matrix dimensions ``m, n, k``,
 the fast-memory size ``S`` and (for the parallel case) the processor count
-``p``; they are exact reproductions of the paper's statements and are used
-both by the analytic cost model and by the tests that compare measured I/O of
-generated schedules against the bounds.
+``p``.  The sequential side is one chain: :func:`schedule_io` is the exact
+I/O of the Listing 1 schedule, :func:`sequential_io_lower_bound` is
+Theorem 1, and :func:`sequential_optimality_ratio` is the factor between the
+two that the tests check.  The prior-work bounds are kept for the claim that
+Theorems 1 and 2 are tighter than them.
 """
 
 from __future__ import annotations
 
 import math
 
+from repro.utils.intmath import ceil_div
 from repro.utils.validation import check_positive_int
 
 
@@ -24,44 +27,48 @@ def sequential_io_lower_bound(m: int, n: int, k: int, s: int) -> float:
 
 
 def hong_kung_asymptotic_bound(m: int, n: int, k: int, s: int) -> float:
-    """Hong & Kung's original asymptotic bound ``Omega(mnk / sqrt(S))`` (constant 1)."""
+    """Hong & Kung's asymptotic bound ``mnk / sqrt(S)`` (prior work, constant 1).
+
+    Checked claim: Theorem 1 is tighter than this bound.
+    """
     return float(m) * n * k / math.sqrt(s)
 
 
 def smith_vandegeijn_bound(m: int, n: int, k: int, s: int) -> float:
-    """Smith & van de Geijn's sequential bound ``2mnk / sqrt(S) - 2S`` (prior work)."""
+    """Smith & van de Geijn's sequential bound ``2mnk / sqrt(S) - 2S`` (prior work).
+
+    Checked claim: Theorem 1's additive ``+mn`` makes it tighter than this bound.
+    """
     return 2.0 * m * n * k / math.sqrt(s) - 2.0 * s
 
 
-def near_optimal_sequential_io(m: int, n: int, k: int, s: int) -> float:
-    """I/O of the feasible greedy schedule with ``a = b = sqrt(S+1) - 1`` (section 5.2.7).
+def schedule_io(m: int, n: int, k: int, a: int, b: int) -> int:
+    """Exact loads + stores of the Listing 1 schedule with ``a x b`` tiles of C.
 
-    ``Q = 2mnk / (sqrt(S+1) - 1) + mn``; the ratio to the Theorem 1 bound is
-    ``sqrt(S) / (sqrt(S+1) - 1)`` which approaches 1 for large ``S`` (0.03%
-    above the bound for 10 MB of fast memory).
+    Every tile loads its A column and its B row once per ``t``, and every
+    output is stored once: ``Q = k (m ceil(n/b) + n ceil(m/a)) + mn``, with the
+    tiles clipped to the matrix (``a <= m``, ``b <= n``).  The pebble game and
+    the kernel of :mod:`repro.sequential` count exactly this.
     """
-    s = check_positive_int(s, "S")
-    denom = math.sqrt(s + 1.0) - 1.0
-    if denom <= 0:
-        raise ValueError(f"S={s} too small for the near-optimal schedule")
-    return 2.0 * m * n * k / denom + m * n
-
-
-def greedy_schedule_io(m: int, n: int, k: int, a: int, b: int) -> float:
-    """I/O of a greedy tiled schedule with tile sizes ``a x b``.
-
-    Each of the ``mnk / (ab)`` outer products loads ``a + b`` words, and the
-    ``mn`` outputs are stored once: ``Q = mnk (a + b) / (ab) + mn``.
-    """
-    a = check_positive_int(a, "a")
-    b = check_positive_int(b, "b")
-    return float(m) * n * k * (a + b) / (a * b) + m * n
+    a = min(check_positive_int(a, "a"), m)
+    b = min(check_positive_int(b, "b"), n)
+    return k * (m * ceil_div(n, b) + n * ceil_div(m, a)) + m * n
 
 
 def sequential_optimality_ratio(s: int) -> float:
-    """The factor ``sqrt(S) / (sqrt(S+1) - 1)`` by which the feasible schedule exceeds the bound."""
+    """Upper factor ``sqrt(S) / (sqrt(S) - 1)`` of the schedule's I/O over Theorem 1.
+
+    It holds for the optimal tiles of
+    :func:`~repro.pebbling.mmm_schedule.optimal_tile_sizes` when they divide
+    ``m`` and ``n`` and ``S >= 8`` (``S = 7`` is the one exception).  The paper's
+    ``sqrt(S) / (sqrt(S+1) - 1)`` assumes real-valued tiles; integer tiles that
+    fit the moves' ``ab + a + 2`` red pebbles reach this slightly larger factor.
+    """
     s = check_positive_int(s, "S")
-    return math.sqrt(s) / (math.sqrt(s + 1.0) - 1.0)
+    if s < 2:
+        raise ValueError(f"S={s} leaves no factor to state (need S >= 2)")
+    root = math.sqrt(s)
+    return root / (root - 1.0)
 
 
 def parallel_io_lower_bound(m: int, n: int, k: int, p: int, s: int) -> float:
@@ -91,29 +98,8 @@ def parallel_io_lower_bound(m: int, n: int, k: int, p: int, s: int) -> float:
 
 
 def irony_toledo_tiskin_bound(m: int, n: int, k: int, p: int, s: int) -> float:
-    """Irony et al.'s earlier parallel bound ``mnk / (2 sqrt(2) p sqrt(S)) - S`` (prior work)."""
+    """Irony et al.'s parallel bound ``mnk / (2 sqrt(2) p sqrt(S)) - S`` (prior work).
+
+    Checked claim: Theorem 2 is tighter than this bound.
+    """
     return float(m) * n * k / (2.0 * math.sqrt(2.0) * p * math.sqrt(s)) - s
-
-
-def minimum_parallel_memory(m: int, n: int, k: int, p: int) -> float:
-    """Smallest per-processor memory for which all matrices fit in aggregate memory.
-
-    The parallel analysis assumes ``p * S >= mn + mk + nk``.
-    """
-    p = check_positive_int(p, "p")
-    return (float(m) * n + float(m) * k + float(n) * k) / p
-
-
-def memory_regime(m: int, n: int, k: int, p: int, s: int) -> str:
-    """Classify the memory regime as in section 6.3.
-
-    Returns ``"limited"`` when the I/O constraint ``a^2 <= S`` binds
-    (``p <= mnk / S^(3/2)``), i.e. the local domain is a tall slab, and
-    ``"extra"`` otherwise (the local domain is cubic and extra memory is
-    available).
-    """
-    check_positive_int(p, "p")
-    check_positive_int(s, "S")
-    if p <= float(m) * n * k / (s ** 1.5):
-        return "limited"
-    return "extra"

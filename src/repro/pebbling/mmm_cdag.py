@@ -1,4 +1,4 @@
-"""The matrix-matrix multiplication CDAG and its projections (section 5.1).
+"""The matrix-matrix multiplication CDAG (section 5.1).
 
 Vertices (0-based indices, unlike the paper's 1-based notation):
 
@@ -11,15 +11,9 @@ Vertices (0-based indices, unlike the paper's 1-based notation):
 Edges: the update ``C(i,j,t) = C(i,j,t-1) + A(i,t) * B(t,j)`` contributes
 edges from ``("a", i, t)``, ``("b", t, j)`` and (for ``t > 0``)
 ``("c", i, j, t-1)`` into ``("c", i, j, t)``.
-
-The projections ``phi_a``, ``phi_b`` and ``phi_c`` map a partial-sum vertex to
-the A element, B element and output coordinate it involves.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Iterable
 
 from repro.pebbling.cdag import CDAG
 from repro.utils.validation import check_positive_int
@@ -44,88 +38,13 @@ def c_vertex(i: int, j: int, t: int) -> CVertex:
     return ("c", i, j, t)
 
 
-def phi_a(v: CVertex) -> AVertex:
-    """Projection of a partial-sum vertex onto matrix A."""
-    _, i, _j, t = v
-    return a_vertex(i, t)
-
-
-def phi_b(v: CVertex) -> BVertex:
-    """Projection of a partial-sum vertex onto matrix B."""
-    _, _i, j, t = v
-    return b_vertex(t, j)
-
-
-def phi_c(v: CVertex) -> tuple[int, int]:
-    """Projection of a partial-sum vertex onto the output coordinate ``(i, j)``.
-
-    Note that (as in the paper) this projection is *not* a CDAG vertex: all
-    ``k`` partial sums of the same output element share the same projection.
-    """
-    _, i, j, _t = v
-    return (i, j)
-
-
-@dataclass(frozen=True)
-class MMMCdag:
-    """The MMM CDAG for ``C = A @ B`` with ``A (m x k)`` and ``B (k x n)``."""
-
-    m: int
-    n: int
-    k: int
-    cdag: CDAG
-
-    @property
-    def num_multiplications(self) -> int:
-        """``|C| = m * n * k`` -- the number of elementary multiply-adds."""
-        return self.m * self.n * self.k
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.cdag)
-
-    def output_vertices(self) -> frozenset[CVertex]:
-        return frozenset(
-            c_vertex(i, j, self.k - 1) for i in range(self.m) for j in range(self.n)
-        )
-
-    def a_vertices(self) -> Iterable[AVertex]:
-        return (a_vertex(i, t) for i in range(self.m) for t in range(self.k))
-
-    def b_vertices(self) -> Iterable[BVertex]:
-        return (b_vertex(t, j) for t in range(self.k) for j in range(self.n))
-
-    def c_vertices(self) -> Iterable[CVertex]:
-        return (
-            c_vertex(i, j, t)
-            for i in range(self.m)
-            for j in range(self.n)
-            for t in range(self.k)
-        )
-
-    def projections(self, subset: Iterable[CVertex]) -> tuple[set, set, set]:
-        """Return ``(alpha, beta, gamma)`` projections of a subcomputation.
-
-        ``alpha`` is the set of A vertices touched, ``beta`` the B vertices and
-        ``gamma`` the set of distinct output coordinates (section 5.1.2).
-        """
-        alpha: set = set()
-        beta: set = set()
-        gamma: set = set()
-        for v in subset:
-            alpha.add(phi_a(v))
-            beta.add(phi_b(v))
-            gamma.add(phi_c(v))
-        return alpha, beta, gamma
-
-
-def build_mmm_cdag(m: int, n: int, k: int) -> MMMCdag:
-    """Construct the MMM CDAG for given dimensions.
+def build_mmm_cdag(m: int, n: int, k: int) -> CDAG:
+    """Construct the MMM CDAG for ``C = A @ B`` with ``A (m x k)`` and ``B (k x n)``.
 
     The graph has ``mk + kn + mnk`` vertices; keep the dimensions small (a few
-    tens) when building it explicitly -- the I/O analysis of realistic problem
-    sizes uses the closed-form bounds in :mod:`repro.pebbling.mmm_bounds`, not
-    an explicit graph.
+    tens) when building it explicitly -- the I/O of realistic problem sizes is
+    the closed form :func:`repro.pebbling.mmm_bounds.schedule_io`, not an
+    explicit graph.
     """
     m = check_positive_int(m, "m")
     n = check_positive_int(n, "n")
@@ -146,4 +65,4 @@ def build_mmm_cdag(m: int, n: int, k: int) -> MMMCdag:
                 if t > 0:
                     cdag.add_edge(c_vertex(i, j, t - 1), v)
     cdag.mark_outputs(c_vertex(i, j, k - 1) for i in range(m) for j in range(n))
-    return MMMCdag(m=m, n=n, k=k, cdag=cdag)
+    return cdag

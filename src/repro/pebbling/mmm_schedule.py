@@ -1,23 +1,23 @@
 """Near-optimal sequential MMM schedule (Listing 1 and section 5.2.7).
 
-The optimal greedy schedule decomposes the ``m x n x k`` iteration space into
-``a x b`` tiles of the output, and for each tile sweeps over the ``k``
-dimension performing rank-1 updates (outer products of an ``a``-element column
-of A and a ``b``-element row of B) while the ``a*b`` partial results stay
-resident in fast memory.
+The schedule splits the ``m x n`` output into ``a x b`` tiles.  For each tile
+it sweeps the ``k`` dimension: it loads the ``a``-element column of A, streams
+the ``b``-element row of B one element at a time and updates the ``ab``
+partial sums, which stay in fast memory until the tile is stored.  Its peak is
+:func:`tile_footprint` red pebbles and its I/O is exactly
+:func:`~repro.pebbling.mmm_bounds.schedule_io`.
 
 Two tile-size choices are provided:
 
-* ``square``: ``a = b = floor(sqrt(S + 1)) - 1`` -- the straightforward
-  feasible schedule whose I/O is a factor ``sqrt(S)/(sqrt(S+1)-1)`` above the
-  lower bound (section 5.2.7, first construction);
-* ``optimal``: the solution of ``max ab/(a+b)`` subject to ``ab + a + 1 <= S``
-  (Equations 26-28) which keeps red pebbles on the A column but streams the B
-  row one element at a time.
+* ``square``: ``a = b = floor(sqrt(S + 1)) - 1`` -- the first construction of
+  section 5.2.7;
+* ``optimal``: the integer solution of ``max ab/(a+b)`` subject to
+  ``tile_footprint(a, b) <= S`` (Equation 26 under the footprint the moves
+  use).
 
-Both are emitted in two forms: an :class:`~repro.pebbling.partition.XPartition`
-(for the lower-bound analysis) and an executable list of pebble-game moves
-(validated and measured by :class:`~repro.pebbling.game.PebbleGame`).
+The schedule runs as pebble-game moves (:meth:`SequentialMMMSchedule.as_pebbling_moves`,
+validated by :class:`~repro.pebbling.game.PebbleGame`) and as the numeric
+kernel of :mod:`repro.sequential`.
 """
 
 from __future__ import annotations
@@ -27,86 +27,59 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.pebbling.game import Move, PebbleMove
-from repro.pebbling.mmm_cdag import MMMCdag, a_vertex, b_vertex, c_vertex
-from repro.pebbling.partition import XPartition
-from repro.utils.intmath import ceil_div
+from repro.pebbling.mmm_cdag import a_vertex, b_vertex, c_vertex
 from repro.utils.validation import check_positive_int
 
 
-def square_tile_size(s: int) -> int:
-    """The simple feasible tile size ``a = b = floor(sqrt(S + 1) - 1)``.
+def tile_footprint(a: int, b: int) -> int:
+    """Peak red pebbles of the schedule with ``a x b`` tiles: ``ab + a + 2``.
 
-    With ``a = b`` the fast-memory requirement ``ab + a + b <= S`` becomes
-    ``(a + 1)^2 <= S + 1``.
+    The tile's ``ab`` partial sums, its ``a``-element A column, one streamed B
+    element, and the partial sum ``c(i, j, t)`` that is live next to
+    ``c(i, j, t - 1)`` until the older one is freed.
     """
+    return a * b + a + 2
+
+
+def _check_memory(s: int) -> int:
     s = check_positive_int(s, "S")
-    a = int(math.isqrt(s + 1)) - 1
-    return max(1, a)
-
-
-def optimal_tile_sizes(s: int, method: str = "search") -> tuple[int, int]:
-    """Optimal rectangular tile sizes ``(a_opt, b_opt)`` for fast memory ``S``.
-
-    Solves ``maximize ab / (a + b)`` subject to ``ab + a + 1 <= S`` (Eq. 26).
-
-    Parameters
-    ----------
-    s:
-        Fast-memory size in words.  Must be at least 4 so that a 1x1 tile plus
-        its operands fit.
-    method:
-        ``"search"`` (default) exhaustively maximizes the objective over all
-        integer ``a``; ``"closed_form"`` evaluates the paper's Equations 27-28
-        (which floor the real-valued optimum and can be off by one in ``b``).
-    """
-    s = check_positive_int(s, "S")
-    if s < 4:
+    if s < tile_footprint(1, 1):
         raise ValueError(f"fast memory S={s} is too small for any MMM tile (need S >= 4)")
-    if method == "closed_form":
-        if s < 5:
-            return (1, max(1, (s - 2)))
-        root = math.sqrt((s - 1) ** 3)
-        a = math.floor((root - s + 1) / (s - 2))
-        b = math.floor(-(2 * s + root - s ** 2 - 1) / (root - s + 1))
-        return (max(1, a), max(1, b))
-    if method != "search":
-        raise ValueError(f"unknown method {method!r}; use 'search' or 'closed_form'")
+    return s
 
-    best: tuple[int, int] = (1, 1)
-    best_rho = 0.0
-    max_a = int(math.isqrt(s)) + 1
-    for a in range(1, max_a + 1):
-        b = (s - 1 - a) // a
-        if b < 1:
-            continue
-        rho = (a * b) / (a + b)
-        if rho > best_rho + 1e-12:
-            best_rho = rho
+
+def square_tile_size(s: int) -> int:
+    """The square tile size ``a = b = floor(sqrt(S + 1)) - 1``.
+
+    It satisfies the paper's ``(a + 1)^2 <= S + 1``, and so
+    ``tile_footprint(a, a) <= S`` for every ``S >= 4``.
+    """
+    return math.isqrt(_check_memory(s) + 1) - 1
+
+
+def optimal_tile_sizes(s: int) -> tuple[int, int]:
+    """Tiles ``(a, b)`` maximizing ``ab / (a + b)`` subject to ``tile_footprint(a, b) <= S``.
+
+    Exhaustive over ``a`` (the optimum has ``a <= sqrt(S) + 1``), with the
+    largest ``b`` that fits; ties keep the smaller ``a``.  ``S`` must be at
+    least 4, the footprint of a 1 x 1 tile.
+    """
+    s = _check_memory(s)
+    best = (1, 1)
+    for a in range(1, math.isqrt(s) + 2):
+        b = (s - tile_footprint(a, 0)) // a
+        if b >= 1 and a * b * (best[0] + best[1]) > best[0] * best[1] * (a + b):
             best = (a, b)
     return best
 
 
 @dataclass(frozen=True)
-class TileStep:
-    """One outer-product subcomputation ``V_r``: rows x cols of C at k-index ``t``."""
-
-    rows: tuple[int, int]
-    cols: tuple[int, int]
-    t: int
-
-    def c_vertices(self) -> Iterator:
-        for i in range(*self.rows):
-            for j in range(*self.cols):
-                yield c_vertex(i, j, self.t)
-
-    @property
-    def size(self) -> int:
-        return (self.rows[1] - self.rows[0]) * (self.cols[1] - self.cols[0])
-
-
-@dataclass(frozen=True)
 class SequentialMMMSchedule:
-    """A tiled sequential MMM schedule (the output of ``FindSeqSchedule``)."""
+    """Listing 1 on an ``m x n x k`` MMM with ``a x b`` tiles in ``S`` words.
+
+    ``a <= m`` and ``b <= n``: the tiles are clipped to the matrix, and the
+    edge tiles of :meth:`tiles` are ragged.
+    """
 
     m: int
     n: int
@@ -114,76 +87,41 @@ class SequentialMMMSchedule:
     s: int
     a: int
     b: int
-    steps: tuple[TileStep, ...]
 
-    @property
-    def num_tiles(self) -> int:
-        return ceil_div(self.m, self.a) * ceil_div(self.n, self.b)
+    def tiles(self) -> Iterator[tuple[range, range]]:
+        """The ``(rows, cols)`` of every output tile, in row-major order."""
+        for i0 in range(0, self.m, self.a):
+            for j0 in range(0, self.n, self.b):
+                yield range(i0, min(i0 + self.a, self.m)), range(j0, min(j0 + self.b, self.n))
 
-    @property
-    def num_steps(self) -> int:
-        return len(self.steps)
-
-    def predicted_io(self) -> int:
-        """Loads + stores this schedule will perform (exact count).
-
-        Every outer-product step loads its ``a`` column elements of A and its
-        ``b`` row elements of B; every output element is stored exactly once.
-        """
-        loads = sum(
-            (step.rows[1] - step.rows[0]) + (step.cols[1] - step.cols[0])
-            for step in self.steps
-        )
-        return loads + self.m * self.n
-
-    def as_x_partition(self, mmm: MMMCdag) -> XPartition:
-        """Express the schedule as an X-partition of the MMM CDAG."""
-        if (mmm.m, mmm.n, mmm.k) != (self.m, self.n, self.k):
-            raise ValueError("CDAG dimensions do not match the schedule dimensions")
-        subsets = [set(step.c_vertices()) for step in self.steps]
-        return XPartition(cdag=mmm.cdag, subcomputations=subsets)
+    def required_red_pebbles(self) -> int:
+        """Peak fast-memory usage of :meth:`as_pebbling_moves` (at most ``S``)."""
+        return tile_footprint(self.a, self.b)
 
     def as_pebbling_moves(self) -> list[PebbleMove]:
-        """Emit an executable red-blue pebbling realizing the schedule.
+        """Emit the red-blue pebbling of the schedule.
 
-        For each output tile the partial sums stay in fast memory across the
-        ``k`` sweep; the column of A is loaded per step and the row of B is
-        streamed one element at a time, so the peak red-pebble usage is
-        ``a*b + a + 2`` (the ``+2`` covers the streamed B element and the
-        momentary coexistence of a partial sum with its predecessor).
+        Per tile and ``t``: load the A column, then for each streamed B element
+        compute the tile column's partial sums and free their predecessors;
+        after the ``k`` sweep, store and free the outputs.
         """
         moves: list[PebbleMove] = []
-        tiles: dict[tuple[tuple[int, int], tuple[int, int]], list[TileStep]] = {}
-        for step in self.steps:
-            tiles.setdefault((step.rows, step.cols), []).append(step)
-        for (rows, cols), tile_steps in tiles.items():
-            tile_steps = sorted(tile_steps, key=lambda st: st.t)
-            for step in tile_steps:
-                t = step.t
-                # Load the A column for this k index.
-                for i in range(*rows):
-                    moves.append(PebbleMove(Move.LOAD, a_vertex(i, t)))
-                # Stream the B row one element at a time.
-                for j in range(*cols):
+        for rows, cols in self.tiles():
+            for t in range(self.k):
+                moves.extend(PebbleMove(Move.LOAD, a_vertex(i, t)) for i in rows)
+                for j in cols:
                     moves.append(PebbleMove(Move.LOAD, b_vertex(t, j)))
-                    for i in range(*rows):
+                    for i in rows:
                         moves.append(PebbleMove(Move.COMPUTE, c_vertex(i, j, t)))
                         if t > 0:
                             moves.append(PebbleMove(Move.FREE_RED, c_vertex(i, j, t - 1)))
                     moves.append(PebbleMove(Move.FREE_RED, b_vertex(t, j)))
-                for i in range(*rows):
-                    moves.append(PebbleMove(Move.FREE_RED, a_vertex(i, t)))
-            # Tile finished: store the final partial sums and free them.
-            final_t = tile_steps[-1].t
-            for i in range(*rows):
-                for j in range(*cols):
-                    moves.append(PebbleMove(Move.STORE, c_vertex(i, j, final_t)))
-                    moves.append(PebbleMove(Move.FREE_RED, c_vertex(i, j, final_t)))
+                moves.extend(PebbleMove(Move.FREE_RED, a_vertex(i, t)) for i in rows)
+            for i in rows:
+                for j in cols:
+                    moves.append(PebbleMove(Move.STORE, c_vertex(i, j, self.k - 1)))
+                    moves.append(PebbleMove(Move.FREE_RED, c_vertex(i, j, self.k - 1)))
         return moves
-
-    def required_red_pebbles(self) -> int:
-        """Peak fast-memory usage of :meth:`as_pebbling_moves`."""
-        return self.a * self.b + self.a + 2
 
 
 def sequential_mmm_schedule(
@@ -208,20 +146,10 @@ def sequential_mmm_schedule(
     m = check_positive_int(m, "m")
     n = check_positive_int(n, "n")
     k = check_positive_int(k, "k")
-    s = check_positive_int(s, "S")
     if tile == "optimal":
         a, b = optimal_tile_sizes(s)
     elif tile == "square":
         a = b = square_tile_size(s)
     else:
         raise ValueError(f"unknown tile strategy {tile!r}; use 'optimal' or 'square'")
-    a = min(a, m)
-    b = min(b, n)
-    steps: list[TileStep] = []
-    for i0 in range(0, m, a):
-        i1 = min(i0 + a, m)
-        for j0 in range(0, n, b):
-            j1 = min(j0 + b, n)
-            for t in range(k):
-                steps.append(TileStep(rows=(i0, i1), cols=(j0, j1), t=t))
-    return SequentialMMMSchedule(m=m, n=n, k=k, s=s, a=a, b=b, steps=tuple(steps))
+    return SequentialMMMSchedule(m=m, n=n, k=k, s=s, a=min(a, m), b=min(b, n))

@@ -13,7 +13,10 @@ and printed by ``repro sequential``, the Theorem 1 command):
 * :func:`rank1_multiply` -- the rank-1 update schedule with square tiles
   ``a = b = sqrt(S+1)-1`` (first construction of section 5.2.7);
 * :func:`tiled_multiply` -- Listing 1 with the optimal rectangular tiles of
-  Equation 26, within a fraction ``sqrt(S)/(sqrt(S+1)-1)`` of Theorem 1.
+  Equation 26; its I/O is exactly
+  :func:`~repro.pebbling.mmm_bounds.schedule_io`, within
+  :func:`~repro.pebbling.mmm_bounds.sequential_optimality_ratio` of
+  Theorem 1 where the tiles divide ``m`` and ``n``.
 """
 
 from __future__ import annotations
@@ -84,54 +87,45 @@ def _run_tiled(
     b_matrix: np.ndarray,
     schedule: SequentialMMMSchedule,
 ) -> TiledRunResult:
-    """Execute a tiled schedule: numpy arithmetic + explicit memory simulation."""
+    """Execute a tiled schedule: numpy arithmetic + explicit memory simulation.
+
+    The memory moves are those of
+    :meth:`~repro.pebbling.mmm_schedule.SequentialMMMSchedule.as_pebbling_moves`,
+    played on a fast memory of ``S`` words.
+    """
     a_matrix = np.asarray(a_matrix, dtype=np.float64)
     b_matrix = np.asarray(b_matrix, dtype=np.float64)
-    m, n, _k = _check_inputs(a_matrix, b_matrix)
-    capacity = schedule.required_red_pebbles()
+    m, n, k = _check_inputs(a_matrix, b_matrix)
     # Inputs start in slow memory; partial sums are created by compute moves.
     hierarchy = MemoryHierarchy(
-        capacity_words=capacity,
-        initial_slow=[("a", i, t) for i in range(m) for t in range(schedule.k)]
-        + [("b", t, j) for t in range(schedule.k) for j in range(n)],
+        capacity_words=schedule.s,
+        initial_slow=[("a", i, t) for i in range(m) for t in range(k)]
+        + [("b", t, j) for t in range(k) for j in range(n)],
     )
     product = np.zeros((m, n))
-
-    # Group the schedule's steps per output tile (they are already emitted
-    # tile-major by sequential_mmm_schedule, but we do not rely on that).
-    tiles: dict[tuple[tuple[int, int], tuple[int, int]], list] = {}
-    for step in schedule.steps:
-        tiles.setdefault((step.rows, step.cols), []).append(step)
-
-    for (rows, cols), tile_steps in tiles.items():
-        i0, i1 = rows
-        j0, j1 = cols
-        tile_steps = sorted(tile_steps, key=lambda st: st.t)
-        accumulator_live = False
-        for step in tile_steps:
-            t = step.t
+    for rows, cols in schedule.tiles():
+        i0, i1, j0, j1 = rows.start, rows.stop, cols.start, cols.stop
+        for t in range(k):
             # Load the A column of this k index.
-            for i in range(i0, i1):
+            for i in rows:
                 hierarchy.load(("a", i, t))
             # Stream the B row one element at a time, updating the tile column.
-            for j in range(j0, j1):
+            for j in cols:
                 hierarchy.load(("b", t, j))
-                for i in range(i0, i1):
+                for i in rows:
                     hierarchy.compute(("c", i, j, t), operands=[("a", i, t), ("b", t, j)])
-                    if accumulator_live:
+                    if t > 0:
                         hierarchy.evict(("c", i, j, t - 1))
                 hierarchy.evict(("b", t, j))
-            for i in range(i0, i1):
+            for i in rows:
                 hierarchy.evict(("a", i, t))
-            accumulator_live = True
             # Numerical rank-1 update of the whole tile at once (vectorized).
             product[i0:i1, j0:j1] += np.outer(a_matrix[i0:i1, t], b_matrix[t, j0:j1])
         # Store and evict the finished tile.
-        final_t = tile_steps[-1].t
-        for i in range(i0, i1):
-            for j in range(j0, j1):
-                hierarchy.store(("c", i, j, final_t))
-                hierarchy.evict(("c", i, j, final_t))
+        for i in rows:
+            for j in cols:
+                hierarchy.store(("c", i, j, k - 1))
+                hierarchy.evict(("c", i, j, k - 1))
     return TiledRunResult(matrix=product, stats=hierarchy.stats, schedule=schedule)
 
 

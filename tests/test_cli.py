@@ -2,9 +2,11 @@
 
 import argparse
 
+import numpy as np
 import pytest
 
 from repro.cli import _build_parser, main
+from repro.sequential import tiled_multiply
 
 
 class TestMultiplyCommand:
@@ -197,6 +199,18 @@ class TestBoundsCommand:
         assert code == 0
         for label in ("Theorem 1", "Theorem 2", "2D", "2.5D", "CARMA", "COSMA"):
             assert label in out
+
+    @pytest.mark.parametrize("m,n,k,s", [(8, 8, 8, 20), (10, 7, 5, 31)])
+    def test_feasible_row_is_what_tiled_multiply_counts(self, capsys, m, n, k, s):
+        # (10, 7, 5) at S = 31 takes ragged 4 x 6 tiles.
+        code = main(["bounds", "--m", str(m), "--n", str(n), "--k", str(k),
+                     "--processors", "4", "--memory", str(s)])
+        out = capsys.readouterr().out
+        assert code == 0
+        (row,) = [line for line in out.splitlines() if line.startswith("sequential feasible schedule")]
+        rng = np.random.default_rng(0)
+        run = tiled_multiply(rng.standard_normal((m, k)), rng.standard_normal((k, n)), s)
+        assert int(row.split()[-1]) == run.io
 
 
 class TestPlanGridFitting:

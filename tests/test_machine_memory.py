@@ -18,7 +18,7 @@ class TestMemoryHierarchyBasics:
         mem = MemoryHierarchy(4, initial_slow=["x"])
         mem.load("x")
         assert mem.stats.loads == 1
-        assert mem.in_fast("x")
+        assert mem.stats.peak_resident == 1
 
     def test_load_is_idempotent(self):
         mem = MemoryHierarchy(4, initial_slow=["x"])
@@ -42,7 +42,10 @@ class TestMemoryHierarchyBasics:
         mem.compute("y", operands=["x"])
         mem.store("y")
         assert mem.stats.stores == 1
-        assert "y" in mem.in_slow
+        # y is in slow memory now: after eviction it can be loaded back.
+        mem.evict("y")
+        mem.load("y")
+        assert mem.stats.loads == 2
 
     def test_store_of_value_already_in_slow_is_free(self):
         mem = MemoryHierarchy(4, initial_slow=["x"])
@@ -71,7 +74,8 @@ class TestMemoryHierarchyBasics:
         mem.load("b")
         mem.evict("a")
         mem.load("c")
-        assert mem.resident == frozenset({"b", "c"})
+        assert mem.stats.loads == 3
+        assert mem.stats.peak_resident == 2
 
     def test_compute_requires_resident_operands(self):
         mem = MemoryHierarchy(4, initial_slow=["a", "b"])
@@ -84,8 +88,10 @@ class TestMemoryHierarchyBasics:
         mem.load("a")
         mem.load("b")
         mem.compute("c", operands=["a", "b"])
-        assert mem.in_fast("c")
         assert mem.stats.computes == 1
+        # c is resident: it can be stored.
+        mem.store("c")
+        assert mem.stats.stores == 1
 
     def test_peak_resident_tracked(self):
         mem = MemoryHierarchy(5, initial_slow=["a", "b", "c"])
@@ -102,18 +108,6 @@ class TestMemoryHierarchyBasics:
         mem.compute("c", operands=["a", "b"])
         mem.store("c")
         assert mem.stats.io == 3
-
-    def test_discard_slow_removes_blue(self):
-        mem = MemoryHierarchy(4, initial_slow=["a"])
-        mem.discard_slow("a")
-        with pytest.raises(KeyError):
-            mem.load("a")
-
-    def test_free_words(self):
-        mem = MemoryHierarchy(3, initial_slow=["a"])
-        assert mem.free_words() == 3
-        mem.load("a")
-        assert mem.free_words() == 2
 
 
 class TestLRUCacheMemory:

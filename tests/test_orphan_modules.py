@@ -22,7 +22,6 @@ KEPT = {
     "core/tradeoff.py": ("section 6.3 I/O-latency trade-off Q(a)/L(a)", "benchmarks/bench_theorem2_parallel.py"),
     "core/buffers.py": ("sections 7.3/7.5 buffer sizing, for memory-aware grid fitting",
                         "tests/test_core_cost_tradeoff_buffers_overlap.py"),
-    "pebbling/bounds.py": ("section 4 Lemmas 1-4", "tests/test_pebbling_bounds.py"),
     "extensions/allgather.py": ("Figure 2 naive 1D baseline; registry extension example",
                                 "tests/test_algorithms_registry.py"),
 }

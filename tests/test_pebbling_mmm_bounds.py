@@ -5,17 +5,15 @@ import math
 import pytest
 
 from repro.pebbling.mmm_bounds import (
-    greedy_schedule_io,
     hong_kung_asymptotic_bound,
     irony_toledo_tiskin_bound,
-    memory_regime,
-    minimum_parallel_memory,
-    near_optimal_sequential_io,
     parallel_io_lower_bound,
+    schedule_io,
     sequential_io_lower_bound,
     sequential_optimality_ratio,
     smith_vandegeijn_bound,
 )
+from repro.pebbling.mmm_schedule import optimal_tile_sizes
 
 
 class TestSequentialBound:
@@ -42,12 +40,13 @@ class TestSequentialBound:
 
 class TestNearOptimalSequential:
     def test_above_lower_bound(self):
-        assert near_optimal_sequential_io(64, 64, 64, 100) >= sequential_io_lower_bound(64, 64, 64, 100)
+        a, b = optimal_tile_sizes(100)
+        assert schedule_io(64, 64, 64, a, b) >= sequential_io_lower_bound(64, 64, 64, 100)
 
     def test_ratio_formula(self):
         s = 100
         ratio = sequential_optimality_ratio(s)
-        assert ratio == pytest.approx(math.sqrt(s) / (math.sqrt(s + 1) - 1))
+        assert ratio == pytest.approx(math.sqrt(s) / (math.sqrt(s) - 1))
 
     def test_ratio_approaches_one(self):
         # For 10 MB of fast memory (1.25M words) the gap is below 0.1%.
@@ -59,13 +58,17 @@ class TestNearOptimalSequential:
             assert sequential_optimality_ratio(s) > 1.0
 
     def test_greedy_schedule_io_with_square_tiles(self):
-        # a = b = sqrt(S) gives exactly the lower bound's leading term.
+        # a = b = sqrt(S) dividing m and n gives exactly the lower bound.
         m = n = k = 100
         s = 400
         a = b = int(math.sqrt(s))
-        assert greedy_schedule_io(m, n, k, a, b) == pytest.approx(
-            2 * m * n * k / math.sqrt(s) + m * n
-        )
+        assert schedule_io(m, n, k, a, b) == 2 * m * n * k / math.sqrt(s) + m * n
+
+    def test_schedule_io_counts_ragged_tiles(self):
+        # 10 = 3 + 3 + 3 + 1 rows and 10 = 5 + 5 columns: 4 x 2 tiles.
+        assert schedule_io(10, 10, 10, 3, 5) == 10 * (10 * 2 + 10 * 4) + 100
+        # Tiles larger than the matrix are clipped to it.
+        assert schedule_io(2, 3, 5, 7, 9) == schedule_io(2, 3, 5, 2, 3) == 5 * (2 + 3) + 6
 
 
 class TestParallelBound:
@@ -102,20 +105,14 @@ class TestParallelBound:
 
 
 class TestMemoryHelpers:
-    def test_minimum_parallel_memory(self):
-        assert minimum_parallel_memory(10, 10, 10, 4) == pytest.approx(300 / 4)
-
-    def test_memory_regime_limited(self):
-        assert memory_regime(1024, 1024, 1024, 64, 4096) == "limited"
-
-    def test_memory_regime_extra(self):
-        assert memory_regime(64, 64, 64, 512, 1 << 20) == "extra"
-
     def test_regime_boundary_consistency(self):
-        # At the boundary p = mnk / S^(3/2) both branches of the bound coincide.
+        # At the boundary p = mnk / S^(3/2) the two branches of the bound coincide:
+        # p is the last limited-memory count, p + 1 the first extra-memory one.
         s = 256
         m = n = k = 256
         p = int(m * n * k / s ** 1.5)
-        limited = 2 * m * n * k / (p * math.sqrt(s)) + s
-        cubic = 3 * (m * n * k / p) ** (2 / 3)
+        limited = parallel_io_lower_bound(m, n, k, p, s)
+        cubic = parallel_io_lower_bound(m, n, k, p + 1, s)
+        assert limited == pytest.approx(2 * m * n * k / (p * math.sqrt(s)) + s)
+        assert cubic == pytest.approx(3 * (m * n * k / (p + 1)) ** (2 / 3))
         assert limited == pytest.approx(cubic, rel=0.01)

@@ -15,12 +15,8 @@ from repro.layouts.blocked import BlockedLayout
 from repro.layouts.block_cyclic import BlockCyclicLayout
 from repro.machine.collectives import broadcast, reduce
 from repro.machine.simulator import DistributedMachine
-from repro.pebbling.mmm_bounds import (
-    near_optimal_sequential_io,
-    parallel_io_lower_bound,
-    sequential_io_lower_bound,
-)
-from repro.pebbling.mmm_schedule import optimal_tile_sizes, sequential_mmm_schedule
+from repro.pebbling.mmm_bounds import parallel_io_lower_bound, schedule_io, sequential_io_lower_bound
+from repro.pebbling.mmm_schedule import optimal_tile_sizes, sequential_mmm_schedule, tile_footprint
 from repro.utils.intmath import ceil_div, divisors, factorize, split_evenly
 
 # Keep hypothesis example counts moderate: several properties run simulator code.
@@ -101,7 +97,8 @@ class TestLayoutProperties:
 class TestBoundProperties:
     @given(m=dims, n=dims, k=dims, s=st.integers(min_value=4, max_value=4096))
     def test_feasible_schedule_never_beats_lower_bound(self, m, n, k, s):
-        assert near_optimal_sequential_io(m, n, k, s) >= sequential_io_lower_bound(m, n, k, s) - 1e-9
+        a, b = optimal_tile_sizes(s)
+        assert schedule_io(m, n, k, a, b) >= sequential_io_lower_bound(m, n, k, s)
 
     @given(m=dims, n=dims, k=dims, s=st.integers(min_value=4, max_value=4096))
     def test_sequential_bound_monotone_in_memory(self, m, n, k, s):
@@ -134,7 +131,7 @@ class TestBoundProperties:
     @given(s=st.integers(min_value=4, max_value=100000))
     def test_optimal_tiles_respect_memory(self, s):
         a, b = optimal_tile_sizes(s)
-        assert a * b + a + 1 <= s
+        assert tile_footprint(a, b) <= s
         assert a >= 1 and b >= 1
 
 
@@ -142,12 +139,13 @@ class TestScheduleProperties:
     @given(m=small_dims, n=small_dims, k=small_dims, s=st.integers(min_value=4, max_value=64))
     def test_schedule_covers_iteration_space(self, m, n, k, s):
         schedule = sequential_mmm_schedule(m, n, k, s)
-        assert sum(step.size for step in schedule.steps) == m * n * k
+        assert sum(len(rows) * len(cols) for rows, cols in schedule.tiles()) * schedule.k == m * n * k
 
     @given(m=small_dims, n=small_dims, k=small_dims, s=st.integers(min_value=4, max_value=64))
     def test_predicted_io_at_least_inputs_outputs(self, m, n, k, s):
+        # Every input is loaded and every output stored at least once.
         schedule = sequential_mmm_schedule(m, n, k, s)
-        assert schedule.predicted_io() >= m * n
+        assert schedule_io(m, n, k, schedule.a, schedule.b) >= m * k + k * n + m * n
 
 
 class TestDecompositionProperties:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.pebbling.mmm_bounds import near_optimal_sequential_io, sequential_io_lower_bound
+from repro.pebbling.mmm_bounds import schedule_io, sequential_io_lower_bound
 from repro.sequential import naive_multiply_lru, rank1_multiply, tiled_multiply
 
 
@@ -44,7 +44,7 @@ class TestMemoryTraffic:
         a = rng.standard_normal((12, 10))
         b = rng.standard_normal((10, 14))
         result = tiled_multiply(a, b, memory_words=30)
-        assert result.io == result.schedule.predicted_io()
+        assert result.io == schedule_io(12, 14, 10, result.schedule.a, result.schedule.b)
 
     def test_tiled_io_close_to_lower_bound(self, rng):
         m = n = k = 24
@@ -53,11 +53,8 @@ class TestMemoryTraffic:
         b = rng.standard_normal((k, n))
         result = tiled_multiply(a, b, memory_words=s)
         bound = sequential_io_lower_bound(m, n, k, s)
-        feasible = near_optimal_sequential_io(m, n, k, s)
-        # Measured I/O lies between the hard lower bound (scaled by the small
-        # discretization slack) and ~1.6x the feasible schedule's prediction.
-        assert result.io <= 1.6 * feasible
-        assert result.io >= 0.5 * bound
+        assert result.io == schedule_io(m, n, k, result.schedule.a, result.schedule.b)
+        assert bound <= result.io <= bound * 1.35
 
     def test_more_memory_means_less_io(self, rng):
         a = rng.standard_normal((20, 20))
@@ -88,7 +85,15 @@ class TestMemoryTraffic:
         a = rng.standard_normal((10, 8))
         b = rng.standard_normal((8, 12))
         result = tiled_multiply(a, b, memory_words=20)
-        assert result.stats.peak_resident <= result.schedule.required_red_pebbles()
+        assert result.stats.peak_resident <= 20
+
+    @pytest.mark.parametrize("s", [31, 64])
+    def test_peak_resident_within_s_where_eq26_is_tight(self, rng, s):
+        # Eq. 26's ab + a + 1 <= S admits tiles one pebble too large at these S.
+        a = rng.standard_normal((32, 32))
+        b = rng.standard_normal((32, 32))
+        result = tiled_multiply(a, b, memory_words=s)
+        assert result.stats.peak_resident == result.schedule.required_red_pebbles() <= s
 
     def test_compute_count_equals_mnk(self, rng):
         m, n, k = 9, 7, 5
