@@ -49,7 +49,6 @@ from repro.algorithms import (
 )
 from repro.api import (
     RunReport,
-    cosma_cost,
     lower_bound_parallel,
     lower_bound_sequential,
     multiply,
@@ -66,7 +65,6 @@ __all__ = [
     "get_algorithm",
     "register_algorithm",
     "registered_algorithms",
-    "cosma_cost",
     "lower_bound_sequential",
     "lower_bound_parallel",
 ]

@@ -10,13 +10,14 @@ Typical use::
     from repro.algorithms import get_algorithm
 
     spec = get_algorithm("COSMA")
-    plan = spec.plan(scenario)          # grid / rounds / words, no execution
+    plan = spec.plan(scenario)          # grid / rounds / words / Theorem 2 ratio, no execution
     product = spec.run(a, b, scenario, machine)
     prediction = spec.cost(scenario)    # Table 3 analytic costs
 """
 
 from repro.algorithms.registry import (
     AlgorithmSpec,
+    CostPrediction,
     Plan,
     UnknownAlgorithmError,
     algorithm_choices,
@@ -41,6 +42,7 @@ DEFAULT_ALGORITHMS: tuple[str, ...] = default_algorithms()
 __all__ = [
     "DEFAULT_ALGORITHMS",
     "AlgorithmSpec",
+    "CostPrediction",
     "Plan",
     "UnknownAlgorithmError",
     "algorithm_choices",

@@ -5,22 +5,28 @@ ScaLAPACK, our 2.5D for CTF.  Each spec bundles the runner (the same closure
 bodies the harness used to hard-code), a cheap planner that calls the very
 function the runner derives its grid and schedule from (never a copy of the
 derivation) without touching matrices, and the Table 3 cost formulas of
-:mod:`repro.baselines.costs`.
+:mod:`repro.baselines.costs` (COSMA's I/O row is Theorem 2 itself).  The grid
+family's planner (COSMA, ScaLAPACK, CTF, Cannon: :func:`_grid_plan`) returns
+the words the run will count, and every planner the busiest domain's I/O
+that ``Plan.optimality_ratio`` holds against Theorem 2.
 
 Importing :mod:`repro.algorithms` registers everything here exactly once.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.algorithms.registry import AlgorithmSpec, Plan, register
 from repro.baselines import costs
-from repro.baselines.cannon import cannon_decomposition, cannon_multiply
-from repro.baselines.carma import carma_multiply, carma_recursion_depth, usable_ranks
+from repro.baselines.cannon import cannon_decomposition, cannon_multiply, skew_words
+from repro.baselines.carma import carma_multiply, carma_recursion_depth, carma_table, usable_ranks
 from repro.baselines.grid25d import grid25d_decomposition, grid25d_multiply
 from repro.baselines.summa import summa_decomposition, summa_multiply
-from repro.core.cosma import cosma_multiply
-from repro.core.decomposition import build_decomposition
-from repro.core.grid import ProcessorGrid, communication_volume_per_rank
+from repro.core.cosma import cosma_multiply, received_words
+from repro.core.cost_model import cosma_latency_cost
+from repro.core.decomposition import CosmaDecomposition, build_decomposition
+from repro.core.grid import ProcessorGrid
 from repro.pebbling.mmm_bounds import parallel_io_lower_bound
 from repro.workloads.scaling import Scenario
 
@@ -49,6 +55,32 @@ def _bound(scenario: Scenario) -> float:
     )
 
 
+def _domain_io(lm: int, ln: int, lk: int) -> int:
+    """Words an ``lm x ln x lk`` local domain touches: its A and B
+    projections plus its C block, the quantity Theorem 2 bounds."""
+    return lm * lk + lk * ln + lm * ln
+
+
+def _grid_plan(algorithm: str, scenario: Scenario, decomposition: CosmaDecomposition,
+               arity: int = 3, extra_received: np.ndarray | int = 0) -> Plan:
+    """The plan of a grid-family run on ``decomposition``, the very one the
+    runner executes: its received words are the run's count
+    (:func:`~repro.core.cosma.received_words`, plus ``extra_received`` per
+    used rank), and rank 0 holds the largest extents, so the busiest domain."""
+    received = received_words(decomposition) + extra_received
+    lm, ln, lk = (int(bounds[1] - bounds[0]) for bounds in (
+        decomposition.i_bounds, decomposition.j_bounds, decomposition.k_bounds))
+    return Plan(
+        algorithm=algorithm, scenario=scenario, feasible=True,
+        grid=decomposition.grid.as_tuple()[:arity],
+        processors_used=decomposition.p_used,
+        rounds=decomposition.num_steps,
+        predicted_words_per_rank=int(received.sum()) / scenario.p,
+        domain_io_words=_domain_io(lm, ln, lk),
+        lower_bound_per_rank=_bound(scenario),
+    )
+
+
 # ---------------------------------------------------------------------------
 # COSMA
 # ---------------------------------------------------------------------------
@@ -71,20 +103,10 @@ def _plan_cosma(scenario: Scenario, max_idle_fraction=None) -> Plan:
              if max_idle_fraction is None else max_idle_fraction)
     # The same call the executor makes before touching any matrix data, so
     # the planned grid *is* the executed grid.
-    decomposition = build_decomposition(
+    return _grid_plan("COSMA", scenario, build_decomposition(
         shape.m, shape.n, shape.k, scenario.p, scenario.memory_words,
         max_idle_fraction=delta,
-    )
-    grid = decomposition.grid
-    return Plan(
-        algorithm="COSMA", scenario=scenario, feasible=True,
-        grid=grid.as_tuple(), processors_used=grid.p_used,
-        rounds=decomposition.num_steps,
-        predicted_words_per_rank=communication_volume_per_rank(
-            grid, shape.m, shape.n, shape.k, memory_words=scenario.memory_words
-        ),
-        lower_bound_per_rank=_bound(scenario),
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -98,18 +120,8 @@ def _run_summa(a, b, scenario, machine):
 
 def _plan_summa(scenario: Scenario) -> Plan:
     shape = scenario.shape
-    m, n, k = shape.m, shape.n, shape.k
-    # The decomposition summa_multiply executes: planned grid and panel count
-    # are the run's by construction.
-    decomposition = summa_decomposition(m, n, k, scenario.p, scenario.memory_words)
-    pm, pn, _ = decomposition.grid
-    return Plan(
-        algorithm="ScaLAPACK", scenario=scenario, feasible=True,
-        grid=(pm, pn), processors_used=pm * pn,
-        rounds=decomposition.num_steps,
-        predicted_words_per_rank=costs.io_cost_2d(m, n, k, pm * pn),
-        lower_bound_per_rank=_bound(scenario),
-    )
+    return _grid_plan("ScaLAPACK", scenario, summa_decomposition(
+        shape.m, shape.n, shape.k, scenario.p, scenario.memory_words), arity=2)
 
 
 def _run_cannon(a, b, scenario, machine):
@@ -120,17 +132,10 @@ def _run_cannon(a, b, scenario, machine):
 
 def _plan_cannon(scenario: Scenario) -> Plan:
     shape = scenario.shape
-    # The decomposition cannon_multiply executes, as for ScaLAPACK.
     decomposition = cannon_decomposition(
         shape.m, shape.n, shape.k, scenario.p, scenario.memory_words)
-    q = decomposition.grid.pm
-    return Plan(
-        algorithm="Cannon", scenario=scenario, feasible=True,
-        grid=(q, q), processors_used=q * q,
-        rounds=decomposition.num_steps,
-        predicted_words_per_rank=costs.io_cost_2d(shape.m, shape.n, shape.k, q * q),
-        lower_bound_per_rank=_bound(scenario),
-    )
+    return _grid_plan("Cannon", scenario, decomposition, arity=2,
+                      extra_received=skew_words(decomposition))
 
 
 # ---------------------------------------------------------------------------
@@ -144,19 +149,8 @@ def _run_25d(a, b, scenario, machine):
 
 def _plan_25d(scenario: Scenario) -> Plan:
     shape = scenario.shape
-    m, n, k = shape.m, shape.n, shape.k
-    # The decomposition grid25d_multiply executes: planned grid and step
-    # count are the run's by construction.
-    decomposition = grid25d_decomposition(m, n, k, scenario.p, scenario.memory_words)
-    grid = decomposition.grid
-    p_used = grid.p_used
-    return Plan(
-        algorithm="CTF", scenario=scenario, feasible=True,
-        grid=grid.as_tuple(), processors_used=p_used,
-        rounds=decomposition.num_steps,
-        predicted_words_per_rank=costs.io_cost_25d(m, n, k, p_used, scenario.memory_words),
-        lower_bound_per_rank=_bound(scenario),
-    )
+    return _grid_plan("CTF", scenario, grid25d_decomposition(
+        shape.m, shape.n, shape.k, scenario.p, scenario.memory_words))
 
 
 def _run_carma(a, b, scenario, machine):
@@ -169,11 +163,14 @@ def _plan_carma(scenario: Scenario) -> Plan:
     shape = scenario.shape
     m, n, k = shape.m, shape.n, shape.k
     usable = usable_ranks(m, n, k, scenario.p)
+    extents = np.diff(carma_table(m, n, k, usable)[:, 1:].reshape(-1, 3, 2), axis=2)[:, :, 0]
     return Plan(
         algorithm="CARMA", scenario=scenario, feasible=True,
         grid=(usable,), processors_used=usable,
         rounds=max(1, carma_recursion_depth(usable)),
+        # Table 3: the count needs each rank's "needed - owned" words.
         predicted_words_per_rank=costs.io_cost_carma(m, n, k, usable, scenario.memory_words),
+        domain_io_words=int(_domain_io(*extents.T).max()),
         lower_bound_per_rank=_bound(scenario),
     )
 
@@ -181,7 +178,7 @@ def _plan_carma(scenario: Scenario) -> Plan:
 def _register_builtins() -> None:
     register(AlgorithmSpec(
         name="COSMA", runner=_run_cosma, plan_fn=_plan_cosma,
-        io_cost=costs.io_cost_cosma, latency_cost=costs.latency_cost_cosma,
+        io_cost=parallel_io_lower_bound, latency_cost=cosma_latency_cost,
         default_comparison=True,
         description="near communication-optimal MMM (this paper)",
     ))

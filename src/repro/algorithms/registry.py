@@ -9,7 +9,7 @@ data, not scattered special cases:
   (``run(a, b, scenario, machine) -> ndarray``), a cheap planner
   (``plan(scenario) -> Plan``: fitted grid, round estimate, predicted
   per-rank words, feasibility -- *without* executing anything), the analytic
-  Table 3 cost hook (wired into :func:`repro.baselines.costs.predict`),
+  Table 3 cost formulas (:meth:`AlgorithmSpec.cost`),
   capability flags (supported transport modes, minimum memory) and aliases.
 * :func:`register` / the :func:`register_algorithm` decorator add specs to
   the process-wide registry; :mod:`repro.algorithms.builtins` registers the
@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.baselines import costs as _costs
 from repro.core.decomposition import decomposition_cache_clear
 from repro.machine.transport import MODES
 from repro.pebbling.mmm_bounds import parallel_io_lower_bound
@@ -81,17 +80,47 @@ class Plan:
     #: estimate: executed runs additionally count reduction/collective hops
     #: in their per-rank round totals.
     rounds: int = 0
-    #: Analytically predicted words received per rank on the fitted grid.
+    #: Words received per rank, the mean over ``scenario.p``: for the grid
+    #: family (COSMA, ScaLAPACK, CTF, Cannon) the run's exact count on the
+    #: fitted grid, ``RunReport.mean_received_per_rank`` to the last bit; for
+    #: CARMA and extensions a Table 3-style formula.
     predicted_words_per_rank: float = 0.0
     #: Theorem 2 lower bound for the scenario (per-processor words).
     lower_bound_per_rank: float = 0.0
+    #: Words the busiest rank's local domain touches: the largest
+    #: ``lm lk + lk ln + lm ln`` over used ranks (A and B projections plus the
+    #: C block), the quantity Theorem 2 bounds.  ``None`` when unknown.
+    domain_io_words: int | None = None
 
     @property
-    def predicted_optimality_ratio(self) -> float:
-        """Predicted per-rank volume divided by the Theorem 2 bound."""
-        if self.lower_bound_per_rank <= 0:
-            return float("inf")
-        return self.predicted_words_per_rank / self.lower_bound_per_rank
+    def optimality_ratio(self) -> float:
+        """The busiest domain's I/O divided by the Theorem 2 bound (``nan``
+        when the plan knows no domain).
+
+        Checked claim: it is at least 1 whenever the largest-volume domain's
+        C block ``x = lm ln`` fits in S.  In the extra-memory regime by
+        AM-GM on the three projections of a domain of volume
+        ``V >= mnk / p``; in the limited regime because
+        ``lm lk + lk ln + x >= 2V / sqrt(x) + x``, which decreases in ``x``
+        for ``x <= S <= V^(2/3)`` and so is at least
+        ``2V / sqrt(S) + S``.
+        """
+        if self.domain_io_words is None or self.lower_bound_per_rank <= 0:
+            return float("nan")
+        return self.domain_io_words / self.lower_bound_per_rank
+
+
+@dataclass(frozen=True)
+class CostPrediction:
+    """Table 3 per-processor cost of one algorithm on one scenario."""
+
+    algorithm: str
+    #: Table 3 per-processor I/O (words moved through the slowest processor).
+    io_words_per_rank: float
+    #: Table 3 latency cost (communication rounds on the critical path).
+    latency_rounds: float
+    #: Useful flops per processor under perfect load balance: ``2mnk / p``.
+    flops_per_rank: float
 
 
 #: Uniform runner signature: ``run(a, b, scenario, machine) -> ndarray``.
@@ -114,10 +143,9 @@ class AlgorithmSpec:
     #: Optional scenario planner; the generic feasibility-only plan is used
     #: when omitted.
     plan_fn: PlanFn | None = None
-    #: Table 3 per-processor I/O formula ``(m, n, k, p, s) -> words``;
-    #: registered into :mod:`repro.baselines.costs` so ``costs.predict`` (and
-    #: with it the sweep aggregator and CLI bounds table) covers this
-    #: algorithm.
+    #: Table 3 per-processor I/O formula ``(m, n, k, p, s) -> words``, read by
+    #: :meth:`cost` (and with it the sweep aggregator, the performance model
+    #: and the CLI bounds table).
     io_cost: CostFn | None = None
     #: Table 3 latency formula; defaults to zero rounds when unknown.
     latency_cost: CostFn | None = None
@@ -192,12 +220,16 @@ class AlgorithmSpec:
             lower_bound_per_rank=bound,
         )
 
-    def cost(self, scenario: "Scenario") -> _costs.CostPrediction | None:
-        """The Table 3 analytic prediction, or ``None`` if no model is known."""
-        try:
-            return _costs.predict(self.name, scenario)
-        except KeyError:
+    def cost(self, scenario: "Scenario") -> CostPrediction | None:
+        """The Table 3 analytic prediction, or ``None`` without ``io_cost``.
+
+        Memoized per ``(spec, m, n, k, p, S)``: sweep aggregation asks once
+        per tidy row, so repeated campaigns stop re-evaluating the formulas.
+        """
+        if self.io_cost is None:
             return None
+        shape = scenario.shape
+        return _cached_cost(self, shape.m, shape.n, shape.k, scenario.p, scenario.memory_words)
 
     def _infeasibility(self, scenario: "Scenario") -> str | None:
         """Generic hard preconditions shared by every algorithm."""
@@ -230,6 +262,17 @@ _REGISTRY: dict[str, AlgorithmSpec] = {}
 _LOOKUP: dict[str, str] = {}
 
 
+@lru_cache(maxsize=8192)
+def _cached_cost(spec: AlgorithmSpec, m: int, n: int, k: int, p: int, s: int) -> CostPrediction:
+    latency = spec.latency_cost(m, n, k, p, s) if spec.latency_cost is not None else 0.0
+    return CostPrediction(
+        algorithm=spec.name,
+        io_words_per_rank=float(spec.io_cost(m, n, k, p, s)),
+        latency_rounds=float(latency),
+        flops_per_rank=2.0 * m * n * k / p,
+    )
+
+
 @lru_cache(maxsize=4096)
 def _cached_plan(name: str, scenario: "Scenario", options_key: tuple) -> Plan:
     """Shared plan memoization, keyed on the scenario tuple (frozen dataclass)."""
@@ -244,7 +287,7 @@ def plan_cache_clear() -> None:
 
 
 def register(spec: AlgorithmSpec, replace: bool = False) -> AlgorithmSpec:
-    """Add ``spec`` to the registry (and its cost model to ``costs.predict``).
+    """Add ``spec`` to the registry.
 
     ``replace=True`` allows re-registering the same canonical name (tests
     swap a runner this way); registering a
@@ -266,10 +309,6 @@ def register(spec: AlgorithmSpec, replace: bool = False) -> AlgorithmSpec:
     _REGISTRY[spec.name] = spec
     for label in labels:
         _LOOKUP[label.lower()] = spec.name
-    if spec.io_cost is not None:
-        _costs.register_cost_model(
-            spec.name, spec.io_cost, spec.latency_cost, aliases=spec.aliases
-        )
     plan_cache_clear()
     return spec
 
@@ -312,13 +351,11 @@ def register_algorithm(
 
 
 def unregister(name: str) -> None:
-    """Remove an algorithm and its cost model (extensions, tests)."""
+    """Remove an algorithm (extensions, tests)."""
     canonical = resolve_algorithm(name)
     spec = _REGISTRY.pop(canonical)
     for label in (spec.name, *spec.aliases):
         _LOOKUP.pop(label.lower(), None)
-    if spec.io_cost is not None:
-        _costs.unregister_cost_model(spec.name, aliases=spec.aliases)
     plan_cache_clear()
 
 

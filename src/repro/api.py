@@ -3,8 +3,7 @@
 Most users only need :func:`multiply` (run any registered algorithm on a
 simulated distributed machine and get a unified :class:`RunReport`),
 :func:`plan` (the planning layer: fitted grid, predicted volume and
-feasibility *without* executing anything) and the analytic cost /
-lower-bound helpers.  Everything else is available through the subpackages
+feasibility *without* executing anything) and the lower-bound helpers.  Everything else is available through the subpackages
 documented in the README's architecture overview.
 
 Backward compatibility: every pre-registry result field (``matrix``, ``grid``,
@@ -23,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.algorithms import Plan, cosma_idle_fraction, get_algorithm, registered_algorithms
-from repro.baselines.costs import CostPrediction
-from repro.core.cost_model import cosma_io_cost
+from repro.algorithms import (
+    CostPrediction, Plan, cosma_idle_fraction, get_algorithm, registered_algorithms,
+)
 from repro.experiments.harness import _execute
 from repro.machine.transport import ShapeToken
 from repro.pebbling.mmm_bounds import parallel_io_lower_bound, sequential_io_lower_bound
@@ -39,7 +38,6 @@ __all__ = [
     "plan",
     "list_algorithms",
     "cosma_idle_fraction",
-    "cosma_cost",
     "lower_bound_sequential",
     "lower_bound_parallel",
 ]
@@ -67,7 +65,8 @@ class RunReport:
     processors_used: int
     #: Average words moved (sent + received) per rank.
     mean_words_per_rank: float
-    #: Average words received per rank (the quantity Theorem 2 bounds).
+    #: Average words received per rank, over all ``p`` (for the grid family
+    #: exactly ``plan.predicted_words_per_rank``).
     mean_received_per_rank: float
     #: Total words transferred across the whole machine.
     total_communicated_words: int
@@ -92,10 +91,10 @@ class RunReport:
 
     @property
     def optimality_ratio(self) -> float:
-        """Measured per-rank received volume divided by the Theorem 2 bound."""
-        if self.lower_bound_per_rank <= 0:
-            return float("inf")
-        return self.mean_received_per_rank / self.lower_bound_per_rank
+        """The busiest domain's I/O divided by the Theorem 2 bound: the plan's
+        :attr:`~repro.algorithms.Plan.optimality_ratio`, whose docstring
+        states the claim the tests check."""
+        return self.plan.optimality_ratio
 
 
 def _api_scenario(m: int, n: int, k: int, processors: int, memory_words: int) -> Scenario:
@@ -187,7 +186,6 @@ def multiply(
         spec, scenario, a_matrix, b_matrix, mode=mode, span="multiply", verify=True,
         run_plan=run_plan, options=options, shards=shards, plane_dtype=plane_dtype,
     )
-    bound = run_plan.lower_bound_per_rank  # same inputs as the Theorem 2 call
     return RunReport(
         algorithm=spec.name,
         matrix=None if mode == "volume" else product,
@@ -197,7 +195,7 @@ def multiply(
         mean_received_per_rank=counters.mean_received_per_rank(),
         total_communicated_words=counters.total_words_sent,
         rounds=counters.max_rounds(),
-        lower_bound_per_rank=bound,
+        lower_bound_per_rank=run_plan.lower_bound_per_rank,
         plan=run_plan,
         mode=mode,
         verified=verified,
@@ -249,11 +247,6 @@ def plan(
 def list_algorithms() -> tuple[str, ...]:
     """Canonical names of every registered algorithm, in registration order."""
     return registered_algorithms()
-
-
-def cosma_cost(m: int, n: int, k: int, processors: int, memory_words: int) -> float:
-    """Analytic per-processor I/O cost of COSMA (equals the Theorem 2 bound)."""
-    return cosma_io_cost(m, n, k, processors, memory_words)
 
 
 def lower_bound_sequential(m: int, n: int, k: int, memory_words: int) -> float:

@@ -10,7 +10,7 @@
 * :mod:`repro.baselines.cuboid` -- a generic executor that runs any cuboidal
   domain decomposition on the simulator (used by CARMA and by ablations).
 * :mod:`repro.baselines.costs` -- the analytic per-processor I/O and latency
-  costs of Table 3 for every decomposition.
+  costs of Table 3 for the baselines (COSMA's I/O row is Theorem 2).
 """
 
 from repro.baselines.cannon import cannon_multiply
@@ -19,11 +19,9 @@ from repro.baselines.costs import (
     io_cost_25d,
     io_cost_2d,
     io_cost_carma,
-    io_cost_cosma,
     latency_cost_25d,
     latency_cost_2d,
     latency_cost_carma,
-    latency_cost_cosma,
 )
 from repro.baselines.cuboid import CuboidDomain, cuboid_multiply
 from repro.baselines.grid25d import grid25d_multiply
@@ -40,9 +38,7 @@ __all__ = [
     "io_cost_2d",
     "io_cost_25d",
     "io_cost_carma",
-    "io_cost_cosma",
     "latency_cost_2d",
     "latency_cost_25d",
     "latency_cost_carma",
-    "latency_cost_cosma",
 ]

@@ -54,6 +54,16 @@ def cannon_decomposition(m: int, n: int, k: int, p: int, memory_words: int) -> C
     return summa_decomposition(q * bm, q * bn, q * bk, p, memory_words, grid=(q, q), panel_width=bk)
 
 
+def skew_words(decomposition: CosmaDecomposition) -> np.ndarray:
+    """Words every rank of the ``q x q`` grid receives in the skew, int64 and
+    row-major: one A block off row 0 and one B block off column 0.  The run's
+    counter delta and the plan both read it."""
+    q = decomposition.grid.pm
+    bm, bn, bk = (decomposition.m // q, decomposition.n // q, decomposition.k // q)
+    moves = np.minimum(np.arange(q), 1)
+    return (moves[:, None] * (bm * bk) + moves * (bk * bn)).ravel()
+
+
 def cannon_multiply(
     a_matrix: np.ndarray,
     b_matrix: np.ndarray,
@@ -78,7 +88,7 @@ def cannon_multiply(
     moves = np.minimum(np.arange(q), 1)
     skew = CommCounters.for_ranks(machine.p)
     grid = skew.data[:, : q * q].reshape(-1, q, q)  # (field, i, j)
-    grid[WORDS_SENT] = grid[WORDS_RECEIVED] = moves[:, None] * (bm * bk) + moves * (bk * bn)
+    grid[WORDS_SENT] = grid[WORDS_RECEIVED] = skew_words(decomposition).reshape(q, q)
     grid[MESSAGES_SENT] = grid[MESSAGES_RECEIVED] = moves[:, None] + moves
     grid[INPUT_WORDS] = 2 * grid[WORDS_SENT]
     grid[ROUNDS] = 2

@@ -43,9 +43,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.algorithms import algorithm_choices, algorithm_specs, registered_algorithms
+from repro.algorithms import Plan, algorithm_choices, algorithm_specs, registered_algorithms
 from repro.api import lower_bound_parallel, lower_bound_sequential, multiply, plan
-from repro.baselines.costs import predict_mnk
 from repro.experiments.report import format_table
 from repro.machine.transport import MODES, PLANE_DTYPES, ShapeToken
 from repro.obs import (
@@ -62,6 +61,8 @@ from repro.sequential import tiled_multiply
 from repro.sweeps import ResultStore, RetryPolicy, SweepSpec, run_campaign, scenario_summary_table, tidy_rows
 from repro.sweeps.runner import DEFAULT_STORE_PATH
 from repro.sweeps.spec import FAMILIES, REGIMES
+from repro.workloads.scaling import Scenario
+from repro.workloads.shapes import ProblemShape
 
 
 def _add_multiply_args(p_mult: argparse.ArgumentParser) -> None:
@@ -263,9 +264,8 @@ def _cmd_multiply(args: argparse.Namespace) -> int:
     print(f"algorithm            : {result.algorithm}")
     print(f"processor grid       : {result.grid} ({result.processors_used}/{args.processors} used)")
     print(f"rounds               : {result.rounds}")
-    print(f"words received/rank  : {result.mean_received_per_rank:,.0f}")
-    print(f"Theorem 2 bound      : {result.lower_bound_per_rank:,.0f}")
-    print(f"optimality ratio     : {result.optimality_ratio:.3f}")
+    print(f"words received/rank  : {result.mean_received_per_rank:,.0f} (mean over p)")
+    _print_theorem2(result.plan)
     if not result.verified:
         print("verified against numpy: SKIPPED (volume mode: counters-only payloads)")
         return 0
@@ -287,10 +287,18 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     print(f"ranks used/available : {run_plan.processors_used}/{args.processors}")
     print(f"idle ranks           : {args.processors - run_plan.processors_used}")
     print(f"scheduled steps      : {run_plan.rounds}")
-    print(f"predicted words/rank : {run_plan.predicted_words_per_rank:,.0f}")
-    print(f"Theorem 2 bound      : {run_plan.lower_bound_per_rank:,.0f}")
-    print(f"predicted ratio      : {run_plan.predicted_optimality_ratio:.3f}")
+    print(f"predicted words/rank : {run_plan.predicted_words_per_rank:,.0f} "
+          "(received, mean over p; exact for COSMA/ScaLAPACK/CTF/Cannon)")
+    _print_theorem2(run_plan)
     return 0
+
+
+def _print_theorem2(run_plan: Plan) -> None:
+    """The busiest local domain's I/O against Theorem 2, the ratio of the two."""
+    domain = run_plan.domain_io_words
+    print(f"busiest domain I/O   : {'unknown' if domain is None else f'{domain:,}'}")
+    print(f"Theorem 2 bound      : {run_plan.lower_bound_per_rank:,.0f}")
+    print(f"optimality ratio     : {run_plan.optimality_ratio:.3f} (busiest domain I/O / Theorem 2 bound)")
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
@@ -298,14 +306,17 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     rows = [
         ["sequential lower bound (Theorem 1)", lower_bound_sequential(m, n, k, s)],
         ["sequential feasible schedule", schedule_io(m, n, k, *optimal_tile_sizes(s))],
-        ["parallel lower bound / COSMA (Theorem 2)", lower_bound_parallel(m, n, k, p, s)],
+        ["parallel lower bound (Theorem 2)", lower_bound_parallel(m, n, k, p, s)],
     ]
     # One cost row per registered algorithm that has a Table 3 model.
+    scenario = Scenario(name="bounds", shape=ProblemShape(m=m, n=n, k=k, family="cli"),
+                        p=p, memory_words=s, regime="cli")
     for spec in algorithm_specs():
-        if spec.io_cost is None:
+        cost = spec.cost(scenario)
+        if cost is None:
             continue
         label = spec.name + (f" ({', '.join(spec.aliases)})" if spec.aliases else "")
-        rows.append([f"{label} cost", predict_mnk(spec.name, m, n, k, p, s).io_words_per_rank])
+        rows.append([f"{label} cost", cost.io_words_per_rank])
     print(format_table(["quantity", "words per processor"], rows))
     return 0
 

@@ -14,20 +14,23 @@ The pipeline mirrors Algorithm 1:
 4. :func:`repro.core.cosma.cosma_multiply` executes the schedule on the
    distributed machine simulator, counting every communicated word.
 
-The analytic counterparts (Theorem 2 costs, I/O-latency trade-off, buffer
-sizing) live in :mod:`repro.core.cost_model`, :mod:`repro.core.tradeoff` and
-:mod:`repro.core.buffers`.
+:func:`repro.core.cosma.received_words` is what that run counts, in closed
+form: a plan's predicted words are the count.  The analytic counterparts
+(latency, I/O-latency trade-off, buffer sizing) live in
+:mod:`repro.core.cost_model`, :mod:`repro.core.tradeoff` and
+:mod:`repro.core.buffers`; COSMA's I/O row is Theorem 2
+(:func:`repro.pebbling.mmm_bounds.parallel_io_lower_bound`).
 """
 
-from repro.core.cosma import CosmaRunResult, cosma_multiply
-from repro.core.cost_model import cosma_io_cost, cosma_latency_cost
+from repro.core.cosma import CosmaRunResult, cosma_multiply, received_words
+from repro.core.cost_model import cosma_latency_cost
 from repro.core.decomposition import CosmaDecomposition, build_decomposition
 from repro.core.grid import ProcessorGrid, fit_ranks
 
 __all__ = [
     "cosma_multiply",
     "CosmaRunResult",
-    "cosma_io_cost",
+    "received_words",
     "cosma_latency_cost",
     "build_decomposition",
     "CosmaDecomposition",

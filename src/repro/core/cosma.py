@@ -437,6 +437,26 @@ def post_c_reduction(machine: DistributedMachine, decomposition: CosmaDecomposit
     machine.post_resident("C_final", slice(0, pm * pn * pk, pk), mn_outer)
 
 
+def received_words(decomposition: CosmaDecomposition) -> np.ndarray:
+    """Words every used rank receives in the panel exchange and the C
+    reduction, int64 in rank order: the count a run posts, in closed form.
+
+    Summed over the rounds, a fiber delivers every owner's whole slice of the
+    layer to each rank but the owner itself, whatever the ``exchange`` kind
+    (see :class:`_PanelExchange`): rank ``(pi, pj, kk)`` receives
+    ``lm (lk - a_own) + ln (lk - b_own)`` input words, plus
+    ``lm ln tree_fanout(pk)[kk]`` words of the C reduction (none at
+    ``pk = 1``).
+    """
+    lm = np.diff(decomposition.i_bounds)[:, None, None]
+    ln = np.diff(decomposition.j_bounds)[None, :, None]
+    lk = np.diff(decomposition.k_bounds)
+    a_own = np.diff(decomposition.a_bounds).T[None, :, :]  # (1, pn, pk)
+    b_own = np.diff(decomposition.b_bounds).T[:, None, :]  # (pm, 1, pk)
+    fan_in = np.array(tree_fanout(decomposition.grid.pk), dtype=np.int64)
+    return (lm * (lk - a_own) + ln * (lk - b_own) + lm * ln * fan_in).ravel()
+
+
 def _cosma_batched(
     a_matrix: np.ndarray,
     b_matrix: np.ndarray,

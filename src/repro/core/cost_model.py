@@ -1,7 +1,9 @@
-"""Analytic COSMA cost model (Theorem 2 and the COSMA column of Table 3).
+"""Analytic COSMA cost model: the COSMA column of Table 3 besides its I/O.
 
-These closed-form costs are used by the Table 3 / Figure 2 benchmarks and by
-tests that compare the simulator's measured volumes against the theory.
+COSMA's I/O row is Theorem 2 itself
+(:func:`repro.pebbling.mmm_bounds.parallel_io_lower_bound`); what a run
+counts is :func:`repro.core.cosma.received_words`.  Here are the local
+domain of Equation 32, the latency row and Figure 3's comparison.
 """
 
 from __future__ import annotations
@@ -10,15 +12,6 @@ import math
 
 from repro.pebbling.mmm_bounds import parallel_io_lower_bound
 from repro.utils.validation import check_positive_int
-
-
-def cosma_io_cost(m: int, n: int, k: int, p: int, s: int) -> float:
-    """Per-processor I/O of the optimal COSMA schedule.
-
-    ``Q = min{ 2mnk / (p sqrt(S)) + S, 3 (mnk/p)^(2/3) }`` -- COSMA attains the
-    Theorem 2 lower bound, so its analytic cost *is* the bound.
-    """
-    return parallel_io_lower_bound(m, n, k, p, s)
 
 
 def cosma_local_domain(m: int, n: int, k: int, p: int, s: int) -> tuple[float, float]:
@@ -52,21 +45,6 @@ def cosma_latency_cost(m: int, n: int, k: int, p: int, s: int) -> float:
     return steps * tree_depth
 
 
-def cosma_memory_per_rank(m: int, n: int, k: int, p: int, s: int) -> float:
-    """Words of local memory the optimal schedule actually uses (``<= S``).
-
-    At the limited-memory boundary ``a = sqrt(S)`` leaves no room for the
-    streamed panels, so the effective width is shrunk to
-    ``sqrt(S + 1) - 1`` exactly as in the feasible sequential schedule
-    (section 5.2.7).
-    """
-    a, b = cosma_local_domain(m, n, k, p, s)
-    a = min(a, math.sqrt(s + 1.0) - 1.0)
-    free = s - a * a
-    step = min(b, max(1.0, free / (2.0 * a)))
-    return a * a + 2.0 * a * step
-
-
 def communication_reduction_vs_grid(
     m: int, n: int, k: int, p: int, s: int, grid: tuple[int, int, int]
 ) -> float:
@@ -90,5 +68,5 @@ def communication_reduction_vs_grid(
     else:
         other_inputs = lm * lk + ln * lk
     other = other_inputs + (lm * ln if pk > 1 else 0.0)
-    ours = cosma_io_cost(m, n, k, p, s)
+    ours = parallel_io_lower_bound(m, n, k, p, s)
     return other / ours

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.baselines.costs import CostPrediction, predict
+from repro.algorithms import CostPrediction, get_algorithm
 from repro.core.overlap import even_rounds
 from repro.experiments.harness import AlgorithmRun
 from repro.machine.topology import PIZ_DAINT_LIKE, MachineSpec
@@ -113,18 +113,19 @@ def analytic_time(
     """Alpha-beta-gamma runtime from the *analytic* Table 3 costs.
 
     Where :func:`simulated_time` prices the counters the simulator measured,
-    this prices the closed-form prediction from
-    :func:`repro.baselines.costs.predict` -- the sweep aggregator joins the
-    two so every stored run carries its model error.  Accepts either an
-    algorithm name plus a scenario, or a ready-made
-    :class:`~repro.baselines.costs.CostPrediction`.
+    this prices the closed-form prediction of ``AlgorithmSpec.cost`` -- the
+    sweep aggregator joins the two so every stored run carries its model
+    error.  Accepts either an algorithm name plus a scenario, or a ready-made
+    :class:`~repro.algorithms.CostPrediction`.
     """
     if isinstance(algorithm_or_prediction, CostPrediction):
         prediction = algorithm_or_prediction
     else:
         if scenario is None:
             raise ValueError("a scenario is required when passing an algorithm name")
-        prediction = predict(algorithm_or_prediction, scenario)
+        prediction = get_algorithm(algorithm_or_prediction).cost(scenario)
+        if prediction is None:
+            raise ValueError(f"{algorithm_or_prediction!r} has no Table 3 cost formulas")
     compute = spec.compute_time(prediction.flops_per_rank)
     comm = spec.communication_time(prediction.io_words_per_rank, prediction.latency_rounds)
     return compute + comm

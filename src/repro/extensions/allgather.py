@@ -23,7 +23,7 @@ from repro.baselines.costs import io_cost_naive_1d
 from repro.machine.collectives import allgather
 from repro.machine.transport import as_operands, concat_payloads
 from repro.pebbling.mmm_bounds import parallel_io_lower_bound
-from repro.utils.intmath import split_offsets
+from repro.utils.intmath import ceil_div, split_offsets
 from repro.workloads.scaling import Scenario
 
 
@@ -35,11 +35,14 @@ def _usable_ranks(m: int, k: int, p: int) -> int:
 def _plan_allgather(scenario: Scenario) -> Plan:
     shape = scenario.shape
     q = _usable_ranks(shape.m, shape.k, scenario.p)
+    stripe = ceil_div(shape.m, q)  # the first, longest row stripe
     return Plan(
         algorithm="AllGather1D", scenario=scenario, feasible=True,
         grid=(q,), processors_used=q,
         rounds=max(1, q - 1),  # ring all-gather steps
         predicted_words_per_rank=io_cost_naive_1d(shape.m, shape.n, shape.k, q),
+        # An m/q x n x k domain: its A stripe, all of B, its C stripe.
+        domain_io_words=stripe * shape.k + shape.k * shape.n + stripe * shape.n,
         lower_bound_per_rank=parallel_io_lower_bound(
             shape.m, shape.n, shape.k, scenario.p, scenario.memory_words
         ),

@@ -3,7 +3,7 @@
 Each ``"ok"`` record becomes one tidy row carrying (a) the scenario identity,
 (b) the simulator-measured counters, (c) the alpha-beta-gamma runtime and
 %-of-peak from :mod:`repro.experiments.perf_model`, and (d) the analytic
-Table 3 prediction from :func:`repro.baselines.costs.predict` plus the
+Table 3 prediction of ``AlgorithmSpec.cost`` plus the
 measured/predicted I/O ratio.  Failed records become rows with a ``status``
 of ``"failed"`` and the error attached, so campaign reports never silently
 drop points.
@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Mapping, Sequence
 
-from repro.baselines.costs import predict
+from repro.algorithms import get_algorithm
 from repro.experiments.harness import AlgorithmRun
 from repro.experiments.perf_model import analytic_time, percent_of_peak, simulated_time
 from repro.experiments.report import format_table
@@ -83,10 +83,10 @@ def tidy_rows(
             "status": record.get("status", "ok"),
         }
         try:
-            prediction = predict(record["algorithm"], scenario)
+            prediction = get_algorithm(record["algorithm"]).cost(scenario)
         except KeyError:
-            # Algorithms outside the Table 3 registry still aggregate; they
-            # just carry no analytic columns.
+            # Unregistered algorithms still aggregate, like those without
+            # Table 3 formulas; they just carry no analytic columns.
             prediction = None
         if prediction is not None:
             row["predicted_io_words_per_rank"] = prediction.io_words_per_rank

@@ -8,16 +8,15 @@ from repro.baselines.costs import (
     evolution_table,
     io_cost_25d,
     io_cost_2d,
-    io_cost_3d,
     io_cost_carma,
-    io_cost_cosma,
     io_cost_naive_1d,
     latency_cost_25d,
     latency_cost_2d,
     latency_cost_carma,
-    latency_cost_cosma,
     replication_factor_25d,
 )
+from repro.core.cost_model import cosma_latency_cost
+from repro.pebbling.mmm_bounds import parallel_io_lower_bound
 
 
 class Test2D:
@@ -62,7 +61,9 @@ class Test25D:
         m = n = k = 4096
         p = 512
         huge_s = 1 << 40
-        assert io_cost_3d(m, n, k, p) == pytest.approx(io_cost_25d(m, n, k, p, huge_s), rel=0.01)
+        c = p ** (1 / 3)  # the 3D cost: k (m + n) / sqrt(p c) + mn c / p
+        cost_3d = k * (m + n) / math.sqrt(p * c) + m * n * c / p
+        assert io_cost_25d(m, n, k, p, huge_s) == pytest.approx(cost_3d, rel=0.01)
 
     def test_latency_positive(self):
         assert latency_cost_25d(4096, 4096, 4096, 64, 1 << 20) > 0
@@ -76,7 +77,7 @@ class TestCarma:
         p = 512
         s = (m * n + m * k + n * k) // p  # barely feasible: limited memory
         carma = io_cost_carma(m, n, k, p, s)
-        cosma = io_cost_cosma(m, n, k, p, s)
+        cosma = parallel_io_lower_bound(m, n, k, p, s)
         ratio = carma / cosma
         assert 1.2 < ratio < 2.1
 
@@ -84,7 +85,7 @@ class TestCarma:
         m = n = k = 512
         p = 512
         s = 1 << 22
-        ratio = io_cost_carma(m, n, k, p, s) / io_cost_cosma(m, n, k, p, s)
+        ratio = io_cost_carma(m, n, k, p, s) / parallel_io_lower_bound(m, n, k, p, s)
         assert ratio == pytest.approx(1.0, rel=0.01)
 
     def test_latency_positive(self):
@@ -98,19 +99,19 @@ class TestCosmaCost:
         for p in [16, 64, 256]:
             for factor in [1, 4, 16]:
                 s = factor * footprint // p  # always feasible: p S >= footprint
-                assert io_cost_cosma(m, n, k, p, s) <= io_cost_2d(m, n, k, p) * 1.01
+                assert parallel_io_lower_bound(m, n, k, p, s) <= io_cost_2d(m, n, k, p) * 1.01
 
     def test_never_worse_than_25d(self):
         for p in [16, 64, 256]:
             m = n = k = 2048
             s = 4 * (m * k + n * k) // p
-            assert io_cost_cosma(m, n, k, p, s) <= io_cost_25d(m, n, k, p, s) * 1.01
+            assert parallel_io_lower_bound(m, n, k, p, s) <= io_cost_25d(m, n, k, p, s) * 1.01
 
     def test_never_worse_than_carma(self):
         for p in [16, 64, 256]:
             m, n, k = 256, 256, 65536
             s = 2 * (m * n + m * k + n * k) // p
-            assert io_cost_cosma(m, n, k, p, s) <= io_cost_carma(m, n, k, p, s) * 1.01
+            assert parallel_io_lower_bound(m, n, k, p, s) <= io_cost_carma(m, n, k, p, s) * 1.01
 
     def test_tall_matrix_advantage_over_2d(self):
         """Table 3 "tall" case: 2D pays O(sqrt(p)) more than COSMA."""
@@ -118,11 +119,11 @@ class TestCosmaCost:
         m = n = int(math.sqrt(p))
         k = int(p ** 1.5 / 4)
         s = 2 * n * k // int(p ** (2 / 3))
-        ratio = io_cost_2d(m, n, k, p) / io_cost_cosma(m, n, k, p, s)
+        ratio = io_cost_2d(m, n, k, p) / parallel_io_lower_bound(m, n, k, p, s)
         assert ratio > math.sqrt(p) / 4
 
     def test_latency_cosma_positive(self):
-        assert latency_cost_cosma(4096, 4096, 4096, 64, 1 << 20) >= 1
+        assert cosma_latency_cost(4096, 4096, 4096, 64, 1 << 20) >= 1
 
 
 class TestEvolution:
@@ -143,7 +144,8 @@ class TestEvolution:
 
 
 class TestPredict:
-    """The shared entry point the sweep aggregator (and CLI) goes through."""
+    """``AlgorithmSpec.cost``: the entry point the sweep aggregator, the
+    performance model and the CLI bounds table go through."""
 
     def _scenario(self):
         from repro.workloads.scaling import Scenario
@@ -152,69 +154,79 @@ class TestPredict:
         return Scenario(name="s", shape=square_shape(512), p=64, memory_words=16384, regime="limited")
 
     def test_predict_matches_per_algorithm_formulas(self):
-        from repro.baselines.costs import predict
+        from repro.algorithms import get_algorithm
 
         scenario = self._scenario()
         m = n = k = 512
         p, s = 64, 16384
         expected_io = {
-            "COSMA": io_cost_cosma(m, n, k, p, s),
+            "COSMA": parallel_io_lower_bound(m, n, k, p, s),
             "ScaLAPACK": io_cost_2d(m, n, k, p),
             "CTF": io_cost_25d(m, n, k, p, s),
             "CARMA": io_cost_carma(m, n, k, p, s),
             "Cannon": io_cost_2d(m, n, k, p),
         }
+        expected_latency = {
+            "COSMA": cosma_latency_cost(m, n, k, p, s),
+            "ScaLAPACK": latency_cost_2d(m, n, k, p),
+            "CTF": latency_cost_25d(m, n, k, p, s),
+            "CARMA": latency_cost_carma(m, n, k, p, s),
+            "Cannon": latency_cost_2d(m, n, k, p),
+        }
         for algorithm, expected in expected_io.items():
-            prediction = predict(algorithm, scenario)
-            assert prediction.io_words_per_rank == pytest.approx(expected)
-            assert prediction.latency_rounds > 0
+            prediction = get_algorithm(algorithm).cost(scenario)
+            assert prediction.algorithm == algorithm
+            assert prediction.io_words_per_rank == expected
+            assert prediction.latency_rounds == expected_latency[algorithm] > 0
             assert prediction.flops_per_rank == pytest.approx(2 * m * n * k / p)
+            assert get_algorithm(algorithm).cost(scenario) is prediction  # memoized
 
     def test_aliases_agree_with_harness_names(self):
-        from repro.baselines.costs import predict
+        from repro.algorithms import get_algorithm
 
         scenario = self._scenario()
-        assert predict("SUMMA", scenario).io_words_per_rank == predict("ScaLAPACK", scenario).io_words_per_rank
-        assert predict("2D", scenario).io_words_per_rank == predict("ScaLAPACK", scenario).io_words_per_rank
-        assert predict("2.5D", scenario).io_words_per_rank == predict("CTF", scenario).io_words_per_rank
+        scalapack = get_algorithm("ScaLAPACK").cost(scenario)
+        assert get_algorithm("SUMMA").cost(scenario) == scalapack
+        assert get_algorithm("2D").cost(scenario) == scalapack
+        assert get_algorithm("2.5D").cost(scenario) == get_algorithm("CTF").cost(scenario)
 
     def test_unknown_algorithm_rejected(self):
-        from repro.baselines.costs import predict
+        from repro.algorithms import get_algorithm
 
         with pytest.raises(KeyError):
-            predict("MAGMA", self._scenario())
+            get_algorithm("MAGMA").cost(self._scenario())
 
     def test_registry_is_the_one_source_of_cost_models(self):
-        """Every registered name and alias predicts exactly its spec's
-        formulas, and an unregistered algorithm predicts nothing."""
-        from repro.algorithms import AlgorithmSpec, algorithm_specs, register, unregister
-        from repro.baselines.costs import predict
+        """Every registered spec predicts exactly its own formulas, a spec
+        without them predicts nothing, and an unregistered name is unknown."""
+        from repro.algorithms import AlgorithmSpec, algorithm_specs, get_algorithm, register, unregister
 
         scenario = self._scenario()
         m, n, k, p, s = 512, 512, 512, 64, 16384
         for spec in algorithm_specs():
             if spec.io_cost is None:
+                assert spec.cost(scenario) is None
                 continue
-            for name in (spec.name, *spec.aliases):
-                prediction = predict(name, scenario)
-                assert prediction.io_words_per_rank == spec.io_cost(m, n, k, p, s)
-                assert prediction.latency_rounds == spec.latency_cost(m, n, k, p, s)
+            prediction = spec.cost(scenario)
+            assert prediction.io_words_per_rank == spec.io_cost(m, n, k, p, s)
+            assert prediction.latency_rounds == spec.latency_cost(m, n, k, p, s)
 
         register(AlgorithmSpec(name="_tmp-costed", runner=lambda *a: None,
                                io_cost=lambda m, n, k, p, s: 1.0, aliases=("_tmp-alias",)))
-        assert predict("_tmp-alias", scenario).io_words_per_rank == 1.0
+        prediction = get_algorithm("_tmp-alias").cost(scenario)
+        assert (prediction.io_words_per_rank, prediction.latency_rounds) == (1.0, 0.0)
         unregister("_tmp-costed")
         for name in ("_tmp-costed", "_tmp-alias"):
             with pytest.raises(KeyError):
-                predict(name, scenario)
+                get_algorithm(name)
 
     def test_analytic_time_prices_the_prediction(self):
-        from repro.baselines.costs import predict
+        from repro.algorithms import get_algorithm
         from repro.experiments.perf_model import analytic_time
         from repro.machine.topology import PIZ_DAINT_LIKE
 
         scenario = self._scenario()
-        prediction = predict("COSMA", scenario)
+        prediction = get_algorithm("COSMA").cost(scenario)
         expected = PIZ_DAINT_LIKE.compute_time(prediction.flops_per_rank) + PIZ_DAINT_LIKE.communication_time(
             prediction.io_words_per_rank, prediction.latency_rounds
         )

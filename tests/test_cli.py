@@ -57,6 +57,25 @@ class TestRegistryDrivenCli:
         assert "fitted grid" in out
         assert "predicted words/rank" in out
 
+    def test_plan_words_are_the_runs_count(self, capsys):
+        """At a ragged point `repro plan` prints the words `repro multiply
+        --mode volume` counts, and both say what the ratio divides."""
+        point = ["--m", "97", "--n", "61", "--k", "43", "--processors", "12",
+                 "--memory", "4096", "--algorithm", "ScaLAPACK"]
+
+        def field(out, label):
+            line = next(line for line in out.splitlines() if line.startswith(label))
+            return line.split(":", 1)[1].split()[0]
+
+        assert main(["plan", *point]) == 0
+        planned = capsys.readouterr().out
+        assert main(["multiply", *point, "--mode", "volume"]) == 0
+        counted = capsys.readouterr().out
+        assert field(planned, "predicted words/rank") == field(counted, "words received/rank") == "1,351"
+        for out in (planned, counted):
+            assert field(out, "busiest domain I/O") == "2,503"
+            assert "(busiest domain I/O / Theorem 2 bound)" in out
+
     def test_plan_flags_infeasible_points(self, capsys):
         code = main(["plan", "--m", "512", "--n", "512", "--k", "512",
                      "--processors", "2", "--memory", "64"])

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.cosma import cosma_multiply
-from repro.core.cost_model import cosma_io_cost
+from repro.algorithms import cosma_idle_fraction
+from repro.api import plan
+from repro.core.cosma import cosma_multiply, received_words
 from repro.core.grid import ProcessorGrid
-from repro.machine.counters import FLOPS, INPUT_WORDS, OUTPUT_WORDS
+from repro.machine.counters import FLOPS, INPUT_WORDS, OUTPUT_WORDS, WORDS_RECEIVED
 from repro.machine.simulator import DistributedMachine
 
 
@@ -70,16 +71,22 @@ class TestCommunicationAccounting:
         assert result.counters.conservation_ok()
 
     def test_volume_within_constant_of_lower_bound(self, rng):
+        """A per-hop run receives what its plan says, rank for rank, and its
+        busiest domain is within the factor of Theorem 2 that
+        ``tests/test_theorem2_chain.py`` pins for cube p."""
         m = n = k = 48
         p, s = 8, 2048
         a = rng.standard_normal((m, k))
         b = rng.standard_normal((k, n))
-        result = cosma_multiply(a, b, p, memory_words=s)
-        analytic = cosma_io_cost(m, n, k, p, s)
-        measured = result.counters.mean_received_per_rank()
-        # The measured per-rank received volume must not exceed the analytic
-        # cost (the analytic cost also charges for locally-available data).
-        assert measured <= analytic * 1.25
+        result = cosma_multiply(a, b, p, memory_words=s, max_idle_fraction=cosma_idle_fraction(p))
+        run_plan = plan(m, n, k, p, s)
+        assert run_plan.grid == result.grid.as_tuple()
+        expected = np.zeros(p, dtype=np.int64)
+        used = received_words(result.decomposition)
+        expected[: len(used)] = used
+        np.testing.assert_array_equal(result.counters.data[WORDS_RECEIVED], expected)
+        assert run_plan.predicted_words_per_rank == result.counters.mean_received_per_rank()
+        assert 1 <= run_plan.optimality_ratio <= 1.068
 
     def test_more_processors_less_volume_per_rank(self, rng):
         a = rng.standard_normal((48, 48))

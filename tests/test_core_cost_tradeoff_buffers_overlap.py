@@ -7,10 +7,8 @@ import pytest
 from repro.core.buffers import fits_in_memory, max_overlap_rounds, plan_buffers
 from repro.core.cost_model import (
     communication_reduction_vs_grid,
-    cosma_io_cost,
     cosma_latency_cost,
     cosma_local_domain,
-    cosma_memory_per_rank,
 )
 from repro.core.decomposition import build_decomposition
 from repro.core.overlap import even_rounds, pipeline_times
@@ -19,11 +17,6 @@ from repro.pebbling.mmm_bounds import parallel_io_lower_bound
 
 
 class TestCostModel:
-    def test_cost_equals_theorem2_bound(self):
-        assert cosma_io_cost(512, 512, 512, 64, 4096) == pytest.approx(
-            parallel_io_lower_bound(512, 512, 512, 64, 4096)
-        )
-
     def test_local_domain_limited_regime(self):
         a, b = cosma_local_domain(1024, 1024, 1024, 64, 4096)
         assert a == pytest.approx(64.0)
@@ -47,10 +40,6 @@ class TestCostModel:
         assert (a, b) == (pytest.approx(width), pytest.approx(depth))
         assert a * a * b == pytest.approx(m * n * k / p, rel=1e-9)
         assert a * a <= s * (1 + 1e-12)
-
-    def test_memory_per_rank_within_s(self):
-        for p in [16, 64, 256]:
-            assert cosma_memory_per_rank(1024, 1024, 1024, p, 4096) <= 4096 * 1.01
 
     def test_latency_positive(self):
         assert cosma_latency_cost(1024, 1024, 1024, 64, 4096) >= 1.0
@@ -98,7 +87,7 @@ class TestTradeoff:
         m = n = k = 512
         p, s = 64, 1024
         point = min_io_point(m, n, k, p, s)
-        assert point.io_cost == pytest.approx(cosma_io_cost(m, n, k, p, s), rel=0.05)
+        assert point.io_cost == pytest.approx(parallel_io_lower_bound(m, n, k, p, s), rel=0.05)
 
     def test_rejects_nonpositive_a(self):
         with pytest.raises(ValueError):

@@ -2,12 +2,16 @@
 
 import pytest
 
-from repro.baselines.costs import io_cost_25d, io_cost_2d, io_cost_carma, io_cost_cosma
+from repro.baselines.costs import io_cost_25d, io_cost_2d, io_cost_carma
 from repro.experiments.harness import DEFAULT_ALGORITHMS, run_scenario
 from repro.experiments.perf_model import simulated_time
 from repro.experiments.report import group_by_scenario, volume_series
 from repro.pebbling.game import PebbleGame
-from repro.pebbling.mmm_bounds import sequential_io_lower_bound, sequential_optimality_ratio
+from repro.pebbling.mmm_bounds import (
+    parallel_io_lower_bound,
+    sequential_io_lower_bound,
+    sequential_optimality_ratio,
+)
 from repro.pebbling.mmm_cdag import build_mmm_cdag
 from repro.pebbling.mmm_schedule import sequential_mmm_schedule
 from repro.sequential import tiled_multiply
@@ -132,7 +136,7 @@ class TestAnalyticVsMeasured:
         p = 16
         s = 2 * (m * n + m * k + n * k) // p
         analytic = {
-            "COSMA": io_cost_cosma(m, n, k, p, s),
+            "COSMA": parallel_io_lower_bound(m, n, k, p, s),
             "ScaLAPACK": io_cost_2d(m, n, k, p),
             "CTF": io_cost_25d(m, n, k, p, s),
             "CARMA": io_cost_carma(m, n, k, p, s),

