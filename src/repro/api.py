@@ -144,10 +144,11 @@ def multiply(
         (``matrix`` is ``None``) and scales to paper-size grids.
     shards:
         Numeric execution policy for ``"plane"`` mode: number of worker
-        processes the batched GEMMs are sharded across over shared memory
-        (:mod:`repro.machine.shard`).  ``1`` (default) keeps the in-process
-        engine.  Counters are byte-identical across shard counts; shards
-        never enters a sweep run's identity key.
+        processes COSMA's plane GEMM is sharded across over shared memory
+        (:mod:`repro.machine.shard`); the other algorithms run in process
+        whatever it says.  ``1`` (default) keeps the in-process engine.
+        Counters are byte-identical across shard counts; shards never
+        enters a sweep run's identity key.
     plane_dtype:
         Element dtype for numeric payloads (``"float64"`` default,
         ``"float32"`` opt-in).  Verification switches to relative

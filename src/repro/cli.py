@@ -83,9 +83,9 @@ def _add_multiply_args(p_mult: argparse.ArgumentParser) -> None:
     p_mult.add_argument(
         "--shards", type=int, default=1,
         help=(
-            "shard the plane engine's numeric GEMMs across this many worker "
-            "processes over shared memory (counters are byte-identical across "
-            "shard counts; 1 = in-process engine)"
+            "shard COSMA's plane GEMM across this many worker processes over "
+            "shared memory (other algorithms run in process; counters are "
+            "byte-identical across shard counts; 1 = in-process engine)"
         ),
     )
     p_mult.add_argument(

@@ -181,10 +181,11 @@ def _sharded_gemm(
 ) -> None:
     """Run the product on the shard pool: ``machine.shards`` worker processes.
 
-    The parent copies A and B into shared-memory segments once; each worker
-    owns a contiguous row stripe of the output and computes
-    ``out[r0:r1] = a[r0:r1] @ b`` straight into the shared output segment.
-    Only (job id, slice spec) messages cross the pipes.  All counters were
+    The parent copies A and B into shared-memory segments (the previous
+    run's, when the sizes match); each worker owns a contiguous row stripe
+    of the output and computes ``out[r0:r1] = a[r0:r1] @ b`` straight into
+    the shared output segment, which is copied into the C sheet.  Only
+    (job id, slice spec) messages cross the pipes.  All counters were
     already posted in the parent -- nothing here touches accounting.
     """
     from repro.machine.shard import get_pool
@@ -210,9 +211,9 @@ def _sharded_gemm(
                     args={"shard": shard, "rows": list(rows)},
                     track="gemm",
                 )
-        # Copy the product out of shared memory before the segments die; the
-        # plane (and everything downstream) must never reference pool-owned
-        # buffers or releasing them would raise BufferError.
+        # Copy the product out of shared memory before release: the next run
+        # reuses the segment, so the plane (and everything downstream) must
+        # never reference a pool-owned buffer.
         c_plane.data[0][...] = out
         out = None
     finally:

@@ -1,13 +1,26 @@
 """Persistent shard-worker pool for the plane engine's numeric execution.
 
-The plane transport executes a whole machine's batched GEMMs in-process
-(:mod:`repro.core.cosma` ``_cosma_batched``).  This module shards that work
-across a pool of worker *processes* over ``multiprocessing.shared_memory``:
+The plane transport executes a whole machine's batched GEMMs in-process.
+This module shards one of them -- COSMA's single-sheet plane GEMM
+(:mod:`repro.core.cosma` ``_sharded_gemm``) -- across a pool of worker
+*processes* over ``multiprocessing.shared_memory``; ScaLAPACK, CTF, CARMA
+and Cannon run their numerics in process whatever ``shards`` says:
 
-* the parent creates shared segments for each operand, copies the operand in
-  once, and workers **attach** to the segments at pool start -- after that,
-  every job message carries only ``(job id, kernel name, slice spec)``, never
-  an array payload (zero-copy handoff);
+* the parent copies each operand into a shared segment once per run
+  (:meth:`ShardPool.share`); every job message carries only
+  ``(job id, kernel name, slice spec)``, never an array payload (zero-copy
+  handoff);
+* segments outlive their run: :meth:`ShardPool.release` parks them by tag,
+  and the next run's ``share`` of a tag takes the parked segment when its
+  byte size matches instead of creating (and first-touching) a fresh one;
+  when it does not match, the old segment is unlinked (and unmapped by the
+  workers) before the new one is filled, so the pool holds at most one
+  segment per tag.  Only repeated runs of the same sizes in one process
+  gain; between runs the parked segments stay in ``/dev/shm`` until the
+  next run, :func:`evict_pool` or interpreter exit;
+* each worker maps a segment once, by name, and keeps the mapping until the
+  parent reports the segment unlinked; tags (the names kernels read) are per
+  run, so a released tag is unknown to the workers;
 * each worker owns one contiguous stripe of the leading axis
   (:func:`repro.utils.intmath.split_offsets`) and runs a named kernel from :data:`KERNELS` over
   its stripe, writing results straight into the shared output segment;
@@ -24,7 +37,8 @@ processes (the primitive the campaign supervisor uses too), and the parent
 collects replies with :func:`~repro.utils.workers.wait_any`, which watches
 each worker's pipe *and* its process sentinel; a worker that dies without
 replying surfaces a structured :class:`ShardWorkerError` (never a hang), and
-the broken pool is evicted from the module cache.
+the broken pool unlinks every segment it holds, parked ones included
+(:func:`get_pool` replaces it).
 
 ``shards=1`` callers must not construct a pool at all -- the in-process
 engine is the provable baseline (:func:`available_shards` reports whether a
@@ -130,7 +144,7 @@ KERNELS = {
 # ----------------------------------------------------------------------
 
 def _worker_main(conn, shard_index: int) -> None:  # pragma: no cover - subprocess
-    """Shard worker loop: attach to segments once, then run slice-spec jobs."""
+    """Shard worker loop: map each segment once, then run slice-spec jobs."""
     from multiprocessing import resource_tracker, shared_memory
 
     # The parent owns every segment's lifetime.  Spawned workers share the
@@ -146,11 +160,16 @@ def _worker_main(conn, shard_index: int) -> None:  # pragma: no cover - subproce
 
     resource_tracker.register = _register
 
-    segments: dict[str, tuple] = {}
+    #: segment name -> SharedMemory, mapped on first attach, closed on unlink
+    mappings: dict[str, shared_memory.SharedMemory] = {}
+    #: tag -> this run's view of its segment
+    views: dict[str, np.ndarray] = {}
 
-    def _drop_segments() -> None:
-        for tag in list(segments):
-            shm, _array = segments.pop(tag)
+    def _unmap(names) -> None:
+        for name in names:
+            shm = mappings.pop(name, None)
+            if shm is None:
+                continue
             try:
                 shm.close()
             except BufferError:
@@ -161,38 +180,36 @@ def _worker_main(conn, shard_index: int) -> None:  # pragma: no cover - subproce
             message = conn.recv()
             op = message[0]
             if op == "attach":
-                _, tag, shm_name, shape, dtype_name = message
-                shm = shared_memory.SharedMemory(name=shm_name)
-                array = np.ndarray(
-                    tuple(shape), dtype=np.dtype(dtype_name), buffer=shm.buf
-                )
-                segments[tag] = (shm, array)
+                _, tag, shm_name, shape, dtype_name, replaced = message
+                _unmap(replaced)
+                shm = mappings.get(shm_name)
+                if shm is None:
+                    shm = mappings[shm_name] = shared_memory.SharedMemory(name=shm_name)
+                views[tag] = np.ndarray(tuple(shape), dtype=np.dtype(dtype_name), buffer=shm.buf)
                 conn.send(("ok", None, {}))
             elif op == "run":
                 _, job_id, kernel_name, spec = message
                 try:
-                    views = {tag: array for tag, (_shm, array) in segments.items()}
                     start = time.perf_counter()
                     KERNELS[kernel_name](views, spec)
                     seconds = time.perf_counter() - start
-                    del views
                     conn.send(("ok", job_id, {"seconds": seconds}))
                 except Exception as exc:
                     tail = traceback.format_exc(limit=4)
                     conn.send(("error", job_id, type(exc).__name__, str(exc), tail))
             elif op == "release":
-                _drop_segments()
+                views.clear()
                 conn.send(("ok", None, {}))
             elif op == "stop":
-                _drop_segments()
                 conn.send(("ok", None, {}))
-                return
+                return  # the finally clause unmaps everything
             else:
                 conn.send(("error", None, "ValueError", f"unknown op {op!r}", ""))
     except (EOFError, KeyboardInterrupt):
         pass
     finally:
-        _drop_segments()
+        views.clear()
+        _unmap(list(mappings))
         conn.close()
 
 
@@ -224,10 +241,12 @@ class ShardPool:
     """A persistent pool of shard workers over shared-memory segments.
 
     Lifecycle: construct (spawns workers) -> :meth:`share` operands ->
-    :meth:`run` jobs (any number of rounds) -> :meth:`release` segments ->
-    repeat share/run/release -> :meth:`shutdown`.  A worker death at any
-    point raises :class:`ShardWorkerError` and poisons the pool
-    (:attr:`broken`); poisoned pools refuse further work.
+    :meth:`run` jobs (any number of rounds) -> :meth:`release` the run ->
+    repeat share/run/release -> :meth:`shutdown`.  ``release`` parks the
+    run's segments for the next run to reuse; views returned by ``share``
+    are valid until then.  A worker death at any point raises
+    :class:`ShardWorkerError` and poisons the pool (:attr:`broken`);
+    poisoned pools refuse further work and hold no segment.
     """
 
     def __init__(self, shards: int, blas_threads: int | None = None) -> None:
@@ -238,8 +257,10 @@ class ShardPool:
         self.shards = int(shards)
         self.broken = False
         self._job_counter = 0
-        #: tag -> (SharedMemory, parent ndarray view)
+        #: tag -> (SharedMemory, parent ndarray view) of the current run
         self._segments: dict[str, tuple] = {}
+        #: tag -> the released segment the tag's next share may reuse
+        self._parked: dict = {}
         if blas_threads is None:
             blas_threads = max(1, (os.cpu_count() or 1) // self.shards)
         self.blas_threads = int(blas_threads)
@@ -288,13 +309,14 @@ class ShardPool:
 
     # -- shared segments --------------------------------------------------
     def share(self, tag: str, array: np.ndarray) -> np.ndarray:
-        """Copy ``array`` into a fresh shared segment attached on every worker.
+        """Copy ``array`` into a shared segment attached on every worker.
 
-        Returns the parent-side view of the segment.  The pool owns the
-        segment (and the only long-lived references to its buffer), so
-        :meth:`release` can close and unlink it without ``BufferError``.
+        Returns the parent-side view of the segment, valid until
+        :meth:`release`.  The pool owns the segment (and the only long-lived
+        references to its buffer), so it can close and unlink it without
+        ``BufferError``.
         """
-        array = np.ascontiguousarray(array)
+        array = np.asarray(array)
         return self._create(tag, array.shape, array.dtype, fill=array)
 
     def share_zeros(self, tag: str, shape: Sequence[int], dtype) -> np.ndarray:
@@ -307,23 +329,41 @@ class ShardPool:
         if tag in self._segments:
             raise ValueError(f"segment {tag!r} already shared; release() first")
         nbytes = max(1, int(np.prod(shape)) * np.dtype(dtype).itemsize)
-        shm = shared_memory.SharedMemory(create=True, size=nbytes)
+        shm = self._parked.pop(tag, None)
+        replaced = []
+        if shm is not None and shm.size != nbytes:
+            # Unlink the tag's old segment before its successor exists, and
+            # have the workers unmap it before the successor is filled: a
+            # tag never holds more than one segment's pages.
+            replaced = [shm.name]
+            _unlink([shm])
+            shm = None
+        if shm is None:
+            shm = shared_memory.SharedMemory(create=True, size=nbytes)
         view = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
+        self._segments[tag] = (shm, view)
+        self._exchange(
+            [("attach", tag, shm.name, tuple(shape), np.dtype(dtype).name, replaced)] * self.shards
+        )
         if fill is None:
             view.fill(0)
         else:
             view[...] = fill
-        self._segments[tag] = (shm, view)
-        self._exchange([("attach", tag, shm.name, tuple(shape), np.dtype(dtype).name)] * self.shards)
         return view
 
     def release(self) -> None:
-        """Detach workers from and destroy every shared segment."""
+        """End the run: forget its tags and park its segments by tag.
+
+        The next run's ``share`` of a tag takes the parked segment when the
+        byte size matches and replaces it otherwise, so the pool holds at
+        most one segment per tag.
+        """
         if not self._segments:
             return
+        self._parked.update((tag, shm) for tag, (shm, _view) in self._segments.items())
+        self._segments.clear()
         if not self.broken:
             self._exchange([("release",)] * self.shards)
-        self._destroy_segments()
 
     # -- jobs -------------------------------------------------------------
     def run(self, kernel: str, specs: Sequence[dict]) -> list[dict]:
@@ -362,20 +402,11 @@ class ShardPool:
         self._destroy_segments()
 
     def _destroy_segments(self) -> None:
-        for tag in list(self._segments):
-            shm, view = self._segments.pop(tag)
-            # A caller still holding a view of the segment makes close() raise
-            # BufferError; unlink the name regardless so the segment cannot
-            # leak past the last mapping.
-            del view
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover - caller kept a view alive
-                pass
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
+        """Unlink the current run's segments and the parked ones."""
+        segments = [shm for shm, _view in self._segments.values()] + list(self._parked.values())
+        self._segments.clear()
+        self._parked.clear()
+        _unlink(segments)
 
     def shutdown(self) -> None:
         """Stop every worker and destroy all segments (idempotent)."""
@@ -383,6 +414,22 @@ class ShardPool:
         for worker in self._workers:
             worker.stop(("stop",), timeout=2.0)
         self._destroy_segments()
+
+
+def _unlink(segments) -> None:
+    """Close and unlink ``segments`` (the parent created every one)."""
+    for shm in segments:
+        # A caller still holding a view of the segment makes close() raise
+        # BufferError; unlink the name regardless so the segment cannot leak
+        # past the last mapping.
+        try:
+            shm.close()
+        except BufferError:  # pragma: no cover - caller kept a view alive
+            pass
+        try:
+            shm.unlink()
+        except FileNotFoundError:  # pragma: no cover
+            pass
 
 
 # ----------------------------------------------------------------------

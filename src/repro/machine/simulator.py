@@ -143,9 +143,9 @@ class DistributedMachine:
         ``"volume"`` (counters-only shape tokens); see the module docstring
         and :mod:`repro.machine.transport`.
     shards:
-        Numeric execution policy for plane-mode algorithms: the number of
-        worker processes the batched GEMMs are sharded across
-        (:mod:`repro.machine.shard`).  ``1`` (the default) keeps the
+        Numeric execution policy for plane mode: the number of worker
+        processes COSMA's plane GEMM is sharded across
+        (:mod:`repro.machine.shard`); no other engine reads it.  ``1`` (the default) keeps the
         in-process engine -- no pool, no shared memory.  Counters are
         byte-identical across shard counts because all accounting stays in
         the parent on the counter matrix; shards never participates in a

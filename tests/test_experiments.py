@@ -30,6 +30,7 @@ from repro.experiments.report import (
 )
 from repro.machine.counters import COUNTER_FIELDS, CommCounters
 from repro.machine.topology import laptop_spec
+from repro.machine.transport import allclose_tolerances
 from repro.workloads.scaling import Scenario, strong_scaling_sweep
 from repro.workloads.shapes import square_shape
 
@@ -113,7 +114,8 @@ class TestVerification:
     """``_execute`` compares product and reference in row blocks; the verdict
     is the whole-array ``np.allclose``'s for every input."""
 
-    M, N, K = harness._VERIFY_ROWS + 44, 7, 5  # two blocks, the second one partial
+    N, K = 7, 5
+    M = harness._VERIFY_BLOCK_BYTES // (N * 8) + 44  # two blocks, the second one partial
 
     @pytest.mark.parametrize("flaw", [
         lambda c: c,
@@ -123,6 +125,9 @@ class TestVerification:
         lambda c: np.where(np.arange(len(c))[:, None] == len(c) - 1, np.nan, c),
         lambda c: c[:1],                                         # broadcasts against the reference
         lambda c: c[:, :1],
+        lambda c: np.where(np.arange(len(c))[:, None] == len(c) - 1, np.inf, c),
+        lambda c: c.astype(np.float32),                          # float32 product, float64 reference
+        lambda c: (c + 1e-3 * (np.arange(len(c)) == len(c) - 1)[:, None]).astype(np.float32),
     ])
     def test_row_block_verdict_is_the_whole_array_verdict(self, flaw, rng):
         a, b = rng.standard_normal((self.M, self.K)), rng.standard_normal((self.K, self.N))
@@ -136,7 +141,9 @@ class TestVerification:
         finally:
             unregister("_tmp-flawed")
         assert report.verified
-        assert report.correct == bool(np.allclose(flaw(a @ b), a @ b, rtol=1e-5, atol=1e-8 * self.K))
+        product = flaw(a @ b)
+        rtol, atol_unit = allclose_tolerances(product.dtype)
+        assert report.correct == bool(np.allclose(product, a @ b, rtol=rtol, atol=atol_unit * self.K))
 
     def test_unbroadcastable_product_still_raises(self, rng):
         a, b = rng.standard_normal((self.M, self.K)), rng.standard_normal((self.K, self.N))
