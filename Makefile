@@ -14,8 +14,9 @@
 #                       to LEDGER.json; non-zero exit on any incorrect workload
 #   make ledger-pairs BASE=<rev> WORKLOAD=<name> [N=10]
 #                     - alternating paired ledger runs of one workload, BASE
-#                       against the working tree: quartiles per side and
-#                       wins/pairs (scripts/ledger_pairs.py)
+#                       against the working tree: quartiles per side,
+#                       wins/pairs and one verdict per metric against its
+#                       BENCHMARK.json bound (scripts/ledger_pairs.py)
 #   make identity BASE=<rev>
 #                     - is the working tree observably identical to BASE?
 #                       counter rows, peaks, round counts, spans and products

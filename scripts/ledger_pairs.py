@@ -10,10 +10,19 @@ needs the committed files, not a checkout, and nothing is left registered in
 alternating which side goes first.  Each side runs its *own* copy of the
 ledger, as the PR driver does.  Prints, per end-to-end metric, each side's
 q1 / median / q3 and how many pairs the working tree won (in the direction
-``BENCHMARK.json`` calls better) -- the rule a gain is claimed by
-(choosing-metrics section 8): at least nine tenths of the pairs, and medians
-further apart than the base's inter-quartile range.  It only calls the
-ledger; it never edits it.
+``BENCHMARK.json`` calls better), then ends with one verdict per metric,
+read against that metric's ``bound`` in ``BENCHMARK.json``:
+
+* ``gain``: the change won at least nine tenths of the pairs and the medians
+  are further apart than the base's inter-quartile range (the rule a gain is
+  claimed by, choosing-metrics section 8);
+* ``unresolved``: either side's inter-quartile range, relative to the base
+  median, is wider than the bound -- the runs spread too widely to tell;
+* ``worse than bound``: the change's median is worse than the base's by more
+  than the bound, relative to the base median;
+* ``within bound``: none of these.
+
+It only calls the ledger; it never edits it.
 """
 
 from __future__ import annotations
@@ -59,15 +68,32 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def verdict(theirs: list[float], ours: list[float], wins: int, sign: int, bound: float) -> str:
+    """``gain``, ``unresolved``, ``worse than bound`` or ``within bound``
+    (see the module docstring); ``sign`` is -1 where higher is better."""
+    (b_q1, b_median, b_q3), (c_q1, c_median, c_q3) = quartiles(theirs), quartiles(ours)
+    if wins >= 0.9 * len(ours) and sign * (b_median - c_median) > b_q3 - b_q1:
+        return "gain"
+    scale = abs(b_median) or 1.0
+    if max(b_q3 - b_q1, c_q3 - c_q1) > bound * scale:
+        return "unresolved"
+    if sign * (c_median - b_median) > bound * scale:
+        return "worse than bound"
+    return "within bound"
+
+
 def report(base: list[dict[str, float]], change: list[dict[str, float]]) -> None:
     manifest = json.loads((REPO / "BENCHMARK.json").read_text())
     higher_is_better = {m["name"] for m in manifest["end_to_end"] if m["better"] == "higher"}
+    bounds = {m["name"]: m["bound"] for m in manifest["end_to_end"]}
+    verdicts = {}
     print(f"{'metric':<20}{'side':<8}{'q1':>18}{'median':>18}{'q3':>18}   change wins")
     for name in base[0]:
         ours = [run[name] for run in change]
         theirs = [run[name] for run in base]
         sign = -1 if name in higher_is_better else 1
         wins = sum(sign * o < sign * t for o, t in zip(ours, theirs))
+        verdicts[name] = verdict(theirs, ours, wins, sign, bounds[name])
         ties = sum(o == t for o, t in zip(ours, theirs))
         for side, values in (("base", theirs), ("change", ours)):
             q1, median, q3 = quartiles(values)
@@ -77,6 +103,9 @@ def report(base: list[dict[str, float]], change: list[dict[str, float]]) -> None
         if b_median:
             print(f"{'':<20}median {100 * (c_median - b_median) / b_median:+.1f}% of base; "
                   f"base IQR {b_q3 - b_q1:.4f}, medians {abs(c_median - b_median):.4f} apart")
+    print()
+    for name, word in verdicts.items():
+        print(f"{name:<20}{word} (bound {bounds[name]:g})")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -143,7 +143,10 @@ def cosma_multiply(
         Use one-sided gets for the panel exchange instead of broadcast trees
         (section 7.4); the volume is identical, the round accounting differs.
     """
-    a_matrix, b_matrix, (m, n, k) = as_operands(a_matrix, b_matrix, machine)
+    # A sharded plane run hands the caller's arrays to the shard pool, which
+    # casts them while it fills their segments (_sharded_gemm).
+    sharded = machine is not None and machine.shards > 1 and machine.mode == "plane"
+    a_matrix, b_matrix, (m, n, k) = as_operands(a_matrix, b_matrix, machine, cast=not sharded)
 
     decomposition = build_decomposition(
         m, n, k, p, memory_words, max_idle_fraction=max_idle_fraction, grid=grid
@@ -175,36 +178,45 @@ def cosma_multiply(
 # ---------------------------------------------------------------------------
 def _sharded_gemm(
     machine: DistributedMachine,
-    a_data: np.ndarray,
-    b_data: np.ndarray,
-    c_plane: PayloadPlane,
-) -> None:
-    """Run the product on the shard pool: ``machine.shards`` worker processes.
+    a_matrix: np.ndarray,
+    b_matrix: np.ndarray,
+) -> np.ndarray:
+    """``A @ B`` at the plane dtype on the shard pool: ``machine.shards``
+    worker processes.
 
-    The parent copies A and B into shared-memory segments (the previous
-    run's, when the sizes match); each worker owns a contiguous row stripe
-    of the output and computes ``out[r0:r1] = a[r0:r1] @ b`` straight into
-    the shared output segment, which is copied into the C sheet.  Only
-    (job id, slice spec) messages cross the pipes.  All counters were
-    already posted in the parent -- nothing here touches accounting.
+    The pool casts the caller's A and B while it fills their shared-memory
+    segments (the previous run's, when the sizes match): one pass each, and
+    no private operand copy in the parent.  Each worker owns a contiguous row
+    stripe of the output and computes ``out[r0:r1] = a[r0:r1] @ b`` straight
+    into the shared output segment; the one copy of that segment returned
+    here becomes the run's C sheet.  Only (job id, slice spec) messages cross
+    the pipes.  All counters were already posted in the parent -- nothing
+    here touches accounting.
+
+    The output segment is zero-filled even when it is reused.  A reused
+    segment may still hold the previous run's product, identical when the
+    inputs repeat, so a row stripe that no spec covers would pass
+    verification; zeros make it fail.
     """
     from repro.machine.shard import get_pool
 
-    m = int(c_plane.data.shape[1])
+    m = int(a_matrix.shape[0])
+    dtype = machine.transport.dtype
     pool = get_pool(machine.shards)
     trace = machine.trace
     try:
-        pool.share("cosma.A", a_data)
-        pool.share("cosma.B", b_data)
-        out = pool.share_zeros("cosma.OUT", c_plane.data.shape[1:], a_data.dtype)
+        pool.share("cosma.A", a_matrix, dtype=dtype)
+        pool.share("cosma.B", b_matrix, dtype=dtype)
+        out = pool.share_zeros("cosma.OUT", (m, int(b_matrix.shape[1])), dtype)
+        stripes = split_offsets(m, machine.shards)
         specs = [
             {"a": "cosma.A", "b": "cosma.B", "out": "cosma.OUT", "rows": [r0, r1]}
-            for r0, r1 in split_offsets(m, machine.shards)
+            for r0, r1 in stripes
         ]
         start_ns = trace.tracer.now_ns() if trace is not None else 0
         infos = pool.run("gemm_rows", specs)
         if trace is not None:
-            for shard, (info, rows) in enumerate(zip(infos, split_offsets(m, machine.shards))):
+            for shard, (info, rows) in enumerate(zip(infos, stripes)):
                 trace.tracer.complete(
                     "cosma-shard-gemm", cat="gemm", start_ns=start_ns,
                     dur_ns=int(info.get("seconds", 0.0) * 1e9),
@@ -212,10 +224,11 @@ def _sharded_gemm(
                     track="gemm",
                 )
         # Copy the product out of shared memory before release: the next run
-        # reuses the segment, so the plane (and everything downstream) must
+        # reuses the segment, so the C sheet (and everything downstream) must
         # never reference a pool-owned buffer.
-        c_plane.data[0][...] = out
+        product = out.copy()
         out = None
+        return product
     finally:
         pool.release()
 
@@ -484,11 +497,14 @@ def _cosma_batched(
     * C is a single sheet too: the round-chunked multiply-accumulates and the
       k-fiber reduction of the reference path collapse into one GEMM over the
       whole k extent (same sums, associated by BLAS instead of per chunk and
-      per layer), on the shard pool when ``machine.shards > 1``.
+      per layer), on the shard pool when ``machine.shards > 1``.  A sharded
+      run registers no A or B plane (the operands go straight into the
+      pool's segments), and its C sheet is the copy of the pool's output.
     """
     m, n, k = decomposition.m, decomposition.n, decomposition.k
     numeric = not machine.transport.counters_only
-    if numeric:
+    sharded = numeric and machine.shards > 1
+    if numeric and not sharded:
         machine.register_plane(
             "cosma.A", PayloadPlane("cosma.A", data=np.asarray(a_matrix)[None]),
             replace=True,
@@ -497,9 +513,8 @@ def _cosma_batched(
             "cosma.B", PayloadPlane("cosma.B", data=np.asarray(b_matrix)[None]),
             replace=True,
         )
-        c_plane = machine.new_plane("cosma.C", (1, m, n))
-        c_global = c_plane.data[0]
-    else:
+        c_global = machine.new_plane("cosma.C", (1, m, n)).data[0]
+    elif not numeric:
         c_global = ShapeToken((m, n))
     post_owned_words(machine, decomposition, "A_own", "B_own", "C_acc")
     # The per-hop path checks memory at the end of every round, but the rank
@@ -528,7 +543,6 @@ def _cosma_batched(
     # numerics: one GEMM over the whole k extent into the single C sheet
     # ------------------------------------------------------------------
     if numeric:
-        sharded = machine.shards > 1
         gemm_span = (
             trace.tracer.span(
                 "cosma-plane-gemm", cat="gemm",
@@ -540,12 +554,13 @@ def _cosma_batched(
             else nullcontext()
         )
         with gemm_span:
-            a_data = np.asarray(a_matrix)
-            b_data = np.asarray(b_matrix)
             if sharded:
-                _sharded_gemm(machine, a_data, b_data, c_plane)
+                c_global = _sharded_gemm(machine, a_matrix, b_matrix)
+                machine.register_plane(
+                    "cosma.C", PayloadPlane("cosma.C", data=c_global[None]), replace=True
+                )
             else:
-                np.matmul(a_data, b_data, out=c_global)
+                np.matmul(a_matrix, b_matrix, out=c_global)
 
     # The C reduction is counted only: the GEMM already summed over k.
     post_c_reduction(machine, decomposition)

@@ -6,8 +6,9 @@ This module shards one of them -- COSMA's single-sheet plane GEMM
 *processes* over ``multiprocessing.shared_memory``; ScaLAPACK, CTF, CARMA
 and Cannon run their numerics in process whatever ``shards`` says:
 
-* the parent copies each operand into a shared segment once per run
-  (:meth:`ShardPool.share`); every job message carries only
+* the parent casts each operand into a shared segment once per run
+  (:meth:`ShardPool.share`), straight from the caller's array: one pass, no
+  private converted copy in the parent; every job message carries only
   ``(job id, kernel name, slice spec)``, never an array payload (zero-copy
   handoff);
 * segments outlive their run: :meth:`ShardPool.release` parks them by tag,
@@ -23,7 +24,8 @@ and Cannon run their numerics in process whatever ``shards`` says:
   run, so a released tag is unknown to the workers;
 * each worker owns one contiguous stripe of the leading axis
   (:func:`repro.utils.intmath.split_offsets`) and runs a named kernel from :data:`KERNELS` over
-  its stripe, writing results straight into the shared output segment;
+  its stripe, writing results straight into the shared output segment,
+  which is zero-filled even when reused; the caller takes one copy of it;
 * BLAS threading inside each worker is pinned via environment variables at
   spawn time (``OPENBLAS_NUM_THREADS`` et al. read at import), so ``shards``
   workers split the machine's cores instead of oversubscribing them.
@@ -308,16 +310,20 @@ class ShardPool:
         )
 
     # -- shared segments --------------------------------------------------
-    def share(self, tag: str, array: np.ndarray) -> np.ndarray:
-        """Copy ``array`` into a shared segment attached on every worker.
+    def share(self, tag: str, array: np.ndarray, dtype=None) -> np.ndarray:
+        """Cast ``array`` into a shared segment attached on every worker.
 
+        The segment holds ``dtype`` (default: the array's own) and is filled
+        by one casting assignment: a float64 or a non-contiguous ``array``
+        reaches a float32 segment without a private converted copy first.
         Returns the parent-side view of the segment, valid until
         :meth:`release`.  The pool owns the segment (and the only long-lived
         references to its buffer), so it can close and unlink it without
         ``BufferError``.
         """
         array = np.asarray(array)
-        return self._create(tag, array.shape, array.dtype, fill=array)
+        dtype = array.dtype if dtype is None else np.dtype(dtype)
+        return self._create(tag, array.shape, dtype, fill=array)
 
     def share_zeros(self, tag: str, shape: Sequence[int], dtype) -> np.ndarray:
         """A zero-initialized shared segment attached on every worker."""

@@ -253,15 +253,21 @@ def as_payload(block, dtype=None):
     return np.asarray(block, dtype=np.float64 if dtype is None else dtype)
 
 
-def as_operands(a_matrix, b_matrix, machine=None):
+def as_operands(a_matrix, b_matrix, machine=None, cast=True):
     """A multiplication's global operands through :func:`as_payload`, with the
     problem's ``(m, n, k)``; raises if the inner dimensions differ.
 
     Given a machine, the operands take its plane dtype: a float32 machine
-    receives float32 payloads directly, never a float64 round-trip.
+    receives float32 payloads directly, never a float64 round-trip.  With
+    ``cast=False`` they are only viewed (:func:`payload_view`): a caller that
+    casts them itself, as the shard pool does while it fills its segments,
+    gets no private copy.
     """
-    dtype = None if machine is None else machine.transport.dtype
-    a_matrix, b_matrix = as_payload(a_matrix, dtype), as_payload(b_matrix, dtype)
+    if cast:
+        dtype = None if machine is None else machine.transport.dtype
+        a_matrix, b_matrix = as_payload(a_matrix, dtype), as_payload(b_matrix, dtype)
+    else:
+        a_matrix, b_matrix = payload_view(a_matrix), payload_view(b_matrix)
     (m, k), (k2, n) = a_matrix.shape, b_matrix.shape
     if k != k2:
         raise ValueError(f"inner dimensions do not match: {a_matrix.shape} x {b_matrix.shape}")

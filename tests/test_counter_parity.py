@@ -16,6 +16,7 @@ import pytest
 from repro.algorithms import AlgorithmSpec, get_algorithm, register, registered_algorithms, unregister
 from repro.experiments.harness import run_algorithm
 from repro.machine.counters import WORDS_SENT, ConservationError
+from repro.machine.shard import ShardPool
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import MODES, NUMERIC_MODES, ShapeToken
 from repro.workloads.scaling import (
@@ -292,8 +293,9 @@ class TestPlaneDtype:
 
     SCENARIO = limited_memory_sweep("square", [9], 2048)[0]
 
-    def test_float32_plane_never_roundtrips_through_float64(self):
-        """A float32 input must flow into the planes without a float64 copy."""
+    def test_float32_plane_never_roundtrips_through_float64(self, monkeypatch):
+        """A float32 input must flow into the planes, or sharded into the
+        pool's segments, without a float64 copy."""
         scenario = self.SCENARIO
         machine = DistributedMachine(
             scenario.p, memory_words=scenario.memory_words, mode="plane",
@@ -310,6 +312,29 @@ class TestPlaneDtype:
         # would have allocated a new buffer).
         assert np.shares_memory(a_plane.data, a32)
         assert machine.planes["cosma.C"].data.dtype == np.float32
+
+        # shards=2: the caller's float32 arrays themselves reach the pool,
+        # which fills float32 segments from them; no operand plane exists.
+        shared = {}
+        share = ShardPool.share
+
+        def recording_share(pool, tag, array, dtype=None):
+            view = share(pool, tag, array, dtype=dtype)
+            shared[tag] = (array, view.dtype)
+            return view
+
+        monkeypatch.setattr(ShardPool, "share", recording_share)
+        machine = DistributedMachine(
+            scenario.p, memory_words=scenario.memory_words, mode="plane",
+            shards=2, plane_dtype="float32",
+        )
+        product = get_algorithm("COSMA").runner(a32, b32, scenario, machine)
+        assert product.dtype == np.float32
+        assert set(machine.planes) == {"cosma.C"}
+        assert machine.planes["cosma.C"].data.dtype == np.float32
+        for tag, operand in (("cosma.A", a32), ("cosma.B", b32)):
+            array, dtype = shared[tag]
+            assert np.shares_memory(array, operand) and dtype == np.float32
 
     def test_local_multiply_keeps_float32_operands_float32(self):
         machine = DistributedMachine(2, memory_words=4096, plane_dtype="float32")

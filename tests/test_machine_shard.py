@@ -1,25 +1,29 @@
 """The shard pool's segment lifecycle: reuse, the one-run bound, no leaks.
 
-A sharded run shares its operands into shared-memory segments; ``release``
-parks them by tag and the next run's share of a tag of the same byte size
-reuses its segment, so a repeated sharded run creates no segment at all.  A
-share of another size unlinks the tag's old segment (and the workers unmap
-it) before the new one is filled, so no moment of a run holds more than one
-segment per tag, and nothing the pool created survives ``evict_pool`` or a
-SIGKILL-poisoned pool.
+A sharded run casts its operands straight into shared-memory segments, so
+the parent holds no operand copy of its own; ``release`` parks them by tag
+and the next run's share of a tag of the same byte size reuses its segment,
+so a repeated sharded run creates no segment at all.  A share of another
+size unlinks the tag's old segment (and the workers unmap it) before the new
+one is filled, so no moment of a run holds more than one segment per tag,
+and nothing the pool created survives ``evict_pool`` or a SIGKILL-poisoned
+pool.
 """
 
 import os
 import signal
+import tracemalloc
 from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
 from repro.algorithms import get_algorithm
+from repro.core import cosma
 from repro.experiments.harness import run_algorithm
 from repro.machine.shard import ShardPool, ShardWorkerError, evict_pool, get_pool
 from repro.machine.simulator import DistributedMachine
+from repro.machine.transport import allclose_tolerances
 from repro.workloads.scaling import limited_memory_sweep, strong_scaling_sweep
 from repro.workloads.shapes import square_shape
 
@@ -159,6 +163,108 @@ class TestSegmentReuse:
         finally:
             evict_pool(SHARDS)
         assert np.allclose(product, a @ b)
+
+
+def _operand(kind: str, rng, rows: int, cols: int) -> np.ndarray:
+    """A float64, small-int64 or transposed (non-contiguous) float64 operand."""
+    if kind == "int64":
+        return rng.integers(-4, 5, (rows, cols))
+    if kind == "transposed":
+        return rng.standard_normal((cols, rows)).T
+    return rng.standard_normal((rows, cols))
+
+
+class TestOperandCast:
+    """The pool casts the caller's operands into their segments: no parent copy."""
+
+    SMALL = limited_memory_sweep("square", [9], 2048)[0]
+    KINDS = ("float64", "int64", "transposed")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_share_casts_like_asarray(self, kind, rng):
+        x = _operand(kind, rng, 6, 5)
+        if kind == "int64":
+            x = x << 40  # beyond float32's 24-bit mantissa: the cast rounds
+        pool = ShardPool(SHARDS)
+        try:
+            view = pool.share("x", x, dtype=np.float32)
+            expected = np.asarray(x, dtype=np.float32)
+            assert view.dtype == np.float32 and view.shape == expected.shape
+            assert view.tobytes() == expected.tobytes()
+        finally:
+            pool.shutdown()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sharded_float32_run_matches_in_process(self, kind, rng):
+        scenario = self.SMALL
+        shape = scenario.shape
+        a = _operand(kind, rng, shape.m, shape.k)
+        b = _operand(kind, rng, shape.k, shape.n)
+        runs = {}
+        for shards in (1, SHARDS):
+            machine = DistributedMachine(scenario.p, memory_words=scenario.memory_words,
+                                         mode="plane", shards=shards, plane_dtype="float32")
+            product = get_algorithm("COSMA").runner(a, b, scenario, machine)
+            runs[shards] = (machine.counters.data.tobytes(), product)
+        (counters, in_process), (sharded_counters, sharded) = runs[1], runs[SHARDS]
+        assert sharded_counters == counters
+        assert sharded.dtype == in_process.dtype == np.float32
+        rtol, atol_unit = allclose_tolerances(np.float32)
+        assert np.allclose(sharded, in_process, rtol=rtol, atol=atol_unit * shape.k)
+
+    def test_an_inner_dimension_mismatch_raises_one_message(self):
+        a, b = np.ones((4, 3)), np.ones((5, 4))
+        messages = []
+        for shards in (1, SHARDS):
+            machine = DistributedMachine(4, memory_words=4096, mode="plane", shards=shards,
+                                         plane_dtype="float32")
+            with pytest.raises(ValueError) as raised:
+                cosma.cosma_multiply(a, b, 4, 4096, machine=machine)
+            messages.append(str(raised.value))
+        assert messages == ["inner dimensions do not match: (4, 3) x (5, 4)"] * 2
+
+    def test_a_float32_run_from_float64_allocates_only_its_product(self, rng):
+        """Under tracemalloc (segments are not traced), the parent allocates
+        the product's copy and no float32 operand copy (3.0 x with them)."""
+        scenario = strong_scaling_sweep(square_shape(512), [16])[0]
+        a, b = scenario.shape.random_matrices(seed=0)
+
+        def run():
+            machine = DistributedMachine(scenario.p, memory_words=scenario.memory_words,
+                                         mode="plane", shards=SHARDS, plane_dtype="float32")
+            return get_algorithm("COSMA").runner(a, b, scenario, machine)
+
+        try:
+            run()  # spawn the pool and memoize the plan outside the trace
+            tracemalloc.start()
+            try:
+                product = run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        finally:
+            evict_pool(SHARDS)
+        assert product.dtype == np.float32
+        assert peak <= 1.1 * product.nbytes
+
+    def test_an_uncovered_stripe_fails_on_a_reused_segment(self, monkeypatch, created):
+        """The reused output segment is zero-filled: the previous run's
+        identical product must not cover for a stripe no worker wrote."""
+        evict_pool(SHARDS)
+        try:
+            _run(self.SMALL)  # parks an output segment holding the right product
+            split = cosma.split_offsets
+
+            def skip_last_stripe(extent, parts):
+                stripes = split(extent, parts)
+                return stripes[:-1] + [(stripes[-1][0], stripes[-1][0])]
+
+            monkeypatch.setattr(cosma, "split_offsets", skip_last_stripe)
+            run = run_algorithm("COSMA", self.SMALL, mode="plane", shards=SHARDS)
+            assert len(created) == 3  # the second run reused every segment
+            assert run.verified and not run.correct
+        finally:
+            evict_pool(SHARDS)
 
 
 class TestSegmentTeardown:
