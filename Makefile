@@ -5,7 +5,9 @@
 #   make sweep-smoke  - 12-run sweep campaign through the engine (--jobs 2, so
 #                       workers take multi-run chunks) into a fresh store, then
 #                       `repro store verify` on it (exit 1 on a torn or
-#                       duplicate line)
+#                       duplicate line), then the same campaign again, which
+#                       must resume all 12 runs from the store (executed 0,
+#                       cached 12)
 #   make chaos        - deterministic fault-injection suite (crashes, hangs,
 #                       transients, torn writes; writes CHAOS_quarantine.json)
 #   make bench        - full paper figure/table benchmark suite
@@ -42,11 +44,17 @@ lint:
 		echo "ruff not installed - skipping lint (pip install ruff)"; \
 	fi
 
+SMOKE_SWEEP = $(PY) -m repro sweep --families square --regimes limited --processors 4 9 16 25 \
+	--algorithms COSMA CARMA ScaLAPACK --mode volume --jobs 2 --out .sweep-cache/smoke
+
 sweep-smoke:
-	rm -rf .sweep-cache/smoke
-	$(PY) -m repro sweep --families square --regimes limited --processors 4 9 16 25 \
-		--algorithms COSMA CARMA ScaLAPACK --mode volume --jobs 2 --out .sweep-cache/smoke
+	rm -rf .sweep-cache/smoke .sweep-cache/smoke-resume.json
+	$(SMOKE_SWEEP)
 	$(PY) -m repro store verify --store .sweep-cache/smoke
+	$(SMOKE_SWEEP) --json --no-progress > .sweep-cache/smoke-resume.json
+	$(PY) -c 'import json, sys; d = json.load(open(sys.argv[1])); \
+		print("resume: executed=%(executed)d cached=%(cached)d" % d); \
+		sys.exit((d["executed"], d["cached"]) != (0, 12))' .sweep-cache/smoke-resume.json
 
 chaos:
 	REPRO_CHAOS_REPORT=CHAOS_quarantine.json $(PY) -m pytest tests/test_sweeps_chaos.py -q

@@ -58,7 +58,7 @@ from repro.obs import (
 from repro.pebbling.mmm_bounds import schedule_io
 from repro.pebbling.mmm_schedule import optimal_tile_sizes
 from repro.sequential import tiled_multiply
-from repro.sweeps import ResultStore, RetryPolicy, SweepSpec, run_campaign, scenario_summary_table, tidy_rows
+from repro.sweeps import ResultStore, SweepSpec, run_campaign, scenario_summary_table, tidy_rows
 from repro.sweeps.runner import DEFAULT_STORE_PATH
 from repro.sweeps.spec import FAMILIES, REGIMES
 from repro.workloads.scaling import Scenario
@@ -187,6 +187,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _positive(cast: type) -> Callable[[str], float]:
+    """An argparse ``type`` parsing with ``cast`` and rejecting values <= 0
+    (argparse reports either as "invalid positive <cast> value")."""
+    def parse(text: str) -> float:
+        value = cast(text)
+        if not value > 0:
+            raise ValueError(text)
+        return value
+    parse.__name__ = f"positive {cast.__name__}"
+    return parse
+
+
 def _add_sweep_args(p_sweep: argparse.ArgumentParser) -> None:
     # Campaign flags default to None so _cmd_sweep can tell "explicitly
     # passed" from "defaulted" (a --spec file replaces all of them); the real
@@ -201,20 +213,16 @@ def _add_sweep_args(p_sweep: argparse.ArgumentParser) -> None:
         help="payload transport; 'volume' (default) simulates counters only and scales to paper-size grids",
     )
     p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes (1 = in-process)")
+    p_sweep.add_argument("--jobs", type=_positive(int), default=1, help="worker processes (1 = in-process)")
     p_sweep.add_argument(
-        "--timeout-s", type=float, default=None,
-        help="per-run wall-clock deadline; expired runs are killed and retried, then quarantined",
+        "--timeout-s", type=_positive(float), default=None,
+        help="per-run wall-clock deadline in seconds; expired runs are killed and retried, then quarantined",
     )
     p_sweep.add_argument(
-        "--max-attempts", type=int, default=None,
-        help="attempts per run for retryable failures (default: 3; 1 disables retries)",
-    )
-    p_sweep.add_argument(
-        "--memory-budget", type=int, default=None, metavar="WORDS",
+        "--max-attempts", type=_positive(int), default=3,
         help=(
-            "host-memory admission budget in words: runs predicted to exceed it are "
-            "refused as structured records, oversized-but-fitting runs are serialized"
+            "attempts per run for retryable failures (crashes, deadline trips, "
+            "transient errors; default: 3, 1 disables retries)"
         ),
     )
     p_sweep.add_argument(
@@ -364,14 +372,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"({len(spec.scenarios())} scenarios x {len(spec.algorithms)} algorithms, "
             f"mode={spec.mode}, jobs={args.jobs}, store={args.out})"
         )
-    retry = RetryPolicy(max_attempts=args.max_attempts) if args.max_attempts is not None else None
     heartbeat = CampaignProgress(total, store_path=args.out) if args.show_progress else None
     try:
         result = run_campaign(
             spec, store=args.out, jobs=args.jobs, resume=args.resume,
             retry_failures=args.retry_failures,
-            timeout_s=args.timeout_s, retry=retry,
-            memory_budget_words=args.memory_budget,
+            timeout_s=args.timeout_s, max_attempts=args.max_attempts,
             progress=heartbeat,
         )
     finally:

@@ -42,10 +42,10 @@ Consequences:
   alters what the simulator would measure for the same parameters, bump
   :data:`~repro.sweeps.store.KEY_VERSION` (or delete the store directory) to
   invalidate every cached record at once.
-* **Execution policy never participates.**  Attempt counts, retry/timeout
-  settings, worker counts and injected faults (chaos testing,
-  :mod:`repro.sweeps.faults`) address the same key as a clean first-attempt
-  run: a record describes *what was measured*, never *how hard it was to
+* **Execution policy never participates.**  Attempt counts, the
+  ``max_attempts`` / ``timeout_s`` settings, worker counts and injected
+  faults (chaos testing, :mod:`repro.sweeps.faults`) address the same key as
+  a clean first-attempt run: a record describes *what was measured*, never *how hard it was to
   measure it*.  This is what makes a faulted campaign converge to
   byte-identical ok-records vs. a fault-free one (the chaos invariant), and
   why retried runs overwrite rather than fork their cache entries.  The one
@@ -63,14 +63,7 @@ from repro.sweeps.aggregate import (
     tidy_rows,
 )
 from repro.sweeps.faults import FaultPlan, TransientFault
-from repro.sweeps.runner import (
-    METRICS_SIDECAR,
-    NO_RETRY,
-    CampaignResult,
-    RetryPolicy,
-    predicted_working_set_words,
-    run_campaign,
-)
+from repro.sweeps.runner import METRICS_SIDECAR, CampaignResult, run_campaign
 from repro.sweeps.spec import RunRequest, SweepSpec, spec_from_scenarios
 from repro.sweeps.store import KEY_VERSION, ResultStore, StoreVerifyReport, run_key
 
@@ -79,15 +72,12 @@ __all__ = [
     "FaultPlan",
     "KEY_VERSION",
     "METRICS_SIDECAR",
-    "NO_RETRY",
     "ResultStore",
-    "RetryPolicy",
     "RunRequest",
     "StoreVerifyReport",
     "SweepSpec",
     "TransientFault",
     "campaign_table",
-    "predicted_working_set_words",
     "rows_to_json",
     "run_campaign",
     "run_key",

@@ -31,10 +31,10 @@ Store-side (an independent stream, applied record by record by
   double-writing), exercising last-wins reload and ``store compact``.
 
 Worker faults fire on the first ``faulted_attempts`` attempts of a faulted
-key only (default 1), so a campaign running under a
-:class:`~repro.sweeps.runner.RetryPolicy` recovers every such run on retry.
-Raise ``faulted_attempts`` past the policy's ``max_attempts`` to force
-exhaustion and exercise the quarantine path.
+key only (default 1), so a campaign that retries
+(:func:`~repro.sweeps.runner.run_campaign`'s ``max_attempts`` > 1) recovers
+every such run.  Raise ``faulted_attempts`` to ``max_attempts`` or past it to
+force exhaustion and exercise the quarantine path.
 
 Fault injection never participates in run keys or record contents -- see the
 run-key contract in :mod:`repro.sweeps`.

@@ -27,35 +27,29 @@ worker-process primitive, shared with the plane engine's shard pool
 (:mod:`repro.machine.shard`).  ``jobs=1`` without a deadline or fault plan is
 the same supervisor's *in-process slot*: no process is spawned, and every
 attempt goes through the same retry loop, one run and one append at a time.
-The supervisor enforces a per-run
-wall-clock deadline (``timeout_s``), detects hard worker deaths (SIGKILL /
-OOM / segfault) without hanging,
-re-executes failed attempts under a :class:`RetryPolicy` (bounded attempts,
-exponential backoff with deterministic jitter, retryable-error
-classification), and -- once a run's budget is exhausted -- quarantines it
+The supervisor enforces a per-run wall-clock deadline (``timeout_s``),
+detects hard worker deaths (SIGKILL / OOM / segfault) without hanging,
+re-executes failed attempts of the :data:`RETRYABLE_ERRORS` up to
+``max_attempts`` times with exponential backoff and deterministic jitter
+(:func:`backoff`), and -- once a run's budget is exhausted -- quarantines it
 as a structured ``"failed"`` record carrying the failure taxonomy
 (``attempts`` / ``duration_s`` / ``exit_signal`` / ``traceback_tail`` /
-``retryable``) instead of killing the campaign.  Successful records stay
-pure functions of the run parameters: attempt counts and injected faults
-never leak into ok-records or run keys, which is the chaos-harness
-invariant (``tests/test_sweeps_chaos.py``).
+``retryable``) instead of killing the campaign.  An out-of-memory kill is
+such a death: a retryable ``WorkerCrash`` with ``exit_signal`` 9, charged to
+exactly one run.  Successful records stay pure functions of the run
+parameters: attempt counts and injected faults never leak into ok-records
+or run keys, which is the chaos-harness invariant
+(``tests/test_sweeps_chaos.py``).
 
-Graceful degradation: with ``memory_budget_words`` set, each pending run's
-predicted working set (:func:`predicted_working_set_words`, derived from
-the memoized analytic plans and the scenario footprint) gates admission --
-runs that cannot fit the budget at all are *refused* as structured
-``MemoryBudgetExceeded`` records without executing, and runs too large to
-run concurrently are *serialized* through a single worker after the
-parallel wave.  ``KeyboardInterrupt`` / ``SIGTERM`` cancel cooperatively:
-finished replies still sitting in worker pipes are drained to the store
-before the interrupt re-raises; a killed campaign loses at most the chunk
-each worker was running.
+``KeyboardInterrupt`` / ``SIGTERM`` cancel cooperatively: finished replies
+still sitting in worker pipes are drained to the store before the interrupt
+re-raises; a killed campaign loses at most the chunk each worker was running.
 
 Concurrent campaigns sharing one store coordinate through leases
 (:meth:`~repro.sweeps.store.ResultStore.acquire_leases`): keys leased by a
 live campaign are *deferred* -- this campaign waits for their records to
 appear instead of executing them twice -- and leases lapse after their TTL
-so a crashed campaign cannot wedge the keys it held.
+(:data:`LEASE_TTL_S`) so a crashed campaign cannot wedge the keys it held.
 
 Determinism: records are reported in expansion order regardless of worker
 completion order, and every stored ok-value is a pure function of the run's
@@ -126,44 +120,26 @@ RETRYABLE_ERRORS = (
 )
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How failed attempts are re-executed before a run is quarantined.
+#: Retry backoff: ``BACKOFF_S`` before attempt 2, doubling per attempt up to
+#: ``MAX_BACKOFF_S``, plus up to ``JITTER_S`` of deterministic jitter.
+BACKOFF_S = 0.05
+MAX_BACKOFF_S = 2.0
+JITTER_S = 0.02
 
-    Backoff is exponential with a *deterministic* jitter derived from the
-    run key and attempt number (SHA-256, never ``random``), so two campaigns
-    replaying the same fault schedule retry on the same cadence.
+#: Lease lifetime: a campaign heartbeats its leases at a third of this, and a
+#: crashed campaign's keys become reclaimable once it lapses.
+LEASE_TTL_S = 15.0
+
+
+def backoff(key: str, attempt: int) -> float:
+    """Seconds to wait before re-dispatching ``key`` after ``attempt``.
+
+    The jitter is derived from the run key and attempt number (SHA-256, never
+    ``random``), so two campaigns replaying the same fault schedule retry on
+    the same cadence.
     """
-
-    #: Total attempts per run (1 = never retry).
-    max_attempts: int = 3
-    #: Backoff before attempt 2; grows by ``backoff_factor`` per attempt.
-    backoff_s: float = 0.05
-    backoff_factor: float = 2.0
-    max_backoff_s: float = 2.0
-    #: Deterministic jitter amplitude added on top of the base backoff.
-    jitter_s: float = 0.02
-    #: Error type names eligible for retry (see :data:`RETRYABLE_ERRORS`).
-    retryable_errors: tuple[str, ...] = RETRYABLE_ERRORS
-    #: Retry every error class (chaos/debug knob; deterministic failures
-    #: will burn the whole budget and quarantine anyway).
-    retry_all: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-
-    def is_retryable(self, error_type: str) -> bool:
-        return self.retry_all or error_type in self.retryable_errors
-
-    def backoff(self, key: str, attempt: int) -> float:
-        """Seconds to wait before re-dispatching ``key`` after ``attempt``."""
-        base = min(self.backoff_s * self.backoff_factor ** (attempt - 1), self.max_backoff_s)
-        return base + _uniform("backoff", key, attempt) * self.jitter_s
-
-
-#: A policy that never retries (the pre-supervisor behaviour).
-NO_RETRY = RetryPolicy(max_attempts=1)
+    base = min(BACKOFF_S * 2.0 ** (attempt - 1), MAX_BACKOFF_S)
+    return base + _uniform("backoff", key, attempt) * JITTER_S
 
 
 @dataclass
@@ -173,7 +149,7 @@ class CampaignResult:
     #: Records in expansion order (cached and fresh alike).
     records: list[dict]
     #: Number of runs actually executed by this invocation (ok or
-    #: quarantined; refused / deferred / pruned runs never executed).
+    #: quarantined; deferred / pruned runs never executed).
     executed: int
     #: Number of runs answered from the store without executing.
     cached: int
@@ -189,8 +165,6 @@ class CampaignResult:
     #: Runs stored as ``"failed"`` by this invocation's execution phase
     #: (retry budget exhausted or non-retryable error).
     quarantined: int = 0
-    #: Runs refused at admission (predicted working set over the budget).
-    refused: int = 0
     #: Runs resolved by waiting on a concurrent campaign's lease.
     deferred: int = 0
     #: Store lines a compaction would drop, as of campaign end (see
@@ -227,9 +201,8 @@ class CampaignResult:
             f"cached={self.cached}",
         ]
         for label, value in (
-            ("pruned", self.pruned), ("refused", self.refused),
-            ("deferred", self.deferred), ("retried", self.retried),
-            ("quarantined", self.quarantined),
+            ("pruned", self.pruned), ("deferred", self.deferred),
+            ("retried", self.retried), ("quarantined", self.quarantined),
         ):
             if value:
                 parts.append(f"{label}={value}")
@@ -247,7 +220,6 @@ class CampaignResult:
             "executed": self.executed,
             "cached": self.cached,
             "pruned": self.pruned,
-            "refused": self.refused,
             "deferred": self.deferred,
             "retried": self.retried,
             "quarantined": self.quarantined,
@@ -287,25 +259,6 @@ def plan_request(request: RunRequest):
         return None
 
 
-def predicted_working_set_words(request: RunRequest) -> int:
-    """Predicted peak memory (words) one run pins in its worker process.
-
-    Volume mode never materializes matrices -- the footprint is the counter
-    matrix and schedule bookkeeping, O(p).  Numeric modes hold the dense
-    inputs, the product, the verification reference (when verifying) and
-    the per-rank resident copies bounded by ``p * S``.  This is an admission
-    heuristic riding the same analytic quantities the memoized plans use,
-    not a hard guarantee.
-    """
-    scenario = request.scenario
-    shape = scenario.shape
-    if request.mode == "volume":
-        return 64 * scenario.p
-    matrix_words = shape.m * shape.k + shape.k * shape.n + shape.m * shape.n
-    copies = 3 if request.verify else 2
-    return copies * matrix_words + scenario.p * scenario.memory_words
-
-
 def _traceback_tail(limit: int = 6) -> str:
     """The last ``limit`` lines of the current exception's traceback."""
     lines = traceback.format_exc().strip().splitlines()
@@ -313,7 +266,7 @@ def _traceback_tail(limit: int = 6) -> str:
 
 
 def _failed_record(request: RunRequest, error_type: str, message: str, **taxonomy) -> dict:
-    """The ``"failed"`` store record of a run that was pruned, refused or quarantined."""
+    """The ``"failed"`` store record of a run that was pruned or quarantined."""
     failure = RunFailure(
         algorithm=request.algorithm,
         scenario=request.scenario,
@@ -451,11 +404,10 @@ class _Supervisor:
         requests: Iterable[RunRequest],
         jobs: int,
         put: Callable[[list[dict]], None],
-        policy: RetryPolicy,
+        max_attempts: int,
         timeout_s: float | None,
         faults: FaultPlan | None,
-        renew: Callable[[list[str]], None] | None,
-        renew_interval_s: float,
+        renew: Callable[[list[str]], None],
         metrics: MetricsRegistry,
         stats: _ExecStats,
     ):
@@ -463,11 +415,12 @@ class _Supervisor:
         self.jobs = min(jobs, len(self.tasks))
         #: Persists final records (one store append + a progress callback each).
         self.put = put
-        self.policy = policy
+        self.max_attempts = max_attempts
         self.timeout_s = timeout_s
         self.faults_payload = faults.to_dict() if faults is not None else None
+        #: Heartbeats the leases of the unfinished runs.
         self.renew = renew
-        self.renew_interval_s = renew_interval_s
+        self.renew_interval_s = max(LEASE_TTL_S / 3.0, 0.5)
         #: Campaign-wide registry and counts, shared by every batch.
         self.metrics = metrics
         self.stats = stats
@@ -519,16 +472,16 @@ class _Supervisor:
     def _resolve_failure(self, task: _Task, error_type: str, message: str,
                          tb_tail: str = "", exit_signal: int | None = None) -> dict | None:
         """Schedule a retry (``None``) or return the run's quarantine record."""
-        retryable = self.policy.is_retryable(error_type)
-        if retryable and task.attempts < self.policy.max_attempts:
+        retryable = error_type in RETRYABLE_ERRORS
+        if retryable and task.attempts < self.max_attempts:
             self.stats.retried += 1
             self.metrics.counter("sweeps.runs.retried").inc()
-            backoff = self.policy.backoff(task.key, task.attempts)
+            delay = backoff(task.key, task.attempts)
             _LOG.info(
                 "retrying %s after %s (attempt %d/%d, backoff %.3fs)",
-                task.key, error_type, task.attempts, self.policy.max_attempts, backoff,
+                task.key, error_type, task.attempts, self.max_attempts, delay,
             )
-            eligible_at = time.monotonic() + backoff
+            eligible_at = time.monotonic() + delay
             heapq.heappush(self.retry_heap, (eligible_at, task.seq, task))
             return None
         return self._quarantine(task, error_type, message, tb_tail, exit_signal, retryable)
@@ -625,19 +578,14 @@ class _Supervisor:
                 continue
             self.in_flight[worker] = self._start(chunk)
 
-    def _wait_timeout(self, last_renew: float) -> float | None:
+    def _wait_timeout(self, last_renew: float) -> float:
         """Seconds the loop may block: until the next retry falls due, the
-        nearest run deadline or the next lease renewal (``None``: until a
-        worker replies or dies)."""
-        wake_at = []
+        nearest run deadline or the next lease renewal."""
+        wake_at = [last_renew + self.renew_interval_s]
         if self.retry_heap:
             wake_at.append(self.retry_heap[0][0])
         if self.timeout_s is not None and self.in_flight:
             wake_at.append(min(c[0].started for c in self.in_flight.values()) + self.timeout_s)
-        if self.renew is not None:
-            wake_at.append(last_renew + self.renew_interval_s)
-        if not wake_at:
-            return None
         return max(min(wake_at) - time.monotonic(), 0.0)
 
     def run(self) -> None:
@@ -659,7 +607,7 @@ class _Supervisor:
                 elif self.queue:  # the in-process slot: one attempt, inline
                     [task] = self._start([self.queue.popleft()])
                     self._persist([self._outcome(task, _attempt(task.request, task.attempts, None))])
-                if self.renew is not None and time.monotonic() - last_renew >= self.renew_interval_s:
+                if time.monotonic() - last_renew >= self.renew_interval_s:
                     self.renew(sorted(self.unfinished))
                     last_renew = time.monotonic()
                 if self.queue and len(self.in_flight) < max(len(workers), 1):
@@ -742,17 +690,21 @@ def run_campaign(
     jobs: int = 1,
     resume: bool = True,
     retry_failures: bool = False,
-    prune: bool = True,
     progress: Callable[[dict, bool], None] | None = None,
     timeout_s: float | None = None,
-    retry: RetryPolicy | None = None,
+    max_attempts: int = 3,
     faults: FaultPlan | None = None,
-    memory_budget_words: int | None = None,
-    lease: bool = True,
-    lease_ttl_s: float = 15.0,
-    auto_compact: bool = True,
 ) -> CampaignResult:
     """Run every request of ``spec`` that the store cannot already answer.
+
+    Requests whose registry plan is infeasible are stored as ``"failed"``
+    records (error type ``InfeasiblePlan``) without ever reaching a worker.
+    "Infeasible" is analytic -- the point violates the parallel schedule's
+    ``p*S >= mn + mk + nk`` precondition, not a crash prediction.  Keys a
+    concurrent campaign on the same store holds a lease on are awaited, not
+    re-executed.  At the end the store is compacted when its stale
+    (superseded or torn) lines exceed ``max(live records, 32)``, which bounds
+    file growth under ``resume=False`` / ``retry_failures=True`` rerun loops.
 
     Parameters
     ----------
@@ -764,60 +716,44 @@ def run_campaign(
         current working directory (shared -- and resumed -- across
         invocations run from the same directory).
     jobs:
-        Worker-process count; ``1`` runs in-process (no pool) unless a
-        deadline or fault plan forces supervised isolation.
+        Worker-process count (>= 1); ``1`` runs in-process (no pool) unless
+        a deadline or fault plan forces supervised isolation.
     resume:
         When true (default), requests whose key is already stored are served
         from the store.  When false, every request re-executes and
-        overwrites its record (appending a superseding line; see
-        ``auto_compact``).
+        overwrites its record (appending a superseding line).
     retry_failures:
         The simulator is deterministic, so ``"failed"`` records are cached
         like successes by default.  Set true to re-execute stored failures
         (e.g. after an environment-induced crash such as ``MemoryError``)
         while still serving successful records from cache.
-    prune:
-        When true (default), requests whose registry plan is infeasible are
-        stored as ``"failed"`` records (error type ``InfeasiblePlan``)
-        without ever reaching a worker.  "Infeasible" is analytic -- the
-        point violates the parallel schedule's ``p*S >= mn + mk + nk``
-        precondition, not a crash prediction (the lenient simulator would
-        execute it); pass ``prune=False`` to execute such points anyway.
     progress:
         Optional callback invoked as ``progress(record, from_cache)`` after
         every request resolves, in expansion order for cached entries and in
         completion order for executed ones (whose records are already in the
         store: a batch is appended first, then reported record by record).
     timeout_s:
-        Per-run wall-clock deadline.  A run past its deadline is SIGKILLed
-        and treated as a retryable ``RunTimeout`` attempt failure.  Setting
-        a deadline forces supervised worker processes even at ``jobs=1``.
-    retry:
-        The :class:`RetryPolicy` for failed attempts (default:
-        ``RetryPolicy()``, 3 attempts over retryable errors only; pass
-        :data:`NO_RETRY` for the historic single-attempt behaviour).
+        Per-run wall-clock deadline in seconds (> 0).  A run past its
+        deadline is SIGKILLed and treated as a retryable ``RunTimeout``
+        attempt failure.  Setting a deadline forces supervised worker
+        processes even at ``jobs=1``.
+    max_attempts:
+        Attempts per run (>= 1) for failures in :data:`RETRYABLE_ERRORS`;
+        ``1`` never retries.  Other failures are quarantined after one.
     faults:
         A deterministic :class:`~repro.sweeps.faults.FaultPlan` injected
         into workers and the store (chaos testing only).  Forces supervised
         isolation; never alters run keys or ok-record contents.
-    memory_budget_words:
-        Host-memory admission budget.  Runs whose
-        :func:`predicted_working_set_words` exceeds the budget are refused
-        as ``MemoryBudgetExceeded`` records without executing; runs over
-        ``budget / jobs`` are serialized through a single worker after the
-        parallel wave instead of OOMing the pool.
-    lease:
-        Coordinate with concurrent campaigns sharing this store via
-        in-progress leases (default on).  Keys leased by a live campaign
-        are deferred -- their records are awaited, not re-executed.
-    lease_ttl_s:
-        Lease lifetime; a campaign heartbeats its leases at a third of this
-        and a crashed campaign's keys become reclaimable after it lapses.
-    auto_compact:
-        Compact the store at campaign end when stale (superseded or torn)
-        lines outnumber live records, bounding file growth under
-        ``resume=False`` / ``retry_failures=True`` rerun loops.
+
+    Raises ``ValueError`` for a bad ``jobs``, ``max_attempts`` or
+    ``timeout_s`` before anything touches the filesystem.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+    if timeout_s is not None and not timeout_s > 0:
+        raise ValueError(f"timeout_s must be > 0, got {timeout_s}")
     if isinstance(spec, SweepSpec):
         requests = spec.expand()
     else:
@@ -826,9 +762,6 @@ def run_campaign(
         store = ResultStore(store if store is not None else DEFAULT_STORE_PATH, faults=faults)
     elif faults is not None and store.faults is None:
         store.faults = faults
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    policy = retry if retry is not None else RetryPolicy()
 
     start = time.perf_counter()
     # Deduplicate by key (identical requests collapse onto one execution and
@@ -864,77 +797,42 @@ def run_campaign(
                 progress(record, False)
 
     pruned_records: list[dict] = []
-    if prune and pending:
-        executable: dict[str, RunRequest] = {}
-        for key, request in pending.items():
-            run_plan = plan_request(request)
-            if run_plan is None or run_plan.feasible:
-                executable[key] = request
-                continue
-            pruned_records.append(_failed_record(request, "InfeasiblePlan", run_plan.reason))
-        pending = executable
-        if pruned_records:
-            _put(pruned_records)
+    executable: dict[str, RunRequest] = {}
+    for key, request in pending.items():
+        run_plan = plan_request(request)
+        if run_plan is None or run_plan.feasible:
+            executable[key] = request
+            continue
+        pruned_records.append(_failed_record(request, "InfeasiblePlan", run_plan.reason))
+    if pruned_records:
+        _put(pruned_records)
     pruned = len(pruned_records)
 
-    # -- admission gating against the host-memory budget --------------------
-    refused_records: list[dict] = []
-    serial_tail: dict[str, RunRequest] = {}
-    if memory_budget_words is not None and pending:
-        admitted: dict[str, RunRequest] = {}
-        for key, request in pending.items():
-            need = predicted_working_set_words(request)
-            if need > memory_budget_words:
-                refused_records.append(_failed_record(
-                    request, "MemoryBudgetExceeded",
-                    f"predicted working set {need} words exceeds the "
-                    f"{memory_budget_words}-word host budget",
-                ))
-            elif jobs > 1 and need > memory_budget_words // jobs:
-                serial_tail[key] = request
-            else:
-                admitted[key] = request
-        pending = admitted
-        if refused_records:
-            _put(refused_records)
-    refused = len(refused_records)
-
     # -- lease coordination with concurrent campaigns ------------------------
-    to_execute: dict[str, RunRequest] = {**pending, **serial_tail}
     owner = f"{os.getpid()}-{os.urandom(4).hex()}"
-    deferred_keys: set[str] = set()
-    granted: set[str] = set()
-    if lease and to_execute:
-        granted = store.acquire_leases(to_execute.keys(), owner, ttl_s=lease_ttl_s)
-        deferred_keys = set(to_execute) - granted
-        pending = {key: req for key, req in pending.items() if key in granted}
-        serial_tail = {key: req for key, req in serial_tail.items() if key in granted}
+    granted = store.acquire_leases(executable.keys(), owner, ttl_s=LEASE_TTL_S) if executable else set()
+    deferred_keys = set(executable) - granted
+
+    def renew(keys: list[str]) -> None:
+        store.renew_leases(keys, owner, ttl_s=LEASE_TTL_S)
 
     isolate = jobs > 1 or timeout_s is not None or faults is not None
-    renew = None
-    if lease and granted:
-        def renew(keys, _store=store, _owner=owner, _ttl=lease_ttl_s):
-            _store.renew_leases(keys, _owner, ttl_s=_ttl)
-    renew_interval_s = max(lease_ttl_s / 3.0, 0.5)
-
     stats = _ExecStats()
 
-    def _execute_batch(batch: dict[str, RunRequest], batch_jobs: int) -> None:
+    def _execute(keys: set[str]) -> None:
         # Without a reason to isolate, the supervisor's in-process slot
         # (jobs=0) executes the batch: same retry loop, no worker process.
         _Supervisor(
-            batch.values(), batch_jobs if isolate else 0, _put, policy, timeout_s,
-            faults, renew, renew_interval_s, registry, stats,
+            [request for key, request in executable.items() if key in keys],
+            jobs if isolate else 0, _put, max_attempts, timeout_s, faults, renew,
+            registry, stats,
         ).run()
 
     deferred_resolved = 0
     restore_sigterm = _install_sigterm_as_interrupt()
     try:
         try:
-            _execute_batch(pending, jobs)
-            # Oversized-but-admissible runs execute one at a time so their
-            # working sets never stack on top of each other.
-            _execute_batch(serial_tail, 1)
+            _execute(granted)
         finally:
             if granted:
                 store.release_leases(granted, owner)
@@ -954,7 +852,7 @@ def run_campaign(
             if not deferred_keys:
                 break
             # Reclaim keys whose campaign died (their leases lapsed).
-            reclaimed = store.acquire_leases(deferred_keys, owner, ttl_s=lease_ttl_s)
+            reclaimed = store.acquire_leases(deferred_keys, owner, ttl_s=LEASE_TTL_S)
             if reclaimed:
                 registry.counter("sweeps.lease.reclaimed").inc(len(reclaimed))
                 _LOG.info(
@@ -962,10 +860,7 @@ def run_campaign(
                     len(reclaimed), ", ".join(sorted(reclaimed)[:4]),
                 )
                 try:
-                    _execute_batch(
-                        {key: to_execute[key] for key in to_execute if key in reclaimed},
-                        jobs,
-                    )
+                    _execute(reclaimed)
                 finally:
                     store.release_leases(reclaimed, owner)
                 deferred_keys -= reclaimed
@@ -978,7 +873,7 @@ def run_campaign(
     finally:
         restore_sigterm()
 
-    if auto_compact and store.stale_lines > max(len(store), 32):
+    if store.stale_lines > max(len(store), 32):
         store.compact()
 
     records = []
@@ -997,7 +892,6 @@ def run_campaign(
     registry.gauge("sweeps.campaign.executed").set(stats.executed)
     registry.gauge("sweeps.campaign.cached").set(cached)
     registry.gauge("sweeps.campaign.pruned").set(pruned)
-    registry.gauge("sweeps.campaign.refused").set(refused)
     registry.gauge("sweeps.campaign.deferred").set(deferred_resolved)
     registry.gauge("sweeps.campaign.elapsed_s").set(round(elapsed_s, 6))
     metrics = registry.snapshot()
@@ -1013,7 +907,6 @@ def run_campaign(
         store_path=str(store.path),
         retried=stats.retried,
         quarantined=stats.quarantined,
-        refused=refused,
         deferred=deferred_resolved,
         stale_lines=store.stale_lines,
         metrics=metrics,

@@ -13,6 +13,15 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture
+def fast_retry(monkeypatch) -> None:
+    """Campaign retries back off 0.01 s plus up to 0.005 s of jitter, not 0.05 s."""
+    from repro.sweeps import runner
+
+    monkeypatch.setattr(runner, "BACKOFF_S", 0.01)
+    monkeypatch.setattr(runner, "JITTER_S", 0.005)
+
+
+@pytest.fixture
 def small_matrices(rng) -> tuple[np.ndarray, np.ndarray]:
     """A small rectangular pair (A: 24x18, B: 18x30)."""
     return rng.standard_normal((24, 18)), rng.standard_normal((18, 30))

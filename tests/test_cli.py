@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import argparse
+import json
 
 import numpy as np
 import pytest
@@ -322,10 +323,23 @@ class TestStoreCommand:
         code = main([
             "sweep", "--families", "square", "--regimes", "limited",
             "--processors", "4", "--algorithms", "COSMA",
-            "--out", str(tmp_path / "store"),
-            "--timeout-s", "30", "--max-attempts", "2", "--memory-budget", "100",
+            "--out", str(tmp_path / "store"), "--json",
+            "--timeout-s", "30", "--max-attempts", "2",
         ])
-        out = capsys.readouterr().out
-        # 64 words/rank * 4 ranks = 256 words predicted > 100-word budget.
-        assert code == 1
-        assert "refused=1" in out
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert (doc["executed"], doc["failed"], doc["retried"]) == (1, 0, 0)
+        # A deadline runs supervised, even at --jobs 1.
+        assert doc["metrics"]["sweeps.workers.spawns"]["value"] == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--jobs", "0"), ("--jobs", "-2"), ("--max-attempts", "0"),
+        ("--timeout-s", "0"), ("--timeout-s", "-1"), ("--timeout-s", "nan"),
+    ])
+    def test_sweep_rejects_non_positive_values_as_usage_errors(self, capsys, tmp_path, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--processors", "4", "--out", str(tmp_path / "store"), flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid positive" in err and "Traceback" not in err
+        assert not (tmp_path / "store").exists()

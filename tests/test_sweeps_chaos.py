@@ -22,13 +22,19 @@ from pathlib import Path
 
 import pytest
 
+from repro.sweeps import runner
 from repro.sweeps.faults import FaultPlan, TransientFault
-from repro.sweeps.runner import RetryPolicy, run_campaign
+from repro.sweeps.runner import run_campaign
 from repro.sweeps.spec import SweepSpec
 from repro.sweeps.store import ResultStore
 
-#: Fast-converging retry policy for tests (same semantics as the default).
-FAST_RETRY = RetryPolicy(max_attempts=3, backoff_s=0.01, jitter_s=0.005)
+#: Attempts per run in these campaigns (the default).
+MAX_ATTEMPTS = 3
+
+
+@pytest.fixture(autouse=True)
+def _fast_retry(fast_retry):
+    """Every campaign here retries on the fast backoff (same semantics)."""
 
 
 @pytest.fixture
@@ -117,7 +123,7 @@ class TestChaosInvariant:
         chaos_store = ResultStore(tmp_path / "chaos")
         result = run_campaign(
             spec, store=chaos_store, jobs=2, timeout_s=1.0,
-            faults=plan, retry=FAST_RETRY,
+            faults=plan,
         )
         _write_chaos_report(result.records, result)
 
@@ -150,7 +156,7 @@ class TestChaosInvariant:
         assert doomed, "seed must doom at least one run"
 
         result = run_campaign(
-            spec, store=tmp_path / "chaos", jobs=2, faults=plan, retry=FAST_RETRY,
+            spec, store=tmp_path / "chaos", jobs=2, faults=plan,
         )
         _write_chaos_report(result.records, result)
 
@@ -161,7 +167,7 @@ class TestChaosInvariant:
             error = record["error"]
             assert record["status"] == "failed"
             assert error["type"] == "WorkerCrash"
-            assert error["attempts"] == FAST_RETRY.max_attempts
+            assert error["attempts"] == MAX_ATTEMPTS
             assert error["exit_signal"] == int(signal.SIGKILL)
             assert error["retryable"] is True
             assert error["duration_s"] >= 0.0
@@ -175,7 +181,7 @@ class TestChaosInvariant:
         plan = FaultPlan(seed=0, hang_rate=1.0, hang_s=30.0)
         result = run_campaign(
             spec, store=tmp_path / "store", jobs=2, timeout_s=0.5,
-            faults=plan, retry=FAST_RETRY,
+            faults=plan,
         )
         assert result.failed == 0
         assert result.retried == len(spec.expand())
@@ -187,7 +193,7 @@ class TestChaosInvariant:
                          p_values=(4, 9), memory_words=1024)
         plan = FaultPlan(seed=0, transient_rate=1.0)
         result = run_campaign(
-            spec, store=tmp_path / "store", jobs=1, faults=plan, retry=FAST_RETRY,
+            spec, store=tmp_path / "store", jobs=1, faults=plan,
         )
         assert result.failed == 0
         assert result.retried == len(spec.expand())
@@ -204,7 +210,7 @@ class TestConcurrentCampaigns:
             "spec = SweepSpec(name='chaos-test', algorithms=('COSMA', 'ScaLAPACK', 'CTF'),"
             " families=('square',), regimes=('limited',), p_values=(4, 9, 16, 25),"
             " memory_words=1024, mode='volume')\n"
-            "result = run_campaign(spec, store=sys.argv[1], jobs=2, lease_ttl_s=10.0)\n"
+            "result = run_campaign(spec, store=sys.argv[1], jobs=2)\n"
             "print(json.dumps({'executed': result.executed, 'cached': result.cached,"
             " 'deferred': result.deferred, 'failed': result.failed}))\n"
         )
@@ -236,15 +242,16 @@ class TestConcurrentCampaigns:
         assert report.live_records == total
         assert store.live_leases() == {}
 
-    def test_lapsed_lease_is_reclaimed(self, tmp_path):
+    def test_lapsed_lease_is_reclaimed(self, tmp_path, monkeypatch):
         """A crashed campaign's leases expire; a later campaign takes over."""
+        monkeypatch.setattr(runner, "LEASE_TTL_S", 0.5)
         spec = SweepSpec(name="lease-test", algorithms=("COSMA",),
                          p_values=(4, 9), memory_words=1024)
         store = ResultStore(tmp_path / "store")
         keys = [request.key for request in spec.expand()]
         granted = store.acquire_leases(keys, owner="ghost-campaign", ttl_s=0.5)
         assert granted == set(keys)
-        result = run_campaign(spec, store=store, jobs=1, lease_ttl_s=0.5)
+        result = run_campaign(spec, store=store, jobs=1)
         assert result.executed + result.deferred == len(keys)
         assert result.failed == 0
         assert store.live_leases() == {}

@@ -73,9 +73,3 @@ class TestPlanPruning:
         run_campaign(mixed_spec, store=tmp_path / "store", jobs=1)
         warm = run_campaign(mixed_spec, store=tmp_path / "store", jobs=1)
         assert (warm.executed, warm.cached, warm.pruned) == (0, 2, 0)
-
-    def test_prune_false_executes_everything(self, tmp_path, mixed_spec):
-        result = run_campaign(mixed_spec, store=tmp_path / "store", jobs=1,
-                              prune=False)
-        assert result.pruned == 0
-        assert result.executed == 2

@@ -11,7 +11,8 @@ import pytest
 from repro.algorithms import AlgorithmSpec, get_algorithm, register, unregister
 from repro.experiments.harness import AlgorithmRun, RunFailure, run_algorithm_safe
 from repro.sweeps.aggregate import rows_to_json, runs_from_records, scenario_summary_table, tidy_rows
-from repro.sweeps.runner import NO_RETRY, RetryPolicy, predicted_working_set_words, run_campaign
+from repro.sweeps import runner
+from repro.sweeps.runner import RETRYABLE_ERRORS, backoff, run_campaign
 from repro.sweeps.spec import SweepSpec, spec_from_scenarios
 from repro.workloads.scaling import Scenario
 from repro.workloads.shapes import square_shape
@@ -125,6 +126,14 @@ class TestCampaignResult:
         with pytest.raises(ValueError):
             run_campaign(spec, store=tmp_path / "store", jobs=0)
 
+    @pytest.mark.parametrize("bad", [{"jobs": 0}, {"max_attempts": 0}, {"timeout_s": 0.0},
+                                     {"timeout_s": -1.0}, {"timeout_s": float("nan")}],
+                             ids=["jobs", "max_attempts", "timeout_zero", "timeout_negative", "timeout_nan"])
+    def test_bad_inputs_rejected_before_the_store_exists(self, tmp_path, spec, bad):
+        with pytest.raises(ValueError):
+            run_campaign(spec, store=tmp_path / "store", **bad)
+        assert not (tmp_path / "store").exists()
+
     def test_duplicate_requests_counted_once(self, tmp_path):
         dup = SweepSpec(name="dup", algorithms=("COSMA", "COSMA"), families=("square",),
                         regimes=("limited",), p_values=(4,), memory_words=1024, mode="volume")
@@ -183,26 +192,24 @@ class TestFailureCapture:
 
 
 class TestRetryPolicy:
-    def test_backoff_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(max_attempts=5, backoff_s=0.1, backoff_factor=2.0,
-                             max_backoff_s=0.3, jitter_s=0.05)
-        first = [policy.backoff("some-key", attempt) for attempt in (1, 2, 3, 4)]
-        second = [policy.backoff("some-key", attempt) for attempt in (1, 2, 3, 4)]
+    def test_backoff_is_deterministic_and_bounded(self, monkeypatch):
+        monkeypatch.setattr(runner, "BACKOFF_S", 0.1)
+        monkeypatch.setattr(runner, "MAX_BACKOFF_S", 0.3)
+        monkeypatch.setattr(runner, "JITTER_S", 0.05)
+        first = [backoff("some-key", attempt) for attempt in (1, 2, 3, 4)]
+        second = [backoff("some-key", attempt) for attempt in (1, 2, 3, 4)]
         assert first == second  # SHA-256 jitter, not random
-        assert all(0.1 <= first[0] <= 0.15 for _ in [0])
-        assert all(delay <= 0.3 + 0.05 for delay in first)
-        assert policy.backoff("other-key", 1) != first[0]
+        assert 0.1 <= first[0] <= 0.15
+        assert 0.2 <= first[1] <= 0.25  # doubles per attempt
+        assert all(0.3 <= delay <= 0.3 + 0.05 for delay in first[2:])  # capped
+        assert backoff("other-key", 1) != first[0]
 
-    def test_classification(self):
-        policy = RetryPolicy()
-        assert policy.is_retryable("TransientFault")
-        assert policy.is_retryable("WorkerCrash")
-        assert policy.is_retryable("RunTimeout")
-        assert not policy.is_retryable("RuntimeError")
-        assert not policy.is_retryable("InfeasiblePlan")
-        assert RetryPolicy(retry_all=True).is_retryable("RuntimeError")
+    def test_classification(self, tmp_path, spec):
+        assert {"TransientFault", "WorkerCrash", "RunTimeout"} <= set(RETRYABLE_ERRORS)
+        assert "RuntimeError" not in RETRYABLE_ERRORS
+        assert "InfeasiblePlan" not in RETRYABLE_ERRORS
         with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
+            run_campaign(spec, store=tmp_path / "store", max_attempts=0)
 
     def test_deterministic_failures_quarantine_without_retry(self, tmp_path, exploding_algorithm):
         """A RuntimeError is not retryable: one attempt, full taxonomy."""
@@ -216,46 +223,6 @@ class TestRetryPolicy:
         assert error["attempts"] == 1
         assert error["retryable"] is False
         assert error["exit_signal"] is None
-
-
-class TestMemoryBudget:
-    def test_oversized_runs_refused_with_structured_record(self, tmp_path, spec):
-        requests = spec.expand()
-        budgets = sorted({predicted_working_set_words(r) for r in requests})
-        assert len(budgets) > 1, "the grid must span several working-set sizes"
-        budget = budgets[0]  # only the smallest runs fit
-        result = run_campaign(spec, store=tmp_path / "store", jobs=1,
-                              memory_budget_words=budget)
-        assert result.refused > 0
-        assert result.executed + result.refused == len(requests)
-        refused = [r for r in result.records
-                   if r["status"] == "failed" and r["error"]["type"] == "MemoryBudgetExceeded"]
-        assert len(refused) == result.refused
-        assert all(not r["error"]["retryable"] for r in refused)
-
-    def test_oversized_but_fitting_runs_serialize_not_refuse(self, tmp_path, spec):
-        """Runs over budget/jobs but under budget execute (one at a time)
-        and still produce records byte-identical to a serial campaign."""
-        requests = spec.expand()
-        budget = max(predicted_working_set_words(r) for r in requests)
-        baseline = run_campaign(spec, store=tmp_path / "clean", jobs=1)
-        gated = run_campaign(spec, store=tmp_path / "gated", jobs=2,
-                             memory_budget_words=budget)
-        assert gated.refused == 0
-        assert gated.executed == len(requests)
-        assert rows_to_json(tidy_rows(gated.records)) == rows_to_json(tidy_rows(baseline.records))
-
-    def test_budget_refusals_are_cached(self, tmp_path, spec):
-        requests = spec.expand()
-        budget = min(predicted_working_set_words(r) for r in requests)
-        run_campaign(spec, store=tmp_path / "store", jobs=1, memory_budget_words=budget)
-        # Rerun without the budget: refused records re-execute only via
-        # retry_failures (they are ordinary failed records).
-        warm = run_campaign(spec, store=tmp_path / "store", jobs=1)
-        assert warm.executed == 0
-        healed = run_campaign(spec, store=tmp_path / "store", jobs=1, retry_failures=True)
-        assert healed.failed == 0
-        assert healed.executed > 0
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -301,10 +268,9 @@ class TestInProcessSlot:
         assert (in_process.failed, in_process.retried) == (2, 0)
         assert supervised.metrics["sweeps.workers.spawns"]["value"] >= 2
 
-    @pytest.mark.parametrize("policy", [RetryPolicy(backoff_s=0.01, jitter_s=0.005), NO_RETRY],
-                             ids=["recovers", "exhausts"])
+    @pytest.mark.parametrize("max_attempts", [3, 1], ids=["recovers", "exhausts"])
     def test_transient_failure_matches_supervised(self, tmp_path, flaky_algorithm, monkeypatch,
-                                                  policy):
+                                                  fast_retry, max_attempts):
         spec = spec_from_scenarios(self.SCENARIOS, algorithms=("COSMA", flaky_algorithm),
                                    mode="volume")
         results = []
@@ -313,10 +279,10 @@ class TestInProcessSlot:
             markers.mkdir()
             monkeypatch.setattr(sys.modules[__name__], "_FLAKY_MARKERS", markers)
             results.append(run_campaign(spec, store=tmp_path / f"store-{jobs}", jobs=jobs,
-                                        retry=policy))
+                                        max_attempts=max_attempts))
         in_process, supervised = results
         self._assert_same_outcome(in_process, supervised)
-        if policy is NO_RETRY:
+        if max_attempts == 1:
             assert (in_process.failed, in_process.retried) == (2, 0)
             error = in_process.failed_records[0]["error"]
             assert (error["type"], error["attempts"], error["retryable"]) == ("OSError", 1, True)
@@ -351,8 +317,6 @@ class TestChunkedDispatch:
     """Workers take chunks of runs; a chunk's records reach the store in one
     append; deadlines, numeric runs and suspects go alone."""
 
-    FAST_RETRY = RetryPolicy(max_attempts=3, backoff_s=0.01, jitter_s=0.005)
-
     def test_volume_campaign_dispatches_and_appends_per_chunk(self, tmp_path):
         spec = SweepSpec(
             name="chunks", algorithms=("COSMA", "ScaLAPACK", "CTF", "CARMA"),
@@ -383,26 +347,31 @@ class TestChunkedDispatch:
         assert _metric(result, "sweeps.dispatch.chunks") == result.executed
         assert _metric(result, "sweeps.dispatch.chunk_runs", "max") == 1
 
-    def test_death_in_a_chunk_is_charged_to_the_killer_alone(self, tmp_path, killer_algorithm):
+    @pytest.mark.parametrize("mode", ["volume", "plane"])
+    def test_death_in_a_chunk_is_charged_to_the_killer_alone(self, tmp_path, killer_algorithm,
+                                                            fast_retry, mode):
         """No fault plan: a registered runner SIGKILLs its worker on one
-        scenario.  Its chunk-mates are requeued uncharged and finish; the
-        killer, now a suspect dispatched alone, exhausts its attempts."""
+        scenario, as the kernel's OOM killer would.  In ``volume`` mode its
+        chunk-mates are requeued uncharged and finish, and the killer, now a
+        suspect dispatched alone, exhausts its attempts; a ``plane`` run goes
+        alone from the start, so every death is one of its attempts."""
         spec = SweepSpec(name="killer", algorithms=("COSMA", "ScaLAPACK", killer_algorithm),
-                         p_values=(4, _DOOMED_P, 16, 25), memory_words=1024, mode="volume")
+                         p_values=(4, _DOOMED_P, 16, 25), memory_words=1024, mode=mode)
         requests = spec.expand()
         [doomed] = [r.key for r in requests
                     if r.algorithm == killer_algorithm and r.scenario.p == _DOOMED_P]
-        result = run_campaign(spec, store=tmp_path / "chunked", jobs=2, retry=self.FAST_RETRY)
+        attempts = 3
+        result = run_campaign(spec, store=tmp_path / "chunked", jobs=2, max_attempts=attempts)
         assert len(requests) == result.executed == 12
         assert [r["key"] for r in result.failed_records] == [doomed]
         error = result.failed_records[0]["error"]
         assert error["type"] == "WorkerCrash"
-        assert error["attempts"] == self.FAST_RETRY.max_attempts
+        assert error["attempts"] == attempts
         assert error["exit_signal"] == int(signal.SIGKILL)
-        # One death under a multi-run chunk (charged to no run), then one per
-        # attempt of the killer alone.
-        assert _metric(result, "sweeps.workers.deaths") == self.FAST_RETRY.max_attempts + 1
-        assert result.retried == self.FAST_RETRY.max_attempts - 1
+        # In volume mode, one death under a multi-run chunk (charged to no
+        # run), then one per attempt of the killer alone.
+        assert _metric(result, "sweeps.workers.deaths") == attempts + (mode == "volume")
+        assert result.retried == attempts - 1
 
         survivors = [r for r in requests if r.key != doomed]
         serial = run_campaign(survivors, store=tmp_path / "serial", jobs=1)
