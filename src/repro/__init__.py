@@ -11,8 +11,9 @@ It provides:
   Listing 1 schedule with its exact I/O, and Theorems 1-2.
 * :mod:`repro.machine` -- a two-level memory hierarchy simulator and a
   distributed machine simulator with exact communication-volume accounting.
-* :mod:`repro.layouts` -- blocked (COSMA, section 7.6) and block-cyclic
-  (ScaLAPACK) data layouts plus redistribution.
+* :mod:`repro.layouts` -- input layouts as ownership tables (section 7.6):
+  ScaLAPACK's block-cyclic layout and the words a conversion between two
+  layouts moves, counted in O(segments) at paper scale.
 * :mod:`repro.core` -- the COSMA algorithm: optimal sequential schedule,
   parallelization, processor-grid fitting, overlap, and the distributed
   executor.

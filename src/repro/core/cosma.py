@@ -595,9 +595,10 @@ def put_owned_blocks(
     """Per-hop twin of :func:`post_owned_words`: store every used rank's owned
     A / B slices and a zeroed C block under the given names.
 
-    This is the initial data layout; no communication is counted (the paper
-    likewise assumes inputs start in COSMA's blocked layout -- converting from
-    block-cyclic is a separate, counted step, see :mod:`repro.layouts.conversion`).
+    This is the initial data layout (``decomposition.input_layouts()``); no
+    communication is counted (the paper likewise assumes inputs start in
+    COSMA's blocked layout -- converting from block-cyclic is a separate,
+    counted step, see :mod:`repro.layouts`).
     """
     i_bounds, j_bounds, a_bounds, b_bounds = (bounds.tolist() for bounds in (
         decomposition.i_bounds, decomposition.j_bounds, decomposition.a_bounds,

@@ -18,7 +18,9 @@ result.
 
 All of that is five boundary arrays (:class:`CosmaDecomposition`); every
 engine, batched or per-hop, reads a rank's ranges off them by its grid
-coordinates.  There is no per-rank object.
+coordinates.  There is no per-rank object.  The initial ownership of A and B,
+as :class:`~repro.layouts.Layout` tables, is
+:meth:`CosmaDecomposition.input_layouts`.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.core.grid import GridFit, ProcessorGrid, fit_ranks
+from repro.layouts import Layout
 from repro.utils.validation import check_positive_int
 
 
@@ -89,6 +92,31 @@ class CosmaDecomposition:
         b_width = np.diff(self.b_bounds).T[:, None, :]  # (pm, 1, pk)
         words = lm * a_width + ln * b_width + lm * ln + (lm + ln) * self.step_size
         return int(words.max())
+
+    def input_layouts(self) -> tuple[Layout, Layout]:
+        """The blocked input layouts of A and B as ownership tables.
+
+        Rank ``(pi * pn + pj) * pk + kk`` owns A's rows ``i_bounds[pi:pi + 2]``
+        x columns ``a_bounds[kk, pj:pj + 2]``, and B's rows
+        ``b_bounds[kk, pi:pi + 2]`` x columns ``j_bounds[pj:pj + 2]``: both
+        additive, so A's k axis is ``a_bounds`` flattened over ``(kk, pj)`` and
+        B's ``b_bounds`` flattened over ``(kk, pi)``.
+        """
+        pm, pn, pk = self.grid
+        layer = np.arange(pk, dtype=np.int64)[:, None]
+        a = Layout(
+            row_bounds=self.i_bounds,
+            row_owner=np.arange(pm, dtype=np.int64) * (pn * pk),
+            col_bounds=np.append(self.a_bounds[:, :-1].ravel(), self.k),
+            col_owner=(np.arange(pn, dtype=np.int64) * pk + layer).ravel(),
+        )
+        b = Layout(
+            row_bounds=np.append(self.b_bounds[:, :-1].ravel(), self.k),
+            row_owner=(np.arange(pm, dtype=np.int64) * (pn * pk) + layer).ravel(),
+            col_bounds=self.j_bounds,
+            col_owner=np.arange(pn, dtype=np.int64) * pk,
+        )
+        return a, b
 
 
 def build_decomposition(

@@ -1,92 +1,41 @@
-"""Tests for the ScaLAPACK block-cyclic layout."""
+"""ScaLAPACK block-cyclic ownership on a fixed 10 x 12 example.
+
+The 2 x 3 tiles of a 10 x 12 matrix are dealt over a 2 x 2 grid; the
+property test in ``test_layouts.py`` covers arbitrary shapes.
+"""
 
 import numpy as np
 import pytest
 
-from repro.layouts.block_cyclic import BlockCyclicLayout
+from repro.layouts import Layout, block_cyclic
 
 
 @pytest.fixture
-def layout():
-    return BlockCyclicLayout(rows=10, cols=12, block_rows=2, block_cols=3, grid_rows=2, grid_cols=2)
+def layout() -> Layout:
+    return block_cyclic(rows=10, cols=12, block_rows=2, block_cols=3, grid_rows=2, grid_cols=2)
+
+
+def owner_of_tile(layout: Layout, ti: int, tj: int) -> tuple[int, int]:
+    """Grid position ``(pr, pc)`` of the rank that owns tile ``(ti, tj)``."""
+    return divmod(int(layout.row_owner[ti] + layout.col_owner[tj]), 2)
+
+
+def owner_index(layout: Layout, i: int, j: int) -> int:
+    """Rank that owns element ``(i, j)``, read from the interval tables."""
+    ti = int(np.searchsorted(layout.row_bounds, i, side="right")) - 1
+    tj = int(np.searchsorted(layout.col_bounds, j, side="right")) - 1
+    return int(layout.row_owner[ti] + layout.col_owner[tj])
 
 
 class TestGeometry:
-    def test_tile_counts(self, layout):
-        assert layout.tile_rows == 5
-        assert layout.tile_cols == 4
-
-    def test_tile_of_element(self, layout):
-        assert layout.tile_of_element(0, 0) == (0, 0)
-        assert layout.tile_of_element(3, 7) == (1, 2)
-
-    def test_tile_of_element_out_of_bounds(self, layout):
-        with pytest.raises(IndexError):
-            layout.tile_of_element(10, 0)
-
     def test_owner_cycles(self, layout):
-        assert layout.owner_of_tile(0, 0) == (0, 0)
-        assert layout.owner_of_tile(1, 0) == (1, 0)
-        assert layout.owner_of_tile(2, 0) == (0, 0)
-        assert layout.owner_of_tile(0, 3) == (0, 1)
+        assert owner_of_tile(layout, 0, 0) == (0, 0)
+        assert owner_of_tile(layout, 1, 0) == (1, 0)
+        assert owner_of_tile(layout, 2, 0) == (0, 0)
+        assert owner_of_tile(layout, 0, 3) == (0, 1)
 
     def test_owner_index_consistent_with_tiles(self, layout):
-        for i in range(layout.rows):
-            for j in range(layout.cols):
-                ti, tj = layout.tile_of_element(i, j)
-                pr, pc = layout.owner_of_tile(ti, tj)
-                assert layout.owner_index(i, j) == pr * layout.grid_cols + pc
-
-    def test_tile_range_clipped_at_boundary(self):
-        layout = BlockCyclicLayout(rows=5, cols=5, block_rows=2, block_cols=2, grid_rows=2, grid_cols=2)
-        (r0, r1), (c0, c1) = layout.tile_range(2, 2)
-        assert (r0, r1) == (4, 5)
-        assert (c0, c1) == (4, 5)
-
-    def test_tile_range_out_of_bounds(self, layout):
-        with pytest.raises(IndexError):
-            layout.tile_range(5, 0)
-
-
-class TestLocalTiles:
-    def test_every_tile_owned_exactly_once(self, layout):
-        seen = set()
-        for pr in range(layout.grid_rows):
-            for pc in range(layout.grid_cols):
-                for tile in layout.local_tiles(pr, pc):
-                    assert tile not in seen
-                    seen.add(tile)
-        assert len(seen) == layout.tile_rows * layout.tile_cols
-
-    def test_cyclic_assignment(self, layout):
-        tiles = layout.local_tiles(0, 0)
-        assert (0, 0) in tiles
-        assert (2, 2) in tiles
-        assert (1, 0) not in tiles
-
-
-class TestDataMovement:
-    def test_split_assemble_roundtrip(self, rng, layout):
-        matrix = rng.standard_normal((10, 12))
-        per_rank = layout.split(matrix)
-        assert np.allclose(layout.assemble(per_rank), matrix)
-
-    def test_split_rejects_wrong_shape(self, layout):
-        with pytest.raises(ValueError):
-            layout.split(np.zeros((3, 3)))
-
-    def test_assemble_rejects_bad_tile(self, rng, layout):
-        per_rank = layout.split(rng.standard_normal((10, 12)))
-        rank0 = next(iter(per_rank))
-        tile_key = next(iter(per_rank[rank0]))
-        per_rank[rank0][tile_key] = np.zeros((1, 1))
-        with pytest.raises(ValueError):
-            layout.assemble(per_rank)
-
-    def test_words_per_owner_sums_to_matrix(self, layout):
-        assert sum(layout.words_per_owner()) == 10 * 12
-
-    def test_element_owners_values_in_range(self, layout):
-        owners = layout.element_owners()
-        assert owners.min() >= 0
-        assert owners.max() < layout.num_ranks
+        for i in range(10):
+            for j in range(12):
+                pr, pc = owner_of_tile(layout, i // 2, j // 3)
+                assert owner_index(layout, i, j) == pr * 2 + pc

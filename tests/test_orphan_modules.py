@@ -16,9 +16,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: Module (path under src/repro) -> (paper artifact, what exercises it).
 KEPT = {
     "machine/tree.py": ("section 7.2 broadcast trees", "benchmarks/bench_ablation_broadcast_tree.py"),
-    "layouts/blocked.py": ("section 7.6 blocked layout", "benchmarks/bench_ablation_layout.py"),
-    "layouts/block_cyclic.py": ("section 7.6 block-cyclic layout", "benchmarks/bench_ablation_layout.py"),
-    "layouts/conversion.py": ("section 7.6 layout redistribution", "benchmarks/bench_ablation_layout.py"),
     "core/tradeoff.py": ("section 6.3 I/O-latency trade-off Q(a)/L(a)", "benchmarks/bench_theorem2_parallel.py"),
     "core/buffers.py": ("sections 7.3/7.5 buffer sizing, for memory-aware grid fitting",
                         "tests/test_core_cost_tradeoff_buffers_overlap.py"),
@@ -79,3 +76,8 @@ def test_kept_table_lists_only_orphans_with_an_existing_exerciser():
     assert set(KEPT) <= orphan_modules(), "a KEPT module gained a consumer; drop its entry"
     for module, (_, exerciser) in KEPT.items():
         assert (SRC.parent / exerciser).is_file(), f"{module}: {exerciser} does not exist"
+        name = "repro." + module.removesuffix(".py").replace("/", ".")
+        package, leaf = name.rsplit(".", 1)
+        assert any(mod == name or (mod == package and leaf in names)
+                   for mod, names in _imports(SRC.parent / exerciser)), \
+            f"{module}: {exerciser} does not import it"

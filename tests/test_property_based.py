@@ -11,8 +11,6 @@ from repro.baselines.costs import io_cost_25d, io_cost_2d, io_cost_carma
 from repro.baselines.cuboid import validate_domains
 from repro.core.cosma import cosma_multiply
 from repro.core.grid import communication_volume_per_rank, fit_ranks
-from repro.layouts.blocked import BlockedLayout
-from repro.layouts.block_cyclic import BlockCyclicLayout
 from repro.machine.collectives import broadcast, reduce
 from repro.machine.simulator import DistributedMachine
 from repro.pebbling.mmm_bounds import parallel_io_lower_bound, schedule_io, sequential_io_lower_bound
@@ -53,45 +51,6 @@ class TestIntMathProperties:
         assert sum(sizes) == extent
         assert len(sizes) == parts
         assert max(sizes) - min(sizes) <= 1
-
-
-class TestLayoutProperties:
-    @given(
-        rows=st.integers(min_value=1, max_value=30),
-        cols=st.integers(min_value=1, max_value=30),
-        grid_rows=st.integers(min_value=1, max_value=6),
-        grid_cols=st.integers(min_value=1, max_value=6),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    def test_blocked_split_assemble_roundtrip(self, rows, cols, grid_rows, grid_cols, seed):
-        grid_rows = min(grid_rows, rows)
-        grid_cols = min(grid_cols, cols)
-        layout = BlockedLayout(rows, cols, grid_rows, grid_cols)
-        matrix = np.random.default_rng(seed).standard_normal((rows, cols))
-        assert np.allclose(layout.assemble(layout.split(matrix)), matrix)
-
-    @given(
-        rows=st.integers(min_value=1, max_value=30),
-        cols=st.integers(min_value=1, max_value=30),
-        block=st.integers(min_value=1, max_value=5),
-        grid=st.integers(min_value=1, max_value=4),
-    )
-    def test_block_cyclic_owners_partition_matrix(self, rows, cols, block, grid):
-        layout = BlockCyclicLayout(rows, cols, block, block, grid, grid)
-        assert sum(layout.words_per_owner()) == rows * cols
-
-    @given(
-        rows=st.integers(min_value=2, max_value=24),
-        cols=st.integers(min_value=2, max_value=24),
-        grid_rows=st.integers(min_value=1, max_value=4),
-        grid_cols=st.integers(min_value=1, max_value=4),
-    )
-    def test_blocked_owner_count_matches_grid(self, rows, cols, grid_rows, grid_cols):
-        grid_rows = min(grid_rows, rows)
-        grid_cols = min(grid_cols, cols)
-        layout = BlockedLayout(rows, cols, grid_rows, grid_cols)
-        owners = np.unique(layout.element_owners())
-        assert len(owners) == grid_rows * grid_cols
 
 
 class TestBoundProperties:
