@@ -24,10 +24,10 @@
 #                       counter rows, peaks, round counts, spans and products
 #                       of every algorithm over grid240, the paper-scale volume
 #                       points, every algorithm at p = 16384 / 65536 and a
-#                       list of awkward ones, the awkward ones and grid240 at
-#                       p <= 64 per hop too (~1 min per side); exit 1 on any
-#                       difference; the large volume points also print each
-#                       side's wall seconds (scripts/identity_pairs.py)
+#                       list of awkward ones, in plane and volume mode
+#                       (~1 min per side); exit 1 on any difference; the
+#                       large volume points also print each side's wall
+#                       seconds (scripts/identity_pairs.py)
 
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))

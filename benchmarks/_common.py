@@ -7,8 +7,8 @@ times the underlying computation so regressions in the library itself are
 also visible.
 
 Scale note: the paper's experiments use 109 - 18,432 cores and matrices up to
-millions of rows.  In the default (``legacy``) mode the simulator physically
-multiplies numpy blocks, so the figure-reproduction sweeps below use
+millions of rows.  In the default (``plane``) mode the simulator physically
+multiplies the matrices, so the figure-reproduction sweeps below use
 geometrically spaced core counts up to 64 and matrices of a few hundred rows.
 The regime definitions (strong scaling / limited memory / extra memory,
 section 8) are preserved exactly.  ``volume`` mode (counters-only payloads,
@@ -82,7 +82,7 @@ def run_benchmark_sweep(
     regime: str,
     algorithms: Iterable[str] = DEFAULT_ALGORITHMS,
     p_values: Sequence[int] = CORE_COUNTS,
-    mode: str = "legacy",
+    mode: str = "plane",
 ):
     """Run a full (family, regime) sweep across algorithms; results are verified
     (except in ``volume`` mode, which simulates counters only).

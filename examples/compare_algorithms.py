@@ -39,7 +39,7 @@ def scenarios_for(regime: str):
 def main() -> None:
     with tempfile.TemporaryDirectory() as store:
         for regime in ("strong", "limited", "extra"):
-            spec = spec_from_scenarios(scenarios_for(regime), algorithms=DEFAULT_ALGORITHMS, mode="legacy")
+            spec = spec_from_scenarios(scenarios_for(regime), algorithms=DEFAULT_ALGORITHMS, mode="plane")
             result = run_campaign(spec, store=store)
             assert result.failed == 0 and all(run.correct for run in result.runs())
             print_regime(regime, group_by_scenario(result.runs()))

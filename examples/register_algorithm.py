@@ -11,6 +11,12 @@ inputs on rank 0, multiply there, scatter C's rows back.  Its per-processor
 cost is dominated by rank 0 receiving ~everything, which every distributed
 decomposition exists to avoid -- compare the words/rank columns.
 
+A runner has the shape of every engine in the library: it posts its
+schedule's transfers on the machine's counters (``post_transfers``, one call
+per phase) and its flops, then computes the product with one GEMM -- or, on a
+``volume`` machine, returns a shape token, since its payloads carry no
+values.
+
 Run with::
 
     python examples/register_algorithm.py
@@ -21,10 +27,13 @@ pattern: Figure 2's naive 1D all-gather baseline, shipped as an extension.)
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.algorithms import register_algorithm
 from repro.experiments.harness import run_scenario
 from repro.experiments.report import format_table
-from repro.machine.collectives import scatter
+from repro.machine.counters import FLOPS
+from repro.machine.transport import ShapeToken
 from repro.utils.intmath import split_offsets
 from repro.workloads.scaling import limited_memory_sweep
 
@@ -38,19 +47,16 @@ def root_gemm(a, b, scenario, machine):
     m, k = a.shape
     n = b.shape[1]
     p = max(1, min(scenario.p, m))
-    ranks = list(range(p))
-    rows_a = split_offsets(m, p)
-    rows_b = split_offsets(k, p)
+    rows_a = np.array([hi - lo for lo, hi in split_offsets(m, p)])
+    rows_b = np.array([hi - lo for lo, hi in split_offsets(k, p)])
     # Everyone starts owning a row stripe of A and B, like the 1D layout;
-    # rank 0 pulls every stripe, multiplies locally, scatters C's rows back.
-    for r, (lo, hi) in zip(ranks, rows_a):
-        machine.send(r, 0, a[lo:hi, :], kind="input")
-    for r, (lo, hi) in zip(ranks, rows_b):
-        machine.send(r, 0, b[lo:hi, :], kind="input")
-    c = machine.local_multiply(0, a, b)
-    scatter(machine, 0, ranks, {r: c[lo:hi, :] for r, (lo, hi) in zip(ranks, rows_a)},
-            kind="output")
-    return c
+    # rank 0 pulls every other stripe, multiplies locally, scatters C's rows back.
+    others, root = np.arange(1, p), np.zeros(p - 1, dtype=int)
+    machine.post_transfers(others, root, rows_a[1:] * k, kind="input")
+    machine.post_transfers(others, root, rows_b[1:] * n, kind="input")
+    machine.counters.data[FLOPS, 0] += 2 * m * n * k
+    machine.post_transfers(root, others, rows_a[1:] * n, kind="output")
+    return ShapeToken((m, n)) if machine.transport.counters_only else a @ b
 
 
 def main() -> None:

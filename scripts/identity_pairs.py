@@ -12,13 +12,10 @@ grid side, a partial last chunk, layers that run out of rounds early,
 ``use_rma``, cuboids whose projections overlap partially, a hand-written
 tiling with shuffled ranks and an empty range, Cannon with idle ranks and
 padded blocks and on one rank, and the registry's extension ``AllGather1D``
-(no batched engine: all of its counters come from per-hop sends) -- traced
-and untraced, one and two runs per machine.  The awkward points and the ``grid240`` points with
-p <= 64 run in all four modes
-(``volume``, ``plane`` and the per-hop ``legacy`` / ``zerocopy``), the other
-``grid240`` points in ``volume`` and ``plane``, and the paper-scale
-``volume_requests`` points and every algorithm at p = 16384 and p = 65536
-(``xl``) in ``volume`` mode only (their plane products would need
+-- traced and untraced, one and two runs per machine.  The awkward points and
+the ``grid240`` points run in both modes (``volume`` and ``plane``), the
+paper-scale ``volume_requests`` points and every algorithm at p = 16384 and
+p = 65536 (``xl``) in ``volume`` mode only (their plane products would need
 gigabytes).  What it records per run: each counter row's length, total and digest (``counters.<field>``,
 one observable per row of the counter matrix), ``peak_resident_words``, the
 final ``check_memory()``, COSMA's ``num_rounds``, the round spans' count and
@@ -30,11 +27,8 @@ any difference.  An observable that only one side records anywhere (a counter
 row one revision has and the other does not) is listed once, at the end, and
 is not a difference.  The ``xl/`` and ``volume_requests/`` lines also carry each
 side's wall seconds for the point's single untraced run (the call as the
-registry makes it, COSMA's grid search included), the line before the last
-each side's wall seconds summed over every ``legacy untraced x1`` run (the
-per-hop path) of each algorithm, and the last line the same sums over all
-algorithms: a speed-up reads next to the proof that nothing observable moved,
-and names the engine it belongs to.  Seconds are never compared.  The point
+registry makes it, COSMA's grid search included): a speed-up reads next to the
+proof that nothing observable moved.  Seconds are never compared.  The point
 sets are restated here from public ``repro`` functions: nothing is imported
 from, or written under, ``benchmarks/ledger/``.
 """
@@ -54,13 +48,9 @@ from pathlib import Path
 from ledger_pairs import REPO, extract
 
 MODES = ("volume", "plane")
-#: ``MODES`` plus the per-hop transports, for points small enough to run hop by hop.
-ALL_MODES = MODES + ("legacy", "zerocopy")
 #: Points whose wall seconds are printed, and the variant they are read from.
 TIMED_PREFIXES = ("xl/", "volume_requests/")
 TIMED_VARIANT = "volume untraced x1"
-#: The variant whose wall seconds are summed over every point that has it.
-PERHOP_VARIANT = "legacy untraced x1"
 SPAN_ARGS = ("label", "round", "mode", "words_posted", "flops", "hops",
              "resident_peak_words", "collectives")
 
@@ -99,9 +89,7 @@ def _campaign_points():
         families=("square", "largeK", "largeM", "flat"), regimes=("limited", "extra"),
         p_values=(16, 64, 144, 256, 576, 1024), memory_words=2048, mode="volume", seed=0,
     )
-    points = [_registry_point("grid240", r.algorithm, r.scenario,
-                              modes=ALL_MODES if r.scenario.p <= 64 else MODES)
-              for r in grid240.expand()]
+    points = [_registry_point("grid240", r.algorithm, r.scenario) for r in grid240.expand()]
     grid_family = ("COSMA", "ScaLAPACK", "CTF")
     for prefix, side, p, names in (
         ("volume_requests", 4096, 1024, registered_algorithms()),
@@ -136,7 +124,7 @@ def _awkward_points():
             lambda a, b, machine: cosma_multiply(
                 a, b, p, memory_words, machine=machine, grid=ProcessorGrid(*grid),
                 use_rma=use_rma),
-            (m, n, k), p, memory_words, ALL_MODES))
+            (m, n, k), p, memory_words, MODES))
 
     def summa(why, m, n, k, grid, panel_width, idle):
         p = grid[0] * grid[1] + idle
@@ -144,14 +132,14 @@ def _awkward_points():
             f"awkward/ScaLAPACK/{why}",
             lambda a, b, machine: summa_multiply(
                 a, b, p, machine=machine, grid=grid, panel_width=panel_width),
-            (m, n, k), p, 1 << 20, ALL_MODES))
+            (m, n, k), p, 1 << 20, MODES))
 
     def grid25d(why, m, n, k, grid, idle):
         p = grid[0] * grid[1] * grid[2] + idle
         points.append((
             f"awkward/CTF/{why}",
             lambda a, b, machine: grid25d_multiply(a, b, p, 4096, machine=machine, grid=grid),
-            (m, n, k), p, 4096, ALL_MODES))
+            (m, n, k), p, 4096, MODES))
 
     for use_rma in (False, True):
         tag = "-rma" if use_rma else ""
@@ -176,7 +164,7 @@ def _awkward_points():
     def registered(name, m, n, k, p):
         scenario = Scenario(name=f"{m}x{n}x{k}-p{p}", shape=ProblemShape(m=m, n=n, k=k),
                             p=p, memory_words=512, regime="limited")
-        points.append(_registry_point("awkward", name, scenario, modes=ALL_MODES))
+        points.append(_registry_point("awkward", name, scenario, modes=MODES))
 
     # The cuboid executor and Cannon take no grid: odd shapes, idle ranks.
     # AllGather1D joins them here (only here: it registers on import).
@@ -195,12 +183,12 @@ def _awkward_points():
     points.append((
         "awkward/cuboid/shuffled-ranks-empty-range",
         lambda a, b, machine: cuboid_multiply(a, b, tiling, machine=machine),
-        (9, 7, 6), 7, 1 << 20, ALL_MODES))
+        (9, 7, 6), 7, 1 << 20, MODES))
     for why, p in (("idle-padded", 11), ("q1", 3)):
         points.append((
             f"awkward/Cannon/{why}",
             lambda a, b, machine, p=p: cannon_multiply(a, b, p, machine=machine),
-            (13, 11, 7), p, 1 << 20, ALL_MODES))
+            (13, 11, 7), p, 1 << 20, MODES))
     return points
 
 
@@ -282,12 +270,9 @@ def observe() -> None:
 # ---------------------------------------------------------------------------
 # both sides, compared
 # ---------------------------------------------------------------------------
-def _observations(
-    tree: Path,
-) -> tuple[dict[str, dict[str, dict]], dict[str, float], dict[str, float]]:
-    """``{point: {variant: observed}}``, ``{timed point: seconds}`` and
-    ``{algorithm: summed seconds of its per-hop runs}``, from a child process
-    importing ``tree/src``."""
+def _observations(tree: Path) -> tuple[dict[str, dict[str, dict]], dict[str, float]]:
+    """``{point: {variant: observed}}`` and ``{timed point: seconds}``, from a
+    child process importing ``tree/src``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(REPO / "scripts")]))
     done = subprocess.run(
         [sys.executable, "-c", "import identity_pairs; identity_pairs.observe()"],
@@ -295,16 +280,12 @@ def _observations(
     )
     points: dict[str, dict[str, dict]] = {}
     seconds: dict[str, float] = {}
-    perhop_seconds: dict[str, float] = {}
     for line in done.stdout.splitlines():
         record = json.loads(line)
         points.setdefault(record["point"], {})[record["variant"]] = record["observed"]
         if record["variant"] == TIMED_VARIANT and record["point"].startswith(TIMED_PREFIXES):
             seconds[record["point"]] = record["seconds"]
-        if record["variant"] == PERHOP_VARIANT:
-            algorithm = record["point"].split("/")[1]
-            perhop_seconds[algorithm] = perhop_seconds.get(algorithm, 0.0) + record["seconds"]
-    return points, seconds, perhop_seconds
+    return points, seconds
 
 
 def _moved(base, change) -> str:
@@ -325,8 +306,7 @@ def _recorded(side: dict) -> set[str]:
             for name in observed}
 
 
-def report(base: dict, change: dict, base_seconds: dict, change_seconds: dict,
-           perhop_seconds: tuple[dict[str, float], dict[str, float]]) -> int:
+def report(base: dict, change: dict, base_seconds: dict, change_seconds: dict) -> int:
     differing_points = 0
     observations = 0
     base_only, tree_only = _recorded(base) - _recorded(change), _recorded(change) - _recorded(base)
@@ -354,13 +334,8 @@ def report(base: dict, change: dict, base_seconds: dict, change_seconds: dict,
     for side, names in (("base", base_only), ("tree", tree_only)):
         if names:
             print(f"recorded by the {side} only (not compared): {', '.join(sorted(names))}")
-    base_perhop, tree_perhop = perhop_seconds
-    print(f"{PERHOP_VARIANT} seconds per algorithm (base / tree): " + ", ".join(
-        f"{name} {base_perhop.get(name, 0.0):.2f} / {tree_perhop.get(name, 0.0):.2f}"
-        for name in sorted(set(base_perhop) | set(tree_perhop))))
     print(f"{len(set(base) | set(change))} points, {observations} observations, "
-          f"{differing_points} points differ  ({PERHOP_VARIANT} runs: "
-          f"base {sum(base_perhop.values()):.1f} s, tree {sum(tree_perhop.values()):.1f} s)")
+          f"{differing_points} points differ")
     return 1 if differing_points else 0
 
 
@@ -371,9 +346,9 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="identity-base-") as scratch:
         base_tree = Path(scratch)
         extract(args.base, base_tree)
-        (base, base_seconds, base_perhop), (change, change_seconds, change_perhop) = (
+        (base, base_seconds), (change, change_seconds) = (
             _observations(base_tree), _observations(REPO))
-        return report(base, change, base_seconds, change_seconds, (base_perhop, change_perhop))
+        return report(base, change, base_seconds, change_seconds)
 
 
 if __name__ == "__main__":

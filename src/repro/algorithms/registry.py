@@ -9,8 +9,9 @@ data, not scattered special cases:
   (``run(a, b, scenario, machine) -> ndarray``), a cheap planner
   (``plan(scenario) -> Plan``: fitted grid, round estimate, predicted
   per-rank words, feasibility -- *without* executing anything), the analytic
-  Table 3 cost formulas (:meth:`AlgorithmSpec.cost`),
-  capability flags (supported transport modes, minimum memory) and aliases.
+  Table 3 cost formulas (:meth:`AlgorithmSpec.cost`), a minimum-memory
+  capability flag and aliases.  Every runner takes both execution modes:
+  arrays (``plane``) and shape tokens (``volume``).
 * :func:`register` / the :func:`register_algorithm` decorator add specs to
   the process-wide registry; :mod:`repro.algorithms.builtins` registers the
   paper's five comparison targets, and ``extensions/`` modules self-register
@@ -30,7 +31,6 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.core.decomposition import decomposition_cache_clear
-from repro.machine.transport import MODES
 from repro.pebbling.mmm_bounds import parallel_io_lower_bound
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -152,8 +152,6 @@ class AlgorithmSpec:
     #: Alternative lookup names (case-insensitive), e.g. ``SUMMA`` for
     #: ScaLAPACK.
     aliases: tuple[str, ...] = ()
-    #: Transport modes the runner supports (capability flag).
-    modes: tuple[str, ...] = tuple(MODES)
     #: Minimum per-rank memory in words the algorithm needs at all
     #: (capability flag; scenario-dependent requirements belong in the plan).
     min_memory_words: int = 1
@@ -166,9 +164,6 @@ class AlgorithmSpec:
             machine: "DistributedMachine", **options) -> np.ndarray:
         """Execute the algorithm on an existing machine; returns the product."""
         return self.runner(a_matrix, b_matrix, scenario, machine, **options)
-
-    def supports_mode(self, mode: str) -> bool:
-        return mode in self.modes
 
     def plan(self, scenario: "Scenario", **options) -> Plan:
         """Plan the scenario without executing it (see :class:`Plan`).
@@ -316,7 +311,6 @@ def register(spec: AlgorithmSpec, replace: bool = False) -> AlgorithmSpec:
 def register_algorithm(
     name: str,
     aliases: tuple[str, ...] = (),
-    modes: tuple[str, ...] = tuple(MODES),
     plan: PlanFn | None = None,
     io_cost: CostFn | None = None,
     latency_cost: CostFn | None = None,
@@ -340,7 +334,7 @@ def register_algorithm(
             AlgorithmSpec(
                 name=name, runner=fn, plan_fn=plan, io_cost=io_cost,
                 latency_cost=latency_cost, aliases=tuple(aliases),
-                modes=tuple(modes), min_memory_words=min_memory_words,
+                min_memory_words=min_memory_words,
                 default_comparison=default_comparison, description=description,
             ),
             replace=replace,

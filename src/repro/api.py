@@ -77,8 +77,8 @@ class RunReport:
     lower_bound_per_rank: float
     #: The pre-execution plan (fitted grid, predicted words, feasibility).
     plan: Plan
-    #: Transport mode the run used (``legacy`` / ``zerocopy`` / ``plane`` / ``volume``).
-    mode: str = "legacy"
+    #: Transport mode the run used (``plane`` / ``volume``).
+    mode: str = "plane"
     #: Whether the numerical result was checked against ``A @ B``.
     verified: bool = True
     #: Outcome of that check (``True`` whenever verification was skipped).
@@ -115,7 +115,7 @@ def multiply(
     max_idle_fraction: float | None = None,
     *,
     algorithm: str = "COSMA",
-    mode: str = "legacy",
+    mode: str | None = None,
     shards: int = 1,
     plane_dtype: str = "float64",
 ) -> RunReport:
@@ -138,10 +138,12 @@ def multiply(
         ``"CTF"``/``"2.5D"``, ``"CARMA"``, ``"Cannon"``, or anything added
         via :func:`repro.algorithms.register_algorithm`).
     mode:
-        Payload transport: ``"legacy"`` / ``"zerocopy"`` / ``"plane"`` run
-        and verify real numerics (``"plane"`` on stacked arrays -- the
-        fastest verified mode); ``"volume"`` counts communication only
-        (``matrix`` is ``None``) and scales to paper-size grids.
+        Payload transport: ``"plane"`` runs and verifies real numerics on
+        stacked arrays; ``"volume"`` counts communication only (``matrix``
+        is ``None``) and scales to paper-size grids.  ``None`` (default)
+        takes what the inputs allow: ``"volume"`` for
+        :class:`~repro.machine.transport.ShapeToken` inputs, ``"plane"`` for
+        arrays.  Tokens carry no values, so tokens with ``"plane"`` raise.
     shards:
         Numeric execution policy for ``"plane"`` mode: number of worker
         processes COSMA's plane GEMM is sharded across over shared memory
@@ -164,6 +166,9 @@ def multiply(
     True
     >>> multiply(a, b, 4, 4096, algorithm="CARMA").correct
     True
+    >>> tokens = ShapeToken((32, 16)), ShapeToken((16, 24))
+    >>> multiply(*tokens, 4, 4096).mode
+    'volume'
     """
     processors = check_positive_int(processors, "processors")
     memory_words = check_positive_int(memory_words, "memory_words")
@@ -177,13 +182,16 @@ def multiply(
             )
         options["max_idle_fraction"] = max_idle_fraction
 
-    m, k = np.shape(a_matrix) if not isinstance(a_matrix, ShapeToken) else a_matrix.shape
-    k2, n = np.shape(b_matrix) if not isinstance(b_matrix, ShapeToken) else b_matrix.shape
+    if mode is None:
+        tokens = isinstance(a_matrix, ShapeToken) or isinstance(b_matrix, ShapeToken)
+        mode = "volume" if tokens else "plane"
+    m, k = a_matrix.shape if isinstance(a_matrix, ShapeToken) else np.shape(a_matrix)
+    k2, n = b_matrix.shape if isinstance(b_matrix, ShapeToken) else np.shape(b_matrix)
     if k != k2:
         raise ValueError(f"inner dimensions do not match: {(m, k)} x {(k2, n)}")
     scenario = _api_scenario(m, n, k, processors, memory_words)
     run_plan = spec.plan(scenario, **options)
-    product, counters, verified, correct = _execute(
+    product, counters, mode, verified, correct = _execute(
         spec, scenario, a_matrix, b_matrix, mode=mode, span="multiply", verify=True,
         run_plan=run_plan, options=options, shards=shards, plane_dtype=plane_dtype,
     )

@@ -8,10 +8,10 @@ memory, which is why 2D algorithms lose to 2.5D/COSMA when memory is spare.
 
 That is SUMMA on the ``q x q`` grid with block-wide panels passed around each
 fiber by the ``"ring"`` exchange of :mod:`repro.core.cosma` (a rank sends and
-receives one A and one B block per round, as per shift), plus the skew.  Every
-mode makes SUMMA's calls (:func:`repro.baselines.summa.run_panels`); Cannon's
-own part is :func:`cannon_decomposition` (zero padding included, and counted)
-and the skew, one closed-form delta.
+receives one A and one B block per round, as per shift), plus the skew.  The
+engine is SUMMA's (:func:`repro.baselines.summa.run_panels`); Cannon's own
+part is :func:`cannon_decomposition` (zero padding included, and counted) and
+the skew, one closed-form delta.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.machine.counters import (
     INPUT_WORDS, MESSAGES_RECEIVED, MESSAGES_SENT, ROUNDS, WORDS_RECEIVED, WORDS_SENT, CommCounters,
 )
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import as_operands
+from repro.machine.transport import ShapeToken, as_operands
 from repro.utils.intmath import ceil_div
 from repro.utils.validation import check_positive_int
 
@@ -78,10 +78,10 @@ def cannon_multiply(
         machine = DistributedMachine(p, memory_words=memory_words or (1 << 20))
     decomposition = cannon_decomposition(m, n, k, p, memory_words or machine.memory_words)
     q = decomposition.grid.pm
-    bm, bn, bk = (decomposition.m // q, decomposition.n // q, decomposition.k // q)
-    # Zero-pad the matrices so every block has identical shape.
-    a_pad, b_pad = machine.zeros((q * bm, q * bk)), machine.zeros((q * bk, q * bn))
-    a_pad[:m, :k], b_pad[:k, :n] = a_matrix, b_matrix
+    numeric = not machine.transport.counters_only
+    if numeric:  # zero-pad the matrices so every block has identical shape
+        a_matrix = np.pad(a_matrix, ((0, decomposition.m - m), (0, decomposition.k - k)))
+        b_matrix = np.pad(b_matrix, ((0, decomposition.k - k), (0, decomposition.n - n)))
 
     # The skew, with no round boundary: a rank off row 0 moves one A block, one
     # off column 0 one B block, and every grid rank pays a round per shift.
@@ -94,5 +94,6 @@ def cannon_multiply(
     grid[ROUNDS] = 2
     machine.post_rounds(skew, range(1))
 
-    c_pad = run_panels(machine, a_pad, b_pad, decomposition, "ring")
-    return CannonRunResult(matrix=c_pad[:m, :n], grid_size=q, counters=machine.counters)
+    c_pad = run_panels(machine, a_matrix, b_matrix, decomposition, "ring")
+    return CannonRunResult(matrix=c_pad[:m, :n] if numeric else ShapeToken((m, n)),
+                           grid_size=q, counters=machine.counters)

@@ -12,10 +12,9 @@ stay idle, mirroring the real implementation's restriction).
 The decomposition is built as the executor's int64 table (:func:`carma_table`:
 a row per rank, the recursion run level by level as array steps over all
 sub-problems of a level); :func:`carma_domains` is that table viewed as
-objects.  Execution rides the generic cuboid executor, so CARMA participates
-in every transport mode -- including the stacked-array ``plane`` engine, where
-its near-uniform recursive cuboids batch into a handful of stacked GEMMs (see
-:mod:`repro.baselines.cuboid`).
+objects.  Execution rides the generic cuboid executor, in both modes: in
+``plane`` mode its near-uniform recursive cuboids batch into a handful of
+stacked GEMMs (see :mod:`repro.baselines.cuboid`).
 """
 
 from __future__ import annotations

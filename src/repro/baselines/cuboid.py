@@ -18,32 +18,27 @@ The per-rank *received* volume therefore equals the size of the rank's A and B
 projections minus what it already owns, plus its share of the C reduction --
 exactly the quantity the communication lower bounds reason about.  Cuboids may
 overlap partially in their projections (as happens for CARMA with
-non-power-of-two dimensions); the element-wise ownership handles that
-correctly.
+non-power-of-two dimensions); the ownership rule handles that correctly.
 
 A decomposition is one int64 *table* (:func:`domain_table`): a row ``rank, i0,
 i1, j0, j1, k0, k1`` per used rank, in rank order.  A caller's list of
 :class:`CuboidDomain` objects is converted once on entry, and the objects are
-a view of the table's rows (:func:`table_domains`) that only the per-hop loop
-and the tests build.
+a view of the table's rows (:func:`table_domains`) that only the tests build.
 
-``plane`` and ``volume`` runs take the batched path (:func:`_cuboid_batched`),
-array expressions over the table's columns with no loop over ranks: ownership
-is resolved per matrix on the *coordinate-compressed* grid
+A run is array expressions over the table's columns with no loop over ranks:
+ownership is resolved per matrix on the *coordinate-compressed* grid
 (:func:`_owner_words` -- one cell per pair of consecutive range endpoints, so
 the cost is O(cells), not O(mn + mk + nk)), whose single ``np.minimum``
 reduction *is* the ownership rule, and every rank's per-owner element counts
 are posted with one ``post_transfers`` per matrix, three per run; values
 (plane mode) move as dense slices and the local products run as stacked GEMMs
-grouped by cuboid shape; ``volume`` is that path minus the numerics.  The
+grouped by cuboid shape; ``volume`` is that engine minus the numerics.  The
 executor stays general rather than assuming a regular grid: of the 54 CARMA
 points the ledger's campaigns and the roadmap's RPA readings touch, 16 (every
-odd-sided one) have partially overlapping projections.  The per-rank loop in
-:func:`cuboid_multiply`, with its element-wise owner maps and per-owner masks,
-serves ``legacy`` / ``zerocopy`` only and is the batched path's oracle: it
-never reads the cell grid, and lists the owners of a rank's window with one
-``np.bincount`` over the window's elements (:func:`_window_owners`).  CARMA
-inherits both through :func:`cuboid_multiply`.
+odd-sided one) have partially overlapping projections.  Its reference is the
+per-rank loop of ``tests/oracle``, with element-wise owner maps and one
+message per (owner, receiver) pair, which never reads the cell grid.  CARMA
+runs on :func:`cuboid_multiply`.
 """
 
 from __future__ import annotations
@@ -148,26 +143,6 @@ def validate_domains(m: int, n: int, k: int, domains: list[CuboidDomain] | np.nd
         )
 
 
-def _ownership_map(shape: tuple[int, int], regions: list[tuple[int, Range, Range]]) -> np.ndarray:
-    """Element-owner map: the first listed rank whose region covers the element."""
-    owners = np.full(shape, -1, dtype=np.int64)
-    for rank, rows, cols in regions:
-        view = owners[rows[0] : rows[1], cols[0] : cols[1]]
-        view[view == -1] = rank
-    return owners
-
-
-def _window_owners(window: np.ndarray) -> np.ndarray:
-    """The distinct owners in a rank's window of an element-owner map, ascending.
-
-    What ``np.unique(window)`` returns, counted with one ``np.bincount`` (on
-    int64, ``np.unique`` takes a hash path several times slower).  Safe: a
-    rank's window is its own region of :func:`_ownership_map`, so every
-    element of it is covered at least by that rank and no ``-1`` is ever read.
-    """
-    return np.flatnonzero(np.bincount(window.ravel()))
-
-
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(index, offset)`` of a ragged expansion: ``index`` names entry ``i`` of
     ``counts`` ``counts[i]`` times, ``offset`` runs from 0 within each entry."""
@@ -181,16 +156,15 @@ def _owner_words(
     """Every rank's block of one matrix, split by who owns its elements.
 
     ``ranks`` (ascending) project onto the element blocks ``rows[r, 0] :
-    rows[r, 1]`` x ``cols[r, 0] : cols[r, 1]``.  Returns int64 ``(owner, rank,
-    words)`` triples, one per (block, foreign owner) pair: per rank, what
-    ``np.unique(element_map[block], return_counts=True)`` holds with the
-    rank's own elements dropped.
+    rows[r, 1]`` x ``cols[r, 0] : cols[r, 1]``; an element belongs to the
+    first listed (lowest) rank whose block covers it.  Returns int64 ``(owner,
+    rank, words)`` triples, one per (block, foreign owner) pair: per rank, how
+    many elements of its block each other rank owns.
 
     The breakpoints of an axis are the sorted endpoints of every block's
     range on it; between two consecutive breakpoints no block starts or ends,
     so all elements of a cell (a breakpoint interval on each axis) have the
-    same owner -- :func:`_ownership_map`'s rule applied to cells -- and a
-    block is a window of whole cells.
+    same owner, and a block is a window of whole cells.
     """
     row_edges, col_edges = sorted_distinct(rows), sorted_distinct(cols)
     window = np.concatenate(
@@ -231,92 +205,6 @@ def _owner_words(
     return owners[foreign], receivers[foreign], words[group][foreign]
 
 
-def _fetch_block(
-    machine: DistributedMachine,
-    receiver: int,
-    rows: Range,
-    cols: Range,
-    owners: np.ndarray,
-    source: np.ndarray,
-    kind: str,
-) -> np.ndarray:
-    """Assemble the dense ``rows x cols`` block of ``source`` on ``receiver``.
-
-    Parts owned by other ranks are transferred (one message per owner, owners
-    ascending, as :func:`_window_owners` lists them) and counted; parts owned
-    by the receiver are free.
-    """
-    local_owners = owners[rows[0] : rows[1], cols[0] : cols[1]]
-    block = machine.zeros((rows[1] - rows[0], cols[1] - cols[0]))
-    local_values = source[rows[0] : rows[1], cols[0] : cols[1]]
-    for owner in _window_owners(local_owners):
-        mask = local_owners == owner
-        values = local_values[mask]
-        if owner == receiver:
-            block[mask] = values
-        else:
-            block[mask] = machine.send(int(owner), receiver, values, kind=kind)
-    return block
-
-
-def _cuboid_batched(
-    machine: DistributedMachine,
-    a_matrix: np.ndarray,
-    b_matrix: np.ndarray,
-    table: np.ndarray,
-) -> np.ndarray:
-    """The cuboid executor's batched path; returns the global product.
-
-    Counters come from the per-owner element counts of the compressed owner
-    maps -- what the per-rank loop's per-owner messages add up to -- posted
-    once per matrix: one message per (block, foreign owner) pair carrying the
-    owner's element count; inputs flow owner -> rank, partial outputs rank ->
-    owner, where each received element costs one accumulation flop.  In
-    ``plane`` mode every fetched block's values equal the dense source slice
-    (each element is delivered exactly once), the local products run as
-    stacked GEMMs, one ``np.matmul`` per cuboid shape (CARMA-style recursive
-    decompositions produce only a handful of distinct shapes), and each
-    partial block lands with one dense accumulate.  In ``volume`` mode
-    (counters-only transport) a token is returned as the product.  Either way
-    the ranks' ``A`` / ``B`` / ``C_partial`` words are posted to the
-    machine's resident-words vector, not stored.
-    """
-    m, n = a_matrix.shape[0], b_matrix.shape[1]
-    ranks, i_range, j_range, k_range = table[:, RANK], table[:, I0:J0], table[:, J0:K0], table[:, K0:]
-    for rows, cols in ((i_range, k_range), (k_range, j_range)):
-        owners, receivers, words = _owner_words(ranks, rows, cols)
-        machine.post_transfers(owners, receivers, words, kind="input")
-
-    lm, ln, lk = (table[:, I1::2] - table[:, I0::2]).T
-    machine.post_resident("A", ranks, lm * lk)
-    machine.post_resident("B", ranks, lk * ln)
-    machine.post_resident("C_partial", ranks, lm * ln)
-    # Flops are charged per rank exactly as ``local_multiply`` would.
-    np.add.at(machine.counters.data[FLOPS], ranks, 2 * lm * ln * lk)
-    c_global = machine.zeros((m, n))  # at the plane dtype; a token in volume mode
-    if not machine.transport.counters_only:
-        spans = [(slice(i0, i1), slice(j0, j1), slice(k0, k1))
-                 for i0, i1, j0, j1, k0, k1 in table[:, I0:].tolist()]
-        groups: dict[tuple[int, int, int], list[int]] = {}
-        for row, shape in enumerate(zip(lm.tolist(), ln.tolist(), lk.tolist())):
-            groups.setdefault(shape, []).append(row)
-        partial_c: list[np.ndarray | None] = [None] * len(spans)
-        for members in groups.values():
-            # Private copies, as a fetch delivers them.
-            a_blocks = np.stack([a_matrix[spans[row][0], spans[row][2]] for row in members])
-            b_blocks = np.stack([b_matrix[spans[row][2], spans[row][1]] for row in members])
-            for row, product in zip(members, np.matmul(a_blocks, b_blocks)):
-                partial_c[row] = product
-        # Every element of a partial block is added to its output position
-        # exactly once, in rank order like the masked per-owner path.
-        for (i_span, j_span, _), product in zip(spans, partial_c):
-            c_global[i_span, j_span] += product
-    owners, senders, words = _owner_words(ranks, i_range, j_range)
-    machine.post_transfers(senders, owners, words, kind="output")
-    np.add.at(machine.counters.data[FLOPS], owners, words)
-    return c_global
-
-
 def cuboid_multiply(
     a_matrix: np.ndarray,
     b_matrix: np.ndarray,
@@ -352,52 +240,54 @@ def cuboid_multiply(
             f"ranks [0, {machine.p})"
         )
 
-    if machine.transport.planar or machine.transport.counters_only:
-        c_global = _cuboid_batched(machine, a_matrix, b_matrix, table)
-        machine.check_memory()
-        return CuboidRunResult(matrix=c_global, table=table, counters=machine.counters)
+    # Counters come from the per-owner element counts of the compressed owner
+    # maps, posted once per matrix: one message per (block, foreign owner)
+    # pair carrying the owner's element count; inputs flow owner -> rank,
+    # partial outputs rank -> owner, where each received element costs one
+    # accumulation flop.
+    ranks, i_range, j_range, k_range = table[:, RANK], table[:, I0:J0], table[:, J0:K0], table[:, K0:]
+    for rows, cols in ((i_range, k_range), (k_range, j_range)):
+        owners, receivers, words = _owner_words(ranks, rows, cols)
+        machine.post_transfers(owners, receivers, words, kind="input")
 
-    ordered = table_domains(table)
-    a_owners = _ownership_map((m, k), [(d.rank, d.i_range, d.k_range) for d in ordered])
-    b_owners = _ownership_map((k, n), [(d.rank, d.k_range, d.j_range) for d in ordered])
-    c_owners = _ownership_map((m, n), [(d.rank, d.i_range, d.j_range) for d in ordered])
-
-    # ------------------------------------------------------------------
-    # input fetch + local multiplication
-    # ------------------------------------------------------------------
-    partial_c: dict[int, np.ndarray] = {}
-    for domain in ordered:
-        a_block = _fetch_block(
-            machine, domain.rank, domain.i_range, domain.k_range, a_owners, a_matrix,
-            kind="input",
-        )
-        b_block = _fetch_block(
-            machine, domain.rank, domain.k_range, domain.j_range, b_owners, b_matrix,
-            kind="input",
-        )
-        machine.rank(domain.rank).put("A", a_block)
-        machine.rank(domain.rank).put("B", b_block)
-        product = machine.local_multiply(domain.rank, a_block, b_block)
-        partial_c[domain.rank] = product
-        machine.rank(domain.rank).put("C_partial", product)
-
-    # ------------------------------------------------------------------
-    # reduce partial C blocks onto the element owners and assemble the result
-    # ------------------------------------------------------------------
-    c_global = machine.zeros((m, n))
-    for domain in ordered:
-        i0, i1 = domain.i_range
-        j0, j1 = domain.j_range
-        block = partial_c[domain.rank]
-        local_owners = c_owners[i0:i1, j0:j1]
-        target = c_global[i0:i1, j0:j1]  # a view: the masked adds land in c_global
-        for owner in _window_owners(local_owners):
-            mask = local_owners == owner
-            values = block[mask]
-            if owner != domain.rank:
-                values = machine.send(domain.rank, int(owner), values, kind="output")
-                machine.counters.log_tick(FLOPS, machine.check_rank(int(owner)), int(values.size))
-            target[mask] += values
-
+    lm, ln, lk = (table[:, I1::2] - table[:, I0::2]).T
+    machine.post_resident("A", ranks, lm * lk)
+    machine.post_resident("B", ranks, lk * ln)
+    machine.post_resident("C_partial", ranks, lm * ln)
+    # Every rank multiplies its fetched blocks once.
+    np.add.at(machine.counters.data[FLOPS], ranks, 2 * lm * ln * lk)
+    c_global = machine.zeros((m, n))  # at the plane dtype; a token in volume mode
+    if not machine.transport.counters_only:
+        _accumulate_products(c_global, a_matrix, b_matrix, table)
+    owners, senders, words = _owner_words(ranks, i_range, j_range)
+    machine.post_transfers(senders, owners, words, kind="output")
+    np.add.at(machine.counters.data[FLOPS], owners, words)
     machine.check_memory()
     return CuboidRunResult(matrix=c_global, table=table, counters=machine.counters)
+
+
+def _accumulate_products(
+    c_global: np.ndarray, a_matrix: np.ndarray, b_matrix: np.ndarray, table: np.ndarray
+) -> None:
+    """Add every rank's local product into ``c_global``.
+
+    Every fetched block's values equal the dense source slice (each element
+    is delivered exactly once), so the local products run as stacked GEMMs,
+    one ``np.matmul`` per cuboid shape (CARMA-style recursive decompositions
+    produce only a handful of distinct shapes), and each partial block lands
+    with one dense accumulate, in rank order.
+    """
+    lm, ln, lk = (table[:, I1::2] - table[:, I0::2]).T
+    spans = [(slice(i0, i1), slice(j0, j1), slice(k0, k1))
+             for i0, i1, j0, j1, k0, k1 in table[:, I0:].tolist()]
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for row, shape in enumerate(zip(lm.tolist(), ln.tolist(), lk.tolist())):
+        groups.setdefault(shape, []).append(row)
+    partial_c: list[np.ndarray | None] = [None] * len(spans)
+    for members in groups.values():
+        a_blocks = np.stack([a_matrix[spans[row][0], spans[row][2]] for row in members])
+        b_blocks = np.stack([b_matrix[spans[row][2], spans[row][1]] for row in members])
+        for row, product in zip(members, np.matmul(a_blocks, b_blocks)):
+            partial_c[row] = product
+    for (i_span, j_span, _), product in zip(spans, partial_c):
+        c_global[i_span, j_span] += product

@@ -15,13 +15,12 @@ processor counts -- one of the effects the paper's evaluation highlights.
 Like SUMMA, 2.5D is a grid choice rather than a schedule of its own: it is
 COSMA's fiber exchange on ``[q x q x c]`` with the whole layer as the one
 communication step and direct sends in place of the broadcast tree
-(:func:`grid25d_decomposition`), and every mode says so literally.
-``plane`` and ``volume`` runs (:func:`_grid25d_plane`) post their residency,
-gather round and C reduction through the accounting core of
-:mod:`repro.core.cosma` and add only per-layer stacked GEMMs; ``legacy`` /
-``zerocopy`` runs make the same calls on the core's per-hop twins.  Either
-way, what is 2.5D's own is the grid, the whole-layer step, direct sends, no
-round boundary and no memory check after the reduction.  The textbook layout
+(:func:`grid25d_decomposition`), and the engine says so literally
+(:func:`_grid25d_run`): it posts its residency, gather round and C reduction
+through the accounting core of :mod:`repro.core.cosma` and adds only
+per-layer stacked GEMMs.  What is 2.5D's own is the grid, the whole-layer
+step, direct sends, no round boundary and no memory check after the
+reduction.  The textbook layout
 (layer ``l`` owns the ``l``-th k-slice, split over the ``q`` ranks of a row
 for A and of a column for B) is pinned on the decomposition's arrays by the
 tests.
@@ -35,15 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.summa import BlockStacks
-from repro.core.cosma import (
-    hop_c_reduction,
-    hop_fiber_exchange,
-    owner_product,
-    post_c_reduction,
-    post_fiber_exchange,
-    post_owned_words,
-    put_owned_blocks,
-)
+from repro.core.cosma import post_c_reduction, post_fiber_exchange, post_owned_words
 from repro.core.decomposition import CosmaDecomposition, build_decomposition
 from repro.core.grid import ProcessorGrid
 from repro.machine.counters import CommCounters
@@ -142,24 +133,17 @@ def grid25d_multiply(
     qm, qn, c = decomposition.grid
     if machine is None:
         machine = DistributedMachine(p, memory_words=memory_words)
-
-    if machine.transport.planar or machine.transport.counters_only:
-        c_global = _grid25d_plane(machine, a_matrix, b_matrix, decomposition)
-    else:
-        put_owned_blocks(machine, decomposition, a_matrix, b_matrix, "A", "B", "C")
-        hop_fiber_exchange(machine, decomposition, "gather", "A", "B", "C")
-        hop_c_reduction(machine, decomposition, "C")
-        c_global = owner_product(machine, decomposition, "C_final")
+    c_global = _grid25d_run(machine, a_matrix, b_matrix, decomposition)
     return Grid25DRunResult(matrix=c_global, grid=(qm, qn, c), counters=machine.counters)
 
 
-def _grid25d_plane(
+def _grid25d_run(
     machine: DistributedMachine,
     a_matrix: np.ndarray,
     b_matrix: np.ndarray,
     decomposition: CosmaDecomposition,
 ) -> np.ndarray:
-    """2.5D on the stacked-array engine; returns the global product.
+    """2.5D's engine; returns the global product.
 
     2.5D's own part of a run (see the module docstring) is that its one
     gather round (all layers at once, a single round class) marks no round
@@ -169,7 +153,7 @@ def _grid25d_plane(
     returned as the product.
     """
     post_owned_words(machine, decomposition, "A", "B", "C")
-    # Stores are layer-invariant; one check records the reference path's peak.
+    # Resident blocks are layer-invariant; one check records the schedule's peak.
     machine.check_memory()
     post_fiber_exchange(machine, decomposition, "gather")
     post_c_reduction(machine, decomposition)

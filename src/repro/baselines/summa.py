@@ -13,15 +13,13 @@ whenever extra memory is available (the paper's motivating observation).
 
 That makes SUMMA a grid choice, not a schedule of its own: it is COSMA's
 fiber exchange on the grid ``pm x pn x 1`` with the panel width as the
-communication step (:func:`summa_decomposition`), and every mode says so
-literally.  ``plane`` and ``volume`` runs (:func:`_summa_plane`) post their
-residency and panel rounds through the accounting core of
-:mod:`repro.core.cosma` and add only the round boundary and per-panel stacked
-GEMMs; ``legacy`` / ``zerocopy`` runs make the same calls on the core's
-per-hop twins.  Either way, what is SUMMA's own is the grid, the step, binomial
-broadcasts, an unlabelled ``commit_round`` per panel, and a product read off
-the accumulators with no C reduction.  Cannon makes the same calls
-(:func:`run_panels`) with a ring in place of the trees.  The textbook layout
+communication step (:func:`summa_decomposition`), and the engine says so
+literally (:func:`run_panels`): it posts its residency and panel rounds
+through the accounting core of :mod:`repro.core.cosma` and adds only the
+round boundary and per-panel stacked GEMMs.  What is SUMMA's own is the grid,
+the step, binomial broadcasts, an unlabelled ``commit_round`` per panel, and a
+product read off the accumulators with no C reduction.  Cannon makes the same
+call with a ring in place of the trees.  The textbook layout
 (A's k columns split over the ``pn`` ranks of a process row, B's k rows over
 the ``pm`` ranks of a process column) is pinned on the decomposition's arrays
 by the tests.
@@ -34,13 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cosma import (
-    hop_fiber_exchange,
-    owner_product,
-    post_fiber_exchange,
-    post_owned_words,
-    put_owned_blocks,
-)
+from repro.core.cosma import post_fiber_exchange, post_owned_words
 from repro.core.decomposition import CosmaDecomposition, build_decomposition
 from repro.core.grid import ProcessorGrid
 from repro.machine.counters import CommCounters
@@ -143,27 +135,6 @@ def summa_multiply(
     )
 
 
-def run_panels(
-    machine: DistributedMachine,
-    a_matrix: np.ndarray,
-    b_matrix: np.ndarray,
-    decomposition: CosmaDecomposition,
-    exchange: str,
-) -> np.ndarray:
-    """Run a one-layer decomposition's panel rounds with the given ``exchange``
-    kind (SUMMA's ``"tree"``, Cannon's ``"ring"``); returns the global product.
-
-    ``plane`` and ``volume`` runs take :func:`_summa_plane`; ``legacy`` /
-    ``zerocopy`` runs make the same calls on the core's per-hop twins.
-    """
-    if machine.transport.planar or machine.transport.counters_only:
-        return _summa_plane(machine, a_matrix, b_matrix, decomposition, exchange)
-    put_owned_blocks(machine, decomposition, a_matrix, b_matrix, "A", "B", "C")
-    hop_fiber_exchange(
-        machine, decomposition, exchange, "A", "B", "C", lambda _: machine.commit_round())
-    return owner_product(machine, decomposition, "C")
-
-
 class BlockStacks:
     """Plane-mode storage and numerics of a 2D / 2.5D grid run.
 
@@ -248,14 +219,15 @@ class BlockStacks:
         return c_global
 
 
-def _summa_plane(
+def run_panels(
     machine: DistributedMachine,
     a_matrix: np.ndarray,
     b_matrix: np.ndarray,
     decomposition: CosmaDecomposition,
     exchange: str,
 ) -> np.ndarray:
-    """SUMMA on the stacked-array engine; returns the global product.
+    """Run a one-layer decomposition's panel rounds with the given ``exchange``
+    kind (SUMMA's ``"tree"``, Cannon's ``"ring"``); returns the global product.
 
     SUMMA's own part of a run (see the module docstring) is the round
     boundary -- an unlabelled ``commit_round`` per panel -- and, after the
@@ -267,7 +239,7 @@ def _summa_plane(
     if numeric:
         stacks = BlockStacks(machine, "summa", decomposition, a_matrix, b_matrix)
     post_owned_words(machine, decomposition, "A", "B", "C")
-    # The reference path checks memory once per panel; the stores never
+    # The schedule checks memory once per panel; the resident blocks never
     # change between panels, so one check records the identical peak.
     machine.check_memory()
     post_fiber_exchange(machine, decomposition, exchange, lambda _: machine.commit_round())

@@ -6,7 +6,7 @@ Exposes the library's main entry points without writing any Python::
     python -m repro multiply --m 256 --n 256 --k 256 --processors 16 --memory 16384 --algorithm CARMA
     python -m repro plan     --m 4096 --n 4096 --k 4096 --processors 1024 --memory 65536 --algorithm CTF
     python -m repro plan     --m 4096 --n 4096 --k 4096 --processors 65 --memory 1000000
-    python -m repro sweep    --families square --regimes limited --processors 4 16 36 --mode legacy
+    python -m repro sweep    --families square --regimes limited --processors 4 16 36 --mode plane
     python -m repro sweep    --families square largeK --regimes limited extra --processors 4 16 36 64 --jobs 4
     python -m repro bounds   --m 4096 --n 4096 --k 4096 --processors 512 --memory 65536
     python -m repro sequential --size 32 --memory 64 128 256
@@ -74,7 +74,7 @@ def _add_multiply_args(p_mult: argparse.ArgumentParser) -> None:
     p_mult.add_argument("--seed", type=int, default=0)
     p_mult.add_argument("--algorithm", choices=algorithm_choices(), default="COSMA")
     p_mult.add_argument(
-        "--mode", choices=list(MODES), default="legacy",
+        "--mode", choices=list(MODES), default="plane",
         help=(
             "payload transport; 'plane' runs verified numerics on stacked "
             "arrays, 'volume' counts communication only (no numerics)"
@@ -348,7 +348,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.spec is not None:
         if passed:
             # A spec file defines the whole campaign; silently ignoring
-            # explicit flags (e.g. --mode legacy) would mislead the user.
+            # explicit flags (e.g. --mode plane) would mislead the user.
             flags = " ".join(f"--{name}" for name in passed)
             print(f"error: --spec replaces the campaign flags; drop {flags}", file=sys.stderr)
             return 2

@@ -17,9 +17,8 @@ Every transferred word is counted by the machine's communication layer; the
 returned :class:`CosmaRunResult` exposes the counters, the assembled global
 product and the round count.
 
-``plane`` and ``volume`` runs take the batched round engine
-(:func:`_cosma_batched`; ``volume`` is that engine minus the numerics), with
-``use_rma`` or without.  Its accounting is three functions of a
+One engine serves both modes, with ``use_rma`` or without (``volume`` is the
+``plane`` engine minus the numerics).  Its accounting is three functions of a
 :class:`CosmaDecomposition` -- :func:`post_owned_words`,
 :func:`post_fiber_exchange` and :func:`post_c_reduction` -- and they are the
 one accounting implementation of the grid family: SUMMA runs them on
@@ -45,14 +44,12 @@ posted when:
 
 The product is one GEMM into a single C sheet.
 
-``legacy`` / ``zerocopy`` runs execute the same schedule hop by hop, through
-the accounting core's per-hop twins -- :func:`put_owned_blocks`,
-:func:`hop_fiber_exchange` (the same ``exchange`` kinds and ``boundary``
-argument; one A panel per j fiber and one B panel per i fiber per round) and
-:func:`hop_c_reduction` -- which read the same boundary arrays and move every
-word through the machine's primitives.  They are the grid family's one
-per-hop implementation: SUMMA, Cannon and 2.5D call them in the order their
-batched engines call the core, and the parity suites hold each engine to them.
+The same schedule executed hop by hop -- every panel piece broadcast through a
+binomial tree, every partial C block reduced, every word moved from a rank's
+block store to another's -- is the test-side reference, ``tests/oracle``: it
+reads the same boundary arrays and none of the functions here, and the parity
+suites hold this engine (and SUMMA's, Cannon's and 2.5D's) to it counter cell
+by counter cell.
 """
 
 from __future__ import annotations
@@ -65,7 +62,6 @@ import numpy as np
 
 from repro.core.decomposition import CosmaDecomposition, build_decomposition
 from repro.core.grid import ProcessorGrid
-from repro.machine.collectives import broadcast, reduce, tree_fanout
 from repro.machine.counters import (
     FLOPS,
     INPUT_WORDS,
@@ -77,15 +73,9 @@ from repro.machine.counters import (
     WORDS_SENT,
     CommCounters,
 )
-from repro.machine.rma import rma_get
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import (
-    PayloadPlane,
-    ShapeToken,
-    as_operands,
-    ascontiguous,
-    concat_payloads,
-)
+from repro.machine.transport import PayloadPlane, ShapeToken, as_operands
+from repro.machine.tree import tree_fanout
 from repro.utils.intmath import split_offsets
 
 
@@ -153,29 +143,9 @@ def cosma_multiply(
     )
     if machine is None:
         machine = DistributedMachine(p, memory_words=memory_words)
-    if machine.transport.counters_only or machine.transport.planar:
-        # Batched round engine: identical schedule, vectorized accounting;
-        # numerics (plane mode) run as one GEMM over the operand planes.
-        return _cosma_batched(a_matrix, b_matrix, machine, decomposition, use_rma)
-    put_owned_blocks(machine, decomposition, a_matrix, b_matrix, "A_own", "B_own", "C_acc")
-    hop_fiber_exchange(
-        machine, decomposition, "get" if use_rma else "tree", "A_own", "B_own", "C_acc",
-        lambda r: machine.log_round(f"cosma-step-{r}"),
-    )
-    hop_c_reduction(machine, decomposition, "C_acc")
-    machine.check_memory()
-    return CosmaRunResult(
-        matrix=owner_product(machine, decomposition, "C_final"),
-        decomposition=decomposition,
-        counters=machine.counters,
-        num_rounds=decomposition.num_steps,
-        peak_resident_words=machine.peak_resident_words,
-    )
+    return _cosma_run(a_matrix, b_matrix, machine, decomposition, use_rma)
 
 
-# ---------------------------------------------------------------------------
-# Batched round engine (volume + plane modes)
-# ---------------------------------------------------------------------------
 def _sharded_gemm(
     machine: DistributedMachine,
     a_matrix: np.ndarray,
@@ -249,10 +219,8 @@ def post_owned_words(
 ) -> None:
     """Post every used rank's owned A / B slices and its C block as resident.
 
-    Posted, not stored: the sizes :func:`put_owned_blocks` would store go to
-    the machine's resident-words vector, one array expression per block name
-    (the per-hop names, so both paths share one ledger on a machine), and the
-    rank stores stay empty.
+    Posted, not stored: the block sizes go to the machine's resident-words
+    vector, one array expression per block name.
     """
     grid = decomposition.grid
     lm = np.diff(decomposition.i_bounds)
@@ -471,7 +439,7 @@ def received_words(decomposition: CosmaDecomposition) -> np.ndarray:
     return (lm * (lk - a_own) + ln * (lk - b_own) + lm * ln * fan_in).ravel()
 
 
-def _cosma_batched(
+def _cosma_run(
     a_matrix: np.ndarray,
     b_matrix: np.ndarray,
     machine: DistributedMachine,
@@ -480,13 +448,11 @@ def _cosma_batched(
 ) -> CosmaRunResult:
     """Run COSMA's schedule with vectorized accounting and one-GEMM numerics.
 
-    Counts the exact communication schedule of the per-hop reference path --
-    the same rounds, the same binomial broadcast/reduction trees (or, with
-    ``use_rma``, the same one-sided gets), the same payload sizes -- so the
-    counters are byte-identical to the ``legacy``/``zerocopy`` execution at a
-    fraction of the Python cost.  The accounting is the three functions
-    above; what is COSMA's own is the round boundary (a labelled round) and
-    the numerics.
+    Counts the exact communication schedule -- the rounds, the binomial
+    broadcast/reduction trees (or, with ``use_rma``, one-sided gets), the
+    payload sizes -- that the per-hop reference executes hop by hop.  The
+    accounting is the three functions above; what is COSMA's own is the round
+    boundary (a labelled round) and the numerics.
 
     In ``volume`` mode the accounting is the whole story (payloads are
     tokens).  In ``plane`` mode the operands live in :class:`PayloadPlane`
@@ -495,7 +461,7 @@ def _cosma_batched(
     * A and B are single-sheet planes over the global matrices; every rank's
       owned piece and every broadcast delivery is a rectangular view;
     * C is a single sheet too: the round-chunked multiply-accumulates and the
-      k-fiber reduction of the reference path collapse into one GEMM over the
+      k-fiber reduction of the schedule collapse into one GEMM over the
       whole k extent (same sums, associated by BLAS instead of per chunk and
       per layer), on the shard pool when ``machine.shards > 1``.  A sharded
       run registers no A or B plane (the operands go straight into the
@@ -517,10 +483,10 @@ def _cosma_batched(
     elif not numeric:
         c_global = ShapeToken((m, n))
     post_owned_words(machine, decomposition, "A_own", "B_own", "C_acc")
-    # The per-hop path checks memory at the end of every round, but the rank
-    # stores (A_own / B_own / C_acc) do not change between rounds -- the
-    # per-round check always sees the same footprint.  One check up front
-    # records the identical peak and enforces the identical budget.
+    # The schedule checks memory at the end of every round, but the resident
+    # blocks (A_own / B_own / C_acc) do not change between rounds -- every
+    # per-round check sees the same footprint.  One check up front records
+    # the identical peak and enforces the identical budget.
     machine.check_memory()
     # Traced runs split the batched accounting from the GEMM below, so a
     # plane-mode profile shows where the wall time actually goes.
@@ -572,173 +538,6 @@ def _cosma_batched(
         num_rounds=decomposition.num_steps,
         peak_resident_words=machine.peak_resident_words,
     )
-
-
-# ---------------------------------------------------------------------------
-# Per-hop twins of the accounting core (legacy + zerocopy modes)
-# ---------------------------------------------------------------------------
-def _rank_grid(decomposition: CosmaDecomposition) -> list:
-    """The used ranks as nested ``[pi][pj][kk]`` lists (row-major ranks)."""
-    pm, pn, pk = decomposition.grid
-    return np.arange(pm * pn * pk).reshape(pm, pn, pk).tolist()
-
-
-def put_owned_blocks(
-    machine: DistributedMachine,
-    decomposition: CosmaDecomposition,
-    a_matrix: np.ndarray,
-    b_matrix: np.ndarray,
-    a_name: str,
-    b_name: str,
-    c_name: str,
-) -> None:
-    """Per-hop twin of :func:`post_owned_words`: store every used rank's owned
-    A / B slices and a zeroed C block under the given names.
-
-    This is the initial data layout (``decomposition.input_layouts()``); no
-    communication is counted (the paper likewise assumes inputs start in
-    COSMA's blocked layout -- converting from block-cyclic is a separate,
-    counted step, see :mod:`repro.layouts`).
-    """
-    i_bounds, j_bounds, a_bounds, b_bounds = (bounds.tolist() for bounds in (
-        decomposition.i_bounds, decomposition.j_bounds, decomposition.a_bounds,
-        decomposition.b_bounds))
-    for pi, plane in enumerate(_rank_grid(decomposition)):
-        i0, i1 = i_bounds[pi : pi + 2]
-        for pj, fiber in enumerate(plane):
-            j0, j1 = j_bounds[pj : pj + 2]
-            for kk, rank in enumerate(fiber):
-                ak0, ak1 = a_bounds[kk][pj : pj + 2]
-                bk0, bk1 = b_bounds[kk][pi : pi + 2]
-                store = machine.rank(rank)
-                store.put(a_name, ascontiguous(a_matrix[i0:i1, ak0:ak1]))
-                store.put(b_name, ascontiguous(b_matrix[bk0:bk1, j0:j1]))
-                store.put(c_name, machine.zeros((i1 - i0, j1 - j0)))
-
-
-def _fiber_panel(
-    machine: DistributedMachine,
-    exchange: str,
-    fiber: list[int],
-    name: str,
-    slices: list[int],
-    c0: int,
-    c1: int,
-    axis: int,
-):
-    """One fiber's panel of the k-chunk ``[c0, c1)``, cut along ``axis`` from
-    the fiber's ``name`` blocks (owner ``pos`` holds ``slices[pos:pos + 2]``).
-
-    Every owner whose slice meets the chunk moves its piece to the rest of the
-    fiber -- ``"tree"``, one binomial :func:`broadcast`; ``"get"``, one
-    :func:`rma_get` per member; ``"gather"``, one ``machine.send`` per member;
-    ``"ring"``, one ``machine.send`` per hop from the owner onwards, each
-    forwarding what the previous hop delivered -- and the pieces, in owner
-    order, are the panel every member multiplies.
-    """
-    parts = []
-    for pos, (owner, s0, s1) in enumerate(zip(fiber, slices, slices[1:])):
-        lo, hi = max(s0, c0), min(s1, c1)
-        if lo >= hi:
-            continue  # the owner's slice misses the chunk: it sends nothing
-        cut = slice(lo - s0, hi - s0)
-        block = machine.rank(owner).get(name)
-        piece = block[:, cut] if axis else block[cut]
-        if exchange == "tree":
-            broadcast(machine, owner, fiber, piece, kind="input")
-        elif exchange == "ring":
-            order = fiber[pos:] + fiber[:pos]
-            held = piece
-            for src, dst in zip(order, order[1:]):
-                held = machine.send(src, dst, held, kind="input", count_round=False)
-                machine.counters.log_tick(ROUNDS, dst, 1)  # a sendrecv: send checked dst
-        else:
-            for member in fiber:
-                if member == owner:
-                    continue
-                if exchange == "get":
-                    rma_get(machine, member, owner, piece)
-                else:
-                    machine.send(owner, member, piece, kind="input")
-        parts.append(piece)
-    return concat_payloads(parts, axis=axis)
-
-
-def hop_fiber_exchange(
-    machine: DistributedMachine,
-    decomposition: CosmaDecomposition,
-    exchange: str,
-    a_name: str,
-    b_name: str,
-    c_name: str,
-    boundary: Callable[[int], None] | None = None,
-) -> None:
-    """Per-hop twin of :func:`post_fiber_exchange`: run the panel exchange hop
-    by hop on the ranks' stored blocks.
-
-    In round ``r`` every k-layer that still has k assembles one A panel per
-    j fiber and one B panel per i fiber (:func:`_fiber_panel`), and every rank
-    of the layer multiplies its two panels into its ``c_name`` block.  Memory
-    is checked once per round, then ``boundary(r)`` is called.
-    """
-    pm, pn, pk = decomposition.grid
-    ranks = _rank_grid(decomposition)
-    k_bounds, a_bounds, b_bounds = (bounds.tolist() for bounds in (
-        decomposition.k_bounds, decomposition.a_bounds, decomposition.b_bounds))
-    step = decomposition.step_size
-    for r, offset in enumerate(range(0, k_bounds[1] - k_bounds[0], step)):
-        for kk in range(pk):
-            c0 = min(k_bounds[kk] + offset, k_bounds[kk + 1])
-            c1 = min(c0 + step, k_bounds[kk + 1])
-            if c0 == c1:
-                continue  # this layer ran out of k in an earlier round
-            a_panels = [
-                _fiber_panel(machine, exchange, [ranks[pi][pj][kk] for pj in range(pn)],
-                             a_name, a_bounds[kk], c0, c1, axis=1)
-                for pi in range(pm)
-            ]
-            b_panels = [
-                _fiber_panel(machine, exchange, [ranks[pi][pj][kk] for pi in range(pm)],
-                             b_name, b_bounds[kk], c0, c1, axis=0)
-                for pj in range(pn)
-            ]
-            for pi, a_panel in enumerate(a_panels):
-                for pj, b_panel in enumerate(b_panels):
-                    rank = ranks[pi][pj][kk]
-                    machine.local_multiply(
-                        rank, a_panel, b_panel, accumulate_into=machine.rank(rank).get(c_name))
-        machine.check_memory()
-        if boundary is not None:
-            boundary(r)
-
-
-def hop_c_reduction(
-    machine: DistributedMachine, decomposition: CosmaDecomposition, c_name: str
-) -> None:
-    """Per-hop twin of :func:`post_c_reduction`: :func:`reduce` every k fiber's
-    ``c_name`` blocks onto its ``kk = 0`` rank, which stores the sum as
-    ``C_final``."""
-    for plane in _rank_grid(decomposition):
-        for fiber in plane:
-            blocks = {rank: machine.rank(rank).get(c_name) for rank in fiber}
-            owner = fiber[0]
-            total = (reduce(machine, owner, fiber, blocks, kind="output")
-                     if len(fiber) > 1 else blocks[owner])
-            machine.rank(owner).put("C_final", total)
-
-
-def owner_product(
-    machine: DistributedMachine, decomposition: CosmaDecomposition, name: str
-) -> np.ndarray:
-    """The global product of a per-hop run: every ``kk = 0`` rank's ``name``
-    block at its offset."""
-    i_bounds, j_bounds = decomposition.i_bounds.tolist(), decomposition.j_bounds.tolist()
-    c_global = machine.zeros((decomposition.m, decomposition.n))
-    for pi, plane in enumerate(_rank_grid(decomposition)):
-        for pj, fiber in enumerate(plane):
-            c_global[i_bounds[pi] : i_bounds[pi + 1], j_bounds[pj] : j_bounds[pj + 1]] = (
-                machine.rank(fiber[0]).get(name))
-    return c_global
 
 
 __all__ = ["cosma_multiply", "CosmaRunResult"]

@@ -17,8 +17,8 @@ B along the ``i`` fiber.  The output block ``lm x ln`` of C is owned by the
 result.
 
 All of that is five boundary arrays (:class:`CosmaDecomposition`); every
-engine, batched or per-hop, reads a rank's ranges off them by its grid
-coordinates.  There is no per-rank object.  The initial ownership of A and B,
+engine (and the per-hop test reference) reads a rank's ranges off them by its
+grid coordinates.  There is no per-rank object.  The initial ownership of A and B,
 as :class:`~repro.layouts.Layout` tables, is
 :meth:`CosmaDecomposition.input_layouts`.
 """

@@ -7,10 +7,10 @@ verifies the numerical result against ``A @ B`` and records the communication
 counters.  Every run additionally asserts word conservation (every word sent
 was received by exactly one rank).
 
-Runs accept a ``mode`` (``legacy`` / ``zerocopy`` / ``plane`` / ``volume``, see
+Runs accept a ``mode`` (``plane`` / ``volume``, see
 :mod:`repro.machine.transport`).  In volume mode the inputs are shape tokens
 -- no matrices are generated or multiplied -- so numerical verification is
-skipped; all communication counters are identical to the other modes, which
+skipped; all communication counters are identical to ``plane`` mode, which
 is what allows sweeps at the paper's true scale.
 """
 
@@ -96,8 +96,8 @@ class AlgorithmRun:
     output_words_per_rank: float
     #: Number of messages on the busiest rank.
     max_messages_per_rank: int
-    #: Execution mode the run used (``legacy`` / ``zerocopy`` / ``plane`` / ``volume``).
-    mode: str = "legacy"
+    #: Execution mode the run used (``plane`` / ``volume``).
+    mode: str = "plane"
     #: Whether the numerical result was actually checked against ``A @ B``.
     verified: bool = True
 
@@ -163,24 +163,33 @@ def _execute(
     options: Mapping | None = None,
     shards: int,
     plane_dtype: str,
-) -> tuple[np.ndarray | ShapeToken, CommCounters, bool, bool]:
+) -> tuple[np.ndarray | ShapeToken, CommCounters, str, bool, bool]:
     """Run ``spec`` on a fresh machine: the one path behind :func:`run_algorithm`
     and :func:`repro.api.multiply`.
 
-    Validates ``mode`` against the registry's capability flags, builds the
-    machine from the three execution-policy arguments, hands COSMA the grid
+    Validates ``mode``, builds the machine from the three execution-policy
+    arguments, hands COSMA the grid
     ``run_plan`` already fitted (so the fitting search runs once per
     scenario, not once per plan *and* run), executes under a
     ``<span>:<algorithm>`` run span, asserts word conservation and -- for
     numeric modes, when ``verify`` -- checks the product against
     ``reference()`` (default ``A @ B``) at the dtype's tolerances.  In
-    ``"volume"`` mode the inputs are replaced by shape tokens.  Returns
-    ``(product, counters, verified, correct)``.
+    ``"volume"`` mode the inputs are replaced by shape tokens; in ``"plane"``
+    mode a token input is an error.  Returns ``(product, counters, mode,
+    verified, correct)``, ``mode`` being the one the run used.
     """
+    if mode in ("legacy", "zerocopy"):
+        # The retired per-hop transports.  The frozen ledger still passes
+        # these names (perhop_default's op and its layer pass), so they run as
+        # "plane" here, and only here, until the ledger re-baseline drops them.
+        mode = "plane"
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; known: {MODES}")
-    if not spec.supports_mode(mode):
-        raise ValueError(f"{spec.name} does not support mode {mode!r}; supported: {spec.modes}")
+    if mode == "plane" and (isinstance(a_matrix, ShapeToken) or isinstance(b_matrix, ShapeToken)):
+        raise ValueError(
+            'shape tokens carry no values to multiply in mode="plane"; '
+            'run them with mode="volume"'
+        )
     shape = scenario.shape
     if mode == "volume":
         a_matrix, b_matrix = ShapeToken((shape.m, shape.k)), ShapeToken((shape.k, shape.n))
@@ -226,7 +235,7 @@ def _execute(
             for rows in ([slice(None)] if whole else
                          [slice(i, i + step) for i in range(0, shape.m, step)])
         )
-    return product, machine.counters, verified, correct
+    return product, machine.counters, mode, verified, correct
 
 
 def run_algorithm(
@@ -234,7 +243,7 @@ def run_algorithm(
     scenario: Scenario,
     seed: int = 0,
     verify: bool = True,
-    mode: str = "legacy",
+    mode: str = "plane",
     # Ignored: the frozen ledger layer machine.compress_replay_s still passes it; the [benchmark] re-baseline drops it.
     compress_rounds: bool = False,
     shards: int = 1,
@@ -265,7 +274,7 @@ def run_algorithm(
         except Exception:  # noqa: BLE001 - the run itself reports the error
             pass
     inputs = (None, None) if mode == "volume" else shape.random_matrices(seed=seed)
-    _, counters, verified, correct = _execute(
+    _, counters, mode, verified, correct = _execute(
         spec, scenario, *inputs, mode=mode, span="run", verify=verify,
         reference=lambda: _reference_product(shape, seed), run_plan=run_plan,
         shards=shards, plane_dtype=plane_dtype,
@@ -294,7 +303,7 @@ def run_algorithm_safe(
     scenario: Scenario,
     seed: int = 0,
     verify: bool = True,
-    mode: str = "legacy",
+    mode: str = "plane",
     shards: int = 1,
     plane_dtype: str = "float64",
 ) -> AlgorithmRun | RunFailure:
@@ -328,7 +337,7 @@ def run_scenario(
     algorithms: Iterable[str] = DEFAULT_ALGORITHMS,
     seed: int = 0,
     verify: bool = True,
-    mode: str = "legacy",
+    mode: str = "plane",
 ) -> dict[str, AlgorithmRun]:
     """Run several algorithms on the same scenario (same input matrices)."""
     return {

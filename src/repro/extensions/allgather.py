@@ -11,17 +11,25 @@ The module doubles as the reference example for extending the algorithm
 registry (README: "adding a new algorithm"): a runner with the uniform
 ``(a, b, scenario, machine)`` signature, decorated with
 :func:`~repro.algorithms.register_algorithm`, optionally carrying a planner
-and a Table 3-style cost model.  Importing this module is all it takes for
-``AllGather1D`` to work in ``api.multiply`` / ``api.plan``, the harness, the
-sweep engine and every campaign table.
+and a Table 3-style cost model.  The runner has the shape of every engine in
+the library: it posts its schedule's transfers (one
+:meth:`~repro.machine.simulator.DistributedMachine.post_transfers` for the
+whole ring), its ranks' resident blocks
+(:meth:`~repro.machine.simulator.DistributedMachine.post_resident`) and its
+flops, and computes the product with one GEMM -- none in ``volume`` mode.
+Importing this module is all it takes for ``AllGather1D`` to work in
+``api.multiply`` / ``api.plan``, the harness, the sweep engine and every
+campaign table.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.algorithms import Plan, register_algorithm
 from repro.baselines.costs import io_cost_naive_1d
-from repro.machine.collectives import allgather
-from repro.machine.transport import as_operands, concat_payloads
+from repro.machine.counters import FLOPS, ROUNDS
+from repro.machine.transport import ShapeToken, as_operands
 from repro.pebbling.mmm_bounds import parallel_io_lower_bound
 from repro.utils.intmath import ceil_div, split_offsets
 from repro.workloads.scaling import Scenario
@@ -58,25 +66,35 @@ def _plan_allgather(scenario: Scenario) -> Plan:
     description="row-striped 1D decomposition; all-gathers B (Figure 2's naive baseline)",
 )
 def allgather_multiply(a_matrix, b_matrix, scenario, machine):
-    """Run the naive 1D algorithm; returns the assembled global product."""
-    a_matrix, b_matrix, (m, n, k) = as_operands(a_matrix, b_matrix)
-    q = _usable_ranks(m, k, scenario.p)
-    ranks = list(range(q))
-    i_ranges = split_offsets(m, q)
-    b_ranges = split_offsets(k, q)
-    for r in ranks:
-        machine.rank(r).put("A_own", a_matrix[i_ranges[r][0]:i_ranges[r][1], :])
-        machine.rank(r).put("B_own", b_matrix[b_ranges[r][0]:b_ranges[r][1], :])
+    """Run the naive 1D algorithm; returns the assembled global product.
 
-    gathered = allgather(
-        machine, ranks, {r: machine.rank(r).get("B_own") for r in ranks}, kind="input"
-    )
-    c_global = machine.zeros((m, n))
-    for r in ranks:
-        b_full = concat_payloads(gathered[r], axis=0)
-        c_block = machine.local_multiply(r, machine.rank(r).get("A_own"), b_full)
-        machine.rank(r).put("C_own", c_block)
-        i0, i1 = i_ranges[r]
-        c_global[i0:i1, :] = c_block
+    Rank ``r < q`` owns row stripe ``r`` of A (and of C) and row stripe ``r``
+    of B.  The ring all-gather of B runs ``q - 1`` steps: in step ``s`` the
+    rank at position ``pos`` passes block ``(pos - s) % q`` -- its own block
+    first, then the one it received the step before -- to its right
+    neighbour, and every rank pays one round per step (a sendrecv, so a
+    transfer is not also charged as a round of its own).  Each rank ends up
+    holding all of B, like MPI_Allgather: ``(q - 1)`` blocks received.
+    """
+    a_matrix, b_matrix, (m, n, k) = as_operands(a_matrix, b_matrix, machine)
+    q = _usable_ranks(m, k, scenario.p)
+    lm = np.array([hi - lo for lo, hi in split_offsets(m, q)], dtype=np.int64)
+    lk = np.array([hi - lo for lo, hi in split_offsets(k, q)], dtype=np.int64)
+
+    if machine.trace is not None:
+        machine.trace.collective("allgather", q)
+    senders = np.tile(np.arange(q), q - 1)
+    blocks = (senders - np.repeat(np.arange(q - 1), q)) % q
+    machine.post_transfers(senders, (senders + 1) % q, lk[blocks] * n, kind="input",
+                           count_rounds=False)
+    machine.counters.data[ROUNDS, :q] += q - 1
+
+    used = slice(0, q)
+    machine.post_resident("A_own", used, lm * k)
+    machine.post_resident("B_own", used, lk * n)
+    machine.post_resident("C_own", used, lm * n)
+    machine.counters.data[FLOPS, :q] += 2 * lm * k * n  # each stripe times all of B
     machine.check_memory()
-    return c_global
+    if machine.transport.counters_only:
+        return ShapeToken((m, n))
+    return a_matrix @ b_matrix

@@ -1,7 +1,7 @@
 """Communication counters -- the simulator's stand-in for the mpiP profiler.
 
-Every point-to-point transfer and every collective performed on the
-:class:`~repro.machine.simulator.DistributedMachine` updates these counters.
+Every transfer, round and flop an engine posts on the
+:class:`~repro.machine.simulator.DistributedMachine` lands in these counters.
 The experiment harness reads them to produce the "MB communicated per core"
 series of Figures 6-7 and the per-rank averages of Table 4.
 
@@ -14,18 +14,6 @@ eight rows), one column per rank.  A batched engine posts **one update for a
 whole transfer list** (:meth:`CommCounters.post_transfers`) or writes whole
 rows, and every machine-wide aggregate (totals, means, maxima, conservation)
 is one vectorized numpy reduction.
-
-A per-hop primitive writes no cell.  It appends its increments to the
-counters' log instead, after its rank bounds check: ``send`` one transfer
-record (:meth:`CommCounters.log_send`), ``local_multiply``, ``local_add``,
-the collectives and ``rma_get`` one cell tick each
-(:meth:`CommCounters.log_tick`).  The log is applied with the same exact
-``np.add.at`` row updates as :meth:`~CommCounters.post_transfers`, on every
-get or set of :attr:`~CommCounters.data` and whenever it reaches a fixed
-size, so ``data`` is the one place a counter is read and no reader sees a
-stale matrix.  Eight scalar read-modify-writes of numpy cells per ``send``
-would cost more than the rest of the transfer; an append costs a list
-append.
 
 The array layout is also what makes **round classes** cheap: the counter
 delta of a whole communication round is a ``fields x p`` integer array, so a
@@ -70,47 +58,23 @@ COUNTER_FIELDS = (
 ) = range(len(COUNTER_FIELDS))
 
 
-#: Integers the log holds before a write applies it (a transfer record is
-#: five, a tick three): bounds its memory at well under a MiB.
-_LOG_SIZE = 1 << 15
-
-
 class ConservationError(RuntimeError):
     """Raised when the machine-wide sent and received word totals disagree."""
 
 
 class CommCounters:
     """The counters of a whole distributed run: ``data``, one ``int64`` row per
-    field of :data:`COUNTER_FIELDS` and one column per rank, plus the log of
-    per-hop increments not yet applied to it (see the module docstring)."""
+    field of :data:`COUNTER_FIELDS` and one column per rank."""
 
-    __slots__ = ("_data", "_sends", "_ticks")
+    __slots__ = ("data",)
 
     def __init__(self, data: np.ndarray) -> None:
-        self._data = data
-        #: Flat ``(src, dst, words, split row, counts round)`` records.
-        self._sends: list = []
-        #: Flat ``(row, rank, amount)`` records.
-        self._ticks: list = []
+        self.data = data
 
     @classmethod
     def for_ranks(cls, p: int) -> "CommCounters":
         """Zeroed counters for ``p`` ranks."""
         return cls(np.zeros((len(COUNTER_FIELDS), int(p)), dtype=np.int64))
-
-    @property
-    def data(self) -> np.ndarray:
-        """The counter matrix, with every logged increment applied."""
-        if self._sends or self._ticks:
-            self._apply_log()
-        return self._data
-
-    @data.setter
-    def data(self, value: np.ndarray) -> None:
-        # ``counters.data += delta`` is a get, an in-place add and this set.
-        if self._sends or self._ticks:
-            self._apply_log()
-        self._data = value
 
     # -- aggregate views (vectorized) -----------------------------------
     @property
@@ -205,13 +169,12 @@ class CommCounters:
     ) -> None:
         """One batched accounting update for many point-to-point transfers.
 
-        Equivalent to calling :meth:`DistributedMachine.send` once per
-        ``(srcs[i], dsts[i], words[i])`` triple -- words/messages/rounds and
-        the input/output split are incremented identically (``np.add.at``
+        Each ``(srcs[i], dsts[i], words[i])`` triple is one message of
+        ``words[i]`` words: words, messages, rounds (unless ``count_rounds`` is
+        false) and the input/output split grow at both ends (``np.add.at``
         accumulates ranks that appear several times, exactly in int64).
         ``words`` may be a scalar (every transfer moves the same payload) or a
-        per-transfer sequence.  The log's transfer records are applied
-        through this method too.
+        per-transfer sequence.
         """
         srcs = np.asarray(srcs, dtype=np.intp)
         dsts = np.asarray(dsts, dtype=np.intp)
@@ -227,45 +190,6 @@ class CommCounters:
             np.add.at(data[ROUNDS], srcs, 1)
             np.add.at(data[ROUNDS], dsts, 1)
 
-    # -- the per-hop log -------------------------------------------------
-    def log_send(self, src: int, dst: int, words: int, split: int, count_round: bool) -> None:
-        """Log one transfer of ``words`` from ``src`` to ``dst`` whose words
-        also count in row ``split`` (``INPUT_WORDS`` / ``OUTPUT_WORDS``); the
-        caller has checked both ranks."""
-        sends = self._sends
-        sends += (src, dst, words, split, count_round)
-        if len(sends) + len(self._ticks) >= _LOG_SIZE:
-            self._apply_log()
-
-    def log_tick(self, row: int, rank: int, amount: int) -> None:
-        """Log ``data[row, rank] += amount``; the caller has checked ``rank``."""
-        ticks = self._ticks
-        ticks += (row, rank, amount)
-        if len(self._sends) + len(ticks) >= _LOG_SIZE:
-            self._apply_log()
-
-    def _apply_log(self) -> None:
-        sends, ticks = self._sends, self._ticks
-        if ticks:
-            rows, ranks, amounts = np.fromiter(
-                ticks, dtype=np.int64, count=len(ticks)).reshape(-1, 3).T
-            ticks.clear()
-            np.add.at(self._data, (rows, ranks), amounts)
-        if sends:
-            srcs, dsts, words, splits, rounds = np.fromiter(
-                sends, dtype=np.int64, count=len(sends)).reshape(-1, 5).T
-            sends.clear()
-            # The log is empty now: post_transfers' read of ``data`` is plain.
-            counted = rounds != 0
-            for split, kind in ((INPUT_WORDS, "input"), (OUTPUT_WORDS, "output")):
-                for count_rounds in (True, False):
-                    group = (splits == split) & (counted == count_rounds)
-                    if group.any():
-                        self.post_transfers(srcs[group], dsts[group], words[group],
-                                            kind=kind, count_rounds=count_rounds)
-
     # -- lifecycle -------------------------------------------------------
     def reset(self) -> None:
-        self._sends.clear()
-        self._ticks.clear()
-        self._data[...] = 0
+        self.data[...] = 0

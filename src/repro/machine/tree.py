@@ -1,10 +1,20 @@
-"""Topology-aware broadcast/reduction trees (section 7.2).
+"""Broadcast/reduction trees (section 7.2): binomial and topology-aware.
 
-The paper replaces the generic MPI broadcast with a hand-crafted binary tree
-that exploits static knowledge of the data layout and processor grid: parent
-and child ranks are chosen to be close to each other in the grid, which on a
-dragonfly network translates into fewer expensive inter-group hops (the paper
-reports ~10% faster collectives than Cray-MPICH's defaults).
+COSMA's panels are broadcast along the ``i``/``j`` fibers of the processor
+grid and its partial C blocks reduced along ``k``; the paper implements its
+own binary (binomial) trees for both, so the volume *and* the number of
+communication rounds (the latency proxy) are those of the tree.
+:func:`binomial_tree` is that tree, and :func:`tree_fanout` the one thing of
+it the batched engines read: how many messages each position sends (a
+reduction mirrors the broadcast, so it is also how many each position
+receives).
+
+Beyond that, the paper replaces the generic MPI broadcast with a
+hand-crafted binary tree that exploits static knowledge of the data layout
+and processor grid: parent and child ranks are chosen to be close to each
+other in the grid, which on a dragonfly network translates into fewer
+expensive inter-group hops (the paper reports ~10% faster collectives than
+Cray-MPICH's defaults).
 
 The simulator cannot measure switch contention, but it can measure *hop
 counts*: this module builds trees that minimize the total parent-child
@@ -13,13 +23,15 @@ default, or node-granularity distance for a "nodes of 36 cores" placement) and
 exposes the per-tree hop statistics that the ablation benchmark compares
 against a placement-oblivious binomial tree.
 
-No engine imports it: the simulator's collectives count words, not hops.  It
-is kept for that ablation, ``benchmarks/bench_ablation_broadcast_tree.py``.
+The topology-aware trees are not simulated: the counters count words, not
+hops.  They are kept for that ablation,
+``benchmarks/bench_ablation_broadcast_tree.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from repro.utils.validation import check_positive_int
@@ -100,7 +112,13 @@ def node_distance(cores_per_node: int) -> DistanceFn:
 
 
 def binomial_tree(ranks: Sequence[int], root: int) -> BroadcastTree:
-    """The placement-oblivious binomial tree used by generic MPI broadcasts."""
+    """The placement-oblivious binomial tree used by generic MPI broadcasts.
+
+    With the ranks rotated so that ``root`` comes first, in round ``r`` the
+    position ``i < 2**r`` sends to position ``i + 2**r``: ``ceil(log2 q)``
+    rounds, and every rank but the root receives exactly once, matching
+    MPI_Bcast's volume.
+    """
     order = list(ranks)
     if root not in order:
         raise ValueError(f"root {root} is not among the ranks {order}")
@@ -116,6 +134,19 @@ def binomial_tree(ranks: Sequence[int], root: int) -> BroadcastTree:
             parent[order[partner]] = order[pos]
         span *= 2
     return BroadcastTree(root=root, parent=parent)
+
+
+@lru_cache(maxsize=256)
+def tree_fanout(q: int) -> tuple[int, ...]:
+    """Messages each position of the :func:`binomial_tree` over ``q`` ranks
+    sends, position 0 being the root; mirrored, what each position of the
+    reduction tree receives.  Every other position receives (sends) exactly
+    once, so this is all of the tree a batched engine needs: per-rank counters
+    are sums over positions, not over hops."""
+    fanout = [0] * q
+    for parent in binomial_tree(range(q), 0).parent.values():
+        fanout[parent] += 1
+    return tuple(fanout)
 
 
 def topology_aware_tree(

@@ -17,12 +17,12 @@ JSON (loadable in Perfetto / ``chrome://tracing``) or a JSONL event log.
 Zero perturbation is a hard guarantee, not a goal: every hook only *reads*
 simulator state (counter-matrix row sums at round boundaries, peak resident
 words), so communication counters are byte-identical traced vs untraced --
-``tests/test_obs_trace.py`` proves it across all four transports and every
+``tests/test_obs_trace.py`` proves it across both modes and every
 registered algorithm.
 
 :class:`MachineTrace` is the per-machine accumulator the simulator attaches
-at construction when tracing is active: it aggregates one round's hop count,
-collective kinds and payload deliveries, and emits one ``"round"`` span per
+at construction when tracing is active: it aggregates one round's hop count
+and collective kinds, and emits one ``"round"`` span per
 round (every round of a round class included) carrying the round's posted
 words, flops and resident-words high-water.
 """
@@ -131,15 +131,12 @@ class MachineTrace:
     Attached by :class:`~repro.machine.simulator.DistributedMachine` when a
     tracer is active; ``None`` otherwise.  All inputs are *read-only* views
     of machine state: words/flops come from counter-matrix row sums at round
-    boundaries, never from separate bookkeeping that could drift.  The matrix
-    is read through the counters object, which applies its log of per-hop
-    increments first.
+    boundaries, never from separate bookkeeping that could drift.
     """
 
     __slots__ = (
-        "tracer", "mode", "rounds", "hops", "deliveries", "delivered_words",
-        "_counters", "_round_start_ns", "_words0", "_flops0",
-        "_round_hops", "_collectives",
+        "tracer", "mode", "rounds", "hops", "_counters", "_round_start_ns",
+        "_words0", "_flops0", "_round_hops", "_collectives",
     )
 
     def __init__(self, tracer: Tracer, counters, mode: str) -> None:
@@ -148,8 +145,6 @@ class MachineTrace:
         self._counters = counters  # a CommCounters; ``.data`` is the matrix
         self.rounds = 0
         self.hops = 0
-        self.deliveries = 0
-        self.delivered_words = 0
         self._round_hops = 0
         self._collectives: dict[str, int] = {}
         self._words0 = counters.total_words_sent
@@ -157,10 +152,6 @@ class MachineTrace:
         self._round_start_ns = tracer.now_ns()
 
     # -- per-event notifications (guarded call sites keep these tiny) -------
-    def hop(self) -> None:
-        """One point-to-point transfer went through ``machine.send``."""
-        self._round_hops += 1
-
     def hops_batch(self, n: int) -> None:
         """``n`` transfers were posted in one batched ``post_transfers``."""
         self._round_hops += int(n)
@@ -169,11 +160,6 @@ class MachineTrace:
         """A collective of ``kind`` ran over a ``q``-rank communicator."""
         key = f"{kind}[{q}]"
         self._collectives[key] = self._collectives.get(key, 0) + 1
-
-    def delivery(self, words: int) -> None:
-        """The transport materialized one payload delivery of ``words`` words."""
-        self.deliveries += 1
-        self.delivered_words += int(words)
 
     # -- round boundaries ----------------------------------------------------
     def _dirty(self) -> bool:

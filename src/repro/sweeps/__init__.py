@@ -25,7 +25,7 @@ exactly these code-relevant parameters::
      "algorithm":  <harness registry name>,
      "scenario":   {"name", "shape": {"m", "n", "k", "family"},
                     "p", "memory_words", "regime"},
-     "mode":       <legacy | zerocopy | plane | volume>,
+     "mode":       <plane | volume>,
      "seed":       <input-matrix seed>,
      "verify":     <bool>,
      "plane_dtype": <float64 | float32>}

@@ -54,10 +54,12 @@ class TestRegistryContents:
         assert {"COSMA", "SUMMA", "2D", "2.5D"} <= set(choices)
 
     def test_specs_carry_cost_models_and_modes(self):
+        """Every built-in has a cost model, and every runner takes both modes:
+        the registry keeps no per-algorithm mode flag."""
         for name in CORE_FIVE:
             spec = get_algorithm(name)
             assert spec.io_cost is not None
-            assert spec.supports_mode("volume")
+            assert not hasattr(spec, "modes")
 
 
 class TestPlans:
@@ -179,11 +181,12 @@ class TestRunReportApi:
     def test_volume_mode_returns_counters_without_matrix(self, rng):
         a = rng.standard_normal((32, 32))
         b = rng.standard_normal((32, 32))
-        legacy = multiply(a, b, processors=4, memory_words=4096)
+        plane = multiply(a, b, processors=4, memory_words=4096)
         volume = multiply(a, b, processors=4, memory_words=4096, mode="volume")
+        assert plane.mode == "plane" and volume.mode == "volume"
         assert volume.matrix is None and not volume.verified
-        assert volume.mean_words_per_rank == legacy.mean_words_per_rank
-        assert volume.rounds == legacy.rounds
+        assert volume.mean_words_per_rank == plane.mean_words_per_rank
+        assert volume.rounds == plane.rounds
 
     def test_max_idle_fraction_rejected_for_non_cosma(self, rng):
         a = rng.standard_normal((16, 16))

@@ -9,6 +9,7 @@ from repro import (
     lower_bound_sequential,
     multiply,
 )
+from repro.machine.transport import ShapeToken
 
 
 class TestMultiply:
@@ -51,6 +52,22 @@ class TestMultiply:
         b = rng.standard_normal((8, 8))
         with pytest.raises(ValueError):
             multiply(a, b, processors=0, memory_words=1024)
+
+    @pytest.mark.parametrize("algorithm", ["COSMA", "ScaLAPACK", "CTF", "CARMA", "Cannon"])
+    def test_token_inputs_default_to_volume(self, rng, algorithm):
+        """Shape tokens carry no values: without a mode they run in ``volume``
+        and count what the same arrays count in ``plane``."""
+        tokens = multiply(ShapeToken((32, 16)), ShapeToken((16, 24)), 4, 4096, algorithm=algorithm)
+        arrays = multiply(rng.standard_normal((32, 16)), rng.standard_normal((16, 24)), 4, 4096,
+                          algorithm=algorithm)
+        assert (tokens.mode, tokens.matrix, tokens.verified) == ("volume", None, False)
+        assert arrays.mode == "plane" and arrays.verified and arrays.correct
+        assert tokens.mean_words_per_rank == arrays.mean_words_per_rank
+        assert tokens.total_flops == arrays.total_flops
+
+    def test_token_inputs_refuse_plane(self):
+        with pytest.raises(ValueError, match='mode="volume"'):
+            multiply(ShapeToken((32, 16)), ShapeToken((16, 24)), 4, 4096, mode="plane")
 
     def test_rejects_bad_memory(self, rng):
         a = rng.standard_normal((8, 8))

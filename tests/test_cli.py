@@ -104,7 +104,7 @@ class TestRegistryDrivenCli:
     def test_sweep_accepts_alias(self, capsys, tmp_path):
         code = main(["sweep", "--families", "square", "--regimes", "limited",
                      "--processors", "4", "--memory", "1024",
-                     "--algorithms", "COSMA", "SUMMA", "--mode", "legacy",
+                     "--algorithms", "COSMA", "SUMMA", "--mode", "plane",
                      "--out", str(tmp_path / "store"), "--no-progress"])
         out = capsys.readouterr().out
         assert code == 0
@@ -114,7 +114,7 @@ class TestRegistryDrivenCli:
 class TestSweepCommand:
     def test_verified_limited_regime(self, capsys, tmp_path):
         code = main(["sweep", "--families", "square", "--regimes", "limited",
-                     "--processors", "4", "9", "--memory", "1024", "--mode", "legacy",
+                     "--processors", "4", "9", "--memory", "1024", "--mode", "plane",
                      "--out", str(tmp_path / "store"), "--no-progress"])
         out = capsys.readouterr().out
         assert code == 0
@@ -125,7 +125,7 @@ class TestSweepCommand:
     def test_subset_of_algorithms(self, capsys, tmp_path):
         code = main([
             "sweep", "--families", "largeK", "--regimes", "extra",
-            "--processors", "4", "--memory", "1024", "--mode", "legacy",
+            "--processors", "4", "--memory", "1024", "--mode", "plane",
             "--algorithms", "COSMA", "CARMA",
             "--out", str(tmp_path / "store"), "--no-progress",
         ])
@@ -194,7 +194,7 @@ class TestSweepCommand:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"name": "x", "algorithms": ["COSMA"],
                                          "p_values": [4], "mode": "volume"}))
-        code = main(["sweep", "--spec", str(spec_path), "--mode", "legacy",
+        code = main(["sweep", "--spec", str(spec_path), "--mode", "plane",
                      "--out", str(tmp_path / "store")])
         err = capsys.readouterr().err
         assert code == 2

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cosma import cosma_multiply, put_owned_blocks
+from oracle import HopMachine, grid
+
+from repro.core.cosma import cosma_multiply
 from repro.core.decomposition import build_decomposition
 from repro.core.grid import ProcessorGrid
 from repro.machine.simulator import DistributedMachine
@@ -61,15 +63,15 @@ class TestBuildDecomposition:
             build_decomposition(16, 16, 16, 4, 4096, grid=ProcessorGrid(2, 2, 2))
 
     def test_domain_of_unknown_rank(self):
-        """An idle rank has no local domain: a per-hop run stores nothing on it
-        and charges it nothing."""
+        """An idle rank has no local domain: a run holds nothing on it and
+        charges it nothing."""
         decomposition = build_decomposition(64, 64, 64, 65, 4096)
         assert decomposition.idle_ranks == (64,)
         rng = np.random.default_rng(0)
-        machine = DistributedMachine(65, mode="legacy")
+        machine = DistributedMachine(65)
         cosma_multiply(rng.standard_normal((64, 64)), rng.standard_normal((64, 64)), 65, 4096,
                        machine=machine, grid=decomposition.grid)
-        assert not machine.rank(64).store and not machine.counters.data[:, 64].any()
+        assert machine.rank(64).resident_words() == 0 and not machine.counters.data[:, 64].any()
         assert machine.counters.data[:, :64].any(axis=0).all()
 
     def test_fibers_have_expected_length(self):
@@ -92,14 +94,15 @@ class TestBuildDecomposition:
 
     def test_c_owner_unique_per_ij_block(self):
         """The ``kk = 0`` rank of each ``(pi, pj)`` fiber stores its block, and
-        only it: a per-hop run leaves one ``C_final`` per fiber."""
+        only it: the per-hop reference leaves one ``C_final`` per fiber."""
         rng = np.random.default_rng(0)
         a, b = rng.standard_normal((16, 32)), rng.standard_normal((32, 16))
-        machine = DistributedMachine(8, mode="legacy")
-        result = cosma_multiply(a, b, 8, 4096, machine=machine, grid=ProcessorGrid(2, 2, 2))
-        owners = [rank for rank in range(8) if machine.rank(rank).has("C_final")]
+        decomposition = build_decomposition(16, 16, 32, 8, 4096, grid=ProcessorGrid(2, 2, 2))
+        machine = HopMachine(8)
+        product, _ = grid.cosma(machine, decomposition, a, b)
+        owners = [rank for rank in range(8) if "C_final" in machine.stores[rank]]
         assert owners == [0, 2, 4, 6]  # one per (pi, pj) block, at kk = 0
-        assert np.allclose(result.matrix, a @ b)
+        assert np.allclose(product, a @ b)
 
 
 class TestLazyDomains:
@@ -167,13 +170,13 @@ class TestDistributeMatrices:
         assert (a_owners == 1).all() and (b_owners == 1).all()
 
     def test_owned_pieces_match_global_matrix(self, rng):
-        """The per-hop layout stores every rank's slices of the global inputs."""
+        """The per-hop reference stores every rank's slices of the global inputs."""
         m, n, k = 12, 10, 8
         decomposition = build_decomposition(m, n, k, 8, 4096, grid=ProcessorGrid(2, 2, 2))
         a = rng.standard_normal((m, k))
         b = rng.standard_normal((k, n))
-        machine = DistributedMachine(9, mode="legacy")
-        put_owned_blocks(machine, decomposition, a, b, "A", "B", "C")
+        machine = HopMachine(9)
+        grid.put_owned_blocks(machine, decomposition, a, b, "A", "B", "C")
         a_seen, b_seen = np.zeros_like(a), np.zeros_like(b)
         i_bounds, j_bounds = decomposition.i_bounds, decomposition.j_bounds
         for rank in range(8):
@@ -182,11 +185,11 @@ class TestDistributeMatrices:
             j0, j1 = j_bounds[pj : pj + 2]
             ak0, ak1 = decomposition.a_bounds[kk, pj : pj + 2]
             bk0, bk1 = decomposition.b_bounds[kk, pi : pi + 2]
-            a_seen[i0:i1, ak0:ak1] += machine.rank(rank).get("A")
-            b_seen[bk0:bk1, j0:j1] += machine.rank(rank).get("B")
-            assert machine.rank(rank).get("C").shape == (i1 - i0, j1 - j0)
+            a_seen[i0:i1, ak0:ak1] += machine.get(rank, "A")
+            b_seen[bk0:bk1, j0:j1] += machine.get(rank, "B")
+            assert machine.get(rank, "C").shape == (i1 - i0, j1 - j0)
         assert np.array_equal(a_seen, a) and np.array_equal(b_seen, b)
-        assert not machine.rank(8).store  # the idle rank holds nothing
+        assert not machine.stores[8]  # the idle rank holds nothing
 
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):

@@ -2,18 +2,17 @@
 
 The engines' contract is that nobody can tell: raw counter bytes, the
 resident peak, the per-round spans (and COSMA's round count) equal the
-per-hop ``legacy`` loop's, in ``volume`` and in ``plane`` mode, on a fresh
-machine or one that already holds counters, traced or not.  COSMA posts its
+per-hop reference's (``tests/oracle``), in ``volume`` and in ``plane`` mode,
+on a fresh machine or one that already holds counters, traced or not.  COSMA posts its
 overlap-width classes (with one-sided gets or tree broadcasts; its plane-mode
 product comes from one GEMM into a single C sheet), SUMMA and Cannon their
 panel classes -- all through ``DistributedMachine.round_classes`` /
 ``post_rounds``.  The grid family's class deltas are written in closed form;
 the hop expansion they replaced is kept here as their oracle.
 
-SUMMA, Cannon and 2.5D run COSMA's accounting core, and in ``legacy`` /
-``zerocopy`` its per-hop twins (one per-hop implementation for the grid
-family, held to the core here op by op).  What keeps that honest is pinned on
-the decomposition's arrays: SUMMA is ``pm x pn x 1`` with the textbook 2D
+SUMMA, Cannon and 2.5D run COSMA's accounting core, and the reference runs
+them on one per-hop implementation of the grid family, held to the core here
+op by op.  What keeps that honest is pinned on the decomposition's arrays: SUMMA is ``pm x pn x 1`` with the textbook 2D
 layout and the panel width as the step, Cannon the same on a padded ``q x q``
 grid with ring exchanges, 2.5D is ``q x q x c`` with each layer's k-slice laid
 out the same way and one whole-layer round of direct sends.
@@ -28,27 +27,25 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracle import HopMachine
+from oracle import grid as per_hop
+from oracle.collectives import broadcast_hops, reduce
 
 from repro.algorithms import builtins as builtin_specs
 from repro.algorithms import get_algorithm, registered_algorithms
-from repro.baselines.cannon import cannon_multiply
+from repro.baselines.cannon import cannon_decomposition, cannon_multiply
 from repro.baselines.grid25d import grid25d_decomposition, grid25d_multiply
 from repro.baselines.summa import summa_decomposition, summa_multiply
 from repro.core.cosma import (
     cosma_multiply,
     fiber_exchange_rounds,
-    hop_c_reduction,
-    hop_fiber_exchange,
-    owner_product,
     post_c_reduction,
     post_fiber_exchange,
     post_owned_words,
-    put_owned_blocks,
 )
 from repro.core.decomposition import build_decomposition
 from repro.core.grid import ProcessorGrid
 from repro.experiments.harness import run_algorithm
-from repro.machine.collectives import broadcast_hops, reduce
 from repro.machine.counters import (
     COUNTER_FIELDS,
     FLOPS,
@@ -64,41 +61,77 @@ from repro.workloads.scaling import Scenario
 from repro.workloads.shapes import ProblemShape, square_shape
 
 
+def _inputs(m, n, k, mode="plane"):
+    if mode == "volume":
+        return ShapeToken((m, k)), ShapeToken((k, n))
+    rng = np.random.default_rng(0)
+    return rng.random((m, k)), rng.random((k, n))
+
+
 def _run_on(multiply, m, n, k, p, memory_words, mode, runs=1,
             plane_dtype="float64", shards=1):
     """``runs`` calls of ``multiply(a, b, machine)`` on one machine; it and the last result."""
     machine = DistributedMachine(
         p, memory_words=memory_words, mode=mode, plane_dtype=plane_dtype, shards=shards,
     )
-    if mode == "volume":
-        a, b = ShapeToken((m, k)), ShapeToken((k, n))
-    else:
-        rng = np.random.default_rng(0)
-        a, b = rng.random((m, k)), rng.random((k, n))
+    a, b = _inputs(m, n, k, mode)
     for _ in range(runs):
         result = multiply(a, b, machine)
     return machine, result
 
 
-def _run(m, n, k, grid, idle, memory_words, mode, use_rma=False, **options):
+def _reference_on(reference, m, n, k, p, runs=1):
+    """``runs`` calls of ``reference(a, b, hop_machine)`` of the per-hop
+    reference on one hop machine; it and the last result."""
+    machine = HopMachine(p)
+    a, b = _inputs(m, n, k)
+    for _ in range(runs):
+        result = reference(a, b, machine)
+    return machine, result
+
+
+def _cosma_decomposition(m, n, k, grid_shape, idle, memory_words):
+    return build_decomposition(m, n, k, grid_shape.p_used + idle, memory_words, grid=grid_shape)
+
+
+def _run(m, n, k, grid_shape, idle, memory_words, mode, use_rma=False, **options):
     """COSMA on an explicit grid plus ``idle`` ranks."""
-    p = grid.p_used + idle
+    p = grid_shape.p_used + idle
 
     def multiply(a, b, machine):
-        return cosma_multiply(a, b, p, memory_words, machine=machine, grid=grid,
+        return cosma_multiply(a, b, p, memory_words, machine=machine, grid=grid_shape,
                               use_rma=use_rma)
 
     return _run_on(multiply, m, n, k, p, memory_words, mode, **options)
 
 
+def _reference(m, n, k, grid_shape, idle, memory_words, use_rma=False, runs=1):
+    """COSMA's per-hop reference on the same explicit grid; its result is
+    ``(product, rounds)``."""
+    decomposition = _cosma_decomposition(m, n, k, grid_shape, idle, memory_words)
+    return _reference_on(lambda a, b, machine: per_hop.cosma(machine, decomposition, a, b, use_rma),
+                         m, n, k, grid_shape.p_used + idle, runs)
+
+
 def _observables(machine, result):
+    """Counter bytes, the resident peak and COSMA's round count."""
     return (
         machine.counters.data.tobytes(),
         machine.peak_resident_words,
-        # COSMA's result also reports its rounds.
         getattr(result, "num_rounds", None),
-        getattr(result, "peak_resident_words", None),
     )
+
+
+def _reference_observables(machine, result, rounds=None):
+    return machine.counters.data.tobytes(), machine.peak_resident_words, rounds
+
+
+def _cosma_reference_observables(*problem, **options):
+    machine, (_, rounds) = _reference(*problem, **options)
+    return _reference_observables(machine, None, rounds)
+
+
+_SPAN_KEYS = ("label", "words_posted", "flops", "hops")
 
 
 def _round_spans(run, *args, **options):
@@ -106,7 +139,7 @@ def _round_spans(run, *args, **options):
     with tracing() as tracer:
         outcome = run(*args, **options)
     return [
-        {key: span_args[key] for key in ("label", "words_posted", "flops", "hops")}
+        {key: span_args[key] for key in _SPAN_KEYS}
         for _name, _cat, _start, _dur, span_args, _track in tracer.spans("round")
     ], outcome
 
@@ -133,7 +166,7 @@ def problems(draw):
 @settings(max_examples=60, deadline=None)
 @given(problem=problems(), use_rma=st.booleans())
 def test_volume_run_equals_the_per_hop_loop(problem, use_rma):
-    reference = _observables(*_run(*problem, mode="legacy", use_rma=use_rma))
+    reference = _cosma_reference_observables(*problem, use_rma=use_rma)
     assert _observables(*_run(*problem, mode="volume", use_rma=use_rma)) == reference
 
 
@@ -141,14 +174,14 @@ def test_volume_run_equals_the_per_hop_loop(problem, use_rma):
 def test_machine_entered_with_counters(use_rma):
     """Two runs on one machine: deltas land on top of what is already there."""
     problem = (13, 11, 47, ProcessorGrid(2, 3, 3), 1, 55)  # step 2: 8 rounds, uneven layers
-    reference = _observables(*_run(*problem, mode="legacy", use_rma=use_rma, runs=2))
+    reference = _cosma_reference_observables(*problem, use_rma=use_rma, runs=2)
     assert _observables(*_run(*problem, mode="volume", use_rma=use_rma, runs=2)) == reference
 
 
 @pytest.mark.parametrize("use_rma", [False, True])
 def test_traced_spans_equal_the_per_hop_loops(use_rma):
     problem = (13, 11, 47, ProcessorGrid(2, 3, 3), 1, 55)  # step 2: 8 rounds, uneven layers
-    reference, _ = _round_spans(_run, *problem, mode="legacy", use_rma=use_rma)
+    reference = _reference(*problem, use_rma=use_rma)[0].rounds
     assert len(reference) > 5
     assert _round_spans(_run, *problem, mode="volume", use_rma=use_rma)[0] == reference
 
@@ -160,16 +193,15 @@ def test_round_bookkeeping_equals_the_per_hop_loops(use_rma):
     counters -- after one run and after two."""
     problem = (13, 11, 47, ProcessorGrid(2, 3, 3), 1, 55)  # step 2: 8 rounds, uneven layers
     for runs in (1, 2):
-        spans, (loop, oracle) = _round_spans(_run, *problem, mode="legacy", use_rma=use_rma,
-                                             runs=runs)
-        labels = [span["label"] for span in spans if span["label"].startswith("cosma-step-")]
+        loop, (_, rounds) = _reference(*problem, use_rma=use_rma, runs=runs)
+        labels = [span["label"] for span in loop.rounds if span["label"].startswith("cosma-step-")]
         assert labels == [f"cosma-step-{r}" for r in range(8)] * runs
         traced_spans, traced = _round_spans(_run, *problem, mode="volume", use_rma=use_rma,
                                             runs=runs)
-        assert traced_spans == spans
+        assert traced_spans == loop.rounds
         untraced = _run(*problem, mode="volume", use_rma=use_rma, runs=runs)
         for machine, result in (traced, untraced):
-            assert result.num_rounds == oracle.num_rounds == 8
+            assert result.num_rounds == rounds == 8
             assert machine.counters.data.tobytes() == loop.counters.data.tobytes()
 
 
@@ -241,28 +273,28 @@ def test_plane_product_from_the_single_sheet(plane_dtype, shards):
     expected = rng.random((m, k)) @ rng.random((k, n))
     rtol, atol_unit = allclose_tolerances(result.matrix.dtype)
     assert np.allclose(result.matrix, expected, rtol=rtol, atol=atol_unit * k)
-    reference = _observables(*_run(m, n, k, ProcessorGrid(2, 3, 3), 0, 4000, mode="legacy"))
+    reference = _cosma_reference_observables(m, n, k, ProcessorGrid(2, 3, 3), 0, 4000)
     assert _observables(machine, result) == reference
 
 
 # ---------------------------------------------------------------------------
 # SUMMA and Cannon: the same contract through the same helpers
 # ---------------------------------------------------------------------------
-def _assert_engines_equal_the_per_hop_loop(multiply, m, n, k, p):
-    """``volume`` and ``plane`` against ``legacy``: one run, two runs, traced."""
+def _assert_engines_equal_the_per_hop_loop(multiply, reference, m, n, k, p):
+    """``volume`` and ``plane`` against the per-hop reference: one run, two
+    runs, traced."""
     args = (multiply, m, n, k, p, 1 << 20)
-    legacy_machine, oracle = _run_on(*args, mode="legacy")
-    once = _observables(legacy_machine, oracle)
-    twice = _observables(*_run_on(*args, mode="legacy", runs=2))
-    spans, _ = _round_spans(_run_on, *args, mode="legacy")
+    loop, product = _reference_on(reference, m, n, k, p)
+    once = _reference_observables(loop, product)
+    twice = _reference_observables(*_reference_on(reference, m, n, k, p, runs=2))
     for mode in ("volume", "plane"):
         machine, result = _run_on(*args, mode=mode)
         assert _observables(machine, result) == once, mode
         assert _observables(*_run_on(*args, mode=mode, runs=2)) == twice, mode
         traced_spans, traced = _round_spans(_run_on, *args, mode=mode)
-        assert traced_spans == spans, mode
+        assert traced_spans == loop.rounds, mode
         assert _observables(*traced) == once, mode
-    assert np.allclose(result.matrix, oracle.matrix, rtol=1e-10, atol=1e-8 * k)
+    assert np.allclose(result.matrix, product, rtol=1e-10, atol=1e-8 * k)
 
 
 @st.composite
@@ -285,13 +317,19 @@ def summa_problems(draw):
 @example(problem=(9, 14, 31, (4, 1), 3, 1))     # pn = 1: no A broadcasts
 @example(problem=(7, 5, 2, (3, 4), 1, 0))       # k < pm, pn: empty ownership slices
 def test_summa_equals_the_per_hop_loop(problem):
-    m, n, k, grid, panel_width, idle = problem
-    p = grid[0] * grid[1] + idle
+    m, n, k, grid_shape, panel_width, idle = problem
+    p = grid_shape[0] * grid_shape[1] + idle
 
     def multiply(a, b, machine):
-        return summa_multiply(a, b, p, machine=machine, grid=grid, panel_width=panel_width)
+        return summa_multiply(a, b, p, machine=machine, grid=grid_shape, panel_width=panel_width)
 
-    _assert_engines_equal_the_per_hop_loop(multiply, m, n, k, p)
+    decomposition = summa_decomposition(m, n, k, p, 1 << 20, grid=grid_shape,
+                                        panel_width=panel_width)
+
+    def reference(a, b, machine):
+        return per_hop.panels(machine, decomposition, a, b, "tree")
+
+    _assert_engines_equal_the_per_hop_loop(multiply, reference, m, n, k, p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -306,7 +344,12 @@ def test_cannon_equals_the_per_hop_loop(shape, p):
     def multiply(a, b, machine):
         return cannon_multiply(a, b, p, machine=machine)
 
-    _assert_engines_equal_the_per_hop_loop(multiply, *shape, p)
+    decomposition = cannon_decomposition(*shape, p, 1 << 20)
+
+    def reference(a, b, machine):
+        return per_hop.cannon(machine, decomposition, a, b)
+
+    _assert_engines_equal_the_per_hop_loop(multiply, reference, *shape, p)
 
 
 def test_many_panel_summa_posts_once_per_class(class_posts, panel_expansions):
@@ -466,11 +509,11 @@ def test_c_reduction_equals_the_hop_expansion(pk, traced):
     p = 2 * 3 * pk + 1
     decomposition = build_decomposition(7, 8, 40, p, 1 << 20, grid=ProcessorGrid(2, 3, pk))
     lm, ln = np.diff(decomposition.i_bounds), np.diff(decomposition.j_bounds)
-    expected = DistributedMachine(p, mode="volume")
-    expected.post_transfers([0], [p - 1], 11)
+    expected = HopMachine(p)
+    expected.send(0, p - 1, np.ones(11))
     ranks = _rank_grid(decomposition).tolist()
     for pi in range(2):
-        for pj in range(3):  # the per-hop twin's call: the collective walks reduce_hops
+        for pj in range(3):  # the per-hop reference's call: the collective walks reduce_hops
             fiber = ranks[pi][pj]
             reduce(expected, fiber[0], fiber, dict.fromkeys(fiber, ShapeToken((lm[pi], ln[pj]))))
     with (tracing() if traced else nullcontext()) as tracer:
@@ -505,19 +548,19 @@ def _resident(machine):
 @example(problem=(10, build_decomposition(6, 6, 8, 10, 1 << 20, grid=ProcessorGrid(2, 2, 2),
                                           step_size=3)), exchange="ring")  # q = 2, two layers
 def test_per_hop_twins_equal_the_accounting_core(problem, exchange):
-    """The per-hop twins on a ``legacy`` machine against the accounting core on
-    a ``volume`` one, called in the same order: counter bytes, the resident
-    peak, every rank's resident words and the round boundaries; the per-hop
-    product is ``A @ B``."""
+    """The per-hop reference's steps on a hop machine against the accounting
+    core on a ``volume`` machine, called in the same order: counter bytes, the
+    resident peak, every rank's resident words and the round boundaries; the
+    per-hop product is ``A @ B``."""
     p, decomposition = problem
     m, n, k = decomposition.m, decomposition.n, decomposition.k
     rng = np.random.default_rng(0)
     a, b = rng.random((m, k)), rng.random((k, n))
-    hop, core = DistributedMachine(p, mode="legacy"), DistributedMachine(p, mode="volume")
+    hop, core = HopMachine(p), DistributedMachine(p, mode="volume")
     hop_rounds, core_rounds = [], []
-    put_owned_blocks(hop, decomposition, a, b, "A", "B", "C")
-    hop_fiber_exchange(hop, decomposition, exchange, "A", "B", "C", hop_rounds.append)
-    hop_c_reduction(hop, decomposition, "C")
+    per_hop.put_owned_blocks(hop, decomposition, a, b, "A", "B", "C")
+    per_hop.fiber_exchange(hop, decomposition, exchange, "A", "B", "C", hop_rounds.append)
+    per_hop.c_reduction(hop, decomposition, "C")
     post_owned_words(core, decomposition, "A", "B", "C")
     core.check_memory()
     post_fiber_exchange(core, decomposition, exchange, core_rounds.append)
@@ -525,9 +568,9 @@ def test_per_hop_twins_equal_the_accounting_core(problem, exchange):
     assert hop.counters.data.tobytes() == core.counters.data.tobytes()
     assert hop.check_memory() == core.check_memory()
     assert hop.peak_resident_words == core.peak_resident_words
-    assert _resident(hop) == _resident(core)
+    assert hop.resident == _resident(core)
     assert hop_rounds == core_rounds == list(range(decomposition.num_steps))
-    assert np.allclose(owner_product(hop, decomposition, "C_final"), a @ b)
+    assert np.allclose(per_hop.owner_product(hop, decomposition, "C_final"), a @ b)
 
 
 # ---------------------------------------------------------------------------
@@ -612,9 +655,10 @@ def grid25d_problems(draw):
 @example(problem=(100, 90, 7, (3, 3, 3), 0))    # layers narrower than the grid side
 def test_grid25d_is_cosma_with_a_one_round_gather(problem):
     """All eight rows: COSMA's accounting core on ``(q, q, c)``, the whole layer
-    as the step and direct sends, against 2.5D's per-hop run and its engine.
-    With one-sided gets (the same star) COSMA's per-hop run differs from
-    2.5D's in the round count alone: a get charges only its origin."""
+    as the step and direct sends, against 2.5D's per-hop reference and its
+    engine.  With one-sided gets (the same star) COSMA's per-hop reference
+    differs from 2.5D's in the round count alone: a get charges only its
+    origin."""
     m, n, k, grid, idle = problem
     p = grid[0] * grid[1] * grid[2] + idle
     memory_words = 1 << 20  # one round: the whole layer fits
@@ -634,11 +678,13 @@ def test_grid25d_is_cosma_with_a_one_round_gather(problem):
         return cosma_multiply(a, b, p, memory_words, machine=machine,
                               grid=ProcessorGrid(*grid), use_rma=True)
 
+    decomposition = grid25d_decomposition(m, n, k, p, memory_words, grid)
     core, _ = _run_on(cosma_gather, m, n, k, p, memory_words, "volume")
-    loop, _ = _run_on(grid25d, m, n, k, p, memory_words, "legacy")
+    loop, _ = _reference_on(
+        lambda a, b, machine: per_hop.grid25d(machine, decomposition, a, b), m, n, k, p)
     assert _counter_rows(core) == _counter_rows(loop)
     assert _counter_rows(core) == _counter_rows(_run_on(grid25d, m, n, k, p, memory_words, "volume")[0])
-    gets, _ = _run_on(cosma_gets, m, n, k, p, memory_words, "legacy")
+    gets, _ = _reference(m, n, k, ProcessorGrid(*grid), idle, memory_words, use_rma=True)
     assert _counter_rows(gets, without=[ROUNDS]) == _counter_rows(loop, without=[ROUNDS])
     sender_rounds = loop.counters.data[ROUNDS] - gets.counters.data[ROUNDS]
     assert (sender_rounds >= 0).all()
@@ -669,11 +715,17 @@ def test_grid25d_decomposition_is_the_textbook_layout(problem):
 def test_grid25d_sends_no_empty_slice(mode):
     """100 x 90 x 7 on 3 x 3 x 3: layers of 3 / 2 / 2 columns over a grid side
     of 3, so two layers have an owner with nothing to send.  126 messages when
-    those were posted as zero-word transfers; the words never moved."""
+    those were posted as zero-word transfers; the words never moved.  In both
+    modes and in the per-hop reference (``legacy``, the mode it served)."""
     def multiply(a, b, machine):
         return grid25d_multiply(a, b, 27, 4096, machine=machine, grid=(3, 3, 3))
 
-    machine, result = _run_on(multiply, 100, 90, 7, 27, 4096, mode)
+    if mode == "legacy":
+        decomposition = grid25d_decomposition(100, 90, 7, 27, 4096, grid=(3, 3, 3))
+        machine, _ = _reference_on(
+            lambda a, b, hops: per_hop.grid25d(hops, decomposition, a, b), 100, 90, 7, 27)
+    else:
+        machine, result = _run_on(multiply, 100, 90, 7, 27, 4096, mode)
     assert machine.counters.total_messages == 102
     assert machine.counters.total_words_received == 20660
     if mode == "plane":

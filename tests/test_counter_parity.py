@@ -1,16 +1,18 @@
-"""Counter- and numeric-parity regression tests for the execution modes.
+"""Counter- and numeric-parity regression tests: every engine against its
+per-hop reference.
 
-The whole point of the fast-path transports is that the *numbers the paper
-reports* -- words, messages, rounds, the input/output split -- are a function
-of payload shapes only.  Every algorithm must therefore produce byte-identical
-per-rank counters (every cell of the counter matrix) under legacy, zerocopy,
-plane and volume transports on every scenario; the numeric modes (legacy,
-zerocopy, plane) must additionally agree on the product itself -- the plane
-engine's stacked GEMMs associate sums differently, so its products are
-``np.allclose`` to the reference rather than bitwise equal.
+The numbers the paper reports -- words, messages, rounds, the input/output
+split, flops -- are a function of the schedule, and every registered
+algorithm runs its schedule as one batched engine in both modes.  The per-hop
+reference of ``tests/oracle`` runs the same schedule hop by hop.  On every
+scenario, each engine must reproduce it cell for cell (the whole counter
+matrix) and in its resident peak, in ``plane`` and ``volume`` mode, and the
+``plane`` product must match ``A @ B`` and the reference's product -- with
+``np.allclose``, since the engines' stacked GEMMs associate sums differently.
 """
 
 import numpy as np
+import oracle
 import pytest
 
 from repro.algorithms import AlgorithmSpec, get_algorithm, register, registered_algorithms, unregister
@@ -18,7 +20,7 @@ from repro.experiments.harness import run_algorithm
 from repro.machine.counters import WORDS_SENT, ConservationError
 from repro.machine.shard import ShardPool
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import MODES, NUMERIC_MODES, ShapeToken
+from repro.machine.transport import MODES, ShapeToken
 from repro.workloads.scaling import (
     Scenario,
     extra_memory_sweep,
@@ -26,6 +28,20 @@ from repro.workloads.scaling import (
     strong_scaling_sweep,
 )
 from repro.workloads.shapes import square_shape
+
+#: The retired per-hop transports' names, which the harness still runs as
+#: ``plane`` (the frozen ledger passes them).
+RETIRED_MODES = ("legacy", "zerocopy")
+
+#: The built-ins and the registry's extension example, which registers on
+#: import (here, inside the tests, so other modules' parameters do not see it).
+PARITY_ALGORITHMS = sorted(registered_algorithms()) + ["AllGather1D"]
+
+
+def _spec(name: str) -> AlgorithmSpec:
+    import repro.extensions.allgather  # noqa: F401 - registers AllGather1D
+
+    return get_algorithm(name)
 
 
 def _run_mode(name: str, scenario: Scenario, mode: str):
@@ -37,13 +53,15 @@ def _run_mode(name: str, scenario: Scenario, mode: str):
         )
     else:
         a, b = scenario.shape.random_matrices(seed=0)
-    product = get_algorithm(name).runner(a, b, scenario, machine)
+    product = _spec(name).runner(a, b, scenario, machine)
     counters = machine.counters.data.tolist()
     return counters, product, machine.peak_resident_words
 
 
-def _per_rank_counters(name: str, scenario: Scenario, mode: str):
-    return _run_mode(name, scenario, mode)[0]
+def _run_oracle(name: str, scenario: Scenario):
+    """The per-hop reference's counters, product and peak on the same inputs."""
+    machine, product = oracle.run(name, scenario, *scenario.shape.random_matrices(seed=0))
+    return machine.counters.data.tolist(), product, machine.peak_resident_words
 
 
 SCENARIO_GRID = (
@@ -54,58 +72,60 @@ SCENARIO_GRID = (
 )
 
 
-@pytest.mark.parametrize("name", sorted(registered_algorithms()))
+@pytest.mark.parametrize("name", PARITY_ALGORITHMS)
 @pytest.mark.parametrize("scenario", SCENARIO_GRID, ids=lambda s: s.name)
 def test_counters_identical_across_modes(name, scenario):
-    reference = _per_rank_counters(name, scenario, "legacy")
+    reference, _, reference_peak = _run_oracle(name, scenario)
     assert any(reference[WORDS_SENT]), "scenario moved no data at all"
-    for mode in MODES[1:]:
-        counters = _per_rank_counters(name, scenario, mode)
-        assert counters == reference, f"{name} counters diverge in {mode} mode"
+    for mode in MODES:
+        counters, _, peak = _run_mode(name, scenario, mode)
+        assert counters == reference, f"{name} counters diverge from the per-hop run in {mode} mode"
+        assert peak == reference_peak, f"{name} peak footprint diverges in {mode} mode"
 
 
-@pytest.mark.parametrize("name", sorted(registered_algorithms()))
+@pytest.mark.parametrize("name", PARITY_ALGORITHMS)
 @pytest.mark.parametrize("scenario", SCENARIO_GRID, ids=lambda s: s.name)
 def test_numeric_modes_agree_with_reference_product(name, scenario):
-    """Every numeric mode's product must match A @ B; counters stay identical.
+    """The plane product must match A @ B and the per-hop product; counters
+    and peak stay the reference's.
 
     This is the plane engine's core contract: full result verification with
     counters byte-for-byte equal to the per-hop reference execution.
     """
     a, b = scenario.shape.random_matrices(seed=0)
     expected = a @ b
-    reference_counters, reference_product, reference_peak = _run_mode(
-        name, scenario, "legacy"
-    )
+    reference_counters, reference_product, reference_peak = _run_oracle(name, scenario)
     assert np.allclose(reference_product, expected, atol=1e-8 * scenario.shape.k)
-    for mode in NUMERIC_MODES[1:]:
-        counters, product, peak = _run_mode(name, scenario, mode)
-        assert np.allclose(product, expected, atol=1e-8 * scenario.shape.k), (
-            f"{name} product diverges from A @ B in {mode} mode"
-        )
-        assert np.allclose(product, reference_product, atol=1e-8 * scenario.shape.k), (
-            f"{name} product diverges from the legacy product in {mode} mode"
-        )
-        assert counters == reference_counters
-        assert peak == reference_peak, f"{name} peak footprint diverges in {mode} mode"
+    counters, product, peak = _run_mode(name, scenario, "plane")
+    assert np.allclose(product, expected, atol=1e-8 * scenario.shape.k), (
+        f"{name} product diverges from A @ B in plane mode"
+    )
+    assert np.allclose(product, reference_product, atol=1e-8 * scenario.shape.k), (
+        f"{name} product diverges from the per-hop product in plane mode"
+    )
+    assert counters == reference_counters
+    assert peak == reference_peak, f"{name} peak footprint diverges in plane mode"
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", MODES + RETIRED_MODES)
 def test_harness_runs_and_conserves_in_every_mode(mode):
+    """Every mode the harness accepts, the two retired spellings included:
+    those run as ``plane`` and the run says so."""
     scenario = limited_memory_sweep("square", [4], 2048)[0]
     run = run_algorithm("COSMA", scenario, mode=mode)
-    assert run.mode == mode
+    assert run.mode == ("plane" if mode in RETIRED_MODES else mode)
     assert run.correct
     assert run.verified == (mode != "volume")
     assert run.mean_words_per_rank > 0
 
 
 def test_volume_mode_flops_match_legacy():
+    """A volume run counts the per-hop reference's flops."""
     scenario = limited_memory_sweep("square", [9], 2048)[0]
-    legacy = run_algorithm("COSMA", scenario, mode="legacy")
+    reference, _ = oracle.run("COSMA", scenario, *scenario.shape.random_matrices(seed=0))
     volume = run_algorithm("COSMA", scenario, mode="volume")
-    assert volume.total_flops == legacy.total_flops
-    assert volume.max_flops_per_rank == legacy.max_flops_per_rank
+    assert volume.total_flops == reference.counters.total_flops
+    assert volume.max_flops_per_rank == reference.counters.max_flops_per_rank()
 
 
 class TestConservationAssertion:
@@ -169,15 +189,18 @@ class TestPlaneEngine:
         assert np.allclose(product, a @ b, atol=1e-8 * scenario.shape.k)
 
     def test_unported_algorithm_falls_back_transparently(self):
-        """An extension registered without a plane path must run unchanged."""
-        import repro.extensions.allgather  # noqa: F401 - self-registers
-
+        """The registry's extension example runs like the built-ins: its
+        engine counts its per-hop reference's ring, and a retired mode name
+        runs it as ``plane``."""
+        _spec("AllGather1D")
         scenario = limited_memory_sweep("square", [4], 4096)[0]
-        legacy = run_algorithm("AllGather1D", scenario, mode="legacy")
+        reference, _ = oracle.run("AllGather1D", scenario, *scenario.shape.random_matrices(seed=0))
         plane = run_algorithm("AllGather1D", scenario, mode="plane")
         assert plane.correct and plane.verified
-        assert plane.mean_words_per_rank == legacy.mean_words_per_rank
-        assert plane.rounds == legacy.rounds
+        assert plane.mean_words_per_rank == reference.counters.mean_words_per_rank()
+        assert plane.rounds == reference.counters.max_rounds()
+        retired = run_algorithm("AllGather1D", scenario, mode="legacy")
+        assert (retired.mode, retired.mean_words_per_rank) == ("plane", plane.mean_words_per_rank)
 
 
 class TestShardedPlane:
@@ -337,12 +360,13 @@ class TestPlaneDtype:
             assert np.shares_memory(array, operand) and dtype == np.float32
 
     def test_local_multiply_keeps_float32_operands_float32(self):
-        machine = DistributedMachine(2, memory_words=4096, plane_dtype="float32")
+        """The per-hop reference's local multiply keeps float32 float32; a
+        mixed pair computes in float64."""
+        machine = oracle.HopMachine(2)
         a = np.ones((4, 3), dtype=np.float32)
         b = np.ones((3, 5), dtype=np.float32)
-        assert machine.local_multiply(0, a, b).dtype == np.float32
-        # Mixed operands still normalize to the float64 reference path.
-        assert machine.local_multiply(0, a, b.astype(np.float64)).dtype == np.float64
+        assert machine.multiply(0, a, b).dtype == np.float32
+        assert machine.multiply(0, a, b.astype(np.float64)).dtype == np.float64
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_float32_counters_match_float64(self, shards):

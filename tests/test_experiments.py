@@ -89,7 +89,7 @@ class TestHarness:
         at rank 0 of any row changes something ``run_algorithm`` stores."""
         def stored(counters):
             monkeypatch.setattr(harness, "_execute",
-                                lambda *args, **kwargs: (None, counters, False, True))
+                                lambda *args, **kwargs: (None, counters, "volume", False, True))
             run = dataclasses.asdict(run_algorithm("COSMA", small_scenario, mode="volume"))
             return {name: value for name, value in run.items()
                     if name not in ("algorithm", "scenario", "correct", "mode", "verified")}

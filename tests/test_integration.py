@@ -58,7 +58,7 @@ class TestCommunicationComparison:
     @pytest.fixture(scope="class")
     def limited_runs(self, tmp_path_factory):
         scenarios = limited_memory_sweep("square", [4, 9, 16], memory_words=2048)
-        spec = spec_from_scenarios(scenarios, algorithms=DEFAULT_ALGORITHMS, mode="legacy", seed=2)
+        spec = spec_from_scenarios(scenarios, algorithms=DEFAULT_ALGORITHMS, mode="plane", seed=2)
         result = run_campaign(spec, store=tmp_path_factory.mktemp("store"))
         assert result.failed == 0
         return result.runs()

@@ -2,8 +2,8 @@
 
 The closed-form :func:`redistribution_volume` is held to a brute-force
 reference that expands both layouts to element-wise owner matrices; the
-grid-family ``input_layouts()`` are held to what the per-hop engine stores
-and what the batched engines post; and the paper-scale test asks section
+grid-family ``input_layouts()`` are held to what the per-hop reference
+stores and what the engines post; and the paper-scale test asks section
 7.6's question -- what does COSMA cost from a ScaLAPACK block-cyclic input?
 -- at the points the paper runs.
 """
@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import HopMachine
+from oracle.grid import put_owned_blocks
 
 from repro.algorithms import cosma_idle_fraction, get_algorithm
 from repro.baselines.grid25d import grid25d_decomposition
 from repro.baselines.summa import summa_decomposition
-from repro.core.cosma import post_owned_words, put_owned_blocks
+from repro.core.cosma import post_owned_words
 from repro.core.decomposition import build_decomposition
 from repro.core.grid import ProcessorGrid
 from repro.layouts import Layout, block_cyclic, redistribution_volume
@@ -142,19 +144,19 @@ ENGINE_CASES = [
 
 @pytest.mark.parametrize("p, decomposition", ENGINE_CASES)
 def test_input_layouts_are_what_the_engines_hold(p, decomposition):
-    """Every element's owner, read back from the values ``put_owned_blocks``
-    stores, is the layout's; and the per-rank words are what
+    """Every element's owner, read back from the values the per-hop
+    reference stores, is the layout's; and the per-rank words are what
     ``post_owned_words`` posts."""
     m, n, k = decomposition.m, decomposition.n, decomposition.k
     a, b = np.arange(m * k).reshape(m, k), np.arange(k * n).reshape(k, n)
-    machine = DistributedMachine(p, mode="legacy")
+    machine = HopMachine(p)
     put_owned_blocks(machine, decomposition, a, b, "A", "B", "C")
     posted = DistributedMachine(p, mode="volume")
     post_owned_words(posted, decomposition, "A", "B", "C")
     for name, layout, matrix in zip("AB", decomposition.input_layouts(), (a, b)):
         stored = np.full(matrix.shape, -1)
         for rank in range(p):
-            held = machine.rank(rank).store.get(name)
+            held = machine.stores[rank].get(name)
             if held is not None:
                 elements = held.ravel().astype(np.int64)
                 assert (stored.flat[elements] == -1).all(), "an element is stored twice"

@@ -1,22 +1,23 @@
-"""Tests for tree-based collectives on the simulator."""
+"""Tests for the tree-based collectives of the per-hop reference (``tests/oracle``).
+
+The engines post whole collectives from the tree's fan-out
+(:func:`repro.machine.tree.tree_fanout`); these hop-by-hop collectives are
+what the parity suites hold them to, so they are pinned here against MPI's
+volumes.
+"""
 
 import numpy as np
 import pytest
+from oracle import HopMachine
+from oracle.collectives import allgather, broadcast, reduce, scatter
 
-from repro.machine.collectives import (
-    allgather,
-    broadcast,
-    reduce,
-    scatter,
-)
 from repro.machine.counters import MESSAGES_SENT, WORDS_RECEIVED, WORDS_SENT
-from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import ShapeToken
 
 
 @pytest.fixture
 def machine():
-    return DistributedMachine(8, memory_words=1 << 16)
+    return HopMachine(8)
 
 
 class TestBroadcast:
@@ -135,11 +136,11 @@ def _payloads(result):
 
 @pytest.mark.parametrize("name", sorted(_COLLECTIVES))
 def test_volume_tokens_count_exactly_like_legacy_arrays(name):
-    """On a ``volume`` machine a collective runs its per-hop loop on shape
-    tokens; the counters are the ``legacy`` run's on arrays, byte for byte."""
-    legacy = DistributedMachine(8, mode="legacy")
+    """A collective on shape tokens counts exactly what it counts on arrays,
+    byte for byte: every hop reads a payload's size, never its values."""
+    legacy = HopMachine(8)
     _COLLECTIVES[name](legacy, np.ones)
-    volume = DistributedMachine(8, mode="volume")
+    volume = HopMachine(8)
     result = _COLLECTIVES[name](volume, ShapeToken)
     assert volume.counters.data.tobytes() == legacy.counters.data.tobytes()
     assert volume.counters.total_words_sent > 0

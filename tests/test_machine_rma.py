@@ -1,16 +1,21 @@
-"""Tests for one-sided (RMA) communication primitives."""
+"""Tests for the one-sided (RMA) get of the per-hop reference (``tests/oracle``).
+
+COSMA's ``use_rma`` exchange (section 7.4) charges a get's round to its
+origin only; the engine posts that in closed form, and this get is the hop
+it is held to.
+"""
 
 import numpy as np
 import pytest
+from oracle import HopMachine
+from oracle.collectives import rma_get
 
-from repro.machine.rma import rma_get
 from repro.machine.counters import ROUNDS, WORDS_RECEIVED, WORDS_SENT
-from repro.machine.simulator import DistributedMachine
 
 
 @pytest.fixture
 def machine():
-    return DistributedMachine(4, memory_words=1 << 16)
+    return HopMachine(4)
 
 
 class TestRmaGet:

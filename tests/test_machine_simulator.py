@@ -1,14 +1,18 @@
-"""Tests for the distributed machine simulator and its counters."""
+"""Tests for the distributed machine simulator and its counters.
+
+The per-hop primitives (a send, a local multiply or add) belong to the
+reference hop machine of ``tests/oracle`` now; the tests that pin their
+accounting stay here, next to the counter matrix they reproduce.
+"""
 
 import copy
 import pickle
 
 import numpy as np
 import pytest
+from oracle import HopMachine
+from oracle.collectives import broadcast, reduce, rma_get
 
-from repro.core.cosma import cosma_multiply
-from repro.machine import counters as counters_module
-from repro.machine.collectives import broadcast, reduce
 from repro.machine.counters import (
     FLOPS,
     INPUT_WORDS,
@@ -20,7 +24,6 @@ from repro.machine.counters import (
     WORDS_SENT,
     CommCounters,
 )
-from repro.machine.rma import rma_get
 from repro.machine.simulator import DistributedMachine, LocalMemoryExceededError
 from repro.obs import tracing
 
@@ -46,9 +49,8 @@ class TestCommCounters:
     def test_reset(self):
         counters = CommCounters.for_ranks(1)
         counters.data[WORDS_SENT, 0] = 10
-        counters.log_tick(FLOPS, 0, 5)
+        counters.data[FLOPS, 0] = 5
         counters.reset()
-        assert not _logged(counters)
         assert counters.total_words_sent == 0
         assert counters.total_flops == 0
 
@@ -65,9 +67,7 @@ class TestDistributedMachine:
 
     def test_send_counts_words_and_messages(self):
         machine = DistributedMachine(2)
-        block = np.ones((3, 4))
-        delivered = machine.send(0, 1, block)
-        assert delivered.shape == (3, 4)
+        machine.post_transfers([0], [1], 12)
         data = machine.counters.data
         assert data[WORDS_SENT, 0] == 12
         assert data[WORDS_RECEIVED, 1] == 12
@@ -75,12 +75,12 @@ class TestDistributedMachine:
         assert data[MESSAGES_RECEIVED, 1] == 1
 
     def test_send_to_self_is_free(self):
-        machine = DistributedMachine(2)
+        machine = HopMachine(2)
         machine.send(0, 0, np.ones(10))
         assert machine.counters.total_words_sent == 0
 
     def test_send_returns_copy(self):
-        machine = DistributedMachine(2)
+        machine = HopMachine(2)
         block = np.ones(4)
         delivered = machine.send(0, 1, block)
         delivered[0] = 99
@@ -88,76 +88,75 @@ class TestDistributedMachine:
 
     def test_conservation(self):
         machine = DistributedMachine(3)
-        machine.send(0, 1, np.ones(5))
-        machine.send(1, 2, np.ones((2, 2)))
+        machine.post_transfers([0, 1], [1, 2], [5, 4])
         assert machine.counters.conservation_ok()
 
     def test_kind_splits_input_output(self):
         machine = DistributedMachine(2)
-        machine.send(0, 1, np.ones(5), kind="input")
-        machine.send(0, 1, np.ones(3), kind="output")
+        machine.post_transfers([0], [1], 5, kind="input")
+        machine.post_transfers([0], [1], 3, kind="output")
         assert machine.counters.data[INPUT_WORDS, 1] == 5
         assert machine.counters.data[OUTPUT_WORDS, 1] == 3
 
     def test_rounds_counted(self):
         machine = DistributedMachine(2)
-        machine.send(0, 1, np.ones(5))
-        machine.send(0, 1, np.ones(5), count_round=False)
+        machine.post_transfers([0], [1], 5)
+        machine.post_transfers([0], [1], 5, count_rounds=False)
         assert machine.counters.data[ROUNDS, 0] == 1
 
     def test_local_multiply_counts_flops(self):
-        machine = DistributedMachine(1)
+        machine = HopMachine(1)
         a = np.ones((2, 3))
         b = np.ones((3, 4))
-        product = machine.local_multiply(0, a, b)
+        product = machine.multiply(0, a, b)
         assert product.shape == (2, 4)
         assert machine.counters.data[FLOPS, 0] == 2 * 2 * 3 * 4
 
     def test_local_multiply_accumulates(self):
-        machine = DistributedMachine(1)
+        machine = HopMachine(1)
         acc = np.zeros((2, 2))
-        machine.local_multiply(0, np.eye(2), np.eye(2), accumulate_into=acc)
-        machine.local_multiply(0, np.eye(2), np.eye(2), accumulate_into=acc)
+        machine.multiply(0, np.eye(2), np.eye(2), accumulate_into=acc)
+        machine.multiply(0, np.eye(2), np.eye(2), accumulate_into=acc)
         assert np.allclose(acc, 2 * np.eye(2))
 
     def test_local_multiply_shape_mismatch(self):
-        machine = DistributedMachine(1)
+        machine = HopMachine(1)
         with pytest.raises(ValueError):
-            machine.local_multiply(0, np.ones((2, 3)), np.ones((4, 2)))
+            machine.multiply(0, np.ones((2, 3)), np.ones((4, 2)))
 
     def test_local_add(self):
-        machine = DistributedMachine(1)
+        machine = HopMachine(1)
         target = np.zeros(3)
-        machine.local_add(0, target, np.arange(3.0))
+        machine.add(0, target, np.arange(3.0))
         assert np.allclose(target, [0, 1, 2])
         assert machine.counters.data[FLOPS, 0] == 3
 
     def test_store_and_resident_words(self):
         machine = DistributedMachine(1)
-        machine.rank(0).put("A", np.ones((4, 4)))
+        machine.post_resident("A", slice(0, 1), 16)
         assert machine.rank(0).resident_words() == 16
 
     def test_check_memory_records_peak(self):
         machine = DistributedMachine(1, memory_words=100)
-        machine.rank(0).put("A", np.ones(60))
+        machine.post_resident("A", slice(0, 1), 60)
         machine.check_memory()
         assert machine.peak_resident_words == 60
 
     def test_check_memory_enforces(self):
         machine = DistributedMachine(1, memory_words=10, enforce_memory=True)
-        machine.rank(0).put("A", np.ones(20))
+        machine.post_resident("A", slice(0, 1), 20)
         with pytest.raises(LocalMemoryExceededError):
             machine.check_memory()
 
     def test_per_hop_counter_writes_check_the_rank(self):
-        """A counter cell is written at the rank's column: a rank outside
-        ``[0, p)`` raises instead of wrapping to another column, a free
-        self-transfer included."""
-        machine = DistributedMachine(2)
+        """A counter cell is written at the rank's column: on the hop machine a
+        rank outside ``[0, p)`` raises instead of wrapping to another column,
+        a free self-transfer included."""
+        machine = HopMachine(2)
         with pytest.raises(IndexError):
-            machine.local_multiply(2, np.ones((1, 1)), np.ones((1, 1)))
+            machine.multiply(2, np.ones((1, 1)), np.ones((1, 1)))
         with pytest.raises(IndexError):
-            machine.local_add(-1, np.zeros(2), np.ones(2))
+            machine.add(-1, np.zeros(2), np.ones(2))
         for rank in (2, -1):
             with pytest.raises(IndexError):
                 machine.send(rank, rank, np.ones(3))
@@ -167,15 +166,17 @@ class TestDistributedMachine:
 
 
 class TestResidentLedger:
-    """Residency is one int64 vector: batched posts and ``Rank.put`` share it."""
+    """Residency is one int64 vector: every posted name adds to it, and a rank
+    is a view of its entry."""
 
     def test_ranks_are_built_on_first_use(self):
+        """A rank is built only when asked for, as a view of the vector."""
         machine = DistributedMachine(4)
         machine.post_resident("A", slice(0, 4), 5)
         assert machine.check_memory() == 5
-        assert machine._ranks is None
         assert machine.rank(3).resident_words() == 5
-        assert machine.ranks is machine.ranks and len(machine.ranks) == 4
+        machine.post_resident("A", slice(3, 4), 6)
+        assert machine.rank(3).resident_words() == 6
 
     def test_posting_a_name_again_replaces_it(self):
         """What a second run on the same machine does to its same-named blocks."""
@@ -190,11 +191,11 @@ class TestResidentLedger:
 
     def test_put_and_post_report_the_sum(self):
         machine = DistributedMachine(3)
-        machine.rank(1).put("A", np.ones(7))
-        machine.post_resident("A", slice(0, 3), 5)  # a posted name is not a stored one
-        machine.rank(1).put("A", np.ones(2))  # replaces the stored block only
-        assert [rank.resident_words() for rank in machine.ranks] == [5, 7, 5]
-        machine.rank(1).pop("A")
+        machine.post_resident("B", np.array([1]), 7)
+        machine.post_resident("A", slice(0, 3), 5)  # another name adds to it
+        machine.post_resident("B", np.array([1]), 2)  # replaces B only
+        assert [machine.rank(r).resident_words() for r in range(3)] == [5, 7, 5]
+        machine.post_resident("B", np.array([1]), 0)
         assert machine.check_memory() == 5
         assert machine.peak_resident_words == 5
 
@@ -215,7 +216,7 @@ class TestBatchedCounterEngine:
 
     def test_post_transfers_matches_sequential_sends(self):
         batched = DistributedMachine(4)
-        serial = DistributedMachine(4)
+        serial = HopMachine(4)
         pairs = [(0, 1, 5), (0, 2, 7), (1, 3, 5), (0, 1, 2)]
         for src, dst, words in pairs:
             serial.send(src, dst, np.ones(words), kind="output")
@@ -234,7 +235,7 @@ class TestBatchedCounterEngine:
 
     def test_vectorized_aggregates_return_python_numbers(self):
         machine = DistributedMachine(2)
-        machine.send(0, 1, np.ones(5))
+        machine.post_transfers([0], [1], 5)
         counters = machine.counters
         assert isinstance(counters.total_words_sent, int)
         assert isinstance(counters.max_words_per_rank(), int)
@@ -242,21 +243,17 @@ class TestBatchedCounterEngine:
         assert isinstance(counters.max_messages_per_rank(), int)
 
 
-def _logged(counters) -> int:
-    """Integers in the counters' log of unapplied per-hop increments."""
-    return len(counters._sends) + len(counters._ticks)
-
-
 class TestCounterLog:
-    """Per-hop primitives log their increments; reading ``data`` applies them."""
+    """The hop machine's counts, against a matrix counted by hand: a per-hop
+    primitive writes exactly its cells, and a bad rank writes none."""
 
     def test_mixed_sequence_reads_the_hand_counted_matrix(self):
-        machine = DistributedMachine(3)
+        machine = HopMachine(3)
         machine.send(0, 1, np.ones((2, 3)))
         machine.send(1, 2, np.ones(4), kind="output")
         machine.send(2, 0, np.ones(5), count_round=False)
-        machine.local_multiply(1, np.ones((2, 3)), np.ones((3, 4)))
-        machine.local_add(2, np.zeros(3), np.ones(3))
+        machine.multiply(1, np.ones((2, 3)), np.ones((3, 4)))
+        machine.add(2, np.zeros(3), np.ones(3))
         # Rows: words sent / received, messages sent / received, flops,
         # rounds, input words, output words; one column per rank.
         assert machine.counters.data.tolist() == [
@@ -271,72 +268,31 @@ class TestCounterLog:
             [0, 48, 9], [5, 4, 4], [22, 15, 7], [3, 7, 10],
         ]
 
-    @pytest.mark.parametrize("size", [None, 97])
-    def test_every_read_sees_an_empty_log_that_stays_bounded(self, monkeypatch, size):
-        """A p = 64 COSMA run per hop, at the log's own size and at one small
-        enough to be reached many times; the matrix is the batched engine's."""
-        if size is not None:
-            monkeypatch.setattr(counters_module, "_LOG_SIZE", size)
-        logged_after_call, logged_after_read = [], []
-        data = CommCounters.data
-
-        def tracked(method):
-            def call(counters, *args):
-                method(counters, *args)
-                logged_after_call.append(_logged(counters))
-            return call
-
-        def read(counters):
-            matrix = data.fget(counters)
-            logged_after_read.append(_logged(counters))
-            return matrix
-
-        monkeypatch.setattr(CommCounters, "log_send", tracked(CommCounters.log_send))
-        monkeypatch.setattr(CommCounters, "log_tick", tracked(CommCounters.log_tick))
-        monkeypatch.setattr(CommCounters, "data", property(read, data.fset))
-        rng = np.random.default_rng(0)
-        a, b = rng.random((48, 96)), rng.random((96, 40))  # 24 rounds on (4, 4, 4)
-        runs = {}
-        for mode in ("legacy", "volume"):
-            machine = DistributedMachine(64, memory_words=150, mode=mode)
-            cosma_multiply(a, b, 64, 150, machine=machine)
-            runs[mode] = machine.counters.data.tobytes()
-        assert runs["legacy"] == runs["volume"]
-        assert len(logged_after_call) > 2000
-        assert max(logged_after_call) < counters_module._LOG_SIZE
-        if size is not None:
-            assert logged_after_call.count(0) > 10  # the size was reached
-        assert logged_after_read and not any(logged_after_read)
-
     def test_a_bad_rank_changes_neither_the_matrix_nor_the_log(self):
-        machine = DistributedMachine(3)
+        machine = HopMachine(3)
         machine.send(0, 1, np.ones(4))
-        machine.local_add(2, np.zeros(2), np.ones(2))
-        counters = machine.counters
-        before = counters._data.copy(), list(counters._sends), list(counters._ticks)
+        machine.add(2, np.zeros(2), np.ones(2))
+        before = machine.counters.data.tobytes()
         calls = (
             lambda: machine.send(0, 3, np.ones(4)),
             lambda: machine.send(-1, 0, np.ones(4)),
             lambda: machine.send(3, 3, np.ones(4)),
-            lambda: machine.local_multiply(3, np.ones((1, 2)), np.ones((2, 1))),
-            lambda: machine.local_add(-1, np.zeros(2), np.ones(2)),
+            lambda: machine.multiply(3, np.ones((1, 2)), np.ones((2, 1))),
+            lambda: machine.add(-1, np.zeros(2), np.ones(2)),
             lambda: rma_get(machine, 5, 0, np.ones(4)),
             lambda: rma_get(machine, 0, -2, np.ones(4)),
         )
         for call in calls:
             with pytest.raises(IndexError):
                 call()
-        after = counters._data, counters._sends, counters._ticks
-        assert after[0].tobytes() == before[0].tobytes()
-        assert after[1:] == before[1:]
-        assert counters.data[WORDS_SENT].tolist() == [4, 0, 0]
-        assert counters.data[FLOPS].tolist() == [0, 0, 2]
+        assert machine.counters.data.tobytes() == before
+        assert machine.counters.data[WORDS_SENT].tolist() == [4, 0, 0]
+        assert machine.counters.data[FLOPS].tolist() == [0, 0, 2]
 
     def test_copies_carry_the_applied_matrix(self):
         machine = DistributedMachine(3)
-        machine.send(0, 2, np.ones(6), kind="output")
-        machine.local_multiply(1, np.ones((2, 2)), np.ones((2, 2)))
-        assert _logged(machine.counters)
+        machine.post_transfers([0], [2], 6, kind="output")
+        machine.counters.data[FLOPS, 1] += 16
         for clone in (copy.deepcopy(machine.counters),
                       pickle.loads(pickle.dumps(machine.counters))):
             assert clone.data.tobytes() == machine.counters.data.tobytes()

@@ -1,6 +1,8 @@
-"""Tests for topology-aware broadcast trees (section 7.2)."""
+"""Tests for the broadcast trees (section 7.2): the binomial tree the engines
+count, and the topology-aware ones."""
 
 import pytest
+from oracle.collectives import broadcast_hops
 
 from repro.machine.tree import (
     binomial_tree,
@@ -8,6 +10,7 @@ from repro.machine.tree import (
     grid_distance,
     node_distance,
     topology_aware_tree,
+    tree_fanout,
 )
 
 
@@ -33,6 +36,16 @@ class TestBinomialTree:
         tree = binomial_tree([4], root=4)
         assert tree.parent == {}
         assert tree.depth() == 0
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 6, 7, 8, 13, 64, 100])
+    def test_fanout_is_the_per_hop_broadcast(self, q):
+        """The engines' fan-out is the tree's, and the per-hop reference's
+        broadcast hops (written out independently) build the same tree."""
+        fanout = [0] * q
+        for src, _ in broadcast_hops(q):
+            fanout[src] += 1
+        assert tree_fanout(q) == tuple(fanout)
+        assert binomial_tree(range(q), 0).parent == {dst: src for src, dst in broadcast_hops(q)}
 
 
 class TestDistances:

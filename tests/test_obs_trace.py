@@ -1,9 +1,9 @@
 """Telemetry layer: zero-perturbation tracing of the simulated machine.
 
 The hard guarantee under test: tracing only *reads* simulator state, so the
-communication-counter matrix is byte-identical traced vs untraced across all
-four transports and every registered algorithm, and the golden sweep rows do
-not move.  On top of that, the exported Chrome trace validates against the
+communication-counter matrix is byte-identical traced vs untraced in every
+mode the harness runs and for every registered algorithm, and the golden
+sweep rows do not move.  On top of that, the exported Chrome trace validates against the
 trace-event schema, every counted round yields a span, and plane-mode GEMM
 time is split from counter-accounting time.
 """
@@ -16,6 +16,7 @@ import pytest
 
 from repro.algorithms import get_algorithm, registered_algorithms
 from repro.api import multiply
+from repro.experiments.harness import _execute
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import MODES, ShapeToken
 from repro.obs import (
@@ -35,31 +36,23 @@ from repro.workloads.scaling import limited_memory_sweep
 
 
 def _counter_bytes(algorithm: str, mode: str, traced: bool) -> bytes:
-    """Run one (algorithm, mode) point and return the raw counter matrix."""
+    """Run one (algorithm, mode) point through the harness and return the raw
+    counter matrix."""
     scenario = limited_memory_sweep("square", [4], 2048)[0]
-    spec = get_algorithm(algorithm)
-    shape = scenario.shape
-    if mode == "volume":
-        a = ShapeToken((shape.m, shape.k))
-        b = ShapeToken((shape.k, shape.n))
-    else:
-        a, b = shape.random_matrices(seed=0)
     with tracing() if traced else nullcontext():
-        machine = DistributedMachine(
-            scenario.p, memory_words=scenario.memory_words, mode=mode
+        _, counters, _, _, _ = _execute(
+            get_algorithm(algorithm), scenario, *scenario.shape.random_matrices(seed=0),
+            mode=mode, span="run", verify=False, shards=1, plane_dtype="float64",
         )
-        spec.run(a, b, scenario, machine)
-    machine.counters.assert_conservation()
-    return machine.counters.data.tobytes()
+    return counters.data.tobytes()
 
 
 class TestZeroPerturbation:
-    @pytest.mark.parametrize("mode", MODES)
+    #: Every mode the harness accepts: the two retired per-hop spellings run
+    #: as ``plane``.
+    @pytest.mark.parametrize("mode", ("legacy", "zerocopy") + MODES)
     @pytest.mark.parametrize("algorithm", registered_algorithms())
     def test_counters_byte_identical_traced_vs_untraced(self, algorithm, mode):
-        spec = get_algorithm(algorithm)
-        if not spec.supports_mode(mode):
-            pytest.skip(f"{algorithm} does not support mode {mode!r}")
         assert _counter_bytes(algorithm, mode, traced=False) == \
             _counter_bytes(algorithm, mode, traced=True)
 
@@ -119,7 +112,6 @@ class TestTracerApi:
         with tracing():
             traced_machine = DistributedMachine(4, memory_words=1024)
             assert traced_machine.trace is not None
-            assert traced_machine.transport.observer is traced_machine.trace
 
 
 class TestRoundSpans:

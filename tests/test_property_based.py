@@ -5,14 +5,14 @@ import math
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import HopMachine
+from oracle.collectives import broadcast, reduce
 
 from repro.baselines.carma import carma_domains
 from repro.baselines.costs import io_cost_25d, io_cost_2d, io_cost_carma
 from repro.baselines.cuboid import validate_domains
 from repro.core.cosma import cosma_multiply
 from repro.core.grid import communication_volume_per_rank, fit_ranks
-from repro.machine.collectives import broadcast, reduce
-from repro.machine.simulator import DistributedMachine
 from repro.pebbling.mmm_bounds import parallel_io_lower_bound, schedule_io, sequential_io_lower_bound
 from repro.pebbling.mmm_schedule import optimal_tile_sizes, sequential_mmm_schedule, tile_footprint
 from repro.utils.intmath import ceil_div, divisors, factorize, split_evenly
@@ -154,7 +154,7 @@ class TestSimulatorProperties:
         words=st.integers(min_value=1, max_value=50),
     )
     def test_broadcast_conservation_and_volume(self, q, words):
-        machine = DistributedMachine(q)
+        machine = HopMachine(q)
         broadcast(machine, 0, list(range(q)), np.ones(words))
         assert machine.counters.conservation_ok()
         assert machine.counters.total_words_sent == (q - 1) * words
@@ -164,7 +164,7 @@ class TestSimulatorProperties:
         words=st.integers(min_value=1, max_value=50),
     )
     def test_reduce_volume(self, q, words):
-        machine = DistributedMachine(q)
+        machine = HopMachine(q)
         blocks = {r: np.full(words, float(r)) for r in range(q)}
         total = reduce(machine, 0, list(range(q)), blocks)
         assert machine.counters.total_words_sent == (q - 1) * words

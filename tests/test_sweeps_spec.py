@@ -111,7 +111,7 @@ class TestKeys:
         base = small_spec().expand()[0]
         variants = [
             RunRequest(algorithm="CARMA", scenario=base.scenario, mode=base.mode, seed=base.seed),
-            RunRequest(algorithm=base.algorithm, scenario=base.scenario, mode="legacy", seed=base.seed),
+            RunRequest(algorithm=base.algorithm, scenario=base.scenario, mode="plane", seed=base.seed),
             RunRequest(algorithm=base.algorithm, scenario=base.scenario, mode=base.mode, seed=7),
             RunRequest(algorithm=base.algorithm, scenario=base.scenario, mode=base.mode,
                        seed=base.seed, verify=False),

@@ -45,7 +45,7 @@ class TestRunKey:
                                   memory_words=scenario.memory_words, regime=scenario.regime)
         assert run_key("CARMA", scenario, "volume") != base
         assert run_key("COSMA", other_scenario, "volume") != base
-        assert run_key("COSMA", scenario, "legacy") != base
+        assert run_key("COSMA", scenario, "plane") != base
         assert run_key("COSMA", scenario, "volume", seed=1) != base
         assert run_key("COSMA", scenario, "volume", verify=False) != base
 

@@ -1,16 +1,17 @@
 """``volume`` mode rides the batched engines: structure, ownership and scale.
 
-Counter parity with the per-rank loops is ``test_counter_parity.py``'s job;
-this file pins what the counters-only route is made of:
+Counter parity with the per-hop reference (``tests/oracle``) is
+``test_counter_parity.py``'s job; this file pins what the counters-only route
+is made of:
 
 * the cuboid executor's per-matrix ownership function (``_owner_words``)
-  against the element-wise ``_ownership_map`` oracle, block by block, and
-  against the messages the ``legacy`` per-hop loop sends, one by one;
+  against the reference's element-wise ownership map, block by block, and
+  against the messages the reference sends, one by one;
 * the two paper-scale points the ledger leaves out as too slow for the
-  per-rank loops (CARMA and Cannon on 8192^3, p=4096), with values captured
-  from the per-rank paths;
-* a structural guard: no built-in algorithm's ``volume`` run touches a
-  per-rank primitive or allocates an element-sized array, an untraced COSMA
+  per-hop reference (CARMA and Cannon on 8192^3, p=4096), with values
+  captured from the per-rank paths;
+* a structural guard: no built-in algorithm's ``volume`` run allocates an
+  element-sized array, an untraced COSMA
   run expands its width table to ranks once and writes no class delta (a
   traced one writes one per round class), ScaLAPACK, CTF and Cannon do so
   only from inside COSMA's accounting core, none of them expands a transfer
@@ -27,14 +28,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import HopMachine
+from oracle import cuboid as per_hop
+from oracle.cuboid import ownership_map
 
 from repro.algorithms import cosma_idle_fraction, get_algorithm
-from repro.baselines import cannon, cuboid, grid25d, summa
+from repro.baselines import cuboid
 from repro.baselines.carma import carma_domains
-from repro.baselines.cuboid import CuboidDomain, _owner_words, _ownership_map, domain_table
+from repro.baselines.cuboid import CuboidDomain, _owner_words, domain_table
 from repro.core import cosma
 from repro.experiments.harness import run_algorithm
-from repro.machine import rma, simulator
+from repro.machine import simulator
 from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import ShapeToken
@@ -99,7 +103,7 @@ def test_cell_owner_counts_equal_the_element_map(tiling):
         ((k, n), [(d.rank, d.k_range, d.j_range) for d in ordered], (k_range, j_range)),
         ((m, n), [(d.rank, d.i_range, d.j_range) for d in ordered], (i_range, j_range)),
     ):
-        element_map = _ownership_map(shape, regions)
+        element_map = ownership_map(shape, regions)
         owners, receivers, words = _owner_words(ranks, rows, cols)
         assert owners.dtype == receivers.dtype == words.dtype == np.int64
         for rank, (r0, r1), (c0, c1) in regions:
@@ -115,24 +119,24 @@ def test_cell_owner_counts_equal_the_element_map(tiling):
 @settings(max_examples=80, deadline=None)
 @given(tilings())
 def test_per_hop_messages_equal_the_owner_words(tiling):
-    """Every message the ``legacy`` per-hop loop sends, per receiver and in
-    order, is one ``_owner_words`` triple: A then B owner -> rank (owners
-    ascending), then the C reduction rank -> owner (senders ascending)."""
+    """Every message the per-hop reference sends, per receiver and in order, is
+    one ``_owner_words`` triple: A then B owner -> rank (owners ascending),
+    then the C reduction rank -> owner (senders ascending)."""
     m, n, k, domains = tiling
     table = domain_table(domains)
     ranks, i_range, j_range, k_range = table[:, 0], table[:, 1:3], table[:, 3:5], table[:, 5:7]
     sent: dict[int, list] = {}
-    send = DistributedMachine.send
+    send = HopMachine.send
 
     def recorded(self, src, dst, block, kind="input", count_round=True):
         sent.setdefault(dst, []).append((src, dst, int(np.size(block)), kind))
         return send(self, src, dst, block, kind, count_round)
 
     rng = np.random.default_rng(0)
-    machine = DistributedMachine(int(ranks.max()) + 1, memory_words=1 << 20, mode="legacy")
+    machine = HopMachine(int(ranks.max()) + 1)
     with pytest.MonkeyPatch.context() as patch:  # hypothesis reruns the body: no fixture
-        patch.setattr(DistributedMachine, "send", recorded)
-        cuboid.cuboid_multiply(rng.random((m, k)), rng.random((k, n)), domains, machine=machine)
+        patch.setattr(HopMachine, "send", recorded)
+        per_hop.cuboid(machine, table, rng.random((m, k)), rng.random((k, n)))
 
     expected: dict[int, list] = {}
     for rows, cols in ((i_range, k_range), (k_range, j_range)):
@@ -177,7 +181,7 @@ def test_cannon_on_sq4096_volume():
 
 
 # ---------------------------------------------------------------------------
-# structural guard: volume never enters a per-rank loop
+# structural guard: volume never builds element-sized state
 # ---------------------------------------------------------------------------
 class _CountingNumpy:
     """``numpy`` as one module sees it, recording ``full`` / ``zeros`` sizes."""
@@ -199,27 +203,13 @@ class _CountingNumpy:
 
 @pytest.mark.parametrize("name", BUILTINS)
 def test_volume_runs_use_no_per_rank_primitive(name, monkeypatch):
-    """Built-ins only; a registered extension without a batched engine
-    (``extensions/allgather.py``) runs its per-hop loop on tokens in volume."""
-    calls: list[str] = []
-
-    def forbid(label):
-        def forbidden(*args, **kwargs):
-            calls.append(label)
-            raise AssertionError(f"{name} volume run called {label}")
-        return forbidden
-
-    monkeypatch.setattr(DistributedMachine, "local_multiply", forbid("machine.local_multiply"))
-    monkeypatch.setattr(DistributedMachine, "send", forbid("machine.send"))
-    for module in (summa, grid25d, cannon, cuboid, cosma):
-        for primitive in ("broadcast", "reduce", "concat_payloads"):
-            if hasattr(module, primitive):
-                monkeypatch.setattr(module, primitive, forbid(f"{module.__name__}.{primitive}"))
+    """A paper-scale ``volume`` run of every built-in: the cuboid executor's
+    cell grid stays far below the 4096^2 elements of a matrix (no per-rank,
+    per-element owner map)."""
     counting = _CountingNumpy()
     monkeypatch.setattr(cuboid, "np", counting)
 
     run = run_algorithm(name, paper_scenario(4096, 1024), mode="volume")
-    assert calls == []
     assert run.mean_words_per_rank > 0
     assert counting.largest <= 10**5
 
@@ -269,14 +259,11 @@ def test_grid_baselines_post_transfers_only_from_the_cosma_core(name, class_post
     assert panel_expansions[1:] == [1] * len(class_posts)
 
 
-def test_use_rma_volume_run_stays_on_the_batched_engine(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("use_rma volume run reached the per-hop loop")
-
-    monkeypatch.setattr(DistributedMachine, "send", forbidden)
-    monkeypatch.setattr(rma, "rma_get", forbidden)
-    monkeypatch.setattr(cosma, "rma_get", forbidden)
+def test_use_rma_volume_run_stays_on_the_batched_engine(class_posts, panel_expansions):
+    """One-sided gets are an ``exchange`` kind of the same core: one expansion
+    of the width table, no class delta, no transfer list."""
     _, one_sided = _cosma_sq1024_volume(use_rma=True)
+    assert class_posts == [] and panel_expansions == [683]
     tree = run_algorithm("COSMA", paper_scenario(4096, 1024), mode="volume")
     assert one_sided.mean_words_per_rank == tree.mean_words_per_rank
     assert one_sided.counters.max_rounds() < tree.rounds  # only the origin pays a round
