@@ -28,7 +28,10 @@ row one revision has and the other does not) is listed once, at the end, and
 is not a difference.  The ``xl/`` and ``volume_requests/`` lines also carry each
 side's wall seconds for the point's single untraced run (the call as the
 registry makes it, COSMA's grid search included): a speed-up reads next to the
-proof that nothing observable moved.  Seconds are never compared.  The point
+proof that nothing observable moved.  Every point with a product also carries
+each side's largest ``max |C - A @ B|`` over its runs, so a product whose sums
+are associated differently reads as "digests differ" next to both sides'
+errors.  Seconds and errors are never compared.  The point
 sets are restated here from public ``repro`` functions: nothing is imported
 from, or written under, ``benchmarks/ledger/``.
 """
@@ -207,8 +210,9 @@ def _summary(values: list) -> list:
     return [len(values), sum(numbers), _digest(values)]
 
 
-def _observe_run(multiply, dims, p, memory_words, mode, traced, runs) -> tuple[dict, float]:
-    """What the run left behind, and the wall seconds of its ``multiply`` calls."""
+def _observe_run(multiply, dims, p, memory_words, mode, traced, runs) -> tuple[dict, float, float | None]:
+    """What the run left behind, the wall seconds of its ``multiply`` calls and
+    the product's ``max |C - A @ B|`` (``None`` in ``volume`` mode)."""
     import numpy as np
 
     from repro.machine.counters import COUNTER_FIELDS
@@ -248,10 +252,12 @@ def _observe_run(multiply, dims, p, memory_words, mode, traced, runs) -> tuple[d
         observed["spans"] = len(spans)
         for key in SPAN_ARGS:
             observed[f"spans.{key}"] = _summary([span.get(key) for span in spans])
+    error = None
     if mode != "volume":
         matrix = getattr(result, "matrix", result)
         observed["product"] = _digest(np.ascontiguousarray(matrix).tobytes())
-    return observed, seconds
+        error = float(np.abs(matrix - a @ b).max(initial=0.0))
+    return observed, seconds, error
 
 
 def observe() -> None:
@@ -261,18 +267,19 @@ def observe() -> None:
             for traced in (False, True):
                 for runs in (1, 2):
                     variant = f"{mode} {'traced' if traced else 'untraced'} x{runs}"
-                    observed, seconds = _observe_run(
+                    observed, seconds, error = _observe_run(
                         multiply, dims, p, memory_words, mode, traced, runs)
                     print(json.dumps({"point": label, "variant": variant, "observed": observed,
-                                      "seconds": seconds}), flush=True)
+                                      "seconds": seconds, "error": error}), flush=True)
 
 
 # ---------------------------------------------------------------------------
 # both sides, compared
 # ---------------------------------------------------------------------------
-def _observations(tree: Path) -> tuple[dict[str, dict[str, dict]], dict[str, float]]:
-    """``{point: {variant: observed}}`` and ``{timed point: seconds}``, from a
-    child process importing ``tree/src``."""
+def _observations(tree: Path) -> tuple[dict[str, dict[str, dict]], dict[str, float], dict[str, float]]:
+    """``{point: {variant: observed}}``, ``{timed point: seconds}`` and
+    ``{point: largest max |C - A @ B| of its runs}``, from a child process
+    importing ``tree/src``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(REPO / "scripts")]))
     done = subprocess.run(
         [sys.executable, "-c", "import identity_pairs; identity_pairs.observe()"],
@@ -280,12 +287,16 @@ def _observations(tree: Path) -> tuple[dict[str, dict[str, dict]], dict[str, flo
     )
     points: dict[str, dict[str, dict]] = {}
     seconds: dict[str, float] = {}
+    errors: dict[str, float] = {}
     for line in done.stdout.splitlines():
         record = json.loads(line)
-        points.setdefault(record["point"], {})[record["variant"]] = record["observed"]
-        if record["variant"] == TIMED_VARIANT and record["point"].startswith(TIMED_PREFIXES):
-            seconds[record["point"]] = record["seconds"]
-    return points, seconds
+        point = record["point"]
+        points.setdefault(point, {})[record["variant"]] = record["observed"]
+        if record["variant"] == TIMED_VARIANT and point.startswith(TIMED_PREFIXES):
+            seconds[point] = record["seconds"]
+        if record["error"] is not None:
+            errors[point] = max(errors.get(point, 0.0), record["error"])
+    return points, seconds, errors
 
 
 def _moved(base, change) -> str:
@@ -306,7 +317,8 @@ def _recorded(side: dict) -> set[str]:
             for name in observed}
 
 
-def report(base: dict, change: dict, base_seconds: dict, change_seconds: dict) -> int:
+def report(base: dict, change: dict, base_seconds: dict, change_seconds: dict,
+           base_errors: dict, change_errors: dict) -> int:
     differing_points = 0
     observations = 0
     base_only, tree_only = _recorded(base) - _recorded(change), _recorded(change) - _recorded(base)
@@ -321,14 +333,17 @@ def report(base: dict, change: dict, base_seconds: dict, change_seconds: dict) -
                 if ours.get(name) != theirs.get(name):
                     findings.setdefault(name, []).append(
                         f"{variant}: {_moved(theirs.get(name), ours.get(name))}")
-        timing = ""
+        notes = ""
         if point in base_seconds and point in change_seconds:
-            timing = f"  base {base_seconds[point]:.3f} s, tree {change_seconds[point]:.3f} s"
+            notes = f"  base {base_seconds[point]:.3f} s, tree {change_seconds[point]:.3f} s"
+        if point in base_errors and point in change_errors:
+            notes += (f"  max |C - A @ B| base {base_errors[point]:.1e},"
+                       f" tree {change_errors[point]:.1e}")
         if not findings:
-            print(f"{point:<58} equal ({len(variants)} runs){timing}")
+            print(f"{point:<58} equal ({len(variants)} runs){notes}")
             continue
         differing_points += 1
-        print(f"{point:<58} DIFFERENT{timing}")
+        print(f"{point:<58} DIFFERENT{notes}")
         for name, where in findings.items():
             print(f"    {name:<28} in {len(where)}/{len(variants)} runs; first {where[0]}")
     for side, names in (("base", base_only), ("tree", tree_only)):
@@ -346,9 +361,9 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="identity-base-") as scratch:
         base_tree = Path(scratch)
         extract(args.base, base_tree)
-        (base, base_seconds), (change, change_seconds) = (
+        (base, base_seconds, base_errors), (change, change_seconds, change_errors) = (
             _observations(base_tree), _observations(REPO))
-        return report(base, change, base_seconds, change_seconds)
+        return report(base, change, base_seconds, change_seconds, base_errors, change_errors)
 
 
 if __name__ == "__main__":

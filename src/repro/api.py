@@ -138,8 +138,8 @@ def multiply(
         ``"CTF"``/``"2.5D"``, ``"CARMA"``, ``"Cannon"``, or anything added
         via :func:`repro.algorithms.register_algorithm`).
     mode:
-        Payload transport: ``"plane"`` runs and verifies real numerics on
-        stacked arrays; ``"volume"`` counts communication only (``matrix``
+        Payload transport: ``"plane"`` runs and verifies real numerics;
+        ``"volume"`` counts communication only (``matrix``
         is ``None``) and scales to paper-size grids.  ``None`` (default)
         takes what the inputs allow: ``"volume"`` for
         :class:`~repro.machine.transport.ShapeToken` inputs, ``"plane"`` for

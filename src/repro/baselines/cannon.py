@@ -9,9 +9,10 @@ memory, which is why 2D algorithms lose to 2.5D/COSMA when memory is spare.
 That is SUMMA on the ``q x q`` grid with block-wide panels passed around each
 fiber by the ``"ring"`` exchange of :mod:`repro.core.cosma` (a rank sends and
 receives one A and one B block per round, as per shift), plus the skew.  The
-engine is SUMMA's (:func:`repro.baselines.summa.run_panels`); Cannon's own
-part is :func:`cannon_decomposition` (zero padding included, and counted) and
-the skew, one closed-form delta.
+engine is SUMMA's (:func:`repro.baselines.summa.run_panels`), product
+included: one GEMM over the zero-padded operands, cut back to ``m x n``.
+Cannon's own part is :func:`cannon_decomposition` (zero padding included, and
+counted) and the skew, one closed-form delta.
 """
 
 from __future__ import annotations

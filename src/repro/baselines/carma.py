@@ -13,8 +13,8 @@ The decomposition is built as the executor's int64 table (:func:`carma_table`:
 a row per rank, the recursion run level by level as array steps over all
 sub-problems of a level); :func:`carma_domains` is that table viewed as
 objects.  Execution rides the generic cuboid executor, in both modes: in
-``plane`` mode its near-uniform recursive cuboids batch into a handful of
-stacked GEMMs (see :mod:`repro.baselines.cuboid`).
+``plane`` mode the cuboids that split one output block along k run as one
+GEMM over the block's merged k-range (see :mod:`repro.baselines.cuboid`).
 """
 
 from __future__ import annotations

@@ -30,9 +30,11 @@ ownership is resolved per matrix on the *coordinate-compressed* grid
 (:func:`_owner_words` -- one cell per pair of consecutive range endpoints, so
 the cost is O(cells), not O(mn + mk + nk)), whose single ``np.minimum``
 reduction *is* the ownership rule, and every rank's per-owner element counts
-are posted with one ``post_transfers`` per matrix, three per run; values
-(plane mode) move as dense slices and the local products run as stacked GEMMs
-grouped by cuboid shape; ``volume`` is that engine minus the numerics.  The
+are posted with one ``post_transfers`` per matrix, three per run.  In
+``plane`` mode the product is GEMMs on views of A and B: one per run of
+domains that share an output block and whose k-ranges abut, one per domain
+otherwise (:func:`_accumulate_products`); ``volume`` is that engine minus the
+numerics.  The
 executor stays general rather than assuming a regular grid: of the 54 CARMA
 points the ledger's campaigns and the roadmap's RPA readings touch, 16 (every
 odd-sided one) have partially overlapping projections.  Its reference is the
@@ -50,7 +52,7 @@ import numpy as np
 from repro.machine.counters import FLOPS, CommCounters
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import as_operands
-from repro.utils.intmath import sorted_distinct
+from repro.utils.intmath import abutting_runs, sorted_distinct
 
 Range = tuple[int, int]
 
@@ -272,22 +274,17 @@ def _accumulate_products(
     """Add every rank's local product into ``c_global``.
 
     Every fetched block's values equal the dense source slice (each element
-    is delivered exactly once), so the local products run as stacked GEMMs,
-    one ``np.matmul`` per cuboid shape (CARMA-style recursive decompositions
-    produce only a handful of distinct shapes), and each partial block lands
-    with one dense accumulate, in rank order.
+    is delivered exactly once), and partial blocks of one output block sum
+    into it: domains that share an output block and whose k-ranges abut are
+    one GEMM over the merged k-range, on views of A and B.  Any other domain
+    is a GEMM of its own, so every tiling -- output blocks that overlap
+    partially, k-pieces listed out of rank order or separated by other
+    domains' -- adds exactly its domains' products.
     """
-    lm, ln, lk = (table[:, I1::2] - table[:, I0::2]).T
-    spans = [(slice(i0, i1), slice(j0, j1), slice(k0, k1))
-             for i0, i1, j0, j1, k0, k1 in table[:, I0:].tolist()]
-    groups: dict[tuple[int, int, int], list[int]] = {}
-    for row, shape in enumerate(zip(lm.tolist(), ln.tolist(), lk.tolist())):
-        groups.setdefault(shape, []).append(row)
-    partial_c: list[np.ndarray | None] = [None] * len(spans)
-    for members in groups.values():
-        a_blocks = np.stack([a_matrix[spans[row][0], spans[row][2]] for row in members])
-        b_blocks = np.stack([b_matrix[spans[row][2], spans[row][1]] for row in members])
-        for row, product in zip(members, np.matmul(a_blocks, b_blocks)):
-            partial_c[row] = product
-    for (i_span, j_span, _), product in zip(spans, partial_c):
-        c_global[i_span, j_span] += product
+    order = np.lexsort((table[:, K0], table[:, J1], table[:, J0], table[:, I1], table[:, I0]))
+    spans = table[order]
+    first, k_lo, k_hi = abutting_runs(spans[:, K0], spans[:, K1], keys=spans[:, I0:K0])
+    for (i0, i1, j0, j1), k0, k1 in zip(
+        spans[first, I0:K0].tolist(), k_lo.tolist(), k_hi.tolist()
+    ):
+        c_global[i0:i1, j0:j1] += a_matrix[i0:i1, k0:k1] @ b_matrix[k0:k1, j0:j1]

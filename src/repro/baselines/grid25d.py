@@ -17,8 +17,10 @@ COSMA's fiber exchange on ``[q x q x c]`` with the whole layer as the one
 communication step and direct sends in place of the broadcast tree
 (:func:`grid25d_decomposition`), and the engine says so literally
 (:func:`_grid25d_run`): it posts its residency, gather round and C reduction
-through the accounting core of :mod:`repro.core.cosma` and adds only
-per-layer stacked GEMMs.  What is 2.5D's own is the grid, the whole-layer
+through the accounting core of :mod:`repro.core.cosma`, and its product is
+COSMA's numerics, :func:`~repro.core.cosma.layer_product` (a GEMM per layer
+over the k-range the layer's owners hold, layers whose ranges abut merged
+into one).  What is 2.5D's own is the grid, the whole-layer
 step, direct sends, no round boundary and no memory check after the
 reduction.  The textbook layout
 (layer ``l`` owns the ``l``-th k-slice, split over the ``q`` ranks of a row
@@ -33,8 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.summa import BlockStacks
-from repro.core.cosma import post_c_reduction, post_fiber_exchange, post_owned_words
+from repro.core.cosma import (
+    layer_product, post_c_reduction, post_fiber_exchange, post_owned_words,
+)
 from repro.core.decomposition import CosmaDecomposition, build_decomposition
 from repro.core.grid import ProcessorGrid
 from repro.machine.counters import CommCounters
@@ -147,10 +150,11 @@ def _grid25d_run(
 
     2.5D's own part of a run (see the module docstring) is that its one
     gather round (all layers at once, a single round class) marks no round
-    boundary, that memory is checked before the reduced blocks land, and one
-    stacked GEMM per layer over the layer's whole k-slice.  In ``volume``
-    mode only the accounting runs: no plane is allocated and a token is
-    returned as the product.
+    boundary, and that memory is checked before the reduced blocks land.
+    The product is :func:`layer_product`'s, into a single C sheet (the
+    per-layer partial blocks and their reduction collapse into its GEMMs).
+    In ``volume`` mode only the accounting runs: no plane is allocated and a
+    token is returned as the product.
     """
     post_owned_words(machine, decomposition, "A", "B", "C")
     # Resident blocks are layer-invariant; one check records the schedule's peak.
@@ -159,8 +163,4 @@ def _grid25d_run(
     post_c_reduction(machine, decomposition)
     if machine.transport.counters_only:
         return ShapeToken((decomposition.m, decomposition.n))
-    stacks = BlockStacks(machine, "grid25d", decomposition, a_matrix, b_matrix)
-    k_bounds = decomposition.k_bounds.tolist()
-    for layer in range(decomposition.grid.pk):
-        stacks.multiply(layer, k_bounds[layer], k_bounds[layer + 1])
-    return stacks.product()
+    return layer_product(machine, "grid25d", decomposition, a_matrix, b_matrix)

@@ -15,10 +15,12 @@ That makes SUMMA a grid choice, not a schedule of its own: it is COSMA's
 fiber exchange on the grid ``pm x pn x 1`` with the panel width as the
 communication step (:func:`summa_decomposition`), and the engine says so
 literally (:func:`run_panels`): it posts its residency and panel rounds
-through the accounting core of :mod:`repro.core.cosma` and adds only the
-round boundary and per-panel stacked GEMMs.  What is SUMMA's own is the grid,
-the step, binomial broadcasts, an unlabelled ``commit_round`` per panel, and a
-product read off the accumulators with no C reduction.  Cannon makes the same
+through the accounting core of :mod:`repro.core.cosma`, adds only the round
+boundary, and computes the product with COSMA's numerics,
+:func:`~repro.core.cosma.layer_product` (one GEMM over the k-range the
+owners' slices hold, on its single layer).  What is SUMMA's own is the grid,
+the step, binomial broadcasts, an unlabelled ``commit_round`` per panel, and
+no C reduction.  Cannon makes the same
 call with a ring in place of the trees.  The textbook layout
 (A's k columns split over the ``pn`` ranks of a process row, B's k rows over
 the ``pm`` ranks of a process column) is pinned on the decomposition's arrays
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cosma import post_fiber_exchange, post_owned_words
+from repro.core.cosma import layer_product, post_fiber_exchange, post_owned_words
 from repro.core.decomposition import CosmaDecomposition, build_decomposition
 from repro.core.grid import ProcessorGrid
 from repro.machine.counters import CommCounters
@@ -135,90 +137,6 @@ def summa_multiply(
     )
 
 
-class BlockStacks:
-    """Plane-mode storage and numerics of a 2D / 2.5D grid run.
-
-    Every rank's local A / B / C blocks live in three zero-padded
-    ``(p_used, rows, cols)`` planes (slot = rank id, row-major in
-    ``(i, j, layer)``), so a grid row, a grid column or a layer is a
-    *strided* slot slice -- on a single layer ``A[j::pn]`` is exactly grid
-    column ``j`` -- and one step's ``pm x pn`` block products are a single
-    broadcasting ``np.matmul``.
-    """
-
-    def __init__(
-        self,
-        machine: DistributedMachine,
-        name: str,
-        decomposition: CosmaDecomposition,
-        a_matrix: np.ndarray,
-        b_matrix: np.ndarray,
-    ) -> None:
-        self.decomposition = decomposition
-        pm, pn, pk = decomposition.grid
-        i_bounds, j_bounds = decomposition.i_bounds, decomposition.j_bounds
-        a_bounds, b_bounds = decomposition.a_bounds, decomposition.b_bounds
-        lm_max, ln_max = int(i_bounds[1]), int(j_bounds[1])
-        slots = pm * pn * pk
-        self.a = machine.new_plane(
-            f"{name}.A", (slots, lm_max, max(1, int(np.diff(a_bounds).max())))).data
-        self.b = machine.new_plane(
-            f"{name}.B", (slots, max(1, int(np.diff(b_bounds).max())), ln_max)).data
-        self.c = machine.new_plane(f"{name}.C", (slots, lm_max, ln_max)).data
-        for layer in range(pk):
-            for i in range(pm):
-                i0, i1 = i_bounds[i : i + 2]
-                bk0, bk1 = b_bounds[layer, i : i + 2]
-                for j in range(pn):
-                    j0, j1 = j_bounds[j : j + 2]
-                    ak0, ak1 = a_bounds[layer, j : j + 2]
-                    slot = (i * pn + j) * pk + layer
-                    self.a[slot, : i1 - i0, : ak1 - ak0] = a_matrix[i0:i1, ak0:ak1]
-                    self.b[slot, : bk1 - bk0, : j1 - j0] = b_matrix[bk0:bk1, j0:j1]
-
-    def multiply(self, layer: int, start: int, stop: int) -> None:
-        """``C += A[:, start:stop] @ B[start:stop, :]`` on every rank of ``layer``:
-        strided panel assembly from the owners' slices + one batched GEMM."""
-        pm, pn, pk = self.decomposition.grid
-        lm_max, ln_max = self.c.shape[1:]
-        ak = self.decomposition.a_bounds[layer]
-        bk = self.decomposition.b_bounds[layer]
-        a_panels = np.zeros((pm, lm_max, stop - start), dtype=self.c.dtype)
-        for j in range(pn):
-            lo, hi = max(int(ak[j]), start), min(int(ak[j + 1]), stop)
-            if lo < hi:
-                a_panels[:, :, lo - start : hi - start] = (
-                    self.a[j * pk + layer :: pn * pk, :, lo - ak[j] : hi - ak[j]]
-                )
-        b_panels = np.zeros((pn, stop - start, ln_max), dtype=self.c.dtype)
-        for i in range(pm):
-            lo, hi = max(int(bk[i]), start), min(int(bk[i + 1]), stop)
-            if lo < hi:
-                b_panels[:, lo - start : hi - start, :] = self.b[
-                    i * pn * pk + layer : (i + 1) * pn * pk + layer : pk,
-                    lo - bk[i] : hi - bk[i], :,
-                ]
-        layer_c = self.c[layer::pk]
-        layer_c += np.matmul(a_panels[:, None], b_panels[None, :]).reshape(
-            pm * pn, lm_max, ln_max
-        )
-
-    def product(self) -> np.ndarray:
-        """The global product: one ``np.add.reduce`` over each ``(i, j)`` fiber's
-        contiguous slot run (its layers), then the blocks at their offsets."""
-        decomposition = self.decomposition
-        pm, pn, pk = decomposition.grid
-        i_bounds, j_bounds = decomposition.i_bounds, decomposition.j_bounds
-        totals = np.add.reduce(self.c.reshape(pm * pn, pk, *self.c.shape[1:]), axis=1)
-        c_global = np.zeros((decomposition.m, decomposition.n), dtype=self.c.dtype)
-        for i in range(pm):
-            i0, i1 = i_bounds[i : i + 2]
-            for j in range(pn):
-                j0, j1 = j_bounds[j : j + 2]
-                c_global[i0:i1, j0:j1] = totals[i * pn + j, : i1 - i0, : j1 - j0]
-        return c_global
-
-
 def run_panels(
     machine: DistributedMachine,
     a_matrix: np.ndarray,
@@ -230,21 +148,16 @@ def run_panels(
     kind (SUMMA's ``"tree"``, Cannon's ``"ring"``); returns the global product.
 
     SUMMA's own part of a run (see the module docstring) is the round
-    boundary -- an unlabelled ``commit_round`` per panel -- and, after the
-    accounting, one stacked GEMM per panel.  In ``volume`` mode the numerics
-    are skipped: no plane is allocated and a token is returned as the product.
+    boundary -- an unlabelled ``commit_round`` per panel.  The panels are an
+    accounting matter only: the product is :func:`layer_product`'s GEMM into
+    a single C sheet.  In ``volume`` mode the numerics are skipped: no plane
+    is allocated and a token is returned as the product.
     """
-    k, panel_width = decomposition.k, decomposition.step_size
-    numeric = not machine.transport.counters_only
-    if numeric:
-        stacks = BlockStacks(machine, "summa", decomposition, a_matrix, b_matrix)
     post_owned_words(machine, decomposition, "A", "B", "C")
     # The schedule checks memory once per panel; the resident blocks never
     # change between panels, so one check records the identical peak.
     machine.check_memory()
     post_fiber_exchange(machine, decomposition, exchange, lambda _: machine.commit_round())
-    if not numeric:
+    if machine.transport.counters_only:
         return ShapeToken((decomposition.m, decomposition.n))
-    for start in range(0, k, panel_width):
-        stacks.multiply(0, start, min(start + panel_width, k))
-    return stacks.product()
+    return layer_product(machine, "summa", decomposition, a_matrix, b_matrix)

@@ -76,8 +76,8 @@ def _add_multiply_args(p_mult: argparse.ArgumentParser) -> None:
     p_mult.add_argument(
         "--mode", choices=list(MODES), default="plane",
         help=(
-            "payload transport; 'plane' runs verified numerics on stacked "
-            "arrays, 'volume' counts communication only (no numerics)"
+            "payload transport; 'plane' runs verified numerics, "
+            "'volume' counts communication only (no numerics)"
         ),
     )
     p_mult.add_argument(

@@ -42,7 +42,13 @@ posted when:
   (:func:`fiber_exchange_rounds`, which is also what the hop-expansion oracle
   in ``tests/test_cosma_round_classes.py`` checks).
 
-The product is one GEMM into a single C sheet.
+The product is the grid family's one numeric function too,
+:func:`layer_product`: a GEMM into a single C sheet over the rows and columns
+the blocks cover and the k-range the layers' A and B owners hold (layers
+whose ranges abut merged into one GEMM, so COSMA's is one GEMM over all of
+k).  A decomposition that leaves part of C or of k to no rank computes a
+wrong product.  A sharded COSMA run splits the covered rows and columns over
+the shard pool instead.
 
 The same schedule executed hop by hop -- every panel piece broadcast through a
 binomial tree, every partial C block reduced, every word moved from a rank's
@@ -76,7 +82,7 @@ from repro.machine.counters import (
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import PayloadPlane, ShapeToken, as_operands
 from repro.machine.tree import tree_fanout
-from repro.utils.intmath import split_offsets
+from repro.utils.intmath import abutting_runs, split_offsets
 
 
 @dataclass
@@ -148,6 +154,7 @@ def cosma_multiply(
 
 def _sharded_gemm(
     machine: DistributedMachine,
+    decomposition: CosmaDecomposition,
     a_matrix: np.ndarray,
     b_matrix: np.ndarray,
 ) -> np.ndarray:
@@ -156,9 +163,11 @@ def _sharded_gemm(
 
     The pool casts the caller's A and B while it fills their shared-memory
     segments (the previous run's, when the sizes match): one pass each, and
-    no private operand copy in the parent.  Each worker owns a contiguous row
-    stripe of the output and computes ``out[r0:r1] = a[r0:r1] @ b`` straight
-    into the shared output segment; the one copy of that segment returned
+    no private operand copy in the parent.  The rows and columns of C that
+    the decomposition's blocks cover are split into contiguous row stripes,
+    one per worker, and a worker computes its stripe, ``out[r0:r1, c0:c1] =
+    a[r0:r1] @ b[:, c0:c1]``, straight into the shared output segment (a row
+    no block covers stays zero); the one copy of that segment returned
     here becomes the run's C sheet.  Only (job id, slice spec) messages cross
     the pipes.  All counters were already posted in the parent -- nothing
     here touches accounting.
@@ -170,17 +179,19 @@ def _sharded_gemm(
     """
     from repro.machine.shard import get_pool
 
-    m = int(a_matrix.shape[0])
+    rows, cols = _c_extent(decomposition)
     dtype = machine.transport.dtype
     pool = get_pool(machine.shards)
     trace = machine.trace
     try:
         pool.share("cosma.A", a_matrix, dtype=dtype)
         pool.share("cosma.B", b_matrix, dtype=dtype)
-        out = pool.share_zeros("cosma.OUT", (m, int(b_matrix.shape[1])), dtype)
-        stripes = split_offsets(m, machine.shards)
+        out = pool.share_zeros("cosma.OUT", (decomposition.m, decomposition.n), dtype)
+        stripes = [(rows.start + r0, rows.start + r1)
+                   for r0, r1 in split_offsets(rows.stop - rows.start, machine.shards)]
         specs = [
-            {"a": "cosma.A", "b": "cosma.B", "out": "cosma.OUT", "rows": [r0, r1]}
+            {"a": "cosma.A", "b": "cosma.B", "out": "cosma.OUT", "rows": [r0, r1],
+             "cols": [cols.start, cols.stop]}
             for r0, r1 in stripes
         ]
         start_ns = trace.tracer.now_ns() if trace is not None else 0
@@ -208,6 +219,12 @@ def _c_block_words(decomposition: CosmaDecomposition) -> np.ndarray:
     return np.multiply.outer(
         np.diff(decomposition.i_bounds), np.diff(decomposition.j_bounds)
     ).ravel()
+
+
+def _c_extent(decomposition: CosmaDecomposition) -> tuple[slice, slice]:
+    """The rows and columns of C that the decomposition's blocks cover."""
+    i_bounds, j_bounds = decomposition.i_bounds, decomposition.j_bounds
+    return slice(int(i_bounds[0]), int(i_bounds[-1])), slice(int(j_bounds[0]), int(j_bounds[-1]))
 
 
 def post_owned_words(
@@ -439,6 +456,44 @@ def received_words(decomposition: CosmaDecomposition) -> np.ndarray:
     return (lm * (lk - a_own) + ln * (lk - b_own) + lm * ln * fan_in).ravel()
 
 
+def layer_product(
+    machine: DistributedMachine,
+    name: str,
+    decomposition: CosmaDecomposition,
+    a_matrix: np.ndarray,
+    b_matrix: np.ndarray,
+) -> np.ndarray:
+    """The product of a grid decomposition's schedule, into a single C sheet
+    registered as the ``(1, m, n)`` plane ``name.C``: one GEMM per k-layer,
+    and one for a run of layers whose k-ranges abut.
+
+    Every rank of a layer multiplies the panels its fibers assemble from the
+    owners' slices, so a layer computes rows ``i_bounds[0]:i_bounds[-1]`` x
+    columns ``j_bounds[0]:j_bounds[-1]`` of C over the part of its k-range
+    that both its A owners (``a_bounds[layer]``) and its B owners
+    (``b_bounds[layer]``) hold.  The operands are views of those slices; the
+    per-rank block products and the k-fiber reduction collapse into the GEMMs
+    (same sums, associated by BLAS).  What no owner holds is never
+    multiplied, so a decomposition that drops a slice or a row computes a
+    wrong product and fails verification.
+    """
+    d = decomposition
+    rows, cols = _c_extent(d)
+    c_global = machine.new_plane(f"{name}.C", (1, d.m, d.n)).data[0]
+    c_block = c_global[rows, cols]
+    lo = np.maximum.reduce((d.k_bounds[:-1], d.a_bounds[:, 0], d.b_bounds[:, 0]))
+    hi = np.minimum.reduce((d.k_bounds[1:], d.a_bounds[:, -1], d.b_bounds[:, -1]))
+    held = lo < hi
+    _, lo, hi = abutting_runs(lo[held], hi[held])
+    for index, (k0, k1) in enumerate(zip(lo.tolist(), hi.tolist())):
+        # The first GEMM writes the zeroed sheet in place; the rest add.
+        product = np.matmul(a_matrix[rows, k0:k1], b_matrix[k0:k1, cols],
+                            out=None if index else c_block)
+        if index:
+            c_block += product
+    return c_global
+
+
 def _cosma_run(
     a_matrix: np.ndarray,
     b_matrix: np.ndarray,
@@ -462,10 +517,11 @@ def _cosma_run(
       owned piece and every broadcast delivery is a rectangular view;
     * C is a single sheet too: the round-chunked multiply-accumulates and the
       k-fiber reduction of the schedule collapse into one GEMM over the
-      whole k extent (same sums, associated by BLAS instead of per chunk and
-      per layer), on the shard pool when ``machine.shards > 1``.  A sharded
-      run registers no A or B plane (the operands go straight into the
-      pool's segments), and its C sheet is the copy of the pool's output.
+      covered rows and columns and the owned k extent (same sums, associated
+      by BLAS instead of per chunk and per layer; :func:`layer_product`), on
+      the shard pool when ``machine.shards > 1``.  A sharded run registers no
+      A or B plane (the operands go straight into the pool's segments), and
+      its C sheet is the copy of the pool's output.
     """
     m, n, k = decomposition.m, decomposition.n, decomposition.k
     numeric = not machine.transport.counters_only
@@ -479,9 +535,6 @@ def _cosma_run(
             "cosma.B", PayloadPlane("cosma.B", data=np.asarray(b_matrix)[None]),
             replace=True,
         )
-        c_global = machine.new_plane("cosma.C", (1, m, n)).data[0]
-    elif not numeric:
-        c_global = ShapeToken((m, n))
     post_owned_words(machine, decomposition, "A_own", "B_own", "C_acc")
     # The schedule checks memory at the end of every round, but the resident
     # blocks (A_own / B_own / C_acc) do not change between rounds -- every
@@ -506,8 +559,9 @@ def _cosma_run(
         )
 
     # ------------------------------------------------------------------
-    # numerics: one GEMM over the whole k extent into the single C sheet
+    # numerics: one GEMM over the owned k extent into the single C sheet
     # ------------------------------------------------------------------
+    c_global = ShapeToken((m, n))
     if numeric:
         gemm_span = (
             trace.tracer.span(
@@ -521,12 +575,12 @@ def _cosma_run(
         )
         with gemm_span:
             if sharded:
-                c_global = _sharded_gemm(machine, a_matrix, b_matrix)
+                c_global = _sharded_gemm(machine, decomposition, a_matrix, b_matrix)
                 machine.register_plane(
                     "cosma.C", PayloadPlane("cosma.C", data=c_global[None]), replace=True
                 )
             else:
-                np.matmul(a_matrix, b_matrix, out=c_global)
+                c_global = layer_product(machine, "cosma", decomposition, a_matrix, b_matrix)
 
     # The C reduction is counted only: the GEMM already summed over k.
     post_c_reduction(machine, decomposition)

@@ -119,7 +119,8 @@ def available_shards(requested: int) -> tuple[int, str | None]:
 # ----------------------------------------------------------------------
 
 def _kernel_gemm_rows(segments: dict[str, np.ndarray], spec: dict) -> None:
-    """``out[r0:r1] = a[r0:r1] @ b`` over this shard's row stripe.
+    """``out[r0:r1, c0:c1] = a[r0:r1] @ b[:, c0:c1]`` over this shard's row
+    stripe (``cols`` defaults to all of them).
 
     Fuses the per-slot GEMM and the k-reduction of the unsharded plane path:
     each shard computes its stripe of the *final* product directly, so no
@@ -131,7 +132,8 @@ def _kernel_gemm_rows(segments: dict[str, np.ndarray], spec: dict) -> None:
     a = segments[spec["a"]]
     b = segments[spec["b"]]
     out = segments[spec["out"]]
-    np.matmul(a[r0:r1], b, out=out[r0:r1])
+    cols = slice(*spec.get("cols", (None, None)))
+    np.matmul(a[r0:r1], b[:, cols], out=out[r0:r1, cols])
 
 
 #: Named kernels a worker may be asked to run.  Workers resolve the name in

@@ -13,8 +13,8 @@ and one int64 vector of resident words.  The algorithms in
 its whole schedule as machine-wide array expressions
 (:meth:`~DistributedMachine.post_transfers`,
 :meth:`~DistributedMachine.post_resident`, round classes through
-:meth:`~DistributedMachine.post_rounds`) and computes the product with
-stacked GEMMs; no engine moves a block from rank to rank.  The per-hop
+:meth:`~DistributedMachine.post_rounds`) and computes the product with GEMMs
+on views of the operands; no engine moves a block from rank to rank.  The per-hop
 executors those engines replaced are kept as a test-side reference
 (``tests/oracle``), which the parity suites hold every engine to.
 
@@ -30,10 +30,10 @@ The physical representation of payloads is the ``mode=`` argument
 because accounting only ever reads sizes:
 
 ``plane``
-    The stacked-array numeric engine: operands live in
-    :class:`~repro.machine.transport.PayloadPlane` stacks registered on the
-    machine (:meth:`DistributedMachine.register_plane`) or feed one GEMM.
-    Results verify.
+    The numeric engine: operands are numpy arrays that feed GEMMs, and the
+    product is a :class:`~repro.machine.transport.PayloadPlane` sheet
+    registered on the machine (:meth:`DistributedMachine.register_plane`) or
+    a dense array.  Results verify.
 ``volume``
     Payloads are :class:`~repro.machine.transport.ShapeToken` descriptors:
     the same engines minus the numerics, for paper-scale sweeps.
@@ -91,7 +91,7 @@ class DistributedMachine:
         usage (False).  Algorithms call ``check_memory`` at the end of every
         communication round.
     mode:
-        Payload transport: ``"plane"`` (stacked-array numerics, the default)
+        Payload transport: ``"plane"`` (verified numerics, the default)
         or ``"volume"`` (counters-only shape tokens); see the module docstring
         and :mod:`repro.machine.transport`.
     shards:
@@ -169,7 +169,7 @@ class DistributedMachine:
         return self.transport.zeros(shape)
 
     # ------------------------------------------------------------------
-    # payload planes (stacked-array numeric engine)
+    # payload planes (named numeric sheets)
     # ------------------------------------------------------------------
     def register_plane(
         self, name: str, plane: PayloadPlane, replace: bool = False

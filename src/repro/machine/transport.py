@@ -6,11 +6,10 @@ decomposition's sizes.  What a payload physically is, is therefore a policy
 of the machine, one of two modes:
 
 ``plane``
-    The stacked-array numeric engine.  Operands are numpy arrays of the
-    machine's dtype (:data:`PLANE_DTYPES`); an engine keeps each logical
-    operand in a :class:`PayloadPlane` (one dense stack with a leading
-    participant axis) or computes the product in one GEMM, while posting its
-    counters batched.  Results verify against ``A @ B``.
+    The numeric engine.  Operands are numpy arrays of the machine's dtype
+    (:data:`PLANE_DTYPES`); an engine computes the product with GEMMs on
+    views of them, into a :class:`PayloadPlane` sheet or a dense array, while
+    posting its counters batched.  Results verify against ``A @ B``.
 
 ``volume``
     Payloads are :class:`ShapeToken` objects: shape descriptors with no numpy
@@ -135,21 +134,16 @@ class PayloadPlane:
     """One logical operand stored as a dense stacked array with a leading axis.
 
     ``data`` has shape ``(slots, rows, cols)``: each slot is one 2-D sheet of
-    the operand (one rank's block, or one reduction layer shared by a fiber
-    of ranks).  A rank's block is a rectangular region of a sheet; the engine
-    operates on the whole stack at once:
-
-    * collective delivery = fancy-indexed / strided gather into ``data``;
-    * per-round local multiplies = one batched ``np.matmul`` over the
-      leading axis;
-    * output reduction = a single ``np.add.reduce`` over slot slices
-      (:meth:`reduce_slots`).
+    the operand.  The engines' planes are single sheets -- COSMA's A and B
+    wrap the global inputs, and every grid engine's product is one C sheet
+    (:func:`repro.core.cosma.layer_product`) -- and a stack of partial sums
+    reduces with one ``np.add.reduce`` over the slot axis
+    (:meth:`reduce_slots`).
 
     Planes are registered per-name on the machine
     (:meth:`~repro.machine.simulator.DistributedMachine.register_plane`);
-    sheets may be zero-padded to a uniform shape -- padding rows/columns stay
-    zero and therefore never contribute to a product or a reduction, while
-    all counter accounting is derived from the blocks' true shapes.
+    all counter accounting is derived from the blocks' true shapes, never
+    from a plane.
     """
 
     __slots__ = ("name", "data")
@@ -166,10 +160,6 @@ class PayloadPlane:
             raise ValueError(f"a plane is a stack of 2-D sheets, got shape {data.shape}")
         self.name = str(name)
         self.data = data
-
-    @property
-    def slots(self) -> int:
-        return int(self.data.shape[0])
 
     def reduce_slots(self) -> np.ndarray:
         """Sum the stacked sheets: one ``np.add.reduce`` over the slot axis."""

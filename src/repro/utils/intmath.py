@@ -169,3 +169,17 @@ def sorted_distinct(values) -> np.ndarray:
 def run_starts(table: np.ndarray) -> np.ndarray:
     """Row index at which each maximal run of equal ``table`` rows starts."""
     return np.flatnonzero(np.r_[True, (table[1:] != table[:-1]).any(axis=1)])
+
+
+def abutting_runs(
+    lo: np.ndarray, hi: np.ndarray, keys: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge consecutive ranges ``[lo[i], hi[i])`` into maximal runs in which
+    each range starts where the previous one ends (and, given ``keys``, whose
+    ``keys`` rows are equal); returns every run's first index, start and end."""
+    edges = np.ones(lo.size + 1, dtype=bool)  # a run starts, or the ranges end
+    edges[1:-1] = lo[1:] != hi[:-1]
+    if keys is not None:
+        edges[1:-1] |= (keys[1:] != keys[:-1]).any(axis=1)
+    edges = np.flatnonzero(edges)
+    return edges[:-1], lo[edges[:-1]], hi[edges[1:] - 1]

@@ -1,7 +1,7 @@
 """The per-hop reference: every registered algorithm executed hop by hop.
 
 The library runs each algorithm as one batched engine (array expressions for
-the counters, stacked GEMMs for the product).  This package runs the same
+the counters, GEMMs on operand views for the product).  This package runs the same
 schedules the slow, obvious way, on a :class:`~oracle.machine.HopMachine`:
 blocks in per-rank stores, one transfer per hop, resident words read off the
 stored blocks.  The parity suites hold every engine to it -- every cell of the

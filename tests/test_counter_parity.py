@@ -8,7 +8,7 @@ reference of ``tests/oracle`` runs the same schedule hop by hop.  On every
 scenario, each engine must reproduce it cell for cell (the whole counter
 matrix) and in its resident peak, in ``plane`` and ``volume`` mode, and the
 ``plane`` product must match ``A @ B`` and the reference's product -- with
-``np.allclose``, since the engines' stacked GEMMs associate sums differently.
+``np.allclose``, since the engines' GEMMs associate sums differently.
 """
 
 import numpy as np
@@ -27,7 +27,7 @@ from repro.workloads.scaling import (
     limited_memory_sweep,
     strong_scaling_sweep,
 )
-from repro.workloads.shapes import square_shape
+from repro.workloads.shapes import ProblemShape, square_shape
 
 #: The retired per-hop transports' names, which the harness still runs as
 #: ``plane`` (the frozen ledger passes them).
@@ -64,11 +64,20 @@ def _run_oracle(name: str, scenario: Scenario):
     return machine.counters.data.tolist(), product, machine.peak_resident_words
 
 
+#: An odd-sided CARMA point whose tiling is staggered: the recursion cuts k
+#: first (7 + 8), then the two halves differently, so A / B / C projections
+#: overlap partially (only the lowest covering rank owns a shared element)
+#: and output blocks of one k-half straddle those of the other.
+STAGGERED_CARMA = Scenario(
+    name="odd-13x7x15-p8", shape=ProblemShape(13, 7, 15), p=8, memory_words=4096, regime="custom",
+)
+
 SCENARIO_GRID = (
     limited_memory_sweep("square", [4, 9], 2048)
     + limited_memory_sweep("largeK", [4], 2048)
     + extra_memory_sweep("square", [16], 2048)
     + strong_scaling_sweep(square_shape(48), [8])
+    + [STAGGERED_CARMA]
 )
 
 

@@ -118,7 +118,7 @@ class TestPayloadPlane:
     def test_wrapping_existing_data(self):
         base = np.arange(12.0).reshape(1, 3, 4)
         plane = PayloadPlane("ops.B", data=base)
-        assert plane.slots == 1
+        assert plane.data.shape == (1, 3, 4)
         assert np.shares_memory(plane.data, base)
 
     def test_rejects_bad_construction(self):

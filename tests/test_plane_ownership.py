@@ -1,0 +1,131 @@
+"""A ``plane`` product is bound to the schedule's ownership tables.
+
+The grid engines (COSMA, ScaLAPACK, Cannon, CTF) compute their product from
+the decomposition's boundary arrays -- rows ``i_bounds``, columns
+``j_bounds``, and per k-layer the part of the k-range that the A owners
+(``a_bounds``) and the B owners (``b_bounds``) hold -- and the cuboid
+executor (CARMA) from its domain table.  So a decomposition that leaves part
+of the iteration space to nobody must fail verification, and every exact
+tiling, however awkward, must verify.
+"""
+
+import dataclasses
+
+import numpy as np
+import oracle
+import pytest
+
+from repro.baselines import grid25d, summa
+from repro.baselines.cuboid import CuboidDomain, cuboid_multiply
+from repro.core import cosma
+from repro.core.decomposition import build_decomposition
+from repro.experiments.harness import run_algorithm
+from repro.machine.simulator import DistributedMachine
+from repro.machine.transport import allclose_tolerances
+from repro.workloads.scaling import Scenario
+from repro.workloads.shapes import square_shape
+
+#: 48 splits evenly over Cannon's 4 x 4 grid (no padding row to drop), and the
+#: memory gives CTF a 2 x 2 x 4 grid, so its layers are more than one.
+SCENARIO = Scenario(name="square48-p16", shape=square_shape(48), p=16, memory_words=4096,
+                    regime="extra")
+
+
+def _with_decomposition(monkeypatch, mutate):
+    """Make every grid engine run on ``mutate(decomposition)``."""
+    def mutated(*args, **kwargs):
+        return mutate(build_decomposition(*args, **kwargs))
+
+    for module in (cosma, summa, grid25d):
+        monkeypatch.setattr(module, "build_decomposition", mutated)
+
+
+def _drop_last(field):
+    """The last row (``i_bounds``) or column (``j_bounds``) of C is in no
+    rank's block."""
+    def mutate(decomposition):
+        bounds = getattr(decomposition, field).copy()
+        bounds[-1] -= 1
+        return dataclasses.replace(decomposition, **{field: bounds})
+
+    return mutate
+
+
+def _drop_last_slice(field):
+    """Layer 0's last ownership slice of A (``a_bounds``) or B (``b_bounds``)
+    belongs to nobody."""
+    def mutate(decomposition):
+        bounds = getattr(decomposition, field).copy()
+        bounds[0, -1] = bounds[0, -2]
+        return dataclasses.replace(decomposition, **{field: bounds})
+
+    return mutate
+
+
+@pytest.mark.parametrize("name", ["COSMA", "ScaLAPACK", "CTF", "Cannon"])
+def test_the_scenario_verifies_as_decomposed(name):
+    run = run_algorithm(name, SCENARIO, mode="plane")
+    assert run.verified and run.correct
+
+
+@pytest.mark.parametrize("field", ["i_bounds", "j_bounds"])
+@pytest.mark.parametrize(("name", "shards"), [
+    ("COSMA", 1), ("COSMA", 2), ("ScaLAPACK", 1), ("CTF", 1), ("Cannon", 1),
+])
+def test_a_row_or_column_no_block_covers_fails_verification(monkeypatch, name, shards, field):
+    """The coverage gap: COSMA's own run catches it too, in process and on
+    the shard pool."""
+    _with_decomposition(monkeypatch, _drop_last(field))
+    run = run_algorithm(name, SCENARIO, mode="plane", shards=shards)
+    assert run.verified and not run.correct
+
+
+@pytest.mark.parametrize("field", ["a_bounds", "b_bounds"])
+@pytest.mark.parametrize("name", ["COSMA", "ScaLAPACK", "CTF", "Cannon"])
+def test_a_dropped_ownership_slice_fails_verification(monkeypatch, name, field):
+    _with_decomposition(monkeypatch, _drop_last_slice(field))
+    run = run_algorithm(name, SCENARIO, mode="plane")
+    assert run.verified and not run.correct
+
+
+def _tiling(*domains):
+    return [CuboidDomain(rank, *ranges) for rank, *ranges in domains]
+
+
+#: Hand-written tilings of 6 x 5 x 8 that the cuboid executor's GEMM merging
+#: must not get wrong.
+TILINGS = {
+    # One output block; its k-pieces, sorted, belong to ranks 1, 2, 0.
+    "k-pieces-out-of-rank-order": _tiling(
+        (0, (0, 6), (0, 5), (4, 8)), (1, (0, 6), (0, 5), (0, 2)), (2, (0, 6), (0, 5), (2, 4)),
+    ),
+    # Ranks 0 and 1 share an output block, but k = 3..5 lies between them,
+    # split over two smaller blocks.
+    "k-pieces-that-do-not-abut": _tiling(
+        (0, (0, 6), (0, 5), (0, 3)), (1, (0, 6), (0, 5), (5, 8)),
+        (2, (0, 2), (0, 5), (3, 5)), (3, (2, 6), (0, 5), (3, 5)),
+    ),
+    # The two k-halves cut the rows at 2 and at 3: output blocks overlap partially.
+    "i-splits-differ-between-k-halves": _tiling(
+        (0, (0, 2), (0, 5), (0, 4)), (1, (2, 6), (0, 5), (0, 4)),
+        (2, (0, 3), (0, 5), (4, 8)), (3, (3, 6), (0, 5), (4, 8)),
+    ),
+}
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("tiling", TILINGS)
+def test_hand_written_cuboid_tilings_compute_a_at_b(tiling, dtype):
+    domains = TILINGS[tiling]
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((6, 8)), rng.standard_normal((8, 5))
+    machine = DistributedMachine(len(domains), mode="plane", plane_dtype=dtype)
+    product = cuboid_multiply(a, b, domains, machine=machine).matrix
+    assert product.dtype == np.dtype(dtype)
+    rtol, atol_unit = allclose_tolerances(dtype)
+    assert np.allclose(product, a @ b, rtol=rtol, atol=atol_unit * 8)
+    # The counters are the per-hop reference's, whatever the numerics merge.
+    reference = oracle.HopMachine(len(domains))
+    table = np.array([(d.rank, *d.i_range, *d.j_range, *d.k_range) for d in domains])
+    oracle.cuboid.cuboid(reference, table, a, b)
+    assert machine.counters.data.tolist() == reference.counters.data.tolist()

@@ -14,7 +14,7 @@ the rank that first reached the peak.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle import HopMachine, cuboid, grid
 
@@ -29,6 +29,13 @@ from repro.machine.simulator import DistributedMachine, LocalMemoryExceededError
 from repro.machine.transport import ShapeToken
 
 
+def _carma_case(p, m, n, k):
+    table = carma_table(m, n, k, usable_ranks(m, n, k, p))
+    return (f"CARMA p={p}", p, (m, n, k),
+            lambda a, b, machine: carma_multiply(a, b, p, machine=machine),
+            lambda a, b, machine: cuboid.cuboid(machine, table, a, b))
+
+
 @st.composite
 def cases(draw):
     """``(label, p, (m, n, k), run, reference)``: ``run(a, b, machine)`` executes
@@ -40,10 +47,7 @@ def cases(draw):
         p = draw(st.integers(1, 18))  # CARMA uses a power of two, Cannon a square: the rest idle
         m, n, k = (draw(st.integers(1, 20)) for _ in range(3))
         if name == "CARMA":
-            table = carma_table(m, n, k, usable_ranks(m, n, k, p))
-            return (f"CARMA p={p}", p, (m, n, k),
-                    lambda a, b, machine: carma_multiply(a, b, p, machine=machine),
-                    lambda a, b, machine: cuboid.cuboid(machine, table, a, b))
+            return _carma_case(p, m, n, k)
         decomposition = cannon_decomposition(m, n, k, p, 1 << 20)
         return (f"Cannon p={p}", p, (m, n, k),
                 lambda a, b, machine: cannon_multiply(a, b, p, machine=machine),
@@ -125,6 +129,8 @@ def _reference_report(case, runs):
 
 @settings(max_examples=120, deadline=None)
 @given(case=cases(), runs=st.integers(1, 2), mode=st.sampled_from(["volume", "plane"]))
+# A staggered odd-sided CARMA tiling (test_counter_parity.STAGGERED_CARMA).
+@example(case=_carma_case(8, 13, 7, 15), runs=2, mode="plane")
 def test_batched_engines_report_the_per_hop_memory(case, runs, mode):
     peak, final, offender = _reference_report(case, runs)
     assert final > 0

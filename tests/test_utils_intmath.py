@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.utils.intmath import (
+    abutting_runs,
     all_factorizations_3d,
     ceil_div,
     closest_divisor,
@@ -211,3 +212,14 @@ class TestNeighbourMasks:
         table = np.array([[1, 2], [1, 2], [1, 3], [1, 2], [1, 2]])
         assert run_starts(table).tolist() == [0, 2, 3]
         assert run_starts(table[:1]).tolist() == [0]
+
+    def test_abutting_runs(self):
+        lo, hi = np.array([0, 2, 5, 7, 7]), np.array([2, 5, 7, 9, 9])
+        first, start, stop = abutting_runs(lo, hi)
+        assert (first.tolist(), start.tolist(), stop.tolist()) == ([0, 4], [0, 7], [9, 9])
+        # A key change breaks a run even where the ranges abut.
+        keys = np.array([[0], [0], [1], [1], [1]])
+        first, start, stop = abutting_runs(lo, hi, keys=keys)
+        assert (first.tolist(), start.tolist(), stop.tolist()) == ([0, 2, 4], [0, 5, 7], [5, 9, 9])
+        empty = np.array([], dtype=np.int64)
+        assert [part.tolist() for part in abutting_runs(empty, empty)] == [[], [], []]
