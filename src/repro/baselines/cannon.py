@@ -10,7 +10,8 @@ That is SUMMA on the ``q x q`` grid with block-wide panels passed around each
 fiber by the ``"ring"`` exchange of :mod:`repro.core.cosma` (a rank sends and
 receives one A and one B block per round, as per shift), plus the skew.  The
 engine is SUMMA's (:func:`repro.baselines.summa.run_panels`), product
-included: one GEMM over the zero-padded operands, cut back to ``m x n``.
+included: one GEMM over the operands, zero-padded where ``q`` does not divide
+an extent, cut back to ``m x n``.
 Cannon's own part is :func:`cannon_decomposition` (zero padding included, and
 counted) and the skew, one closed-form delta.
 """
@@ -65,6 +66,13 @@ def skew_words(decomposition: CosmaDecomposition) -> np.ndarray:
     return (moves[:, None] * (bm * bk) + moves * (bk * bn)).ravel()
 
 
+def _padded(matrix: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """``matrix`` zero-padded to ``shape``; itself, uncopied, when it fits."""
+    if matrix.shape == shape:
+        return matrix
+    return np.pad(matrix, [(0, full - extent) for full, extent in zip(shape, matrix.shape)])
+
+
 def cannon_multiply(
     a_matrix: np.ndarray,
     b_matrix: np.ndarray,
@@ -72,7 +80,12 @@ def cannon_multiply(
     machine: DistributedMachine | None = None,
     memory_words: int | None = None,
 ) -> CannonRunResult:
-    """Multiply ``A @ B`` with Cannon's algorithm on a simulated machine."""
+    """Multiply ``A @ B`` with Cannon's algorithm on a simulated machine.
+
+    In ``plane`` mode an operand is zero-padded (copied) only when ``q`` does
+    not divide one of its extents; when it divides all three, as at 768^3 on
+    p = 256 or 1024, the GEMM reads the caller's A and B as they are.
+    """
     p = check_positive_int(p, "p")
     a_matrix, b_matrix, (m, n, k) = as_operands(a_matrix, b_matrix, machine)
     if machine is None:
@@ -80,9 +93,9 @@ def cannon_multiply(
     decomposition = cannon_decomposition(m, n, k, p, memory_words or machine.memory_words)
     q = decomposition.grid.pm
     numeric = not machine.transport.counters_only
-    if numeric:  # zero-pad the matrices so every block has identical shape
-        a_matrix = np.pad(a_matrix, ((0, decomposition.m - m), (0, decomposition.k - k)))
-        b_matrix = np.pad(b_matrix, ((0, decomposition.k - k), (0, decomposition.n - n)))
+    if numeric:  # zero-pad an operand whose blocks would be ragged, only that one
+        a_matrix = _padded(a_matrix, (decomposition.m, decomposition.k))
+        b_matrix = _padded(b_matrix, (decomposition.k, decomposition.n))
 
     # The skew, with no round boundary: a rank off row 0 moves one A block, one
     # off column 0 one B block, and every grid rank pays a round per shift.

@@ -31,10 +31,11 @@ ownership is resolved per matrix on the *coordinate-compressed* grid
 the cost is O(cells), not O(mn + mk + nk)), whose single ``np.minimum``
 reduction *is* the ownership rule, and every rank's per-owner element counts
 are posted with one ``post_transfers`` per matrix, three per run.  In
-``plane`` mode the product is GEMMs on views of A and B: one per run of
-domains that share an output block and whose k-ranges abut, one per domain
-otherwise (:func:`_accumulate_products`); ``volume`` is that engine minus the
-numerics.  The
+``plane`` mode the product is GEMMs on views of A and B, one per tile: domains
+that share an output block and whose k-ranges abut form a tile, and tiles
+that abut along j, then along i, over the same k-range merge further, so a
+regular grid is one GEMM (:func:`_accumulate_products`); ``volume`` is that
+engine minus the numerics.  The
 executor stays general rather than assuming a regular grid: of the 54 CARMA
 points the ledger's campaigns and the roadmap's RPA readings touch, 16 (every
 odd-sided one) have partially overlapping projections.  Its reference is the
@@ -268,23 +269,46 @@ def cuboid_multiply(
     return CuboidRunResult(matrix=c_global, table=table, counters=machine.counters)
 
 
+def _merge_abutting(boxes: np.ndarray, axis: int) -> np.ndarray:
+    """Merge boxes (rows ``i0, i1, j0, j1, k0, k1``) that agree on the other
+    two axes' ranges and abut along ``axis`` into one box per maximal run."""
+    lo, hi = 2 * axis, 2 * axis + 1
+    others = [column for column in range(6) if column not in (lo, hi)]
+    boxes = boxes[np.lexsort((boxes[:, lo], *boxes[:, others[::-1]].T))]
+    first, start, end = abutting_runs(boxes[:, lo], boxes[:, hi], keys=boxes[:, others])
+    merged = boxes[first]
+    merged[:, lo], merged[:, hi] = start, end
+    return merged
+
+
+def _product_tiles(table: np.ndarray) -> np.ndarray:
+    """The GEMMs :func:`_accumulate_products` runs, as rows ``i0, i1, j0, j1,
+    k0, k1``: domains merged along k, then along j, then along i."""
+    tiles = table[:, I0:]
+    for axis in (2, 1, 0):
+        tiles = _merge_abutting(tiles, axis)
+    return tiles
+
+
 def _accumulate_products(
     c_global: np.ndarray, a_matrix: np.ndarray, b_matrix: np.ndarray, table: np.ndarray
 ) -> None:
-    """Add every rank's local product into ``c_global``.
+    """Add every rank's local product into the zeroed ``c_global``.
 
     Every fetched block's values equal the dense source slice (each element
     is delivered exactly once), and partial blocks of one output block sum
     into it: domains that share an output block and whose k-ranges abut are
-    one GEMM over the merged k-range, on views of A and B.  Any other domain
-    is a GEMM of its own, so every tiling -- output blocks that overlap
-    partially, k-pieces listed out of rank order or separated by other
-    domains' -- adds exactly its domains' products.
+    one tile over the merged k-range.  Tiles that share an i-range and a
+    k-range and abut along j are one tile, and then tiles that share a
+    j-range and a k-range and abut along i: a regular grid is a single GEMM
+    ``A @ B`` (768^3 on p = 256 or 1024), on views of A and B.  A merged tile
+    is the union of its domains, so every tiling -- output blocks that
+    overlap partially, k-pieces listed out of rank order or separated by
+    other domains' -- still adds each domain's product exactly once.
     """
-    order = np.lexsort((table[:, K0], table[:, J1], table[:, J0], table[:, I1], table[:, I0]))
-    spans = table[order]
-    first, k_lo, k_hi = abutting_runs(spans[:, K0], spans[:, K1], keys=spans[:, I0:K0])
-    for (i0, i1, j0, j1), k0, k1 in zip(
-        spans[first, I0:K0].tolist(), k_lo.tolist(), k_hi.tolist()
-    ):
-        c_global[i0:i1, j0:j1] += a_matrix[i0:i1, k0:k1] @ b_matrix[k0:k1, j0:j1]
+    for index, (i0, i1, j0, j1, k0, k1) in enumerate(_product_tiles(table).tolist()):
+        # The first GEMM writes the zeroed sheet in place; the rest add.
+        product = np.matmul(a_matrix[i0:i1, k0:k1], b_matrix[k0:k1, j0:j1],
+                            out=None if index else c_global[i0:i1, j0:j1])
+        if index:
+            c_global[i0:i1, j0:j1] += product

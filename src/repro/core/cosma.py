@@ -165,11 +165,13 @@ def _sharded_gemm(
     segments (the previous run's, when the sizes match): one pass each, and
     no private operand copy in the parent.  The rows and columns of C that
     the decomposition's blocks cover are split into contiguous row stripes,
-    one per worker, and a worker computes its stripe, ``out[r0:r1, c0:c1] =
-    a[r0:r1] @ b[:, c0:c1]``, straight into the shared output segment (a row
-    no block covers stays zero); the one copy of that segment returned
-    here becomes the run's C sheet.  Only (job id, slice spec) messages cross
-    the pipes.  All counters were already posted in the parent -- nothing
+    one per worker, and for each k-range the layers' owners hold
+    (:func:`layer_product`'s, so one on a correct decomposition) a worker
+    computes its stripe, ``out[r0:r1, c0:c1] (+)= a[r0:r1, k0:k1] @ b[k0:k1,
+    c0:c1]``, straight into the shared output segment (a row no block
+    covers, or a k-slice no owner holds, is never multiplied); the one copy
+    of that segment returned here becomes the run's C sheet.  Only (job id,
+    slice spec) messages cross the pipes.  All counters were already posted in the parent -- nothing
     here touches accounting.
 
     The output segment is zero-filled even when it is reused.  A reused
@@ -189,21 +191,24 @@ def _sharded_gemm(
         out = pool.share_zeros("cosma.OUT", (decomposition.m, decomposition.n), dtype)
         stripes = [(rows.start + r0, rows.start + r1)
                    for r0, r1 in split_offsets(rows.stop - rows.start, machine.shards)]
-        specs = [
-            {"a": "cosma.A", "b": "cosma.B", "out": "cosma.OUT", "rows": [r0, r1],
-             "cols": [cols.start, cols.stop]}
-            for r0, r1 in stripes
-        ]
-        start_ns = trace.tracer.now_ns() if trace is not None else 0
-        infos = pool.run("gemm_rows", specs)
-        if trace is not None:
-            for shard, (info, rows) in enumerate(zip(infos, stripes)):
-                trace.tracer.complete(
-                    "cosma-shard-gemm", cat="gemm", start_ns=start_ns,
-                    dur_ns=int(info.get("seconds", 0.0) * 1e9),
-                    args={"shard": shard, "rows": list(rows)},
-                    track="gemm",
-                )
+        for index, k_run in enumerate(_held_k_runs(decomposition)):
+            # One job per stripe and held k-run; the first run writes the
+            # zeroed segment, later ones add to it.
+            specs = [
+                {"a": "cosma.A", "b": "cosma.B", "out": "cosma.OUT", "rows": [r0, r1],
+                 "cols": [cols.start, cols.stop], "k": list(k_run), "add": index > 0}
+                for r0, r1 in stripes
+            ]
+            start_ns = trace.tracer.now_ns() if trace is not None else 0
+            infos = pool.run("gemm_rows", specs)
+            if trace is not None:
+                for shard, (info, stripe) in enumerate(zip(infos, stripes)):
+                    trace.tracer.complete(
+                        "cosma-shard-gemm", cat="gemm", start_ns=start_ns,
+                        dur_ns=int(info.get("seconds", 0.0) * 1e9),
+                        args={"shard": shard, "rows": list(stripe)},
+                        track="gemm",
+                    )
         # Copy the product out of shared memory before release: the next run
         # reuses the segment, so the C sheet (and everything downstream) must
         # never reference a pool-owned buffer.
@@ -219,6 +224,18 @@ def _c_block_words(decomposition: CosmaDecomposition) -> np.ndarray:
     return np.multiply.outer(
         np.diff(decomposition.i_bounds), np.diff(decomposition.j_bounds)
     ).ravel()
+
+
+def _held_k_runs(decomposition: CosmaDecomposition) -> list[tuple[int, int]]:
+    """The k-ranges the product multiplies: per layer, the part of its
+    k-range that both its A owners and its B owners hold, abutting layers
+    merged into one range (one range, all of k, on a correct decomposition)."""
+    d = decomposition
+    lo = np.maximum.reduce((d.k_bounds[:-1], d.a_bounds[:, 0], d.b_bounds[:, 0]))
+    hi = np.minimum.reduce((d.k_bounds[1:], d.a_bounds[:, -1], d.b_bounds[:, -1]))
+    held = lo < hi
+    _, lo, hi = abutting_runs(lo[held], hi[held])
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
 def _c_extent(decomposition: CosmaDecomposition) -> tuple[slice, slice]:
@@ -481,11 +498,7 @@ def layer_product(
     rows, cols = _c_extent(d)
     c_global = machine.new_plane(f"{name}.C", (1, d.m, d.n)).data[0]
     c_block = c_global[rows, cols]
-    lo = np.maximum.reduce((d.k_bounds[:-1], d.a_bounds[:, 0], d.b_bounds[:, 0]))
-    hi = np.minimum.reduce((d.k_bounds[1:], d.a_bounds[:, -1], d.b_bounds[:, -1]))
-    held = lo < hi
-    _, lo, hi = abutting_runs(lo[held], hi[held])
-    for index, (k0, k1) in enumerate(zip(lo.tolist(), hi.tolist())):
+    for index, (k0, k1) in enumerate(_held_k_runs(d)):
         # The first GEMM writes the zeroed sheet in place; the rest add.
         product = np.matmul(a_matrix[rows, k0:k1], b_matrix[k0:k1, cols],
                             out=None if index else c_block)

@@ -36,10 +36,13 @@ from repro.workloads.shapes import ProblemShape
 _REFERENCE_CACHE_MAX_WORDS = 1 << 25
 _REFERENCE_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
 _REFERENCE_CACHE_WORDS = 0
-#: Bytes of reference rows per ``np.allclose`` call of the verification:
-#: ``allclose`` allocates three temporaries the size of its operands (+275 MiB
-#: on a 4096^2 product), and blocks that stay in cache check fastest (a 4096^2
-#: float64 product in ~80 ms, against ~180 ms in 256-row blocks).
+#: Bytes of reference rows per block of the verification (:func:`_allclose`):
+#: blocks that stay in cache check fastest, and the check's three buffers are
+#: one block each, allocated once.  On a 2-core box a block costs ~0.13 ms
+#: (~0.22 ms as one ``np.allclose`` per block, which allocates five
+#: temporaries each time): a float64 product checks in ~68 ms at 4096^2
+#: (~115 ms; ~280 ms as one whole-array ``np.allclose``) and ~2.6 ms at
+#: 768^2 (~5.1 ms).
 _VERIFY_BLOCK_BYTES = 1 << 18
 
 
@@ -67,6 +70,42 @@ def _reference_product(shape: ProblemShape, seed: int) -> np.ndarray:
             _, old = _REFERENCE_CACHE.popitem(last=False)
             _REFERENCE_CACHE_WORDS -= old.size
     return reference
+
+
+def _allclose(product: np.ndarray, expected: np.ndarray, rtol: float, atol: float) -> bool:
+    """``np.allclose(product, expected, rtol=rtol, atol=atol)``, one block of
+    ``_VERIFY_BLOCK_BYTES`` of reference rows at a time in three preallocated
+    buffers.
+
+    A block passes when ``|p - e| <= atol + rtol * |e|`` holds everywhere,
+    computed with ``np.isclose``'s promotion and operation order (``rtol``
+    and ``atol`` are Python floats, so they take the block's dtype), and its
+    tolerance is finite.  ``isclose`` also accepts ``p == e`` and rejects an
+    infinite ``e``; neither can change a verdict here except in a block that
+    fails or has an infinite (or NaN) tolerance, and such a block is decided
+    again by ``np.allclose`` itself.  So is a pair that is not two equally
+    shaped float matrices.  The verdict is therefore ``np.allclose``'s.
+    """
+    if not (type(product) is type(expected) is np.ndarray and product.shape == expected.shape
+            and expected.ndim == 2 and product.dtype.kind == expected.dtype.kind == "f"):
+        return bool(np.allclose(product, expected, rtol=rtol, atol=atol))
+    rows, cols = expected.shape
+    step = min(max(1, _VERIFY_BLOCK_BYTES // max(1, expected[:1].nbytes)), max(1, rows))
+    diff = np.empty((step, cols), np.result_type(product, expected))
+    tolerance = np.empty((step, cols), expected.dtype)
+    within = np.empty((step, cols), bool)
+    for r0 in range(0, rows, step):
+        p_block, e_block = product[r0:r0 + step], expected[r0:r0 + step]
+        used = e_block.shape[0]
+        d, t, w = diff[:used], tolerance[:used], within[:used]
+        with np.errstate(invalid="ignore"):  # as isclose: inf - inf is a NaN that fails
+            np.abs(np.subtract(p_block, e_block, out=d), out=d)
+            np.add(np.multiply(np.abs(e_block, out=t), rtol, out=t), atol, out=t)
+            if np.less_equal(d, t, out=w).all() and np.isfinite(t.max()):
+                continue
+        if not np.allclose(p_block, e_block, rtol=rtol, atol=atol):
+            return False
+    return True
 
 
 @dataclass
@@ -227,14 +266,7 @@ def _execute(
     if verified:
         expected = reference() if reference is not None else a_matrix @ b_matrix
         rtol, atol_unit = allclose_tolerances(getattr(product, "dtype", np.float64))
-        # An elementwise AND: row blocks of equal shapes give the whole-array verdict.
-        whole = np.shape(product) != np.shape(expected)
-        step = max(1, _VERIFY_BLOCK_BYTES // max(1, expected[:1].nbytes))
-        correct = all(
-            np.allclose(product[rows], expected[rows], rtol=rtol, atol=atol_unit * shape.k)
-            for rows in ([slice(None)] if whole else
-                         [slice(i, i + step) for i in range(0, shape.m, step)])
-        )
+        correct = _allclose(product, expected, float(rtol), float(atol_unit * shape.k))
     return product, machine.counters, mode, verified, correct
 
 

@@ -119,8 +119,9 @@ def available_shards(requested: int) -> tuple[int, str | None]:
 # ----------------------------------------------------------------------
 
 def _kernel_gemm_rows(segments: dict[str, np.ndarray], spec: dict) -> None:
-    """``out[r0:r1, c0:c1] = a[r0:r1] @ b[:, c0:c1]`` over this shard's row
-    stripe (``cols`` defaults to all of them).
+    """``out[r0:r1, c0:c1] = a[r0:r1, k0:k1] @ b[k0:k1, c0:c1]`` over this
+    shard's row stripe (``cols`` and ``k`` default to all of them; with
+    ``add`` set the product is added to ``out`` instead).
 
     Fuses the per-slot GEMM and the k-reduction of the unsharded plane path:
     each shard computes its stripe of the *final* product directly, so no
@@ -133,7 +134,12 @@ def _kernel_gemm_rows(segments: dict[str, np.ndarray], spec: dict) -> None:
     b = segments[spec["b"]]
     out = segments[spec["out"]]
     cols = slice(*spec.get("cols", (None, None)))
-    np.matmul(a[r0:r1], b[:, cols], out=out[r0:r1, cols])
+    k = slice(*spec.get("k", (None, None)))
+    target = out[r0:r1, cols]
+    if spec.get("add"):
+        target += a[r0:r1, k] @ b[k, cols]
+    else:
+        np.matmul(a[r0:r1, k], b[k, cols], out=target)
 
 
 #: Named kernels a worker may be asked to run.  Workers resolve the name in

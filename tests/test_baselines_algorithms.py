@@ -1,5 +1,7 @@
 """Tests for the baseline algorithm executors (Cannon, SUMMA, 2.5D, CARMA, cuboid)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -48,6 +50,29 @@ class TestCannon:
         b = rng.standard_normal((11, 7))
         result = cannon_multiply(a, b, 4)
         assert np.allclose(result.matrix, a @ b)
+
+    @pytest.mark.parametrize(("m", "n", "k", "padded"), [
+        (96, 96, 96, False), (96, 80, 64, False),  # q = 4 divides every extent
+        (98, 96, 93, True),                        # ragged m and k: A and B are padded
+    ])
+    def test_operands_are_copied_only_to_pad(self, rng, m, n, k, padded):
+        """With ``q`` dividing every extent the run allocates its C sheet and
+        no copy of A or B; a ragged shape pads both and still verifies."""
+        a, b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
+        cannon_multiply(a, b, 16)  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            result = cannon_multiply(a, b, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.allclose(result.matrix, a @ b)
+        c_sheet = 8 * 4 * -(-m // 4) * 4 * -(-n // 4)
+        operands = 8 * 4 * -(-k // 4) * 4 * (-(-m // 4) + -(-n // 4))
+        if padded:
+            assert peak >= c_sheet + operands
+        else:
+            assert peak < c_sheet + min(a.nbytes, b.nbytes) // 2
 
     def test_single_rank_no_communication(self, rng):
         a = rng.standard_normal((8, 8))

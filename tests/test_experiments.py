@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import register_algorithm, registered_algorithms, unregister
 from repro.api import multiply
@@ -144,6 +146,56 @@ class TestVerification:
         product = flaw(a @ b)
         rtol, atol_unit = allclose_tolerances(product.dtype)
         assert report.correct == bool(np.allclose(product, a @ b, rtol=rtol, atol=atol_unit * self.K))
+
+    #: Columns that make a float64 reference block exactly two rows.
+    WIDE = harness._VERIFY_BLOCK_BYTES // 16
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dtype=st.sampled_from(["float64", "float32"]),
+        rows=st.sampled_from([1, 5, 7]),  # one row; partial last blocks
+        block=st.sampled_from(["first", "middle", "remainder"]),
+        flaw=st.sampled_from(["none", "nan", "+inf", "-inf", "off", "edge"]),
+        in_reference=st.booleans(),
+        scale=st.floats(0.5, 2.0),  # an "off" element's distance, in tolerances
+        ulps=st.integers(-3, 3),  # an "edge" element's distance from the tolerance
+    )
+    def test_the_fused_check_is_allclose(self, seed, dtype, rows, block, flaw, in_reference,
+                                         scale, ulps):
+        """``harness._allclose`` returns whole-array ``np.allclose``'s verdict
+        for a float64 or float32 product against a float64 reference, with one
+        element broken in the first, a middle or the last (partial) block: a
+        NaN or an infinity in either, or a product element some tolerances
+        off, or a few ulps either side of the tolerance itself."""
+        rng = np.random.default_rng(seed)
+        expected = rng.standard_normal((rows, self.WIDE))
+        rtol, atol_unit = allclose_tolerances(dtype)
+        rtol, atol = float(rtol), float(atol_unit * self.K)
+        product = (expected * (1 + rtol / 4 * rng.uniform(-1, 1, expected.shape))).astype(dtype)
+        row = {"first": 0, "middle": 2, "remainder": rows - 1}[block] % rows
+        col = int(rng.integers(self.WIDE))
+        tolerance = atol + rtol * abs(expected[row, col])
+        if flaw == "off":
+            product[row, col] = expected[row, col] + scale * tolerance
+        elif flaw == "edge":
+            edge = expected[row, col] + tolerance
+            product[row, col] = edge + ulps * np.spacing(edge)
+        elif flaw != "none":
+            value = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}[flaw]
+            (expected if in_reference else product)[row, col] = value
+        assert harness._allclose(product, expected, rtol, atol) == bool(
+            np.allclose(product, expected, rtol=rtol, atol=atol))
+
+    def test_an_infinite_reference_matched_by_the_product_verifies(self):
+        """``isclose`` accepts ``inf == inf``: a block the fused check cannot
+        pass is decided by ``np.allclose``."""
+        expected = np.ones((3, self.WIDE))
+        expected[2, 5] = np.inf
+        assert harness._allclose(expected.copy(), expected, 1e-5, 1e-8)
+        product = expected.copy()
+        product[2, 5] = 1.0
+        assert not harness._allclose(product, expected, 1e-5, 1e-8)
 
     def test_unbroadcastable_product_still_raises(self, rng):
         a, b = rng.standard_normal((self.M, self.K)), rng.standard_normal((self.K, self.N))

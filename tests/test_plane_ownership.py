@@ -16,10 +16,12 @@ import oracle
 import pytest
 
 from repro.baselines import grid25d, summa
-from repro.baselines.cuboid import CuboidDomain, cuboid_multiply
+from repro.baselines.carma import carma_table, usable_ranks
+from repro.baselines.cuboid import CuboidDomain, _product_tiles, cuboid_multiply
 from repro.core import cosma
 from repro.core.decomposition import build_decomposition
 from repro.experiments.harness import run_algorithm
+from repro.machine.shard import available_shards
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import allclose_tolerances
 from repro.workloads.scaling import Scenario
@@ -80,11 +82,22 @@ def test_a_row_or_column_no_block_covers_fails_verification(monkeypatch, name, s
     assert run.verified and not run.correct
 
 
+#: The shard pool is only used when two workers can run; otherwise a
+#: ``shards=2`` run is an in-process run and proves nothing about the pool.
+SHARDED = pytest.mark.skipif(available_shards(2)[0] < 2,
+                             reason=f"no two-worker shard pool here: {available_shards(2)[1]}")
+
+
 @pytest.mark.parametrize("field", ["a_bounds", "b_bounds"])
-@pytest.mark.parametrize("name", ["COSMA", "ScaLAPACK", "CTF", "Cannon"])
-def test_a_dropped_ownership_slice_fails_verification(monkeypatch, name, field):
+@pytest.mark.parametrize(("name", "shards"), [
+    *(pytest.param(name, 1, id=name) for name in ("COSMA", "ScaLAPACK", "CTF", "Cannon")),
+    pytest.param("COSMA", 2, marks=SHARDED, id="COSMA-shards2"),
+])
+def test_a_dropped_ownership_slice_fails_verification(monkeypatch, name, shards, field):
+    """COSMA's sharded run multiplies only the k-ranges the owners hold, as
+    its in-process run does."""
     _with_decomposition(monkeypatch, _drop_last_slice(field))
-    run = run_algorithm(name, SCENARIO, mode="plane")
+    run = run_algorithm(name, SCENARIO, mode="plane", shards=shards)
     assert run.verified and not run.correct
 
 
@@ -129,3 +142,18 @@ def test_hand_written_cuboid_tilings_compute_a_at_b(tiling, dtype):
     table = np.array([(d.rank, *d.i_range, *d.j_range, *d.k_range) for d in domains])
     oracle.cuboid.cuboid(reference, table, a, b)
     assert machine.counters.data.tolist() == reference.counters.data.tolist()
+
+
+@pytest.mark.parametrize(("dims", "p", "tiles"), [
+    ((768, 768, 768), 256, 1),
+    ((768, 768, 768), 1024, 1),
+    ((13, 7, 15), 8, 2),  # test_counter_parity's staggered point: k-halves cut differently
+])
+def test_carma_merges_its_domains_into_few_gemms(dims, p, tiles):
+    """A regular CARMA grid is one GEMM; where the k-halves' output blocks
+    straddle each other, the halves stay apart.  Either way the GEMMs
+    multiply each domain's volume once."""
+    table = carma_table(*dims, usable_ranks(*dims, p))
+    gemms = _product_tiles(table)
+    assert len(gemms) == tiles
+    assert int(np.diff(gemms.reshape(-1, 3, 2)).prod(axis=1).sum()) == int(np.prod(dims))
