@@ -13,10 +13,12 @@ Two design choices of the COSMA implementation are ablated here:
 import numpy as np
 from _common import print_rows
 
-from repro.core.cosma import cosma_multiply
+from repro.core.cosma import cosma_run
+from repro.core.decomposition import build_decomposition
 from repro.core.overlap import even_rounds
 from repro.experiments.perf_model import time_breakdown
 from repro.experiments.harness import run_algorithm
+from repro.machine.simulator import DistributedMachine
 from repro.machine.topology import MachineSpec
 from repro.workloads.scaling import Scenario
 from repro.workloads.shapes import square_shape
@@ -28,15 +30,17 @@ def _backend_comparison(n: int = 64, p: int = 8, s: int = 1024):
     rng = np.random.default_rng(0)
     a = rng.standard_normal((n, n))
     b = rng.standard_normal((n, n))
+    decomposition = build_decomposition(n, n, n, p, s)
     rows = []
     for use_rma in (False, True):
-        run = cosma_multiply(a, b, p, memory_words=s, use_rma=use_rma)
+        machine = DistributedMachine(p, memory_words=s)
+        product = cosma_run(machine, a, b, decomposition, use_rma)
         rows.append(
             {
                 "backend": "RMA (one-sided)" if use_rma else "two-sided (tree)",
-                "total_words": run.counters.total_words_sent,
-                "max_rounds": run.counters.max_rounds(),
-                "correct": bool(np.allclose(run.matrix, a @ b)),
+                "total_words": machine.counters.total_words_sent,
+                "max_rounds": machine.counters.max_rounds(),
+                "correct": bool(np.allclose(product, a @ b)),
             }
         )
     return rows

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from _common import print_rows
 
-from repro.core.cosma import cosma_multiply
+from repro import multiply
 from repro.core.cost_model import communication_reduction_vs_grid
 
 
@@ -21,13 +21,13 @@ def _measured_comparison(n: int, p: int, memory_words: int):
     rng = np.random.default_rng(0)
     a = rng.standard_normal((n, n))
     b = rng.standard_normal((n, n))
-    cosma = cosma_multiply(a, b, p, memory_words)
+    cosma = multiply(a, b, p, memory_words, max_idle_fraction=0.03)
     analytic_ratio = communication_reduction_vs_grid(n, n, n, p, memory_words, (2, 2, 2))
     return {
-        "cosma_grid": cosma.grid.as_tuple(),
-        "cosma_received_per_rank": cosma.counters.mean_received_per_rank(),
+        "cosma_grid": cosma.grid,
+        "cosma_received_per_rank": cosma.mean_received_per_rank,
         "analytic_cubic_over_cosma": analytic_ratio,
-        "correct": bool(np.allclose(cosma.matrix, a @ b)),
+        "correct": cosma.correct and bool(np.allclose(cosma.matrix, a @ b)),
     }
 
 

@@ -10,8 +10,7 @@ touches at least the Theorem 2 bound (the optimality ratio is >= 1), and
 import numpy as np
 from _common import print_rows
 
-from repro.api import plan
-from repro.core.cosma import cosma_multiply
+from repro.api import multiply, plan
 from repro.core.tradeoff import tradeoff_curve
 
 
@@ -25,18 +24,18 @@ def _sweep(n=64, p_values=(4, 8, 16, 32), s_values=(1024, 4096)):
             run_plan = plan(n, n, n, processors=p, memory_words=s)
             if not run_plan.feasible:
                 continue
-            run = cosma_multiply(a, b, p, memory_words=s, max_idle_fraction=max(0.03, 1.5 / p))
+            run = multiply(a, b, p, s)
             rows.append(
                 {
                     "p": p,
                     "S": s,
-                    "grid": run.grid.as_tuple(),
-                    "counted_received": run.counters.mean_received_per_rank(),
+                    "grid": run.grid,
+                    "counted_received": run.mean_received_per_rank,
                     "planned_received": run_plan.predicted_words_per_rank,
                     "domain_io": run_plan.domain_io_words,
                     "theorem2_bound": round(run_plan.lower_bound_per_rank, 1),
                     "ratio": round(run_plan.optimality_ratio, 3),
-                    "correct": bool(np.allclose(run.matrix, a @ b)),
+                    "correct": run.correct and bool(np.allclose(run.matrix, a @ b)),
                 }
             )
     return rows

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.summa import summa_multiply
-from repro.core.cosma import cosma_multiply
+from repro import multiply
 from repro.experiments.perf_model import simulated_time
 from repro.experiments.harness import run_algorithm
 from repro.machine.topology import MachineSpec
@@ -68,14 +67,14 @@ def main() -> None:
         " 2D (ScaLAPACK-style) decomposition on this shape."
     )
 
-    # The two dedicated executors can also be called directly:
+    # The same algorithms on your own matrices, through the library's front door:
     rng = np.random.default_rng(1)
     a = rng.standard_normal((shape.m, shape.k))
     b = rng.standard_normal((shape.k, shape.n))
-    cosma = cosma_multiply(a, b, processors, memory_words)
-    summa = summa_multiply(a, b, processors, memory_words=memory_words)
-    assert np.allclose(cosma.matrix, summa.matrix)
-    print(f"COSMA grid: {cosma.grid.as_tuple()}, SUMMA grid: {summa.grid} (note the k-parallelism)")
+    cosma = multiply(a, b, processors, memory_words)
+    summa = multiply(a, b, processors, memory_words, algorithm="ScaLAPACK")
+    assert cosma.correct and summa.correct and np.allclose(cosma.matrix, summa.matrix)
+    print(f"COSMA grid: {cosma.grid}, SUMMA grid: {summa.grid} (note the k-parallelism)")
 
 
 if __name__ == "__main__":

@@ -18,8 +18,14 @@ paper-scale ``volume_requests`` points and every algorithm at p = 16384 and
 p = 65536 (``xl``) in ``volume`` mode only (their plane products would need
 gigabytes).  What it records per run: each counter row's length, total and digest (``counters.<field>``,
 one observable per row of the counter matrix), ``peak_resident_words``, the
-final ``check_memory()``, COSMA's ``num_rounds``, the round spans' count and
-arguments, and the product's bytes (every mode but ``volume``).
+final ``check_memory()``, COSMA's ``num_rounds`` (its decomposition's
+``num_steps``), the round spans' count and arguments, and the product's bytes
+(every mode but ``volume``).
+
+A registered point runs through the registry's runner.  An awkward point
+builds its decomposition (grid, panel width, ``use_rma``, tiling) and calls
+the engine on it; on a tree from before the engines were called directly (no
+``cosma_run``), it calls the wrapper that ran the same decomposition there.
 
 Prints one line per point -- equal, or which observables differ, in how many
 of the point's runs and by how much in the first of them -- and exits 1 on
@@ -39,6 +45,7 @@ from, or written under, ``benchmarks/ledger/``.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -59,24 +66,27 @@ SPAN_ARGS = ("label", "round", "mode", "words_posted", "flops", "hops",
 
 
 # ---------------------------------------------------------------------------
-# the points: (label, multiply(a, b, machine), (m, n, k), p, S, modes)
+# the points: (label, multiply(a, b, machine), (m, n, k), p, S, modes, rounds)
+# ``rounds()`` is COSMA's round count, read after the runs; ``None`` otherwise.
 # ---------------------------------------------------------------------------
 def _registry_point(prefix, name, scenario, modes=MODES):
     from repro.algorithms import cosma_idle_fraction, get_algorithm
-    from repro.core.cosma import cosma_multiply
-
-    if name == "COSMA":
-        # The registry's runner, kept as a result object: it carries the rounds.
-        def multiply(a, b, machine):
-            return cosma_multiply(a, b, scenario.p, scenario.memory_words, machine=machine,
-                                  max_idle_fraction=cosma_idle_fraction(scenario.p))
-    else:
-        def multiply(a, b, machine):
-            return get_algorithm(name).run(a, b, scenario, machine)
+    from repro.core.decomposition import build_decomposition
 
     shape = scenario.shape
+    rounds = None
+    if name == "COSMA":
+        @functools.cache
+        def rounds():
+            return build_decomposition(
+                shape.m, shape.n, shape.k, scenario.p, scenario.memory_words,
+                max_idle_fraction=cosma_idle_fraction(scenario.p)).num_steps
+
+    def multiply(a, b, machine):
+        return get_algorithm(name).run(a, b, scenario, machine)
+
     return (f"{prefix}/{name}/{scenario.name}", multiply, (shape.m, shape.n, shape.k),
-            scenario.p, scenario.memory_words, modes)
+            scenario.p, scenario.memory_words, modes, rounds)
 
 
 def _campaign_points():
@@ -107,42 +117,80 @@ def _campaign_points():
     return points
 
 
-def _awkward_points():
-    from repro.algorithms import registered_algorithms
+def _engines():
+    """The engines the registered runners call, or ``None`` on a tree from
+    before they were called directly."""
+    try:
+        from repro.baselines import cannon, cuboid, grid25d, summa
+        from repro.core import cosma
+        return {"COSMA": cosma.cosma_run, "ScaLAPACK": summa.run_panels,
+                "CTF": grid25d.grid25d_run, "Cannon": cannon.cannon_run,
+                "cuboid": cuboid.cuboid_run}
+    except AttributeError:
+        return None
+
+
+def _wrappers():
+    """The per-algorithm wrappers an older tree ran these decompositions with."""
     from repro.baselines.cannon import cannon_multiply
-    from repro.baselines.cuboid import CuboidDomain, cuboid_multiply
+    from repro.baselines.cuboid import cuboid_multiply
     from repro.baselines.grid25d import grid25d_multiply
     from repro.baselines.summa import summa_multiply
     from repro.core.cosma import cosma_multiply
+    return {"COSMA": cosma_multiply, "ScaLAPACK": summa_multiply, "CTF": grid25d_multiply,
+            "Cannon": cannon_multiply, "cuboid": cuboid_multiply}
+
+
+def _awkward_points():
+    from repro.algorithms import registered_algorithms
+    from repro.baselines.cannon import cannon_decomposition
+    from repro.baselines.cuboid import CuboidDomain
+    from repro.baselines.grid25d import grid25d_decomposition
+    from repro.baselines.summa import summa_decomposition
+    from repro.core.decomposition import build_decomposition
     from repro.core.grid import ProcessorGrid
     from repro.workloads.scaling import Scenario
     from repro.workloads.shapes import ProblemShape
 
     points = []
+    engines = _engines()
+    wrappers = _wrappers() if engines is None else None
 
     def cosma(why, m, n, k, grid, idle, memory_words, use_rma=False):
         p = grid[0] * grid[1] * grid[2] + idle
-        points.append((
-            f"awkward/COSMA/{why}",
-            lambda a, b, machine: cosma_multiply(
-                a, b, p, memory_words, machine=machine, grid=ProcessorGrid(*grid),
-                use_rma=use_rma),
-            (m, n, k), p, memory_words, MODES))
+        decomposition = build_decomposition(m, n, k, p, memory_words, grid=ProcessorGrid(*grid))
+        if engines is None:
+            def multiply(a, b, machine):
+                return wrappers["COSMA"](a, b, p, memory_words, machine=machine,
+                                         grid=ProcessorGrid(*grid), use_rma=use_rma)
+        else:
+            def multiply(a, b, machine):
+                return engines["COSMA"](machine, a, b, decomposition, use_rma)
+        points.append((f"awkward/COSMA/{why}", multiply, (m, n, k), p, memory_words, MODES,
+                       lambda: decomposition.num_steps))
 
     def summa(why, m, n, k, grid, panel_width, idle):
         p = grid[0] * grid[1] + idle
-        points.append((
-            f"awkward/ScaLAPACK/{why}",
-            lambda a, b, machine: summa_multiply(
-                a, b, p, machine=machine, grid=grid, panel_width=panel_width),
-            (m, n, k), p, 1 << 20, MODES))
+        decomposition = summa_decomposition(m, n, k, p, 1 << 20, grid, panel_width)
+        if engines is None:
+            def multiply(a, b, machine):
+                return wrappers["ScaLAPACK"](a, b, p, machine=machine, grid=grid,
+                                             panel_width=panel_width)
+        else:
+            def multiply(a, b, machine):
+                return engines["ScaLAPACK"](machine, a, b, decomposition, "tree")
+        points.append((f"awkward/ScaLAPACK/{why}", multiply, (m, n, k), p, 1 << 20, MODES, None))
 
     def grid25d(why, m, n, k, grid, idle):
         p = grid[0] * grid[1] * grid[2] + idle
-        points.append((
-            f"awkward/CTF/{why}",
-            lambda a, b, machine: grid25d_multiply(a, b, p, 4096, machine=machine, grid=grid),
-            (m, n, k), p, 4096, MODES))
+        decomposition = grid25d_decomposition(m, n, k, p, 4096, grid)
+        if engines is None:
+            def multiply(a, b, machine):
+                return wrappers["CTF"](a, b, p, 4096, machine=machine, grid=grid)
+        else:
+            def multiply(a, b, machine):
+                return engines["CTF"](machine, a, b, decomposition)
+        points.append((f"awkward/CTF/{why}", multiply, (m, n, k), p, 4096, MODES, None))
 
     for use_rma in (False, True):
         tag = "-rma" if use_rma else ""
@@ -183,15 +231,23 @@ def _awkward_points():
     tiling = [CuboidDomain(3, (0, 5), (0, 4), (0, 3)), CuboidDomain(0, (5, 9), (0, 4), (0, 3)),
               CuboidDomain(2, (0, 5), (4, 4), (0, 3)), CuboidDomain(1, (0, 9), (4, 7), (0, 3)),
               CuboidDomain(5, (0, 9), (0, 7), (3, 6))]
-    points.append((
-        "awkward/cuboid/shuffled-ranks-empty-range",
-        lambda a, b, machine: cuboid_multiply(a, b, tiling, machine=machine),
-        (9, 7, 6), 7, 1 << 20, MODES))
+    if engines is None:
+        def tiled(a, b, machine):
+            return wrappers["cuboid"](a, b, tiling, machine=machine)
+    else:
+        def tiled(a, b, machine):
+            return engines["cuboid"](machine, a, b, tiling)
+    points.append(("awkward/cuboid/shuffled-ranks-empty-range", tiled, (9, 7, 6), 7, 1 << 20,
+                   MODES, None))
     for why, p in (("idle-padded", 11), ("q1", 3)):
-        points.append((
-            f"awkward/Cannon/{why}",
-            lambda a, b, machine, p=p: cannon_multiply(a, b, p, machine=machine),
-            (13, 11, 7), p, 1 << 20, MODES))
+        decomposition = cannon_decomposition(13, 11, 7, p, 1 << 20)
+        if engines is None:
+            def multiply(a, b, machine, p=p):
+                return wrappers["Cannon"](a, b, p, machine=machine)
+        else:
+            def multiply(a, b, machine, decomposition=decomposition):
+                return engines["Cannon"](machine, a, b, decomposition)
+        points.append((f"awkward/Cannon/{why}", multiply, (13, 11, 7), p, 1 << 20, MODES, None))
     return points
 
 
@@ -210,7 +266,8 @@ def _summary(values: list) -> list:
     return [len(values), sum(numbers), _digest(values)]
 
 
-def _observe_run(multiply, dims, p, memory_words, mode, traced, runs) -> tuple[dict, float, float | None]:
+def _observe_run(multiply, dims, p, memory_words, mode, traced, runs,
+                 rounds=None) -> tuple[dict, float, float | None]:
     """What the run left behind, the wall seconds of its ``multiply`` calls and
     the product's ``max |C - A @ B|`` (``None`` in ``volume`` mode)."""
     import numpy as np
@@ -245,8 +302,8 @@ def _observe_run(multiply, dims, p, memory_words, mode, traced, runs) -> tuple[d
         observed[f"counters.{field}"] = [len(row), int(row.sum()), _digest(row.tobytes())]
     observed["peak_resident_words"] = machine.peak_resident_words
     observed["check_memory"] = machine.check_memory()
-    if hasattr(result, "num_rounds"):
-        observed["num_rounds"] = result.num_rounds
+    if rounds is not None:
+        observed["num_rounds"] = rounds()
     if tracer is not None:
         spans = [args for _name, _cat, _start, _dur, args, _track in tracer.spans("round")]
         observed["spans"] = len(spans)
@@ -262,13 +319,14 @@ def _observe_run(multiply, dims, p, memory_words, mode, traced, runs) -> tuple[d
 
 def observe() -> None:
     """Run every point in every variant against the ``repro`` on ``sys.path``."""
-    for label, multiply, dims, p, memory_words, modes in _campaign_points() + _awkward_points():
+    for label, multiply, dims, p, memory_words, modes, rounds in (
+            _campaign_points() + _awkward_points()):
         for mode in modes:
             for traced in (False, True):
                 for runs in (1, 2):
                     variant = f"{mode} {'traced' if traced else 'untraced'} x{runs}"
                     observed, seconds, error = _observe_run(
-                        multiply, dims, p, memory_words, mode, traced, runs)
+                        multiply, dims, p, memory_words, mode, traced, runs, rounds)
                     print(json.dumps({"point": label, "variant": variant, "observed": observed,
                                       "seconds": seconds, "error": error}), flush=True)
 

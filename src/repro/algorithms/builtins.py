@@ -1,14 +1,22 @@
 """The paper's five comparison algorithms as registered :class:`AlgorithmSpec`\\ s.
 
 The names mirror the paper's comparison targets: our SUMMA stands in for
-ScaLAPACK, our 2.5D for CTF.  Each spec bundles the runner (the same closure
-bodies the harness used to hard-code), a cheap planner that calls the very
-function the runner derives its grid and schedule from (never a copy of the
-derivation) without touching matrices, and the Table 3 cost formulas of
+ScaLAPACK, our 2.5D for CTF.  Each spec bundles the runner, a cheap planner
+that calls the very function the runner derives its grid and schedule from
+(never a copy of the derivation) without touching matrices, and the Table 3
+cost formulas of
 :mod:`repro.baselines.costs` (COSMA's I/O row is Theorem 2 itself).  The grid
 family's planner (COSMA, ScaLAPACK, CTF, Cannon: :func:`_grid_plan`) returns
 the words the run will count, and every planner the busiest domain's I/O
 that ``Plan.optimality_ratio`` holds against Theorem 2.
+
+Every runner reads the same way: the operands at the machine's plane dtype,
+the decomposition its planner builds, then the engine on it, which returns the
+product (:func:`~repro.core.cosma.cosma_run`,
+:func:`~repro.baselines.summa.run_panels`,
+:func:`~repro.baselines.grid25d.grid25d_run`,
+:func:`~repro.baselines.cannon.cannon_run`,
+:func:`~repro.baselines.cuboid.cuboid_run`).
 
 Importing :mod:`repro.algorithms` registers everything here exactly once.
 """
@@ -17,16 +25,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.registry import AlgorithmSpec, Plan, register
+from repro.algorithms.registry import AlgorithmSpec, Plan, get_algorithm, register
 from repro.baselines import costs
-from repro.baselines.cannon import cannon_decomposition, cannon_multiply, skew_words
-from repro.baselines.carma import carma_multiply, carma_recursion_depth, carma_table, usable_ranks
-from repro.baselines.grid25d import grid25d_decomposition, grid25d_multiply
-from repro.baselines.summa import summa_decomposition, summa_multiply
-from repro.core.cosma import cosma_multiply, received_words
+from repro.baselines.cannon import cannon_decomposition, cannon_run, skew_words
+from repro.baselines.carma import carma_recursion_depth, carma_table, usable_ranks
+from repro.baselines.cuboid import cuboid_run
+from repro.baselines.grid25d import grid25d_decomposition, grid25d_run
+from repro.baselines.summa import run_panels, summa_decomposition
+from repro.core.cosma import cosma_run, received_words
 from repro.core.cost_model import cosma_latency_cost
 from repro.core.decomposition import CosmaDecomposition, build_decomposition
 from repro.core.grid import ProcessorGrid
+from repro.machine.transport import as_operands
 from repro.pebbling.mmm_bounds import parallel_io_lower_bound
 from repro.workloads.scaling import Scenario
 
@@ -85,16 +95,22 @@ def _grid_plan(algorithm: str, scenario: Scenario, decomposition: CosmaDecomposi
 # COSMA
 # ---------------------------------------------------------------------------
 def _run_cosma(a, b, scenario, machine, max_idle_fraction=None, grid=None):
+    # A sharded plane run hands the caller's arrays to the shard pool, which
+    # casts them while it fills their segments (cosma._sharded_gemm).
+    sharded = machine.shards > 1 and machine.mode == "plane"
+    a, b, (m, n, k) = as_operands(a, b, machine, cast=not sharded)
+    if grid is None:
+        # The memoized plan's grid, so the fitting search runs once per
+        # scenario; an infeasible plan has none and the run fits its own.
+        options = {} if max_idle_fraction is None else {"max_idle_fraction": max_idle_fraction}
+        grid = get_algorithm("COSMA").plan(scenario, **options).grid
     delta = (cosma_idle_fraction(scenario.p)
              if max_idle_fraction is None else max_idle_fraction)
-    if grid is not None and not isinstance(grid, ProcessorGrid):
-        # api.multiply passes the planned grid back in so the fitting search
-        # is not repeated by the executor.
-        grid = ProcessorGrid(*grid)
-    return cosma_multiply(
-        a, b, scenario.p, scenario.memory_words, machine=machine,
-        max_idle_fraction=delta, grid=grid,
-    ).matrix
+    decomposition = build_decomposition(
+        m, n, k, scenario.p, scenario.memory_words, max_idle_fraction=delta,
+        grid=None if grid is None else ProcessorGrid(*grid),
+    )
+    return cosma_run(machine, a, b, decomposition)
 
 
 def _plan_cosma(scenario: Scenario, max_idle_fraction=None) -> Plan:
@@ -113,9 +129,9 @@ def _plan_cosma(scenario: Scenario, max_idle_fraction=None) -> Plan:
 # ScaLAPACK (SUMMA) and Cannon: the 2D decompositions
 # ---------------------------------------------------------------------------
 def _run_summa(a, b, scenario, machine):
-    return summa_multiply(
-        a, b, scenario.p, machine=machine, memory_words=scenario.memory_words
-    ).matrix
+    a, b, (m, n, k) = as_operands(a, b, machine)
+    decomposition = summa_decomposition(m, n, k, scenario.p, scenario.memory_words)
+    return run_panels(machine, a, b, decomposition, "tree")
 
 
 def _plan_summa(scenario: Scenario) -> Plan:
@@ -125,9 +141,9 @@ def _plan_summa(scenario: Scenario) -> Plan:
 
 
 def _run_cannon(a, b, scenario, machine):
-    return cannon_multiply(
-        a, b, scenario.p, machine=machine, memory_words=scenario.memory_words
-    ).matrix
+    a, b, (m, n, k) = as_operands(a, b, machine)
+    decomposition = cannon_decomposition(m, n, k, scenario.p, scenario.memory_words)
+    return cannon_run(machine, a, b, decomposition)
 
 
 def _plan_cannon(scenario: Scenario) -> Plan:
@@ -142,9 +158,9 @@ def _plan_cannon(scenario: Scenario) -> Plan:
 # CTF (2.5D) and CARMA (recursive)
 # ---------------------------------------------------------------------------
 def _run_25d(a, b, scenario, machine):
-    return grid25d_multiply(
-        a, b, scenario.p, scenario.memory_words, machine=machine
-    ).matrix
+    a, b, (m, n, k) = as_operands(a, b, machine)
+    decomposition = grid25d_decomposition(m, n, k, scenario.p, scenario.memory_words)
+    return grid25d_run(machine, a, b, decomposition)
 
 
 def _plan_25d(scenario: Scenario) -> Plan:
@@ -154,9 +170,8 @@ def _plan_25d(scenario: Scenario) -> Plan:
 
 
 def _run_carma(a, b, scenario, machine):
-    return carma_multiply(
-        a, b, scenario.p, machine=machine, memory_words=scenario.memory_words
-    ).matrix
+    a, b, (m, n, k) = as_operands(a, b, machine)
+    return cuboid_run(machine, a, b, carma_table(m, n, k, usable_ranks(m, n, k, scenario.p)))
 
 
 def _plan_carma(scenario: Scenario) -> Plan:

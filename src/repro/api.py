@@ -107,6 +107,19 @@ def _api_scenario(m: int, n: int, k: int, processors: int, memory_words: int) ->
     )
 
 
+def _cosma_options(algorithm: str, max_idle_fraction: float | None) -> dict:
+    """The runner / planner options for ``max_idle_fraction``: COSMA's
+    grid-fitting delta when given, an error for any other algorithm."""
+    if max_idle_fraction is None:
+        return {}
+    if algorithm != "COSMA":
+        raise ValueError(
+            "max_idle_fraction is COSMA's grid-fitting delta; "
+            f"it does not apply to {algorithm}"
+        )
+    return {"max_idle_fraction": max_idle_fraction}
+
+
 def multiply(
     a_matrix: np.ndarray,
     b_matrix: np.ndarray,
@@ -173,15 +186,7 @@ def multiply(
     processors = check_positive_int(processors, "processors")
     memory_words = check_positive_int(memory_words, "memory_words")
     spec = get_algorithm(algorithm)
-    options: dict = {}
-    if max_idle_fraction is not None:
-        if spec.name != "COSMA":
-            raise ValueError(
-                "max_idle_fraction is COSMA's grid-fitting delta; "
-                f"it does not apply to {spec.name}"
-            )
-        options["max_idle_fraction"] = max_idle_fraction
-
+    options = _cosma_options(spec.name, max_idle_fraction)
     if mode is None:
         tokens = isinstance(a_matrix, ShapeToken) or isinstance(b_matrix, ShapeToken)
         mode = "volume" if tokens else "plane"
@@ -193,7 +198,7 @@ def multiply(
     run_plan = spec.plan(scenario, **options)
     product, counters, mode, verified, correct = _execute(
         spec, scenario, a_matrix, b_matrix, mode=mode, span="multiply", verify=True,
-        run_plan=run_plan, options=options, shards=shards, plane_dtype=plane_dtype,
+        options=options, shards=shards, plane_dtype=plane_dtype,
     )
     return RunReport(
         algorithm=spec.name,
@@ -242,15 +247,8 @@ def plan(
     processors = check_positive_int(processors, "processors")
     memory_words = check_positive_int(memory_words, "memory_words")
     spec = get_algorithm(algorithm)
-    options: dict = {}
-    if max_idle_fraction is not None:
-        if spec.name != "COSMA":
-            raise ValueError(
-                "max_idle_fraction is COSMA's grid-fitting delta; "
-                f"it does not apply to {spec.name}"
-            )
-        options["max_idle_fraction"] = max_idle_fraction
-    return spec.plan(_api_scenario(m, n, k, processors, memory_words), **options)
+    return spec.plan(_api_scenario(m, n, k, processors, memory_words),
+                     **_cosma_options(spec.name, max_idle_fraction))
 
 
 def list_algorithms() -> tuple[str, ...]:

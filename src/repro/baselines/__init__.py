@@ -1,20 +1,26 @@
 """State-of-the-art baseline algorithms re-implemented on the simulator.
 
-* :mod:`repro.baselines.cannon` -- Cannon's 2D algorithm (square grids).
+Every baseline is a decomposition plus the engine that runs it on a machine;
+the registered runners (:mod:`repro.algorithms.builtins`) join the two, and
+``repro.multiply(..., algorithm=...)`` is how a caller runs one.
+
 * :mod:`repro.baselines.summa` -- SUMMA, the 2D algorithm behind ScaLAPACK's
-  ``PDGEMM`` (our ScaLAPACK stand-in).
+  ``PDGEMM`` (our ScaLAPACK stand-in): ``summa_decomposition`` and
+  ``run_panels``.
+* :mod:`repro.baselines.cannon` -- Cannon's 2D algorithm (square grids):
+  ``cannon_decomposition`` and ``cannon_run``.
 * :mod:`repro.baselines.grid25d` -- the 2.5D/3D decomposition of Solomonik &
-  Demmel (our CTF stand-in).
+  Demmel (our CTF stand-in): ``grid25d_decomposition`` and ``grid25d_run``.
 * :mod:`repro.baselines.carma` -- the recursive CARMA decomposition of Demmel
-  et al.
-* :mod:`repro.baselines.cuboid` -- a generic executor that runs any cuboidal
-  domain decomposition on the simulator (used by CARMA and by ablations).
+  et al.: ``carma_table``, run by the cuboid executor.
+* :mod:`repro.baselines.cuboid` -- a generic executor, ``cuboid_run``, that
+  runs any cuboidal domain decomposition on the simulator (CARMA's, and
+  hand-written tilings).
 * :mod:`repro.baselines.costs` -- the analytic per-processor I/O and latency
   costs of Table 3 for the baselines (COSMA's I/O row is Theorem 2).
 """
 
-from repro.baselines.cannon import cannon_multiply
-from repro.baselines.carma import carma_domains, carma_multiply
+from repro.baselines.carma import carma_domains
 from repro.baselines.costs import (
     io_cost_25d,
     io_cost_2d,
@@ -23,17 +29,10 @@ from repro.baselines.costs import (
     latency_cost_2d,
     latency_cost_carma,
 )
-from repro.baselines.cuboid import CuboidDomain, cuboid_multiply
-from repro.baselines.grid25d import grid25d_multiply
-from repro.baselines.summa import summa_multiply
+from repro.baselines.cuboid import CuboidDomain
 
 __all__ = [
-    "cannon_multiply",
-    "summa_multiply",
-    "grid25d_multiply",
-    "carma_multiply",
     "carma_domains",
-    "cuboid_multiply",
     "CuboidDomain",
     "io_cost_2d",
     "io_cost_25d",

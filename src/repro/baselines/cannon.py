@@ -9,17 +9,16 @@ memory, which is why 2D algorithms lose to 2.5D/COSMA when memory is spare.
 That is SUMMA on the ``q x q`` grid with block-wide panels passed around each
 fiber by the ``"ring"`` exchange of :mod:`repro.core.cosma` (a rank sends and
 receives one A and one B block per round, as per shift), plus the skew.  The
-engine is SUMMA's (:func:`repro.baselines.summa.run_panels`), product
-included: one GEMM over the operands, zero-padded where ``q`` does not divide
-an extent, cut back to ``m x n``.
-Cannon's own part is :func:`cannon_decomposition` (zero padding included, and
-counted) and the skew, one closed-form delta.
+engine, :func:`cannon_run`, is SUMMA's (:func:`repro.baselines.summa.run_panels`),
+product included: one GEMM over the operands, zero-padded where ``q`` does
+not divide an extent, cut back to ``m x n``.  Cannon's own part is
+:func:`cannon_decomposition` (zero padding included, and counted) and the
+skew, one closed-form delta.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,22 +28,9 @@ from repro.machine.counters import (
     INPUT_WORDS, MESSAGES_RECEIVED, MESSAGES_SENT, ROUNDS, WORDS_RECEIVED, WORDS_SENT, CommCounters,
 )
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import ShapeToken, as_operands
+from repro.machine.transport import ShapeToken
 from repro.utils.intmath import ceil_div
 from repro.utils.validation import check_positive_int
-
-
-@dataclass
-class CannonRunResult:
-    """Outcome of a Cannon run."""
-
-    matrix: np.ndarray
-    grid_size: int
-    counters: CommCounters
-
-    @property
-    def mean_words_per_rank(self) -> float:
-        return self.counters.mean_words_per_rank()
 
 
 def cannon_decomposition(m: int, n: int, k: int, p: int, memory_words: int) -> CosmaDecomposition:
@@ -73,24 +59,22 @@ def _padded(matrix: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return np.pad(matrix, [(0, full - extent) for full, extent in zip(shape, matrix.shape)])
 
 
-def cannon_multiply(
+def cannon_run(
+    machine: DistributedMachine,
     a_matrix: np.ndarray,
     b_matrix: np.ndarray,
-    p: int,
-    machine: DistributedMachine | None = None,
-    memory_words: int | None = None,
-) -> CannonRunResult:
-    """Multiply ``A @ B`` with Cannon's algorithm on a simulated machine.
+    decomposition: CosmaDecomposition,
+) -> np.ndarray:
+    """Cannon's engine on :func:`cannon_decomposition`: the skew, then
+    SUMMA's panel rounds with the ring exchange; returns the ``m x n``
+    product (a token in ``volume`` mode), ``m`` and ``n`` read off the
+    operands.
 
     In ``plane`` mode an operand is zero-padded (copied) only when ``q`` does
     not divide one of its extents; when it divides all three, as at 768^3 on
     p = 256 or 1024, the GEMM reads the caller's A and B as they are.
     """
-    p = check_positive_int(p, "p")
-    a_matrix, b_matrix, (m, n, k) = as_operands(a_matrix, b_matrix, machine)
-    if machine is None:
-        machine = DistributedMachine(p, memory_words=memory_words or (1 << 20))
-    decomposition = cannon_decomposition(m, n, k, p, memory_words or machine.memory_words)
+    m, n = a_matrix.shape[0], b_matrix.shape[1]
     q = decomposition.grid.pm
     numeric = not machine.transport.counters_only
     if numeric:  # zero-pad an operand whose blocks would be ragged, only that one
@@ -109,5 +93,4 @@ def cannon_multiply(
     machine.post_rounds(skew, range(1))
 
     c_pad = run_panels(machine, a_matrix, b_matrix, decomposition, "ring")
-    return CannonRunResult(matrix=c_pad[:m, :n] if numeric else ShapeToken((m, n)),
-                           grid_size=q, counters=machine.counters)
+    return c_pad[:m, :n] if numeric else ShapeToken((m, n))

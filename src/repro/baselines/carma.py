@@ -12,22 +12,20 @@ stay idle, mirroring the real implementation's restriction).
 The decomposition is built as the executor's int64 table (:func:`carma_table`:
 a row per rank, the recursion run level by level as array steps over all
 sub-problems of a level); :func:`carma_domains` is that table viewed as
-objects.  Execution rides the generic cuboid executor, in both modes: in
-``plane`` mode the cuboids that split one output block along k run as one
-GEMM over the block's merged k-range (see :mod:`repro.baselines.cuboid`).
+objects.  Execution is the generic cuboid executor on that table,
+:func:`~repro.baselines.cuboid.cuboid_run` on ``carma_table(m, n, k,
+usable_ranks(m, n, k, p))``, in both modes: in ``plane`` mode the cuboids
+that split one output block along k run as one GEMM over the block's merged
+k-range (see :mod:`repro.baselines.cuboid`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.cuboid import CuboidDomain, cuboid_multiply, table_domains
-from repro.machine.counters import CommCounters
-from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import as_operands
+from repro.baselines.cuboid import CuboidDomain, table_domains
 from repro.utils.validation import check_positive_int
 
 
@@ -78,36 +76,6 @@ def carma_table(m: int, n: int, k: int, p: int) -> np.ndarray:
 def carma_domains(m: int, n: int, k: int, p: int) -> list[CuboidDomain]:
     """:func:`carma_table` viewed as one :class:`CuboidDomain` per rank."""
     return table_domains(carma_table(m, n, k, p))
-
-
-@dataclass
-class CarmaRunResult:
-    """Outcome of a CARMA run."""
-
-    matrix: np.ndarray
-    p_used: int
-    counters: CommCounters
-
-    @property
-    def mean_words_per_rank(self) -> float:
-        return self.counters.mean_words_per_rank()
-
-
-def carma_multiply(
-    a_matrix: np.ndarray,
-    b_matrix: np.ndarray,
-    p: int,
-    machine: DistributedMachine | None = None,
-    memory_words: int | None = None,
-) -> CarmaRunResult:
-    """Multiply ``A @ B`` with the CARMA decomposition on a simulated machine."""
-    a_matrix, b_matrix, (m, n, k) = as_operands(a_matrix, b_matrix)
-    p = check_positive_int(p, "p")
-    usable = usable_ranks(m, n, k, p)
-    if machine is None:
-        machine = DistributedMachine(p, memory_words=memory_words or (1 << 20))
-    result = cuboid_multiply(a_matrix, b_matrix, carma_table(m, n, k, usable), machine=machine)
-    return CarmaRunResult(matrix=result.matrix, p_used=usable, counters=result.counters)
 
 
 def carma_recursion_depth(p: int) -> int:

@@ -40,8 +40,9 @@ executor stays general rather than assuming a regular grid: of the 54 CARMA
 points the ledger's campaigns and the roadmap's RPA readings touch, 16 (every
 odd-sided one) have partially overlapping projections.  Its reference is the
 per-rank loop of ``tests/oracle``, with element-wise owner maps and one
-message per (owner, receiver) pair, which never reads the cell grid.  CARMA
-runs on :func:`cuboid_multiply`.
+message per (owner, receiver) pair, which never reads the cell grid.  The
+engine is :func:`cuboid_run`; CARMA's runner calls it on
+:func:`~repro.baselines.carma.carma_table`.
 """
 
 from __future__ import annotations
@@ -50,9 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.machine.counters import FLOPS, CommCounters
+from repro.machine.counters import FLOPS
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import as_operands
 from repro.utils.intmath import abutting_runs, sorted_distinct
 
 Range = tuple[int, int]
@@ -101,23 +101,6 @@ def table_domains(table: np.ndarray) -> list[CuboidDomain]:
         CuboidDomain(rank, (i0, i1), (j0, j1), (k0, k1))
         for rank, i0, i1, j0, j1, k0, k1 in table.tolist()
     ]
-
-
-@dataclass
-class CuboidRunResult:
-    """Outcome of a cuboid-decomposition run."""
-
-    matrix: np.ndarray
-    table: np.ndarray
-    counters: CommCounters
-
-    @property
-    def domains(self) -> tuple[CuboidDomain, ...]:
-        return tuple(table_domains(self.table))
-
-    @property
-    def mean_words_per_rank(self) -> float:
-        return self.counters.mean_words_per_rank()
 
 
 def validate_domains(m: int, n: int, k: int, domains: list[CuboidDomain] | np.ndarray) -> None:
@@ -208,33 +191,23 @@ def _owner_words(
     return owners[foreign], receivers[foreign], words[group][foreign]
 
 
-def cuboid_multiply(
+def cuboid_run(
+    machine: DistributedMachine,
     a_matrix: np.ndarray,
     b_matrix: np.ndarray,
-    domains: list[CuboidDomain] | np.ndarray,
-    machine: DistributedMachine | None = None,
-    p: int | None = None,
-    memory_words: int | None = None,
-) -> CuboidRunResult:
-    """Run an arbitrary cuboidal decomposition on the simulator.
+    table: np.ndarray | list[CuboidDomain],
+) -> np.ndarray:
+    """Run a cuboidal decomposition on the simulator; returns the global
+    product (a token in ``volume`` mode).
 
-    Parameters
-    ----------
-    a_matrix, b_matrix:
-        Global inputs.
-    domains:
-        One :class:`CuboidDomain` per participating rank, or the same as a
-        :func:`domain_table`; they must tile the iteration space.
-    machine:
-        Optional pre-built simulator; built from ``p``/``memory_words``
-        otherwise (``p`` defaults to the number of domains).
+    ``table`` is a :func:`domain_table` (or the list of
+    :class:`CuboidDomain` it is built from), one row per participating rank;
+    the cuboids must tile the ``m x k`` by ``k x n`` iteration space of the
+    operands, and every rank must be one of the machine's.
     """
-    a_matrix, b_matrix, (m, n, k) = as_operands(a_matrix, b_matrix, machine)
-    table = domain_table(domains)
+    (m, k), n = a_matrix.shape, b_matrix.shape[1]
+    table = domain_table(table)
     validate_domains(m, n, k, table)
-    if machine is None:
-        p = p if p is not None else int(table[:, RANK].max()) + 1
-        machine = DistributedMachine(p, memory_words=memory_words or (1 << 20))
     # Ranks index counter columns: a negative one would wrap, silently.
     outside = (table[:, RANK] < 0) | (table[:, RANK] >= machine.p)
     if outside.any():
@@ -266,7 +239,7 @@ def cuboid_multiply(
     machine.post_transfers(senders, owners, words, kind="output")
     np.add.at(machine.counters.data[FLOPS], owners, words)
     machine.check_memory()
-    return CuboidRunResult(matrix=c_global, table=table, counters=machine.counters)
+    return c_global
 
 
 def _merge_abutting(boxes: np.ndarray, axis: int) -> np.ndarray:

@@ -16,7 +16,7 @@ Like SUMMA, 2.5D is a grid choice rather than a schedule of its own: it is
 COSMA's fiber exchange on ``[q x q x c]`` with the whole layer as the one
 communication step and direct sends in place of the broadcast tree
 (:func:`grid25d_decomposition`), and the engine says so literally
-(:func:`_grid25d_run`): it posts its residency, gather round and C reduction
+(:func:`grid25d_run`): it posts its residency, gather round and C reduction
 through the accounting core of :mod:`repro.core.cosma`, and its product is
 COSMA's numerics, :func:`~repro.core.cosma.layer_product` (a GEMM per layer
 over the k-range the layer's owners hold, layers whose ranges abut merged
@@ -31,7 +31,6 @@ tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,28 +39,10 @@ from repro.core.cosma import (
 )
 from repro.core.decomposition import CosmaDecomposition, build_decomposition
 from repro.core.grid import ProcessorGrid
-from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import ShapeToken, as_operands
+from repro.machine.transport import ShapeToken
 from repro.utils.intmath import ceil_div, divisors
 from repro.utils.validation import check_positive_int
-
-
-@dataclass
-class Grid25DRunResult:
-    """Outcome of a 2.5D run."""
-
-    matrix: np.ndarray
-    grid: tuple[int, int, int]
-    counters: CommCounters
-
-    @property
-    def replication_factor(self) -> int:
-        return self.grid[2]
-
-    @property
-    def mean_words_per_rank(self) -> float:
-        return self.counters.mean_words_per_rank()
 
 
 def choose_25d_grid(m: int, n: int, k: int, p: int, memory_words: int) -> tuple[int, int, int]:
@@ -111,42 +92,14 @@ def grid25d_decomposition(
     )
 
 
-def grid25d_multiply(
-    a_matrix: np.ndarray,
-    b_matrix: np.ndarray,
-    p: int,
-    memory_words: int,
-    machine: DistributedMachine | None = None,
-    grid: tuple[int, int, int] | None = None,
-) -> Grid25DRunResult:
-    """Multiply ``A @ B`` with the 2.5D algorithm on a simulated machine.
-
-    Parameters
-    ----------
-    p:
-        Available processors.
-    memory_words:
-        Local memory per processor; determines the replication factor ``c``.
-    grid:
-        Optional explicit ``(q, q, c)`` grid override.
-    """
-    p = check_positive_int(p, "p")
-    a_matrix, b_matrix, (m, n, k) = as_operands(a_matrix, b_matrix, machine)
-    decomposition = grid25d_decomposition(m, n, k, p, memory_words, grid)
-    qm, qn, c = decomposition.grid
-    if machine is None:
-        machine = DistributedMachine(p, memory_words=memory_words)
-    c_global = _grid25d_run(machine, a_matrix, b_matrix, decomposition)
-    return Grid25DRunResult(matrix=c_global, grid=(qm, qn, c), counters=machine.counters)
-
-
-def _grid25d_run(
+def grid25d_run(
     machine: DistributedMachine,
     a_matrix: np.ndarray,
     b_matrix: np.ndarray,
     decomposition: CosmaDecomposition,
 ) -> np.ndarray:
-    """2.5D's engine; returns the global product.
+    """2.5D's engine on :func:`grid25d_decomposition`; returns the global
+    product.
 
     2.5D's own part of a run (see the module docstring) is that its one
     gather round (all layers at once, a single round class) marks no round

@@ -30,32 +30,16 @@ by the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.cosma import layer_product, post_fiber_exchange, post_owned_words
 from repro.core.decomposition import CosmaDecomposition, build_decomposition
 from repro.core.grid import ProcessorGrid
-from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import ShapeToken, as_operands
+from repro.machine.transport import ShapeToken
 from repro.utils.intmath import divisors
 from repro.utils.validation import check_positive_int
-
-
-@dataclass
-class SummaRunResult:
-    """Outcome of a SUMMA run."""
-
-    matrix: np.ndarray
-    grid: tuple[int, int]
-    panel_width: int
-    counters: CommCounters
-
-    @property
-    def mean_words_per_rank(self) -> float:
-        return self.counters.mean_words_per_rank()
 
 
 def choose_2d_grid(m: int, n: int, p: int) -> tuple[int, int]:
@@ -97,46 +81,6 @@ def summa_decomposition(
     )
 
 
-def summa_multiply(
-    a_matrix: np.ndarray,
-    b_matrix: np.ndarray,
-    p: int,
-    machine: DistributedMachine | None = None,
-    memory_words: int | None = None,
-    grid: tuple[int, int] | None = None,
-    panel_width: int | None = None,
-) -> SummaRunResult:
-    """Multiply ``A @ B`` with SUMMA on a simulated machine.
-
-    Parameters
-    ----------
-    p:
-        Number of processors (the grid is a factor pair of ``p``).
-    grid:
-        Optional explicit ``(pm, pn)`` grid.
-    panel_width:
-        Optional panel width ``nb``; defaults to the largest panel that fits
-        next to the local C block in ``memory_words`` (or 64 when no memory
-        limit is given).
-    """
-    p = check_positive_int(p, "p")
-    a_matrix, b_matrix, (m, n, k) = as_operands(a_matrix, b_matrix, machine)
-    if machine is None:
-        machine = DistributedMachine(p, memory_words=memory_words or (1 << 20))
-    if panel_width is None and memory_words is None:
-        panel_width = min(k, 64)
-    decomposition = summa_decomposition(
-        m, n, k, p, memory_words or machine.memory_words, grid, panel_width
-    )
-    pm, pn, _ = decomposition.grid
-    panel_width = decomposition.step_size
-
-    c_global = run_panels(machine, a_matrix, b_matrix, decomposition, "tree")
-    return SummaRunResult(
-        matrix=c_global, grid=(pm, pn), panel_width=panel_width, counters=machine.counters
-    )
-
-
 def run_panels(
     machine: DistributedMachine,
     a_matrix: np.ndarray,
@@ -146,6 +90,8 @@ def run_panels(
 ) -> np.ndarray:
     """Run a one-layer decomposition's panel rounds with the given ``exchange``
     kind (SUMMA's ``"tree"``, Cannon's ``"ring"``); returns the global product.
+    This is ScaLAPACK's engine, on :func:`summa_decomposition`, and Cannon's
+    after its skew (:func:`repro.baselines.cannon.cannon_run`).
 
     SUMMA's own part of a run (see the module docstring) is the round
     boundary -- an unlabelled ``commit_round`` per panel.  The panels are an

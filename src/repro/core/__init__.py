@@ -11,8 +11,10 @@ The pipeline mirrors Algorithm 1:
    that reduces communication (section 7.1).
 3. :func:`repro.core.decomposition.build_decomposition` assigns local domains,
    the blocked data layout (section 7.6) and the latency-minimizing step.
-4. :func:`repro.core.cosma.cosma_multiply` executes the schedule on the
-   distributed machine simulator, counting every communicated word.
+4. :func:`repro.core.cosma.cosma_run` executes that decomposition on the
+   distributed machine simulator, counting every communicated word; the
+   registered COSMA runner (:mod:`repro.algorithms.builtins`) is steps 2-4
+   on the planned grid.
 
 :func:`repro.core.cosma.received_words` is what that run counts, in closed
 form: a plan's predicted words are the count.  The analytic counterparts
@@ -22,14 +24,12 @@ form: a plan's predicted words are the count.  The analytic counterparts
 (:func:`repro.pebbling.mmm_bounds.parallel_io_lower_bound`).
 """
 
-from repro.core.cosma import CosmaRunResult, cosma_multiply, received_words
+from repro.core.cosma import received_words
 from repro.core.cost_model import cosma_latency_cost
 from repro.core.decomposition import CosmaDecomposition, build_decomposition
 from repro.core.grid import ProcessorGrid, fit_ranks
 
 __all__ = [
-    "cosma_multiply",
-    "CosmaRunResult",
     "received_words",
     "cosma_latency_cost",
     "build_decomposition",

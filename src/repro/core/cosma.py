@@ -13,9 +13,9 @@ Execution outline for a fitted grid ``[pm x pn x pk]``:
 3. the accumulators are reduced along the ``k`` fiber onto the C owners
    (Algorithm 1, line 12).
 
-Every transferred word is counted by the machine's communication layer; the
-returned :class:`CosmaRunResult` exposes the counters, the assembled global
-product and the round count.
+Every transferred word is counted by the machine's communication layer;
+:func:`cosma_run` returns the assembled global product, the counters are the
+machine's, and the round count is the decomposition's ``num_steps``.
 
 One engine serves both modes, with ``use_rma`` or without (``volume`` is the
 ``plane`` engine minus the numerics).  Its accounting is three functions of a
@@ -62,12 +62,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.decomposition import CosmaDecomposition, build_decomposition
-from repro.core.grid import ProcessorGrid
+from repro.core.decomposition import CosmaDecomposition
 from repro.machine.counters import (
     FLOPS,
     INPUT_WORDS,
@@ -80,76 +78,9 @@ from repro.machine.counters import (
     CommCounters,
 )
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import PayloadPlane, ShapeToken, as_operands
+from repro.machine.transport import ShapeToken
 from repro.machine.tree import tree_fanout
 from repro.utils.intmath import abutting_runs, split_offsets
-
-
-@dataclass
-class CosmaRunResult:
-    """Outcome of a COSMA run on the simulator."""
-
-    matrix: np.ndarray
-    decomposition: CosmaDecomposition
-    counters: CommCounters
-    num_rounds: int
-    peak_resident_words: int = 0
-
-    @property
-    def grid(self) -> ProcessorGrid:
-        return self.decomposition.grid
-
-    @property
-    def mean_words_per_rank(self) -> float:
-        return self.counters.mean_words_per_rank()
-
-    @property
-    def max_words_per_rank(self) -> int:
-        return self.counters.max_words_per_rank()
-
-
-def cosma_multiply(
-    a_matrix: np.ndarray,
-    b_matrix: np.ndarray,
-    p: int,
-    memory_words: int,
-    machine: DistributedMachine | None = None,
-    max_idle_fraction: float = 0.03,
-    grid: ProcessorGrid | None = None,
-    use_rma: bool = False,
-) -> CosmaRunResult:
-    """Multiply ``A @ B`` with COSMA on a simulated ``p``-processor machine.
-
-    Parameters
-    ----------
-    a_matrix, b_matrix:
-        Global input matrices (``m x k`` and ``k x n``).
-    p:
-        Number of processors.
-    memory_words:
-        Local memory ``S`` per processor, in words.
-    machine:
-        Optional pre-built simulator (its counters are *not* reset); a fresh
-        one is created by default.
-    max_idle_fraction:
-        ``delta`` for the grid-fitting step.
-    grid:
-        Optional explicit grid override (ablation experiments).
-    use_rma:
-        Use one-sided gets for the panel exchange instead of broadcast trees
-        (section 7.4); the volume is identical, the round accounting differs.
-    """
-    # A sharded plane run hands the caller's arrays to the shard pool, which
-    # casts them while it fills their segments (_sharded_gemm).
-    sharded = machine is not None and machine.shards > 1 and machine.mode == "plane"
-    a_matrix, b_matrix, (m, n, k) = as_operands(a_matrix, b_matrix, machine, cast=not sharded)
-
-    decomposition = build_decomposition(
-        m, n, k, p, memory_words, max_idle_fraction=max_idle_fraction, grid=grid
-    )
-    if machine is None:
-        machine = DistributedMachine(p, memory_words=memory_words)
-    return _cosma_run(a_matrix, b_matrix, machine, decomposition, use_rma)
 
 
 def _sharded_gemm(
@@ -507,47 +438,38 @@ def layer_product(
     return c_global
 
 
-def _cosma_run(
+def cosma_run(
+    machine: DistributedMachine,
     a_matrix: np.ndarray,
     b_matrix: np.ndarray,
-    machine: DistributedMachine,
     decomposition: CosmaDecomposition,
-    use_rma: bool,
-) -> CosmaRunResult:
-    """Run COSMA's schedule with vectorized accounting and one-GEMM numerics.
+    use_rma: bool = False,
+) -> np.ndarray:
+    """Run COSMA's schedule on ``decomposition``: vectorized accounting and
+    one-GEMM numerics; returns the global product (a token in ``volume``
+    mode).
 
     Counts the exact communication schedule -- the rounds, the binomial
-    broadcast/reduction trees (or, with ``use_rma``, one-sided gets), the
-    payload sizes -- that the per-hop reference executes hop by hop.  The
-    accounting is the three functions above; what is COSMA's own is the round
-    boundary (a labelled round) and the numerics.
+    broadcast/reduction trees (or, with ``use_rma``, one-sided gets, section
+    7.4: the same volume, different round accounting), the payload sizes --
+    that the per-hop reference executes hop by hop.  The accounting is the
+    three functions above; what is COSMA's own is the round boundary (a
+    labelled round) and the numerics.  The machine's counters are added to,
+    not reset; the operands are used as given (the registered runner casts
+    them to the plane dtype, except on the shard pool, which casts while it
+    fills its segments).
 
     In ``volume`` mode the accounting is the whole story (payloads are
-    tokens).  In ``plane`` mode the operands live in :class:`PayloadPlane`
-    stacks:
-
-    * A and B are single-sheet planes over the global matrices; every rank's
-      owned piece and every broadcast delivery is a rectangular view;
-    * C is a single sheet too: the round-chunked multiply-accumulates and the
-      k-fiber reduction of the schedule collapse into one GEMM over the
-      covered rows and columns and the owned k extent (same sums, associated
-      by BLAS instead of per chunk and per layer; :func:`layer_product`), on
-      the shard pool when ``machine.shards > 1``.  A sharded run registers no
-      A or B plane (the operands go straight into the pool's segments), and
-      its C sheet is the copy of the pool's output.
+    tokens).  In ``plane`` mode the round-chunked multiply-accumulates and
+    the k-fiber reduction of the schedule collapse into one GEMM over the
+    covered rows and columns and the owned k extent (same sums, associated
+    by BLAS instead of per chunk and per layer): :func:`layer_product`'s
+    single C sheet, or, when ``machine.shards > 1``, the copy of the shard
+    pool's output.
     """
     m, n, k = decomposition.m, decomposition.n, decomposition.k
     numeric = not machine.transport.counters_only
     sharded = numeric and machine.shards > 1
-    if numeric and not sharded:
-        machine.register_plane(
-            "cosma.A", PayloadPlane("cosma.A", data=np.asarray(a_matrix)[None]),
-            replace=True,
-        )
-        machine.register_plane(
-            "cosma.B", PayloadPlane("cosma.B", data=np.asarray(b_matrix)[None]),
-            replace=True,
-        )
     post_owned_words(machine, decomposition, "A_own", "B_own", "C_acc")
     # The schedule checks memory at the end of every round, but the resident
     # blocks (A_own / B_own / C_acc) do not change between rounds -- every
@@ -589,22 +511,13 @@ def _cosma_run(
         with gemm_span:
             if sharded:
                 c_global = _sharded_gemm(machine, decomposition, a_matrix, b_matrix)
-                machine.register_plane(
-                    "cosma.C", PayloadPlane("cosma.C", data=c_global[None]), replace=True
-                )
             else:
                 c_global = layer_product(machine, "cosma", decomposition, a_matrix, b_matrix)
 
     # The C reduction is counted only: the GEMM already summed over k.
     post_c_reduction(machine, decomposition)
     machine.check_memory()
-    return CosmaRunResult(
-        matrix=c_global,
-        decomposition=decomposition,
-        counters=machine.counters,
-        num_rounds=decomposition.num_steps,
-        peak_resident_words=machine.peak_resident_words,
-    )
+    return c_global
 
 
-__all__ = ["cosma_multiply", "CosmaRunResult"]
+__all__ = ["cosma_run", "received_words"]

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from repro.algorithms import DEFAULT_ALGORITHMS, AlgorithmSpec, Plan, get_algorithm
+from repro.algorithms import DEFAULT_ALGORITHMS, AlgorithmSpec, get_algorithm
 from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import MODES, ShapeToken, allclose_tolerances
@@ -198,7 +198,6 @@ def _execute(
     span: str,
     verify: bool,
     reference: Callable[[], np.ndarray] | None = None,
-    run_plan: Plan | None = None,
     options: Mapping | None = None,
     shards: int,
     plane_dtype: str,
@@ -207,14 +206,11 @@ def _execute(
     and :func:`repro.api.multiply`.
 
     Validates ``mode``, builds the machine from the three execution-policy
-    arguments, hands COSMA the grid
-    ``run_plan`` already fitted (so the fitting search runs once per
-    scenario, not once per plan *and* run), executes under a
-    ``<span>:<algorithm>`` run span, asserts word conservation and -- for
-    numeric modes, when ``verify`` -- checks the product against
-    ``reference()`` (default ``A @ B``) at the dtype's tolerances.  In
-    ``"volume"`` mode the inputs are replaced by shape tokens; in ``"plane"``
-    mode a token input is an error.  Returns ``(product, counters, mode,
+    arguments, executes under a ``<span>:<algorithm>`` run span, asserts
+    word conservation and -- for numeric modes, when ``verify`` -- checks
+    the product against ``reference()`` (default ``A @ B``) at the dtype's
+    tolerances.  In ``"volume"`` mode the inputs are replaced by shape
+    tokens; in ``"plane"`` mode a token input is an error.  Returns ``(product, counters, mode,
     verified, correct)``, ``mode`` being the one the run used.
     """
     if mode in ("legacy", "zerocopy"):
@@ -238,9 +234,7 @@ def _execute(
         scenario.p, memory_words=scenario.memory_words, mode=mode,
         shards=shards, plane_dtype=plane_dtype,
     )
-    options = dict(options or {})
-    if spec.name == "COSMA" and run_plan is not None and run_plan.feasible and run_plan.grid is not None:
-        options["grid"] = run_plan.grid
+    options = options or {}
     tracer = active_tracer()
     run_span = (
         tracer.span(
@@ -297,18 +291,10 @@ def run_algorithm(
     """
     spec = get_algorithm(name)
     shape = scenario.shape
-    run_plan = None
-    if spec.name == "COSMA":
-        # The memoized planned grid goes to the executor (see _execute).
-        # Planning failures fall through so the run itself reports the error.
-        try:
-            run_plan = spec.plan(scenario)
-        except Exception:  # noqa: BLE001 - the run itself reports the error
-            pass
     inputs = (None, None) if mode == "volume" else shape.random_matrices(seed=seed)
     _, counters, mode, verified, correct = _execute(
         spec, scenario, *inputs, mode=mode, span="run", verify=verify,
-        reference=lambda: _reference_product(shape, seed), run_plan=run_plan,
+        reference=lambda: _reference_product(shape, seed),
         shards=shards, plane_dtype=plane_dtype,
     )
     return AlgorithmRun(

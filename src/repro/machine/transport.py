@@ -134,9 +134,9 @@ class PayloadPlane:
     """One logical operand stored as a dense stacked array with a leading axis.
 
     ``data`` has shape ``(slots, rows, cols)``: each slot is one 2-D sheet of
-    the operand.  The engines' planes are single sheets -- COSMA's A and B
-    wrap the global inputs, and every grid engine's product is one C sheet
-    (:func:`repro.core.cosma.layer_product`) -- and a stack of partial sums
+    the operand.  The engines' planes are single sheets -- every grid
+    engine's product is one C sheet (:func:`repro.core.cosma.layer_product`)
+    -- and a stack of partial sums
     reduces with one ``np.add.reduce`` over the slot axis
     (:meth:`reduce_slots`).
 

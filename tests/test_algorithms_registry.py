@@ -231,6 +231,41 @@ class TestPlanMemoization:
         plan_cache_clear()
         assert isinstance(get_algorithm("COSMA").plan(scenario), Plan)
 
+    def test_cosma_runs_on_the_planned_grid_without_refitting(self, scenario, monkeypatch):
+        """COSMA's runner takes its grid from the memoized plan: after
+        ``spec.plan``, a run without ``grid=`` and with the same options (as
+        ``repro.multiply`` and ``run_algorithm`` make it) fits no grid again.
+        An infeasible plan has no grid, and the run fits its own."""
+        from repro.algorithms import plan_cache_clear
+        from repro.core import decomposition
+        from repro.machine.simulator import DistributedMachine
+
+        fits = []
+        fit_ranks = decomposition.fit_ranks
+
+        def counting(*args, **kwargs):
+            fits.append(args)
+            return fit_ranks(*args, **kwargs)
+
+        monkeypatch.setattr(decomposition, "fit_ranks", counting)
+        plan_cache_clear()
+        spec = get_algorithm("COSMA")
+        infeasible = Scenario(name="bad", shape=square_shape(64), p=2, memory_words=64,
+                              regime="limited")
+        for point, options, refits in ((scenario, {}, 0), (scenario, {"max_idle_fraction": 0.5}, 0),
+                                       (infeasible, {}, 1)):
+            planned = spec.plan(point, **options)
+            assert (planned.grid is None) == bool(refits)
+            fitted = len(fits)
+            a, b = point.shape.random_matrices(seed=0)
+            machine = DistributedMachine(point.p, memory_words=point.memory_words)
+            product = spec.run(a, b, point, machine, **options)
+            assert len(fits) == fitted + refits, options
+            assert np.allclose(product, a @ b)
+        fitted = len(fits)
+        assert run_algorithm("COSMA", scenario).correct
+        assert len(fits) == fitted
+
     def test_unregistered_spec_plans_with_its_own_planner(self, scenario):
         from repro.algorithms import AlgorithmSpec
 

@@ -1,4 +1,5 @@
-"""Tests for the baseline algorithm executors (Cannon, SUMMA, 2.5D, CARMA, cuboid)."""
+"""Tests for the baseline engines (Cannon, SUMMA, 2.5D, CARMA, cuboid), each
+run on the decomposition it is given, as the registered runners do."""
 
 import tracemalloc
 
@@ -9,25 +10,54 @@ from hypothesis import strategies as st
 from oracle import HopMachine
 from oracle.grid import cannon as per_hop_cannon
 
-from repro.baselines.cannon import cannon_decomposition, cannon_multiply
+from repro.algorithms import get_algorithm
+from repro.baselines.cannon import cannon_decomposition, cannon_run
 from repro.baselines.carma import (
     carma_domains,
-    carma_multiply,
     carma_table,
     largest_power_of_two_at_most,
     usable_ranks,
 )
 from repro.baselines.cuboid import (
     CuboidDomain,
-    cuboid_multiply,
+    cuboid_run,
     domain_table,
     table_domains,
     validate_domains,
 )
-from repro.baselines.grid25d import choose_25d_grid, grid25d_multiply
-from repro.baselines.summa import choose_2d_grid, summa_multiply
+from repro.baselines.grid25d import choose_25d_grid, grid25d_decomposition, grid25d_run
+from repro.baselines.summa import choose_2d_grid, run_panels, summa_decomposition
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import ShapeToken
+from repro.workloads.scaling import Scenario
+from repro.workloads.shapes import ProblemShape
+
+
+def _run(engine, a, b, decomposition, p, memory_words=1 << 20, machine=None, **options):
+    """``engine(machine, a, b, decomposition)`` on a fresh ``p``-rank machine
+    (or ``machine``); the product and the machine."""
+    machine = machine or DistributedMachine(p, memory_words=memory_words)
+    return engine(machine, a, b, decomposition, **options), machine
+
+
+def _cannon(a, b, p, machine=None):
+    (m, k), n = a.shape, b.shape[1]
+    return _run(cannon_run, a, b, cannon_decomposition(m, n, k, p, 1 << 20), p, machine=machine)
+
+
+def _summa(a, b, p, memory_words=1 << 20, grid=None, panel_width=None, machine=None):
+    (m, k), n = a.shape, b.shape[1]
+    decomposition = summa_decomposition(m, n, k, p, memory_words, grid, panel_width)
+    return _run(run_panels, a, b, decomposition, p, memory_words, machine, exchange="tree")
+
+
+def _carma(a, b, p, machine=None):
+    """CARMA through its registered runner: the table on the usable ranks."""
+    (m, k), n = a.shape, b.shape[1]
+    machine = machine or DistributedMachine(p, memory_words=1 << 20)
+    scenario = Scenario(name="carma", shape=ProblemShape(m=m, n=n, k=k), p=p,
+                        memory_words=machine.memory_words, regime="limited")
+    return get_algorithm("CARMA").run(a, b, scenario, machine), machine
 
 
 class TestCannon:
@@ -35,21 +65,20 @@ class TestCannon:
     def test_matches_numpy(self, rng, p):
         a = rng.standard_normal((18, 12))
         b = rng.standard_normal((12, 24))
-        result = cannon_multiply(a, b, p)
-        assert np.allclose(result.matrix, a @ b)
-        assert result.grid_size ** 2 <= p
+        product, _ = _cannon(a, b, p)
+        assert np.allclose(product, a @ b)
+        assert cannon_decomposition(18, 24, 12, p, 1 << 20).grid.pm ** 2 <= p
 
     def test_uses_largest_square_grid(self, rng):
         a = rng.standard_normal((12, 12))
         b = rng.standard_normal((12, 12))
-        result = cannon_multiply(a, b, 10)
-        assert result.grid_size == 3
+        assert cannon_decomposition(12, 12, 12, 10, 1 << 20).grid.as_tuple() == (3, 3, 1)
 
     def test_nondivisible_dimensions_padded(self, rng):
         a = rng.standard_normal((13, 11))
         b = rng.standard_normal((11, 7))
-        result = cannon_multiply(a, b, 4)
-        assert np.allclose(result.matrix, a @ b)
+        product, _ = _cannon(a, b, 4)
+        assert np.allclose(product, a @ b)
 
     @pytest.mark.parametrize(("m", "n", "k", "padded"), [
         (96, 96, 96, False), (96, 80, 64, False),  # q = 4 divides every extent
@@ -59,14 +88,14 @@ class TestCannon:
         """With ``q`` dividing every extent the run allocates its C sheet and
         no copy of A or B; a ragged shape pads both and still verifies."""
         a, b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
-        cannon_multiply(a, b, 16)  # first-call allocations stay out of the peak
+        _cannon(a, b, 16)  # first-call allocations stay out of the peak
         tracemalloc.start()
         try:
-            result = cannon_multiply(a, b, 16)
+            product, _ = _cannon(a, b, 16)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert np.allclose(result.matrix, a @ b)
+        assert np.allclose(product, a @ b)
         c_sheet = 8 * 4 * -(-m // 4) * 4 * -(-n // 4)
         operands = 8 * 4 * -(-k // 4) * 4 * (-(-m // 4) + -(-n // 4))
         if padded:
@@ -77,8 +106,8 @@ class TestCannon:
     def test_single_rank_no_communication(self, rng):
         a = rng.standard_normal((8, 8))
         b = rng.standard_normal((8, 8))
-        result = cannon_multiply(a, b, 1)
-        assert result.counters.total_words_sent == 0
+        _, machine = _cannon(a, b, 1)
+        assert machine.counters.total_words_sent == 0
 
     def test_volume_close_to_2d_formula(self):
         """Exactly SUMMA's words on the same ``q x q`` grid plus the skew, which
@@ -91,9 +120,8 @@ class TestCannon:
         ):
             q = int(np.sqrt(p))
             tokens = ShapeToken((side, side)), ShapeToken((side, side))
-            cannon = cannon_multiply(*tokens, p, machine=DistributedMachine(p, mode="volume"))
-            summa = summa_multiply(*tokens, p, machine=DistributedMachine(p, mode="volume"),
-                                   grid=(q, q))
+            _, cannon = _cannon(*tokens, p, machine=DistributedMachine(p, mode="volume"))
+            _, summa = _summa(*tokens, p, grid=(q, q), machine=DistributedMachine(p, mode="volume"))
             assert cannon.counters.mean_received_per_rank() == cannon_words
             assert summa.counters.mean_received_per_rank() == summa_words
             assert q * cannon_words == (q + 1) * summa_words
@@ -115,8 +143,8 @@ class TestCannon:
             a, b = ShapeToken((13, 7)), ShapeToken((7, 11))
         else:
             a, b = rng.standard_normal((13, 7)), rng.standard_normal((7, 11))
-        result = cannon_multiply(a, b, p, machine=machine)
-        assert result.grid_size == 1
+        _cannon(a, b, p, machine=machine)
+        assert cannon_decomposition(13, 11, 7, p, 1 << 20).grid.pm == 1
         assert machine.peak_resident_words == 13 * 7 + 7 * 11 + 13 * 11
 
 
@@ -125,14 +153,13 @@ class TestSumma:
     def test_matches_numpy(self, rng, p):
         a = rng.standard_normal((18, 15))
         b = rng.standard_normal((15, 24))
-        result = summa_multiply(a, b, p)
-        assert np.allclose(result.matrix, a @ b)
+        product, _ = _summa(a, b, p)
+        assert np.allclose(product, a @ b)
 
     def test_grid_uses_all_ranks(self, rng):
         a = rng.standard_normal((16, 16))
         b = rng.standard_normal((16, 16))
-        result = summa_multiply(a, b, 6)
-        pm, pn = result.grid
+        pm, pn, _ = summa_decomposition(16, 16, 16, 6, 1 << 20).grid
         assert pm * pn == 6
 
     def test_choose_grid_matches_aspect_ratio(self):
@@ -142,20 +169,20 @@ class TestSumma:
     def test_explicit_grid(self, rng):
         a = rng.standard_normal((12, 8))
         b = rng.standard_normal((8, 12))
-        result = summa_multiply(a, b, 4, grid=(4, 1))
-        assert result.grid == (4, 1)
-        assert np.allclose(result.matrix, a @ b)
+        assert summa_decomposition(12, 12, 8, 4, 1 << 20, grid=(4, 1)).grid.as_tuple() == (4, 1, 1)
+        product, _ = _summa(a, b, 4, grid=(4, 1))
+        assert np.allclose(product, a @ b)
 
     def test_oversized_grid_rejected(self, rng):
         with pytest.raises(ValueError):
-            summa_multiply(rng.standard_normal((8, 8)), rng.standard_normal((8, 8)), 2, grid=(2, 2))
+            summa_decomposition(8, 8, 8, 2, 1 << 20, grid=(2, 2))
 
     def test_panel_width_affects_rounds_not_volume(self, rng):
         a = rng.standard_normal((16, 32))
         b = rng.standard_normal((32, 16))
-        wide = summa_multiply(a, b, 4, panel_width=16)
-        narrow = summa_multiply(a, b, 4, panel_width=4)
-        assert np.allclose(wide.matrix, narrow.matrix)
+        wide_product, wide = _summa(a, b, 4, panel_width=16)
+        narrow_product, narrow = _summa(a, b, 4, panel_width=4)
+        assert np.allclose(wide_product, narrow_product)
         assert wide.counters.total_words_sent == narrow.counters.total_words_sent
         assert narrow.counters.max_rounds() > wide.counters.max_rounds()
 
@@ -163,8 +190,8 @@ class TestSumma:
         """The defining weakness of 2D algorithms: extra memory does not help."""
         a = rng.standard_normal((24, 24))
         b = rng.standard_normal((24, 24))
-        small = summa_multiply(a, b, 4, memory_words=512)
-        large = summa_multiply(a, b, 4, memory_words=1 << 20)
+        _, small = _summa(a, b, 4, memory_words=512)
+        _, large = _summa(a, b, 4, memory_words=1 << 20)
         assert small.counters.total_words_sent == large.counters.total_words_sent
 
 
@@ -173,8 +200,8 @@ class Test25D:
     def test_matches_numpy(self, rng, p):
         a = rng.standard_normal((16, 20))
         b = rng.standard_normal((20, 12))
-        result = grid25d_multiply(a, b, p, memory_words=4096)
-        assert np.allclose(result.matrix, a @ b)
+        product, _ = _run(grid25d_run, a, b, grid25d_decomposition(16, 12, 20, p, 4096), p, 4096)
+        assert np.allclose(product, a @ b)
 
     def test_replication_grows_with_memory(self):
         lean = choose_25d_grid(64, 64, 64, 16, memory_words=512)
@@ -190,15 +217,14 @@ class Test25D:
         m = n = k = 32
         a = rng.standard_normal((m, k))
         b = rng.standard_normal((k, n))
-        lean = grid25d_multiply(a, b, 16, memory_words=300, grid=(4, 4, 1))
-        rich = grid25d_multiply(a, b, 16, memory_words=1 << 16, grid=(2, 2, 4))
+        _, lean = _run(grid25d_run, a, b, grid25d_decomposition(m, n, k, 16, 300, (4, 4, 1)), 16, 300)
+        _, rich = _run(grid25d_run, a, b, grid25d_decomposition(m, n, k, 16, 1 << 16, (2, 2, 4)),
+                       16, 1 << 16)
         assert rich.counters.mean_received_per_rank() < lean.counters.mean_received_per_rank()
 
     def test_explicit_grid_too_large_rejected(self, rng):
         with pytest.raises(ValueError):
-            grid25d_multiply(
-                rng.standard_normal((8, 8)), rng.standard_normal((8, 8)), 4, 1024, grid=(2, 2, 2)
-            )
+            grid25d_decomposition(8, 8, 8, 4, 1024, grid=(2, 2, 2))
 
 
 class TestCuboid:
@@ -206,9 +232,9 @@ class TestCuboid:
         a = rng.standard_normal((6, 4))
         b = rng.standard_normal((4, 5))
         domains = [CuboidDomain(rank=0, i_range=(0, 6), j_range=(0, 5), k_range=(0, 4))]
-        result = cuboid_multiply(a, b, domains)
-        assert np.allclose(result.matrix, a @ b)
-        assert result.counters.total_words_sent == 0
+        product, machine = _run(cuboid_run, a, b, domains, 1)
+        assert np.allclose(product, a @ b)
+        assert machine.counters.total_words_sent == 0
 
     def test_k_split_requires_reduction(self, rng):
         a = rng.standard_normal((6, 8))
@@ -217,10 +243,10 @@ class TestCuboid:
             CuboidDomain(rank=0, i_range=(0, 6), j_range=(0, 6), k_range=(0, 4)),
             CuboidDomain(rank=1, i_range=(0, 6), j_range=(0, 6), k_range=(4, 8)),
         ]
-        result = cuboid_multiply(a, b, domains)
-        assert np.allclose(result.matrix, a @ b)
+        product, machine = _run(cuboid_run, a, b, domains, 2)
+        assert np.allclose(product, a @ b)
         # One 6x6 partial result must travel to the owner.
-        assert result.counters.total_words_sent == 36
+        assert machine.counters.total_words_sent == 36
 
     def test_j_split_replicates_a(self, rng):
         a = rng.standard_normal((6, 8))
@@ -229,10 +255,10 @@ class TestCuboid:
             CuboidDomain(rank=0, i_range=(0, 6), j_range=(0, 3), k_range=(0, 8)),
             CuboidDomain(rank=1, i_range=(0, 6), j_range=(3, 6), k_range=(0, 8)),
         ]
-        result = cuboid_multiply(a, b, domains)
-        assert np.allclose(result.matrix, a @ b)
+        product, machine = _run(cuboid_run, a, b, domains, 2)
+        assert np.allclose(product, a @ b)
         # The 6x8 block of A is needed by both ranks but stored once.
-        assert result.counters.total_words_sent == 48
+        assert machine.counters.total_words_sent == 48
 
     def test_validate_rejects_non_tiling(self):
         with pytest.raises(ValueError):
@@ -253,8 +279,7 @@ class TestCuboid:
         halves = [CuboidDomain(0, (0, 2), (0, 4), (0, 4)), CuboidDomain(0, (2, 4), (0, 4), (0, 4))]
         machine = DistributedMachine(2, memory_words=1 << 16, mode=mode)
         with pytest.raises(ValueError, match="rank 0 is assigned more than one domain"):
-            cuboid_multiply(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)), halves,
-                            machine=machine)
+            cuboid_run(machine, rng.standard_normal((4, 4)), rng.standard_normal((4, 4)), halves)
 
     @pytest.mark.parametrize("mode", ["plane", "volume"])
     @pytest.mark.parametrize("rank", [-1, 3])
@@ -264,13 +289,13 @@ class TestCuboid:
         halves = [CuboidDomain(rank, (0, 2), (0, 4), (0, 4)), CuboidDomain(0, (2, 4), (0, 4), (0, 4))]
         machine = DistributedMachine(3, memory_words=1 << 16, mode=mode)
         with pytest.raises(ValueError, match=rf"domain rank {rank} is outside .*\[0, 3\)"):
-            cuboid_multiply(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)), halves,
-                            machine=machine)
+            cuboid_run(machine, rng.standard_normal((4, 4)), rng.standard_normal((4, 4)), halves)
         assert not machine.counters.data.any()
 
     def test_dimension_mismatch_rejected(self, rng):
-        with pytest.raises(ValueError):
-            cuboid_multiply(rng.standard_normal((4, 3)), rng.standard_normal((4, 4)), [])
+        """The registered runner checks the operands before the engine runs."""
+        with pytest.raises(ValueError, match="inner dimensions do not match"):
+            _carma(rng.standard_normal((4, 3)), rng.standard_normal((4, 4)), 2)
 
     def test_table_and_domain_list_are_one_decomposition(self, rng):
         """A list is converted to the rank-ordered table once; the objects are
@@ -288,9 +313,10 @@ class TestCuboid:
         validate_domains(6, 6, 8, domains)
         validate_domains(6, 6, 8, table)
         a, b = rng.standard_normal((6, 8)), rng.standard_normal((8, 6))
-        from_list, from_table = cuboid_multiply(a, b, domains), cuboid_multiply(a, b, table)
-        assert np.allclose(from_table.matrix, a @ b)
-        assert from_table.domains == from_list.domains == tuple(table_domains(table))
+        (list_product, from_list), (table_product, from_table) = (
+            _run(cuboid_run, a, b, domains, 3), _run(cuboid_run, a, b, table, 3))
+        assert np.allclose(table_product, a @ b)
+        assert np.array_equal(list_product, table_product)
         assert (from_table.counters.data == from_list.counters.data).all()
         for extents in ((6, 6, 9), (6, 5, 8)):  # not a tiling; out of bounds
             with pytest.raises(ValueError) as from_objects:
@@ -335,15 +361,16 @@ class TestCarma:
     def test_matches_numpy(self, rng, p):
         a = rng.standard_normal((16, 20))
         b = rng.standard_normal((20, 12))
-        result = carma_multiply(a, b, p)
-        assert np.allclose(result.matrix, a @ b)
+        product, _ = _carma(a, b, p)
+        assert np.allclose(product, a @ b)
 
     def test_non_power_of_two_rounds_down(self, rng):
         a = rng.standard_normal((16, 16))
         b = rng.standard_normal((16, 16))
-        result = carma_multiply(a, b, 12)
-        assert result.p_used == 8
-        assert np.allclose(result.matrix, a @ b)
+        product, machine = _carma(a, b, 12)
+        assert usable_ranks(16, 16, 16, 12) == 8
+        assert not machine.counters.data[:, 8:].any()
+        assert np.allclose(product, a @ b)
 
     def test_domains_tile_iteration_space(self):
         domains = carma_domains(16, 24, 32, 8)
@@ -380,12 +407,12 @@ class TestCarma:
     def test_tall_matrix_correctness(self, rng):
         a = rng.standard_normal((4, 128))
         b = rng.standard_normal((128, 4))
-        result = carma_multiply(a, b, 8)
-        assert np.allclose(result.matrix, a @ b)
+        product, _ = _carma(a, b, 8)
+        assert np.allclose(product, a @ b)
 
     def test_uses_supplied_machine(self, rng):
         a = rng.standard_normal((8, 8))
         b = rng.standard_normal((8, 8))
         machine = DistributedMachine(4, memory_words=1 << 16)
-        result = carma_multiply(a, b, 4, machine=machine)
-        assert result.counters is machine.counters
+        _, used = _carma(a, b, 4, machine=machine)
+        assert used is machine and machine.counters.total_words_received > 0

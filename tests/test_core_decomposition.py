@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from oracle import HopMachine, grid
 
-from repro.core.cosma import cosma_multiply
+from repro.api import multiply
+from repro.core.cosma import cosma_run
 from repro.core.decomposition import build_decomposition
 from repro.core.grid import ProcessorGrid
 from repro.machine.simulator import DistributedMachine
@@ -69,8 +70,8 @@ class TestBuildDecomposition:
         assert decomposition.idle_ranks == (64,)
         rng = np.random.default_rng(0)
         machine = DistributedMachine(65)
-        cosma_multiply(rng.standard_normal((64, 64)), rng.standard_normal((64, 64)), 65, 4096,
-                       machine=machine, grid=decomposition.grid)
+        cosma_run(machine, rng.standard_normal((64, 64)), rng.standard_normal((64, 64)),
+                  decomposition)
         assert machine.rank(64).resident_words() == 0 and not machine.counters.data[:, 64].any()
         assert machine.counters.data[:, :64].any(axis=0).all()
 
@@ -192,8 +193,8 @@ class TestDistributeMatrices:
         assert not machine.stores[8]  # the idle rank holds nothing
 
     def test_shape_mismatch_rejected(self, rng):
-        with pytest.raises(ValueError):
-            cosma_multiply(rng.standard_normal((4, 4)), rng.standard_normal((8, 8)), 4, 4096)
+        with pytest.raises(ValueError, match="inner dimensions do not match"):
+            multiply(rng.standard_normal((4, 4)), rng.standard_normal((8, 8)), 4, 4096)
 
     def test_max_local_words_reasonable(self):
         decomposition = build_decomposition(32, 32, 32, 8, 4096)

@@ -33,11 +33,11 @@ from oracle.collectives import broadcast_hops, reduce
 
 from repro.algorithms import builtins as builtin_specs
 from repro.algorithms import get_algorithm, registered_algorithms
-from repro.baselines.cannon import cannon_decomposition, cannon_multiply
-from repro.baselines.grid25d import grid25d_decomposition, grid25d_multiply
-from repro.baselines.summa import summa_decomposition, summa_multiply
+from repro.baselines.cannon import cannon_decomposition, cannon_run
+from repro.baselines.grid25d import grid25d_decomposition, grid25d_run
+from repro.baselines.summa import run_panels, summa_decomposition
 from repro.core.cosma import (
-    cosma_multiply,
+    cosma_run,
     fiber_exchange_rounds,
     post_c_reduction,
     post_fiber_exchange,
@@ -70,7 +70,7 @@ def _inputs(m, n, k, mode="plane"):
 
 def _run_on(multiply, m, n, k, p, memory_words, mode, runs=1,
             plane_dtype="float64", shards=1):
-    """``runs`` calls of ``multiply(a, b, machine)`` on one machine; it and the last result."""
+    """``runs`` calls of ``multiply(a, b, machine)`` on one machine; it and the last product."""
     machine = DistributedMachine(
         p, memory_words=memory_words, mode=mode, plane_dtype=plane_dtype, shards=shards,
     )
@@ -95,14 +95,13 @@ def _cosma_decomposition(m, n, k, grid_shape, idle, memory_words):
 
 
 def _run(m, n, k, grid_shape, idle, memory_words, mode, use_rma=False, **options):
-    """COSMA on an explicit grid plus ``idle`` ranks."""
-    p = grid_shape.p_used + idle
-
-    def multiply(a, b, machine):
-        return cosma_multiply(a, b, p, memory_words, machine=machine, grid=grid_shape,
-                              use_rma=use_rma)
-
-    return _run_on(multiply, m, n, k, p, memory_words, mode, **options)
+    """COSMA's engine on an explicit grid plus ``idle`` ranks: the machine, the
+    last product and the decomposition's round count."""
+    decomposition = _cosma_decomposition(m, n, k, grid_shape, idle, memory_words)
+    machine, product = _run_on(
+        lambda a, b, machine: cosma_run(machine, a, b, decomposition, use_rma),
+        m, n, k, decomposition.p, memory_words, mode, **options)
+    return machine, product, decomposition.num_steps
 
 
 def _reference(m, n, k, grid_shape, idle, memory_words, use_rma=False, runs=1):
@@ -113,13 +112,9 @@ def _reference(m, n, k, grid_shape, idle, memory_words, use_rma=False, runs=1):
                          m, n, k, grid_shape.p_used + idle, runs)
 
 
-def _observables(machine, result):
+def _observables(machine, product, rounds=None):
     """Counter bytes, the resident peak and COSMA's round count."""
-    return (
-        machine.counters.data.tobytes(),
-        machine.peak_resident_words,
-        getattr(result, "num_rounds", None),
-    )
+    return machine.counters.data.tobytes(), machine.peak_resident_words, rounds
 
 
 def _reference_observables(machine, result, rounds=None):
@@ -200,8 +195,8 @@ def test_round_bookkeeping_equals_the_per_hop_loops(use_rma):
                                             runs=runs)
         assert traced_spans == loop.rounds
         untraced = _run(*problem, mode="volume", use_rma=use_rma, runs=runs)
-        for machine, result in (traced, untraced):
-            assert result.num_rounds == rounds == 8
+        for machine, _, executed_rounds in (traced, untraced):
+            assert executed_rounds == rounds == 8
             assert machine.counters.data.tobytes() == loop.counters.data.tobytes()
 
 
@@ -265,16 +260,16 @@ def test_grid_baselines_three_octaves_up(name, grid, pinned, ceiling_s):
 @pytest.mark.parametrize("plane_dtype", ["float64", "float32"])
 def test_plane_product_from_the_single_sheet(plane_dtype, shards):
     m, n, k = 37, 29, 83
-    machine, result = _run(m, n, k, ProcessorGrid(2, 3, 3), 0, 4000, mode="plane",
-                           plane_dtype=plane_dtype, shards=shards)
-    assert machine.planes["cosma.C"].data.shape == (1, m, n)
-    assert result.matrix.dtype == np.dtype(plane_dtype)
+    machine, product, rounds = _run(m, n, k, ProcessorGrid(2, 3, 3), 0, 4000, mode="plane",
+                                    plane_dtype=plane_dtype, shards=shards)
+    assert product.shape == (m, n)
+    assert product.dtype == np.dtype(plane_dtype)
     rng = np.random.default_rng(0)
     expected = rng.random((m, k)) @ rng.random((k, n))
-    rtol, atol_unit = allclose_tolerances(result.matrix.dtype)
-    assert np.allclose(result.matrix, expected, rtol=rtol, atol=atol_unit * k)
+    rtol, atol_unit = allclose_tolerances(product.dtype)
+    assert np.allclose(product, expected, rtol=rtol, atol=atol_unit * k)
     reference = _cosma_reference_observables(m, n, k, ProcessorGrid(2, 3, 3), 0, 4000)
-    assert _observables(machine, result) == reference
+    assert _observables(machine, product, rounds) == reference
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +283,13 @@ def _assert_engines_equal_the_per_hop_loop(multiply, reference, m, n, k, p):
     once = _reference_observables(loop, product)
     twice = _reference_observables(*_reference_on(reference, m, n, k, p, runs=2))
     for mode in ("volume", "plane"):
-        machine, result = _run_on(*args, mode=mode)
-        assert _observables(machine, result) == once, mode
+        machine, engine_product = _run_on(*args, mode=mode)
+        assert _observables(machine, engine_product) == once, mode
         assert _observables(*_run_on(*args, mode=mode, runs=2)) == twice, mode
         traced_spans, traced = _round_spans(_run_on, *args, mode=mode)
         assert traced_spans == loop.rounds, mode
         assert _observables(*traced) == once, mode
-    assert np.allclose(result.matrix, product, rtol=1e-10, atol=1e-8 * k)
+    assert np.allclose(engine_product, product, rtol=1e-10, atol=1e-8 * k)
 
 
 @st.composite
@@ -319,12 +314,11 @@ def summa_problems(draw):
 def test_summa_equals_the_per_hop_loop(problem):
     m, n, k, grid_shape, panel_width, idle = problem
     p = grid_shape[0] * grid_shape[1] + idle
-
-    def multiply(a, b, machine):
-        return summa_multiply(a, b, p, machine=machine, grid=grid_shape, panel_width=panel_width)
-
     decomposition = summa_decomposition(m, n, k, p, 1 << 20, grid=grid_shape,
                                         panel_width=panel_width)
+
+    def multiply(a, b, machine):
+        return run_panels(machine, a, b, decomposition, "tree")
 
     def reference(a, b, machine):
         return per_hop.panels(machine, decomposition, a, b, "tree")
@@ -341,10 +335,10 @@ def test_summa_equals_the_per_hop_loop(problem):
 @example(shape=(13, 11, 7), p=11)    # q = 3 and two idle ranks
 @example(shape=(13, 11, 7), p=29)    # q = 5, four idle ranks, padded blocks
 def test_cannon_equals_the_per_hop_loop(shape, p):
-    def multiply(a, b, machine):
-        return cannon_multiply(a, b, p, machine=machine)
-
     decomposition = cannon_decomposition(*shape, p, 1 << 20)
+
+    def multiply(a, b, machine):
+        return cannon_run(machine, a, b, decomposition)
 
     def reference(a, b, machine):
         return per_hop.cannon(machine, decomposition, a, b)
@@ -597,18 +591,20 @@ def test_summa_is_cosma_on_a_one_layer_grid(problem):
     pm, pn = grid
     p = pm * pn + idle
     lm, ln = -(-m // pm), -(-n // pn)
+    two_d_decomposition = summa_decomposition(m, n, k, p, 1 << 20, grid, panel_width)
+    # S leaves room for exactly ``panel_width`` outer products per round.
+    one_layer_decomposition = build_decomposition(
+        m, n, k, p, lm * ln + panel_width * (lm + ln), grid=ProcessorGrid(pm, pn, 1))
 
     def summa(a, b, machine):
-        return summa_multiply(a, b, p, machine=machine, grid=grid, panel_width=panel_width)
+        return run_panels(machine, a, b, two_d_decomposition, "tree")
 
     def cosma(a, b, machine):
-        # S leaves room for exactly ``panel_width`` outer products per round.
-        return cosma_multiply(a, b, p, lm * ln + panel_width * (lm + ln), machine=machine,
-                              grid=ProcessorGrid(pm, pn, 1))
+        return cosma_run(machine, a, b, one_layer_decomposition)
 
     two_d, _ = _run_on(summa, m, n, k, p, 1 << 20, "volume")
-    one_layer, result = _run_on(cosma, m, n, k, p, 1 << 20, "volume")
-    assert result.decomposition.step_size == min(panel_width, k)
+    one_layer, _ = _run_on(cosma, m, n, k, p, 1 << 20, "volume")
+    assert one_layer_decomposition.step_size == min(panel_width, k)
     assert _counter_rows(two_d) == _counter_rows(one_layer)
 
 
@@ -662,9 +658,10 @@ def test_grid25d_is_cosma_with_a_one_round_gather(problem):
     m, n, k, grid, idle = problem
     p = grid[0] * grid[1] * grid[2] + idle
     memory_words = 1 << 20  # one round: the whole layer fits
+    decomposition = grid25d_decomposition(m, n, k, p, memory_words, grid)
 
     def grid25d(a, b, machine):
-        return grid25d_multiply(a, b, p, memory_words, machine=machine, grid=grid)
+        return grid25d_run(machine, a, b, decomposition)
 
     def cosma_gather(a, b, machine):
         decomposition = build_decomposition(
@@ -674,11 +671,6 @@ def test_grid25d_is_cosma_with_a_one_round_gather(problem):
         post_fiber_exchange(machine, decomposition, "gather")
         post_c_reduction(machine, decomposition)
 
-    def cosma_gets(a, b, machine):
-        return cosma_multiply(a, b, p, memory_words, machine=machine,
-                              grid=ProcessorGrid(*grid), use_rma=True)
-
-    decomposition = grid25d_decomposition(m, n, k, p, memory_words, grid)
     core, _ = _run_on(cosma_gather, m, n, k, p, memory_words, "volume")
     loop, _ = _reference_on(
         lambda a, b, machine: per_hop.grid25d(machine, decomposition, a, b), m, n, k, p)
@@ -717,29 +709,31 @@ def test_grid25d_sends_no_empty_slice(mode):
     of 3, so two layers have an owner with nothing to send.  126 messages when
     those were posted as zero-word transfers; the words never moved.  In both
     modes and in the per-hop reference (``legacy``, the mode it served)."""
+    decomposition = grid25d_decomposition(100, 90, 7, 27, 4096, grid=(3, 3, 3))
+
     def multiply(a, b, machine):
-        return grid25d_multiply(a, b, 27, 4096, machine=machine, grid=(3, 3, 3))
+        return grid25d_run(machine, a, b, decomposition)
 
     if mode == "legacy":
-        decomposition = grid25d_decomposition(100, 90, 7, 27, 4096, grid=(3, 3, 3))
         machine, _ = _reference_on(
             lambda a, b, hops: per_hop.grid25d(hops, decomposition, a, b), 100, 90, 7, 27)
     else:
-        machine, result = _run_on(multiply, 100, 90, 7, 27, 4096, mode)
+        machine, product = _run_on(multiply, 100, 90, 7, 27, 4096, mode)
     assert machine.counters.total_messages == 102
     assert machine.counters.total_words_received == 20660
     if mode == "plane":
         rng = np.random.default_rng(0)
-        assert np.allclose(result.matrix, rng.random((100, 7)) @ rng.random((7, 90)))
+        assert np.allclose(product, rng.random((100, 7)) @ rng.random((7, 90)))
 
 
-#: What each built-in's runner calls, and the grid that call's result reports.
+#: The engine each built-in's runner calls, and the grid of the decomposition
+#: (or the CARMA table) it calls it on, ``(machine, a, b, decomposition)``.
 _EXECUTED_GRID = {
-    "COSMA": ("cosma_multiply", lambda result: result.grid.as_tuple()),
-    "ScaLAPACK": ("summa_multiply", lambda result: result.grid),
-    "CTF": ("grid25d_multiply", lambda result: result.grid),
-    "CARMA": ("carma_multiply", lambda result: (result.p_used,)),
-    "Cannon": ("cannon_multiply", lambda result: (result.grid_size, result.grid_size)),
+    "COSMA": ("cosma_run", lambda decomposition: decomposition.grid.as_tuple()),
+    "ScaLAPACK": ("run_panels", lambda decomposition: decomposition.grid.as_tuple()[:2]),
+    "CTF": ("grid25d_run", lambda decomposition: decomposition.grid.as_tuple()),
+    "CARMA": ("cuboid_run", lambda table: (len(table),)),
+    "Cannon": ("cannon_run", lambda decomposition: decomposition.grid.as_tuple()[:2]),
 }
 
 
@@ -760,16 +754,16 @@ def test_a_plan_reports_the_grid_and_rounds_its_run_executes(dims, p, slack):
         run_plan = spec.plan(scenario)
         assert run_plan.feasible, name
         attr, executed_grid = _EXECUTED_GRID.get(name, (None, None))
-        results = []
+        executed = []
 
         def multiply(a, b, machine):
             if attr is None:
                 return spec.run(a, b, scenario, machine)
             inner = getattr(builtin_specs, attr)
 
-            def recording(*args, **kwargs):
-                results.append(inner(*args, **kwargs))
-                return results[-1]
+            def recording(machine, a, b, decomposition, *args):
+                executed.append(decomposition)
+                return inner(machine, a, b, decomposition, *args)
 
             with mock.patch.object(builtin_specs, attr, recording):
                 return spec.run(a, b, scenario, machine)
@@ -779,13 +773,10 @@ def test_a_plan_reports_the_grid_and_rounds_its_run_executes(dims, p, slack):
         touched = np.flatnonzero(machine.counters.data.any(axis=0))
         assert touched.size == 0 or touched[-1] < run_plan.processors_used, name
         if attr is not None:
-            assert run_plan.grid == executed_grid(results[0]), name
-        if name == "COSMA":
-            assert run_plan.rounds == results[0].num_rounds
-        if name in ("ScaLAPACK", "Cannon"):
-            assert run_plan.rounds == len(spans)
+            assert run_plan.grid == executed_grid(executed[0]), name
+        if name in ("COSMA", "ScaLAPACK", "Cannon"):
+            assert run_plan.rounds == len(spans), name
         if name == "CTF":
             # 2.5D marks no round boundary: count the exchange its grid schedules.
-            executed = grid25d_decomposition(*dims, p, scenario.memory_words, results[0].grid)
             assert run_plan.rounds == sum(
-                len(rounds) for rounds, _ in fiber_exchange_rounds(machine, executed, "gather"))
+                len(rounds) for rounds, _ in fiber_exchange_rounds(machine, executed[0], "gather"))

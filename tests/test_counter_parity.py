@@ -16,6 +16,7 @@ import oracle
 import pytest
 
 from repro.algorithms import AlgorithmSpec, get_algorithm, register, registered_algorithms, unregister
+from repro.core import cosma
 from repro.experiments.harness import run_algorithm
 from repro.machine.counters import WORDS_SENT, ConservationError
 from repro.machine.shard import ShardPool
@@ -162,14 +163,16 @@ class TestConservationAssertion:
 class TestPlaneEngine:
     """Plane-mode specifics: registered planes, verified harness runs."""
 
-    def test_cosma_registers_operand_planes(self):
+    def test_cosma_product_is_its_c_sheet(self):
         scenario = limited_memory_sweep("square", [9], 2048)[0]
         machine = DistributedMachine(
             scenario.p, memory_words=scenario.memory_words, mode="plane"
         )
         a, b = scenario.shape.random_matrices(seed=0)
         product = get_algorithm("COSMA").runner(a, b, scenario, machine)
-        assert set(machine.planes) == {"cosma.A", "cosma.B", "cosma.C"}
+        # No operand plane: the GEMM reads A and B as they are.
+        assert set(machine.planes) == {"cosma.C"}
+        assert product.shape == (scenario.shape.m, scenario.shape.n)
         # The C plane is one sheet and the product is that sheet, not a copy.
         c_plane = machine.planes["cosma.C"]
         assert c_plane.data.shape == (1, scenario.shape.m, scenario.shape.n)
@@ -336,17 +339,24 @@ class TestPlaneDtype:
         a, b = scenario.shape.random_matrices(seed=0)
         a32 = np.ascontiguousarray(a, dtype=np.float32)
         b32 = np.ascontiguousarray(b, dtype=np.float32)
+        operands = []
+        layer_product = cosma.layer_product
+
+        def recording_product(machine, name, decomposition, a_matrix, b_matrix):
+            operands.extend((a_matrix, b_matrix))
+            return layer_product(machine, name, decomposition, a_matrix, b_matrix)
+
+        monkeypatch.setattr(cosma, "layer_product", recording_product)
         product = get_algorithm("COSMA").runner(a32, b32, scenario, machine)
         assert product.dtype == np.float32
-        a_plane = machine.planes["cosma.A"]
-        assert a_plane.data.dtype == np.float32
+        assert product.shape == (scenario.shape.m, scenario.shape.n)
         # Shared memory proves no dtype conversion (a float64 round-trip
         # would have allocated a new buffer).
-        assert np.shares_memory(a_plane.data, a32)
+        assert np.shares_memory(operands[0], a32) and np.shares_memory(operands[1], b32)
         assert machine.planes["cosma.C"].data.dtype == np.float32
 
         # shards=2: the caller's float32 arrays themselves reach the pool,
-        # which fills float32 segments from them; no operand plane exists.
+        # which fills float32 segments from them; no plane exists.
         shared = {}
         share = ShardPool.share
 
@@ -362,8 +372,8 @@ class TestPlaneDtype:
         )
         product = get_algorithm("COSMA").runner(a32, b32, scenario, machine)
         assert product.dtype == np.float32
-        assert set(machine.planes) == {"cosma.C"}
-        assert machine.planes["cosma.C"].data.dtype == np.float32
+        assert product.shape == (scenario.shape.m, scenario.shape.n)
+        assert not machine.planes
         for tag, operand in (("cosma.A", a32), ("cosma.B", b32)):
             array, dtype = shared[tag]
             assert np.shares_memory(array, operand) and dtype == np.float32

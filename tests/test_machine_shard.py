@@ -214,12 +214,13 @@ class TestOperandCast:
 
     def test_an_inner_dimension_mismatch_raises_one_message(self):
         a, b = np.ones((4, 3)), np.ones((5, 4))
+        scenario = strong_scaling_sweep(square_shape(4), [4])[0]
         messages = []
         for shards in (1, SHARDS):
             machine = DistributedMachine(4, memory_words=4096, mode="plane", shards=shards,
                                          plane_dtype="float32")
             with pytest.raises(ValueError) as raised:
-                cosma.cosma_multiply(a, b, 4, 4096, machine=machine)
+                get_algorithm("COSMA").runner(a, b, scenario, machine)
             messages.append(str(raised.value))
         assert messages == ["inner dimensions do not match: (4, 3) x (5, 4)"] * 2
 

@@ -15,15 +15,15 @@ import numpy as np
 import oracle
 import pytest
 
+from repro.algorithms import builtins
 from repro.baselines import grid25d, summa
 from repro.baselines.carma import carma_table, usable_ranks
-from repro.baselines.cuboid import CuboidDomain, _product_tiles, cuboid_multiply
-from repro.core import cosma
+from repro.baselines.cuboid import CuboidDomain, _product_tiles, cuboid_run
 from repro.core.decomposition import build_decomposition
 from repro.experiments.harness import run_algorithm
 from repro.machine.shard import available_shards
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import allclose_tolerances
+from repro.machine.transport import allclose_tolerances, as_operands
 from repro.workloads.scaling import Scenario
 from repro.workloads.shapes import square_shape
 
@@ -38,7 +38,7 @@ def _with_decomposition(monkeypatch, mutate):
     def mutated(*args, **kwargs):
         return mutate(build_decomposition(*args, **kwargs))
 
-    for module in (cosma, summa, grid25d):
+    for module in (builtins, summa, grid25d):  # COSMA's runner, the others' decompositions
         monkeypatch.setattr(module, "build_decomposition", mutated)
 
 
@@ -133,7 +133,7 @@ def test_hand_written_cuboid_tilings_compute_a_at_b(tiling, dtype):
     rng = np.random.default_rng(3)
     a, b = rng.standard_normal((6, 8)), rng.standard_normal((8, 5))
     machine = DistributedMachine(len(domains), mode="plane", plane_dtype=dtype)
-    product = cuboid_multiply(a, b, domains, machine=machine).matrix
+    product = cuboid_run(machine, *as_operands(a, b, machine)[:2], domains)
     assert product.dtype == np.dtype(dtype)
     rtol, atol_unit = allclose_tolerances(dtype)
     assert np.allclose(product, a @ b, rtol=rtol, atol=atol_unit * 8)

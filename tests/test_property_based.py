@@ -11,8 +11,10 @@ from oracle.collectives import broadcast, reduce
 from repro.baselines.carma import carma_domains
 from repro.baselines.costs import io_cost_25d, io_cost_2d, io_cost_carma
 from repro.baselines.cuboid import validate_domains
-from repro.core.cosma import cosma_multiply
+from repro.core.cosma import cosma_run
+from repro.core.decomposition import build_decomposition
 from repro.core.grid import communication_volume_per_rank, fit_ranks
+from repro.machine.simulator import DistributedMachine
 from repro.pebbling.mmm_bounds import parallel_io_lower_bound, schedule_io, sequential_io_lower_bound
 from repro.pebbling.mmm_schedule import optimal_tile_sizes, sequential_mmm_schedule, tile_footprint
 from repro.utils.intmath import ceil_div, divisors, factorize, split_evenly
@@ -184,7 +186,9 @@ class TestEndToEndProperties:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((m, k))
         b = rng.standard_normal((k, n))
-        result = cosma_multiply(a, b, p, memory_words=1 << 14)
-        assert np.allclose(result.matrix, a @ b, atol=1e-8 * k)
-        assert result.counters.conservation_ok()
-        assert result.decomposition.p_used <= p
+        machine = DistributedMachine(p, memory_words=1 << 14)
+        decomposition = build_decomposition(m, n, k, p, 1 << 14)
+        product = cosma_run(machine, a, b, decomposition)
+        assert np.allclose(product, a @ b, atol=1e-8 * k)
+        assert machine.counters.conservation_ok()
+        assert decomposition.p_used <= p

@@ -18,11 +18,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle import HopMachine, cuboid, grid
 
-from repro.baselines.cannon import cannon_decomposition, cannon_multiply
-from repro.baselines.carma import carma_multiply, carma_table, usable_ranks
-from repro.baselines.grid25d import grid25d_decomposition, grid25d_multiply
-from repro.baselines.summa import summa_decomposition, summa_multiply
-from repro.core.cosma import cosma_multiply
+from repro.baselines.cannon import cannon_decomposition, cannon_run
+from repro.baselines.carma import carma_table, usable_ranks
+from repro.baselines.cuboid import cuboid_run
+from repro.baselines.grid25d import grid25d_decomposition, grid25d_run
+from repro.baselines.summa import run_panels, summa_decomposition
+from repro.core.cosma import cosma_run
 from repro.core.decomposition import build_decomposition
 from repro.core.grid import ProcessorGrid
 from repro.machine.simulator import DistributedMachine, LocalMemoryExceededError
@@ -32,7 +33,7 @@ from repro.machine.transport import ShapeToken
 def _carma_case(p, m, n, k):
     table = carma_table(m, n, k, usable_ranks(m, n, k, p))
     return (f"CARMA p={p}", p, (m, n, k),
-            lambda a, b, machine: carma_multiply(a, b, p, machine=machine),
+            lambda a, b, machine: cuboid_run(machine, a, b, table),
             lambda a, b, machine: cuboid.cuboid(machine, table, a, b))
 
 
@@ -40,7 +41,7 @@ def _carma_case(p, m, n, k):
 def cases(draw):
     """``(label, p, (m, n, k), run, reference)``: ``run(a, b, machine)`` executes
     one multiplication on an engine, ``reference(a, b, hop_machine)`` the same
-    one on the per-hop reference."""
+    one on the per-hop reference: both on one decomposition."""
     name = draw(st.sampled_from(["COSMA", "ScaLAPACK", "CTF", "CARMA", "Cannon"]))
     idle = draw(st.integers(0, 2))
     if name in ("CARMA", "Cannon"):
@@ -50,7 +51,7 @@ def cases(draw):
             return _carma_case(p, m, n, k)
         decomposition = cannon_decomposition(m, n, k, p, 1 << 20)
         return (f"Cannon p={p}", p, (m, n, k),
-                lambda a, b, machine: cannon_multiply(a, b, p, machine=machine),
+                lambda a, b, machine: cannon_run(machine, a, b, decomposition),
                 lambda a, b, machine: grid.cannon(machine, decomposition, a, b))
     pm, pn, pk = (draw(st.integers(1, 4)) for _ in range(3))
     m = draw(st.integers(pm, 24))
@@ -65,21 +66,18 @@ def cases(draw):
         use_rma = draw(st.booleans())
         decomposition = build_decomposition(m, n, k, p, memory, grid=cosma_grid)
         return (f"COSMA {cosma_grid.as_tuple()} S={memory} rma={use_rma}", p, (m, n, k),
-                lambda a, b, machine: cosma_multiply(
-                    a, b, p, memory, machine=machine, grid=cosma_grid, use_rma=use_rma),
+                lambda a, b, machine: cosma_run(machine, a, b, decomposition, use_rma),
                 lambda a, b, machine: grid.cosma(machine, decomposition, a, b, use_rma))
     if name == "ScaLAPACK":
         p = pm * pn + idle
         decomposition = summa_decomposition(m, n, k, p, memory, grid=(pm, pn))
         return (f"ScaLAPACK {(pm, pn)} S={memory}", p, (m, n, k),
-                lambda a, b, machine: summa_multiply(
-                    a, b, p, machine=machine, memory_words=memory, grid=(pm, pn)),
+                lambda a, b, machine: run_panels(machine, a, b, decomposition, "tree"),
                 lambda a, b, machine: grid.panels(machine, decomposition, a, b, "tree"))
     p = pm * pn * pk + idle
     decomposition = grid25d_decomposition(m, n, k, p, memory, grid=(pm, pn, pk))
     return (f"CTF {(pm, pn, pk)}", p, (m, n, k),
-            lambda a, b, machine: grid25d_multiply(
-                a, b, p, memory, machine=machine, grid=(pm, pn, pk)),
+            lambda a, b, machine: grid25d_run(machine, a, b, decomposition),
             lambda a, b, machine: grid.grid25d(machine, decomposition, a, b))
 
 
@@ -148,6 +146,6 @@ def test_batched_engines_report_the_per_hop_memory(case, runs, mode):
 def test_idle_ranks_hold_nothing():
     """Cannon on p=7 uses a 2 x 2 grid: ranks 4-6 stay at zero resident words."""
     machine = DistributedMachine(7, mode="volume")
-    cannon_multiply(ShapeToken((6, 6)), ShapeToken((6, 6)), 7, machine=machine)
+    cannon_run(machine, ShapeToken((6, 6)), ShapeToken((6, 6)), cannon_decomposition(6, 6, 6, 7, 1 << 20))
     q = math.isqrt(7)
     assert [machine.rank(r).resident_words() > 0 for r in range(7)] == [True] * (q * q) + [False] * 3

@@ -9,14 +9,21 @@ import numpy as np
 import pytest
 
 from repro import multiply
-from repro.baselines.cannon import cannon_multiply
-from repro.baselines.carma import carma_multiply
-from repro.baselines.grid25d import grid25d_multiply
-from repro.baselines.summa import summa_multiply
-from repro.core.cosma import cosma_multiply
+from repro.baselines.cannon import cannon_decomposition
+from repro.baselines.summa import summa_decomposition
+from repro.core.cosma import cosma_run
 from repro.core.decomposition import build_decomposition
 from repro.machine.simulator import DistributedMachine, LocalMemoryExceededError
 from repro.sequential import tiled_multiply
+
+
+def _cosma(a, b, p, memory_words, machine=None):
+    """COSMA's engine on the fitted decomposition of ``a @ b``: the product,
+    the decomposition and the machine."""
+    (m, k), n = a.shape, b.shape[1]
+    decomposition = build_decomposition(m, n, k, p, memory_words)
+    machine = machine or DistributedMachine(p, memory_words=memory_words)
+    return cosma_run(machine, a, b, decomposition), decomposition, machine
 
 
 class TestDegenerateShapes:
@@ -27,19 +34,17 @@ class TestDegenerateShapes:
         m, n, k = shape
         a = rng.standard_normal((m, k))
         b = rng.standard_normal((k, n))
-        result = cosma_multiply(a, b, 4, memory_words=4096)
-        assert np.allclose(result.matrix, a @ b)
+        product, _, _ = _cosma(a, b, 4, 4096)
+        assert np.allclose(product, a @ b)
 
     @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 8, 4), (8, 1, 4), (8, 4, 1)])
     def test_baselines(self, rng, shape):
         m, n, k = shape
         a = rng.standard_normal((m, k))
         b = rng.standard_normal((k, n))
-        for fn in (summa_multiply, cannon_multiply, carma_multiply):
-            result = fn(a, b, 4)
-            assert np.allclose(result.matrix, a @ b), fn.__name__
-        result = grid25d_multiply(a, b, 4, memory_words=4096)
-        assert np.allclose(result.matrix, a @ b)
+        for algorithm in ("ScaLAPACK", "Cannon", "CARMA", "CTF"):
+            report = multiply(a, b, 4, 4096, algorithm=algorithm)
+            assert report.correct and np.allclose(report.matrix, a @ b), algorithm
 
     def test_sequential_one_element(self, rng):
         a = rng.standard_normal((1, 1))
@@ -50,9 +55,9 @@ class TestDegenerateShapes:
     def test_more_processors_than_work(self, rng):
         a = rng.standard_normal((2, 2))
         b = rng.standard_normal((2, 2))
-        result = cosma_multiply(a, b, 64, memory_words=4096)
-        assert np.allclose(result.matrix, a @ b)
-        assert result.decomposition.p_used <= 8
+        product, decomposition, _ = _cosma(a, b, 64, 4096)
+        assert np.allclose(product, a @ b)
+        assert decomposition.p_used <= 8
 
 
 class TestMemoryEnforcement:
@@ -62,8 +67,8 @@ class TestMemoryEnforcement:
         a = rng.standard_normal((m, k))
         b = rng.standard_normal((k, n))
         machine = DistributedMachine(8, memory_words=s, enforce_memory=True)
-        result = cosma_multiply(a, b, 8, memory_words=s, machine=machine)
-        assert np.allclose(result.matrix, a @ b)
+        product, _, _ = _cosma(a, b, 8, s, machine=machine)
+        assert np.allclose(product, a @ b)
         assert machine.peak_resident_words <= s
 
     def test_enforcement_trips_when_budget_absurd(self, rng):
@@ -71,13 +76,13 @@ class TestMemoryEnforcement:
         b = rng.standard_normal((64, 64))
         machine = DistributedMachine(2, memory_words=16, enforce_memory=True)
         with pytest.raises(LocalMemoryExceededError):
-            cosma_multiply(a, b, 2, memory_words=16, machine=machine)
+            _cosma(a, b, 2, 16, machine=machine)
 
     def test_peak_usage_reported_without_enforcement(self, rng):
         a = rng.standard_normal((32, 32))
         b = rng.standard_normal((32, 32))
         machine = DistributedMachine(4, memory_words=1 << 20)
-        cosma_multiply(a, b, 4, memory_words=1 << 20, machine=machine)
+        _cosma(a, b, 4, 1 << 20, machine=machine)
         assert machine.peak_resident_words > 0
 
 
@@ -92,21 +97,21 @@ class TestInputValidation:
 
     def test_summa_rejects_zero_processors(self, rng):
         with pytest.raises(ValueError):
-            summa_multiply(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)), 0)
+            summa_decomposition(4, 4, 4, 0, 1024)
 
     def test_cannon_rejects_zero_processors(self, rng):
         with pytest.raises(ValueError):
-            cannon_multiply(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)), 0)
+            cannon_decomposition(4, 4, 4, 0, 1024)
 
 
 class TestDeterminism:
     def test_cosma_volume_is_deterministic(self, rng):
         a = rng.standard_normal((24, 24))
         b = rng.standard_normal((24, 24))
-        first = cosma_multiply(a, b, 6, memory_words=2048)
-        second = cosma_multiply(a, b, 6, memory_words=2048)
+        _, first_decomposition, first = _cosma(a, b, 6, 2048)
+        _, second_decomposition, second = _cosma(a, b, 6, 2048)
         assert first.counters.total_words_sent == second.counters.total_words_sent
-        assert first.grid.as_tuple() == second.grid.as_tuple()
+        assert first_decomposition.grid.as_tuple() == second_decomposition.grid.as_tuple()
 
     def test_harness_runs_are_reproducible(self):
         from repro.experiments.harness import run_algorithm

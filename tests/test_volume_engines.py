@@ -37,6 +37,7 @@ from repro.baselines import cuboid
 from repro.baselines.carma import carma_domains
 from repro.baselines.cuboid import CuboidDomain, _owner_words, domain_table
 from repro.core import cosma
+from repro.core.decomposition import build_decomposition
 from repro.experiments.harness import run_algorithm
 from repro.machine import simulator
 from repro.machine.counters import CommCounters
@@ -215,15 +216,15 @@ def test_volume_runs_use_no_per_rank_primitive(name, monkeypatch):
 
 
 def _cosma_sq1024_volume(use_rma=False):
-    """COSMA on the harness's sq1024 grid, straight through ``cosma_multiply``."""
+    """COSMA on the harness's sq1024 grid, straight through ``cosma_run``; the
+    machine and the decomposition it ran."""
     scenario = paper_scenario(4096, 1024)
     machine = DistributedMachine(scenario.p, memory_words=scenario.memory_words, mode="volume")
-    result = cosma.cosma_multiply(
-        ShapeToken((4096, 4096)), ShapeToken((4096, 4096)), scenario.p,
-        scenario.memory_words, machine=machine, use_rma=use_rma,
-        max_idle_fraction=cosma_idle_fraction(scenario.p),
-    )
-    return machine, result
+    decomposition = build_decomposition(4096, 4096, 4096, scenario.p, scenario.memory_words,
+                                        max_idle_fraction=cosma_idle_fraction(scenario.p))
+    cosma.cosma_run(machine, ShapeToken((4096, 4096)), ShapeToken((4096, 4096)), decomposition,
+                    use_rma)
+    return machine, decomposition
 
 
 def test_cosma_posts_once_per_round_class(class_posts, panel_expansions):
@@ -231,15 +232,14 @@ def test_cosma_posts_once_per_round_class(class_posts, panel_expansions):
     the summed width table: no class delta of size p is written.  Traced, 20
     class deltas.  Neither goes through a transfer list, and both count the C
     reduction."""
-    machine, result = _cosma_sq1024_volume()
-    assert result.num_rounds == 683
+    machine, decomposition = _cosma_sq1024_volume()
+    assert decomposition.num_steps == 683
     assert class_posts == [] and panel_expansions == [683]
     assert machine.counters.mean_output_words_per_rank() > 0  # the reduction
     with tracing():
-        traced_machine, traced = _cosma_sq1024_volume()
+        traced_machine, _ = _cosma_sq1024_volume()
     assert class_posts == ["repro.core.cosma"] * 20
     assert panel_expansions == [683] + [1] * 20
-    assert traced.num_rounds == result.num_rounds
     assert traced_machine.counters.data.tobytes() == machine.counters.data.tobytes()
 
 
@@ -262,10 +262,10 @@ def test_grid_baselines_post_transfers_only_from_the_cosma_core(name, class_post
 def test_use_rma_volume_run_stays_on_the_batched_engine(class_posts, panel_expansions):
     """One-sided gets are an ``exchange`` kind of the same core: one expansion
     of the width table, no class delta, no transfer list."""
-    _, one_sided = _cosma_sq1024_volume(use_rma=True)
+    one_sided, _ = _cosma_sq1024_volume(use_rma=True)
     assert class_posts == [] and panel_expansions == [683]
     tree = run_algorithm("COSMA", paper_scenario(4096, 1024), mode="volume")
-    assert one_sided.mean_words_per_rank == tree.mean_words_per_rank
+    assert one_sided.counters.mean_words_per_rank() == tree.mean_words_per_rank
     assert one_sided.counters.max_rounds() < tree.rounds  # only the origin pays a round
 
 
