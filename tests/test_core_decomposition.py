@@ -216,8 +216,8 @@ class TestDecompositionMemo:
         plan = get_algorithm("COSMA").plan(scenario)
         first = run_algorithm("COSMA", scenario, mode="volume")
         assert run_algorithm("COSMA", scenario, mode="volume") == first
-        # Decomposed once: the plan did it, the planned grid handed to both
-        # runs found the entry memoized.
+        # Decomposed once: the plan did it, and both runs, on the memoized
+        # plan's grid, found the entry memoized.
         info = module._decompose.cache_info()
         assert (info.misses, info.hits) == (1, 2)
         assert build_decomposition(

@@ -236,8 +236,9 @@ def test_grid_baselines_three_octaves_up(name, grid, pinned, ceiling_s):
     ceiling is on the faster of two runs and far above that: it guards the
     order of magnitude, not the box.  CARMA (which plans no grid) and Cannon
     ride along at the same point, pinned the same way at their parent, and COSMA
-    with the planned grid handed back to its runner, as ``repro.multiply``
-    does: the grid search (0.7 s, memoized behind ``plan``) is not the engine."""
+    on the planned grid, passed as ``grid=`` (without it the runner reads the
+    same grid off the memoized plan): the grid search (0.7 s, memoized behind
+    ``plan``) is not the engine."""
     scenario = Scenario(name="square-paper-p65536", shape=square_shape(32768), p=65536,
                         memory_words=101_000, regime="limited")
     spec = get_algorithm(name)
