@@ -11,6 +11,10 @@
 #   make chaos        - deterministic fault-injection suite (crashes, hangs,
 #                       transients, torn writes; writes CHAOS_quarantine.json)
 #   make bench        - full paper figure/table benchmark suite
+#   make bench-collect
+#                     - import and collect every bench file without running
+#                       it (~2 s): a bench that names a deleted function
+#                       fails here, not only under `make bench`
 #   make ledger       - layered performance ledger (benchmarks/ledger/README.md):
 #                       five workloads, end-to-end + per-layer metrics, written
 #                       to LEDGER.json; non-zero exit on any incorrect workload
@@ -32,7 +36,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify lint sweep-smoke chaos bench ledger ledger-pairs identity
+.PHONY: verify lint sweep-smoke chaos bench bench-collect ledger ledger-pairs identity
 
 verify:
 	$(PY) -m pytest -x -q
@@ -61,6 +65,10 @@ chaos:
 
 bench:
 	$(PY) -m pytest benchmarks/bench_*.py -s
+
+# -p no:benchmark: collection needs no pytest-benchmark, which CI does not install.
+bench-collect:
+	$(PY) -m pytest benchmarks/bench_*.py --collect-only -q -p no:benchmark
 
 ledger:
 	$(PY) benchmarks/ledger/run.py --out LEDGER.json

@@ -4,14 +4,24 @@ Checks, across processor counts and memory sizes where ``p S`` covers the
 footprint (section 6.3), that (a) the per-rank received words a COSMA run
 counts are exactly what its plan predicts, (b) the busiest rank's local domain
 touches at least the Theorem 2 bound (the optimality ratio is >= 1), and
-(c) the I/O-latency trade-off behaves as derived in section 6.3.
+(c) prints section 6.3's I/O-latency trade-off as a run counts it: COSMA on
+4096^3 at p = 1024 in ``volume`` mode, S from 1x to 16x the per-rank
+footprint, with each S's grid, received words, rounds and peak resident / S.
 """
 
 import numpy as np
 from _common import print_rows
 
+from repro.algorithms import get_algorithm
 from repro.api import multiply, plan
-from repro.core.tradeoff import tradeoff_curve
+from repro.machine import DistributedMachine, ShapeToken
+from repro.workloads.scaling import Scenario
+from repro.workloads.shapes import ProblemShape
+
+#: The trade-off curve's problem and its memory sizes, in multiples of the
+#: per-rank footprint ``(mn + mk + nk) / p``.
+CURVE_SIDE, CURVE_P = 4096, 1024
+CURVE_MULTIPLES = (1, 1.5, 2, 3, 4, 8, 16)
 
 
 def _sweep(n=64, p_values=(4, 8, 16, 32), s_values=(1024, 4096)):
@@ -51,17 +61,37 @@ def test_theorem2_parallel_io(benchmark):
         assert row["ratio"] >= 1
 
 
-def test_theorem2_tradeoff_curve(benchmark):
-    points = benchmark.pedantic(
-        tradeoff_curve, args=(256, 256, 256, 16, 2048), kwargs={"samples": 16}, rounds=1, iterations=1
-    )
-    rows = [
-        {"a": round(pt.a, 1), "io": round(pt.io_cost), "latency": round(pt.latency_cost, 2), "rounds": pt.rounds}
-        for pt in points
-    ]
-    print_rows("Section 6.3: I/O-latency trade-off (256^3, p=16, S=2048)", rows)
-    ios = [pt.io_cost for pt in points]
-    latencies = [pt.latency_cost for pt in points]
-    # Growing a reduces I/O but raises latency.
-    assert ios[0] > ios[-1]
-    assert latencies[-1] > latencies[0]
+def _memory_curve():
+    n, p = CURVE_SIDE, CURVE_P
+    shape = ProblemShape(m=n, n=n, k=n, family="square")
+    spec = get_algorithm("COSMA")
+    rows = []
+    for multiple in CURVE_MULTIPLES:
+        s = int(multiple * shape.footprint_words / p)
+        scenario = Scenario(name=f"sq{n}-p{p}-s{s}", shape=shape, p=p, memory_words=s,
+                            regime="curve")
+        run_plan = spec.plan(scenario)
+        machine = DistributedMachine(p, memory_words=s, mode="volume")
+        spec.run(ShapeToken((n, n)), ShapeToken((n, n)), scenario, machine, grid=run_plan.grid)
+        rows.append(
+            {
+                "S/footprint": multiple,
+                "S": s,
+                "grid": run_plan.grid,
+                "counted_received": machine.counters.mean_received_per_rank(),
+                "planned_received": run_plan.predicted_words_per_rank,
+                "rounds": machine.counters.max_rounds(),
+                "peak/S": round(machine.peak_resident_words / s, 2),
+                "ratio": round(run_plan.optimality_ratio, 3),
+            }
+        )
+    return rows
+
+
+def test_theorem2_memory_curve(benchmark):
+    rows = benchmark.pedantic(_memory_curve, rounds=1, iterations=1)
+    print_rows(f"Section 6.3: COSMA's counted I/O-latency trade-off "
+               f"({CURVE_SIDE}^3, p={CURVE_P}, volume mode)", rows)
+    assert len(rows) == len(CURVE_MULTIPLES)
+    for row in rows:
+        assert row["counted_received"] == row["planned_received"]

@@ -75,11 +75,6 @@ class CuboidDomain:
             self.k_range[1] - self.k_range[0],
         )
 
-    @property
-    def volume(self) -> int:
-        lm, ln, lk = self.shape
-        return lm * ln * lk
-
 
 #: Columns of a decomposition table (see :func:`domain_table`).
 RANK, I0, I1, J0, J1, K0, K1 = range(7)

@@ -17,10 +17,8 @@ The pipeline mirrors Algorithm 1:
    on the planned grid.
 
 :func:`repro.core.cosma.received_words` is what that run counts, in closed
-form: a plan's predicted words are the count.  The analytic counterparts
-(latency, I/O-latency trade-off, buffer sizing) live in
-:mod:`repro.core.cost_model`, :mod:`repro.core.tradeoff` and
-:mod:`repro.core.buffers`; COSMA's I/O row is Theorem 2
+form: a plan's predicted words are the count.  The analytic latency
+counterpart lives in :mod:`repro.core.cost_model`; COSMA's I/O row is Theorem 2
 (:func:`repro.pebbling.mmm_bounds.parallel_io_lower_bound`).
 """
 

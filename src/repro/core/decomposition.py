@@ -84,15 +84,6 @@ class CosmaDecomposition:
     def p_used(self) -> int:
         return self.grid.p_used
 
-    def max_local_words(self) -> int:
-        """Peak words a rank must hold: its A panel slice + B panel slice + C block + step buffers."""
-        lm = np.diff(self.i_bounds)[:, None, None]
-        ln = np.diff(self.j_bounds)[None, :, None]
-        a_width = np.diff(self.a_bounds).T[None, :, :]  # (1, pn, pk)
-        b_width = np.diff(self.b_bounds).T[:, None, :]  # (pm, 1, pk)
-        words = lm * a_width + ln * b_width + lm * ln + (lm + ln) * self.step_size
-        return int(words.max())
-
     def input_layouts(self) -> tuple[Layout, Layout]:
         """The blocked input layouts of A and B as ownership tables.
 

@@ -46,10 +46,6 @@ class BroadcastTree:
     root: int
     parent: Mapping[int, int]
 
-    @property
-    def ranks(self) -> list[int]:
-        return [self.root] + sorted(self.parent)
-
     def children(self, rank: int) -> list[int]:
         return sorted(r for r, p in self.parent.items() if p == rank)
 

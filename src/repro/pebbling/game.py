@@ -188,10 +188,6 @@ class PebbleGame:
         return self.result
 
     # -- helpers -------------------------------------------------------------
-    @property
-    def red_in_use(self) -> int:
-        return len(self.red)
-
     def _check_capacity(self) -> None:
         if len(self.red) + 1 > self.capacity:
             raise IllegalMoveError(

@@ -15,7 +15,7 @@ serial row order (``tests/test_sweeps_runner.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -183,9 +183,6 @@ class SweepSpec:
             for scenario in self.scenarios()
             for algorithm in self.algorithms
         ]
-
-    def with_mode(self, mode: str) -> "SweepSpec":
-        return replace(self, mode=mode)
 
     # -- (de)serialization --------------------------------------------------
     def to_dict(self) -> dict:

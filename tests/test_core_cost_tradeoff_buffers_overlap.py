@@ -1,19 +1,15 @@
-"""Tests for the analytic cost model, I/O-latency trade-off, buffers and overlap."""
+"""Tests for the analytic cost model and the communication-computation overlap model."""
 
 import math
 
 import pytest
 
-from repro.core.buffers import fits_in_memory, max_overlap_rounds, plan_buffers
 from repro.core.cost_model import (
     communication_reduction_vs_grid,
     cosma_latency_cost,
     cosma_local_domain,
 )
-from repro.core.decomposition import build_decomposition
 from repro.core.overlap import even_rounds, pipeline_times
-from repro.core.tradeoff import io_cost, latency_cost, min_io_point, tradeoff_curve
-from repro.pebbling.mmm_bounds import parallel_io_lower_bound
 
 
 class TestCostModel:
@@ -62,60 +58,6 @@ class TestCostModel:
     def test_reduction_rejects_oversized_grid(self):
         with pytest.raises(ValueError):
             communication_reduction_vs_grid(64, 64, 64, 4, 1024, (2, 2, 2))
-
-
-class TestTradeoff:
-    def test_io_decreases_with_a(self):
-        m = n = k = 512
-        p = 64
-        assert io_cost(m, n, k, p, 32) < io_cost(m, n, k, p, 8)
-
-    def test_latency_increases_near_sqrt_s(self):
-        m = n = k = 512
-        p, s = 64, 1024
-        assert latency_cost(m, n, k, p, s, 31.9) > latency_cost(m, n, k, p, s, 16)
-
-    def test_latency_infinite_at_sqrt_s(self):
-        assert math.isinf(latency_cost(64, 64, 64, 4, 100, 10.0))
-
-    def test_curve_monotone_io(self):
-        points = tradeoff_curve(512, 512, 512, 64, 1024, samples=16)
-        ios = [p.io_cost for p in points]
-        assert all(b <= a + 1e-6 for a, b in zip(ios, ios[1:]))
-
-    def test_min_io_point_matches_cost_model(self):
-        m = n = k = 512
-        p, s = 64, 1024
-        point = min_io_point(m, n, k, p, s)
-        assert point.io_cost == pytest.approx(parallel_io_lower_bound(m, n, k, p, s), rel=0.05)
-
-    def test_rejects_nonpositive_a(self):
-        with pytest.raises(ValueError):
-            io_cost(8, 8, 8, 2, 0.0)
-
-
-class TestBuffers:
-    def test_plan_positive(self):
-        decomposition = build_decomposition(64, 64, 64, 8, 4096)
-        plan = plan_buffers(decomposition)
-        assert plan.a_receive_words > 0
-        assert plan.b_receive_words > 0
-        assert plan.c_accumulator_words > 0
-
-    def test_double_buffering_doubles_comm_buffers(self):
-        decomposition = build_decomposition(64, 64, 64, 8, 4096)
-        single = plan_buffers(decomposition, double_buffered=False)
-        double = plan_buffers(decomposition, double_buffered=True)
-        assert double.communication_words == 2 * single.communication_words
-        assert double.c_accumulator_words == single.c_accumulator_words
-
-    def test_single_buffered_plan_fits(self):
-        decomposition = build_decomposition(64, 64, 256, 8, 4096)
-        assert fits_in_memory(decomposition, double_buffered=False)
-
-    def test_max_overlap_rounds_at_least_base(self):
-        decomposition = build_decomposition(64, 64, 256, 8, 4096)
-        assert max_overlap_rounds(decomposition) >= decomposition.num_steps
 
 
 class TestOverlap:

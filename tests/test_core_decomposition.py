@@ -131,16 +131,6 @@ class TestLazyDomains:
                 assert slices[kk].tolist() == [k0] + [k0 + hi for _, hi in split_offsets(k1 - k0, parts)]
         _assert_slices_partition_layers(decomposition)
         assert int(_domain_volumes(decomposition).sum()) == m * n * k
-        step = decomposition.step_size
-        assert decomposition.max_local_words() == max(
-            (i1 - i0) * (a1 - a0) + (j1 - j0) * (b1 - b0) + (i1 - i0) * (j1 - j0)
-            + (i1 - i0 + j1 - j0) * step
-            for pi, (i0, i1) in enumerate(split_offsets(m, grid.pm))
-            for pj, (j0, j1) in enumerate(split_offsets(n, grid.pn))
-            for kk in range(grid.pk)
-            for a0, a1 in [decomposition.a_bounds[kk, pj : pj + 2].tolist()]
-            for b0, b1 in [decomposition.b_bounds[kk, pi : pi + 2].tolist()]
-        )
 
     def test_domains_are_never_stored_on_the_shared_decomposition(self):
         """The memoized entry every run of the scenario shares holds the
@@ -195,11 +185,6 @@ class TestDistributeMatrices:
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="inner dimensions do not match"):
             multiply(rng.standard_normal((4, 4)), rng.standard_normal((8, 8)), 4, 4096)
-
-    def test_max_local_words_reasonable(self):
-        decomposition = build_decomposition(32, 32, 32, 8, 4096)
-        assert decomposition.max_local_words() > 0
-        assert decomposition.max_local_words() <= 32 * 32 * 3
 
 
 class TestDecompositionMemo:

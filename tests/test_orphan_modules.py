@@ -15,9 +15,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Module (path under src/repro) -> (paper artifact, what exercises it).
 KEPT = {
-    "core/tradeoff.py": ("section 6.3 I/O-latency trade-off Q(a)/L(a)", "benchmarks/bench_theorem2_parallel.py"),
-    "core/buffers.py": ("sections 7.3/7.5 buffer sizing, for memory-aware grid fitting",
-                        "tests/test_core_cost_tradeoff_buffers_overlap.py"),
     "extensions/allgather.py": ("Figure 2 naive 1D baseline; registry extension example",
                                 "tests/test_algorithms_registry.py"),
 }

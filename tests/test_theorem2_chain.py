@@ -11,6 +11,9 @@
 * **The factor.**  COSMA stays within :data:`COSMA_FACTOR` of Theorem 2 where
   p is a cube, the extents divide by ``p^(1/3)`` and differ by at most 2x,
   and ``S >= 3 (mnk/p)^(2/3)``; at the paper-scale points within 2%.
+* **The trade-off.**  Section 6.3's curve as COSMA's runs count it: more
+  memory costs no words and no rounds on 4096^3 at p = 1024, from 1x to 16x
+  the per-rank footprint.  Three known points where it does are strict xfails.
 """
 
 import math
@@ -214,3 +217,41 @@ def test_plan_without_domain_has_no_ratio():
     scenario = _scenario(32, 32, 32, 4, 4096)
     run_plan = AlgorithmSpec(name="_tmp-no-planner", runner=lambda *a: None).plan(scenario)
     assert run_plan.domain_io_words is None and math.isnan(run_plan.optimality_ratio)
+
+
+#: S at 1, 1.5, 2, 3, 4, 8 and 16x the per-rank footprint of 4096^3 on p = 1024.
+_SQ4096_S = tuple(int(multiple * 3 * 4096 ** 2 / 1024) for multiple in (1, 1.5, 2, 3, 4, 8, 16))
+
+
+def _known_violation(why):
+    """A point where more memory costs more today; ROADMAP's memory item
+    (with the planning item's exact objective) owns the fix."""
+    return pytest.mark.xfail(strict=True, raises=AssertionError,
+                             reason=f"ROADMAP memory / planning item: {why}")
+
+
+@pytest.mark.parametrize("dims, p, s_values", [
+    pytest.param((4096, 4096, 4096), 1024, _SQ4096_S, id="sq4096-p1024"),
+    pytest.param((591, 591, 591), 1024, (1536, 2048), id="591-p1024", marks=_known_violation(
+        "S = 2048 fits the memory-dishonest grid (2, 85, 6): 30699 words against 11256 "
+        "on (16, 16, 4) at S = 1536")),
+    pytest.param((512, 512, 512), 64, (24576, 36864), id="512-p64", marks=_known_violation(
+        "on (4, 4, 4) the step grows from 32 to 80, which does not align with the 32-wide "
+        "ownership slices: 14 -> 18 rounds")),
+    pytest.param((2048, 2048, 65536), 2048, (199680, 266240), id="largeK-p2048",
+                 marks=_known_violation("the grid moves from (5, 5, 81) to (4, 4, 128) with "
+                                        "a step of 4: 93 -> 391 rounds")),
+])
+def test_more_memory_costs_no_words_and_no_rounds(dims, p, s_values):
+    """COSMA's counted words and rounds are non-increasing in S (its plan's
+    words stay the count at every S)."""
+    words, rounds = [], []
+    for s in s_values:
+        scenario = _scenario(*dims, p, s)
+        run_plan = get_algorithm("COSMA").plan(scenario)
+        counters = _counters("COSMA", scenario, run_plan)
+        assert run_plan.predicted_words_per_rank == counters.mean_received_per_rank()
+        words.append(counters.mean_received_per_rank())
+        rounds.append(counters.max_rounds())
+    assert words == sorted(words, reverse=True), f"words {words} grow with S {s_values}"
+    assert rounds == sorted(rounds, reverse=True), f"rounds {rounds} grow with S {s_values}"
