@@ -6,8 +6,14 @@ counts are exactly what its plan predicts, (b) the busiest rank's local domain
 touches at least the Theorem 2 bound (the optimality ratio is >= 1), and
 (c) prints section 6.3's I/O-latency trade-off as a run counts it: COSMA on
 4096^3 at p = 1024 in ``volume`` mode, S from 1x to 16x the per-rank
-footprint, with each S's grid, received words, rounds and peak resident / S.
+footprint, with each S's grid, received words, rounds and peak resident / S,
+and the untraced run's wall time and tracemalloc peak (machine included):
+neither grows with the round count, since the panel exchange is summed in
+closed form.
 """
+
+import time
+import tracemalloc
 
 import numpy as np
 from _common import print_rows
@@ -61,6 +67,14 @@ def test_theorem2_parallel_io(benchmark):
         assert row["ratio"] >= 1
 
 
+def _curve_run(spec, scenario, grid):
+    """One untraced ``volume`` run of the curve on a fresh machine."""
+    n = scenario.shape.n
+    machine = DistributedMachine(scenario.p, memory_words=scenario.memory_words, mode="volume")
+    spec.run(ShapeToken((n, n)), ShapeToken((n, n)), scenario, machine, grid=grid)
+    return machine
+
+
 def _memory_curve():
     n, p = CURVE_SIDE, CURVE_P
     shape = ProblemShape(m=n, n=n, k=n, family="square")
@@ -71,8 +85,15 @@ def _memory_curve():
         scenario = Scenario(name=f"sq{n}-p{p}-s{s}", shape=shape, p=p, memory_words=s,
                             regime="curve")
         run_plan = spec.plan(scenario)
-        machine = DistributedMachine(p, memory_words=s, mode="volume")
-        spec.run(ShapeToken((n, n)), ShapeToken((n, n)), scenario, machine, grid=run_plan.grid)
+        start = time.perf_counter()
+        machine = _curve_run(spec, scenario, run_plan.grid)
+        run_s = time.perf_counter() - start
+        tracemalloc.start()
+        try:
+            _curve_run(spec, scenario, run_plan.grid)
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         rows.append(
             {
                 "S/footprint": multiple,
@@ -83,6 +104,8 @@ def _memory_curve():
                 "rounds": machine.counters.max_rounds(),
                 "peak/S": round(machine.peak_resident_words / s, 2),
                 "ratio": round(run_plan.optimality_ratio, 3),
+                "run_ms": round(run_s * 1e3, 2),
+                "peak_MiB": round(peak_bytes / 2**20, 2),
             }
         )
     return rows

@@ -103,7 +103,9 @@ def run_panels(
     # The schedule checks memory once per panel; the resident blocks never
     # change between panels, so one check records the identical peak.
     machine.check_memory()
-    post_fiber_exchange(machine, decomposition, exchange, lambda _: machine.commit_round())
+    # The boundary does nothing untraced: pass it only to a tracer.
+    post_fiber_exchange(machine, decomposition, exchange,
+                        None if machine.trace is None else lambda _: machine.commit_round())
     if machine.transport.counters_only:
         return ShapeToken((decomposition.m, decomposition.n))
     return layer_product(machine, "summa", decomposition, a_matrix, b_matrix)

@@ -30,15 +30,20 @@ posted when:
 
 * **per run** -- the owned words; the panel exchange as ONE expansion to
   ranks (Algorithm 1 is a steady-state schedule and every counter is linear
-  in a round's overlap widths, so the rounds are summed on the width table,
-  at ``(layer, owner)`` size, before anything of size p exists); the C
-  reduction, one more delta;
-* **per round** -- the engine's boundary call only (COSMA's labelled
-  ``log_round``, SUMMA's and Cannon's ``commit_round``, none for 2.5D);
+  in a round's overlap widths, so the sum over all rounds is a closed form
+  at ``(layer, owner)`` size: each layer's k-range overlapped with each
+  ownership slice, and the number of chunks that overlap it, read off the
+  boundary arrays without visiting a round); the C reduction, one more
+  delta;
+* **per round** -- nothing untraced.  Under a tracer, the engine's boundary
+  call (COSMA's labelled ``log_round``, SUMMA's and Cannon's
+  ``commit_round``, none for 2.5D), which does nothing untraced, so the
+  engines pass it only then;
 * **per round class** (a maximal run of rounds with equal widths) -- a
   ``fields x p`` delta, but only under a tracer: a round span reads the
-  counter matrix at its boundary, so a traced run adds class by class, through
-  the same expand function.  Tracing is the only reader of per-class deltas
+  counter matrix at its boundary, so a traced run builds the width table (one
+  row per round) and adds class by class, through the same expand function.
+  Tracing is the only reader of the table and of per-class deltas
   (:func:`fiber_exchange_rounds`, which is also what the hop-expansion oracle
   in ``tests/test_cosma_round_classes.py`` checks).
 
@@ -202,9 +207,9 @@ def post_owned_words(
     machine.post_resident(c_name, used, np.repeat(_c_block_words(decomposition), grid.pk))
 
 
-class _PanelExchange:
-    """A decomposition's panel exchange as tables: every round's overlap
-    widths, and their expansion to per-rank counters.
+class _FiberExpansion:
+    """How a decomposition's panel exchange turns overlap widths into
+    per-rank counters.
 
     In round ``r`` every k-layer moves its ``r``-th chunk of ``step_size``
     outer products: the owners of the chunk's A panel send their pieces along
@@ -217,31 +222,23 @@ class _PanelExchange:
     both ends); ``"ring"``, forwarded from neighbour to neighbour (each hop a
     sendrecv, its round charged to the receiver).
 
-    A round's schedule is a function of the overlap widths between its
-    k-chunk and each ownership slice.  ``table`` holds them for the whole
-    schedule, one broadcast expression: row ``r`` is, for every k-layer, the
-    width of round ``r``'s clamped chunk and its overlap with each A / B
-    ownership slice of the layer.
-
     No hop is expanded.  In a fiber of ``q`` positions rooted at owner ``o``,
     position ``(pos - o) % q`` sends that position's fan-out of messages and
     receives one unless it is the root; summed over owners, a position sends
     the circulant product ``widths @ fan`` and receives every width but its
     own, in units of its rank's block side (``lm`` for A pieces, ``ln`` for
-    B).  Every counter is therefore *linear* in the widths (and in which of
-    them are positive): any set of rounds is added by summing its table rows
-    at ``(layer, position)`` size first and expanding to ranks once
+    B).  Every counter is therefore *linear* in a round's overlap widths (and
+    in which of them are positive): any set of rounds is added by summing, at
+    ``(layer, owner)`` size, its chunk widths, its overlap widths and the
+    number of its chunks each slice overlaps, and expanding to ranks once
     (:meth:`expand`).
     """
 
     def __init__(self, decomposition: CosmaDecomposition, exchange: str) -> None:
-        pm, pn, pk = self.grid = decomposition.grid
+        pm, pn, _ = self.grid = decomposition.grid
         self.exchange = exchange
         self.lm = np.diff(decomposition.i_bounds)
         self.ln = np.diff(decomposition.j_bounds)
-        k_lo, k_hi = decomposition.k_bounds[:-1], decomposition.k_bounds[1:]
-        a_lo, a_hi = decomposition.a_bounds[:, :-1], decomposition.a_bounds[:, 1:]  # (pk, pn)
-        b_lo, b_hi = decomposition.b_bounds[:, :-1], decomposition.b_bounds[:, 1:]  # (pk, pm)
 
         def circulant(q: int) -> np.ndarray:
             """``fan[o, pos]``: messages position ``pos`` sends of owner ``o``'s piece
@@ -256,11 +253,88 @@ class _PanelExchange:
             return fanout[(np.arange(q) - np.arange(q)[:, None]) % q]
 
         self.fan_a, self.fan_b = circulant(pn), circulant(pm)
+
+    def _by_rank(self, w_a, w_b, lm, ln) -> tuple[np.ndarray, np.ndarray]:
+        """(sent, received) on the ``(pm, pn, pk)`` grid given ``(layer, owner)``
+        widths: ``lm`` per unit of A width along the ``j`` fiber, ``ln`` per unit
+        of B width along the ``i`` fiber."""
+        def exchanged(widths, fan):  # as (position, layer) tables
+            return (widths @ fan).T, (widths.sum(axis=1, keepdims=True) - widths).T
+
+        sent_a, received_a = exchanged(w_a, self.fan_a)
+        sent_b, received_b = exchanged(w_b, self.fan_b)
+        return lm * sent_a + sent_b[:, None] * ln, lm * received_a + received_b[:, None] * ln
+
+    def expand(self, data: np.ndarray, chunk_w, w_a, w_b, n_a, n_b) -> None:
+        """Add a set of rounds to the ``(field, rank)`` counter array ``data``,
+        given its sums: ``chunk_w`` (layer) its chunk widths, ``w_a`` / ``w_b``
+        (layer, owner) its overlap widths with each A / B ownership slice,
+        ``n_a`` / ``n_b`` (layer, owner) how many of its chunks overlap the
+        slice.  The one place a width becomes a per-rank count."""
+        pm, pn, pk = self.grid
+        # Ranks are row-major in (pi, pj, kk); a layer that ran out of k has
+        # zero widths throughout and its ranks stay as they are.
+        fields = data[:, : pm * pn * pk].reshape(-1, pm, pn, pk)
+        lm, ln = self.lm[:, None, None], self.ln[:, None]
+        sent, received = self._by_rank(w_a, w_b, lm, ln)
+        fields[WORDS_SENT] += sent
+        fields[WORDS_RECEIVED] += received
+        fields[INPUT_WORDS] += sent + received
+        sent, received = self._by_rank(n_a, n_b, 1, 1)
+        fields[MESSAGES_SENT] += sent
+        fields[MESSAGES_RECEIVED] += received
+        # A get or a ring hop is charged to its receiver only; a send or a tree
+        # hop to both ends.
+        fields[ROUNDS] += received if self.exchange in ("get", "ring") else received + sent
+        fields[FLOPS] += 2 * chunk_w * lm * ln
+
+
+def _exchange_sums(decomposition: CosmaDecomposition) -> tuple[np.ndarray, ...]:
+    """The whole panel exchange's sums for :meth:`_FiberExpansion.expand`, in
+    closed form from the boundary arrays: the chunks of a layer partition its
+    k-range, so their widths sum to ``lk``, a slice's overlaps sum to the
+    slice clamped to the layer, and the chunks that overlap the clamped slice
+    ``[lo, hi)`` are those from ``(lo - k_lo) // step`` to
+    ``(hi - 1 - k_lo) // step``."""
+    d = decomposition
+    k_lo, k_hi = d.k_bounds[:-1, None], d.k_bounds[1:, None]
+    step = d.step_size
+
+    def overlaps(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        lo = np.maximum(bounds[:, :-1], k_lo)  # (layer, owner)
+        hi = np.minimum(bounds[:, 1:], k_hi)
+        width = np.maximum(hi - lo, 0)
+        chunks = np.where(width > 0, (hi - 1 - k_lo) // step - (lo - k_lo) // step + 1, 0)
+        return width, chunks
+
+    (w_a, n_a), (w_b, n_b) = overlaps(d.a_bounds), overlaps(d.b_bounds)
+    return np.diff(d.k_bounds), w_a, w_b, n_a, n_b
+
+
+class _PanelExchange(_FiberExpansion):
+    """A decomposition's panel exchange as a table of every round's overlap
+    widths, for the readers that need the rounds one by one: a tracer and the
+    hop-expansion oracle (:func:`fiber_exchange_rounds`).  An untraced run
+    never builds it (:func:`post_fiber_exchange`).
+
+    A round's schedule is a function of the overlap widths between its
+    k-chunk and each ownership slice.  ``table`` holds them for the whole
+    schedule, one broadcast expression: row ``r`` is, for every k-layer, the
+    width of round ``r``'s clamped chunk and its overlap with each A / B
+    ownership slice of the layer.
+    """
+
+    def __init__(self, decomposition: CosmaDecomposition, exchange: str) -> None:
+        super().__init__(decomposition, exchange)
+        pm, pn, pk = self.grid
+        k_lo, k_hi = decomposition.k_bounds[:-1], decomposition.k_bounds[1:]
+        a_lo, a_hi = decomposition.a_bounds[:, :-1], decomposition.a_bounds[:, 1:]  # (pk, pn)
+        b_lo, b_hi = decomposition.b_bounds[:, :-1], decomposition.b_bounds[:, 1:]  # (pk, pm)
         step = decomposition.step_size
         offsets = np.arange(0, int((k_hi - k_lo).max()), step, dtype=np.int64)
         c0 = np.minimum(k_lo + offsets[:, None], k_hi)  # (round, layer)
         c1 = np.minimum(c0 + step, k_hi)
-        # Written in place: the table is the largest array of a run.
+        # Written in place: the table is the largest array of a traced run.
         self.table = np.empty((len(offsets), pk * (1 + pn + pm)), dtype=np.int64)
         chunk_w, w_a, w_b = self._widths(self.table)
         np.subtract(c1, c0, out=chunk_w)
@@ -277,38 +351,11 @@ class _PanelExchange:
         return (rows[:, :pk], rows[:, pk:split].reshape(-1, pk, pn),
                 rows[:, split:].reshape(-1, pk, pm))
 
-    def _by_rank(self, w_a, w_b, lm, ln) -> tuple[np.ndarray, np.ndarray]:
-        """(sent, received) on the ``(pm, pn, pk)`` grid given ``(layer, owner)``
-        widths: ``lm`` per unit of A width along the ``j`` fiber, ``ln`` per unit
-        of B width along the ``i`` fiber."""
-        def exchanged(widths, fan):  # as (position, layer) tables
-            return (widths @ fan).T, (widths.sum(axis=1, keepdims=True) - widths).T
-
-        sent_a, received_a = exchanged(w_a, self.fan_a)
-        sent_b, received_b = exchanged(w_b, self.fan_b)
-        return lm * sent_a + sent_b[:, None] * ln, lm * received_a + received_b[:, None] * ln
-
-    def expand(self, data: np.ndarray, rows: np.ndarray) -> None:
-        """Add the rounds whose table rows are ``rows`` to the ``(field, rank)``
-        counter array ``data``: the one place a width becomes a per-rank count."""
-        pm, pn, pk = self.grid
-        # Ranks are row-major in (pi, pj, kk); a layer that ran out of k has
-        # zero widths throughout and its ranks stay as they are.
-        fields = data[:, : pm * pn * pk].reshape(-1, pm, pn, pk)
-        lm, ln = self.lm[:, None, None], self.ln[:, None]
+    def sums(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The rounds whose table rows are ``rows``, summed for :meth:`expand`."""
         chunk_w, w_a, w_b = self._widths(rows)
-        sent, received = self._by_rank(w_a.sum(axis=0), w_b.sum(axis=0), lm, ln)
-        fields[WORDS_SENT] += sent
-        fields[WORDS_RECEIVED] += received
-        fields[INPUT_WORDS] += sent + received
-        sent, received = self._by_rank(
-            np.count_nonzero(w_a, axis=0), np.count_nonzero(w_b, axis=0), 1, 1)
-        fields[MESSAGES_SENT] += sent
-        fields[MESSAGES_RECEIVED] += received
-        # A get or a ring hop is charged to its receiver only; a send or a tree
-        # hop to both ends.
-        fields[ROUNDS] += received if self.exchange in ("get", "ring") else received + sent
-        fields[FLOPS] += 2 * chunk_w.sum(axis=0) * lm * ln
+        return (chunk_w.sum(axis=0), w_a.sum(axis=0), w_b.sum(axis=0),
+                np.count_nonzero(w_a, axis=0), np.count_nonzero(w_b, axis=0))
 
     def classes(self, machine: DistributedMachine) -> Iterator[tuple[range, CommCounters]]:
         """Rounds with equal rows have the identical schedule, and they are
@@ -316,7 +363,7 @@ class _PanelExchange:
         ownership slices, so a row never comes back): a *round class* is a run
         of rounds, yielded as ``(rounds, delta)`` with one round expanded."""
         return machine.round_classes(
-            self.table, lambda delta, row: self.expand(delta.data, row[None])
+            self.table, lambda delta, row: self.expand(delta.data, *self.sums(row[None]))
         )
 
 
@@ -340,23 +387,25 @@ def post_fiber_exchange(
     """Add the decomposition's whole panel exchange to the machine's counters,
     calling the engine's round boundary ``boundary(r)`` once per round.
 
-    Untraced, a run is ONE expansion to ranks: the width table's column sums
-    go through :meth:`_PanelExchange.expand` into the live counter matrix, so
-    the O(p) work is a constant number of array operations whatever the round
-    count.  A round span reads the matrix at its boundary, so under a tracer
-    the same function expands class by class and :meth:`post_rounds
-    <repro.machine.simulator.DistributedMachine.post_rounds>` alternates adds
-    and boundaries.
+    Untraced, a run is ONE expansion to ranks of sums it reads off the
+    boundary arrays (:func:`_exchange_sums`): no round is visited, so the
+    sums are O(pk (pm + pn)), then the fiber products and a constant number of
+    O(p) array operations follow, whatever the round count.  A round span reads the matrix at
+    its boundary, so under a tracer the width table is built and the same
+    expansion runs class by class, :meth:`post_rounds
+    <repro.machine.simulator.DistributedMachine.post_rounds>` alternating adds
+    and boundaries.  An engine whose boundary does nothing untraced passes
+    none.
     """
-    panels = _PanelExchange(decomposition, exchange)
     if machine.trace is not None:
-        for rounds, delta in panels.classes(machine):
+        for rounds, delta in fiber_exchange_rounds(machine, decomposition, exchange):
             machine.post_rounds(delta, rounds, boundary)
-    else:
-        panels.expand(machine.counters.data, panels.table)
-        if boundary is not None:
-            for r in range(len(panels.table)):
-                boundary(r)
+        return
+    lk, *widths = _exchange_sums(decomposition)
+    _FiberExpansion(decomposition, exchange).expand(machine.counters.data, lk, *widths)
+    if boundary is not None:
+        for r in range(-(-int(lk.max()) // decomposition.step_size)):  # ceil(max lk / step)
+            boundary(r)
 
 
 def post_c_reduction(machine: DistributedMachine, decomposition: CosmaDecomposition) -> None:
@@ -390,7 +439,7 @@ def received_words(decomposition: CosmaDecomposition) -> np.ndarray:
 
     Summed over the rounds, a fiber delivers every owner's whole slice of the
     layer to each rank but the owner itself, whatever the ``exchange`` kind
-    (see :class:`_PanelExchange`): rank ``(pi, pj, kk)`` receives
+    (see :class:`_FiberExpansion`): rank ``(pi, pj, kk)`` receives
     ``lm (lk - a_own) + ln (lk - b_own)`` input words, plus
     ``lm ln tree_fanout(pk)[kk]`` words of the C reduction (none at
     ``pk = 1``).
@@ -488,9 +537,10 @@ def cosma_run(
         else nullcontext()
     )
     with accounting_span:
+        # The labelled boundary does nothing untraced: pass it only to a tracer.
         post_fiber_exchange(
             machine, decomposition, "get" if use_rma else "tree",
-            lambda r: machine.log_round(f"cosma-step-{r}"),
+            None if trace is None else lambda r: machine.log_round(f"cosma-step-{r}"),
         )
 
     # ------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -65,18 +67,35 @@ def class_posts(monkeypatch) -> list[str]:
 
 
 @pytest.fixture
-def panel_expansions(monkeypatch) -> list[int]:
-    """Every expansion of the grid family's width table to ranks
-    (``core.cosma._PanelExchange.expand``), as the number of table rows --
-    rounds -- it added at once."""
+def panel_exchange(monkeypatch) -> SimpleNamespace:
+    """The grid family's panel exchange, observed.
+
+    ``tables`` lists the rows (rounds) of every width table built
+    (``core.cosma._PanelExchange``, which only a tracer needs),
+    ``table_sums`` the rows of every table slice summed for an expansion (one
+    row per round class under a tracer), and ``expansions`` counts the
+    expansions to ranks (``core.cosma._FiberExpansion.expand``: one per
+    untraced run, whose sums are read off the boundary arrays).
+    """
     from repro.core import cosma
 
-    expansions: list[int] = []
-    expand = cosma._PanelExchange.expand
+    seen = SimpleNamespace(tables=[], table_sums=[], expansions=0)
+    init, sums, expand = (cosma._PanelExchange.__init__, cosma._PanelExchange.sums,
+                          cosma._FiberExpansion.expand)
 
-    def recording(self, data, rows):
-        expansions.append(len(rows))
-        expand(self, data, rows)
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        seen.tables.append(len(self.table))
 
-    monkeypatch.setattr(cosma._PanelExchange, "expand", recording)
-    return expansions
+    def recording_sums(self, rows):
+        seen.table_sums.append(len(rows))
+        return sums(self, rows)
+
+    def recording_expand(self, *args):
+        seen.expansions += 1
+        expand(self, *args)
+
+    monkeypatch.setattr(cosma._PanelExchange, "__init__", recording_init)
+    monkeypatch.setattr(cosma._PanelExchange, "sums", recording_sums)
+    monkeypatch.setattr(cosma._FiberExpansion, "expand", recording_expand)
+    return seen

@@ -18,6 +18,7 @@ grid with ring exchanges, 2.5D is ``q x q x c`` with each layer's k-slice laid
 out the same way and one whole-layer round of direct sends.
 """
 
+import dataclasses
 import hashlib
 import time
 from contextlib import nullcontext
@@ -36,6 +37,7 @@ from repro.algorithms import get_algorithm, registered_algorithms
 from repro.baselines.cannon import cannon_decomposition, cannon_run
 from repro.baselines.grid25d import grid25d_decomposition, grid25d_run
 from repro.baselines.summa import run_panels, summa_decomposition
+from repro.core import cosma
 from repro.core.cosma import (
     cosma_run,
     fiber_exchange_rounds,
@@ -347,21 +349,24 @@ def test_cannon_equals_the_per_hop_loop(shape, p):
     _assert_engines_equal_the_per_hop_loop(multiply, reference, *shape, p)
 
 
-def test_many_panel_summa_posts_once_per_class(class_posts, panel_expansions):
+def test_many_panel_summa_posts_once_per_class(class_posts, panel_exchange):
     """ScaLAPACK 8192^3 on p=4096 with S=8000: 8192 one-column panels are one
-    expansion of the summed width table, no class delta of size p (and no
-    transfer list); under a tracer, 64 class deltas, not 8192 postings."""
+    expansion of closed-form sums, no width table and no class delta of size p
+    (and no transfer list); under a tracer, the 8192-row table and 64 class
+    deltas, not 8192 postings."""
     scenario = Scenario(name="square-many-panels", shape=square_shape(8192), p=4096,
                         memory_words=8000, regime="limited")
     run = run_algorithm("ScaLAPACK", scenario, mode="volume")
     assert run.rounds == 32256  # every panel was counted ...
     assert run.mean_received_per_rank == 2064384.0
-    assert class_posts == [] and panel_expansions == [8192]  # ... in one expansion to ranks
+    # ... in one expansion to ranks, with no table of the 8192 panels
+    assert class_posts == [] and panel_exchange.tables == [] and panel_exchange.expansions == 1
     with tracing():
         traced = run_algorithm("ScaLAPACK", scenario, mode="volume")
     assert (traced.rounds, traced.mean_received_per_rank) == (32256, 2064384.0)
     assert class_posts == ["repro.core.cosma"] * 64  # written once per class
-    assert panel_expansions == [8192] + [1] * 64
+    assert panel_exchange.tables == [8192] and panel_exchange.table_sums == [1] * 64
+    assert panel_exchange.expansions == 1 + 64
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +500,65 @@ def test_one_expansion_equals_the_summed_class_deltas(problem, exchange):
             post_fiber_exchange(machine, decomposition, exchange, boundaries.append)
         assert np.array_equal(machine.counters.data, expected), traced
         assert boundaries == list(range(decomposition.num_steps))
+
+
+@st.composite
+def ragged_decompositions(draw):
+    """A decomposition with ragged extents (layers, blocks and ownership
+    slices of unequal sizes, empty ones when ``k < pk`` or a layer is
+    narrower than its fiber), any step from one outer product to past the
+    widest layer (so it need not divide ``lk``), and optionally layer 0's
+    last A or B ownership slice emptied, as ``tests/test_plane_ownership.py``
+    drops it."""
+    pm, pn, pk = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    m, n, k = draw(st.integers(pm, 23)), draw(st.integers(pn, 23)), draw(st.integers(1, 41))
+    decomposition = build_decomposition(m, n, k, pm * pn * pk, 1 << 20,
+                                        grid=ProcessorGrid(pm, pn, pk),
+                                        step_size=draw(st.integers(1, k + 3)))
+    dropped = draw(st.sampled_from([None, "a_bounds", "b_bounds"]))
+    if dropped is None:
+        return decomposition
+    bounds = getattr(decomposition, dropped).copy()
+    bounds[0, -1] = bounds[0, -2]
+    return dataclasses.replace(decomposition, **{dropped: bounds})
+
+
+@settings(max_examples=150, deadline=None)
+@given(decomposition=ragged_decompositions(),
+       exchange=st.sampled_from(["tree", "get", "gather", "ring"]))
+@example(decomposition=build_decomposition(13, 11, 29, 24, 1 << 20, grid=ProcessorGrid(3, 4, 2),
+                                           step_size=4), exchange="tree")  # 4 divides no lk
+@example(decomposition=build_decomposition(7, 9, 10, 8, 1 << 20, grid=ProcessorGrid(2, 2, 2),
+                                           step_size=12), exchange="ring")  # step > lk
+@example(decomposition=build_decomposition(5, 5, 3, 16, 1 << 20, grid=ProcessorGrid(2, 2, 4),
+                                           step_size=1), exchange="get")  # k < pk: empty layers
+def test_closed_form_sums_equal_the_width_table(decomposition, exchange):
+    """The sums an untraced run reads off the boundary arrays are the width
+    table's: its column sums (chunk widths, then A and B overlap widths), the
+    nonzero count of every overlap column (the chunks that touch the slice)
+    and its row count (the rounds).  Untraced and traced, with a round
+    boundary or without, the counters land on the same bytes and the
+    boundary is called once per round."""
+    pk = decomposition.grid.pk
+    table = cosma._PanelExchange(decomposition, exchange).table
+    lk, w_a, w_b, n_a, n_b = cosma._exchange_sums(decomposition)
+    assert np.array_equal(np.concatenate([lk, w_a.ravel(), w_b.ravel()]), table.sum(axis=0))
+    assert np.array_equal(np.concatenate([n_a.ravel(), n_b.ravel()]),
+                          np.count_nonzero(table[:, pk:], axis=0))
+    rounds = -(-int(lk.max()) // decomposition.step_size)
+    assert rounds == len(table) == decomposition.num_steps
+
+    p = decomposition.p
+    counters = []
+    for traced, boundary in ((False, None), (False, True), (True, True)):
+        boundaries = []
+        with tracing() if traced else nullcontext():
+            machine = DistributedMachine(p, mode="volume")
+            post_fiber_exchange(machine, decomposition, exchange,
+                                boundaries.append if boundary else None)
+        assert boundaries == (list(range(rounds)) if boundary else [])
+        counters.append(machine.counters.data.tobytes())
+    assert counters[0] == counters[1] == counters[2]
 
 
 @pytest.mark.parametrize("traced", [False, True])

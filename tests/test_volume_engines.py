@@ -12,8 +12,10 @@ is made of:
   captured from the per-rank paths;
 * a structural guard: no built-in algorithm's ``volume`` run allocates an
   element-sized array, an untraced COSMA
-  run expands its width table to ranks once and writes no class delta (a
-  traced one writes one per round class), ScaLAPACK, CTF and Cannon do so
+  run builds no width table, expands closed-form sums to ranks once and
+  writes no class delta (a traced one writes one per round class), an
+  untraced paper-scale run's panel exchange stays under 2 MiB however many
+  rounds it counts, ScaLAPACK, CTF and Cannon do so
   only from inside COSMA's accounting core, none of them expands a transfer
   list, ``use_rma`` stays on the batched engine, neither a ``volume`` nor a
   ``plane`` run builds a ``Rank`` or a ``CuboidDomain``, and CARMA posts
@@ -23,6 +25,7 @@ is made of:
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,8 +39,10 @@ from repro.algorithms import cosma_idle_fraction, get_algorithm
 from repro.baselines import cuboid
 from repro.baselines.carma import carma_domains
 from repro.baselines.cuboid import CuboidDomain, _owner_words, domain_table
+from repro.baselines.summa import run_panels, summa_decomposition
 from repro.core import cosma
 from repro.core.decomposition import build_decomposition
+from repro.core.grid import ProcessorGrid
 from repro.experiments.harness import run_algorithm
 from repro.machine import simulator
 from repro.machine.counters import CommCounters
@@ -227,43 +232,48 @@ def _cosma_sq1024_volume(use_rma=False):
     return machine, decomposition
 
 
-def test_cosma_posts_once_per_round_class(class_posts, panel_expansions):
+def test_cosma_posts_once_per_round_class(class_posts, panel_exchange):
     """sq1024 has 683 rounds in 20 classes.  Untraced they are one expansion of
-    the summed width table: no class delta of size p is written.  Traced, 20
-    class deltas.  Neither goes through a transfer list, and both count the C
-    reduction."""
+    closed-form sums: no width table is built and no class delta of size p is
+    written.  Traced, the 683-row table and 20 class deltas, one row each.
+    Neither goes through a transfer list, and both count the C reduction."""
     machine, decomposition = _cosma_sq1024_volume()
     assert decomposition.num_steps == 683
-    assert class_posts == [] and panel_expansions == [683]
+    assert class_posts == [] and panel_exchange.tables == [] and panel_exchange.expansions == 1
     assert machine.counters.mean_output_words_per_rank() > 0  # the reduction
     with tracing():
         traced_machine, _ = _cosma_sq1024_volume()
     assert class_posts == ["repro.core.cosma"] * 20
-    assert panel_expansions == [683] + [1] * 20
+    assert panel_exchange.tables == [683] and panel_exchange.table_sums == [1] * 20
+    assert panel_exchange.expansions == 1 + 20
     assert traced_machine.counters.data.tobytes() == machine.counters.data.tobytes()
 
 
 @pytest.mark.parametrize("name", ["ScaLAPACK", "CTF"])
 def test_grid_baselines_post_transfers_only_from_the_cosma_core(name, class_posts,
-                                                                 panel_expansions):
+                                                                 panel_exchange):
     """2D and 2.5D are grid choices: their engines hold no posting body, and
     the core they post through expands no transfer list -- one expansion to
-    ranks per untraced run, one class delta per class under a tracer."""
+    ranks and no width table per untraced run; under a tracer one table and
+    one class delta per class, each expanded from one table row."""
     run = run_algorithm(name, paper_scenario(4096, 1024), mode="volume")
     assert run.mean_words_per_rank > 0
-    assert class_posts == [] and len(panel_expansions) == 1
+    assert class_posts == [] and panel_exchange.tables == [] and panel_exchange.expansions == 1
     with tracing():
         traced = run_algorithm(name, paper_scenario(4096, 1024), mode="volume")
     assert traced.mean_words_per_rank == run.mean_words_per_rank
     assert class_posts and set(class_posts) == {"repro.core.cosma"}
-    assert panel_expansions[1:] == [1] * len(class_posts)
+    assert len(panel_exchange.tables) == 1
+    assert panel_exchange.table_sums == [1] * len(class_posts)
+    assert panel_exchange.expansions == 1 + len(class_posts)
 
 
-def test_use_rma_volume_run_stays_on_the_batched_engine(class_posts, panel_expansions):
+def test_use_rma_volume_run_stays_on_the_batched_engine(class_posts, panel_exchange):
     """One-sided gets are an ``exchange`` kind of the same core: one expansion
-    of the width table, no class delta, no transfer list."""
-    one_sided, _ = _cosma_sq1024_volume(use_rma=True)
-    assert class_posts == [] and panel_expansions == [683]
+    of closed-form sums, no width table, no class delta, no transfer list."""
+    one_sided, decomposition = _cosma_sq1024_volume(use_rma=True)
+    assert decomposition.num_steps == 683
+    assert class_posts == [] and panel_exchange.tables == [] and panel_exchange.expansions == 1
     tree = run_algorithm("COSMA", paper_scenario(4096, 1024), mode="volume")
     assert one_sided.counters.mean_words_per_rank() == tree.mean_words_per_rank
     assert one_sided.counters.max_rounds() < tree.rounds  # only the origin pays a round
@@ -323,13 +333,50 @@ def test_carma_posts_three_batches_from_a_handful_of_frames(monkeypatch):
     assert machine.counters.mean_words_per_rank() == 950272.0
 
 
-def test_cannon_writes_one_expansion_and_no_transfer_list(class_posts, panel_expansions):
+def test_cannon_writes_one_expansion_and_no_transfer_list(class_posts, panel_exchange):
     """Cannon is SUMMA's ring-exchange run plus a skew: its 32 rounds are one
-    expansion of the core's width table, the skew one closed-form delta; no
-    class delta, no transfer list."""
+    expansion of the core's closed-form sums (no width table), the skew one
+    closed-form delta; no class delta, no transfer list."""
     run = run_algorithm("Cannon", paper_scenario(4096, 1024), mode="volume")
-    assert class_posts == [] and panel_expansions == [32]
+    assert class_posts == [] and panel_exchange.tables == [] and panel_exchange.expansions == 1
     assert run.rounds == 64 and run.max_messages_per_rank == 128
+
+
+def _paper_scale_engine(name):
+    """The two paper-scale untraced runs with the most counted rounds, as a
+    call of the bare engine on a machine and decomposition built up front:
+    COSMA 8192^3 on p=4096 at S = footprint (10668 rounds on the busiest
+    rank) and ScaLAPACK 8192^3 on p=4096 at S=8000 (8192 one-column panels)."""
+    n, p = 8192, 4096
+    tokens = ShapeToken((n, n)), ShapeToken((n, n))
+    if name == "COSMA":
+        s = square_shape(n).footprint_words // p
+        scenario = Scenario(name="square-footprint", shape=square_shape(n), p=p,
+                            memory_words=s, regime="limited")
+        grid = ProcessorGrid(*get_algorithm("COSMA").plan(scenario).grid)
+        decomposition = build_decomposition(n, n, n, p, s, grid=grid)
+        machine = DistributedMachine(p, memory_words=s, mode="volume")
+        return machine, lambda: cosma.cosma_run(machine, *tokens, decomposition)
+    decomposition = summa_decomposition(n, n, n, p, 8000)
+    machine = DistributedMachine(p, memory_words=8000, mode="volume")
+    return machine, lambda: run_panels(machine, *tokens, decomposition, "tree")
+
+
+@pytest.mark.parametrize(("name", "rounds"), [("COSMA", 10668), ("ScaLAPACK", 32256)])
+def test_untraced_panel_exchange_memory_does_not_grow_with_rounds(name, rounds):
+    """An untraced run's panel exchange is O(pk (pm + pn)) sums and a constant
+    number of O(p) expansions: the engine call stays under 2 MiB of traced
+    allocations at the paper-scale points with the most rounds (a width table
+    of every round read 10.0 and 12.5 MiB)."""
+    machine, run = _paper_scale_engine(name)
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert machine.counters.max_rounds() == rounds
+    assert peak < 2 * 2**20, peak
 
 
 def test_volume_runs_leave_numpy_ma_unimported():
