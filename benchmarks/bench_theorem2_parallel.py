@@ -7,9 +7,11 @@ touches at least the Theorem 2 bound (the optimality ratio is >= 1), and
 (c) prints section 6.3's I/O-latency trade-off as a run counts it: COSMA on
 4096^3 at p = 1024 in ``volume`` mode, S from 1x to 16x the per-rank
 footprint, with each S's grid, received words, rounds and peak resident / S,
-and the untraced run's wall time and tracemalloc peak (machine included):
-neither grows with the round count, since the panel exchange is summed in
-closed form.
+the untraced run's wall time and tracemalloc peak (machine included), and the
+number of round classes a traced run posts with the tracemalloc peak of
+generating them (one class delta at a time): none of these grows with the
+round count, since the panel exchange is summed in closed form and its class
+starts are read off the boundary arrays.
 """
 
 import time
@@ -20,6 +22,9 @@ from _common import print_rows
 
 from repro.algorithms import get_algorithm
 from repro.api import multiply, plan
+from repro.core.cosma import fiber_exchange_rounds
+from repro.core.decomposition import build_decomposition
+from repro.core.grid import ProcessorGrid
 from repro.machine import DistributedMachine, ShapeToken
 from repro.workloads.scaling import Scenario
 from repro.workloads.shapes import ProblemShape
@@ -75,6 +80,22 @@ def _curve_run(spec, scenario, grid):
     return machine
 
 
+def _traced_classes(scenario, grid):
+    """The round classes a traced run of the curve posts, and the
+    tracemalloc peak of generating them (the decomposition built first)."""
+    shape = scenario.shape
+    decomposition = build_decomposition(shape.m, shape.n, shape.k, scenario.p,
+                                        scenario.memory_words, grid=ProcessorGrid(*grid))
+    machine = DistributedMachine(scenario.p, memory_words=scenario.memory_words, mode="volume")
+    tracemalloc.start()
+    try:
+        classes = sum(1 for _ in fiber_exchange_rounds(machine, decomposition, "tree"))
+        peak_bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return classes, peak_bytes
+
+
 def _memory_curve():
     n, p = CURVE_SIDE, CURVE_P
     shape = ProblemShape(m=n, n=n, k=n, family="square")
@@ -94,6 +115,7 @@ def _memory_curve():
             peak_bytes = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        classes, traced_peak_bytes = _traced_classes(scenario, run_plan.grid)
         rows.append(
             {
                 "S/footprint": multiple,
@@ -106,6 +128,8 @@ def _memory_curve():
                 "ratio": round(run_plan.optimality_ratio, 3),
                 "run_ms": round(run_s * 1e3, 2),
                 "peak_MiB": round(peak_bytes / 2**20, 2),
+                "classes": classes,
+                "traced_peak_MiB": round(traced_peak_bytes / 2**20, 2),
             }
         )
     return rows

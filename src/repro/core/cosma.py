@@ -41,11 +41,13 @@ posted when:
   engines pass it only then;
 * **per round class** (a maximal run of rounds with equal widths) -- a
   ``fields x p`` delta, but only under a tracer: a round span reads the
-  counter matrix at its boundary, so a traced run builds the width table (one
-  row per round) and adds class by class, through the same expand function.
-  Tracing is the only reader of the table and of per-class deltas
-  (:func:`fiber_exchange_rounds`, which is also what the hop-expansion oracle
-  in ``tests/test_cosma_round_classes.py`` checks).
+  counter matrix at its boundary, so a traced run reads where its classes
+  start off the boundary arrays (a layer's chunk reaching an ownership bound
+  or the layer's end) and adds class by class, each expanded from the same
+  closed-form sums over a one-round window, through the same expand
+  function.  Tracing is the only reader of per-class deltas
+  (:func:`fiber_exchange_rounds`, which is also the form the test suite's
+  hop-expansion oracle checks).  No array has a rounds axis.
 
 The product is the grid family's one numeric function too,
 :func:`layer_product`: a GEMM into a single C sheet over the rows and columns
@@ -85,7 +87,7 @@ from repro.machine.counters import (
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import ShapeToken
 from repro.machine.tree import tree_fanout
-from repro.utils.intmath import abutting_runs, split_offsets
+from repro.utils.intmath import abutting_runs, sorted_distinct, split_offsets
 
 
 def _sharded_gemm(
@@ -289,93 +291,67 @@ class _FiberExpansion:
         fields[FLOPS] += 2 * chunk_w * lm * ln
 
 
-def _exchange_sums(decomposition: CosmaDecomposition) -> tuple[np.ndarray, ...]:
-    """The whole panel exchange's sums for :meth:`_FiberExpansion.expand`, in
-    closed form from the boundary arrays: the chunks of a layer partition its
-    k-range, so their widths sum to ``lk``, a slice's overlaps sum to the
-    slice clamped to the layer, and the chunks that overlap the clamped slice
-    ``[lo, hi)`` are those from ``(lo - k_lo) // step`` to
-    ``(hi - 1 - k_lo) // step``."""
+def _exchange_sums(
+    decomposition: CosmaDecomposition, first: int = 0, stop: int | None = None
+) -> tuple[np.ndarray, ...]:
+    """The sums of rounds ``[first, stop)`` of the panel exchange (all of them
+    by default) for :meth:`_FiberExpansion.expand`, in closed form from the
+    boundary arrays.  Round ``r`` moves each layer's chunk ``[k_lo + r step,
+    k_lo + (r + 1) step)`` clamped to the layer, so the window's chunks
+    partition the layer's k-range ``[lo_k, hi_k)`` from ``k_lo + first step``
+    to ``k_lo + stop step`` (clamped): their widths sum to ``hi_k - lo_k``, a
+    slice's overlaps sum to the slice clamped to that range, and the chunks
+    that overlap the clamped slice ``[lo, hi)`` are those from ``(lo - k_lo)
+    // step`` to ``(hi - 1 - k_lo) // step``."""
     d = decomposition
     k_lo, k_hi = d.k_bounds[:-1, None], d.k_bounds[1:, None]
     step = d.step_size
+    lo_k = np.minimum(k_lo + first * step, k_hi)
+    hi_k = k_hi if stop is None else np.minimum(k_lo + stop * step, k_hi)
 
     def overlaps(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.maximum(bounds[:, :-1], k_lo)  # (layer, owner)
-        hi = np.minimum(bounds[:, 1:], k_hi)
+        lo = np.maximum(bounds[:, :-1], lo_k)  # (layer, owner)
+        hi = np.minimum(bounds[:, 1:], hi_k)
         width = np.maximum(hi - lo, 0)
         chunks = np.where(width > 0, (hi - 1 - k_lo) // step - (lo - k_lo) // step + 1, 0)
         return width, chunks
 
     (w_a, n_a), (w_b, n_b) = overlaps(d.a_bounds), overlaps(d.b_bounds)
-    return np.diff(d.k_bounds), w_a, w_b, n_a, n_b
+    return (hi_k - lo_k)[:, 0], w_a, w_b, n_a, n_b
 
 
-class _PanelExchange(_FiberExpansion):
-    """A decomposition's panel exchange as a table of every round's overlap
-    widths, for the readers that need the rounds one by one: a tracer and the
-    hop-expansion oracle (:func:`fiber_exchange_rounds`).  An untraced run
-    never builds it (:func:`post_fiber_exchange`).
-
-    A round's schedule is a function of the overlap widths between its
-    k-chunk and each ownership slice.  ``table`` holds them for the whole
-    schedule, one broadcast expression: row ``r`` is, for every k-layer, the
-    width of round ``r``'s clamped chunk and its overlap with each A / B
-    ownership slice of the layer.
-    """
-
-    def __init__(self, decomposition: CosmaDecomposition, exchange: str) -> None:
-        super().__init__(decomposition, exchange)
-        pm, pn, pk = self.grid
-        k_lo, k_hi = decomposition.k_bounds[:-1], decomposition.k_bounds[1:]
-        a_lo, a_hi = decomposition.a_bounds[:, :-1], decomposition.a_bounds[:, 1:]  # (pk, pn)
-        b_lo, b_hi = decomposition.b_bounds[:, :-1], decomposition.b_bounds[:, 1:]  # (pk, pm)
-        step = decomposition.step_size
-        offsets = np.arange(0, int((k_hi - k_lo).max()), step, dtype=np.int64)
-        c0 = np.minimum(k_lo + offsets[:, None], k_hi)  # (round, layer)
-        c1 = np.minimum(c0 + step, k_hi)
-        # Written in place: the table is the largest array of a traced run.
-        self.table = np.empty((len(offsets), pk * (1 + pn + pm)), dtype=np.int64)
-        chunk_w, w_a, w_b = self._widths(self.table)
-        np.subtract(c1, c0, out=chunk_w)
-        for widths, lo, hi in ((w_a, a_lo, a_hi), (w_b, b_lo, b_hi)):
-            np.minimum(hi, c1[:, :, None], out=widths)
-            widths -= np.maximum(lo, c0[:, :, None])
-            np.maximum(widths, 0, out=widths)
-
-    def _widths(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Table rows as chunk widths ``(round, layer)`` and A / B overlap
-        widths ``(round, layer, owner)``."""
-        pm, pn, pk = self.grid
-        split = pk * (1 + pn)
-        return (rows[:, :pk], rows[:, pk:split].reshape(-1, pk, pn),
-                rows[:, split:].reshape(-1, pk, pm))
-
-    def sums(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The rounds whose table rows are ``rows``, summed for :meth:`expand`."""
-        chunk_w, w_a, w_b = self._widths(rows)
-        return (chunk_w.sum(axis=0), w_a.sum(axis=0), w_b.sum(axis=0),
-                np.count_nonzero(w_a, axis=0), np.count_nonzero(w_b, axis=0))
-
-    def classes(self, machine: DistributedMachine) -> Iterator[tuple[range, CommCounters]]:
-        """Rounds with equal rows have the identical schedule, and they are
-        consecutive (every layer's chunk moves monotonically through its
-        ownership slices, so a row never comes back): a *round class* is a run
-        of rounds, yielded as ``(rounds, delta)`` with one round expanded."""
-        return machine.round_classes(
-            self.table, lambda delta, row: self.expand(delta.data, *self.sums(row[None]))
-        )
+def _class_starts(decomposition: CosmaDecomposition) -> np.ndarray:
+    """The first round of every round class, ascending: a *round class* is a
+    maximal run of rounds with the identical schedule (equal chunk and
+    overlap widths).  A layer's chunk moves monotonically through its
+    ownership slices, so a round's widths differ from the previous round's
+    only where a chunk reaches a bound ``x`` of an A or B slice or the
+    layer's end: at the chunk holding ``x``, ``floor((x - k_lo) / step)``,
+    and the chunk after it, ``ceil``.  Those candidates, with round 0, are
+    every class start, and no candidate splits a class."""
+    d = decomposition
+    k_lo, step = d.k_bounds[:-1, None], d.step_size
+    bounds = np.concatenate([d.a_bounds, d.b_bounds, d.k_bounds[1:, None]], axis=1) - k_lo
+    starts = np.concatenate([[0], (bounds // step).ravel(), (-(-bounds // step)).ravel()])
+    return sorted_distinct(starts[(starts >= 0) & (starts < d.num_steps)])
 
 
 def fiber_exchange_rounds(
     machine: DistributedMachine, decomposition: CosmaDecomposition, exchange: str
 ) -> Iterator[tuple[range, CommCounters]]:
-    """The round classes of the decomposition's panel exchange, each written
-    once into a scratch counter set: ``(rounds, delta)`` with ``delta`` one
-    round of the class (see :class:`_PanelExchange`).  Nothing is added to the
-    machine.  Only a traced run posts class by class; this is also the form the
-    hop-expansion oracle checks."""
-    return _PanelExchange(decomposition, exchange).classes(machine)
+    """The round classes of the decomposition's panel exchange
+    (:func:`_class_starts`), each written once into a scratch counter set
+    reused from class to class: ``(rounds, delta)`` with ``delta`` one round
+    of the class, expanded from its first round's sums.  Nothing is added to
+    the machine.  Only a traced run posts class by class; this is also the
+    form the hop-expansion oracle checks."""
+    expansion = _FiberExpansion(decomposition, exchange)
+    delta = CommCounters.for_ranks(machine.p)
+    starts = _class_starts(decomposition).tolist()
+    for first, stop in zip(starts, [*starts[1:], decomposition.num_steps]):
+        delta.reset()
+        expansion.expand(delta.data, *_exchange_sums(decomposition, first, first + 1))
+        yield range(first, stop), delta
 
 
 def post_fiber_exchange(
@@ -391,8 +367,8 @@ def post_fiber_exchange(
     boundary arrays (:func:`_exchange_sums`): no round is visited, so the
     sums are O(pk (pm + pn)), then the fiber products and a constant number of
     O(p) array operations follow, whatever the round count.  A round span reads the matrix at
-    its boundary, so under a tracer the width table is built and the same
-    expansion runs class by class, :meth:`post_rounds
+    its boundary, so under a tracer the same expansion runs once per round
+    class (:func:`fiber_exchange_rounds`), :meth:`post_rounds
     <repro.machine.simulator.DistributedMachine.post_rounds>` alternating adds
     and boundaries.  An engine whose boundary does nothing untraced passes
     none.
@@ -401,10 +377,10 @@ def post_fiber_exchange(
         for rounds, delta in fiber_exchange_rounds(machine, decomposition, exchange):
             machine.post_rounds(delta, rounds, boundary)
         return
-    lk, *widths = _exchange_sums(decomposition)
-    _FiberExpansion(decomposition, exchange).expand(machine.counters.data, lk, *widths)
+    _FiberExpansion(decomposition, exchange).expand(
+        machine.counters.data, *_exchange_sums(decomposition))
     if boundary is not None:
-        for r in range(-(-int(lk.max()) // decomposition.step_size)):  # ceil(max lk / step)
+        for r in range(decomposition.num_steps):
             boundary(r)
 
 

@@ -23,9 +23,10 @@ transfer list) and adds it times the class's rounds (:meth:`post_rounds
 <repro.machine.simulator.DistributedMachine.post_rounds>`).  Cannon adds its
 skew that way, one delta once.  The grid family (COSMA, SUMMA, Cannon, 2.5D)
 writes class deltas only under a tracer, whose round spans read this array at
-every boundary; untraced it sums its rounds in closed form at ``(layer,
-owner)`` size, from the decomposition's boundary arrays and without a table of
-rounds, and adds one expansion per run straight into the rows of the live
+every boundary, and finds its classes where a layer's chunk reaches an
+ownership bound or the layer's end; untraced it sums its rounds in closed
+form at ``(layer, owner)`` size, from the decomposition's boundary arrays,
+and adds one expansion per run straight into the rows of the live
 array (:func:`repro.core.cosma.post_fiber_exchange`), so a second run on the
 same machine still accumulates.
 """

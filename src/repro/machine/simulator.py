@@ -41,7 +41,7 @@ because accounting only ever reads sizes:
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from repro.machine.counters import CommCounters
 from repro.machine.topology import MachineSpec, laptop_spec
 from repro.machine.transport import PayloadPlane, Transport, make_transport
 from repro.obs.trace import MachineTrace, active_tracer
-from repro.utils.intmath import run_starts
 from repro.utils.validation import check_positive_int
 
 
@@ -261,31 +260,12 @@ class DistributedMachine:
     # ------------------------------------------------------------------
     # round classes
     # ------------------------------------------------------------------
-    def round_classes(
-        self, table: np.ndarray, post_class: Callable[[CommCounters, np.ndarray], None]
-    ) -> Iterator[tuple[range, CommCounters]]:
-        """Post every maximal run of equal ``table`` rows once (a round class).
-
-        Row ``r`` of ``table`` must determine round ``r``'s whole schedule
-        (participants, payload sizes, flops); steady-state schedules repeat
-        rows by construction.  For each run, ``post_class(delta, row)`` writes
-        one round's counters into the zeroed scratch counter set ``delta`` and
-        ``(rounds, delta)`` is yielded for the engine to add with its
-        multiplicity (:meth:`post_rounds`).  The scratch set is reused from
-        run to run.
-        """
-        delta = CommCounters.for_ranks(self.p)
-        starts = run_starts(table)
-        for first, stop in zip(starts, [*starts[1:], len(table)]):
-            delta.reset()
-            post_class(delta, table[first])
-            yield range(first, stop), delta
-
     def post_rounds(
         self, delta: CommCounters, rounds: range, boundary: Callable[[int], None] | None = None
     ) -> None:
-        """Add every round of a class to the counters, byte-identical to
-        posting each round's schedule again, with the engine's round boundary
+        """Add ``delta``, one round of a round class (a run of rounds with the
+        identical schedule, found by the engine), once per round in ``rounds``:
+        byte-identical to posting each round's schedule again, with the engine's round boundary
         ``boundary(r)`` (``log_round`` / ``commit_round``) after each.  Untraced
         that is one add of ``len(rounds) * delta``; a round span reads the
         matrix at its boundary, so under a tracer adds and boundaries alternate."""

@@ -166,11 +166,6 @@ def sorted_distinct(values) -> np.ndarray:
     return ordered[keep]
 
 
-def run_starts(table: np.ndarray) -> np.ndarray:
-    """Row index at which each maximal run of equal ``table`` rows starts."""
-    return np.flatnonzero(np.r_[True, (table[1:] != table[:-1]).any(axis=1)])
-
-
 def abutting_runs(
     lo: np.ndarray, hi: np.ndarray, keys: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

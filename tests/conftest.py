@@ -39,30 +39,29 @@ def square_matrices(rng) -> tuple[np.ndarray, np.ndarray]:
 def class_posts(monkeypatch) -> list[str]:
     """The batched engines' class deltas, observed.
 
-    Every ``post_class`` call that ``DistributedMachine.round_classes`` makes
-    appends the module the callback lives in (one entry per class delta of
-    size p written: the grid family writes them only under a tracer, an
-    untraced run of it writes none), and expanding a schedule into a transfer
-    list -- reaching ``CommCounters.post_transfers`` -- fails the test.
+    Every round class that ``core.cosma.fiber_exchange_rounds`` yields to
+    ``post_fiber_exchange`` appends the module it was written in (one entry
+    per class delta of size p written: the grid family writes them only under
+    a tracer, an untraced run of it writes none), and expanding a schedule
+    into a transfer list -- reaching ``CommCounters.post_transfers`` -- fails
+    the test.
     """
+    from repro.core import cosma
     from repro.machine import counters
-    from repro.machine.simulator import DistributedMachine
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the run expanded its schedule into a transfer list")
 
     monkeypatch.setattr(counters.CommCounters, "post_transfers", forbidden)
     posts: list[str] = []
-    round_classes = DistributedMachine.round_classes
+    fiber_exchange_rounds = cosma.fiber_exchange_rounds
 
-    def recording(self, table, post_class):
-        def counted(delta, row):
-            posts.append(post_class.__module__)
-            post_class(delta, row)
+    def recording(*args):
+        for rounds, delta in fiber_exchange_rounds(*args):
+            posts.append(fiber_exchange_rounds.__module__)
+            yield rounds, delta
 
-        return round_classes(self, table, counted)
-
-    monkeypatch.setattr(DistributedMachine, "round_classes", recording)
+    monkeypatch.setattr(cosma, "fiber_exchange_rounds", recording)
     return posts
 
 
@@ -70,32 +69,26 @@ def class_posts(monkeypatch) -> list[str]:
 def panel_exchange(monkeypatch) -> SimpleNamespace:
     """The grid family's panel exchange, observed.
 
-    ``tables`` lists the rows (rounds) of every width table built
-    (``core.cosma._PanelExchange``, which only a tracer needs),
-    ``table_sums`` the rows of every table slice summed for an expansion (one
-    row per round class under a tracer), and ``expansions`` counts the
-    expansions to ranks (``core.cosma._FiberExpansion.expand``: one per
-    untraced run, whose sums are read off the boundary arrays).
+    ``classes`` lists the rounds of every window of the exchange summed for
+    one expansion (``core.cosma._exchange_sums(decomposition, first, stop)``:
+    one round per round class, only under a tracer; an untraced run sums the
+    whole exchange, no window), and ``expansions`` counts the expansions to
+    ranks (``core.cosma._FiberExpansion.expand``: one per untraced run).
     """
     from repro.core import cosma
 
-    seen = SimpleNamespace(tables=[], table_sums=[], expansions=0)
-    init, sums, expand = (cosma._PanelExchange.__init__, cosma._PanelExchange.sums,
-                          cosma._FiberExpansion.expand)
+    seen = SimpleNamespace(classes=[], expansions=0)
+    exchange_sums, expand = cosma._exchange_sums, cosma._FiberExpansion.expand
 
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        seen.tables.append(len(self.table))
-
-    def recording_sums(self, rows):
-        seen.table_sums.append(len(rows))
-        return sums(self, rows)
+    def recording_sums(decomposition, first=0, stop=None):
+        if stop is not None:
+            seen.classes.append(stop - first)
+        return exchange_sums(decomposition, first, stop)
 
     def recording_expand(self, *args):
         seen.expansions += 1
         expand(self, *args)
 
-    monkeypatch.setattr(cosma._PanelExchange, "__init__", recording_init)
-    monkeypatch.setattr(cosma._PanelExchange, "sums", recording_sums)
+    monkeypatch.setattr(cosma, "_exchange_sums", recording_sums)
     monkeypatch.setattr(cosma._FiberExpansion, "expand", recording_expand)
     return seen

@@ -6,9 +6,10 @@ per-hop reference's (``tests/oracle``), in ``volume`` and in ``plane`` mode,
 on a fresh machine or one that already holds counters, traced or not.  COSMA posts its
 overlap-width classes (with one-sided gets or tree broadcasts; its plane-mode
 product comes from one GEMM into a single C sheet), SUMMA and Cannon their
-panel classes -- all through ``DistributedMachine.round_classes`` /
-``post_rounds``.  The grid family's class deltas are written in closed form;
-the hop expansion they replaced is kept here as their oracle.
+panel classes -- all through ``post_rounds``, one delta per class.  The grid
+family's class deltas are written in closed form, and where its classes start
+is read off the boundary arrays; the hop expansion and the per-round width
+table they replaced are kept here as their oracles.
 
 SUMMA, Cannon and 2.5D run COSMA's accounting core, and the reference runs
 them on one per-hop implementation of the grid family, held to the core here
@@ -351,21 +352,21 @@ def test_cannon_equals_the_per_hop_loop(shape, p):
 
 def test_many_panel_summa_posts_once_per_class(class_posts, panel_exchange):
     """ScaLAPACK 8192^3 on p=4096 with S=8000: 8192 one-column panels are one
-    expansion of closed-form sums, no width table and no class delta of size p
-    (and no transfer list); under a tracer, the 8192-row table and 64 class
-    deltas, not 8192 postings."""
+    expansion of closed-form sums, no class delta of size p (and no transfer
+    list); under a tracer, 64 class deltas, each expanded from one round's
+    sums, not 8192 postings."""
     scenario = Scenario(name="square-many-panels", shape=square_shape(8192), p=4096,
                         memory_words=8000, regime="limited")
     run = run_algorithm("ScaLAPACK", scenario, mode="volume")
     assert run.rounds == 32256  # every panel was counted ...
     assert run.mean_received_per_rank == 2064384.0
-    # ... in one expansion to ranks, with no table of the 8192 panels
-    assert class_posts == [] and panel_exchange.tables == [] and panel_exchange.expansions == 1
+    # ... in one expansion to ranks, with no class of the 8192 panels
+    assert class_posts == [] and panel_exchange.classes == [] and panel_exchange.expansions == 1
     with tracing():
         traced = run_algorithm("ScaLAPACK", scenario, mode="volume")
     assert (traced.rounds, traced.mean_received_per_rank) == (32256, 2064384.0)
     assert class_posts == ["repro.core.cosma"] * 64  # written once per class
-    assert panel_exchange.tables == [8192] and panel_exchange.table_sums == [1] * 64
+    assert panel_exchange.classes == [1] * 64
     assert panel_exchange.expansions == 1 + 64
 
 
@@ -474,7 +475,8 @@ def test_class_deltas_equal_the_hop_expansion(problem, exchange):
 @example(problem=(5, build_decomposition(6, 6, 8, 5, 1 << 20, grid=ProcessorGrid(2, 2, 1),
                                          step_size=4)), exchange="ring")  # q = 2: one hop
 def test_one_expansion_equals_the_summed_class_deltas(problem, exchange):
-    """An untraced run sums its width table before anything of size p exists:
+    """An untraced run reads its sums off the boundary arrays before anything
+    of size p exists:
     on a machine that already holds counters, all eight rows equal
     ``sum(len(rounds) * delta)`` over the class deltas held to the hop
     expansion above, with or without a round boundary, and the boundary is
@@ -509,44 +511,85 @@ def ragged_decompositions(draw):
     narrower than its fiber), any step from one outer product to past the
     widest layer (so it need not divide ``lk``), and optionally layer 0's
     last A or B ownership slice emptied, as ``tests/test_plane_ownership.py``
-    drops it."""
+    drops it, or both (no slice then ends where the layer does)."""
     pm, pn, pk = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
     m, n, k = draw(st.integers(pm, 23)), draw(st.integers(pn, 23)), draw(st.integers(1, 41))
     decomposition = build_decomposition(m, n, k, pm * pn * pk, 1 << 20,
                                         grid=ProcessorGrid(pm, pn, pk),
                                         step_size=draw(st.integers(1, k + 3)))
-    dropped = draw(st.sampled_from([None, "a_bounds", "b_bounds"]))
-    if dropped is None:
-        return decomposition
-    bounds = getattr(decomposition, dropped).copy()
-    bounds[0, -1] = bounds[0, -2]
-    return dataclasses.replace(decomposition, **{dropped: bounds})
+    dropped = {}
+    for name in draw(st.sampled_from([(), ("a_bounds",), ("b_bounds",),
+                                      ("a_bounds", "b_bounds")])):
+        bounds = dropped[name] = getattr(decomposition, name).copy()
+        bounds[0, -1] = bounds[0, -2]
+    return dataclasses.replace(decomposition, **dropped)
+
+
+def _width_table(decomposition):
+    """The panel exchange as a table of every round's widths: row ``r`` is,
+    for every k-layer, the width of round ``r``'s chunk clamped to the layer,
+    then its overlap with each A ownership slice ``(layer, owner)``, then with
+    each B slice.  The engine once built this table and summed its rows; it
+    is kept here as the reference its closed forms are held to."""
+    d = decomposition
+    k_lo, k_hi = d.k_bounds[:-1], d.k_bounds[1:]
+    offsets = np.arange(0, int((k_hi - k_lo).max()), d.step_size)
+    c0 = np.minimum(k_lo + offsets[:, None], k_hi)  # (round, layer)
+    c1 = np.minimum(c0 + d.step_size, k_hi)
+
+    def overlaps(bounds):
+        hi = np.minimum(bounds[:, 1:], c1[:, :, None])
+        return np.maximum(hi - np.maximum(bounds[:, :-1], c0[:, :, None]), 0).reshape(len(c0), -1)
+
+    return np.concatenate([c1 - c0, overlaps(d.a_bounds), overlaps(d.b_bounds)], axis=1)
+
+
+def _run_starts(table):
+    """The row at which each maximal run of equal ``table`` rows starts."""
+    return np.flatnonzero(np.r_[True, (table[1:] != table[:-1]).any(axis=1)])
 
 
 @settings(max_examples=150, deadline=None)
 @given(decomposition=ragged_decompositions(),
-       exchange=st.sampled_from(["tree", "get", "gather", "ring"]))
+       exchange=st.sampled_from(["tree", "get", "gather", "ring"]),
+       window=st.tuples(st.integers(0, 60), st.integers(0, 60)))
 @example(decomposition=build_decomposition(13, 11, 29, 24, 1 << 20, grid=ProcessorGrid(3, 4, 2),
-                                           step_size=4), exchange="tree")  # 4 divides no lk
+                                           step_size=4), exchange="tree",
+         window=(1, 3))  # 4 divides no lk
 @example(decomposition=build_decomposition(7, 9, 10, 8, 1 << 20, grid=ProcessorGrid(2, 2, 2),
-                                           step_size=12), exchange="ring")  # step > lk
+                                           step_size=12), exchange="ring",
+         window=(0, 1))  # step > lk
 @example(decomposition=build_decomposition(5, 5, 3, 16, 1 << 20, grid=ProcessorGrid(2, 2, 4),
-                                           step_size=1), exchange="get")  # k < pk: empty layers
-def test_closed_form_sums_equal_the_width_table(decomposition, exchange):
-    """The sums an untraced run reads off the boundary arrays are the width
-    table's: its column sums (chunk widths, then A and B overlap widths), the
-    nonzero count of every overlap column (the chunks that touch the slice)
-    and its row count (the rounds).  Untraced and traced, with a round
+                                           step_size=1), exchange="get",
+         window=(1, 1))  # k < pk: empty layers; an empty window
+def test_closed_form_sums_equal_the_width_table(decomposition, exchange, window):
+    """The sums the engine reads off the boundary arrays are the width
+    table's, for the whole exchange, for every one-round window and for a
+    drawn window ``[first, stop)``: the column sums of the table's slice
+    (chunk widths, then A and B overlap widths) and the nonzero count of
+    every overlap column (the chunks that touch the slice); the table has one
+    row per round.  The class starts are the table's run starts, so every
+    class is complete and maximal.  Untraced and traced, with a round
     boundary or without, the counters land on the same bytes and the
     boundary is called once per round."""
     pk = decomposition.grid.pk
-    table = cosma._PanelExchange(decomposition, exchange).table
-    lk, w_a, w_b, n_a, n_b = cosma._exchange_sums(decomposition)
-    assert np.array_equal(np.concatenate([lk, w_a.ravel(), w_b.ravel()]), table.sum(axis=0))
-    assert np.array_equal(np.concatenate([n_a.ravel(), n_b.ravel()]),
-                          np.count_nonzero(table[:, pk:], axis=0))
-    rounds = -(-int(lk.max()) // decomposition.step_size)
-    assert rounds == len(table) == decomposition.num_steps
+    table = _width_table(decomposition)
+    rounds = len(table)
+    assert rounds == decomposition.num_steps
+
+    def table_sums(first, stop):
+        rows = table[first:stop]
+        return np.concatenate([rows.sum(axis=0), np.count_nonzero(rows[:, pk:], axis=0)])
+
+    def closed_form(*window):
+        lk, w_a, w_b, n_a, n_b = cosma._exchange_sums(decomposition, *window)
+        return np.concatenate([lk, w_a.ravel(), w_b.ravel(), n_a.ravel(), n_b.ravel()])
+
+    first, stop = sorted(cut % (rounds + 1) for cut in window)
+    for sums, window in [((0, rounds), ()), ((first, stop), (first, stop)),
+                         *(((r, r + 1), (r, r + 1)) for r in range(rounds))]:
+        assert np.array_equal(closed_form(*window), table_sums(*sums)), window
+    assert np.array_equal(cosma._class_starts(decomposition), _run_starts(table))
 
     p = decomposition.p
     counters = []

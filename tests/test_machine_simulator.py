@@ -301,7 +301,7 @@ class TestCounterLog:
 
 
 class TestRoundClasses:
-    """``round_classes`` / ``post_rounds``: write a run of equal rows once, add it times its rounds."""
+    """``post_rounds``: add one round of a class times its rounds, a boundary after each."""
 
     @staticmethod
     def _post(counters, row):
@@ -315,27 +315,26 @@ class TestRoundClasses:
         # A row the transfers above leave alone; it is multiplied like the others.
         counters.data[OUTPUT_WORDS, :2] += row
 
+    def _classes(self, table, starts):
+        """Hand-built classes of ``table``: for each start, the rounds to the
+        next start and one round's delta."""
+        for first, stop in zip(starts, [*starts[1:], len(table)]):
+            delta = CommCounters.for_ranks(3)
+            self._post(delta, table[first])
+            yield range(first, stop), delta
+
     def test_each_run_is_posted_once_and_replayed_per_round(self):
         table = np.array([[9, 4], [9, 4], [9, 0], [9, 0], [9, 0], [9, 4]])
-        posted = []
-
-        def post_class(delta, row):
-            posted.append(tuple(row))
-            self._post(delta, row)
-
         classed = DistributedMachine(3, mode="volume")
         added = DistributedMachine(3, mode="volume")
         plain = DistributedMachine(3, mode="volume")
-        runs, boundaries = [], []
-        for rounds, delta in classed.round_classes(table, post_class):
-            runs.append(list(rounds))
+        boundaries = []
+        for rounds, delta in self._classes(table, [0, 2, 5]):
             classed.post_rounds(delta, rounds, boundaries.append)
             for _ in rounds:
                 added.counters.data += delta.data
         for row in table:
             self._post(plain.counters, row)
-        assert runs == [[0, 1], [2, 3, 4], [5]]
-        assert posted == [(9, 4), (9, 0), (9, 4)]  # a row that comes back is a new run
         assert boundaries == list(range(6))
         assert classed.counters.data[OUTPUT_WORDS].any()
         assert classed.counters.data.tobytes() == added.counters.data.tobytes()
@@ -350,7 +349,7 @@ class TestRoundClasses:
         def run():
             machine = DistributedMachine(3, mode="volume")
             machine.post_transfers([2], [0], 5)  # pre-loop activity (Cannon's skew)
-            for rounds, delta in machine.round_classes(table, self._post):
+            for rounds, delta in self._classes(table, [0, 2]):
                 machine.post_rounds(delta, rounds, lambda _: machine.commit_round())
             return machine.counters.data.tobytes()
 

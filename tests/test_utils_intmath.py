@@ -18,7 +18,6 @@ from repro.utils.intmath import (
     nearly_equal,
     prod,
     round_to_multiple,
-    run_starts,
     sorted_distinct,
     split_evenly,
     split_offsets,
@@ -207,11 +206,6 @@ class TestNeighbourMasks:
 
     def test_sorted_distinct_flattens(self):
         assert sorted_distinct(np.array([[7, 3], [3, 0]])).tolist() == [0, 3, 7]
-
-    def test_run_starts(self):
-        table = np.array([[1, 2], [1, 2], [1, 3], [1, 2], [1, 2]])
-        assert run_starts(table).tolist() == [0, 2, 3]
-        assert run_starts(table[:1]).tolist() == [0]
 
     def test_abutting_runs(self):
         lo, hi = np.array([0, 2, 5, 7, 7]), np.array([2, 5, 7, 9, 9])

@@ -234,17 +234,17 @@ def _cosma_sq1024_volume(use_rma=False):
 
 def test_cosma_posts_once_per_round_class(class_posts, panel_exchange):
     """sq1024 has 683 rounds in 20 classes.  Untraced they are one expansion of
-    closed-form sums: no width table is built and no class delta of size p is
-    written.  Traced, the 683-row table and 20 class deltas, one row each.
-    Neither goes through a transfer list, and both count the C reduction."""
+    closed-form sums: no class delta of size p is written.  Traced, 20 class
+    deltas, each expanded from one round's sums.  Neither goes through a
+    transfer list, and both count the C reduction."""
     machine, decomposition = _cosma_sq1024_volume()
     assert decomposition.num_steps == 683
-    assert class_posts == [] and panel_exchange.tables == [] and panel_exchange.expansions == 1
+    assert class_posts == [] and panel_exchange.classes == [] and panel_exchange.expansions == 1
     assert machine.counters.mean_output_words_per_rank() > 0  # the reduction
     with tracing():
         traced_machine, _ = _cosma_sq1024_volume()
     assert class_posts == ["repro.core.cosma"] * 20
-    assert panel_exchange.tables == [683] and panel_exchange.table_sums == [1] * 20
+    assert panel_exchange.classes == [1] * 20
     assert panel_exchange.expansions == 1 + 20
     assert traced_machine.counters.data.tobytes() == machine.counters.data.tobytes()
 
@@ -254,26 +254,25 @@ def test_grid_baselines_post_transfers_only_from_the_cosma_core(name, class_post
                                                                  panel_exchange):
     """2D and 2.5D are grid choices: their engines hold no posting body, and
     the core they post through expands no transfer list -- one expansion to
-    ranks and no width table per untraced run; under a tracer one table and
-    one class delta per class, each expanded from one table row."""
+    ranks and no class delta per untraced run; under a tracer one class delta
+    per class, each expanded from one round's sums."""
     run = run_algorithm(name, paper_scenario(4096, 1024), mode="volume")
     assert run.mean_words_per_rank > 0
-    assert class_posts == [] and panel_exchange.tables == [] and panel_exchange.expansions == 1
+    assert class_posts == [] and panel_exchange.classes == [] and panel_exchange.expansions == 1
     with tracing():
         traced = run_algorithm(name, paper_scenario(4096, 1024), mode="volume")
     assert traced.mean_words_per_rank == run.mean_words_per_rank
     assert class_posts and set(class_posts) == {"repro.core.cosma"}
-    assert len(panel_exchange.tables) == 1
-    assert panel_exchange.table_sums == [1] * len(class_posts)
+    assert panel_exchange.classes == [1] * len(class_posts)
     assert panel_exchange.expansions == 1 + len(class_posts)
 
 
 def test_use_rma_volume_run_stays_on_the_batched_engine(class_posts, panel_exchange):
     """One-sided gets are an ``exchange`` kind of the same core: one expansion
-    of closed-form sums, no width table, no class delta, no transfer list."""
+    of closed-form sums, no class delta, no transfer list."""
     one_sided, decomposition = _cosma_sq1024_volume(use_rma=True)
     assert decomposition.num_steps == 683
-    assert class_posts == [] and panel_exchange.tables == [] and panel_exchange.expansions == 1
+    assert class_posts == [] and panel_exchange.classes == [] and panel_exchange.expansions == 1
     tree = run_algorithm("COSMA", paper_scenario(4096, 1024), mode="volume")
     assert one_sided.counters.mean_words_per_rank() == tree.mean_words_per_rank
     assert one_sided.counters.max_rounds() < tree.rounds  # only the origin pays a round
@@ -335,10 +334,10 @@ def test_carma_posts_three_batches_from_a_handful_of_frames(monkeypatch):
 
 def test_cannon_writes_one_expansion_and_no_transfer_list(class_posts, panel_exchange):
     """Cannon is SUMMA's ring-exchange run plus a skew: its 32 rounds are one
-    expansion of the core's closed-form sums (no width table), the skew one
-    closed-form delta; no class delta, no transfer list."""
+    expansion of the core's closed-form sums, the skew one closed-form delta;
+    no class delta, no transfer list."""
     run = run_algorithm("Cannon", paper_scenario(4096, 1024), mode="volume")
-    assert class_posts == [] and panel_exchange.tables == [] and panel_exchange.expansions == 1
+    assert class_posts == [] and panel_exchange.classes == [] and panel_exchange.expansions == 1
     assert run.rounds == 64 and run.max_messages_per_rank == 128
 
 
@@ -376,6 +375,26 @@ def test_untraced_panel_exchange_memory_does_not_grow_with_rounds(name, rounds):
     finally:
         tracemalloc.stop()
     assert machine.counters.max_rounds() == rounds
+    assert peak < 2 * 2**20, peak
+
+
+def test_traced_panel_exchange_memory_does_not_grow_with_rounds():
+    """The traced twin: a traced run holds one class delta of size p at a time,
+    expanded from one round's O(pk (pm + pn)) sums, and reads where its
+    classes start off the boundary arrays.  Consuming every class of
+    ScaLAPACK 8192^3 on p=4096 at S=8000 (8192 one-column panels in 64
+    classes) stays under 2 MiB of traced allocations (12.4 MiB while a table
+    of every round's widths was built and scanned for its classes)."""
+    decomposition = summa_decomposition(8192, 8192, 8192, 4096, 8000)
+    machine = DistributedMachine(4096, memory_words=8000, mode="volume")
+    tracemalloc.start()
+    try:
+        classes = [len(rounds) for rounds, _ in
+                   cosma.fiber_exchange_rounds(machine, decomposition, "tree")]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(classes), sum(classes)) == (64, decomposition.num_steps) == (64, 8192)
     assert peak < 2 * 2**20, peak
 
 
