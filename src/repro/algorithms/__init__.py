@@ -12,7 +12,7 @@ Typical use::
     spec = get_algorithm("COSMA")
     plan = spec.plan(scenario)          # grid / rounds / words / Theorem 2 ratio, no execution
     product = spec.run(a, b, scenario, machine)
-    prediction = spec.cost(scenario)    # Table 3 analytic costs
+    prediction = spec.cost(scenario)    # Table 3 I/O formula, planned rounds
 """
 
 from repro.algorithms.registry import (

@@ -4,11 +4,11 @@ The names mirror the paper's comparison targets: our SUMMA stands in for
 ScaLAPACK, our 2.5D for CTF.  Each spec bundles the runner, a cheap planner
 that calls the very function the runner derives its grid and schedule from
 (never a copy of the derivation) without touching matrices, and the Table 3
-cost formulas of
-:mod:`repro.baselines.costs` (COSMA's I/O row is Theorem 2 itself).  The grid
-family's planner (COSMA, ScaLAPACK, CTF, Cannon: :func:`_grid_plan`) returns
-the words the run will count, and every planner the busiest domain's I/O
-that ``Plan.optimality_ratio`` holds against Theorem 2.
+I/O formula of
+:mod:`repro.baselines.costs` (COSMA's I/O row is Theorem 2 itself).  Every
+planner returns the rounds the run will count and the busiest domain's I/O
+that ``Plan.optimality_ratio`` holds against Theorem 2; the grid family's
+(COSMA, ScaLAPACK, CTF, Cannon: :func:`_grid_plan`) also the words.
 
 Every runner reads the same way: the operands at the machine's plane dtype,
 the decomposition its planner builds, then the engine on it, which returns the
@@ -28,12 +28,12 @@ import numpy as np
 from repro.algorithms.registry import AlgorithmSpec, Plan, get_algorithm, register
 from repro.baselines import costs
 from repro.baselines.cannon import cannon_decomposition, cannon_run, skew_words
-from repro.baselines.carma import carma_recursion_depth, carma_table, usable_ranks
+from repro.baselines.carma import carma_table, usable_ranks
+from repro.baselines.cuboid import counted_rounds as cuboid_rounds
 from repro.baselines.cuboid import cuboid_run
 from repro.baselines.grid25d import grid25d_decomposition, grid25d_run
 from repro.baselines.summa import run_panels, summa_decomposition
-from repro.core.cosma import cosma_run, received_words
-from repro.core.cost_model import cosma_latency_cost
+from repro.core.cosma import cosma_run, counted_rounds, received_words
 from repro.core.decomposition import CosmaDecomposition, build_decomposition
 from repro.core.grid import ProcessorGrid
 from repro.machine.transport import as_operands
@@ -72,19 +72,23 @@ def _domain_io(lm: int, ln: int, lk: int) -> int:
 
 
 def _grid_plan(algorithm: str, scenario: Scenario, decomposition: CosmaDecomposition,
-               arity: int = 3, extra_received: np.ndarray | int = 0) -> Plan:
+               exchange: str, arity: int = 3, extra_received: np.ndarray | int = 0,
+               extra_rounds: int = 0) -> Plan:
     """The plan of a grid-family run on ``decomposition``, the very one the
-    runner executes: its received words are the run's count
-    (:func:`~repro.core.cosma.received_words`, plus ``extra_received`` per
-    used rank), and rank 0 holds the largest extents, so the busiest domain."""
+    runner executes with the ``exchange`` kind: its received words and rounds
+    are the run's count (:func:`~repro.core.cosma.received_words`,
+    :func:`~repro.core.cosma.counted_rounds`, plus ``extra_received`` /
+    ``extra_rounds`` per used rank), and rank 0 holds the largest extents, so
+    the busiest domain."""
     received = received_words(decomposition) + extra_received
+    rounds = counted_rounds(decomposition, exchange) + extra_rounds
     lm, ln, lk = (int(bounds[1] - bounds[0]) for bounds in (
         decomposition.i_bounds, decomposition.j_bounds, decomposition.k_bounds))
     return Plan(
         algorithm=algorithm, scenario=scenario, feasible=True,
         grid=decomposition.grid.as_tuple()[:arity],
         processors_used=decomposition.p_used,
-        rounds=decomposition.num_steps,
+        rounds=int(rounds.max()),
         predicted_words_per_rank=int(received.sum()) / scenario.p,
         domain_io_words=_domain_io(lm, ln, lk),
         lower_bound_per_rank=_bound(scenario),
@@ -122,7 +126,7 @@ def _plan_cosma(scenario: Scenario, max_idle_fraction=None) -> Plan:
     return _grid_plan("COSMA", scenario, build_decomposition(
         shape.m, shape.n, shape.k, scenario.p, scenario.memory_words,
         max_idle_fraction=delta,
-    ))
+    ), "tree")
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +141,7 @@ def _run_summa(a, b, scenario, machine):
 def _plan_summa(scenario: Scenario) -> Plan:
     shape = scenario.shape
     return _grid_plan("ScaLAPACK", scenario, summa_decomposition(
-        shape.m, shape.n, shape.k, scenario.p, scenario.memory_words), arity=2)
+        shape.m, shape.n, shape.k, scenario.p, scenario.memory_words), "tree", arity=2)
 
 
 def _run_cannon(a, b, scenario, machine):
@@ -150,8 +154,9 @@ def _plan_cannon(scenario: Scenario) -> Plan:
     shape = scenario.shape
     decomposition = cannon_decomposition(
         shape.m, shape.n, shape.k, scenario.p, scenario.memory_words)
-    return _grid_plan("Cannon", scenario, decomposition, arity=2,
-                      extra_received=skew_words(decomposition))
+    # The skew: every rank of the grid pays a round per shift, A's and B's.
+    return _grid_plan("Cannon", scenario, decomposition, "ring", arity=2,
+                      extra_received=skew_words(decomposition), extra_rounds=2)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +171,7 @@ def _run_25d(a, b, scenario, machine):
 def _plan_25d(scenario: Scenario) -> Plan:
     shape = scenario.shape
     return _grid_plan("CTF", scenario, grid25d_decomposition(
-        shape.m, shape.n, shape.k, scenario.p, scenario.memory_words))
+        shape.m, shape.n, shape.k, scenario.p, scenario.memory_words), "gather")
 
 
 def _run_carma(a, b, scenario, machine):
@@ -178,11 +183,12 @@ def _plan_carma(scenario: Scenario) -> Plan:
     shape = scenario.shape
     m, n, k = shape.m, shape.n, shape.k
     usable = usable_ranks(m, n, k, scenario.p)
-    extents = np.diff(carma_table(m, n, k, usable)[:, 1:].reshape(-1, 3, 2), axis=2)[:, :, 0]
+    table = carma_table(m, n, k, usable)
+    extents = np.diff(table[:, 1:].reshape(-1, 3, 2), axis=2)[:, :, 0]
     return Plan(
         algorithm="CARMA", scenario=scenario, feasible=True,
         grid=(usable,), processors_used=usable,
-        rounds=max(1, carma_recursion_depth(usable)),
+        rounds=int(cuboid_rounds(table).max()),
         # Table 3: the count needs each rank's "needed - owned" words.
         predicted_words_per_rank=costs.io_cost_carma(m, n, k, usable, scenario.memory_words),
         domain_io_words=int(_domain_io(*extents.T).max()),
@@ -193,33 +199,29 @@ def _plan_carma(scenario: Scenario) -> Plan:
 def _register_builtins() -> None:
     register(AlgorithmSpec(
         name="COSMA", runner=_run_cosma, plan_fn=_plan_cosma,
-        io_cost=parallel_io_lower_bound, latency_cost=cosma_latency_cost,
-        default_comparison=True,
+        io_cost=parallel_io_lower_bound, default_comparison=True,
         description="near communication-optimal MMM (this paper)",
     ))
     register(AlgorithmSpec(
         name="ScaLAPACK", runner=_run_summa, plan_fn=_plan_summa,
         io_cost=lambda m, n, k, p, s: costs.io_cost_2d(m, n, k, p),
-        latency_cost=lambda m, n, k, p, s: costs.latency_cost_2d(m, n, k, p),
         aliases=("SUMMA", "2D"), default_comparison=True,
         description="2D SUMMA, the algorithm behind ScaLAPACK's PDGEMM",
     ))
     register(AlgorithmSpec(
         name="CTF", runner=_run_25d, plan_fn=_plan_25d,
-        io_cost=costs.io_cost_25d, latency_cost=costs.latency_cost_25d,
+        io_cost=costs.io_cost_25d,
         aliases=("2.5D",), default_comparison=True,
         description="2.5D decomposition of Solomonik & Demmel (CTF stand-in)",
     ))
     register(AlgorithmSpec(
         name="CARMA", runner=_run_carma, plan_fn=_plan_carma,
-        io_cost=costs.io_cost_carma, latency_cost=costs.latency_cost_carma,
-        default_comparison=True,
+        io_cost=costs.io_cost_carma, default_comparison=True,
         description="recursive CARMA decomposition of Demmel et al.",
     ))
     register(AlgorithmSpec(
         name="Cannon", runner=_run_cannon, plan_fn=_plan_cannon,
         io_cost=lambda m, n, k, p, s: costs.io_cost_2d(m, n, k, p),
-        latency_cost=lambda m, n, k, p, s: costs.latency_cost_2d(m, n, k, p),
         description="Cannon's 2D algorithm (square grids; subsumed by SUMMA)",
     ))
 

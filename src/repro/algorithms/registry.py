@@ -7,10 +7,10 @@ data, not scattered special cases:
 
 * :class:`AlgorithmSpec` bundles a uniform runner
   (``run(a, b, scenario, machine) -> ndarray``), a cheap planner
-  (``plan(scenario) -> Plan``: fitted grid, round estimate, predicted
-  per-rank words, feasibility -- *without* executing anything), the analytic
-  Table 3 cost formulas (:meth:`AlgorithmSpec.cost`), a minimum-memory
-  capability flag and aliases.  Every runner takes both execution modes:
+  (``plan(scenario) -> Plan``: fitted grid, counted rounds, predicted
+  per-rank words, feasibility -- *without* executing anything), the Table 3
+  I/O formula (:meth:`AlgorithmSpec.cost`, with the plan's rounds), a
+  minimum-memory capability flag and aliases.  Every runner takes both execution modes:
   arrays (``plane``) and shape tokens (``volume``).
 * :func:`register` / the :func:`register_algorithm` decorator add specs to
   the process-wide registry; :mod:`repro.algorithms.builtins` registers the
@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from repro.baselines.carma import carma_table
 from repro.core.decomposition import decomposition_cache_clear
 from repro.pebbling.mmm_bounds import parallel_io_lower_bound
 
@@ -76,9 +77,9 @@ class Plan:
     grid: tuple[int, ...] | None = None
     #: Ranks the fitted grid actually uses (<= scenario.p).
     processors_used: int = 0
-    #: Scheduled communication steps (panel exchanges / shifts).  An
-    #: estimate: executed runs additionally count reduction/collective hops
-    #: in their per-rank round totals.
+    #: Communication rounds on the busiest rank, the run's ``rounds``, every
+    #: tree, ring, skew and reduction hop included (the grid family's and
+    #: CARMA's ``counted_rounds``); the scheduled steps are ``num_steps``.
     rounds: int = 0
     #: Words received per rank, the mean over ``scenario.p``: for the grid
     #: family (COSMA, ScaLAPACK, CTF, Cannon) the run's exact count on the
@@ -112,12 +113,13 @@ class Plan:
 
 @dataclass(frozen=True)
 class CostPrediction:
-    """Table 3 per-processor cost of one algorithm on one scenario."""
+    """The analytic per-processor cost of one algorithm on one scenario: its
+    Table 3 I/O formula, and the rounds its plan counts."""
 
     algorithm: str
     #: Table 3 per-processor I/O (words moved through the slowest processor).
     io_words_per_rank: float
-    #: Table 3 latency cost (communication rounds on the critical path).
+    #: The plan's ``rounds`` (0 for an algorithm without a planner).
     latency_rounds: float
     #: Useful flops per processor under perfect load balance: ``2mnk / p``.
     flops_per_rank: float
@@ -127,7 +129,7 @@ class CostPrediction:
 RunnerFn = Callable[..., np.ndarray]
 #: Planner signature: ``plan(scenario, **options) -> Plan``.
 PlanFn = Callable[..., Plan]
-#: Table 3 cost-formula signature: ``cost(m, n, k, p, s) -> float``.
+#: Table 3 I/O-formula signature: ``cost(m, n, k, p, s) -> float``.
 CostFn = Callable[[int, int, int, int, int], float]
 
 
@@ -147,8 +149,6 @@ class AlgorithmSpec:
     #: :meth:`cost` (and with it the sweep aggregator, the performance model
     #: and the CLI bounds table).
     io_cost: CostFn | None = None
-    #: Table 3 latency formula; defaults to zero rounds when unknown.
-    latency_cost: CostFn | None = None
     #: Alternative lookup names (case-insensitive), e.g. ``SUMMA`` for
     #: ScaLAPACK.
     aliases: tuple[str, ...] = ()
@@ -216,15 +216,13 @@ class AlgorithmSpec:
         )
 
     def cost(self, scenario: "Scenario") -> CostPrediction | None:
-        """The Table 3 analytic prediction, or ``None`` without ``io_cost``.
-
-        Memoized per ``(spec, m, n, k, p, S)``: sweep aggregation asks once
-        per tidy row, so repeated campaigns stop re-evaluating the formulas.
-        """
+        """The Table 3 I/O formula and the plan's rounds, or ``None`` without
+        ``io_cost``.  Memoized per ``(spec, m, n, k, p, S, rounds)``."""
         if self.io_cost is None:
             return None
         shape = scenario.shape
-        return _cached_cost(self, shape.m, shape.n, shape.k, scenario.p, scenario.memory_words)
+        rounds = self.plan(scenario).rounds
+        return _cached_cost(self, shape.m, shape.n, shape.k, scenario.p, scenario.memory_words, rounds)
 
     def _infeasibility(self, scenario: "Scenario") -> str | None:
         """Generic hard preconditions shared by every algorithm."""
@@ -258,12 +256,11 @@ _LOOKUP: dict[str, str] = {}
 
 
 @lru_cache(maxsize=8192)
-def _cached_cost(spec: AlgorithmSpec, m: int, n: int, k: int, p: int, s: int) -> CostPrediction:
-    latency = spec.latency_cost(m, n, k, p, s) if spec.latency_cost is not None else 0.0
+def _cached_cost(spec: AlgorithmSpec, m: int, n: int, k: int, p: int, s: int, rounds: int) -> CostPrediction:
     return CostPrediction(
         algorithm=spec.name,
         io_words_per_rank=float(spec.io_cost(m, n, k, p, s)),
-        latency_rounds=float(latency),
+        latency_rounds=float(rounds),
         flops_per_rank=2.0 * m * n * k / p,
     )
 
@@ -276,9 +273,10 @@ def _cached_plan(name: str, scenario: "Scenario", options_key: tuple) -> Plan:
 
 def plan_cache_clear() -> None:
     """Drop every memoized plan (called on register/unregister), and the
-    COSMA decompositions memoized beneath them."""
+    grid decompositions and CARMA tables memoized beneath them."""
     _cached_plan.cache_clear()
     decomposition_cache_clear()
+    carma_table.cache_clear()
 
 
 def register(spec: AlgorithmSpec, replace: bool = False) -> AlgorithmSpec:
@@ -313,7 +311,6 @@ def register_algorithm(
     aliases: tuple[str, ...] = (),
     plan: PlanFn | None = None,
     io_cost: CostFn | None = None,
-    latency_cost: CostFn | None = None,
     min_memory_words: int = 1,
     default_comparison: bool = False,
     description: str = "",
@@ -332,8 +329,7 @@ def register_algorithm(
     def decorate(fn: RunnerFn) -> RunnerFn:
         register(
             AlgorithmSpec(
-                name=name, runner=fn, plan_fn=plan, io_cost=io_cost,
-                latency_cost=latency_cost, aliases=tuple(aliases),
+                name=name, runner=fn, plan_fn=plan, io_cost=io_cost, aliases=tuple(aliases),
                 min_memory_words=min_memory_words,
                 default_comparison=default_comparison, description=description,
             ),

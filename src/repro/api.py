@@ -86,7 +86,8 @@ class RunReport:
     #: Maximum words moved through any rank (critical path).
     max_words_per_rank: int = 0
     total_flops: int = 0
-    #: Table 3 analytic prediction, when the algorithm has a cost model.
+    #: The analytic prediction (Table 3 I/O, planned rounds), when the
+    #: algorithm has an I/O formula.
     cost: CostPrediction | None = None
 
     @property

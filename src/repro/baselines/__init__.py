@@ -16,28 +16,6 @@ the registered runners (:mod:`repro.algorithms.builtins`) join the two, and
 * :mod:`repro.baselines.cuboid` -- a generic executor, ``cuboid_run``, that
   runs any cuboidal domain decomposition on the simulator (CARMA's, and
   hand-written tilings).
-* :mod:`repro.baselines.costs` -- the analytic per-processor I/O and latency
-  costs of Table 3 for the baselines (COSMA's I/O row is Theorem 2).
+* :mod:`repro.baselines.costs` -- the analytic per-processor I/O costs of
+  Table 3 for the baselines (COSMA's I/O row is Theorem 2).
 """
-
-from repro.baselines.carma import carma_domains
-from repro.baselines.costs import (
-    io_cost_25d,
-    io_cost_2d,
-    io_cost_carma,
-    latency_cost_25d,
-    latency_cost_2d,
-    latency_cost_carma,
-)
-from repro.baselines.cuboid import CuboidDomain
-
-__all__ = [
-    "carma_domains",
-    "CuboidDomain",
-    "io_cost_2d",
-    "io_cost_25d",
-    "io_cost_carma",
-    "latency_cost_2d",
-    "latency_cost_25d",
-    "latency_cost_carma",
-]

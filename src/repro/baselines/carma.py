@@ -21,7 +21,7 @@ k-range (see :mod:`repro.baselines.cuboid`).
 
 from __future__ import annotations
 
-import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,8 +45,10 @@ def usable_ranks(m: int, n: int, k: int, p: int) -> int:
     return usable
 
 
+@lru_cache(maxsize=4096)  # as deep as the plan memo, cleared with it
 def carma_table(m: int, n: int, k: int, p: int) -> np.ndarray:
-    """The CARMA cuboid of every rank, as a :func:`~repro.baselines.cuboid.domain_table`.
+    """The CARMA cuboid of every rank, as a :func:`~repro.baselines.cuboid.domain_table`,
+    memoized and read-only.
 
     ``p`` is rounded down to a power of two; at every level the currently
     largest dimension of each sub-problem is halved and its processors split
@@ -59,7 +61,7 @@ def carma_table(m: int, n: int, k: int, p: int) -> np.ndarray:
     k = check_positive_int(k, "k")
     p = check_positive_int(p, "p")
     bounds = np.array([[0, m, 0, n, 0, k]], dtype=np.int64)
-    for _ in range(carma_recursion_depth(p)):
+    for _ in range(largest_power_of_two_at_most(p).bit_length() - 1):
         each = np.arange(len(bounds))
         # Split the largest dimension; ``argmax`` returns the first maximum:
         # ties broken m, then n, then k, as in the reference implementation.
@@ -70,14 +72,12 @@ def carma_table(m: int, n: int, k: int, p: int) -> np.ndarray:
         bounds = np.repeat(bounds, 2, axis=0)
         bounds[0::2][each, 2 * split + 1] = mid
         bounds[1::2][each, 2 * split] = mid
-    return np.column_stack((np.arange(len(bounds)), bounds))
+    table = np.column_stack((np.arange(len(bounds)), bounds))
+    table.flags.writeable = False
+    return table
 
 
 def carma_domains(m: int, n: int, k: int, p: int) -> list[CuboidDomain]:
     """:func:`carma_table` viewed as one :class:`CuboidDomain` per rank."""
     return table_domains(carma_table(m, n, k, p))
 
-
-def carma_recursion_depth(p: int) -> int:
-    """Number of recursion levels CARMA performs for ``p`` processors."""
-    return int(math.log2(largest_power_of_two_at_most(p)))

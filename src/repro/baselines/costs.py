@@ -1,4 +1,4 @@
-"""Analytic per-processor I/O and latency costs of Table 3.
+"""Analytic per-processor I/O costs of Table 3.
 
 Each formula gives the *general case* row of Table 3; the two special-case
 rows (square matrices with limited memory, tall matrices with extra memory)
@@ -6,7 +6,8 @@ are obtained by instantiating the same formulas and are checked against the
 paper's simplified expressions in ``tests/test_baselines_costs.py`` and
 ``benchmarks/bench_table3_costs.py``.  COSMA's row is Theorem 2 itself
 (:func:`repro.pebbling.mmm_bounds.parallel_io_lower_bound`).  The registry
-attaches these formulas to the algorithms (``AlgorithmSpec.cost``).
+attaches these formulas to the algorithms (``AlgorithmSpec.cost``), with
+the plan's counted rounds (``Plan.rounds``) in place of Table 3's latency.
 """
 
 from __future__ import annotations
@@ -28,15 +29,6 @@ def io_cost_2d(m: int, n: int, k: int, p: int) -> float:
     """
     check_positive_int(p, "p")
     return float(k) * (m + n) / math.sqrt(p) + float(m) * n / p
-
-
-def latency_cost_2d(m: int, n: int, k: int, p: int) -> float:
-    """Latency of the 2D decomposition: ``2 k log2(sqrt(p))`` rounds (Table 3).
-
-    Checked claim: it grows with ``k``.
-    """
-    check_positive_int(p, "p")
-    return 2.0 * k * math.log2(max(2.0, math.sqrt(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -72,16 +64,6 @@ def io_cost_25d(m: int, n: int, k: int, p: int, s: int) -> float:
     return float(k) * (m + n) / math.sqrt(p * c) + float(m) * n * c / p
 
 
-def latency_cost_25d(m: int, n: int, k: int, p: int, s: int) -> float:
-    """Latency of the 2.5D decomposition (Table 3).
-
-    Checked claim: it is positive.
-    """
-    c = replication_factor_25d(m, n, k, p, s)
-    steps = max(1.0, k / c / math.sqrt(max(1.0, p / c)))
-    return steps + 3.0 * math.log2(max(2.0, c))
-
-
 # ---------------------------------------------------------------------------
 # Recursive decomposition (CARMA)
 # ---------------------------------------------------------------------------
@@ -105,16 +87,6 @@ def io_cost_carma(m: int, n: int, k: int, p: int, s: int) -> float:
     if s >= 3.0 * cubic_face:
         return 3.0 * cubic_face
     return 2.0 * math.sqrt(3.0) * mnk / (p * math.sqrt(s)) + cubic_face
-
-
-def latency_cost_carma(m: int, n: int, k: int, p: int, s: int) -> float:
-    """Latency of the recursive decomposition (Table 3).
-
-    Checked claim: it is positive.
-    """
-    check_positive_int(p, "p")
-    mnk = float(m) * n * k
-    return (3.0 ** 1.5) * mnk / (p * s ** 1.5) + 3.0 * math.log2(max(2.0, p))
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,17 @@ def _owner_words(
     return owners[foreign], receivers[foreign], words[group][foreign]
 
 
+def counted_rounds(table: np.ndarray | list[CuboidDomain]) -> np.ndarray:
+    """Rounds each rank of a :func:`domain_table` counts in a run, int64 by
+    rank: one per message it sends or receives, one message per (block,
+    foreign owner) pair of each matrix (:func:`_owner_words`)."""
+    table = domain_table(table)
+    ranks, i_range, j_range, k_range = table[:, RANK], table[:, I0:J0], table[:, J0:K0], table[:, K0:]
+    ends = [np.concatenate(_owner_words(ranks, rows, cols)[:2])
+            for rows, cols in ((i_range, k_range), (k_range, j_range), (i_range, j_range))]
+    return np.bincount(np.concatenate(ends), minlength=int(ranks.max()) + 1)
+
+
 def cuboid_run(
     machine: DistributedMachine,
     a_matrix: np.ndarray,

@@ -294,7 +294,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     print(f"fitted grid          : {run_plan.grid}")
     print(f"ranks used/available : {run_plan.processors_used}/{args.processors}")
     print(f"idle ranks           : {args.processors - run_plan.processors_used}")
-    print(f"scheduled steps      : {run_plan.rounds}")
+    print(f"rounds (busiest rank): {run_plan.rounds}")
     print(f"predicted words/rank : {run_plan.predicted_words_per_rank:,.0f} "
           "(received, mean over p; exact for COSMA/ScaLAPACK/CTF/Cannon)")
     _print_theorem2(run_plan)

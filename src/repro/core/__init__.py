@@ -16,20 +16,19 @@ The pipeline mirrors Algorithm 1:
    registered COSMA runner (:mod:`repro.algorithms.builtins`) is steps 2-4
    on the planned grid.
 
-:func:`repro.core.cosma.received_words` is what that run counts, in closed
-form: a plan's predicted words are the count.  The analytic latency
-counterpart lives in :mod:`repro.core.cost_model`; COSMA's I/O row is Theorem 2
-(:func:`repro.pebbling.mmm_bounds.parallel_io_lower_bound`).
+:func:`repro.core.cosma.received_words` and
+:func:`repro.core.cosma.counted_rounds` are what that run counts, in closed
+form: a plan's predicted words and rounds are the count.  COSMA's I/O row of
+Table 3 is Theorem 2 (:func:`repro.pebbling.mmm_bounds.parallel_io_lower_bound`).
 """
 
-from repro.core.cosma import received_words
-from repro.core.cost_model import cosma_latency_cost
+from repro.core.cosma import counted_rounds, received_words
 from repro.core.decomposition import CosmaDecomposition, build_decomposition
 from repro.core.grid import ProcessorGrid, fit_ranks
 
 __all__ = [
     "received_words",
-    "cosma_latency_cost",
+    "counted_rounds",
     "build_decomposition",
     "CosmaDecomposition",
     "ProcessorGrid",

@@ -267,9 +267,10 @@ class _FiberExpansion:
         sent_b, received_b = exchanged(w_b, self.fan_b)
         return lm * sent_a + sent_b[:, None] * ln, lm * received_a + received_b[:, None] * ln
 
-    def expand(self, data: np.ndarray, chunk_w, w_a, w_b, n_a, n_b) -> None:
+    def expand(self, data: np.ndarray, held_w, w_a, w_b, n_a, n_b) -> None:
         """Add a set of rounds to the ``(field, rank)`` counter array ``data``,
-        given its sums: ``chunk_w`` (layer) its chunk widths, ``w_a`` / ``w_b``
+        given its sums: ``held_w`` (layer) the width of its chunks that both
+        the A and the B owners hold (what a rank multiplies), ``w_a`` / ``w_b``
         (layer, owner) its overlap widths with each A / B ownership slice,
         ``n_a`` / ``n_b`` (layer, owner) how many of its chunks overlap the
         slice.  The one place a width becomes a per-rank count."""
@@ -288,7 +289,7 @@ class _FiberExpansion:
         # A get or a ring hop is charged to its receiver only; a send or a tree
         # hop to both ends.
         fields[ROUNDS] += received if self.exchange in ("get", "ring") else received + sent
-        fields[FLOPS] += 2 * chunk_w * lm * ln
+        fields[FLOPS] += 2 * held_w * lm * ln
 
 
 def _exchange_sums(
@@ -299,10 +300,11 @@ def _exchange_sums(
     boundary arrays.  Round ``r`` moves each layer's chunk ``[k_lo + r step,
     k_lo + (r + 1) step)`` clamped to the layer, so the window's chunks
     partition the layer's k-range ``[lo_k, hi_k)`` from ``k_lo + first step``
-    to ``k_lo + stop step`` (clamped): their widths sum to ``hi_k - lo_k``, a
-    slice's overlaps sum to the slice clamped to that range, and the chunks
-    that overlap the clamped slice ``[lo, hi)`` are those from ``(lo - k_lo)
-    // step`` to ``(hi - 1 - k_lo) // step``."""
+    to ``k_lo + stop step`` (clamped): a slice's overlaps sum to the slice
+    clamped to that range, the chunks that overlap the clamped slice ``[lo,
+    hi)`` are those from ``(lo - k_lo) // step`` to ``(hi - 1 - k_lo) //
+    step``, and the multiplied width is that range clamped to the k-range
+    both the A and the B owners hold (:func:`_held_k_runs`' per layer)."""
     d = decomposition
     k_lo, k_hi = d.k_bounds[:-1, None], d.k_bounds[1:, None]
     step = d.step_size
@@ -317,7 +319,9 @@ def _exchange_sums(
         return width, chunks
 
     (w_a, n_a), (w_b, n_b) = overlaps(d.a_bounds), overlaps(d.b_bounds)
-    return (hi_k - lo_k)[:, 0], w_a, w_b, n_a, n_b
+    held_lo = np.maximum.reduce((lo_k[:, 0], d.a_bounds[:, 0], d.b_bounds[:, 0]))
+    held_hi = np.minimum.reduce((hi_k[:, 0], d.a_bounds[:, -1], d.b_bounds[:, -1]))
+    return np.maximum(held_hi - held_lo, 0), w_a, w_b, n_a, n_b
 
 
 def _class_starts(decomposition: CosmaDecomposition) -> np.ndarray:
@@ -427,6 +431,54 @@ def received_words(decomposition: CosmaDecomposition) -> np.ndarray:
     b_own = np.diff(decomposition.b_bounds).T[:, None, :]  # (pm, 1, pk)
     fan_in = np.array(tree_fanout(decomposition.grid.pk), dtype=np.int64)
     return (lm * (lk - a_own) + ln * (lk - b_own) + lm * ln * fan_in).ravel()
+
+
+def _fan_levels(exchange: str, q: int) -> list[tuple[int, int]]:
+    """A piece's way to the other ``q - 1`` positions of a fiber, counted from
+    its owner, as ``(senders, messages)`` per level: positions ``0 ..
+    senders - 1`` each send ``messages``.  A tree's level ``r``: ``i < 2^r``
+    sends to ``i + 2^r`` inside the fiber; a ring: each position but the last
+    to the next; a star (``get`` / ``gather``): the owner to all."""
+    if exchange == "tree":
+        spans = (1 << level for level in range((q - 1).bit_length()))
+        return [(min(span, q - span), 1) for span in spans]
+    if exchange == "ring":
+        return [(q - 1, 1)]
+    return [(1, q - 1)]
+
+
+def counted_rounds(decomposition: CosmaDecomposition, exchange: str) -> np.ndarray:
+    """Rounds every used rank counts in the panel exchange (``exchange``
+    kind) and the C reduction, int64 in rank order: the ``ROUNDS`` a run
+    posts, from each (layer, owner) slice's chunk count (:func:`_exchange_sums`)
+    and each exchange's own level rule (:func:`_fan_levels`).
+
+    Per chunk, every position but the owner receives once, and a position
+    sends at each level whose senders, counted from the owner, include it:
+    over owners, a circular window sum of the chunk counts.  A get or a ring
+    hop is a round of its receiver only.  The C reduction mirrors the tree
+    along the k fiber: a position receives once per level it would send at,
+    and every position but ``kk = 0`` sends once.
+    """
+    pk = decomposition.grid.pk
+    _, _, _, n_a, n_b = _exchange_sums(decomposition)
+    receiver_only = exchange in ("get", "ring")
+
+    def fiber_rounds(chunks: np.ndarray) -> np.ndarray:  # (layer, owner) -> (position, layer)
+        rounds = chunks.sum(axis=1, keepdims=True) - chunks  # received
+        if not receiver_only:
+            q = chunks.shape[1]
+            # circular[:, q + pos] - circular[:, q + pos - s] sums the chunks of
+            # owners pos - s + 1 .. pos (mod q): those whose first s positions
+            # include pos.
+            circular = np.cumsum(np.tile(chunks, 2), axis=1)
+            for senders, messages in _fan_levels(exchange, q):
+                rounds += messages * (circular[:, q:] - circular[:, q - senders : 2 * q - senders])
+        return rounds.T
+
+    position = np.arange(pk)
+    reduction = (position > 0) + sum(position < senders for senders, _ in _fan_levels("tree", pk))
+    return (fiber_rounds(n_b)[:, None, :] + fiber_rounds(n_a)[None, :, :] + reduction).ravel()
 
 
 def layer_product(
@@ -546,4 +598,4 @@ def cosma_run(
     return c_global
 
 
-__all__ = ["cosma_run", "received_words"]
+__all__ = ["cosma_run", "counted_rounds", "received_words"]

@@ -1,9 +1,10 @@
-"""Analytic COSMA cost model: the COSMA column of Table 3 besides its I/O.
+"""Analytic COSMA cost model: the local domain of Equation 32 and Figure 3's
+comparison.
 
-COSMA's I/O row is Theorem 2 itself
+COSMA's I/O row of Table 3 is Theorem 2 itself
 (:func:`repro.pebbling.mmm_bounds.parallel_io_lower_bound`); what a run
-counts is :func:`repro.core.cosma.received_words`.  Here are the local
-domain of Equation 32, the latency row and Figure 3's comparison.
+counts is :func:`repro.core.cosma.received_words` and
+:func:`repro.core.cosma.counted_rounds`.
 """
 
 from __future__ import annotations
@@ -22,27 +23,6 @@ def cosma_local_domain(m: int, n: int, k: int, p: int, s: int) -> tuple[float, f
     a = min(math.sqrt(s), (mnk / p) ** (1.0 / 3.0))
     b = max(mnk / (p * s), (mnk / p) ** (1.0 / 3.0))
     return a, b
-
-
-def cosma_latency_cost(m: int, n: int, k: int, p: int, s: int) -> float:
-    """Latency (number of communication rounds) of the I/O-minimal COSMA schedule.
-
-    Table 3: ``L = ceil(2ab / (S - a^2)) * log2(mn / a^2)`` rounds, where the
-    logarithmic factor accounts for the broadcast/reduction trees; when the
-    local domain's inputs fit in memory at once (extra-memory regime) the
-    number of steps collapses to 1.
-    """
-    a, b = cosma_local_domain(m, n, k, p, s)
-    # Shrink a to the feasible width so at least one streamed panel fits
-    # alongside the accumulator (as in the feasible sequential schedule).
-    a = min(a, math.sqrt(s + 1.0) - 1.0)
-    free = max(2.0 * a, s - a * a)
-    if 2 * a * b <= free:
-        steps = 1.0
-    else:
-        steps = math.ceil(2.0 * a * b / free)
-    tree_depth = max(1.0, math.log2(max(2.0, float(m) * n / (a * a))))
-    return steps * tree_depth
 
 
 def communication_reduction_vs_grid(

@@ -73,14 +73,20 @@ def communication_volume_per_rank(
     panels for each tile, so the input traffic degrades to the sequential-style
     ``2 lm ln lk / sqrt(S)`` (the I/O constraint ``a^2 <= S`` of section 6.3).
     """
-    lm, ln, lk = grid.local_extents(m, n, k)
+    return _volume(*grid, *grid.local_extents(m, n, k), memory_words)
+
+
+def _volume(pm: int, pn: int, pk: int, lm: int, ln: int, lk: int,
+            memory_words: int | None) -> float:
+    """:func:`communication_volume_per_rank` of a ``pm x pn x pk`` grid with
+    local extents ``(lm, ln, lk)``."""
     if memory_words is not None and lm * ln > memory_words:
         volume_inputs = 2.0 * lm * ln * lk / math.sqrt(memory_words)
     else:
-        volume_a = lm * lk * (grid.pn - 1) / grid.pn
-        volume_b = ln * lk * (grid.pm - 1) / grid.pm
+        volume_a = lm * lk * (pn - 1) / pn
+        volume_b = ln * lk * (pm - 1) / pm
         volume_inputs = volume_a + volume_b
-    volume_c = lm * ln * (grid.pk - 1) / grid.pk if grid.pk > 1 else 0.0
+    volume_c = lm * ln * (pk - 1) / pk if pk > 1 else 0.0
     return volume_inputs + volume_c
 
 
@@ -153,18 +159,21 @@ def fit_ranks(
     max_idle_fraction = check_probability(max_idle_fraction, "max_idle_fraction")
 
     def best_fit_at(p_used: int, incumbent: GridFit | None) -> GridFit | None:
-        for grid in candidate_grids(p_used, m, n, k):
-            fit = GridFit(
-                grid=grid,
-                p_available=p,
-                communication_per_rank=communication_volume_per_rank(
-                    grid, m, n, k, memory_words=memory_words
-                ),
-                computation_per_rank=computation_per_rank(grid, m, n, k),
-            )
-            if incumbent is None or _better(fit, incumbent):
-                incumbent = fit
-        return incumbent
+        # Candidates are scored as (communication, computation, grid) tuples;
+        # only a new winner becomes a GridFit.
+        best = seed = None if incumbent is None else (
+            incumbent.communication_per_rank, incumbent.computation_per_rank,
+            incumbent.grid.as_tuple())
+        for pm, pn, pk in all_factorizations_3d(p_used):
+            if pm <= m and pn <= n and pk <= k:
+                lm, ln, lk = ceil_div(m, pm), ceil_div(n, pn), ceil_div(k, pk)
+                score = (_volume(pm, pn, pk, lm, ln, lk, memory_words), lm * ln * lk, (pm, pn, pk))
+                if best is None or _better(score, best):
+                    best = score
+        if best is seed:
+            return incumbent
+        return GridFit(grid=ProcessorGrid(*best[2]), p_available=p,
+                       communication_per_rank=best[0], computation_per_rank=best[1])
 
     min_p_used = max(1, int(math.ceil(p * (1.0 - max_idle_fraction))))
     best: GridFit | None = None
@@ -183,13 +192,12 @@ def fit_ranks(
     return best
 
 
-def _better(candidate: GridFit, incumbent: GridFit) -> bool:
-    """Ordering used by :func:`fit_ranks` (lower communication first)."""
-    if not math.isclose(candidate.communication_per_rank, incumbent.communication_per_rank, rel_tol=1e-9):
-        return candidate.communication_per_rank < incumbent.communication_per_rank
-    if candidate.computation_per_rank != incumbent.computation_per_rank:
-        return candidate.computation_per_rank < incumbent.computation_per_rank
+def _better(candidate: tuple, incumbent: tuple) -> bool:
+    """Ordering used by :func:`fit_ranks` on ``(communication, computation,
+    grid)`` scores (lower communication first)."""
+    if not math.isclose(candidate[0], incumbent[0], rel_tol=1e-9):
+        return candidate[0] < incumbent[0]
+    if candidate[1] != incumbent[1]:
+        return candidate[1] < incumbent[1]
     # Prefer more balanced grids (smaller max dimension).
-    cand_spread = max(candidate.grid.as_tuple()) - min(candidate.grid.as_tuple())
-    inc_spread = max(incumbent.grid.as_tuple()) - min(incumbent.grid.as_tuple())
-    return cand_spread < inc_spread
+    return max(candidate[2]) - min(candidate[2]) < max(incumbent[2]) - min(incumbent[2])

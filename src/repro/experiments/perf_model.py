@@ -110,12 +110,12 @@ def analytic_time(
     scenario: Scenario | None = None,
     spec: MachineSpec = PIZ_DAINT_LIKE,
 ) -> float:
-    """Alpha-beta-gamma runtime from the *analytic* Table 3 costs.
+    """Alpha-beta-gamma runtime from the *analytic* prediction: the Table 3
+    I/O formula and the plan's counted rounds.
 
     Where :func:`simulated_time` prices the counters the simulator measured,
-    this prices the closed-form prediction of ``AlgorithmSpec.cost`` -- the
-    sweep aggregator joins the two so every stored run carries its model
-    error.  Accepts either an algorithm name plus a scenario, or a ready-made
+    this prices ``AlgorithmSpec.cost`` -- the sweep aggregator joins the two
+    so every stored run carries its model error.  Accepts either an algorithm name plus a scenario, or a ready-made
     :class:`~repro.algorithms.CostPrediction`.
     """
     if isinstance(algorithm_or_prediction, CostPrediction):
@@ -125,7 +125,7 @@ def analytic_time(
             raise ValueError("a scenario is required when passing an algorithm name")
         prediction = get_algorithm(algorithm_or_prediction).cost(scenario)
         if prediction is None:
-            raise ValueError(f"{algorithm_or_prediction!r} has no Table 3 cost formulas")
+            raise ValueError(f"{algorithm_or_prediction!r} has no Table 3 I/O formula")
     compute = spec.compute_time(prediction.flops_per_rank)
     comm = spec.communication_time(prediction.io_words_per_rank, prediction.latency_rounds)
     return compute + comm

@@ -11,7 +11,7 @@ The module doubles as the reference example for extending the algorithm
 registry (README: "adding a new algorithm"): a runner with the uniform
 ``(a, b, scenario, machine)`` signature, decorated with
 :func:`~repro.algorithms.register_algorithm`, optionally carrying a planner
-and a Table 3-style cost model.  The runner has the shape of every engine in
+and a Table 3-style I/O formula.  The runner has the shape of every engine in
 the library: it posts its schedule's transfers (one
 :meth:`~repro.machine.simulator.DistributedMachine.post_transfers` for the
 whole ring), its ranks' resident blocks
@@ -47,7 +47,7 @@ def _plan_allgather(scenario: Scenario) -> Plan:
     return Plan(
         algorithm="AllGather1D", scenario=scenario, feasible=True,
         grid=(q,), processors_used=q,
-        rounds=max(1, q - 1),  # ring all-gather steps
+        rounds=q - 1,  # one per ring step, on every rank
         predicted_words_per_rank=io_cost_naive_1d(shape.m, shape.n, shape.k, q),
         # An m/q x n x k domain: its A stripe, all of B, its C stripe.
         domain_io_words=stripe * shape.k + shape.k * shape.n + stripe * shape.n,
@@ -62,7 +62,6 @@ def _plan_allgather(scenario: Scenario) -> Plan:
     aliases=("naive-1D",),
     plan=_plan_allgather,
     io_cost=lambda m, n, k, p, s: io_cost_naive_1d(m, n, k, p),
-    latency_cost=lambda m, n, k, p, s: float(max(1, p - 1)),
     description="row-striped 1D decomposition; all-gathers B (Figure 2's naive baseline)",
 )
 def allgather_multiply(a_matrix, b_matrix, scenario, machine):

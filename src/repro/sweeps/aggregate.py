@@ -3,8 +3,8 @@
 Each ``"ok"`` record becomes one tidy row carrying (a) the scenario identity,
 (b) the simulator-measured counters, (c) the alpha-beta-gamma runtime and
 %-of-peak from :mod:`repro.experiments.perf_model`, and (d) the analytic
-Table 3 prediction of ``AlgorithmSpec.cost`` plus the
-measured/predicted I/O ratio.  Failed records become rows with a ``status``
+prediction of ``AlgorithmSpec.cost`` (the Table 3 I/O formula, the plan's
+counted rounds) plus the measured/predicted I/O ratio.  Failed records become rows with a ``status``
 of ``"failed"`` and the error attached, so campaign reports never silently
 drop points.
 

@@ -1,22 +1,29 @@
-"""Tests for the analytic Table 3 cost formulas."""
+"""Tests for the analytic Table 3 I/O formulas, and for the latency column
+the registry prices next to them: the rounds a plan counts."""
 
 import math
 
 import pytest
 
+from repro.algorithms import get_algorithm
 from repro.baselines.costs import (
     evolution_table,
     io_cost_25d,
     io_cost_2d,
     io_cost_carma,
     io_cost_naive_1d,
-    latency_cost_25d,
-    latency_cost_2d,
-    latency_cost_carma,
     replication_factor_25d,
 )
-from repro.core.cost_model import cosma_latency_cost
 from repro.pebbling.mmm_bounds import parallel_io_lower_bound
+from repro.workloads.scaling import Scenario
+from repro.workloads.shapes import ProblemShape
+
+
+def counted_rounds(algorithm, m, n, k, p, s):
+    """The busiest rank's rounds a run of ``algorithm`` counts, as its plan says."""
+    scenario = Scenario(name="latency", shape=ProblemShape(m=m, n=n, k=k), p=p,
+                        memory_words=s, regime="limited")
+    return get_algorithm(algorithm).plan(scenario).rounds
 
 
 class Test2D:
@@ -33,7 +40,10 @@ class Test2D:
         assert io_cost_2d(512, 512, 512, 16) == io_cost_2d(512, 512, 512, 16)
 
     def test_latency_grows_with_k(self):
-        assert latency_cost_2d(64, 64, 4096, 16) > latency_cost_2d(64, 64, 64, 16)
+        """Limited memory: SUMMA's panels stop covering k at once, so its
+        counted rounds grow with k (12 -> 18)."""
+        assert counted_rounds("ScaLAPACK", 64, 64, 4096, 16, 1 << 16) > counted_rounds(
+            "ScaLAPACK", 64, 64, 64, 16, 1 << 16)
 
 
 class Test25D:
@@ -66,7 +76,7 @@ class Test25D:
         assert io_cost_25d(m, n, k, p, huge_s) == pytest.approx(cost_3d, rel=0.01)
 
     def test_latency_positive(self):
-        assert latency_cost_25d(4096, 4096, 4096, 64, 1 << 20) > 0
+        assert counted_rounds("CTF", 4096, 4096, 4096, 64, 1 << 20) > 0
 
 
 class TestCarma:
@@ -89,7 +99,7 @@ class TestCarma:
         assert ratio == pytest.approx(1.0, rel=0.01)
 
     def test_latency_positive(self):
-        assert latency_cost_carma(4096, 4096, 4096, 64, 1 << 20) > 0
+        assert counted_rounds("CARMA", 4096, 4096, 4096, 64, 1 << 20) > 0
 
 
 class TestCosmaCost:
@@ -123,7 +133,7 @@ class TestCosmaCost:
         assert ratio > math.sqrt(p) / 4
 
     def test_latency_cosma_positive(self):
-        assert cosma_latency_cost(4096, 4096, 4096, 64, 1 << 20) >= 1
+        assert counted_rounds("COSMA", 4096, 4096, 4096, 64, 1 << 20) >= 1
 
 
 class TestEvolution:
@@ -154,8 +164,8 @@ class TestPredict:
         return Scenario(name="s", shape=square_shape(512), p=64, memory_words=16384, regime="limited")
 
     def test_predict_matches_per_algorithm_formulas(self):
-        from repro.algorithms import get_algorithm
-
+        """Each algorithm's Table 3 I/O formula, priced with the rounds its
+        plan counts."""
         scenario = self._scenario()
         m = n = k = 512
         p, s = 64, 16384
@@ -166,24 +176,17 @@ class TestPredict:
             "CARMA": io_cost_carma(m, n, k, p, s),
             "Cannon": io_cost_2d(m, n, k, p),
         }
-        expected_latency = {
-            "COSMA": cosma_latency_cost(m, n, k, p, s),
-            "ScaLAPACK": latency_cost_2d(m, n, k, p),
-            "CTF": latency_cost_25d(m, n, k, p, s),
-            "CARMA": latency_cost_carma(m, n, k, p, s),
-            "Cannon": latency_cost_2d(m, n, k, p),
-        }
+        expected_latency = {"COSMA": 386, "ScaLAPACK": 40, "CTF": 28, "CARMA": 9, "Cannon": 16}
         for algorithm, expected in expected_io.items():
             prediction = get_algorithm(algorithm).cost(scenario)
             assert prediction.algorithm == algorithm
             assert prediction.io_words_per_rank == expected
-            assert prediction.latency_rounds == expected_latency[algorithm] > 0
+            assert prediction.latency_rounds == expected_latency[algorithm]
+            assert prediction.latency_rounds == get_algorithm(algorithm).plan(scenario).rounds
             assert prediction.flops_per_rank == pytest.approx(2 * m * n * k / p)
             assert get_algorithm(algorithm).cost(scenario) is prediction  # memoized
 
     def test_aliases_agree_with_harness_names(self):
-        from repro.algorithms import get_algorithm
-
         scenario = self._scenario()
         scalapack = get_algorithm("ScaLAPACK").cost(scenario)
         assert get_algorithm("SUMMA").cost(scenario) == scalapack
@@ -191,15 +194,14 @@ class TestPredict:
         assert get_algorithm("2.5D").cost(scenario) == get_algorithm("CTF").cost(scenario)
 
     def test_unknown_algorithm_rejected(self):
-        from repro.algorithms import get_algorithm
-
         with pytest.raises(KeyError):
             get_algorithm("MAGMA").cost(self._scenario())
 
     def test_registry_is_the_one_source_of_cost_models(self):
-        """Every registered spec predicts exactly its own formulas, a spec
-        without them predicts nothing, and an unregistered name is unknown."""
-        from repro.algorithms import AlgorithmSpec, algorithm_specs, get_algorithm, register, unregister
+        """Every registered spec predicts exactly its own I/O formula and its
+        plan's rounds, a spec without a formula predicts nothing, one without a
+        planner zero rounds, and an unregistered name is unknown."""
+        from repro.algorithms import AlgorithmSpec, algorithm_specs, register, unregister
 
         scenario = self._scenario()
         m, n, k, p, s = 512, 512, 512, 64, 16384
@@ -209,7 +211,7 @@ class TestPredict:
                 continue
             prediction = spec.cost(scenario)
             assert prediction.io_words_per_rank == spec.io_cost(m, n, k, p, s)
-            assert prediction.latency_rounds == spec.latency_cost(m, n, k, p, s)
+            assert prediction.latency_rounds == spec.plan(scenario).rounds
 
         register(AlgorithmSpec(name="_tmp-costed", runner=lambda *a: None,
                                io_cost=lambda m, n, k, p, s: 1.0, aliases=("_tmp-alias",)))
@@ -221,7 +223,6 @@ class TestPredict:
                 get_algorithm(name)
 
     def test_analytic_time_prices_the_prediction(self):
-        from repro.algorithms import get_algorithm
         from repro.experiments.perf_model import analytic_time
         from repro.machine.topology import PIZ_DAINT_LIKE
 

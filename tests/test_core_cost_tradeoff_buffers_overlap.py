@@ -4,12 +4,11 @@ import math
 
 import pytest
 
-from repro.core.cost_model import (
-    communication_reduction_vs_grid,
-    cosma_latency_cost,
-    cosma_local_domain,
-)
+from repro.algorithms import get_algorithm
+from repro.core.cost_model import communication_reduction_vs_grid, cosma_local_domain
 from repro.core.overlap import even_rounds, pipeline_times
+from repro.workloads.scaling import Scenario
+from repro.workloads.shapes import square_shape
 
 
 class TestCostModel:
@@ -37,13 +36,20 @@ class TestCostModel:
         assert a * a * b == pytest.approx(m * n * k / p, rel=1e-9)
         assert a * a <= s * (1 + 1e-12)
 
+    @staticmethod
+    def _counted_rounds(s):
+        """COSMA's busiest rank's rounds on 1024^3, p = 64, as its plan counts them."""
+        scenario = Scenario(name="latency", shape=square_shape(1024), p=64, memory_words=s,
+                            regime="limited")
+        return get_algorithm("COSMA").plan(scenario).rounds
+
     def test_latency_positive(self):
-        assert cosma_latency_cost(1024, 1024, 1024, 64, 4096) >= 1.0
+        assert self._counted_rounds(49152) >= 1  # S = the per-rank footprint
 
     def test_latency_decreases_with_memory(self):
-        tight = cosma_latency_cost(1024, 1024, 1024, 64, 4096)
-        roomy = cosma_latency_cost(1024, 1024, 1024, 64, 65536)
-        assert roomy <= tight
+        """Section 6.3's trade-off, counted: 4x the footprint takes 14 rounds
+        where 1x takes 60."""
+        assert self._counted_rounds(4 * 49152) < self._counted_rounds(49152)
 
     def test_figure3_cubic_grid_vs_cosma(self):
         """Figure 3: for p=8 and square matrices in the limited-memory regime a

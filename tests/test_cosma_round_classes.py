@@ -411,9 +411,13 @@ def _expanded_round(decomposition, p, exchange, r):
             send_pieces(ranks[pi, :, kk], decomposition.a_bounds[kk], c0, c1, lm[pi])
         for pj in range(pn):
             send_pieces(ranks[:, pj, kk], decomposition.b_bounds[kk], c0, c1, ln[pj])
+        # Every rank of the layer multiplies the part of the chunk both its
+        # A and its B owners hold.
+        a_slices, b_slices = decomposition.a_bounds[kk], decomposition.b_bounds[kk]
+        held = max(0, min(c1, a_slices[-1], b_slices[-1]) - max(c0, a_slices[0], b_slices[0]))
         for pi in range(pm):
             for pj in range(pn):
-                delta.data[FLOPS, ranks[pi, pj, kk]] += 2 * (c1 - c0) * lm[pi] * ln[pj]
+                delta.data[FLOPS, ranks[pi, pj, kk]] += 2 * held * lm[pi] * ln[pj]
     receiver_pays = exchange in ("get", "ring")
     delta.post_transfers(srcs, dsts, words, kind="input", count_rounds=not receiver_pays)
     if receiver_pays:  # a get is charged to its origin only, a ring hop to its receiver
@@ -528,9 +532,11 @@ def ragged_decompositions(draw):
 def _width_table(decomposition):
     """The panel exchange as a table of every round's widths: row ``r`` is,
     for every k-layer, the width of round ``r``'s chunk clamped to the layer,
-    then its overlap with each A ownership slice ``(layer, owner)``, then with
-    each B slice.  The engine once built this table and summed its rows; it
-    is kept here as the reference its closed forms are held to."""
+    then the part of it that both the layer's A and B owners hold (what its
+    ranks multiply), then its overlap with each A ownership slice ``(layer,
+    owner)``, then with each B slice.  The engine once built this table and
+    summed its rows; it is kept here as the reference its closed forms are
+    held to."""
     d = decomposition
     k_lo, k_hi = d.k_bounds[:-1], d.k_bounds[1:]
     offsets = np.arange(0, int((k_hi - k_lo).max()), d.step_size)
@@ -541,7 +547,10 @@ def _width_table(decomposition):
         hi = np.minimum(bounds[:, 1:], c1[:, :, None])
         return np.maximum(hi - np.maximum(bounds[:, :-1], c0[:, :, None]), 0).reshape(len(c0), -1)
 
-    return np.concatenate([c1 - c0, overlaps(d.a_bounds), overlaps(d.b_bounds)], axis=1)
+    held = (np.minimum(c1, np.minimum(d.a_bounds[:, -1], d.b_bounds[:, -1]))
+            - np.maximum(c0, np.maximum(d.a_bounds[:, 0], d.b_bounds[:, 0])))
+    return np.concatenate([c1 - c0, np.maximum(held, 0), overlaps(d.a_bounds),
+                           overlaps(d.b_bounds)], axis=1)
 
 
 def _run_starts(table):
@@ -566,7 +575,7 @@ def test_closed_form_sums_equal_the_width_table(decomposition, exchange, window)
     """The sums the engine reads off the boundary arrays are the width
     table's, for the whole exchange, for every one-round window and for a
     drawn window ``[first, stop)``: the column sums of the table's slice
-    (chunk widths, then A and B overlap widths) and the nonzero count of
+    (held widths, then A and B overlap widths) and the nonzero count of
     every overlap column (the chunks that touch the slice); the table has one
     row per round.  The class starts are the table's run starts, so every
     class is complete and maximal.  Untraced and traced, with a round
@@ -579,11 +588,11 @@ def test_closed_form_sums_equal_the_width_table(decomposition, exchange, window)
 
     def table_sums(first, stop):
         rows = table[first:stop]
-        return np.concatenate([rows.sum(axis=0), np.count_nonzero(rows[:, pk:], axis=0)])
+        return np.concatenate([rows[:, pk:].sum(axis=0), np.count_nonzero(rows[:, 2 * pk:], axis=0)])
 
     def closed_form(*window):
-        lk, w_a, w_b, n_a, n_b = cosma._exchange_sums(decomposition, *window)
-        return np.concatenate([lk, w_a.ravel(), w_b.ravel(), n_a.ravel(), n_b.ravel()])
+        held, w_a, w_b, n_a, n_b = cosma._exchange_sums(decomposition, *window)
+        return np.concatenate([held, w_a.ravel(), w_b.ravel(), n_a.ravel(), n_b.ravel()])
 
     first, stop = sorted(cut % (rounds + 1) for cut in window)
     for sums, window in [((0, rounds), ()), ((first, stop), (first, stop)),
@@ -849,10 +858,12 @@ _EXECUTED_GRID = {
 @given(dims=st.tuples(st.integers(1, 30), st.integers(1, 30), st.integers(1, 30)),
        p=st.integers(1, 24), slack=st.integers(0, 400))
 def test_a_plan_reports_the_grid_and_rounds_its_run_executes(dims, p, slack):
-    """Every registered algorithm: no rank outside the planned grid is touched;
-    the built-ins' planned grid is the executed one; COSMA's, ScaLAPACK's and
-    Cannon's planned rounds are the round boundaries the run marks, CTF's the rounds
-    of the exchange it runs."""
+    """Every registered algorithm: no rank outside the planned grid is touched,
+    and its planned rounds are the busiest rank's counted rounds; the
+    built-ins' planned grid is the executed one; the executed decomposition's
+    scheduled steps (``num_steps``) are the round boundaries COSMA's,
+    ScaLAPACK's and Cannon's runs mark, and the rounds of the exchange CTF's
+    runs."""
     shape = ProblemShape(m=dims[0], n=dims[1], k=dims[2])
     scenario = Scenario(name="drawn", shape=shape, p=p, regime="limited",
                         memory_words=-(-shape.footprint_words // p) + slack)
@@ -882,9 +893,10 @@ def test_a_plan_reports_the_grid_and_rounds_its_run_executes(dims, p, slack):
         assert touched.size == 0 or touched[-1] < run_plan.processors_used, name
         if attr is not None:
             assert run_plan.grid == executed_grid(executed[0]), name
+        assert run_plan.rounds == machine.counters.max_rounds(), name
         if name in ("COSMA", "ScaLAPACK", "Cannon"):
-            assert run_plan.rounds == len(spans), name
+            assert executed[0].num_steps == len(spans), name
         if name == "CTF":
             # 2.5D marks no round boundary: count the exchange its grid schedules.
-            assert run_plan.rounds == sum(
+            assert executed[0].num_steps == sum(
                 len(rounds) for rounds, _ in fiber_exchange_rounds(machine, executed[0], "gather"))

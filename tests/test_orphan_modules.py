@@ -17,6 +17,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 KEPT = {
     "extensions/allgather.py": ("Figure 2 naive 1D baseline; registry extension example",
                                 "tests/test_algorithms_registry.py"),
+    "core/cost_model.py": ("Equation 32's local domain; Figure 3's cubic-grid comparison",
+                           "tests/test_core_cost_tradeoff_buffers_overlap.py"),
 }
 
 

@@ -10,6 +10,7 @@ tiling, however awkward, must verify.
 """
 
 import dataclasses
+from contextlib import nullcontext
 
 import numpy as np
 import oracle
@@ -19,11 +20,14 @@ from repro.algorithms import builtins
 from repro.baselines import grid25d, summa
 from repro.baselines.carma import carma_table, usable_ranks
 from repro.baselines.cuboid import CuboidDomain, _product_tiles, cuboid_run
+from repro.core.cosma import _held_k_runs, cosma_run
 from repro.core.decomposition import build_decomposition
+from repro.core.grid import ProcessorGrid
 from repro.experiments.harness import run_algorithm
 from repro.machine.shard import available_shards
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import allclose_tolerances, as_operands
+from repro.machine.transport import ShapeToken, allclose_tolerances, as_operands
+from repro.obs import tracing
 from repro.workloads.scaling import Scenario
 from repro.workloads.shapes import square_shape
 
@@ -99,6 +103,29 @@ def test_a_dropped_ownership_slice_fails_verification(monkeypatch, name, shards,
     _with_decomposition(monkeypatch, _drop_last_slice(field))
     run = run_algorithm(name, SCENARIO, mode="plane", shards=shards)
     assert run.verified and not run.correct
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("mode", ["volume", "plane"])
+def test_counted_flops_are_the_gemms_plus_the_reduction_adds(mode, traced):
+    """COSMA 8 x 8 x 16 on (2, 2, 2), step 2: the counted flops are those of
+    the GEMMs ``layer_product`` runs over the k-range both owners hold, plus
+    the k-fiber reduction's adds (4 blocks of 4 x 4, one add per word).
+    Intact, 2 * 8 * 8 * 16 + 64 = 2112; with layer 0's last A and B slices
+    emptied, 4 of that layer's 8 k-columns are held by nobody and multiplied
+    by no rank: 2 * 8 * 8 * 12 + 64 = 1600."""
+    intact = build_decomposition(8, 8, 16, 8, 1 << 20, grid=ProcessorGrid(2, 2, 2), step_size=2)
+    emptied = _drop_last_slice("b_bounds")(_drop_last_slice("a_bounds")(intact))
+    rng = np.random.default_rng(0)
+    a, b = rng.random((8, 16)), rng.random((16, 8))
+    if mode == "volume":
+        a, b = ShapeToken(a.shape), ShapeToken(b.shape)
+    for decomposition, held_k, flops in ((intact, 16, 2112), (emptied, 12, 1600)):
+        assert sum(k1 - k0 for k0, k1 in _held_k_runs(decomposition)) == held_k
+        with tracing() if traced else nullcontext():
+            machine = DistributedMachine(8, mode=mode)
+            cosma_run(machine, a, b, decomposition)
+        assert machine.counters.total_flops == flops
 
 
 def _tiling(*domains):

@@ -4,7 +4,11 @@
 reference campaign (square / limited, p in {4, 16, 36, 64}, 2048 words, all
 five algorithms, volume mode, seed 0) captured *before* the algorithm
 registry existed.  The refactor contract is byte-identical aggregation: any
-drift in counters, predictions or run keys fails here first.
+drift in counters, predictions or run keys fails here first.  One declared
+regeneration since: ``predicted_latency_rounds`` became the plan's counted
+rounds (equal to every row's ``rounds``) in place of Table 3's latency
+formulas, and ``analytic_time_s``, which prices it, moved with it; every
+other column kept its bytes.
 """
 
 import json
