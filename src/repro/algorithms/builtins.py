@@ -28,7 +28,7 @@ import numpy as np
 from repro.algorithms.registry import AlgorithmSpec, Plan, get_algorithm, register
 from repro.baselines import costs
 from repro.baselines.cannon import cannon_decomposition, cannon_run, skew_words
-from repro.baselines.carma import carma_table, usable_ranks
+from repro.baselines.carma import carma_messages, carma_table, usable_ranks
 from repro.baselines.cuboid import counted_rounds as cuboid_rounds
 from repro.baselines.cuboid import cuboid_run
 from repro.baselines.grid25d import grid25d_decomposition, grid25d_run
@@ -176,7 +176,10 @@ def _plan_25d(scenario: Scenario) -> Plan:
 
 def _run_carma(a, b, scenario, machine):
     a, b, (m, n, k) = as_operands(a, b, machine)
-    return cuboid_run(machine, a, b, carma_table(m, n, k, usable_ranks(m, n, k, scenario.p)))
+    usable = usable_ranks(m, n, k, scenario.p)
+    # The table and its messages as the plan memoized them.
+    return cuboid_run(machine, a, b, carma_table(m, n, k, usable),
+                      carma_messages(m, n, k, usable))
 
 
 def _plan_carma(scenario: Scenario) -> Plan:
@@ -188,7 +191,7 @@ def _plan_carma(scenario: Scenario) -> Plan:
     return Plan(
         algorithm="CARMA", scenario=scenario, feasible=True,
         grid=(usable,), processors_used=usable,
-        rounds=int(cuboid_rounds(table).max()),
+        rounds=int(cuboid_rounds(table, carma_messages(m, n, k, usable)).max()),
         # Table 3: the count needs each rank's "needed - owned" words.
         predicted_words_per_rank=costs.io_cost_carma(m, n, k, usable, scenario.memory_words),
         domain_io_words=int(_domain_io(*extents.T).max()),

@@ -12,11 +12,11 @@ stay idle, mirroring the real implementation's restriction).
 The decomposition is built as the executor's int64 table (:func:`carma_table`:
 a row per rank, the recursion run level by level as array steps over all
 sub-problems of a level); :func:`carma_domains` is that table viewed as
-objects.  Execution is the generic cuboid executor on that table,
-:func:`~repro.baselines.cuboid.cuboid_run` on ``carma_table(m, n, k,
-usable_ranks(m, n, k, p))``, in both modes: in ``plane`` mode the cuboids
-that split one output block along k run as one GEMM over the block's merged
-k-range (see :mod:`repro.baselines.cuboid`).
+objects, and :func:`carma_messages` the messages its runs post, memoized
+beside it.  Execution is the generic cuboid executor on that table and those
+messages, :func:`~repro.baselines.cuboid.cuboid_run`, in both modes: in
+``plane`` mode the cuboids that split one output block along k run as one
+GEMM over the block's merged k-range (see :mod:`repro.baselines.cuboid`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.baselines.cuboid import CuboidDomain, table_domains
+from repro.baselines.cuboid import CuboidDomain, Messages, owner_messages, table_domains, validate_domains
 from repro.utils.validation import check_positive_int
 
 
@@ -75,6 +75,25 @@ def carma_table(m: int, n: int, k: int, p: int) -> np.ndarray:
     table = np.column_stack((np.arange(len(bounds)), bounds))
     table.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=4096)  # as deep as carma_table, cleared with it
+def carma_messages(m: int, n: int, k: int, p: int) -> Messages:
+    """The messages a run of :func:`carma_table` posts
+    (:func:`~repro.baselines.cuboid.owner_messages`), memoized and read-only.
+
+    The plan's rounds and every run of the table read this one copy, and the
+    table's tiling is checked here, once.  A campaign plans every request
+    before it forks its workers, so they inherit the messages; a worker that
+    inherits nothing (any start method but fork) computes them itself.
+    """
+    table = carma_table(m, n, k, p)
+    validate_domains(m, n, k, table)
+    messages = owner_messages(table)
+    for triple in messages:
+        for array in triple:
+            array.flags.writeable = False
+    return messages
 
 
 def carma_domains(m: int, n: int, k: int, p: int) -> list[CuboidDomain]:

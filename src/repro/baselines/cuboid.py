@@ -30,7 +30,9 @@ ownership is resolved per matrix on the *coordinate-compressed* grid
 (:func:`_owner_words` -- one cell per pair of consecutive range endpoints, so
 the cost is O(cells), not O(mn + mk + nk)), whose single ``np.minimum``
 reduction *is* the ownership rule, and every rank's per-owner element counts
-are posted with one ``post_transfers`` per matrix, three per run.  In
+are posted with one ``post_transfers`` per matrix, three per run
+(:func:`owner_messages`; CARMA's are memoized with its table, so its runs
+and its plan read one copy).  In
 ``plane`` mode the product is GEMMs on views of A and B, one per tile: domains
 that share an output block and whose k-ranges abut form a tile, and tiles
 that abut along j, then along i, over the same k-range merge further, so a
@@ -186,15 +188,31 @@ def _owner_words(
     return owners[foreign], receivers[foreign], words[group][foreign]
 
 
-def counted_rounds(table: np.ndarray | list[CuboidDomain]) -> np.ndarray:
+#: The messages of a run (:func:`owner_messages`): an ``(owner, receiver,
+#: words)`` triple of int64 arrays for A, for B and for C.
+Messages = tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+def owner_messages(table: np.ndarray) -> Messages:
+    """The messages a run of the :func:`domain_table` ``table`` posts, one
+    :func:`_owner_words` triple per matrix: A's (rows i, columns k), B's (k,
+    j) and C's (i, j).  Inputs flow owner -> rank, partial outputs rank ->
+    owner."""
+    ranks, i_range, j_range, k_range = table[:, RANK], table[:, I0:J0], table[:, J0:K0], table[:, K0:]
+    return tuple(_owner_words(ranks, rows, cols)
+                 for rows, cols in ((i_range, k_range), (k_range, j_range), (i_range, j_range)))
+
+
+def counted_rounds(table: np.ndarray | list[CuboidDomain], messages: Messages | None = None) -> np.ndarray:
     """Rounds each rank of a :func:`domain_table` counts in a run, int64 by
     rank: one per message it sends or receives, one message per (block,
-    foreign owner) pair of each matrix (:func:`_owner_words`)."""
+    foreign owner) pair of each matrix (the table's :func:`owner_messages`,
+    computed here unless the caller holds them as ``messages``)."""
     table = domain_table(table)
-    ranks, i_range, j_range, k_range = table[:, RANK], table[:, I0:J0], table[:, J0:K0], table[:, K0:]
-    ends = [np.concatenate(_owner_words(ranks, rows, cols)[:2])
-            for rows, cols in ((i_range, k_range), (k_range, j_range), (i_range, j_range))]
-    return np.bincount(np.concatenate(ends), minlength=int(ranks.max()) + 1)
+    if messages is None:
+        messages = owner_messages(table)
+    ends = [np.concatenate((owners, receivers)) for owners, receivers, _ in messages]
+    return np.bincount(np.concatenate(ends), minlength=int(table[:, RANK].max()) + 1)
 
 
 def cuboid_run(
@@ -202,6 +220,7 @@ def cuboid_run(
     a_matrix: np.ndarray,
     b_matrix: np.ndarray,
     table: np.ndarray | list[CuboidDomain],
+    messages: Messages | None = None,
 ) -> np.ndarray:
     """Run a cuboidal decomposition on the simulator; returns the global
     product (a token in ``volume`` mode).
@@ -209,11 +228,18 @@ def cuboid_run(
     ``table`` is a :func:`domain_table` (or the list of
     :class:`CuboidDomain` it is built from), one row per participating rank;
     the cuboids must tile the ``m x k`` by ``k x n`` iteration space of the
-    operands, and every rank must be one of the machine's.
+    operands, and every rank must be one of the machine's.  ``messages`` are
+    the table's :func:`owner_messages` when the caller holds them: then
+    ``table`` is the rank-ordered table they were computed from, checked
+    against the operands' ``m x n x k`` when they were (as
+    :func:`~repro.baselines.carma.carma_messages` does), and neither the
+    messages nor the tiling check are computed again.
     """
     (m, k), n = a_matrix.shape, b_matrix.shape[1]
-    table = domain_table(table)
-    validate_domains(m, n, k, table)
+    if messages is None:
+        table = domain_table(table)
+        validate_domains(m, n, k, table)
+        messages = owner_messages(table)
     # Ranks index counter columns: a negative one would wrap, silently.
     outside = (table[:, RANK] < 0) | (table[:, RANK] >= machine.p)
     if outside.any():
@@ -227,11 +253,10 @@ def cuboid_run(
     # pair carrying the owner's element count; inputs flow owner -> rank,
     # partial outputs rank -> owner, where each received element costs one
     # accumulation flop.
-    ranks, i_range, j_range, k_range = table[:, RANK], table[:, I0:J0], table[:, J0:K0], table[:, K0:]
-    for rows, cols in ((i_range, k_range), (k_range, j_range)):
-        owners, receivers, words = _owner_words(ranks, rows, cols)
+    for owners, receivers, words in messages[:2]:
         machine.post_transfers(owners, receivers, words, kind="input")
 
+    ranks = table[:, RANK]
     lm, ln, lk = (table[:, I1::2] - table[:, I0::2]).T
     machine.post_resident("A", ranks, lm * lk)
     machine.post_resident("B", ranks, lk * ln)
@@ -241,7 +266,7 @@ def cuboid_run(
     c_global = machine.zeros((m, n))  # at the plane dtype; a token in volume mode
     if not machine.transport.counters_only:
         _accumulate_products(c_global, a_matrix, b_matrix, table)
-    owners, senders, words = _owner_words(ranks, i_range, j_range)
+    owners, senders, words = messages[2]
     machine.post_transfers(senders, owners, words, kind="output")
     np.add.at(machine.counters.data[FLOPS], owners, words)
     machine.check_memory()

@@ -157,13 +157,6 @@ def _sharded_gemm(
         pool.release()
 
 
-def _c_block_words(decomposition: CosmaDecomposition) -> np.ndarray:
-    """Words of every ``(pi, pj)`` block of C, row-major."""
-    return np.multiply.outer(
-        np.diff(decomposition.i_bounds), np.diff(decomposition.j_bounds)
-    ).ravel()
-
-
 def _held_k_runs(decomposition: CosmaDecomposition) -> list[tuple[int, int]]:
     """The k-ranges the product multiplies: per layer, the part of its
     k-range that both its A owners and its B owners hold, abutting layers
@@ -191,22 +184,13 @@ def post_owned_words(
 ) -> None:
     """Post every used rank's owned A / B slices and its C block as resident.
 
-    Posted, not stored: the block sizes go to the machine's resident-words
-    vector, one array expression per block name.
+    Posted, not stored: the decomposition's ``owned_words`` (computed once
+    per decomposition) go to the machine's resident-words vector, one vector
+    per block name.
     """
-    grid = decomposition.grid
-    lm = np.diff(decomposition.i_bounds)
-    ln = np.diff(decomposition.j_bounds)
-    # Ownership slices: the A split depends on (pj, kk) only, the B split on
-    # (pi, kk) only (see build_decomposition).
-    a_width = np.diff(decomposition.a_bounds)  # (pk, pn)
-    b_width = np.diff(decomposition.b_bounds)  # (pk, pm)
-    # Ranks are row-major in (pi, pj, kk); the pk partial C blocks of a k
-    # fiber count once per rank.
-    used = slice(0, grid.p_used)
-    machine.post_resident(a_name, used, (lm[:, None, None] * a_width.T[None, :, :]).ravel())
-    machine.post_resident(b_name, used, (b_width.T[:, None, :] * ln[None, :, None]).ravel())
-    machine.post_resident(c_name, used, np.repeat(_c_block_words(decomposition), grid.pk))
+    used = slice(0, decomposition.p_used)
+    for name, words in zip((a_name, b_name, c_name), decomposition.owned_words):
+        machine.post_resident(name, used, words)
 
 
 class _FiberExpansion:
@@ -239,8 +223,7 @@ class _FiberExpansion:
     def __init__(self, decomposition: CosmaDecomposition, exchange: str) -> None:
         pm, pn, _ = self.grid = decomposition.grid
         self.exchange = exchange
-        self.lm = np.diff(decomposition.i_bounds)
-        self.ln = np.diff(decomposition.j_bounds)
+        self.lm, self.ln, _ = decomposition.extents
 
         def circulant(q: int) -> np.ndarray:
             """``fan[o, pos]``: messages position ``pos`` sends of owner ``o``'s piece
@@ -292,38 +275,6 @@ class _FiberExpansion:
         fields[FLOPS] += 2 * held_w * lm * ln
 
 
-def _exchange_sums(
-    decomposition: CosmaDecomposition, first: int = 0, stop: int | None = None
-) -> tuple[np.ndarray, ...]:
-    """The sums of rounds ``[first, stop)`` of the panel exchange (all of them
-    by default) for :meth:`_FiberExpansion.expand`, in closed form from the
-    boundary arrays.  Round ``r`` moves each layer's chunk ``[k_lo + r step,
-    k_lo + (r + 1) step)`` clamped to the layer, so the window's chunks
-    partition the layer's k-range ``[lo_k, hi_k)`` from ``k_lo + first step``
-    to ``k_lo + stop step`` (clamped): a slice's overlaps sum to the slice
-    clamped to that range, the chunks that overlap the clamped slice ``[lo,
-    hi)`` are those from ``(lo - k_lo) // step`` to ``(hi - 1 - k_lo) //
-    step``, and the multiplied width is that range clamped to the k-range
-    both the A and the B owners hold (:func:`_held_k_runs`' per layer)."""
-    d = decomposition
-    k_lo, k_hi = d.k_bounds[:-1, None], d.k_bounds[1:, None]
-    step = d.step_size
-    lo_k = np.minimum(k_lo + first * step, k_hi)
-    hi_k = k_hi if stop is None else np.minimum(k_lo + stop * step, k_hi)
-
-    def overlaps(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.maximum(bounds[:, :-1], lo_k)  # (layer, owner)
-        hi = np.minimum(bounds[:, 1:], hi_k)
-        width = np.maximum(hi - lo, 0)
-        chunks = np.where(width > 0, (hi - 1 - k_lo) // step - (lo - k_lo) // step + 1, 0)
-        return width, chunks
-
-    (w_a, n_a), (w_b, n_b) = overlaps(d.a_bounds), overlaps(d.b_bounds)
-    held_lo = np.maximum.reduce((lo_k[:, 0], d.a_bounds[:, 0], d.b_bounds[:, 0]))
-    held_hi = np.minimum.reduce((hi_k[:, 0], d.a_bounds[:, -1], d.b_bounds[:, -1]))
-    return np.maximum(held_hi - held_lo, 0), w_a, w_b, n_a, n_b
-
-
 def _class_starts(decomposition: CosmaDecomposition) -> np.ndarray:
     """The first round of every round class, ascending: a *round class* is a
     maximal run of rounds with the identical schedule (equal chunk and
@@ -354,7 +305,7 @@ def fiber_exchange_rounds(
     starts = _class_starts(decomposition).tolist()
     for first, stop in zip(starts, [*starts[1:], decomposition.num_steps]):
         delta.reset()
-        expansion.expand(delta.data, *_exchange_sums(decomposition, first, first + 1))
+        expansion.expand(delta.data, *decomposition.exchange_sums(first, first + 1))
         yield range(first, stop), delta
 
 
@@ -367,9 +318,11 @@ def post_fiber_exchange(
     """Add the decomposition's whole panel exchange to the machine's counters,
     calling the engine's round boundary ``boundary(r)`` once per round.
 
-    Untraced, a run is ONE expansion to ranks of sums it reads off the
-    boundary arrays (:func:`_exchange_sums`): no round is visited, so the
-    sums are O(pk (pm + pn)), then the fiber products and a constant number of
+    Untraced, a run is ONE expansion to ranks of the whole exchange's sums,
+    read off the boundary arrays once per decomposition
+    (:attr:`~repro.core.decomposition.CosmaDecomposition.exchange_totals`,
+    usually already computed by the plan): no round is visited, so the sums
+    are O(pk (pm + pn)), then the fiber products and a constant number of
     O(p) array operations follow, whatever the round count.  A round span reads the matrix at
     its boundary, so under a tracer the same expansion runs once per round
     class (:func:`fiber_exchange_rounds`), :meth:`post_rounds
@@ -382,7 +335,7 @@ def post_fiber_exchange(
             machine.post_rounds(delta, rounds, boundary)
         return
     _FiberExpansion(decomposition, exchange).expand(
-        machine.counters.data, *_exchange_sums(decomposition))
+        machine.counters.data, *decomposition.exchange_totals)
     if boundary is not None:
         for r in range(decomposition.num_steps):
             boundary(r)
@@ -397,7 +350,7 @@ def post_c_reduction(machine: DistributedMachine, decomposition: CosmaDecomposit
     a flop per word) ``fanout[kk]``.
     """
     pm, pn, pk = decomposition.grid
-    mn_outer = _c_block_words(decomposition)
+    mn_outer = decomposition.c_block_words
     if pk > 1:
         received = np.array(tree_fanout(pk))
         sent = np.arange(pk) > 0
@@ -424,11 +377,11 @@ def received_words(decomposition: CosmaDecomposition) -> np.ndarray:
     ``lm ln tree_fanout(pk)[kk]`` words of the C reduction (none at
     ``pk = 1``).
     """
-    lm = np.diff(decomposition.i_bounds)[:, None, None]
-    ln = np.diff(decomposition.j_bounds)[None, :, None]
-    lk = np.diff(decomposition.k_bounds)
-    a_own = np.diff(decomposition.a_bounds).T[None, :, :]  # (1, pn, pk)
-    b_own = np.diff(decomposition.b_bounds).T[:, None, :]  # (pm, 1, pk)
+    lm, ln, lk = decomposition.extents
+    a_width, b_width = decomposition.owned_widths
+    a_own = a_width.T[None, :, :]  # (1, pn, pk)
+    b_own = b_width.T[:, None, :]  # (pm, 1, pk)
+    lm, ln = lm[:, None, None], ln[None, :, None]
     fan_in = np.array(tree_fanout(decomposition.grid.pk), dtype=np.int64)
     return (lm * (lk - a_own) + ln * (lk - b_own) + lm * ln * fan_in).ravel()
 
@@ -450,7 +403,8 @@ def _fan_levels(exchange: str, q: int) -> list[tuple[int, int]]:
 def counted_rounds(decomposition: CosmaDecomposition, exchange: str) -> np.ndarray:
     """Rounds every used rank counts in the panel exchange (``exchange``
     kind) and the C reduction, int64 in rank order: the ``ROUNDS`` a run
-    posts, from each (layer, owner) slice's chunk count (:func:`_exchange_sums`)
+    posts, from each (layer, owner) slice's chunk count (the decomposition's
+    :attr:`~repro.core.decomposition.CosmaDecomposition.exchange_totals`)
     and each exchange's own level rule (:func:`_fan_levels`).
 
     Per chunk, every position but the owner receives once, and a position
@@ -461,7 +415,7 @@ def counted_rounds(decomposition: CosmaDecomposition, exchange: str) -> np.ndarr
     and every position but ``kk = 0`` sends once.
     """
     pk = decomposition.grid.pk
-    _, _, _, n_a, n_b = _exchange_sums(decomposition)
+    _, _, _, n_a, n_b = decomposition.exchange_totals
     receiver_only = exchange in ("get", "ring")
 
     def fiber_rounds(chunks: np.ndarray) -> np.ndarray:  # (layer, owner) -> (position, layer)

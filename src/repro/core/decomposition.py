@@ -18,7 +18,10 @@ result.
 
 All of that is five boundary arrays (:class:`CosmaDecomposition`); every
 engine (and the per-hop test reference) reads a rank's ranges off them by its
-grid coordinates.  There is no per-rank object.  The initial ownership of A and B,
+grid coordinates.  There is no per-rank object.  The arrays a run derives
+from the boundaries -- block sides, ownership widths, the words each rank
+owns, the whole panel exchange's sums -- are computed once per decomposition
+and kept on it, read-only, like the boundaries themselves.  The initial ownership of A and B,
 as :class:`~repro.layouts.Layout` tables, is
 :meth:`CosmaDecomposition.input_layouts`.
 """
@@ -26,7 +29,7 @@ as :class:`~repro.layouts.Layout` tables, is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -47,6 +50,13 @@ def _split_bounds(extents, parts: int) -> np.ndarray:
     return index * (extents // parts) + np.minimum(index, extents % parts)
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays``, each made read-only, so an in-place write raises."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 @dataclass(frozen=True)
 class CosmaDecomposition:
     """The complete COSMA decomposition for a problem instance.
@@ -55,6 +65,12 @@ class CosmaDecomposition:
     per k-layer, and that is what is stored: O(pm + pn + pk (pm + pn))
     boundaries, whatever ``p`` is.  A decomposition is memoized and shared by
     every run of its scenario, so it holds no per-rank object.
+
+    Its boundary arrays are read-only, and what a run derives from them is a
+    cached property, computed on first use and kept (read-only) for as long
+    as the decomposition lives: a plan and every run of its scenario read the
+    same copy.  ``dataclasses.replace`` yields a fresh object with nothing
+    cached.
     """
 
     m: int
@@ -80,9 +96,85 @@ class CosmaDecomposition:
     a_bounds: np.ndarray = field(compare=False, repr=False)
     b_bounds: np.ndarray = field(compare=False, repr=False)
 
+    def __post_init__(self) -> None:
+        _read_only(self.i_bounds, self.j_bounds, self.k_bounds, self.a_bounds, self.b_bounds)
+
     @property
     def p_used(self) -> int:
         return self.grid.p_used
+
+    @cached_property
+    def extents(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(lm, ln, lk)``: the block sides of the ``pm`` / ``pn`` / ``pk``
+        parts of the i / j / k axes."""
+        return _read_only(np.diff(self.i_bounds), np.diff(self.j_bounds), np.diff(self.k_bounds))
+
+    @cached_property
+    def owned_widths(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(a_width, b_width)``: the k-widths of every layer's A slices
+        ``(pk, pn)`` and B slices ``(pk, pm)``."""
+        return _read_only(np.diff(self.a_bounds), np.diff(self.b_bounds))
+
+    @cached_property
+    def c_block_words(self) -> np.ndarray:
+        """Words of every ``(pi, pj)`` block of C, row-major."""
+        lm, ln, _ = self.extents
+        return _read_only(np.multiply.outer(lm, ln).ravel())[0]
+
+    @cached_property
+    def owned_words(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Words of A, of B and of C every used rank holds before the
+        exchange, in rank order: its A and B ownership slices and its C block
+        (the ``pk`` partial blocks of a k fiber count once per rank)."""
+        lm, ln, _ = self.extents
+        a_width, b_width = self.owned_widths
+        # Ranks are row-major in (pi, pj, kk): the A split depends on (pj, kk)
+        # only, the B split on (pi, kk) only.
+        return _read_only(
+            (lm[:, None, None] * a_width.T[None, :, :]).ravel(),
+            (b_width.T[:, None, :] * ln[None, :, None]).ravel(),
+            np.repeat(self.c_block_words, self.grid.pk),
+        )
+
+    def exchange_sums(self, first: int = 0, stop: int | None = None) -> tuple[np.ndarray, ...]:
+        """The sums of rounds ``[first, stop)`` of the panel exchange (all of
+        them by default), in closed form from the boundary arrays: ``held``
+        (layer) the width of the window's chunks that both the A and the B
+        owners hold (what a rank multiplies), ``w_a`` / ``w_b`` (layer, owner)
+        the chunks' overlap widths with each A / B ownership slice, ``n_a`` /
+        ``n_b`` (layer, owner) how many of the chunks overlap the slice.
+
+        Round ``r`` moves each layer's chunk ``[k_lo + r step, k_lo + (r + 1)
+        step)`` clamped to the layer, so the window's chunks partition the
+        layer's k-range ``[lo_k, hi_k)`` from ``k_lo + first step`` to ``k_lo +
+        stop step`` (clamped): a slice's overlaps sum to the slice clamped to
+        that range, the chunks that overlap the clamped slice ``[lo, hi)`` are
+        those from ``(lo - k_lo) // step`` to ``(hi - 1 - k_lo) // step``, and
+        the multiplied width is that range clamped to the k-range both the A
+        and the B owners hold.  The whole exchange's sums are
+        :attr:`exchange_totals`."""
+        k_lo, k_hi = self.k_bounds[:-1, None], self.k_bounds[1:, None]
+        step = self.step_size
+        lo_k = np.minimum(k_lo + first * step, k_hi)
+        hi_k = k_hi if stop is None else np.minimum(k_lo + stop * step, k_hi)
+
+        def overlaps(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            lo = np.maximum(bounds[:, :-1], lo_k)  # (layer, owner)
+            hi = np.minimum(bounds[:, 1:], hi_k)
+            width = np.maximum(hi - lo, 0)
+            chunks = np.where(width > 0, (hi - 1 - k_lo) // step - (lo - k_lo) // step + 1, 0)
+            return width, chunks
+
+        (w_a, n_a), (w_b, n_b) = overlaps(self.a_bounds), overlaps(self.b_bounds)
+        held_lo = np.maximum.reduce((lo_k[:, 0], self.a_bounds[:, 0], self.b_bounds[:, 0]))
+        held_hi = np.minimum.reduce((hi_k[:, 0], self.a_bounds[:, -1], self.b_bounds[:, -1]))
+        return np.maximum(held_hi - held_lo, 0), w_a, w_b, n_a, n_b
+
+    @cached_property
+    def exchange_totals(self) -> tuple[np.ndarray, ...]:
+        """:meth:`exchange_sums` of the whole exchange, computed once: the
+        plan's rounds and every untraced run read them."""
+        return _read_only(*self.exchange_sums())
 
     def input_layouts(self) -> tuple[Layout, Layout]:
         """The blocked input layouts of A and B as ownership tables.
@@ -164,8 +256,12 @@ def build_decomposition(
 
 # As deep as the plan memo: a campaign's pruning pass plans every request
 # before any runs, so each run (in process, or in a worker forked after that
-# pass) finds the decomposition its plan built.  An entry is the boundary
-# arrays only -- no per-rank objects are stored on it.
+# pass) finds the decomposition its plan built, with the arrays the plan
+# derived from it (its cached properties).  An entry is the boundary arrays
+# and those -- no per-rank objects.  Over the 192 grid-family points of the
+# grid240 campaign (186 entries) the plans derive 0.35 MiB, and the runs'
+# owned-words vectors bring it to 2.2 MiB.  Only the reuse needs fork: a
+# worker that inherits nothing builds the same values itself.
 @lru_cache(maxsize=4096)
 def _decompose(
     m: int, n: int, k: int, p: int, s: int, grid: ProcessorGrid, step_size: int | None

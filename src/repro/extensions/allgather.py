@@ -12,9 +12,9 @@ registry (README: "adding a new algorithm"): a runner with the uniform
 ``(a, b, scenario, machine)`` signature, decorated with
 :func:`~repro.algorithms.register_algorithm`, optionally carrying a planner
 and a Table 3-style I/O formula.  The runner has the shape of every engine in
-the library: it posts its schedule's transfers (one
-:meth:`~repro.machine.simulator.DistributedMachine.post_transfers` for the
-whole ring), its ranks' resident blocks
+the library: it posts its schedule's counters (the whole ring as one
+closed-form delta, O(q) whatever the ring's q (q - 1) messages), its ranks'
+resident blocks
 (:meth:`~repro.machine.simulator.DistributedMachine.post_resident`) and its
 flops, and computes the product with one GEMM -- none in ``volume`` mode.
 Importing this module is all it takes for ``AllGather1D`` to work in
@@ -28,7 +28,16 @@ import numpy as np
 
 from repro.algorithms import Plan, register_algorithm
 from repro.baselines.costs import io_cost_naive_1d
-from repro.machine.counters import FLOPS, ROUNDS
+from repro.machine.counters import (
+    FLOPS,
+    INPUT_WORDS,
+    MESSAGES_RECEIVED,
+    MESSAGES_SENT,
+    ROUNDS,
+    WORDS_RECEIVED,
+    WORDS_SENT,
+    CommCounters,
+)
 from repro.machine.transport import ShapeToken, as_operands
 from repro.pebbling.mmm_bounds import parallel_io_lower_bound
 from repro.utils.intmath import ceil_div, split_offsets
@@ -82,11 +91,16 @@ def allgather_multiply(a_matrix, b_matrix, scenario, machine):
 
     if machine.trace is not None:
         machine.trace.collective("allgather", q)
-    senders = np.tile(np.arange(q), q - 1)
-    blocks = (senders - np.repeat(np.arange(q - 1), q)) % q
-    machine.post_transfers(senders, (senders + 1) % q, lk[blocks] * n, kind="input",
-                           count_rounds=False)
-    machine.counters.data[ROUNDS, :q] += q - 1
+    # The ring in closed form, O(q): over its q - 1 steps the rank at position
+    # pos passes on every block but its right neighbour's and receives every
+    # block but its own, one message each way per step.
+    ring = CommCounters.for_ranks(machine.p)
+    rows = ring.data[:, :q]
+    rows[WORDS_SENT] = (k - np.roll(lk, -1)) * n
+    rows[WORDS_RECEIVED] = (k - lk) * n
+    rows[INPUT_WORDS] = rows[WORDS_SENT] + rows[WORDS_RECEIVED]
+    rows[MESSAGES_SENT] = rows[MESSAGES_RECEIVED] = rows[ROUNDS] = q - 1
+    machine.post_rounds(ring, range(1))
 
     used = slice(0, q)
     machine.post_resident("A_own", used, lm * k)

@@ -706,6 +706,14 @@ def run_campaign(
     (superseded or torn) lines exceed ``max(live records, 32)``, which bounds
     file growth under ``resume=False`` / ``retry_failures=True`` rerun loops.
 
+    The pruning pass plans every request before any worker starts, and a
+    plan memoizes the schedule arrays its runs read (see
+    :meth:`~repro.algorithms.AlgorithmSpec.plan`), so workers forked after
+    it inherit them and recompute none.  Only that speed-up needs the
+    ``fork`` start method: under ``spawn`` or ``forkserver`` a worker
+    inherits nothing, builds the same schedules itself and stores the same
+    records.
+
     Parameters
     ----------
     spec:

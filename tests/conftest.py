@@ -70,15 +70,17 @@ def panel_exchange(monkeypatch) -> SimpleNamespace:
     """The grid family's panel exchange, observed.
 
     ``classes`` lists the rounds of every window of the exchange summed for
-    one expansion (``core.cosma._exchange_sums(decomposition, first, stop)``:
-    one round per round class, only under a tracer; an untraced run sums the
-    whole exchange, no window), and ``expansions`` counts the expansions to
-    ranks (``core.cosma._FiberExpansion.expand``: one per untraced run).
+    one expansion (``CosmaDecomposition.exchange_sums(first, stop)``: one
+    round per round class, only under a tracer; an untraced run reads the
+    whole exchange's sums, no window), and ``expansions`` counts the
+    expansions to ranks (``core.cosma._FiberExpansion.expand``: one per
+    untraced run).
     """
     from repro.core import cosma
+    from repro.core.decomposition import CosmaDecomposition
 
     seen = SimpleNamespace(classes=[], expansions=0)
-    exchange_sums, expand = cosma._exchange_sums, cosma._FiberExpansion.expand
+    exchange_sums, expand = CosmaDecomposition.exchange_sums, cosma._FiberExpansion.expand
 
     def recording_sums(decomposition, first=0, stop=None):
         if stop is not None:
@@ -89,6 +91,6 @@ def panel_exchange(monkeypatch) -> SimpleNamespace:
         seen.expansions += 1
         expand(self, *args)
 
-    monkeypatch.setattr(cosma, "_exchange_sums", recording_sums)
+    monkeypatch.setattr(CosmaDecomposition, "exchange_sums", recording_sums)
     monkeypatch.setattr(cosma._FiberExpansion, "expand", recording_expand)
     return seen

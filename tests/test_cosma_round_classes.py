@@ -591,7 +591,7 @@ def test_closed_form_sums_equal_the_width_table(decomposition, exchange, window)
         return np.concatenate([rows[:, pk:].sum(axis=0), np.count_nonzero(rows[:, 2 * pk:], axis=0)])
 
     def closed_form(*window):
-        held, w_a, w_b, n_a, n_b = cosma._exchange_sums(decomposition, *window)
+        held, w_a, w_b, n_a, n_b = decomposition.exchange_sums(*window)
         return np.concatenate([held, w_a.ravel(), w_b.ravel(), n_a.ravel(), n_b.ravel()])
 
     first, stop = sorted(cut % (rounds + 1) for cut in window)

@@ -96,12 +96,12 @@ def test_grid240():
 @pytest.mark.parametrize("side, p", [(4096, 1024), (8192, 4096), (16384, 16384), (32768, 65536)])
 def test_paper_scale(side, p):
     """The paper-scale volume points (S = 101,000) of ``scripts/identity_pairs.py``:
-    the five at 4096^3 on p = 1024 and at p = 16384 and 65536, the grid family
-    at 8192^3 on p = 4096.  (``AllGather1D``'s ring would post q (q - 1)
-    messages here, 10^9 at p = 65536.)"""
+    the five and ``AllGather1D`` at 4096^3 on p = 1024 and at p = 16384 and
+    65536, the grid family at 8192^3 on p = 4096.  (``AllGather1D``'s ring
+    of q (q - 1) messages, 10^9 at p = 65536, is posted in closed form.)"""
     scenario = Scenario(name=f"square-paper-p{p}", shape=square_shape(side), p=p,
                         memory_words=101_000, regime="limited")
-    names = ("COSMA", "ScaLAPACK", "CTF") if p == 4096 else CORE_FIVE
+    names = ("COSMA", "ScaLAPACK", "CTF") if p == 4096 else CORE_FIVE + ("AllGather1D",)
     for name in names:
         assert_rounds_are_plan(name, scenario)
 
