@@ -25,7 +25,7 @@
 #                       BENCHMARK.json bound (scripts/ledger_pairs.py)
 #   make identity BASE=<rev>
 #                     - is the working tree observably identical to BASE?
-#                       counter rows, peaks, round counts, spans and products
+#                       counter rows, peaks, round counts, span totals and products
 #                       of every algorithm over grid240, the paper-scale volume
 #                       points, every algorithm at p = 16384 / 65536 and a
 #                       list of awkward ones, in plane and volume mode

@@ -13,9 +13,9 @@ decomposition exists to avoid -- compare the words/rank columns.
 
 A runner has the shape of every engine in the library: it posts its
 schedule's transfers on the machine's counters (``post_transfers``, one call
-per phase) and its flops, then computes the product with one GEMM -- or, on a
-``volume`` machine, returns a shape token, since its payloads carry no
-values.
+per phase) and its flops (``post_flops``), then computes the product with one
+GEMM -- or, on a ``volume`` machine, returns a shape token, since its
+payloads carry no values.
 
 Run with::
 
@@ -32,7 +32,6 @@ import numpy as np
 from repro.algorithms import register_algorithm
 from repro.experiments.harness import run_scenario
 from repro.experiments.report import format_table
-from repro.machine.counters import FLOPS
 from repro.machine.transport import ShapeToken
 from repro.utils.intmath import split_offsets
 from repro.workloads.scaling import limited_memory_sweep
@@ -54,7 +53,7 @@ def root_gemm(a, b, scenario, machine):
     others, root = np.arange(1, p), np.zeros(p - 1, dtype=int)
     machine.post_transfers(others, root, rows_a[1:] * k, kind="input")
     machine.post_transfers(others, root, rows_b[1:] * n, kind="input")
-    machine.counters.data[FLOPS, 0] += 2 * m * n * k
+    machine.post_flops("root-gemm", [0], np.array([2 * m * n * k]))
     machine.post_transfers(root, others, rows_a[1:] * n, kind="output")
     return ShapeToken((m, n)) if machine.transport.counters_only else a @ b
 

@@ -6,9 +6,8 @@ that calls the very function the runner derives its grid and schedule from
 (never a copy of the derivation) without touching matrices, and the Table 3
 I/O formula of
 :mod:`repro.baselines.costs` (COSMA's I/O row is Theorem 2 itself).  Every
-planner returns the rounds the run will count and the busiest domain's I/O
-that ``Plan.optimality_ratio`` holds against Theorem 2; the grid family's
-(COSMA, ScaLAPACK, CTF, Cannon: :func:`_grid_plan`) also the words.
+planner returns the words and the rounds the run will count and the busiest
+domain's I/O that ``Plan.optimality_ratio`` holds against Theorem 2.
 
 Every runner reads the same way: the operands at the machine's plane dtype,
 the decomposition its planner builds, then the engine on it, which returns the
@@ -186,14 +185,14 @@ def _plan_carma(scenario: Scenario) -> Plan:
     shape = scenario.shape
     m, n, k = shape.m, shape.n, shape.k
     usable = usable_ranks(m, n, k, scenario.p)
-    table = carma_table(m, n, k, usable)
+    table, messages = carma_table(m, n, k, usable), carma_messages(m, n, k, usable)
     extents = np.diff(table[:, 1:].reshape(-1, 3, 2), axis=2)[:, :, 0]
     return Plan(
         algorithm="CARMA", scenario=scenario, feasible=True,
         grid=(usable,), processors_used=usable,
-        rounds=int(cuboid_rounds(table, carma_messages(m, n, k, usable)).max()),
-        # Table 3: the count needs each rank's "needed - owned" words.
-        predicted_words_per_rank=costs.io_cost_carma(m, n, k, usable, scenario.memory_words),
+        rounds=int(cuboid_rounds(table, messages).max()),
+        # The count: the inputs a rank receives, the partial C its owner does.
+        predicted_words_per_rank=sum(int(words.sum()) for _, _, words in messages) / scenario.p,
         domain_io_words=int(_domain_io(*extents.T).max()),
         lower_bound_per_rank=_bound(scenario),
     )

@@ -25,7 +25,7 @@ import numpy as np
 from repro.baselines.summa import run_panels, summa_decomposition
 from repro.core.decomposition import CosmaDecomposition
 from repro.machine.counters import (
-    INPUT_WORDS, MESSAGES_RECEIVED, MESSAGES_SENT, ROUNDS, WORDS_RECEIVED, WORDS_SENT, CommCounters,
+    COUNTER_FIELDS, INPUT_WORDS, MESSAGES_RECEIVED, MESSAGES_SENT, ROUNDS, WORDS_RECEIVED, WORDS_SENT,
 )
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import ShapeToken
@@ -81,16 +81,16 @@ def cannon_run(
         a_matrix = _padded(a_matrix, (decomposition.m, decomposition.k))
         b_matrix = _padded(b_matrix, (decomposition.k, decomposition.n))
 
-    # The skew, with no round boundary: a rank off row 0 moves one A block, one
-    # off column 0 one B block, and every grid rank pays a round per shift.
+    # The skew: a rank off row 0 moves one A block, one off column 0 one B
+    # block, and every grid rank pays a round per shift.
     moves = np.minimum(np.arange(q), 1)
-    skew = CommCounters.for_ranks(machine.p)
-    grid = skew.data[:, : q * q].reshape(-1, q, q)  # (field, i, j)
+    skew = np.zeros((len(COUNTER_FIELDS), q * q), dtype=np.int64)
+    grid = skew.reshape(-1, q, q)  # (field, i, j)
     grid[WORDS_SENT] = grid[WORDS_RECEIVED] = skew_words(decomposition).reshape(q, q)
     grid[MESSAGES_SENT] = grid[MESSAGES_RECEIVED] = moves[:, None] + moves
     grid[INPUT_WORDS] = 2 * grid[WORDS_SENT]
     grid[ROUNDS] = 2
-    machine.post_rounds(skew, range(1))
+    machine.post_delta("cannon-skew", skew)
 
     c_pad = run_panels(machine, a_matrix, b_matrix, decomposition, "ring")
     return c_pad[:m, :n] if numeric else ShapeToken((m, n))

@@ -53,7 +53,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.machine.counters import FLOPS
 from repro.machine.simulator import DistributedMachine
 from repro.utils.intmath import abutting_runs, sorted_distinct
 
@@ -253,8 +252,8 @@ def cuboid_run(
     # pair carrying the owner's element count; inputs flow owner -> rank,
     # partial outputs rank -> owner, where each received element costs one
     # accumulation flop.
-    for owners, receivers, words in messages[:2]:
-        machine.post_transfers(owners, receivers, words, kind="input")
+    for matrix, (owners, receivers, words) in zip("AB", messages[:2]):
+        machine.post_transfers(owners, receivers, words, kind="input", label=f"fetch-{matrix}")
 
     ranks = table[:, RANK]
     lm, ln, lk = (table[:, I1::2] - table[:, I0::2]).T
@@ -262,13 +261,13 @@ def cuboid_run(
     machine.post_resident("B", ranks, lk * ln)
     machine.post_resident("C_partial", ranks, lm * ln)
     # Every rank multiplies its fetched blocks once.
-    np.add.at(machine.counters.data[FLOPS], ranks, 2 * lm * ln * lk)
+    machine.post_flops("local-gemm", ranks, 2 * lm * ln * lk)
     c_global = machine.zeros((m, n))  # at the plane dtype; a token in volume mode
     if not machine.transport.counters_only:
         _accumulate_products(c_global, a_matrix, b_matrix, table)
     owners, senders, words = messages[2]
-    machine.post_transfers(senders, owners, words, kind="output")
-    np.add.at(machine.counters.data[FLOPS], owners, words)
+    machine.post_transfers(senders, owners, words, kind="output", label="reduce-C")
+    machine.post_flops("accumulate-C", owners, words)
     machine.check_memory()
     return c_global
 

@@ -20,9 +20,8 @@ communication step and direct sends in place of the broadcast tree
 through the accounting core of :mod:`repro.core.cosma`, and its product is
 COSMA's numerics, :func:`~repro.core.cosma.layer_product` (a GEMM per layer
 over the k-range the layer's owners hold, layers whose ranges abut merged
-into one).  What is 2.5D's own is the grid, the whole-layer
-step, direct sends, no round boundary and no memory check after the
-reduction.  The textbook layout
+into one).  What is 2.5D's own is the grid, the whole-layer step, direct
+sends and no memory check after the reduction.  The textbook layout
 (layer ``l`` owns the ``l``-th k-slice, split over the ``q`` ranks of a row
 for A and of a column for B) is pinned on the decomposition's arrays by the
 tests.
@@ -101,9 +100,9 @@ def grid25d_run(
     """2.5D's engine on :func:`grid25d_decomposition`; returns the global
     product.
 
-    2.5D's own part of a run (see the module docstring) is that its one
-    gather round (all layers at once, a single round class) marks no round
-    boundary, and that memory is checked before the reduced blocks land.
+    2.5D's own part of a run (see the module docstring) is its one gather
+    round (all layers at once, a single round class), and that memory is
+    checked before the reduced blocks land.
     The product is :func:`layer_product`'s, into a single C sheet (the
     per-layer partial blocks and their reduction collapse into its GEMMs).
     In ``volume`` mode only the accounting runs: no plane is allocated and a

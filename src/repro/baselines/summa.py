@@ -15,12 +15,11 @@ That makes SUMMA a grid choice, not a schedule of its own: it is COSMA's
 fiber exchange on the grid ``pm x pn x 1`` with the panel width as the
 communication step (:func:`summa_decomposition`), and the engine says so
 literally (:func:`run_panels`): it posts its residency and panel rounds
-through the accounting core of :mod:`repro.core.cosma`, adds only the round
-boundary, and computes the product with COSMA's numerics,
+through the accounting core of :mod:`repro.core.cosma` and computes the
+product with COSMA's numerics,
 :func:`~repro.core.cosma.layer_product` (one GEMM over the k-range the
 owners' slices hold, on its single layer).  What is SUMMA's own is the grid,
-the step, binomial broadcasts, an unlabelled ``commit_round`` per panel, and
-no C reduction.  Cannon makes the same
+the step, binomial broadcasts and no C reduction.  Cannon makes the same
 call with a ring in place of the trees.  The textbook layout
 (A's k columns split over the ``pn`` ranks of a process row, B's k rows over
 the ``pm`` ranks of a process column) is pinned on the decomposition's arrays
@@ -93,19 +92,16 @@ def run_panels(
     This is ScaLAPACK's engine, on :func:`summa_decomposition`, and Cannon's
     after its skew (:func:`repro.baselines.cannon.cannon_run`).
 
-    SUMMA's own part of a run (see the module docstring) is the round
-    boundary -- an unlabelled ``commit_round`` per panel.  The panels are an
-    accounting matter only: the product is :func:`layer_product`'s GEMM into
-    a single C sheet.  In ``volume`` mode the numerics are skipped: no plane
-    is allocated and a token is returned as the product.
+    The panels are an accounting matter only (see the module docstring):
+    the product is :func:`layer_product`'s GEMM into a single C sheet.  In
+    ``volume`` mode the numerics are skipped: no plane is allocated and a
+    token is returned as the product.
     """
     post_owned_words(machine, decomposition, "A", "B", "C")
     # The schedule checks memory once per panel; the resident blocks never
     # change between panels, so one check records the identical peak.
     machine.check_memory()
-    # The boundary does nothing untraced: pass it only to a tracer.
-    post_fiber_exchange(machine, decomposition, exchange,
-                        None if machine.trace is None else lambda _: machine.commit_round())
+    post_fiber_exchange(machine, decomposition, exchange)
     if machine.transport.counters_only:
         return ShapeToken((decomposition.m, decomposition.n))
     return layer_product(machine, "summa", decomposition, a_matrix, b_matrix)

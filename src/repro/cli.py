@@ -25,7 +25,9 @@ drifted lines, 2 = no store at the given path.
 
 Observability: the global ``--log-level`` flag configures the ``repro``
 logger hierarchy; ``multiply`` and ``sweep`` accept ``--trace FILE`` (write a
-Perfetto-loadable Chrome trace of the run), ``--trace-events FILE`` (write the
+Perfetto-loadable Chrome trace of the run: one ``round`` span per round
+class, with its label, first round, multiplicity and one round's words,
+flops and hops), ``--trace-events FILE`` (write the
 raw span/event stream as JSON lines; either flag turns tracing on) and
 ``--profile [N]`` (cProfile the command and print the top N cumulative
 entries).
@@ -102,7 +104,9 @@ def _add_instrumentation_flags(p: argparse.ArgumentParser) -> None:
     and sweep commands."""
     p.add_argument(
         "--trace", default=None, metavar="TRACE.json",
-        help="run with tracing enabled and write a Chrome trace (open in ui.perfetto.dev)",
+        help="run with tracing enabled and write a Chrome trace (open in ui.perfetto.dev): "
+             "one round span per round class (label, first round, multiplicity, and one "
+             "round's words, flops and hops)",
     )
     p.add_argument(
         "--trace-events", default=None, metavar="EVENTS.jsonl",

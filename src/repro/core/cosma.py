@@ -34,20 +34,17 @@ posted when:
   at ``(layer, owner)`` size: each layer's k-range overlapped with each
   ownership slice, and the number of chunks that overlap it, read off the
   boundary arrays without visiting a round); the C reduction, one more
-  delta;
-* **per round** -- nothing untraced.  Under a tracer, the engine's boundary
-  call (COSMA's labelled ``log_round``, SUMMA's and Cannon's
-  ``commit_round``, none for 2.5D), which does nothing untraced, so the
-  engines pass it only then;
-* **per round class** (a maximal run of rounds with equal widths) -- a
-  ``fields x p`` delta, but only under a tracer: a round span reads the
-  counter matrix at its boundary, so a traced run reads where its classes
-  start off the boundary arrays (a layer's chunk reaching an ownership bound
-  or the layer's end) and adds class by class, each expanded from the same
-  closed-form sums over a one-round window, through the same expand
-  function.  Tracing is the only reader of per-class deltas
-  (:func:`fiber_exchange_rounds`, which is also the form the test suite's
-  hop-expansion oracle checks).  No array has a rounds axis.
+  delta.  Each is one posting call of the machine, traced or not, and
+  nothing is posted per round;
+* **per round class** (a maximal run of rounds with equal widths) -- one
+  round span, only under a tracer: the exchange's posting call reads where
+  its classes start off the boundary arrays (a layer's chunk reaching an
+  ownership bound or the layer's end) and spans each class with its
+  multiplicity, from a ``fields x p`` delta of one of its rounds, expanded
+  from the same closed-form sums over a one-round window through the same
+  expand function (:func:`fiber_exchange_rounds`, which is also the form
+  the test suite's hop-expansion oracle checks).  These deltas are read,
+  never added.  No array has a rounds axis.
 
 The product is the grid family's one numeric function too,
 :func:`layer_product`: a GEMM into a single C sheet over the rows and columns
@@ -67,13 +64,15 @@ by counter cell.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from contextlib import nullcontext
+from functools import lru_cache
 
 import numpy as np
 
 from repro.core.decomposition import CosmaDecomposition
 from repro.machine.counters import (
+    COUNTER_FIELDS,
     FLOPS,
     INPUT_WORDS,
     MESSAGES_RECEIVED,
@@ -82,11 +81,9 @@ from repro.machine.counters import (
     ROUNDS,
     WORDS_RECEIVED,
     WORDS_SENT,
-    CommCounters,
 )
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import ShapeToken
-from repro.machine.tree import tree_fanout
 from repro.utils.intmath import abutting_runs, sorted_distinct, split_offsets
 
 
@@ -193,6 +190,53 @@ def post_owned_words(
         machine.post_resident(name, used, words)
 
 
+@lru_cache(maxsize=256)
+def _fan_levels(exchange: str, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """A piece's way to the other ``q - 1`` positions of a fiber, counted from
+    its owner, as read-only ``(senders, messages)`` arrays, one entry per
+    level: positions ``0 .. senders - 1`` each send ``messages``.  A tree's
+    level ``r``: ``i < 2^r`` sends to ``i + 2^r`` inside the fiber; a ring:
+    each position but the last to the next; a star (``get`` / ``gather``):
+    the owner to all."""
+    if exchange == "tree":
+        spans = 1 << np.arange((q - 1).bit_length())
+        levels = np.minimum(spans, q - spans), np.ones_like(spans)
+    elif exchange == "ring":
+        levels = np.array([q - 1]), np.array([1])
+    else:
+        levels = np.array([1]), np.array([q - 1])
+    for array in levels:
+        array.flags.writeable = False
+    return levels
+
+
+def _fiber_sends(values: np.ndarray, exchange: str) -> np.ndarray:
+    """What every position of a fiber sends, summed over the owners, given
+    ``values`` per ``(layer, owner)`` (a piece's width, or a chunk count):
+    ``(layer, position)``.  The one fan-out rule of the engine and the plan.
+
+    At each level of :func:`_fan_levels`, position ``pos`` sends ``messages``
+    times the value of every owner whose first ``senders`` positions include
+    it, the owners ``pos - senders + 1 .. pos`` (mod ``q``): a circular
+    window sum of ``values``, read for all levels with one gather."""
+    q = values.shape[1]
+    senders, messages = _fan_levels(exchange, q)
+    # circular[:, q + pos] - circular[:, q + pos - s] sums the values of
+    # owners pos - s + 1 .. pos (mod q).
+    circular = np.cumsum(np.concatenate((values, values), axis=1), axis=1)
+    starts = circular[:, (q - senders)[:, None] + np.arange(q)]  # (layer, level, position)
+    return messages.sum() * circular[:, q:] - messages @ starts
+
+
+def _tree_fan_in(q: int) -> np.ndarray:
+    """Blocks each position of a ``q``-position k fiber receives (and
+    combines) in the C reduction onto position 0: the broadcast tree
+    mirrored, so the messages the position would send of position 0's piece
+    (:func:`_fan_levels`)."""
+    senders, messages = _fan_levels("tree", q)
+    return messages @ (np.arange(q) < senders[:, None])
+
+
 class _FiberExpansion:
     """How a decomposition's panel exchange turns overlap widths into
     per-rank counters.
@@ -211,7 +255,7 @@ class _FiberExpansion:
     No hop is expanded.  In a fiber of ``q`` positions rooted at owner ``o``,
     position ``(pos - o) % q`` sends that position's fan-out of messages and
     receives one unless it is the root; summed over owners, a position sends
-    the circulant product ``widths @ fan`` and receives every width but its
+    :func:`_fiber_sends` of the widths and receives every width but its
     own, in units of its rank's block side (``lm`` for A pieces, ``ln`` for
     B).  Every counter is therefore *linear* in a round's overlap widths (and
     in which of them are positive): any set of rounds is added by summing, at
@@ -221,34 +265,20 @@ class _FiberExpansion:
     """
 
     def __init__(self, decomposition: CosmaDecomposition, exchange: str) -> None:
-        pm, pn, _ = self.grid = decomposition.grid
+        self.grid = decomposition.grid
         self.exchange = exchange
         self.lm, self.ln, _ = decomposition.extents
 
-        def circulant(q: int) -> np.ndarray:
-            """``fan[o, pos]``: messages position ``pos`` sends of owner ``o``'s piece
-            (the star sends all ``q - 1`` from the owner itself, the ring one
-            from every position but the last)."""
-            if exchange == "tree":
-                fanout = np.array(tree_fanout(q))
-            elif exchange == "ring":
-                fanout = np.array([1] * (q - 1) + [0])
-            else:
-                fanout = np.array([q - 1] + [0] * (q - 1))
-            return fanout[(np.arange(q) - np.arange(q)[:, None]) % q]
-
-        self.fan_a, self.fan_b = circulant(pn), circulant(pm)
-
-    def _by_rank(self, w_a, w_b, lm, ln) -> tuple[np.ndarray, np.ndarray]:
-        """(sent, received) on the ``(pm, pn, pk)`` grid given ``(layer, owner)``
-        widths: ``lm`` per unit of A width along the ``j`` fiber, ``ln`` per unit
-        of B width along the ``i`` fiber."""
-        def exchanged(widths, fan):  # as (position, layer) tables
-            return (widths @ fan).T, (widths.sum(axis=1, keepdims=True) - widths).T
-
-        sent_a, received_a = exchanged(w_a, self.fan_a)
-        sent_b, received_b = exchanged(w_b, self.fan_b)
-        return lm * sent_a + sent_b[:, None] * ln, lm * received_a + received_b[:, None] * ln
+    def _exchanged(self, widths: np.ndarray, chunks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(sent, received) along one fiber direction as ``(what, position,
+        layer)`` tables, ``what`` 0 for the ``(layer, owner)`` overlap
+        ``widths`` and 1 for the ``chunks`` that overlap each slice: one
+        fan-out sum for both."""
+        values = np.concatenate((widths, chunks))
+        by_what = (2, len(widths), values.shape[1])
+        sent = _fiber_sends(values, self.exchange).reshape(by_what)
+        received = (values.sum(axis=1, keepdims=True) - values).reshape(by_what)
+        return sent.transpose(0, 2, 1), received.transpose(0, 2, 1)
 
     def expand(self, data: np.ndarray, held_w, w_a, w_b, n_a, n_b) -> None:
         """Add a set of rounds to the ``(field, rank)`` counter array ``data``,
@@ -262,11 +292,16 @@ class _FiberExpansion:
         # zero widths throughout and its ranks stay as they are.
         fields = data[:, : pm * pn * pk].reshape(-1, pm, pn, pk)
         lm, ln = self.lm[:, None, None], self.ln[:, None]
-        sent, received = self._by_rank(w_a, w_b, lm, ln)
+        # A pieces travel the j fiber (positions pj), B pieces the i fiber (pi).
+        sent_a, received_a = self._exchanged(w_a, n_a)
+        sent_b, received_b = self._exchanged(w_b, n_b)
+        sent = lm * sent_a[0] + sent_b[0][:, None] * ln
+        received = lm * received_a[0] + received_b[0][:, None] * ln
         fields[WORDS_SENT] += sent
         fields[WORDS_RECEIVED] += received
         fields[INPUT_WORDS] += sent + received
-        sent, received = self._by_rank(n_a, n_b, 1, 1)
+        sent = sent_a[1] + sent_b[1][:, None]
+        received = received_a[1] + received_b[1][:, None]
         fields[MESSAGES_SENT] += sent
         fields[MESSAGES_RECEIVED] += received
         # A get or a ring hop is charged to its receiver only; a send or a tree
@@ -293,52 +328,44 @@ def _class_starts(decomposition: CosmaDecomposition) -> np.ndarray:
 
 def fiber_exchange_rounds(
     machine: DistributedMachine, decomposition: CosmaDecomposition, exchange: str
-) -> Iterator[tuple[range, CommCounters]]:
+) -> Iterator[tuple[range, np.ndarray]]:
     """The round classes of the decomposition's panel exchange
-    (:func:`_class_starts`), each written once into a scratch counter set
-    reused from class to class: ``(rounds, delta)`` with ``delta`` one round
-    of the class, expanded from its first round's sums.  Nothing is added to
-    the machine.  Only a traced run posts class by class; this is also the
-    form the hop-expansion oracle checks."""
+    (:func:`_class_starts`), each written once into a scratch ``(field,
+    rank)`` array of the machine's ranks, reused from class to class:
+    ``(rounds, delta)`` with ``delta`` one round of the class, expanded from
+    its first round's sums.  Nothing is added to the machine: a traced run
+    reads its round spans off them, and they are also the form the test
+    suite's hop-expansion oracle checks."""
     expansion = _FiberExpansion(decomposition, exchange)
-    delta = CommCounters.for_ranks(machine.p)
+    delta = np.zeros((len(COUNTER_FIELDS), machine.p), dtype=np.int64)
     starts = _class_starts(decomposition).tolist()
     for first, stop in zip(starts, [*starts[1:], decomposition.num_steps]):
-        delta.reset()
-        expansion.expand(delta.data, *decomposition.exchange_sums(first, first + 1))
+        delta[...] = 0
+        expansion.expand(delta, *decomposition.exchange_sums(first, first + 1))
         yield range(first, stop), delta
 
 
 def post_fiber_exchange(
-    machine: DistributedMachine,
-    decomposition: CosmaDecomposition,
-    exchange: str,
-    boundary: Callable[[int], None] | None = None,
+    machine: DistributedMachine, decomposition: CosmaDecomposition, exchange: str
 ) -> None:
-    """Add the decomposition's whole panel exchange to the machine's counters,
-    calling the engine's round boundary ``boundary(r)`` once per round.
+    """Add the decomposition's whole panel exchange to the machine's counters.
 
-    Untraced, a run is ONE expansion to ranks of the whole exchange's sums,
-    read off the boundary arrays once per decomposition
+    A run is ONE expansion to ranks of the whole exchange's sums, read off
+    the boundary arrays once per decomposition
     (:attr:`~repro.core.decomposition.CosmaDecomposition.exchange_totals`,
     usually already computed by the plan): no round is visited, so the sums
-    are O(pk (pm + pn)), then the fiber products and a constant number of
-    O(p) array operations follow, whatever the round count.  A round span reads the matrix at
-    its boundary, so under a tracer the same expansion runs once per round
-    class (:func:`fiber_exchange_rounds`), :meth:`post_rounds
-    <repro.machine.simulator.DistributedMachine.post_rounds>` alternating adds
-    and boundaries.  An engine whose boundary does nothing untraced passes
-    none.
+    are O(pk (pm + pn)), then the fiber sums and a constant number of O(p)
+    array operations follow, whatever the round count.  It is posted in one
+    :meth:`~repro.machine.simulator.DistributedMachine.post_delta`, traced or
+    not; a tracer also reads one round span per round class off
+    :func:`fiber_exchange_rounds`, whose deltas are not added.
     """
-    if machine.trace is not None:
-        for rounds, delta in fiber_exchange_rounds(machine, decomposition, exchange):
-            machine.post_rounds(delta, rounds, boundary)
-        return
-    _FiberExpansion(decomposition, exchange).expand(
-        machine.counters.data, *decomposition.exchange_totals)
-    if boundary is not None:
-        for r in range(decomposition.num_steps):
-            boundary(r)
+    pm, pn, pk = decomposition.grid
+    delta = np.zeros((len(COUNTER_FIELDS), pm * pn * pk), dtype=np.int64)
+    _FiberExpansion(decomposition, exchange).expand(delta, *decomposition.exchange_totals)
+    # A generator: nothing is expanded per class unless a tracer iterates it.
+    machine.post_delta(f"exchange-{exchange}", delta,
+                       classes=fiber_exchange_rounds(machine, decomposition, exchange))
 
 
 def post_c_reduction(machine: DistributedMachine, decomposition: CosmaDecomposition) -> None:
@@ -347,22 +374,22 @@ def post_c_reduction(machine: DistributedMachine, decomposition: CosmaDecomposit
 
     One more delta, added once.  The broadcast tree mirrored: every position
     but the root sends its block once, position ``kk`` receives (and combines,
-    a flop per word) ``fanout[kk]``.
+    a flop per word) :func:`_tree_fan_in` blocks.
     """
     pm, pn, pk = decomposition.grid
     mn_outer = decomposition.c_block_words
     if pk > 1:
-        received = np.array(tree_fanout(pk))
+        received = _tree_fan_in(pk)
         sent = np.arange(pk) > 0
-        delta = CommCounters.for_ranks(machine.p)
-        rows = delta.data[:, : pm * pn * pk].reshape(-1, pm * pn, pk)
+        delta = np.zeros((len(COUNTER_FIELDS), pm * pn * pk), dtype=np.int64)
+        rows = delta.reshape(-1, pm * pn, pk)
         rows[WORDS_SENT] = mn_outer[:, None] * sent
         rows[WORDS_RECEIVED] = rows[FLOPS] = mn_outer[:, None] * received
         rows[MESSAGES_SENT] = sent
         rows[MESSAGES_RECEIVED] = received
         rows[ROUNDS] = sent + received
         rows[OUTPUT_WORDS] = rows[WORDS_SENT] + rows[WORDS_RECEIVED]
-        machine.post_rounds(delta, range(1))
+        machine.post_delta("c-reduction", delta)
     machine.post_resident("C_final", slice(0, pm * pn * pk, pk), mn_outer)
 
 
@@ -374,7 +401,7 @@ def received_words(decomposition: CosmaDecomposition) -> np.ndarray:
     layer to each rank but the owner itself, whatever the ``exchange`` kind
     (see :class:`_FiberExpansion`): rank ``(pi, pj, kk)`` receives
     ``lm (lk - a_own) + ln (lk - b_own)`` input words, plus
-    ``lm ln tree_fanout(pk)[kk]`` words of the C reduction (none at
+    ``lm ln _tree_fan_in(pk)[kk]`` words of the C reduction (none at
     ``pk = 1``).
     """
     lm, ln, lk = decomposition.extents
@@ -382,22 +409,8 @@ def received_words(decomposition: CosmaDecomposition) -> np.ndarray:
     a_own = a_width.T[None, :, :]  # (1, pn, pk)
     b_own = b_width.T[:, None, :]  # (pm, 1, pk)
     lm, ln = lm[:, None, None], ln[None, :, None]
-    fan_in = np.array(tree_fanout(decomposition.grid.pk), dtype=np.int64)
+    fan_in = _tree_fan_in(decomposition.grid.pk)
     return (lm * (lk - a_own) + ln * (lk - b_own) + lm * ln * fan_in).ravel()
-
-
-def _fan_levels(exchange: str, q: int) -> list[tuple[int, int]]:
-    """A piece's way to the other ``q - 1`` positions of a fiber, counted from
-    its owner, as ``(senders, messages)`` per level: positions ``0 ..
-    senders - 1`` each send ``messages``.  A tree's level ``r``: ``i < 2^r``
-    sends to ``i + 2^r`` inside the fiber; a ring: each position but the last
-    to the next; a star (``get`` / ``gather``): the owner to all."""
-    if exchange == "tree":
-        spans = (1 << level for level in range((q - 1).bit_length()))
-        return [(min(span, q - span), 1) for span in spans]
-    if exchange == "ring":
-        return [(q - 1, 1)]
-    return [(1, q - 1)]
 
 
 def counted_rounds(decomposition: CosmaDecomposition, exchange: str) -> np.ndarray:
@@ -405,14 +418,13 @@ def counted_rounds(decomposition: CosmaDecomposition, exchange: str) -> np.ndarr
     kind) and the C reduction, int64 in rank order: the ``ROUNDS`` a run
     posts, from each (layer, owner) slice's chunk count (the decomposition's
     :attr:`~repro.core.decomposition.CosmaDecomposition.exchange_totals`)
-    and each exchange's own level rule (:func:`_fan_levels`).
+    and the engine's fan-out rule (:func:`_fiber_sends`).
 
     Per chunk, every position but the owner receives once, and a position
-    sends at each level whose senders, counted from the owner, include it:
-    over owners, a circular window sum of the chunk counts.  A get or a ring
-    hop is a round of its receiver only.  The C reduction mirrors the tree
-    along the k fiber: a position receives once per level it would send at,
-    and every position but ``kk = 0`` sends once.
+    sends at each level whose senders, counted from the owner, include it.
+    A get or a ring hop is a round of its receiver only.  The C reduction
+    mirrors the tree along the k fiber: a position receives
+    :func:`_tree_fan_in` blocks, and every position but ``kk = 0`` sends once.
     """
     pk = decomposition.grid.pk
     _, _, _, n_a, n_b = decomposition.exchange_totals
@@ -421,17 +433,10 @@ def counted_rounds(decomposition: CosmaDecomposition, exchange: str) -> np.ndarr
     def fiber_rounds(chunks: np.ndarray) -> np.ndarray:  # (layer, owner) -> (position, layer)
         rounds = chunks.sum(axis=1, keepdims=True) - chunks  # received
         if not receiver_only:
-            q = chunks.shape[1]
-            # circular[:, q + pos] - circular[:, q + pos - s] sums the chunks of
-            # owners pos - s + 1 .. pos (mod q): those whose first s positions
-            # include pos.
-            circular = np.cumsum(np.tile(chunks, 2), axis=1)
-            for senders, messages in _fan_levels(exchange, q):
-                rounds += messages * (circular[:, q:] - circular[:, q - senders : 2 * q - senders])
+            rounds = rounds + _fiber_sends(chunks, exchange)
         return rounds.T
 
-    position = np.arange(pk)
-    reduction = (position > 0) + sum(position < senders for senders, _ in _fan_levels("tree", pk))
+    reduction = (np.arange(pk) > 0) + _tree_fan_in(pk)
     return (fiber_rounds(n_b)[:, None, :] + fiber_rounds(n_a)[None, :, :] + reduction).ravel()
 
 
@@ -484,8 +489,8 @@ def cosma_run(
     broadcast/reduction trees (or, with ``use_rma``, one-sided gets, section
     7.4: the same volume, different round accounting), the payload sizes --
     that the per-hop reference executes hop by hop.  The accounting is the
-    three functions above; what is COSMA's own is the round boundary (a
-    labelled round) and the numerics.  The machine's counters are added to,
+    three functions above; what is COSMA's own is the grid, the exchange
+    kind and the numerics.  The machine's counters are added to,
     not reset; the operands are used as given (the registered runner casts
     them to the plane dtype, except on the shard pool, which casts while it
     fills its segments).
@@ -519,11 +524,7 @@ def cosma_run(
         else nullcontext()
     )
     with accounting_span:
-        # The labelled boundary does nothing untraced: pass it only to a tracer.
-        post_fiber_exchange(
-            machine, decomposition, "get" if use_rma else "tree",
-            None if trace is None else lambda r: machine.log_round(f"cosma-step-{r}"),
-        )
+        post_fiber_exchange(machine, decomposition, "get" if use_rma else "tree")
 
     # ------------------------------------------------------------------
     # numerics: one GEMM over the owned k extent into the single C sheet

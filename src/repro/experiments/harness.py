@@ -250,10 +250,6 @@ def _execute(
     )
     with run_span:
         product = spec.run(a_matrix, b_matrix, scenario, machine, **options)
-        if machine.trace is not None:
-            # Flush activity after the last round boundary (or the whole run,
-            # for algorithms that never mark one) into a final round span.
-            machine.trace.commit_round(machine.peak_resident_words)
     machine.counters.assert_conservation()
     verified = bool(verify) and mode != "volume"
     correct = True

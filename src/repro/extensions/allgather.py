@@ -16,7 +16,8 @@ the library: it posts its schedule's counters (the whole ring as one
 closed-form delta, O(q) whatever the ring's q (q - 1) messages), its ranks'
 resident blocks
 (:meth:`~repro.machine.simulator.DistributedMachine.post_resident`) and its
-flops, and computes the product with one GEMM -- none in ``volume`` mode.
+flops (:meth:`~repro.machine.simulator.DistributedMachine.post_flops`), and
+computes the product with one GEMM -- none in ``volume`` mode.
 Importing this module is all it takes for ``AllGather1D`` to work in
 ``api.multiply`` / ``api.plan``, the harness, the sweep engine and every
 campaign table.
@@ -29,14 +30,13 @@ import numpy as np
 from repro.algorithms import Plan, register_algorithm
 from repro.baselines.costs import io_cost_naive_1d
 from repro.machine.counters import (
-    FLOPS,
+    COUNTER_FIELDS,
     INPUT_WORDS,
     MESSAGES_RECEIVED,
     MESSAGES_SENT,
     ROUNDS,
     WORDS_RECEIVED,
     WORDS_SENT,
-    CommCounters,
 )
 from repro.machine.transport import ShapeToken, as_operands
 from repro.pebbling.mmm_bounds import parallel_io_lower_bound
@@ -57,7 +57,8 @@ def _plan_allgather(scenario: Scenario) -> Plan:
         algorithm="AllGather1D", scenario=scenario, feasible=True,
         grid=(q,), processors_used=q,
         rounds=q - 1,  # one per ring step, on every rank
-        predicted_words_per_rank=io_cost_naive_1d(shape.m, shape.n, shape.k, q),
+        # The count: every rank receives all of B but its own stripe.
+        predicted_words_per_rank=(q - 1) * shape.k * shape.n / scenario.p,
         # An m/q x n x k domain: its A stripe, all of B, its C stripe.
         domain_io_words=stripe * shape.k + shape.k * shape.n + stripe * shape.n,
         lower_bound_per_rank=parallel_io_lower_bound(
@@ -89,24 +90,21 @@ def allgather_multiply(a_matrix, b_matrix, scenario, machine):
     lm = np.array([hi - lo for lo, hi in split_offsets(m, q)], dtype=np.int64)
     lk = np.array([hi - lo for lo, hi in split_offsets(k, q)], dtype=np.int64)
 
-    if machine.trace is not None:
-        machine.trace.collective("allgather", q)
     # The ring in closed form, O(q): over its q - 1 steps the rank at position
     # pos passes on every block but its right neighbour's and receives every
     # block but its own, one message each way per step.
-    ring = CommCounters.for_ranks(machine.p)
-    rows = ring.data[:, :q]
+    rows = np.zeros((len(COUNTER_FIELDS), q), dtype=np.int64)
     rows[WORDS_SENT] = (k - np.roll(lk, -1)) * n
     rows[WORDS_RECEIVED] = (k - lk) * n
     rows[INPUT_WORDS] = rows[WORDS_SENT] + rows[WORDS_RECEIVED]
     rows[MESSAGES_SENT] = rows[MESSAGES_RECEIVED] = rows[ROUNDS] = q - 1
-    machine.post_rounds(ring, range(1))
+    machine.post_delta(f"allgather[{q}]", rows)
 
     used = slice(0, q)
     machine.post_resident("A_own", used, lm * k)
     machine.post_resident("B_own", used, lk * n)
     machine.post_resident("C_own", used, lm * n)
-    machine.counters.data[FLOPS, :q] += 2 * lm * k * n  # each stripe times all of B
+    machine.post_flops("local-gemm", slice(0, q), 2 * lm * k * n)  # each stripe times all of B
     machine.check_memory()
     if machine.transport.counters_only:
         return ShapeToken((m, n))

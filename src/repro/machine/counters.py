@@ -16,19 +16,18 @@ rows, and every machine-wide aggregate (totals, means, maxima, conservation)
 is one vectorized numpy reduction.
 
 The array layout is also what makes **round classes** cheap: the counter
-delta of a whole communication round is a ``fields x p`` integer array, so a
-batched engine that knows its repeats up front writes each distinct round once
-into a scratch :class:`CommCounters` (array arithmetic over its rows, no
-transfer list) and adds it times the class's rounds (:meth:`post_rounds
-<repro.machine.simulator.DistributedMachine.post_rounds>`).  Cannon adds its
-skew that way, one delta once.  The grid family (COSMA, SUMMA, Cannon, 2.5D)
-writes class deltas only under a tracer, whose round spans read this array at
-every boundary, and finds its classes where a layer's chunk reaches an
-ownership bound or the layer's end; untraced it sums its rounds in closed
-form at ``(layer, owner)`` size, from the decomposition's boundary arrays,
-and adds one expansion per run straight into the rows of the live
-array (:func:`repro.core.cosma.post_fiber_exchange`), so a second run on the
-same machine still accumulates.
+delta of a whole communication round is a ``fields x ranks`` integer array,
+so a batched engine writes a closed-form delta with array arithmetic over
+its rows, no transfer list, and posts it in one call
+(:meth:`~repro.machine.simulator.DistributedMachine.post_delta`): Cannon's
+skew, the C reduction, the 1D all-gather's ring.  The grid family (COSMA,
+SUMMA, Cannon, 2.5D) sums its whole panel exchange in closed form at
+``(layer, owner)`` size, from the decomposition's boundary arrays, and posts
+one expansion to ranks per run (:func:`repro.core.cosma.post_fiber_exchange`),
+so a second run on the same machine still accumulates.  Traced or not, the
+same calls post the same deltas; a tracer reads one span per round class off
+what a call posts (the exchange's round classes start where a layer's chunk reaches an
+ownership bound or the layer's end).
 """
 
 from __future__ import annotations

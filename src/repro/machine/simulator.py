@@ -10,11 +10,17 @@ row per counter field, one column per rank), from which the harness reads the
 same "MB communicated per rank" quantity that the paper measures with mpiP,
 and one int64 vector of resident words.  The algorithms in
 :mod:`repro.core` and :mod:`repro.baselines` are batched engines: each posts
-its whole schedule as machine-wide array expressions
-(:meth:`~DistributedMachine.post_transfers`,
-:meth:`~DistributedMachine.post_resident`, round classes through
-:meth:`~DistributedMachine.post_rounds`) and computes the product with GEMMs
-on views of the operands; no engine moves a block from rank to rank.  The per-hop
+its whole schedule as machine-wide array expressions and computes the
+product with GEMMs on views of the operands; no engine moves a block from
+rank to rank.  Every write to the counter matrix is one posting call --
+:meth:`~DistributedMachine.post_transfers` for a message list,
+:meth:`~DistributedMachine.post_delta` for a closed-form delta,
+:meth:`~DistributedMachine.post_flops` for local work -- and residency is
+:meth:`~DistributedMachine.post_resident`.  Under a tracer each posting call
+also emits one round span per round class it posts (a label, the first
+round, the multiplicity and one round's words, flops and hops;
+:mod:`repro.obs.trace`), read off the delta it posts, so the counters are
+the same traced or not.  The per-hop
 executors those engines replaced are kept as a test-side reference
 (``tests/oracle``), which the parity suites hold every engine to.
 
@@ -41,11 +47,11 @@ because accounting only ever reads sizes:
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.machine.counters import CommCounters
+from repro.machine.counters import FLOPS, MESSAGES_SENT, WORDS_SENT, CommCounters
 from repro.machine.topology import MachineSpec, laptop_spec
 from repro.machine.transport import PayloadPlane, Transport, make_transport
 from repro.obs.trace import MachineTrace, active_tracer
@@ -138,15 +144,13 @@ class DistributedMachine:
         #: Named :class:`~repro.machine.transport.PayloadPlane` stacks
         #: registered by plane-mode algorithms (one per logical operand).
         self.planes: dict[str, PayloadPlane] = {}
-        #: Round-span accumulator, attached only while tracing is enabled
-        #: (:mod:`repro.obs.trace`).  Every instrumentation site guards on
-        #: ``is not None`` and only ever *reads* machine state, so counters
-        #: are byte-identical traced vs untraced.
+        #: Round spans, attached only while tracing is enabled
+        #: (:mod:`repro.obs.trace`): the posting calls emit one per round
+        #: class they post, built from the delta they post, and post the same
+        #: counters traced or not.
         tracer = active_tracer()
         self.trace: MachineTrace | None = (
-            MachineTrace(tracer, self.counters, self.transport.mode)
-            if tracer is not None
-            else None
+            MachineTrace(tracer, self.transport.mode) if tracer is not None else None
         )
 
     # ------------------------------------------------------------------
@@ -200,24 +204,49 @@ class DistributedMachine:
     # ------------------------------------------------------------------
     # communication and memory accounting
     # ------------------------------------------------------------------
-    def post_transfers(
-        self,
-        srcs: Sequence[int],
-        dsts: Sequence[int],
-        words,
-        kind: str = "input",
-        count_rounds: bool = True,
-    ) -> None:
+    def post_transfers(self, srcs: Sequence[int], dsts: Sequence[int], words,
+                       kind: str = "input", label: str = "transfers") -> None:
         """Batched accounting for many point-to-point transfers at once: one
         message per ``(srcs[i], dsts[i])`` pair moving ``words`` (a scalar, or
         one entry per pair); no payload is delivered.  The cuboid executor
         posts each matrix's transfers through it as one vectorized update
         (:meth:`CommCounters.post_transfers
-        <repro.machine.counters.CommCounters.post_transfers>`).
+        <repro.machine.counters.CommCounters.post_transfers>`).  Traced, one
+        round span named ``label``.
         """
-        self.counters.post_transfers(srcs, dsts, words, kind=kind, count_rounds=count_rounds)
+        self.counters.post_transfers(srcs, dsts, words, kind=kind)
         if self.trace is not None:
-            self.trace.hops_batch(len(srcs))
+            hops = len(srcs)
+            self.trace.span(label, 1, np.broadcast_to(words, (hops,)).sum(), 0, hops,
+                            self.peak_resident_words)
+
+    def post_delta(self, label: str, delta: np.ndarray,
+                   classes: Iterable[tuple[range, np.ndarray]] | None = None) -> None:
+        """Add ``delta``, an int64 ``(field, rank)`` array of ``c`` columns,
+        to the counters of ranks ``0 .. c - 1``: a closed-form delta an engine
+        wrote itself (Cannon's skew, the C reduction, the grid family's panel
+        exchange, the 1D all-gather's ring).
+
+        Traced, one round span named ``label`` per round class: ``delta`` is
+        one round, unless the engine posts the sum of several round classes
+        at once and passes them as ``classes``, ``(rounds, one_round)`` pairs
+        with ``delta`` the sum of ``len(rounds) * one_round``.  Only a tracer
+        reads ``classes``.
+        """
+        self.counters.data[:, : delta.shape[1]] += delta
+        if self.trace is not None:
+            for rounds, one_round in ((range(1), delta),) if classes is None else classes:
+                self.trace.span(label, len(rounds), one_round[WORDS_SENT].sum(),
+                                one_round[FLOPS].sum(), one_round[MESSAGES_SENT].sum(),
+                                self.peak_resident_words)
+
+    def post_flops(self, label: str, ranks, flops: np.ndarray) -> None:
+        """Local work: ``ranks`` (an index array, repeated ranks accumulating,
+        or a slice) do ``flops``, one entry per rank.  Traced, one round span
+        named ``label``."""
+        np.add.at(self.counters.data[FLOPS], ranks, flops)
+        if self.trace is not None:
+            self.trace.span(label, 1, 0, flops.sum(), 0, self.peak_resident_words)
 
     def post_resident(self, name: str, ranks, words) -> None:
         """Residency accounting: ``ranks`` now hold ``words`` under ``name``.
@@ -248,39 +277,3 @@ class DistributedMachine:
                 f"rank {offender} holds {worst} words which exceeds the local memory S={self.memory_words}"
             )
         return worst
-
-    # ------------------------------------------------------------------
-    # convenience
-    # ------------------------------------------------------------------
-    def log_round(self, label: str) -> None:
-        """A labelled round boundary: the label names the round's span."""
-        if self.trace is not None:
-            self.trace.end_round(label, self.peak_resident_words)
-
-    # ------------------------------------------------------------------
-    # round classes
-    # ------------------------------------------------------------------
-    def post_rounds(
-        self, delta: CommCounters, rounds: range, boundary: Callable[[int], None] | None = None
-    ) -> None:
-        """Add ``delta``, one round of a round class (a run of rounds with the
-        identical schedule, found by the engine), once per round in ``rounds``:
-        byte-identical to posting each round's schedule again, with the engine's round boundary
-        ``boundary(r)`` (``log_round`` / ``commit_round``) after each.  Untraced
-        that is one add of ``len(rounds) * delta``; a round span reads the
-        matrix at its boundary, so under a tracer adds and boundaries alternate."""
-        counters, step = self.counters, delta.data
-        if self.trace is None:
-            counters.data += len(rounds) * step
-        hops = None if self.trace is None else delta.total_messages
-        for r in rounds:
-            if hops is not None:
-                counters.data += step
-                self.trace.hops_batch(hops)
-            if boundary is not None:
-                boundary(r)
-
-    def commit_round(self) -> None:
-        """Round boundary for algorithms that do not label rounds with :meth:`log_round`."""
-        if self.trace is not None:
-            self.trace.commit_round(self.peak_resident_words)

@@ -4,10 +4,8 @@ COSMA's panels are broadcast along the ``i``/``j`` fibers of the processor
 grid and its partial C blocks reduced along ``k``; the paper implements its
 own binary (binomial) trees for both, so the volume *and* the number of
 communication rounds (the latency proxy) are those of the tree.
-:func:`binomial_tree` is that tree, and :func:`tree_fanout` the one thing of
-it the batched engines read: how many messages each position sends (a
-reduction mirrors the broadcast, so it is also how many each position
-receives).
+:func:`binomial_tree` is that tree; the batched engines count it level by
+level (``repro.core.cosma._fan_levels``) and never build it.
 
 Beyond that, the paper replaces the generic MPI broadcast with a
 hand-crafted binary tree that exploits static knowledge of the data layout
@@ -31,7 +29,6 @@ hops.  They are kept for that ablation,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from repro.utils.validation import check_positive_int
@@ -130,19 +127,6 @@ def binomial_tree(ranks: Sequence[int], root: int) -> BroadcastTree:
             parent[order[partner]] = order[pos]
         span *= 2
     return BroadcastTree(root=root, parent=parent)
-
-
-@lru_cache(maxsize=256)
-def tree_fanout(q: int) -> tuple[int, ...]:
-    """Messages each position of the :func:`binomial_tree` over ``q`` ranks
-    sends, position 0 being the root; mirrored, what each position of the
-    reduction tree receives.  Every other position receives (sends) exactly
-    once, so this is all of the tree a batched engine needs: per-rank counters
-    are sums over positions, not over hops."""
-    fanout = [0] * q
-    for parent in binomial_tree(range(q), 0).parent.values():
-        fanout[parent] += 1
-    return tuple(fanout)
 
 
 def topology_aware_tree(

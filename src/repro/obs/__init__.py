@@ -3,8 +3,9 @@
 The telemetry layer threaded through the stack (PR 7):
 
 * :mod:`repro.obs.trace` -- a low-overhead span/event :class:`Tracer`
-  (process-local, off by default) plus the :class:`MachineTrace` round
-  accumulator the simulator attaches when tracing is active.  Guarantee:
+  (process-local, off by default) plus the :class:`MachineTrace` the
+  simulator attaches when tracing is active, one round span per round class
+  a posting call posts.  Guarantee:
   counters are byte-identical traced vs untraced, and the disabled guards
   cost under 2% of a paper-scale run (gated in CI).
 * :mod:`repro.obs.metrics` -- counters/gauges/histograms the sweep

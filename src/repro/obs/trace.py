@@ -14,17 +14,21 @@ track)`` tuples on a monotonic clock relative to the tracer's creation.  A
 Events are exported through :mod:`repro.obs.export` as Chrome trace-event
 JSON (loadable in Perfetto / ``chrome://tracing``) or a JSONL event log.
 
-Zero perturbation is a hard guarantee, not a goal: every hook only *reads*
-simulator state (counter-matrix row sums at round boundaries, peak resident
-words), so communication counters are byte-identical traced vs untraced --
-``tests/test_obs_trace.py`` proves it across both modes and every
-registered algorithm.
+Zero perturbation holds by construction: an engine posts its counters
+through the same machine calls traced or not, and a span is built from the
+delta a call posts, so communication counters are byte-identical traced vs
+untraced (``tests/test_obs_trace.py`` checks it across both modes and every
+registered algorithm).
 
-:class:`MachineTrace` is the per-machine accumulator the simulator attaches
-at construction when tracing is active: it aggregates one round's hop count
-and collective kinds, and emits one ``"round"`` span per
-round (every round of a round class included) carrying the round's posted
-words, flops and resident-words high-water.
+:class:`MachineTrace` is what the simulator attaches at construction when
+tracing is active: every posting call of the machine emits through it one
+``"round"`` span per round class it posts -- a label, the first round, the
+multiplicity (how many identical rounds the span stands for), the words,
+flops and hops of one of those rounds and the resident-words high-water.  A
+closed-form delta or a transfer list is one class of one round; the grid
+family's panel exchange, posted as one sum, spans each of its round classes
+(:func:`repro.core.cosma.post_fiber_exchange`).  Expanded by its
+multiplicity, a span is its rounds one by one.
 """
 
 from __future__ import annotations
@@ -123,92 +127,44 @@ def tracing(tracer: Tracer | None = None):
 
 
 # ---------------------------------------------------------------------------
-# per-machine round accumulator
+# per-machine round spans
 # ---------------------------------------------------------------------------
 class MachineTrace:
-    """Aggregates one simulated machine's activity into per-round spans.
+    """One simulated machine's round spans.
 
     Attached by :class:`~repro.machine.simulator.DistributedMachine` when a
-    tracer is active; ``None`` otherwise.  All inputs are *read-only* views
-    of machine state: words/flops come from counter-matrix row sums at round
-    boundaries, never from separate bookkeeping that could drift.
+    tracer is active; ``None`` otherwise.  The machine calls :meth:`span`
+    from its posting calls with what the posted delta holds, so a span is
+    never a diff of the counter matrix and holds no state between postings
+    but the round cursor: ``rounds``, the rounds spanned so far, is the next
+    span's first round.
     """
 
-    __slots__ = (
-        "tracer", "mode", "rounds", "hops", "_counters", "_round_start_ns",
-        "_words0", "_flops0", "_round_hops", "_collectives",
-    )
+    __slots__ = ("tracer", "mode", "rounds", "_round_start_ns")
 
-    def __init__(self, tracer: Tracer, counters, mode: str) -> None:
+    def __init__(self, tracer: Tracer, mode: str) -> None:
         self.tracer = tracer
         self.mode = mode
-        self._counters = counters  # a CommCounters; ``.data`` is the matrix
         self.rounds = 0
-        self.hops = 0
-        self._round_hops = 0
-        self._collectives: dict[str, int] = {}
-        self._words0 = counters.total_words_sent
-        self._flops0 = counters.total_flops
         self._round_start_ns = tracer.now_ns()
 
-    # -- per-event notifications (guarded call sites keep these tiny) -------
-    def hops_batch(self, n: int) -> None:
-        """``n`` transfers were posted in one batched ``post_transfers``."""
-        self._round_hops += int(n)
-
-    def collective(self, kind: str, q: int) -> None:
-        """A collective of ``kind`` ran over a ``q``-rank communicator."""
-        key = f"{kind}[{q}]"
-        self._collectives[key] = self._collectives.get(key, 0) + 1
-
-    # -- round boundaries ----------------------------------------------------
-    def _dirty(self) -> bool:
-        """Any traced activity since the last round span was emitted?"""
-        return (
-            self._round_hops > 0
-            or bool(self._collectives)
-            or self._counters.total_words_sent != self._words0
-            or self._counters.total_flops != self._flops0
-        )
-
-    def commit_round(self, peak_resident_words: int) -> None:
-        """Round boundary for algorithms that commit without ``log_round``.
-
-        SUMMA and Cannon end each panel round (the boundary they hand the
-        grid core) with ``machine.commit_round()`` alone, while COSMA labels its rounds via
-        ``log_round`` first; emitting here only when activity accumulated
-        since the last span keeps both paths at exactly one span per round.
-        """
-        if self._dirty():
-            self.end_round("round", peak_resident_words)
-
-    def end_round(self, label: str, peak_resident_words: int) -> None:
-        """Close the current round: emit one span, reset per-round state.
-
-        Called from ``machine.log_round`` and (through :meth:`commit_round`)
-        ``machine.commit_round``, so a traced run emits at least one span
-        per counted round.
-        """
+    def span(self, label: str, multiplicity: int, words: int, flops: int, hops: int,
+             peak_resident_words: int) -> None:
+        """Emit one ``"round"`` span for ``multiplicity`` identical rounds,
+        each posting ``words`` words, ``flops`` flops and ``hops`` messages.
+        The span runs from the previous one's end to now."""
         now = self.tracer.now_ns()
-        words = self._counters.total_words_sent
-        flops = self._counters.total_flops
         args = {
             "label": label,
-            "round": self.rounds,
+            "first_round": self.rounds,
+            "multiplicity": int(multiplicity),
             "mode": self.mode,
-            "words_posted": words - self._words0,
-            "flops": flops - self._flops0,
-            "hops": self._round_hops,
+            "words_posted": int(words),
+            "flops": int(flops),
+            "hops": int(hops),
             "resident_peak_words": int(peak_resident_words),
         }
-        if self._collectives:
-            args["collectives"] = dict(self._collectives)
         self.tracer.complete("round", "round", self._round_start_ns,
                              now - self._round_start_ns, args)
-        self.rounds += 1
-        self.hops += self._round_hops
-        self._round_hops = 0
-        self._collectives = {}
-        self._words0 = words
-        self._flops0 = flops
+        self.rounds += int(multiplicity)
         self._round_start_ns = now

@@ -5,7 +5,7 @@ and reduces partial C blocks along ``k``, through binomial trees (section
 7.2), so both the volume and the number of communication rounds are the
 tree's.  Each collective takes an explicit list of participating ranks (a
 "sub-communicator"); its hop schedule is written out here, independently of
-:func:`repro.machine.tree.tree_fanout`, which is what the engines read.
+the tree levels the engines read (``repro.core.cosma._fan_levels``).
 Payloads may be arrays or shape tokens: a hop counts ``block.size`` words.
 """
 

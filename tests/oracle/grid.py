@@ -87,10 +87,10 @@ def _fiber_panel(machine: HopMachine, exchange: str, fiber: list[int], name: str
 
 
 def fiber_exchange(machine: HopMachine, decomposition: CosmaDecomposition, exchange: str,
-                   a_name: str, b_name: str, c_name: str, boundary=None) -> int:
+                   a_name: str, b_name: str, c_name: str) -> int:
     """Run the panel exchange on the ranks' stored blocks; returns the number
-    of rounds.  Memory is checked at the end of every round, then
-    ``boundary(r)`` is called."""
+    of rounds.  Memory is checked at the end of every round, which is a round
+    boundary labelled ``exchange-<exchange>``."""
     pm, pn, pk = decomposition.grid
     ranks = _rank_grid(decomposition)
     k_bounds, a_bounds, b_bounds = (bounds.tolist() for bounds in (
@@ -119,14 +119,14 @@ def fiber_exchange(machine: HopMachine, decomposition: CosmaDecomposition, excha
                     machine.multiply(rank, a_panel, b_panel,
                                      accumulate_into=machine.get(rank, c_name))
         machine.check_memory()
-        if boundary is not None:
-            boundary(r)
+        machine.boundary(f"exchange-{exchange}")
     return len(offsets)
 
 
 def c_reduction(machine: HopMachine, decomposition: CosmaDecomposition, c_name: str) -> None:
     """Reduce every k fiber's ``c_name`` blocks onto its ``kk = 0`` rank, which
-    stores the sum as ``C_final``."""
+    stores the sum as ``C_final``; a round boundary when there is a k fiber
+    to reduce along."""
     for plane in _rank_grid(decomposition):
         for fiber in plane:
             blocks = {rank: machine.get(rank, c_name) for rank in fiber}
@@ -134,6 +134,8 @@ def c_reduction(machine: HopMachine, decomposition: CosmaDecomposition, c_name: 
             total = (reduce(machine, owner, fiber, blocks, kind="output")
                      if len(fiber) > 1 else blocks[owner])
             machine.put(owner, "C_final", total)
+    if decomposition.grid.pk > 1:
+        machine.boundary("c-reduction")
 
 
 def owner_product(machine: HopMachine, decomposition: CosmaDecomposition, name: str):
@@ -154,12 +156,11 @@ def owner_product(machine: HopMachine, decomposition: CosmaDecomposition, name: 
 # ---------------------------------------------------------------------------
 def cosma(machine: HopMachine, decomposition: CosmaDecomposition, a_matrix, b_matrix,
           use_rma: bool = False):
-    """COSMA: broadcast trees (or one-sided gets), a labelled round boundary,
-    the C reduction and a last memory check.  Returns ``(product, rounds)``."""
+    """COSMA: broadcast trees (or one-sided gets), the C reduction and a last
+    memory check.  Returns ``(product, rounds)``."""
     put_owned_blocks(machine, decomposition, a_matrix, b_matrix, "A_own", "B_own", "C_acc")
     rounds = fiber_exchange(machine, decomposition, "get" if use_rma else "tree",
-                            "A_own", "B_own", "C_acc",
-                            lambda r: machine.boundary(f"cosma-step-{r}"))
+                            "A_own", "B_own", "C_acc")
     c_reduction(machine, decomposition, "C_acc")
     machine.check_memory()
     return owner_product(machine, decomposition, "C_final"), rounds
@@ -168,19 +169,17 @@ def cosma(machine: HopMachine, decomposition: CosmaDecomposition, a_matrix, b_ma
 def panels(machine: HopMachine, decomposition: CosmaDecomposition, a_matrix, b_matrix,
            exchange: str):
     """A one-layer decomposition's panel rounds (SUMMA's ``"tree"``, Cannon's
-    ``"ring"``), an unlabelled boundary per round and the product read off the
-    accumulators."""
+    ``"ring"``) and the product read off the accumulators."""
     put_owned_blocks(machine, decomposition, a_matrix, b_matrix, "A", "B", "C")
-    fiber_exchange(machine, decomposition, exchange, "A", "B", "C",
-                   lambda _: machine.boundary())
+    fiber_exchange(machine, decomposition, exchange, "A", "B", "C")
     return owner_product(machine, decomposition, "C")
 
 
 def cannon(machine: HopMachine, decomposition: CosmaDecomposition, a_matrix, b_matrix):
     """Cannon on its padded ``q x q`` decomposition: the skew -- rank ``(i, j)``
     sends its A block ``i`` places left and its B block ``j`` places up, each a
-    sendrecv, and every grid rank pays a round per shift -- then the panel
-    rounds with a ring.  The rounds run on the blocks as laid out: the ring
+    sendrecv, and every grid rank pays a round per shift, one round boundary
+    -- then the panel rounds with a ring.  The rounds run on the blocks as laid out: the ring
     passes every block past every rank of its fiber, which is what the skewed
     shifts do."""
     m, k = a_matrix.shape
@@ -200,12 +199,13 @@ def cannon(machine: HopMachine, decomposition: CosmaDecomposition, a_matrix, b_m
                              b_pad[i * bk : (i + 1) * bk, j * bn : (j + 1) * bn], count_round=False)
     for rank in range(q * q):
         machine.tick(ROUNDS, rank, 2)
+    machine.boundary("cannon-skew")
     return panels(machine, decomposition, a_pad, b_pad, "ring")[:m, :n]
 
 
 def grid25d(machine: HopMachine, decomposition: CosmaDecomposition, a_matrix, b_matrix):
-    """2.5D: one whole-layer round of direct sends with no round boundary,
-    then the C reduction (and no memory check after it)."""
+    """2.5D: one whole-layer round of direct sends, then the C reduction (and
+    no memory check after it)."""
     put_owned_blocks(machine, decomposition, a_matrix, b_matrix, "A", "B", "C")
     fiber_exchange(machine, decomposition, "gather", "A", "B", "C")
     c_reduction(machine, decomposition, "C")

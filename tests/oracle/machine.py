@@ -4,10 +4,10 @@
 integers: every transfer is one :meth:`HopMachine.send` that adds its words,
 its message and (unless told otherwise) its round at both ends, every local
 multiply or add its flops on its rank.  Resident words follow the blocks a
-rank stores, and :meth:`HopMachine.check_memory` records their peak.  Round
-boundaries are recorded the way :class:`repro.obs.trace.MachineTrace` spans
-them (label, words posted, flops, hops since the previous boundary), so a
-traced engine run can be held to them.
+rank stores, and :meth:`HopMachine.check_memory` records their peak.  Every
+round boundary records its round (label, words posted, flops, hops since the
+previous boundary), so a traced engine run's round spans, each expanded by
+its multiplicity, can be held to them round for round.
 
 Nothing here reads an engine: from ``repro`` the machine uses
 :class:`~repro.machine.counters.CommCounters` only, as the container its
@@ -124,15 +124,11 @@ class HopMachine:
         return target
 
     # -- rounds ------------------------------------------------------------
-    def boundary(self, label: str | None = None) -> None:
-        """A round boundary.  A labelled one always records its round; an
-        unlabelled one only when something happened since the last record
-        (the two kinds of :class:`repro.obs.trace.MachineTrace` boundary)."""
+    def boundary(self, label: str) -> None:
+        """A round boundary: record what happened since the previous one."""
         words, flops = sum(self.cells[WORDS_SENT]), sum(self.cells[FLOPS])
         mark = (words, flops, self.hops)
-        if label is None and mark == self._mark:
-            return
-        self.rounds.append({"label": label or "round", "words_posted": words - self._mark[0],
+        self.rounds.append({"label": label, "words_posted": words - self._mark[0],
                             "flops": flops - self._mark[1], "hops": self.hops - self._mark[2]})
         self._mark = mark
 

@@ -119,8 +119,9 @@ class TestCommunicationAccounting:
         b = rng.standard_normal((32, 16))
         with tracing() as tracer:
             _, decomposition, _ = _cosma(a, b, 4, 300)
-        labels = [args["label"] for _name, _cat, _start, _dur, args, _track in tracer.spans("round")]
-        assert labels == [f"cosma-step-{r}" for r in range(decomposition.num_steps)]
+        spans = [args for _name, _cat, _start, _dur, args, _track in tracer.spans("round")]
+        assert sum(span["multiplicity"] for span in spans
+                   if span["label"] == "exchange-tree") == decomposition.num_steps
         assert decomposition.num_steps > 1
 
     def test_flops_balanced(self, rng):

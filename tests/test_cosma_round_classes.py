@@ -1,12 +1,13 @@
 """Batched engines post each distinct round once (round classes).
 
 The engines' contract is that nobody can tell: raw counter bytes, the
-resident peak, the per-round spans (and COSMA's round count) equal the
-per-hop reference's (``tests/oracle``), in ``volume`` and in ``plane`` mode,
-on a fresh machine or one that already holds counters, traced or not.  COSMA posts its
-overlap-width classes (with one-sided gets or tree broadcasts; its plane-mode
-product comes from one GEMM into a single C sheet), SUMMA and Cannon their
-panel classes -- all through ``post_rounds``, one delta per class.  The grid
+resident peak, the round spans expanded by their multiplicity (and COSMA's
+round count) equal the per-hop reference's counters and per-round records
+(``tests/oracle``), in ``volume`` and in ``plane`` mode, on a fresh machine
+or one that already holds counters, traced or not.  COSMA (with one-sided
+gets or tree broadcasts; its plane-mode product comes from one GEMM into a
+single C sheet), SUMMA and Cannon post their whole panel exchange as one
+closed-form sum and, traced, span one round class at a time.  The grid
 family's class deltas are written in closed form, and where its classes start
 is read off the boundary arrays; the hop expansion and the per-round width
 table they replaced are kept here as their oracles.
@@ -54,6 +55,7 @@ from repro.machine.counters import (
     FLOPS,
     MESSAGES_SENT,
     ROUNDS,
+    WORDS_SENT,
     CommCounters,
 )
 from repro.machine.simulator import DistributedMachine
@@ -132,14 +134,23 @@ def _cosma_reference_observables(*problem, **options):
 _SPAN_KEYS = ("label", "words_posted", "flops", "hops")
 
 
+def _expanded(tracer):
+    """The tracer's round spans, each expanded by its multiplicity into its
+    rounds, shaped like the per-hop reference's round records; every span
+    starts where the previous one ended."""
+    spans = [args for _name, _cat, _start, _dur, args, _track in tracer.spans("round")]
+    firsts = [span["first_round"] for span in spans]
+    assert firsts == [sum(span["multiplicity"] for span in spans[:i]) for i in range(len(spans))]
+    return [{key: span[key] for key in _SPAN_KEYS}
+            for span in spans for _ in range(span["multiplicity"])]
+
+
 def _round_spans(run, *args, **options):
-    """The traced round spans of ``run(*args, **options)`` and what it returned."""
+    """The traced rounds of ``run(*args, **options)`` (:func:`_expanded`) and
+    what it returned."""
     with tracing() as tracer:
         outcome = run(*args, **options)
-    return [
-        {key: span_args[key] for key in _SPAN_KEYS}
-        for _name, _cat, _start, _dur, span_args, _track in tracer.spans("round")
-    ], outcome
+    return _expanded(tracer), outcome
 
 
 @st.composite
@@ -187,13 +198,14 @@ def test_traced_spans_equal_the_per_hop_loops(use_rma):
 @pytest.mark.parametrize("use_rma", [False, True])
 def test_round_bookkeeping_equals_the_per_hop_loops(use_rma):
     """What the per-hop loop does at every round boundary and the engine once
-    per class or once per run: the labelled rounds, the round count and the
-    counters -- after one run and after two."""
+    per run, spanned once per class: the labelled rounds, the round count and
+    the counters -- after one run and after two."""
     problem = (13, 11, 47, ProcessorGrid(2, 3, 3), 1, 55)  # step 2: 8 rounds, uneven layers
+    exchange = "exchange-get" if use_rma else "exchange-tree"
     for runs in (1, 2):
         loop, (_, rounds) = _reference(*problem, use_rma=use_rma, runs=runs)
-        labels = [span["label"] for span in loop.rounds if span["label"].startswith("cosma-step-")]
-        assert labels == [f"cosma-step-{r}" for r in range(8)] * runs
+        labels = [span["label"] for span in loop.rounds]
+        assert labels == ([exchange] * 8 + ["c-reduction"]) * runs
         traced_spans, traced = _round_spans(_run, *problem, mode="volume", use_rma=use_rma,
                                             runs=runs)
         assert traced_spans == loop.rounds
@@ -353,8 +365,8 @@ def test_cannon_equals_the_per_hop_loop(shape, p):
 def test_many_panel_summa_posts_once_per_class(class_posts, panel_exchange):
     """ScaLAPACK 8192^3 on p=4096 with S=8000: 8192 one-column panels are one
     expansion of closed-form sums, no class delta of size p (and no transfer
-    list); under a tracer, 64 class deltas, each expanded from one round's
-    sums, not 8192 postings."""
+    list); under a tracer, the same expansion and 64 class deltas for the
+    spans, each expanded from one round's sums, not 8192 postings."""
     scenario = Scenario(name="square-many-panels", shape=square_shape(8192), p=4096,
                         memory_words=8000, regime="limited")
     run = run_algorithm("ScaLAPACK", scenario, mode="volume")
@@ -367,7 +379,7 @@ def test_many_panel_summa_posts_once_per_class(class_posts, panel_exchange):
     assert (traced.rounds, traced.mean_received_per_rank) == (32256, 2064384.0)
     assert class_posts == ["repro.core.cosma"] * 64  # written once per class
     assert panel_exchange.classes == [1] * 64
-    assert panel_exchange.expansions == 1 + 64
+    assert panel_exchange.expansions == 1 + 1 + 64
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +471,7 @@ def test_class_deltas_equal_the_hop_expansion(problem, exchange):
     covered = []
     for rounds, delta in fiber_exchange_rounds(machine, decomposition, exchange):
         for r in {rounds[0], rounds[-1]}:
-            assert np.array_equal(delta.data, _expanded_round(decomposition, p, exchange, r))
+            assert np.array_equal(delta, _expanded_round(decomposition, p, exchange, r))
         covered += rounds
     assert covered == list(range(decomposition.num_steps))
     assert not machine.counters.data.any()  # yielded, not added
@@ -479,33 +491,30 @@ def test_class_deltas_equal_the_hop_expansion(problem, exchange):
 @example(problem=(5, build_decomposition(6, 6, 8, 5, 1 << 20, grid=ProcessorGrid(2, 2, 1),
                                          step_size=4)), exchange="ring")  # q = 2: one hop
 def test_one_expansion_equals_the_summed_class_deltas(problem, exchange):
-    """An untraced run reads its sums off the boundary arrays before anything
-    of size p exists:
-    on a machine that already holds counters, all eight rows equal
+    """A run reads its sums off the boundary arrays before anything of size p
+    exists: on a machine that already holds counters, all eight rows equal
     ``sum(len(rounds) * delta)`` over the class deltas held to the hop
-    expansion above, with or without a round boundary, and the boundary is
-    called once per round.  A traced run posts the class deltas themselves and
-    lands on the same bytes."""
+    expansion above, traced or not.  A traced run spans each class once,
+    with its multiplicity and one round's words, flops and hops."""
     p, decomposition = problem
     held = np.random.default_rng(0).integers(0, 1000, size=(len(COUNTER_FIELDS), p))
     expected = held.copy()
+    classes = []
     for rounds, delta in fiber_exchange_rounds(
             DistributedMachine(p, mode="volume"), decomposition, exchange):
-        expected += len(rounds) * delta.data
-
-    machine = DistributedMachine(p, mode="volume")
-    machine.counters.data[...] = held
-    post_fiber_exchange(machine, decomposition, exchange)
-    assert np.array_equal(machine.counters.data, expected)
+        expected += len(rounds) * delta
+        classes.append({"label": f"exchange-{exchange}", "first_round": rounds[0],
+                        "multiplicity": len(rounds), "words_posted": delta[WORDS_SENT].sum(),
+                        "flops": delta[FLOPS].sum(), "hops": delta[MESSAGES_SENT].sum()})
 
     for traced in (False, True):
-        with tracing() if traced else nullcontext():
+        with (tracing() if traced else nullcontext()) as tracer:
             machine = DistributedMachine(p, mode="volume")
             machine.counters.data[...] = held
-            boundaries = []
-            post_fiber_exchange(machine, decomposition, exchange, boundaries.append)
+            post_fiber_exchange(machine, decomposition, exchange)
         assert np.array_equal(machine.counters.data, expected), traced
-        assert boundaries == list(range(decomposition.num_steps))
+    spans = [args for _name, _cat, _start, _dur, args, _track in tracer.spans("round")]
+    assert [{key: span[key] for key in classes[0]} for span in spans] == classes
 
 
 @st.composite
@@ -578,9 +587,8 @@ def test_closed_form_sums_equal_the_width_table(decomposition, exchange, window)
     (held widths, then A and B overlap widths) and the nonzero count of
     every overlap column (the chunks that touch the slice); the table has one
     row per round.  The class starts are the table's run starts, so every
-    class is complete and maximal.  Untraced and traced, with a round
-    boundary or without, the counters land on the same bytes and the
-    boundary is called once per round."""
+    class is complete and maximal, and they are where a traced run's spans
+    start.  Untraced and traced, the counters land on the same bytes."""
     pk = decomposition.grid.pk
     table = _width_table(decomposition)
     rounds = len(table)
@@ -600,17 +608,15 @@ def test_closed_form_sums_equal_the_width_table(decomposition, exchange, window)
         assert np.array_equal(closed_form(*window), table_sums(*sums)), window
     assert np.array_equal(cosma._class_starts(decomposition), _run_starts(table))
 
-    p = decomposition.p
     counters = []
-    for traced, boundary in ((False, None), (False, True), (True, True)):
-        boundaries = []
-        with tracing() if traced else nullcontext():
-            machine = DistributedMachine(p, mode="volume")
-            post_fiber_exchange(machine, decomposition, exchange,
-                                boundaries.append if boundary else None)
-        assert boundaries == (list(range(rounds)) if boundary else [])
+    for traced in (False, True):
+        with (tracing() if traced else nullcontext()) as tracer:
+            machine = DistributedMachine(decomposition.p, mode="volume")
+            post_fiber_exchange(machine, decomposition, exchange)
         counters.append(machine.counters.data.tobytes())
-    assert counters[0] == counters[1] == counters[2]
+    assert counters[0] == counters[1]
+    starts = [span[4]["first_round"] for span in tracer.spans("round")]
+    assert starts == _run_starts(table).tolist()
 
 
 @pytest.mark.parametrize("traced", [False, True])
@@ -631,13 +637,10 @@ def test_c_reduction_equals_the_hop_expansion(pk, traced):
         machine = DistributedMachine(p, mode="volume")
         machine.post_transfers([0], [p - 1], 11)
         post_c_reduction(machine, decomposition)
-        if traced:
-            machine.commit_round()
     assert np.array_equal(machine.counters.data, expected.counters.data)
     assert machine.check_memory() == lm[0] * ln[0]  # the reduced blocks, on the kk = 0 ranks
-    if traced:
-        (span,) = tracer.spans("round")
-        assert span[4]["hops"] == 1 + 6 * (pk - 1)
+    if traced:  # one span per posting call; no reduction along a k fiber of one
+        assert [span[4]["hops"] for span in tracer.spans("round")] == [1, 6 * (pk - 1)][: min(pk, 2)]
 
 
 def _resident(machine):
@@ -660,27 +663,29 @@ def _resident(machine):
                                           step_size=3)), exchange="ring")  # q = 2, two layers
 def test_per_hop_twins_equal_the_accounting_core(problem, exchange):
     """The per-hop reference's steps on a hop machine against the accounting
-    core on a ``volume`` machine, called in the same order: counter bytes, the
-    resident peak, every rank's resident words and the round boundaries; the
-    per-hop product is ``A @ B``."""
+    core on a traced ``volume`` machine, called in the same order: counter
+    bytes, the resident peak, every rank's resident words and every round's
+    record; the per-hop product is ``A @ B``."""
     p, decomposition = problem
     m, n, k = decomposition.m, decomposition.n, decomposition.k
     rng = np.random.default_rng(0)
     a, b = rng.random((m, k)), rng.random((k, n))
-    hop, core = HopMachine(p), DistributedMachine(p, mode="volume")
-    hop_rounds, core_rounds = [], []
+    hop = HopMachine(p)
     per_hop.put_owned_blocks(hop, decomposition, a, b, "A", "B", "C")
-    per_hop.fiber_exchange(hop, decomposition, exchange, "A", "B", "C", hop_rounds.append)
+    per_hop.fiber_exchange(hop, decomposition, exchange, "A", "B", "C")
     per_hop.c_reduction(hop, decomposition, "C")
-    post_owned_words(core, decomposition, "A", "B", "C")
-    core.check_memory()
-    post_fiber_exchange(core, decomposition, exchange, core_rounds.append)
-    post_c_reduction(core, decomposition)
+    with tracing() as tracer:
+        core = DistributedMachine(p, mode="volume")
+        post_owned_words(core, decomposition, "A", "B", "C")
+        core.check_memory()
+        post_fiber_exchange(core, decomposition, exchange)
+        post_c_reduction(core, decomposition)
     assert hop.counters.data.tobytes() == core.counters.data.tobytes()
     assert hop.check_memory() == core.check_memory()
     assert hop.peak_resident_words == core.peak_resident_words
     assert hop.resident == _resident(core)
-    assert hop_rounds == core_rounds == list(range(decomposition.num_steps))
+    assert _expanded(tracer) == hop.rounds
+    assert len(hop.rounds) == decomposition.num_steps + (decomposition.grid.pk > 1)
     assert np.allclose(per_hop.owner_product(hop, decomposition, "C_final"), a @ b)
 
 
@@ -861,9 +866,8 @@ def test_a_plan_reports_the_grid_and_rounds_its_run_executes(dims, p, slack):
     """Every registered algorithm: no rank outside the planned grid is touched,
     and its planned rounds are the busiest rank's counted rounds; the
     built-ins' planned grid is the executed one; the executed decomposition's
-    scheduled steps (``num_steps``) are the round boundaries COSMA's,
-    ScaLAPACK's and Cannon's runs mark, and the rounds of the exchange CTF's
-    runs."""
+    scheduled steps (``num_steps``) are the exchange rounds the grid
+    family's traced runs span."""
     shape = ProblemShape(m=dims[0], n=dims[1], k=dims[2])
     scenario = Scenario(name="drawn", shape=shape, p=p, regime="limited",
                         memory_words=-(-shape.footprint_words // p) + slack)
@@ -894,9 +898,6 @@ def test_a_plan_reports_the_grid_and_rounds_its_run_executes(dims, p, slack):
         if attr is not None:
             assert run_plan.grid == executed_grid(executed[0]), name
         assert run_plan.rounds == machine.counters.max_rounds(), name
-        if name in ("COSMA", "ScaLAPACK", "Cannon"):
-            assert executed[0].num_steps == len(spans), name
-        if name == "CTF":
-            # 2.5D marks no round boundary: count the exchange its grid schedules.
-            assert executed[0].num_steps == sum(
-                len(rounds) for rounds, _ in fiber_exchange_rounds(machine, executed[0], "gather"))
+        if name in ("COSMA", "ScaLAPACK", "Cannon", "CTF"):
+            exchanged = [span for span in spans if span["label"].startswith("exchange-")]
+            assert executed[0].num_steps == len(exchanged), name

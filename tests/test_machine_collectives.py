@@ -1,7 +1,7 @@
 """Tests for the tree-based collectives of the per-hop reference (``tests/oracle``).
 
-The engines post whole collectives from the tree's fan-out
-(:func:`repro.machine.tree.tree_fanout`); these hop-by-hop collectives are
+The engines post whole collectives from the tree's levels
+(``repro.core.cosma._fan_levels``); these hop-by-hop collectives are
 what the parity suites hold them to, so they are pinned here against MPI's
 volumes.
 """

@@ -99,10 +99,12 @@ class TestDistributedMachine:
         assert machine.counters.data[OUTPUT_WORDS, 1] == 3
 
     def test_rounds_counted(self):
-        machine = DistributedMachine(2)
-        machine.post_transfers([0], [1], 5)
-        machine.post_transfers([0], [1], 5, count_rounds=False)
-        assert machine.counters.data[ROUNDS, 0] == 1
+        """A transfer is a round at both ends, unless the caller (the per-hop
+        reference's tests) counts rounds itself."""
+        counters = CommCounters.for_ranks(2)
+        counters.post_transfers([0], [1], 5)
+        counters.post_transfers([0], [1], 5, count_rounds=False)
+        assert counters.data[ROUNDS].tolist() == [1, 1]
 
     def test_local_multiply_counts_flops(self):
         machine = HopMachine(1)
@@ -301,7 +303,8 @@ class TestCounterLog:
 
 
 class TestRoundClasses:
-    """``post_rounds``: add one round of a class times its rounds, a boundary after each."""
+    """``post_delta``: a closed-form delta added once; traced, one span per
+    round class it is the sum of."""
 
     @staticmethod
     def _post(counters, row):
@@ -321,42 +324,46 @@ class TestRoundClasses:
         for first, stop in zip(starts, [*starts[1:], len(table)]):
             delta = CommCounters.for_ranks(3)
             self._post(delta, table[first])
-            yield range(first, stop), delta
+            yield range(first, stop), delta.data
+
+    def _summed(self, table, starts):
+        return sum(len(rounds) * delta for rounds, delta in self._classes(table, starts))
 
     def test_each_run_is_posted_once_and_replayed_per_round(self):
+        """The sum of the classes, posted once, is every round posted one by
+        one; a delta of fewer columns than ranks lands on the first ranks."""
         table = np.array([[9, 4], [9, 4], [9, 0], [9, 0], [9, 0], [9, 4]])
         classed = DistributedMachine(3, mode="volume")
-        added = DistributedMachine(3, mode="volume")
         plain = DistributedMachine(3, mode="volume")
-        boundaries = []
-        for rounds, delta in self._classes(table, [0, 2, 5]):
-            classed.post_rounds(delta, rounds, boundaries.append)
-            for _ in rounds:
-                added.counters.data += delta.data
+        classed.post_delta("rounds", self._summed(table, [0, 2, 5]),
+                           classes=self._classes(table, [0, 2, 5]))
         for row in table:
             self._post(plain.counters, row)
-        assert boundaries == list(range(6))
         assert classed.counters.data[OUTPUT_WORDS].any()
-        assert classed.counters.data.tobytes() == added.counters.data.tobytes()
         assert classed.counters.data.tobytes() == plain.counters.data.tobytes()
+        wide = DistributedMachine(5, mode="volume")
+        wide.post_delta("rounds", self._summed(table, [0, 2, 5]))
+        assert wide.counters.data[:, :3].tobytes() == plain.counters.data.tobytes()
+        assert not wide.counters.data[:, 3:].any()
 
     def test_traced_rounds_report_the_class_hops(self):
-        """One span per round with the class's hops, words and flops; what was
-        posted before the first round lands in the first span; the matrix is
-        the untraced run's."""
+        """One span per posting call and per class, with the class's first
+        round, multiplicity, hops, words and flops; the matrix is the
+        untraced run's."""
         table = np.array([[9, 4], [9, 4], [9, 0]])
 
         def run():
             machine = DistributedMachine(3, mode="volume")
-            machine.post_transfers([2], [0], 5)  # pre-loop activity (Cannon's skew)
-            for rounds, delta in self._classes(table, [0, 2]):
-                machine.post_rounds(delta, rounds, lambda _: machine.commit_round())
+            machine.post_transfers([2], [0], 5, label="before")  # Cannon's skew, say
+            machine.post_delta("rounds", self._summed(table, [0, 2]),
+                               classes=self._classes(table, [0, 2]))
             return machine.counters.data.tobytes()
 
         with tracing() as tracer:
             traced = run()
         spans = [args for _n, _c, _s, _d, args, _t in tracer.spans("round")]
-        assert [(a["hops"], a["words_posted"], a["flops"]) for a in spans] == [
-            (3, 18, 130), (2, 13, 130), (1, 9, 90),
+        assert [(a["label"], a["first_round"], a["multiplicity"], a["hops"], a["words_posted"],
+                 a["flops"]) for a in spans] == [
+            ("before", 0, 1, 1, 5, 0), ("rounds", 1, 2, 2, 13, 130), ("rounds", 3, 1, 1, 9, 90),
         ]
         assert traced == run()

@@ -4,13 +4,13 @@ count, and the topology-aware ones."""
 import pytest
 from oracle.collectives import broadcast_hops
 
+from repro.core.cosma import _fan_levels
 from repro.machine.tree import (
     binomial_tree,
     compare_trees,
     grid_distance,
     node_distance,
     topology_aware_tree,
-    tree_fanout,
 )
 
 
@@ -39,12 +39,14 @@ class TestBinomialTree:
 
     @pytest.mark.parametrize("q", [1, 2, 3, 5, 6, 7, 8, 13, 64, 100])
     def test_fanout_is_the_per_hop_broadcast(self, q):
-        """The engines' fan-out is the tree's, and the per-hop reference's
-        broadcast hops (written out independently) build the same tree."""
+        """The engines' tree levels send what the per-hop reference's broadcast
+        hops (written out independently) send, position by position, and
+        those hops build the binomial tree."""
         fanout = [0] * q
         for src, _ in broadcast_hops(q):
             fanout[src] += 1
-        assert tree_fanout(q) == tuple(fanout)
+        senders, messages = _fan_levels("tree", q)
+        assert [int(messages[pos < senders].sum()) for pos in range(q)] == fanout
         assert binomial_tree(range(q), 0).parent == {dst: src for src, dst in broadcast_hops(q)}
 
 

@@ -1,11 +1,13 @@
 """Telemetry layer: zero-perturbation tracing of the simulated machine.
 
-The hard guarantee under test: tracing only *reads* simulator state, so the
-communication-counter matrix is byte-identical traced vs untraced in every
-mode the harness runs and for every registered algorithm, and the golden
-sweep rows do not move.  On top of that, the exported Chrome trace validates against the
-trace-event schema, every counted round yields a span, and plane-mode GEMM
-time is split from counter-accounting time.
+The hard guarantee under test: a traced run posts its counters through the
+same calls as an untraced one, so the communication-counter matrix is
+byte-identical traced vs untraced in every mode the harness runs and for
+every registered algorithm, and the golden sweep rows do not move.  On top of
+that, the exported Chrome trace validates against the trace-event schema,
+the round spans (one per round class a posting call posts, with its
+multiplicity) account for every posted word, flop and message, and
+plane-mode GEMM time is split from counter-accounting time.
 """
 
 import json
@@ -14,6 +16,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
+import repro.extensions.allgather  # noqa: F401 - registers AllGather1D
 from repro.algorithms import get_algorithm, registered_algorithms
 from repro.api import multiply
 from repro.experiments.harness import _execute
@@ -121,16 +124,45 @@ class TestRoundSpans:
                 ShapeToken((256, 256)), ShapeToken((256, 256)), 16, 4096,
                 mode="volume",
             )
-        rounds = tracer.spans("round")
+        rounds = [event[4] for event in tracer.spans("round")]
         assert len(rounds) >= 1
-        total_words = sum(e[4]["words_posted"] for e in rounds)
+        total_words = sum(args["words_posted"] * args["multiplicity"] for args in rounds)
         assert total_words == report.total_communicated_words
-        assert sum(e[4]["flops"] for e in rounds) == report.total_flops
-        for event in rounds:
-            args = event[4]
+        assert sum(args["flops"] * args["multiplicity"] for args in rounds) == report.total_flops
+        for args in rounds:
             assert args["mode"] == "volume"
             assert args["hops"] >= 0 and args["resident_peak_words"] >= 0
-        assert [e[4]["round"] for e in rounds] == list(range(len(rounds)))
+            assert args["multiplicity"] >= 1
+        # Each span's first round is where the previous one's rounds end.
+        firsts = np.cumsum([0] + [args["multiplicity"] for args in rounds])
+        assert [args["first_round"] for args in rounds] == firsts[:-1].tolist()
+
+    @pytest.mark.parametrize("held", [False, True], ids=["fresh", "held"])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("family", ["square", "largeK"])
+    @pytest.mark.parametrize("algorithm", registered_algorithms())
+    def test_every_posted_word_is_in_a_span(self, algorithm, family, mode, held):
+        """The round spans, each per-round value times its multiplicity, add
+        up to the words sent, flops and messages the run posted, on a fresh
+        machine and on one that already holds counters."""
+        scenario = limited_memory_sweep(family, [16], 2048)[0]
+        shape = scenario.shape
+        a, b = ((ShapeToken((shape.m, shape.k)), ShapeToken((shape.k, shape.n)))
+                if mode == "volume" else shape.random_matrices(seed=0))
+        with tracing() as tracer:
+            machine = DistributedMachine(scenario.p, memory_words=scenario.memory_words,
+                                         mode=mode)
+            counters = machine.counters
+            if held:
+                counters.data[...] = np.random.default_rng(0).integers(0, 1000, counters.data.shape)
+            before = counters.total_words_sent, counters.total_flops, counters.total_messages
+            get_algorithm(algorithm).run(a, b, scenario, machine)
+        posted = (counters.total_words_sent - before[0], counters.total_flops - before[1],
+                  counters.total_messages - before[2])
+        spans = [event[4] for event in tracer.spans("round")]
+        assert tuple(sum(span[key] * span["multiplicity"] for span in spans)
+                     for key in ("words_posted", "flops", "hops")) == posted
+        assert min(posted) > 0
 
     def test_plane_mode_splits_gemm_from_accounting(self):
         rng = np.random.default_rng(0)

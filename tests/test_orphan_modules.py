@@ -19,6 +19,8 @@ KEPT = {
                                 "tests/test_algorithms_registry.py"),
     "core/cost_model.py": ("Equation 32's local domain; Figure 3's cubic-grid comparison",
                            "tests/test_core_cost_tradeoff_buffers_overlap.py"),
+    "machine/tree.py": ("section 7.2's broadcast trees; the broadcast-tree ablation bench",
+                        "tests/test_machine_tree.py"),
 }
 
 

@@ -8,9 +8,10 @@ rank (idle ranks 0):
 * the grid family (COSMA, ScaLAPACK, CTF, Cannon):
   :func:`repro.core.cosma.counted_rounds` with the runner's exchange kind
   (binomial trees, a star of direct sends, a ring), which reads each
-  (layer, owner) slice's chunk count and each exchange's own level rule --
-  neither ``machine.tree.tree_fanout`` nor the engine's fan -- plus the k-fiber
-  reduction, and Cannon's skew: two rounds on every rank of its grid;
+  (layer, owner) slice's chunk count and the fan-out rule the engine reads
+  too (so the per-hop parity suites, not this chain, catch a wrong rule) --
+  plus the k-fiber reduction, and Cannon's skew: two rounds on every rank of
+  its grid;
 * CARMA: :func:`repro.baselines.cuboid.counted_rounds`, one round per
   (owner, receiver) message of its domain table;
 * ``AllGather1D``: ``q - 1`` ring steps on each of its ``q`` ranks.

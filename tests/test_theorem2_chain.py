@@ -1,9 +1,11 @@
 """Theorem 2 as one checked chain, for the parallel schedules.
 
-* **The count.**  A run of the grid family (COSMA, ScaLAPACK, CTF, Cannon)
-  receives, rank for rank, what :func:`repro.core.cosma.received_words` says
-  (plus Cannon's skew, :func:`repro.baselines.cannon.skew_words`), and its
-  plan's words are the run's mean received words to the last bit.
+* **The count.**  Every algorithm's plan's words are its run's mean
+  received words to the last bit (CARMA's read off the messages its runs
+  post, ``AllGather1D``'s in closed form), and a run of the grid family
+  (COSMA, ScaLAPACK, CTF, Cannon) receives, rank for rank, what
+  :func:`repro.core.cosma.received_words` says (plus Cannon's skew,
+  :func:`repro.baselines.cannon.skew_words`).
 * **The bound.**  Every algorithm's (the five and the ``AllGather1D``
   extension) busiest local domain touches at least
   Theorem 2's words whenever its largest domain's C block fits in S
@@ -80,18 +82,20 @@ def _counters(name, scenario, run_plan):
 
 
 def assert_count_is_plan(name, scenario):
-    """Counted WORDS_RECEIVED is the closed form rank for rank (idle ranks 0),
-    and the plan's words are the run's mean, exactly."""
+    """The plan's words are the run's mean received words, exactly; for the
+    grid family counted WORDS_RECEIVED is also the closed form rank for rank
+    (idle ranks 0)."""
     run_plan = get_algorithm(name).plan(scenario)
     counters = _counters(name, scenario, run_plan)
-    decomposition = _decomposition(name, scenario)
-    expected = np.zeros(scenario.p, dtype=np.int64)
-    used = received_words(decomposition)
-    if name == "Cannon":
-        used = used + skew_words(decomposition)
-    expected[: len(used)] = used
-    np.testing.assert_array_equal(counters.data[WORDS_RECEIVED], expected)
-    assert run_plan.predicted_words_per_rank == counters.mean_received_per_rank()
+    if name in GRID_FAMILY:
+        decomposition = _decomposition(name, scenario)
+        expected = np.zeros(scenario.p, dtype=np.int64)
+        used = received_words(decomposition)
+        if name == "Cannon":
+            used = used + skew_words(decomposition)
+        expected[: len(used)] = used
+        np.testing.assert_array_equal(counters.data[WORDS_RECEIVED], expected)
+    assert run_plan.predicted_words_per_rank == counters.mean_received_per_rank(), name
 
 
 def largest_c_block(name, scenario):
@@ -145,15 +149,17 @@ class TestChain:
         import repro.extensions.allgather  # noqa: F401 - registers AllGather1D
 
         scenario = _scenario(*problem)
-        for name in GRID_FAMILY:
-            assert_count_is_plan(name, scenario)
         for name in CORE_FIVE + ("AllGather1D",):
+            assert_count_is_plan(name, scenario)
             bound_holds(name, scenario)
 
     def test_grid240(self):
-        """Every ``grid240`` run: the grid family counts its plan, and every
-        row is at or above Theorem 2 but one, CARMA's 591^3 at p = 1024,
-        whose largest domain's C block is over S (as are 12 more rows)."""
+        """Every ``grid240`` run counts its plan (and so does ``AllGather1D``
+        on every ``grid240`` scenario), and every row is at or above
+        Theorem 2 but one, CARMA's 591^3 at p = 1024, whose largest domain's
+        C block is over S (as are 12 more rows)."""
+        import repro.extensions.allgather  # noqa: F401 - registers AllGather1D
+
         spec = SweepSpec(
             name="grid240", algorithms=CORE_FIVE,
             families=("square", "largeK", "largeM", "flat"), regimes=("limited", "extra"),
@@ -164,8 +170,9 @@ class TestChain:
         below, over_s = set(), set()
         for request in requests:
             name, scenario = request.algorithm, request.scenario
-            if name in GRID_FAMILY:
-                assert_count_is_plan(name, scenario)
+            assert_count_is_plan(name, scenario)
+            if name == "COSMA":  # once per scenario
+                assert_count_is_plan("AllGather1D", scenario)
             if not bound_holds(name, scenario):
                 over_s.add((name, scenario.name))
             if get_algorithm(name).plan(scenario).optimality_ratio < 1:

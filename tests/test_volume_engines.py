@@ -233,10 +233,11 @@ def _cosma_sq1024_volume(use_rma=False):
 
 
 def test_cosma_posts_once_per_round_class(class_posts, panel_exchange):
-    """sq1024 has 683 rounds in 20 classes.  Untraced they are one expansion of
-    closed-form sums: no class delta of size p is written.  Traced, 20 class
-    deltas, each expanded from one round's sums.  Neither goes through a
-    transfer list, and both count the C reduction."""
+    """sq1024 has 683 rounds in 20 classes.  They are one expansion of
+    closed-form sums: untraced, no class delta of size p is written.  Traced,
+    the same expansion, and 20 class deltas for the spans, each expanded from
+    one round's sums.  Neither goes through a transfer list, and both count
+    the C reduction."""
     machine, decomposition = _cosma_sq1024_volume()
     assert decomposition.num_steps == 683
     assert class_posts == [] and panel_exchange.classes == [] and panel_exchange.expansions == 1
@@ -245,7 +246,7 @@ def test_cosma_posts_once_per_round_class(class_posts, panel_exchange):
         traced_machine, _ = _cosma_sq1024_volume()
     assert class_posts == ["repro.core.cosma"] * 20
     assert panel_exchange.classes == [1] * 20
-    assert panel_exchange.expansions == 1 + 20
+    assert panel_exchange.expansions == 1 + 1 + 20
     assert traced_machine.counters.data.tobytes() == machine.counters.data.tobytes()
 
 
@@ -254,8 +255,9 @@ def test_grid_baselines_post_transfers_only_from_the_cosma_core(name, class_post
                                                                  panel_exchange):
     """2D and 2.5D are grid choices: their engines hold no posting body, and
     the core they post through expands no transfer list -- one expansion to
-    ranks and no class delta per untraced run; under a tracer one class delta
-    per class, each expanded from one round's sums."""
+    ranks and no class delta per untraced run; under a tracer the same
+    expansion and one class delta per class, each expanded from one round's
+    sums."""
     run = run_algorithm(name, paper_scenario(4096, 1024), mode="volume")
     assert run.mean_words_per_rank > 0
     assert class_posts == [] and panel_exchange.classes == [] and panel_exchange.expansions == 1
@@ -264,7 +266,7 @@ def test_grid_baselines_post_transfers_only_from_the_cosma_core(name, class_post
     assert traced.mean_words_per_rank == run.mean_words_per_rank
     assert class_posts and set(class_posts) == {"repro.core.cosma"}
     assert panel_exchange.classes == [1] * len(class_posts)
-    assert panel_exchange.expansions == 1 + len(class_posts)
+    assert panel_exchange.expansions == 1 + 1 + len(class_posts)
 
 
 def test_use_rma_volume_run_stays_on_the_batched_engine(class_posts, panel_exchange):
@@ -376,6 +378,26 @@ def test_untraced_panel_exchange_memory_does_not_grow_with_rounds(name, rounds):
         tracemalloc.stop()
     assert machine.counters.max_rounds() == rounds
     assert peak < 2 * 2**20, peak
+
+
+def test_long_fiber_expands_without_a_fan_out_matrix():
+    """ScaLAPACK 2^20 x 64 x 64 on (1024, 1, 1): one B fiber of 1024
+    positions.  What a position sends is a circular window sum of the owners'
+    widths per tree level, so the run stays under 1 MiB of traced
+    allocations (16.0 MiB and 34-45 ms when a 1024 x 1024 circulant of
+    fan-outs was multiplied; 0.3 MiB and 0.3-0.8 ms since)."""
+    m, n, k, p = 1 << 20, 64, 64, 1024
+    decomposition = summa_decomposition(m, n, k, p, 1 << 20, grid=(1024, 1))
+    machine = DistributedMachine(p, memory_words=1 << 20, mode="volume")
+    tracemalloc.start()
+    try:
+        run_panels(machine, ShapeToken((m, k)), ShapeToken((k, n)), decomposition, "tree")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decomposition.grid.as_tuple() == (1024, 1, 1)
+    assert (machine.counters.max_rounds(), machine.counters.mean_received_per_rank()) == (382, 4092.0)
+    assert peak < 2**20, peak
 
 
 def test_traced_panel_exchange_memory_does_not_grow_with_rounds():
