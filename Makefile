@@ -31,7 +31,8 @@
 #                       list of awkward ones, in plane and volume mode
 #                       (~1 min per side); exit 1 on any difference; the
 #                       large volume points also print each side's wall
-#                       seconds (scripts/identity_pairs.py)
+#                       time, the best of 10 warm calls after the observed
+#                       runs (scripts/identity_pairs.py)
 
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))

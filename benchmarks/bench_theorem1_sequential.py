@@ -3,9 +3,9 @@
 Not a figure in the paper, but the quantitative core of its theory: the
 sequential schedule's exact I/O (``schedule_io``) against the
 ``2mnk/sqrt(S) + mn`` lower bound.  This benchmark measures the I/O of the
-executable schedule on the memory-hierarchy simulator across memory sizes,
-checks it against its closed form, and compares it with the bound, the simple
-rank-1 (square-tile) schedule and a hardware-like LRU cache.
+schedule played on the red-blue pebble game (every move checked) across
+memory sizes, checks it against its closed form, and compares it with the
+bound, the simple rank-1 (square-tile) schedule and a hardware-like LRU cache.
 """
 
 import numpy as np

@@ -39,7 +39,7 @@ def pebble_small_instance() -> None:
     print("Red-blue pebbling of a 10x10x10 MMM CDAG")
     print(f"  fast memory S            : {s} words  (tiles: {schedule.a} x {schedule.b})")
     print(f"  pebbling legal & complete: {result.complete}")
-    print(f"  measured I/O (loads+stores): {result.io}  (peak {result.max_red_in_use} red pebbles)")
+    print(f"  measured I/O (loads+stores): {result.io}  (peak {result.peak_resident} red pebbles)")
     print(f"  Theorem 1 lower bound      : {bound:.0f}")
     print(f"  ratio                      : {result.io / bound:.3f}\n")
 

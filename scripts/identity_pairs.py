@@ -36,9 +36,11 @@ of the point's runs and by how much in the first of them -- and exits 1 on
 any difference.  An observable that only one side records anywhere (a counter
 row one revision has and the other does not) is listed once, at the end, and
 is not a difference.  The ``xl/`` and ``volume_requests/`` lines also carry each
-side's wall seconds for the point's single untraced run (the call as the
-registry makes it, COSMA's grid search included): a speed-up reads next to the
-proof that nothing observable moved.  Every point with a product also carries
+side's wall time: the best of :data:`WARM_CALLS` untraced ``volume`` calls
+(the call as the registry makes it, each on a fresh machine), timed after the
+point's observed runs so that first-call costs stay out: a speed-up reads next
+to the proof that nothing observable moved.  The timed calls are not
+observed.  Every point with a product also carries
 each side's largest ``max |C - A @ B|`` over its runs, so a product whose sums
 are associated differently reads as "digests differ" next to both sides'
 errors.  Seconds and errors are never compared.  The point
@@ -62,9 +64,11 @@ from pathlib import Path
 from ledger_pairs import REPO, extract
 
 MODES = ("volume", "plane")
-#: Points whose wall seconds are printed, and the variant they are read from.
+#: Points whose wall time is printed, and the variant they are timed after.
 TIMED_PREFIXES = ("xl/", "volume_requests/")
 TIMED_VARIANT = "volume untraced x1"
+#: Warm calls timed per timed point and side; the fastest is printed.
+WARM_CALLS = 10
 #: The round spans' per-round values whose totals are recorded.
 SPAN_TOTALS = ("words_posted", "flops", "hops")
 
@@ -263,30 +267,34 @@ def _digest(value) -> str:
     return hashlib.sha256(data).hexdigest()[:20]
 
 
+def _operands(dims, mode):
+    import numpy as np
+
+    from repro.machine.transport import ShapeToken
+
+    m, n, k = dims
+    if mode == "volume":
+        return ShapeToken((m, k)), ShapeToken((k, n))
+    rng = np.random.default_rng(0)
+    return rng.random((m, k)), rng.random((k, n))
+
+
 def _observe_run(multiply, dims, p, memory_words, mode, traced, runs,
-                 rounds=None) -> tuple[dict, float, float | None]:
-    """What the run left behind, the wall seconds of its ``multiply`` calls and
-    the product's ``max |C - A @ B|`` (``None`` in ``volume`` mode)."""
+                 rounds=None) -> tuple[dict, float | None]:
+    """What the run left behind and the product's ``max |C - A @ B|``
+    (``None`` in ``volume`` mode)."""
     import numpy as np
 
     from repro.machine.counters import COUNTER_FIELDS
     from repro.machine.simulator import DistributedMachine
-    from repro.machine.transport import ShapeToken
     from repro.obs import disable_tracing, enable_tracing
 
-    m, n, k = dims
-    if mode == "volume":
-        a, b = ShapeToken((m, k)), ShapeToken((k, n))
-    else:
-        rng = np.random.default_rng(0)
-        a, b = rng.random((m, k)), rng.random((k, n))
+    a, b = _operands(dims, mode)
     tracer = enable_tracing() if traced else None
     try:
         machine = DistributedMachine(p, memory_words=memory_words, mode=mode)
-        start = time.perf_counter()
         for _ in range(runs):
             result = multiply(a, b, machine)
-        seconds = time.perf_counter() - start
         if hasattr(machine.trace, "commit_round"):  # a revision whose harness flushed
             machine.trace.commit_round(machine.peak_resident_words)
     finally:
@@ -310,7 +318,22 @@ def _observe_run(multiply, dims, p, memory_words, mode, traced, runs,
         matrix = getattr(result, "matrix", result)
         observed["product"] = _digest(np.ascontiguousarray(matrix).tobytes())
         error = float(np.abs(matrix - a @ b).max(initial=0.0))
-    return observed, seconds, error
+    return observed, error
+
+
+def _warm_seconds(multiply, dims, p, memory_words) -> float:
+    """The fastest of :data:`WARM_CALLS` untraced ``volume`` calls, each on a
+    fresh machine (its construction not timed)."""
+    from repro.machine.simulator import DistributedMachine
+
+    a, b = _operands(dims, "volume")
+    best = float("inf")
+    for _ in range(WARM_CALLS):
+        machine = DistributedMachine(p, memory_words=memory_words, mode="volume")
+        start = time.perf_counter()
+        multiply(a, b, machine)
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def observe() -> None:
@@ -321,8 +344,11 @@ def observe() -> None:
             for traced in (False, True):
                 for runs in (1, 2):
                     variant = f"{mode} {'traced' if traced else 'untraced'} x{runs}"
-                    observed, seconds, error = _observe_run(
+                    observed, error = _observe_run(
                         multiply, dims, p, memory_words, mode, traced, runs, rounds)
+                    seconds = None
+                    if variant == TIMED_VARIANT and label.startswith(TIMED_PREFIXES):
+                        seconds = _warm_seconds(multiply, dims, p, memory_words)
                     print(json.dumps({"point": label, "variant": variant, "observed": observed,
                                       "seconds": seconds, "error": error}), flush=True)
 
@@ -346,7 +372,7 @@ def _observations(tree: Path) -> tuple[dict[str, dict[str, dict]], dict[str, flo
         record = json.loads(line)
         point = record["point"]
         points.setdefault(point, {})[record["variant"]] = record["observed"]
-        if record["variant"] == TIMED_VARIANT and point.startswith(TIMED_PREFIXES):
+        if record["seconds"] is not None:
             seconds[point] = record["seconds"]
         if record["error"] is not None:
             errors[point] = max(errors.get(point, 0.0), record["error"])
@@ -373,6 +399,8 @@ def _recorded(side: dict) -> set[str]:
 
 def report(base: dict, change: dict, base_seconds: dict, change_seconds: dict,
            base_errors: dict, change_errors: dict) -> int:
+    print(f"wall time on the {' and '.join(TIMED_PREFIXES)} points: the best of {WARM_CALLS} warm"
+          " untraced volume calls per side, after the observed runs")
     differing_points = 0
     observations = 0
     base_only, tree_only = _recorded(base) - _recorded(change), _recorded(change) - _recorded(base)
@@ -389,7 +417,7 @@ def report(base: dict, change: dict, base_seconds: dict, change_seconds: dict,
                         f"{variant}: {_moved(theirs.get(name), ours.get(name))}")
         notes = ""
         if point in base_seconds and point in change_seconds:
-            notes = f"  base {base_seconds[point]:.3f} s, tree {change_seconds[point]:.3f} s"
+            notes = f"  base {base_seconds[point] * 1e3:.3f} ms, tree {change_seconds[point] * 1e3:.3f} ms"
         if point in base_errors and point in change_errors:
             notes += (f"  max |C - A @ B| base {base_errors[point]:.1e},"
                        f" tree {change_errors[point]:.1e}")

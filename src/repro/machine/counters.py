@@ -190,7 +190,3 @@ class CommCounters:
         if count_rounds:
             np.add.at(data[ROUNDS], srcs, 1)
             np.add.at(data[ROUNDS], dsts, 1)
-
-    # -- lifecycle -------------------------------------------------------
-    def reset(self) -> None:
-        self.data[...] = 0

@@ -52,10 +52,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.machine.counters import FLOPS, MESSAGES_SENT, WORDS_SENT, CommCounters
-from repro.machine.topology import MachineSpec, laptop_spec
 from repro.machine.transport import PayloadPlane, Transport, make_transport
 from repro.obs.trace import MachineTrace, active_tracer
 from repro.utils.validation import check_positive_int
+
+
+#: Local memory ``S`` per rank, in words, when ``memory_words`` is omitted.
+DEFAULT_MEMORY_WORDS = 1 << 20
 
 
 class LocalMemoryExceededError(RuntimeError):
@@ -84,13 +87,10 @@ class DistributedMachine:
     p:
         Number of processors (ranks).
     memory_words:
-        Local memory size ``S`` per rank, in words.  When ``enforce_memory``
+        Local memory size ``S`` per rank, in words
+        (:data:`DEFAULT_MEMORY_WORDS` when omitted).  When ``enforce_memory``
         is true, :meth:`check_memory` raises if any rank's resident data
         exceeds this budget.
-    spec:
-        Optional :class:`~repro.machine.topology.MachineSpec` used by the
-        performance model; defaults to a laptop-like spec with the given
-        ``memory_words``.
     enforce_memory:
         Whether :meth:`check_memory` raises (True) or merely records the peak
         usage (False).  Algorithms call ``check_memory`` at the end of every
@@ -118,7 +118,6 @@ class DistributedMachine:
         self,
         p: int,
         memory_words: int | None = None,
-        spec: MachineSpec | None = None,
         enforce_memory: bool = False,
         mode: str = "plane",
         shards: int = 1,
@@ -127,10 +126,7 @@ class DistributedMachine:
         self.p = check_positive_int(p, "p")
         self.shards = check_positive_int(shards, "shards")
         self.transport: Transport = make_transport(mode, dtype=plane_dtype)
-        if spec is None:
-            spec = laptop_spec(memory_words or (1 << 20))
-        self.spec = spec
-        self.memory_words = int(memory_words) if memory_words is not None else spec.memory_words_per_core
+        self.memory_words = int(memory_words) if memory_words is not None else DEFAULT_MEMORY_WORDS
         if self.memory_words <= 0:
             raise ValueError(f"memory_words must be positive, got {self.memory_words}")
         self.enforce_memory = bool(enforce_memory)

@@ -5,8 +5,9 @@ paper, and the parallel bound of section 6:
 
 * :mod:`repro.pebbling.cdag` -- computational DAGs.
 * :mod:`repro.pebbling.game` -- a validated red-blue pebble-game executor that
-  measures the I/O (loads + stores) of a pebbling.
-* :mod:`repro.pebbling.mmm_cdag` -- the MMM CDAG.
+  measures the I/O (loads + stores) of a pebbling; the sequential kernels
+  report its counts.
+* :mod:`repro.pebbling.mmm_cdag` -- the MMM CDAG, in closed form.
 * :mod:`repro.pebbling.mmm_schedule` -- the near-optimal sequential MMM
   schedule (Listing 1), its tiles and its pebble-game moves.
 * :mod:`repro.pebbling.mmm_bounds` -- the schedule's exact I/O, Theorems 1

@@ -17,9 +17,12 @@ use at any time.  The legal moves are:
 A *complete calculation* starts with blue pebbles exactly on the CDAG inputs
 and ends with blue pebbles on all outputs.  Its I/O cost ``Q`` is the number
 of loads plus stores.  The executor below validates every move and counts the
-I/O, so any schedule the library generates can be checked for *legality* and
-its measured cost compared against the lower bounds of
-:mod:`repro.pebbling.mmm_bounds`.
+I/O.  It is the one executor of Listing 1's schedule: the sequential kernels
+(:mod:`repro.sequential`) play their schedule on it and report its counts, so
+every I/O figure they print comes from a checked, complete calculation, to be
+compared against the lower bounds of :mod:`repro.pebbling.mmm_bounds`.  Moves
+are plain method calls (:meth:`PebbleGame.load` and friends);
+:meth:`PebbleGame.run` executes a recorded list of :class:`PebbleMove`.
 """
 
 from __future__ import annotations
@@ -55,12 +58,19 @@ class IllegalMoveError(RuntimeError):
 
 @dataclass
 class PebblingResult:
-    """Outcome of executing a full pebbling schedule."""
+    """The I/O of a pebbling: loads, stores, computes and the peak red pebbles.
+
+    :class:`PebbleGame` also records whether its run was a complete
+    calculation; the LRU cache of
+    :func:`~repro.sequential.kernels.naive_multiply_lru`, which tracks no
+    CDAG, counts its moves into the same type and leaves those fields unset.
+    """
 
     loads: int = 0
     stores: int = 0
     computes: int = 0
-    max_red_in_use: int = 0
+    #: peak red pebbles in use, i.e. words resident in fast memory
+    peak_resident: int = 0
     moves_executed: int = 0
     complete: bool = False
     missing_outputs: frozenset = field(default_factory=frozenset)
@@ -77,12 +87,18 @@ class PebbleGame:
     Parameters
     ----------
     cdag:
-        The computational DAG to pebble.
+        The computational DAG to pebble: a :class:`~repro.pebbling.cdag.CDAG`,
+        or the closed-form :class:`~repro.pebbling.mmm_cdag.MMMCDAG`, which
+        answers the same queries.
     red_pebbles:
         The fast-memory capacity ``S``.
     initial_blue:
         Vertices initially carrying blue pebbles; defaults to ``cdag.inputs``
         as required by the game's initial configuration.
+
+    The game holds only its pebbles (at most ``S`` red ones, and the blue
+    ones: the inputs and every stored vertex), so a schedule on the closed-form
+    MMM CDAG can be checked at sizes where the explicit graph would not fit.
     """
 
     def __init__(
@@ -101,8 +117,6 @@ class PebbleGame:
         if unknown:
             raise KeyError(f"initial blue pebbles on unknown vertices: {unknown!r}")
         self.result = PebblingResult()
-        #: Vertices that have ever been computed (had a red pebble via compute).
-        self.computed: set[Vertex] = set()
 
     # -- individual moves ---------------------------------------------------
     def load(self, v: Vertex) -> None:
@@ -112,10 +126,8 @@ class PebbleGame:
             return
         if v not in self.blue:
             raise IllegalMoveError(f"load of {v!r}: vertex has no blue pebble")
-        self._check_capacity()
-        self.red.add(v)
+        self._place_red(v)
         self.result.loads += 1
-        self._track()
 
     def store(self, v: Vertex) -> None:
         """Place a blue pebble on ``v`` which must carry a red pebble."""
@@ -126,27 +138,23 @@ class PebbleGame:
             return
         self.blue.add(v)
         self.result.stores += 1
-        self._track()
 
     def compute(self, v: Vertex) -> None:
         """Place a red pebble on ``v`` whose parents must all carry red pebbles."""
-        self._check_vertex(v)
-        parents = self.cdag.parents(v)
+        parents = self.cdag.parents(v)  # KeyError for a vertex not in the CDAG
+        red = self.red
         if not parents:
             raise IllegalMoveError(
                 f"compute of {v!r}: vertex is an input and cannot be computed"
             )
-        missing = [p for p in parents if p not in self.red]
-        if missing:
+        if not parents <= red:
+            missing = [p for p in parents if p not in red]
             raise IllegalMoveError(
                 f"compute of {v!r}: parents without red pebbles: {missing!r}"
             )
-        if v not in self.red:
-            self._check_capacity()
-            self.red.add(v)
+        if v not in red:
+            self._place_red(v)
         self.result.computes += 1
-        self.computed.add(v)
-        self._track()
 
     def free_red(self, v: Vertex) -> None:
         """Remove the red pebble from ``v`` (no-op if absent)."""
@@ -181,23 +189,22 @@ class PebbleGame:
 
     def finish(self) -> PebblingResult:
         """Finalize the result: check the terminal configuration."""
-        outputs = self.cdag.outputs
-        missing = frozenset(v for v in outputs if v not in self.blue)
+        missing = frozenset(v for v in self.cdag.outputs if v not in self.blue)
         self.result.missing_outputs = missing
         self.result.complete = not missing
         return self.result
 
     # -- helpers -------------------------------------------------------------
-    def _check_capacity(self) -> None:
-        if len(self.red) + 1 > self.capacity:
+    def _place_red(self, v: Vertex) -> None:
+        used = len(self.red)
+        if used >= self.capacity:
             raise IllegalMoveError(
-                f"cannot place another red pebble: {len(self.red)} already in use, capacity S={self.capacity}"
+                f"cannot place another red pebble: {used} already in use, capacity S={self.capacity}"
             )
+        self.red.add(v)
+        if used >= self.result.peak_resident:
+            self.result.peak_resident = used + 1
 
     def _check_vertex(self, v: Vertex) -> None:
         if v not in self.cdag:
             raise KeyError(f"vertex {v!r} is not part of the CDAG")
-
-    def _track(self) -> None:
-        if len(self.red) > self.result.max_red_in_use:
-            self.result.max_red_in_use = len(self.red)

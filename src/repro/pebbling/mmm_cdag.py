@@ -11,11 +11,17 @@ Vertices (0-based indices, unlike the paper's 1-based notation):
 Edges: the update ``C(i,j,t) = C(i,j,t-1) + A(i,t) * B(t,j)`` contributes
 edges from ``("a", i, t)``, ``("b", t, j)`` and (for ``t > 0``)
 ``("c", i, j, t-1)`` into ``("c", i, j, t)``.
+
+The graph is a function of ``(m, n, k)``, so :class:`MMMCDAG` answers the
+queries of :class:`~repro.pebbling.cdag.CDAG` that the pebble game reads from
+the indices alone and stores no vertex or edge: a game on it holds only its
+pebbles.
 """
 
 from __future__ import annotations
 
-from repro.pebbling.cdag import CDAG
+from itertools import chain
+
 from repro.utils.validation import check_positive_int
 
 AVertex = tuple[str, int, int]
@@ -38,31 +44,78 @@ def c_vertex(i: int, j: int, t: int) -> CVertex:
     return ("c", i, j, t)
 
 
-def build_mmm_cdag(m: int, n: int, k: int) -> CDAG:
-    """Construct the MMM CDAG for ``C = A @ B`` with ``A (m x k)`` and ``B (k x n)``.
+class MMMCDAG:
+    """The ``mk + kn + mnk``-vertex MMM CDAG, computed from ``(m, n, k)``.
 
-    The graph has ``mk + kn + mnk`` vertices; keep the dimensions small (a few
-    tens) when building it explicitly -- the I/O of realistic problem sizes is
-    the closed form :func:`repro.pebbling.mmm_bounds.schedule_io`, not an
-    explicit graph.
+    It answers membership, ``len``, :meth:`parents`, :meth:`children`,
+    :attr:`inputs`, :attr:`outputs` and :attr:`computation_vertices` as the
+    explicit :class:`~repro.pebbling.cdag.CDAG` of the same graph would.
     """
-    m = check_positive_int(m, "m")
-    n = check_positive_int(n, "n")
-    k = check_positive_int(k, "k")
-    cdag = CDAG()
-    for i in range(m):
-        for t in range(k):
-            cdag.add_vertex(a_vertex(i, t))
-    for t in range(k):
-        for j in range(n):
-            cdag.add_vertex(b_vertex(t, j))
-    for i in range(m):
-        for j in range(n):
-            for t in range(k):
-                v = c_vertex(i, j, t)
-                cdag.add_edge(a_vertex(i, t), v)
-                cdag.add_edge(b_vertex(t, j), v)
-                if t > 0:
-                    cdag.add_edge(c_vertex(i, j, t - 1), v)
-    cdag.mark_outputs(c_vertex(i, j, k - 1) for i in range(m) for j in range(n))
-    return cdag
+
+    def __init__(self, m: int, n: int, k: int) -> None:
+        self.m, self.n, self.k = m, n, k
+        self._rows, self._cols, self._depth = range(m), range(n), range(k)
+
+    def __len__(self) -> int:
+        return self.m * self.k + self.k * self.n + self.m * self.n * self.k
+
+    def __contains__(self, v: object) -> bool:
+        if type(v) is not tuple:
+            return False
+        if len(v) == 4:
+            kind, i, j, t = v
+            return kind == "c" and i in self._rows and j in self._cols and t in self._depth
+        if len(v) == 3:
+            kind, x, y = v
+            if kind == "a":
+                return x in self._rows and y in self._depth
+            if kind == "b":
+                return x in self._depth and y in self._cols
+        return False
+
+    def _check(self, v: object) -> None:
+        if v not in self:
+            raise KeyError(f"vertex {v!r} is not part of the CDAG")
+
+    def parents(self, v: object) -> frozenset:
+        """``Pred(v)``: ``A(i,t)``, ``B(t,j)`` and ``C(i,j,t-1)`` of a partial sum."""
+        if type(v) is tuple and len(v) == 4:  # the game's hot path: one check per compute
+            kind, i, j, t = v
+            if kind == "c" and i in self._rows and j in self._cols and t in self._depth:
+                if t:
+                    return frozenset((("a", i, t), ("b", t, j), ("c", i, j, t - 1)))
+                return frozenset((("a", i, t), ("b", t, j)))
+        self._check(v)
+        return frozenset()
+
+    def children(self, v: object) -> frozenset:
+        """``Succ(v)``: the partial sums an input element feeds, or the next partial sum."""
+        self._check(v)
+        if len(v) == 4:
+            _, i, j, t = v
+            return frozenset({("c", i, j, t + 1)} if t + 1 < self.k else ())
+        kind, x, y = v
+        if kind == "a":
+            return frozenset(("c", x, j, y) for j in self._cols)
+        return frozenset(("c", i, y, x) for i in self._rows)
+
+    @property
+    def inputs(self) -> frozenset:
+        """The elements of ``A`` and ``B``."""
+        return frozenset(chain((a_vertex(i, t) for i in self._rows for t in self._depth),
+                               (b_vertex(t, j) for t in self._depth for j in self._cols)))
+
+    @property
+    def outputs(self) -> frozenset:
+        """The final partial sums ``C(i, j, k - 1)``."""
+        return frozenset(c_vertex(i, j, self.k - 1) for i in self._rows for j in self._cols)
+
+    @property
+    def computation_vertices(self) -> frozenset:
+        """Every partial sum ``C(i, j, t)``."""
+        return frozenset(c_vertex(i, j, t) for i in self._rows for j in self._cols for t in self._depth)
+
+
+def build_mmm_cdag(m: int, n: int, k: int) -> MMMCDAG:
+    """The MMM CDAG for ``C = A @ B`` with ``A (m x k)`` and ``B (k x n)``."""
+    return MMMCDAG(check_positive_int(m, "m"), check_positive_int(n, "n"), check_positive_int(k, "k"))

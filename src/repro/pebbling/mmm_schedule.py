@@ -15,19 +15,23 @@ Two tile-size choices are provided:
   ``tile_footprint(a, b) <= S`` (Equation 26 under the footprint the moves
   use).
 
-The schedule runs as pebble-game moves (:meth:`SequentialMMMSchedule.as_pebbling_moves`,
-validated by :class:`~repro.pebbling.game.PebbleGame`) and as the numeric
-kernel of :mod:`repro.sequential`.
+Listing 1's moves are written once, in :meth:`SequentialMMMSchedule.play`,
+as calls on a player; the vertices are those of :mod:`repro.pebbling.mmm_cdag`.
+:class:`~repro.pebbling.game.PebbleGame` is the one executor: played on it,
+the schedule is checked move by move and counted, which is what the kernels of
+:mod:`repro.sequential` report.  :meth:`SequentialMMMSchedule.as_pebbling_moves`
+records the same calls as a list.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from types import SimpleNamespace
+from typing import Callable, Iterator
 
+from repro.pebbling.cdag import Vertex
 from repro.pebbling.game import Move, PebbleMove
-from repro.pebbling.mmm_cdag import a_vertex, b_vertex, c_vertex
 from repro.utils.validation import check_positive_int
 
 
@@ -95,32 +99,48 @@ class SequentialMMMSchedule:
                 yield range(i0, min(i0 + self.a, self.m)), range(j0, min(j0 + self.b, self.n))
 
     def required_red_pebbles(self) -> int:
-        """Peak fast-memory usage of :meth:`as_pebbling_moves` (at most ``S``)."""
+        """Peak fast-memory usage of :meth:`play` (at most ``S``)."""
         return tile_footprint(self.a, self.b)
 
-    def as_pebbling_moves(self) -> list[PebbleMove]:
-        """Emit the red-blue pebbling of the schedule.
+    def play(self, player) -> None:
+        """Issue Listing 1's moves, in order, as calls on ``player``.
 
         Per tile and ``t``: load the A column, then for each streamed B element
         compute the tile column's partial sums and free their predecessors;
-        after the ``k`` sweep, store and free the outputs.
+        after the ``k`` sweep, store and free the outputs.  ``player`` is a
+        :class:`~repro.pebbling.game.PebbleGame` (which checks and counts
+        every move) or anything with its ``load`` / ``compute`` / ``free_red``
+        / ``store`` methods.
         """
-        moves: list[PebbleMove] = []
+        load, compute, free_red, store = player.load, player.compute, player.free_red, player.store
+        last = self.k - 1
         for rows, cols in self.tiles():
             for t in range(self.k):
-                moves.extend(PebbleMove(Move.LOAD, a_vertex(i, t)) for i in rows)
+                for i in rows:
+                    load(("a", i, t))
                 for j in cols:
-                    moves.append(PebbleMove(Move.LOAD, b_vertex(t, j)))
+                    load(("b", t, j))
                     for i in rows:
-                        moves.append(PebbleMove(Move.COMPUTE, c_vertex(i, j, t)))
-                        if t > 0:
-                            moves.append(PebbleMove(Move.FREE_RED, c_vertex(i, j, t - 1)))
-                    moves.append(PebbleMove(Move.FREE_RED, b_vertex(t, j)))
-                moves.extend(PebbleMove(Move.FREE_RED, a_vertex(i, t)) for i in rows)
+                        compute(("c", i, j, t))
+                        if t:
+                            free_red(("c", i, j, t - 1))
+                    free_red(("b", t, j))
+                for i in rows:
+                    free_red(("a", i, t))
             for i in rows:
                 for j in cols:
-                    moves.append(PebbleMove(Move.STORE, c_vertex(i, j, self.k - 1)))
-                    moves.append(PebbleMove(Move.FREE_RED, c_vertex(i, j, self.k - 1)))
+                    store(("c", i, j, last))
+                    free_red(("c", i, j, last))
+
+    def as_pebbling_moves(self) -> list[PebbleMove]:
+        """The moves :meth:`play` issues, as a list for :meth:`PebbleGame.run`."""
+        moves: list[PebbleMove] = []
+
+        def record(kind: Move) -> Callable[[Vertex], None]:
+            return lambda v: moves.append(PebbleMove(kind, v))
+
+        self.play(SimpleNamespace(load=record(Move.LOAD), compute=record(Move.COMPUTE),
+                                  free_red=record(Move.FREE_RED), store=record(Move.STORE)))
         return moves
 
 

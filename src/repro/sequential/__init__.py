@@ -1,11 +1,11 @@
-"""Sequential MMM kernels executed against the two-level memory hierarchy.
+"""Sequential MMM kernels: numerical products with counted slow-memory traffic.
 
-These kernels compute real numerical products with numpy while *simultaneously*
-simulating their slow-memory traffic on a
-:class:`~repro.machine.memory.MemoryHierarchy` (explicit management, i.e. a
-pebbling) or an :class:`~repro.machine.memory.LRUCacheMemory` (hardware-like
-cache).  They are the executable counterpart of Listing 1 and back the
-sequential I/O experiments (Theorem 1 benchmarks).
+The tiled kernels play Listing 1's schedule on the red-blue pebble game
+(:class:`~repro.pebbling.game.PebbleGame`, explicit management), which checks
+every move and counts the I/O; the naive kernel replays its access pattern on
+:class:`~repro.sequential.kernels.LRUCacheMemory` (hardware-like cache).  They
+back the sequential I/O experiments (Theorem 1 benchmarks and ``repro
+sequential``).
 """
 
 from repro.sequential.kernels import (

@@ -1,9 +1,13 @@
-"""Sequential matrix-multiplication kernels with simulated memory traffic.
+"""Sequential matrix-multiplication kernels with counted memory traffic.
 
 Each kernel returns both the numerical product (computed with numpy, so tests
-can check exactness) and the :class:`~repro.machine.memory.AccessStats`
-describing the vertical I/O the kernel's access pattern generates on a fast
-memory of ``S`` words.
+can check exactness) and the :class:`~repro.pebbling.game.PebblingResult`
+describing the vertical I/O of its schedule on a fast memory of ``S`` words.
+The tiled kernels issue no move of their own: they play their
+:class:`~repro.pebbling.mmm_schedule.SequentialMMMSchedule` on
+:class:`~repro.pebbling.game.PebbleGame`, which checks every move against the
+MMM CDAG, and report what the game counted.  The naive kernel replays its
+access pattern on :class:`LRUCacheMemory`, a hardware-like cache.
 
 The interesting comparison (regenerated by ``benchmarks/bench_theorem1_sequential.py``
 and printed by ``repro sequential``, the Theorem 1 command):
@@ -21,13 +25,71 @@ and printed by ``repro sequential``, the Theorem 1 command):
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Hashable
 
 import numpy as np
 
-from repro.machine.memory import AccessStats, LRUCacheMemory, MemoryHierarchy
+from repro.pebbling.game import IllegalMoveError, PebbleGame, PebblingResult
+from repro.pebbling.mmm_cdag import build_mmm_cdag
 from repro.pebbling.mmm_schedule import SequentialMMMSchedule, sequential_mmm_schedule
 from repro.utils.validation import check_positive_int
+
+Address = Hashable
+
+
+class LRUCacheMemory:
+    """Automatically managed (LRU) two-level memory.
+
+    ``access(address)`` touches an address: a miss loads it (evicting the
+    least-recently-used resident word if necessary, counting a store if that
+    word is dirty), a hit is free.  ``write(address)`` marks an address dirty.
+
+    This models how a plain cache would execute the naive instruction stream
+    and lets the benchmarks contrast scheduled (pebbling-aware) against
+    hardware-managed data movement: a miss is a load, a dirty eviction a
+    store, and the peak is the resident words.
+    """
+
+    def __init__(self, capacity_words: int) -> None:
+        if capacity_words <= 0:
+            raise ValueError(f"cache capacity must be positive, got {capacity_words}")
+        self.capacity = int(capacity_words)
+        self._lru: OrderedDict[Address, bool] = OrderedDict()  # address -> dirty
+        self.stats = PebblingResult()
+
+    def access(self, address: Address, write: bool = False) -> bool:
+        """Touch ``address``; return True on a hit, False on a miss."""
+        hit = address in self._lru
+        if hit:
+            self._lru.move_to_end(address)
+            if write:
+                self._lru[address] = True
+        else:
+            self.stats.loads += 1
+            if len(self._lru) >= self.capacity:
+                _victim, dirty = self._lru.popitem(last=False)
+                if dirty:
+                    self.stats.stores += 1
+            self._lru[address] = write
+            if len(self._lru) > self.stats.peak_resident:
+                self.stats.peak_resident = len(self._lru)
+        return hit
+
+    def write(self, address: Address) -> None:
+        """Write ``address`` (allocating on write miss)."""
+        self.access(address, write=True)
+
+    def compute(self) -> None:
+        self.stats.computes += 1
+
+    def flush(self) -> None:
+        """Write back all dirty lines (end of kernel)."""
+        for address, dirty in self._lru.items():
+            if dirty:
+                self.stats.stores += 1
+                self._lru[address] = False
 
 
 def _check_inputs(a_matrix: np.ndarray, b_matrix: np.ndarray) -> tuple[int, int, int]:
@@ -46,10 +108,10 @@ def _check_inputs(a_matrix: np.ndarray, b_matrix: np.ndarray) -> tuple[int, int,
 
 @dataclass
 class TiledRunResult:
-    """Result of a tiled sequential multiplication run."""
+    """Result of a sequential multiplication run: the product and its I/O."""
 
     matrix: np.ndarray
-    stats: AccessStats
+    stats: PebblingResult
     schedule: SequentialMMMSchedule | None = None
 
     @property
@@ -87,46 +149,25 @@ def _run_tiled(
     b_matrix: np.ndarray,
     schedule: SequentialMMMSchedule,
 ) -> TiledRunResult:
-    """Execute a tiled schedule: numpy arithmetic + explicit memory simulation.
+    """Play ``schedule`` on the pebble game in ``S`` red pebbles, then multiply tile by tile.
 
-    The memory moves are those of
-    :meth:`~repro.pebbling.mmm_schedule.SequentialMMMSchedule.as_pebbling_moves`,
-    played on a fast memory of ``S`` words.
+    The I/O is what :class:`~repro.pebbling.game.PebbleGame` checked and
+    counted on the MMM CDAG; a run that is not a complete calculation raises.
+    The product is one GEMM per output tile of the schedule.
     """
     a_matrix = np.asarray(a_matrix, dtype=np.float64)
     b_matrix = np.asarray(b_matrix, dtype=np.float64)
     m, n, k = _check_inputs(a_matrix, b_matrix)
-    # Inputs start in slow memory; partial sums are created by compute moves.
-    hierarchy = MemoryHierarchy(
-        capacity_words=schedule.s,
-        initial_slow=[("a", i, t) for i in range(m) for t in range(k)]
-        + [("b", t, j) for t in range(k) for j in range(n)],
-    )
+    game = PebbleGame(build_mmm_cdag(m, n, k), red_pebbles=schedule.s)
+    schedule.play(game)
+    stats = game.finish()
+    if not stats.complete:
+        raise IllegalMoveError(f"schedule left {len(stats.missing_outputs)} outputs without a blue pebble")
     product = np.zeros((m, n))
     for rows, cols in schedule.tiles():
-        i0, i1, j0, j1 = rows.start, rows.stop, cols.start, cols.stop
-        for t in range(k):
-            # Load the A column of this k index.
-            for i in rows:
-                hierarchy.load(("a", i, t))
-            # Stream the B row one element at a time, updating the tile column.
-            for j in cols:
-                hierarchy.load(("b", t, j))
-                for i in rows:
-                    hierarchy.compute(("c", i, j, t), operands=[("a", i, t), ("b", t, j)])
-                    if t > 0:
-                        hierarchy.evict(("c", i, j, t - 1))
-                hierarchy.evict(("b", t, j))
-            for i in rows:
-                hierarchy.evict(("a", i, t))
-            # Numerical rank-1 update of the whole tile at once (vectorized).
-            product[i0:i1, j0:j1] += np.outer(a_matrix[i0:i1, t], b_matrix[t, j0:j1])
-        # Store and evict the finished tile.
-        for i in rows:
-            for j in cols:
-                hierarchy.store(("c", i, j, k - 1))
-                hierarchy.evict(("c", i, j, k - 1))
-    return TiledRunResult(matrix=product, stats=hierarchy.stats, schedule=schedule)
+        i, j = slice(rows.start, rows.stop), slice(cols.start, cols.stop)
+        product[i, j] = a_matrix[i] @ b_matrix[:, j]
+    return TiledRunResult(matrix=product, stats=stats, schedule=schedule)
 
 
 def tiled_multiply(

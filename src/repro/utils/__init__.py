@@ -1,26 +1,13 @@
-"""Small shared utilities: integer math, factorization, validation helpers."""
+"""Small shared utilities: integer math, divisors, validation helpers."""
 
-from repro.utils.intmath import (
-    all_factorizations_3d,
-    ceil_div,
-    divisors,
-    factorize,
-    isqrt_floor,
-    nearly_equal,
-    prod,
-    split_evenly,
-)
+from repro.utils.intmath import all_factorizations_3d, ceil_div, divisors, split_evenly
 from repro.utils.validation import check_positive_int, check_probability, require
 
 __all__ = [
     "ceil_div",
     "divisors",
-    "factorize",
     "all_factorizations_3d",
-    "isqrt_floor",
-    "prod",
     "split_evenly",
-    "nearly_equal",
     "require",
     "check_positive_int",
     "check_probability",

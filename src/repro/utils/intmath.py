@@ -8,8 +8,6 @@ unit-tested.
 
 from __future__ import annotations
 
-import math
-from functools import reduce
 from typing import Iterator
 
 import numpy as np
@@ -30,39 +28,6 @@ def ceil_div(a: int, b: int) -> int:
     if a < 0:
         raise ValueError(f"ceil_div requires a non-negative numerator, got {a}")
     return -(-a // b)
-
-
-def prod(values) -> int:
-    """Product of an iterable of integers (1 for an empty iterable)."""
-    return reduce(lambda x, y: x * y, values, 1)
-
-
-def isqrt_floor(n: int) -> int:
-    """Floor of the integer square root of ``n`` (n >= 0)."""
-    if n < 0:
-        raise ValueError(f"isqrt_floor requires n >= 0, got {n}")
-    return math.isqrt(n)
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Return the prime factorization of ``n`` as ``{prime: exponent}``.
-
-    Trial division is sufficient here: processor counts in the experiments are
-    at most a few tens of thousands.
-    """
-    if n <= 0:
-        raise ValueError(f"factorize requires n >= 1, got {n}")
-    factors: dict[int, int] = {}
-    remaining = n
-    divisor = 2
-    while divisor * divisor <= remaining:
-        while remaining % divisor == 0:
-            factors[divisor] = factors.get(divisor, 0) + 1
-            remaining //= divisor
-        divisor += 1 if divisor == 2 else 2
-    if remaining > 1:
-        factors[remaining] = factors.get(remaining, 0) + 1
-    return factors
 
 
 def divisors(n: int) -> list[int]:
@@ -120,40 +85,6 @@ def split_offsets(extent: int, parts: int) -> list[tuple[int, int]]:
         offsets.append((start, start + size))
         start += size
     return offsets
-
-
-def nearly_equal(a: float, b: float, rel: float = 1e-9, abs_tol: float = 1e-12) -> bool:
-    """Relative/absolute float comparison used in cost-model tests."""
-    return math.isclose(a, b, rel_tol=rel, abs_tol=abs_tol)
-
-
-def round_to_multiple(value: int, multiple: int, up: bool = True) -> int:
-    """Round ``value`` to the nearest multiple of ``multiple`` (up or down)."""
-    if multiple <= 0:
-        raise ValueError(f"round_to_multiple requires multiple >= 1, got {multiple}")
-    if value < 0:
-        raise ValueError(f"round_to_multiple requires value >= 0, got {value}")
-    if up:
-        return ceil_div(value, multiple) * multiple
-    return (value // multiple) * multiple
-
-
-def closest_divisor(n: int, target: int) -> int:
-    """Return the divisor of ``n`` closest to ``target`` (ties resolved downward).
-
-    Grid fitting uses this to snap an ideal (real-valued) grid dimension onto a
-    divisor of the processor count.
-    """
-    if target <= 0:
-        raise ValueError(f"closest_divisor requires target >= 1, got {target}")
-    best = 1
-    best_distance = abs(target - 1)
-    for d in divisors(n):
-        distance = abs(d - target)
-        if distance < best_distance or (distance == best_distance and d < best):
-            best = d
-            best_distance = distance
-    return best
 
 
 def sorted_distinct(values) -> np.ndarray:

@@ -46,14 +46,6 @@ class TestCommCounters:
         counters.data[WORDS_SENT, 0] = 1_000_000
         assert counters.mean_megabytes_per_rank(word_bytes=8) == pytest.approx(8.0)
 
-    def test_reset(self):
-        counters = CommCounters.for_ranks(1)
-        counters.data[WORDS_SENT, 0] = 10
-        counters.data[FLOPS, 0] = 5
-        counters.reset()
-        assert counters.total_words_sent == 0
-        assert counters.total_flops == 0
-
 
 class TestDistributedMachine:
     def test_requires_positive_p(self):

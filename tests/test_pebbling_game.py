@@ -60,6 +60,38 @@ class TestMoves:
         with pytest.raises(IllegalMoveError):
             game.store("z")
 
+    def test_store_of_blue_vertex_is_free(self, chain):
+        game = PebbleGame(chain, red_pebbles=3)
+        game.load("x")
+        game.store("x")
+        assert game.result.stores == 0
+
+    def test_store_idempotent(self, chain):
+        game = PebbleGame(chain, red_pebbles=3)
+        game.load("x")
+        game.compute("y")
+        game.store("y")
+        game.store("y")
+        assert game.result.stores == 1
+
+    def test_stored_vertex_can_be_reloaded(self, chain):
+        game = PebbleGame(chain, red_pebbles=3)
+        game.load("x")
+        game.compute("y")
+        game.store("y")
+        game.free_red("y")
+        game.load("y")
+        assert (game.result.loads, game.result.stores) == (2, 1)
+
+    def test_peak_survives_frees(self, chain):
+        game = PebbleGame(chain, red_pebbles=3)
+        game.load("x")
+        assert game.result.peak_resident == 1
+        game.compute("y")
+        game.free_red("x")
+        game.free_red("y")
+        assert game.result.peak_resident == 2
+
     def test_capacity_enforced(self, chain):
         game = PebbleGame(chain, red_pebbles=1)
         game.load("x")
@@ -99,7 +131,7 @@ class TestRunAndCompleteness:
         result = game.run(moves)
         assert result.complete
         assert result.io == 2  # one load + one store
-        assert result.max_red_in_use == 3
+        assert result.peak_resident == 3
 
     def test_incomplete_when_output_not_stored(self, chain):
         game = PebbleGame(chain, red_pebbles=3)
@@ -141,12 +173,11 @@ class TestLongScheduleRun:
         game = PebbleGame(chain, red_pebbles=3)
         result = game.run(self._long_schedule(chain))
         assert (result.loads, result.stores, result.computes) == (1, 1, 24)
-        assert result.max_red_in_use == 3
+        assert result.peak_resident == 3
         assert result.moves_executed == 72
         assert result.complete
         assert game.red == {"x", "z"}
         assert game.blue == {"x", "z"}
-        assert game.computed == {"y", "z"}
 
     def test_illegal_move_raises_mid_schedule(self, chain):
         moves = self._long_schedule(chain)

@@ -152,7 +152,7 @@ class TestExecutablePebbling:
         schedule = sequential_mmm_schedule(m, n, k, s)
         game = PebbleGame(build_mmm_cdag(m, n, k), red_pebbles=s)
         result = game.run(schedule.as_pebbling_moves())
-        assert result.max_red_in_use == schedule.required_red_pebbles() <= s
+        assert result.peak_resident == schedule.required_red_pebbles() <= s
 
 
 class TestTheoremOneChain:
@@ -177,10 +177,12 @@ class TestTheoremOneChain:
         kernel = (tiled_multiply if tile == "optimal" else rank1_multiply)(
             rng.standard_normal((m, k)), rng.standard_normal((k, n)), s
         )
-        assert kernel.stats.peak_resident == game.max_red_in_use <= s
+        assert kernel.stats.complete
+        assert kernel.stats.peak_resident == game.peak_resident <= s
         count = schedule_io(m, n, k, schedule.a, schedule.b)
         bound = sequential_io_lower_bound(m, n, k, s)
         assert kernel.io == game.io == count >= bound
+        assert (kernel.stats.loads, kernel.stats.computes) == (game.loads, game.computes)
         a, b = optimal_tile_sizes(s)
         if tile == "optimal" and s >= 8 and m % a == 0 and n % b == 0:
             assert count <= sequential_optimality_ratio(s) * bound

@@ -17,7 +17,7 @@ from repro.core.grid import communication_volume_per_rank, fit_ranks
 from repro.machine.simulator import DistributedMachine
 from repro.pebbling.mmm_bounds import parallel_io_lower_bound, schedule_io, sequential_io_lower_bound
 from repro.pebbling.mmm_schedule import optimal_tile_sizes, sequential_mmm_schedule, tile_footprint
-from repro.utils.intmath import ceil_div, divisors, factorize, split_evenly
+from repro.utils.intmath import ceil_div, divisors, split_evenly
 
 # Keep hypothesis example counts moderate: several properties run simulator code.
 settings.register_profile("repro", max_examples=40, deadline=None)
@@ -32,13 +32,6 @@ class TestIntMathProperties:
     def test_ceil_div_definition(self, a, b):
         q = ceil_div(a, b)
         assert (q - 1) * b < a <= q * b or (a == 0 and q == 0)
-
-    @given(st.integers(min_value=1, max_value=20000))
-    def test_factorize_reconstructs(self, n):
-        product = 1
-        for prime, exponent in factorize(n).items():
-            product *= prime ** exponent
-        assert product == n
 
     @given(st.integers(min_value=1, max_value=20000))
     def test_divisors_divide(self, n):

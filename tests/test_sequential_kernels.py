@@ -1,9 +1,13 @@
 """Tests for the sequential kernels (numerics + simulated memory traffic)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.pebbling.game import IllegalMoveError
 from repro.pebbling.mmm_bounds import schedule_io, sequential_io_lower_bound
+from repro.pebbling.mmm_schedule import SequentialMMMSchedule
 from repro.sequential import naive_multiply_lru, rank1_multiply, tiled_multiply
 
 
@@ -116,3 +120,27 @@ class TestMemoryTraffic:
         result = naive_multiply_lru(a, b, memory_words=8)
         # With a tiny cache the naive order misses on nearly every B access.
         assert result.io > m * n * k / 2
+
+
+class TestPebbleGameExecutor:
+    """The tiled kernels report what the pebble game checked and counted."""
+
+    def test_a_missed_tile_raises(self, rng, monkeypatch):
+        full = SequentialMMMSchedule.tiles
+        monkeypatch.setattr(SequentialMMMSchedule, "tiles", lambda self: list(full(self))[:-1])
+        with pytest.raises(IllegalMoveError, match="outputs without a blue pebble"):
+            tiled_multiply(rng.standard_normal((9, 5)), rng.standard_normal((5, 7)), memory_words=24)
+
+    def test_memory_is_the_pebbles_not_the_graph(self, rng):
+        # The game holds its red and blue pebbles only; the explicit
+        # mk + kn + mnk-vertex graph took over 140 MiB at 48^3.
+        a = rng.standard_normal((64, 64))
+        b = rng.standard_normal((64, 64))
+        tracemalloc.start()
+        try:
+            result = tiled_multiply(a, b, memory_words=32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.io == schedule_io(64, 64, 64, result.schedule.a, result.schedule.b)
+        assert peak < 4 * 2**20

@@ -1,7 +1,5 @@
 """Tests for repro.utils.intmath."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,13 +9,7 @@ from repro.utils.intmath import (
     abutting_runs,
     all_factorizations_3d,
     ceil_div,
-    closest_divisor,
     divisors,
-    factorize,
-    isqrt_floor,
-    nearly_equal,
-    prod,
-    round_to_multiple,
     sorted_distinct,
     split_evenly,
     split_offsets,
@@ -44,52 +36,6 @@ class TestCeilDiv:
     def test_rejects_negative_numerator(self):
         with pytest.raises(ValueError):
             ceil_div(-1, 2)
-
-
-class TestProd:
-    def test_empty(self):
-        assert prod([]) == 1
-
-    def test_values(self):
-        assert prod([2, 3, 4]) == 24
-
-
-class TestIsqrtFloor:
-    def test_perfect_square(self):
-        assert isqrt_floor(49) == 7
-
-    def test_non_square(self):
-        assert isqrt_floor(50) == 7
-
-    def test_zero(self):
-        assert isqrt_floor(0) == 0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            isqrt_floor(-1)
-
-
-class TestFactorize:
-    def test_prime(self):
-        assert factorize(13) == {13: 1}
-
-    def test_composite(self):
-        assert factorize(360) == {2: 3, 3: 2, 5: 1}
-
-    def test_one(self):
-        assert factorize(1) == {}
-
-    def test_reconstructs(self):
-        n = 98280
-        factors = factorize(n)
-        reconstructed = 1
-        for prime, exponent in factors.items():
-            reconstructed *= prime ** exponent
-        assert reconstructed == n
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            factorize(0)
 
 
 class TestDivisors:
@@ -161,42 +107,10 @@ class TestSplitEvenly:
             assert stop == start
 
 
-class TestRoundToMultiple:
-    def test_round_up(self):
-        assert round_to_multiple(10, 4, up=True) == 12
-
-    def test_round_down(self):
-        assert round_to_multiple(10, 4, up=False) == 8
-
-    def test_already_multiple(self):
-        assert round_to_multiple(12, 4) == 12
-
-
-class TestClosestDivisor:
-    def test_exact(self):
-        assert closest_divisor(12, 4) == 4
-
-    def test_between(self):
-        assert closest_divisor(12, 5) == 4  # ties resolved downward
-
-    def test_above_max(self):
-        assert closest_divisor(12, 100) == 12
-
-
-class TestNearlyEqual:
-    def test_equal(self):
-        assert nearly_equal(1.0, 1.0 + 1e-12)
-
-    def test_not_equal(self):
-        assert not nearly_equal(1.0, 1.1)
-
-
 class TestMathSanity:
     def test_divisor_count_matches_factorization(self):
-        n = 3600
-        factors = factorize(n)
-        expected = math.prod(e + 1 for e in factors.values())
-        assert len(divisors(n)) == expected
+        # 3600 = 2^4 * 3^2 * 5^2 has (4 + 1)(2 + 1)(2 + 1) divisors.
+        assert len(divisors(3600)) == 5 * 3 * 3
 
 
 class TestNeighbourMasks:
