@@ -2,14 +2,13 @@
 #
 #   make verify       - tier-1 test suite
 #   make lint         - ruff check (config in pyproject.toml; skipped when absent)
-#   make sweep-smoke  - 12-run sweep campaign through the engine (--jobs 2, so
-#                       workers take multi-run chunks) into a fresh store, then
+#   make sweep-smoke  - 12-run sweep campaign through the engine (--jobs 2: a
+#                       two-worker process pool takes the runs in chunks)
+#                       into a fresh store, then
 #                       `repro store verify` on it (exit 1 on a torn or
 #                       duplicate line), then the same campaign again, which
 #                       must resume all 12 runs from the store (executed 0,
 #                       cached 12)
-#   make chaos        - deterministic fault-injection suite (crashes, hangs,
-#                       transients, torn writes; writes CHAOS_quarantine.json)
 #   make bench        - full paper figure/table benchmark suite
 #   make bench-collect
 #                     - import and collect every bench file without running
@@ -37,7 +36,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify lint sweep-smoke chaos bench bench-collect ledger ledger-pairs identity
+.PHONY: verify lint sweep-smoke bench bench-collect ledger ledger-pairs identity
 
 verify:
 	$(PY) -m pytest -x -q
@@ -60,9 +59,6 @@ sweep-smoke:
 	$(PY) -c 'import json, sys; d = json.load(open(sys.argv[1])); \
 		print("resume: executed=%(executed)d cached=%(cached)d" % d); \
 		sys.exit((d["executed"], d["cached"]) != (0, 12))' .sweep-cache/smoke-resume.json
-
-chaos:
-	REPRO_CHAOS_REPORT=CHAOS_quarantine.json $(PY) -m pytest tests/test_sweeps_chaos.py -q
 
 bench:
 	$(PY) -m pytest benchmarks/bench_*.py -s

@@ -70,8 +70,8 @@ class RunReport:
     mean_received_per_rank: float
     #: Total words transferred across the whole machine.
     total_communicated_words: int
-    #: Communication rounds on the busiest rank (the harness metric; the
-    #: schedule's planned step count is in ``plan.rounds``).
+    #: Communication rounds on the busiest rank, as the run counted them;
+    #: ``plan.rounds`` predicts the same count before the run.
     rounds: int
     #: Theorem 2 lower bound for this problem (per-processor words).
     lower_bound_per_rank: float

@@ -219,17 +219,6 @@ def _add_sweep_args(p_sweep: argparse.ArgumentParser) -> None:
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--jobs", type=_positive(int), default=1, help="worker processes (1 = in-process)")
     p_sweep.add_argument(
-        "--timeout-s", type=_positive(float), default=None,
-        help="per-run wall-clock deadline in seconds; expired runs are killed and retried, then quarantined",
-    )
-    p_sweep.add_argument(
-        "--max-attempts", type=_positive(int), default=3,
-        help=(
-            "attempts per run for retryable failures (crashes, deadline trips, "
-            "transient errors; default: 3, 1 disables retries)"
-        ),
-    )
-    p_sweep.add_argument(
         "--out", default=DEFAULT_STORE_PATH,
         help=f"result-store directory (default: {DEFAULT_STORE_PATH}); delete it to invalidate the cache",
     )
@@ -380,9 +369,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         result = run_campaign(
             spec, store=args.out, jobs=args.jobs, resume=args.resume,
-            retry_failures=args.retry_failures,
-            timeout_s=args.timeout_s, max_attempts=args.max_attempts,
-            progress=heartbeat,
+            retry_failures=args.retry_failures, progress=heartbeat,
         )
     finally:
         if heartbeat is not None:

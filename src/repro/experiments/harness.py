@@ -16,6 +16,7 @@ is what allows sweeps at the paper's true scale.
 
 from __future__ import annotations
 
+import traceback
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -157,14 +158,9 @@ class RunFailure:
     scenario) point is infeasible -- e.g. a memory size too small for any
     schedule.  :func:`run_algorithm_safe` converts the exception into this
     record so the campaign runner (and the result store) can persist it and
-    keep going.
-
-    The taxonomy fields below are filled in by the campaign supervisor
-    (:mod:`repro.sweeps.runner`) when a run is quarantined after exhausting
-    its retry budget: how many attempts were made, how long they took, the
-    signal that killed the worker (``9`` for a SIGKILL/OOM death, ``None``
-    when the run failed in-process), the tail of the worker's traceback and
-    whether the final error class was considered retryable at all.
+    keep going.  The campaign runner builds the same record for a run whose
+    plan is infeasible (``InfeasiblePlan``) and for a run lost with its
+    worker process (``WorkerCrash``).
     """
 
     algorithm: str
@@ -172,16 +168,8 @@ class RunFailure:
     mode: str
     error_type: str
     error_message: str
-    #: Execution attempts made before this failure became final.
-    attempts: int = 1
-    #: Wall-clock seconds spent across all attempts (0.0 when unknown).
-    duration_s: float = 0.0
-    #: Signal number that killed the worker process, if it died hard.
-    exit_signal: int | None = None
-    #: Last lines of the worker-side traceback (empty for clean captures).
+    #: Last lines of the traceback (empty when no exception was raised).
     traceback_tail: str = ""
-    #: Whether the error class was retryable under the campaign's policy.
-    retryable: bool = False
 
     @property
     def correct(self) -> bool:
@@ -343,7 +331,13 @@ def run_algorithm_safe(
             mode=mode,
             error_type=type(exc).__name__,
             error_message=str(exc),
+            traceback_tail=traceback_tail(),
         )
+
+
+def traceback_tail(limit: int = 6) -> str:
+    """The last ``limit`` lines of the traceback being handled."""
+    return "\n".join(traceback.format_exc().strip().splitlines()[-limit:])
 
 
 def run_scenario(

@@ -35,12 +35,12 @@ in its :class:`~repro.machine.counters.CommCounters` matrix, which is what
 makes counters byte-identical across shard counts by construction.
 
 Supervision is SIGKILL-safe: workers are :class:`repro.utils.workers.Worker`
-processes (the primitive the campaign supervisor uses too), and the parent
-collects replies with :func:`~repro.utils.workers.wait_any`, which watches
-each worker's pipe *and* its process sentinel; a worker that dies without
-replying surfaces a structured :class:`ShardWorkerError` (never a hang), and
-the broken pool unlinks every segment it holds, parked ones included
-(:func:`get_pool` replaces it).
+processes, and the parent collects replies with
+:func:`~repro.utils.workers.wait_any`, which watches each worker's pipe
+*and* its process sentinel; a worker that dies without replying surfaces a
+structured :class:`ShardWorkerError` (never a hang), and the broken pool
+unlinks every segment it holds, parked ones included (:func:`get_pool`
+replaces it).
 
 ``shards=1`` callers must not construct a pool at all -- the in-process
 engine is the provable baseline (:func:`available_shards` reports whether a

@@ -8,8 +8,8 @@ The telemetry layer threaded through the stack (PR 7):
   a posting call posts.  Guarantee:
   counters are byte-identical traced vs untraced, and the disabled guards
   cost under 2% of a paper-scale run (gated in CI).
-* :mod:`repro.obs.metrics` -- counters/gauges/histograms the sweep
-  supervisor populates (``CampaignResult.metrics``).
+* :mod:`repro.obs.metrics` -- counters/gauges/histograms a sweep
+  campaign populates (``CampaignResult.metrics``).
 * :mod:`repro.obs.export` -- Chrome trace-event JSON (Perfetto) and JSONL
   exporters plus the schema validator.
 * :mod:`repro.obs.progress` -- the campaign heartbeat line.

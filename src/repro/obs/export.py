@@ -3,7 +3,7 @@
 The Chrome format is the object form -- ``{"traceEvents": [...]}`` -- with
 ``ph="X"`` complete events (``ts``/``dur`` in microseconds) and ``ph="i"``
 instants, one thread lane per tracer *track* (``sim`` for machine rounds,
-``run`` for harness runs, ``campaign`` for the sweep supervisor).  Load the
+``run`` for harness runs, ``campaign`` for a sweep's chunks).  Load the
 file at https://ui.perfetto.dev or ``chrome://tracing``.
 
 :func:`validate_chrome_trace` is the schema check the test suite runs over

@@ -1,10 +1,9 @@
-"""Counters, gauges and histograms for the sweep engine's supervisor.
+"""Counters, gauges and histograms for the sweep engine's campaigns.
 
 A :class:`MetricsRegistry` is plain in-process bookkeeping -- no background
 threads, no sampling -- populated by :func:`repro.sweeps.runner.run_campaign`
-(worker spawns/deaths/retries, dispatched chunks and their sizes, store
-appends, lease waits, queue depth, per-run latency)
-and snapshotted into ``CampaignResult.metrics`` plus a
+(worker spawns and deaths, chunks, store appends, per-run latency) and
+snapshotted into ``CampaignResult.metrics`` plus a
 ``campaign_metrics.json`` sidecar beside the result store.  Snapshots are
 plain JSON-serializable dicts keyed by metric name.
 """

@@ -6,11 +6,9 @@ heartbeat line (carriage-return rewritten); on anything else -- CI logs,
 pipes -- it prints a plain progress line at most every ``interval_s``
 seconds, so logs stay readable without being silent for minutes.
 
-The counts come from the records themselves: quarantined runs are the
-freshly executed ``"failed"`` records, and their ``error.attempts`` field
-recovers the retry attempts that preceded quarantine.  The exact campaign
-totals (including retries of eventually-successful runs) are printed by the
-final ``CampaignResult`` summary line, not the heartbeat.
+The counts come from the records themselves: ``failed`` counts the freshly
+executed ``"failed"`` records (cached failures count as ``cached``).  The
+campaign's totals are printed by the final ``CampaignResult`` summary line.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ def _format_eta(seconds: float) -> str:
 
 
 class CampaignProgress:
-    """Heartbeat renderer: ``done/total ok=.. quarantined=.. eta=.. store=..``."""
+    """Heartbeat renderer: ``done/total ok=.. failed=.. eta=.. store=..``."""
 
     def __init__(self, total: int, store_path: str = "", stream=None,
                  interval_s: float | None = None) -> None:
@@ -39,8 +37,7 @@ class CampaignProgress:
         self.interval_s = interval_s if interval_s is not None else (0.25 if self.is_tty else 5.0)
         self.done = 0
         self.ok = 0
-        self.quarantined = 0
-        self.retried = 0
+        self.failed = 0
         self.cached = 0
         self._start = time.monotonic()
         self._last_emit: float | None = None  # None: nothing emitted yet
@@ -55,9 +52,7 @@ class CampaignProgress:
         if status_ok:
             self.ok += 1
         elif not from_cache:
-            self.quarantined += 1
-            error = record.get("error", {})
-            self.retried += max(0, int(error.get("attempts", 1)) - 1)
+            self.failed += 1
         now = time.monotonic()
         if (self._last_emit is None
                 or now - self._last_emit >= self.interval_s
@@ -70,8 +65,7 @@ class CampaignProgress:
         parts = [
             f"{self.done}/{self.total}",
             f"ok={self.ok}",
-            f"quarantined={self.quarantined}",
-            f"retried={self.retried}",
+            f"failed={self.failed}",
             f"cached={self.cached}",
         ]
         if 0 < self.done < self.total:

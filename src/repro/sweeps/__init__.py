@@ -8,9 +8,9 @@ campaign is
 1. declared as a :class:`~repro.sweeps.spec.SweepSpec` (shape families x
    scaling regimes x core counts, plus explicit scenario points),
 2. expanded into deterministic :class:`~repro.sweeps.spec.RunRequest` lists,
-3. executed by :func:`~repro.sweeps.runner.run_campaign` -- in process or
-   over supervised worker processes, through one retry loop -- with per-run
-   failure capture, and
+3. executed by :func:`~repro.sweeps.runner.run_campaign` in chunks of runs
+   -- in process at ``jobs=1``, over a stdlib process pool at ``jobs>1`` --
+   with every run's exception captured as a ``"failed"`` record, and
 4. persisted in a content-addressed
    :class:`~repro.sweeps.store.ResultStore`, then joined with the analytic
    cost models by :func:`~repro.sweeps.aggregate.tidy_rows`.
@@ -42,17 +42,16 @@ Consequences:
   alters what the simulator would measure for the same parameters, bump
   :data:`~repro.sweeps.store.KEY_VERSION` (or delete the store directory) to
   invalidate every cached record at once.
-* **Execution policy never participates.**  Attempt counts, the
-  ``max_attempts`` / ``timeout_s`` settings, worker counts and injected
-  faults (chaos testing, :mod:`repro.sweeps.faults`) address the same key as
-  a clean first-attempt run: a record describes *what was measured*, never *how hard it was to
-  measure it*.  This is what makes a faulted campaign converge to
-  byte-identical ok-records vs. a fault-free one (the chaos invariant), and
-  why retried runs overwrite rather than fork their cache entries.  The one
-  deliberate exception is the *failure taxonomy* on quarantined ``"failed"``
-  records (attempts / duration / exit signal / traceback tail): failures are
-  forensic evidence, not measurements, and they are re-executed -- not
-  trusted -- under ``retry_failures=True``.
+* **Execution policy never participates.**  The worker count, the chunk a
+  run went in and the plane engine's shard count address the same key as a
+  serial run: a record describes *what was measured*, never *how it was
+  scheduled*.  This is what makes a 2-job campaign store byte-identical
+  records to a serial one, and why a re-executed run (``resume=False``,
+  ``retry_failures=True``) overwrites rather than forks its cache entry.
+  The one deliberate exception is a ``WorkerCrash`` record: which runs a
+  dead worker took with it depends on the scheduling, so such a record is
+  forensic evidence, not a measurement, and ``retry_failures=True``
+  re-executes it.
 """
 
 from repro.sweeps.aggregate import (
@@ -62,21 +61,18 @@ from repro.sweeps.aggregate import (
     scenario_summary_table,
     tidy_rows,
 )
-from repro.sweeps.faults import FaultPlan, TransientFault
 from repro.sweeps.runner import METRICS_SIDECAR, CampaignResult, run_campaign
 from repro.sweeps.spec import RunRequest, SweepSpec, spec_from_scenarios
 from repro.sweeps.store import KEY_VERSION, ResultStore, StoreVerifyReport, run_key
 
 __all__ = [
     "CampaignResult",
-    "FaultPlan",
     "KEY_VERSION",
     "METRICS_SIDECAR",
     "ResultStore",
     "RunRequest",
     "StoreVerifyReport",
     "SweepSpec",
-    "TransientFault",
     "campaign_table",
     "rows_to_json",
     "run_campaign",

@@ -42,10 +42,8 @@ class RunRequest:
     policy, not part of the run's identity: counters are byte-identical and
     products ``allclose`` across shard counts, so it deliberately does not
     participate in :attr:`key` -- a cached one-shard record answers a sharded
-    request and vice versa.  The same holds for the campaign's
-    fault-tolerance knobs (retry policy, deadlines, fault injection): attempt
-    counts and injected faults never participate in keys (see the contract
-    in :mod:`repro.sweeps`).
+    request and vice versa.  The same holds for the campaign's worker count
+    (see the contract in :mod:`repro.sweeps`).
 
     ``plane_dtype`` *does* participate in the key: a float32 run's product
     (and verification outcome) is not interchangeable with a float64 run's.

@@ -17,11 +17,9 @@ Hardening (fault-tolerant campaign execution):
   torn lines that cut a multibyte UTF-8 character (the file is parsed as
   bytes, per line).
 * **Concurrent campaigns.**  The same lock serializes appends and
-  compaction across processes, and a lease file (``leases.json``) lets
-  concurrent campaigns sharing the store claim in-progress keys so no key
-  executes twice (:meth:`ResultStore.acquire_leases` /
-  :meth:`renew_leases` / :meth:`release_leases`; leases expire after their
-  TTL so a crashed campaign cannot wedge the keys it held).
+  compaction across processes.  Nothing claims a key: two campaigns on one
+  store may both run it, and since records are deterministic and the last
+  write wins, the store holds the same bytes either way.
 * **Integrity tooling.**  :meth:`ResultStore.verify` reports torn,
   duplicate (stale) and schema-drifted lines without modifying the file;
   :meth:`ResultStore.compact` atomically rewrites the file keeping the last
@@ -29,11 +27,6 @@ Hardening (fault-tolerant campaign execution):
   :attr:`ResultStore.stale_lines` counter tracks how many lines compaction
   would drop, which is what keeps ``resume=False`` / ``retry_failures=True``
   reruns from growing the file without bound.
-* **Deterministic write faults.**  A :class:`~repro.sweeps.faults.FaultPlan`
-  attached via ``faults=`` makes :meth:`~ResultStore.put_many` tear or
-  duplicate specific keys' lines, inside a batch too -- the chaos harness's
-  store-side injection point.  Faults
-  never change record *contents*, only the bytes around them.
 """
 
 from __future__ import annotations
@@ -41,7 +34,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,7 +45,6 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
 from repro.experiments.harness import AlgorithmRun, RunFailure
-from repro.sweeps.faults import FaultPlan
 from repro.workloads.scaling import Scenario
 from repro.workloads.shapes import ProblemShape
 
@@ -71,10 +62,8 @@ KEY_VERSION = 3
 
 #: Name of the append-only record file inside a store directory.
 RESULTS_FILENAME = "results.jsonl"
-#: Inter-process lock file guarding appends, compaction and the lease file.
+#: Inter-process lock file guarding appends and compaction.
 LOCK_FILENAME = "store.lock"
-#: Lease file: in-progress key claims of concurrent campaigns.
-LEASES_FILENAME = "leases.json"
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +113,8 @@ def run_key(
     :data:`KEY_VERSION`.  Python's randomized ``hash()`` is never involved,
     so keys are stable across processes and interpreter restarts (asserted
     by ``tests/test_sweeps_store.py``).  Execution policy never
-    participates: attempt counts, retry/timeout settings, fault injection
-    and the plane engine's shard count all address the same key (see the
-    contract in :mod:`repro.sweeps`).
+    participates: the campaign's worker count and the plane engine's shard
+    count address the same key (see the contract in :mod:`repro.sweeps`).
     """
     identity = {
         "key_version": KEY_VERSION,
@@ -163,9 +151,8 @@ def run_to_record(run: AlgorithmRun, key: str, seed: int = 0) -> dict:
     """Serialize a successful run into a store record.
 
     Successful records are pure functions of the run's parameters -- no
-    durations, attempt counts or fault metadata ever land here, which is
-    what makes faulted and fault-free campaigns produce byte-identical
-    ok-records (the chaos invariant).
+    durations or worker metadata ever land here, which is what makes
+    serial and parallel campaigns store byte-identical records.
     """
     return {
         "key": key,
@@ -181,9 +168,8 @@ def run_to_record(run: AlgorithmRun, key: str, seed: int = 0) -> dict:
 def failure_to_record(failure: RunFailure, key: str, seed: int = 0) -> dict:
     """Serialize a captured per-run failure into a store record.
 
-    Unlike ok-records, failure records carry the execution taxonomy
-    (attempts, duration, exit signal, traceback tail, retryability): a
-    quarantined run's record is the campaign's forensic evidence.
+    The error's type and message say what failed; the traceback tail says
+    where (empty for a pruned run or a run lost with its worker).
     """
     return {
         "key": key,
@@ -195,11 +181,7 @@ def failure_to_record(failure: RunFailure, key: str, seed: int = 0) -> dict:
         "error": {
             "type": failure.error_type,
             "message": failure.error_message,
-            "attempts": failure.attempts,
-            "duration_s": failure.duration_s,
-            "exit_signal": failure.exit_signal,
             "traceback_tail": failure.traceback_tail,
-            "retryable": failure.retryable,
         },
     }
 
@@ -266,8 +248,6 @@ class StoreVerifyReport:
     duplicate_lines: int = 0
     #: Keyed records violating the record schema (status/metrics/error shape).
     drifted_lines: int = 0
-    #: Keys currently leased by live campaigns.
-    live_leases: int = 0
     #: First few issues as ``"line N: reason"`` strings.
     issues: list[str] = field(default_factory=list)
 
@@ -282,8 +262,7 @@ class StoreVerifyReport:
             f"{self.path}: {state} -- {self.live_records} live records "
             f"({self.ok_records} ok, {self.failed_records} failed) in "
             f"{self.total_lines} lines; {self.torn_lines} torn, "
-            f"{self.duplicate_lines} duplicate, {self.drifted_lines} drifted; "
-            f"{self.live_leases} live leases"
+            f"{self.duplicate_lines} duplicate, {self.drifted_lines} drifted"
         )
 
     def to_dict(self) -> dict:
@@ -298,7 +277,6 @@ class StoreVerifyReport:
             "torn_lines": self.torn_lines,
             "duplicate_lines": self.duplicate_lines,
             "drifted_lines": self.drifted_lines,
-            "live_leases": self.live_leases,
             "issues": list(self.issues),
         }
 
@@ -317,21 +295,18 @@ class ResultStore:
 
     ``fsync="always"`` fsyncs every append (power-loss durability at
     per-append latency cost); the default ``"flush"`` flushes to the OS only,
-    which is already process-crash-safe.  ``faults`` attaches a deterministic
-    :class:`~repro.sweeps.faults.FaultPlan` whose store-side faults
-    :meth:`put_many` injects (chaos testing only).
+    which is already process-crash-safe.
     """
 
-    def __init__(self, path: str | Path, fsync: str = "flush", faults: FaultPlan | None = None):
+    def __init__(self, path: str | Path, fsync: str = "flush"):
         if fsync not in ("flush", "always"):
             raise ValueError(f"fsync policy must be 'flush' or 'always', got {fsync!r}")
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
-        self.faults = faults
         self._records: dict[str, dict] = {}
         #: Lines in the file that a compaction would drop: superseded
-        #: duplicates plus torn debris (including injected ones).
+        #: duplicates plus torn debris.
         self.stale_lines = 0
         self._load()
 
@@ -342,10 +317,6 @@ class ResultStore:
     @property
     def lock_file(self) -> Path:
         return self.path / LOCK_FILENAME
-
-    @property
-    def leases_file(self) -> Path:
-        return self.path / LEASES_FILENAME
 
     # -- locking ------------------------------------------------------------
     @contextmanager
@@ -408,27 +379,16 @@ class ResultStore:
 
         The append happens under the inter-process lock as a single
         write-and-flush, so concurrent campaigns interleave whole batches of
-        lines, not bytes.  With an attached fault plan, each key's scheduled
-        store fault (torn / duplicate append) is injected here, record by
-        record -- the record content itself is never altered.
+        lines, not bytes.
         """
         records = [dict(record) for record in records]
         if not records:
             return
         payload = []
         for record in records:
-            key = record.get("key")
-            if key is None:
+            if record.get("key") is None:
                 raise ValueError("record must carry its run key under 'key'")
-            line = json.dumps(record, sort_keys=True).encode("utf-8")
-            fault = self.faults.store_fault(key) if self.faults is not None else None
-            if fault == "torn":
-                # A writer killed mid-append, then the retry lands the full
-                # record: torn debris followed by the real line.
-                payload.append(line[: max(1, len(line) // 2)] + b"\n")
-            payload.append(line + b"\n")
-            if fault == "duplicate":
-                payload.append(line + b"\n")
+            payload.append(json.dumps(record, sort_keys=True).encode("utf-8") + b"\n")
         with self._locked():
             # Open inside the lock: a concurrent compaction swaps the file by
             # rename, and an append handle opened before the swap would write
@@ -438,8 +398,6 @@ class ResultStore:
                 handle.flush()
                 if self.fsync == "always":
                     os.fsync(handle.fileno())
-        # Injected debris and duplicates are the lines beyond one per record.
-        self.stale_lines += len(payload) - len(records)
         for record in records:
             if record["key"] in self._records:
                 self.stale_lines += 1
@@ -493,7 +451,6 @@ class ResultStore:
         report.live_records = len(last_line_for_key)
         report.ok_records = sum(1 for ok in ok_for_key.values() if ok)
         report.failed_records = report.live_records - report.ok_records
-        report.live_leases = len(self.live_leases())
         return report
 
     def compact(self) -> int:
@@ -528,72 +485,3 @@ class ResultStore:
             self._records = records
             self.stale_lines = 0
         return dropped
-
-    # -- leases -------------------------------------------------------------
-    def _read_leases(self) -> dict:
-        if not self.leases_file.exists():
-            return {}
-        try:
-            leases = json.loads(self.leases_file.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return {}
-        return leases if isinstance(leases, dict) else {}
-
-    def _write_leases(self, leases: dict) -> None:
-        tmp = self.leases_file.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(leases, sort_keys=True), encoding="utf-8")
-        tmp.replace(self.leases_file)
-
-    def acquire_leases(self, keys, owner: str, ttl_s: float = 15.0) -> set[str]:
-        """Claim every key not currently leased by a live other owner.
-
-        Returns the granted subset.  A campaign executes only the keys it
-        holds leases for; keys leased elsewhere are *deferred* -- the other
-        campaign is executing them, and its records will appear in the store
-        (or its leases will lapse after ``ttl_s`` if it died, at which point
-        they can be re-acquired).  Already-stored keys never need a lease.
-        """
-        now = time.time()
-        granted: set[str] = set()
-        with self._locked():
-            leases = {
-                key: lease for key, lease in self._read_leases().items()
-                if isinstance(lease, dict) and lease.get("expires", 0) > now
-            }
-            for key in keys:
-                held = leases.get(key)
-                if held is None or held.get("owner") == owner:
-                    leases[key] = {"owner": owner, "expires": now + ttl_s}
-                    granted.add(key)
-            self._write_leases(leases)
-        return granted
-
-    def renew_leases(self, keys, owner: str, ttl_s: float = 15.0) -> None:
-        """Heartbeat: push the expiry of our own leases forward."""
-        now = time.time()
-        with self._locked():
-            leases = self._read_leases()
-            for key in keys:
-                held = leases.get(key)
-                if held is not None and held.get("owner") == owner:
-                    leases[key] = {"owner": owner, "expires": now + ttl_s}
-            self._write_leases(leases)
-
-    def release_leases(self, keys, owner: str) -> None:
-        """Drop our own leases (other owners' claims are never touched)."""
-        with self._locked():
-            leases = self._read_leases()
-            for key in keys:
-                held = leases.get(key)
-                if held is not None and held.get("owner") == owner:
-                    del leases[key]
-            self._write_leases(leases)
-
-    def live_leases(self) -> dict[str, str]:
-        """Currently unexpired leases as ``{key: owner}`` (snapshot)."""
-        now = time.time()
-        return {
-            key: lease.get("owner", "")
-            for key, lease in self._read_leases().items()
-            if isinstance(lease, dict) and lease.get("expires", 0) > now
-        }

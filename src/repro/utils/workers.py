@@ -1,13 +1,12 @@
-"""The one worker-process primitive: spawn, duplex pipe, wait, death.
+"""A worker-process primitive: spawn, duplex pipe, wait, death.
 
-Both process pools in the tree -- the campaign supervisor
-(:mod:`repro.sweeps.runner`) and the plane engine's shard pool
-(:mod:`repro.machine.shard`) -- are built on the two names here.  A
-:class:`Worker` is one child process plus the parent's end of its duplex
-pipe; :func:`wait_any` multiplexes any number of them and reports, per ready
-worker, either the message it sent or the :class:`WorkerDied` describing how
-it ended.  What a worker *runs*, what its messages mean, and what a death
-costs (a retry, a poisoned pool) stay with the caller.
+The plane engine's shard pool (:mod:`repro.machine.shard`) is built on the
+two names here.  A :class:`Worker` is one child process plus the parent's end
+of its duplex pipe; :func:`wait_any` multiplexes any number of them and
+reports, per ready worker, either the message it sent or the
+:class:`WorkerDied` describing how it ended.  What a worker *runs*, what its
+messages mean, and what a death costs (a poisoned pool) stay with the
+caller.
 """
 
 from __future__ import annotations
@@ -36,16 +35,9 @@ class Worker:
     """
 
     def __init__(self, context, target: Callable, args: tuple = (), name: str | None = None) -> None:
-        self._context = context
-        self._target = target
-        self._args = tuple(args)
-        self._name = name
-        self._spawn()
-
-    def _spawn(self) -> None:
-        self.conn, child_conn = self._context.Pipe()
-        self.process = self._context.Process(
-            target=self._target, args=(child_conn, *self._args), name=self._name, daemon=True,
+        self.conn, child_conn = context.Pipe()
+        self.process = context.Process(
+            target=target, args=(child_conn, *args), name=name, daemon=True,
         )
         self.process.start()
         child_conn.close()
@@ -68,11 +60,6 @@ class Worker:
             self.process.kill()
         self.process.join()
         self.conn.close()
-
-    def respawn(self) -> None:
-        """Replace the process (killed first if alive) with a fresh one."""
-        self.kill()
-        self._spawn()
 
     def stop(self, message, timeout: float) -> None:
         """Polite shutdown: send ``message``, allow ``timeout`` seconds to exit, then kill."""

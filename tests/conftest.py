@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,12 +16,13 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture
-def fast_retry(monkeypatch) -> None:
-    """Campaign retries back off 0.01 s plus up to 0.005 s of jitter, not 0.05 s."""
-    from repro.sweeps import runner
-
-    monkeypatch.setattr(runner, "BACKOFF_S", 0.01)
-    monkeypatch.setattr(runner, "JITTER_S", 0.005)
+def no_stray_workers():
+    """Fail the test if a process it started is still alive afterwards
+    (``active_children`` also reaps the ones that ended)."""
+    before = set(multiprocessing.active_children())
+    yield
+    stray = set(multiprocessing.active_children()) - before
+    assert not stray, f"worker processes outlived the test: {stray}"
 
 
 @pytest.fixture

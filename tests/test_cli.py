@@ -319,22 +319,8 @@ class TestStoreCommand:
     def test_missing_store_is_an_error(self, capsys, tmp_path):
         assert main(["store", "verify", "--store", str(tmp_path / "absent")]) == 2
 
-    def test_sweep_fault_tolerance_flags(self, capsys, tmp_path):
-        code = main([
-            "sweep", "--families", "square", "--regimes", "limited",
-            "--processors", "4", "--algorithms", "COSMA",
-            "--out", str(tmp_path / "store"), "--json",
-            "--timeout-s", "30", "--max-attempts", "2",
-        ])
-        doc = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert (doc["executed"], doc["failed"], doc["retried"]) == (1, 0, 0)
-        # A deadline runs supervised, even at --jobs 1.
-        assert doc["metrics"]["sweeps.workers.spawns"]["value"] == 1
-
     @pytest.mark.parametrize("flag, value", [
-        ("--jobs", "0"), ("--jobs", "-2"), ("--max-attempts", "0"),
-        ("--timeout-s", "0"), ("--timeout-s", "-1"), ("--timeout-s", "nan"),
+        ("--jobs", "0"), ("--jobs", "-2"),
     ])
     def test_sweep_rejects_non_positive_values_as_usage_errors(self, capsys, tmp_path, flag, value):
         with pytest.raises(SystemExit) as exc:

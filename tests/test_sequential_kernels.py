@@ -1,4 +1,9 @@
-"""Tests for the sequential kernels (numerics + simulated memory traffic)."""
+"""Tests for the sequential kernels (numerics + simulated memory traffic).
+
+The Listing 1 kernels play their moves on the red-blue pebble game, whose
+move rules are tested in ``tests/test_pebbling_game.py``; the naive kernel
+runs on :class:`~repro.sequential.kernels.LRUCacheMemory`, tested here.
+"""
 
 import tracemalloc
 
@@ -9,6 +14,7 @@ from repro.pebbling.game import IllegalMoveError
 from repro.pebbling.mmm_bounds import schedule_io, sequential_io_lower_bound
 from repro.pebbling.mmm_schedule import SequentialMMMSchedule
 from repro.sequential import naive_multiply_lru, rank1_multiply, tiled_multiply
+from repro.sequential.kernels import LRUCacheMemory
 
 
 class TestNumericalCorrectness:
@@ -144,3 +150,64 @@ class TestPebbleGameExecutor:
             tracemalloc.stop()
         assert result.io == schedule_io(64, 64, 64, result.schedule.a, result.schedule.b)
         assert peak < 4 * 2**20
+
+
+class TestLRUCacheMemory:
+    def test_requires_positive_capacity(self):
+        with pytest.raises(ValueError):
+            LRUCacheMemory(0)
+
+    def test_miss_then_hit(self):
+        cache = LRUCacheMemory(2)
+        assert cache.access("a") is False
+        assert cache.access("a") is True
+        assert cache.stats.loads == 1
+
+    def test_eviction_order_is_lru(self):
+        cache = LRUCacheMemory(2)
+        cache.access("a")
+        cache.access("b")
+        cache.access("a")  # refresh a; b is now LRU
+        cache.access("c")  # evicts b
+        assert cache.access("a") is True
+        assert cache.access("b") is False
+
+    def test_dirty_eviction_counts_store(self):
+        cache = LRUCacheMemory(1)
+        cache.write("a")
+        cache.access("b")  # evicts dirty a
+        assert cache.stats.stores == 1
+
+    def test_clean_eviction_no_store(self):
+        cache = LRUCacheMemory(1)
+        cache.access("a")
+        cache.access("b")
+        assert cache.stats.stores == 0
+
+    def test_flush_writes_dirty_lines(self):
+        cache = LRUCacheMemory(4)
+        cache.write("a")
+        cache.write("b")
+        cache.access("c")
+        cache.flush()
+        assert cache.stats.stores == 2
+
+    def test_flush_is_idempotent(self):
+        cache = LRUCacheMemory(4)
+        cache.write("a")
+        cache.flush()
+        cache.flush()
+        assert cache.stats.stores == 1
+
+    def test_peak_resident(self):
+        cache = LRUCacheMemory(3)
+        for key in "abc":
+            cache.access(key)
+        assert cache.stats.peak_resident == 3
+
+    def test_working_set_within_capacity_no_capacity_misses(self):
+        cache = LRUCacheMemory(8)
+        for _ in range(5):
+            for key in "abcd":
+                cache.access(key)
+        assert cache.stats.loads == 4

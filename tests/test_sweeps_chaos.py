@@ -1,18 +1,15 @@
-"""Deterministic chaos suite: campaigns under injected faults (``make chaos``).
+"""Campaigns under crashes and interrupts: a dying worker, Ctrl-C, SIGTERM.
 
-The headline invariant (ISSUE 6 / ROADMAP fault-tolerance): with a seeded
-:class:`~repro.sweeps.faults.FaultPlan` injecting worker crashes, deadline
-trips, transient errors and torn/duplicated store writes at >= 20% of runs,
-``run_campaign`` completes without hanging, every exhausted run is a
-structured quarantined record, and the surviving ok-records are
-byte-identical to a fault-free campaign over the same spec.
-
-When ``REPRO_CHAOS_REPORT`` is set, the chaos tests write a JSON quarantine
-report there *before* asserting, so CI can upload the evidence when the
-invariant breaks.
+None of these may hang a campaign or lose what it stored.  A run whose
+worker is SIGKILLed (as the kernel's out-of-memory killer would kill it) ends
+the campaign with that run stored as a ``WorkerCrash`` failure; an interrupt
+stores every finished chunk before it re-raises; two campaigns sharing one
+store end with the records a serial campaign stores; and no worker process
+outlives ``run_campaign``.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -22,19 +19,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.sweeps import runner
-from repro.sweeps.faults import FaultPlan, TransientFault
+from repro.algorithms import AlgorithmSpec, get_algorithm, register, unregister
 from repro.sweeps.runner import run_campaign
 from repro.sweeps.spec import SweepSpec
 from repro.sweeps.store import ResultStore
 
-#: Attempts per run in these campaigns (the default).
-MAX_ATTEMPTS = 3
+pytestmark = pytest.mark.usefixtures("no_stray_workers")
 
-
-@pytest.fixture(autouse=True)
-def _fast_retry(fast_retry):
-    """Every campaign here retries on the fast backoff (same semantics)."""
+_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
 
 @pytest.fixture
@@ -50,217 +42,91 @@ def spec() -> SweepSpec:
     )
 
 
-def _ok_bytes(records) -> str:
-    return json.dumps(
-        [r for r in records if r.get("status") == "ok"], sort_keys=True,
-    )
+#: The one core count on which :func:`_kill_on_p9` SIGKILLs its process.
+_DOOMED_P = 9
 
 
-def _write_chaos_report(records, result) -> None:
-    """Persist the quarantine report for CI artifact upload (before asserts)."""
-    path = os.environ.get("REPRO_CHAOS_REPORT")
-    if not path:
-        return
-    report = {
-        "executed": result.executed,
-        "retried": result.retried,
-        "quarantined": result.quarantined,
-        "metrics": result.metrics,
-        "failed_records": [
-            {"key": r["key"], "error": r["error"]}
-            for r in records
-            if r.get("status") == "failed"
-        ],
-    }
-    existing = []
-    report_file = Path(path)
-    if report_file.exists():
-        existing = json.loads(report_file.read_text())
-    existing.append(report)
-    report_file.write_text(json.dumps(existing, indent=2))
+def _kill_on_p9(a, b, scenario, machine):
+    """SIGKILL the worker running the ``p = 9`` scenario; run COSMA elsewhere."""
+    if scenario.p == _DOOMED_P:
+        if multiprocessing.parent_process() is None:
+            raise RuntimeError("refusing to SIGKILL the campaign's own process")
+        os.kill(os.getpid(), signal.SIGKILL)
+    return get_algorithm("COSMA").runner(a, b, scenario, machine)
 
 
-class TestFaultPlanDeterminism:
-    def test_decisions_are_pure_functions_of_seed_and_key(self):
-        plan = FaultPlan(seed=7, crash_rate=0.2, hang_rate=0.2, transient_rate=0.2,
-                         torn_write_rate=0.2, duplicate_write_rate=0.2)
-        keys = [f"key-{i}" for i in range(50)]
-        first = [(plan.worker_fault(k), plan.store_fault(k)) for k in keys]
-        second = [(plan.worker_fault(k), plan.store_fault(k)) for k in keys]
-        assert first == second
-        assert FaultPlan.from_dict(plan.to_dict()) == plan
-
-    def test_rates_roughly_respected(self):
-        plan = FaultPlan(seed=0, crash_rate=0.5)
-        keys = [f"key-{i}" for i in range(400)]
-        fraction = plan.faulted_fraction(keys)
-        assert 0.35 < fraction < 0.65
-
-    def test_faults_stop_after_faulted_attempts(self):
-        plan = FaultPlan(seed=0, transient_rate=1.0, faulted_attempts=2)
-        assert plan.worker_fault("k", 1) == "transient"
-        assert plan.worker_fault("k", 2) == "transient"
-        assert plan.worker_fault("k", 3) is None
-        with pytest.raises(TransientFault):
-            plan.inject("k", 1)
-
-    def test_invalid_rates_rejected(self):
-        with pytest.raises(ValueError):
-            FaultPlan(crash_rate=0.7, hang_rate=0.7)
+@pytest.fixture
+def killer_algorithm():
+    register(AlgorithmSpec(name="Killer", runner=_kill_on_p9))
+    yield "Killer"
+    unregister("Killer")
 
 
-class TestChaosInvariant:
-    def test_faulted_campaign_converges_to_fault_free_records(self, tmp_path, spec):
-        """The headline chaos invariant (acceptance criterion 3)."""
-        baseline = run_campaign(spec, store=tmp_path / "clean", jobs=1)
-        plan = FaultPlan(
-            seed=3, crash_rate=0.12, hang_rate=0.08, transient_rate=0.12,
-            torn_write_rate=0.08, duplicate_write_rate=0.08, hang_s=8.0,
-        )
-        keys = [request.key for request in spec.expand()]
-        assert plan.faulted_fraction(keys) >= 0.2, "chaos run must fault >= 20% of runs"
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the test-registered algorithm")
+class TestWorkerCrash:
+    def test_sigkilled_worker_ends_the_campaign_as_worker_crash(self, tmp_path, killer_algorithm):
+        """No hang: the killed run is stored as ``WorkerCrash``, so is every
+        run the broken pool lost, and every record stored before the death
+        is the serial campaign's, byte for byte."""
+        spec = SweepSpec(name="killer", algorithms=("COSMA", "ScaLAPACK", killer_algorithm),
+                         p_values=(4, _DOOMED_P, 16, 25), memory_words=1024, mode="volume")
+        requests = spec.expand()
+        [doomed] = [r.key for r in requests
+                    if r.algorithm == killer_algorithm and r.scenario.p == _DOOMED_P]
+        result = run_campaign(spec, store=tmp_path / "pool", jobs=2)
+        assert result.executed == len(requests) == 12
+        crashed = {r["key"] for r in result.failed_records}
+        assert doomed in crashed
+        assert all(r["error"]["type"] == "WorkerCrash" for r in result.failed_records)
+        assert result.metrics["sweeps.workers.deaths"]["value"] == 1
 
-        chaos_store = ResultStore(tmp_path / "chaos")
-        result = run_campaign(
-            spec, store=chaos_store, jobs=2, timeout_s=1.0,
-            faults=plan,
-        )
-        _write_chaos_report(result.records, result)
+        serial = run_campaign([r for r in requests if r.key != doomed], store=tmp_path / "serial",
+                              jobs=1)
+        serial_bytes = {r["key"]: json.dumps(r, sort_keys=True) for r in serial.records}
+        stored = ResultStore(tmp_path / "pool")
+        assert stored.verify().torn_lines == 0
+        for record in result.ok_records:
+            assert json.dumps(stored.get(record["key"]), sort_keys=True) == serial_bytes[record["key"]]
 
-        # Faults fire on the first attempt only, so every run converges: no
-        # quarantine, and the ok-records are byte-identical to fault-free.
-        assert result.executed == len(keys)
-        assert result.quarantined == 0 and result.failed == 0
-        assert result.retried > 0, "the plan must actually have injected worker faults"
-        assert _ok_bytes(result.records) == _ok_bytes(baseline.records)
-
-        # Store-side faults left torn/duplicate debris; compaction restores
-        # a clean file without changing any record.
-        report = chaos_store.verify()
-        assert report.torn_lines + report.duplicate_lines > 0
-        before = {key: chaos_store.get(key) for key in chaos_store.keys()}
-        dropped = chaos_store.compact()
-        assert dropped > 0
-        after_verify = chaos_store.verify()
-        assert after_verify.clean and after_verify.live_records == len(keys)
-        assert {key: chaos_store.get(key) for key in chaos_store.keys()} == before
-
-    def test_sigkilled_worker_quarantined_with_taxonomy(self, tmp_path, spec):
-        """Acceptance criterion 4: SIGKILL mid-run neither hangs the campaign
-        nor loses other workers' records; the exhausted run's record carries
-        attempts / exit_signal."""
-        baseline = run_campaign(spec, store=tmp_path / "clean", jobs=1)
-        plan = FaultPlan(seed=3, crash_rate=0.3, faulted_attempts=99)
-        keys = [request.key for request in spec.expand()]
-        doomed = {key for key in keys if plan.worker_fault(key) == "crash"}
-        assert doomed, "seed must doom at least one run"
-
-        result = run_campaign(
-            spec, store=tmp_path / "chaos", jobs=2, faults=plan,
-        )
-        _write_chaos_report(result.records, result)
-
-        assert result.quarantined == len(doomed)
-        for record in result.records:
-            if record["key"] not in doomed:
-                continue
-            error = record["error"]
-            assert record["status"] == "failed"
-            assert error["type"] == "WorkerCrash"
-            assert error["attempts"] == MAX_ATTEMPTS
-            assert error["exit_signal"] == int(signal.SIGKILL)
-            assert error["retryable"] is True
-            assert error["duration_s"] >= 0.0
-        # Every non-doomed run survived, byte-identical to fault-free.
-        surviving = [r for r in baseline.records if r["key"] not in doomed]
-        assert _ok_bytes(result.records) == _ok_bytes(surviving)
-
-    def test_deadline_trip_recovers_on_retry(self, tmp_path):
-        spec = SweepSpec(name="hang-test", algorithms=("COSMA",),
-                         p_values=(4, 9, 16, 25), memory_words=1024)
-        plan = FaultPlan(seed=0, hang_rate=1.0, hang_s=30.0)
-        result = run_campaign(
-            spec, store=tmp_path / "store", jobs=2, timeout_s=0.5,
-            faults=plan,
-        )
-        assert result.failed == 0
-        assert result.retried == len(spec.expand())
-
-    def test_transient_faults_recover_in_process_too(self, tmp_path):
-        """jobs=1 without a deadline still executes supervised when a fault
-        plan is attached, and transient errors retry to success."""
-        spec = SweepSpec(name="transient-test", algorithms=("COSMA",),
-                         p_values=(4, 9), memory_words=1024)
-        plan = FaultPlan(seed=0, transient_rate=1.0)
-        result = run_campaign(
-            spec, store=tmp_path / "store", jobs=1, faults=plan,
-        )
-        assert result.failed == 0
-        assert result.retried == len(spec.expand())
+        # The environment recovers: retry_failures re-runs exactly the lost runs.
+        register(AlgorithmSpec(name=killer_algorithm, runner=get_algorithm("COSMA").runner),
+                 replace=True)
+        retried = run_campaign(spec, store=tmp_path / "pool", jobs=2, retry_failures=True)
+        assert (retried.executed, retried.failed) == (len(crashed), 0)
 
 
-class TestConcurrentCampaigns:
-    def test_two_campaigns_one_store_no_duplicate_execution(self, tmp_path, spec):
-        """Acceptance criterion 5: concurrent campaigns sharing one store
-        split the keys via leases; verify reports the store clean."""
-        script = (
-            "import json, sys\n"
-            "from repro.sweeps.runner import run_campaign\n"
-            "from repro.sweeps.spec import SweepSpec\n"
-            "spec = SweepSpec(name='chaos-test', algorithms=('COSMA', 'ScaLAPACK', 'CTF'),"
-            " families=('square',), regimes=('limited',), p_values=(4, 9, 16, 25),"
-            " memory_words=1024, mode='volume')\n"
-            "result = run_campaign(spec, store=sys.argv[1], jobs=2)\n"
-            "print(json.dumps({'executed': result.executed, 'cached': result.cached,"
-            " 'deferred': result.deferred, 'failed': result.failed}))\n"
-        )
-        store_path = tmp_path / "shared"
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        procs = [
-            subprocess.Popen(
-                [sys.executable, "-c", script, str(store_path)],
-                stdout=subprocess.PIPE, text=True, env=env,
-            )
-            for _ in range(2)
-        ]
-        outcomes = []
-        for proc in procs:
-            out, _ = proc.communicate(timeout=120)
-            assert proc.returncode == 0, out
-            outcomes.append(json.loads(out.strip().splitlines()[-1]))
+def _check_worker_signals(a, b, scenario, machine):
+    """Run COSMA, in a process that leaves Ctrl-C and SIGTERM to the campaign."""
+    if (signal.getsignal(signal.SIGINT), signal.getsignal(signal.SIGTERM)) != (
+            signal.SIG_IGN, signal.SIG_DFL):
+        raise RuntimeError("a pool worker would take the campaign's interrupt")
+    return get_algorithm("COSMA").runner(a, b, scenario, machine)
 
-        total = len(spec.expand())
-        executed = sum(o["executed"] for o in outcomes)
-        resolved = sum(o["executed"] + o["cached"] + o["deferred"] for o in outcomes)
-        assert executed <= total, "leased keys must never execute twice"
-        assert resolved == 2 * total
-        assert all(o["failed"] == 0 for o in outcomes)
 
-        store = ResultStore(store_path)
-        report = store.verify()
-        assert report.clean, report.summary()
-        assert report.live_records == total
-        assert store.live_leases() == {}
-
-    def test_lapsed_lease_is_reclaimed(self, tmp_path, monkeypatch):
-        """A crashed campaign's leases expire; a later campaign takes over."""
-        monkeypatch.setattr(runner, "LEASE_TTL_S", 0.5)
-        spec = SweepSpec(name="lease-test", algorithms=("COSMA",),
-                         p_values=(4, 9), memory_words=1024)
-        store = ResultStore(tmp_path / "store")
-        keys = [request.key for request in spec.expand()]
-        granted = store.acquire_leases(keys, owner="ghost-campaign", ttl_s=0.5)
-        assert granted == set(keys)
-        result = run_campaign(spec, store=store, jobs=1)
-        assert result.executed + result.deferred == len(keys)
-        assert result.failed == 0
-        assert store.live_leases() == {}
+def _slow_cosma(a, b, scenario, machine):
+    time.sleep(0.05)
+    return get_algorithm("COSMA").runner(a, b, scenario, machine)
 
 
 class TestCancellation:
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers must inherit the test-registered algorithm")
+    def test_pool_workers_leave_interrupts_to_the_campaign(self, tmp_path):
+        """A Ctrl-C reaches the whole process group: workers ignore it (and
+        die on SIGTERM), so the campaign alone cancels and drains."""
+        register(AlgorithmSpec(name="SignalCheck", runner=_check_worker_signals))
+        try:
+            spec = SweepSpec(name="signals", algorithms=("SignalCheck",), p_values=(4, 9, 16, 25),
+                             memory_words=1024, mode="volume")
+            result = run_campaign(spec, store=tmp_path / "store", jobs=2)
+        finally:
+            unregister("SignalCheck")
+        assert (result.executed, result.failed) == (4, 0)
+
     def test_interrupt_mid_campaign_drains_and_reraises(self, tmp_path, spec):
-        """Satellite: an interrupt during the jobs>1 branch must persist
-        already-finished records to the store and re-raise."""
+        """An interrupt during a pool campaign stores the finished chunks and
+        re-raises; the campaign then resumes from what it stored."""
         seen = []
 
         def interrupt_after_three(record, from_cache):
@@ -277,35 +143,77 @@ class TestCancellation:
         for record in seen:
             assert reloaded.get(record["key"]) == record
         assert reloaded.verify().torn_lines == 0
-        # The campaign's leases were released on the way out.
-        assert store.live_leases() == {}
-        # And the interrupted campaign resumes instead of starting over.
         resumed = run_campaign(spec, store=store, jobs=2)
         assert resumed.cached >= len(seen)
         assert resumed.cached + resumed.executed == len(spec.expand())
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers must inherit the test-registered algorithm")
+    def test_interrupt_stores_the_chunks_that_finish_while_it_waits(self, tmp_path):
+        """The interrupt waits for the running chunks, so it stores them too:
+        interrupted at the first report, the store holds more than that."""
+        register(AlgorithmSpec(name="Slow", runner=_slow_cosma))
+        try:
+            spec = SweepSpec(name="slow", algorithms=("Slow",), p_values=(4, 9, 16, 25),
+                             memory_words=1024, mode="volume")
+            seen = []
+
+            def interrupt_at_once(record, from_cache):
+                seen.append(record)
+                raise KeyboardInterrupt
+
+            with pytest.raises(KeyboardInterrupt):
+                run_campaign(spec, store=tmp_path / "store", jobs=2, progress=interrupt_at_once)
+        finally:
+            unregister("Slow")
+        assert len(seen) == 1
+        assert len(ResultStore(tmp_path / "store")) >= 2
+
+    def test_interrupt_in_process_keeps_reported_records_and_resumes(self, tmp_path, spec):
+        seen = []
+
+        def interrupt_after_five(record, from_cache):
+            seen.append(record)
+            if len(seen) == 5:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(spec, store=tmp_path / "store", jobs=1, progress=interrupt_after_five)
+        reloaded = ResultStore(tmp_path / "store")
+        assert all(reloaded.get(record["key"]) == record for record in seen)
+        resumed = run_campaign(spec, store=tmp_path / "store", jobs=1)
+        assert resumed.cached >= len(seen)
+        assert resumed.cached + resumed.executed == len(spec.expand())
+        assert resumed.records == run_campaign(spec, store=tmp_path / "fresh", jobs=1).records
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="workers must inherit the script-registered algorithm")
     def test_sigterm_drains_to_store_and_exits(self, tmp_path):
-        """SIGTERM behaves like KeyboardInterrupt: drain, release, re-raise."""
+        """SIGTERM behaves like KeyboardInterrupt: drain, re-raise, and leave
+        no worker behind."""
         script = (
-            "import sys\n"
-            "from repro.sweeps.faults import FaultPlan\n"
+            "import multiprocessing, sys, time\n"
+            "from repro.algorithms import AlgorithmSpec, get_algorithm, register\n"
             "from repro.sweeps.runner import run_campaign\n"
             "from repro.sweeps.spec import SweepSpec\n"
-            "spec = SweepSpec(name='term-test', algorithms=('COSMA', 'ScaLAPACK'),"
+            "def slow(a, b, scenario, machine):\n"
+            "    time.sleep(0.2)\n"
+            "    return get_algorithm('COSMA').runner(a, b, scenario, machine)\n"
+            "multiprocessing.set_start_method('fork')\n"
+            "register(AlgorithmSpec(name='Slow', runner=slow))\n"
+            "spec = SweepSpec(name='term-test', algorithms=('COSMA', 'Slow'),"
             " p_values=(4, 9, 16, 25), memory_words=1024)\n"
-            "plan = FaultPlan(seed=0, hang_rate=1.0, hang_s=0.4, faulted_attempts=99)\n"
             "print('READY', flush=True)\n"
             "try:\n"
-            "    run_campaign(spec, store=sys.argv[1], jobs=2, faults=plan)\n"
+            "    run_campaign(spec, store=sys.argv[1], jobs=2)\n"
             "except KeyboardInterrupt:\n"
-            "    sys.exit(17)\n"
+            "    sys.exit(18 if multiprocessing.active_children() else 17)\n"
             "sys.exit(0)\n"
         )
         store_path = tmp_path / "store"
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         proc = subprocess.Popen(
             [sys.executable, "-c", script, str(store_path)],
-            stdout=subprocess.PIPE, text=True, env=env,
+            stdout=subprocess.PIPE, text=True, env=_ENV,
         )
         assert proc.stdout.readline().strip() == "READY"
         results_file = store_path / "results.jsonl"
@@ -318,8 +226,44 @@ class TestCancellation:
             proc.kill()
             pytest.fail("campaign never stored its first records")
         proc.send_signal(signal.SIGTERM)
-        assert proc.wait(timeout=30) == 17, "SIGTERM must re-raise after draining"
+        assert proc.wait(timeout=30) == 17, "SIGTERM must re-raise after draining, workers gone"
         store = ResultStore(store_path)
         assert len(store) >= 2
-        assert store.verify().torn_lines == 0
-        assert store.live_leases() == {}
+        assert store.verify().clean
+
+
+class TestSharedStore:
+    def test_two_campaigns_one_store_end_with_the_serial_records(self, tmp_path, spec):
+        """Nothing claims a key: two campaigns on one store may both run it.
+        Appends are locked and records deterministic, so no line tears and
+        the last write is the serial campaign's record."""
+        script = (
+            "import json, sys\n"
+            "from repro.sweeps.runner import run_campaign\n"
+            "from repro.sweeps.spec import SweepSpec\n"
+            "spec = SweepSpec(name='chaos-test', algorithms=('COSMA', 'ScaLAPACK', 'CTF'),"
+            " families=('square',), regimes=('limited',), p_values=(4, 9, 16, 25),"
+            " memory_words=1024, mode='volume')\n"
+            "result = run_campaign(spec, store=sys.argv[1], jobs=2)\n"
+            "print(json.dumps({'executed': result.executed, 'cached': result.cached,"
+            " 'failed': result.failed}))\n"
+        )
+        store_path = tmp_path / "shared"
+        procs = [
+            subprocess.Popen([sys.executable, "-c", script, str(store_path)],
+                             stdout=subprocess.PIPE, text=True, env=_ENV)
+            for _ in range(2)
+        ]
+        total = len(spec.expand())
+        for proc in procs:
+            out, _ = proc.communicate(timeout=120)
+            assert proc.returncode == 0, out
+            outcome = json.loads(out.strip().splitlines()[-1])
+            assert outcome["executed"] + outcome["cached"] == total and outcome["failed"] == 0
+
+        store = ResultStore(store_path)
+        report = store.verify()
+        assert report.torn_lines == report.drifted_lines == 0
+        assert report.live_records == total
+        serial = run_campaign(spec, store=tmp_path / "serial", jobs=1)
+        assert [store.get(r["key"]) for r in serial.records] == serial.records

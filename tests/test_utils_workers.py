@@ -104,15 +104,6 @@ def test_stop_is_polite_first_and_escalates_on_a_wedged_worker(worker):
     assert wedged.process.exitcode == -signal.SIGKILL
 
 
-def test_respawn_replaces_a_dead_worker(worker):
-    old_pid = worker.process.pid
-    os.kill(old_pid, signal.SIGKILL)
-    worker.respawn()
-    assert worker.process.pid != old_pid
-    worker.send("again")
-    assert _one_reply(worker) == ("w0", "again")
-
-
 def test_wait_any_honours_timeout_and_multiplexes(worker):
     other = Worker(CTX, _echo, ("w1",))
     try:
