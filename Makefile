@@ -32,11 +32,15 @@
 #                       large volume points also print each side's wall
 #                       time, the best of 10 warm calls after the observed
 #                       runs (scripts/identity_pairs.py)
+#   make plan-time    - best-of-10 cold fit_ranks and COSMA plan() times at
+#                       8192^3 / p = 4096, 16384^3 / 18432 and 32768^3 / 65536
+#                       (S = 101,000), and the cold COSMA plan pass over
+#                       grid240 (scripts/plan_time.py; asserts no timing)
 
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify lint sweep-smoke bench bench-collect ledger ledger-pairs identity
+.PHONY: verify lint sweep-smoke bench bench-collect ledger ledger-pairs identity plan-time
 
 verify:
 	$(PY) -m pytest -x -q
@@ -76,3 +80,6 @@ ledger-pairs:
 
 identity:
 	$(PY) scripts/identity_pairs.py --base $(BASE)
+
+plan-time:
+	$(PY) scripts/plan_time.py

@@ -58,7 +58,7 @@ def test_ablation_rma_backend(benchmark):
 
 def _overlap_study():
     scenario = Scenario(
-        name="square-overlap", shape=square_shape(96), p=16, memory_words=1024, regime="strong"
+        name="square-overlap", shape=square_shape(96), p=16, memory_words=2048, regime="strong"
     )
     run = run_algorithm("COSMA", scenario, seed=0)
     breakdown = time_breakdown(run, SPEC)

@@ -18,6 +18,7 @@ Typical use::
 from repro.algorithms.registry import (
     AlgorithmSpec,
     CostPrediction,
+    InfeasiblePlan,
     Plan,
     UnknownAlgorithmError,
     algorithm_choices,
@@ -43,6 +44,7 @@ __all__ = [
     "DEFAULT_ALGORITHMS",
     "AlgorithmSpec",
     "CostPrediction",
+    "InfeasiblePlan",
     "Plan",
     "UnknownAlgorithmError",
     "algorithm_choices",

@@ -34,7 +34,7 @@ from repro.baselines.grid25d import grid25d_decomposition, grid25d_run
 from repro.baselines.summa import run_panels, summa_decomposition
 from repro.core.cosma import cosma_run, counted_rounds, received_words
 from repro.core.decomposition import CosmaDecomposition, build_decomposition
-from repro.core.grid import ProcessorGrid
+from repro.core.grid import ProcessorGrid, domain_io_words
 from repro.machine.transport import as_operands
 from repro.pebbling.mmm_bounds import parallel_io_lower_bound
 from repro.workloads.scaling import Scenario
@@ -64,12 +64,6 @@ def _bound(scenario: Scenario) -> float:
     )
 
 
-def _domain_io(lm: int, ln: int, lk: int) -> int:
-    """Words an ``lm x ln x lk`` local domain touches: its A and B
-    projections plus its C block, the quantity Theorem 2 bounds."""
-    return lm * lk + lk * ln + lm * ln
-
-
 def _grid_plan(algorithm: str, scenario: Scenario, decomposition: CosmaDecomposition,
                exchange: str, arity: int = 3, extra_received: np.ndarray | int = 0,
                extra_rounds: int = 0) -> Plan:
@@ -89,7 +83,7 @@ def _grid_plan(algorithm: str, scenario: Scenario, decomposition: CosmaDecomposi
         processors_used=decomposition.p_used,
         rounds=int(rounds.max()),
         predicted_words_per_rank=int(received.sum()) / scenario.p,
-        domain_io_words=_domain_io(lm, ln, lk),
+        domain_io_words=domain_io_words(lm, ln, lk),
         lower_bound_per_rank=_bound(scenario),
     )
 
@@ -103,16 +97,11 @@ def _run_cosma(a, b, scenario, machine, max_idle_fraction=None, grid=None):
     sharded = machine.shards > 1 and machine.mode == "plane"
     a, b, (m, n, k) = as_operands(a, b, machine, cast=not sharded)
     if grid is None:
-        # The memoized plan's grid, so the fitting search runs once per
-        # scenario; an infeasible plan has none and the run fits its own.
+        # The memoized plan's grid, so the fitting search runs once per scenario.
         options = {} if max_idle_fraction is None else {"max_idle_fraction": max_idle_fraction}
-        grid = get_algorithm("COSMA").plan(scenario, **options).grid
-    delta = (cosma_idle_fraction(scenario.p)
-             if max_idle_fraction is None else max_idle_fraction)
+        grid = get_algorithm("COSMA").feasible_plan(scenario, **options).grid
     decomposition = build_decomposition(
-        m, n, k, scenario.p, scenario.memory_words, max_idle_fraction=delta,
-        grid=None if grid is None else ProcessorGrid(*grid),
-    )
+        m, n, k, scenario.p, scenario.memory_words, grid=ProcessorGrid(*grid))
     return cosma_run(machine, a, b, decomposition)
 
 
@@ -193,7 +182,7 @@ def _plan_carma(scenario: Scenario) -> Plan:
         rounds=int(cuboid_rounds(table, messages).max()),
         # The count: the inputs a rank receives, the partial C its owner does.
         predicted_words_per_rank=sum(int(words.sum()) for _, _, words in messages) / scenario.p,
-        domain_io_words=int(_domain_io(*extents.T).max()),
+        domain_io_words=int(domain_io_words(*extents.T).max()),
         lower_bound_per_rank=_bound(scenario),
     )
 

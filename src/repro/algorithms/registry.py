@@ -51,6 +51,16 @@ class UnknownAlgorithmError(KeyError):
         return self.args[0]
 
 
+class InfeasiblePlan(ValueError):
+    """Raised when a scenario is run whose plan is infeasible; the message is
+    the plan's ``reason``, and the campaign stores this class's name as the
+    error type of the points it prunes."""
+
+    def __init__(self, plan: "Plan"):
+        super().__init__(plan.reason)
+        self.plan = plan
+
+
 @dataclass(frozen=True)
 class Plan:
     """What an algorithm *would* do on a scenario, derived without executing it.
@@ -66,8 +76,9 @@ class Plan:
     #: Whether the algorithm can meaningfully run this scenario.  ``False``
     #: only for points that violate a hard precondition (invalid parameters,
     #: or aggregate memory below the ``p*S >= mn + mk + nk`` requirement of
-    #: the parallel schedule, section 6.3); the simulator itself is lenient,
-    #: so feasibility here is an analytic statement, not a crash prediction.
+    #: the parallel schedule, section 6.3).  Every entry point that runs a
+    #: scenario refuses an infeasible one (:meth:`AlgorithmSpec.feasible_plan`,
+    #: a campaign's pruning pass); the engines themselves stay lenient.
     feasible: bool
     #: Human-readable explanation when infeasible; empty otherwise.
     reason: str = ""
@@ -202,6 +213,14 @@ class AlgorithmSpec:
             # Unhashable option values (e.g. a list-valued grid override)
             # bypass the cache.
             return self._plan_uncached(scenario, **options)
+
+    def feasible_plan(self, scenario: "Scenario", **options) -> Plan:
+        """:meth:`plan`, raising :class:`InfeasiblePlan` when the plan is
+        infeasible: what every entry point that runs a scenario asks first."""
+        run_plan = self.plan(scenario, **options)
+        if not run_plan.feasible:
+            raise InfeasiblePlan(run_plan)
+        return run_plan
 
     def _plan_uncached(self, scenario: "Scenario", **options) -> Plan:
         reason = self._infeasibility(scenario)

@@ -171,6 +171,9 @@ def multiply(
         tolerances appropriate for the dtype; counters are unchanged
         (words are elements, not bytes).
 
+    Raises :class:`~repro.algorithms.InfeasiblePlan` (with the plan's
+    ``reason``) for a point the algorithm's own plan calls infeasible.
+
     Examples
     --------
     >>> import numpy as np
@@ -196,7 +199,7 @@ def multiply(
     if k != k2:
         raise ValueError(f"inner dimensions do not match: {(m, k)} x {(k2, n)}")
     scenario = _api_scenario(m, n, k, processors, memory_words)
-    run_plan = spec.plan(scenario, **options)
+    run_plan = spec.feasible_plan(scenario, **options)
     product, counters, mode, verified, correct = _execute(
         spec, scenario, a_matrix, b_matrix, mode=mode, span="multiply", verify=True,
         options=options, shards=shards, plane_dtype=plane_dtype,

@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.algorithms import Plan, algorithm_choices, algorithm_specs, registered_algorithms
+from repro.algorithms import InfeasiblePlan, Plan, algorithm_choices, algorithm_specs, registered_algorithms
 from repro.api import lower_bound_parallel, lower_bound_sequential, multiply, plan
 from repro.experiments.report import format_table
 from repro.machine.transport import MODES, PLANE_DTYPES, ShapeToken
@@ -256,11 +256,15 @@ def _cmd_multiply(args: argparse.Namespace) -> int:
         rng = np.random.default_rng(args.seed)
         a = rng.standard_normal((args.m, args.k))
         b = rng.standard_normal((args.k, args.n))
-    result = multiply(
-        a, b, processors=args.processors, memory_words=args.memory,
-        algorithm=args.algorithm, mode=args.mode,
-        shards=args.shards, plane_dtype=args.plane_dtype,
-    )
+    try:
+        result = multiply(
+            a, b, processors=args.processors, memory_words=args.memory,
+            algorithm=args.algorithm, mode=args.mode,
+            shards=args.shards, plane_dtype=args.plane_dtype,
+        )
+    except InfeasiblePlan as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return 1
     print(f"problem              : C({args.m}x{args.n}) = A({args.m}x{args.k}) B({args.k}x{args.n})")
     print(f"algorithm            : {result.algorithm}")
     print(f"processor grid       : {result.grid} ({result.processors_used}/{args.processors} used)")

@@ -7,8 +7,10 @@ The pipeline mirrors Algorithm 1:
    sequential I/O analysis (section 5), the depth from load balance
    (section 6.3).
 2. :func:`repro.core.grid.fit_ranks` fits a processor grid to the matrix
-   dimensions, optionally leaving up to ``delta`` of the processors idle when
-   that reduces communication (section 7.1).
+   dimensions, optionally leaving up to ``delta`` of the processors idle
+   (section 7.1): among the grids whose C block and a one-wide panel step
+   fit in S, the one whose busiest domain touches the fewest words
+   (:func:`repro.core.grid.domain_io_words`, the quantity Theorem 2 bounds).
 3. :func:`repro.core.decomposition.build_decomposition` assigns local domains,
    the blocked data layout (section 7.6) and the latency-minimizing step.
 4. :func:`repro.core.cosma.cosma_run` executes that decomposition on the

@@ -3,17 +3,22 @@
 Matrix dimensions rarely divide evenly by the ideal local-domain sizes, and
 the available processor count rarely factors into a matching grid.  COSMA
 therefore searches over grids that use *at most* ``p`` processors -- allowing
-up to a fraction ``delta`` of them to stay idle -- and picks the grid with the
-smallest per-rank communication volume.  Figure 5 of the paper shows the
-flagship example: with 65 ranks and square matrices, dropping a single rank
-enables a ``4 x 4 x 4`` grid that communicates ~36% less than the best
-65-rank grid, at the price of 1.5% more computation per rank.
+up to a fraction ``delta`` of them to stay idle -- and picks the grid whose
+busiest local domain touches the fewest words: ``lm lk + lk ln + lm ln``
+(:func:`domain_io_words`), the per-processor I/O that Theorem 2 bounds and
+``Plan.optimality_ratio`` divides by the bound.  Figure 5 of the paper shows
+the flagship example: with 65 ranks and square matrices, dropping a single
+rank enables a ``4 x 4 x 4`` grid whose domain touches 36% fewer words than
+the best 65-rank grid's (``1 x 5 x 13``), at the price of 1.5% more
+computation per rank.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.utils.intmath import all_factorizations_3d, ceil_div
 from repro.utils.validation import check_positive_int, check_probability
@@ -48,61 +53,26 @@ class ProcessorGrid:
         return iter((self.pm, self.pn, self.pk))
 
 
-def communication_volume_per_rank(
-    grid: ProcessorGrid, m: int, n: int, k: int, memory_words: int | None = None
-) -> float:
-    """:func:`fit_ranks`' objective: an estimate of the words a rank receives
-    in a COSMA run on this grid, not the count.
-
-    The count is :func:`repro.core.cosma.received_words` on the grid's
-    decomposition (what ``plan()`` returns); on the ``grid240`` campaign this
-    estimate lies between 0.35x and 1.10x of it.  It reads low where the
-    degraded branch below applies: the schedule keeps its whole C block
-    anyway and moves more than that branch charges.
-
-    A rank with local extents ``(lm, ln, lk)`` needs the ``lm x lk`` block of A
-    and the ``lk x ln`` block of B; of these it initially owns ``1/pn`` and
-    ``1/pm`` respectively (the blocked layout splits each panel across the
-    ranks that will broadcast it).  When the grid is parallelized along ``k``
-    (``pk > 1``) the ``lm x ln`` partial results must additionally be reduced.
-    This is the discrete counterpart of ``Q = 2ab + a^2`` from section 6.3.
-
-    When ``memory_words`` is given and the ``lm x ln`` output block does not
-    fit in it, the rank cannot keep its accumulator resident: it must process
-    the domain in output tiles of at most ``S`` words and re-fetch the remote
-    panels for each tile, so the input traffic degrades to the sequential-style
-    ``2 lm ln lk / sqrt(S)`` (the I/O constraint ``a^2 <= S`` of section 6.3).
-    """
-    return _volume(*grid, *grid.local_extents(m, n, k), memory_words)
+def domain_io_words(lm, ln, lk):
+    """Words an ``lm x ln x lk`` local domain touches: its A and B
+    projections plus its C block, the quantity Theorem 2 bounds.  Takes ints
+    or int64 arrays."""
+    return lm * lk + lk * ln + lm * ln
 
 
-def _volume(pm: int, pn: int, pk: int, lm: int, ln: int, lk: int,
-            memory_words: int | None) -> float:
-    """:func:`communication_volume_per_rank` of a ``pm x pn x pk`` grid with
-    local extents ``(lm, ln, lk)``."""
-    if memory_words is not None and lm * ln > memory_words:
-        volume_inputs = 2.0 * lm * ln * lk / math.sqrt(memory_words)
-    else:
-        volume_a = lm * lk * (pn - 1) / pn
-        volume_b = ln * lk * (pm - 1) / pm
-        volume_inputs = volume_a + volume_b
-    volume_c = lm * ln * (pk - 1) / pk if pk > 1 else 0.0
-    return volume_inputs + volume_c
-
-
-def computation_per_rank(grid: ProcessorGrid, m: int, n: int, k: int) -> int:
-    """Multiplications assigned to the busiest rank of the grid."""
-    lm, ln, lk = grid.local_extents(m, n, k)
-    return lm * ln * lk
+def total_received_words(m, n, k, pm, pn, pk):
+    """Words all ranks of a ``pm x pn x pk`` COSMA run receive together:
+    every A panel reaches the ``pn - 1`` ranks of its fiber that do not own
+    it, every B panel ``pm - 1``, and ``pk - 1`` partial C blocks are reduced
+    per output block.  The sum of :func:`repro.core.cosma.received_words`,
+    however ragged the split; takes ints or int64 arrays."""
+    return (pn - 1) * m * k + (pm - 1) * n * k + (pk - 1) * m * n
 
 
 def candidate_grids(p_used: int, m: int, n: int, k: int) -> list[ProcessorGrid]:
     """All grids using exactly ``p_used`` ranks, with no dimension exceeding its extent."""
-    grids = []
-    for pm, pn, pk in all_factorizations_3d(p_used):
-        if pm <= m and pn <= n and pk <= k:
-            grids.append(ProcessorGrid(pm, pn, pk))
-    return grids
+    return [ProcessorGrid(pm, pn, pk) for pm, pn, pk in all_factorizations_3d(p_used)
+            if pm <= m and pn <= n and pk <= k]
 
 
 @dataclass(frozen=True)
@@ -111,7 +81,8 @@ class GridFit:
 
     grid: ProcessorGrid
     p_available: int
-    communication_per_rank: float
+    #: :func:`domain_io_words` of the grid's busiest (rank-0) domain.
+    domain_io_words: int
     computation_per_rank: int
 
     @property
@@ -121,6 +92,39 @@ class GridFit:
     @property
     def idle_fraction(self) -> float:
         return self.idle_ranks / self.p_available
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``range(starts[i], starts[i] + counts[i])`` for every ``i``, concatenated."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
+
+
+def _candidates(lo: int, hi: int, m: int, n: int, k: int) -> tuple[np.ndarray, ...]:
+    """Every ``(pm, pn, pk)`` with ``lo <= pm pn pk <= hi``, ``pm <= m``,
+    ``pn <= n`` and ``pk <= k``, as three int64 arrays, ordered by ``pm``,
+    then ``pn``, then ``pk``."""
+    pm = np.arange(1, min(m, hi) + 1, dtype=np.int64)
+    pn_counts = np.minimum(n, hi // pm)
+    pn = _ranges(np.ones_like(pm), pn_counts)
+    pm = np.repeat(pm, pn_counts)
+    pair = pm * pn
+    pk_lo = -(-lo // pair)
+    pk_counts = np.minimum(k, hi // pair) - pk_lo + 1
+    # Most pairs (6 in 7 at p = 65,536) have no pk in the window.
+    keep = pk_counts > 0
+    pm, pn, pk_lo, pk_counts = pm[keep], pn[keep], pk_lo[keep], pk_counts[keep]
+    return np.repeat(pm, pk_counts), np.repeat(pn, pk_counts), _ranges(pk_lo, pk_counts)
+
+
+def _first_min(keys: tuple[np.ndarray, ...]) -> int:
+    """Index of the lexicographically smallest candidate, ``keys[0]`` first;
+    of equal ones, the first."""
+    index = np.arange(keys[0].size)
+    for key in keys:
+        key = key[index]
+        index = index[key == key.min()]
+    return int(index[0])
 
 
 def fit_ranks(
@@ -133,11 +137,14 @@ def fit_ranks(
 ) -> GridFit:
     """``FitRanks`` (Algorithm 1, line 3): choose the best processor grid.
 
-    Enumerates every processor count ``p_used`` in
-    ``[ceil(p * (1 - max_idle_fraction)), p]`` and every 3-D factorization of
-    each, and returns the grid minimizing the per-rank communication volume.
-    Ties are broken in favour of (1) more ranks used (less computation per
-    rank) and (2) a more balanced grid.
+    Enumerates every grid of every processor count ``p_used`` in
+    ``[ceil(p * (1 - max_idle_fraction)), p]``, no dimension above its
+    matrix extent, as int64 arrays in one pass, and returns the grid whose
+    busiest domain touches the fewest words (:func:`domain_io_words`, with
+    ceil extents).  Ties go to (1) the fewest words received in total
+    (:func:`total_received_words`), (2) less computation per rank, (3) a more
+    balanced grid, (4) more ranks used, then (5) the smaller ``pm``, then
+    ``pn``.  Only the winner becomes a :class:`ProcessorGrid`.
 
     Parameters
     ----------
@@ -149,8 +156,9 @@ def fit_ranks(
         The tunable parameter ``delta``: the largest fraction of processors
         the optimizer may leave idle (3% in the paper's Piz Daint runs).
     memory_words:
-        Per-rank memory ``S``; when given, grids whose local output block does
-        not fit are charged the degraded (re-fetching) communication cost.
+        Per-rank memory ``S``.  When given, only grids whose rank-0 C block
+        plus a one-wide panel step fits (``lm ln + lm + ln <= S``) compete,
+        unless no grid in the window fits, when all of them do.
     """
     m = check_positive_int(m, "m")
     n = check_positive_int(n, "n")
@@ -158,46 +166,25 @@ def fit_ranks(
     p = check_positive_int(p, "p")
     max_idle_fraction = check_probability(max_idle_fraction, "max_idle_fraction")
 
-    def best_fit_at(p_used: int, incumbent: GridFit | None) -> GridFit | None:
-        # Candidates are scored as (communication, computation, grid) tuples;
-        # only a new winner becomes a GridFit.
-        best = seed = None if incumbent is None else (
-            incumbent.communication_per_rank, incumbent.computation_per_rank,
-            incumbent.grid.as_tuple())
-        for pm, pn, pk in all_factorizations_3d(p_used):
-            if pm <= m and pn <= n and pk <= k:
-                lm, ln, lk = ceil_div(m, pm), ceil_div(n, pn), ceil_div(k, pk)
-                score = (_volume(pm, pn, pk, lm, ln, lk, memory_words), lm * ln * lk, (pm, pn, pk))
-                if best is None or _better(score, best):
-                    best = score
-        if best is seed:
-            return incumbent
-        return GridFit(grid=ProcessorGrid(*best[2]), p_available=p,
-                       communication_per_rank=best[0], computation_per_rank=best[1])
-
     min_p_used = max(1, int(math.ceil(p * (1.0 - max_idle_fraction))))
-    best: GridFit | None = None
-    for p_used in range(p, min_p_used - 1, -1):
-        best = best_fit_at(p_used, best)
-    if best is None:
-        # Every candidate grid inside the delta window was rejected (e.g.
-        # every factorization of p has an extent exceeding a matrix
-        # dimension).  Widen the search downward and use the largest feasible
-        # processor count instead of collapsing to a single rank; the 1x1x1
-        # grid remains the ultimate fallback because it is always feasible.
-        for p_used in range(min_p_used - 1, 0, -1):
-            best = best_fit_at(p_used, best)
-            if best is not None:
-                break
-    return best
-
-
-def _better(candidate: tuple, incumbent: tuple) -> bool:
-    """Ordering used by :func:`fit_ranks` on ``(communication, computation,
-    grid)`` scores (lower communication first)."""
-    if not math.isclose(candidate[0], incumbent[0], rel_tol=1e-9):
-        return candidate[0] < incumbent[0]
-    if candidate[1] != incumbent[1]:
-        return candidate[1] < incumbent[1]
-    # Prefer more balanced grids (smaller max dimension).
-    return max(candidate[2]) - min(candidate[2]) < max(incumbent[2]) - min(incumbent[2])
+    pm, pn, pk = _candidates(min_p_used, p, m, n, k)
+    if pm.size == 0:
+        # Every grid inside the delta window has an extent above a matrix
+        # dimension: widen the search downward to the largest processor count
+        # that has a grid (1 x 1 x 1 always does).
+        pm, pn, pk = _candidates(1, min_p_used - 1, m, n, k)
+        largest = pm * pn * pk == (pm * pn * pk).max()
+        pm, pn, pk = pm[largest], pn[largest], pk[largest]
+    lm, ln, lk = -(-m // pm), -(-n // pn), -(-k // pk)
+    if memory_words is not None:
+        fits = lm * ln + lm + ln <= memory_words
+        if fits.any():
+            pm, pn, pk, lm, ln, lk = (array[fits] for array in (pm, pn, pk, lm, ln, lk))
+    io = domain_io_words(lm, ln, lk)
+    work = lm * ln * lk
+    spread = np.maximum(np.maximum(pm, pn), pk) - np.minimum(np.minimum(pm, pn), pk)
+    best = _first_min((io, total_received_words(m, n, k, pm, pn, pk), work, spread,
+                       -(pm * pn * pk)))
+    return GridFit(grid=ProcessorGrid(int(pm[best]), int(pn[best]), int(pk[best])),
+                   p_available=p, domain_io_words=int(io[best]),
+                   computation_per_rank=int(work[best]))

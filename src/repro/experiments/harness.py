@@ -265,6 +265,8 @@ def run_algorithm(
     (:mod:`repro.algorithms`); the returned run carries the canonical name.
     ``mode`` selects the payload transport; in ``"volume"`` mode the inputs
     are shape tokens and numerical verification is skipped (counters only).
+    A scenario whose plan is infeasible raises
+    :class:`~repro.algorithms.InfeasiblePlan` before any input is generated.
     ``shards`` shards COSMA's plane GEMM over worker processes
     (:mod:`repro.machine.shard`; the other algorithms run in process
     whatever it says, and counters are byte-identical across shard counts)
@@ -274,6 +276,7 @@ def run_algorithm(
     (:meth:`~repro.machine.counters.CommCounters.assert_conservation`).
     """
     spec = get_algorithm(name)
+    spec.feasible_plan(scenario)
     shape = scenario.shape
     inputs = (None, None) if mode == "volume" else shape.random_matrices(seed=seed)
     _, counters, mode, verified, correct = _execute(
@@ -313,8 +316,9 @@ def run_algorithm_safe(
 
     Unknown algorithm names and unknown modes still raise (those are caller
     bugs, not scenario properties); everything raised while executing the
-    scenario -- infeasible memory, schedule errors, conservation violations --
-    comes back as a structured record.
+    scenario -- an infeasible plan (error type ``InfeasiblePlan``, as the
+    campaign's pruning pass stores it), schedule errors, conservation
+    violations -- comes back as a structured record.
     """
     name = get_algorithm(name).name  # raises UnknownAlgorithmError (a KeyError)
     if mode not in MODES:

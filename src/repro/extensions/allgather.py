@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.algorithms import Plan, register_algorithm
 from repro.baselines.costs import io_cost_naive_1d
+from repro.core.grid import domain_io_words
 from repro.machine.counters import (
     COUNTER_FIELDS,
     INPUT_WORDS,
@@ -60,7 +61,7 @@ def _plan_allgather(scenario: Scenario) -> Plan:
         # The count: every rank receives all of B but its own stripe.
         predicted_words_per_rank=(q - 1) * shape.k * shape.n / scenario.p,
         # An m/q x n x k domain: its A stripe, all of B, its C stripe.
-        domain_io_words=stripe * shape.k + shape.k * shape.n + stripe * shape.n,
+        domain_io_words=domain_io_words(stripe, shape.n, shape.k),
         lower_bound_per_rank=parallel_io_lower_bound(
             shape.m, shape.n, shape.k, scenario.p, scenario.memory_words
         ),

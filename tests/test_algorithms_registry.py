@@ -6,6 +6,7 @@ import pytest
 from repro.algorithms import (
     DEFAULT_ALGORITHMS,
     AlgorithmSpec,
+    InfeasiblePlan,
     Plan,
     UnknownAlgorithmError,
     algorithm_choices,
@@ -18,9 +19,10 @@ from repro.algorithms import (
     unregister,
 )
 from repro.api import multiply, plan
-from repro.experiments.harness import run_algorithm
+from repro.experiments.harness import RunFailure, run_algorithm, run_algorithm_safe
+from repro.machine import ShapeToken
 from repro.workloads.scaling import Scenario, limited_memory_sweep
-from repro.workloads.shapes import square_shape
+from repro.workloads.shapes import ProblemShape, square_shape
 
 CORE_FIVE = ("COSMA", "ScaLAPACK", "CTF", "CARMA", "Cannon")
 
@@ -28,6 +30,42 @@ CORE_FIVE = ("COSMA", "ScaLAPACK", "CTF", "CARMA", "Cannon")
 @pytest.fixture
 def scenario():
     return limited_memory_sweep("square", [9], 2048)[0]
+
+
+#: 4096 x 4096 x 262144 on p = 18,432 with S = 101,000: p S is below the
+#: footprint, so every built-in's plan is infeasible.
+TALL_K = Scenario(name="tall-k", shape=ProblemShape(m=4096, n=4096, k=262144, family="largeK"),
+                  p=18_432, memory_words=101_000, regime="limited")
+
+
+@pytest.mark.parametrize("name", CORE_FIVE)
+class TestInfeasiblePlan:
+    """Every entry point that runs a scenario refuses one its plan calls
+    infeasible, with the plan's reason, before it builds a machine."""
+
+    def test_plan_is_infeasible(self, name):
+        run_plan = get_algorithm(name).plan(TALL_K)
+        assert not run_plan.feasible and "footprint" in run_plan.reason
+
+    def test_run_algorithm_raises_the_reason(self, name):
+        reason = get_algorithm(name).plan(TALL_K).reason
+        for mode in ("volume", "plane"):  # plane: raised before any input exists
+            with pytest.raises(InfeasiblePlan) as raised:
+                run_algorithm(name, TALL_K, mode=mode)
+            assert str(raised.value) == reason
+            assert raised.value.plan is get_algorithm(name).plan(TALL_K)
+
+    def test_safe_run_records_what_the_campaign_prunes(self, name):
+        failure = run_algorithm_safe(name, TALL_K, mode="volume")
+        assert isinstance(failure, RunFailure)
+        assert failure.error_type == "InfeasiblePlan"
+        assert failure.error_message == get_algorithm(name).plan(TALL_K).reason
+
+    def test_multiply_raises(self, name):
+        shape = TALL_K.shape
+        with pytest.raises(InfeasiblePlan, match="footprint"):
+            multiply(ShapeToken((shape.m, shape.k)), ShapeToken((shape.k, shape.n)),
+                     TALL_K.p, TALL_K.memory_words, algorithm=name)
 
 
 class TestRegistryContents:
@@ -235,7 +273,7 @@ class TestPlanMemoization:
         """COSMA's runner takes its grid from the memoized plan: after
         ``spec.plan``, a run without ``grid=`` and with the same options (as
         ``repro.multiply`` and ``run_algorithm`` make it) fits no grid again.
-        An infeasible plan has no grid, and the run fits its own."""
+        An infeasible plan has no grid, and the run raises its reason."""
         from repro.algorithms import plan_cache_clear
         from repro.core import decomposition
         from repro.machine.simulator import DistributedMachine
@@ -252,16 +290,18 @@ class TestPlanMemoization:
         spec = get_algorithm("COSMA")
         infeasible = Scenario(name="bad", shape=square_shape(64), p=2, memory_words=64,
                               regime="limited")
-        for point, options, refits in ((scenario, {}, 0), (scenario, {"max_idle_fraction": 0.5}, 0),
-                                       (infeasible, {}, 1)):
+        for point, options in ((scenario, {}), (scenario, {"max_idle_fraction": 0.5}), (infeasible, {})):
             planned = spec.plan(point, **options)
-            assert (planned.grid is None) == bool(refits)
+            assert (planned.grid is None) == (point is infeasible)
             fitted = len(fits)
             a, b = point.shape.random_matrices(seed=0)
             machine = DistributedMachine(point.p, memory_words=point.memory_words)
-            product = spec.run(a, b, point, machine, **options)
-            assert len(fits) == fitted + refits, options
-            assert np.allclose(product, a @ b)
+            if point is infeasible:
+                with pytest.raises(InfeasiblePlan, match="footprint"):
+                    spec.run(a, b, point, machine, **options)
+            else:
+                assert np.allclose(spec.run(a, b, point, machine, **options), a @ b)
+            assert len(fits) == fitted, options
         fitted = len(fits)
         assert run_algorithm("COSMA", scenario).correct
         assert len(fits) == fitted

@@ -176,7 +176,7 @@ class TestPredict:
             "CARMA": io_cost_carma(m, n, k, p, s),
             "Cannon": io_cost_2d(m, n, k, p),
         }
-        expected_latency = {"COSMA": 386, "ScaLAPACK": 40, "CTF": 28, "CARMA": 9, "Cannon": 16}
+        expected_latency = {"COSMA": 52, "ScaLAPACK": 40, "CTF": 28, "CARMA": 9, "Cannon": 16}
         for algorithm, expected in expected_io.items():
             prediction = get_algorithm(algorithm).cost(scenario)
             assert prediction.algorithm == algorithm

@@ -23,6 +23,15 @@ class TestMultiplyCommand:
         out = capsys.readouterr().out
         assert "Theorem 2 bound" in out
 
+    @pytest.mark.parametrize("algorithm", ["COSMA", "ScaLAPACK", "CTF", "CARMA", "Cannon"])
+    def test_infeasible_point_exits_with_the_reason(self, capsys, algorithm):
+        code = main(["multiply", "--m", "4096", "--n", "4096", "--k", "262144", "--processors", "18432",
+                     "--memory", "101000", "--mode", "volume", "--algorithm", algorithm])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "footprint" in captured.err and "infeasible" in captured.err
+
 
 class TestRegistryDrivenCli:
     """The registry feeds every algorithm choice list (multiply/plan/sweep)."""

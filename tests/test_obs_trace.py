@@ -121,7 +121,7 @@ class TestRoundSpans:
     def test_one_span_per_round_with_counter_deltas(self):
         with tracing() as tracer:
             report = multiply(
-                ShapeToken((256, 256)), ShapeToken((256, 256)), 16, 4096,
+                ShapeToken((256, 256)), ShapeToken((256, 256)), 16, 16384,
                 mode="volume",
             )
         rounds = [event[4] for event in tracer.spans("round")]

@@ -13,7 +13,7 @@ from repro.baselines.costs import io_cost_25d, io_cost_2d, io_cost_carma
 from repro.baselines.cuboid import validate_domains
 from repro.core.cosma import cosma_run
 from repro.core.decomposition import build_decomposition
-from repro.core.grid import communication_volume_per_rank, fit_ranks
+from repro.core.grid import fit_ranks, total_received_words
 from repro.machine.simulator import DistributedMachine
 from repro.pebbling.mmm_bounds import parallel_io_lower_bound, schedule_io, sequential_io_lower_bound
 from repro.pebbling.mmm_schedule import optimal_tile_sizes, sequential_mmm_schedule, tile_footprint
@@ -138,9 +138,7 @@ class TestDecompositionProperties:
     @given(m=st.integers(min_value=4, max_value=64), n=st.integers(min_value=4, max_value=64),
            k=st.integers(min_value=4, max_value=64))
     def test_single_rank_grid_communicates_nothing(self, m, n, k):
-        from repro.core.grid import ProcessorGrid
-
-        assert communication_volume_per_rank(ProcessorGrid(1, 1, 1), m, n, k) == 0
+        assert total_received_words(m, n, k, 1, 1, 1) == 0
 
 
 class TestSimulatorProperties:

@@ -15,7 +15,7 @@
   and ``S >= 3 (mnk/p)^(2/3)``; at the paper-scale points within 2%.
 * **The trade-off.**  Section 6.3's curve as COSMA's runs count it: more
   memory costs no words and no rounds on 4096^3 at p = 1024, from 1x to 16x
-  the per-rank footprint.  Three known points where it does are strict xfails.
+  the per-rank footprint.  Two known points where it does are strict xfails.
 """
 
 import math
@@ -144,7 +144,7 @@ class TestChain:
     @example(problem=(30, 20, 1, 6, 200))      # k = 1: one layer, one step
     @example(problem=(2, 3, 1, 16, 16))        # p > mnk: idle ranks, padded Cannon
     @example(problem=(8, 8, 8, 16, 12))        # p S = footprint exactly
-    @example(problem=(591, 591, 591, 1024, 2048))  # COSMA's C block 2,072 > S
+    @example(problem=(591, 591, 591, 1024, 2048))  # CARMA's C block over S; COSMA's fits
     def test_count_is_plan_and_bound_holds(self, problem):
         import repro.extensions.allgather  # noqa: F401 - registers AllGather1D
 
@@ -157,7 +157,7 @@ class TestChain:
         """Every ``grid240`` run counts its plan (and so does ``AllGather1D``
         on every ``grid240`` scenario), and every row is at or above
         Theorem 2 but one, CARMA's 591^3 at p = 1024, whose largest domain's
-        C block is over S (as are 12 more rows)."""
+        C block is over S (as are 10 more rows)."""
         import repro.extensions.allgather  # noqa: F401 - registers AllGather1D
 
         spec = SweepSpec(
@@ -181,7 +181,6 @@ class TestChain:
         # does not apply (the memory item's to fix), and the one row below 1.
         assert over_s == {
             ("CARMA", "square-limited-p576"), ("CARMA", "square-limited-p1024"),
-            ("COSMA", "square-limited-p576"), ("COSMA", "square-limited-p1024"),
             *(("CTF", f"flat-limited-p{p}") for p in (16, 64, 144, 256, 576, 1024)),
             *(("CTF", f"largeM-limited-p{p}") for p in (256, 576, 1024)),
         }
@@ -231,17 +230,15 @@ _SQ4096_S = tuple(int(multiple * 3 * 4096 ** 2 / 1024) for multiple in (1, 1.5, 
 
 
 def _known_violation(why):
-    """A point where more memory costs more today; ROADMAP's memory item
-    (with the planning item's exact objective) owns the fix."""
+    """A point where more memory costs more rounds today, through the step
+    rule; ROADMAP's memory item owns the fix."""
     return pytest.mark.xfail(strict=True, raises=AssertionError,
-                             reason=f"ROADMAP memory / planning item: {why}")
+                             reason=f"ROADMAP memory item: {why}")
 
 
 @pytest.mark.parametrize("dims, p, s_values", [
     pytest.param((4096, 4096, 4096), 1024, _SQ4096_S, id="sq4096-p1024"),
-    pytest.param((591, 591, 591), 1024, (1536, 2048), id="591-p1024", marks=_known_violation(
-        "S = 2048 fits the memory-dishonest grid (2, 85, 6): 30699 words against 11256 "
-        "on (16, 16, 4) at S = 1536")),
+    pytest.param((591, 591, 591), 1024, (1536, 2048), id="591-p1024"),
     pytest.param((512, 512, 512), 64, (24576, 36864), id="512-p64", marks=_known_violation(
         "on (4, 4, 4) the step grows from 32 to 80, which does not align with the 32-wide "
         "ownership slices: 14 -> 18 rounds")),

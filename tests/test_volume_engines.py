@@ -346,12 +346,14 @@ def test_cannon_writes_one_expansion_and_no_transfer_list(class_posts, panel_exc
 def _paper_scale_engine(name):
     """The two paper-scale untraced runs with the most counted rounds, as a
     call of the bare engine on a machine and decomposition built up front:
-    COSMA 8192^3 on p=4096 at S = footprint (10668 rounds on the busiest
-    rank) and ScaLAPACK 8192^3 on p=4096 at S=8000 (8192 one-column panels)."""
+    COSMA 8192^3 on p=4096 at S = 1.02 x the per-rank footprint, whose grid
+    (34, 40, 3) leaves room for a one-column panel step only (10668 rounds on
+    the busiest rank), and ScaLAPACK 8192^3 on p=4096 at S=8000 (8192
+    one-column panels)."""
     n, p = 8192, 4096
     tokens = ShapeToken((n, n)), ShapeToken((n, n))
     if name == "COSMA":
-        s = square_shape(n).footprint_words // p
+        s = square_shape(n).footprint_words * 51 // (50 * p)
         scenario = Scenario(name="square-footprint", shape=square_shape(n), p=p,
                             memory_words=s, regime="limited")
         grid = ProcessorGrid(*get_algorithm("COSMA").plan(scenario).grid)
