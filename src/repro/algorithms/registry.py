@@ -6,7 +6,9 @@ This module makes "an algorithm" a first-class object so that comparison is
 data, not scattered special cases:
 
 * :class:`AlgorithmSpec` bundles a uniform runner
-  (``run(a, b, scenario, machine) -> ndarray``), a cheap planner
+  (``runner(a, b, scenario, machine) -> product``: in ``plane`` mode a
+  :class:`~repro.machine.transport.GemmProduct`, the GEMM boxes of its
+  schedule, or a dense array; in ``volume`` mode a shape token), a cheap planner
   (``plan(scenario) -> Plan``: fitted grid, counted rounds, predicted
   per-rank words, feasibility -- *without* executing anything), the Table 3
   I/O formula (:meth:`AlgorithmSpec.cost`, with the plan's rounds), a
@@ -32,10 +34,12 @@ import numpy as np
 
 from repro.baselines.carma import carma_messages, carma_table
 from repro.core.decomposition import decomposition_cache_clear
+from repro.machine.transport import GemmProduct
 from repro.pebbling.mmm_bounds import parallel_io_lower_bound
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.machine.simulator import DistributedMachine
+    from repro.machine.transport import ShapeToken
     from repro.workloads.scaling import Scenario
 
 
@@ -136,8 +140,10 @@ class CostPrediction:
     flops_per_rank: float
 
 
-#: Uniform runner signature: ``run(a, b, scenario, machine) -> ndarray``.
-RunnerFn = Callable[..., np.ndarray]
+#: Uniform runner signature: ``runner(a, b, scenario, machine) -> product``,
+#: a :class:`~repro.machine.transport.GemmProduct` or an array in ``plane``
+#: mode, a :class:`~repro.machine.transport.ShapeToken` in ``volume`` mode.
+RunnerFn = Callable[..., "GemmProduct | np.ndarray | ShapeToken"]
 #: Planner signature: ``plan(scenario, **options) -> Plan``.
 PlanFn = Callable[..., Plan]
 #: Table 3 I/O-formula signature: ``cost(m, n, k, p, s) -> float``.
@@ -150,8 +156,10 @@ class AlgorithmSpec:
 
     #: Canonical name (the paper's comparison-target name where applicable).
     name: str
-    #: ``runner(a, b, scenario, machine) -> ndarray`` -- the uniform
-    #: execution entry point; payloads may be arrays or shape tokens.
+    #: ``runner(a, b, scenario, machine) -> product`` -- the uniform
+    #: execution entry point; payloads may be arrays or shape tokens, and
+    #: a ``plane`` product may be a GemmProduct, computed when asked
+    #: (the harness checks it one row stripe at a time).
     runner: RunnerFn
     #: Optional scenario planner; the generic feasibility-only plan is used
     #: when omitted.
@@ -172,9 +180,12 @@ class AlgorithmSpec:
     description: str = ""
 
     def run(self, a_matrix, b_matrix, scenario: "Scenario",
-            machine: "DistributedMachine", **options) -> np.ndarray:
-        """Execute the algorithm on an existing machine; returns the product."""
-        return self.runner(a_matrix, b_matrix, scenario, machine, **options)
+            machine: "DistributedMachine", **options) -> "np.ndarray | ShapeToken":
+        """Execute the algorithm on an existing machine; returns the product
+        as a writable dense array (a GemmProduct filled stripe by stripe), or
+        a token in ``volume`` mode."""
+        product = self.runner(a_matrix, b_matrix, scenario, machine, **options)
+        return np.asarray(product) if isinstance(product, GemmProduct) else product
 
     def plan(self, scenario: "Scenario", **options) -> Plan:
         """Plan the scenario without executing it (see :class:`Plan`).
@@ -351,7 +362,7 @@ def register_algorithm(
     description: str = "",
     replace: bool = False,
 ) -> Callable[[RunnerFn], RunnerFn]:
-    """Decorator: register ``fn(a, b, scenario, machine) -> ndarray`` as ``name``.
+    """Decorator: register ``fn(a, b, scenario, machine) -> product`` as ``name``.
 
     This is the extension point: a module under ``extensions/`` (or any user
     code) decorates its runner and the algorithm immediately works everywhere

@@ -201,7 +201,7 @@ def multiply(
     scenario = _api_scenario(m, n, k, processors, memory_words)
     run_plan = spec.feasible_plan(scenario, **options)
     product, counters, mode, verified, correct = _execute(
-        spec, scenario, a_matrix, b_matrix, mode=mode, span="multiply", verify=True,
+        spec, scenario, a_matrix, b_matrix, mode=mode, span="multiply", verify=True, keep=True,
         options=options, shards=shards, plane_dtype=plane_dtype,
     )
     return RunReport(

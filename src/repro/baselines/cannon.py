@@ -10,10 +10,10 @@ That is SUMMA on the ``q x q`` grid with block-wide panels passed around each
 fiber by the ``"ring"`` exchange of :mod:`repro.core.cosma` (a rank sends and
 receives one A and one B block per round, as per shift), plus the skew.  The
 engine, :func:`cannon_run`, is SUMMA's (:func:`repro.baselines.summa.run_panels`),
-product included: one GEMM over the operands, zero-padded where ``q`` does
-not divide an extent, cut back to ``m x n``.  Cannon's own part is
-:func:`cannon_decomposition` (zero padding included, and counted) and the
-skew, one closed-form delta.
+product included: the GEMM box of the padded decomposition, cut at the
+operands' ``m x n x k``, so the padding is counted and never allocated.
+Cannon's own part is :func:`cannon_decomposition` (zero padding included,
+and counted) and the skew, one closed-form delta.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.machine.counters import (
     COUNTER_FIELDS, INPUT_WORDS, MESSAGES_RECEIVED, MESSAGES_SENT, ROUNDS, WORDS_RECEIVED, WORDS_SENT,
 )
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import ShapeToken
+from repro.machine.transport import GemmProduct, ShapeToken
 from repro.utils.intmath import ceil_div
 from repro.utils.validation import check_positive_int
 
@@ -52,34 +52,22 @@ def skew_words(decomposition: CosmaDecomposition) -> np.ndarray:
     return (moves[:, None] * (bm * bk) + moves * (bk * bn)).ravel()
 
 
-def _padded(matrix: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """``matrix`` zero-padded to ``shape``; itself, uncopied, when it fits."""
-    if matrix.shape == shape:
-        return matrix
-    return np.pad(matrix, [(0, full - extent) for full, extent in zip(shape, matrix.shape)])
-
-
 def cannon_run(
     machine: DistributedMachine,
     a_matrix: np.ndarray,
     b_matrix: np.ndarray,
     decomposition: CosmaDecomposition,
-) -> np.ndarray:
+) -> GemmProduct | ShapeToken:
     """Cannon's engine on :func:`cannon_decomposition`: the skew, then
     SUMMA's panel rounds with the ring exchange; returns the ``m x n``
     product (a token in ``volume`` mode), ``m`` and ``n`` read off the
     operands.
 
-    In ``plane`` mode an operand is zero-padded (copied) only when ``q`` does
-    not divide one of its extents; when it divides all three, as at 768^3 on
-    p = 256 or 1024, the GEMM reads the caller's A and B as they are.
+    The padding is the decomposition's alone: the product's GEMM box reads
+    the caller's A and B as they are, cut at their edges, whether or not
+    ``q`` divides the extents.
     """
-    m, n = a_matrix.shape[0], b_matrix.shape[1]
     q = decomposition.grid.pm
-    numeric = not machine.transport.counters_only
-    if numeric:  # zero-pad an operand whose blocks would be ragged, only that one
-        a_matrix = _padded(a_matrix, (decomposition.m, decomposition.k))
-        b_matrix = _padded(b_matrix, (decomposition.k, decomposition.n))
 
     # The skew: a rank off row 0 moves one A block, one off column 0 one B
     # block, and every grid rank pays a round per shift.
@@ -92,5 +80,4 @@ def cannon_run(
     grid[ROUNDS] = 2
     machine.post_delta("cannon-skew", skew)
 
-    c_pad = run_panels(machine, a_matrix, b_matrix, decomposition, "ring")
-    return c_pad[:m, :n] if numeric else ShapeToken((m, n))
+    return run_panels(machine, a_matrix, b_matrix, decomposition, "ring")

@@ -33,11 +33,11 @@ reduction *is* the ownership rule, and every rank's per-owner element counts
 are posted with one ``post_transfers`` per matrix, three per run
 (:func:`owner_messages`; CARMA's are memoized with its table, so its runs
 and its plan read one copy).  In
-``plane`` mode the product is GEMMs on views of A and B, one per tile: domains
-that share an output block and whose k-ranges abut form a tile, and tiles
-that abut along j, then along i, over the same k-range merge further, so a
-regular grid is one GEMM (:func:`_accumulate_products`); ``volume`` is that
-engine minus the numerics.  The
+``plane`` mode the product is a :class:`~repro.machine.transport.GemmProduct`
+of one GEMM box per tile: domains that share an output block and whose
+k-ranges abut form a tile, and tiles that abut along j, then along i, over
+the same k-range merge further, so a regular grid is one box
+(:func:`_product_tiles`); ``volume`` is that engine minus the numerics.  The
 executor stays general rather than assuming a regular grid: of the 54 CARMA
 points the ledger's campaigns and the roadmap's RPA readings touch, 16 (every
 odd-sided one) have partially overlapping projections.  Its reference is the
@@ -54,6 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.machine.simulator import DistributedMachine
+from repro.machine.transport import GemmProduct, ShapeToken
 from repro.utils.intmath import abutting_runs, sorted_distinct
 
 Range = tuple[int, int]
@@ -220,9 +221,10 @@ def cuboid_run(
     b_matrix: np.ndarray,
     table: np.ndarray | list[CuboidDomain],
     messages: Messages | None = None,
-) -> np.ndarray:
+) -> GemmProduct | ShapeToken:
     """Run a cuboidal decomposition on the simulator; returns the global
-    product (a token in ``volume`` mode).
+    product, the :func:`_product_tiles` of ``table`` as GEMM boxes (a token
+    in ``volume`` mode, where no box is built).
 
     ``table`` is a :func:`domain_table` (or the list of
     :class:`CuboidDomain` it is built from), one row per participating rank;
@@ -262,14 +264,13 @@ def cuboid_run(
     machine.post_resident("C_partial", ranks, lm * ln)
     # Every rank multiplies its fetched blocks once.
     machine.post_flops("local-gemm", ranks, 2 * lm * ln * lk)
-    c_global = machine.zeros((m, n))  # at the plane dtype; a token in volume mode
-    if not machine.transport.counters_only:
-        _accumulate_products(c_global, a_matrix, b_matrix, table)
     owners, senders, words = messages[2]
     machine.post_transfers(senders, owners, words, kind="output", label="reduce-C")
     machine.post_flops("accumulate-C", owners, words)
     machine.check_memory()
-    return c_global
+    if machine.transport.counters_only:
+        return ShapeToken((m, n))
+    return GemmProduct(a_matrix, b_matrix, _product_tiles(table), (m, n), machine.transport.dtype)
 
 
 def _merge_abutting(boxes: np.ndarray, axis: int) -> np.ndarray:
@@ -285,33 +286,21 @@ def _merge_abutting(boxes: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _product_tiles(table: np.ndarray) -> np.ndarray:
-    """The GEMMs :func:`_accumulate_products` runs, as rows ``i0, i1, j0, j1,
-    k0, k1``: domains merged along k, then along j, then along i."""
-    tiles = table[:, I0:]
-    for axis in (2, 1, 0):
-        tiles = _merge_abutting(tiles, axis)
-    return tiles
-
-
-def _accumulate_products(
-    c_global: np.ndarray, a_matrix: np.ndarray, b_matrix: np.ndarray, table: np.ndarray
-) -> None:
-    """Add every rank's local product into the zeroed ``c_global``.
+    """The GEMM boxes of a run's product, rows ``i0, i1, j0, j1, k0, k1``:
+    domains merged along k, then along j, then along i.
 
     Every fetched block's values equal the dense source slice (each element
     is delivered exactly once), and partial blocks of one output block sum
     into it: domains that share an output block and whose k-ranges abut are
     one tile over the merged k-range.  Tiles that share an i-range and a
     k-range and abut along j are one tile, and then tiles that share a
-    j-range and a k-range and abut along i: a regular grid is a single GEMM
-    ``A @ B`` (768^3 on p = 256 or 1024), on views of A and B.  A merged tile
-    is the union of its domains, so every tiling -- output blocks that
-    overlap partially, k-pieces listed out of rank order or separated by
-    other domains' -- still adds each domain's product exactly once.
+    j-range and a k-range and abut along i: a regular grid is a single box
+    ``A @ B`` (768^3 on p = 256 or 1024).  A merged tile is the union of its
+    domains, so every tiling -- output blocks that overlap partially,
+    k-pieces listed out of rank order or separated by other domains' --
+    still adds each domain's product exactly once.
     """
-    for index, (i0, i1, j0, j1, k0, k1) in enumerate(_product_tiles(table).tolist()):
-        # The first GEMM writes the zeroed sheet in place; the rest add.
-        product = np.matmul(a_matrix[i0:i1, k0:k1], b_matrix[k0:k1, j0:j1],
-                            out=None if index else c_global[i0:i1, j0:j1])
-        if index:
-            c_global[i0:i1, j0:j1] += product
+    tiles = table[:, I0:]
+    for axis in (2, 1, 0):
+        tiles = _merge_abutting(tiles, axis)
+    return tiles

@@ -18,9 +18,9 @@ communication step and direct sends in place of the broadcast tree
 (:func:`grid25d_decomposition`), and the engine says so literally
 (:func:`grid25d_run`): it posts its residency, gather round and C reduction
 through the accounting core of :mod:`repro.core.cosma`, and its product is
-COSMA's numerics, :func:`~repro.core.cosma.layer_product` (a GEMM per layer
-over the k-range the layer's owners hold, layers whose ranges abut merged
-into one).  What is 2.5D's own is the grid, the whole-layer step, direct
+COSMA's numerics, :func:`~repro.core.cosma.layer_product` (a GEMM box per
+layer over the k-range the layer's owners hold, layers whose ranges abut
+merged into one).  What is 2.5D's own is the grid, the whole-layer step, direct
 sends and no memory check after the reduction.  The textbook layout
 (layer ``l`` owns the ``l``-th k-slice, split over the ``q`` ranks of a row
 for A and of a column for B) is pinned on the decomposition's arrays by the
@@ -39,7 +39,7 @@ from repro.core.cosma import (
 from repro.core.decomposition import CosmaDecomposition, build_decomposition
 from repro.core.grid import ProcessorGrid
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import ShapeToken
+from repro.machine.transport import GemmProduct, ShapeToken
 from repro.utils.intmath import ceil_div, divisors
 from repro.utils.validation import check_positive_int
 
@@ -96,23 +96,21 @@ def grid25d_run(
     a_matrix: np.ndarray,
     b_matrix: np.ndarray,
     decomposition: CosmaDecomposition,
-) -> np.ndarray:
+) -> GemmProduct | ShapeToken:
     """2.5D's engine on :func:`grid25d_decomposition`; returns the global
     product.
 
     2.5D's own part of a run (see the module docstring) is its one gather
     round (all layers at once, a single round class), and that memory is
     checked before the reduced blocks land.
-    The product is :func:`layer_product`'s, into a single C sheet (the
-    per-layer partial blocks and their reduction collapse into its GEMMs).
-    In ``volume`` mode only the accounting runs: no plane is allocated and a
-    token is returned as the product.
+    The product is :func:`layer_product`'s GEMM boxes (the per-layer partial
+    blocks and their reduction collapse into them).  In ``volume`` mode only
+    the accounting runs: no box is built and a token is returned as the
+    product.
     """
     post_owned_words(machine, decomposition, "A", "B", "C")
     # Resident blocks are layer-invariant; one check records the schedule's peak.
     machine.check_memory()
     post_fiber_exchange(machine, decomposition, "gather")
     post_c_reduction(machine, decomposition)
-    if machine.transport.counters_only:
-        return ShapeToken((decomposition.m, decomposition.n))
-    return layer_product(machine, "grid25d", decomposition, a_matrix, b_matrix)
+    return layer_product(machine, decomposition, a_matrix, b_matrix)

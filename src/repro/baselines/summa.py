@@ -15,10 +15,9 @@ That makes SUMMA a grid choice, not a schedule of its own: it is COSMA's
 fiber exchange on the grid ``pm x pn x 1`` with the panel width as the
 communication step (:func:`summa_decomposition`), and the engine says so
 literally (:func:`run_panels`): it posts its residency and panel rounds
-through the accounting core of :mod:`repro.core.cosma` and computes the
-product with COSMA's numerics,
-:func:`~repro.core.cosma.layer_product` (one GEMM over the k-range the
-owners' slices hold, on its single layer).  What is SUMMA's own is the grid,
+through the accounting core of :mod:`repro.core.cosma` and its product is
+COSMA's numerics, :func:`~repro.core.cosma.layer_product` (one GEMM box over
+the k-range the owners' slices hold, on its single layer).  What is SUMMA's own is the grid,
 the step, binomial broadcasts and no C reduction.  Cannon makes the same
 call with a ring in place of the trees.  The textbook layout
 (A's k columns split over the ``pn`` ranks of a process row, B's k rows over
@@ -36,7 +35,7 @@ from repro.core.cosma import layer_product, post_fiber_exchange, post_owned_word
 from repro.core.decomposition import CosmaDecomposition, build_decomposition
 from repro.core.grid import ProcessorGrid
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import ShapeToken
+from repro.machine.transport import GemmProduct, ShapeToken
 from repro.utils.intmath import divisors
 from repro.utils.validation import check_positive_int
 
@@ -86,22 +85,21 @@ def run_panels(
     b_matrix: np.ndarray,
     decomposition: CosmaDecomposition,
     exchange: str,
-) -> np.ndarray:
+) -> GemmProduct | ShapeToken:
     """Run a one-layer decomposition's panel rounds with the given ``exchange``
-    kind (SUMMA's ``"tree"``, Cannon's ``"ring"``); returns the global product.
-    This is ScaLAPACK's engine, on :func:`summa_decomposition`, and Cannon's
-    after its skew (:func:`repro.baselines.cannon.cannon_run`).
+    kind (SUMMA's ``"tree"``, Cannon's ``"ring"``); returns the global
+    product, the operands' ``m x n``.  This is ScaLAPACK's engine, on
+    :func:`summa_decomposition`, and Cannon's after its skew
+    (:func:`repro.baselines.cannon.cannon_run`).
 
     The panels are an accounting matter only (see the module docstring):
-    the product is :func:`layer_product`'s GEMM into a single C sheet.  In
-    ``volume`` mode the numerics are skipped: no plane is allocated and a
-    token is returned as the product.
+    the product is :func:`layer_product`'s GEMM box.  In ``volume`` mode the
+    numerics are skipped: no box is built and a token is returned as the
+    product.
     """
     post_owned_words(machine, decomposition, "A", "B", "C")
     # The schedule checks memory once per panel; the resident blocks never
     # change between panels, so one check records the identical peak.
     machine.check_memory()
     post_fiber_exchange(machine, decomposition, exchange)
-    if machine.transport.counters_only:
-        return ShapeToken((decomposition.m, decomposition.n))
-    return layer_product(machine, "summa", decomposition, a_matrix, b_matrix)
+    return layer_product(machine, decomposition, a_matrix, b_matrix)

@@ -47,12 +47,13 @@ posted when:
   never added.  No array has a rounds axis.
 
 The product is the grid family's one numeric function too,
-:func:`layer_product`: a GEMM into a single C sheet over the rows and columns
-the blocks cover and the k-range the layers' A and B owners hold (layers
-whose ranges abut merged into one GEMM, so COSMA's is one GEMM over all of
-k).  A decomposition that leaves part of C or of k to no rank computes a
-wrong product.  A sharded COSMA run splits the covered rows and columns over
-the shard pool instead.
+:func:`layer_product`: a :class:`~repro.machine.transport.GemmProduct` of one
+GEMM box over the rows and columns the blocks cover and the k-range the
+layers' A and B owners hold (layers whose ranges abut merged into one box,
+so COSMA's is one box over all of k), computed only when its rows are asked
+for.  A decomposition that leaves part of C or of k to no rank computes a
+wrong product.  A sharded COSMA run computes the same boxes on the shard
+pool instead, split into row stripes, and returns the dense result.
 
 The same schedule executed hop by hop -- every panel piece broadcast through a
 binomial tree, every partial C block reduced, every word moved from a rank's
@@ -83,7 +84,7 @@ from repro.machine.counters import (
     WORDS_SENT,
 )
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import ShapeToken
+from repro.machine.transport import GemmProduct, ShapeToken
 from repro.utils.intmath import abutting_runs, sorted_distinct, split_offsets
 
 
@@ -98,16 +99,15 @@ def _sharded_gemm(
 
     The pool casts the caller's A and B while it fills their shared-memory
     segments (the previous run's, when the sizes match): one pass each, and
-    no private operand copy in the parent.  The rows and columns of C that
-    the decomposition's blocks cover are split into contiguous row stripes,
-    one per worker, and for each k-range the layers' owners hold
-    (:func:`layer_product`'s, so one on a correct decomposition) a worker
-    computes its stripe, ``out[r0:r1, c0:c1] (+)= a[r0:r1, k0:k1] @ b[k0:k1,
-    c0:c1]``, straight into the shared output segment (a row no block
-    covers, or a k-slice no owner holds, is never multiplied); the one copy
-    of that segment returned here becomes the run's C sheet.  Only (job id,
-    slice spec) messages cross the pipes.  All counters were already posted in the parent -- nothing
-    here touches accounting.
+    no private operand copy in the parent.  Each of :func:`layer_product`'s
+    boxes (one on a correct decomposition) is split into contiguous row
+    stripes, one per worker, and a worker computes its stripe,
+    ``out[r0:r1, c0:c1] (+)= a[r0:r1, k0:k1] @ b[k0:k1, c0:c1]``, straight
+    into the shared output segment (a row no block covers, or a k-slice no
+    owner holds, is never multiplied); the one copy of that segment returned
+    here is the run's product.  Only (job id, slice spec) messages cross the
+    pipes.  All counters were already posted in the parent -- nothing here
+    touches accounting.
 
     The output segment is zero-filled even when it is reused.  A reused
     segment may still hold the previous run's product, identical when the
@@ -116,22 +116,21 @@ def _sharded_gemm(
     """
     from repro.machine.shard import get_pool
 
-    rows, cols = _c_extent(decomposition)
+    d = decomposition
     dtype = machine.transport.dtype
     pool = get_pool(machine.shards)
     trace = machine.trace
     try:
         pool.share("cosma.A", a_matrix, dtype=dtype)
         pool.share("cosma.B", b_matrix, dtype=dtype)
-        out = pool.share_zeros("cosma.OUT", (decomposition.m, decomposition.n), dtype)
-        stripes = [(rows.start + r0, rows.start + r1)
-                   for r0, r1 in split_offsets(rows.stop - rows.start, machine.shards)]
-        for index, k_run in enumerate(_held_k_runs(decomposition)):
-            # One job per stripe and held k-run; the first run writes the
-            # zeroed segment, later ones add to it.
+        out = pool.share_zeros("cosma.OUT", (d.m, d.n), dtype)
+        for index, (i0, i1, j0, j1, k0, k1) in enumerate(_layer_boxes(d, d.m, d.n, d.k).tolist()):
+            # One job per stripe and box; the first box writes the zeroed
+            # segment, later ones add to it.
+            stripes = [(i0 + r0, i0 + r1) for r0, r1 in split_offsets(i1 - i0, machine.shards)]
             specs = [
                 {"a": "cosma.A", "b": "cosma.B", "out": "cosma.OUT", "rows": [r0, r1],
-                 "cols": [cols.start, cols.stop], "k": list(k_run), "add": index > 0}
+                 "cols": [j0, j1], "k": [k0, k1], "add": index > 0}
                 for r0, r1 in stripes
             ]
             start_ns = trace.tracer.now_ns() if trace is not None else 0
@@ -145,7 +144,7 @@ def _sharded_gemm(
                         track="gemm",
                     )
         # Copy the product out of shared memory before release: the next run
-        # reuses the segment, so the C sheet (and everything downstream) must
+        # reuses the segment, so the product (and everything downstream) must
         # never reference a pool-owned buffer.
         product = out.copy()
         out = None
@@ -166,10 +165,15 @@ def _held_k_runs(decomposition: CosmaDecomposition) -> list[tuple[int, int]]:
     return list(zip(lo.tolist(), hi.tolist()))
 
 
-def _c_extent(decomposition: CosmaDecomposition) -> tuple[slice, slice]:
-    """The rows and columns of C that the decomposition's blocks cover."""
-    i_bounds, j_bounds = decomposition.i_bounds, decomposition.j_bounds
-    return slice(int(i_bounds[0]), int(i_bounds[-1])), slice(int(j_bounds[0]), int(j_bounds[-1]))
+def _layer_boxes(decomposition: CosmaDecomposition, m: int, n: int, k: int) -> np.ndarray:
+    """The GEMM boxes of the decomposition's product, rows ``i0, i1, j0, j1,
+    k0, k1``: one per held k-run (:func:`_held_k_runs`) over the rows and
+    columns the blocks cover, cut at ``(m, n, k)``: Cannon's padded blocks
+    reach past the operands' edges, every other decomposition's end there."""
+    d = decomposition
+    edges = (d.i_bounds[0], d.i_bounds[-1], d.j_bounds[0], d.j_bounds[-1])
+    boxes = np.array([(*edges, k0, k1) for k0, k1 in _held_k_runs(d)], dtype=np.int64)
+    return np.minimum(boxes.reshape(-1, 6), np.repeat((m, n, k), 2))
 
 
 def post_owned_words(
@@ -442,36 +446,31 @@ def counted_rounds(decomposition: CosmaDecomposition, exchange: str) -> np.ndarr
 
 def layer_product(
     machine: DistributedMachine,
-    name: str,
     decomposition: CosmaDecomposition,
     a_matrix: np.ndarray,
     b_matrix: np.ndarray,
-) -> np.ndarray:
-    """The product of a grid decomposition's schedule, into a single C sheet
-    registered as the ``(1, m, n)`` plane ``name.C``: one GEMM per k-layer,
-    and one for a run of layers whose k-ranges abut.
+) -> GemmProduct | ShapeToken:
+    """The product of a grid decomposition's schedule, a
+    :class:`~repro.machine.transport.GemmProduct` of the operands'
+    ``m x n``: one GEMM box per k-layer, and one for a run of layers whose
+    k-ranges abut (:func:`_layer_boxes`); a token in ``volume`` mode, where
+    no box is built.
 
     Every rank of a layer multiplies the panels its fibers assemble from the
     owners' slices, so a layer computes rows ``i_bounds[0]:i_bounds[-1]`` x
     columns ``j_bounds[0]:j_bounds[-1]`` of C over the part of its k-range
     that both its A owners (``a_bounds[layer]``) and its B owners
-    (``b_bounds[layer]``) hold.  The operands are views of those slices; the
-    per-rank block products and the k-fiber reduction collapse into the GEMMs
-    (same sums, associated by BLAS).  What no owner holds is never
+    (``b_bounds[layer]``) hold.  The boxes read views of those slices; the
+    per-rank block products and the k-fiber reduction collapse into their
+    GEMMs (same sums, associated by BLAS).  What no owner holds is never
     multiplied, so a decomposition that drops a slice or a row computes a
     wrong product and fails verification.
     """
-    d = decomposition
-    rows, cols = _c_extent(d)
-    c_global = machine.new_plane(f"{name}.C", (1, d.m, d.n)).data[0]
-    c_block = c_global[rows, cols]
-    for index, (k0, k1) in enumerate(_held_k_runs(d)):
-        # The first GEMM writes the zeroed sheet in place; the rest add.
-        product = np.matmul(a_matrix[rows, k0:k1], b_matrix[k0:k1, cols],
-                            out=None if index else c_block)
-        if index:
-            c_block += product
-    return c_global
+    (m, k), n = a_matrix.shape, b_matrix.shape[1]
+    if machine.transport.counters_only:
+        return ShapeToken((m, n))
+    return GemmProduct(a_matrix, b_matrix, _layer_boxes(decomposition, m, n, k), (m, n),
+                       machine.transport.dtype)
 
 
 def cosma_run(
@@ -497,11 +496,13 @@ def cosma_run(
 
     In ``volume`` mode the accounting is the whole story (payloads are
     tokens).  In ``plane`` mode the round-chunked multiply-accumulates and
-    the k-fiber reduction of the schedule collapse into one GEMM over the
-    covered rows and columns and the owned k extent (same sums, associated
-    by BLAS instead of per chunk and per layer): :func:`layer_product`'s
-    single C sheet, or, when ``machine.shards > 1``, the copy of the shard
-    pool's output.
+    the k-fiber reduction of the schedule collapse into one GEMM box over
+    the covered rows and columns and the owned k extent (same sums,
+    associated by BLAS instead of per chunk and per layer):
+    :func:`layer_product`'s :class:`~repro.machine.transport.GemmProduct`,
+    computed when its rows are asked for (traced, it emits one
+    ``cosma-plane-gemm`` span with the summed GEMM time), or, when
+    ``machine.shards > 1``, the dense copy of the shard pool's output.
     """
     m, n, k = decomposition.m, decomposition.n, decomposition.k
     numeric = not machine.transport.counters_only
@@ -527,30 +528,27 @@ def cosma_run(
         post_fiber_exchange(machine, decomposition, "get" if use_rma else "tree")
 
     # ------------------------------------------------------------------
-    # numerics: one GEMM over the owned k extent into the single C sheet
+    # numerics: one GEMM box over the owned k extent
     # ------------------------------------------------------------------
-    c_global = ShapeToken((m, n))
-    if numeric:
+    gemm_args = {"layers": decomposition.grid.pk, "m": m, "n": n, "k": k,
+                 "shards": machine.shards if sharded else 1}
+    if sharded:
         gemm_span = (
-            trace.tracer.span(
-                "cosma-plane-gemm", cat="gemm",
-                args={"layers": decomposition.grid.pk, "m": m, "n": n, "k": k,
-                      "shards": machine.shards if sharded else 1},
-                track="gemm",
-            )
+            trace.tracer.span("cosma-plane-gemm", cat="gemm", args=gemm_args, track="gemm")
             if trace is not None
             else nullcontext()
         )
         with gemm_span:
-            if sharded:
-                c_global = _sharded_gemm(machine, decomposition, a_matrix, b_matrix)
-            else:
-                c_global = layer_product(machine, "cosma", decomposition, a_matrix, b_matrix)
+            product = _sharded_gemm(machine, decomposition, a_matrix, b_matrix)
+    else:
+        product = layer_product(machine, decomposition, a_matrix, b_matrix)
+        if numeric and trace is not None:
+            product.span = (trace.tracer, "cosma-plane-gemm", gemm_args)
 
     # The C reduction is counted only: the GEMM already summed over k.
     post_c_reduction(machine, decomposition)
     machine.check_memory()
-    return c_global
+    return product
 
 
 __all__ = ["cosma_run", "counted_rounds", "received_words"]

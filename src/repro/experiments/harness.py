@@ -7,6 +7,13 @@ verifies the numerical result against ``A @ B`` and records the communication
 counters.  Every run additionally asserts word conservation (every word sent
 was received by exactly one rank).
 
+Verification walks the product in row stripes
+(:func:`~repro.machine.transport.row_stripes`): each stripe is computed from
+the engine's GEMM boxes and checked against the same rows of the reference
+while it is still in cache.  :func:`run_algorithm` keeps no product, so it
+holds one stripe of C at a time, never a whole C; :func:`repro.api.multiply`
+returns the product, so its stripes are the rows of the C it returns.
+
 Runs accept a ``mode`` (``plane`` / ``volume``, see
 :mod:`repro.machine.transport`).  In volume mode the inputs are shape tokens
 -- no matrices are generated or multiplied -- so numerical verification is
@@ -27,19 +34,23 @@ import numpy as np
 from repro.algorithms import DEFAULT_ALGORITHMS, AlgorithmSpec, get_algorithm
 from repro.machine.counters import CommCounters
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import MODES, ShapeToken, allclose_tolerances
+from repro.machine.transport import (
+    MODES, GemmProduct, ShapeToken, allclose_tolerances, row_stripes,
+)
 from repro.obs.trace import active_tracer
 from repro.workloads.scaling import Scenario
 from repro.workloads.shapes import ProblemShape
 
 #: Total words the verification-reference cache may pin (~0.25 GB), evicted
-#: least-recently-used first -- same policy as the input-matrix cache.
+#: least-recently-used first -- same policy as the input-matrix cache.  A
+#: larger reference is never held: it is computed one stripe at a time.
 _REFERENCE_CACHE_MAX_WORDS = 1 << 25
 _REFERENCE_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
 _REFERENCE_CACHE_WORDS = 0
-#: Bytes of reference rows per block of the verification (:func:`_allclose`):
-#: blocks that stay in cache check fastest, and the check's three buffers are
-#: one block each, allocated once.  On a 2-core box a block costs ~0.13 ms
+#: Bytes of reference rows per block of the verification (:func:`_allclose`,
+#: which checks one row stripe of the product per call): blocks that stay in
+#: cache check fastest, and the check's three buffers are one block each,
+#: allocated once per stripe.  On a 2-core box a block costs ~0.13 ms
 #: (~0.22 ms as one ``np.allclose`` per block, which allocates five
 #: temporaries each time): a float64 product checks in ~68 ms at 4096^2
 #: (~115 ms; ~280 ms as one whole-array ``np.allclose``) and ~2.6 ms at
@@ -48,7 +59,8 @@ _VERIFY_BLOCK_BYTES = 1 << 18
 
 
 def _reference_product(shape: ProblemShape, seed: int) -> np.ndarray:
-    """The verification reference ``A @ B`` for a (shape, seed) point, cached.
+    """The verification reference ``A @ B`` for a (shape, seed) point that
+    fits the cache, cached.
 
     Every numeric-mode run of the same point verifies against the same
     product; sweeps that compare several algorithms (or transport modes)
@@ -64,12 +76,11 @@ def _reference_product(shape: ProblemShape, seed: int) -> np.ndarray:
     a_matrix, b_matrix = shape.random_matrices(seed=seed)
     reference = a_matrix @ b_matrix
     reference.setflags(write=False)
-    if reference.size <= _REFERENCE_CACHE_MAX_WORDS:
-        _REFERENCE_CACHE[key] = reference
-        _REFERENCE_CACHE_WORDS += reference.size
-        while _REFERENCE_CACHE_WORDS > _REFERENCE_CACHE_MAX_WORDS:
-            _, old = _REFERENCE_CACHE.popitem(last=False)
-            _REFERENCE_CACHE_WORDS -= old.size
+    _REFERENCE_CACHE[key] = reference
+    _REFERENCE_CACHE_WORDS += reference.size
+    while _REFERENCE_CACHE_WORDS > _REFERENCE_CACHE_MAX_WORDS:
+        _, old = _REFERENCE_CACHE.popitem(last=False)
+        _REFERENCE_CACHE_WORDS -= old.size
     return reference
 
 
@@ -185,21 +196,25 @@ def _execute(
     mode: str,
     span: str,
     verify: bool,
-    reference: Callable[[], np.ndarray] | None = None,
+    keep: bool = False,
+    reference: Callable[[int, int], np.ndarray] | None = None,
     options: Mapping | None = None,
     shards: int,
     plane_dtype: str,
-) -> tuple[np.ndarray | ShapeToken, CommCounters, str, bool, bool]:
+) -> tuple[np.ndarray | GemmProduct | ShapeToken, CommCounters, str, bool, bool]:
     """Run ``spec`` on a fresh machine: the one path behind :func:`run_algorithm`
     and :func:`repro.api.multiply`.
 
     Validates ``mode``, builds the machine from the three execution-policy
     arguments, executes under a ``<span>:<algorithm>`` run span, asserts
     word conservation and -- for numeric modes, when ``verify`` -- checks
-    the product against ``reference()`` (default ``A @ B``) at the dtype's
-    tolerances.  In ``"volume"`` mode the inputs are replaced by shape
-    tokens; in ``"plane"`` mode a token input is an error.  Returns ``(product, counters, mode,
-    verified, correct)``, ``mode`` being the one the run used.
+    the product stripe by stripe against ``reference(r0, r1)``, rows
+    ``r0:r1`` of ``A @ B`` (default ``A[r0:r1] @ B``), at the dtype's
+    tolerances (:func:`_checked`).  With ``keep`` the product comes back as
+    a dense array; without, it is not held.  In ``"volume"`` mode the inputs
+    are replaced by shape tokens; in ``"plane"`` mode a token input is an
+    error.  Returns ``(product, counters, mode, verified, correct)``,
+    ``mode`` being the one the run used.
     """
     if mode in ("legacy", "zerocopy"):
         # The retired per-hop transports.  The frozen ledger still passes
@@ -237,15 +252,49 @@ def _execute(
         else nullcontext()
     )
     with run_span:
-        product = spec.run(a_matrix, b_matrix, scenario, machine, **options)
+        product = spec.runner(a_matrix, b_matrix, scenario, machine, **options)
     machine.counters.assert_conservation()
     verified = bool(verify) and mode != "volume"
     correct = True
-    if verified:
-        expected = reference() if reference is not None else a_matrix @ b_matrix
-        rtol, atol_unit = allclose_tolerances(getattr(product, "dtype", np.float64))
-        correct = _allclose(product, expected, float(rtol), float(atol_unit * shape.k))
+    if mode != "volume" and (verified or keep):
+        if reference is None:
+            def reference(r0, r1):
+                return a_matrix[r0:r1] @ b_matrix
+        product, correct = _checked(product, reference, shape, verify=verified, keep=keep)
     return product, machine.counters, mode, verified, correct
+
+
+def _checked(product, reference: Callable[[int, int], np.ndarray], shape: ProblemShape, *,
+             verify: bool, keep: bool) -> tuple[np.ndarray | GemmProduct, bool]:
+    """Walk a ``plane`` product in row stripes
+    (:func:`~repro.machine.transport.row_stripes`), checking each stripe
+    against ``reference(r0, r1)`` with :func:`_allclose` when ``verify``;
+    returns ``(product, correct)``.
+
+    With ``keep`` a :class:`~repro.machine.transport.GemmProduct` fills the
+    rows of one dense C, which is returned; without, it fills one scratch
+    stripe again and again, and the walk stops at the first stripe that
+    fails.  A dense product is walked as views of its rows.  The verdict is
+    the whole-array ``np.allclose``'s: it is elementwise, and a product not
+    of the point's ``m x n`` (which ``np.allclose`` may broadcast, or
+    reject) is decided by it whole.
+    """
+    m, n, k = shape.m, shape.n, shape.k
+    if not isinstance(product, GemmProduct):
+        product = np.asarray(product)
+    rtol, atol_unit = allclose_tolerances(product.dtype)
+    rtol, atol = float(rtol), float(atol_unit * k)
+    if product.shape != (m, n):
+        product = np.asarray(product)
+        return product, not verify or _allclose(product, reference(0, m), rtol, atol)
+    out = np.empty((m, n), product.dtype) if keep and isinstance(product, GemmProduct) else None
+    correct = True
+    for r0, r1, rows in row_stripes(product, out):
+        if verify and correct:
+            correct = _allclose(rows, reference(r0, r1), rtol, atol)
+        if not (correct or keep):
+            break
+    return product if out is None else out, correct
 
 
 def run_algorithm(
@@ -279,10 +328,13 @@ def run_algorithm(
     spec.feasible_plan(scenario)
     shape = scenario.shape
     inputs = (None, None) if mode == "volume" else shape.random_matrices(seed=seed)
+    reference = None  # a reference too large to cache: A[r0:r1] @ B per stripe
+    if shape.m * shape.n <= _REFERENCE_CACHE_MAX_WORDS:
+        def reference(r0, r1):
+            return _reference_product(shape, seed)[r0:r1]
     _, counters, mode, verified, correct = _execute(
         spec, scenario, *inputs, mode=mode, span="run", verify=verify,
-        reference=lambda: _reference_product(shape, seed),
-        shards=shards, plane_dtype=plane_dtype,
+        reference=reference, shards=shards, plane_dtype=plane_dtype,
     )
     return AlgorithmRun(
         algorithm=spec.name,

@@ -17,7 +17,9 @@ closed-form delta, O(q) whatever the ring's q (q - 1) messages), its ranks'
 resident blocks
 (:meth:`~repro.machine.simulator.DistributedMachine.post_resident`) and its
 flops (:meth:`~repro.machine.simulator.DistributedMachine.post_flops`), and
-computes the product with one GEMM -- none in ``volume`` mode.
+returns its product as one GEMM box
+(:class:`~repro.machine.transport.GemmProduct`) -- a token in ``volume``
+mode.
 Importing this module is all it takes for ``AllGather1D`` to work in
 ``api.multiply`` / ``api.plan``, the harness, the sweep engine and every
 campaign table.
@@ -39,7 +41,7 @@ from repro.machine.counters import (
     WORDS_RECEIVED,
     WORDS_SENT,
 )
-from repro.machine.transport import ShapeToken, as_operands
+from repro.machine.transport import GemmProduct, ShapeToken, as_operands
 from repro.pebbling.mmm_bounds import parallel_io_lower_bound
 from repro.utils.intmath import ceil_div, split_offsets
 from repro.workloads.scaling import Scenario
@@ -76,7 +78,7 @@ def _plan_allgather(scenario: Scenario) -> Plan:
     description="row-striped 1D decomposition; all-gathers B (Figure 2's naive baseline)",
 )
 def allgather_multiply(a_matrix, b_matrix, scenario, machine):
-    """Run the naive 1D algorithm; returns the assembled global product.
+    """Run the naive 1D algorithm; returns the global product.
 
     Rank ``r < q`` owns row stripe ``r`` of A (and of C) and row stripe ``r``
     of B.  The ring all-gather of B runs ``q - 1`` steps: in step ``s`` the
@@ -109,4 +111,5 @@ def allgather_multiply(a_matrix, b_matrix, scenario, machine):
     machine.check_memory()
     if machine.transport.counters_only:
         return ShapeToken((m, n))
-    return a_matrix @ b_matrix
+    # The q row stripes, each times all of B, abut: one box.
+    return GemmProduct(a_matrix, b_matrix, [(0, m, 0, n, 0, k)], (m, n), machine.transport.dtype)

@@ -37,9 +37,9 @@ because accounting only ever reads sizes:
 
 ``plane``
     The numeric engine: operands are numpy arrays that feed GEMMs, and the
-    product is a :class:`~repro.machine.transport.PayloadPlane` sheet
-    registered on the machine (:meth:`DistributedMachine.register_plane`) or
-    a dense array.  Results verify.
+    product is a :class:`~repro.machine.transport.GemmProduct` (the GEMM
+    boxes of the schedule, computed one row stripe at a time when asked) or
+    a dense array.  The machine holds no product.  Results verify.
 ``volume``
     Payloads are :class:`~repro.machine.transport.ShapeToken` descriptors:
     the same engines minus the numerics, for paper-scale sweeps.
@@ -138,7 +138,7 @@ class DistributedMachine:
         self._posted: dict[str, np.ndarray] = {}
         self.peak_resident_words = 0
         #: Named :class:`~repro.machine.transport.PayloadPlane` stacks
-        #: registered by plane-mode algorithms (one per logical operand).
+        #: (:meth:`new_plane`); no engine registers one.
         self.planes: dict[str, PayloadPlane] = {}
         #: Round spans, attached only while tracing is enabled
         #: (:mod:`repro.obs.trace`): the posting calls emit one per round
@@ -175,11 +175,10 @@ class DistributedMachine:
     ) -> PayloadPlane:
         """Register a named operand plane (one per logical operand per run).
 
-        Planes are per-run state.  Algorithms register their own operands
-        with ``replace=True`` so a machine reused for a second plane-mode
-        run (counters accumulating, like every other transport) simply
-        supersedes the previous run's planes; registering a foreign name
-        twice without ``replace`` is an error.
+        Planes are per-run state, and no engine registers one: callers that
+        time a stacked C apart from any run do, with ``replace=True`` to
+        supersede an earlier plane of the name.  Registering a name twice
+        without ``replace`` is an error.
         """
         if name in self.planes and not replace:
             raise ValueError(f"plane {name!r} is already registered")

@@ -7,9 +7,12 @@ of the machine, one of two modes:
 
 ``plane``
     The numeric engine.  Operands are numpy arrays of the machine's dtype
-    (:data:`PLANE_DTYPES`); an engine computes the product with GEMMs on
-    views of them, into a :class:`PayloadPlane` sheet or a dense array, while
-    posting its counters batched.  Results verify against ``A @ B``.
+    (:data:`PLANE_DTYPES`), and an engine's product is a
+    :class:`GemmProduct`: views of the operands and the GEMM boxes its
+    schedule multiplies, computed only when rows of C are asked for, one
+    stripe of :data:`STRIPE_ROWS` rows at a time (:func:`row_stripes`).  A
+    verified run checks each stripe against ``A @ B`` as it is filled and
+    never holds a whole C.
 
 ``volume``
     Payloads are :class:`ShapeToken` objects: shape descriptors with no numpy
@@ -23,7 +26,8 @@ of the machine, one of two modes:
 from __future__ import annotations
 
 import math
-from typing import Sequence
+import time
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -59,6 +63,104 @@ class ShapeToken:
 
     def __repr__(self) -> str:
         return f"ShapeToken(shape={self.shape})"
+
+
+#: Rows of C a stripe holds (:func:`row_stripes`): 32 MiB of float64 at
+#: n = 4096.  Thinner stripes cost GEMM time, because BLAS packs B again for
+#: every stripe (about 11% more at 256 rows).
+STRIPE_ROWS = 1024
+
+
+class GemmProduct:
+    """A ``plane`` product that is not yet computed: the operands, the GEMM
+    boxes an engine's schedule multiplies, and the product's ``(m, n)`` and
+    ``dtype`` (the machine's plane dtype).
+
+    A box is a row ``i0, i1, j0, j1, k0, k1`` of the int64 ``boxes`` table:
+    ``C[i0:i1, j0:j1] += A[i0:i1, k0:k1] @ B[k0:k1, j0:j1]``.  What no box
+    covers stays zero, so a schedule that drops part of the iteration space
+    computes a wrong product and fails verification.  Rows are computed by
+    :meth:`fill`, one stripe at a time (:func:`row_stripes`); ``np.asarray``
+    fills a whole C.  ``span``, set by a traced engine, is ``(tracer, name,
+    args)``: the GEMM span :func:`row_stripes` emits once, with the fills'
+    summed time.
+    """
+
+    __slots__ = ("a", "b", "boxes", "shape", "dtype", "span")
+
+    def __init__(self, a_matrix: np.ndarray, b_matrix: np.ndarray, boxes,
+                 shape: Sequence[int], dtype, span: tuple | None = None) -> None:
+        self.a, self.b = a_matrix, b_matrix
+        self.boxes = np.asarray(boxes, dtype=np.int64).reshape(-1, 6)
+        self.shape = tuple(int(extent) for extent in shape)
+        self.dtype = np.dtype(dtype)
+        self.span = span
+
+    def fill(self, out: np.ndarray, r0: int, r1: int) -> None:
+        """Write rows ``r0:r1`` of the product into ``out`` (``r1 - r0`` rows
+        of ``n``): the first box that meets the rows writes in place, every
+        later one adds, and ``out`` is zeroed first unless that box covers
+        all of it (whatever it held before is never read)."""
+        written = False
+        for i0, i1, j0, j1, k0, k1 in self.boxes.tolist():
+            lo, hi = max(i0, r0), min(i1, r1)
+            if lo >= hi:
+                continue
+            rows = out[lo - r0:hi - r0, j0:j1]
+            a_rows, b_cols = self.a[lo:hi, k0:k1], self.b[k0:k1, j0:j1]
+            if written:
+                rows += a_rows @ b_cols
+                continue
+            if rows.shape != out.shape:
+                out[...] = 0
+            np.matmul(a_rows, b_cols, out=rows)
+            written = True
+        if not written:
+            out[...] = 0
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("a GemmProduct is computed on demand: it has no array to view")
+        out = np.empty(self.shape, self.dtype)
+        for _ in row_stripes(self, out):
+            pass
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    def __repr__(self) -> str:
+        return f"GemmProduct(shape={self.shape}, boxes={len(self.boxes)})"
+
+
+def row_stripes(product, out: np.ndarray | None = None) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Walk a ``plane`` product in stripes of :data:`STRIPE_ROWS` rows:
+    ``(r0, r1, rows)`` with ``rows`` the product's rows ``r0:r1``.
+
+    A dense product (an array) yields views of its rows.  A
+    :class:`GemmProduct` fills each stripe first: into the rows of ``out``,
+    a whole ``(m, n)`` array, or, without ``out``, into one scratch stripe
+    reused from stripe to stripe, so the caller never holds a whole C.
+    """
+    m, n = product.shape
+    if not isinstance(product, GemmProduct):
+        for r0 in range(0, m, STRIPE_ROWS):
+            r1 = min(r0 + STRIPE_ROWS, m)
+            yield r0, r1, product[r0:r1]
+        return
+    scratch = np.empty((min(STRIPE_ROWS, m), n), product.dtype) if out is None else None
+    gemm_ns = 0
+    start_ns = product.span[0].now_ns() if product.span is not None else 0
+    try:
+        for r0 in range(0, m, STRIPE_ROWS):
+            r1 = min(r0 + STRIPE_ROWS, m)
+            rows = out[r0:r1] if scratch is None else scratch[: r1 - r0]
+            started = time.perf_counter_ns()
+            product.fill(rows, r0, r1)
+            gemm_ns += time.perf_counter_ns() - started
+            yield r0, r1, rows
+    finally:
+        if product.span is not None:
+            tracer, name, args = product.span
+            tracer.complete(name, cat="gemm", start_ns=start_ns, dur_ns=gemm_ns, args=args,
+                            track="gemm")
 
 
 #: Plane dtypes the numeric engines accept.  Words are *elements*, not bytes,
@@ -134,16 +236,12 @@ class PayloadPlane:
     """One logical operand stored as a dense stacked array with a leading axis.
 
     ``data`` has shape ``(slots, rows, cols)``: each slot is one 2-D sheet of
-    the operand.  The engines' planes are single sheets -- every grid
-    engine's product is one C sheet (:func:`repro.core.cosma.layer_product`)
-    -- and a stack of partial sums
-    reduces with one ``np.add.reduce`` over the slot axis
-    (:meth:`reduce_slots`).
-
-    Planes are registered per-name on the machine
-    (:meth:`~repro.machine.simulator.DistributedMachine.register_plane`);
-    all counter accounting is derived from the blocks' true shapes, never
-    from a plane.
+    the operand, and a stack of partial sums reduces with one
+    ``np.add.reduce`` over the slot axis (:meth:`reduce_slots`).  No engine
+    allocates one (their products are :class:`GemmProduct` boxes); planes
+    are registered per-name on the machine
+    (:meth:`~repro.machine.simulator.DistributedMachine.new_plane`) by
+    callers that time a stacked C apart from any run.
     """
 
     __slots__ = ("name", "data")

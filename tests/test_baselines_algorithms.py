@@ -82,11 +82,12 @@ class TestCannon:
 
     @pytest.mark.parametrize(("m", "n", "k", "padded"), [
         (96, 96, 96, False), (96, 80, 64, False),  # q = 4 divides every extent
-        (98, 96, 93, True),                        # ragged m and k: A and B are padded
+        (98, 96, 93, True),                        # ragged m and k: the decomposition pads
     ])
-    def test_operands_are_copied_only_to_pad(self, rng, m, n, k, padded):
-        """With ``q`` dividing every extent the run allocates its C sheet and
-        no copy of A or B; a ragged shape pads both and still verifies."""
+    def test_operands_are_never_copied(self, rng, m, n, k, padded):
+        """The run allocates no copy of A or B and no C, whether or not the
+        decomposition pads: its product is the padded decomposition's GEMM
+        box, cut at the operands' edges, and it verifies."""
         a, b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
         _cannon(a, b, 16)  # first-call allocations stay out of the peak
         tracemalloc.start()
@@ -96,12 +97,9 @@ class TestCannon:
         finally:
             tracemalloc.stop()
         assert np.allclose(product, a @ b)
-        c_sheet = 8 * 4 * -(-m // 4) * 4 * -(-n // 4)
-        operands = 8 * 4 * -(-k // 4) * 4 * (-(-m // 4) + -(-n // 4))
-        if padded:
-            assert peak >= c_sheet + operands
-        else:
-            assert peak < c_sheet + min(a.nbytes, b.nbytes) // 2
+        assert (product.boxes[:, 1::2].max(axis=0) == (m, n, k)).all()
+        assert (cannon_decomposition(m, n, k, 16, 1 << 20).m > m) == padded
+        assert peak < min(a.nbytes, b.nbytes) // 2
 
     def test_single_rank_no_communication(self, rng):
         a = rng.standard_normal((8, 8))

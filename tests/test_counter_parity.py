@@ -21,7 +21,7 @@ from repro.experiments.harness import run_algorithm
 from repro.machine.counters import WORDS_SENT, ConservationError
 from repro.machine.shard import ShardPool
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import MODES, ShapeToken
+from repro.machine.transport import MODES, GemmProduct, ShapeToken
 from repro.workloads.scaling import (
     Scenario,
     extra_memory_sweep,
@@ -170,13 +170,15 @@ class TestPlaneEngine:
         )
         a, b = scenario.shape.random_matrices(seed=0)
         product = get_algorithm("COSMA").runner(a, b, scenario, machine)
-        # No operand plane: the GEMM reads A and B as they are.
-        assert set(machine.planes) == {"cosma.C"}
+        # No plane: the GEMM box reads A and B as they are.
+        assert not machine.planes
+        assert isinstance(product, GemmProduct)
         assert product.shape == (scenario.shape.m, scenario.shape.n)
-        # The C plane is one sheet and the product is that sheet, not a copy.
-        c_plane = machine.planes["cosma.C"]
-        assert c_plane.data.shape == (1, scenario.shape.m, scenario.shape.n)
-        assert np.shares_memory(product, c_plane.data)
+        assert product.a is a and product.b is b
+        # One box, the whole of C over all of k, computed only when asked.
+        (m, k), n = a.shape, b.shape[1]
+        assert product.boxes.tolist() == [[0, m, 0, n, 0, k]]
+        assert np.allclose(np.asarray(product), a @ b)
 
     def test_plane_harness_run_is_verified(self):
         scenario = limited_memory_sweep("square", [9], 2048)[0]
@@ -342,9 +344,9 @@ class TestPlaneDtype:
         operands = []
         layer_product = cosma.layer_product
 
-        def recording_product(machine, name, decomposition, a_matrix, b_matrix):
+        def recording_product(machine, decomposition, a_matrix, b_matrix):
             operands.extend((a_matrix, b_matrix))
-            return layer_product(machine, name, decomposition, a_matrix, b_matrix)
+            return layer_product(machine, decomposition, a_matrix, b_matrix)
 
         monkeypatch.setattr(cosma, "layer_product", recording_product)
         product = get_algorithm("COSMA").runner(a32, b32, scenario, machine)
@@ -353,7 +355,8 @@ class TestPlaneDtype:
         # Shared memory proves no dtype conversion (a float64 round-trip
         # would have allocated a new buffer).
         assert np.shares_memory(operands[0], a32) and np.shares_memory(operands[1], b32)
-        assert machine.planes["cosma.C"].data.dtype == np.float32
+        assert not machine.planes
+        assert product.a.dtype == product.b.dtype == np.asarray(product).dtype == np.float32
 
         # shards=2: the caller's float32 arrays themselves reach the pool,
         # which fills float32 segments from them; no plane exists.
@@ -373,7 +376,8 @@ class TestPlaneDtype:
         product = get_algorithm("COSMA").runner(a32, b32, scenario, machine)
         assert product.dtype == np.float32
         assert product.shape == (scenario.shape.m, scenario.shape.n)
-        assert not machine.planes
+        # The product is the dense copy of the pool's output segment.
+        assert not machine.planes and type(product) is np.ndarray
         for tag, operand in (("cosma.A", a32), ("cosma.B", b32)):
             array, dtype = shared[tag]
             assert np.shares_memory(array, operand) and dtype == np.float32
