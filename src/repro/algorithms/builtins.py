@@ -92,10 +92,9 @@ def _grid_plan(algorithm: str, scenario: Scenario, decomposition: CosmaDecomposi
 # COSMA
 # ---------------------------------------------------------------------------
 def _run_cosma(a, b, scenario, machine, max_idle_fraction=None, grid=None):
-    # A sharded plane run hands the caller's arrays to the shard pool, which
-    # casts them while it fills their segments (cosma._sharded_gemm).
-    sharded = machine.shards > 1 and machine.mode == "plane"
-    a, b, (m, n, k) = as_operands(a, b, machine, cast=not sharded)
+    # Cast once per run, at every shard count: the product is computed in
+    # process (machine.shards is accepted and not read).
+    a, b, (m, n, k) = as_operands(a, b, machine)
     if grid is None:
         # The memoized plan's grid, so the fitting search runs once per scenario.
         options = {} if max_idle_fraction is None else {"max_idle_fraction": max_idle_fraction}

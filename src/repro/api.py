@@ -159,12 +159,11 @@ def multiply(
         :class:`~repro.machine.transport.ShapeToken` inputs, ``"plane"`` for
         arrays.  Tokens carry no values, so tokens with ``"plane"`` raise.
     shards:
-        Numeric execution policy for ``"plane"`` mode: number of worker
-        processes COSMA's plane GEMM is sharded across over shared memory
-        (:mod:`repro.machine.shard`); the other algorithms run in process
-        whatever it says.  ``1`` (default) keeps the in-process engine.
-        Counters are byte-identical across shard counts; shards never
-        enters a sweep run's identity key.
+        Accepted and ignored: every algorithm computes its product in
+        process, so the report is the same at any shard count and no
+        process is started.  It stays while the benchmark ledger passes it
+        (and times the unused shard pool, :mod:`repro.machine.shard`); it
+        never enters a sweep run's identity key.
     plane_dtype:
         Element dtype for numeric payloads (``"float64"`` default,
         ``"float32"`` opt-in).  Verification switches to relative

@@ -298,9 +298,12 @@ def _product_tiles(table: np.ndarray) -> np.ndarray:
     ``A @ B`` (768^3 on p = 256 or 1024).  A merged tile is the union of its
     domains, so every tiling -- output blocks that overlap partially,
     k-pieces listed out of rank order or separated by other domains' --
-    still adds each domain's product exactly once.
+    still adds each domain's product exactly once.  An empty domain (an idle
+    rank's, e.g. CARMA's once a side of one is halved) multiplies nothing
+    and is no tile.
     """
     tiles = table[:, I0:]
+    tiles = tiles[(tiles[:, 1::2] > tiles[:, 0::2]).all(axis=1)]
     for axis in (2, 1, 0):
         tiles = _merge_abutting(tiles, axis)
     return tiles

@@ -85,9 +85,9 @@ def _add_multiply_args(p_mult: argparse.ArgumentParser) -> None:
     p_mult.add_argument(
         "--shards", type=int, default=1,
         help=(
-            "shard COSMA's plane GEMM across this many worker processes over "
-            "shared memory (other algorithms run in process; counters are "
-            "byte-identical across shard counts; 1 = in-process engine)"
+            "accepted and ignored: every product is computed in process, "
+            "so a run is the same at any shard count (kept while the "
+            "benchmark ledger passes it)"
         ),
     )
     p_mult.add_argument(

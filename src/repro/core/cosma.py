@@ -52,8 +52,10 @@ GEMM box over the rows and columns the blocks cover and the k-range the
 layers' A and B owners hold (layers whose ranges abut merged into one box,
 so COSMA's is one box over all of k), computed only when its rows are asked
 for.  A decomposition that leaves part of C or of k to no rank computes a
-wrong product.  A sharded COSMA run computes the same boxes on the shard
-pool instead, split into row stripes, and returns the dense result.
+wrong product.  Every run computes it in process, whatever the machine's
+``shards`` says: BLAS already spreads one GEMM over the cores, and the
+shared-memory shard pool (:mod:`repro.machine.shard`, kept only while the
+benchmark ledger times it) cost memory and time without a gain.
 
 The same schedule executed hop by hop -- every panel piece broadcast through a
 binomial tree, every partial C block reduced, every word moved from a rank's
@@ -85,72 +87,7 @@ from repro.machine.counters import (
 )
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import GemmProduct, ShapeToken
-from repro.utils.intmath import abutting_runs, sorted_distinct, split_offsets
-
-
-def _sharded_gemm(
-    machine: DistributedMachine,
-    decomposition: CosmaDecomposition,
-    a_matrix: np.ndarray,
-    b_matrix: np.ndarray,
-) -> np.ndarray:
-    """``A @ B`` at the plane dtype on the shard pool: ``machine.shards``
-    worker processes.
-
-    The pool casts the caller's A and B while it fills their shared-memory
-    segments (the previous run's, when the sizes match): one pass each, and
-    no private operand copy in the parent.  Each of :func:`layer_product`'s
-    boxes (one on a correct decomposition) is split into contiguous row
-    stripes, one per worker, and a worker computes its stripe,
-    ``out[r0:r1, c0:c1] (+)= a[r0:r1, k0:k1] @ b[k0:k1, c0:c1]``, straight
-    into the shared output segment (a row no block covers, or a k-slice no
-    owner holds, is never multiplied); the one copy of that segment returned
-    here is the run's product.  Only (job id, slice spec) messages cross the
-    pipes.  All counters were already posted in the parent -- nothing here
-    touches accounting.
-
-    The output segment is zero-filled even when it is reused.  A reused
-    segment may still hold the previous run's product, identical when the
-    inputs repeat, so a row stripe that no spec covers would pass
-    verification; zeros make it fail.
-    """
-    from repro.machine.shard import get_pool
-
-    d = decomposition
-    dtype = machine.transport.dtype
-    pool = get_pool(machine.shards)
-    trace = machine.trace
-    try:
-        pool.share("cosma.A", a_matrix, dtype=dtype)
-        pool.share("cosma.B", b_matrix, dtype=dtype)
-        out = pool.share_zeros("cosma.OUT", (d.m, d.n), dtype)
-        for index, (i0, i1, j0, j1, k0, k1) in enumerate(_layer_boxes(d, d.m, d.n, d.k).tolist()):
-            # One job per stripe and box; the first box writes the zeroed
-            # segment, later ones add to it.
-            stripes = [(i0 + r0, i0 + r1) for r0, r1 in split_offsets(i1 - i0, machine.shards)]
-            specs = [
-                {"a": "cosma.A", "b": "cosma.B", "out": "cosma.OUT", "rows": [r0, r1],
-                 "cols": [j0, j1], "k": [k0, k1], "add": index > 0}
-                for r0, r1 in stripes
-            ]
-            start_ns = trace.tracer.now_ns() if trace is not None else 0
-            infos = pool.run("gemm_rows", specs)
-            if trace is not None:
-                for shard, (info, stripe) in enumerate(zip(infos, stripes)):
-                    trace.tracer.complete(
-                        "cosma-shard-gemm", cat="gemm", start_ns=start_ns,
-                        dur_ns=int(info.get("seconds", 0.0) * 1e9),
-                        args={"shard": shard, "rows": list(stripe)},
-                        track="gemm",
-                    )
-        # Copy the product out of shared memory before release: the next run
-        # reuses the segment, so the product (and everything downstream) must
-        # never reference a pool-owned buffer.
-        product = out.copy()
-        out = None
-        return product
-    finally:
-        pool.release()
+from repro.utils.intmath import abutting_runs, sorted_distinct
 
 
 def _held_k_runs(decomposition: CosmaDecomposition) -> list[tuple[int, int]]:
@@ -491,8 +428,7 @@ def cosma_run(
     three functions above; what is COSMA's own is the grid, the exchange
     kind and the numerics.  The machine's counters are added to,
     not reset; the operands are used as given (the registered runner casts
-    them to the plane dtype, except on the shard pool, which casts while it
-    fills its segments).
+    them to the plane dtype).
 
     In ``volume`` mode the accounting is the whole story (payloads are
     tokens).  In ``plane`` mode the round-chunked multiply-accumulates and
@@ -501,12 +437,11 @@ def cosma_run(
     associated by BLAS instead of per chunk and per layer):
     :func:`layer_product`'s :class:`~repro.machine.transport.GemmProduct`,
     computed when its rows are asked for (traced, it emits one
-    ``cosma-plane-gemm`` span with the summed GEMM time), or, when
-    ``machine.shards > 1``, the dense copy of the shard pool's output.
+    ``cosma-plane-gemm`` span with the summed GEMM time).  ``machine.shards``
+    is not read: every shard count runs this one in-process product.
     """
     m, n, k = decomposition.m, decomposition.n, decomposition.k
     numeric = not machine.transport.counters_only
-    sharded = numeric and machine.shards > 1
     post_owned_words(machine, decomposition, "A_own", "B_own", "C_acc")
     # The schedule checks memory at the end of every round, but the resident
     # blocks (A_own / B_own / C_acc) do not change between rounds -- every
@@ -530,20 +465,10 @@ def cosma_run(
     # ------------------------------------------------------------------
     # numerics: one GEMM box over the owned k extent
     # ------------------------------------------------------------------
-    gemm_args = {"layers": decomposition.grid.pk, "m": m, "n": n, "k": k,
-                 "shards": machine.shards if sharded else 1}
-    if sharded:
-        gemm_span = (
-            trace.tracer.span("cosma-plane-gemm", cat="gemm", args=gemm_args, track="gemm")
-            if trace is not None
-            else nullcontext()
-        )
-        with gemm_span:
-            product = _sharded_gemm(machine, decomposition, a_matrix, b_matrix)
-    else:
-        product = layer_product(machine, decomposition, a_matrix, b_matrix)
-        if numeric and trace is not None:
-            product.span = (trace.tracer, "cosma-plane-gemm", gemm_args)
+    product = layer_product(machine, decomposition, a_matrix, b_matrix)
+    if numeric and trace is not None:
+        product.span = (trace.tracer, "cosma-plane-gemm",
+                        {"layers": decomposition.grid.pk, "m": m, "n": n, "k": k})
 
     # The C reduction is counted only: the GEMM already summed over k.
     post_c_reduction(machine, decomposition)

@@ -316,10 +316,10 @@ def run_algorithm(
     are shape tokens and numerical verification is skipped (counters only).
     A scenario whose plan is infeasible raises
     :class:`~repro.algorithms.InfeasiblePlan` before any input is generated.
-    ``shards`` shards COSMA's plane GEMM over worker processes
-    (:mod:`repro.machine.shard`; the other algorithms run in process
-    whatever it says, and counters are byte-identical across shard counts)
-    and ``plane_dtype`` selects the numeric payload dtype
+    ``shards`` is accepted and ignored (every product is computed in
+    process; the benchmark ledger still passes it, and times the unused
+    shard pool, :mod:`repro.machine.shard`, until its re-baseline) and
+    ``plane_dtype`` selects the numeric payload dtype
     (verification uses dtype-appropriate relative tolerances).  Every run
     ends with a word-conservation assertion
     (:meth:`~repro.machine.counters.CommCounters.assert_conservation`).

@@ -100,13 +100,11 @@ class DistributedMachine:
         or ``"volume"`` (counters-only shape tokens); see the module docstring
         and :mod:`repro.machine.transport`.
     shards:
-        Numeric execution policy for plane mode: the number of worker
-        processes COSMA's plane GEMM is sharded across
-        (:mod:`repro.machine.shard`); no other engine reads it.  ``1`` (the default) keeps the
-        in-process engine -- no pool, no shared memory.  Counters are
-        byte-identical across shard counts because all accounting stays in
-        the parent on the counter matrix; shards never participates in a
-        run's identity key.
+        Accepted, validated and not read: every engine computes its
+        product in process, so counters and products are the same at any
+        shard count and no process is started.  It stays while the
+        benchmark ledger passes it (and times :mod:`repro.machine.shard`,
+        the pool no engine uses any more) and leaves with that module.
     plane_dtype:
         Element dtype for numeric payloads/planes (``"float64"`` default,
         ``"float32"`` opt-in).  Counters are dtype-independent (words are
@@ -162,10 +160,6 @@ class DistributedMachine:
     def mode(self) -> str:
         """The active transport mode (``plane`` / ``volume``)."""
         return self.transport.mode
-
-    def zeros(self, shape: Sequence[int]):
-        """A zero-initialized local payload (an array, or a token in volume mode)."""
-        return self.transport.zeros(shape)
 
     # ------------------------------------------------------------------
     # payload planes (named numeric sheets)

@@ -204,32 +204,19 @@ def as_payload(block, dtype=None):
     return np.asarray(block, dtype=np.float64 if dtype is None else dtype)
 
 
-def as_operands(a_matrix, b_matrix, machine=None, cast=True):
+def as_operands(a_matrix, b_matrix, machine=None):
     """A multiplication's global operands through :func:`as_payload`, with the
     problem's ``(m, n, k)``; raises if the inner dimensions differ.
 
     Given a machine, the operands take its plane dtype: a float32 machine
-    receives float32 payloads directly, never a float64 round-trip.  With
-    ``cast=False`` they are only viewed (:func:`payload_view`): a caller that
-    casts them itself, as the shard pool does while it fills its segments,
-    gets no private copy.
+    receives float32 payloads directly, never a float64 round-trip.
     """
-    if cast:
-        dtype = None if machine is None else machine.transport.dtype
-        a_matrix, b_matrix = as_payload(a_matrix, dtype), as_payload(b_matrix, dtype)
-    else:
-        a_matrix, b_matrix = payload_view(a_matrix), payload_view(b_matrix)
+    dtype = None if machine is None else machine.transport.dtype
+    a_matrix, b_matrix = as_payload(a_matrix, dtype), as_payload(b_matrix, dtype)
     (m, k), (k2, n) = a_matrix.shape, b_matrix.shape
     if k != k2:
         raise ValueError(f"inner dimensions do not match: {a_matrix.shape} x {b_matrix.shape}")
     return a_matrix, b_matrix, (m, n, k)
-
-
-def payload_view(block):
-    """A cheap read view of a payload (``np.asarray`` without dtype coercion)."""
-    if isinstance(block, ShapeToken):
-        return block
-    return np.asarray(block)
 
 
 class PayloadPlane:
@@ -288,12 +275,6 @@ class Transport:
     def counters_only(self) -> bool:
         """True when payloads carry no numerics (result verification impossible)."""
         return self.mode == "volume"
-
-    def zeros(self, shape: Sequence[int]):
-        """A zero-initialized payload of the given shape."""
-        if self.counters_only:
-            return ShapeToken(shape)
-        return np.zeros(tuple(shape), dtype=self.dtype)
 
 
 def make_transport(mode: str, dtype=None) -> Transport:

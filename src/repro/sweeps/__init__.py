@@ -43,9 +43,9 @@ Consequences:
   :data:`~repro.sweeps.store.KEY_VERSION` (or delete the store directory) to
   invalidate every cached record at once.
 * **Execution policy never participates.**  The worker count, the chunk a
-  run went in and the plane engine's shard count address the same key as a
-  serial run: a record describes *what was measured*, never *how it was
-  scheduled*.  This is what makes a 2-job campaign store byte-identical
+  run went in and the shard count (accepted and ignored) address the same
+  key as a serial run: a record describes *what was measured*, never *how it
+  was scheduled*.  This is what makes a 2-job campaign store byte-identical
   records to a serial one, and why a re-executed run (``resume=False``,
   ``retry_failures=True``) overwrites rather than forks its cache entry.
   The one deliberate exception is a ``WorkerCrash`` record: which runs a

@@ -38,9 +38,9 @@ REGIMES = ("strong", "limited", "extra")
 class RunRequest:
     """One executable point of a campaign: algorithm x scenario x mode.
 
-    ``shards`` (the plane engine's worker-process count) is an execution
-    policy, not part of the run's identity: counters are byte-identical and
-    products ``allclose`` across shard counts, so it deliberately does not
+    ``shards`` is accepted and ignored (every product is computed in
+    process; it stays while the benchmark ledger passes it), so counters and
+    products are identical across shard counts and it deliberately does not
     participate in :attr:`key` -- a cached one-shard record answers a sharded
     request and vice versa.  The same holds for the campaign's worker count
     (see the contract in :mod:`repro.sweeps`).

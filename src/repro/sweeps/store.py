@@ -113,7 +113,7 @@ def run_key(
     :data:`KEY_VERSION`.  Python's randomized ``hash()`` is never involved,
     so keys are stable across processes and interpreter restarts (asserted
     by ``tests/test_sweeps_store.py``).  Execution policy never
-    participates: the campaign's worker count and the plane engine's shard
+    participates: the campaign's worker count and the (ignored) shard
     count address the same key (see the contract in :mod:`repro.sweeps`).
     """
     identity = {

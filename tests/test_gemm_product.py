@@ -2,8 +2,7 @@
 stripe at a time.
 
 Every engine returns a :class:`~repro.machine.transport.GemmProduct` in
-``plane`` mode (COSMA's shard pool excepted, which returns its dense copy),
-and the harness walks it in stripes of ``transport.STRIPE_ROWS`` rows,
+``plane`` mode, at any shard count, and the harness walks it in stripes of ``transport.STRIPE_ROWS`` rows,
 checking each against the same rows of ``A @ B``.  The stripes must be the
 dense product bit for bit, a defective box must fail verification wherever
 the stripe edges fall, and a verified run must hold no whole C.
@@ -130,6 +129,14 @@ def test_a_defective_box_fails_at_any_stripe_height(problem, keep):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(transport, "STRIPE_ROWS", height)
         assert not _verdict(a, b, boxes, keep)
+
+
+@pytest.mark.parametrize(("m", "n", "k", "p"), [(1, 3, 3, 8), (4, 3, 3, 47)])
+def test_idle_ranks_empty_domains_are_no_boxes(m, n, k, p):
+    """CARMA halves a side of 1 into 0 and 1 rows: that rank's empty domain
+    is no box, so dropping any box of the product is a defect."""
+    boxes = _product("CARMA", _scenario(m, n, k, p), np.ones((m, k)), np.ones((k, n))).boxes
+    assert (boxes[:, 1::2] > boxes[:, 0::2]).all()
 
 
 #: Boxes of a 10 x 6 x 5 product: the first covers rows 0-3, the other two

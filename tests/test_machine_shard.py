@@ -1,13 +1,16 @@
 """The shard pool's segment lifecycle: reuse, the one-run bound, no leaks.
 
-A sharded run casts its operands straight into shared-memory segments, so
-the parent holds no operand copy of its own; ``release`` parks them by tag
-and the next run's share of a tag of the same byte size reuses its segment,
-so a repeated sharded run creates no segment at all.  A share of another
-size unlinks the tag's old segment (and the workers unmap it) before the new
-one is filled, so no moment of a run holds more than one segment per tag,
-and nothing the pool created survives ``evict_pool`` or a SIGKILL-poisoned
-pool.
+No engine runs on the pool: every COSMA product is computed in process,
+whatever ``shards`` says.  The benchmark ledger's ``numeric_sharded``
+workload still spawns, feeds and times the pool directly, so its contracts
+are held here, driven as that workload drives it (``pool.share`` and
+``pool.run("gemm_rows", ...)``).  The pool casts a caller's operand straight
+into its shared-memory segment; ``release`` parks the segments by tag and the
+next share of a tag of the same byte size reuses its segment, so a repeated
+product creates no segment at all.  A share of another size unlinks the
+tag's old segment (and the workers unmap it) before the new one is filled,
+so no moment holds more than one segment per tag, and nothing the pool
+created survives ``evict_pool`` or a SIGKILL-poisoned pool.
 """
 
 import os
@@ -19,11 +22,10 @@ import numpy as np
 import pytest
 
 from repro.algorithms import get_algorithm
-from repro.core import cosma
-from repro.experiments.harness import run_algorithm
+from repro.machine import transport
 from repro.machine.shard import ShardPool, ShardWorkerError, evict_pool, get_pool
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import allclose_tolerances
+from repro.machine.transport import GemmProduct, allclose_tolerances, row_stripes
 from repro.workloads.scaling import limited_memory_sweep, strong_scaling_sweep
 from repro.workloads.shapes import square_shape
 
@@ -69,9 +71,23 @@ def _gemm_specs(rows: int) -> list[dict]:
     return [{"a": "a", "b": "b", "out": "out", "rows": edges} for edges in ([0, half], [half, rows])]
 
 
-def _run(scenario) -> None:
-    run = run_algorithm("COSMA", scenario, mode="plane", shards=SHARDS)
-    assert run.verified and run.correct
+def _pool_product(pool, scenario, specs=None) -> np.ndarray:
+    """``A @ B`` of ``scenario`` on ``pool``: both operands and a zeroed
+    output shared by tag, one row stripe per worker (or ``specs``), the
+    output copied out before ``release`` parks the segments."""
+    a, b = scenario.shape.random_matrices(seed=0)
+    pool.share("a", a)
+    pool.share("b", b)
+    out = pool.share_zeros("out", (a.shape[0], b.shape[1]), np.float64)
+    pool.run("gemm_rows", _gemm_specs(a.shape[0]) if specs is None else specs)
+    product = out.copy()
+    pool.release()
+    return product
+
+
+def _correct(product, scenario) -> bool:
+    a, b = scenario.shape.random_matrices(seed=0)
+    return np.allclose(product, a @ b, atol=1e-8 * scenario.shape.k)
 
 
 class TestSegmentReuse:
@@ -80,16 +96,17 @@ class TestSegmentReuse:
 
     @staticmethod
     def _run_bytes(scenario) -> int:
-        """Bytes of one sharded COSMA run's segments: A, B and the product."""
+        """Bytes of one pool product's segments: A, B and the product."""
         shape = scenario.shape
         return 8 * (shape.m * shape.k + shape.k * shape.n + shape.m * shape.n)
 
     def test_a_repeated_run_creates_no_segment(self, created):
         evict_pool(SHARDS)  # no segment parked by an earlier test
+        pool = get_pool(SHARDS)
         try:
-            _run(self.SMALL)
+            assert _correct(_pool_product(pool, self.SMALL), self.SMALL)
             first = len(created)
-            _run(self.SMALL)
+            assert _correct(_pool_product(pool, self.SMALL), self.SMALL)
             assert first == 3  # A, B and the product
             assert len(created) == first
         finally:
@@ -116,7 +133,7 @@ class TestSegmentReuse:
         pool._exchange = checked_exchange
         try:
             for scenario in [self.SMALL, self.LARGE] * 3:
-                _run(scenario)
+                assert _correct(_pool_product(pool, scenario), scenario)
                 assert sum(shm.size for shm in pool._parked.values()) == self._run_bytes(scenario)
                 assert sorted(_live(created)) == sorted(shm.name for shm in pool._parked.values())
         finally:
@@ -158,10 +175,7 @@ class TestSegmentReuse:
         b = rng.standard_normal((shape.n, shape.k)).T
         machine = DistributedMachine(scenario.p, memory_words=scenario.memory_words, mode="plane",
                                      shards=SHARDS)
-        try:
-            product = get_algorithm("COSMA").runner(a, b, scenario, machine)
-        finally:
-            evict_pool(SHARDS)
+        product = get_algorithm("COSMA").runner(a, b, scenario, machine)
         assert np.allclose(product, a @ b)
 
 
@@ -175,7 +189,8 @@ def _operand(kind: str, rng, rows: int, cols: int) -> np.ndarray:
 
 
 class TestOperandCast:
-    """The pool casts the caller's operands into their segments: no parent copy."""
+    """The pool casts the caller's operands into their segments; a
+    ``shards=2`` run casts once, in process, as every run does."""
 
     SMALL = limited_memory_sweep("square", [9], 2048)[0]
     KINDS = ("float64", "int64", "transposed")
@@ -224,46 +239,50 @@ class TestOperandCast:
             messages.append(str(raised.value))
         assert messages == ["inner dimensions do not match: (4, 3) x (5, 4)"] * 2
 
-    def test_a_float32_run_from_float64_allocates_only_its_product(self, rng):
-        """Under tracemalloc (segments are not traced), the parent allocates
-        the product's copy and no float32 operand copy (3.0 x with them)."""
+    def test_a_float32_run_from_float64_allocates_only_its_product(self, monkeypatch):
+        """Under tracemalloc, a warm float32 run from float64 inputs at
+        ``shards=2``, walked in row stripes as a verified run walks it,
+        allocates its two float32 operand casts and one stripe: no dense C."""
+        monkeypatch.setattr(transport, "STRIPE_ROWS", 64)
         scenario = strong_scaling_sweep(square_shape(512), [16])[0]
         a, b = scenario.shape.random_matrices(seed=0)
 
         def run():
             machine = DistributedMachine(scenario.p, memory_words=scenario.memory_words,
                                          mode="plane", shards=SHARDS, plane_dtype="float32")
-            return get_algorithm("COSMA").runner(a, b, scenario, machine)
+            product = get_algorithm("COSMA").runner(a, b, scenario, machine)
+            for _ in row_stripes(product):
+                pass
+            return product
 
+        run()  # memoize the plan outside the trace
+        tracemalloc.start()
         try:
-            run()  # spawn the pool and memoize the plan outside the trace
-            tracemalloc.start()
-            try:
-                product = run()
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            product = run()
+            _, peak = tracemalloc.get_traced_memory()
         finally:
-            evict_pool(SHARDS)
-        assert product.dtype == np.float32
-        assert peak <= 1.1 * product.nbytes
+            tracemalloc.stop()
+        assert isinstance(product, GemmProduct) and product.dtype == np.float32
+        casts = a.astype(np.float32).nbytes + b.astype(np.float32).nbytes
+        stripe = 64 * scenario.shape.n * 4
+        dense = scenario.shape.m * scenario.shape.n * 4
+        assert casts + stripe <= peak <= 1.05 * (casts + stripe) < casts + dense
 
-    def test_an_uncovered_stripe_fails_on_a_reused_segment(self, monkeypatch, created):
-        """The reused output segment is zero-filled: the previous run's
-        identical product must not cover for a stripe no worker wrote."""
+    def test_an_uncovered_stripe_fails_on_a_reused_segment(self, created):
+        """The reused output segment is zero-filled: the previous product
+        must not cover for a stripe no worker wrote."""
+        scenario = self.SMALL
+        m = scenario.shape.m
         evict_pool(SHARDS)
+        pool = get_pool(SHARDS)
         try:
-            _run(self.SMALL)  # parks an output segment holding the right product
-            split = cosma.split_offsets
-
-            def skip_last_stripe(extent, parts):
-                stripes = split(extent, parts)
-                return stripes[:-1] + [(stripes[-1][0], stripes[-1][0])]
-
-            monkeypatch.setattr(cosma, "split_offsets", skip_last_stripe)
-            run = run_algorithm("COSMA", self.SMALL, mode="plane", shards=SHARDS)
-            assert len(created) == 3  # the second run reused every segment
-            assert run.verified and not run.correct
+            assert _correct(_pool_product(pool, scenario), scenario)  # parks the right product
+            first_stripe_only = [{**spec, "rows": [spec["rows"][0]] * 2} if index else spec
+                                 for index, spec in enumerate(_gemm_specs(m))]
+            product = _pool_product(pool, scenario, first_stripe_only)
+            assert len(created) == 3  # the second product reused every segment
+            assert not product[m // 2:].any()
+            assert not _correct(product, scenario)
         finally:
             evict_pool(SHARDS)
 

@@ -57,12 +57,6 @@ class TestTransports:
         assert delivered.shape == (3, 4)
         assert machine.counters.data[WORDS_SENT, 0] == 12
 
-    def test_machine_zeros_matches_mode(self):
-        assert isinstance(DistributedMachine(1, mode="plane").zeros((2, 2)), np.ndarray)
-        assert DistributedMachine(1, mode="plane", plane_dtype="float32").zeros((2, 2)).dtype \
-            == np.float32
-        assert isinstance(DistributedMachine(1, mode="volume").zeros((2, 2)), ShapeToken)
-
     def test_volume_local_add(self):
         machine = HopMachine(1)
         target = ShapeToken((3,))

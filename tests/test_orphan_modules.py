@@ -21,6 +21,9 @@ KEPT = {
                            "tests/test_core_cost_tradeoff_buffers_overlap.py"),
     "machine/tree.py": ("section 7.2's broadcast trees; the broadcast-tree ablation bench",
                         "tests/test_machine_tree.py"),
+    "machine/shard.py": ("none: the shard pool no engine uses, timed by the benchmark ledger's "
+                         "numeric_sharded workload until its re-baseline",
+                         "tests/test_machine_shard.py"),
 }
 
 

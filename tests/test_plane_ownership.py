@@ -24,7 +24,6 @@ from repro.core.cosma import _held_k_runs, cosma_run
 from repro.core.decomposition import build_decomposition
 from repro.core.grid import ProcessorGrid
 from repro.experiments.harness import run_algorithm
-from repro.machine.shard import available_shards
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import ShapeToken, allclose_tolerances, as_operands
 from repro.obs import tracing
@@ -79,27 +78,19 @@ def test_the_scenario_verifies_as_decomposed(name):
     ("COSMA", 1), ("COSMA", 2), ("ScaLAPACK", 1), ("CTF", 1), ("Cannon", 1),
 ])
 def test_a_row_or_column_no_block_covers_fails_verification(monkeypatch, name, shards, field):
-    """The coverage gap: COSMA's own run catches it too, in process and on
-    the shard pool."""
+    """The coverage gap: COSMA's own run catches it too, at any shard count."""
     _with_decomposition(monkeypatch, _drop_last(field))
     run = run_algorithm(name, SCENARIO, mode="plane", shards=shards)
     assert run.verified and not run.correct
 
 
-#: The shard pool is only used when two workers can run; otherwise a
-#: ``shards=2`` run is an in-process run and proves nothing about the pool.
-SHARDED = pytest.mark.skipif(available_shards(2)[0] < 2,
-                             reason=f"no two-worker shard pool here: {available_shards(2)[1]}")
-
-
 @pytest.mark.parametrize("field", ["a_bounds", "b_bounds"])
 @pytest.mark.parametrize(("name", "shards"), [
     *(pytest.param(name, 1, id=name) for name in ("COSMA", "ScaLAPACK", "CTF", "Cannon")),
-    pytest.param("COSMA", 2, marks=SHARDED, id="COSMA-shards2"),
+    pytest.param("COSMA", 2, id="COSMA-shards2"),
 ])
 def test_a_dropped_ownership_slice_fails_verification(monkeypatch, name, shards, field):
-    """COSMA's sharded run multiplies only the k-ranges the owners hold, as
-    its in-process run does."""
+    """COSMA multiplies only the k-ranges the owners hold, at any shard count."""
     _with_decomposition(monkeypatch, _drop_last_slice(field))
     run = run_algorithm(name, SCENARIO, mode="plane", shards=shards)
     assert run.verified and not run.correct
