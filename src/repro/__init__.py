@@ -9,8 +9,8 @@ It provides:
 
 * :mod:`repro.pebbling` -- the red-blue pebble game, the MMM CDAG, the
   Listing 1 schedule with its exact I/O, and Theorems 1-2.
-* :mod:`repro.machine` -- a two-level memory hierarchy simulator and a
-  distributed machine simulator with exact communication-volume accounting.
+* :mod:`repro.machine` -- a distributed machine simulator with exact
+  communication-volume accounting.
 * :mod:`repro.layouts` -- input layouts as ownership tables (section 7.6):
   ScaLAPACK's block-cyclic layout and the words a conversion between two
   layouts moves, counted in O(segments) at paper scale.
@@ -19,8 +19,8 @@ It provides:
   executor.
 * :mod:`repro.baselines` -- Cannon, SUMMA (2D), 2.5D/3D, and CARMA-style
   recursive decompositions implemented on the same simulator.
-* :mod:`repro.sequential` -- sequential MMM kernels executed against the
-  memory-hierarchy simulator.
+* :mod:`repro.sequential` -- sequential MMM kernels with counted slow-memory
+  traffic (the Theorem 1 experiments).
 * :mod:`repro.workloads` -- matrix-shape and scaling-scenario generators used
   in the paper's evaluation (section 8).
 * :mod:`repro.experiments` -- the benchmark harness, performance model and
@@ -35,7 +35,7 @@ Quick start
 >>> from repro import multiply
 >>> import numpy as np
 >>> A = np.random.rand(64, 48); B = np.random.rand(48, 80)
->>> result = multiply(A, B, processors=8, memory_words=512)
+>>> result = multiply(A, B, processors=8, memory_words=2048)
 >>> bool(np.allclose(result.matrix, A @ B))
 True
 """

@@ -1,31 +1,20 @@
 """High-level public API, built on the algorithm registry.
 
 Most users only need :func:`multiply` (run any registered algorithm on a
-simulated distributed machine and get a unified :class:`RunReport`),
-:func:`plan` (the planning layer: fitted grid, predicted volume and
-feasibility *without* executing anything) and the lower-bound helpers.  Everything else is available through the subpackages
-documented in the README's architecture overview.
-
-Backward compatibility: every pre-registry result field (``matrix``, ``grid``,
-``processors_used``, ``mean_words_per_rank``, ``mean_received_per_rank``,
-``total_communicated_words``, ``rounds``, ``lower_bound_per_rank``,
-``optimality_ratio``) is still there; ``multiply``'s positional argument
-order is unchanged, the registry arguments are keyword-only.  One behaviour
-change: with ``max_idle_fraction=None`` (the new default) COSMA uses the
-shared :func:`repro.algorithms.cosma_idle_fraction` heuristic instead of a
-flat 3%, matching what the benchmark harness has always done.
+simulated distributed machine and get a :class:`RunReport`, the same result
+type as :func:`repro.experiments.harness.run_algorithm` and a campaign's
+stored runs), :func:`plan` (the planning layer: fitted grid, predicted volume
+and feasibility *without* executing anything) and the lower-bound helpers.
+Everything else is available through the subpackages documented in the
+README's architecture overview.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.algorithms import (
-    CostPrediction, Plan, cosma_idle_fraction, get_algorithm, registered_algorithms,
-)
-from repro.experiments.harness import _execute
+from repro.algorithms import Plan, cosma_idle_fraction, get_algorithm, registered_algorithms
+from repro.experiments.harness import RunReport, _execute
 from repro.machine.transport import ShapeToken
 from repro.pebbling.mmm_bounds import parallel_io_lower_bound, sequential_io_lower_bound
 from repro.utils.validation import check_positive_int
@@ -41,61 +30,6 @@ __all__ = [
     "lower_bound_sequential",
     "lower_bound_parallel",
 ]
-
-
-@dataclass
-class RunReport:
-    """Unified result of one algorithm execution: plan + counters + bounds.
-
-    Returned by :func:`multiply` (and printed by ``repro multiply``).  The
-    benchmark harness and the sweep engine's per-run records use the leaner
-    :class:`~repro.experiments.harness.AlgorithmRun`, which carries counters
-    only; both are filled from the same run path.
-    """
-
-    #: Canonical registry name of the algorithm that ran.
-    algorithm: str
-    #: The numerical product, or ``None`` in ``volume`` mode (shape-token
-    #: payloads carry no data).
-    matrix: np.ndarray | None
-    #: Processor grid the plan fitted (arity is algorithm-specific, e.g.
-    #: ``(pm, pn, pk)`` for COSMA).
-    grid: tuple[int, ...]
-    #: Number of processors the fitted grid actually uses.
-    processors_used: int
-    #: Average words moved (sent + received) per rank.
-    mean_words_per_rank: float
-    #: Average words received per rank, over all ``p`` (for the grid family
-    #: exactly ``plan.predicted_words_per_rank``).
-    mean_received_per_rank: float
-    #: Total words transferred across the whole machine.
-    total_communicated_words: int
-    #: Communication rounds on the busiest rank, as the run counted them;
-    #: ``plan.rounds`` predicts the same count before the run.
-    rounds: int
-    #: Theorem 2 lower bound for this problem (per-processor words).
-    lower_bound_per_rank: float
-    #: The pre-execution plan (fitted grid, predicted words, feasibility).
-    plan: Plan
-    #: Transport mode the run used (``plane`` / ``volume``).
-    mode: str = "plane"
-    #: Whether the numerical result was checked against ``A @ B``.
-    verified: bool = True
-    #: Outcome of that check (``True`` whenever verification was skipped).
-    correct: bool = True
-    #: Maximum words moved through any rank (critical path).
-    max_words_per_rank: int = 0
-    total_flops: int = 0
-    #: The analytic prediction (Table 3 I/O, planned rounds), when the
-    #: algorithm has an I/O formula.
-    cost: CostPrediction | None = None
-
-    @property
-    def optimality_ratio(self) -> float:
-        """The busiest domain's I/O divided by the Theorem 2 bound: the plan's
-        :attr:`~repro.algorithms.Plan.optimality_ratio`, whose docstring
-        states the claim the tests check."""
-        return self.plan.optimality_ratio
 
 
 def _api_scenario(m: int, n: int, k: int, processors: int, memory_words: int) -> Scenario:
@@ -170,8 +104,11 @@ def multiply(
         tolerances appropriate for the dtype; counters are unchanged
         (words are elements, not bytes).
 
-    Raises :class:`~repro.algorithms.InfeasiblePlan` (with the plan's
-    ``reason``) for a point the algorithm's own plan calls infeasible.
+    Returns the run's :class:`RunReport`; unlike a
+    :func:`~repro.experiments.harness.run_algorithm` run, its ``matrix`` is
+    the product (``None`` in ``volume`` mode).  Raises
+    :class:`~repro.algorithms.InfeasiblePlan` (with the plan's ``reason``)
+    for a point the algorithm's own plan calls infeasible.
 
     Examples
     --------
@@ -199,27 +136,9 @@ def multiply(
         raise ValueError(f"inner dimensions do not match: {(m, k)} x {(k2, n)}")
     scenario = _api_scenario(m, n, k, processors, memory_words)
     run_plan = spec.feasible_plan(scenario, **options)
-    product, counters, mode, verified, correct = _execute(
-        spec, scenario, a_matrix, b_matrix, mode=mode, span="multiply", verify=True, keep=True,
-        options=options, shards=shards, plane_dtype=plane_dtype,
-    )
-    return RunReport(
-        algorithm=spec.name,
-        matrix=None if mode == "volume" else product,
-        grid=run_plan.grid if run_plan.grid is not None else (processors,),
-        processors_used=run_plan.processors_used or processors,
-        mean_words_per_rank=counters.mean_words_per_rank(),
-        mean_received_per_rank=counters.mean_received_per_rank(),
-        total_communicated_words=counters.total_words_sent,
-        rounds=counters.max_rounds(),
-        lower_bound_per_rank=run_plan.lower_bound_per_rank,
-        plan=run_plan,
-        mode=mode,
-        verified=verified,
-        correct=correct,
-        max_words_per_rank=counters.max_words_per_rank(),
-        total_flops=counters.total_flops,
-        cost=spec.cost(scenario),
+    return _execute(
+        spec, scenario, run_plan, a_matrix, b_matrix, mode=mode, span="multiply", verify=True,
+        keep=True, options=options, shards=shards, plane_dtype=plane_dtype,
     )
 
 

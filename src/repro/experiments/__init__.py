@@ -4,7 +4,11 @@ These modules regenerate every evaluation artifact of the paper:
 
 * :mod:`repro.experiments.harness` runs any implemented algorithm on any
   :class:`~repro.workloads.scaling.Scenario` and records the measured
-  communication counters (the mpiP substitute).
+  communication counters (the mpiP substitute) in a
+  :class:`~repro.experiments.harness.RunReport`.  :func:`repro.api.multiply`,
+  :func:`run_algorithm` and :meth:`repro.sweeps.CampaignResult.runs` all
+  return this one type; only ``multiply``'s carries the product
+  (``matrix``).
 * :mod:`repro.experiments.perf_model` converts the counters into simulated
   runtimes and %-of-peak figures with an alpha-beta-gamma model, with and
   without communication-computation overlap.
@@ -12,12 +16,12 @@ These modules regenerate every evaluation artifact of the paper:
   (Table 4, Figures 6-14) as plain-text tables/series.
 """
 
-from repro.experiments.harness import AlgorithmRun, run_algorithm, run_scenario
+from repro.experiments.harness import RunReport, run_algorithm, run_scenario
 from repro.experiments.perf_model import percent_of_peak, simulated_time
 from repro.experiments.report import format_table, geometric_mean
 
 __all__ = [
-    "AlgorithmRun",
+    "RunReport",
     "run_algorithm",
     "run_scenario",
     "simulated_time",

@@ -4,8 +4,9 @@ The harness plays the role of the paper's job scripts + mpiP profiling: it
 builds a fresh :class:`~repro.machine.simulator.DistributedMachine` for every
 (algorithm, scenario) pair, generates the input matrices, runs the algorithm,
 verifies the numerical result against ``A @ B`` and records the communication
-counters.  Every run additionally asserts word conservation (every word sent
-was received by exactly one rank).
+counters in a :class:`RunReport`, the one run result of the package.  Every
+run additionally asserts word conservation (every word sent was received by
+exactly one rank).
 
 Verification walks the product in row stripes
 (:func:`~repro.machine.transport.row_stripes`): each stripe is computed from
@@ -26,13 +27,12 @@ from __future__ import annotations
 import traceback
 from collections import OrderedDict
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from repro.algorithms import DEFAULT_ALGORITHMS, AlgorithmSpec, get_algorithm
-from repro.machine.counters import CommCounters
+from repro.algorithms import DEFAULT_ALGORITHMS, AlgorithmSpec, CostPrediction, Plan, get_algorithm
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import (
     MODES, GemmProduct, ShapeToken, allclose_tolerances, row_stripes,
@@ -121,17 +121,36 @@ def _allclose(product: np.ndarray, expected: np.ndarray, rtol: float, atol: floa
 
 
 @dataclass
-class AlgorithmRun:
-    """Metrics of one algorithm execution on one scenario."""
+class RunReport:
+    """One algorithm execution on one scenario: what :func:`run_algorithm`,
+    :func:`repro.api.multiply` and
+    :meth:`repro.sweeps.CampaignResult.runs` all return.
 
+    The stored fields are the ones up to ``max_messages_per_rank``: a store
+    record holds ``algorithm``, ``scenario`` and ``mode`` at its top level
+    and every other stored field under ``metrics``.  ``plan`` and
+    ``matrix`` are not stored and take no part in equality, so a run
+    rebuilt from its record equals the run.  ``grid``,
+    ``processors_used``, ``lower_bound_per_rank`` and ``optimality_ratio``
+    are read off the plan, ``cost`` off the registry; a rebuilt run plans
+    on first use.
+    """
+
+    #: Canonical registry name of the algorithm that ran.
     algorithm: str
     scenario: Scenario
+    #: Transport mode the run used (``plane`` / ``volume``).
+    mode: str
     #: Whether the result matched ``A @ B`` -- True when verification was
     #: skipped (see ``verified``).
     correct: bool
+    #: Whether the numerical result was actually checked against ``A @ B``.
+    verified: bool
     #: Average words moved (sent + received) per rank -- Table 4's metric.
     mean_words_per_rank: float
-    #: Average words *received* per rank -- the quantity the I/O theory bounds.
+    #: Average words *received* per rank, over all ``p`` -- the quantity the
+    #: I/O theory bounds (for the grid family exactly
+    #: ``plan.predicted_words_per_rank``).
     mean_received_per_rank: float
     #: Maximum words moved through any rank (critical path).
     max_words_per_rank: int
@@ -140,25 +159,67 @@ class AlgorithmRun:
     #: Maximum flops executed by any rank.
     max_flops_per_rank: int
     total_flops: int
-    #: Maximum number of communication rounds on any rank (latency proxy).
+    #: Communication rounds on the busiest rank (latency proxy), as the run
+    #: counted them; ``plan.rounds`` predicts the same count before the run.
     rounds: int
     #: Mean words attributable to the input matrices / the output matrix.
     input_words_per_rank: float
     output_words_per_rank: float
     #: Number of messages on the busiest rank.
     max_messages_per_rank: int
-    #: Execution mode the run used (``plane`` / ``volume``).
-    mode: str = "plane"
-    #: Whether the numerical result was actually checked against ``A @ B``.
-    verified: bool = True
+    _plan: Plan | None = field(default=None, compare=False, repr=False)
+    #: The product, which only :func:`repro.api.multiply` keeps (``None`` in
+    #: ``volume`` mode, where payloads carry no data).
+    matrix: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
-    def mean_megabytes_per_rank(self) -> float:
-        return self.mean_words_per_rank * 8.0 / 1e6
+    def plan(self) -> Plan:
+        """The pre-execution plan (fitted grid, predicted words, feasibility)."""
+        if self._plan is None:
+            self._plan = get_algorithm(self.algorithm).plan(self.scenario)
+        return self._plan
 
     @property
     def p(self) -> int:
         return self.scenario.p
+
+    @property
+    def grid(self) -> tuple[int, ...]:
+        """Processor grid the plan fitted (arity is algorithm-specific, e.g.
+        ``(pm, pn, pk)`` for COSMA)."""
+        return self.plan.grid if self.plan.grid is not None else (self.p,)
+
+    @property
+    def processors_used(self) -> int:
+        return self.plan.processors_used or self.p
+
+    @property
+    def lower_bound_per_rank(self) -> float:
+        """Theorem 2 lower bound for this problem (per-processor words)."""
+        return self.plan.lower_bound_per_rank
+
+    @property
+    def optimality_ratio(self) -> float:
+        """The busiest domain's I/O divided by the Theorem 2 bound: the plan's
+        :attr:`~repro.algorithms.Plan.optimality_ratio`, whose docstring
+        states the claim the tests check."""
+        return self.plan.optimality_ratio
+
+    @property
+    def cost(self) -> CostPrediction | None:
+        """The analytic prediction (Table 3 I/O, planned rounds), when the
+        algorithm has an I/O formula."""
+        return get_algorithm(self.algorithm).cost(self.scenario)
+
+    @property
+    def total_communicated_words(self) -> int:
+        """Words sent across the whole machine: every run asserts that each
+        was received exactly once, so this is half the words moved."""
+        return round(self.mean_words_per_rank * self.p / 2)
+
+    @property
+    def mean_megabytes_per_rank(self) -> float:
+        return self.mean_words_per_rank * 8.0 / 1e6
 
 
 @dataclass
@@ -190,6 +251,7 @@ class RunFailure:
 def _execute(
     spec: AlgorithmSpec,
     scenario: Scenario,
+    run_plan: Plan | None,
     a_matrix,
     b_matrix,
     *,
@@ -201,20 +263,20 @@ def _execute(
     options: Mapping | None = None,
     shards: int,
     plane_dtype: str,
-) -> tuple[np.ndarray | GemmProduct | ShapeToken, CommCounters, str, bool, bool]:
-    """Run ``spec`` on a fresh machine: the one path behind :func:`run_algorithm`
-    and :func:`repro.api.multiply`.
+) -> RunReport:
+    """Run ``spec`` on a fresh machine and report it: the one path behind
+    :func:`run_algorithm` and :func:`repro.api.multiply`.
 
     Validates ``mode``, builds the machine from the three execution-policy
     arguments, executes under a ``<span>:<algorithm>`` run span, asserts
     word conservation and -- for numeric modes, when ``verify`` -- checks
     the product stripe by stripe against ``reference(r0, r1)``, rows
     ``r0:r1`` of ``A @ B`` (default ``A[r0:r1] @ B``), at the dtype's
-    tolerances (:func:`_checked`).  With ``keep`` the product comes back as
-    a dense array; without, it is not held.  In ``"volume"`` mode the inputs
-    are replaced by shape tokens; in ``"plane"`` mode a token input is an
-    error.  Returns ``(product, counters, mode, verified, correct)``,
-    ``mode`` being the one the run used.
+    tolerances (:func:`_checked`).  With ``keep`` the report's ``matrix``
+    is the dense product; without, no product is held.  In ``"volume"`` mode
+    the inputs are replaced by shape tokens; in ``"plane"`` mode a token
+    input is an error.  The report carries ``run_plan`` (``None``: planned
+    on first use) and the mode the run used.
     """
     if mode in ("legacy", "zerocopy"):
         # The retired per-hop transports.  The frozen ledger still passes
@@ -261,7 +323,26 @@ def _execute(
             def reference(r0, r1):
                 return a_matrix[r0:r1] @ b_matrix
         product, correct = _checked(product, reference, shape, verify=verified, keep=keep)
-    return product, machine.counters, mode, verified, correct
+    counters = machine.counters
+    return RunReport(
+        algorithm=spec.name,
+        scenario=scenario,
+        mode=mode,
+        correct=correct,
+        verified=verified,
+        mean_words_per_rank=counters.mean_words_per_rank(),
+        mean_received_per_rank=counters.mean_received_per_rank(),
+        max_words_per_rank=counters.max_words_per_rank(),
+        max_received_per_rank=counters.max_received_per_rank(),
+        max_flops_per_rank=counters.max_flops_per_rank(),
+        total_flops=counters.total_flops,
+        rounds=counters.max_rounds(),
+        input_words_per_rank=counters.mean_input_words_per_rank(),
+        output_words_per_rank=counters.mean_output_words_per_rank(),
+        max_messages_per_rank=counters.max_messages_per_rank(),
+        _plan=run_plan,
+        matrix=product if keep and mode != "volume" else None,
+    )
 
 
 def _checked(product, reference: Callable[[int, int], np.ndarray], shape: ProblemShape, *,
@@ -307,8 +388,9 @@ def run_algorithm(
     compress_rounds: bool = False,
     shards: int = 1,
     plane_dtype: str = "float64",
-) -> AlgorithmRun:
-    """Run one algorithm on one scenario and collect its metrics.
+) -> RunReport:
+    """Run one algorithm on one scenario and return its :class:`RunReport`,
+    which keeps no product.
 
     ``name`` may be any registered algorithm name or alias
     (:mod:`repro.algorithms`); the returned run carries the canonical name.
@@ -325,33 +407,16 @@ def run_algorithm(
     (:meth:`~repro.machine.counters.CommCounters.assert_conservation`).
     """
     spec = get_algorithm(name)
-    spec.feasible_plan(scenario)
+    run_plan = spec.feasible_plan(scenario)
     shape = scenario.shape
     inputs = (None, None) if mode == "volume" else shape.random_matrices(seed=seed)
     reference = None  # a reference too large to cache: A[r0:r1] @ B per stripe
     if shape.m * shape.n <= _REFERENCE_CACHE_MAX_WORDS:
         def reference(r0, r1):
             return _reference_product(shape, seed)[r0:r1]
-    _, counters, mode, verified, correct = _execute(
-        spec, scenario, *inputs, mode=mode, span="run", verify=verify,
+    return _execute(
+        spec, scenario, run_plan, *inputs, mode=mode, span="run", verify=verify,
         reference=reference, shards=shards, plane_dtype=plane_dtype,
-    )
-    return AlgorithmRun(
-        algorithm=spec.name,
-        scenario=scenario,
-        correct=correct,
-        mode=mode,
-        verified=verified,
-        mean_words_per_rank=counters.mean_words_per_rank(),
-        mean_received_per_rank=counters.mean_received_per_rank(),
-        max_words_per_rank=counters.max_words_per_rank(),
-        max_received_per_rank=counters.max_received_per_rank(),
-        max_flops_per_rank=counters.max_flops_per_rank(),
-        total_flops=counters.total_flops,
-        rounds=counters.max_rounds(),
-        input_words_per_rank=counters.mean_input_words_per_rank(),
-        output_words_per_rank=counters.mean_output_words_per_rank(),
-        max_messages_per_rank=counters.max_messages_per_rank(),
     )
 
 
@@ -363,7 +428,7 @@ def run_algorithm_safe(
     mode: str = "plane",
     shards: int = 1,
     plane_dtype: str = "float64",
-) -> AlgorithmRun | RunFailure:
+) -> RunReport | RunFailure:
     """Like :func:`run_algorithm` but captures failures as :class:`RunFailure`.
 
     Unknown algorithm names and unknown modes still raise (those are caller
@@ -402,7 +467,7 @@ def run_scenario(
     seed: int = 0,
     verify: bool = True,
     mode: str = "plane",
-) -> dict[str, AlgorithmRun]:
+) -> dict[str, RunReport]:
     """Run several algorithms on the same scenario (same input matrices)."""
     return {
         name: run_algorithm(name, scenario, seed=seed, verify=verify, mode=mode)
@@ -410,9 +475,9 @@ def run_scenario(
     }
 
 
-def group_by_scenario(runs: Iterable[AlgorithmRun]) -> Mapping[str, dict[str, AlgorithmRun]]:
+def group_by_scenario(runs: Iterable[RunReport]) -> Mapping[str, dict[str, RunReport]]:
     """Group a flat list of runs into ``{scenario name: {algorithm: run}}``."""
-    grouped: dict[str, dict[str, AlgorithmRun]] = {}
+    grouped: dict[str, dict[str, RunReport]] = {}
     for run in runs:
         grouped.setdefault(run.scenario.name, {})[run.algorithm] = run
     return grouped

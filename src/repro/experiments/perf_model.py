@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from repro.algorithms import CostPrediction, get_algorithm
 from repro.core.overlap import even_rounds
-from repro.experiments.harness import AlgorithmRun
+from repro.experiments.harness import RunReport
 from repro.machine.topology import PIZ_DAINT_LIKE, MachineSpec
 from repro.workloads.scaling import Scenario
 
@@ -47,7 +47,7 @@ class TimeBreakdown:
         return self.communication / self.total_no_overlap
 
 
-def time_breakdown(run: AlgorithmRun, spec: MachineSpec = PIZ_DAINT_LIKE) -> TimeBreakdown:
+def time_breakdown(run: RunReport, spec: MachineSpec = PIZ_DAINT_LIKE) -> TimeBreakdown:
     """Split a run's simulated time into compute / input comm / output comm."""
     comp = spec.compute_time(run.max_flops_per_rank)
     words = float(run.max_words_per_rank) / 2.0  # sent+received double-counts volume
@@ -72,7 +72,7 @@ def time_breakdown(run: AlgorithmRun, spec: MachineSpec = PIZ_DAINT_LIKE) -> Tim
 
 
 def simulated_time(
-    run: AlgorithmRun,
+    run: RunReport,
     spec: MachineSpec = PIZ_DAINT_LIKE,
     overlap: bool = False,
 ) -> float:
@@ -82,7 +82,7 @@ def simulated_time(
 
 
 def percent_of_peak(
-    run: AlgorithmRun,
+    run: RunReport,
     spec: MachineSpec = PIZ_DAINT_LIKE,
     overlap: bool = True,
 ) -> float:
@@ -100,7 +100,7 @@ def percent_of_peak(
     return 100.0 * shape.flops / peak
 
 
-def speedup(run: AlgorithmRun, baseline: AlgorithmRun, spec: MachineSpec = PIZ_DAINT_LIKE) -> float:
+def speedup(run: RunReport, baseline: RunReport, spec: MachineSpec = PIZ_DAINT_LIKE) -> float:
     """Runtime ratio baseline / run (values > 1 mean ``run`` is faster)."""
     return simulated_time(baseline, spec, overlap=True) / simulated_time(run, spec, overlap=True)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping, Sequence
 
-from repro.experiments.harness import AlgorithmRun, group_by_scenario
+from repro.experiments.harness import RunReport, group_by_scenario
 from repro.experiments.perf_model import percent_of_peak, simulated_time
 from repro.machine.topology import PIZ_DAINT_LIKE, MachineSpec
 
@@ -53,7 +53,7 @@ def _fmt(cell: object) -> str:
 # ---------------------------------------------------------------------------
 # Figures 6 / 7: communication volume per core vs core count
 # ---------------------------------------------------------------------------
-def volume_series(runs: Iterable[AlgorithmRun]) -> dict[str, list[tuple[int, float]]]:
+def volume_series(runs: Iterable[RunReport]) -> dict[str, list[tuple[int, float]]]:
     """Per-algorithm series of (p, MB communicated per core)."""
     series: dict[str, list[tuple[int, float]]] = {}
     for run in runs:
@@ -63,7 +63,7 @@ def volume_series(runs: Iterable[AlgorithmRun]) -> dict[str, list[tuple[int, flo
     return series
 
 
-def volume_table(runs: Iterable[AlgorithmRun]) -> str:
+def volume_table(runs: Iterable[RunReport]) -> str:
     """Text table of MB/core per algorithm per core count (one Figure 6/7 panel)."""
     grouped = group_by_scenario(runs)
     algorithms = sorted({run.algorithm for run in runs})
@@ -84,7 +84,7 @@ def volume_table(runs: Iterable[AlgorithmRun]) -> str:
 # Figures 8-11, 13-14: % of peak and runtime
 # ---------------------------------------------------------------------------
 def performance_series(
-    runs: Iterable[AlgorithmRun],
+    runs: Iterable[RunReport],
     spec: MachineSpec = PIZ_DAINT_LIKE,
     overlap: bool = True,
 ) -> dict[str, list[tuple[int, float]]]:
@@ -100,7 +100,7 @@ def performance_series(
 
 
 def runtime_series(
-    runs: Iterable[AlgorithmRun],
+    runs: Iterable[RunReport],
     spec: MachineSpec = PIZ_DAINT_LIKE,
     overlap: bool = True,
 ) -> dict[str, list[tuple[int, float]]]:
@@ -116,7 +116,7 @@ def runtime_series(
 
 
 def performance_distribution(
-    runs: Iterable[AlgorithmRun],
+    runs: Iterable[RunReport],
     spec: MachineSpec = PIZ_DAINT_LIKE,
 ) -> dict[str, dict[str, float]]:
     """Min / geometric mean / max % of peak per algorithm (Figures 13-14, Figure 1)."""
@@ -137,7 +137,7 @@ def performance_distribution(
 # Table 4: mean communication volume per rank and COSMA speedups
 # ---------------------------------------------------------------------------
 def table4_rows(
-    runs_by_benchmark: Mapping[str, list[AlgorithmRun]],
+    runs_by_benchmark: Mapping[str, list[RunReport]],
     spec: MachineSpec = PIZ_DAINT_LIKE,
 ) -> list[dict[str, object]]:
     """Build Table 4: one row per (shape family, regime) benchmark.
@@ -147,7 +147,7 @@ def table4_rows(
     """
     rows: list[dict[str, object]] = []
     for label, runs in runs_by_benchmark.items():
-        by_algo: dict[str, list[AlgorithmRun]] = {}
+        by_algo: dict[str, list[RunReport]] = {}
         for run in runs:
             by_algo.setdefault(run.algorithm, []).append(run)
         volumes = {
@@ -165,7 +165,7 @@ def table4_rows(
     return rows
 
 
-def _cosma_speedups(runs: list[AlgorithmRun], spec: MachineSpec) -> list[float]:
+def _cosma_speedups(runs: list[RunReport], spec: MachineSpec) -> list[float]:
     """COSMA's speedup over the second-best algorithm, per core count."""
     grouped = group_by_scenario(runs)
     speedups: list[float] = []
@@ -185,7 +185,7 @@ def _cosma_speedups(runs: list[AlgorithmRun], spec: MachineSpec) -> list[float]:
 
 
 def table4_text(
-    runs_by_benchmark: Mapping[str, list[AlgorithmRun]],
+    runs_by_benchmark: Mapping[str, list[RunReport]],
     spec: MachineSpec = PIZ_DAINT_LIKE,
 ) -> str:
     rows = table4_rows(runs_by_benchmark, spec)
@@ -201,7 +201,7 @@ def table4_text(
 # Figure 12: communication / computation breakdown
 # ---------------------------------------------------------------------------
 def breakdown_rows(
-    runs: Iterable[AlgorithmRun],
+    runs: Iterable[RunReport],
     spec: MachineSpec = PIZ_DAINT_LIKE,
 ) -> list[dict[str, object]]:
     from repro.experiments.perf_model import time_breakdown

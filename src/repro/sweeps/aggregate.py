@@ -11,8 +11,8 @@ drop points.
 Rows contain only values that are pure functions of the run parameters (no
 timestamps, no durations), which is what makes serial and parallel campaigns
 aggregate byte-identically -- asserted by ``tests/test_sweeps_runner.py``.
-The successful rows are also convertible back into
-:class:`~repro.experiments.harness.AlgorithmRun` lists for the existing
+The successful records also rebuild into
+:class:`~repro.experiments.harness.RunReport` lists for the existing
 figure machinery (:mod:`repro.experiments.report`).
 """
 
@@ -22,11 +22,11 @@ import json
 from typing import Iterable, Mapping, Sequence
 
 from repro.algorithms import get_algorithm
-from repro.experiments.harness import AlgorithmRun
+from repro.experiments.harness import RunReport
 from repro.experiments.perf_model import analytic_time, percent_of_peak, simulated_time
 from repro.experiments.report import format_table
 from repro.machine.topology import PIZ_DAINT_LIKE, MachineSpec
-from repro.sweeps.store import record_to_run, scenario_from_dict
+from repro.sweeps.store import _METRIC_FIELDS, record_to_run, scenario_from_dict
 
 #: Column order of a tidy row (kept explicit so tables render stably).
 TIDY_COLUMNS = (
@@ -57,6 +57,8 @@ TIDY_COLUMNS = (
     "error_type",
     "error_message",
 )
+#: The columns an ``"ok"`` row copies by name from the run its record rebuilds.
+_RUN_COLUMNS = tuple(column for column in TIDY_COLUMNS if column in _METRIC_FIELDS)
 
 
 def tidy_rows(
@@ -94,13 +96,7 @@ def tidy_rows(
             row["analytic_time_s"] = analytic_time(prediction, spec=spec)
         if row["status"] == "ok":
             run = record_to_run(record)
-            row["correct"] = run.correct
-            row["mean_words_per_rank"] = run.mean_words_per_rank
-            row["mean_received_per_rank"] = run.mean_received_per_rank
-            row["max_words_per_rank"] = run.max_words_per_rank
-            row["rounds"] = run.rounds
-            row["max_messages_per_rank"] = run.max_messages_per_rank
-            row["total_flops"] = run.total_flops
+            row.update((column, getattr(run, column)) for column in _RUN_COLUMNS)
             row["simulated_time_s"] = simulated_time(run, spec, overlap=overlap)
             row["percent_of_peak"] = percent_of_peak(run, spec, overlap=overlap)
             if prediction is not None and prediction.io_words_per_rank > 0:
@@ -124,8 +120,8 @@ def rows_to_json(rows: Sequence[Mapping]) -> str:
     return json.dumps(list(rows), sort_keys=True, separators=(",", ":"))
 
 
-def runs_from_records(records: Iterable[Mapping]) -> list[AlgorithmRun]:
-    """The successful records as :class:`AlgorithmRun` objects, record order."""
+def runs_from_records(records: Iterable[Mapping]) -> list[RunReport]:
+    """The successful records as :class:`RunReport` objects, record order."""
     return [record_to_run(r) for r in records if r.get("status") == "ok"]
 
 

@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.algorithms import get_algorithm
-from repro.experiments.harness import AlgorithmRun, RunFailure, run_algorithm_safe, traceback_tail
+from repro.experiments.harness import RunFailure, RunReport, run_algorithm_safe, traceback_tail
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import active_tracer
@@ -94,7 +94,7 @@ class CampaignResult:
     #: histogram).  Also persisted as ``campaign_metrics.json`` beside the
     #: store; never part of any run record.
     metrics: dict | None = None
-    _runs: list[AlgorithmRun] | None = field(default=None, repr=False)
+    _runs: list[RunReport] | None = field(default=None, repr=False)
 
     @property
     def ok_records(self) -> list[dict]:
@@ -104,8 +104,10 @@ class CampaignResult:
     def failed_records(self) -> list[dict]:
         return [r for r in self.records if r.get("status") == "failed"]
 
-    def runs(self) -> list[AlgorithmRun]:
-        """The successful runs as :class:`AlgorithmRun` objects (cached)."""
+    def runs(self) -> list[RunReport]:
+        """The successful runs as :class:`RunReport` objects (cached), each
+        equal to the :func:`~repro.experiments.harness.run_algorithm` run its
+        record stores."""
         if self._runs is None:
             self._runs = [record_to_run(r) for r in self.ok_records]
         return self._runs
@@ -157,7 +159,7 @@ def execute_request(request: RunRequest) -> dict:
         shards=request.shards,
         plane_dtype=request.plane_dtype,
     )
-    if isinstance(outcome, AlgorithmRun):
+    if isinstance(outcome, RunReport):
         return run_to_record(outcome, request.key, seed=request.seed)
     return failure_to_record(outcome, request.key, seed=request.seed)
 

@@ -35,7 +35,7 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -44,7 +44,7 @@ try:  # file locking is POSIX-only; the store degrades gracefully without it
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
-from repro.experiments.harness import AlgorithmRun, RunFailure
+from repro.experiments.harness import RunFailure, RunReport
 from repro.workloads.scaling import Scenario
 from repro.workloads.shapes import ProblemShape
 
@@ -129,25 +129,15 @@ def run_key(
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-#: AlgorithmRun fields stored under ``metrics`` (everything except the
-#: identity fields, which live at the top level of the record).
-_METRIC_FIELDS = (
-    "correct",
-    "verified",
-    "mean_words_per_rank",
-    "mean_received_per_rank",
-    "max_words_per_rank",
-    "max_received_per_rank",
-    "max_flops_per_rank",
-    "total_flops",
-    "rounds",
-    "input_words_per_rank",
-    "output_words_per_rank",
-    "max_messages_per_rank",
+#: RunReport fields stored under ``metrics``: every field that takes part in
+#: equality, except the identity fields, which live at the top level of the
+#: record.
+_METRIC_FIELDS = tuple(
+    f.name for f in fields(RunReport) if f.compare and f.name not in ("algorithm", "scenario", "mode")
 )
 
 
-def run_to_record(run: AlgorithmRun, key: str, seed: int = 0) -> dict:
+def run_to_record(run: RunReport, key: str, seed: int = 0) -> dict:
     """Serialize a successful run into a store record.
 
     Successful records are pure functions of the run's parameters -- no
@@ -186,11 +176,12 @@ def failure_to_record(failure: RunFailure, key: str, seed: int = 0) -> dict:
     }
 
 
-def record_to_run(record: Mapping) -> AlgorithmRun:
-    """Rebuild the :class:`AlgorithmRun` of an ``"ok"`` record."""
+def record_to_run(record: Mapping) -> RunReport:
+    """Rebuild the :class:`~repro.experiments.harness.RunReport` of an
+    ``"ok"`` record (it plans on first use, not here)."""
     if record.get("status") != "ok":
         raise ValueError(f"record {record.get('key')} is not a successful run")
-    return AlgorithmRun(
+    return RunReport(
         algorithm=record["algorithm"],
         scenario=scenario_from_dict(record["scenario"]),
         mode=record["mode"],

@@ -96,3 +96,21 @@ def panel_exchange(monkeypatch) -> SimpleNamespace:
     monkeypatch.setattr(CosmaDecomposition, "exchange_sums", recording_sums)
     monkeypatch.setattr(cosma._FiberExpansion, "expand", recording_expand)
     return seen
+
+
+@pytest.fixture
+def harness_machines(monkeypatch) -> list:
+    """Every machine the harness builds during the test, in build order: a
+    run's full counter matrix (``machine.counters.data``), which its
+    ``RunReport`` only summarizes."""
+    from repro.experiments import harness
+
+    built = []
+
+    class RecordedMachine(harness.DistributedMachine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(harness, "DistributedMachine", RecordedMachine)
+    return built

@@ -1,14 +1,18 @@
 """Tests for the top-level public API."""
 
+import doctest
+
 import numpy as np
 import pytest
 
 import repro
+import repro.api
 from repro import (
     RunReport,
     lower_bound_sequential,
     multiply,
 )
+from repro.experiments.harness import run_algorithm
 from repro.machine.transport import ShapeToken
 
 
@@ -84,3 +88,26 @@ class TestCostHelpers:
         assert repro.__version__
         for name in ("multiply", "lower_bound_sequential", "lower_bound_parallel"):
             assert name in repro.__all__
+
+
+class TestDocstringExamples:
+    @pytest.mark.parametrize("module", [repro, repro.api], ids=lambda module: module.__name__)
+    def test_examples_run(self, module):
+        failed, attempted = doctest.testmod(module)
+        assert attempted > 0 and failed == 0
+
+
+class TestOneRunResult:
+    @pytest.mark.parametrize("mode", ["plane", "volume"])
+    def test_multiply_reports_what_run_algorithm_reports(self, mode, rng):
+        a, b = rng.standard_normal((32, 16)), rng.standard_normal((16, 24))
+        report = multiply(a, b, 4, 4096, mode=mode)
+        run = run_algorithm(report.algorithm, report.scenario, mode=mode)
+        assert report == run and run.matrix is None
+        assert (report.matrix is None) == (mode == "volume")
+        assert run.plan == report.plan and run.grid == report.grid
+
+    def test_total_words_is_the_machines_count(self, harness_machines):
+        report = multiply(ShapeToken((16384, 16384)), ShapeToken((16384, 16384)), 18432, 101000)
+        [machine] = harness_machines
+        assert report.total_communicated_words == machine.counters.total_words_sent

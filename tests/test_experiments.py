@@ -1,6 +1,5 @@
 """Tests for the experiment harness, performance model and reports."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -33,6 +32,7 @@ from repro.experiments.report import (
 from repro.machine.counters import COUNTER_FIELDS, CommCounters
 from repro.machine.topology import laptop_spec
 from repro.machine.transport import allclose_tolerances
+from repro.sweeps.store import run_to_record
 from repro.workloads.scaling import Scenario, strong_scaling_sweep
 from repro.workloads.shapes import square_shape
 
@@ -89,17 +89,23 @@ class TestHarness:
     def test_every_counter_row_moves_a_stored_aggregate(self, field, small_scenario, monkeypatch):
         """The counter matrix keeps no row that a run record cannot show: 10^6
         at rank 0 of any row changes something ``run_algorithm`` stores."""
-        def stored(counters):
-            monkeypatch.setattr(harness, "_execute",
-                                lambda *args, **kwargs: (None, counters, "volume", False, True))
-            run = dataclasses.asdict(run_algorithm("COSMA", small_scenario, mode="volume"))
-            return {name: value for name, value in run.items()
-                    if name not in ("algorithm", "scenario", "correct", "mode", "verified")}
+        row = COUNTER_FIELDS.index(field)
 
-        counters = CommCounters.for_ranks(small_scenario.p)
-        zeroed = stored(counters)
-        counters.data[COUNTER_FIELDS.index(field), 0] += 10**6
-        moved = stored(counters)
+        def stored(offset):
+            class OffsetMachine(harness.DistributedMachine):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    self.counters.data[row, 0] += offset
+
+            monkeypatch.setattr(harness, "DistributedMachine", OffsetMachine)
+            run = run_algorithm("COSMA", small_scenario, mode="volume")
+            metrics = run_to_record(run, key="k")["metrics"]
+            return {name: value for name, value in metrics.items() if name not in ("correct", "verified")}
+
+        # One sent (or received) word more than received (or sent) is the point.
+        monkeypatch.setattr(CommCounters, "assert_conservation", lambda self: None)
+        zeroed = stored(0)
+        moved = stored(10**6)
         assert [name for name in zeroed if moved[name] != zeroed[name]], field
 
     def test_group_by_scenario(self):

@@ -93,13 +93,13 @@ def _verdict(a, b, boxes, keep):
 
     register(AlgorithmSpec(name="_tmp-boxes", runner=runner))
     try:
-        *_, verified, correct = _execute(
-            get_algorithm("_tmp-boxes"), _scenario(m, n, k, 1), a, b, mode="plane",
+        report = _execute(
+            get_algorithm("_tmp-boxes"), _scenario(m, n, k, 1), None, a, b, mode="plane",
             span="run", verify=True, keep=keep, shards=1, plane_dtype="float64")
     finally:
         unregister("_tmp-boxes")
-    assert verified
-    return correct
+    assert report.verified
+    return report.correct
 
 
 def _positive(rng, shape):
@@ -231,7 +231,7 @@ class TestVerifiedRunMemory:
         peak = _traced_peak(lambda: run_algorithm("COSMA", scenario))
         assert peak < 512 * 512 * 8
 
-    def test_cannon_copies_no_padded_operand(self, monkeypatch):
+    def test_cannon_copies_no_padded_operand(self, monkeypatch, harness_machines):
         """770 = 16 * 48 + 2: Cannon's 16 x 16 grid pads every extent to 784,
         and no padded copy of A or B (nor any C) is allocated; the counters
         are the counters-only run's."""
@@ -246,17 +246,17 @@ class TestVerifiedRunMemory:
 
         def verified_run():
             observed["plane"] = _execute(
-                spec, scenario, a, b, mode="plane", span="run", verify=True,
+                spec, scenario, None, a, b, mode="plane", span="run", verify=True,
                 reference=lambda r0, r1: harness._reference_product(scenario.shape, 0)[r0:r1],
                 shards=1, plane_dtype="float64")
 
         peak = _traced_peak(verified_run)
         assert peak < 770 * 770 * 8
-        _, counters, _, verified, correct = observed["plane"]
-        assert verified and correct
-        _, volume, *_ = _execute(spec, scenario, None, None, mode="volume", span="run",
-                                 verify=True, shards=1, plane_dtype="float64")
-        assert counters.data.tobytes() == volume.data.tobytes()
+        assert observed["plane"].verified and observed["plane"].correct
+        _execute(spec, scenario, None, None, None, mode="volume", span="run",
+                 verify=True, shards=1, plane_dtype="float64")
+        plane, volume = (machine.counters.data.tobytes() for machine in harness_machines[-2:])
+        assert plane == volume
 
     def test_an_uncached_reference_is_computed_one_stripe_at_a_time(self, monkeypatch):
         """A reference too large for the cache is never held whole."""

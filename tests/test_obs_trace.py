@@ -38,16 +38,16 @@ from repro.sweeps.runner import execute_request
 from repro.workloads.scaling import limited_memory_sweep
 
 
-def _counter_bytes(algorithm: str, mode: str, traced: bool) -> bytes:
+def _counter_bytes(machines: list, algorithm: str, mode: str, traced: bool) -> bytes:
     """Run one (algorithm, mode) point through the harness and return the raw
-    counter matrix."""
+    counter matrix (``machines``: the ``harness_machines`` fixture)."""
     scenario = limited_memory_sweep("square", [4], 2048)[0]
     with tracing() if traced else nullcontext():
-        _, counters, _, _, _ = _execute(
-            get_algorithm(algorithm), scenario, *scenario.shape.random_matrices(seed=0),
+        _execute(
+            get_algorithm(algorithm), scenario, None, *scenario.shape.random_matrices(seed=0),
             mode=mode, span="run", verify=False, shards=1, plane_dtype="float64",
         )
-    return counters.data.tobytes()
+    return machines[-1].counters.data.tobytes()
 
 
 class TestZeroPerturbation:
@@ -55,9 +55,9 @@ class TestZeroPerturbation:
     #: as ``plane``.
     @pytest.mark.parametrize("mode", ("legacy", "zerocopy") + MODES)
     @pytest.mark.parametrize("algorithm", registered_algorithms())
-    def test_counters_byte_identical_traced_vs_untraced(self, algorithm, mode):
-        assert _counter_bytes(algorithm, mode, traced=False) == \
-            _counter_bytes(algorithm, mode, traced=True)
+    def test_counters_byte_identical_traced_vs_untraced(self, algorithm, mode, harness_machines):
+        assert _counter_bytes(harness_machines, algorithm, mode, traced=False) == \
+            _counter_bytes(harness_machines, algorithm, mode, traced=True)
 
     def test_golden_sweep_rows_unmoved_by_tracing(self):
         spec = SweepSpec(

@@ -5,7 +5,7 @@ import multiprocessing
 import pytest
 
 from repro.algorithms import AlgorithmSpec, get_algorithm, register, unregister
-from repro.experiments.harness import AlgorithmRun, RunFailure, run_algorithm_safe
+from repro.experiments.harness import RunFailure, RunReport, run_algorithm_safe
 from repro.sweeps.aggregate import rows_to_json, runs_from_records, scenario_summary_table, tidy_rows
 from repro.sweeps.runner import run_campaign
 from repro.sweeps.spec import SweepSpec, spec_from_scenarios
@@ -63,7 +63,7 @@ class TestCampaignResult:
         result = run_campaign(spec, store=tmp_path / "store", jobs=1)
         runs = result.runs()
         assert len(runs) == len(spec.expand())
-        assert all(isinstance(run, AlgorithmRun) for run in runs)
+        assert all(isinstance(run, RunReport) for run in runs)
         assert runs_from_records(result.records) == runs
 
     def test_progress_callback_sees_every_record(self, tmp_path, spec):
