@@ -14,6 +14,10 @@
 #                     - import and collect every bench file without running
 #                       it (~2 s): a bench that names a deleted function
 #                       fails here, not only under `make bench`
+#   make bench-model  - run the benches whose claims read the time model
+#                       (Figures 1-3, 8-12, Table 3, the overlap ablation:
+#                       "COSMA fastest", % of peak, the overlap bounds) with
+#                       timing off (~2 s; needs pytest-benchmark)
 #   make ledger       - layered performance ledger (benchmarks/ledger/README.md):
 #                       five workloads, end-to-end + per-layer metrics, written
 #                       to LEDGER.json; non-zero exit on any incorrect workload
@@ -40,7 +44,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify lint sweep-smoke bench bench-collect ledger ledger-pairs identity plan-time
+.PHONY: verify lint sweep-smoke bench bench-collect bench-model ledger ledger-pairs identity plan-time
 
 verify:
 	$(PY) -m pytest -x -q
@@ -67,9 +71,15 @@ sweep-smoke:
 bench:
 	$(PY) -m pytest benchmarks/bench_*.py -s
 
-# -p no:benchmark: collection needs no pytest-benchmark, which CI does not install.
+# -p no:benchmark: collection needs no pytest-benchmark (bench-model does).
 bench-collect:
 	$(PY) -m pytest benchmarks/bench_*.py --collect-only -q -p no:benchmark
+
+MODEL_BENCHES = fig1_summary fig2_evolution fig3_decomposition fig8_9_square_perf \
+	fig10_11_largek_perf fig12_breakdown table3_costs ablation_backend_overlap
+
+bench-model:
+	$(PY) -m pytest $(MODEL_BENCHES:%=benchmarks/bench_%.py) -q --benchmark-disable
 
 ledger:
 	$(PY) benchmarks/ledger/run.py --out LEDGER.json

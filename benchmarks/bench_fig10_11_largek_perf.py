@@ -21,7 +21,7 @@ def test_fig10_largek_percent_of_peak(benchmark, regime):
     runs = benchmark.pedantic(
         run_benchmark_sweep, args=("largeK", regime), rounds=1, iterations=1
     )
-    series = performance_series(runs, SPEC, overlap=True)
+    series = performance_series(runs, SPEC)
     print_series(f"Figure 10 ({regime} scaling, largeK)", series, "% of peak")
     # Across the sweep COSMA's geometric-mean performance matches or exceeds
     # every baseline (per-core-count comparisons at the smallest p are noise:
@@ -43,7 +43,7 @@ def test_fig11_largek_runtime(benchmark, regime):
     runs = benchmark.pedantic(
         run_benchmark_sweep, args=("largeK", regime), rounds=1, iterations=1
     )
-    series = runtime_series(runs, SPEC, overlap=True)
+    series = runtime_series(runs, SPEC)
     print_series(f"Figure 11 ({regime} scaling, largeK)", series, "simulated seconds")
     geomeans = {
         name: geometric_mean([t for _, t in points]) for name, points in series.items()
@@ -51,7 +51,7 @@ def test_fig11_largek_runtime(benchmark, regime):
     assert geomeans["COSMA"] <= min(geomeans.values()) * 1.15
     largest_p = max(run.scenario.p for run in runs)
     at_largest = {
-        run.algorithm: simulated_time(run, SPEC, overlap=True)
+        run.algorithm: simulated_time(run, SPEC)
         for run in runs
         if run.scenario.p == largest_p
     }

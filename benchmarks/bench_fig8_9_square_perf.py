@@ -26,7 +26,7 @@ def test_fig8_square_percent_of_peak(benchmark, regime):
     runs = benchmark.pedantic(
         run_benchmark_sweep, args=("square", regime), rounds=1, iterations=1
     )
-    series = performance_series(runs, SPEC, overlap=True)
+    series = performance_series(runs, SPEC)
     print_series(f"Figure 8 ({regime} scaling, square)", series, "% of peak")
     for by_algo in group_by_scenario(runs).values():
         best = max(percent_of_peak(run, SPEC) for run in by_algo.values())
@@ -39,11 +39,11 @@ def test_fig9_square_runtime(benchmark, regime):
     runs = benchmark.pedantic(
         run_benchmark_sweep, args=("square", regime), rounds=1, iterations=1
     )
-    series = runtime_series(runs, SPEC, overlap=True)
+    series = runtime_series(runs, SPEC)
     print_series(f"Figure 9 ({regime} scaling, square)", series, "simulated seconds")
     for by_algo in group_by_scenario(runs).values():
-        fastest = min(simulated_time(run, SPEC, overlap=True) for run in by_algo.values())
-        cosma = simulated_time(by_algo["COSMA"], SPEC, overlap=True)
+        fastest = min(simulated_time(run, SPEC) for run in by_algo.values())
+        cosma = simulated_time(by_algo["COSMA"], SPEC)
         assert cosma <= fastest * 1.2
 
 
@@ -53,7 +53,7 @@ def test_fig9_strong_scaling_monotone(benchmark):
         run_benchmark_sweep, args=("square", "strong", ("COSMA",)), rounds=1, iterations=1
     )
     times = sorted(
-        (run.scenario.p, simulated_time(run, SPEC, overlap=True)) for run in runs
+        (run.scenario.p, simulated_time(run, SPEC)) for run in runs
     )
     print(f"\nFigure 9 (COSMA strong-scaling runtimes): {times}")
     assert times[-1][1] < times[0][1]

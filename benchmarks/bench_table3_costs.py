@@ -37,8 +37,9 @@ def _general_case_rows(m, n, k, p, s):
                         regime="table3")
     rows = []
     for label, name in COLUMNS.items():
-        plan = get_algorithm(name).plan(scenario)
-        rows.append({"algorithm": label, "io": get_algorithm(name).cost(scenario).io_words_per_rank,
+        spec = get_algorithm(name)
+        plan = spec.plan(scenario)
+        rows.append({"algorithm": label, "io": spec.io_cost(m, n, k, p, s),
                      "rounds": plan.rounds if plan.feasible else "-"})
     return rows
 

@@ -61,7 +61,7 @@ def print_regime(regime: str, grouped) -> None:
         row = [any_run.scenario.p, f"{shape.m}^3"]
         for name in DEFAULT_ALGORITHMS:
             run = by_algo[name]
-            time_us = simulated_time(run, SPEC, overlap=True) * 1e6
+            time_us = simulated_time(run, SPEC) * 1e6
             row.append(f"{run.mean_received_per_rank:,.0f} | {time_us:.1f}")
         rows.append(row)
 

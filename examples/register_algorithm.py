@@ -3,8 +3,10 @@
 The algorithm registry (:mod:`repro.algorithms`) makes backends pluggable:
 decorate a runner with the uniform ``(a, b, scenario, machine)`` signature
 with ``@register_algorithm`` and it immediately works in ``api.multiply``,
-``api.plan``, the harness, the CLI choice lists and the sweep engine --
-including analytic columns in campaign tables when you provide a cost model.
+``api.plan``, the harness, the CLI choice lists and the sweep engine.  Its
+runs are priced by the same time model as every built-in's (from the flops,
+rounds and words they count), and a Table 3 I/O formula (``io_cost``) adds
+the predicted-words columns to campaign tables.
 
 Here we register "RootGEMM", the worst reasonable baseline: gather both
 inputs on rank 0, multiply there, scatter C's rows back.  Its per-processor

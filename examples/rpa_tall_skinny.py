@@ -51,7 +51,7 @@ def main() -> None:
             (
                 algorithm,
                 run.mean_received_per_rank,
-                simulated_time(run, spec, overlap=True) * 1e3,
+                simulated_time(run, spec) * 1e3,
                 "ok" if run.correct else "WRONG",
             )
         )

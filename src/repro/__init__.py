@@ -14,19 +14,19 @@ It provides:
 * :mod:`repro.layouts` -- input layouts as ownership tables (section 7.6):
   ScaLAPACK's block-cyclic layout and the words a conversion between two
   layouts moves, counted in O(segments) at paper scale.
-* :mod:`repro.core` -- the COSMA algorithm: optimal sequential schedule,
-  parallelization, processor-grid fitting, overlap, and the distributed
-  executor.
+* :mod:`repro.core` -- the COSMA algorithm: processor-grid fitting, the
+  blocked decomposition and the distributed executor.
 * :mod:`repro.baselines` -- Cannon, SUMMA (2D), 2.5D/3D, and CARMA-style
   recursive decompositions implemented on the same simulator.
 * :mod:`repro.sequential` -- sequential MMM kernels with counted slow-memory
   traffic (the Theorem 1 experiments).
 * :mod:`repro.workloads` -- matrix-shape and scaling-scenario generators used
   in the paper's evaluation (section 8).
-* :mod:`repro.experiments` -- the benchmark harness, performance model and
+* :mod:`repro.experiments` -- the benchmark harness, the time model (one
+  alpha-beta-gamma price of what a run counted: flops, rounds, words) and
   report generators that regenerate every table and figure.
 * :mod:`repro.algorithms` -- the algorithm registry: one ``AlgorithmSpec``
-  per algorithm bundling runner, planner, Table 3 cost model and capability
+  per algorithm bundling runner, planner, Table 3 I/O formula and capability
   flags; ``@register_algorithm`` adds new backends in a few lines.
 
 Quick start

@@ -12,12 +12,11 @@ Typical use::
     spec = get_algorithm("COSMA")
     plan = spec.plan(scenario)          # grid / rounds / words / Theorem 2 ratio, no execution
     product = spec.run(a, b, scenario, machine)
-    prediction = spec.cost(scenario)    # Table 3 I/O formula, planned rounds
+    words = spec.io_cost(m, n, k, p, s)  # Table 3 I/O formula
 """
 
 from repro.algorithms.registry import (
     AlgorithmSpec,
-    CostPrediction,
     InfeasiblePlan,
     Plan,
     UnknownAlgorithmError,
@@ -43,7 +42,6 @@ DEFAULT_ALGORITHMS: tuple[str, ...] = default_algorithms()
 __all__ = [
     "DEFAULT_ALGORITHMS",
     "AlgorithmSpec",
-    "CostPrediction",
     "InfeasiblePlan",
     "Plan",
     "UnknownAlgorithmError",

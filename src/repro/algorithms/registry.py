@@ -1,4 +1,4 @@
-"""The algorithm registry: one ``Algorithm`` interface for plan / execute / cost.
+"""The algorithm registry: one ``Algorithm`` interface for plan / execute.
 
 The paper's whole argument is a *comparison* -- COSMA against ScaLAPACK, CTF,
 CARMA and Cannon on the same scenarios, against the same Theorem 1/2 bounds.
@@ -11,7 +11,7 @@ data, not scattered special cases:
   schedule, or a dense array; in ``volume`` mode a shape token), a cheap planner
   (``plan(scenario) -> Plan``: fitted grid, counted rounds, predicted
   per-rank words, feasibility -- *without* executing anything), the Table 3
-  I/O formula (:meth:`AlgorithmSpec.cost`, with the plan's rounds), a
+  I/O formula (``io_cost(m, n, k, p, s)``), a
   minimum-memory capability flag and aliases.  Every runner takes both execution modes:
   arrays (``plane``) and shape tokens (``volume``).
 * :func:`register` / the :func:`register_algorithm` decorator add specs to
@@ -126,20 +126,6 @@ class Plan:
         return self.domain_io_words / self.lower_bound_per_rank
 
 
-@dataclass(frozen=True)
-class CostPrediction:
-    """The analytic per-processor cost of one algorithm on one scenario: its
-    Table 3 I/O formula, and the rounds its plan counts."""
-
-    algorithm: str
-    #: Table 3 per-processor I/O (words moved through the slowest processor).
-    io_words_per_rank: float
-    #: The plan's ``rounds`` (0 for an algorithm without a planner).
-    latency_rounds: float
-    #: Useful flops per processor under perfect load balance: ``2mnk / p``.
-    flops_per_rank: float
-
-
 #: Uniform runner signature: ``runner(a, b, scenario, machine) -> product``,
 #: a :class:`~repro.machine.transport.GemmProduct` or an array in ``plane``
 #: mode, a :class:`~repro.machine.transport.ShapeToken` in ``volume`` mode.
@@ -165,8 +151,8 @@ class AlgorithmSpec:
     #: when omitted.
     plan_fn: PlanFn | None = None
     #: Table 3 per-processor I/O formula ``(m, n, k, p, s) -> words``, read by
-    #: :meth:`cost` (and with it the sweep aggregator, the performance model
-    #: and the CLI bounds table).
+    #: the sweep aggregator's ``predicted_io_words_per_rank`` column and the
+    #: CLI bounds table.
     io_cost: CostFn | None = None
     #: Alternative lookup names (case-insensitive), e.g. ``SUMMA`` for
     #: ScaLAPACK.
@@ -194,7 +180,7 @@ class AlgorithmSpec:
         process-wide LRU (:func:`plan_cache_clear` resets it; registering or
         unregistering an algorithm does so automatically), so repeated
         planning of the same point -- sweep pruning, ``api.multiply``'s
-        plan-then-execute, cost aggregation -- fits the grid exactly once.
+        plan-then-execute, run reports -- fits the grid exactly once.
         Scenarios and plans are immutable, making the cached object safe to
         share.
 
@@ -259,15 +245,6 @@ class AlgorithmSpec:
             lower_bound_per_rank=bound,
         )
 
-    def cost(self, scenario: "Scenario") -> CostPrediction | None:
-        """The Table 3 I/O formula and the plan's rounds, or ``None`` without
-        ``io_cost``.  Memoized per ``(spec, m, n, k, p, S, rounds)``."""
-        if self.io_cost is None:
-            return None
-        shape = scenario.shape
-        rounds = self.plan(scenario).rounds
-        return _cached_cost(self, shape.m, shape.n, shape.k, scenario.p, scenario.memory_words, rounds)
-
     def _infeasibility(self, scenario: "Scenario") -> str | None:
         """Generic hard preconditions shared by every algorithm."""
         if scenario.p < 1:
@@ -297,16 +274,6 @@ class AlgorithmSpec:
 _REGISTRY: dict[str, AlgorithmSpec] = {}
 #: Lowercased name/alias -> canonical name.
 _LOOKUP: dict[str, str] = {}
-
-
-@lru_cache(maxsize=8192)
-def _cached_cost(spec: AlgorithmSpec, m: int, n: int, k: int, p: int, s: int, rounds: int) -> CostPrediction:
-    return CostPrediction(
-        algorithm=spec.name,
-        io_words_per_rank=float(spec.io_cost(m, n, k, p, s)),
-        latency_rounds=float(rounds),
-        flops_per_rank=2.0 * m * n * k / p,
-    )
 
 
 @lru_cache(maxsize=4096)
@@ -367,7 +334,7 @@ def register_algorithm(
     This is the extension point: a module under ``extensions/`` (or any user
     code) decorates its runner and the algorithm immediately works everywhere
     -- ``api.multiply(..., algorithm=name)``, ``repro multiply/plan/sweep`` choice
-    lists, the sweep engine, and (when ``io_cost`` is given) the analytic
+    lists, the sweep engine, and (when ``io_cost`` is given) the Table 3
     columns of every campaign table.  See the README's "adding a new
     algorithm" walkthrough and :mod:`repro.extensions.allgather`.
     """

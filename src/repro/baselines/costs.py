@@ -6,8 +6,9 @@ are obtained by instantiating the same formulas and are checked against the
 paper's simplified expressions in ``tests/test_baselines_costs.py`` and
 ``benchmarks/bench_table3_costs.py``.  COSMA's row is Theorem 2 itself
 (:func:`repro.pebbling.mmm_bounds.parallel_io_lower_bound`).  The registry
-attaches these formulas to the algorithms (``AlgorithmSpec.cost``), with
-the plan's counted rounds (``Plan.rounds``) in place of Table 3's latency.
+attaches these formulas to the algorithms (``AlgorithmSpec.io_cost``); a
+run's latency is its counted rounds (``Plan.rounds`` predicts them), not
+Table 3's latency column.
 """
 
 from __future__ import annotations

@@ -63,8 +63,6 @@ from repro.sequential import tiled_multiply
 from repro.sweeps import ResultStore, SweepSpec, run_campaign, scenario_summary_table, tidy_rows
 from repro.sweeps.runner import DEFAULT_STORE_PATH
 from repro.sweeps.spec import FAMILIES, REGIMES
-from repro.workloads.scaling import Scenario
-from repro.workloads.shapes import ProblemShape
 
 
 def _add_multiply_args(p_mult: argparse.ArgumentParser) -> None:
@@ -313,15 +311,12 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         ["sequential feasible schedule", schedule_io(m, n, k, *optimal_tile_sizes(s))],
         ["parallel lower bound (Theorem 2)", lower_bound_parallel(m, n, k, p, s)],
     ]
-    # One cost row per registered algorithm that has a Table 3 model.
-    scenario = Scenario(name="bounds", shape=ProblemShape(m=m, n=n, k=k, family="cli"),
-                        p=p, memory_words=s, regime="cli")
+    # One cost row per registered algorithm that has a Table 3 I/O formula.
     for spec in algorithm_specs():
-        cost = spec.cost(scenario)
-        if cost is None:
+        if spec.io_cost is None:
             continue
         label = spec.name + (f" ({', '.join(spec.aliases)})" if spec.aliases else "")
-        rows.append([f"{label} cost", cost.io_words_per_rank])
+        rows.append([f"{label} cost", float(spec.io_cost(m, n, k, p, s))])
     print(format_table(["quantity", "words per processor"], rows))
     return 0
 

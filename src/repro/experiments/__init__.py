@@ -9,9 +9,10 @@ These modules regenerate every evaluation artifact of the paper:
   :func:`run_algorithm` and :meth:`repro.sweeps.CampaignResult.runs` all
   return this one type; only ``multiply``'s carries the product
   (``matrix``).
-* :mod:`repro.experiments.perf_model` converts the counters into simulated
-  runtimes and %-of-peak figures with an alpha-beta-gamma model, with and
-  without communication-computation overlap.
+* :mod:`repro.experiments.perf_model` prices what a run counted (busiest
+  rank's flops, rounds and words) with one alpha-beta-gamma model into
+  simulated runtimes and %-of-peak figures, with and without
+  communication-computation overlap.
 * :mod:`repro.experiments.report` formats the per-figure/table outputs
   (Table 4, Figures 6-14) as plain-text tables/series.
 """

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from repro.algorithms import DEFAULT_ALGORITHMS, AlgorithmSpec, CostPrediction, Plan, get_algorithm
+from repro.algorithms import DEFAULT_ALGORITHMS, AlgorithmSpec, Plan, get_algorithm
 from repro.machine.simulator import DistributedMachine
 from repro.machine.transport import (
     MODES, GemmProduct, ShapeToken, allclose_tolerances, row_stripes,
@@ -132,8 +132,7 @@ class RunReport:
     ``matrix`` are not stored and take no part in equality, so a run
     rebuilt from its record equals the run.  ``grid``,
     ``processors_used``, ``lower_bound_per_rank`` and ``optimality_ratio``
-    are read off the plan, ``cost`` off the registry; a rebuilt run plans
-    on first use.
+    are read off the plan; a rebuilt run plans on first use.
     """
 
     #: Canonical registry name of the algorithm that ran.
@@ -204,12 +203,6 @@ class RunReport:
         :attr:`~repro.algorithms.Plan.optimality_ratio`, whose docstring
         states the claim the tests check."""
         return self.plan.optimality_ratio
-
-    @property
-    def cost(self) -> CostPrediction | None:
-        """The analytic prediction (Table 3 I/O, planned rounds), when the
-        algorithm has an I/O formula."""
-        return get_algorithm(self.algorithm).cost(self.scenario)
 
     @property
     def total_communicated_words(self) -> int:

@@ -10,7 +10,7 @@ import math
 from typing import Iterable, Mapping, Sequence
 
 from repro.experiments.harness import RunReport, group_by_scenario
-from repro.experiments.perf_model import percent_of_peak, simulated_time
+from repro.experiments.perf_model import percent_of_peak, simulated_time, time_breakdown
 from repro.machine.topology import PIZ_DAINT_LIKE, MachineSpec
 
 
@@ -86,13 +86,12 @@ def volume_table(runs: Iterable[RunReport]) -> str:
 def performance_series(
     runs: Iterable[RunReport],
     spec: MachineSpec = PIZ_DAINT_LIKE,
-    overlap: bool = True,
 ) -> dict[str, list[tuple[int, float]]]:
     """Per-algorithm series of (p, % of peak)."""
     series: dict[str, list[tuple[int, float]]] = {}
     for run in runs:
         series.setdefault(run.algorithm, []).append(
-            (run.scenario.p, percent_of_peak(run, spec, overlap=overlap))
+            (run.scenario.p, percent_of_peak(run, spec))
         )
     for points in series.values():
         points.sort()
@@ -102,13 +101,12 @@ def performance_series(
 def runtime_series(
     runs: Iterable[RunReport],
     spec: MachineSpec = PIZ_DAINT_LIKE,
-    overlap: bool = True,
 ) -> dict[str, list[tuple[int, float]]]:
     """Per-algorithm series of (p, simulated runtime in seconds)."""
     series: dict[str, list[tuple[int, float]]] = {}
     for run in runs:
         series.setdefault(run.algorithm, []).append(
-            (run.scenario.p, simulated_time(run, spec, overlap=overlap))
+            (run.scenario.p, simulated_time(run, spec))
         )
     for points in series.values():
         points.sort()
@@ -172,12 +170,8 @@ def _cosma_speedups(runs: list[RunReport], spec: MachineSpec) -> list[float]:
     for by_algo in grouped.values():
         if "COSMA" not in by_algo or len(by_algo) < 2:
             continue
-        cosma_time = simulated_time(by_algo["COSMA"], spec, overlap=True)
-        others = [
-            simulated_time(run, spec, overlap=True)
-            for algo, run in by_algo.items()
-            if algo != "COSMA"
-        ]
+        cosma_time = simulated_time(by_algo["COSMA"], spec)
+        others = [simulated_time(run, spec) for algo, run in by_algo.items() if algo != "COSMA"]
         if cosma_time <= 0 or not others:
             continue
         speedups.append(min(others) / cosma_time)
@@ -204,8 +198,6 @@ def breakdown_rows(
     runs: Iterable[RunReport],
     spec: MachineSpec = PIZ_DAINT_LIKE,
 ) -> list[dict[str, object]]:
-    from repro.experiments.perf_model import time_breakdown
-
     rows = []
     for run in runs:
         breakdown = time_breakdown(run, spec)

@@ -24,9 +24,10 @@ the same traced or not.  The per-hop
 executors those engines replaced are kept as a test-side reference
 (``tests/oracle``), which the parity suites hold every engine to.
 
-The simulator does not try to model time directly; the analytic performance
-model in :mod:`repro.experiments.perf_model` converts the counters into
-simulated runtimes using an alpha-beta-gamma model.
+The simulator does not try to model time directly; the time model in
+:mod:`repro.experiments.perf_model` prices the counters (the busiest rank's
+flops, rounds and words) into simulated runtimes with an alpha-beta-gamma
+model.
 
 Execution modes
 ---------------

@@ -3,7 +3,7 @@
 The paper evaluates on the CPU partition of Piz Daint (Cray XC40): dual-socket
 Intel Xeon E5-2695 v4 nodes (36 cores at 3.30 GHz), 64 GiB RAM per node and a
 Cray Aries dragonfly interconnect.  We capture the handful of parameters that
-the analytic performance model needs (per-core peak flop rate, per-core memory
+the time model (:mod:`repro.experiments.perf_model`) needs (per-core peak flop rate, per-core memory
 size, network latency and bandwidth).  The absolute values only scale the
 simulated runtimes; the comparisons between algorithms depend on communication
 volumes measured by the simulator.

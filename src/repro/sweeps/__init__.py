@@ -12,8 +12,9 @@ campaign is
    -- in process at ``jobs=1``, over a stdlib process pool at ``jobs>1`` --
    with every run's exception captured as a ``"failed"`` record, and
 4. persisted in a content-addressed
-   :class:`~repro.sweeps.store.ResultStore`, then joined with the analytic
-   cost models by :func:`~repro.sweeps.aggregate.tidy_rows`.
+   :class:`~repro.sweeps.store.ResultStore`, then priced by the time model
+   and joined with Table 3's I/O formulas by
+   :func:`~repro.sweeps.aggregate.tidy_rows`.
 
 The RunKey hashing contract
 ---------------------------
@@ -57,7 +58,6 @@ Consequences:
 from repro.sweeps.aggregate import (
     campaign_table,
     rows_to_json,
-    runs_from_records,
     scenario_summary_table,
     tidy_rows,
 )
@@ -77,7 +77,6 @@ __all__ = [
     "rows_to_json",
     "run_campaign",
     "run_key",
-    "runs_from_records",
     "scenario_summary_table",
     "spec_from_scenarios",
     "tidy_rows",

@@ -1,19 +1,20 @@
-"""Aggregation: stored campaign records -> tidy rows joined with the models.
+"""Aggregation: stored campaign records -> tidy rows.
 
 Each ``"ok"`` record becomes one tidy row carrying (a) the scenario identity,
-(b) the simulator-measured counters, (c) the alpha-beta-gamma runtime and
-%-of-peak from :mod:`repro.experiments.perf_model`, and (d) the analytic
-prediction of ``AlgorithmSpec.cost`` (the Table 3 I/O formula, the plan's
-counted rounds) plus the measured/predicted I/O ratio.  Failed records become rows with a ``status``
+(b) the simulator-measured counters, (c) the runtime and %-of-peak that
+:mod:`repro.experiments.perf_model` prices from those counters, and (d) the
+algorithm's Table 3 I/O formula (``AlgorithmSpec.io_cost``) plus the
+measured/predicted I/O ratio.  Failed records become rows with a ``status``
 of ``"failed"`` and the error attached, so campaign reports never silently
 drop points.
 
 Rows contain only values that are pure functions of the run parameters (no
 timestamps, no durations), which is what makes serial and parallel campaigns
 aggregate byte-identically -- asserted by ``tests/test_sweeps_runner.py``.
-The successful records also rebuild into
-:class:`~repro.experiments.harness.RunReport` lists for the existing
-figure machinery (:mod:`repro.experiments.report`).
+The successful records rebuild into
+:class:`~repro.experiments.harness.RunReport` lists for the figure
+machinery (:mod:`repro.experiments.report`) through
+:meth:`~repro.sweeps.runner.CampaignResult.runs`.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import json
 from typing import Iterable, Mapping, Sequence
 
 from repro.algorithms import get_algorithm
-from repro.experiments.harness import RunReport
-from repro.experiments.perf_model import analytic_time, percent_of_peak, simulated_time
+from repro.experiments.perf_model import percent_of_peak, simulated_time
 from repro.experiments.report import format_table
 from repro.machine.topology import PIZ_DAINT_LIKE, MachineSpec
 from repro.sweeps.store import _METRIC_FIELDS, record_to_run, scenario_from_dict
@@ -51,8 +51,6 @@ TIDY_COLUMNS = (
     "simulated_time_s",
     "percent_of_peak",
     "predicted_io_words_per_rank",
-    "predicted_latency_rounds",
-    "analytic_time_s",
     "io_vs_predicted",
     "error_type",
     "error_message",
@@ -61,12 +59,8 @@ TIDY_COLUMNS = (
 _RUN_COLUMNS = tuple(column for column in TIDY_COLUMNS if column in _METRIC_FIELDS)
 
 
-def tidy_rows(
-    records: Iterable[Mapping],
-    spec: MachineSpec = PIZ_DAINT_LIKE,
-    overlap: bool = True,
-) -> list[dict]:
-    """Join campaign records with both models into tidy, sortable rows."""
+def tidy_rows(records: Iterable[Mapping], spec: MachineSpec = PIZ_DAINT_LIKE) -> list[dict]:
+    """Price campaign records and join them with Table 3 into tidy, sortable rows."""
     rows: list[dict] = []
     for record in records:
         scenario = scenario_from_dict(record["scenario"])
@@ -85,22 +79,22 @@ def tidy_rows(
             "status": record.get("status", "ok"),
         }
         try:
-            prediction = get_algorithm(record["algorithm"]).cost(scenario)
+            io_cost = get_algorithm(record["algorithm"]).io_cost
         except KeyError:
             # Unregistered algorithms still aggregate, like those without
-            # Table 3 formulas; they just carry no analytic columns.
-            prediction = None
-        if prediction is not None:
-            row["predicted_io_words_per_rank"] = prediction.io_words_per_rank
-            row["predicted_latency_rounds"] = prediction.latency_rounds
-            row["analytic_time_s"] = analytic_time(prediction, spec=spec)
+            # Table 3 formulas; they just carry no predicted columns.
+            io_cost = None
+        predicted = None
+        if io_cost is not None:
+            predicted = float(io_cost(shape.m, shape.n, shape.k, scenario.p, scenario.memory_words))
+            row["predicted_io_words_per_rank"] = predicted
         if row["status"] == "ok":
             run = record_to_run(record)
             row.update((column, getattr(run, column)) for column in _RUN_COLUMNS)
-            row["simulated_time_s"] = simulated_time(run, spec, overlap=overlap)
-            row["percent_of_peak"] = percent_of_peak(run, spec, overlap=overlap)
-            if prediction is not None and prediction.io_words_per_rank > 0:
-                row["io_vs_predicted"] = run.mean_received_per_rank / prediction.io_words_per_rank
+            row["simulated_time_s"] = simulated_time(run, spec)
+            row["percent_of_peak"] = percent_of_peak(run, spec)
+            if predicted is not None and predicted > 0:
+                row["io_vs_predicted"] = run.mean_received_per_rank / predicted
         else:
             error = record.get("error", {})
             row["error_type"] = error.get("type")
@@ -118,11 +112,6 @@ def _row_sort_key(row: Mapping) -> tuple:
 def rows_to_json(rows: Sequence[Mapping]) -> str:
     """Canonical JSON of tidy rows (the byte-identity contract of the tests)."""
     return json.dumps(list(rows), sort_keys=True, separators=(",", ":"))
-
-
-def runs_from_records(records: Iterable[Mapping]) -> list[RunReport]:
-    """The successful records as :class:`RunReport` objects, record order."""
-    return [record_to_run(r) for r in records if r.get("status") == "ok"]
 
 
 def campaign_table(

@@ -153,22 +153,22 @@ class TestRegistration:
             assert resolve_algorithm("_tmp-alias") == "_tmp-echo"
             run = run_algorithm("_tmp-echo", scenario, mode="volume")
             assert run.algorithm == "_tmp-echo"
-            # The cost model is visible through the alias, as everywhere.
-            assert get_algorithm("_tmp-alias").cost(scenario).io_words_per_rank == 1.0
+            # The I/O formula is visible through the alias, as everywhere.
+            assert get_algorithm("_tmp-alias").io_cost(1, 1, 1, 1, 1) == 1.0
         finally:
             unregister("_tmp-echo")
 
-    def test_unregister_retracts_cost_model(self, scenario):
+    def test_unregister_retracts_cost_model(self):
         @register_algorithm("_tmp-cost", io_cost=lambda m, n, k, p, s: 2.0)
         def costed(a, b, scenario, machine):
             return np.zeros((scenario.shape.m, scenario.shape.n))
 
-        assert get_algorithm("_tmp-cost").cost(scenario).io_words_per_rank == 2.0
+        assert get_algorithm("_tmp-cost").io_cost(1, 1, 1, 1, 1) == 2.0
         unregister("_tmp-cost")
         # The formulas live on the spec: gone with the name, so the sweep
-        # aggregator's lookup fails and its row carries no analytic columns.
+        # aggregator's lookup fails and its row carries no predicted columns.
         with pytest.raises(KeyError):
-            get_algorithm("_tmp-cost").cost(scenario)
+            get_algorithm("_tmp-cost")
 
     def test_duplicate_name_rejected_without_replace(self):
         spec = get_algorithm("COSMA")
@@ -208,7 +208,6 @@ class TestRunReportApi:
         assert report.algorithm == name
         assert report.correct and report.verified
         assert np.allclose(report.matrix, a @ b)
-        assert report.cost is not None and report.cost.io_words_per_rank > 0
 
     def test_multiply_accepts_aliases(self, rng):
         a = rng.standard_normal((16, 16))

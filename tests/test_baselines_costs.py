@@ -154,8 +154,8 @@ class TestEvolution:
 
 
 class TestPredict:
-    """``AlgorithmSpec.cost``: the entry point the sweep aggregator, the
-    performance model and the CLI bounds table go through."""
+    """``AlgorithmSpec.io_cost``: the Table 3 formula the sweep aggregator's
+    ``predicted_io_words_per_rank`` and the CLI bounds table read."""
 
     def _scenario(self):
         from repro.workloads.scaling import Scenario
@@ -164,8 +164,8 @@ class TestPredict:
         return Scenario(name="s", shape=square_shape(512), p=64, memory_words=16384, regime="limited")
 
     def test_predict_matches_per_algorithm_formulas(self):
-        """Each algorithm's Table 3 I/O formula, priced with the rounds its
-        plan counts."""
+        """Each algorithm's Table 3 I/O formula, and the rounds its plan
+        counts (what the time model charges a latency each)."""
         scenario = self._scenario()
         m = n = k = 512
         p, s = 64, 16384
@@ -176,62 +176,30 @@ class TestPredict:
             "CARMA": io_cost_carma(m, n, k, p, s),
             "Cannon": io_cost_2d(m, n, k, p),
         }
-        expected_latency = {"COSMA": 52, "ScaLAPACK": 40, "CTF": 28, "CARMA": 9, "Cannon": 16}
+        expected_rounds = {"COSMA": 52, "ScaLAPACK": 40, "CTF": 28, "CARMA": 9, "Cannon": 16}
         for algorithm, expected in expected_io.items():
-            prediction = get_algorithm(algorithm).cost(scenario)
-            assert prediction.algorithm == algorithm
-            assert prediction.io_words_per_rank == expected
-            assert prediction.latency_rounds == expected_latency[algorithm]
-            assert prediction.latency_rounds == get_algorithm(algorithm).plan(scenario).rounds
-            assert prediction.flops_per_rank == pytest.approx(2 * m * n * k / p)
-            assert get_algorithm(algorithm).cost(scenario) is prediction  # memoized
+            spec = get_algorithm(algorithm)
+            assert spec.io_cost(m, n, k, p, s) == expected
+            assert spec.plan(scenario).rounds == expected_rounds[algorithm]
 
     def test_aliases_agree_with_harness_names(self):
-        scenario = self._scenario()
-        scalapack = get_algorithm("ScaLAPACK").cost(scenario)
-        assert get_algorithm("SUMMA").cost(scenario) == scalapack
-        assert get_algorithm("2D").cost(scenario) == scalapack
-        assert get_algorithm("2.5D").cost(scenario) == get_algorithm("CTF").cost(scenario)
+        assert get_algorithm("SUMMA") is get_algorithm("ScaLAPACK")
+        assert get_algorithm("2D") is get_algorithm("ScaLAPACK")
+        assert get_algorithm("2.5D") is get_algorithm("CTF")
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(KeyError):
-            get_algorithm("MAGMA").cost(self._scenario())
+            get_algorithm("MAGMA")
 
     def test_registry_is_the_one_source_of_cost_models(self):
-        """Every registered spec predicts exactly its own I/O formula and its
-        plan's rounds, a spec without a formula predicts nothing, one without a
-        planner zero rounds, and an unregistered name is unknown."""
-        from repro.algorithms import AlgorithmSpec, algorithm_specs, register, unregister
-
-        scenario = self._scenario()
-        m, n, k, p, s = 512, 512, 512, 64, 16384
-        for spec in algorithm_specs():
-            if spec.io_cost is None:
-                assert spec.cost(scenario) is None
-                continue
-            prediction = spec.cost(scenario)
-            assert prediction.io_words_per_rank == spec.io_cost(m, n, k, p, s)
-            assert prediction.latency_rounds == spec.plan(scenario).rounds
+        """A registered spec's formula is reached through its aliases, and an
+        unregistered name is unknown."""
+        from repro.algorithms import AlgorithmSpec, register, unregister
 
         register(AlgorithmSpec(name="_tmp-costed", runner=lambda *a: None,
                                io_cost=lambda m, n, k, p, s: 1.0, aliases=("_tmp-alias",)))
-        prediction = get_algorithm("_tmp-alias").cost(scenario)
-        assert (prediction.io_words_per_rank, prediction.latency_rounds) == (1.0, 0.0)
+        assert get_algorithm("_tmp-alias").io_cost(512, 512, 512, 64, 16384) == 1.0
         unregister("_tmp-costed")
         for name in ("_tmp-costed", "_tmp-alias"):
             with pytest.raises(KeyError):
                 get_algorithm(name)
-
-    def test_analytic_time_prices_the_prediction(self):
-        from repro.experiments.perf_model import analytic_time
-        from repro.machine.topology import PIZ_DAINT_LIKE
-
-        scenario = self._scenario()
-        prediction = get_algorithm("COSMA").cost(scenario)
-        expected = PIZ_DAINT_LIKE.compute_time(prediction.flops_per_rank) + PIZ_DAINT_LIKE.communication_time(
-            prediction.io_words_per_rank, prediction.latency_rounds
-        )
-        assert analytic_time(prediction) == pytest.approx(expected)
-        assert analytic_time("COSMA", scenario) == pytest.approx(expected)
-        with pytest.raises(ValueError):
-            analytic_time("COSMA")

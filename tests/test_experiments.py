@@ -16,7 +16,7 @@ from repro.experiments.harness import (
     run_algorithm,
     run_scenario,
 )
-from repro.experiments.perf_model import percent_of_peak, simulated_time, speedup, time_breakdown
+from repro.experiments.perf_model import percent_of_peak, simulated_time, time_breakdown
 from repro.experiments.report import (
     breakdown_rows,
     format_table,
@@ -224,7 +224,8 @@ class TestPerfModel:
 
     def test_overlap_not_slower(self, small_runs):
         for run in small_runs.values():
-            assert simulated_time(run, overlap=True) <= simulated_time(run, overlap=False) + 1e-12
+            breakdown = time_breakdown(run)
+            assert simulated_time(run) == breakdown.total_with_overlap <= breakdown.total_no_overlap
 
     def test_percent_of_peak_in_range(self, small_runs):
         for run in small_runs.values():
@@ -238,10 +239,6 @@ class TestPerfModel:
                 breakdown.computation + breakdown.communication
             )
             assert 0 <= breakdown.communication_fraction <= 1
-
-    def test_speedup_of_run_vs_itself_is_one(self, small_runs):
-        run = small_runs["COSMA"]
-        assert speedup(run, run) == pytest.approx(1.0)
 
     def test_spec_affects_time(self, small_runs):
         run = small_runs["COSMA"]

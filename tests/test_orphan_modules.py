@@ -17,8 +17,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 KEPT = {
     "extensions/allgather.py": ("Figure 2 naive 1D baseline; registry extension example",
                                 "tests/test_algorithms_registry.py"),
-    "core/cost_model.py": ("Equation 32's local domain; Figure 3's cubic-grid comparison",
-                           "tests/test_core_cost_tradeoff_buffers_overlap.py"),
     "machine/tree.py": ("section 7.2's broadcast trees; the broadcast-tree ablation bench",
                         "tests/test_machine_tree.py"),
     "machine/shard.py": ("none: the shard pool no engine uses, timed by the benchmark ledger's "

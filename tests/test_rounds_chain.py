@@ -16,7 +16,8 @@ rank (idle ranks 0):
   (owner, receiver) message of its domain table;
 * ``AllGather1D``: ``q - 1`` ring steps on each of its ``q`` ranks.
 
-``AlgorithmSpec.cost`` prices those rounds (``CostPrediction.latency_rounds``).
+The time model (:func:`repro.experiments.perf_model.time_breakdown`) charges
+a latency per counted round (``tests/test_time_model.py``).
 """
 
 import numpy as np
@@ -59,13 +60,12 @@ def closed_form(name, scenario, run_plan):
 
 def assert_rounds_are_plan(name, scenario):
     """A ``volume`` run's ROUNDS are the closed form rank for rank, and the
-    plan's rounds (and the cost prediction's) are the busiest rank's."""
+    plan's rounds are the busiest rank's."""
     run_plan = get_algorithm(name).plan(scenario)
     counters = _counters(name, scenario, run_plan)
     np.testing.assert_array_equal(counters.data[ROUNDS], closed_form(name, scenario, run_plan),
                                   err_msg=name)
     assert run_plan.rounds == counters.max_rounds(), name
-    assert get_algorithm(name).cost(scenario).latency_rounds == run_plan.rounds, name
 
 
 @settings(max_examples=30, deadline=None)

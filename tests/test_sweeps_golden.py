@@ -1,14 +1,22 @@
 """Golden regression: registry-path counters must match the pre-registry values.
 
-``tests/data/golden_sweep_rows.json`` holds the ``tidy_rows`` of the PR 2
+``tests/data/golden_sweep_rows.json`` holds the ``tidy_rows`` of the
 reference campaign (square / limited, p in {4, 16, 36, 64}, 2048 words, all
 five algorithms, volume mode, seed 0) captured *before* the algorithm
 registry existed.  The refactor contract is byte-identical aggregation: any
-drift in counters, predictions or run keys fails here first.  One declared
-regeneration since: ``predicted_latency_rounds`` became the plan's counted
-rounds (equal to every row's ``rounds``) in place of Table 3's latency
-formulas, and ``analytic_time_s``, which prices it, moved with it; every
-other column kept its bytes.
+drift in counters, predictions or run keys fails here first.
+
+Two declared regenerations since, each keeping every other column's bytes:
+
+1. ``predicted_latency_rounds`` became the plan's counted rounds (equal to
+   every row's ``rounds``) in place of Table 3's latency formulas, and
+   ``analytic_time_s``, which priced it, moved with it.
+2. The one time model: ``simulated_time_s`` and ``percent_of_peak`` now
+   charge a latency per counted round instead of per two messages (new/old
+   time 1.57-1.89x for COSMA, ScaLAPACK, CTF and CARMA, whose busiest rank
+   has one message per round; Cannon's, two per round, moved only in the
+   last bit), and ``predicted_latency_rounds`` and ``analytic_time_s`` are
+   gone with the analytic model.
 """
 
 import json

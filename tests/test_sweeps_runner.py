@@ -6,10 +6,10 @@ import pytest
 
 from repro.algorithms import AlgorithmSpec, get_algorithm, register, unregister
 from repro.experiments.harness import RunFailure, RunReport, run_algorithm_safe
-from repro.sweeps.aggregate import rows_to_json, runs_from_records, scenario_summary_table, tidy_rows
+from repro.sweeps.aggregate import rows_to_json, scenario_summary_table, tidy_rows
 from repro.sweeps.runner import run_campaign
 from repro.sweeps.spec import SweepSpec, spec_from_scenarios
-from repro.sweeps.store import ResultStore
+from repro.sweeps.store import ResultStore, record_to_run
 from repro.workloads.scaling import Scenario
 from repro.workloads.shapes import square_shape
 
@@ -64,7 +64,7 @@ class TestCampaignResult:
         runs = result.runs()
         assert len(runs) == len(spec.expand())
         assert all(isinstance(run, RunReport) for run in runs)
-        assert runs_from_records(result.records) == runs
+        assert runs == [record_to_run(record) for record in result.records]
 
     def test_progress_callback_sees_every_record(self, tmp_path, spec):
         seen: list[tuple[str, bool]] = []
